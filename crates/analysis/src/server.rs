@@ -11,7 +11,7 @@ use edgstr_lang::{
     RuntimeError, Value, Vm,
 };
 use edgstr_net::{HttpRequest, HttpResponse, Verb};
-use edgstr_sql::{RowEffect, SqlDb, SqlResult, SqlValue};
+use edgstr_sql::{parse_sql, RowEffect, SqlDb, SqlResult, SqlValue, Statement};
 use edgstr_vfs::VirtualFs;
 use serde_json::Value as Json;
 use std::collections::BTreeMap;
@@ -116,6 +116,9 @@ struct ServerHost<'a> {
     response: &'a mut Option<HttpResponse>,
     status: &'a mut u16,
     row_effects: &'a mut Vec<RowEffect>,
+    /// Length of `row_effects` when the open SQL transaction began (0 for
+    /// one inherited from an earlier call).
+    txn_mark: Option<usize>,
     file_writes: &'a mut Vec<(String, Vec<u8>)>,
     logs: &'a mut Vec<String>,
     tick: &'a mut u64,
@@ -163,6 +166,19 @@ impl Host for ServerHost<'_> {
                     .exec_with_effects(sql)
                     .map_err(|e| format!("SQL error: {e}"))?;
                 self.row_effects.extend(effects);
+                match (self.txn_mark, self.db.in_transaction()) {
+                    (None, true) => self.txn_mark = Some(self.row_effects.len()),
+                    (Some(mark), false) => {
+                        // COMMIT keeps what the transaction wrote; ROLLBACK
+                        // took it back out of the database, so the CRDT
+                        // mirror must never hear of it
+                        if matches!(parse_sql(sql), Ok(Statement::Rollback)) {
+                            self.row_effects.truncate(mark);
+                        }
+                        self.txn_mark = None;
+                    }
+                    _ => {}
+                }
                 let (value, scanned) = rows_value(&result);
                 Ok(HostOutcome::with_cycles(
                     value,
@@ -371,6 +387,8 @@ pub struct ServerProcess {
     logs: Vec<String>,
     tick: u64,
     fail_calls: Vec<String>,
+    /// Row effects of the last request when it failed after writing.
+    failed_row_effects: Vec<RowEffect>,
     init_cycles: u64,
 }
 
@@ -425,6 +443,7 @@ impl ServerProcess {
             logs: Vec::new(),
             tick: 0,
             fail_calls: Vec::new(),
+            failed_row_effects: Vec::new(),
             init_cycles: 0,
         }
     }
@@ -454,6 +473,7 @@ impl ServerProcess {
         let mut status = 200u16;
         let mut row_effects = Vec::new();
         let mut file_writes = Vec::new();
+        let txn_mark = self.db.in_transaction().then_some(0);
         let mut host = ServerHost {
             db: &mut self.db,
             fs: &mut self.fs,
@@ -461,6 +481,7 @@ impl ServerProcess {
             response: &mut response,
             status: &mut status,
             row_effects: &mut row_effects,
+            txn_mark,
             file_writes: &mut file_writes,
             logs: &mut self.logs,
             tick: &mut self.tick,
@@ -507,11 +528,13 @@ impl ServerProcess {
                 verb: req.verb,
                 path: req.path.clone(),
             })?;
+        self.failed_row_effects.clear();
         let req_value = request_value(req);
         let mut response = None;
         let mut status = 200u16;
         let mut row_effects = Vec::new();
         let mut file_writes = Vec::new();
+        let txn_mark = self.db.in_transaction().then_some(0);
         let fail_calls = self.fail_calls.clone();
         let mut host = ServerHost {
             db: &mut self.db,
@@ -520,6 +543,7 @@ impl ServerProcess {
             response: &mut response,
             status: &mut status,
             row_effects: &mut row_effects,
+            txn_mark,
             file_writes: &mut file_writes,
             logs: &mut self.logs,
             tick: &mut self.tick,
@@ -553,8 +577,16 @@ impl ServerProcess {
             self.globals = new_globals;
             (result.map(|_| ()), cycles, global_writes)
         };
-        result?;
-        let response = response.ok_or(ServerError::NoResponse)?;
+        let sent = result
+            .map_err(ServerError::from)
+            .and_then(|()| response.ok_or(ServerError::NoResponse));
+        let response = match sent {
+            Ok(response) => response,
+            Err(e) => {
+                self.failed_row_effects = row_effects;
+                return Err(e);
+            }
+        };
         Ok(HandleOutcome {
             response,
             cycles,
@@ -562,6 +594,16 @@ impl ServerProcess {
             file_writes,
             global_writes,
         })
+    }
+
+    /// The row effects of the last [`ServerProcess::handle`] call if it
+    /// failed: rows it wrote into [`ServerProcess::db`] before the error,
+    /// which no [`HandleOutcome`] will ever report. A replica must put
+    /// those rows back to their replicated state before serving again
+    /// (the CRDT mirror never saw the write). Empty after a success, and
+    /// once taken.
+    pub fn take_failed_row_effects(&mut self) -> Vec<RowEffect> {
+        std::mem::take(&mut self.failed_row_effects)
     }
 
     /// The registered routes.
@@ -813,6 +855,65 @@ mod tests {
             .unwrap();
         assert_eq!(out.row_effects.len(), 1);
         assert_eq!(out.response.body[0]["text"], json!("milk"));
+    }
+
+    #[test]
+    fn rolled_back_writes_report_no_effects() {
+        let src = r#"
+            db.query("CREATE TABLE notes (id INT PRIMARY KEY, text TEXT)");
+            app.post("/try", function (req, res) {
+                db.query("INSERT INTO notes VALUES (1, 'kept')");
+                db.query("BEGIN");
+                db.query("INSERT INTO notes VALUES (2, 'undone')");
+                db.query("ROLLBACK");
+                db.query("BEGIN");
+                db.query("INSERT INTO notes VALUES (3, 'committed')");
+                db.query("COMMIT");
+                res.send(db.query("SELECT id FROM notes"));
+            });
+        "#;
+        let mut s = ServerProcess::from_source(src).unwrap();
+        s.init().unwrap();
+        let out = s
+            .handle(&HttpRequest::post("/try", json!({}), vec![]))
+            .unwrap();
+        assert_eq!(out.response.body, json!([{"id": 1}, {"id": 3}]));
+        // the mirror hears of exactly the rows the database kept
+        let pks: Vec<&str> = out
+            .row_effects
+            .iter()
+            .map(|e| match e {
+                RowEffect::Upsert { pk, .. } | RowEffect::Delete { pk, .. } => pk.as_str(),
+            })
+            .collect();
+        assert_eq!(pks, ["1", "3"]);
+    }
+
+    #[test]
+    fn failed_call_surfaces_its_row_effects_once() {
+        let src = r#"
+            db.query("CREATE TABLE notes (id INT PRIMARY KEY, text TEXT)");
+            app.post("/half", function (req, res) {
+                db.query("INSERT INTO notes VALUES (1, 'written')");
+                fs.readFile("/no/such/file");
+                res.send({ ok: true });
+            });
+            app.get("/ok", function (req, res) { res.send(1); });
+        "#;
+        let mut s = ServerProcess::from_source(src).unwrap();
+        s.init().unwrap();
+        assert!(s
+            .handle(&HttpRequest::post("/half", json!({}), vec![]))
+            .is_err());
+        let left = s.take_failed_row_effects();
+        assert!(matches!(&left[..], [RowEffect::Upsert { pk, .. }] if pk == "1"));
+        assert!(s.take_failed_row_effects().is_empty(), "taken once");
+        // a later success does not resurrect an untaken report
+        assert!(s
+            .handle(&HttpRequest::post("/half", json!({}), vec![]))
+            .is_err());
+        s.handle(&HttpRequest::get("/ok", json!({}))).unwrap();
+        assert!(s.take_failed_row_effects().is_empty());
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Criterion microbenchmarks for the EdgStr substrates: CRDT operations
-//! and merging, datalog fixpoints, the SQL engine, the NodeScript
-//! pipeline, template rendering, and full service profiling.
+//! and merging, datalog fixpoints, the SQL engine, sync apply and wire
+//! sizing, the NodeScript pipeline, template rendering, and full service
+//! profiling.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use edgstr_analysis::{profile_service, InitState, ServerProcess};
@@ -112,7 +113,7 @@ fn bench_log_structure(c: &mut Criterion) {
         g.bench_function(&format!("get_changes_linear_scan/{n}"), |b| {
             b.iter(|| {
                 flat.iter()
-                    .filter(|ch| ch.seq > since.get(ch.actor))
+                    .filter(|ch| ch.seq() > since.get(ch.actor()))
                     .cloned()
                     .collect::<Vec<_>>()
             })
@@ -231,6 +232,132 @@ fn bench_sql(c: &mut Criterion) {
                 .unwrap()
         })
     });
+    // The primary key is the index: a pinned lookup, and an insert into
+    // the middle of the table (the worst slot) with the delete that undoes
+    // it, at two table sizes.
+    for rows in [512u32, 4_096] {
+        let mut db = SqlDb::new();
+        db.exec("CREATE TABLE t (id INT PRIMARY KEY, v TEXT)")
+            .unwrap();
+        for i in 0..rows {
+            db.exec(&format!("INSERT INTO t VALUES ({i}, 'row{i}')"))
+                .unwrap();
+        }
+        let select = format!("SELECT * FROM t WHERE id = {}", rows / 2);
+        g.bench_function(&format!("point_select/{rows}"), |b| {
+            b.iter(|| db.exec(&select).unwrap())
+        });
+        let insert = format!("INSERT INTO t VALUES ({}.5, 'new')", rows / 2);
+        let delete = format!("DELETE FROM t WHERE id = {}.5", rows / 2);
+        g.bench_function(&format!("insert/{rows}"), |b| {
+            b.iter(|| {
+                db.exec(&insert).unwrap();
+                db.exec(&delete).unwrap()
+            })
+        });
+    }
+    g.finish();
+}
+
+/// The two per-round costs of background sync that must follow the delta,
+/// not the table or the hop count: materialising an applied delta into
+/// the receiver's database, and sizing changes for traffic accounting.
+fn bench_sync(c: &mut Criterion) {
+    use edgstr_analysis::StateUnit;
+    use edgstr_core::CrdtBindings;
+    use edgstr_runtime::{CrdtSet, SyncEndpoint};
+
+    const CATALOG: &str = r#"
+        db.query("CREATE TABLE books (id INT PRIMARY KEY, title TEXT, stock INT)");
+        app.post("/stock", function (req, res) {
+            db.query("UPDATE books SET stock = " + req.body.qty + " WHERE id = " + req.body.id);
+            res.send({ ok: true });
+        });
+    "#;
+    let catalog = |rows: u32| {
+        let mut s = ServerProcess::from_source(CATALOG).unwrap();
+        s.init().unwrap();
+        for i in 0..rows {
+            s.db.exec(&format!("INSERT INTO books VALUES ({i}, 'title {i}', 1)"))
+                .unwrap();
+        }
+        InitState::capture(&s)
+    };
+    let node = |actor: u64, init: &InitState| {
+        let mut s = ServerProcess::from_source(CATALOG).unwrap();
+        s.init().unwrap();
+        init.restore(&mut s);
+        let bindings = CrdtBindings::from_units([StateUnit::DbTable("books".into())]);
+        let set = CrdtSet::initialize(ActorId(actor), &bindings, init);
+        (s, set)
+    };
+    let mut g = c.benchmark_group("sync");
+    for rows in [512u32, 4_096] {
+        let init = catalog(rows);
+        for touched in [1u32, 64] {
+            // an edge's delta of `touched` stock updates as the cloud
+            // receives it, after one earlier delta: a replica's very first
+            // apply grows its object table past the snapshot's size, a
+            // one-off that is not the steady state measured here
+            let (mut edge, mut edge_set) = node(2, &init);
+            let mut to_cloud = SyncEndpoint::new();
+            let mut deltas = Vec::new();
+            for count in [1, touched] {
+                to_cloud.peer_clock = edge_set.clock(); // all shipped so far
+                for i in 0..count {
+                    let id = (i * 61 + count) % rows;
+                    let req = HttpRequest::post("/stock", json!({"id": id, "qty": 7}), vec![]);
+                    let out = edge.handle(&req).unwrap();
+                    edge_set.absorb_outcome(&out, &edge);
+                }
+                deltas.push(to_cloud.generate(&edge_set));
+            }
+            let [first, msg] = &deltas[..] else {
+                unreachable!()
+            };
+            assert_eq!(msg.changes.len(), touched as usize);
+            g.bench_function(&format!("apply_delta/{touched}_of_{rows}"), |b| {
+                // receivers outlive the timed call: dropping a whole
+                // replica would otherwise be most of what is measured
+                let mut applied = Vec::new();
+                b.iter_batched(
+                    || {
+                        let (mut cloud, mut cloud_set) = node(1, &init);
+                        let mut from_edge = SyncEndpoint::new();
+                        from_edge.receive(&mut cloud_set, &mut cloud, first);
+                        (cloud, cloud_set, from_edge, msg.clone())
+                    },
+                    |(mut cloud, mut cloud_set, mut from_edge, msg)| {
+                        from_edge.receive_owned(&mut cloud_set, &mut cloud, msg);
+                        applied.push((cloud, cloud_set));
+                    },
+                    BatchSize::SmallInput,
+                )
+            });
+        }
+    }
+    // 64 changes: encoded on the first call, remembered on every later one
+    let changes = {
+        let init = catalog(512);
+        let (mut edge, mut edge_set) = node(2, &init);
+        let since = edge_set.clock();
+        for id in 0..64 {
+            let req = HttpRequest::post("/stock", json!({"id": id, "qty": 7}), vec![]);
+            let out = edge.handle(&req).unwrap();
+            edge_set.absorb_outcome(&out, &edge);
+        }
+        edge_set.get_changes(&since)
+    };
+    g.bench_function("wire_size/first_call_64", |b| {
+        b.iter_batched(
+            || changes.clone(),
+            |cs| cs.wire_size(),
+            BatchSize::SmallInput,
+        )
+    });
+    let sized = changes.clone();
+    sized.wire_size();
+    g.bench_function("wire_size/repeat_64", |b| b.iter(|| sized.wire_size()));
     g.finish();
 }
 
@@ -518,6 +645,6 @@ fn bench_pipeline(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_crdt, bench_log_structure, bench_datalog, bench_sql, bench_lang, bench_interp_dispatch, bench_metrics, bench_template, bench_parallel, bench_pipeline
+    targets = bench_crdt, bench_log_structure, bench_datalog, bench_sql, bench_sync, bench_lang, bench_interp_dispatch, bench_metrics, bench_template, bench_parallel, bench_pipeline
 }
 criterion_main!(benches);

@@ -105,7 +105,7 @@ fn part_a(smoke: bool) -> Vec<serde_json::Value> {
             || doc.get_changes(&since),
             || {
                 flat.iter()
-                    .filter(|ch| ch.seq > since.get(ch.actor))
+                    .filter(|ch| ch.seq() > since.get(ch.actor()))
                     .cloned()
                     .collect::<Vec<_>>()
             },
@@ -191,7 +191,7 @@ fn legacy_generate(set: &CrdtSet, peer: &SetClock) -> SetSyncMessage {
     let empty = VClock::new();
     let filter = |cs: Vec<Change>, clock: &VClock| -> Vec<Change> {
         cs.into_iter()
-            .filter(|c| c.seq > clock.get(c.actor))
+            .filter(|c| c.seq() > clock.get(c.actor()))
             .collect()
     };
     let tables = full

@@ -5,6 +5,7 @@ use crate::ids::{ActorId, OpId, VClock};
 use serde::{Deserialize, Serialize};
 use serde_json::{Error as JsonError, Value as Json};
 use std::fmt;
+use std::sync::OnceLock;
 
 // ---- manual (de)serialization helpers -----------------------------------
 //
@@ -369,17 +370,29 @@ impl Op {
 
 /// A batch of operations from one actor: the unit returned by
 /// `get_changes` and consumed by `apply_changes` (§III-G.1).
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Immutable once built ([`Change::new`]), which is what lets it remember
+/// its own encoded size: [`Change::wire_size`] serializes at most once per
+/// value, clones carry the result, and nothing can edit the content out
+/// from under it.
+#[derive(Debug, Clone)]
 pub struct Change {
-    /// The replica that generated this change.
-    pub actor: ActorId,
-    /// Per-actor sequence number, starting at 1, gapless.
-    pub seq: u64,
-    /// Causal dependencies: the generating replica's clock *before* this
-    /// change (not counting the change itself).
-    pub deps: VClock,
-    /// The operations, in generation order.
-    pub ops: Vec<Op>,
+    pub(crate) actor: ActorId,
+    pub(crate) seq: u64,
+    pub(crate) deps: VClock,
+    pub(crate) ops: Vec<Op>,
+    /// JSON length of this change, filled by the first `wire_size` call.
+    /// Derived from the four fields above, so equality ignores it.
+    size: OnceLock<usize>,
+}
+
+impl PartialEq for Change {
+    fn eq(&self, other: &Change) -> bool {
+        self.actor == other.actor
+            && self.seq == other.seq
+            && self.deps == other.deps
+            && self.ops == other.ops
+    }
 }
 
 impl Serialize for Change {
@@ -396,18 +409,52 @@ impl Serialize for Change {
 impl Deserialize for Change {
     fn from_json_value(v: &Json) -> Result<Self, JsonError> {
         let obj = as_struct(v)?;
-        Ok(Change {
-            actor: ActorId::from_json_value(field(obj, "actor")?)?,
-            seq: field(obj, "seq")?
+        Ok(Change::new(
+            ActorId::from_json_value(field(obj, "actor")?)?,
+            field(obj, "seq")?
                 .as_u64()
                 .ok_or_else(|| JsonError::custom("Change: seq must be u64"))?,
-            deps: VClock::from_json_value(field(obj, "deps")?)?,
-            ops: vec_from_json(field(obj, "ops")?)?,
-        })
+            VClock::from_json_value(field(obj, "deps")?)?,
+            vec_from_json(field(obj, "ops")?)?,
+        ))
     }
 }
 
 impl Change {
+    /// A change by `actor` with per-actor sequence number `seq` (starting
+    /// at 1, gapless), causal dependencies `deps` (the generating replica's
+    /// clock *before* this change) and `ops` in generation order.
+    pub fn new(actor: ActorId, seq: u64, deps: VClock, ops: Vec<Op>) -> Change {
+        Change {
+            actor,
+            seq,
+            deps,
+            ops,
+            size: OnceLock::new(),
+        }
+    }
+
+    /// The replica that generated this change.
+    pub fn actor(&self) -> ActorId {
+        self.actor
+    }
+
+    /// Per-actor sequence number, starting at 1, gapless.
+    pub fn seq(&self) -> u64 {
+        self.seq
+    }
+
+    /// Causal dependencies: the generating replica's clock before this
+    /// change (not counting the change itself).
+    pub fn deps(&self) -> &VClock {
+        &self.deps
+    }
+
+    /// The operations, in generation order.
+    pub fn ops(&self) -> &[Op] {
+        &self.ops
+    }
+
     /// Highest op counter used inside this change (0 when empty).
     pub fn max_counter(&self) -> u64 {
         self.ops.iter().map(|o| o.id().counter).max().unwrap_or(0)
@@ -415,14 +462,19 @@ impl Change {
 
     /// Serialized size in bytes — the WAN traffic cost of shipping this
     /// change, used for the synchronization-overhead experiments (Fig. 10a).
+    /// Computed on first use and remembered: a change is sized by its
+    /// sender, its receiver and every relay, and serializing it each time
+    /// made accounting cost more than applying.
     ///
     /// A change that cannot be serialized is a protocol-level bug; silently
     /// reporting 0 bytes would corrupt every traffic experiment, so this
     /// panics instead.
     pub fn wire_size(&self) -> usize {
-        serde_json::to_vec(self)
-            .expect("Change must serialize for traffic accounting")
-            .len()
+        *self.size.get_or_init(|| {
+            serde_json::to_vec(self)
+                .expect("Change must serialize for traffic accounting")
+                .len()
+        })
     }
 }
 
@@ -447,12 +499,7 @@ mod tests {
 
     #[test]
     fn change_serde_round_trip() {
-        let c = Change {
-            actor: ActorId(1),
-            seq: 1,
-            deps: VClock::new(),
-            ops: vec![op()],
-        };
+        let c = Change::new(ActorId(1), 1, VClock::new(), vec![op()]);
         let bytes = serde_json::to_vec(&c).unwrap();
         let back: Change = serde_json::from_slice(&bytes).unwrap();
         assert_eq!(c, back);
@@ -460,14 +507,8 @@ mod tests {
 
     #[test]
     fn wire_size_positive_and_monotone() {
-        let small = Change {
-            actor: ActorId(1),
-            seq: 1,
-            deps: VClock::new(),
-            ops: vec![op()],
-        };
-        let mut big = small.clone();
-        big.ops = vec![op(); 50];
+        let small = Change::new(ActorId(1), 1, VClock::new(), vec![op()]);
+        let big = Change::new(ActorId(1), 1, VClock::new(), vec![op(); 50]);
         assert!(small.wire_size() > 0);
         assert!(big.wire_size() > small.wire_size() * 10);
         assert_eq!(
@@ -477,12 +518,28 @@ mod tests {
     }
 
     #[test]
+    fn wire_size_is_computed_once_and_travels_with_clones() {
+        let c = Change::new(ActorId(1), 1, VClock::new(), vec![op()]);
+        assert_eq!(c.size.get(), None, "not sized until asked");
+        assert_eq!(c.clone().size.get(), None);
+        let size = c.wire_size();
+        assert_eq!(c.size.get(), Some(&size));
+        assert_eq!(
+            c.clone().size.get(),
+            Some(&size),
+            "a clone does not re-encode"
+        );
+        // sized and unsized values are the same change
+        assert_eq!(c, Change::new(ActorId(1), 1, VClock::new(), vec![op()]));
+    }
+
+    #[test]
     fn max_counter_over_ops() {
-        let c = Change {
-            actor: ActorId(1),
-            seq: 1,
-            deps: VClock::new(),
-            ops: vec![
+        let c = Change::new(
+            ActorId(1),
+            1,
+            VClock::new(),
+            vec![
                 Op::MakeMap {
                     id: OpId::new(3, ActorId(1)),
                 },
@@ -490,7 +547,7 @@ mod tests {
                     id: OpId::new(7, ActorId(1)),
                 },
             ],
-        };
+        );
         assert_eq!(c.max_counter(), 7);
     }
 }

@@ -158,6 +158,17 @@ struct MapObj {
     counters: BTreeMap<String, Vec<(OpId, i64)>>,
 }
 
+impl MapObj {
+    fn has_entry(&self, key: &str) -> bool {
+        self.entries.get(key).is_some_and(|slot| !slot.is_empty())
+    }
+
+    /// Whether `key` reads as a value: a visible entry or a counter cell.
+    fn is_live(&self, key: &str) -> bool {
+        self.has_entry(key) || self.counters.get(key).is_some_and(|incs| !incs.is_empty())
+    }
+}
+
 #[derive(Debug, Clone)]
 struct ListElem {
     id: OpId,
@@ -660,6 +671,39 @@ impl Doc {
     pub fn list_len(&self, path: &[PathSeg]) -> Option<usize> {
         let obj = self.get_obj(path)?;
         self.lists.get(&obj).map(ListObj::visible_len)
+    }
+
+    /// Whether a value is visible at `path` — [`Doc::get`]`.is_some()`
+    /// without building the value.
+    pub fn contains(&self, path: &[PathSeg]) -> bool {
+        let Some((last, parent)) = path.split_last() else {
+            return true; // the root always exists
+        };
+        let Some(obj) = self.get_obj(parent) else {
+            return false;
+        };
+        match last {
+            PathSeg::Key(k) => self.maps.get(&obj).is_some_and(|map| map.is_live(k)),
+            PathSeg::Index(i) => self
+                .lists
+                .get(&obj)
+                .is_some_and(|list| list.visible().nth(*i).is_some()),
+        }
+    }
+
+    /// Number of keys of the map at `path` (0 when it is not a map) —
+    /// [`Doc::map_keys`]`.len()` without copying a key.
+    pub fn map_len(&self, path: &[PathSeg]) -> usize {
+        let Some(map) = self.get_obj(path).and_then(|obj| self.maps.get(&obj)) else {
+            return 0;
+        };
+        let in_entries = map.entries.values().filter(|slot| !slot.is_empty()).count();
+        let counters_only = map
+            .counters
+            .iter()
+            .filter(|(k, incs)| !incs.is_empty() && !map.has_entry(k))
+            .count();
+        in_entries + counters_only
     }
 
     /// Keys of the map at `path`.
@@ -1221,12 +1265,7 @@ impl Doc {
         }
         let deps = self.clock.clone();
         self.seq += 1;
-        let change = Change {
-            actor: self.actor,
-            seq: self.seq,
-            deps,
-            ops,
-        };
+        let change = Change::new(self.actor, self.seq, deps, ops);
         // ops produced by local mutation helpers may already be applied
         // (intermediate containers); apply_op is idempotent for Make and
         // Set-with-same-id, so replay is safe.
@@ -1620,6 +1659,37 @@ mod tests {
         d.put(&path!["a"], json!(1)).unwrap();
         d.delete(&path!["a"]).unwrap();
         assert_eq!(d.get(&path!["a"]), None);
+    }
+
+    /// `contains` and `map_len` answer what `get(..).is_some()` and
+    /// `map_keys(..).len()` answer, through deletes, a re-added key, a
+    /// counter beside an entry and a counter on its own.
+    #[test]
+    fn contains_and_map_len_agree_with_the_reads_that_build_values() {
+        let mut d = Doc::new(ActorId(1));
+        let agree = |d: &Doc| {
+            assert_eq!(d.map_len(&path!["m"]), d.map_keys(&path!["m"]).len());
+            for k in ["a", "b", "n", "gone"] {
+                let p = path!["m", k];
+                assert_eq!(d.contains(&p), d.get(&p).is_some(), "{k}");
+            }
+        };
+        agree(&d); // no map at all
+        d.put(&path!["m", "a"], json!({"x": 1})).unwrap();
+        d.put(&path!["m", "b"], json!(2)).unwrap();
+        d.put(&path!["m", "gone"], json!(3)).unwrap();
+        agree(&d);
+        assert_eq!(d.map_len(&path!["m"]), 3);
+        d.delete(&path!["m", "gone"]).unwrap();
+        d.increment(&path!["m", "n"], 2).unwrap();
+        d.increment(&path!["m", "b"], 1).unwrap();
+        agree(&d);
+        assert_eq!(d.map_len(&path!["m"]), 3);
+        assert!(d.contains(&path!["m", "a", "x"]) && !d.contains(&path!["m", "a", "y"]));
+        assert!(!d.contains(&path!["m", "b", "deeper"]), "b is a scalar");
+        d.put(&path!["m", "gone"], json!(4)).unwrap();
+        agree(&d);
+        assert_eq!(d.map_len(&path!["m"]), 4);
     }
 
     #[test]

@@ -163,7 +163,7 @@ impl PeerSync {
             // message nothing ever regenerates the changes — the peers
             // diverge until an unrelated write happens to cover the gap.
             for c in &msg.changes {
-                self.peer_clock.observe(c.actor, c.seq);
+                self.peer_clock.observe(c.actor(), c.seq());
             }
         }
         msg

@@ -88,8 +88,9 @@ impl CrdtTable {
     ///
     /// Propagates document errors.
     pub fn delete_row(&mut self, pk: &str) -> Result<(), CrdtError> {
-        if self.get_row(pk).is_some() {
-            self.doc.delete(&path!["rows", pk.to_string()])
+        let path = path!["rows", pk.to_string()];
+        if self.doc.contains(&path) {
+            self.doc.delete(&path)
         } else {
             Ok(())
         }
@@ -113,7 +114,7 @@ impl CrdtTable {
 
     /// Number of live rows.
     pub fn len(&self) -> usize {
-        self.rows().len()
+        self.doc.map_len(&path!["rows"])
     }
 
     /// Whether the table has no rows.

@@ -11,7 +11,7 @@ use crate::cache::UnitVersions;
 use edgstr_analysis::{HandleOutcome, InitState, ServerProcess};
 use edgstr_core::CrdtBindings;
 use edgstr_crdt::{ActorId, AdvanceMode, Change, CrdtFiles, CrdtTable, Doc, PathSeg, VClock};
-use edgstr_sql::RowEffect;
+use edgstr_sql::{RowEffect, SqlDb, SqlError};
 use serde_json::Value as Json;
 use std::collections::BTreeMap;
 
@@ -261,16 +261,16 @@ impl CrdtSet {
             if let Some(t) = self.tables.get_mut(&name) {
                 let (n, touch) = t.apply_changes_owned_tracked(cs).expect("table CRDT apply");
                 applied += n;
+                // materialize what the delta touched into the SQL engine
                 if touch.whole {
                     self.versions.touch_table(&name);
+                    materialize_table(t, &mut server.db);
                 } else {
                     for pk in &touch.keys {
                         self.versions.touch_row(&name, pk);
                     }
+                    materialize_rows(t, &touch.keys, &mut server.db);
                 }
-                // materialize merged rows into the SQL engine
-                let rows: Vec<Json> = t.rows().into_iter().map(|(_, row)| row).collect();
-                let _ = server.db.replace_table_rows(&name, &rows);
             }
         }
         if !changes.files.is_empty() {
@@ -310,12 +310,27 @@ impl CrdtSet {
     /// restarted replica is provisioned from a [`CrdtSet::save`] payload
     /// rather than by replaying changes.
     pub fn materialize_all(&self, server: &mut ServerProcess) {
-        for (name, t) in &self.tables {
-            let rows: Vec<Json> = t.rows().into_iter().map(|(_, row)| row).collect();
-            let _ = server.db.replace_table_rows(name, &rows);
+        for t in self.tables.values() {
+            materialize_table(t, &mut server.db);
         }
         self.materialize_files(server);
         self.materialize_globals(server);
+    }
+
+    /// Put the rows a failed request wrote back to their replicated state.
+    /// A handler that errors after a `db.query` write leaves the row in
+    /// `server.db` while its effects are dropped with the outcome, so the
+    /// CRDT never hears of it; every serve path calls this on a failed
+    /// [`ServerProcess::handle`] before the replica serves again, which
+    /// keeps the rule remote applies rely on: a row no delta touched reads
+    /// the same in the database as in the CRDT.
+    pub fn revert_failed_writes(&self, server: &mut ServerProcess) {
+        for effect in server.take_failed_row_effects() {
+            let (RowEffect::Upsert { table, pk, .. } | RowEffect::Delete { table, pk }) = &effect;
+            if let Some(t) = self.tables.get(table) {
+                materialize_rows(t, [pk], &mut server.db);
+            }
+        }
     }
 
     fn materialize_files(&self, server: &mut ServerProcess) {
@@ -425,6 +440,29 @@ impl CrdtSet {
     }
 }
 
+/// Rebuild the whole SQL table from `t` — for provisioning, for a delta
+/// that could not be pinned to rows, and for a table with no primary key
+/// to address a row by.
+fn materialize_table(t: &CrdtTable, db: &mut SqlDb) {
+    let rows: Vec<Json> = t.rows().into_iter().map(|(_, row)| row).collect();
+    let _ = db.replace_table_rows(t.name(), &rows);
+}
+
+/// Make the SQL rows at `keys` read what `t` reads there: written where
+/// the CRDT has the row, deleted where it does not. Every other row is
+/// left alone, which is sound because it already equals its CRDT row.
+fn materialize_rows<'k>(t: &CrdtTable, keys: impl IntoIterator<Item = &'k String>, db: &mut SqlDb) {
+    for pk in keys {
+        let written = match t.get_row(pk) {
+            Some(row) => db.upsert_row_json(t.name(), &row),
+            None => db.delete_row_by_pk(t.name(), pk),
+        };
+        if let Err(SqlError::NoPrimaryKey(_)) = written {
+            return materialize_table(t, db);
+        }
+    }
+}
+
 /// One `cloud_state` / `edge_state` sync envelope (Fig. 5b): the delta
 /// batch plus the sender's full clock, which doubles as a cumulative
 /// acknowledgment of everything the sender has applied.
@@ -505,14 +543,14 @@ impl SyncEndpoint {
             for (n, cs) in &msg.changes.tables {
                 let c = self.peer_clock.tables.entry(n.clone()).or_default();
                 for ch in cs {
-                    c.observe(ch.actor, ch.seq);
+                    c.observe(ch.actor(), ch.seq());
                 }
             }
             for ch in &msg.changes.files {
-                self.peer_clock.files.observe(ch.actor, ch.seq);
+                self.peer_clock.files.observe(ch.actor(), ch.seq());
             }
             for ch in &msg.changes.globals {
-                self.peer_clock.globals.observe(ch.actor, ch.seq);
+                self.peer_clock.globals.observe(ch.actor(), ch.seq());
             }
         }
         msg
@@ -946,6 +984,42 @@ mod partition_tests {
                 other => panic!("{other:?}"),
             }
         }
+    }
+
+    /// A table without a primary key has no key to address one row by, so
+    /// a remote apply still rebuilds it whole.
+    #[test]
+    fn unkeyed_table_materializes_by_whole_rebuild() {
+        const UNKEYED: &str = r#"
+            db.query("CREATE TABLE log (msg TEXT)");
+            app.post("/log", function (req, res) {
+                db.query("INSERT INTO log VALUES ('" + req.body.msg + "')");
+                res.send({ ok: true });
+            });
+        "#;
+        let node = |actor: u64| {
+            let mut s = ServerProcess::from_source(UNKEYED).unwrap();
+            s.init().unwrap();
+            let init = InitState::capture(&s);
+            let bindings = CrdtBindings::from_units([StateUnit::DbTable("log".into())]);
+            let set = CrdtSet::initialize(ActorId(actor), &bindings, &init);
+            (s, set)
+        };
+        let (mut cloud, mut cloud_set) = node(1);
+        let (mut edge, mut edge_set) = node(2);
+        for msg in ["first", "second"] {
+            let out = edge
+                .handle(&HttpRequest::post("/log", json!({"msg": msg}), vec![]))
+                .unwrap();
+            edge_set.absorb_outcome(&out, &edge);
+        }
+        let up = SyncEndpoint::new().generate(&edge_set);
+        SyncEndpoint::new().receive_owned(&mut cloud_set, &mut cloud, up);
+        assert_eq!(
+            cloud.db.table("log").unwrap().rows,
+            edge.db.table("log").unwrap().rows
+        );
+        assert_eq!(cloud.db.table("log").unwrap().rows.len(), 2);
     }
 
     /// Message loss: under the ack protocol the endpoint does not advance

@@ -295,7 +295,10 @@ impl OwnedReplica {
                 }
                 Some(response_digest(&out.response))
             }
-            Err(_) => None,
+            Err(_) => {
+                self.crdts.revert_failed_writes(&mut self.server);
+                None
+            }
         }
     }
 }
@@ -761,6 +764,53 @@ mod tests {
             .telemetry
             .counter_value("edgstr_cache_events_total", &[("op", "hit")]);
         assert_eq!(hits, run.cache.hits);
+    }
+
+    /// The threaded serve path puts back what a failed handler wrote: the
+    /// request after it reads the table as if it had never run, and the
+    /// replica still converges with the cloud.
+    #[test]
+    fn failed_handler_after_write_leaves_no_row() {
+        const FAILING_APP: &str = r#"
+            db.query("CREATE TABLE notes (id INT PRIMARY KEY, text TEXT)");
+            app.post("/note", function (req, res) {
+                db.query("INSERT INTO notes VALUES (" + req.body.id + ", '" + req.body.text + "')");
+                if (req.body.text == "boom") {
+                    fs.readFile("/no/such/file");
+                }
+                res.send({ ok: req.body.id });
+            });
+            app.get("/count", function (req, res) {
+                var rows = db.query("SELECT COUNT(*) FROM notes");
+                res.send(rows[0]);
+            });
+        "#;
+        let note = |id: u64, text: &str| {
+            HttpRequest::post("/note", json!({"id": id, "text": text}), vec![])
+        };
+        let count = HttpRequest::get("/count", json!({}));
+        let report = capture_and_transform(
+            FAILING_APP,
+            &[note(900, "warm"), count.clone()],
+            &EdgStrConfig::default(),
+        )
+        .unwrap()
+        .0;
+        let run = |requests: &[HttpRequest]| {
+            let opts = ParallelOptions {
+                replicas: 1,
+                workers: 1,
+                ..ParallelOptions::default()
+            };
+            ParallelSystem::new(FAILING_APP, &report, opts).run(requests)
+        };
+        let clean = run(&[note(1, "a"), count.clone()]);
+        let failed = run(&[note(1, "a"), note(2, "boom"), count]);
+        assert_eq!((failed.completed, failed.failed), (2, 1));
+        assert_eq!(failed.per_request_digests[1], FAILED_DIGEST);
+        assert_eq!(failed.per_request_digests[2], clean.per_request_digests[1]);
+        assert!(failed.converged);
+        assert_eq!(failed.state_digest, clean.state_digest);
     }
 
     #[test]

@@ -1248,11 +1248,12 @@ impl ThreeTierSystem {
             // edge -> cloud (edge_state message)
             let msg = edge.to_cloud.generate(&edge.crdts);
             if !msg.changes.is_empty() {
-                bytes += msg.wire_size();
+                let wire = msg.wire_size();
+                bytes += wire;
                 if attribute {
                     attribute_changes(
                         &self.unit_writers,
-                        msg.wire_size() as u64,
+                        wire as u64,
                         &msg.changes,
                         &mut attributed,
                     );
@@ -1275,11 +1276,12 @@ impl ThreeTierSystem {
                 msg.ack = msg.ack.meet(cap);
             }
             if !msg.changes.is_empty() {
-                bytes += msg.wire_size();
+                let wire = msg.wire_size();
+                bytes += wire;
                 if attribute {
                     attribute_changes(
                         &self.unit_writers,
-                        msg.wire_size() as u64,
+                        wire as u64,
                         &msg.changes,
                         &mut attributed,
                     );
@@ -2061,6 +2063,7 @@ impl ThreeTierSystem {
                             }
                             Err(_) => {
                                 // application error: the WAN worked, no retry
+                                self.cloud_crdts.revert_failed_writes(&mut self.cloud);
                                 self.record_forward_success(idx);
                                 return None;
                             }
@@ -2335,6 +2338,8 @@ impl ThreeTierSystem {
                     Err(_) => {
                         // failure forwarding: the edge proxies the request to
                         // the cloud master over the WAN (§II-B)
+                        let edge = &mut self.edges[idx];
+                        edge.crdts.revert_failed_writes(&mut edge.server);
                         rec.forwarded();
                         if self.breaker_open(idx, arrive) {
                             // degraded mode: fail fast without a WAN attempt
@@ -2458,6 +2463,61 @@ mod tests {
 
     fn unique_note(i: usize) -> HttpRequest {
         HttpRequest::post("/note", json!({"id": i, "text": format!("t{i}")}), vec![])
+    }
+
+    /// `/note` writes its row and then, for the text `boom`, dies on a
+    /// missing file: the write happened, the handler failed.
+    const FAILING_APP: &str = r#"
+        db.query("CREATE TABLE notes (id INT PRIMARY KEY, text TEXT)");
+        app.post("/note", function (req, res) {
+            db.query("INSERT INTO notes VALUES (" + req.body.id + ", '" + req.body.text + "')");
+            if (req.body.text == "boom") {
+                fs.readFile("/no/such/file");
+            }
+            res.send({ ok: req.body.id });
+        });
+        app.get("/count", function (req, res) {
+            var rows = db.query("SELECT COUNT(*) FROM notes");
+            res.send(rows[0]);
+        });
+    "#;
+
+    /// A handler that fails after its `INSERT` must leave nothing behind:
+    /// the row's effects died with the outcome, so the CRDT never saw it,
+    /// and no later apply rebuilds the table to erase it by accident.
+    #[test]
+    fn failed_handler_after_write_leaves_no_row() {
+        let warm = vec![
+            HttpRequest::post("/note", json!({"id": 900, "text": "warm"}), vec![]),
+            HttpRequest::get("/count", json!({})),
+        ];
+        let report = capture_and_transform(FAILING_APP, &warm, &EdgStrConfig::default())
+            .unwrap()
+            .0;
+        let mut sys = ThreeTierSystem::deploy(
+            FAILING_APP,
+            &report,
+            &[DeviceSpec::rpi4()],
+            ThreeTierOptions::default(),
+        )
+        .unwrap();
+        let boom = HttpRequest::post("/note", json!({"id": 77, "text": "boom"}), vec![]);
+        let stats = sys.run(&Workload::constant_rate(&[boom], 10.0, 1));
+        // the edge failed, forwarded, and the cloud failed the same way
+        assert_eq!((stats.completed, stats.forwarded, stats.failed), (0, 1, 1));
+        let stray = "SELECT id FROM notes WHERE id = 77";
+        let edge = &mut sys.edges[0];
+        assert!(edge.server.db.exec(stray).unwrap().rows_json().is_empty());
+        assert!(sys.cloud.db.exec(stray).unwrap().rows_json().is_empty());
+        assert!(edge.crdts.tables["notes"].get_row("77").is_none());
+        assert!(edge.to_cloud.generate(&edge.crdts).changes.is_empty());
+        // the key is free again, and the cluster converges on later writes
+        let again = HttpRequest::post("/note", json!({"id": 77, "text": "fine"}), vec![]);
+        let stats = sys.run(&Workload::constant_rate(&[again, unique_note(78)], 10.0, 2));
+        assert_eq!((stats.completed, stats.failed), (2, 0));
+        let cloud_db = sys.cloud.db.snapshot().to_json();
+        assert_eq!(cloud_db["notes"]["77"]["text"], json!("fine"));
+        assert_eq!(sys.edges[0].server.db.snapshot().to_json(), cloud_db);
     }
 
     #[test]

@@ -6,12 +6,20 @@
 //! `START TRANSACTION`/`ROLLBACK` shadow execution that keeps tables
 //! unchanged while a service is being profiled. Every write reports
 //! [`RowEffect`]s so the runtime can mirror changes into `CRDT-Table`s.
+//!
+//! A table with a primary key keeps [`Table::rows`] sorted by
+//! [`SqlValue::pk_cmp`], and that order is its only index: `INSERT` finds
+//! its slot and its duplicate by binary search, and a `WHERE` that pins
+//! the key to a literal narrows the scan to the rows equal to it. A table
+//! without one keeps insertion order and is always scanned.
 
 use crate::parser::{parse_sql, CmpOp, SelectItem, SqlParseError, Statement, WhereExpr};
 use crate::value::{SqlType, SqlValue};
 use serde_json::Value as Json;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 
 /// Error raised by SQL execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,6 +32,7 @@ pub enum SqlError {
     DuplicatePrimaryKey(String),
     NoActiveTransaction,
     NestedTransaction,
+    NoPrimaryKey(String),
 }
 
 impl fmt::Display for SqlError {
@@ -41,6 +50,7 @@ impl fmt::Display for SqlError {
             SqlError::DuplicatePrimaryKey(k) => write!(f, "duplicate primary key {k}"),
             SqlError::NoActiveTransaction => write!(f, "no active transaction"),
             SqlError::NestedTransaction => write!(f, "transaction already active"),
+            SqlError::NoPrimaryKey(t) => write!(f, "table {t} has no primary key"),
         }
     }
 }
@@ -58,6 +68,8 @@ impl From<SqlParseError> for SqlError {
 pub struct Table {
     pub name: String,
     pub columns: Vec<ColumnMeta>,
+    /// The rows: ascending by [`SqlValue::pk_cmp`] of the primary-key
+    /// column when the table has one, in insertion order otherwise.
     pub rows: Vec<Vec<SqlValue>>,
     next_rowid: i64,
 }
@@ -79,8 +91,66 @@ impl Table {
         self.columns.iter().position(|c| c.primary_key)
     }
 
-    /// Primary key of a row as a string (falls back to a rowid column-less
-    /// hash of the whole row — stable because rows are append-ordered).
+    /// The rows whose key (column `pki`) equals `key` — found by binary
+    /// search, which is what keeping `rows` in key order buys.
+    fn pk_range(&self, pki: usize, key: &SqlValue) -> Range<usize> {
+        let lo = self
+            .rows
+            .partition_point(|r| r[pki].pk_cmp(key) == Ordering::Less);
+        let len = self.rows[lo..].partition_point(|r| r[pki].pk_cmp(key) == Ordering::Equal);
+        lo..lo + len
+    }
+
+    /// The rows a `WHERE` can select: those equal to the literal it pins
+    /// the primary key to, or all of them. The caller still evaluates the
+    /// whole expression on each, so this only ever skips rows the pin
+    /// alone rules out. An expression naming an unknown column keeps the
+    /// full scan, which reports it the way it always has.
+    fn candidates(&self, e: Option<&WhereExpr>) -> Range<usize> {
+        fn pin<'e>(e: &'e WhereExpr, pk: &str) -> Option<&'e SqlValue> {
+            match e {
+                WhereExpr::Cmp {
+                    column,
+                    op: CmpOp::Eq,
+                    value,
+                } if column == pk => Some(value),
+                WhereExpr::And(a, b) => pin(a, pk).or_else(|| pin(b, pk)),
+                _ => None,
+            }
+        }
+        fn columns_known(e: &WhereExpr, t: &Table) -> bool {
+            match e {
+                WhereExpr::And(a, b) | WhereExpr::Or(a, b) => {
+                    columns_known(a, t) && columns_known(b, t)
+                }
+                WhereExpr::IsNull { column, .. } | WhereExpr::Cmp { column, .. } => {
+                    t.col_index(column).is_some()
+                }
+            }
+        }
+        let pinned = e.zip(self.pk_index()).and_then(|(e, pki)| {
+            let key = pin(e, &self.columns[pki].name)?;
+            columns_known(e, self).then(|| self.pk_range(pki, key))
+        });
+        pinned.unwrap_or(0..self.rows.len())
+    }
+
+    /// A row of this table from a JSON object keyed by column name
+    /// (unknown keys ignored, missing columns `NULL`).
+    fn row_from_json(&self, row: &Json) -> Vec<SqlValue> {
+        let mut values = vec![SqlValue::Null; self.columns.len()];
+        if let Json::Object(m) = row {
+            for (i, c) in self.columns.iter().enumerate() {
+                if let Some(v) = m.get(&c.name) {
+                    values[i] = SqlValue::from_json(v);
+                }
+            }
+        }
+        values
+    }
+
+    /// Primary key of a row as a string (for a table without one, the
+    /// row's position — such a table keeps insertion order).
     fn row_pk(&self, row: &[SqlValue], fallback: usize) -> String {
         match self.pk_index() {
             Some(i) => row[i].pk_string(),
@@ -289,7 +359,7 @@ impl SqlDb {
                     .tables
                     .get_mut(table)
                     .ok_or_else(|| SqlError::NoSuchTable(table.clone()))?;
-                let mut effects = Vec::new();
+                let mut new_rows = Vec::with_capacity(rows.len());
                 for values in rows {
                     let full_row = if columns.is_empty() {
                         if values.len() != t.columns.len() {
@@ -316,19 +386,35 @@ impl SqlDb {
                         }
                         row
                     };
-                    if let Some(pki) = t.pk_index() {
-                        if t.rows.iter().any(|r| r[pki] == full_row[pki]) {
-                            return Err(SqlError::DuplicatePrimaryKey(full_row[pki].to_string()));
+                    new_rows.push(full_row);
+                }
+                let pk_index = t.pk_index();
+                // every key is checked before any row goes in, so a
+                // rejected statement leaves the table as it found it
+                if let Some(pki) = pk_index {
+                    for (i, row) in new_rows.iter().enumerate() {
+                        let taken = !t.pk_range(pki, &row[pki]).is_empty()
+                            || new_rows[..i]
+                                .iter()
+                                .any(|r| r[pki].pk_cmp(&row[pki]) == Ordering::Equal);
+                        if taken {
+                            return Err(SqlError::DuplicatePrimaryKey(row[pki].to_string()));
                         }
                     }
-                    let idx = t.rows.len();
-                    t.rows.push(full_row.clone());
-                    t.next_rowid += 1;
+                }
+                let mut effects = Vec::with_capacity(new_rows.len());
+                for full_row in new_rows {
+                    let idx = match pk_index {
+                        Some(pki) => t.pk_range(pki, &full_row[pki]).start,
+                        None => t.rows.len(),
+                    };
                     effects.push(RowEffect::Upsert {
                         table: table.clone(),
                         pk: t.row_pk(&full_row, idx),
                         row: t.row_json(&full_row),
                     });
+                    t.rows.insert(idx, full_row);
+                    t.next_rowid += 1;
                 }
                 Ok((SqlResult::Affected(rows.len()), effects))
             }
@@ -344,7 +430,7 @@ impl SqlDb {
                     .get(table)
                     .ok_or_else(|| SqlError::NoSuchTable(table.clone()))?;
                 let mut selected: Vec<&Vec<SqlValue>> = Vec::new();
-                for row in &t.rows {
+                for row in &t.rows[t.candidates(where_expr.as_ref())] {
                     if Self::matches(t, row, where_expr.as_ref())? {
                         selected.push(row);
                     }
@@ -442,16 +528,29 @@ impl SqlDb {
                 let mut effects = Vec::new();
                 let columns_snapshot = t.columns.clone();
                 let pk_index = t.pk_index();
-                for (i, row) in t.rows.iter_mut().enumerate() {
+                // the key column, when this statement assigns it
+                let rekeyed = pk_index.filter(|pi| set_idx.iter().any(|(idx, _)| idx == pi));
+                let range = t.candidates(where_expr.as_ref());
+                let first = range.start;
+                for (i, row) in t.rows[range].iter_mut().enumerate() {
                     if Self::matches_row(&columns_snapshot, row, where_expr.as_ref(), table)? {
+                        let old_pk = rekeyed.map(|pi| row[pi].pk_string());
                         for (idx, v) in &set_idx {
                             row[*idx] = v.clone();
                         }
                         affected += 1;
                         let pk = match pk_index {
                             Some(pi) => row[pi].pk_string(),
-                            None => format!("row{i}"),
+                            None => format!("row{}", first + i),
                         };
+                        // a re-keyed row leaves its old key: without the
+                        // delete the mirror would keep both
+                        if let Some(old_pk) = old_pk.filter(|old| *old != pk) {
+                            effects.push(RowEffect::Delete {
+                                table: table.clone(),
+                                pk: old_pk,
+                            });
+                        }
                         let mut m = serde_json::Map::new();
                         for (c, v) in columns_snapshot.iter().zip(row.iter()) {
                             m.insert(c.name.clone(), v.to_json());
@@ -463,6 +562,9 @@ impl SqlDb {
                         });
                     }
                 }
+                if let Some(pi) = rekeyed.filter(|_| affected > 0) {
+                    t.rows.sort_by(|a, b| a[pi].pk_cmp(&b[pi]));
+                }
                 Ok((SqlResult::Affected(affected), effects))
             }
             Statement::Delete { table, where_expr } => {
@@ -470,28 +572,29 @@ impl SqlDb {
                     .tables
                     .get_mut(table)
                     .ok_or_else(|| SqlError::NoSuchTable(table.clone()))?;
-                let columns_snapshot = t.columns.clone();
-                let pk_index = t.pk_index();
-                let mut effects = Vec::new();
-                let mut kept = Vec::new();
-                let mut affected = 0;
-                for (i, row) in t.rows.drain(..).enumerate() {
-                    if Self::matches_row(&columns_snapshot, &row, where_expr.as_ref(), table)? {
-                        affected += 1;
-                        let pk = match pk_index {
-                            Some(pi) => row[pi].pk_string(),
-                            None => format!("row{i}"),
-                        };
-                        effects.push(RowEffect::Delete {
-                            table: table.clone(),
-                            pk,
-                        });
-                    } else {
-                        kept.push(row);
+                // decide first, remove after: an error while matching must
+                // not leave the table half-emptied
+                let mut doomed = Vec::new();
+                for i in t.candidates(where_expr.as_ref()) {
+                    if Self::matches(t, &t.rows[i], where_expr.as_ref())? {
+                        doomed.push(i);
                     }
                 }
-                t.rows = kept;
-                Ok((SqlResult::Affected(affected), effects))
+                let effects = doomed
+                    .iter()
+                    .map(|&i| RowEffect::Delete {
+                        table: table.clone(),
+                        pk: t.row_pk(&t.rows[i], i),
+                    })
+                    .collect();
+                let mut at = 0;
+                let mut next = doomed.iter().peekable();
+                t.rows.retain(|_| {
+                    let hit = next.next_if_eq(&&at).is_some();
+                    at += 1;
+                    !hit
+                });
+                Ok((SqlResult::Affected(doomed.len()), effects))
             }
             Statement::Begin => {
                 if self.txn_backup.is_some() {
@@ -681,20 +784,65 @@ impl SqlDb {
             .tables
             .get_mut(name)
             .ok_or_else(|| SqlError::NoSuchTable(name.to_string()))?;
-        let mut new_rows = Vec::with_capacity(rows.len());
-        for row in rows {
-            let mut values = vec![SqlValue::Null; t.columns.len()];
-            if let Json::Object(m) = row {
-                for (i, c) in t.columns.iter().enumerate() {
-                    if let Some(v) = m.get(&c.name) {
-                        values[i] = SqlValue::from_json(v);
-                    }
-                }
-            }
-            new_rows.push(values);
+        t.rows = rows.iter().map(|row| t.row_from_json(row)).collect();
+        if let Some(pki) = t.pk_index() {
+            t.rows.sort_by(|a, b| a[pki].pk_cmp(&b[pki]));
         }
-        t.rows = new_rows;
         Ok(())
+    }
+
+    /// Write one row, given as a JSON object keyed by column name, over the
+    /// row with the same primary key, or insert it at its place — the
+    /// row-sized counterpart of [`SqlDb::replace_table_rows`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SqlError::NoSuchTable`] when the table does not exist and
+    /// [`SqlError::NoPrimaryKey`] when it has no key to find the row by.
+    pub fn upsert_row_json(&mut self, name: &str, row: &Json) -> Result<(), SqlError> {
+        let (t, pki) = self.keyed_table_mut(name)?;
+        let values = t.row_from_json(row);
+        let at = t.pk_range(pki, &values[pki]);
+        if at.is_empty() {
+            t.rows.insert(at.start, values);
+        } else {
+            t.rows[at.start] = values;
+        }
+        Ok(())
+    }
+
+    /// Remove the row whose primary key has the canonical string `pk`
+    /// ([`SqlValue::pk_string`]); no-op when there is none.
+    ///
+    /// # Errors
+    ///
+    /// As for [`SqlDb::upsert_row_json`].
+    pub fn delete_row_by_pk(&mut self, name: &str, pk: &str) -> Result<(), SqlError> {
+        let (t, pki) = self.keyed_table_mut(name)?;
+        let before = t.rows.len();
+        for key in SqlValue::pk_candidates(pk) {
+            let at = t.pk_range(pki, &key);
+            if t.rows[at.clone()].iter().all(|r| r[pki].pk_string() == pk) {
+                t.rows.drain(at);
+            }
+        }
+        if t.rows.len() == before {
+            // `pk_candidates` cannot list every preimage; a key it missed
+            // is still found the slow way
+            t.rows.retain(|r| r[pki].pk_string() != pk);
+        }
+        Ok(())
+    }
+
+    fn keyed_table_mut(&mut self, name: &str) -> Result<(&mut Table, usize), SqlError> {
+        let t = self
+            .tables
+            .get_mut(name)
+            .ok_or_else(|| SqlError::NoSuchTable(name.to_string()))?;
+        let pki = t
+            .pk_index()
+            .ok_or_else(|| SqlError::NoPrimaryKey(name.to_string()))?;
+        Ok((t, pki))
     }
 }
 
@@ -962,5 +1110,103 @@ mod replace_tests {
             other => panic!("{other:?}"),
         }
         assert!(db.replace_table_rows("missing", &[]).is_err());
+    }
+
+    fn keyed() -> SqlDb {
+        let mut db = SqlDb::new();
+        db.exec("CREATE TABLE t (id INT PRIMARY KEY, name TEXT)")
+            .unwrap();
+        db
+    }
+
+    fn ids(db: &SqlDb) -> Vec<String> {
+        let t = db.table("t").unwrap();
+        t.rows.iter().map(|r| r[0].pk_string()).collect()
+    }
+
+    #[test]
+    fn replace_table_rows_sorts_by_key() {
+        let mut db = keyed();
+        // the order a CRDT hands rows over in: by key *string*
+        let rows: Vec<Json> = [10, 11, 9].iter().map(|i| json!({"id": i})).collect();
+        db.replace_table_rows("t", &rows).unwrap();
+        assert_eq!(ids(&db), ["9", "10", "11"]);
+    }
+
+    #[test]
+    fn row_primitives_write_and_remove_one_row() {
+        let mut db = keyed();
+        db.exec("INSERT INTO t VALUES (1, 'a'), (3, 'c')").unwrap();
+        db.upsert_row_json("t", &json!({"id": 2, "name": "b"}))
+            .unwrap();
+        db.upsert_row_json("t", &json!({"id": 3, "name": "C"}))
+            .unwrap();
+        assert_eq!(ids(&db), ["1", "2", "3"]);
+        assert_eq!(
+            db.table("t").unwrap().rows[2][1],
+            SqlValue::Text("C".into())
+        );
+        db.delete_row_by_pk("t", "1").unwrap();
+        db.delete_row_by_pk("t", "7").unwrap(); // absent: no-op
+        db.delete_row_by_pk("t", "02").unwrap(); // not the canonical form of 2
+        assert_eq!(ids(&db), ["2", "3"]);
+        assert!(db.upsert_row_json("missing", &json!({})).is_err());
+    }
+
+    #[test]
+    fn delete_by_pk_finds_every_kind_of_key() {
+        let mut db = keyed();
+        // the last key is the text 'q' with its quotes; its canonical
+        // string q has lost them — the one lookup that has to scan
+        db.exec("INSERT INTO t VALUES ('k', 1), (2.5, 2), (NULL, 3), ('it''s', 4), ('''q''', 5)")
+            .unwrap();
+        for pk in ["k", "2.5", "NULL", "it's", "q"] {
+            let before = db.table("t").unwrap().rows.len();
+            db.delete_row_by_pk("t", pk).unwrap();
+            assert_eq!(db.table("t").unwrap().rows.len(), before - 1, "{pk}");
+        }
+    }
+
+    #[test]
+    fn row_primitives_need_a_key() {
+        let mut db = SqlDb::new();
+        db.exec("CREATE TABLE t (id INT, name TEXT)").unwrap();
+        assert_eq!(
+            db.upsert_row_json("t", &json!({"id": 1})),
+            Err(SqlError::NoPrimaryKey("t".into()))
+        );
+        assert_eq!(
+            db.delete_row_by_pk("t", "1"),
+            Err(SqlError::NoPrimaryKey("t".into()))
+        );
+    }
+
+    #[test]
+    fn rekeying_update_moves_the_row_and_reports_the_old_key() {
+        let mut db = keyed();
+        db.exec("INSERT INTO t VALUES (1, 'a'), (2, 'b'), (3, 'c')")
+            .unwrap();
+        let (_, effects) = db
+            .exec_with_effects("UPDATE t SET id = 9 WHERE id = 1")
+            .unwrap();
+        assert_eq!(ids(&db), ["2", "3", "9"]);
+        assert!(matches!(
+            &effects[..],
+            [RowEffect::Delete { pk: old, .. }, RowEffect::Upsert { pk: new, .. }]
+                if old == "1" && new == "9"
+        ));
+    }
+
+    #[test]
+    fn rejected_multi_row_insert_inserts_nothing() {
+        let mut db = keyed();
+        db.exec("INSERT INTO t VALUES (2, 'b')").unwrap();
+        assert!(db
+            .exec("INSERT INTO t VALUES (1, 'a'), (2, 'dup')")
+            .is_err());
+        assert!(db
+            .exec("INSERT INTO t VALUES (5, 'a'), (5, 'dup')")
+            .is_err());
+        assert_eq!(ids(&db), ["2"]);
     }
 }

@@ -47,15 +47,16 @@ impl SqlValue {
     }
 
     /// SQL-style three-valued comparison (NULL is incomparable; numeric
-    /// types compare cross-type).
+    /// types compare cross-type, exactly — an `INT` beyond 2^53 is not
+    /// rounded to the nearest `REAL` first).
     pub fn compare(&self, other: &SqlValue) -> Option<Ordering> {
         use SqlValue::*;
         match (self, other) {
             (Null, _) | (_, Null) => None,
             (Int(a), Int(b)) => Some(a.cmp(b)),
             (Real(a), Real(b)) => a.partial_cmp(b),
-            (Int(a), Real(b)) => (*a as f64).partial_cmp(b),
-            (Real(a), Int(b)) => a.partial_cmp(&(*b as f64)),
+            (Int(a), Real(b)) => cmp_int_real(*a, *b),
+            (Real(a), Int(b)) => cmp_int_real(*b, *a).map(Ordering::reverse),
             (Text(a), Text(b)) => Some(a.cmp(b)),
             (Blob(a), Blob(b)) => Some(a.cmp(b)),
             _ => None,
@@ -84,6 +85,45 @@ impl SqlValue {
         self.to_string().trim_matches('\'').to_string()
     }
 
+    /// The total order a table with a primary key keeps its rows in, and
+    /// the one every primary-key lookup searches by. Where
+    /// [`SqlValue::compare`] has an answer this is that answer, so a row
+    /// found here is exactly a row `pk = literal` selects; the pairs it
+    /// leaves incomparable are ordered by kind — `NULL`, then numbers, then
+    /// NaN, then text, then blobs — and equal within `NULL` and NaN.
+    pub fn pk_cmp(&self, other: &SqlValue) -> Ordering {
+        fn kind(v: &SqlValue) -> u8 {
+            match v {
+                SqlValue::Null => 0,
+                SqlValue::Int(_) => 1,
+                SqlValue::Real(r) if !r.is_nan() => 1,
+                SqlValue::Real(_) => 2,
+                SqlValue::Text(_) => 3,
+                SqlValue::Blob(_) => 4,
+            }
+        }
+        self.compare(other)
+            .unwrap_or_else(|| kind(self).cmp(&kind(other)))
+    }
+
+    /// The values [`SqlValue::pk_string`] can have produced `pk` from, for
+    /// finding a row by its canonical key: `5` is `INT 5`, `REAL 5.0` or
+    /// `TEXT '5'`. Text that itself begins or ends with a quote is the one
+    /// preimage not listed (the trim is not invertible).
+    pub fn pk_candidates(pk: &str) -> Vec<SqlValue> {
+        let mut out = Vec::with_capacity(3);
+        if pk == "NULL" {
+            out.push(SqlValue::Null);
+        }
+        if let Ok(i) = pk.parse::<i64>() {
+            out.push(SqlValue::Int(i));
+        } else if let Ok(r) = pk.parse::<f64>() {
+            out.push(SqlValue::Real(r));
+        }
+        out.push(SqlValue::Text(pk.to_string()));
+        out
+    }
+
     /// Convert from JSON (inverse of [`SqlValue::to_json`] for scalars).
     pub fn from_json(json: &Json) -> SqlValue {
         match json {
@@ -99,6 +139,27 @@ impl SqlValue {
             Json::String(s) => SqlValue::Text(s.clone()),
             other => SqlValue::Text(other.to_string()),
         }
+    }
+}
+
+/// Exact comparison of an integer with a float (`None` for NaN): the
+/// float is split into its integral part, which an `i64` either holds
+/// exactly or lies wholly to one side of, and a fraction that breaks ties.
+fn cmp_int_real(i: i64, r: f64) -> Option<Ordering> {
+    const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+    if r.is_nan() {
+        None
+    } else if r >= TWO_63 {
+        Some(Ordering::Less)
+    } else if r < -TWO_63 {
+        Some(Ordering::Greater)
+    } else {
+        let whole = r.trunc();
+        // in [-2^63, 2^63) and integral, so the cast is exact
+        Some(
+            i.cmp(&(whole as i64))
+                .then_with(|| 0.0_f64.partial_cmp(&(r - whole)).expect("finite")),
+        )
     }
 }
 
@@ -156,6 +217,75 @@ mod tests {
             SqlValue::Real(3.0).compare(&SqlValue::Int(3)),
             Some(Ordering::Equal)
         );
+    }
+
+    #[test]
+    fn int_real_comparison_is_exact() {
+        use SqlValue::{Int, Real};
+        let two_53 = 9_007_199_254_740_992_i64;
+        // as f64 both integers round to 2^53; only one of them equals it
+        assert_eq!(
+            Int(two_53).compare(&Real(two_53 as f64)),
+            Some(Ordering::Equal)
+        );
+        assert_eq!(
+            Int(two_53 + 1).compare(&Real(two_53 as f64)),
+            Some(Ordering::Greater)
+        );
+        assert_eq!(Int(i64::MAX).compare(&Real(1e19)), Some(Ordering::Less));
+        assert_eq!(Int(i64::MIN).compare(&Real(-1e19)), Some(Ordering::Greater));
+        assert_eq!(Int(3).compare(&Real(3.5)), Some(Ordering::Less));
+        assert_eq!(Int(-3).compare(&Real(-3.5)), Some(Ordering::Greater));
+        assert_eq!(Real(-3.5).compare(&Int(-3)), Some(Ordering::Less));
+        assert_eq!(Int(1).compare(&Real(f64::NAN)), None);
+    }
+
+    #[test]
+    fn pk_order_is_total_and_agrees_with_equality() {
+        use SqlValue::{Blob, Int, Null, Real, Text};
+        let ascending = [
+            Null,
+            Real(f64::NEG_INFINITY),
+            Int(-1),
+            Real(-0.5),
+            Int(5),
+            Real(5.5),
+            Int(9),
+            Int(10),
+            Real(f64::INFINITY),
+            Real(f64::NAN),
+            Text("10".into()),
+            Text("9".into()),
+            Blob(vec![1]),
+        ];
+        for (i, a) in ascending.iter().enumerate() {
+            for (j, b) in ascending.iter().enumerate() {
+                assert_eq!(a.pk_cmp(b), i.cmp(&j), "{a} vs {b}");
+            }
+        }
+        assert_eq!(Int(5).pk_cmp(&Real(5.0)), Ordering::Equal);
+        assert_eq!(Real(0.0).pk_cmp(&Real(-0.0)), Ordering::Equal);
+    }
+
+    #[test]
+    fn pk_candidates_cover_the_kinds_a_key_string_can_come_from() {
+        let has = |pk: &str, v: SqlValue| SqlValue::pk_candidates(pk).contains(&v);
+        assert!(has("5", SqlValue::Int(5)) && has("5", SqlValue::Text("5".into())));
+        assert!(has("2.5", SqlValue::Real(2.5)));
+        assert!(has("NULL", SqlValue::Null) && has("NULL", SqlValue::Text("NULL".into())));
+        for v in [
+            SqlValue::Int(-7),
+            SqlValue::Real(1e21),
+            SqlValue::Real(0.1),
+            SqlValue::Text("dune".into()),
+            SqlValue::Null,
+        ] {
+            let pk = v.pk_string();
+            let found = SqlValue::pk_candidates(&pk)
+                .iter()
+                .any(|c| c.pk_cmp(&v) == Ordering::Equal);
+            assert!(found, "{v} not reachable from its key {pk}");
+        }
     }
 
     #[test]
