@@ -209,10 +209,10 @@ pub fn profile_service(
         extracted,
         state_units: state_units.into_iter().collect(),
         effects,
-        sample_response: outcome.response.body.clone(),
         avg_cycles: cycles_total / runs,
         request_bytes: request.size(),
-        response_bytes: edgstr_net::HttpResponse::ok(outcome.response.body).size(),
+        response_bytes: outcome.response.size(),
+        sample_response: outcome.response.body.into_json(),
         executed_stmts: base.trace.executed_stmts().len(),
     })
 }

@@ -221,7 +221,7 @@ impl Host for ServerHost<'_> {
                 let value = args.first().cloned().unwrap_or(Value::Null);
                 *self.response = Some(HttpResponse {
                     status: *self.status,
-                    body: value.to_json(),
+                    body: value.to_json().into(),
                 });
                 Ok(HostOutcome::cheap(Value::Null))
             }
@@ -733,7 +733,7 @@ impl ServerProcess {
 /// Build the `req` object handed to route handlers.
 pub fn request_value(req: &HttpRequest) -> Value {
     let mut fields: Vec<(String, Value)> = vec![
-        ("path".to_string(), Value::str(req.path.clone())),
+        ("path".to_string(), Value::str(req.path.as_str())),
         ("method".to_string(), Value::str(req.verb.to_string())),
         ("params".to_string(), Value::from_json(&req.params)),
         ("query".to_string(), Value::from_json(&req.params)),
@@ -764,7 +764,7 @@ fn sql_cell_value(v: &SqlValue) -> Value {
         // non-finite reals have no JSON representation and surface as null
         SqlValue::Real(r) if r.is_finite() => Value::Num(*r),
         SqlValue::Real(_) => Value::Null,
-        SqlValue::Text(s) => Value::str(s.clone()),
+        SqlValue::Text(s) => Value::str(s.as_str()),
         SqlValue::Blob(_) => Value::from_json(&v.to_json()),
     }
 }

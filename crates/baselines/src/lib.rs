@@ -20,24 +20,15 @@
 //!   (Fig. 10a).
 
 use edgstr_analysis::{InitState, ServerProcess};
-use edgstr_net::{HttpRequest, LinkSpec};
+use edgstr_net::{fnv1a, HttpRequest, HttpResponse, LinkSpec, FNV_OFFSET};
 use edgstr_runtime::{MobilePower, RunStats, Workload};
 use edgstr_sim::{Device, DeviceSpec, SimTime};
 use std::collections::HashMap;
 
 fn cache_key(req: &HttpRequest) -> (String, String, u64) {
     let params = req.params.to_string();
-    let body_hash = fnv(&req.body);
+    let body_hash = fnv1a(FNV_OFFSET, &req.body);
     (format!("{} {}", req.verb, req.path), params, body_hash)
-}
-
-fn fnv(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 /// A caching proxy deployed at the edge in front of the cloud service.
@@ -48,7 +39,7 @@ pub struct CachingProxySystem {
     pub wan: LinkSpec,
     pub lan: LinkSpec,
     pub mobile: MobilePower,
-    cache: HashMap<(String, String, u64), (serde_json::Value, usize)>,
+    cache: HashMap<(String, String, u64), HttpResponse>,
     pub hits: usize,
     pub misses: usize,
 }
@@ -76,10 +67,9 @@ impl CachingProxySystem {
             let req_size = tr.request.size();
             let lan_up = self.lan.transfer_time(req_size);
             stats.lan_bytes += req_size;
-            if let Some((body, resp_size)) = self.cache.get(&key).cloned() {
+            if let Some(resp_size) = self.cache.get(&key).map(HttpResponse::size) {
                 // cache hit: answered at the edge — possibly stale
                 self.hits += 1;
-                let _ = body;
                 let lan_down = self.lan.transfer_time(resp_size);
                 stats.lan_bytes += resp_size;
                 let done = tr.at + lan_up + lan_down;
@@ -113,7 +103,7 @@ impl CachingProxySystem {
                         lan_down,
                         finish + wan_down - (tr.at + lan_up),
                     );
-                    self.cache.insert(key, (out.response.body, resp_size));
+                    self.cache.insert(key, out.response);
                     if done > stats.makespan {
                         stats.makespan = done;
                     }

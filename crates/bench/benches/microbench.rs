@@ -1,7 +1,7 @@
 //! Criterion microbenchmarks for the EdgStr substrates: CRDT operations
 //! and merging, datalog fixpoints, the SQL engine, sync apply and wire
-//! sizing, the NodeScript pipeline, template rendering, and full service
-//! profiling.
+//! sizing, the post-handler response path, the NodeScript pipeline,
+//! template rendering, and full service profiling.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use edgstr_analysis::{profile_service, InitState, ServerProcess};
@@ -361,6 +361,49 @@ fn bench_sync(c: &mut Criterion) {
     g.finish();
 }
 
+/// What a replica pays per request after the handler has answered, on the
+/// list-shaped body where it is largest: bookworm's `/books` over 512
+/// rows, ~30 KB of JSON.
+fn bench_response(c: &mut Criterion) {
+    use edgstr_runtime::{CacheKey, ResponseCache, RunRecorder, UnitVersions};
+    use edgstr_sim::SimTime;
+    use edgstr_telemetry::Telemetry;
+
+    let mut server = ServerProcess::from_source(edgstr_apps::bookworm::SOURCE).unwrap();
+    server.init().unwrap();
+    for id in 101..608 {
+        let insert = format!("INSERT INTO books VALUES ({id}, 'amber basin {id}', 'Egan', 9.5, 3)");
+        server.db.exec(&insert).unwrap();
+    }
+    let request = HttpRequest::get("/books", json!({}));
+    let response = server.handle(&request).unwrap().response;
+    assert_eq!(response.body["books"].as_array().unwrap().len(), 512);
+
+    let mut g = c.benchmark_group("response");
+    // one cache hit as the run loop sees it: look the entry up, size the
+    // response for the LAN, fold it into the run's response digest
+    g.bench_function("hit_path_30k", |b| {
+        let versions = UnitVersions::default();
+        let key = CacheKey::for_request(&request);
+        let mut cache = ResponseCache::new(1 << 20, &Telemetry::disabled());
+        cache.fill(key.clone(), &response, Vec::new());
+        let mut rec = RunRecorder::new(&Telemetry::disabled());
+        let mut hit = || {
+            let served = cache.lookup(&key, &versions).expect("resident entry");
+            let bytes = served.size();
+            rec.complete(&served, SimTime::ZERO, SimTime(1), 0.0);
+            bytes
+        };
+        hit(); // the steady state: not the first hit after the fill
+        b.iter(hit)
+    });
+    let body = response.body.into_json();
+    g.bench_function("encode_30k", |b| {
+        b.iter(|| serde_json::to_string(&body).unwrap())
+    });
+    g.finish();
+}
+
 fn bench_lang(c: &mut Criterion) {
     let mut g = c.benchmark_group("lang");
     let src = edgstr_apps::medchem::SOURCE;
@@ -645,6 +688,6 @@ fn bench_pipeline(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_crdt, bench_log_structure, bench_datalog, bench_sql, bench_sync, bench_lang, bench_interp_dispatch, bench_metrics, bench_template, bench_parallel, bench_pipeline
+    targets = bench_crdt, bench_log_structure, bench_datalog, bench_sql, bench_sync, bench_response, bench_lang, bench_interp_dispatch, bench_metrics, bench_template, bench_parallel, bench_pipeline
 }
 criterion_main!(benches);

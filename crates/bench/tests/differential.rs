@@ -50,7 +50,7 @@ fn run_app(source: &str, requests: &[HttpRequest], mode: ExecMode) -> EngineRun 
             .handle_traced(req, &mut tracer)
             .map(|out| RequestObservation {
                 status: out.response.status,
-                body: out.response.body,
+                body: out.response.body.into_json(),
                 cycles: out.cycles,
                 global_writes: out.global_writes,
                 row_effects: out.row_effects,

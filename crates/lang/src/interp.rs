@@ -572,7 +572,7 @@ impl<'h> Interpreter<'h> {
             Expr::Null => Ok(Value::Null),
             Expr::Bool(b) => Ok(Value::Bool(*b)),
             Expr::Num(n) => Ok(Value::Num(*n)),
-            Expr::Str(s) => Ok(Value::str(s.clone())),
+            Expr::Str(s) => Ok(Value::str(s.as_str())),
             Expr::Var(name) => {
                 let v = self.lookup(name).ok_or_else(|| {
                     RuntimeError::new(Some(self.cur_stmt), format!("undefined variable '{name}'"))

@@ -300,9 +300,9 @@ pub fn simple_method(base: &Value, method: &str, args: &[Value]) -> Option<Resul
                     .map(|n| n as usize)
                     .unwrap_or(s.len())
                     .min(s.len());
-                Ok(Value::str(s[start..end.max(start)].to_string()))
+                Ok(Value::str(&s[start..end.max(start)]))
             }
-            "trim" => Ok(Value::str(s.trim().to_string())),
+            "trim" => Ok(Value::str(s.trim())),
             "charCodeAt" => {
                 let i = args
                     .first()
@@ -317,7 +317,7 @@ pub fn simple_method(base: &Value, method: &str, args: &[Value]) -> Option<Resul
             other => Err(format!("unknown string method '{other}'")),
         }),
         Value::Bytes(b) => Some(match method {
-            "toString" => Ok(Value::str(String::from_utf8_lossy(b).to_string())),
+            "toString" => Ok(Value::str(String::from_utf8_lossy(b))),
             "slice" => {
                 let start = args
                     .first()

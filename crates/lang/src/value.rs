@@ -51,8 +51,8 @@ pub enum Value {
 
 impl Value {
     /// Construct a string value.
-    pub fn str(s: impl Into<String>) -> Value {
-        Value::Str(Rc::from(s.into().as_str()))
+    pub fn str(s: impl Into<Rc<str>>) -> Value {
+        Value::Str(s.into())
     }
 
     /// Construct a bytes value.
@@ -188,7 +188,7 @@ impl Value {
             Json::Null => Value::Null,
             Json::Bool(b) => Value::Bool(*b),
             Json::Number(n) => Value::Num(n.as_f64().unwrap_or(f64::NAN)),
-            Json::String(s) => Value::str(s.clone()),
+            Json::String(s) => Value::str(s.as_str()),
             Json::Array(items) => Value::array(items.iter().map(Value::from_json).collect()),
             Json::Object(map) => {
                 Value::object(map.iter().map(|(k, v)| (k.clone(), Value::from_json(v))))

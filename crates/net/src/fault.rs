@@ -315,12 +315,7 @@ impl FaultPlan {
 /// FNV-1a, for deriving per-link/per-node RNG substream labels from
 /// endpoint names (shared with [`crate::crash`]).
 pub(crate) fn hash_str(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    crate::fnv1a(crate::FNV_OFFSET, s.as_bytes())
 }
 
 #[cfg(test)]

@@ -26,6 +26,7 @@ use edgstr_sim::SimDuration;
 use serde_json::Value as Json;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// HTTP method.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -91,24 +92,111 @@ impl HttpRequest {
     }
 }
 
+/// A response body: an immutable JSON value behind a shared pointer that
+/// remembers what the serving path keeps asking of it — its
+/// [`json_size`], its compact JSON text, and the response digest — so
+/// each is computed at most once however many layers size, digest, cache
+/// or clone the response. Cloning copies the pointer; clones share the
+/// remembered values. There is no mutable access: a different body is a
+/// new `Body` (and so starts with nothing remembered). Equality compares
+/// the JSON only.
+#[derive(Clone)]
+pub struct Body(Arc<BodyInner>);
+
+struct BodyInner {
+    json: Json,
+    size: OnceLock<usize>,
+    text: OnceLock<String>,
+    /// `(status, digest)` of the first response that digested this body.
+    digest: OnceLock<(u16, u64)>,
+}
+
+impl Body {
+    /// [`json_size`] of the body.
+    pub fn json_size(&self) -> usize {
+        *self.0.size.get_or_init(|| json_size(&self.0.json))
+    }
+
+    /// The body as compact JSON — the bytes `serde_json::to_string` gives.
+    pub fn text(&self) -> &str {
+        self.0
+            .text
+            .get_or_init(|| serde_json::to_string(&self.0.json).expect("response body serializes"))
+    }
+
+    /// The JSON value, without copying it when this is the only holder.
+    pub fn into_json(self) -> Json {
+        match Arc::try_unwrap(self.0) {
+            Ok(inner) => inner.json,
+            Err(shared) => shared.json.clone(),
+        }
+    }
+}
+
+impl From<Json> for Body {
+    fn from(json: Json) -> Body {
+        Body(Arc::new(BodyInner {
+            json,
+            size: OnceLock::new(),
+            text: OnceLock::new(),
+            digest: OnceLock::new(),
+        }))
+    }
+}
+
+impl std::ops::Deref for Body {
+    type Target = Json;
+
+    fn deref(&self) -> &Json {
+        &self.0.json
+    }
+}
+
+impl PartialEq for Body {
+    fn eq(&self, other: &Body) -> bool {
+        Arc::ptr_eq(&self.0, &other.0) || self.0.json == other.0.json
+    }
+}
+
+impl PartialEq<Json> for Body {
+    fn eq(&self, other: &Json) -> bool {
+        self.0.json == *other
+    }
+}
+
+impl fmt::Debug for Body {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self.0.json, f)
+    }
+}
+
+impl fmt::Display for Body {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.text())
+    }
+}
+
 /// An HTTP response in the simulation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HttpResponse {
     pub status: u16,
-    pub body: Json,
+    pub body: Body,
 }
 
 impl HttpResponse {
     /// A 200 response with a JSON body.
     pub fn ok(body: Json) -> HttpResponse {
-        HttpResponse { status: 200, body }
+        HttpResponse {
+            status: 200,
+            body: body.into(),
+        }
     }
 
     /// An error response with a message body.
     pub fn error(status: u16, message: impl Into<String>) -> HttpResponse {
         HttpResponse {
             status,
-            body: serde_json::json!({ "error": message.into() }),
+            body: serde_json::json!({ "error": message.into() }).into(),
         }
     }
 
@@ -119,8 +207,38 @@ impl HttpResponse {
 
     /// Approximate bytes on the wire.
     pub fn size(&self) -> usize {
-        64 + json_size(&self.body)
+        64 + self.body.json_size()
     }
+
+    /// FNV-1a digest of the status and the body's JSON text: equal digests
+    /// mean byte-identical responses. This is what the multi-variant check
+    /// compares and what the threaded executor records per request.
+    pub fn digest(&self) -> u64 {
+        let fresh = || {
+            let h = fnv1a(FNV_OFFSET, &self.status.to_le_bytes());
+            (self.status, fnv1a(h, self.body.text().as_bytes()))
+        };
+        // `status` is a public field, so the remembered digest is keyed by
+        // the status it was computed under.
+        match *self.body.0.digest.get_or_init(fresh) {
+            (status, digest) if status == self.status => digest,
+            _ => fresh().1,
+        }
+    }
+}
+
+/// FNV-1a offset basis: the `hash` to start a digest chain from.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Fold `bytes` into the FNV-1a digest `hash` — the one digest function
+/// behind response digests, run digests, cache keys and RNG substream
+/// labels.
+pub fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
 }
 
 /// Approximate serialized size of a JSON value, counting binary markers
@@ -323,7 +441,7 @@ impl TrafficCapture {
             response_bytes: resp.size(),
             params: req.params.clone(),
             body: req.body.clone(),
-            response: resp.body.clone(),
+            response: Json::clone(&resp.body),
             status: resp.status,
         });
     }

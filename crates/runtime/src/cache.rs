@@ -19,7 +19,7 @@
 //! the epoch, invalidating keyed readers too.
 
 use edgstr_analysis::{json_pk_string, request_field, EffectSummary, ReadUnit, StateUnit};
-use edgstr_net::{HttpRequest, HttpResponse, Verb};
+use edgstr_net::{fnv1a, HttpRequest, HttpResponse, Verb, FNV_OFFSET};
 use edgstr_telemetry::{Counter, Gauge, Telemetry};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -183,18 +183,6 @@ pub fn bump_static_global_writes(versions: &mut UnitVersions, summary: Option<&E
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
 /// Identity of one cacheable request: verb, path, canonicalized params
 /// (the vendored `serde_json` map is ordered, so `to_string` is
 /// canonical), and a digest of the raw body bytes.
@@ -214,7 +202,7 @@ impl CacheKey {
             verb: request.verb,
             path: request.path.clone(),
             params: serde_json::to_string(&request.params).expect("params serialize"),
-            body_fnv: fnv1a(&request.body),
+            body_fnv: fnv1a(FNV_OFFSET, &request.body),
         }
     }
 
@@ -394,9 +382,14 @@ impl ResponseCache {
         }
         self.stamp += 1;
         let entry = self.entries.get_mut(key).expect("validated entry present");
-        self.recency.remove(&entry.stamp);
+        let owned_key = self
+            .recency
+            .remove(&entry.stamp)
+            .expect("resident entry is in the recency index");
         entry.stamp = self.stamp;
-        self.recency.insert(self.stamp, key.clone());
+        self.recency.insert(self.stamp, owned_key);
+        // shares the entry's body, and with it whatever size, text and
+        // digest earlier hits already computed
         let response = entry.response.clone();
         self.stats.hits += 1;
         self.event(HIT);
@@ -512,6 +505,23 @@ mod tests {
         let mut tiny = ResponseCache::new(16, &Telemetry::disabled());
         tiny.fill(key(9), &resp(9), Vec::new());
         assert!(tiny.is_empty());
+    }
+
+    #[test]
+    fn entry_and_hits_share_one_body() {
+        let v = UnitVersions::default();
+        let mut c = ResponseCache::new(64 * 1024, &Telemetry::disabled());
+        let filled = resp(1);
+        c.fill(key(1), &filled, Vec::new());
+        // the text is encoded once, through whichever holder asks first…
+        let first = c.lookup(&key(1), &v).unwrap();
+        let text = first.body.text();
+        // …and every later hit, and the response the fill was given, read
+        // that same allocation
+        let second = c.lookup(&key(1), &v).unwrap();
+        assert!(std::ptr::eq(text, second.body.text()), "hit re-encoded");
+        assert!(std::ptr::eq(text, filled.body.text()), "fill deep-copied");
+        assert_eq!(second, resp(1));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! `e14_observability` bench pins `RunStats` equality (including a
 //! response digest) with telemetry off vs on.
 
-use edgstr_net::{HttpRequest, HttpResponse};
+use edgstr_net::{fnv1a, HttpRequest, HttpResponse, FNV_OFFSET};
 use edgstr_sim::{Clock, LatencyStats, SimDuration, SimTime};
 use edgstr_telemetry::{Counter, Gauge, Histogram, Telemetry};
 
@@ -219,17 +219,6 @@ impl RunStats {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
 /// Registry counters the recorder drives, in [`RunStats`] field order.
 const COMPLETED: usize = 0;
 const FAILED: usize = 1;
@@ -337,8 +326,7 @@ impl RunRecorder {
             self.stats.makespan = now;
         }
         self.digest = fnv1a(self.digest, &response.status.to_le_bytes());
-        let body = serde_json::to_string(&response.body).expect("response body serializes");
-        self.digest = fnv1a(self.digest, body.as_bytes());
+        self.digest = fnv1a(self.digest, response.body.text().as_bytes());
     }
 
     /// Record one failed request.

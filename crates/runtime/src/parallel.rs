@@ -51,30 +51,12 @@ use edgstr_analysis::{EffectSummary, InitSeed, InitState, ServerProcess, StateUn
 use edgstr_core::{CrdtBindings, TransformationReport};
 use edgstr_crdt::{ActorId, AdvanceMode};
 use edgstr_lang::Program;
-use edgstr_net::{HttpRequest, HttpResponse, Verb};
+use edgstr_net::{fnv1a, HttpRequest, Verb, FNV_OFFSET};
 use edgstr_sim::{Clock, SimDuration};
 use edgstr_telemetry::{RegistrySnapshot, Telemetry};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Barrier};
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// FNV-1a digest of one response (status + canonical body) — the same
-/// shape the virtual-time drivers and the multi-variant check use.
-fn response_digest(resp: &HttpResponse) -> u64 {
-    let h = fnv1a(FNV_OFFSET, &resp.status.to_le_bytes());
-    fnv1a(h, resp.body.to_string().as_bytes())
-}
 
 /// Digest of a failed request in the per-request digest stream.
 pub const FAILED_DIGEST: u64 = 0;
@@ -273,7 +255,7 @@ impl OwnedReplica {
         let plan = cache_plan(seed, policy, request);
         if let Some(p) = &plan {
             if let Some(response) = self.cache.lookup(&p.key, &self.crdts.versions) {
-                return Some(response_digest(&response));
+                return Some(response.digest());
             }
         }
         match self.server.handle(request) {
@@ -293,7 +275,7 @@ impl OwnedReplica {
                         self.cache.fill(p.key.clone(), &out.response, stamp);
                     }
                 }
-                Some(response_digest(&out.response))
+                Some(out.response.digest())
             }
             Err(_) => {
                 self.crdts.revert_failed_writes(&mut self.server);
@@ -640,7 +622,7 @@ mod tests {
         assert_send::<RegistrySnapshot>();
         assert_send::<ParallelRunStats>();
         assert_send::<HttpRequest>();
-        assert_send::<HttpResponse>();
+        assert_send::<edgstr_net::HttpResponse>();
         assert_send::<Program>();
         assert_send::<CrdtBindings>();
         assert_send::<InitSeed>();

@@ -303,7 +303,12 @@ impl BitFlipCorruptor {
             return false;
         }
         let bit = self.rng.below(8) as u32;
-        if !flip_first_int(&mut resp.body, bit) {
+        // a flipped body is a new body: nothing remembered about the
+        // intact one (size, text, digest) may describe the corrupt one
+        let mut flipped = Json::clone(&resp.body);
+        if flip_first_int(&mut flipped, bit) {
+            resp.body = flipped.into();
+        } else {
             resp.status ^= 1;
         }
         self.flips += 1;
@@ -326,21 +331,6 @@ fn flip_first_int(v: &mut Json, bit: u32) -> bool {
         Json::Object(map) => map.values_mut().any(|item| flip_first_int(item, bit)),
         _ => false,
     }
-}
-
-/// FNV-1a digest of a response (status + canonical body) — the comparison
-/// the multi-variant check runs between primary and shadow.
-fn response_digest(resp: &HttpResponse) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |bytes: &[u8]| {
-        for b in bytes {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
-    eat(&resp.status.to_le_bytes());
-    eat(resp.body.to_string().as_bytes());
-    h
 }
 
 /// Telemetry label for a service key: `"GET /path"`.
@@ -2313,7 +2303,7 @@ impl ThreeTierSystem {
                         }
                         if let Some(shadow_resp) = shadow_verdict {
                             self.ha_stats.shadow_checks += 1;
-                            if response_digest(&out.response) != response_digest(&shadow_resp) {
+                            if out.response.digest() != shadow_resp.digest() {
                                 self.ha_stats.shadow_mismatches += 1;
                                 self.edges[idx].shadow_mismatches += 1;
                                 telemetry.event(
@@ -2518,6 +2508,33 @@ mod tests {
         let cloud_db = sys.cloud.db.snapshot().to_json();
         assert_eq!(cloud_db["notes"]["77"]["text"], json!("fine"));
         assert_eq!(sys.edges[0].server.db.snapshot().to_json(), cloud_db);
+    }
+
+    #[test]
+    fn corrupted_response_remembers_nothing_of_the_intact_one() {
+        let mut corruptor = BitFlipCorruptor::new(7, 1.0);
+        // an integer to flip in the body; none, so the status flips instead
+        for body in [json!({"rows": [{"id": 5}], "s": "x"}), json!({"s": "x"})] {
+            let intact = HttpResponse::ok(body);
+            let (size, digest) = (intact.size(), intact.digest());
+            let text = intact.body.text().to_string();
+            let mut served = intact.clone();
+            assert!(corruptor.corrupt(&mut served));
+            assert_ne!(served, intact);
+            // what the corrupt response reports is what a response built
+            // from scratch with its status and body reports
+            let scratch = HttpResponse {
+                status: served.status,
+                body: Json::clone(&served.body).into(),
+            };
+            assert_eq!(served.digest(), scratch.digest());
+            assert_ne!(served.digest(), digest);
+            assert_eq!(served.body.text(), scratch.body.text());
+            assert_eq!(served.size(), scratch.size());
+            // and the intact response is untouched
+            assert_eq!((intact.size(), intact.digest()), (size, digest));
+            assert_eq!(intact.body.text(), text);
+        }
     }
 
     #[test]
