@@ -5,19 +5,29 @@
 //! virtual time) and the cache's hit/fill/invalidation sequence. A
 //! refactor of how sizes, texts or digests are computed must leave all
 //! of them exactly here.
+//!
+//! Two more cells, pinned at commit 2fd2206 before the serve pipeline
+//! moved into one `ReplicaCore`: the forwarding / failover / quarantine
+//! paths of the virtual-time driver, and the threaded executor.
 
 use edgstr_core::{capture_and_transform, EdgStrConfig};
-use edgstr_net::{HttpRequest, Verb};
+use edgstr_net::{CrashPlan, FaultPlan, HttpRequest, LossModel, Verb};
 use edgstr_runtime::{
-    CachePolicy, CacheStats, ThreeTierOptions, ThreeTierSystem, TimedRequest, Workload,
+    CachePolicy, CacheStats, HaPolicy, ParallelOptions, ParallelSystem, Placement, PlacementMode,
+    PlacementScript, QuarantinePolicy, RunStats, ScriptedDecision, ThreeTierOptions,
+    ThreeTierSystem, TimedRequest, Workload,
 };
-use edgstr_sim::{DetRng, DeviceSpec, SimTime};
+use edgstr_sim::{DetRng, DeviceSpec, SimDuration, SimTime};
 use serde_json::json;
 
 /// Reads dominate and repeat (so the cache fills, hits, and is invalidated
 /// by the interleaved writes); `/books` is the list-shaped body whose
 /// size, text and digest are asked for most often.
 fn stream(seed: u64, n: usize) -> Workload {
+    stream_every(seed, n, 2_500)
+}
+
+fn stream_every(seed: u64, n: usize, gap_us: u64) -> Workload {
     let mut rng = DetRng::new(seed);
     let mut next_id = 1_000i64;
     let requests = (0..n)
@@ -51,7 +61,7 @@ fn stream(seed: u64, n: usize) -> Workload {
                 },
             };
             TimedRequest {
-                at: SimTime(i as u64 * 2_500),
+                at: SimTime(i as u64 * gap_us),
                 request,
             }
         })
@@ -96,4 +106,213 @@ fn seeded_bookworm_run_matches_pinned_stats() {
             invalidations: 303,
         }
     );
+}
+
+/// Everything the failover cell pins, in one comparable value.
+#[derive(Debug, PartialEq)]
+struct FailoverPin {
+    response_digest: u64,
+    /// completed, failed, forwarded, retries, timed_out, degraded
+    counts: [usize; 6],
+    lan_bytes: usize,
+    wan_request_bytes: usize,
+    wan_sync_bytes: usize,
+    makespan: SimTime,
+    cache: CacheStats,
+    /// edge_crashes, edge_restarts, master_crashes, failovers,
+    /// durable_recoveries
+    ha: [u32; 5],
+    shadow_checks: u64,
+    shadow_mismatches: u64,
+    quarantines: Vec<(usize, SimTime)>,
+    outages: Vec<(SimTime, SimTime)>,
+}
+
+/// The paths the cell above never reaches (`forwarded == 0` there): from
+/// the first sync tick `/search` (cacheable) and `PUT /stock` (a write)
+/// are cloud-pinned and `/recommend` is cache-only, so requests forward
+/// over a lossy WAN to a master that caches, absorbs and ships forwarded
+/// writes to its failover target; the master crashes once and comes back,
+/// one edge crashes and rejoins, and one edge serves through an injected
+/// faulty variant until the shadow check quarantines it.
+fn failover_run(standby: bool) -> FailoverPin {
+    let app = edgstr_apps::bookworm::app();
+    let (report, _) =
+        capture_and_transform(&app.source, &app.service_requests, &EdgStrConfig::default())
+            .unwrap();
+    let decide = |verb, path: &str, to| ScriptedDecision {
+        at: SimTime(1),
+        service: (verb, path.to_string()),
+        to,
+    };
+    let mut faults = FaultPlan::new(0xFA17);
+    faults.set_default_loss(LossModel::uniform(0.10));
+    let mut crashes = CrashPlan::new(3);
+    crashes.crash(
+        "cloud",
+        SimTime::from_secs_f64(3.2),
+        SimTime::from_secs_f64(6.0),
+    );
+    crashes.crash(
+        "edge1",
+        SimTime::from_secs_f64(4.1),
+        SimTime::from_secs_f64(5.3),
+    );
+    let mut sys = ThreeTierSystem::deploy(
+        &app.source,
+        &report,
+        &[DeviceSpec::rpi4(), DeviceSpec::rpi4(), DeviceSpec::rpi4()],
+        ThreeTierOptions {
+            cache: CachePolicy::All,
+            faults: Some(faults),
+            crashes: Some(crashes),
+            ha: Some(HaPolicy {
+                standby,
+                ..HaPolicy::default()
+            }),
+            quarantine: Some(QuarantinePolicy {
+                check_fraction: 0.5,
+                mismatch_budget: 2,
+                seed: 0x51A5,
+            }),
+            placement: PlacementMode::Scripted(PlacementScript {
+                pinned: None,
+                decisions: vec![
+                    decide(Verb::Get, "/search", Placement::CloudPin),
+                    decide(Verb::Put, "/stock", Placement::CloudPin),
+                    decide(Verb::Get, "/recommend", Placement::EdgeCacheOnly),
+                ],
+            }),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    sys.inject_faulty_variant(2, 0.5, 0xBAD);
+    let stats: RunStats = sys.run(&stream_every(0x5EED, 1_600, 5_000));
+    sys.sync_until_converged(stats.makespan + SimDuration::from_secs(2), 40)
+        .expect("the cluster reconverges after the outages");
+    let ha = sys.ha_stats();
+    FailoverPin {
+        response_digest: stats.response_digest,
+        counts: [
+            stats.completed,
+            stats.failed,
+            stats.forwarded,
+            stats.retries,
+            stats.timed_out,
+            stats.degraded,
+        ],
+        lan_bytes: stats.lan_bytes,
+        wan_request_bytes: stats.wan_request_bytes,
+        wan_sync_bytes: stats.wan_sync_bytes,
+        makespan: stats.makespan,
+        cache: sys.cache_stats(),
+        ha: [
+            ha.edge_crashes,
+            ha.edge_restarts,
+            ha.master_crashes,
+            ha.failovers,
+            ha.durable_recoveries,
+        ],
+        shadow_checks: ha.shadow_checks,
+        shadow_mismatches: ha.shadow_mismatches,
+        quarantines: ha.quarantines.clone(),
+        outages: ha.outages.clone(),
+    }
+}
+
+#[test]
+fn forwarding_failover_and_quarantine_match_pinned_stats() {
+    // warm standby: the master dies at 3.2 s, the standby is promoted
+    // 500 ms later, and retries ride the outage out
+    assert_eq!(
+        failover_run(true),
+        FailoverPin {
+            response_digest: 0xac7c_69a0_68d2_806e,
+            counts: [1_600, 0, 306, 79, 0, 0],
+            lan_bytes: 1_736_444,
+            wan_request_bytes: 277_046,
+            wan_sync_bytes: 1_412_915,
+            makespan: SimTime(9_453_414),
+            cache: CacheStats {
+                hits: 756,
+                misses: 898,
+                evictions: 0,
+                invalidations: 387,
+            },
+            ha: [1, 2, 1, 1, 0],
+            shadow_checks: 294,
+            shadow_mismatches: 3,
+            quarantines: vec![(2, SimTime(3_565_199))],
+            outages: vec![(SimTime(3_200_000), SimTime(3_700_000))],
+        }
+    );
+    // no standby: forwards time out and breakers open until the master
+    // recovers from its durable image at 6 s; the edge whose restart came
+    // due meanwhile rejoins then
+    assert_eq!(
+        failover_run(false),
+        FailoverPin {
+            response_digest: 0x1f96_39bd_ac51_4807,
+            counts: [1_369, 231, 308, 49, 9, 882],
+            lan_bytes: 1_383_166,
+            wan_request_bytes: 53_270,
+            wan_sync_bytes: 1_405_196,
+            makespan: SimTime(8_957_036),
+            cache: CacheStats {
+                hits: 759,
+                misses: 667,
+                evictions: 0,
+                invalidations: 216,
+            },
+            ha: [1, 2, 1, 0, 1],
+            shadow_checks: 282,
+            shadow_mismatches: 3,
+            quarantines: vec![(2, SimTime(3_565_199))],
+            outages: vec![(SimTime(3_200_000), SimTime(6_000_000))],
+        }
+    );
+}
+
+/// The threaded executor on the stream of the first cell. The
+/// differential suite compares N threads against one thread, so a change
+/// that moved both would pass it; these constants do not move.
+#[test]
+fn parallel_bookworm_run_matches_pinned_stats() {
+    let app = edgstr_apps::bookworm::app();
+    let (report, _) =
+        capture_and_transform(&app.source, &app.service_requests, &EdgStrConfig::default())
+            .unwrap();
+    let requests: Vec<HttpRequest> = stream(0x5EED, 1_200)
+        .requests
+        .into_iter()
+        .map(|tr| tr.request)
+        .collect();
+    for workers in [1, 2] {
+        let run = ParallelSystem::new(
+            &app.source,
+            &report,
+            ParallelOptions {
+                replicas: 4,
+                workers,
+                cache: CachePolicy::All,
+                ..ParallelOptions::default()
+            },
+        )
+        .run(&requests);
+        assert!(run.converged, "{workers} workers");
+        assert_eq!((run.completed, run.failed), (1_200, 0), "{workers} workers");
+        assert_eq!(run.response_digest, 0x8b7c_c817_1d0b_6f27);
+        assert_eq!(run.state_digest, 0x22f2_7471_a616_7455);
+        assert_eq!(run.delta_messages, 76);
+        assert_eq!(
+            run.cache,
+            CacheStats {
+                hits: 504,
+                misses: 696,
+                evictions: 0,
+                invalidations: 293,
+            }
+        );
+    }
 }
