@@ -175,8 +175,8 @@ fn main() {
         let stats = sys.run(&wl);
         // divergence window at the end of the run: how far edge0 and the
         // master drifted apart while the partition held
-        let edge_total = clock_total(&sys.edges[0].crdts);
-        let cloud_total = clock_total(&sys.cloud_crdts);
+        let edge_total = clock_total(&sys.edges[0].core.crdts);
+        let cloud_total = clock_total(&sys.cloud.crdts);
         let window = edge_total.abs_diff(cloud_total);
         let heal = SimTime::from_secs_f64(0.5 + part_secs as f64);
         let from = if stats.makespan > heal {

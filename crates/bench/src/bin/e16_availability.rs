@@ -209,7 +209,7 @@ fn run_cell(report: &TransformationReport, profile: &str, loss_pct: u32, n: usiz
     let mut waves = 0;
     let mut resubmitted = 0;
     loop {
-        let present: std::collections::BTreeSet<usize> = sys.cloud_crdts.tables["notes"]
+        let present: std::collections::BTreeSet<usize> = sys.cloud.crdts.tables["notes"]
             .rows()
             .iter()
             .filter_map(|(pk, _)| pk.parse().ok())
@@ -240,26 +240,26 @@ fn run_cell(report: &TransformationReport, profile: &str, loss_pct: u32, n: usiz
     }
     // + 1: the profiling warm-up row ships with the init snapshot
     assert_eq!(
-        sys.cloud_crdts.tables["notes"].len(),
+        sys.cloud.crdts.tables["notes"].len(),
         n + 1,
         "{profile}/{loss_pct}%: converged row count"
     );
 
     // within-cell convergence: every replica's full state (tables +
     // globals) is bit-identical to the master's
-    let converged = full_digest(&sys.cloud_crdts);
+    let converged = full_digest(&sys.cloud.crdts);
     for (i, e) in sys.edges.iter().enumerate() {
         assert_eq!(
-            full_digest(&e.crdts),
+            full_digest(&e.core.crdts),
             converged,
             "{profile}/{loss_pct}%: edge{i} digest diverges from the master"
         );
     }
-    let digest = data_digest(&sys.cloud_crdts);
+    let digest = data_digest(&sys.cloud.crdts);
 
     // zero acked-write loss: the final master clock covers every ack
     // clock any replica held at a crash
-    let final_clock = sys.cloud_crdts.clock();
+    let final_clock = sys.cloud.crdts.clock();
     let hs = sys.ha_stats();
     for snap in &hs.acked_snapshots {
         assert!(
@@ -418,7 +418,7 @@ fn main() {
             .makespan
             .max(restart_at + SimDuration::from_millis(1500));
         let outcome = sys.sync_until_converged(from, MAX_ROUNDS);
-        let final_clock = sys.cloud_crdts.clock();
+        let final_clock = sys.cloud.crdts.clock();
         let hs = sys.ha_stats();
         let lost = hs
             .acked_snapshots

@@ -437,7 +437,7 @@ fn main() {
     adaptive_sys
         .sync_until_converged(makespan, 200)
         .expect("adaptive cluster must converge after the run");
-    let master = adaptive_sys.cloud_crdts.clock();
+    let master = adaptive_sys.cloud.crdts.clock();
     let snapshots = adaptive_sys.placement_stats().acked_snapshots.clone();
     for snap in &snapshots {
         assert!(
@@ -447,7 +447,7 @@ fn main() {
     }
     let completed_ingests: usize = total_ingests; // fault-free: all complete
     assert_eq!(
-        adaptive_sys.cloud_crdts.tables["readings"].len(),
+        adaptive_sys.cloud.crdts.tables["readings"].len(),
         completed_ingests + 1, // plus the capture warm-up ingest
         "master must hold one reading per acknowledged ingest"
     );

@@ -320,10 +320,10 @@ impl CrdtSet {
     /// Put the rows a failed request wrote back to their replicated state.
     /// A handler that errors after a `db.query` write leaves the row in
     /// `server.db` while its effects are dropped with the outcome, so the
-    /// CRDT never hears of it; every serve path calls this on a failed
-    /// [`ServerProcess::handle`] before the replica serves again, which
-    /// keeps the rule remote applies rely on: a row no delta touched reads
-    /// the same in the database as in the CRDT.
+    /// CRDT never hears of it; [`crate::ReplicaCore::execute`] calls this
+    /// on a failed [`ServerProcess::handle`] before the replica serves
+    /// again, which keeps the rule remote applies rely on: a row no delta
+    /// touched reads the same in the database as in the CRDT.
     pub fn revert_failed_writes(&self, server: &mut ServerProcess) {
         for effect in server.take_failed_row_effects() {
             let (RowEffect::Upsert { table, pk, .. } | RowEffect::Delete { table, pk }) = &effect;
@@ -516,12 +516,14 @@ impl SyncEndpoint {
         SyncEndpoint::default()
     }
 
-    /// Fresh endpoint with the pre-fix optimistic advancement (assumes
-    /// every generated delta is delivered). Diverges under message loss;
-    /// kept for the fault-model ablation.
-    pub fn optimistic() -> Self {
+    /// Fresh endpoint advancing in `mode` whose peer is known to hold
+    /// `peer_clock` already — the empty clock for a peer initialised from
+    /// the shared snapshot, the provisioning clock for one built from a
+    /// save image (nothing below it is ever re-sent).
+    pub fn starting(mode: AdvanceMode, peer_clock: SetClock) -> Self {
         SyncEndpoint {
-            mode: AdvanceMode::Optimistic,
+            peer_clock,
+            mode,
             ..SyncEndpoint::default()
         }
     }
@@ -1097,8 +1099,8 @@ mod partition_tests {
             .unwrap();
         edge_set.absorb_outcome(&out, &edge);
 
-        let mut e2c = SyncEndpoint::optimistic();
-        let mut c2e = SyncEndpoint::optimistic();
+        let mut e2c = SyncEndpoint::starting(AdvanceMode::Optimistic, SetClock::default());
+        let mut c2e = SyncEndpoint::starting(AdvanceMode::Optimistic, SetClock::default());
         // the delta is LOST, but the optimistic sender marks it delivered
         let _lost = e2c.generate(&edge_set);
         // further rounds never resend it

@@ -8,18 +8,25 @@
 //!   system and globals;
 //! - [`SyncEndpoint`] — the bidirectional `cloud_state` / `edge_state`
 //!   channel with delta shipping and traffic accounting (Fig. 5b);
+//! - [`ReplicaCore`] — one replica (server process, [`CrdtSet`],
+//!   [`ResponseCache`]): provisioned from a [`ReplicaTemplate`] or a save
+//!   image, serving through the one pipeline every driver below calls
+//!   (lookup, handle, revert on failure, absorb, fill);
 //! - [`LoadBalancer`] / [`Autoscaler`] — least-connections balancing and
 //!   elasticity with low-power replica parking (§IV-D);
 //! - [`TwoTierSystem`] / [`ThreeTierSystem`] — virtual-time drivers for
 //!   the original client-cloud deployment and the EdgStr-generated
-//!   client-edge-cloud deployment, including failure forwarding to the
-//!   cloud master.
+//!   client-edge-cloud deployment (edges, cloud master and warm standby
+//!   are cores), including failure forwarding to the cloud master;
+//! - [`ParallelSystem`] — the wall-clock executor: the same cores, each
+//!   owned by one worker thread.
 
 pub mod balancer;
 pub mod cache;
 pub mod crdtset;
 pub mod driver;
 pub mod parallel;
+pub mod replica;
 pub mod system;
 pub mod tiering;
 
@@ -30,10 +37,13 @@ pub use cache::{
 };
 pub use crdtset::{CrdtSet, SetChanges, SetClock, SetSyncMessage, SyncEndpoint};
 pub use driver::{FaultPolicy, MobilePower, RunRecorder, RunStats, TimedRequest, Workload};
-pub use parallel::{ParallelOptions, ParallelRunStats, ParallelSystem, ReplicaSeed, FAILED_DIGEST};
+pub use parallel::{ParallelOptions, ParallelRunStats, ParallelSystem, FAILED_DIGEST};
+pub use replica::{
+    cache_plan, BitFlipCorruptor, CachePlan, ReplicaCore, ReplicaKind, ReplicaTemplate, Served,
+};
 pub use system::{
-    BitFlipCorruptor, EdgeReplica, HaPolicy, HaStats, QuarantinePolicy, ThreeTierOptions,
-    ThreeTierSystem, TwoTierSystem,
+    EdgeReplica, HaPolicy, HaStats, QuarantinePolicy, ThreeTierOptions, ThreeTierSystem,
+    TwoTierSystem,
 };
 pub use tiering::{
     PendingTransition, PlacementMode, PlacementScript, PlacementStats, ScriptedDecision,

@@ -4,9 +4,11 @@
 //! The virtual-time drivers ([`crate::ThreeTierSystem`]) execute every
 //! request on one host thread and *simulate* concurrency; throughput is a
 //! simulated number. This module is the real-time sibling: it runs under
-//! [`Clock::Wall`] and puts each edge replica's entire serving state — VM,
+//! [`Clock::Wall`] and puts each edge replica — one [`ReplicaCore`]: VM,
 //! CRDT set, response cache — on exactly one worker thread, so the serve
-//! hot path takes **no locks and touches no shared mutable state**.
+//! hot path takes **no locks and touches no shared mutable state**. A
+//! request is served by [`ReplicaCore::serve`], the pipeline the
+//! virtual-time driver's edges and cloud master run.
 //!
 //! ## Ownership model
 //!
@@ -42,65 +44,24 @@
 //! [`AdvanceMode::Optimistic`] (the loss-tolerant ack protocol exists for
 //! the simulated WAN, which this executor does not traverse).
 
-use crate::cache::{
-    bump_static_global_writes, resolve_reads, CacheKey, CachePolicy, CacheStats, ResponseCache,
-    UnitKey,
-};
-use crate::crdtset::{CrdtSet, SetSyncMessage, SyncEndpoint};
-use edgstr_analysis::{EffectSummary, InitSeed, InitState, ServerProcess, StateUnit};
-use edgstr_core::{CrdtBindings, TransformationReport};
+use crate::cache::{CachePolicy, CacheStats, ResponseCache};
+use crate::crdtset::{SetClock, SetSyncMessage, SyncEndpoint};
+use crate::replica::{cache_plan, ReplicaCore, ReplicaKind, ReplicaTemplate};
+use edgstr_core::TransformationReport;
 use edgstr_crdt::{ActorId, AdvanceMode};
-use edgstr_lang::Program;
-use edgstr_net::{fnv1a, HttpRequest, Verb, FNV_OFFSET};
+use edgstr_net::{fnv1a, HttpRequest, FNV_OFFSET};
 use edgstr_sim::{Clock, SimDuration};
 use edgstr_telemetry::{RegistrySnapshot, Telemetry};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Barrier};
 
 /// Digest of a failed request in the per-request digest stream.
 pub const FAILED_DIGEST: u64 = 0;
 
-/// Everything a worker thread needs to build its replicas locally: plain
-/// data, `Send + Sync`, shared via one `Arc`. Workers construct the
-/// non-`Send` runtime state (VM, statement caches) *from* this seed on
-/// their own thread — per-thread construction is the pool model the Send
-/// audit settled on.
-#[derive(Debug, Clone)]
-pub struct ReplicaSeed {
-    pub program: Program,
-    pub bindings: CrdtBindings,
-    /// Send-safe init snapshot ([`edgstr_lang::Value`]s are thread-owned — see
-    /// [`InitSeed`]); each worker rebuilds a thread-local [`InitState`].
-    pub init: InitSeed,
-    /// Services the replica executes locally; everything else fails
-    /// deterministically (the parallel executor has no WAN to forward
-    /// over — cloud-pinned services belong to the virtual-time drivers).
-    pub replicated: BTreeSet<(Verb, String)>,
-    /// Per-service effect summaries: the cache's read/write sets.
-    pub effects: BTreeMap<(Verb, String), EffectSummary>,
-}
-
-impl ReplicaSeed {
-    /// Extract the seed from a transformation report.
-    pub fn from_report(report: &TransformationReport) -> ReplicaSeed {
-        ReplicaSeed {
-            program: report.replica.program.clone(),
-            bindings: report.replica.bindings.clone(),
-            init: InitSeed::from_state(&report.replica.init),
-            replicated: report.replica.replicated.iter().cloned().collect(),
-            effects: report
-                .services
-                .iter()
-                .filter_map(|s| {
-                    s.profile
-                        .as_ref()
-                        .map(|p| ((s.verb, s.path.clone()), p.effects.clone()))
-                })
-                .collect(),
-        }
-    }
-}
+/// Bound of the job, delta and convergence channels (backpressure, not
+/// loss).
+const CHANNEL_CAPACITY: usize = 256;
 
 /// Tuning knobs for the parallel executor.
 #[derive(Debug, Clone)]
@@ -114,8 +75,6 @@ pub struct ParallelOptions {
     pub workers: usize,
     /// Requests a replica serves between delta flushes to the cloud.
     pub sync_batch: usize,
-    /// Bound of the job and delta channels (backpressure, not loss).
-    pub channel_capacity: usize,
     pub cache: CachePolicy,
     pub cache_budget_bytes: usize,
     /// Give each worker a private recording telemetry shard, folded into
@@ -129,7 +88,6 @@ impl Default for ParallelOptions {
             replicas: 8,
             workers: 1,
             sync_batch: 16,
-            channel_capacity: 256,
             cache: CachePolicy::Off,
             cache_budget_bytes: 256 * 1024,
             telemetry_shards: false,
@@ -181,134 +139,20 @@ impl ParallelRunStats {
     }
 }
 
-/// Cache participation of one request (the parallel twin of the
-/// virtual-time driver's plan: key, concrete read units, fill gates).
-struct CachePlan {
-    key: CacheKey,
-    reads: Vec<UnitKey>,
-    globals_clean: bool,
-}
-
-fn cache_plan(seed: &ReplicaSeed, policy: CachePolicy, request: &HttpRequest) -> Option<CachePlan> {
-    if policy == CachePolicy::Off {
-        return None;
-    }
-    let summary = seed.effects.get(&(request.verb, request.path.clone()))?;
-    if !summary.cacheable {
-        return None;
-    }
-    if policy == CachePolicy::ReadOnlyServices && !summary.pure {
-        return None;
-    }
-    Some(CachePlan {
-        key: CacheKey::for_request(request),
-        reads: resolve_reads(summary, request),
-        globals_clean: !summary
-            .writes
-            .iter()
-            .any(|w| matches!(w, StateUnit::Global(_))),
-    })
-}
-
 /// One worker-owned edge replica: all of this lives on a single thread.
 struct OwnedReplica {
-    server: ServerProcess,
-    crdts: CrdtSet,
+    core: ReplicaCore,
     to_cloud: SyncEndpoint,
-    cache: ResponseCache,
     served_since_flush: usize,
 }
 
 impl OwnedReplica {
-    fn build(seed: &ReplicaSeed, actor: u64, budget: usize, telemetry: &Telemetry) -> OwnedReplica {
-        let init: InitState = seed.init.to_state();
-        let mut server = ServerProcess::from_program(seed.program.clone());
-        server.init().expect("replica program init");
-        init.restore(&mut server);
-        OwnedReplica {
-            server,
-            crdts: CrdtSet::initialize(ActorId(actor), &seed.bindings, &init),
-            to_cloud: SyncEndpoint {
-                mode: AdvanceMode::Optimistic,
-                ..SyncEndpoint::new()
-            },
-            cache: ResponseCache::new(budget, telemetry),
-            served_since_flush: 0,
-        }
+    /// The next delta for the cloud, if the replica has changes the cloud
+    /// has not been sent.
+    fn delta(&mut self, replica: usize) -> Option<Delta> {
+        let msg = self.to_cloud.generate(&self.core.crdts);
+        (!msg.changes.is_empty()).then_some(Delta { replica, msg })
     }
-
-    /// Serve one request on the owning thread: cache lookup, execute,
-    /// absorb effects into the CRDT set, effect-free fill. Returns the
-    /// response digest, or `None` for a failed (non-replicated or
-    /// erroring) request. Mirrors the local-serve path of
-    /// [`crate::ThreeTierSystem::run`] minus the simulated network/device.
-    fn serve(
-        &mut self,
-        seed: &ReplicaSeed,
-        policy: CachePolicy,
-        request: &HttpRequest,
-    ) -> Option<u64> {
-        let key = (request.verb, request.path.clone());
-        if !seed.replicated.contains(&key) {
-            return None;
-        }
-        let plan = cache_plan(seed, policy, request);
-        if let Some(p) = &plan {
-            if let Some(response) = self.cache.lookup(&p.key, &self.crdts.versions) {
-                return Some(response.digest());
-            }
-        }
-        match self.server.handle(request) {
-            Ok(out) => {
-                self.crdts.absorb_outcome(&out, &self.server);
-                if policy != CachePolicy::Off {
-                    bump_static_global_writes(&mut self.crdts.versions, seed.effects.get(&key));
-                }
-                if let Some(p) = &plan {
-                    // only a demonstrably effect-free execution may fill
-                    let effect_free = out.row_effects.is_empty()
-                        && out.file_writes.is_empty()
-                        && out.global_writes.is_empty()
-                        && p.globals_clean;
-                    if effect_free {
-                        let stamp = self.crdts.versions.snapshot(&p.reads);
-                        self.cache.fill(p.key.clone(), &out.response, stamp);
-                    }
-                }
-                Some(out.response.digest())
-            }
-            Err(_) => {
-                self.crdts.revert_failed_writes(&mut self.server);
-                None
-            }
-        }
-    }
-}
-
-/// Digest of the *replicated* state units (bound tables, files, globals)
-/// materialized in `server`. Non-replicated state is deliberately excluded
-/// — it is local to whichever replica happened to write it.
-fn replicated_state_digest(bindings: &CrdtBindings, server: &ServerProcess) -> u64 {
-    let db = server.db.snapshot().to_json();
-    let mut h = FNV_OFFSET;
-    for t in &bindings.tables {
-        h = fnv1a(h, t.as_bytes());
-        let rows = db.get(t).map(|v| v.to_string()).unwrap_or_default();
-        h = fnv1a(h, rows.as_bytes());
-    }
-    for f in &bindings.files {
-        h = fnv1a(h, f.as_bytes());
-        h = fnv1a(h, server.fs.peek(f).unwrap_or(&[]));
-    }
-    for g in &bindings.globals {
-        h = fnv1a(h, g.as_bytes());
-        let v = server
-            .global_json(g)
-            .map(|v| v.to_string())
-            .unwrap_or_default();
-        h = fnv1a(h, v.as_bytes());
-    }
-    h
 }
 
 /// A delta shipped from a worker to the cloud thread.
@@ -328,14 +172,12 @@ struct WorkerOutcome {
     state_digests: Vec<(usize, u64)>,
     cache: CacheStats,
     telemetry: RegistrySnapshot,
-    deltas_sent: usize,
 }
 
 /// The wall-clock parallel deployment: a cloud master thread plus `T`
 /// worker threads owning `R` edge replicas between them.
 pub struct ParallelSystem {
-    cloud_source: String,
-    seed: Arc<ReplicaSeed>,
+    template: Arc<ReplicaTemplate>,
     options: ParallelOptions,
 }
 
@@ -346,8 +188,7 @@ impl ParallelSystem {
         options: ParallelOptions,
     ) -> ParallelSystem {
         ParallelSystem {
-            cloud_source: cloud_source.to_string(),
-            seed: Arc::new(ReplicaSeed::from_report(report)),
+            template: Arc::new(ReplicaTemplate::from_report(cloud_source, report)),
             options,
         }
     }
@@ -363,10 +204,8 @@ impl ParallelSystem {
         let r_count = self.options.replicas.max(1);
         let t_count = self.options.workers.max(1).min(r_count);
         let batch = self.options.sync_batch.max(1);
-        let cap = self.options.channel_capacity.max(1);
-        let seed = &self.seed;
+        let template = &self.template;
         let options = &self.options;
-        let cloud_source = self.cloud_source.as_str();
 
         // start: all workers built their replicas, the timed window opens.
         // drained: every worker emptied its queue, the window closes.
@@ -385,18 +224,18 @@ impl ParallelSystem {
             let mut job_txs: Vec<SyncSender<(u32, HttpRequest)>> = Vec::with_capacity(t_count);
             let mut job_rxs: Vec<Receiver<(u32, HttpRequest)>> = Vec::with_capacity(t_count);
             for _ in 0..t_count {
-                let (tx, rx) = sync_channel(cap);
+                let (tx, rx) = sync_channel(CHANNEL_CAPACITY);
                 job_txs.push(tx);
                 job_rxs.push(rx);
             }
             // delta channel: workers → cloud, shared
-            let (delta_tx, delta_rx) = sync_channel::<Delta>(cap);
+            let (delta_tx, delta_rx) = sync_channel::<Delta>(CHANNEL_CAPACITY);
             // convergence channels: cloud → worker
             let mut back_txs: Vec<SyncSender<(usize, SetSyncMessage)>> =
                 Vec::with_capacity(t_count);
             let mut back_rxs: Vec<Receiver<(usize, SetSyncMessage)>> = Vec::with_capacity(t_count);
             for _ in 0..t_count {
-                let (tx, rx) = sync_channel(cap);
+                let (tx, rx) = sync_channel(CHANNEL_CAPACITY);
                 back_txs.push(tx);
                 back_rxs.push(rx);
             }
@@ -406,34 +245,41 @@ impl ParallelSystem {
             // across workers doesn't matter), then emits per-replica
             // convergence deltas once all workers have flushed.
             let cloud = s.spawn({
-                let seed = Arc::clone(seed);
+                let template = Arc::clone(template);
                 move || {
-                    let init: InitState = seed.init.to_state();
-                    let mut server =
-                        ServerProcess::from_source(cloud_source).expect("cloud source parses");
-                    server.init().expect("cloud init");
-                    init.restore(&mut server);
-                    let mut crdts = CrdtSet::initialize(ActorId(1), &seed.bindings, &init);
+                    let mut cloud = ReplicaCore::fresh(
+                        &template,
+                        &template.init.to_state(),
+                        ReplicaKind::Master,
+                        ActorId(1),
+                        // nothing is forwarded to this master: it only
+                        // folds deltas
+                        ResponseCache::new(0, &Telemetry::disabled()),
+                    )
+                    .expect("cloud program parses and initialises");
                     let mut endpoints: Vec<SyncEndpoint> = (0..r_count)
-                        .map(|_| SyncEndpoint {
-                            mode: AdvanceMode::Optimistic,
-                            ..SyncEndpoint::new()
+                        .map(|_| {
+                            SyncEndpoint::starting(AdvanceMode::Optimistic, SetClock::default())
                         })
                         .collect();
                     let mut received = 0usize;
                     while let Ok(delta) = delta_rx.recv() {
-                        endpoints[delta.replica].receive_owned(&mut crdts, &mut server, delta.msg);
+                        endpoints[delta.replica].receive_owned(
+                            &mut cloud.crdts,
+                            &mut cloud.server,
+                            delta.msg,
+                        );
                         received += 1;
                     }
                     // every worker dropped its sender: all deltas are in.
                     for (r, endpoint) in endpoints.iter_mut().enumerate() {
-                        let msg = endpoint.generate(&crdts);
+                        let msg = endpoint.generate(&cloud.crdts);
                         back_txs[r % t_count]
                             .send((r, msg))
                             .expect("worker awaits convergence delta");
                     }
                     drop(back_txs);
-                    (received, replicated_state_digest(&seed.bindings, &server))
+                    (received, cloud.replicated_state_digest())
                 }
             });
 
@@ -442,7 +288,7 @@ impl ParallelSystem {
                 .zip(back_rxs)
                 .enumerate()
                 .map(|(w, (jobs, back))| {
-                    let seed = Arc::clone(seed);
+                    let template = Arc::clone(template);
                     let delta_tx = delta_tx.clone();
                     let start = &start;
                     let drained = &drained;
@@ -469,16 +315,33 @@ impl ParallelSystem {
                         });
                         // Build this worker's replicas on this thread: the
                         // VM and its caches never cross a thread boundary.
-                        let owned: Vec<usize> = (0..r_count).filter(|r| r % t_count == w).collect();
-                        let mut replicas: BTreeMap<usize, OwnedReplica> = owned
-                            .iter()
-                            .map(|&r| {
+                        let init = template.init.to_state();
+                        let mut replicas: BTreeMap<usize, OwnedReplica> = (0..r_count)
+                            .filter(|r| r % t_count == w)
+                            .map(|r| {
+                                let core = ReplicaCore::fresh(
+                                    &template,
+                                    &init,
+                                    ReplicaKind::Edge,
+                                    ActorId(2 + r as u64),
+                                    ResponseCache::new(budget, &telemetry),
+                                )
+                                .expect("replica program initialises");
+                                let to_cloud = SyncEndpoint::starting(
+                                    AdvanceMode::Optimistic,
+                                    SetClock::default(),
+                                );
                                 (
                                     r,
-                                    OwnedReplica::build(&seed, 2 + r as u64, budget, &telemetry),
+                                    OwnedReplica {
+                                        core,
+                                        to_cloud,
+                                        served_since_flush: 0,
+                                    },
                                 )
                             })
                             .collect();
+                        drop(init); // a worker serves for a long time; the snapshot is spent
                         let mut outcome = WorkerOutcome {
                             completed: 0,
                             failed: 0,
@@ -486,17 +349,32 @@ impl ParallelSystem {
                             state_digests: Vec::new(),
                             cache: CacheStats::default(),
                             telemetry: RegistrySnapshot::default(),
-                            deltas_sent: 0,
                         };
                         start.wait();
                         // --- timed serving window ---
                         while let Ok((index, request)) = jobs.recv() {
                             let r = index as usize % r_count;
                             let replica = replicas.get_mut(&r).expect("statically owned replica");
-                            match replica.serve(&seed, policy, &request) {
-                                Some(digest) => {
+                            // Only replicated services are served: the
+                            // executor has no WAN to forward the rest over
+                            // (cloud-pinned services belong to the
+                            // virtual-time driver), so they fail
+                            // deterministically, as a handler error does.
+                            let key = (request.verb, request.path.clone());
+                            let served = if template.replicated.contains(&key) {
+                                let summary = template.effects.get(&key);
+                                let plan = cache_plan(policy, summary, &request);
+                                replica
+                                    .core
+                                    .serve(&request, summary, plan.as_ref(), &None)
+                                    .ok()
+                            } else {
+                                None
+                            };
+                            match served {
+                                Some(served) => {
                                     outcome.completed += 1;
-                                    outcome.digests.push((index, digest));
+                                    outcome.digests.push((index, served.response.digest()));
                                     if let Some((done, _)) = &counters {
                                         done.inc();
                                     }
@@ -512,41 +390,32 @@ impl ParallelSystem {
                             replica.served_since_flush += 1;
                             if replica.served_since_flush >= batch {
                                 replica.served_since_flush = 0;
-                                let msg = replica.to_cloud.generate(&replica.crdts);
-                                if !msg.changes.is_empty() {
-                                    delta_tx
-                                        .send(Delta { replica: r, msg })
-                                        .expect("cloud alive");
-                                    outcome.deltas_sent += 1;
+                                if let Some(delta) = replica.delta(r) {
+                                    delta_tx.send(delta).expect("cloud alive");
                                 }
                             }
                         }
                         drained.wait();
                         // --- untimed convergence flush ---
                         for (&r, replica) in replicas.iter_mut() {
-                            let msg = replica.to_cloud.generate(&replica.crdts);
-                            if !msg.changes.is_empty() {
-                                delta_tx
-                                    .send(Delta { replica: r, msg })
-                                    .expect("cloud alive");
-                                outcome.deltas_sent += 1;
+                            if let Some(delta) = replica.delta(r) {
+                                delta_tx.send(delta).expect("cloud alive");
                             }
                         }
                         drop(delta_tx); // cloud's recv loop ends when all workers flush
                         while let Ok((r, msg)) = back.recv() {
                             let replica = replicas.get_mut(&r).expect("statically owned replica");
                             replica.to_cloud.receive_owned(
-                                &mut replica.crdts,
-                                &mut replica.server,
+                                &mut replica.core.crdts,
+                                &mut replica.core.server,
                                 msg,
                             );
                         }
                         for (&r, replica) in replicas.iter() {
-                            outcome.state_digests.push((
-                                r,
-                                replicated_state_digest(&seed.bindings, &replica.server),
-                            ));
-                            outcome.cache.absorb(replica.cache.stats());
+                            outcome
+                                .state_digests
+                                .push((r, replica.core.replicated_state_digest()));
+                            outcome.cache.absorb(replica.core.cache.stats());
                         }
                         if let Some(reg) = telemetry.registry() {
                             outcome.telemetry = reg.snapshot();
@@ -610,12 +479,13 @@ mod tests {
     /// Compile-time Send audit: everything that crosses a thread boundary
     /// in the executor must be `Send`. The VM side (`ServerProcess`,
     /// `Vm`, `Value`) is deliberately *not* here — it is thread-owned and
-    /// built per-thread from [`ReplicaSeed`].
+    /// built per-thread from [`ReplicaTemplate`], whose `Send` covers the
+    /// program, bindings, init seed and effect summaries it carries.
     #[test]
     fn parallel_plumbing_is_send() {
         fn assert_send<T: Send>() {}
-        assert_send::<ReplicaSeed>();
-        assert_send::<Arc<ReplicaSeed>>();
+        assert_send::<ReplicaTemplate>();
+        assert_send::<Arc<ReplicaTemplate>>();
         assert_send::<SetSyncMessage>();
         assert_send::<ResponseCache>();
         assert_send::<CacheStats>();
@@ -623,11 +493,7 @@ mod tests {
         assert_send::<ParallelRunStats>();
         assert_send::<HttpRequest>();
         assert_send::<edgstr_net::HttpResponse>();
-        assert_send::<Program>();
-        assert_send::<CrdtBindings>();
-        assert_send::<InitSeed>();
-        assert_send::<EffectSummary>();
-        assert_send::<CrdtSet>();
+        assert_send::<crate::CrdtSet>();
     }
 
     const APP: &str = r#"
@@ -746,53 +612,6 @@ mod tests {
             .telemetry
             .counter_value("edgstr_cache_events_total", &[("op", "hit")]);
         assert_eq!(hits, run.cache.hits);
-    }
-
-    /// The threaded serve path puts back what a failed handler wrote: the
-    /// request after it reads the table as if it had never run, and the
-    /// replica still converges with the cloud.
-    #[test]
-    fn failed_handler_after_write_leaves_no_row() {
-        const FAILING_APP: &str = r#"
-            db.query("CREATE TABLE notes (id INT PRIMARY KEY, text TEXT)");
-            app.post("/note", function (req, res) {
-                db.query("INSERT INTO notes VALUES (" + req.body.id + ", '" + req.body.text + "')");
-                if (req.body.text == "boom") {
-                    fs.readFile("/no/such/file");
-                }
-                res.send({ ok: req.body.id });
-            });
-            app.get("/count", function (req, res) {
-                var rows = db.query("SELECT COUNT(*) FROM notes");
-                res.send(rows[0]);
-            });
-        "#;
-        let note = |id: u64, text: &str| {
-            HttpRequest::post("/note", json!({"id": id, "text": text}), vec![])
-        };
-        let count = HttpRequest::get("/count", json!({}));
-        let report = capture_and_transform(
-            FAILING_APP,
-            &[note(900, "warm"), count.clone()],
-            &EdgStrConfig::default(),
-        )
-        .unwrap()
-        .0;
-        let run = |requests: &[HttpRequest]| {
-            let opts = ParallelOptions {
-                replicas: 1,
-                workers: 1,
-                ..ParallelOptions::default()
-            };
-            ParallelSystem::new(FAILING_APP, &report, opts).run(requests)
-        };
-        let clean = run(&[note(1, "a"), count.clone()]);
-        let failed = run(&[note(1, "a"), note(2, "boom"), count]);
-        assert_eq!((failed.completed, failed.failed), (2, 1));
-        assert_eq!(failed.per_request_digests[1], FAILED_DIGEST);
-        assert_eq!(failed.per_request_digests[2], clean.per_request_digests[1]);
-        assert!(failed.converged);
-        assert_eq!(failed.state_digest, clean.state_digest);
     }
 
     #[test]

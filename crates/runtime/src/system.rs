@@ -7,13 +7,14 @@
 //! scaling and elasticity (Fig. 9), and synchronization traffic (Fig. 10a).
 
 use crate::balancer::{Autoscaler, BalanceStrategy, LoadBalancer};
-use crate::cache::{
-    bump_static_global_writes, resolve_reads, CacheKey, CachePolicy, CacheStats, ResponseCache,
-    UnitKey, CACHE_HIT_CYCLES,
-};
+use crate::cache::{CachePolicy, CacheStats, ResponseCache};
 use crate::crdtset::{CrdtSet, SetChanges, SetClock, SyncEndpoint};
 use crate::driver::RunRecorder;
 pub use crate::driver::{FaultPolicy, MobilePower, RunStats, TimedRequest, Workload};
+use crate::replica::{
+    cache_plan, handle_profiled, BitFlipCorruptor, CachePlan, ReplicaCore, ReplicaKind,
+    ReplicaTemplate, Served,
+};
 use crate::tiering::{
     PendingTransition, PlacementMode, PlacementStats, ScriptedDecision, TransitionBarrier,
     TransitionRecord,
@@ -21,7 +22,7 @@ use crate::tiering::{
 use edgstr_analysis::{
     EffectSummary, ExecMode, InitState, ReadUnit, ServerError, ServerProcess, StateUnit,
 };
-use edgstr_core::{CrdtBindings, TransformationReport};
+use edgstr_core::TransformationReport;
 use edgstr_crdt::{ActorId, AdvanceMode};
 use edgstr_lang::Program;
 use edgstr_net::{
@@ -35,6 +36,7 @@ use serde_json::Value as Json;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Two-tier (original client-cloud) driver
@@ -126,24 +128,6 @@ fn request_profiler(telemetry: &Telemetry) -> Option<Rc<RefCell<StmtProfiler>>> 
         telemetry.profiler()
     } else {
         None
-    }
-}
-
-/// Handle one request, attributing VM cycles/allocations to source
-/// statements when a profiler is attached (the uninstrumented path is the
-/// plain [`ServerProcess::handle`]).
-fn handle_profiled(
-    server: &mut ServerProcess,
-    request: &HttpRequest,
-    profiler: &Option<Rc<RefCell<StmtProfiler>>>,
-) -> Result<edgstr_analysis::HandleOutcome, ServerError> {
-    match profiler {
-        Some(p) => {
-            let mut p = p.borrow_mut();
-            p.set_root(&format!("{} {}", request.verb, request.path));
-            server.handle_traced(request, &mut *p)
-        }
-        None => server.handle(request),
     }
 }
 
@@ -276,61 +260,11 @@ impl HaStats {
     }
 }
 
-/// Injected faulty VM variant: flips a bit in a replica's responses with a
-/// seeded probability (the fault the multi-variant check is benched
-/// against). Mutates the served response only — never the stored state.
-#[derive(Debug, Clone)]
-pub struct BitFlipCorruptor {
-    rng: DetRng,
-    flip_prob: f64,
-    /// Responses corrupted so far.
-    pub flips: u64,
-}
-
-impl BitFlipCorruptor {
-    /// A corruptor flipping a bit in each response with `flip_prob`.
-    pub fn new(seed: u64, flip_prob: f64) -> BitFlipCorruptor {
-        BitFlipCorruptor {
-            rng: DetRng::new(seed),
-            flip_prob,
-            flips: 0,
-        }
-    }
-
-    /// Maybe corrupt one response; returns whether a bit was flipped.
-    pub fn corrupt(&mut self, resp: &mut HttpResponse) -> bool {
-        if !self.rng.chance(self.flip_prob) {
-            return false;
-        }
-        let bit = self.rng.below(8) as u32;
-        // a flipped body is a new body: nothing remembered about the
-        // intact one (size, text, digest) may describe the corrupt one
-        let mut flipped = Json::clone(&resp.body);
-        if flip_first_int(&mut flipped, bit) {
-            resp.body = flipped.into();
-        } else {
-            resp.status ^= 1;
-        }
-        self.flips += 1;
-        true
-    }
-}
-
-/// Flip `bit` in the first integer leaf found in `v`, depth-first.
-fn flip_first_int(v: &mut Json, bit: u32) -> bool {
-    match v {
-        Json::Number(n) => {
-            if let Some(i) = n.as_i64() {
-                *v = Json::from(i ^ (1i64 << bit));
-                true
-            } else {
-                false
-            }
-        }
-        Json::Array(items) => items.iter_mut().any(|item| flip_first_int(item, bit)),
-        Json::Object(map) => map.values_mut().any(|item| flip_first_int(item, bit)),
-        _ => false,
-    }
+/// Whether the fault plan, if there is one, drops the WAN message `from`
+/// sends `to` at `at`. Every message consults it, delivered or not, so
+/// the plan's per-link streams advance the same way in every run.
+fn wan_drops(faults: &mut Option<FaultPlan>, from: &str, to: &str, at: SimTime) -> bool {
+    faults.as_mut().is_some_and(|p| p.should_drop(from, to, at))
 }
 
 /// Telemetry label for a service key: `"GET /path"`.
@@ -437,8 +371,7 @@ fn attribute_changes(
 /// The warm-standby cloud replica and its intra-DC replication channel.
 #[derive(Debug)]
 struct CloudStandby {
-    server: ServerProcess,
-    crdts: CrdtSet,
+    core: ReplicaCore,
     /// Master-side endpoint: its `peer_clock` is what the standby has
     /// acknowledged — the durability frontier under [`HaPolicy`].
     master_link: SyncEndpoint,
@@ -449,13 +382,9 @@ struct CloudStandby {
 /// One deployed edge replica.
 #[derive(Debug)]
 pub struct EdgeReplica {
-    pub server: ServerProcess,
+    pub core: ReplicaCore,
     pub device: Device,
-    pub crdts: CrdtSet,
     pub to_cloud: SyncEndpoint,
-    /// Read-set-versioned response cache (validated against
-    /// `crdts.versions` on every lookup).
-    pub cache: ResponseCache,
     inflight: Vec<SimTime>,
     active: bool,
     crashed: bool,
@@ -466,8 +395,6 @@ pub struct EdgeReplica {
     /// Diversified shadow variant (tree-walking engine) for the
     /// multi-variant check, when a [`QuarantinePolicy`] is configured.
     shadow: Option<ServerProcess>,
-    /// Injected response corruption (bench/test harness).
-    corruptor: Option<BitFlipCorruptor>,
     /// Digest mismatches charged against the quarantine budget.
     shadow_mismatches: u32,
 }
@@ -562,37 +489,21 @@ impl Default for ThreeTierOptions {
     }
 }
 
-/// Everything the driver needs to consult the cache for one request,
-/// resolved before any replica borrow: the canonical entry key, the
-/// request's concrete read-unit keys, and write-set facts that gate
-/// filling and forward-skipping.
-struct CachePlan {
-    key: CacheKey,
-    reads: Vec<UnitKey>,
-    /// No static global writes in the profile — required to fill, because
-    /// mutations of existing unbound globals are invisible in a concrete
-    /// [`edgstr_analysis::HandleOutcome`].
-    globals_clean: bool,
-    /// No writes of any kind in the profile.
-    pure: bool,
-}
-
 /// The EdgStr-generated three-tier deployment.
 #[derive(Debug)]
 pub struct ThreeTierSystem {
-    pub cloud: ServerProcess,
+    /// The cloud master; its cache serves forwarded requests.
+    pub cloud: ReplicaCore,
     pub cloud_device: Device,
-    pub cloud_crdts: CrdtSet,
     cloud_endpoints: Vec<SyncEndpoint>,
     pub edges: Vec<EdgeReplica>,
     pub options: ThreeTierOptions,
     balancer: LoadBalancer,
-    replicated: BTreeSet<(Verb, String)>,
-    /// Cloud-side response cache for forwarded requests.
-    cloud_cache: ResponseCache,
-    /// Per-service effect summaries from profiling — the cache's read/write
-    /// sets.
-    effects: BTreeMap<(Verb, String), EffectSummary>,
+    /// What every replica of this deployment is provisioned from, at
+    /// deploy and at every restart, recovery and standby provisioning.
+    template: Arc<ReplicaTemplate>,
+    /// This thread's view of `template.init`.
+    init: InitState,
     pub mobile: MobilePower,
     lan_up: LinkChannel,
     lan_down: LinkChannel,
@@ -600,17 +511,10 @@ pub struct ThreeTierSystem {
     wan_down: LinkChannel,
     /// Jitter stream for retry backoff (forked from the policy seed).
     jitter: DetRng,
-    /// Replica template kept for crash/restart re-deployment.
-    replica_program: Program,
-    replica_bindings: CrdtBindings,
-    replica_init: InitState,
     /// Next fresh actor id handed to a restarted replica (reusing a
     /// crashed incarnation's actor would collide with its sequence
     /// numbers).
     next_actor: u64,
-    /// Original cloud program source, kept so standbys and recovered
-    /// masters can be re-provisioned.
-    cloud_source: String,
     /// The warm standby, when the HA policy runs one.
     standby: Option<CloudStandby>,
     /// The master is currently crashed: sync rounds no-op and forwards
@@ -644,9 +548,6 @@ pub struct ThreeTierSystem {
     /// Static write-unit → writer-services map for attributing sync bytes
     /// to services (controller telemetry).
     unit_writers: BTreeMap<StateUnit, Vec<(Verb, String)>>,
-    /// Cycles the cloud spent on the last forwarded execution (cache hits
-    /// count [`CACHE_HIT_CYCLES`]) — the controller's cost estimate input.
-    last_forward_cycles: u64,
     placement_stats: PlacementStats,
     /// Next background sync tick, persistent across [`ThreeTierSystem::run`]
     /// calls so multi-phase workloads never replay control-plane ticks at
@@ -673,50 +574,34 @@ impl ThreeTierSystem {
         if let Some(plan) = options.faults.as_mut() {
             plan.set_telemetry(options.telemetry.clone());
         }
-        let mut cloud = ServerProcess::from_source(cloud_source)?;
-        cloud.init()?;
-        report.replica.init.restore(&mut cloud);
-        let cloud_crdts =
-            CrdtSet::initialize(ActorId(1), &report.replica.bindings, &report.replica.init);
+        let template = Arc::new(ReplicaTemplate::from_report(cloud_source, report));
+        let init = template.init.to_state();
+        let fresh = |kind, actor| {
+            let cache = ResponseCache::new(options.cache_budget_bytes, &options.telemetry);
+            ReplicaCore::fresh(&template, &init, kind, ActorId(actor), cache)
+        };
+        let cloud = fresh(ReplicaKind::Master, 1)?;
         let mut edges = Vec::new();
         for (i, spec) in edge_devices.iter().enumerate() {
-            let mut server = ServerProcess::from_program(report.replica.program.clone());
-            server.init()?;
-            report.replica.init.restore(&mut server);
-            let crdts = CrdtSet::initialize(
-                ActorId(2 + i as u64),
-                &report.replica.bindings,
-                &report.replica.init,
-            );
-            let shadow = if options.quarantine.is_some() {
-                Some(build_shadow(&report.replica.program, &report.replica.init)?)
-            } else {
-                None
+            let shadow = match options.quarantine {
+                Some(_) => Some(build_shadow(&template.program, &init)?),
+                None => None,
             };
             edges.push(EdgeReplica {
-                server,
+                core: fresh(ReplicaKind::Edge, 2 + i as u64)?,
                 device: Device::new(spec.clone()),
-                crdts,
-                to_cloud: SyncEndpoint {
-                    mode: options.sync_advance,
-                    ..SyncEndpoint::new()
-                },
-                cache: ResponseCache::new(options.cache_budget_bytes, &options.telemetry),
+                to_cloud: SyncEndpoint::starting(options.sync_advance, SetClock::default()),
                 inflight: Vec::new(),
                 active: true,
                 crashed: false,
                 breaker_failures: 0,
                 breaker_open_until: None,
                 shadow,
-                corruptor: None,
                 shadow_mismatches: 0,
             });
         }
         let cloud_endpoints = (0..edges.len())
-            .map(|_| SyncEndpoint {
-                mode: options.sync_advance,
-                ..SyncEndpoint::new()
-            })
+            .map(|_| SyncEndpoint::starting(options.sync_advance, SetClock::default()))
             .collect();
         let balancer = LoadBalancer::new(options.balance);
         let jitter = DetRng::new(options.policy.jitter_seed);
@@ -724,18 +609,10 @@ impl ThreeTierSystem {
         // warm standby: a second cloud replica initialized from the same
         // snapshot, continuously fed over the reliable intra-DC link
         let standby = if options.ha.as_ref().is_some_and(|h| h.standby) {
-            let mut server = ServerProcess::from_source(cloud_source)?;
-            server.init()?;
-            report.replica.init.restore(&mut server);
-            let crdts = CrdtSet::initialize(
-                ActorId(next_actor),
-                &report.replica.bindings,
-                &report.replica.init,
-            );
+            let core = fresh(ReplicaKind::Master, next_actor)?;
             next_actor += 1;
             Some(CloudStandby {
-                server,
-                crdts,
+                core,
                 master_link: SyncEndpoint::new(),
                 standby_link: SyncEndpoint::new(),
             })
@@ -743,7 +620,7 @@ impl ThreeTierSystem {
             None
         };
         let durable_image = if options.ha.as_ref().is_some_and(|h| h.durable_saves) {
-            Some((cloud_crdts.save(), cloud_crdts.clock()))
+            Some((cloud.crdts.save(), cloud.crdts.clock()))
         } else {
             None
         };
@@ -753,18 +630,7 @@ impl ThreeTierSystem {
             .map(|p| p.events().to_vec())
             .unwrap_or_default();
         let shadow_rng = DetRng::new(options.quarantine.as_ref().map_or(0, |q| q.seed));
-        let effects: BTreeMap<(Verb, String), EffectSummary> = report
-            .services
-            .iter()
-            .filter_map(|s| {
-                s.profile
-                    .as_ref()
-                    .map(|p| ((s.verb, s.path.clone()), p.effects.clone()))
-            })
-            .collect();
-        let cloud_cache = ResponseCache::new(options.cache_budget_bytes, &options.telemetry);
-        let replicated: BTreeSet<(Verb, String)> =
-            report.replica.replicated.iter().cloned().collect();
+        let (effects, replicated) = (&template.effects, &template.replicated);
         // every profiled or replicated service gets an explicit placement
         let service_keys: BTreeSet<(Verb, String)> = effects
             .keys()
@@ -812,7 +678,7 @@ impl ThreeTierSystem {
                         StaticSignals::from_summary(
                             s,
                             replicated.contains(key),
-                            service_state_bytes(&cloud_crdts, s),
+                            service_state_bytes(&cloud.crdts, s),
                         )
                     },
                 );
@@ -828,7 +694,7 @@ impl ThreeTierSystem {
         };
         script.sort_by_key(|d| d.at);
         let mut unit_writers: BTreeMap<StateUnit, Vec<(Verb, String)>> = BTreeMap::new();
-        for (key, summary) in &effects {
+        for (key, summary) in effects {
             for w in &summary.writes {
                 unit_writers.entry(w.clone()).or_default().push(key.clone());
             }
@@ -836,7 +702,6 @@ impl ThreeTierSystem {
         let mut sys = ThreeTierSystem {
             cloud,
             cloud_device: Device::new(DeviceSpec::cloud_server()),
-            cloud_crdts,
             cloud_endpoints,
             edges,
             balancer,
@@ -845,11 +710,7 @@ impl ThreeTierSystem {
             wan_up: LinkChannel::new(options.wan),
             wan_down: LinkChannel::new(options.wan),
             jitter,
-            replica_program: report.replica.program.clone(),
-            replica_bindings: report.replica.bindings.clone(),
-            replica_init: report.replica.init.clone(),
             next_actor,
-            cloud_source: cloud_source.to_string(),
             standby,
             cloud_down: false,
             pending_promotion: None,
@@ -861,9 +722,8 @@ impl ThreeTierSystem {
             ha_stats: HaStats::default(),
             next_sync: SimTime::ZERO + options.sync_interval,
             options,
-            replicated,
-            cloud_cache,
-            effects,
+            template,
+            init,
             mobile: MobilePower::default(),
             placements,
             controller,
@@ -871,7 +731,6 @@ impl ThreeTierSystem {
             script,
             script_cursor: 0,
             unit_writers,
-            last_forward_cycles: 0,
             placement_stats: PlacementStats::default(),
         };
         sys.emit_initial_placements();
@@ -970,8 +829,12 @@ impl ThreeTierSystem {
         at: SimTime,
         reason: &str,
     ) {
-        let cacheable = self.effects.get(&service).is_some_and(|s| s.cacheable);
-        let to = clamp_placement(to, self.replicated.contains(&service), cacheable);
+        let cacheable = self
+            .template
+            .effects
+            .get(&service)
+            .is_some_and(|s| s.cacheable);
+        let to = clamp_placement(to, self.template.replicated.contains(&service), cacheable);
         let from = self
             .pending_transitions
             .iter()
@@ -990,7 +853,7 @@ impl ThreeTierSystem {
         let barrier = if to == Placement::EdgeReplicate {
             // promotion warm-up: local serving starts only once every live
             // edge has observed at least this cloud snapshot
-            TransitionBarrier::EdgesDominate(self.cloud_crdts.clock())
+            TransitionBarrier::EdgesDominate(self.cloud.crdts.clock())
         } else if from == Placement::EdgeReplicate {
             // demotion drain: keep serving locally until the cloud holds
             // every edge delta that existed at decision time
@@ -998,7 +861,7 @@ impl ThreeTierSystem {
                 self.edges
                     .iter()
                     .filter(|e| !e.crashed)
-                    .map(|e| e.crdts.clock())
+                    .map(|e| e.core.crdts.clock())
                     .collect(),
             )
         } else {
@@ -1021,7 +884,7 @@ impl ThreeTierSystem {
         if self.pending_transitions.is_empty() {
             return;
         }
-        let cloud_clock = self.cloud_crdts.clock();
+        let cloud_clock = self.cloud.crdts.clock();
         let mut blocked: BTreeSet<(Verb, String)> = BTreeSet::new();
         let mut i = 0;
         while i < self.pending_transitions.len() {
@@ -1033,7 +896,7 @@ impl ThreeTierSystem {
                         .edges
                         .iter()
                         .filter(|e| !e.crashed)
-                        .all(|e| e.crdts.clock().dominates(snap)),
+                        .all(|e| e.core.crdts.clock().dominates(snap)),
                     TransitionBarrier::CloudDominates(snaps) => {
                         snaps.iter().all(|s| cloud_clock.dominates(s))
                     }
@@ -1120,9 +983,10 @@ impl ThreeTierSystem {
             reg.gauge("edgstr_service_read_ratio", &[("service", &label)])
                 .set(summary.read_ratio);
             let state_bytes = self
+                .template
                 .effects
                 .get(&key)
-                .map_or(0, |s| service_state_bytes(&self.cloud_crdts, s));
+                .map_or(0, |s| service_state_bytes(&self.cloud.crdts, s));
             reg.gauge("edgstr_service_state_bytes", &[("service", &label)])
                 .set(state_bytes as f64);
         }
@@ -1145,7 +1009,7 @@ impl ThreeTierSystem {
         if self.controller.is_none() {
             return;
         }
-        let write = self.effects.get(key).is_some_and(|s| !s.pure);
+        let write = self.template.effects.get(key).is_some_and(|s| !s.pure);
         let local_est = self.edges[idx].device.spec.service_time(cycles);
         let forward_est = SimDuration(
             self.options.wan.latency.0 * 2 + self.cloud_device.spec.service_time(cycles).0,
@@ -1172,37 +1036,12 @@ impl ThreeTierSystem {
         }
     }
 
-    /// Resolve the cache participation of one request under the configured
-    /// policy: `None` means this request bypasses the caches entirely.
-    fn cache_plan(&self, request: &HttpRequest) -> Option<CachePlan> {
-        let policy = self.options.cache;
-        if policy == CachePolicy::Off {
-            return None;
-        }
-        let summary = self.effects.get(&(request.verb, request.path.clone()))?;
-        if !summary.cacheable {
-            return None;
-        }
-        if policy == CachePolicy::ReadOnlyServices && !summary.pure {
-            return None;
-        }
-        Some(CachePlan {
-            key: CacheKey::for_request(request),
-            reads: resolve_reads(summary, request),
-            globals_clean: !summary
-                .writes
-                .iter()
-                .any(|w| matches!(w, StateUnit::Global(_))),
-            pure: summary.pure,
-        })
-    }
-
     /// Lifetime hit/miss/eviction/invalidation counts aggregated over the
     /// cloud cache and every edge cache.
     pub fn cache_stats(&self) -> CacheStats {
-        let mut s = self.cloud_cache.stats().clone();
+        let mut s = self.cloud.cache.stats().clone();
         for e in &self.edges {
-            s.absorb(e.cache.stats());
+            s.absorb(e.core.cache.stats());
         }
         s
     }
@@ -1236,7 +1075,7 @@ impl ThreeTierSystem {
             }
             let edge_name = format!("edge{i}");
             // edge -> cloud (edge_state message)
-            let msg = edge.to_cloud.generate(&edge.crdts);
+            let msg = edge.to_cloud.generate(&edge.core.crdts);
             if !msg.changes.is_empty() {
                 let wire = msg.wire_size();
                 bytes += wire;
@@ -1249,19 +1088,19 @@ impl ThreeTierSystem {
                     );
                 }
             }
-            let dropped = self
-                .options
-                .faults
-                .as_mut()
-                .is_some_and(|p| p.should_drop(&edge_name, "cloud", at));
+            let dropped = wan_drops(&mut self.options.faults, &edge_name, "cloud", at);
             if !dropped {
-                self.cloud_endpoints[i].receive_owned(&mut self.cloud_crdts, &mut self.cloud, msg);
+                self.cloud_endpoints[i].receive_owned(
+                    &mut self.cloud.crdts,
+                    &mut self.cloud.server,
+                    msg,
+                );
             }
             // cloud -> edge (cloud_state message). Under HA the ack clock
             // is capped at the durability frontier: the edge may only
             // treat as acknowledged (and later compact) what the failover
             // target provably holds.
-            let mut msg = self.cloud_endpoints[i].generate(&self.cloud_crdts);
+            let mut msg = self.cloud_endpoints[i].generate(&self.cloud.crdts);
             if let Some(cap) = &cap {
                 msg.ack = msg.ack.meet(cap);
             }
@@ -1277,14 +1116,10 @@ impl ThreeTierSystem {
                     );
                 }
             }
-            let dropped = self
-                .options
-                .faults
-                .as_mut()
-                .is_some_and(|p| p.should_drop("cloud", &edge_name, at));
+            let dropped = wan_drops(&mut self.options.faults, "cloud", &edge_name, at);
             if !dropped {
                 edge.to_cloud
-                    .receive_owned(&mut edge.crdts, &mut edge.server, msg);
+                    .receive_owned(&mut edge.core.crdts, &mut edge.core.server, msg);
             }
         }
         // changes received this round reach the standby with the next
@@ -1297,7 +1132,7 @@ impl ThreeTierSystem {
                 reg.counter("edgstr_crdt_changes_folded_total", &[])
                     .add(folded as u64);
                 reg.gauge("edgstr_crdt_resident_changes", &[])
-                    .set(self.cloud_crdts.history_len() as f64);
+                    .set(self.cloud.crdts.history_len() as f64);
                 if folded > 0 {
                     telemetry.event(
                         "crdt.compact",
@@ -1351,13 +1186,13 @@ impl ThreeTierSystem {
             if let Some(cap) = self.durability_clock() {
                 frontier = frontier.meet(&cap);
             }
-            dropped += self.cloud_crdts.compact(&frontier);
+            dropped += self.cloud.crdts.compact(&frontier);
             if let Some(sb) = self.standby.as_mut() {
-                dropped += sb.crdts.compact(&frontier);
+                dropped += sb.core.crdts.compact(&frontier);
             }
         }
         for edge in self.edges.iter_mut().filter(|e| !e.crashed) {
-            dropped += edge.crdts.compact(&edge.to_cloud.peer_clock);
+            dropped += edge.core.crdts.compact(&edge.to_cloud.peer_clock);
         }
         dropped
     }
@@ -1366,9 +1201,9 @@ impl ThreeTierSystem {
     /// master has (mutual clock domination — the strong-eventual-
     /// consistency convergence criterion).
     pub fn converged(&self) -> bool {
-        let master = self.cloud_crdts.clock();
+        let master = self.cloud.crdts.clock();
         self.edges.iter().filter(|e| !e.crashed).all(|e| {
-            let c = e.crdts.clock();
+            let c = e.core.crdts.clock();
             c.dominates(&master) && master.dominates(&c)
         })
     }
@@ -1404,7 +1239,7 @@ impl ThreeTierSystem {
         e.inflight.clear();
         // the cache dies with the process: a rejoined edge must never
         // serve responses stamped with pre-crash version vectors
-        e.cache.clear();
+        e.core.cache.clear();
         let acked = e.to_cloud.peer_clock.clone();
         self.ha_stats.edge_crashes += 1;
         self.ha_stats.acked_snapshots.push(acked);
@@ -1424,11 +1259,6 @@ impl ThreeTierSystem {
     ///
     /// Propagates replica init failures.
     pub fn restart_edge(&mut self, i: usize) -> Result<(), ServerError> {
-        let mut server = ServerProcess::from_program(self.replica_program.clone());
-        server.init()?;
-        self.replica_init.restore(&mut server);
-        let actor = ActorId(self.next_actor);
-        self.next_actor += 1;
         // Under HA the provisioning image is the durability frontier (the
         // standby's state, or the durable save): an image ahead of it
         // would bake unacked changes into the fresh snapshot, where a
@@ -1436,53 +1266,55 @@ impl ThreeTierSystem {
         // Anything between the frontier and the master's head reaches the
         // rejoined edge through normal sync.
         let image = match (&self.standby, &self.durable_image) {
-            (Some(sb), _) if self.options.ha.is_some() => sb.crdts.save(),
+            (Some(sb), _) if self.options.ha.is_some() => sb.core.crdts.save(),
             (None, Some((bytes, _))) if self.options.ha.is_some() => bytes.clone(),
-            _ => self.cloud_crdts.save(),
+            _ => self.cloud.crdts.save(),
         };
-        let crdts = CrdtSet::load(actor, &self.replica_bindings, &image)
-            .expect("cloud save image must round-trip");
-        crdts.materialize_all(&mut server);
-        let provisioned = crdts.clock();
-        let quarantine = self.options.quarantine.is_some();
-        let shadow = if quarantine {
-            Some(build_shadow(&self.replica_program, &self.replica_init)?)
-        } else {
-            None
+        let core = self.provision(ReplicaKind::Edge, Some(&image))?;
+        let provisioned = core.crdts.clock();
+        let shadow = match self.options.quarantine {
+            Some(_) => Some(build_shadow(&self.template.program, &self.init)?),
+            None => None,
         };
         let e = &mut self.edges[i];
-        e.server = server;
-        e.crdts = crdts;
-        e.to_cloud = SyncEndpoint {
-            mode: self.options.sync_advance,
-            peer_clock: provisioned.clone(),
-            ..SyncEndpoint::new()
-        };
+        // the replacement VM starts healthy (a provisioned core carries no
+        // injected fault) with a fresh shadow variant and a clean
+        // mismatch budget
+        e.core.replace_process(core);
+        e.shadow = shadow;
+        e.shadow_mismatches = 0;
+        e.to_cloud = SyncEndpoint::starting(self.options.sync_advance, provisioned.clone());
         e.inflight.clear();
         e.crashed = false;
         e.active = true;
-        // the fresh CrdtSet's version counters restart at zero; stale
-        // entries must not revalidate against them
-        e.cache.clear();
         // a restarted process gets a fresh breaker: the pre-crash open
         // state belonged to the dead incarnation and would only delay
         // recovery
         e.breaker_failures = 0;
         e.breaker_open_until = None;
-        // the replacement VM starts healthy: fresh shadow variant, no
-        // injected fault, clean mismatch budget
-        e.shadow = shadow;
-        e.corruptor = None;
-        e.shadow_mismatches = 0;
         // the cloud resumes from the image's clock: nothing below it is
         // ever re-sent
-        self.cloud_endpoints[i] = SyncEndpoint {
-            mode: self.options.sync_advance,
-            peer_clock: provisioned,
-            ..SyncEndpoint::new()
-        };
+        self.cloud_endpoints[i] = SyncEndpoint::starting(self.options.sync_advance, provisioned);
         self.ha_stats.edge_restarts += 1;
         Ok(())
+    }
+
+    /// Provision a replacement replica under the next unused actor id,
+    /// from a save image or (`None`) from the deployment's init snapshot.
+    fn provision(
+        &mut self,
+        kind: ReplicaKind,
+        image: Option<&[u8]>,
+    ) -> Result<ReplicaCore, ServerError> {
+        let actor = ActorId(self.next_actor);
+        self.next_actor += 1;
+        let cache = ResponseCache::new(self.options.cache_budget_bytes, &self.options.telemetry);
+        match image {
+            Some(bytes) => {
+                ReplicaCore::from_image(&self.template, &self.init, kind, actor, bytes, cache)
+            }
+            None => ReplicaCore::fresh(&self.template, &self.init, kind, actor, cache),
+        }
     }
 
     /// Whether edge `idx`'s circuit breaker blocks WAN forwarding at `at`.
@@ -1531,7 +1363,7 @@ impl ThreeTierSystem {
     /// a digest mismatch can only mean a faulty variant — never a benign
     /// divergence on unreplicated state.
     fn shadow_checkable(&self, summary: &EffectSummary) -> bool {
-        let b = &self.replica_bindings;
+        let b = &self.template.bindings;
         let read_ok = summary.reads.iter().all(|r| match r {
             ReadUnit::Table(t) | ReadUnit::TableKeyed { table: t, .. } => b.tables.contains(t),
             ReadUnit::File(f) => b.files.contains(f),
@@ -1551,12 +1383,14 @@ impl ThreeTierSystem {
     /// handles the request: both variants start from the same CRDT state,
     /// and the shadow's own state is rebuilt from scratch each check, so
     /// shadow execution never contaminates the serving replica.
-    fn shadow_check(&mut self, idx: usize, request: &HttpRequest) -> Option<HttpResponse> {
-        let q = self.options.quarantine.as_ref()?;
-        let fraction = q.check_fraction;
-        let key = (request.verb, request.path.clone());
-        let summary = self.effects.get(&key)?;
-        if !self.shadow_checkable(summary) {
+    fn shadow_check(
+        &mut self,
+        idx: usize,
+        request: &HttpRequest,
+        summary: Option<&EffectSummary>,
+    ) -> Option<HttpResponse> {
+        let fraction = self.options.quarantine.as_ref()?.check_fraction;
+        if !self.shadow_checkable(summary?) {
             return None;
         }
         if !self.shadow_rng.chance(fraction) {
@@ -1564,7 +1398,7 @@ impl ThreeTierSystem {
         }
         let edge = &mut self.edges[idx];
         let shadow = edge.shadow.as_mut()?;
-        edge.crdts.materialize_all(shadow);
+        edge.core.crdts.materialize_all(shadow);
         shadow.handle(request).ok().map(|o| o.response)
     }
 
@@ -1590,7 +1424,7 @@ impl ThreeTierSystem {
         let e = &mut self.edges[i];
         e.active = false;
         e.inflight.clear();
-        e.cache.clear();
+        e.core.cache.clear();
         e.crashed = true;
         self.restart_edge(i)
             .expect("re-provisioning a quarantined replica must succeed");
@@ -1623,12 +1457,12 @@ impl ThreeTierSystem {
     /// frontier ([`ThreeTierSystem::durability_clock`]).
     fn replicate_to_standby(&mut self) {
         if let Some(sb) = self.standby.as_mut() {
-            let msg = sb.master_link.generate(&self.cloud_crdts);
+            let msg = sb.master_link.generate(&self.cloud.crdts);
             sb.standby_link
-                .receive_owned(&mut sb.crdts, &mut sb.server, msg);
-            let ack = sb.standby_link.generate(&sb.crdts);
+                .receive_owned(&mut sb.core.crdts, &mut sb.core.server, msg);
+            let ack = sb.standby_link.generate(&sb.core.crdts);
             sb.master_link
-                .receive_owned(&mut self.cloud_crdts, &mut self.cloud, ack);
+                .receive_owned(&mut self.cloud.crdts, &mut self.cloud.server, ack);
         }
     }
 
@@ -1636,7 +1470,7 @@ impl ThreeTierSystem {
     /// saves) — the recovery source for a standby-less restart.
     fn persist_durable(&mut self) {
         if self.options.ha.as_ref().is_some_and(|h| h.durable_saves) {
-            self.durable_image = Some((self.cloud_crdts.save(), self.cloud_crdts.clock()));
+            self.durable_image = Some((self.cloud.crdts.save(), self.cloud.crdts.clock()));
         }
     }
 
@@ -1760,26 +1594,13 @@ impl ThreeTierSystem {
     }
 
     /// Promote the warm standby to master: edges re-home to it on their
-    /// next sync round / forward retry. The new master has never spoken to
-    /// the edges, so every sync channel restarts from scratch — resending
-    /// the retained tail is idempotent.
+    /// next sync round / forward retry.
     fn promote_standby(&mut self, at: SimTime) {
         self.pending_promotion = None;
         let Some(sb) = self.standby.take() else {
             return;
         };
-        self.cloud = sb.server;
-        self.cloud_crdts = sb.crdts;
-        self.cloud_down = false;
-        for ep in &mut self.cloud_endpoints {
-            *ep = SyncEndpoint {
-                mode: self.options.sync_advance,
-                ..SyncEndpoint::new()
-            };
-        }
-        // cached responses are stamped with the dead master's version
-        // counters
-        self.cloud_cache.clear();
+        self.install_master(sb.core);
         self.persist_durable();
         self.ha_stats.failovers += 1;
         if let Some(crashed_at) = self.last_open_outage() {
@@ -1799,30 +1620,16 @@ impl ThreeTierSystem {
     /// durable saves disabled — the ablation — cold-start from the init
     /// snapshot, losing everything since deploy).
     fn recover_master_durable(&mut self, at: SimTime) {
-        self.cloud_down = false;
-        let mut server =
-            ServerProcess::from_source(&self.cloud_source).expect("cloud source parsed at deploy");
-        server.init().expect("cloud init re-runs cleanly");
-        self.replica_init.restore(&mut server);
-        let actor = ActorId(self.next_actor);
-        self.next_actor += 1;
-        let crdts = match &self.durable_image {
-            Some((bytes, _)) => CrdtSet::load(actor, &self.replica_bindings, bytes)
-                .expect("durable image must round-trip"),
-            None => CrdtSet::initialize(actor, &self.replica_bindings, &self.replica_init),
-        };
-        crdts.materialize_all(&mut server);
-        self.cloud = server;
-        self.cloud_crdts = crdts;
-        // what each edge has acked was in the dead master's memory; resend
-        // the retained tail from scratch (idempotent)
-        for ep in &mut self.cloud_endpoints {
-            *ep = SyncEndpoint {
-                mode: self.options.sync_advance,
-                ..SyncEndpoint::new()
-            };
-        }
-        self.cloud_cache.clear();
+        // taken, not borrowed: `provision` needs the whole system
+        let image = self.durable_image.take();
+        let core = self
+            .provision(
+                ReplicaKind::Master,
+                image.as_ref().map(|(b, _)| b.as_slice()),
+            )
+            .expect("the cloud program parsed and initialised at deploy");
+        self.durable_image = image;
+        self.install_master(core);
         self.ha_stats.durable_recoveries += 1;
         if let Some(crashed_at) = self.last_open_outage() {
             self.ha_stats.outages.push((crashed_at, at));
@@ -1833,31 +1640,30 @@ impl ThreeTierSystem {
         self.restart_deferred(at);
     }
 
+    /// Make `core` the serving master. It has never spoken to the edges —
+    /// what each had acked was in the dead master's memory — so every sync
+    /// channel restarts from scratch; resending the retained tail is
+    /// idempotent.
+    fn install_master(&mut self, core: ReplicaCore) {
+        self.cloud.replace_process(core);
+        self.cloud_down = false;
+        for ep in &mut self.cloud_endpoints {
+            *ep = SyncEndpoint::starting(self.options.sync_advance, SetClock::default());
+        }
+    }
+
     /// Provision a fresh warm standby from the current master's save image
     /// (the returning ex-master process after a failover).
     fn provision_standby(&mut self, at: SimTime) {
-        let mut server =
-            ServerProcess::from_source(&self.cloud_source).expect("cloud source parsed at deploy");
-        server.init().expect("cloud init re-runs cleanly");
-        self.replica_init.restore(&mut server);
-        let actor = ActorId(self.next_actor);
-        self.next_actor += 1;
-        let image = self.cloud_crdts.save();
-        let crdts = CrdtSet::load(actor, &self.replica_bindings, &image)
-            .expect("master image must round-trip");
-        crdts.materialize_all(&mut server);
-        let clock = crdts.clock();
+        let image = self.cloud.crdts.save();
+        let core = self
+            .provision(ReplicaKind::Master, Some(&image))
+            .expect("the cloud program parsed and initialised at deploy");
+        let clock = core.crdts.clock();
         self.standby = Some(CloudStandby {
-            server,
-            crdts,
-            master_link: SyncEndpoint {
-                peer_clock: clock.clone(),
-                ..SyncEndpoint::new()
-            },
-            standby_link: SyncEndpoint {
-                peer_clock: clock,
-                ..SyncEndpoint::new()
-            },
+            core,
+            master_link: SyncEndpoint::starting(AdvanceMode::OnAck, clock.clone()),
+            standby_link: SyncEndpoint::starting(AdvanceMode::OnAck, clock),
         });
         self.options
             .telemetry
@@ -1903,20 +1709,23 @@ impl ThreeTierSystem {
     /// path: each response is corrupted with `flip_prob`, deterministically
     /// from `seed`. Cleared when the replica is re-provisioned.
     pub fn inject_faulty_variant(&mut self, i: usize, flip_prob: f64, seed: u64) {
-        self.edges[i].corruptor = Some(BitFlipCorruptor::new(seed, flip_prob));
+        self.edges[i].core.corruptor = Some(BitFlipCorruptor::new(seed, flip_prob));
     }
 
     /// Responses corrupted so far by edge `i`'s injected faulty variant.
     pub fn corrupted_responses(&self, i: usize) -> u64 {
-        self.edges[i].corruptor.as_ref().map_or(0, |c| c.flips)
+        self.edges[i].core.corruptor.as_ref().map_or(0, |c| c.flips)
     }
 
     /// Forward one request to the cloud with bounded retries, exponential
     /// backoff and seeded jitter, under the run's fault plan and deadline.
-    /// Returns `Some((time_back_at_edge, response_bytes))` on success. The
+    /// Returns `Some((time_back_at_edge, response, cycles))` on success —
+    /// the cycles the cloud charged for it ([`crate::CACHE_HIT_CYCLES`]
+    /// for a cloud cache hit), the controller's cost estimate input. The
     /// cloud executes the request at most once: if only the response is
     /// lost, retries retransmit the response rather than re-running the
     /// handler (the proxy holds the connection, §II-B).
+    #[allow(clippy::too_many_arguments)]
     fn forward_to_cloud(
         &mut self,
         idx: usize,
@@ -1924,21 +1733,22 @@ impl ThreeTierSystem {
         arrive: SimTime,
         rec: &mut RunRecorder,
         span: SpanId,
+        summary: Option<&EffectSummary>,
         plan: Option<&CachePlan>,
-    ) -> Option<(SimTime, HttpResponse)> {
+    ) -> Option<(SimTime, HttpResponse, u64)> {
         let telemetry = self.options.telemetry.clone();
         let policy = self.options.policy.clone();
         let edge_name = format!("edge{idx}");
         let req_size = request.size();
         let deadline = arrive + policy.forward_deadline;
-        // `Some` once the cloud has executed: (compute finish, response)
-        let mut executed: Option<(SimTime, HttpResponse)> = None;
+        // `Some` once the cloud has served: (compute finish, response, cycles)
+        let mut executed: Option<(SimTime, HttpResponse, u64)> = None;
         let mut t = arrive;
         let mut attempt: u32 = 0;
         loop {
             // scheduled crashes/promotions that elapsed before this attempt
             self.advance_ha(t);
-            if let Some((finish, response)) = &executed {
+            if let Some((finish, response, _)) = &executed {
                 // only the response was lost: retransmit it. The executed
                 // marker and response travel with the replicated
                 // connection state (the write itself was shipped to the
@@ -1948,117 +1758,51 @@ impl ThreeTierSystem {
                 let (finish, resp_size) = (*finish, response.size());
                 let back = self.wan_down.send(t.max(finish), resp_size);
                 rec.add_wan_request_bytes(resp_size);
-                let dropped = self
-                    .options
-                    .faults
-                    .as_mut()
-                    .is_some_and(|p| p.should_drop("cloud", &edge_name, t));
+                let dropped = wan_drops(&mut self.options.faults, "cloud", &edge_name, t);
                 if !dropped && !self.cloud_down {
                     self.record_forward_success(idx);
-                    return executed.map(|(_, r)| (back, r));
+                    return executed.map(|(_, r, c)| (back, r, c));
                 }
             } else {
                 let cloud_arrive = self.wan_up.send(t, req_size);
                 rec.add_wan_request_bytes(req_size);
-                let dropped = self
-                    .options
-                    .faults
-                    .as_mut()
-                    .is_some_and(|p| p.should_drop(&edge_name, "cloud", t));
+                let dropped = wan_drops(&mut self.options.faults, &edge_name, "cloud", t);
                 // The request is judged against the fault plan even while
                 // the master is down so the per-link drop streams stay
                 // aligned with a crash-free run; a dead master simply
                 // never answers.
                 if !dropped && !self.cloud_down {
-                    // Cloud-side cache: a hit skips only the handler — the
-                    // WAN message sequence (request judged above, response
-                    // judged below) is identical to the execute path, so
-                    // the fault plan's per-link streams stay aligned with
-                    // the cache-off run.
-                    let cloud_hit = plan
-                        .and_then(|p| self.cloud_cache.lookup(&p.key, &self.cloud_crdts.versions));
-                    if let Some(response) = cloud_hit {
-                        let serve =
-                            telemetry.start_span("serve", Tier::Cloud, Some(span), cloud_arrive);
-                        self.last_forward_cycles = CACHE_HIT_CYCLES;
-                        let (_, finish) = self
-                            .cloud_device
-                            .schedule_work(cloud_arrive, CACHE_HIT_CYCLES);
-                        telemetry.end_span(serve, finish);
-                        let resp_size = response.size();
-                        executed = Some((finish, response));
-                        let back = self.wan_down.send(finish, resp_size);
-                        rec.add_wan_request_bytes(resp_size);
-                        let resp_dropped = self
-                            .options
-                            .faults
-                            .as_mut()
-                            .is_some_and(|p| p.should_drop("cloud", &edge_name, finish));
-                        if !resp_dropped {
-                            self.record_forward_success(idx);
-                            return executed.map(|(_, r)| (back, r));
-                        }
-                    } else {
-                        match self.cloud.handle(request) {
-                            Ok(out) => {
-                                let serve = telemetry.start_span(
-                                    "serve",
-                                    Tier::Cloud,
-                                    Some(span),
-                                    cloud_arrive,
-                                );
-                                self.cloud_crdts.absorb_outcome(&out, &self.cloud);
-                                if self.options.cache != CachePolicy::Off {
-                                    bump_static_global_writes(
-                                        &mut self.cloud_crdts.versions,
-                                        self.effects.get(&(request.verb, request.path.clone())),
-                                    );
-                                }
-                                self.last_forward_cycles = out.cycles;
-                                let (_, finish) =
-                                    self.cloud_device.schedule_work(cloud_arrive, out.cycles);
-                                telemetry.end_span(serve, finish);
-                                if let Some(p) = plan {
-                                    let effect_free = out.row_effects.is_empty()
-                                        && out.file_writes.is_empty()
-                                        && out.global_writes.is_empty()
-                                        && p.globals_clean;
-                                    if effect_free {
-                                        let stamp = self.cloud_crdts.versions.snapshot(&p.reads);
-                                        self.cloud_cache.fill(p.key.clone(), &out.response, stamp);
-                                    }
-                                }
-                                // A client-acked forwarded write must
-                                // survive failover: ship it to the standby
-                                // / durable image before the ack returns.
-                                let effectful = !out.row_effects.is_empty()
-                                    || !out.file_writes.is_empty()
-                                    || !out.global_writes.is_empty();
-                                if effectful && self.options.ha.is_some() {
-                                    self.replicate_to_standby();
-                                    self.persist_durable();
-                                }
-                                let resp_size = out.response.size();
-                                executed = Some((finish, out.response));
-                                let back = self.wan_down.send(finish, resp_size);
-                                rec.add_wan_request_bytes(resp_size);
-                                let resp_dropped =
-                                    self.options.faults.as_mut().is_some_and(|p| {
-                                        p.should_drop("cloud", &edge_name, finish)
-                                    });
-                                if !resp_dropped {
-                                    self.record_forward_success(idx);
-                                    return executed.map(|(_, r)| (back, r));
-                                }
-                            }
-                            Err(_) => {
-                                // application error: the WAN worked, no retry
-                                self.cloud_crdts.revert_failed_writes(&mut self.cloud);
-                                self.record_forward_success(idx);
-                                return None;
-                            }
-                        }
+                    // A cloud cache hit skips only the handler — the WAN
+                    // message sequence (request judged above, response
+                    // judged below) is that of an execution, so the fault
+                    // plan's per-link streams stay aligned with the
+                    // cache-off run.
+                    let Ok(served) = self.cloud.serve(request, summary, plan, &None) else {
+                        // application error: the WAN worked, no retry
+                        self.record_forward_success(idx);
+                        return None;
+                    };
+                    let serve =
+                        telemetry.start_span("serve", Tier::Cloud, Some(span), cloud_arrive);
+                    let (_, finish) = self.cloud_device.schedule_work(cloud_arrive, served.cycles);
+                    telemetry.end_span(serve, finish);
+                    // A client-acked forwarded write must survive
+                    // failover: ship it to the standby / durable image
+                    // before the ack returns.
+                    if served.effects && self.options.ha.is_some() {
+                        self.replicate_to_standby();
+                        self.persist_durable();
                     }
+                    let resp_size = served.response.size();
+                    let back = self.wan_down.send(finish, resp_size);
+                    rec.add_wan_request_bytes(resp_size);
+                    let resp_dropped =
+                        wan_drops(&mut self.options.faults, "cloud", &edge_name, finish);
+                    if !resp_dropped {
+                        self.record_forward_success(idx);
+                        return Some((back, served.response, served.cycles));
+                    }
+                    executed = Some((finish, served.response, served.cycles));
                 }
             }
             // this attempt failed in transit: back off, maybe retry
@@ -2096,6 +1840,9 @@ impl ThreeTierSystem {
         // Deterministic virtual clock, as in [`TwoTierSystem::run`].
         let mut rec = RunRecorder::with_clock(&telemetry, Clock::virtual_clock());
         let profiler = request_profiler(&telemetry);
+        // the request loop reads service profiles out of the template
+        // while it mutates the system
+        let template = Arc::clone(&self.template);
         // Per-edge routing counters resolved once: the registry lookup
         // allocates a metric key, which is too hot for the request loop.
         let routed: Vec<Counter> = telemetry.registry().map_or_else(Vec::new, |reg| {
@@ -2185,9 +1932,10 @@ impl ThreeTierSystem {
             let wake = self.edges[idx].device.wake_penalty();
             let arrive = lan_arrive + wake;
             let key = (tr.request.verb, tr.request.path.clone());
+            let summary = template.effects.get(&key);
             let placement = self.placement_of(&key);
             let local = placement == Placement::EdgeReplicate;
-            let plan = self.cache_plan(&tr.request);
+            let plan = cache_plan(self.options.cache, summary, &tr.request);
             // A forwarded service may be served from the edge cache only
             // when skipping the WAN round-trip cannot diverge from the
             // cache-off run: no read set, no writes (pure), and no fault
@@ -2199,208 +1947,116 @@ impl ThreeTierSystem {
             let forward_skip_ok = !local
                 && self.options.faults.is_none()
                 && plan.as_ref().is_some_and(|p| p.reads.is_empty() && p.pure);
-            let cache_hit: Option<HttpResponse> =
+            let mut served: Option<Served> =
                 if local || forward_skip_ok || placement == Placement::EdgeCacheOnly {
-                    plan.as_ref().and_then(|p| {
-                        let edge = &mut self.edges[idx];
-                        edge.cache.lookup(&p.key, &edge.crdts.versions)
-                    })
+                    self.edges[idx].core.lookup(plan.as_ref())
                 } else {
                     None
                 };
-            // set when this request's digest mismatch exhausts the budget;
-            // acted on after the response is recorded
-            let mut quarantine_after: Option<usize> = None;
-            // controller telemetry for this request: how it was served and
-            // the compute it demanded
-            let was_cache_hit = cache_hit.is_some();
-            let mut served_forwarded = false;
-            let mut served_cycles = CACHE_HIT_CYCLES;
-            let (done, response, up_total, down_total, wait) = if let Some(response) = cache_hit {
+            let mut shadow_verdict = None;
+            if served.is_none() && local {
+                // multi-variant check: shadow-execute between the lookup
+                // and the execution, so both variants observe the same
+                // pre-request CRDT state
+                let shadow = self.shadow_check(idx, &tr.request, summary);
+                served = self.edges[idx]
+                    .core
+                    .execute(&tr.request, summary, plan.as_ref(), &profiler)
+                    .ok();
+                // a failed execution is forwarded, not compared
+                shadow_verdict = shadow.filter(|_| served.is_some());
+            }
+            // (response ready at the edge, response, edge cache hit, cycles
+            // it demanded, served by the cloud)
+            let (ready, response, hit, cycles, forwarded) = if let Some(s) = served {
+                // answered at the edge, from its cache or by its replica
                 if self.breaker_open(idx, arrive) {
+                    // still served locally under an open breaker; deltas
+                    // queue until the WAN heals
                     rec.degraded();
                     telemetry.event("degraded.local_serve", Tier::Edge, Some(span), arrive, &[]);
                 }
                 let serve = telemetry.start_span("serve", Tier::Edge, Some(span), arrive);
-                let edge = &mut self.edges[idx];
-                let (_, finish) = edge.device.schedule_work(arrive, CACHE_HIT_CYCLES);
+                let (_, finish) = self.edges[idx].device.schedule_work(arrive, s.cycles);
                 telemetry.end_span(serve, finish);
-                let resp_size = response.size();
-                let done = self.lan_down.send(finish, resp_size);
-                let down = done - finish;
-                rec.add_lan_bytes(resp_size);
-                edge.inflight.push(done);
-                if self.options.synchronous_sync {
-                    rec.add_wan_sync_bytes(self.sync_round(finish));
-                }
-                (done, response, up, down, finish - arrive)
+                (finish, s.response, s.hit, s.cycles, false)
             } else {
-                // multi-variant check: shadow-execute first so both
-                // variants observe the same pre-request CRDT state
-                let shadow_verdict = if local {
-                    self.shadow_check(idx, &tr.request)
-                } else {
-                    None
+                // not answered at the edge (a cloud-placed service, or the
+                // local execution failed): the edge proxies the request to
+                // the cloud master over the WAN (§II-B)
+                rec.forwarded();
+                if self.breaker_open(idx, arrive) {
+                    // degraded mode: fail fast without a WAN attempt
+                    rec.degraded();
+                    rec.fail();
+                    telemetry.event("degraded.fail_fast", Tier::Edge, Some(span), arrive, &[]);
+                    telemetry.end_span(span, arrive);
+                    continue;
+                }
+                let fwd = telemetry.start_span("forward", Tier::Edge, Some(span), arrive);
+                let Some((back_at_edge, response, cycles)) = self.forward_to_cloud(
+                    idx,
+                    &tr.request,
+                    arrive,
+                    &mut rec,
+                    fwd,
+                    summary,
+                    plan.as_ref(),
+                ) else {
+                    telemetry.end_span(fwd, arrive);
+                    rec.fail();
+                    telemetry.end_span(span, arrive);
+                    continue;
                 };
-                let local_result = if local {
-                    handle_profiled(&mut self.edges[idx].server, &tr.request, &profiler)
-                } else {
-                    Err(ServerError::NoSuchRoute {
-                        verb: tr.request.verb,
-                        path: tr.request.path.clone(),
-                    })
-                };
-                match local_result {
-                    Ok(mut out) => {
-                        served_cycles = out.cycles;
-                        if self.breaker_open(idx, arrive) {
-                            // replicated service under an open breaker: still
-                            // served locally, deltas queue until the WAN heals
-                            rec.degraded();
-                            telemetry.event(
-                                "degraded.local_serve",
-                                Tier::Edge,
-                                Some(span),
-                                arrive,
-                                &[],
-                            );
-                        }
-                        let serve = telemetry.start_span("serve", Tier::Edge, Some(span), arrive);
-                        let summary = self.effects.get(&key);
-                        let edge = &mut self.edges[idx];
-                        edge.crdts.absorb_outcome(&out, &edge.server);
-                        if self.options.cache != CachePolicy::Off {
-                            bump_static_global_writes(&mut edge.crdts.versions, summary);
-                        }
-                        // injected faulty VM variant: the state change was
-                        // absorbed intact, but the response this replica
-                        // serves (and caches) is corrupted
-                        if let Some(c) = edge.corruptor.as_mut() {
-                            c.corrupt(&mut out.response);
-                        }
-                        if let Some(p) = &plan {
-                            // only a demonstrably effect-free execution may
-                            // fill: its re-execution would be a no-op, so a
-                            // later hit skips nothing
-                            let effect_free = out.row_effects.is_empty()
-                                && out.file_writes.is_empty()
-                                && out.global_writes.is_empty()
-                                && p.globals_clean;
-                            if effect_free {
-                                let stamp = edge.crdts.versions.snapshot(&p.reads);
-                                edge.cache.fill(p.key.clone(), &out.response, stamp);
-                            }
-                        }
-                        let (_, finish) = edge.device.schedule_work(arrive, out.cycles);
-                        telemetry.end_span(serve, finish);
-                        let resp_size = out.response.size();
-                        let done = self.lan_down.send(finish, resp_size);
-                        let down = done - finish;
-                        rec.add_lan_bytes(resp_size);
-                        edge.inflight.push(done);
-                        if self.options.synchronous_sync {
-                            rec.add_wan_sync_bytes(self.sync_round(finish));
-                        }
-                        if let Some(shadow_resp) = shadow_verdict {
-                            self.ha_stats.shadow_checks += 1;
-                            if out.response.digest() != shadow_resp.digest() {
-                                self.ha_stats.shadow_mismatches += 1;
-                                self.edges[idx].shadow_mismatches += 1;
-                                telemetry.event(
-                                    "shadow.mismatch",
-                                    Tier::System,
-                                    Some(span),
-                                    finish,
-                                    &[("edge", Json::from(idx as u64))],
-                                );
-                                let budget = self
-                                    .options
-                                    .quarantine
-                                    .as_ref()
-                                    .map_or(u32::MAX, |q| q.mismatch_budget);
-                                if self.edges[idx].shadow_mismatches > budget {
-                                    quarantine_after = Some(idx);
-                                }
-                            }
-                        }
-                        (done, out.response, up, down, finish - arrive)
-                    }
-                    Err(_) => {
-                        // failure forwarding: the edge proxies the request to
-                        // the cloud master over the WAN (§II-B)
-                        let edge = &mut self.edges[idx];
-                        edge.crdts.revert_failed_writes(&mut edge.server);
-                        rec.forwarded();
-                        if self.breaker_open(idx, arrive) {
-                            // degraded mode: fail fast without a WAN attempt
-                            rec.degraded();
-                            rec.fail();
-                            telemetry.event(
-                                "degraded.fail_fast",
-                                Tier::Edge,
-                                Some(span),
-                                arrive,
-                                &[],
-                            );
-                            telemetry.end_span(span, arrive);
-                            continue;
-                        }
-                        let fwd = telemetry.start_span("forward", Tier::Edge, Some(span), arrive);
-                        match self.forward_to_cloud(
-                            idx,
-                            &tr.request,
-                            arrive,
-                            &mut rec,
-                            fwd,
-                            plan.as_ref(),
-                        ) {
-                            Some((back_at_edge, response)) => {
-                                served_forwarded = true;
-                                served_cycles = self.last_forward_cycles;
-                                telemetry.end_span(fwd, back_at_edge);
-                                let resp_size = response.size();
-                                let done = self.lan_down.send(back_at_edge, resp_size);
-                                let lan_down = done - back_at_edge;
-                                rec.add_lan_bytes(resp_size);
-                                self.edges[idx].inflight.push(done);
-                                // cache-only placement fills pure responses
-                                // stamped with the edge-local read-unit
-                                // versions, so sync-applied remote writes
-                                // invalidate them
-                                let fill = forward_skip_ok
-                                    || (placement == Placement::EdgeCacheOnly
-                                        && plan.as_ref().is_some_and(|p| p.pure));
-                                if fill {
-                                    if let Some(p) = &plan {
-                                        let edge = &mut self.edges[idx];
-                                        let stamp = edge.crdts.versions.snapshot(&p.reads);
-                                        edge.cache.fill(p.key.clone(), &response, stamp);
-                                    }
-                                }
-                                (done, response, up, lan_down, back_at_edge - arrive)
-                            }
-                            None => {
-                                telemetry.end_span(fwd, arrive);
-                                rec.fail();
-                                telemetry.end_span(span, arrive);
-                                continue;
-                            }
-                        }
+                telemetry.end_span(fwd, back_at_edge);
+                // cache-only placement fills pure responses stamped with
+                // the edge-local read-unit versions, so sync-applied
+                // remote writes invalidate them
+                if let Some(p) = plan.as_ref().filter(|p| {
+                    forward_skip_ok || (placement == Placement::EdgeCacheOnly && p.pure)
+                }) {
+                    self.edges[idx].core.fill(p, &response);
+                }
+                (back_at_edge, response, false, cycles, true)
+            };
+            let resp_size = response.size();
+            let done = self.lan_down.send(ready, resp_size);
+            rec.add_lan_bytes(resp_size);
+            self.edges[idx].inflight.push(done);
+            let (down, wait) = (done - ready, ready - arrive);
+            if !forwarded && self.options.synchronous_sync {
+                rec.add_wan_sync_bytes(self.sync_round(ready));
+            }
+            // set when this request's digest mismatch exhausts the budget;
+            // acted on after the response is recorded
+            let mut quarantine_after: Option<usize> = None;
+            if let Some(shadow_resp) = shadow_verdict {
+                self.ha_stats.shadow_checks += 1;
+                if response.digest() != shadow_resp.digest() {
+                    self.ha_stats.shadow_mismatches += 1;
+                    self.edges[idx].shadow_mismatches += 1;
+                    telemetry.event(
+                        "shadow.mismatch",
+                        Tier::System,
+                        Some(span),
+                        ready,
+                        &[("edge", Json::from(idx as u64))],
+                    );
+                    let budget = self
+                        .options
+                        .quarantine
+                        .as_ref()
+                        .map_or(u32::MAX, |q| q.mismatch_budget);
+                    if self.edges[idx].shadow_mismatches > budget {
+                        quarantine_after = Some(idx);
                     }
                 }
-            };
-            let energy = self.mobile.request_energy_j(up_total, down_total, wait);
+            }
+            let energy = self.mobile.request_energy_j(up, down, wait);
             rec.complete(&response, tr.at, done, energy);
             telemetry.end_span(span, done);
             if self.controller.is_some() {
-                self.observe_placement(
-                    &key,
-                    idx,
-                    was_cache_hit,
-                    served_forwarded,
-                    served_cycles,
-                    wait,
-                );
+                self.observe_placement(&key, idx, hit, forwarded, cycles, wait);
             }
             if let Some(qi) = quarantine_after {
                 self.quarantine_edge(qi, done);
@@ -2455,88 +2111,6 @@ mod tests {
         HttpRequest::post("/note", json!({"id": i, "text": format!("t{i}")}), vec![])
     }
 
-    /// `/note` writes its row and then, for the text `boom`, dies on a
-    /// missing file: the write happened, the handler failed.
-    const FAILING_APP: &str = r#"
-        db.query("CREATE TABLE notes (id INT PRIMARY KEY, text TEXT)");
-        app.post("/note", function (req, res) {
-            db.query("INSERT INTO notes VALUES (" + req.body.id + ", '" + req.body.text + "')");
-            if (req.body.text == "boom") {
-                fs.readFile("/no/such/file");
-            }
-            res.send({ ok: req.body.id });
-        });
-        app.get("/count", function (req, res) {
-            var rows = db.query("SELECT COUNT(*) FROM notes");
-            res.send(rows[0]);
-        });
-    "#;
-
-    /// A handler that fails after its `INSERT` must leave nothing behind:
-    /// the row's effects died with the outcome, so the CRDT never saw it,
-    /// and no later apply rebuilds the table to erase it by accident.
-    #[test]
-    fn failed_handler_after_write_leaves_no_row() {
-        let warm = vec![
-            HttpRequest::post("/note", json!({"id": 900, "text": "warm"}), vec![]),
-            HttpRequest::get("/count", json!({})),
-        ];
-        let report = capture_and_transform(FAILING_APP, &warm, &EdgStrConfig::default())
-            .unwrap()
-            .0;
-        let mut sys = ThreeTierSystem::deploy(
-            FAILING_APP,
-            &report,
-            &[DeviceSpec::rpi4()],
-            ThreeTierOptions::default(),
-        )
-        .unwrap();
-        let boom = HttpRequest::post("/note", json!({"id": 77, "text": "boom"}), vec![]);
-        let stats = sys.run(&Workload::constant_rate(&[boom], 10.0, 1));
-        // the edge failed, forwarded, and the cloud failed the same way
-        assert_eq!((stats.completed, stats.forwarded, stats.failed), (0, 1, 1));
-        let stray = "SELECT id FROM notes WHERE id = 77";
-        let edge = &mut sys.edges[0];
-        assert!(edge.server.db.exec(stray).unwrap().rows_json().is_empty());
-        assert!(sys.cloud.db.exec(stray).unwrap().rows_json().is_empty());
-        assert!(edge.crdts.tables["notes"].get_row("77").is_none());
-        assert!(edge.to_cloud.generate(&edge.crdts).changes.is_empty());
-        // the key is free again, and the cluster converges on later writes
-        let again = HttpRequest::post("/note", json!({"id": 77, "text": "fine"}), vec![]);
-        let stats = sys.run(&Workload::constant_rate(&[again, unique_note(78)], 10.0, 2));
-        assert_eq!((stats.completed, stats.failed), (2, 0));
-        let cloud_db = sys.cloud.db.snapshot().to_json();
-        assert_eq!(cloud_db["notes"]["77"]["text"], json!("fine"));
-        assert_eq!(sys.edges[0].server.db.snapshot().to_json(), cloud_db);
-    }
-
-    #[test]
-    fn corrupted_response_remembers_nothing_of_the_intact_one() {
-        let mut corruptor = BitFlipCorruptor::new(7, 1.0);
-        // an integer to flip in the body; none, so the status flips instead
-        for body in [json!({"rows": [{"id": 5}], "s": "x"}), json!({"s": "x"})] {
-            let intact = HttpResponse::ok(body);
-            let (size, digest) = (intact.size(), intact.digest());
-            let text = intact.body.text().to_string();
-            let mut served = intact.clone();
-            assert!(corruptor.corrupt(&mut served));
-            assert_ne!(served, intact);
-            // what the corrupt response reports is what a response built
-            // from scratch with its status and body reports
-            let scratch = HttpResponse {
-                status: served.status,
-                body: Json::clone(&served.body).into(),
-            };
-            assert_eq!(served.digest(), scratch.digest());
-            assert_ne!(served.digest(), digest);
-            assert_eq!(served.body.text(), scratch.body.text());
-            assert_eq!(served.size(), scratch.size());
-            // and the intact response is untouched
-            assert_eq!((intact.size(), intact.digest()), (size, digest));
-            assert_eq!(intact.body.text(), text);
-        }
-    }
-
     #[test]
     fn two_tier_runs_workload() {
         let mut sys =
@@ -2571,9 +2145,9 @@ mod tests {
         );
         assert_eq!(stats.wan_request_bytes, 0, "no request traffic on the WAN");
         // all replicas and cloud converge on the notes table
-        let cloud_rows = sys.cloud_crdts.tables["notes"].len();
+        let cloud_rows = sys.cloud.crdts.tables["notes"].len();
         for e in &sys.edges {
-            assert_eq!(e.crdts.tables["notes"].len(), cloud_rows);
+            assert_eq!(e.core.crdts.tables["notes"].len(), cloud_rows);
         }
         assert!(cloud_rows >= 20);
     }
@@ -2684,6 +2258,7 @@ mod tests {
         .unwrap();
         // break the edge's database host calls
         sys.edges[0]
+            .core
             .server
             .inject_failures(vec!["db.query".to_string()]);
         let reqs: Vec<HttpRequest> = (0..5).map(unique_note).collect();
@@ -2693,7 +2268,7 @@ mod tests {
         assert_eq!(stats.forwarded, 5, "all requests must be forwarded");
         assert!(stats.wan_request_bytes > 0);
         // the cloud applied the writes
-        assert!(sys.cloud_crdts.tables["notes"].len() >= 5);
+        assert!(sys.cloud.crdts.tables["notes"].len() >= 5);
     }
 
     #[test]
@@ -2782,11 +2357,11 @@ mod tests {
             .sync_until_converged(stats.makespan, 50)
             .expect("cluster must converge within 50 rounds at 20% loss");
         assert!(rounds <= 50);
-        let cloud_rows = sys.cloud_crdts.tables["notes"].to_json();
+        let cloud_rows = sys.cloud.crdts.tables["notes"].to_json();
         for e in &sys.edges {
-            assert_eq!(e.crdts.tables["notes"].to_json(), cloud_rows);
+            assert_eq!(e.core.crdts.tables["notes"].to_json(), cloud_rows);
         }
-        assert!(sys.cloud_crdts.tables["notes"].len() >= 30);
+        assert!(sys.cloud.crdts.tables["notes"].len() >= 30);
     }
 
     /// Pre-fix ablation at system level: the same lossy cluster with
@@ -2840,6 +2415,7 @@ mod tests {
         .unwrap();
         // break the edge's database so every request forwards over the WAN
         sys.edges[0]
+            .core
             .server
             .inject_failures(vec!["db.query".to_string()]);
         let reqs: Vec<HttpRequest> = (0..10).map(unique_note).collect();
@@ -2879,6 +2455,7 @@ mod tests {
         )
         .unwrap();
         sys.edges[0]
+            .core
             .server
             .inject_failures(vec!["db.query".to_string()]);
         let reqs: Vec<HttpRequest> = (0..10).map(unique_note).collect();
@@ -2927,6 +2504,7 @@ mod tests {
         // trip the breaker through the public failure path: a broken edge
         // db forces forwards, and the partition times them out
         sys.edges[0]
+            .core
             .server
             .inject_failures(vec!["db.query".to_string()]);
         let trip: Vec<HttpRequest> = (100..103).map(unique_note).collect();
@@ -2934,7 +2512,7 @@ mod tests {
         assert!(stats.timed_out >= 3);
         // heal the edge server; replicated requests now serve locally in
         // degraded mode while the breaker is still open
-        sys.edges[0].server.inject_failures(Vec::new());
+        sys.edges[0].core.server.inject_failures(Vec::new());
         let reqs: Vec<HttpRequest> = (0..5).map(unique_note).collect();
         let stats = sys.run(&Workload::constant_rate(&reqs, 5.0, 5));
         assert_eq!(stats.completed, 5, "local service continues degraded");
@@ -2958,7 +2536,7 @@ mod tests {
         let reqs: Vec<HttpRequest> = (0..20).map(unique_note).collect();
         let stats = sys.run(&Workload::constant_rate(&reqs, 10.0, 20));
         assert_eq!(stats.completed, 20);
-        let old_actor = sys.edges[0].crdts.actor();
+        let old_actor = sys.edges[0].core.crdts.actor();
 
         sys.crash_edge(0);
         assert!(sys.edges[0].is_crashed());
@@ -2969,7 +2547,7 @@ mod tests {
 
         sys.restart_edge(0).unwrap();
         assert_ne!(
-            sys.edges[0].crdts.actor(),
+            sys.edges[0].core.crdts.actor(),
             old_actor,
             "restart must not reuse the crashed incarnation's actor id"
         );
@@ -2979,10 +2557,10 @@ mod tests {
             .expect("restarted replica must converge");
         assert!(rounds <= 10);
         assert_eq!(
-            sys.edges[0].crdts.tables["notes"].to_json(),
-            sys.cloud_crdts.tables["notes"].to_json()
+            sys.edges[0].core.crdts.tables["notes"].to_json(),
+            sys.cloud.crdts.tables["notes"].to_json()
         );
-        assert!(sys.edges[0].crdts.tables["notes"].len() >= 30);
+        assert!(sys.edges[0].core.crdts.tables["notes"].len() >= 30);
     }
 
     /// Steady-state compaction: under continuous writes with periodic
@@ -3010,11 +2588,11 @@ mod tests {
                     (batch * 10..batch * 10 + 10).map(unique_note).collect();
                 let stats = sys.run(&Workload::constant_rate(&reqs, 20.0, 10).shifted(t));
                 t = stats.makespan;
-                peak = peak.max(sys.cloud_crdts.history_len());
+                peak = peak.max(sys.cloud.crdts.history_len());
             }
             sys.sync_until_converged(t, 10)
                 .expect("steady-state cluster must converge");
-            assert!(sys.cloud_crdts.tables["notes"].len() >= 200);
+            assert!(sys.cloud.crdts.tables["notes"].len() >= 200);
             peak
         };
         let bounded = peak_history(true);
@@ -3067,6 +2645,7 @@ mod tests {
         )
         .unwrap();
         sys.edges[0]
+            .core
             .server
             .inject_failures(vec!["db.query".to_string()]);
         let trip: Vec<HttpRequest> = (0..4).map(unique_note).collect();
@@ -3107,6 +2686,7 @@ mod tests {
         )
         .unwrap();
         sys.edges[0]
+            .core
             .server
             .inject_failures(vec!["db.query".to_string()]);
         let trip: Vec<HttpRequest> = (0..4).map(unique_note).collect();
@@ -3151,15 +2731,15 @@ mod tests {
             .sync_until_converged(stats.makespan, 20)
             .expect("cluster must reconverge after the scheduled restart");
         assert!(rounds <= 20);
-        let cloud_rows = sys.cloud_crdts.tables["notes"].to_json();
+        let cloud_rows = sys.cloud.crdts.tables["notes"].to_json();
         for e in &sys.edges {
-            assert_eq!(e.crdts.tables["notes"].to_json(), cloud_rows);
+            assert_eq!(e.core.crdts.tables["notes"].to_json(), cloud_rows);
         }
         // edge0's unsynced pre-crash writes died with the process; nothing
         // may be applied twice (every surviving id appears exactly once —
         // the PK table would otherwise conflict) and the survivor's share
         // plus everything synced before the crash is present
-        let n = sys.cloud_crdts.tables["notes"].len();
+        let n = sys.cloud.crdts.tables["notes"].len();
         assert!((20..=30).contains(&n), "unexpected row count {n}");
     }
 
@@ -3206,12 +2786,12 @@ mod tests {
         );
         // zero acked-write loss: the promoted master's final clock covers
         // everything any replica was ever told was acknowledged
-        let final_clock = sys.cloud_crdts.clock();
+        let final_clock = sys.cloud.crdts.clock();
         assert!(!hs.acked_snapshots.is_empty());
         for snap in &hs.acked_snapshots {
             assert!(final_clock.dominates(snap), "acked write lost in failover");
         }
-        assert!(sys.cloud_crdts.tables["notes"].len() >= 40);
+        assert!(sys.cloud.crdts.tables["notes"].len() >= 40);
     }
 
     /// Forwarded writes replicate to the standby before the client sees
@@ -3238,6 +2818,7 @@ mod tests {
         .unwrap();
         // break the edge database so every request forwards over the WAN
         sys.edges[0]
+            .core
             .server
             .inject_failures(vec!["db.query".to_string()]);
         let reqs: Vec<HttpRequest> = (0..20).map(unique_note).collect();
@@ -3250,7 +2831,7 @@ mod tests {
         assert!(!sys.master_down());
         // every acked forward is on the post-failover master
         assert!(
-            sys.cloud_crdts.tables["notes"].len() >= stats.completed,
+            sys.cloud.crdts.tables["notes"].len() >= stats.completed,
             "an acked forwarded write vanished in the failover"
         );
     }
@@ -3434,12 +3015,12 @@ mod tests {
         // every transition-time acked prefix and holds every write
         sys.sync_until_converged(stats.makespan, 50)
             .expect("cluster must converge");
-        let master = sys.cloud_crdts.clock();
+        let master = sys.cloud.crdts.clock();
         for snap in &sys.placement_stats().acked_snapshots {
             assert!(master.dominates(snap), "acked write lost across demotion");
         }
         // 40 run inserts plus the capture warm-up row
-        assert_eq!(sys.cloud_crdts.tables["notes"].len(), 41);
+        assert_eq!(sys.cloud.crdts.tables["notes"].len(), 41);
     }
 
     #[test]
@@ -3486,12 +3067,12 @@ mod tests {
         assert_eq!(sys.placement_of(&note_key()), Placement::EdgeReplicate);
         sys.sync_until_converged(stats.makespan, 50)
             .expect("cluster must converge");
-        let master = sys.cloud_crdts.clock();
+        let master = sys.cloud.crdts.clock();
         for snap in &sys.placement_stats().acked_snapshots {
             assert!(master.dominates(snap), "acked write lost in round trip");
         }
         // 60 run inserts plus the capture warm-up row
-        assert_eq!(sys.cloud_crdts.tables["notes"].len(), 61);
+        assert_eq!(sys.cloud.crdts.tables["notes"].len(), 61);
     }
 
     /// The E18 digest-parity contract: replaying an adaptive run's

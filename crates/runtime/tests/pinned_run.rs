@@ -89,7 +89,7 @@ fn seeded_bookworm_run_matches_pinned_stats() {
     assert!(sys.converged());
     let mut cache = CacheStats::default();
     for e in &sys.edges {
-        cache.absorb(e.cache.stats());
+        cache.absorb(e.core.cache.stats());
     }
     assert_eq!(stats.completed, 1_200);
     assert_eq!((stats.failed, stats.forwarded), (0, 0));

@@ -95,7 +95,7 @@ proptest! {
             sys.sync_until_converged(stats.makespan, 400).is_some(),
             "lossy cluster must still converge"
         );
-        let master = sys.cloud_crdts.clock();
+        let master = sys.cloud.crdts.clock();
         for snap in &sys.placement_stats().acked_snapshots {
             prop_assert!(
                 master.dominates(snap),
@@ -104,7 +104,7 @@ proptest! {
         }
         // one row per acknowledged insert, plus the capture warm-up row
         prop_assert_eq!(
-            sys.cloud_crdts.tables["notes"].len(),
+            sys.cloud.crdts.tables["notes"].len(),
             stats.completed + 1,
             "master must hold exactly one row per acknowledged insert"
         );

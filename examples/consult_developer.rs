@@ -107,7 +107,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "median latency {:.1} ms; strong-consistency ledger rows at the cloud: {}",
         stats.latency.median().unwrap().as_millis_f64(),
-        match sys.cloud.db.exec("SELECT COUNT(*) FROM ledger")? {
+        match sys.cloud.server.db.exec("SELECT COUNT(*) FROM ledger")? {
             edgstr_sql::SqlResult::Rows { rows, .. } => rows[0][0].to_string(),
             _ => unreachable!(),
         }

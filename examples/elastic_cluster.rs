@@ -69,12 +69,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\nedge energy: {:.1} J across the cluster; cloud stayed the system of record \
          with {} rows",
         stats.edge_energy_j,
-        sys.cloud_crdts.tables["samples"].len()
+        sys.cloud.crdts.tables["samples"].len()
     );
 
     // now knock out one replica's database and watch failure forwarding
     println!("\ninjecting a database failure into replica 0...");
     sys.edges[0]
+        .core
         .server
         .inject_failures(vec!["db.query".to_string()]);
     let tail: Vec<HttpRequest> = (0..10)

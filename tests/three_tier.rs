@@ -63,18 +63,18 @@ fn four_edge_cluster_converges_with_cloud() {
     let used: usize = sys
         .edges
         .iter()
-        .filter(|e| e.crdts.tables["events"].clock().total() > 1)
+        .filter(|e| e.core.crdts.tables["events"].clock().total() > 1)
         .count();
     assert!(used >= 2, "sync should spread writes across replicas");
     // cloud and all edges agree on the full event set
-    let cloud_rows: BTreeSet<String> = sys.cloud_crdts.tables["events"]
+    let cloud_rows: BTreeSet<String> = sys.cloud.crdts.tables["events"]
         .rows()
         .into_iter()
         .map(|(pk, _)| pk)
         .collect();
     assert_eq!(cloud_rows.len(), 61); // 60 + seed
     for e in &sys.edges {
-        let edge_rows: BTreeSet<String> = e.crdts.tables["events"]
+        let edge_rows: BTreeSet<String> = e.core.crdts.tables["events"]
             .rows()
             .into_iter()
             .map(|(pk, _)| pk)
@@ -204,7 +204,13 @@ fn two_tier_and_three_tier_agree_on_final_state() {
     )
     .unwrap();
     three.run(&wl);
-    let three_count = match three.cloud.db.exec("SELECT COUNT(*) FROM events").unwrap() {
+    let three_count = match three
+        .cloud
+        .server
+        .db
+        .exec("SELECT COUNT(*) FROM events")
+        .unwrap()
+    {
         edgstr_sql::SqlResult::Rows { rows, .. } => rows[0][0].clone(),
         _ => unreachable!(),
     };
@@ -255,6 +261,7 @@ fn forwarded_responses_match_the_original_service() {
         )
         .unwrap();
         sys.edges[0]
+            .core
             .server
             .inject_failures(vec!["db.query".to_string(), "fs.readFile".to_string()]);
         // reference: the original service at the same checkpoint
@@ -273,7 +280,7 @@ fn forwarded_responses_match_the_original_service() {
             assert_eq!(stats.completed, 1, "{}: {} lost", app.name, req.path);
             // the response content equality is established via the cloud's
             // state: replay directly against the system's cloud master
-            let via_cloud = sys.cloud.handle(req).unwrap().response.body;
+            let via_cloud = sys.cloud.server.handle(req).unwrap().response.body;
             assert_eq!(
                 via_cloud, expected,
                 "{}: forwarded {} diverged",
