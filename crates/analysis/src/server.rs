@@ -11,7 +11,7 @@ use edgstr_lang::{
     RuntimeError, Value, Vm,
 };
 use edgstr_net::{HttpRequest, HttpResponse, Verb};
-use edgstr_sql::{parse_sql, RowEffect, SqlDb, SqlResult, SqlValue, Statement};
+use edgstr_sql::{Output, RowEffect, SqlDb, SqlError, SqlResult, SqlValue, Statement};
 use edgstr_vfs::VirtualFs;
 use serde_json::Value as Json;
 use std::collections::BTreeMap;
@@ -101,7 +101,8 @@ mod cost {
     pub const FILE_PER_BYTE: u64 = 2;
     /// Fixed cost of a SQL statement.
     pub const SQL_BASE: u64 = 60_000;
-    /// Per-row cost of SQL scans.
+    /// Cost per row a statement returns (not per row it scans: a scan
+    /// that selects nothing is charged as one row).
     pub const SQL_PER_ROW: u64 = 3_000;
     /// Fixed cost of loading/binding a model.
     pub const INFER_BASE: u64 = 40_000_000;
@@ -161,10 +162,10 @@ impl Host for ServerHost<'_> {
                     .first()
                     .and_then(|v| v.as_str())
                     .ok_or("db.query needs a SQL string")?;
-                let (result, effects) = self
-                    .db
-                    .exec_with_effects(sql)
-                    .map_err(|e| format!("SQL error: {e}"))?;
+                let sql_error = |e: SqlError| format!("SQL error: {e}");
+                let stmt = self.db.prepare(sql).map_err(sql_error)?;
+                let (output, effects) = self.db.exec_lent(&stmt).map_err(sql_error)?;
+                let (value, returned) = rows_value(&output);
                 self.row_effects.extend(effects);
                 match (self.txn_mark, self.db.in_transaction()) {
                     (None, true) => self.txn_mark = Some(self.row_effects.len()),
@@ -172,17 +173,16 @@ impl Host for ServerHost<'_> {
                         // COMMIT keeps what the transaction wrote; ROLLBACK
                         // took it back out of the database, so the CRDT
                         // mirror must never hear of it
-                        if matches!(parse_sql(sql), Ok(Statement::Rollback)) {
+                        if matches!(*stmt, Statement::Rollback) {
                             self.row_effects.truncate(mark);
                         }
                         self.txn_mark = None;
                     }
                     _ => {}
                 }
-                let (value, scanned) = rows_value(&result);
                 Ok(HostOutcome::with_cycles(
                     value,
-                    cost::SQL_BASE + cost::SQL_PER_ROW * scanned.max(1),
+                    cost::SQL_BASE + cost::SQL_PER_ROW * returned.max(1),
                 ))
             }
             "fs.readFile" => {
@@ -519,11 +519,9 @@ impl ServerProcess {
         req: &HttpRequest,
         tracer: &mut dyn Instrument,
     ) -> Result<HandleOutcome, ServerError> {
-        let route = self
-            .routes
-            .iter()
-            .find(|r| r.verb == req.verb && r.path == req.path)
-            .cloned()
+        let handler = self
+            .route(req.verb, &req.path)
+            .map(|r| r.handler.clone())
             .ok_or_else(|| ServerError::NoSuchRoute {
                 verb: req.verb,
                 path: req.path.clone(),
@@ -535,7 +533,6 @@ impl ServerProcess {
         let mut row_effects = Vec::new();
         let mut file_writes = Vec::new();
         let txn_mark = self.db.in_transaction().then_some(0);
-        let fail_calls = self.fail_calls.clone();
         let mut host = ServerHost {
             db: &mut self.db,
             fs: &mut self.fs,
@@ -547,14 +544,14 @@ impl ServerProcess {
             file_writes: &mut file_writes,
             logs: &mut self.logs,
             tick: &mut self.tick,
-            fail_calls: &fail_calls,
+            fail_calls: &self.fail_calls,
         };
         let handler_args = vec![req_value, Value::Native("res".into())];
         let (result, cycles, global_writes) = if let Some(vm) = &mut self.vm {
             // compiled path: no per-request interpreter setup or globals
             // copy — the handler runs directly against the persistent store
             vm.clear_bind_log();
-            let result = vm.call_value(&route.handler, handler_args, &mut host, tracer);
+            let result = vm.call_value(&handler, handler_args, &mut host, tracer);
             // globals created during the request persist (JS semantics)
             let global_writes = vm.logged_newly_bound();
             match result {
@@ -565,7 +562,7 @@ impl ServerProcess {
             let globals_before: Vec<String> = self.globals.keys().cloned().collect();
             let mut interp = Interpreter::new(&mut host);
             interp.set_globals(self.globals.clone());
-            let result = interp.call_closure(&route.handler, handler_args, tracer);
+            let result = interp.call_closure(&handler, handler_args, tracer);
             let cycles = interp.cycles();
             let new_globals = interp.globals().clone();
             // globals created during the request persist (JS semantics)
@@ -769,27 +766,27 @@ fn sql_cell_value(v: &SqlValue) -> Value {
     }
 }
 
-/// `SELECT` output as the array-of-row-objects value `db.query` returns,
-/// plus the scanned-row count for cycle accounting.
-fn rows_value(result: &SqlResult) -> (Value, u64) {
-    match result {
-        SqlResult::Rows { columns, rows } => {
-            let vals: Vec<Value> = rows
-                .iter()
-                .map(|r| {
-                    Value::object(
-                        columns
-                            .iter()
-                            .zip(r.iter())
-                            .map(|(c, v)| (c.clone(), sql_cell_value(v))),
-                    )
-                })
-                .collect();
-            let scanned = vals.len() as u64;
-            (Value::array(vals), scanned)
-        }
-        _ => (Value::array(Vec::new()), 0),
+/// `SELECT` output as the array-of-row-objects value `db.query` returns
+/// (built straight from the table's rows when they are lent), plus the
+/// number of rows returned, for cycle accounting.
+fn rows_value(output: &Output<'_>) -> (Value, u64) {
+    fn row_object<'a>(cells: impl Iterator<Item = (&'a str, &'a SqlValue)>) -> Value {
+        Value::object(cells.map(|(c, v)| (c.to_string(), sql_cell_value(v))))
     }
+    let rows: Vec<Value> = match output {
+        Output::Selected(s) => s
+            .rows
+            .iter()
+            .map(|r| row_object(s.columns.iter().zip(&s.proj).map(|(c, &i)| (*c, &r[i]))))
+            .collect(),
+        Output::Done(SqlResult::Rows { columns, rows }) => rows
+            .iter()
+            .map(|r| row_object(columns.iter().map(String::as_str).zip(r)))
+            .collect(),
+        Output::Done(_) => Vec::new(),
+    };
+    let returned = rows.len() as u64;
+    (Value::array(rows), returned)
 }
 
 #[cfg(test)]

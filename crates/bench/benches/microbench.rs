@@ -256,6 +256,67 @@ fn bench_sql(c: &mut Criterion) {
             })
         });
     }
+    // The two scanning statements of a catalog (bookworm's `/search` and
+    // `/recommend`): every row is tested, few are returned. 48 words make
+    // two-word titles, so `%word%` hits about one title in 24; one book in
+    // 20 is in stock.
+    let words: Vec<String> = ["am", "ba", "ce", "del", "em", "fjo", "gro", "ha"]
+        .iter()
+        .flat_map(|head| {
+            ["ber", "sin", "dar", "ta", "rd", "ven"].map(|tail| format!("{head}{tail}"))
+        })
+        .collect();
+    let catalog = |rows: usize| {
+        let mut db = SqlDb::new();
+        db.exec("CREATE TABLE books (id INT PRIMARY KEY, title TEXT, author TEXT, price REAL, stock INT)")
+            .unwrap();
+        for i in 0..rows {
+            let title = format!("{} {}", words[i * 7 % 48], words[(i * 13 + 5) % 48]);
+            let (price, stock) = (
+                4.0 + (i * 37 % 1600) as f64 / 100.0,
+                (i % 20 == 0) as u8 * 3,
+            );
+            db.exec(&format!(
+                "INSERT INTO books VALUES ({i}, '{title}', 'Egan', {price:?}, {stock})"
+            ))
+            .unwrap();
+        }
+        db
+    };
+    for rows in [512usize, 4_096] {
+        let mut db = catalog(rows);
+        let like = format!(
+            "SELECT id, title FROM books WHERE title LIKE '%{}%'",
+            words[17]
+        );
+        g.bench_function(&format!("like_scan/{rows}"), |b| {
+            b.iter(|| db.exec(&like).unwrap())
+        });
+        let range = "SELECT id, title, price FROM books \
+                     WHERE price <= 12 AND stock > 0 ORDER BY price DESC LIMIT 3";
+        g.bench_function(&format!("range_scan/{rows}"), |b| {
+            b.iter(|| db.exec(range).unwrap())
+        });
+    }
+    // Every row returned, none filtered, as a handler sees it: `db.query`
+    // hands the rows to the script as objects.
+    g.bench_function("select_all/512", |b| {
+        let mut server = ServerProcess::from_source(
+            r#"app.get("/all", function (req, res) {
+                var rows = db.query("SELECT * FROM books");
+                res.send({ n: rows.length });
+            });"#,
+        )
+        .unwrap();
+        server.init().unwrap();
+        server.db = catalog(512);
+        let request = HttpRequest::get("/all", json!({}));
+        assert_eq!(
+            server.handle(&request).unwrap().response.body["n"],
+            json!(512)
+        );
+        b.iter(|| server.handle(&request).unwrap())
+    });
     g.finish();
 }
 

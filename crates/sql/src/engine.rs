@@ -12,14 +12,21 @@
 //! its slot and its duplicate by binary search, and a `WHERE` that pins
 //! the key to a literal narrows the scan to the rows equal to it. A table
 //! without one keeps insertion order and is always scanned.
+//!
+//! A statement's `WHERE` clause is bound to its table once per execution
+//! (`Table::bind`): column names become indices, `LIKE` patterns are
+//! split, the primary-key pin is found — so the per-row test (`Pred::test`)
+//! looks nothing up and allocates nothing. `SELECT`, `UPDATE` and `DELETE`
+//! all scan through it.
 
 use crate::parser::{parse_sql, CmpOp, SelectItem, SqlParseError, Statement, WhereExpr};
 use crate::value::{SqlType, SqlValue};
 use serde_json::Value as Json;
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::ops::Range;
+use std::rc::Rc;
 
 /// Error raised by SQL execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -101,38 +108,34 @@ impl Table {
         lo..lo + len
     }
 
-    /// The rows a `WHERE` can select: those equal to the literal it pins
-    /// the primary key to, or all of them. The caller still evaluates the
-    /// whole expression on each, so this only ever skips rows the pin
-    /// alone rules out. An expression naming an unknown column keeps the
-    /// full scan, which reports it the way it always has.
-    fn candidates(&self, e: Option<&WhereExpr>) -> Range<usize> {
-        fn pin<'e>(e: &'e WhereExpr, pk: &str) -> Option<&'e SqlValue> {
-            match e {
-                WhereExpr::Cmp {
-                    column,
-                    op: CmpOp::Eq,
-                    value,
-                } if column == pk => Some(value),
-                WhereExpr::And(a, b) => pin(a, pk).or_else(|| pin(b, pk)),
-                _ => None,
-            }
-        }
-        fn columns_known(e: &WhereExpr, t: &Table) -> bool {
-            match e {
-                WhereExpr::And(a, b) | WhereExpr::Or(a, b) => {
-                    columns_known(a, t) && columns_known(b, t)
-                }
-                WhereExpr::IsNull { column, .. } | WhereExpr::Cmp { column, .. } => {
-                    t.col_index(column).is_some()
-                }
-            }
-        }
-        let pinned = e.zip(self.pk_index()).and_then(|(e, pki)| {
-            let key = pin(e, &self.columns[pki].name)?;
-            columns_known(e, self).then(|| self.pk_range(pki, key))
-        });
-        pinned.unwrap_or(0..self.rows.len())
+    /// Bind a `WHERE` clause to this table: the predicate with every
+    /// column resolved, and the rows it can select — those equal to the
+    /// literal it pins the primary key to (a `pk = literal` at the root or
+    /// under `AND`s), or all of them. The pin only ever skips rows that
+    /// comparison alone rules out. An expression naming an unknown column
+    /// keeps the full scan, so the error is reported by exactly the rows
+    /// that reach it.
+    fn bind<'s>(&self, table: &'s str, e: Option<&'s WhereExpr>) -> Scan<'s> {
+        let all = 0..self.rows.len();
+        let Some(e) = e else {
+            return Scan {
+                pred: Pred::Const(true),
+                range: all,
+            };
+        };
+        let mut binder = Binder {
+            t: self,
+            table,
+            pk: self.pk_index(),
+            pin: None,
+            unknown: false,
+        };
+        let pred = binder.node(e, true);
+        let range = match (binder.pk, binder.pin) {
+            (Some(pki), Some(key)) if !binder.unknown => self.pk_range(pki, key),
+            _ => all,
+        };
+        Scan { pred, range }
     }
 
     /// A row of this table from a JSON object keyed by column name
@@ -209,6 +212,43 @@ impl SqlResult {
     }
 }
 
+/// What [`SqlDb::exec_lent`] produced: a plain `SELECT`'s rows still in
+/// their table, anything else (an aggregate's one computed row, a write's
+/// count) owned.
+#[derive(Debug)]
+pub enum Output<'a> {
+    Selected(Selected<'a>),
+    Done(SqlResult),
+}
+
+impl Output<'_> {
+    /// The owned form, copying lent rows.
+    pub fn into_result(self) -> SqlResult {
+        match self {
+            Output::Selected(s) => SqlResult::Rows {
+                columns: s.columns.iter().map(|c| c.to_string()).collect(),
+                rows: s
+                    .rows
+                    .iter()
+                    .map(|r| s.proj.iter().map(|&i| r[i].clone()).collect())
+                    .collect(),
+            },
+            Output::Done(result) => result,
+        }
+    }
+}
+
+/// The rows a `SELECT` chose, lent from their table: output row `r`,
+/// column `c` is `rows[r][proj[c]]`, labelled `columns[c]`.
+#[derive(Debug)]
+pub struct Selected<'a> {
+    pub columns: Vec<&'a str>,
+    /// The chosen rows, whole, in output order.
+    pub rows: Vec<&'a [SqlValue]>,
+    /// For each output column, where its cell is in a row.
+    pub proj: Vec<usize>,
+}
+
 /// A change to one row, reported so the runtime can mirror writes into the
 /// corresponding `CRDT-Table` (§III-G.1).
 #[derive(Debug, Clone, PartialEq)]
@@ -264,7 +304,7 @@ pub struct SqlDb {
     /// same statements, so the recursive-descent parse is paid once.
     /// Bounded — dynamically built one-shot statements (unique literals
     /// interpolated into INSERTs) cannot grow it without limit.
-    parse_cache: std::collections::HashMap<String, std::rc::Rc<Statement>>,
+    parse_cache: HashMap<String, Rc<Statement>>,
 }
 
 /// Entries kept in the statement parse cache before it is reset.
@@ -295,17 +335,26 @@ impl SqlDb {
         &mut self,
         sql: &str,
     ) -> Result<(SqlResult, Vec<RowEffect>), SqlError> {
+        let stmt = self.prepare(sql)?;
+        self.exec_stmt(&stmt)
+    }
+
+    /// The parsed form of `sql`, from the statement cache when the same
+    /// text was seen before.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SqlError::Parse`] when `sql` is not a statement.
+    pub fn prepare(&mut self, sql: &str) -> Result<Rc<Statement>, SqlError> {
         if let Some(stmt) = self.parse_cache.get(sql) {
-            let stmt = std::rc::Rc::clone(stmt);
-            return self.exec_stmt(&stmt);
+            return Ok(Rc::clone(stmt));
         }
-        let stmt = std::rc::Rc::new(parse_sql(sql)?);
+        let stmt = Rc::new(parse_sql(sql)?);
         if self.parse_cache.len() >= PARSE_CACHE_CAP {
             self.parse_cache.clear();
         }
-        self.parse_cache
-            .insert(sql.to_string(), std::rc::Rc::clone(&stmt));
-        self.exec_stmt(&stmt)
+        self.parse_cache.insert(sql.to_string(), Rc::clone(&stmt));
+        Ok(stmt)
     }
 
     /// Execute an already-parsed statement.
@@ -314,6 +363,21 @@ impl SqlDb {
     ///
     /// Returns [`SqlError`] on execution failure.
     pub fn exec_stmt(&mut self, stmt: &Statement) -> Result<(SqlResult, Vec<RowEffect>), SqlError> {
+        self.exec_lent(stmt)
+            .map(|(output, effects)| (output.into_result(), effects))
+    }
+
+    /// [`SqlDb::exec_stmt`] without copying a `SELECT`'s rows out of their
+    /// table: they are lent for as long as the database stays borrowed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SqlError`] on execution failure.
+    pub fn exec_lent(
+        &mut self,
+        stmt: &Statement,
+    ) -> Result<(Output<'_>, Vec<RowEffect>), SqlError> {
+        let done = |result: SqlResult, effects| Ok((Output::Done(result), effects));
         match stmt {
             Statement::CreateTable {
                 name,
@@ -322,7 +386,7 @@ impl SqlDb {
             } => {
                 if self.tables.contains_key(name) {
                     if *if_not_exists {
-                        return Ok((SqlResult::Ok, Vec::new()));
+                        return done(SqlResult::Ok, Vec::new());
                     }
                     return Err(SqlError::DuplicateTable(name.clone()));
                 }
@@ -342,13 +406,13 @@ impl SqlDb {
                         next_rowid: 1,
                     },
                 );
-                Ok((SqlResult::Ok, Vec::new()))
+                done(SqlResult::Ok, Vec::new())
             }
             Statement::DropTable { name } => {
                 self.tables
                     .remove(name)
                     .ok_or_else(|| SqlError::NoSuchTable(name.clone()))?;
-                Ok((SqlResult::Ok, Vec::new()))
+                done(SqlResult::Ok, Vec::new())
             }
             Statement::Insert {
                 table,
@@ -416,7 +480,7 @@ impl SqlDb {
                     t.rows.insert(idx, full_row);
                     t.next_rowid += 1;
                 }
-                Ok((SqlResult::Affected(rows.len()), effects))
+                done(SqlResult::Affected(rows.len()), effects)
             }
             Statement::Select {
                 items,
@@ -429,10 +493,11 @@ impl SqlDb {
                     .tables
                     .get(table)
                     .ok_or_else(|| SqlError::NoSuchTable(table.clone()))?;
-                let mut selected: Vec<&Vec<SqlValue>> = Vec::new();
-                for row in &t.rows[t.candidates(where_expr.as_ref())] {
-                    if Self::matches(t, row, where_expr.as_ref())? {
-                        selected.push(row);
+                let scan = t.bind(table, where_expr.as_ref());
+                let mut rows: Vec<&[SqlValue]> = Vec::new();
+                for row in &t.rows[scan.range] {
+                    if scan.pred.test(row)? {
+                        rows.push(row);
                     }
                 }
                 if let Some((col, desc)) = order_by {
@@ -440,8 +505,8 @@ impl SqlDb {
                         table: table.clone(),
                         column: col.clone(),
                     })?;
-                    selected.sort_by(|a, b| {
-                        let ord = a[idx].compare(&b[idx]).unwrap_or(std::cmp::Ordering::Equal);
+                    rows.sort_by(|a, b| {
+                        let ord = a[idx].compare(&b[idx]).unwrap_or(Ordering::Equal);
                         if *desc {
                             ord.reverse()
                         } else {
@@ -450,7 +515,7 @@ impl SqlDb {
                     });
                 }
                 if let Some(n) = limit {
-                    selected.truncate(*n);
+                    rows.truncate(*n);
                 }
                 // aggregate query?
                 let has_agg = items.iter().any(|i| {
@@ -467,45 +532,37 @@ impl SqlDb {
                     let mut columns = Vec::new();
                     let mut row = Vec::new();
                     for item in items {
-                        let (label, v) = Self::aggregate(t, &selected, item, table)?;
+                        let (label, v) = Self::aggregate(t, &rows, item, table)?;
                         columns.push(label);
                         row.push(v);
                     }
-                    return Ok((
-                        SqlResult::Rows {
-                            columns,
-                            rows: vec![row],
-                        },
-                        Vec::new(),
-                    ));
+                    let result = SqlResult::Rows {
+                        columns,
+                        rows: vec![row],
+                    };
+                    return done(result, Vec::new());
                 }
                 // projection
-                let mut columns = Vec::new();
-                let mut proj_idx: Vec<usize> = Vec::new();
+                let mut proj: Vec<usize> = Vec::new();
                 for item in items {
                     match item {
-                        SelectItem::Star => {
-                            for (i, c) in t.columns.iter().enumerate() {
-                                columns.push(c.name.clone());
-                                proj_idx.push(i);
-                            }
-                        }
+                        SelectItem::Star => proj.extend(0..t.columns.len()),
                         SelectItem::Column(c) => {
-                            let idx = t.col_index(c).ok_or_else(|| SqlError::NoSuchColumn {
+                            proj.push(t.col_index(c).ok_or_else(|| SqlError::NoSuchColumn {
                                 table: table.clone(),
                                 column: c.clone(),
-                            })?;
-                            columns.push(c.clone());
-                            proj_idx.push(idx);
+                            })?);
                         }
                         _ => unreachable!("aggregates handled above"),
                     }
                 }
-                let rows = selected
-                    .into_iter()
-                    .map(|r| proj_idx.iter().map(|&i| r[i].clone()).collect())
-                    .collect();
-                Ok((SqlResult::Rows { columns, rows }, Vec::new()))
+                let columns = proj.iter().map(|&i| t.columns[i].name.as_str()).collect();
+                let selected = Selected {
+                    columns,
+                    rows,
+                    proj,
+                };
+                Ok((Output::Selected(selected), Vec::new()))
             }
             Statement::Update {
                 table,
@@ -526,46 +583,39 @@ impl SqlDb {
                 }
                 let mut affected = 0;
                 let mut effects = Vec::new();
-                let columns_snapshot = t.columns.clone();
                 let pk_index = t.pk_index();
                 // the key column, when this statement assigns it
                 let rekeyed = pk_index.filter(|pi| set_idx.iter().any(|(idx, _)| idx == pi));
-                let range = t.candidates(where_expr.as_ref());
-                let first = range.start;
-                for (i, row) in t.rows[range].iter_mut().enumerate() {
-                    if Self::matches_row(&columns_snapshot, row, where_expr.as_ref(), table)? {
-                        let old_pk = rekeyed.map(|pi| row[pi].pk_string());
-                        for (idx, v) in &set_idx {
-                            row[*idx] = v.clone();
-                        }
-                        affected += 1;
-                        let pk = match pk_index {
-                            Some(pi) => row[pi].pk_string(),
-                            None => format!("row{}", first + i),
-                        };
-                        // a re-keyed row leaves its old key: without the
-                        // delete the mirror would keep both
-                        if let Some(old_pk) = old_pk.filter(|old| *old != pk) {
-                            effects.push(RowEffect::Delete {
-                                table: table.clone(),
-                                pk: old_pk,
-                            });
-                        }
-                        let mut m = serde_json::Map::new();
-                        for (c, v) in columns_snapshot.iter().zip(row.iter()) {
-                            m.insert(c.name.clone(), v.to_json());
-                        }
-                        effects.push(RowEffect::Upsert {
+                let scan = t.bind(table, where_expr.as_ref());
+                for i in scan.range {
+                    if !scan.pred.test(&t.rows[i])? {
+                        continue;
+                    }
+                    let row = &mut t.rows[i];
+                    let old_pk = rekeyed.map(|pi| row[pi].pk_string());
+                    for (idx, v) in &set_idx {
+                        row[*idx] = v.clone();
+                    }
+                    affected += 1;
+                    let pk = t.row_pk(&t.rows[i], i);
+                    // a re-keyed row leaves its old key: without the
+                    // delete the mirror would keep both
+                    if let Some(old_pk) = old_pk.filter(|old| *old != pk) {
+                        effects.push(RowEffect::Delete {
                             table: table.clone(),
-                            pk,
-                            row: Json::Object(m),
+                            pk: old_pk,
                         });
                     }
+                    effects.push(RowEffect::Upsert {
+                        table: table.clone(),
+                        pk,
+                        row: t.row_json(&t.rows[i]),
+                    });
                 }
                 if let Some(pi) = rekeyed.filter(|_| affected > 0) {
                     t.rows.sort_by(|a, b| a[pi].pk_cmp(&b[pi]));
                 }
-                Ok((SqlResult::Affected(affected), effects))
+                done(SqlResult::Affected(affected), effects)
             }
             Statement::Delete { table, where_expr } => {
                 let t = self
@@ -574,9 +624,10 @@ impl SqlDb {
                     .ok_or_else(|| SqlError::NoSuchTable(table.clone()))?;
                 // decide first, remove after: an error while matching must
                 // not leave the table half-emptied
+                let scan = t.bind(table, where_expr.as_ref());
                 let mut doomed = Vec::new();
-                for i in t.candidates(where_expr.as_ref()) {
-                    if Self::matches(t, &t.rows[i], where_expr.as_ref())? {
+                for i in scan.range {
+                    if scan.pred.test(&t.rows[i])? {
                         doomed.push(i);
                     }
                 }
@@ -594,20 +645,20 @@ impl SqlDb {
                     at += 1;
                     !hit
                 });
-                Ok((SqlResult::Affected(doomed.len()), effects))
+                done(SqlResult::Affected(doomed.len()), effects)
             }
             Statement::Begin => {
                 if self.txn_backup.is_some() {
                     return Err(SqlError::NestedTransaction);
                 }
                 self.txn_backup = Some(self.tables.clone());
-                Ok((SqlResult::Ok, Vec::new()))
+                done(SqlResult::Ok, Vec::new())
             }
             Statement::Commit => {
                 self.txn_backup
                     .take()
                     .ok_or(SqlError::NoActiveTransaction)?;
-                Ok((SqlResult::Ok, Vec::new()))
+                done(SqlResult::Ok, Vec::new())
             }
             Statement::Rollback => {
                 let backup = self
@@ -615,14 +666,14 @@ impl SqlDb {
                     .take()
                     .ok_or(SqlError::NoActiveTransaction)?;
                 self.tables = backup;
-                Ok((SqlResult::Ok, Vec::new()))
+                done(SqlResult::Ok, Vec::new())
             }
         }
     }
 
     fn aggregate(
         t: &Table,
-        rows: &[&Vec<SqlValue>],
+        rows: &[&[SqlValue]],
         item: &SelectItem,
         table: &str,
     ) -> Result<(String, SqlValue), SqlError> {
@@ -664,7 +715,7 @@ impl SqlDb {
                     .iter()
                     .map(|r| &r[idx])
                     .filter(|v| !matches!(v, SqlValue::Null))
-                    .min_by(|a, b| a.compare(b).unwrap_or(std::cmp::Ordering::Equal));
+                    .min_by(|a, b| a.compare(b).unwrap_or(Ordering::Equal));
                 (format!("min({c})"), m.cloned().unwrap_or(SqlValue::Null))
             }
             SelectItem::Max(c) => {
@@ -673,69 +724,11 @@ impl SqlDb {
                     .iter()
                     .map(|r| &r[idx])
                     .filter(|v| !matches!(v, SqlValue::Null))
-                    .max_by(|a, b| a.compare(b).unwrap_or(std::cmp::Ordering::Equal));
+                    .max_by(|a, b| a.compare(b).unwrap_or(Ordering::Equal));
                 (format!("max({c})"), m.cloned().unwrap_or(SqlValue::Null))
             }
             _ => unreachable!(),
         })
-    }
-
-    fn matches(t: &Table, row: &[SqlValue], e: Option<&WhereExpr>) -> Result<bool, SqlError> {
-        Self::matches_row(&t.columns, row, e, &t.name)
-    }
-
-    fn matches_row(
-        columns: &[ColumnMeta],
-        row: &[SqlValue],
-        e: Option<&WhereExpr>,
-        table: &str,
-    ) -> Result<bool, SqlError> {
-        let Some(e) = e else { return Ok(true) };
-        match e {
-            WhereExpr::And(a, b) => Ok(Self::matches_row(columns, row, Some(a), table)?
-                && Self::matches_row(columns, row, Some(b), table)?),
-            WhereExpr::Or(a, b) => Ok(Self::matches_row(columns, row, Some(a), table)?
-                || Self::matches_row(columns, row, Some(b), table)?),
-            WhereExpr::IsNull { column, negated } => {
-                let idx = columns
-                    .iter()
-                    .position(|c| &c.name == column)
-                    .ok_or_else(|| SqlError::NoSuchColumn {
-                        table: table.to_string(),
-                        column: column.clone(),
-                    })?;
-                let is_null = matches!(row[idx], SqlValue::Null);
-                Ok(is_null != *negated)
-            }
-            WhereExpr::Cmp { column, op, value } => {
-                let idx = columns
-                    .iter()
-                    .position(|c| &c.name == column)
-                    .ok_or_else(|| SqlError::NoSuchColumn {
-                        table: table.to_string(),
-                        column: column.clone(),
-                    })?;
-                let cell = &row[idx];
-                if matches!(op, CmpOp::Like) {
-                    let (SqlValue::Text(s), SqlValue::Text(pat)) = (cell, value) else {
-                        return Ok(false);
-                    };
-                    return Ok(like_match(s, pat));
-                }
-                let Some(ord) = cell.compare(value) else {
-                    return Ok(false); // NULL comparisons are false
-                };
-                Ok(match op {
-                    CmpOp::Eq => ord == std::cmp::Ordering::Equal,
-                    CmpOp::NotEq => ord != std::cmp::Ordering::Equal,
-                    CmpOp::Lt => ord == std::cmp::Ordering::Less,
-                    CmpOp::Le => ord != std::cmp::Ordering::Greater,
-                    CmpOp::Gt => ord == std::cmp::Ordering::Greater,
-                    CmpOp::Ge => ord != std::cmp::Ordering::Less,
-                    CmpOp::Like => unreachable!(),
-                })
-            }
-        }
     }
 
     /// Snapshot the entire database (the paper's `save "init"`).
@@ -846,40 +839,205 @@ impl SqlDb {
     }
 }
 
-/// SQL `LIKE` with `%` wildcards (prefix/suffix/both/infix).
-fn like_match(s: &str, pattern: &str) -> bool {
-    let parts: Vec<&str> = pattern.split('%').collect();
-    match parts.as_slice() {
-        [exact] => s == *exact,
-        [prefix, suffix] => {
-            s.len() >= prefix.len() + suffix.len() && s.starts_with(prefix) && s.ends_with(suffix)
-        }
-        _ => {
-            // general case: all parts must appear in order
-            let mut rest = s;
-            for (i, part) in parts.iter().enumerate() {
-                if part.is_empty() {
-                    continue;
-                }
-                if i == 0 {
-                    if !rest.starts_with(part) {
-                        return false;
-                    }
-                    rest = &rest[part.len()..];
-                } else if i == parts.len() - 1 {
-                    if !rest.ends_with(part) {
-                        return false;
-                    }
-                } else {
-                    match rest.find(part) {
-                        Some(pos) => rest = &rest[pos + part.len()..],
-                        None => return false,
+/// A `WHERE` clause bound to one table for one execution.
+struct Scan<'s> {
+    pred: Pred<'s>,
+    /// The rows worth testing; every other row fails `pred`.
+    range: Range<usize>,
+}
+
+/// A `WHERE` expression with its columns resolved to indices. It borrows
+/// the statement's literals and holds nothing of the table, so it stays
+/// usable while rows are written.
+enum Pred<'s> {
+    And(Box<Pred<'s>>, Box<Pred<'s>>),
+    Or(Box<Pred<'s>>, Box<Pred<'s>>),
+    IsNull {
+        col: usize,
+        negated: bool,
+    },
+    /// Any operator but `LIKE`.
+    Cmp {
+        col: usize,
+        op: CmpOp,
+        value: &'s SqlValue,
+    },
+    Like {
+        col: usize,
+        pattern: LikePattern<'s>,
+    },
+    /// No `WHERE` at all (true), or `LIKE` against a literal that is not
+    /// text (false).
+    Const(bool),
+    /// A column the table does not have. Not an error until a row gets
+    /// here: `a AND nosuch` fails only if some row passes `a`.
+    NoSuchColumn {
+        table: &'s str,
+        column: &'s str,
+    },
+}
+
+impl Pred<'_> {
+    fn test(&self, row: &[SqlValue]) -> Result<bool, SqlError> {
+        Ok(match self {
+            Pred::And(a, b) => a.test(row)? && b.test(row)?,
+            Pred::Or(a, b) => a.test(row)? || b.test(row)?,
+            Pred::IsNull { col, negated } => matches!(row[*col], SqlValue::Null) != *negated,
+            Pred::Cmp { col, op, value } => match row[*col].compare(value) {
+                None => false, // NULL comparisons are false
+                Some(ord) => match op {
+                    CmpOp::Eq => ord == Ordering::Equal,
+                    CmpOp::NotEq => ord != Ordering::Equal,
+                    CmpOp::Lt => ord == Ordering::Less,
+                    CmpOp::Le => ord != Ordering::Greater,
+                    CmpOp::Gt => ord == Ordering::Greater,
+                    CmpOp::Ge => ord != Ordering::Less,
+                    CmpOp::Like => unreachable!("bound as Pred::Like"),
+                },
+            },
+            Pred::Like { col, pattern } => match &row[*col] {
+                SqlValue::Text(s) => pattern.matches(s),
+                _ => false,
+            },
+            Pred::Const(b) => *b,
+            Pred::NoSuchColumn { table, column } => {
+                return Err(SqlError::NoSuchColumn {
+                    table: table.to_string(),
+                    column: column.to_string(),
+                })
+            }
+        })
+    }
+}
+
+/// State of one [`Table::bind`] walk.
+struct Binder<'t, 's> {
+    t: &'t Table,
+    table: &'s str,
+    pk: Option<usize>,
+    /// The first literal the expression pins the primary key to.
+    pin: Option<&'s SqlValue>,
+    /// Whether any node names a column the table does not have.
+    unknown: bool,
+}
+
+impl<'s> Binder<'_, 's> {
+    /// Bind `e`. `conjunct` says every node above it is an `AND`, so a
+    /// row that fails `e` fails the whole expression.
+    fn node(&mut self, e: &'s WhereExpr, conjunct: bool) -> Pred<'s> {
+        match e {
+            WhereExpr::And(a, b) => {
+                let a = self.node(a, conjunct);
+                Pred::And(Box::new(a), Box::new(self.node(b, conjunct)))
+            }
+            WhereExpr::Or(a, b) => {
+                let a = self.node(a, false);
+                Pred::Or(Box::new(a), Box::new(self.node(b, false)))
+            }
+            WhereExpr::IsNull { column, negated } => match self.col(column) {
+                Ok(col) => Pred::IsNull {
+                    col,
+                    negated: *negated,
+                },
+                Err(unknown) => unknown,
+            },
+            WhereExpr::Cmp { column, op, value } => {
+                let col = match self.col(column) {
+                    Ok(col) => col,
+                    Err(unknown) => return unknown,
+                };
+                match (op, value) {
+                    (CmpOp::Like, SqlValue::Text(pattern)) => Pred::Like {
+                        col,
+                        pattern: LikePattern::new(pattern),
+                    },
+                    (CmpOp::Like, _) => Pred::Const(false),
+                    _ => {
+                        if conjunct && *op == CmpOp::Eq && self.pk == Some(col) {
+                            self.pin.get_or_insert(value);
+                        }
+                        Pred::Cmp {
+                            col,
+                            op: *op,
+                            value,
+                        }
                     }
                 }
             }
-            true
         }
     }
+
+    fn col(&mut self, column: &'s str) -> Result<usize, Pred<'s>> {
+        self.t.col_index(column).ok_or_else(|| {
+            self.unknown = true;
+            Pred::NoSuchColumn {
+                table: self.table,
+                column,
+            }
+        })
+    }
+}
+
+/// A `LIKE` pattern split at its `%` wildcards (there is no `_`), once.
+/// Matching works on bytes: UTF-8 is self-synchronising, so a valid
+/// needle is only ever found on a character boundary of valid text.
+struct LikePattern<'s> {
+    /// What the text starts with: the pattern up to its first `%`.
+    head: &'s [u8],
+    /// The non-empty pieces between two `%`, found in order, leftmost
+    /// first, without overlap.
+    inner: Vec<&'s [u8]>,
+    /// What the rest of the text ends with: the pattern after its last
+    /// `%`. `None` for a pattern without `%`, which is equality with `head`.
+    tail: Option<&'s [u8]>,
+}
+
+impl<'s> LikePattern<'s> {
+    fn new(pattern: &'s str) -> Self {
+        let mut parts = pattern.split('%').map(str::as_bytes);
+        let head = parts.next().unwrap_or_default();
+        let tail = parts.next_back();
+        LikePattern {
+            head,
+            inner: parts.filter(|p| !p.is_empty()).collect(),
+            tail,
+        }
+    }
+
+    fn matches(&self, text: &str) -> bool {
+        let text = text.as_bytes();
+        let Some(tail) = self.tail else {
+            return text == self.head;
+        };
+        let Some(mut rest) = text.strip_prefix(self.head) else {
+            return false;
+        };
+        for part in &self.inner {
+            match find_bytes(rest, part) {
+                Some(at) => rest = &rest[at + part.len()..],
+                None => return false,
+            }
+        }
+        rest.ends_with(tail)
+    }
+}
+
+/// Position of the first occurrence of `needle` in `hay`.
+fn find_bytes(hay: &[u8], needle: &[u8]) -> Option<usize> {
+    let Some((first, after)) = needle.split_first() else {
+        return Some(0);
+    };
+    // where an occurrence can still start
+    let starts = hay.len().checked_sub(needle.len())? + 1;
+    let mut from = 0;
+    while let Some(skip) = hay[from..starts].iter().position(|b| b == first) {
+        let at = from + skip;
+        if hay[at + 1..].starts_with(after) {
+            return Some(at);
+        }
+        from = at + 1;
+    }
+    None
 }
 
 #[cfg(test)]
@@ -1021,6 +1179,10 @@ mod tests {
         ));
     }
 
+    fn like_match(text: &str, pattern: &str) -> bool {
+        LikePattern::new(pattern).matches(text)
+    }
+
     #[test]
     fn like_patterns() {
         assert!(like_match("Dune", "Du%"));
@@ -1029,6 +1191,108 @@ mod tests {
         assert!(like_match("Dune", "Dune"));
         assert!(!like_match("Dune", "Du"));
         assert!(!like_match("Dune", "%x%"));
+    }
+
+    #[test]
+    fn like_edge_cases() {
+        // the head and the tail may not share text
+        assert!(!like_match("a", "a%a"));
+        assert!(like_match("aa", "a%a"));
+        assert!(!like_match("ab", "%ab%b"));
+        assert!(like_match("abb", "%ab%b"));
+        // nothing but wildcards, and nothing at all
+        assert!(like_match("", "%%"));
+        assert!(like_match("", "%"));
+        assert!(like_match("x", "%%"));
+        assert!(like_match("", ""));
+        assert!(!like_match("x", ""));
+        // a needle longer than the cell
+        assert!(!like_match("ab", "%abc%"));
+        assert!(!like_match("ab", "abc%"));
+        assert!(!like_match("ab", "%abc"));
+        // a pattern without `%` is equality
+        assert!(like_match("a_c", "a_c"));
+        assert!(!like_match("abc", "a_c"));
+        assert!(!like_match("Dune", "dune"));
+        // pieces are found in order, leftmost first, without overlap
+        assert!(like_match("xabyabz", "x%ab%ab%z"));
+        assert!(!like_match("xabz", "x%ab%ab%z"));
+        assert!(!like_match("aba", "%ab%ba%"));
+        assert!(like_match("abba", "%ab%ba%"));
+    }
+
+    #[test]
+    fn like_never_matches_inside_a_character() {
+        // é is C3 A9, © is C2 A9, 𝄞 is F0 9D 84 9E, Ğ is C4 9E
+        assert!(!like_match("é", "%©%"));
+        assert!(like_match("caf\u{e9}", "%\u{e9}"));
+        assert!(like_match("caf\u{e9}s", "%\u{e9}%"));
+        assert!(!like_match("\u{1d11e}", "%\u{11e}%"));
+        assert!(like_match("a\u{1d11e}b", "a%\u{1d11e}%b"));
+        // a byte-wise match always starts and ends on a character
+        // boundary: whatever `%` consumed is text
+        for (text, pattern) in [("ÃƒÂ©é©", "%©"), ("日本語", "%本%"), ("ǞĞ𝄞", "%Ğ%")]
+        {
+            assert!(like_match(text, pattern), "{text} LIKE {pattern}");
+        }
+    }
+
+    #[test]
+    fn find_bytes_finds_the_leftmost_occurrence() {
+        assert_eq!(find_bytes(b"abcabc", b"bc"), Some(1));
+        assert_eq!(find_bytes(b"aab", b"ab"), Some(1));
+        assert_eq!(find_bytes(b"abc", b"abc"), Some(0));
+        assert_eq!(find_bytes(b"abc", b"abcd"), None);
+        assert_eq!(find_bytes(b"abc", b"c"), Some(2));
+        assert_eq!(find_bytes(b"abc", b"ca"), None);
+        assert_eq!(find_bytes(b"", b"a"), None);
+        assert_eq!(find_bytes(b"", b""), Some(0));
+    }
+
+    #[test]
+    fn unknown_column_is_an_error_only_for_a_row_that_reaches_it() {
+        let mut db = db_with_books();
+        let no_such = |r: Result<SqlResult, SqlError>| {
+            assert_eq!(
+                r,
+                Err(SqlError::NoSuchColumn {
+                    table: "books".into(),
+                    column: "nope".into()
+                })
+            );
+        };
+        no_such(db.exec("SELECT id FROM books WHERE nope = 1"));
+        no_such(db.exec("SELECT id FROM books WHERE stock >= 0 AND nope = 1"));
+        no_such(db.exec("SELECT id FROM books WHERE nope = 1 AND id = 9"));
+        no_such(db.exec("SELECT id FROM books WHERE stock > 4 OR nope LIKE 7"));
+        // no row gets as far as the unknown column
+        for sql in [
+            "SELECT id FROM books WHERE stock > 99 AND nope = 1",
+            "SELECT id FROM books WHERE stock >= 0 OR nope IS NULL",
+            "UPDATE books SET stock = 1 WHERE id = 9 AND nope = 1",
+            "DELETE FROM books WHERE title LIKE 5 AND nope = 1",
+        ] {
+            assert!(db.exec(sql).is_ok(), "{sql}");
+        }
+        db.exec("DELETE FROM books").unwrap();
+        assert!(db.exec("SELECT id FROM books WHERE nope = 1").is_ok());
+    }
+
+    #[test]
+    fn lent_rows_are_the_owned_result() {
+        let mut db = db_with_books();
+        let stmt = db
+            .prepare("SELECT title, id FROM books WHERE stock > 0 ORDER BY price DESC")
+            .unwrap();
+        let owned = db.exec_stmt(&stmt).unwrap().0;
+        let (Output::Selected(lent), effects) = db.exec_lent(&stmt).unwrap() else {
+            panic!("a plain SELECT lends its rows");
+        };
+        assert!(effects.is_empty());
+        assert_eq!(lent.columns, ["title", "id"]);
+        assert_eq!(lent.proj, [1, 0]);
+        assert_eq!(lent.rows[0][1], SqlValue::Text("Accelerando".into()));
+        assert_eq!(Output::Selected(lent).into_result(), owned);
     }
 
     #[test]

@@ -38,6 +38,8 @@ pub mod engine;
 pub mod parser;
 pub mod value;
 
-pub use engine::{ColumnMeta, RowEffect, Snapshot, SqlDb, SqlError, SqlResult, Table};
+pub use engine::{
+    ColumnMeta, Output, RowEffect, Selected, Snapshot, SqlDb, SqlError, SqlResult, Table,
+};
 pub use parser::{parse_sql, CmpOp, ColumnDef, SelectItem, SqlParseError, Statement, WhereExpr};
 pub use value::{SqlType, SqlValue};
