@@ -9,6 +9,18 @@
 //! Two more cells, pinned at commit 2fd2206 before the serve pipeline
 //! moved into one `ReplicaCore`: the forwarding / failover / quarantine
 //! paths of the virtual-time driver, and the threaded executor.
+//!
+//! Pinned at commit 0529a6f, before the sync wire went binary: the
+//! converged replicated state of every node in the two virtual-time
+//! cells. The wire format may move exactly three constants in this file —
+//! the `wan_sync_bytes` of those cells, which are marked below — and
+//! nothing else: sync bytes occupy no simulated link, so no virtual time
+//! depends on them. The other places a sync byte count reaches are not
+//! pinned constants: `tests/three_tier.rs` compares two runs' bytes with
+//! each other, `crates/placement/tests/placement_prop.rs` feeds the
+//! controller synthetic byte counts, `crates/telemetry/tests/shard_merge.rs`
+//! only names the `edgstr_sync_bytes` counter, and the E1 / E4 / E8 / E12 /
+//! E18 / `ablation_sync_mode` binaries print theirs (EXPERIMENTS.md).
 
 use edgstr_core::{capture_and_transform, EdgStrConfig};
 use edgstr_net::{CrashPlan, FaultPlan, HttpRequest, LossModel, Verb};
@@ -95,8 +107,12 @@ fn seeded_bookworm_run_matches_pinned_stats() {
     assert_eq!((stats.failed, stats.forwarded), (0, 0));
     assert_eq!(stats.response_digest, 0xcc58_10c5_dbdd_4b32);
     assert_eq!(stats.lan_bytes, 956_935);
-    assert_eq!(stats.wan_sync_bytes, 734_629);
+    assert_eq!(stats.wan_sync_bytes, 734_629, "wire-format dependent");
     assert_eq!(stats.makespan, SimTime(3_001_568));
+    assert_eq!(sys.cloud.replicated_state_digest(), 0xf7e4_7aa0_b58a_095a);
+    for e in &sys.edges {
+        assert_eq!(e.core.replicated_state_digest(), 0xf7e4_7aa0_b58a_095a);
+    }
     assert_eq!(
         cache,
         CacheStats {
@@ -116,8 +132,11 @@ struct FailoverPin {
     counts: [usize; 6],
     lan_bytes: usize,
     wan_request_bytes: usize,
+    /// The one wire-format dependent field.
     wan_sync_bytes: usize,
     makespan: SimTime,
+    /// Replicated state of the master and of each edge, reconverged.
+    state_digests: [u64; 4],
     cache: CacheStats,
     /// edge_crashes, edge_restarts, master_crashes, failovers,
     /// durable_recoveries
@@ -206,6 +225,12 @@ fn failover_run(standby: bool) -> FailoverPin {
         wan_request_bytes: stats.wan_request_bytes,
         wan_sync_bytes: stats.wan_sync_bytes,
         makespan: stats.makespan,
+        state_digests: [
+            sys.cloud.replicated_state_digest(),
+            sys.edges[0].core.replicated_state_digest(),
+            sys.edges[1].core.replicated_state_digest(),
+            sys.edges[2].core.replicated_state_digest(),
+        ],
         cache: sys.cache_stats(),
         ha: [
             ha.edge_crashes,
@@ -234,6 +259,7 @@ fn forwarding_failover_and_quarantine_match_pinned_stats() {
             wan_request_bytes: 277_046,
             wan_sync_bytes: 1_412_915,
             makespan: SimTime(9_453_414),
+            state_digests: [0x1b60_dc8c_dcf8_a185; 4],
             cache: CacheStats {
                 hits: 756,
                 misses: 898,
@@ -259,6 +285,7 @@ fn forwarding_failover_and_quarantine_match_pinned_stats() {
             wan_request_bytes: 53_270,
             wan_sync_bytes: 1_405_196,
             makespan: SimTime(8_957_036),
+            state_digests: [0x1403_4f28_1bd2_d689; 4],
             cache: CacheStats {
                 hits: 759,
                 misses: 667,
