@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use edgstr_analysis::{profile_service, InitState, ServerProcess};
-use edgstr_crdt::{ActorId, CrdtTable, Doc, PathSeg, VClock};
+use edgstr_crdt::{ActorId, Change, CrdtTable, Doc, PathSeg, VClock};
 use edgstr_datalog::{Const, Database, Rule, RuleAtom, Term};
 use edgstr_net::HttpRequest;
 use edgstr_sql::SqlDb;
@@ -73,7 +73,41 @@ fn bench_crdt(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
+    // 256 row upserts retained in the log: handing them to a peer is 256
+    // reference counts, not 256 deep copies
+    g.bench_function("get_changes_256", |b| {
+        let t = upserted_table(256);
+        let since = VClock::new();
+        b.iter(|| t.get_changes(&since))
+    });
+    // the receive side of the wire: 64 row upserts from their bytes
+    g.bench_function("decode_64", |b| {
+        let mut bytes = Vec::new();
+        for c in upserted_table(64).get_changes(&VClock::new()) {
+            c.encode(&mut bytes);
+        }
+        b.iter(|| {
+            let mut rest = &bytes[..];
+            let mut decoded = Vec::with_capacity(64);
+            while !rest.is_empty() {
+                let (change, tail) = Change::decode(rest).unwrap();
+                decoded.push(change);
+                rest = tail;
+            }
+            decoded
+        })
+    });
     g.finish();
+}
+
+/// A table whose log holds `n` bookworm-shaped row upserts.
+fn upserted_table(n: u32) -> CrdtTable {
+    let mut t = CrdtTable::new(ActorId(2), "books");
+    for id in 0..n {
+        let row = json!({"id": id, "title": format!("amber basin {id}"), "author": "Egan", "price": 9.5, "stock": 3});
+        t.upsert_row(&id.to_string(), &row).unwrap();
+    }
+    t
 }
 
 /// A source doc with `n` changes of history whose last 100 form the
@@ -380,7 +414,8 @@ fn bench_sync(c: &mut Criterion) {
             g.bench_function(&format!("apply_delta/{touched}_of_{rows}"), |b| {
                 // receivers outlive the timed call: dropping a whole
                 // replica would otherwise be most of what is measured
-                let mut applied = Vec::new();
+                // (pre-sized, or the vector's own regrowth would be)
+                let mut applied = Vec::with_capacity(64);
                 b.iter_batched(
                     || {
                         let (mut cloud, mut cloud_set) = node(1, &init);
@@ -397,7 +432,7 @@ fn bench_sync(c: &mut Criterion) {
             });
         }
     }
-    // 64 changes: encoded on the first call, remembered on every later one
+    // 64 changes: walked on the first call, remembered on every later one
     let changes = {
         let init = catalog(512);
         let (mut edge, mut edge_set) = node(2, &init);
@@ -411,14 +446,23 @@ fn bench_sync(c: &mut Criterion) {
     };
     g.bench_function("wire_size/first_call_64", |b| {
         b.iter_batched(
-            || changes.clone(),
+            || {
+                // a clone shares the record and what it remembers, so an
+                // unsized batch has to be rebuilt from its parts
+                let mut fresh = changes.clone();
+                for cs in fresh.tables.values_mut() {
+                    for c in cs.iter_mut() {
+                        *c = Change::new(c.actor(), c.seq(), c.deps().clone(), c.ops().to_vec());
+                    }
+                }
+                fresh
+            },
             |cs| cs.wire_size(),
             BatchSize::SmallInput,
         )
     });
-    let sized = changes.clone();
-    sized.wire_size();
-    g.bench_function("wire_size/repeat_64", |b| b.iter(|| sized.wire_size()));
+    changes.wire_size();
+    g.bench_function("wire_size/repeat_64", |b| b.iter(|| changes.wire_size()));
     g.finish();
 }
 

@@ -18,9 +18,20 @@ fn main() {
     let mut reductions = Vec::new();
     for app in all_apps() {
         let report = transform_app(&app);
-        // write-bearing service: first sample request mutates state in
-        // every subject
-        let req = &app.service_requests[0];
+        // the first sampled service that writes state: sync traffic is
+        // deltas only (the snapshot every node starts from never crosses
+        // the WAN), so a read-only service would measure nothing
+        let writes = |r: &&edgstr_net::HttpRequest| {
+            report.services.iter().any(|s| {
+                (s.verb, &s.path) == (r.verb, &r.path)
+                    && s.profile.as_ref().is_some_and(|p| !p.effects.pure)
+            })
+        };
+        let req = app
+            .service_requests
+            .iter()
+            .find(writes)
+            .expect("every subject has a writing service");
         let wl = service_workload(req, 5.0, REQUESTS);
         let mut two = TwoTierSystem::new(
             &app.source,
@@ -44,7 +55,7 @@ fn main() {
         rows.push(vec![
             app.name.to_string(),
             kb(wan_o),
-            kb(wan_e),
+            format!("{wan_e} B"),
             kb(s_app),
             format!("{:.0}x", s_app as f64 / wan_e.max(1) as f64),
         ]);

@@ -1,18 +1,23 @@
 //! Operations and changes — the replication units exchanged between the
 //! cloud master and edge replicas.
 
+use crate::doc::CrdtError;
 use crate::ids::{ActorId, OpId, VClock};
+use crate::wire::{
+    corrupt, put_op_id, put_scalar, put_str, put_varint, put_zigzag, Count, Reader, Sink,
+};
 use serde::{Deserialize, Serialize};
 use serde_json::{Error as JsonError, Value as Json};
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 // ---- manual (de)serialization helpers -----------------------------------
 //
-// The offline serde stand-in has no derive macros, so the wire formats
-// below are hand-rolled: enums use the externally-tagged shape derives
-// would produce ({"Variant": payload} / "Variant" for unit variants),
-// structs use plain objects.
+// JSON forms, for the save image and debugging — the sync wire is the
+// binary layout further down. The offline serde stand-in has no derive
+// macros, so these are hand-rolled: enums use the externally-tagged shape
+// derives would produce ({"Variant": payload} / "Variant" for unit
+// variants), structs use plain objects.
 
 fn tag(name: &str, payload: Json) -> Json {
     let mut m = serde_json::Map::new();
@@ -368,40 +373,262 @@ impl Op {
     }
 }
 
+// ---- binary wire layout --------------------------------------------------
+//
+// One tag byte per variant; see `crate::wire` for the primitives and
+// DESIGN.md "Sync wire format" for the table.
+
+const OBJ_ROOT: u8 = 0;
+const OBJ_MADE: u8 = 1;
+const ELEM_HEAD: u8 = 0;
+const ELEM_AFTER: u8 = 1;
+const VALUE_SCALAR: u8 = 0;
+const VALUE_OBJ: u8 = 1;
+const OP_MAKE_MAP: u8 = 0;
+const OP_MAKE_LIST: u8 = 1;
+const OP_SET: u8 = 2;
+const OP_DEL_KEY: u8 = 3;
+const OP_INSERT: u8 = 4;
+const OP_SET_ELEM: u8 = 5;
+const OP_DEL_ELEM: u8 = 6;
+const OP_INC: u8 = 7;
+
+impl ObjId {
+    fn write<S: Sink>(&self, out: &mut S) {
+        match self {
+            ObjId::Root => out.put(&[OBJ_ROOT]),
+            ObjId::Made(id) => {
+                out.put(&[OBJ_MADE]);
+                put_op_id(out, *id);
+            }
+        }
+    }
+
+    fn read(r: &mut Reader<'_>) -> Result<ObjId, CrdtError> {
+        match r.byte()? {
+            OBJ_ROOT => Ok(ObjId::Root),
+            OBJ_MADE => Ok(ObjId::Made(r.op_id()?)),
+            _ => Err(corrupt("unknown object tag")),
+        }
+    }
+}
+
+impl ElemRef {
+    fn write<S: Sink>(&self, out: &mut S) {
+        match self {
+            ElemRef::Head => out.put(&[ELEM_HEAD]),
+            ElemRef::After(id) => {
+                out.put(&[ELEM_AFTER]);
+                put_op_id(out, *id);
+            }
+        }
+    }
+
+    fn read(r: &mut Reader<'_>) -> Result<ElemRef, CrdtError> {
+        match r.byte()? {
+            ELEM_HEAD => Ok(ElemRef::Head),
+            ELEM_AFTER => Ok(ElemRef::After(r.op_id()?)),
+            _ => Err(corrupt("unknown element tag")),
+        }
+    }
+}
+
+impl OpValue {
+    fn write<S: Sink>(&self, out: &mut S) {
+        match self {
+            OpValue::Scalar(j) => {
+                out.put(&[VALUE_SCALAR]);
+                put_scalar(out, j);
+            }
+            OpValue::Obj(o) => {
+                out.put(&[VALUE_OBJ]);
+                o.write(out);
+            }
+        }
+    }
+
+    fn read(r: &mut Reader<'_>) -> Result<OpValue, CrdtError> {
+        match r.byte()? {
+            VALUE_SCALAR => Ok(OpValue::Scalar(r.scalar()?)),
+            VALUE_OBJ => Ok(OpValue::Obj(ObjId::read(r)?)),
+            _ => Err(corrupt("unknown value tag")),
+        }
+    }
+}
+
+fn write_pred<S: Sink>(out: &mut S, pred: &[OpId]) {
+    put_varint(out, pred.len() as u64);
+    for id in pred {
+        put_op_id(out, *id);
+    }
+}
+
+fn read_pred(r: &mut Reader<'_>) -> Result<Vec<OpId>, CrdtError> {
+    let n = r.count(2)?; // an op id is two varints
+    let mut pred = Vec::with_capacity(n);
+    for _ in 0..n {
+        pred.push(r.op_id()?);
+    }
+    Ok(pred)
+}
+
+impl Op {
+    /// Tag byte, the op's id, then the variant's fields in declaration
+    /// order.
+    fn write<S: Sink>(&self, out: &mut S) {
+        let tag = match self {
+            Op::MakeMap { .. } => OP_MAKE_MAP,
+            Op::MakeList { .. } => OP_MAKE_LIST,
+            Op::Set { .. } => OP_SET,
+            Op::DelKey { .. } => OP_DEL_KEY,
+            Op::Insert { .. } => OP_INSERT,
+            Op::SetElem { .. } => OP_SET_ELEM,
+            Op::DelElem { .. } => OP_DEL_ELEM,
+            Op::Inc { .. } => OP_INC,
+        };
+        out.put(&[tag]);
+        put_op_id(out, self.id());
+        match self {
+            Op::MakeMap { .. } | Op::MakeList { .. } => {}
+            Op::Set {
+                obj,
+                key,
+                value,
+                pred,
+                ..
+            } => {
+                obj.write(out);
+                put_str(out, key);
+                value.write(out);
+                write_pred(out, pred);
+            }
+            Op::DelKey { obj, key, pred, .. } => {
+                obj.write(out);
+                put_str(out, key);
+                write_pred(out, pred);
+            }
+            Op::Insert {
+                obj, after, value, ..
+            } => {
+                obj.write(out);
+                after.write(out);
+                value.write(out);
+            }
+            Op::SetElem {
+                obj,
+                elem,
+                value,
+                pred,
+                ..
+            } => {
+                obj.write(out);
+                put_op_id(out, *elem);
+                value.write(out);
+                write_pred(out, pred);
+            }
+            Op::DelElem { obj, elem, .. } => {
+                obj.write(out);
+                put_op_id(out, *elem);
+            }
+            Op::Inc {
+                obj, key, delta, ..
+            } => {
+                obj.write(out);
+                put_str(out, key);
+                put_zigzag(out, *delta);
+            }
+        }
+    }
+
+    fn read(r: &mut Reader<'_>) -> Result<Op, CrdtError> {
+        let tag = r.byte()?;
+        let id = r.op_id()?;
+        Ok(match tag {
+            OP_MAKE_MAP => Op::MakeMap { id },
+            OP_MAKE_LIST => Op::MakeList { id },
+            OP_SET => Op::Set {
+                id,
+                obj: ObjId::read(r)?,
+                key: r.str()?.to_string(),
+                value: OpValue::read(r)?,
+                pred: read_pred(r)?,
+            },
+            OP_DEL_KEY => Op::DelKey {
+                id,
+                obj: ObjId::read(r)?,
+                key: r.str()?.to_string(),
+                pred: read_pred(r)?,
+            },
+            OP_INSERT => Op::Insert {
+                id,
+                obj: ObjId::read(r)?,
+                after: ElemRef::read(r)?,
+                value: OpValue::read(r)?,
+            },
+            OP_SET_ELEM => Op::SetElem {
+                id,
+                obj: ObjId::read(r)?,
+                elem: r.op_id()?,
+                value: OpValue::read(r)?,
+                pred: read_pred(r)?,
+            },
+            OP_DEL_ELEM => Op::DelElem {
+                id,
+                obj: ObjId::read(r)?,
+                elem: r.op_id()?,
+            },
+            OP_INC => Op::Inc {
+                id,
+                obj: ObjId::read(r)?,
+                key: r.str()?.to_string(),
+                delta: r.zigzag()?,
+            },
+            _ => return Err(corrupt("unknown op tag")),
+        })
+    }
+}
+
 /// A batch of operations from one actor: the unit returned by
 /// `get_changes` and consumed by `apply_changes` (§III-G.1).
 ///
-/// Immutable once built ([`Change::new`]), which is what lets it remember
-/// its own encoded size: [`Change::wire_size`] serializes at most once per
-/// value, clones carry the result, and nothing can edit the content out
-/// from under it.
+/// A `Change` is a handle on one shared, immutable record: the log that
+/// retains it, every message that carries it, the relay to the other
+/// edges and the standby link all hold the same allocation, and `clone`
+/// is a reference count. The record remembers its encoded length
+/// ([`Change::wire_size`]), so a change is sized once however many hops
+/// account for it.
 #[derive(Debug, Clone)]
-pub struct Change {
-    pub(crate) actor: ActorId,
-    pub(crate) seq: u64,
-    pub(crate) deps: VClock,
-    pub(crate) ops: Vec<Op>,
-    /// JSON length of this change, filled by the first `wire_size` call.
-    /// Derived from the four fields above, so equality ignores it.
+pub struct Change(Arc<Record>);
+
+#[derive(Debug)]
+struct Record {
+    actor: ActorId,
+    seq: u64,
+    deps: VClock,
+    ops: Vec<Op>,
+    /// Encoded length, filled by the first `wire_size` call or by
+    /// `decode`. Derived from the four fields above, so equality ignores
+    /// it.
     size: OnceLock<usize>,
 }
 
 impl PartialEq for Change {
     fn eq(&self, other: &Change) -> bool {
-        self.actor == other.actor
-            && self.seq == other.seq
-            && self.deps == other.deps
-            && self.ops == other.ops
+        let (a, b) = (&*self.0, &*other.0);
+        Arc::ptr_eq(&self.0, &other.0)
+            || (a.actor == b.actor && a.seq == b.seq && a.deps == b.deps && a.ops == b.ops)
     }
 }
 
+/// JSON rendering: the tail of a [`crate::Doc::save`] image, and a
+/// readable dump for debugging. Not the wire.
 impl Serialize for Change {
     fn to_json_value(&self) -> Json {
         let mut m = serde_json::Map::new();
-        m.insert("actor".into(), self.actor.to_json_value());
-        m.insert("seq".into(), Json::from(self.seq));
-        m.insert("deps".into(), self.deps.to_json_value());
-        m.insert("ops".into(), vec_to_json(&self.ops));
+        m.insert("actor".into(), self.actor().to_json_value());
+        m.insert("seq".into(), Json::from(self.seq()));
+        m.insert("deps".into(), self.deps().to_json_value());
+        m.insert("ops".into(), vec_to_json(self.ops()));
         Json::Object(m)
     }
 }
@@ -425,62 +652,97 @@ impl Change {
     /// at 1, gapless), causal dependencies `deps` (the generating replica's
     /// clock *before* this change) and `ops` in generation order.
     pub fn new(actor: ActorId, seq: u64, deps: VClock, ops: Vec<Op>) -> Change {
-        Change {
+        Change(Arc::new(Record {
             actor,
             seq,
             deps,
             ops,
             size: OnceLock::new(),
-        }
+        }))
     }
 
     /// The replica that generated this change.
     pub fn actor(&self) -> ActorId {
-        self.actor
+        self.0.actor
     }
 
     /// Per-actor sequence number, starting at 1, gapless.
     pub fn seq(&self) -> u64 {
-        self.seq
+        self.0.seq
     }
 
     /// Causal dependencies: the generating replica's clock before this
     /// change (not counting the change itself).
     pub fn deps(&self) -> &VClock {
-        &self.deps
+        &self.0.deps
     }
 
     /// The operations, in generation order.
     pub fn ops(&self) -> &[Op] {
-        &self.ops
+        &self.0.ops
     }
 
     /// Highest op counter used inside this change (0 when empty).
     pub fn max_counter(&self) -> u64 {
-        self.ops.iter().map(|o| o.id().counter).max().unwrap_or(0)
+        self.ops().iter().map(|o| o.id().counter).max().unwrap_or(0)
     }
 
-    /// Serialized size in bytes — the WAN traffic cost of shipping this
-    /// change, used for the synchronization-overhead experiments (Fig. 10a).
-    /// Computed on first use and remembered: a change is sized by its
-    /// sender, its receiver and every relay, and serializing it each time
-    /// made accounting cost more than applying.
+    /// `actor`, `seq`, `deps`, an op count, then the ops: a record that
+    /// names everything it refers to, so it reads the same in any batch.
+    pub(crate) fn write<S: Sink>(&self, out: &mut S) {
+        put_varint(out, self.actor().0);
+        put_varint(out, self.seq());
+        self.deps().write(out);
+        put_varint(out, self.ops().len() as u64);
+        for op in self.ops() {
+            op.write(out);
+        }
+    }
+
+    /// Append this change's wire encoding to `out`.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        self.write(out);
+    }
+
+    /// Read one change from the front of `bytes`; returns it with the
+    /// bytes that follow. The change remembers the length it was read
+    /// from, so relaying it costs no second walk.
     ///
-    /// A change that cannot be serialized is a protocol-level bug; silently
-    /// reporting 0 bytes would corrupt every traffic experiment, so this
-    /// panics instead.
-    pub fn wire_size(&self) -> usize {
-        *self.size.get_or_init(|| {
-            serde_json::to_vec(self)
-                .expect("Change must serialize for traffic accounting")
-                .len()
-        })
+    /// # Errors
+    ///
+    /// [`CrdtError::CorruptChange`] on truncated, over-long, non-canonical
+    /// or otherwise malformed input. Never panics, and never reserves
+    /// room for more ops, ids or values than `bytes` could encode: what
+    /// decoding allocates is linear in `bytes.len()`.
+    pub fn decode(bytes: &[u8]) -> Result<(Change, &[u8]), CrdtError> {
+        let mut r = Reader::new(bytes);
+        let actor = ActorId(r.varint()?);
+        let seq = r.varint()?;
+        let deps = VClock::read(&mut r)?;
+        let n = r.count(3)?; // an op is a tag and an id at the least
+        let mut ops = Vec::with_capacity(n);
+        for _ in 0..n {
+            ops.push(Op::read(&mut r)?);
+        }
+        let rest = r.rest();
+        let record = Record {
+            actor,
+            seq,
+            deps,
+            ops,
+            size: OnceLock::from(bytes.len() - rest.len()),
+        };
+        Ok((Change(Arc::new(record)), rest))
     }
-}
 
-/// Total wire size of a batch of changes.
-pub fn batch_wire_size(changes: &[Change]) -> usize {
-    changes.iter().map(Change::wire_size).sum()
+    /// Encoded size in bytes — the WAN traffic cost of shipping this
+    /// change, used for the synchronization-overhead experiments (Fig. 10a).
+    /// Exactly `encode`'s length; worked out on first use and remembered
+    /// by the shared record, so sender, receiver and every relay size a
+    /// change once between them.
+    pub fn wire_size(&self) -> usize {
+        *self.0.size.get_or_init(|| Count::of(|n| self.write(n)))
+    }
 }
 
 #[cfg(test)]
@@ -506,29 +768,28 @@ mod tests {
     }
 
     #[test]
-    fn wire_size_positive_and_monotone() {
-        let small = Change::new(ActorId(1), 1, VClock::new(), vec![op()]);
-        let big = Change::new(ActorId(1), 1, VClock::new(), vec![op(); 50]);
-        assert!(small.wire_size() > 0);
-        assert!(big.wire_size() > small.wire_size() * 10);
-        assert_eq!(
-            batch_wire_size(&[small.clone(), big.clone()]),
-            small.wire_size() + big.wire_size()
-        );
+    fn change_wire_round_trip_remembers_its_length() {
+        let c = Change::new(ActorId(1), 1, VClock::new(), vec![op(); 3]);
+        let mut bytes = vec![];
+        c.encode(&mut bytes);
+        bytes.push(0xAA); // whatever follows is handed back untouched
+        let (back, rest) = Change::decode(&bytes).unwrap();
+        assert_eq!(back, c);
+        assert_eq!(rest, [0xAA]);
+        assert_eq!(back.0.size.get(), Some(&(bytes.len() - 1)));
+        assert_eq!(c.wire_size(), bytes.len() - 1);
     }
 
     #[test]
-    fn wire_size_is_computed_once_and_travels_with_clones() {
+    fn wire_size_is_computed_once_and_shared_by_clones() {
         let c = Change::new(ActorId(1), 1, VClock::new(), vec![op()]);
-        assert_eq!(c.size.get(), None, "not sized until asked");
-        assert_eq!(c.clone().size.get(), None);
+        let early = c.clone();
+        assert_eq!(c.0.size.get(), None, "not sized until asked");
         let size = c.wire_size();
-        assert_eq!(c.size.get(), Some(&size));
-        assert_eq!(
-            c.clone().size.get(),
-            Some(&size),
-            "a clone does not re-encode"
-        );
+        assert!(size > 0);
+        // one record: a handle taken before sizing sees the number too
+        assert!(Arc::ptr_eq(&c.0, &early.0));
+        assert_eq!(early.0.size.get(), Some(&size));
         // sized and unsized values are the same change
         assert_eq!(c, Change::new(ActorId(1), 1, VClock::new(), vec![op()]));
     }

@@ -398,6 +398,11 @@ impl Doc {
     /// replica initialized from the same snapshot build byte-identical
     /// object identities — the paper's "initialize both the master and the
     /// replicas with the same snapshot" step (§III-G.1).
+    ///
+    /// Because every replica already holds it, the genesis change is folded
+    /// into the snapshot at birth: it is below [`Doc::snapshot_clock`],
+    /// never retained in the log and never shipped by
+    /// [`Doc::get_changes`], whatever cursor a peer presents.
     pub fn from_snapshot(actor: ActorId, snapshot: &Json) -> Self {
         let mut doc = Doc::new(GENESIS_ACTOR);
         if let Json::Object(map) = snapshot {
@@ -427,6 +432,8 @@ impl Doc {
             });
             doc.commit(ops);
         }
+        doc.history.clear();
+        doc.snapshot_clock = doc.clock.clone();
         doc.actor = actor;
         doc.seq = doc.clock.get(actor);
         doc
@@ -735,7 +742,8 @@ impl Doc {
     /// observed, grouped by actor in ascending seq order.
     ///
     /// Cost is O(actors + delta): per actor the missing suffix is located
-    /// by offset into its seq-contiguous run and copied as a slice.
+    /// by offset into its seq-contiguous run, and each returned change is
+    /// another handle on the retained record (a reference count, no copy).
     /// Changes below the compaction frontier ([`Doc::snapshot_clock`]) are
     /// gone; callers must only compact up to the minimum acked clock of
     /// their peers (see [`Doc::compact`]) or provision stragglers via
@@ -811,14 +819,38 @@ impl Doc {
         changes: Vec<Change>,
         mut touched: Option<&mut TouchedKeys>,
     ) -> Result<usize, CrdtError> {
+        let key = |c: &Change| (c.actor(), c.seq());
+        // A batch sorted by (actor, seq) that arrives with nothing buffered
+        // — what `get_changes` produces, the steady state of a sync round
+        // — is applied as it is read: the queue would visit it in exactly
+        // this order. The first change that has to wait ends the shortcut;
+        // it and everything after it go through the queue.
+        let in_order =
+            self.pending.is_empty() && changes.windows(2).all(|w| key(&w[0]) <= key(&w[1]));
         let mut queue = std::mem::take(&mut self.pending);
-        for change in changes {
-            if change.seq <= self.clock.get(change.actor) {
+        let mut incoming = changes.into_iter();
+        let mut applied = 0;
+        if in_order {
+            for change in incoming.by_ref() {
+                let have = self.clock.get(change.actor());
+                if change.seq() <= have {
+                    continue; // duplicate
+                }
+                if change.seq() == have + 1 && self.clock.dominates(change.deps()) {
+                    self.apply_one(change, touched.as_deref_mut())?;
+                    applied += 1;
+                } else {
+                    queue.insert(key(&change), change);
+                    break;
+                }
+            }
+        }
+        for change in incoming {
+            if change.seq() <= self.clock.get(change.actor()) {
                 continue; // duplicate
             }
-            queue.entry((change.actor, change.seq)).or_insert(change);
+            queue.entry(key(&change)).or_insert(change);
         }
-        let mut applied = 0;
         loop {
             let mut progress = false;
             let mut actors: Vec<ActorId> = queue.keys().map(|(actor, _)| *actor).collect();
@@ -829,7 +861,7 @@ impl Doc {
                     let Some(change) = queue.remove(&(actor, next)) else {
                         break;
                     };
-                    if self.clock.dominates(&change.deps) {
+                    if self.clock.dominates(change.deps()) {
                         self.apply_one(change, touched.as_deref_mut())?;
                         applied += 1;
                         progress = true;
@@ -903,9 +935,11 @@ impl Doc {
     /// Serialize this replica as a state snapshot plus the retained change
     /// tail. A document restored by [`Doc::load`] is a faithful replica: it
     /// reads the same state and can exchange changes with the original —
-    /// the wire format for provisioning a fresh edge node. Unlike a raw
-    /// change log, the size is bounded by current state plus the
-    /// uncompacted tail, not by lifetime mutation count.
+    /// the image a fresh edge node is provisioned from (JSON; the sync wire
+    /// is the binary [`crate::wire`] format). The image does not grow with
+    /// the folded change log, but it is not bounded by visible state
+    /// either: every container ever created is in it, including row maps
+    /// that a later upsert of the same row superseded (ROADMAP item 2).
     pub fn save(&self) -> Vec<u8> {
         serde_json::to_vec(&self.save_json()).expect("snapshot is serializable")
     }
@@ -1055,11 +1089,11 @@ impl Doc {
 
         let mut history: BTreeMap<ActorId, ActorLog> = BTreeMap::new();
         for change in tail {
-            let log = history.entry(change.actor).or_insert_with(|| ActorLog {
-                base: snapshot_clock.get(change.actor),
+            let log = history.entry(change.actor()).or_insert_with(|| ActorLog {
+                base: snapshot_clock.get(change.actor()),
                 changes: Vec::new(),
             });
-            if change.seq != log.base + log.changes.len() as u64 + 1 {
+            if change.seq() != log.base + log.changes.len() as u64 + 1 {
                 return Err(corrupt("tail is not contiguous with the snapshot"));
             }
             log.changes.push(change);
@@ -1269,7 +1303,7 @@ impl Doc {
         // ops produced by local mutation helpers may already be applied
         // (intermediate containers); apply_op is idempotent for Make and
         // Set-with-same-id, so replay is safe.
-        for op in &change.ops {
+        for op in change.ops() {
             self.apply_op(op).expect("local ops are well-formed");
         }
         self.clock.observe(self.actor, self.seq);
@@ -1279,78 +1313,119 @@ impl Doc {
     fn apply_one(
         &mut self,
         change: Change,
-        mut touched: Option<&mut TouchedKeys>,
+        touched: Option<&mut TouchedKeys>,
     ) -> Result<(), CrdtError> {
-        if touched.is_some() {
-            // Pre-index containment: within one change the ops populating a
-            // fresh container precede the op that links it to its parent, so
-            // tracking needs the whole change's links up front.
-            for op in &change.ops {
+        if let Some(touched) = touched {
+            // Index containment for the whole change first: the ops filling
+            // a fresh container precede the op that links it to its parent.
+            for op in change.ops() {
                 self.index_parent_op(op);
             }
-        }
-        for op in &change.ops {
-            if let Some(t) = touched.as_deref_mut() {
-                self.track_op(op, t);
+            let mut settled = Vec::new();
+            for op in change.ops() {
+                self.track_op(op, &mut settled, touched);
+                self.apply_indexed_op(op)?;
             }
-            self.apply_op(op)?;
+        } else {
+            for op in change.ops() {
+                self.apply_op(op)?;
+            }
         }
         let max = change.max_counter();
         if max > self.counter {
             self.counter = max;
         }
-        self.clock.observe(change.actor, change.seq);
+        self.clock.observe(change.actor(), change.seq());
         self.push_history(change);
         Ok(())
     }
 
     /// Append an applied change to its actor's contiguous run.
     fn push_history(&mut self, change: Change) {
-        let base = self.snapshot_clock.get(change.actor);
+        let base = self.snapshot_clock.get(change.actor());
         let log = self
             .history
-            .entry(change.actor)
+            .entry(change.actor())
             .or_insert_with(|| ActorLog {
                 base,
                 changes: Vec::new(),
             });
-        debug_assert_eq!(change.seq, log.base + log.changes.len() as u64 + 1);
+        debug_assert_eq!(change.seq(), log.base + log.changes.len() as u64 + 1);
         log.changes.push(change);
     }
 
-    /// Record where `op` lands in `touched`. Called before [`Doc::apply_op`]
-    /// so that container references created earlier in the same change are
-    /// already indexed.
-    fn track_op(&self, op: &Op, touched: &mut TouchedKeys) {
-        let loc = match op {
+    /// Record in `touched` the state unit `op` lands in: the first two map
+    /// keys of its location (`"rows"`/pk, `"files"`/path, or a root-level
+    /// global alone). The change's containment links are already indexed.
+    ///
+    /// `settled` is the change's memo: containers at least two keys deep,
+    /// whose unit no op key can alter and which is already recorded. The
+    /// handful of ops in a row upsert write one such container and then
+    /// link it, so the change costs one walk and one insert.
+    fn track_op(&self, op: &Op, settled: &mut Vec<ObjId>, touched: &mut TouchedKeys) {
+        let (obj, key) = match op {
             // Make ops have no location until something references them.
             Op::MakeMap { .. } | Op::MakeList { .. } => return,
             Op::Set { obj, key, .. } | Op::DelKey { obj, key, .. } | Op::Inc { obj, key, .. } => {
-                self.unit_path(*obj, Some(key))
+                (*obj, Some(key.as_str()))
             }
             Op::Insert { obj, .. } | Op::SetElem { obj, .. } | Op::DelElem { obj, .. } => {
-                self.unit_path(*obj, None)
+                (*obj, None)
             }
         };
-        match loc {
-            Some(k) => {
-                touched.keys.insert(k);
+        if settled.contains(&obj) {
+            return;
+        }
+        // hanging a settled container under `key` of `obj` names the unit
+        // the container's own path already named — when this op is the link
+        // that path runs through (the index keeps one link per container; a
+        // change linking it a second time writes another unit)
+        if let Op::Set {
+            value: OpValue::Obj(child),
+            ..
+        } = op
+        {
+            if settled.contains(child)
+                && matches!(
+                    self.parent.get(child),
+                    Some((p, Some(k))) if *p == obj && Some(k.as_str()) == key
+                )
+            {
+                return;
+            }
+        }
+        let unit = match self.container_keys(obj) {
+            Some((Some(first), Some(second))) => {
+                settled.push(obj);
+                Some((first, Some(second)))
+            }
+            Some((Some(first), None)) => Some((first, key)),
+            Some((None, _)) => key.map(|k| (k, None)),
+            None => None,
+        };
+        match unit {
+            Some((first, second)) => {
+                touched
+                    .keys
+                    .insert((first.to_string(), second.map(str::to_string)));
             }
             None => touched.unresolved = true,
         }
     }
 
-    /// Root-ward key path of an op target, truncated to the first two map
-    /// keys — enough to name the state unit (`"rows"`/pk, `"files"`/path,
-    /// or a root-level global) without materializing full paths.
-    fn unit_path(&self, obj: ObjId, key: Option<&str>) -> Option<(String, Option<String>)> {
-        let mut segs: Vec<&str> = Vec::new();
+    /// The first two map keys on the path from the root to container
+    /// `obj` (list hops contribute none); `None` when the containment
+    /// chain does not reach the root.
+    fn container_keys(&self, obj: ObjId) -> Option<(Option<&str>, Option<&str>)> {
+        let (mut first, mut second) = (None, None);
         let mut cur = obj;
         let mut hops = 0usize;
         while cur != ObjId::Root {
             let (p, k) = self.parent.get(&cur)?;
             if let Some(k) = k {
-                segs.push(k.as_str());
+                // walking rootward: the newest key is the outermost so far
+                second = first;
+                first = Some(k.as_str());
             }
             cur = *p;
             hops += 1;
@@ -1358,13 +1433,7 @@ impl Doc {
                 return None; // defensive: malformed containment chain
             }
         }
-        segs.reverse();
-        let mut it = segs
-            .into_iter()
-            .map(str::to_string)
-            .chain(key.map(str::to_string));
-        let first = it.next()?;
-        Some((first, it.next()))
+        Some((first, second))
     }
 
     /// Rebuild the containment index by walking every map slot and list
@@ -1423,6 +1492,11 @@ impl Doc {
 
     fn apply_op(&mut self, op: &Op) -> Result<(), CrdtError> {
         self.index_parent_op(op);
+        self.apply_indexed_op(op)
+    }
+
+    /// [`Doc::apply_op`] for an op whose containment link is indexed.
+    fn apply_indexed_op(&mut self, op: &Op) -> Result<(), CrdtError> {
         match op {
             Op::MakeMap { id } => {
                 self.maps.entry(ObjId::Made(*id)).or_default();
@@ -1787,6 +1861,41 @@ mod tests {
         let ch = master.get_changes(replica.clock());
         replica.apply_changes(&ch).unwrap();
         assert_eq!(replica.get(&path!["n"]), Some(json!(6)));
+    }
+
+    /// Replicas share the snapshot by construction, so it is below the
+    /// compaction frontier from birth and no cursor can ask for it back.
+    #[test]
+    fn snapshot_genesis_is_folded_at_birth() {
+        let snap = json!({"rows": {"1": {"t": "Dune"}, "2": {"t": "Emma"}}});
+        let mut a = Doc::from_snapshot(ActorId(1), &snap);
+        assert_eq!(a.to_json(), snap);
+        assert_eq!(a.history_len(), 0);
+        assert_eq!(a.clock().get(GENESIS_ACTOR), 1);
+        assert_eq!(a.snapshot_clock(), a.clock());
+        assert!(a.get_changes(&VClock::new()).is_empty());
+        assert_eq!(a.compaction_stats(), (0, 0), "nothing was compacted");
+        // an empty snapshot has no genesis at all
+        assert!(Doc::from_snapshot(ActorId(1), &json!({}))
+            .clock()
+            .is_empty());
+        // the image of a folded document loads back to the same replica
+        let mut b = Doc::load(ActorId(2), &a.save()).unwrap();
+        assert_eq!(b.to_json(), snap);
+        assert_eq!(
+            (b.clock(), b.snapshot_clock()),
+            (a.clock(), a.snapshot_clock())
+        );
+        assert_eq!(b.history_len(), 0);
+        // and only what is written afterwards travels, in either direction
+        a.put(&path!["rows", "1", "t"], json!("Dune II")).unwrap();
+        b.delete(&path!["rows", "2"]).unwrap();
+        let (to_b, to_a) = (a.get_changes(&VClock::new()), b.get_changes(&VClock::new()));
+        assert_eq!((to_b.len(), to_a.len()), (1, 1));
+        b.apply_changes(&to_b).unwrap();
+        a.apply_changes(&to_a).unwrap();
+        assert_eq!(a.to_json(), json!({"rows": {"1": {"t": "Dune II"}}}));
+        assert_eq!(a.to_json(), b.to_json());
     }
 
     #[test]

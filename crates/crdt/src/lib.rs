@@ -12,8 +12,10 @@
 //!   `CRDT-Table`;
 //! - [`CrdtFiles`] — whole-file LWW version entries — the `CRDT-Files`;
 //! - [`PeerSync`] / [`SyncMessage`] — the delta-shipping protocol used by
-//!   the runtime's background synchronization daemon, with wire-size
-//!   accounting for the WAN-traffic experiments.
+//!   the runtime's background synchronization daemon;
+//! - [`wire`] — the binary sync format: every message's `wire_size` is the
+//!   length of its own `encode`, which is what the WAN-traffic experiments
+//!   account for.
 //!
 //! The replication hot path is O(delta), not O(lifetime): history is a
 //! per-actor indexed log ([`Doc::get_changes`] slices each actor's
@@ -56,8 +58,9 @@ pub mod files;
 pub mod ids;
 pub mod sync;
 pub mod table;
+pub mod wire;
 
-pub use change::{batch_wire_size, Change, ElemRef, ObjId, Op, OpValue};
+pub use change::{Change, ElemRef, ObjId, Op, OpValue};
 pub use doc::{CrdtError, Doc, KeyTouch, PathSeg, TouchedKeys, GENESIS_ACTOR};
 pub use files::CrdtFiles;
 pub use ids::{ActorId, OpId, VClock};

@@ -16,10 +16,9 @@
 //! purely as an ablation: under loss it silently diverges (see the
 //! `optimistic_mode_diverges_on_loss` test).
 
-use crate::change::{batch_wire_size, Change};
+use crate::change::Change;
 use crate::ids::{ActorId, VClock};
-use serde::{Deserialize, Serialize};
-use serde_json::{Error as JsonError, Value as Json};
+use crate::wire::{put_changes, put_varint, Count, Sink};
 
 /// One synchronization message: the sender's clocks plus the changes the
 /// peer was missing at generation time.
@@ -37,56 +36,25 @@ pub struct SyncMessage {
     pub changes: Vec<Change>,
 }
 
-impl Serialize for SyncMessage {
-    fn to_json_value(&self) -> Json {
-        let mut m = serde_json::Map::new();
-        m.insert("sender".into(), self.sender.to_json_value());
-        m.insert("clock".into(), self.clock.to_json_value());
-        m.insert("ack".into(), self.ack.to_json_value());
-        m.insert(
-            "changes".into(),
-            Json::Array(self.changes.iter().map(Serialize::to_json_value).collect()),
-        );
-        Json::Object(m)
-    }
-}
-
-impl Deserialize for SyncMessage {
-    fn from_json_value(v: &Json) -> Result<Self, JsonError> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| JsonError::custom("SyncMessage: expected object"))?;
-        let get = |name: &str| -> Result<&Json, JsonError> {
-            obj.get(name)
-                .ok_or_else(|| JsonError::custom(format!("SyncMessage: missing '{name}'")))
-        };
-        Ok(SyncMessage {
-            sender: ActorId::from_json_value(get("sender")?)?,
-            clock: VClock::from_json_value(get("clock")?)?,
-            ack: VClock::from_json_value(get("ack")?)?,
-            changes: get("changes")?
-                .as_array()
-                .ok_or_else(|| JsonError::custom("SyncMessage: changes must be an array"))?
-                .iter()
-                .map(Change::from_json_value)
-                .collect::<Result<_, _>>()?,
-        })
-    }
-}
-
 impl SyncMessage {
-    /// Bytes this message costs on the wire (clock overhead + changes).
-    ///
-    /// Serialization failure here would silently zero out the traffic
-    /// accounting the experiments are built on, so it panics instead.
+    /// Wire layout: `sender`, `clock`, `ack`, then the change batch.
+    fn write<S: Sink>(&self, out: &mut S) {
+        put_varint(out, self.sender.0);
+        self.clock.write(out);
+        self.ack.write(out);
+        put_changes(out, &self.changes);
+    }
+
+    /// Append this message's wire encoding to `out`.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        self.write(out);
+    }
+
+    /// Bytes this message costs on the wire: the length of
+    /// [`SyncMessage::encode`], with each change contributing the length
+    /// it remembers instead of being encoded again.
     pub fn wire_size(&self) -> usize {
-        let clock_bytes = serde_json::to_vec(&self.clock)
-            .expect("SyncMessage clock must serialize for traffic accounting")
-            .len();
-        let ack_bytes = serde_json::to_vec(&self.ack)
-            .expect("SyncMessage ack must serialize for traffic accounting")
-            .len();
-        16 + clock_bytes + ack_bytes + batch_wire_size(&self.changes)
+        Count::of(|n| self.write(n))
     }
 
     /// Whether the message carries no changes (pure heartbeat/ack).
@@ -312,13 +280,19 @@ mod tests {
     }
 
     #[test]
-    fn sync_message_serde_round_trip() {
+    fn wire_size_is_the_encoded_length() {
         let mut doc = Doc::new(ActorId(3));
         doc.put(&path!["k"], json!({"nested": [1, 2]})).unwrap();
         let mut view = PeerSync::new();
         let m = view.generate(doc.actor(), doc.clock().clone(), |s| doc.get_changes(s));
-        let bytes = serde_json::to_vec(&m).unwrap();
-        let back: SyncMessage = serde_json::from_slice(&bytes).unwrap();
-        assert_eq!(m, back);
+        let mut bytes = Vec::new();
+        m.encode(&mut bytes);
+        assert_eq!(bytes.len(), m.wire_size());
+        // sender, two one-pair clocks, a count, then the change as it
+        // encodes on its own
+        let mut change = Vec::new();
+        m.changes[0].encode(&mut change);
+        assert_eq!(bytes[..8], [3, 1, 3, 1, 1, 3, 1, 1]);
+        assert_eq!(bytes[8..], change[..]);
     }
 }

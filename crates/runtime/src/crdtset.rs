@@ -10,6 +10,7 @@
 use crate::cache::UnitVersions;
 use edgstr_analysis::{HandleOutcome, InitState, ServerProcess};
 use edgstr_core::CrdtBindings;
+use edgstr_crdt::wire::{put_changes, put_str, put_varint, Count, Sink};
 use edgstr_crdt::{ActorId, AdvanceMode, Change, CrdtFiles, CrdtTable, Doc, PathSeg, VClock};
 use edgstr_sql::{RowEffect, SqlDb, SqlError};
 use serde_json::Value as Json;
@@ -65,13 +66,16 @@ impl SetClock {
             && self.globals.dominates(&other.globals)
     }
 
-    /// Bytes this clock costs inside a sync envelope (one `(actor, seq)`
-    /// pair is 16 bytes).
-    fn wire_size(&self) -> usize {
-        let pairs: usize = self.tables.values().map(VClock::len).sum::<usize>()
-            + self.files.len()
-            + self.globals.len();
-        pairs * 16
+    /// Wire layout: a table count, `(name, clock)` per table in name
+    /// order, then the files and globals clocks.
+    fn write<S: Sink>(&self, out: &mut S) {
+        put_varint(out, self.tables.len() as u64);
+        for (n, c) in &self.tables {
+            put_str(out, n);
+            c.write(out);
+        }
+        self.files.write(out);
+        self.globals.write(out);
     }
 }
 
@@ -95,16 +99,21 @@ impl SetChanges {
         self.len() == 0
     }
 
-    /// Bytes this batch costs on the WAN.
+    /// Wire layout: a table count, `(name, batch)` per table in name
+    /// order, then the files and globals batches.
+    fn write<S: Sink>(&self, out: &mut S) {
+        put_varint(out, self.tables.len() as u64);
+        for (n, cs) in &self.tables {
+            put_str(out, n);
+            put_changes(out, cs);
+        }
+        put_changes(out, &self.files);
+        put_changes(out, &self.globals);
+    }
+
+    /// Bytes this batch costs on the WAN: the length of its encoding.
     pub fn wire_size(&self) -> usize {
-        let t: usize = self
-            .tables
-            .values()
-            .map(|cs| edgstr_crdt::batch_wire_size(cs))
-            .sum();
-        t + edgstr_crdt::batch_wire_size(&self.files)
-            + edgstr_crdt::batch_wire_size(&self.globals)
-            + 32 // envelope
+        Count::of(|n| self.write(n))
     }
 }
 
@@ -479,9 +488,23 @@ pub struct SetSyncMessage {
 }
 
 impl SetSyncMessage {
-    /// Bytes this message costs on the WAN (envelope + ack clock + delta).
+    /// Wire layout: `sender`, the ack clock, then the delta.
+    fn write<S: Sink>(&self, out: &mut S) {
+        put_varint(out, self.sender.0);
+        self.ack.write(out);
+        self.changes.write(out);
+    }
+
+    /// Append this message's wire encoding to `out`.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        self.write(out);
+    }
+
+    /// Bytes this message costs on the WAN: the length of
+    /// [`SetSyncMessage::encode`], each change counted at the length it
+    /// remembers rather than encoded again.
     pub fn wire_size(&self) -> usize {
-        16 + self.ack.wire_size() + self.changes.wire_size()
+        Count::of(|n| self.write(n))
     }
 }
 
@@ -787,6 +810,111 @@ mod tests {
         let delta = edge_set.get_changes(&SetClock::default());
         // only the globals doc produced changes beyond genesis
         assert!(delta.tables.is_empty());
+    }
+
+    /// Both nodes were initialised from the same snapshot (PAPER.md §1
+    /// step 7), so endpoints that know nothing of their peer still have
+    /// nothing to say on the first round; the snapshot does not cross the
+    /// WAN. Writes after that travel as before, and the folded genesis
+    /// survives a save/load.
+    #[test]
+    fn the_shared_snapshot_is_never_shipped() {
+        let init = init_state();
+        let (mut cloud, mut cloud_set) = make_node(1, &init);
+        let (mut edge, mut edge_set) = make_node(2, &init);
+        assert!(!edge_set.tables["kv"].is_empty() && !edge_set.files.list().is_empty());
+        assert_eq!(edge_set.history_len(), 0, "genesis is folded at birth");
+        assert!(edge_set.get_changes(&SetClock::default()).is_empty());
+        let mut e2c = SyncEndpoint::new();
+        let mut c2e = SyncEndpoint::new();
+        let up = e2c.generate(&edge_set);
+        assert!(up.changes.is_empty());
+        assert_eq!(c2e.receive_owned(&mut cloud_set, &mut cloud, up), 0);
+        let down = c2e.generate(&cloud_set);
+        assert!(down.changes.is_empty());
+        assert_eq!(e2c.receive_owned(&mut edge_set, &mut edge, down), 0);
+        assert_eq!((e2c.bytes_sent, c2e.bytes_sent), (0, 0));
+
+        let out = edge
+            .handle(&HttpRequest::post(
+                "/put",
+                json!({"k": "x", "v": 42}),
+                vec![],
+            ))
+            .unwrap();
+        edge_set.absorb_outcome(&out, &edge);
+        let up = e2c.generate(&edge_set);
+        assert_eq!(up.changes.len(), 3, "row, file and global");
+        c2e.receive_owned(&mut cloud_set, &mut cloud, up);
+        assert_eq!(
+            cloud_set.tables["kv"].to_json(),
+            edge_set.tables["kv"].to_json()
+        );
+
+        let fresh = CrdtSet::initialize(ActorId(3), &bindings(), &init);
+        let loaded = CrdtSet::load(ActorId(3), &bindings(), &fresh.save()).unwrap();
+        assert_eq!(loaded.clock(), fresh.clock());
+        assert_eq!(loaded.history_len(), 0);
+        assert_eq!(loaded.tables["kv"].to_json(), fresh.tables["kv"].to_json());
+        assert!(loaded.get_changes(&SetClock::default()).is_empty());
+    }
+
+    /// `wire_size` is the length of `encode`, whatever the message holds.
+    #[test]
+    fn a_set_message_is_as_long_as_its_encoding() {
+        let change = |table: &str, pk: &str| {
+            let mut t = CrdtTable::new(ActorId(4), table);
+            t.upsert_row(pk, &json!({"k": pk, "v": 1})).unwrap();
+            t.get_changes(&VClock::new())
+        };
+        let clock = |pairs: &[(u64, u64)]| {
+            let mut c = VClock::new();
+            for (a, s) in pairs {
+                c.observe(ActorId(*a), *s);
+            }
+            c
+        };
+        for tables in [
+            vec![],
+            vec!["kv"],
+            vec!["authors", "books", "a-long-table-name-ü"],
+        ] {
+            let msg = SetSyncMessage {
+                sender: ActorId(300),
+                ack: SetClock {
+                    tables: tables
+                        .iter()
+                        .map(|t| (t.to_string(), clock(&[(0, 1), (2, 70_000)])))
+                        .collect(),
+                    files: clock(&[(1, 1)]),
+                    globals: VClock::new(),
+                },
+                changes: SetChanges {
+                    tables: tables
+                        .iter()
+                        .map(|t| (t.to_string(), change(t, "a")))
+                        .collect(),
+                    files: change("files", "f"),
+                    globals: vec![],
+                },
+            };
+            let mut bytes = Vec::new();
+            msg.encode(&mut bytes);
+            assert_eq!(msg.wire_size(), bytes.len(), "{} tables", tables.len());
+            // what is not the changes is the envelope, a few bytes a table
+            let envelope = bytes.len() - msg.changes.len() * msg.changes.files[0].wire_size();
+            assert!(envelope < 16 + tables.len() * 40, "{envelope}");
+        }
+        // an empty message: sender, three empty clock maps, three empty batches
+        let empty = SetSyncMessage {
+            sender: ActorId(1),
+            ack: SetClock::default(),
+            changes: SetChanges::default(),
+        };
+        let mut bytes = Vec::new();
+        empty.encode(&mut bytes);
+        assert_eq!(bytes, [1, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(empty.changes.wire_size(), 3);
     }
 
     /// The sync daemon's compaction loop: after a full bidirectional

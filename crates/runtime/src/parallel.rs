@@ -494,6 +494,10 @@ mod tests {
         assert_send::<HttpRequest>();
         assert_send::<edgstr_net::HttpResponse>();
         assert_send::<crate::CrdtSet>();
+        // one change record is held by the worker's log, the delta in the
+        // channel and the cloud's log at once
+        fn assert_shared<T: Send + Sync>() {}
+        assert_shared::<edgstr_crdt::Change>();
     }
 
     const APP: &str = r#"

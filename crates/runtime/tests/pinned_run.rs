@@ -107,7 +107,7 @@ fn seeded_bookworm_run_matches_pinned_stats() {
     assert_eq!((stats.failed, stats.forwarded), (0, 0));
     assert_eq!(stats.response_digest, 0xcc58_10c5_dbdd_4b32);
     assert_eq!(stats.lan_bytes, 956_935);
-    assert_eq!(stats.wan_sync_bytes, 734_629, "wire-format dependent");
+    assert_eq!(stats.wan_sync_bytes, 157_981, "wire-format dependent");
     assert_eq!(stats.makespan, SimTime(3_001_568));
     assert_eq!(sys.cloud.replicated_state_digest(), 0xf7e4_7aa0_b58a_095a);
     for e in &sys.edges {
@@ -257,7 +257,7 @@ fn forwarding_failover_and_quarantine_match_pinned_stats() {
             counts: [1_600, 0, 306, 79, 0, 0],
             lan_bytes: 1_736_444,
             wan_request_bytes: 277_046,
-            wan_sync_bytes: 1_412_915,
+            wan_sync_bytes: 306_133,
             makespan: SimTime(9_453_414),
             state_digests: [0x1b60_dc8c_dcf8_a185; 4],
             cache: CacheStats {
@@ -283,7 +283,7 @@ fn forwarding_failover_and_quarantine_match_pinned_stats() {
             counts: [1_369, 231, 308, 49, 9, 882],
             lan_bytes: 1_383_166,
             wan_request_bytes: 53_270,
-            wan_sync_bytes: 1_405_196,
+            wan_sync_bytes: 304_917,
             makespan: SimTime(8_957_036),
             state_digests: [0x1403_4f28_1bd2_d689; 4],
             cache: CacheStats {

@@ -76,7 +76,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     edge_crdts.absorb_outcome(&out, &edge);
     println!("edge handled POST /visit -> {}", out.response.body);
 
-    // background sync ships the delta to the cloud master
+    // background sync ships the delta to the cloud master: the new row
+    // and the bumped `total`, nothing of the snapshot both sides started
+    // from (prints "sync message: 2 change(s), 110 bytes")
     let mut e2c = SyncEndpoint::new();
     let mut c_recv = SyncEndpoint::new();
     let delta = e2c.generate(&edge_crdts);
@@ -85,6 +87,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         delta.changes.len(),
         delta.wire_size()
     );
+    assert_eq!(delta.changes.len(), 2);
     c_recv.receive(&mut cloud_crdts, &mut cloud, &delta);
 
     // the cloud now sees the edge-written row
