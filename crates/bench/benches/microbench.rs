@@ -97,6 +97,25 @@ fn bench_crdt(c: &mut Criterion) {
             decoded
         })
     });
+    // the provisioning image of a table of `rows` rows: everything folded
+    // but the last 32 upserts, which travel as the retained tail
+    for rows in [512u32, 4096] {
+        let mut t = upserted_table(rows);
+        let mut folded = VClock::new();
+        folded.observe(ActorId(2), u64::from(rows) - 32);
+        t.compact(&folded);
+        assert_eq!(t.history_len(), 32);
+        let image = t.save();
+        println!(
+            "crdt/image/{rows}: {} B, {} B/row",
+            image.len(),
+            image.len() / rows as usize
+        );
+        g.bench_function(&format!("image_save/{rows}"), |b| b.iter(|| t.save()));
+        g.bench_function(&format!("image_load/{rows}"), |b| {
+            b.iter(|| CrdtTable::load(ActorId(3), "books", &image).unwrap())
+        });
+    }
     g.finish();
 }
 

@@ -5,7 +5,7 @@
 //! the min-ack frontier never folds away a change a live peer has not
 //! acknowledged — even when the network drops messages.
 
-use edgstr_crdt::{ActorId, Doc, PathSeg, PeerSync, SyncMessage};
+use edgstr_crdt::{ActorId, Doc, PathSeg, PeerSync, SyncMessage, VClock};
 use proptest::prelude::*;
 use serde_json::json;
 
@@ -128,35 +128,82 @@ proptest! {
     }
 
     /// A replica provisioned from a compacted save (snapshot + retained
-    /// tail) reads the same state as its source and syncs forward
-    /// cleanly under a fresh actor id — the crash/rejoin flow.
+    /// tail) is the same replica as its source — state, clocks, retained
+    /// log, the delta it serves at any cursor, and what a concurrent
+    /// write from a peer that has not seen the tail does to it — and it
+    /// syncs forward cleanly under a fresh actor id: the crash/rejoin
+    /// flow.
     #[test]
     fn rejoin_from_compacted_save_converges(
         warm in prop::collection::vec(op(), 1..12),
         unacked in prop::collection::vec(op(), 0..6),
+        cursor in prop::collection::vec(0u64..16, 3..4),
         tail_src in prop::collection::vec(op(), 0..6),
         tail_new in prop::collection::vec(op(), 0..6),
     ) {
+        let key = |k: &str| vec![PathSeg::Key(k.to_string())];
+        let elem = |i: usize| vec![PathSeg::Key("l".to_string()), PathSeg::Index(i)];
         let mut a = Doc::from_snapshot(ActorId(1), &json!({}));
         let mut b = Doc::from_snapshot(ActorId(2), &json!({}));
         let mut av = PeerSync::new();
         let mut bv = PeerSync::new();
+        // a list and a counter beside the generated keys
+        a.put(&key("l"), json!(["x", "y", "z"])).unwrap();
+        a.increment(&key("n0"), 3).unwrap();
         for o in &warm {
             apply_op(&mut a, o);
         }
         for _ in 0..2 {
             reliable_round(&mut a, &mut av, &mut b, &mut bv);
         }
-        // some writes past the ack frontier end up in the save's tail
+        // some writes past the ack frontier end up in the save's tail,
+        // a tombstone and a further increment among them
         for o in &unacked {
             apply_op(&mut a, o);
         }
+        a.delete(&elem(1)).unwrap();
+        a.increment(&key("n0"), 5).unwrap();
         a.compact(&av.peer_clock.clone());
 
         let image = a.save();
         let mut c = Doc::load(ActorId(3), &image).unwrap();
         prop_assert_eq!(c.to_json(), a.to_json());
         prop_assert_eq!(c.clock(), a.clock());
+        prop_assert_eq!(c.snapshot_clock(), a.snapshot_clock());
+        prop_assert_eq!(c.history_len(), a.history_len());
+        let mut since = VClock::new();
+        for (actor, seq) in cursor.iter().enumerate() {
+            since.observe(ActorId(actor as u64), *seq);
+        }
+        prop_assert_eq!(c.get_changes(&since), a.get_changes(&since));
+        prop_assert_eq!(c.get_changes(b.clock()), a.get_changes(b.clock()));
+
+        // b has seen none of the tail. Its writes name what it observed:
+        // a `pred` into state `a` has folded, the element `a` has since
+        // tombstoned (overwritten, then deleted), and exactly the
+        // increments it saw (the later one survives the delete). The
+        // original and the loaded copy must take them identically.
+        let before = b.clock().clone();
+        b.put(&key("k0"), json!("from-b")).unwrap();
+        b.put(&elem(1), json!("Y")).unwrap();
+        b.delete(&elem(1)).unwrap();
+        b.delete(&key("n0")).unwrap();
+        let concurrent = b.get_changes(&before);
+        prop_assert_eq!(concurrent.len(), 4);
+        prop_assert_eq!(a.apply_changes(&concurrent).unwrap(), 4);
+        prop_assert_eq!(c.apply_changes(&concurrent).unwrap(), 4);
+        prop_assert_eq!(c.to_json(), a.to_json());
+        prop_assert_eq!(c.clock(), a.clock());
+        prop_assert_eq!(a.get(&key("l")), Some(json!(["x", "z"])));
+        let unseen: i64 = unacked
+            .iter()
+            .map(|o| match o {
+                Op::Increment { key: 0, delta } => *delta,
+                _ => 0,
+            })
+            .sum();
+        prop_assert_eq!(a.get(&key("n0")), Some(json!(5 + unseen)));
+        prop_assert_eq!(c.get_changes(&since), a.get_changes(&since));
 
         // both endpoints start acknowledged up to the provisioning clock
         let mut a_sees_c = PeerSync::new();

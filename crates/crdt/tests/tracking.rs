@@ -116,19 +116,57 @@ fn globals_track_root_key() {
     assert!(roots.contains(&"mode".to_string()));
 }
 
+/// A table restored from its image is the replica it was saved from: it
+/// reads and serves the same log, and a peer's concurrent writes against
+/// state the source had already folded land on it exactly as they land on
+/// the source — the same rows reported, the same table afterwards.
 #[test]
 fn tracking_survives_save_load_v2() {
+    const C: ActorId = ActorId(3);
     let mut src = CrdtTable::new(A, "users");
+    let mut peer = CrdtTable::new(C, "users");
     src.upsert_row("alice", &json!({"age": 30})).unwrap();
+    src.upsert_row("bob", &json!({"age": 41})).unwrap();
+    peer.apply_changes_owned(src.get_changes(&VClock::new()))
+        .unwrap();
+    // fold what the peer has, keep one change it has not in the tail
+    let acked = peer.clock().clone();
+    src.update_cell("bob", "age", &json!(42)).unwrap();
+    assert_eq!(src.compact(&acked), 2);
     let bytes = src.save();
     // Reload: the containment index must be rebuilt so later tracked
     // applies still resolve cell-level ops to their row.
     let mut dst = CrdtTable::load(B, "users", &bytes).unwrap();
-    src.update_cell("alice", "age", &json!(31)).unwrap();
+    assert_eq!(dst.to_json(), src.to_json());
+    assert_eq!(dst.clock(), src.clock());
+    assert_eq!((dst.history_len(), src.history_len()), (1, 1));
+    for cursor in [&VClock::new(), &acked, src.clock()] {
+        assert_eq!(dst.get_changes(cursor), src.get_changes(cursor));
+    }
+
+    // the peer writes against the folded rows: a cell whose `pred` is in
+    // the snapshot, and a delete concurrent with the tail's cell update
+    peer.update_cell("alice", "age", &json!(31)).unwrap();
+    peer.delete_row("bob").unwrap();
+    let concurrent = peer.get_changes(&acked);
+    let on_src = src.apply_changes_owned_tracked(concurrent.clone()).unwrap();
+    let on_dst = dst.apply_changes_owned_tracked(concurrent).unwrap();
+    assert_eq!(on_dst, on_src);
+    let (applied, touch) = on_dst;
+    assert_eq!(applied, 2);
+    assert!(!touch.whole, "parent index must survive v2 save/load");
+    assert_eq!(
+        touch.keys.into_iter().collect::<Vec<_>>(),
+        vec!["alice".to_string(), "bob".to_string()]
+    );
+    assert_eq!(dst.to_json(), src.to_json());
+    assert_eq!(dst.to_json(), json!({"alice": {"age": 31}}));
+
+    src.update_cell("alice", "age", &json!(32)).unwrap();
     let (_, touch) = dst
         .apply_changes_owned_tracked(src.get_changes(dst.clock()))
         .unwrap();
-    assert!(!touch.whole, "parent index must survive v2 save/load");
+    assert!(!touch.whole);
     assert!(touch.keys.contains("alice"));
 }
 

@@ -1031,6 +1031,82 @@ mod tests {
             restored.tables["kv"].to_json()
         );
     }
+
+    /// The bound tables, file and global as a server holds them.
+    fn replicated(server: &ServerProcess) -> (Json, Option<Vec<u8>>, Option<Json>) {
+        (
+            server.db.snapshot().to_json()["kv"].clone(),
+            server.fs.peek("/latest.txt").map(<[u8]>::to_vec),
+            server.global_json("hits"),
+        )
+    }
+
+    /// A half-compacted set restored from its image is the set it was
+    /// saved from: clocks, retained log, the delta served at any cursor,
+    /// the replicated state it materializes, and what a concurrent delta
+    /// from an edge that has not seen the tail does to both.
+    #[test]
+    fn a_restored_set_is_the_set_that_was_saved() {
+        let init = init_state();
+        let (mut cloud, mut cloud_set) = make_node(1, &init);
+        let (mut edge, mut edge_set) = make_node(2, &init);
+        let mut c2e = SyncEndpoint::new();
+        let mut e2c = SyncEndpoint::new();
+        let write = |server: &mut ServerProcess, set: &mut CrdtSet, k: &str, v: i64| {
+            let out = server
+                .handle(&HttpRequest::post("/put", json!({"k": k, "v": v}), vec![]))
+                .unwrap();
+            set.absorb_outcome(&out, server);
+        };
+        for i in 0..4 {
+            write(&mut cloud, &mut cloud_set, &format!("c{i}"), i);
+            write(&mut edge, &mut edge_set, &format!("e{i}"), 10 + i);
+        }
+        for _ in 0..2 {
+            let up = e2c.generate(&edge_set);
+            c2e.receive_owned(&mut cloud_set, &mut cloud, up);
+            let down = c2e.generate(&cloud_set);
+            e2c.receive_owned(&mut edge_set, &mut edge, down);
+        }
+        // fold what the edge acked; two more writes stay in the tail
+        let acked = cloud_set.clock().meet(&c2e.peer_clock);
+        assert!(cloud_set.compact(&acked) > 0);
+        write(&mut cloud, &mut cloud_set, "tail", 100);
+        write(&mut cloud, &mut cloud_set, "both", 101);
+        assert_eq!(cloud_set.history_len(), 6, "two writes of three changes");
+
+        let mut fresh = ServerProcess::from_source(APP).unwrap();
+        fresh.init().unwrap();
+        init.restore(&mut fresh);
+        let mut restored = CrdtSet::load(ActorId(9), &bindings(), &cloud_set.save()).unwrap();
+        restored.materialize_all(&mut fresh);
+        assert_eq!(restored.actor(), ActorId(9));
+        assert_eq!(restored.clock(), cloud_set.clock());
+        assert_eq!(restored.history_len(), cloud_set.history_len());
+        for cursor in [&SetClock::default(), &acked, &cloud_set.clock()] {
+            assert_eq!(
+                restored.get_changes(cursor),
+                cloud_set.get_changes(cursor),
+                "{cursor:?}"
+            );
+        }
+        assert_eq!(replicated(&fresh), replicated(&cloud));
+
+        // every write supersedes the folded file and global; the second
+        // also upserts a row the tail upserted
+        write(&mut edge, &mut edge_set, "fresh", 7);
+        write(&mut edge, &mut edge_set, "both", 8);
+        let concurrent = edge_set.get_changes(&acked);
+        assert_eq!(concurrent.len(), 6);
+        assert_eq!(restored.apply_remote(&concurrent, &mut fresh), 6);
+        assert_eq!(cloud_set.apply_remote(&concurrent, &mut cloud), 6);
+        assert_eq!(restored.clock(), cloud_set.clock());
+        assert_eq!(replicated(&fresh), replicated(&cloud));
+        assert_eq!(
+            restored.tables["kv"].to_json(),
+            cloud_set.tables["kv"].to_json()
+        );
+    }
 }
 
 #[cfg(test)]
