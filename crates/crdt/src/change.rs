@@ -6,58 +6,9 @@ use crate::ids::{ActorId, OpId, VClock};
 use crate::wire::{
     corrupt, put_op_id, put_scalar, put_str, put_varint, put_zigzag, Count, Reader, Sink,
 };
-use serde::{Deserialize, Serialize};
-use serde_json::{Error as JsonError, Value as Json};
+use serde_json::Value as Json;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
-
-// ---- manual (de)serialization helpers -----------------------------------
-//
-// JSON forms, for the save image and debugging — the sync wire is the
-// binary layout further down. The offline serde stand-in has no derive
-// macros, so these are hand-rolled: enums use the externally-tagged shape
-// derives would produce ({"Variant": payload} / "Variant" for unit
-// variants), structs use plain objects.
-
-fn tag(name: &str, payload: Json) -> Json {
-    let mut m = serde_json::Map::new();
-    m.insert(name.to_string(), payload);
-    Json::Object(m)
-}
-
-/// Split `{"Variant": payload}` into its single tag/payload pair.
-fn untag(v: &Json) -> Result<(&str, &Json), JsonError> {
-    let obj = v
-        .as_object()
-        .ok_or_else(|| JsonError::custom("expected externally tagged enum"))?;
-    let mut it = obj.iter();
-    match (it.next(), it.next()) {
-        (Some((k, payload)), None) => Ok((k.as_str(), payload)),
-        _ => Err(JsonError::custom("expected single-key tag object")),
-    }
-}
-
-fn field<'v>(obj: &'v serde_json::Map, name: &str) -> Result<&'v Json, JsonError> {
-    obj.get(name)
-        .ok_or_else(|| JsonError::custom(format!("missing field '{name}'")))
-}
-
-fn as_struct(v: &Json) -> Result<&serde_json::Map, JsonError> {
-    v.as_object()
-        .ok_or_else(|| JsonError::custom("expected struct object"))
-}
-
-fn vec_to_json<T: Serialize>(items: &[T]) -> Json {
-    Json::Array(items.iter().map(Serialize::to_json_value).collect())
-}
-
-pub(crate) fn vec_from_json<T: Deserialize>(v: &Json) -> Result<Vec<T>, JsonError> {
-    v.as_array()
-        .ok_or_else(|| JsonError::custom("expected array"))?
-        .iter()
-        .map(T::from_json_value)
-        .collect()
-}
 
 /// Reference to a container object inside a document.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -66,29 +17,6 @@ pub enum ObjId {
     Root,
     /// A map or list created by a `MakeMap`/`MakeList` operation.
     Made(OpId),
-}
-
-impl Serialize for ObjId {
-    fn to_json_value(&self) -> Json {
-        match self {
-            ObjId::Root => Json::from("Root"),
-            ObjId::Made(id) => tag("Made", id.to_json_value()),
-        }
-    }
-}
-
-impl Deserialize for ObjId {
-    fn from_json_value(v: &Json) -> Result<Self, JsonError> {
-        if v.as_str() == Some("Root") {
-            return Ok(ObjId::Root);
-        }
-        match untag(v)? {
-            ("Made", payload) => Ok(ObjId::Made(OpId::from_json_value(payload)?)),
-            (other, _) => Err(JsonError::custom(format!(
-                "ObjId: unknown variant '{other}'"
-            ))),
-        }
-    }
 }
 
 impl fmt::Display for ObjId {
@@ -111,27 +39,6 @@ pub enum OpValue {
     Obj(ObjId),
 }
 
-impl Serialize for OpValue {
-    fn to_json_value(&self) -> Json {
-        match self {
-            OpValue::Scalar(j) => tag("Scalar", j.clone()),
-            OpValue::Obj(o) => tag("Obj", o.to_json_value()),
-        }
-    }
-}
-
-impl Deserialize for OpValue {
-    fn from_json_value(v: &Json) -> Result<Self, JsonError> {
-        match untag(v)? {
-            ("Scalar", payload) => Ok(OpValue::Scalar(payload.clone())),
-            ("Obj", payload) => Ok(OpValue::Obj(ObjId::from_json_value(payload)?)),
-            (other, _) => Err(JsonError::custom(format!(
-                "OpValue: unknown variant '{other}'"
-            ))),
-        }
-    }
-}
-
 /// Position reference for list insertion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ElemRef {
@@ -139,29 +46,6 @@ pub enum ElemRef {
     Head,
     /// Insert after the element created by this op.
     After(OpId),
-}
-
-impl Serialize for ElemRef {
-    fn to_json_value(&self) -> Json {
-        match self {
-            ElemRef::Head => Json::from("Head"),
-            ElemRef::After(id) => tag("After", id.to_json_value()),
-        }
-    }
-}
-
-impl Deserialize for ElemRef {
-    fn from_json_value(v: &Json) -> Result<Self, JsonError> {
-        if v.as_str() == Some("Head") {
-            return Ok(ElemRef::Head);
-        }
-        match untag(v)? {
-            ("After", payload) => Ok(ElemRef::After(OpId::from_json_value(payload)?)),
-            (other, _) => Err(JsonError::custom(format!(
-                "ElemRef: unknown variant '{other}'"
-            ))),
-        }
-    }
 }
 
 /// A single CRDT operation.
@@ -217,146 +101,6 @@ pub enum Op {
     },
 }
 
-impl Serialize for Op {
-    fn to_json_value(&self) -> Json {
-        let mut m = serde_json::Map::new();
-        let variant = match self {
-            Op::MakeMap { id } => {
-                m.insert("id".into(), id.to_json_value());
-                "MakeMap"
-            }
-            Op::MakeList { id } => {
-                m.insert("id".into(), id.to_json_value());
-                "MakeList"
-            }
-            Op::Set {
-                id,
-                obj,
-                key,
-                value,
-                pred,
-            } => {
-                m.insert("id".into(), id.to_json_value());
-                m.insert("obj".into(), obj.to_json_value());
-                m.insert("key".into(), Json::from(key.as_str()));
-                m.insert("value".into(), value.to_json_value());
-                m.insert("pred".into(), vec_to_json(pred));
-                "Set"
-            }
-            Op::DelKey { id, obj, key, pred } => {
-                m.insert("id".into(), id.to_json_value());
-                m.insert("obj".into(), obj.to_json_value());
-                m.insert("key".into(), Json::from(key.as_str()));
-                m.insert("pred".into(), vec_to_json(pred));
-                "DelKey"
-            }
-            Op::Insert {
-                id,
-                obj,
-                after,
-                value,
-            } => {
-                m.insert("id".into(), id.to_json_value());
-                m.insert("obj".into(), obj.to_json_value());
-                m.insert("after".into(), after.to_json_value());
-                m.insert("value".into(), value.to_json_value());
-                "Insert"
-            }
-            Op::SetElem {
-                id,
-                obj,
-                elem,
-                value,
-                pred,
-            } => {
-                m.insert("id".into(), id.to_json_value());
-                m.insert("obj".into(), obj.to_json_value());
-                m.insert("elem".into(), elem.to_json_value());
-                m.insert("value".into(), value.to_json_value());
-                m.insert("pred".into(), vec_to_json(pred));
-                "SetElem"
-            }
-            Op::DelElem { id, obj, elem } => {
-                m.insert("id".into(), id.to_json_value());
-                m.insert("obj".into(), obj.to_json_value());
-                m.insert("elem".into(), elem.to_json_value());
-                "DelElem"
-            }
-            Op::Inc {
-                id,
-                obj,
-                key,
-                delta,
-            } => {
-                m.insert("id".into(), id.to_json_value());
-                m.insert("obj".into(), obj.to_json_value());
-                m.insert("key".into(), Json::from(key.as_str()));
-                m.insert("delta".into(), Json::from(*delta));
-                "Inc"
-            }
-        };
-        tag(variant, Json::Object(m))
-    }
-}
-
-impl Deserialize for Op {
-    fn from_json_value(v: &Json) -> Result<Self, JsonError> {
-        let (variant, payload) = untag(v)?;
-        let obj = as_struct(payload)?;
-        let id = OpId::from_json_value(field(obj, "id")?)?;
-        let key_of = |name: &str| -> Result<String, JsonError> {
-            field(obj, name)?
-                .as_str()
-                .map(str::to_string)
-                .ok_or_else(|| JsonError::custom(format!("Op: '{name}' must be a string")))
-        };
-        match variant {
-            "MakeMap" => Ok(Op::MakeMap { id }),
-            "MakeList" => Ok(Op::MakeList { id }),
-            "Set" => Ok(Op::Set {
-                id,
-                obj: ObjId::from_json_value(field(obj, "obj")?)?,
-                key: key_of("key")?,
-                value: OpValue::from_json_value(field(obj, "value")?)?,
-                pred: vec_from_json(field(obj, "pred")?)?,
-            }),
-            "DelKey" => Ok(Op::DelKey {
-                id,
-                obj: ObjId::from_json_value(field(obj, "obj")?)?,
-                key: key_of("key")?,
-                pred: vec_from_json(field(obj, "pred")?)?,
-            }),
-            "Insert" => Ok(Op::Insert {
-                id,
-                obj: ObjId::from_json_value(field(obj, "obj")?)?,
-                after: ElemRef::from_json_value(field(obj, "after")?)?,
-                value: OpValue::from_json_value(field(obj, "value")?)?,
-            }),
-            "SetElem" => Ok(Op::SetElem {
-                id,
-                obj: ObjId::from_json_value(field(obj, "obj")?)?,
-                elem: OpId::from_json_value(field(obj, "elem")?)?,
-                value: OpValue::from_json_value(field(obj, "value")?)?,
-                pred: vec_from_json(field(obj, "pred")?)?,
-            }),
-            "DelElem" => Ok(Op::DelElem {
-                id,
-                obj: ObjId::from_json_value(field(obj, "obj")?)?,
-                elem: OpId::from_json_value(field(obj, "elem")?)?,
-            }),
-            "Inc" => Ok(Op::Inc {
-                id,
-                obj: ObjId::from_json_value(field(obj, "obj")?)?,
-                key: key_of("key")?,
-                delta: field(obj, "delta")?
-                    .as_i64()
-                    .ok_or_else(|| JsonError::custom("Op::Inc: delta must be i64"))?,
-            }),
-            other => Err(JsonError::custom(format!("Op: unknown variant '{other}'"))),
-        }
-    }
-}
-
 impl Op {
     /// The id of this operation.
     pub fn id(&self) -> OpId {
@@ -373,7 +117,7 @@ impl Op {
     }
 }
 
-// ---- binary wire layout --------------------------------------------------
+// ---- binary layout -------------------------------------------------------
 //
 // One tag byte per variant; see `crate::wire` for the primitives and
 // DESIGN.md "Sync wire format" for the table.
@@ -394,7 +138,7 @@ const OP_DEL_ELEM: u8 = 6;
 const OP_INC: u8 = 7;
 
 impl ObjId {
-    fn write<S: Sink>(&self, out: &mut S) {
+    pub(crate) fn write<S: Sink>(&self, out: &mut S) {
         match self {
             ObjId::Root => out.put(&[OBJ_ROOT]),
             ObjId::Made(id) => {
@@ -404,7 +148,7 @@ impl ObjId {
         }
     }
 
-    fn read(r: &mut Reader<'_>) -> Result<ObjId, CrdtError> {
+    pub(crate) fn read(r: &mut Reader<'_>) -> Result<ObjId, CrdtError> {
         match r.byte()? {
             OBJ_ROOT => Ok(ObjId::Root),
             OBJ_MADE => Ok(ObjId::Made(r.op_id()?)),
@@ -434,7 +178,7 @@ impl ElemRef {
 }
 
 impl OpValue {
-    fn write<S: Sink>(&self, out: &mut S) {
+    pub(crate) fn write<S: Sink>(&self, out: &mut S) {
         match self {
             OpValue::Scalar(j) => {
                 out.put(&[VALUE_SCALAR]);
@@ -447,7 +191,7 @@ impl OpValue {
         }
     }
 
-    fn read(r: &mut Reader<'_>) -> Result<OpValue, CrdtError> {
+    pub(crate) fn read(r: &mut Reader<'_>) -> Result<OpValue, CrdtError> {
         match r.byte()? {
             VALUE_SCALAR => Ok(OpValue::Scalar(r.scalar()?)),
             VALUE_OBJ => Ok(OpValue::Obj(ObjId::read(r)?)),
@@ -620,33 +364,6 @@ impl PartialEq for Change {
     }
 }
 
-/// JSON rendering: the tail of a [`crate::Doc::save`] image, and a
-/// readable dump for debugging. Not the wire.
-impl Serialize for Change {
-    fn to_json_value(&self) -> Json {
-        let mut m = serde_json::Map::new();
-        m.insert("actor".into(), self.actor().to_json_value());
-        m.insert("seq".into(), Json::from(self.seq()));
-        m.insert("deps".into(), self.deps().to_json_value());
-        m.insert("ops".into(), vec_to_json(self.ops()));
-        Json::Object(m)
-    }
-}
-
-impl Deserialize for Change {
-    fn from_json_value(v: &Json) -> Result<Self, JsonError> {
-        let obj = as_struct(v)?;
-        Ok(Change::new(
-            ActorId::from_json_value(field(obj, "actor")?)?,
-            field(obj, "seq")?
-                .as_u64()
-                .ok_or_else(|| JsonError::custom("Change: seq must be u64"))?,
-            VClock::from_json_value(field(obj, "deps")?)?,
-            vec_from_json(field(obj, "ops")?)?,
-        ))
-    }
-}
-
 impl Change {
     /// A change by `actor` with per-actor sequence number `seq` (starting
     /// at 1, gapless), causal dependencies `deps` (the generating replica's
@@ -716,23 +433,28 @@ impl Change {
     /// decoding allocates is linear in `bytes.len()`.
     pub fn decode(bytes: &[u8]) -> Result<(Change, &[u8]), CrdtError> {
         let mut r = Reader::new(bytes);
+        let change = Change::read(&mut r)?;
+        Ok((change, r.rest()))
+    }
+
+    /// [`Change::decode`] at a reader's position.
+    pub(crate) fn read(r: &mut Reader<'_>) -> Result<Change, CrdtError> {
+        let before = r.rest().len();
         let actor = ActorId(r.varint()?);
         let seq = r.varint()?;
-        let deps = VClock::read(&mut r)?;
+        let deps = VClock::read(r)?;
         let n = r.count(3)?; // an op is a tag and an id at the least
         let mut ops = Vec::with_capacity(n);
         for _ in 0..n {
-            ops.push(Op::read(&mut r)?);
+            ops.push(Op::read(r)?);
         }
-        let rest = r.rest();
-        let record = Record {
+        Ok(Change(Arc::new(Record {
             actor,
             seq,
             deps,
             ops,
-            size: OnceLock::from(bytes.len() - rest.len()),
-        };
-        Ok((Change(Arc::new(record)), rest))
+            size: OnceLock::from(before - r.rest().len()),
+        })))
     }
 
     /// Encoded size in bytes — the WAN traffic cost of shipping this
@@ -757,14 +479,6 @@ mod tests {
             value: OpValue::Scalar(Json::from(42)),
             pred: vec![],
         }
-    }
-
-    #[test]
-    fn change_serde_round_trip() {
-        let c = Change::new(ActorId(1), 1, VClock::new(), vec![op()]);
-        let bytes = serde_json::to_vec(&c).unwrap();
-        let back: Change = serde_json::from_slice(&bytes).unwrap();
-        assert_eq!(c, back);
     }
 
     #[test]

@@ -20,13 +20,10 @@
 
 use crate::change::{Change, ElemRef, ObjId, Op, OpValue};
 use crate::ids::{ActorId, OpId, VClock};
-use serde::{Deserialize, Serialize};
+use crate::wire::{ascending, corrupt, put_op_id, put_str, put_varint, put_zigzag, Reader, Sink};
 use serde_json::Value as Json;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
-
-/// Format marker of the snapshot+tail save layout produced by [`Doc::save`].
-const SAVE_FORMAT: &str = "edgstr-doc-v2";
 
 /// One segment of a path into the document tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -169,6 +166,12 @@ impl MapObj {
     }
 }
 
+/// What a counter cell reads: its increments added up, wrapping — deltas
+/// come from peers, and their sum must not be able to stop a read.
+fn counter_value(incs: &[(OpId, i64)]) -> i64 {
+    incs.iter().fold(0, |sum, (_, d)| sum.wrapping_add(*d))
+}
+
 #[derive(Debug, Clone)]
 struct ListElem {
     id: OpId,
@@ -197,117 +200,161 @@ impl ListObj {
     }
 }
 
-// ---- snapshot (de)serialization -----------------------------------------
+// ---- save image -----------------------------------------------------------
 //
 // The internal object tables must round-trip exactly (op ids included):
-// future changes reference existing values by op id (`pred` lists), so a
-// snapshot cannot be rebuilt from plain JSON state.
+// future changes reference existing values by op id (`pred` lists), so an
+// image cannot be rebuilt from plain JSON state. DESIGN.md "Sync wire
+// format" has the layout; the primitives are `crate::wire`'s.
 
-fn slots_to_json<T: Serialize>(slots: &[(OpId, T)]) -> Json {
-    Json::Array(
-        slots
-            .iter()
-            .map(|(id, v)| Json::Array(vec![id.to_json_value(), v.to_json_value()]))
-            .collect(),
-    )
-}
+/// What an image starts with: three magic bytes and the layout's version.
+const IMAGE_MAGIC: [u8; 4] = *b"EDG\x03";
 
-fn slots_from_json<T: Deserialize>(v: &Json) -> Result<Vec<(OpId, T)>, CrdtError> {
-    let corrupt = |m: &str| CrdtError::CorruptChange(m.to_string());
-    v.as_array()
-        .ok_or_else(|| corrupt("snapshot slot: expected array"))?
-        .iter()
-        .map(|pair| {
-            let pair = pair
-                .as_array()
-                .filter(|p| p.len() == 2)
-                .ok_or_else(|| corrupt("snapshot slot: expected [opid, value]"))?;
-            let id = OpId::from_json_value(&pair[0]).map_err(|e| corrupt(&e.to_string()))?;
-            let val = T::from_json_value(&pair[1]).map_err(|e| corrupt(&e.to_string()))?;
-            Ok((id, val))
-        })
-        .collect()
-}
-
-fn map_obj_to_json(m: &MapObj) -> Json {
-    let mut entries = serde_json::Map::new();
-    for (k, slots) in &m.entries {
-        entries.insert(k.clone(), slots_to_json(slots));
+fn write_slots<S: Sink>(out: &mut S, slots: &[(OpId, OpValue)]) {
+    put_varint(out, slots.len() as u64);
+    for (id, value) in slots {
+        put_op_id(out, *id);
+        value.write(out);
     }
-    let mut counters = serde_json::Map::new();
-    for (k, incs) in &m.counters {
-        counters.insert(k.clone(), slots_to_json(incs));
-    }
-    let mut out = serde_json::Map::new();
-    out.insert("entries".into(), Json::Object(entries));
-    out.insert("counters".into(), Json::Object(counters));
-    Json::Object(out)
 }
 
-fn map_obj_from_json(v: &Json) -> Result<MapObj, CrdtError> {
-    let corrupt = |m: &str| CrdtError::CorruptChange(m.to_string());
-    let obj = v.as_object().ok_or_else(|| corrupt("bad map object"))?;
-    let mut out = MapObj::default();
-    for (k, slots) in obj
-        .get("entries")
-        .and_then(Json::as_object)
-        .ok_or_else(|| corrupt("map object: missing entries"))?
-    {
-        out.entries.insert(k.clone(), slots_from_json(slots)?);
+/// Ascending by op id, as apply keeps them: the last one is the value read.
+fn read_slots(r: &mut Reader<'_>) -> Result<Vec<(OpId, OpValue)>, CrdtError> {
+    // an op id is two varints, a value two tags at the least
+    let n = r.count(4)?;
+    let mut slots = Vec::with_capacity(n);
+    let mut last = None;
+    for _ in 0..n {
+        let id = r.op_id()?;
+        ascending(&mut last, id)?;
+        slots.push((id, OpValue::read(r)?));
     }
-    for (k, incs) in obj
-        .get("counters")
-        .and_then(Json::as_object)
-        .ok_or_else(|| corrupt("map object: missing counters"))?
-    {
-        out.counters.insert(k.clone(), slots_from_json(incs)?);
-    }
-    Ok(out)
+    Ok(slots)
 }
 
-fn list_obj_to_json(l: &ListObj) -> Json {
-    Json::Array(
-        l.elems
-            .iter()
-            .map(|e| {
-                let mut m = serde_json::Map::new();
-                m.insert("id".into(), e.id.to_json_value());
-                m.insert("values".into(), slots_to_json(&e.values));
-                m.insert("deleted".into(), Json::from(e.deleted));
-                Json::Object(m)
-            })
-            .collect(),
-    )
+impl MapObj {
+    /// Entries then counters, each a count and `(key, slots)` in key order.
+    fn write<S: Sink>(&self, out: &mut S) {
+        put_varint(out, self.entries.len() as u64);
+        for (key, slots) in &self.entries {
+            put_str(out, key);
+            write_slots(out, slots);
+        }
+        put_varint(out, self.counters.len() as u64);
+        for (key, incs) in &self.counters {
+            put_str(out, key);
+            put_varint(out, incs.len() as u64);
+            for (id, delta) in incs {
+                put_op_id(out, *id);
+                put_zigzag(out, *delta);
+            }
+        }
+    }
+
+    fn read(r: &mut Reader<'_>) -> Result<MapObj, CrdtError> {
+        let mut map = MapObj::default();
+        let mut last = None;
+        // a key length and a count at the least
+        for _ in 0..r.count(2)? {
+            let key = r.str()?;
+            ascending(&mut last, key)?;
+            map.entries.insert(key.to_string(), read_slots(r)?);
+        }
+        let mut last = None;
+        for _ in 0..r.count(2)? {
+            let key = r.str()?;
+            ascending(&mut last, key)?;
+            // increments stay in arrival order: an op id and a delta each
+            let n = r.count(3)?;
+            let mut incs = Vec::with_capacity(n);
+            for _ in 0..n {
+                incs.push((r.op_id()?, r.zigzag()?));
+            }
+            map.counters.insert(key.to_string(), incs);
+        }
+        Ok(map)
+    }
 }
 
-fn list_obj_from_json(v: &Json) -> Result<ListObj, CrdtError> {
-    let corrupt = |m: &str| CrdtError::CorruptChange(m.to_string());
-    let elems = v
-        .as_array()
-        .ok_or_else(|| corrupt("bad list object"))?
-        .iter()
-        .map(|e| {
-            let obj = e.as_object().ok_or_else(|| corrupt("bad list element"))?;
-            let id = obj
-                .get("id")
-                .ok_or_else(|| corrupt("list element: missing id"))
-                .and_then(|v| OpId::from_json_value(v).map_err(|e| corrupt(&e.to_string())))?;
-            let values = slots_from_json(
-                obj.get("values")
-                    .ok_or_else(|| corrupt("list element: missing values"))?,
-            )?;
-            let deleted = obj
-                .get("deleted")
-                .and_then(Json::as_bool)
-                .ok_or_else(|| corrupt("list element: missing deleted"))?;
-            Ok(ListElem {
-                id,
-                values,
-                deleted,
-            })
-        })
-        .collect::<Result<Vec<_>, CrdtError>>()?;
-    Ok(ListObj { elems })
+impl ListObj {
+    /// A count, then per element its id, its slots and a tombstone byte.
+    fn write<S: Sink>(&self, out: &mut S) {
+        put_varint(out, self.elems.len() as u64);
+        for e in &self.elems {
+            put_op_id(out, e.id);
+            write_slots(out, &e.values);
+            out.put(&[u8::from(e.deleted)]);
+        }
+    }
+
+    fn read(r: &mut Reader<'_>) -> Result<ListObj, CrdtError> {
+        // an id, a slot count and the tombstone byte at the least
+        let n = r.count(4)?;
+        let mut elems = Vec::with_capacity(n);
+        for _ in 0..n {
+            elems.push(ListElem {
+                id: r.op_id()?,
+                values: read_slots(r)?,
+                deleted: match r.byte()? {
+                    0 => false,
+                    1 => true,
+                    _ => return Err(corrupt("tombstone is neither 0 nor 1")),
+                },
+            });
+        }
+        Ok(ListObj { elems })
+    }
+}
+
+/// The containment index of an image's containers: every slot and list
+/// element, superseded values included (concurrent ops may still address
+/// containers that are no longer visible), names the container it holds.
+///
+/// The links must form a forest — reads recurse along them, so a container
+/// held twice is read twice and one held by its own descendant is read
+/// without end. Containers nothing holds (superseded ones) are legal.
+fn containment(
+    maps: &HashMap<ObjId, MapObj>,
+    lists: &HashMap<ObjId, ListObj>,
+) -> Result<HashMap<ObjId, (ObjId, Option<String>)>, CrdtError> {
+    let mut parent = HashMap::new();
+    let mut hold = |value: &OpValue, holder: ObjId, key: Option<&String>| {
+        if let OpValue::Obj(child) = value {
+            let held = parent.insert(*child, (holder, key.cloned()));
+            if *child == ObjId::Root || held.is_some() {
+                return Err(corrupt("a container is held twice, or is the root"));
+            }
+        }
+        Ok(())
+    };
+    for (id, map) in maps {
+        for (key, slot) in &map.entries {
+            for (_, value) in slot {
+                hold(value, *id, Some(key))?;
+            }
+        }
+    }
+    for (id, list) in lists {
+        for (_, value) in list.elems.iter().flat_map(|e| &e.values) {
+            hold(value, *id, None)?;
+        }
+    }
+    // One holder each, so a walk rootward either ends or runs in a circle;
+    // `ends` remembers what is known to end, which keeps the pass linear.
+    let mut ends: HashSet<ObjId> = HashSet::new();
+    let mut walked = Vec::new();
+    for start in parent.keys() {
+        let mut at = *start;
+        while let Some((holder, _)) = parent.get(&at).filter(|_| !ends.contains(&at)) {
+            if walked.len() == parent.len() {
+                return Err(corrupt("a container holds itself"));
+            }
+            walked.push(at);
+            at = *holder;
+        }
+        ends.extend(walked.drain(..));
+    }
+    Ok(parent)
 }
 
 /// The actor id used for deterministic snapshot initialization.
@@ -652,8 +699,7 @@ impl Doc {
                 let map = self.maps.get(&obj)?;
                 if let Some(incs) = map.counters.get(k) {
                     if !incs.is_empty() {
-                        let sum: i64 = incs.iter().map(|(_, d)| d).sum();
-                        return Some(Json::from(sum));
+                        return Some(Json::from(counter_value(incs)));
                     }
                 }
                 let (_, v) = map.entries.get(k)?.last()?;
@@ -933,198 +979,119 @@ impl Doc {
     }
 
     /// Serialize this replica as a state snapshot plus the retained change
-    /// tail. A document restored by [`Doc::load`] is a faithful replica: it
-    /// reads the same state and can exchange changes with the original —
-    /// the image a fresh edge node is provisioned from (JSON; the sync wire
-    /// is the binary [`crate::wire`] format). The image does not grow with
-    /// the folded change log, but it is not bounded by visible state
+    /// tail, in the [`crate::wire`] codec: magic and version, `clock`,
+    /// `snapshot_clock`, the op counter, maps then lists in container-id
+    /// order, and the tail as one change batch in `(actor, seq)` order.
+    ///
+    /// A document restored by [`Doc::load`] is a faithful replica: it reads
+    /// the same state and can exchange changes with the original — the
+    /// image a fresh edge node is provisioned from. The image does not grow
+    /// with the folded change log, but it is not bounded by visible state
     /// either: every container ever created is in it, including row maps
     /// that a later upsert of the same row superseded (ROADMAP item 2).
     pub fn save(&self) -> Vec<u8> {
-        serde_json::to_vec(&self.save_json()).expect("snapshot is serializable")
-    }
-
-    /// [`Doc::save`] as a JSON value, for embedding into larger envelopes
-    /// (e.g. a whole-replica provisioning payload) without re-parsing.
-    pub fn save_json(&self) -> Json {
-        let mut maps: Vec<(&ObjId, &MapObj)> = self.maps.iter().collect();
-        maps.sort_by_key(|(id, _)| **id);
-        let mut lists: Vec<(&ObjId, &ListObj)> = self.lists.iter().collect();
-        lists.sort_by_key(|(id, _)| **id);
-        let mut snapshot = serde_json::Map::new();
-        snapshot.insert("clock".into(), self.clock.to_json_value());
-        snapshot.insert("snapshot_clock".into(), self.snapshot_clock.to_json_value());
-        snapshot.insert("counter".into(), Json::from(self.counter));
-        snapshot.insert(
-            "maps".into(),
-            Json::Array(
-                maps.iter()
-                    .map(|(id, m)| Json::Array(vec![id.to_json_value(), map_obj_to_json(m)]))
-                    .collect(),
-            ),
-        );
-        snapshot.insert(
-            "lists".into(),
-            Json::Array(
-                lists
-                    .iter()
-                    .map(|(id, l)| Json::Array(vec![id.to_json_value(), list_obj_to_json(l)]))
-                    .collect(),
-            ),
-        );
-        let tail: Vec<Json> = self
-            .history
-            .values()
-            .flat_map(|log| log.changes.iter().map(serde::Serialize::to_json_value))
-            .collect();
-        let mut root = serde_json::Map::new();
-        root.insert("format".into(), Json::from(SAVE_FORMAT));
-        root.insert("snapshot".into(), Json::Object(snapshot));
-        root.insert("tail".into(), Json::Array(tail));
-        Json::Object(root)
+        let mut out = Vec::new();
+        out.put(&IMAGE_MAGIC);
+        self.clock.write(&mut out);
+        self.snapshot_clock.write(&mut out);
+        put_varint(&mut out, self.counter);
+        let mut maps: Vec<_> = self.maps.iter().collect();
+        maps.sort_unstable_by_key(|(id, _)| **id);
+        put_varint(&mut out, maps.len() as u64);
+        for (id, map) in maps {
+            id.write(&mut out);
+            map.write(&mut out);
+        }
+        let mut lists: Vec<_> = self.lists.iter().collect();
+        lists.sort_unstable_by_key(|(id, _)| **id);
+        put_varint(&mut out, lists.len() as u64);
+        for (id, list) in lists {
+            id.write(&mut out);
+            list.write(&mut out);
+        }
+        // `put_changes` over the per-actor runs laid end to end
+        put_varint(&mut out, self.history_len() as u64);
+        for change in self.history.values().flat_map(|log| &log.changes) {
+            out.put_change(change);
+        }
+        out
     }
 
     /// Reconstruct a document from [`Doc::save`] output, owned by `actor`.
     ///
-    /// Accepts both the snapshot+tail format and a legacy raw change
-    /// array (the pre-compaction save format, still produced by external
-    /// tooling and fixtures).
-    ///
     /// # Errors
     ///
-    /// Returns [`CrdtError::CorruptChange`] when the bytes do not decode,
-    /// the tail is not contiguous with the snapshot, or a legacy history
-    /// does not apply cleanly.
+    /// [`CrdtError::CorruptChange`] unless `bytes` is exactly what `save`
+    /// writes for some document: on garbage, truncation or trailing bytes,
+    /// anything [`Change::decode`] rejects, entries out of their canonical
+    /// order, a tail that is not contiguous with the snapshot or does not
+    /// reach `clock`, and containers that do not form a forest. Never
+    /// panics; what it allocates is linear in `bytes.len()`.
     pub fn load(actor: ActorId, bytes: &[u8]) -> Result<Doc, CrdtError> {
-        let value: Json =
-            serde_json::from_slice(bytes).map_err(|e| CrdtError::CorruptChange(e.to_string()))?;
-        Doc::load_json(actor, &value)
-    }
-
-    /// [`Doc::load`] from an already-parsed JSON value.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Doc::load`].
-    pub fn load_json(actor: ActorId, value: &Json) -> Result<Doc, CrdtError> {
-        match value {
-            Json::Array(_) => Doc::load_legacy(actor, value),
-            Json::Object(obj) if obj.get("format").and_then(Json::as_str) == Some(SAVE_FORMAT) => {
-                Doc::load_v2(actor, obj)
-            }
-            _ => Err(CrdtError::CorruptChange(
-                "unrecognized save format".to_string(),
-            )),
+        let mut r = Reader::new(bytes);
+        if r.take(IMAGE_MAGIC.len())? != IMAGE_MAGIC {
+            return Err(corrupt("not a save image"));
         }
-    }
-
-    /// Legacy format: a bare JSON array of changes, replayed from scratch.
-    fn load_legacy(actor: ActorId, value: &Json) -> Result<Doc, CrdtError> {
-        let history: Vec<Change> = crate::change::vec_from_json(value)
-            .map_err(|e| CrdtError::CorruptChange(e.to_string()))?;
-        let mut doc = Doc::new(actor);
-        doc.apply_changes_owned(history)?;
-        if doc.pending_len() > 0 {
-            return Err(CrdtError::CorruptChange(
-                "saved history is causally incomplete".to_string(),
-            ));
-        }
-        // continue this actor's own sequence where the history left off
-        doc.seq = doc.clock.get(actor);
-        Ok(doc)
-    }
-
-    fn load_v2(actor: ActorId, obj: &serde_json::Map) -> Result<Doc, CrdtError> {
-        let corrupt = |m: &str| CrdtError::CorruptChange(m.to_string());
-        let snap = obj
-            .get("snapshot")
-            .and_then(Json::as_object)
-            .ok_or_else(|| corrupt("missing snapshot"))?;
-        let clock = snap
-            .get("clock")
-            .ok_or_else(|| corrupt("missing clock"))
-            .and_then(|v| {
-                VClock::from_json_value(v).map_err(|e| CrdtError::CorruptChange(e.to_string()))
-            })?;
-        let snapshot_clock = snap
-            .get("snapshot_clock")
-            .ok_or_else(|| corrupt("missing snapshot_clock"))
-            .and_then(|v| {
-                VClock::from_json_value(v).map_err(|e| CrdtError::CorruptChange(e.to_string()))
-            })?;
-        let counter = snap
-            .get("counter")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| corrupt("missing counter"))?;
+        let clock = VClock::read(&mut r)?;
+        let snapshot_clock = VClock::read(&mut r)?;
+        let counter = r.varint()?;
         let mut maps = HashMap::new();
-        for entry in snap
-            .get("maps")
-            .and_then(Json::as_array)
-            .ok_or_else(|| corrupt("missing maps"))?
-        {
-            let pair = entry
-                .as_array()
-                .filter(|p| p.len() == 2)
-                .ok_or_else(|| corrupt("bad map entry"))?;
-            let id = ObjId::from_json_value(&pair[0]).map_err(|e| corrupt(&e.to_string()))?;
-            maps.insert(id, map_obj_from_json(&pair[1])?);
+        let mut last = None;
+        // a container id and two counts at the least
+        for _ in 0..r.count(3)? {
+            let id = ObjId::read(&mut r)?;
+            ascending(&mut last, id)?;
+            maps.insert(id, MapObj::read(&mut r)?);
+        }
+        if !maps.contains_key(&ObjId::Root) {
+            return Err(corrupt("image has no root map"));
         }
         let mut lists = HashMap::new();
-        for entry in snap
-            .get("lists")
-            .and_then(Json::as_array)
-            .ok_or_else(|| corrupt("missing lists"))?
-        {
-            let pair = entry
-                .as_array()
-                .filter(|p| p.len() == 2)
-                .ok_or_else(|| corrupt("bad list entry"))?;
-            let id = ObjId::from_json_value(&pair[0]).map_err(|e| corrupt(&e.to_string()))?;
-            lists.insert(id, list_obj_from_json(&pair[1])?);
+        let mut last = None;
+        for _ in 0..r.count(2)? {
+            let id = ObjId::read(&mut r)?;
+            ascending(&mut last, id)?;
+            if maps.contains_key(&id) {
+                return Err(corrupt("a container is both a map and a list"));
+            }
+            lists.insert(id, ListObj::read(&mut r)?);
         }
-        maps.entry(ObjId::Root).or_default();
-        let tail: Vec<Change> =
-            crate::change::vec_from_json(obj.get("tail").ok_or_else(|| corrupt("missing tail"))?)
-                .map_err(|e| CrdtError::CorruptChange(e.to_string()))?;
-
+        // every applied change must be accounted for: each actor's tail
+        // continues its snapshot prefix, and together they reach `clock`
         let mut history: BTreeMap<ActorId, ActorLog> = BTreeMap::new();
-        for change in tail {
-            let log = history.entry(change.actor()).or_insert_with(|| ActorLog {
-                base: snapshot_clock.get(change.actor()),
-                changes: Vec::new(),
-            });
-            if change.seq() != log.base + log.changes.len() as u64 + 1 {
+        let mut covered = snapshot_clock.clone();
+        let mut last = None;
+        for change in r.changes()? {
+            let (actor, seq) = (change.actor(), change.seq());
+            ascending(&mut last, (actor, seq))?;
+            if seq.checked_sub(1) != Some(covered.get(actor)) {
                 return Err(corrupt("tail is not contiguous with the snapshot"));
             }
+            covered.observe(actor, seq);
+            let log = history.entry(actor).or_insert_with(|| ActorLog {
+                base: snapshot_clock.get(actor),
+                changes: Vec::new(),
+            });
             log.changes.push(change);
         }
-        // every applied change must be accounted for: snapshot prefix + tail
-        for (a, s) in &clock.0 {
-            let covered = history
-                .get(a)
-                .map(|log| log.base + log.changes.len() as u64)
-                .unwrap_or_else(|| snapshot_clock.get(*a));
-            if covered != *s {
-                return Err(corrupt("saved history is causally incomplete"));
-            }
+        if covered != clock {
+            return Err(corrupt("saved history is causally incomplete"));
         }
-        let seq = clock.get(actor);
-        let mut doc = Doc {
+        r.end()?;
+        Ok(Doc {
             actor,
             counter,
-            seq,
+            seq: clock.get(actor),
             clock,
             snapshot_clock,
             history,
             pending: BTreeMap::new(),
+            parent: containment(&maps, &lists)?,
             maps,
             lists,
-            parent: HashMap::new(),
             compaction_rounds: 0,
             compacted_changes: 0,
-        };
-        doc.rebuild_parent_index();
-        Ok(doc)
+        })
     }
 
     // ---- internals ----------------------------------------------------------
@@ -1436,32 +1403,6 @@ impl Doc {
         Some((first, second))
     }
 
-    /// Rebuild the containment index by walking every map slot and list
-    /// element (including superseded values — concurrent ops may still
-    /// address containers that are no longer visible).
-    fn rebuild_parent_index(&mut self) {
-        let mut parent = HashMap::new();
-        for (id, m) in &self.maps {
-            for (key, slot) in &m.entries {
-                for (_, v) in slot {
-                    if let OpValue::Obj(child) = v {
-                        parent.insert(*child, (*id, Some(key.clone())));
-                    }
-                }
-            }
-        }
-        for (id, l) in &self.lists {
-            for e in &l.elems {
-                for (_, v) in &e.values {
-                    if let OpValue::Obj(child) = v {
-                        parent.insert(*child, (*id, None));
-                    }
-                }
-            }
-        }
-        self.parent = parent;
-    }
-
     /// Maintain the containment index: ops that store a container reference
     /// establish where that container lives.
     fn index_parent_op(&mut self, op: &Op) {
@@ -1669,8 +1610,7 @@ impl Doc {
             }
             for (k, incs) in &map.counters {
                 if !incs.is_empty() {
-                    let sum: i64 = incs.iter().map(|(_, d)| d).sum();
-                    out.insert(k.clone(), Json::from(sum));
+                    out.insert(k.clone(), Json::from(counter_value(incs)));
                 }
             }
             Json::Object(out)
@@ -2003,40 +1943,55 @@ mod save_load_tests {
         assert!(a2.clock().get(ActorId(1)) > a.clock().get(ActorId(1)));
     }
 
+    /// An image ends with its tail: a count, then the changes.
+    fn with_tail(image: &[u8], old: &[Change], new: &[Change]) -> Vec<u8> {
+        let old_len = 1 + old.iter().map(Change::wire_size).sum::<usize>();
+        let mut out = image[..image.len() - old_len].to_vec();
+        crate::wire::put_changes(&mut out, new);
+        out
+    }
+
     #[test]
     fn load_v2_rejects_tampered_tail() {
         let mut a = Doc::new(ActorId(1));
         a.put(&path!["x"], json!(1)).unwrap();
         a.put(&path!["x"], json!(2)).unwrap();
         let bytes = a.save();
-        let mut v: serde_json::Value = serde_json::from_slice(&bytes).unwrap();
+        let tail = a.get_changes(&VClock::new());
+        assert_eq!(with_tail(&bytes, &tail, &tail), bytes);
         // drop the first tail change: the snapshot no longer connects
-        v.get_mut("tail")
-            .and_then(|t| t.as_array_mut())
-            .unwrap()
-            .remove(0);
-        let tampered = serde_json::to_vec(&v).unwrap();
         assert!(matches!(
-            Doc::load(ActorId(2), &tampered),
+            Doc::load(ActorId(2), &with_tail(&bytes, &tail, &tail[1..])),
             Err(CrdtError::CorruptChange(_))
         ));
     }
 
     #[test]
     fn load_rejects_garbage_and_gaps() {
-        assert!(matches!(
-            Doc::load(ActorId(1), b"not json"),
-            Err(CrdtError::CorruptChange(_))
-        ));
+        for garbage in [&b"not an image"[..], b"", b"EDG", b"EDG\x02", b"[]"] {
+            assert!(matches!(
+                Doc::load(ActorId(1), garbage),
+                Err(CrdtError::CorruptChange(_))
+            ));
+        }
         let mut a = Doc::new(ActorId(1));
         a.put(&path!["x"], json!(1)).unwrap();
         a.put(&path!["x"], json!(2)).unwrap();
-        // drop the first change: the second is causally unsatisfiable
-        let partial = serde_json::to_vec(&a.get_changes(&VClock::new())[1..]).unwrap();
-        assert!(matches!(
-            Doc::load(ActorId(2), &partial),
-            Err(CrdtError::CorruptChange(_))
-        ));
+        let bytes = a.save();
+        let tail = a.get_changes(&VClock::new());
+        // drop the last change: the tail stops short of the clock
+        let short = with_tail(&bytes, &tail, &tail[..1]);
+        // the changes swapped: each seq is one the clock covers, out of turn
+        let swapped = with_tail(&bytes, &tail, &[tail[1].clone(), tail[0].clone()]);
+        // a byte after the image
+        let mut long = bytes.clone();
+        long.push(0);
+        for bad in [short, swapped, long] {
+            assert!(matches!(
+                Doc::load(ActorId(2), &bad),
+                Err(CrdtError::CorruptChange(_))
+            ));
+        }
     }
 }
 

@@ -152,11 +152,6 @@ impl CrdtFiles {
         self.doc.save()
     }
 
-    /// [`CrdtFiles::save`] as a JSON value (see [`Doc::save_json`]).
-    pub fn save_json(&self) -> Json {
-        self.doc.save_json()
-    }
-
     /// Restore from [`CrdtFiles::save`] bytes, owned by `actor`.
     ///
     /// # Errors
@@ -165,17 +160,6 @@ impl CrdtFiles {
     pub fn load(actor: ActorId, bytes: &[u8]) -> Result<Self, CrdtError> {
         Ok(CrdtFiles {
             doc: Doc::load(actor, bytes)?,
-        })
-    }
-
-    /// Restore from a [`CrdtFiles::save_json`] value, owned by `actor`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CrdtError`] from [`Doc::load_json`].
-    pub fn load_json(actor: ActorId, value: &Json) -> Result<Self, CrdtError> {
-        Ok(CrdtFiles {
-            doc: Doc::load_json(actor, value)?,
         })
     }
 }

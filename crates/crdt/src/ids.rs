@@ -1,7 +1,5 @@
 //! Actor identifiers, operation identifiers, and vector clocks.
 
-use serde::{Deserialize, Serialize};
-use serde_json::{Error as JsonError, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -11,20 +9,6 @@ use std::fmt;
 /// counter are broken by actor), so they must be unique per replica.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ActorId(pub u64);
-
-impl Serialize for ActorId {
-    fn to_json_value(&self) -> Value {
-        Value::from(self.0)
-    }
-}
-
-impl Deserialize for ActorId {
-    fn from_json_value(v: &Value) -> Result<Self, JsonError> {
-        v.as_u64()
-            .map(ActorId)
-            .ok_or_else(|| JsonError::custom("ActorId: expected u64"))
-    }
-}
 
 impl ActorId {
     /// Construct an actor id from a raw integer.
@@ -48,27 +32,6 @@ pub struct OpId {
     pub actor: ActorId,
 }
 
-// Wire format: the compact pair `[counter, actor]`.
-impl Serialize for OpId {
-    fn to_json_value(&self) -> Value {
-        Value::Array(vec![Value::from(self.counter), self.actor.to_json_value()])
-    }
-}
-
-impl Deserialize for OpId {
-    fn from_json_value(v: &Value) -> Result<Self, JsonError> {
-        match v.as_array().map(Vec::as_slice) {
-            Some([counter, actor]) => Ok(OpId {
-                counter: counter
-                    .as_u64()
-                    .ok_or_else(|| JsonError::custom("OpId: counter must be u64"))?,
-                actor: ActorId::from_json_value(actor)?,
-            }),
-            _ => Err(JsonError::custom("OpId: expected [counter, actor]")),
-        }
-    }
-}
-
 impl OpId {
     /// Construct an op id.
     pub fn new(counter: u64, actor: ActorId) -> Self {
@@ -87,37 +50,6 @@ impl fmt::Display for OpId {
 /// "since" cursor of `get_changes` (§III-G.1).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct VClock(pub BTreeMap<ActorId, u64>);
-
-// Wire format: an object with decimal actor ids as keys (JSON object keys
-// must be strings).
-impl Serialize for VClock {
-    fn to_json_value(&self) -> Value {
-        let mut m = serde_json::Map::new();
-        for (a, s) in &self.0 {
-            m.insert(a.0.to_string(), Value::from(*s));
-        }
-        Value::Object(m)
-    }
-}
-
-impl Deserialize for VClock {
-    fn from_json_value(v: &Value) -> Result<Self, JsonError> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| JsonError::custom("VClock: expected object"))?;
-        let mut out = BTreeMap::new();
-        for (k, val) in obj {
-            let actor: u64 = k
-                .parse()
-                .map_err(|_| JsonError::custom("VClock: non-numeric actor key"))?;
-            let seq = val
-                .as_u64()
-                .ok_or_else(|| JsonError::custom("VClock: seq must be u64"))?;
-            out.insert(ActorId(actor), seq);
-        }
-        Ok(VClock(out))
-    }
-}
 
 impl VClock {
     /// The empty clock (nothing observed).
@@ -258,13 +190,5 @@ mod tests {
         assert!(a.dominates(&m));
         assert!(b.dominates(&m));
         assert_eq!(a.meet(&a), a);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let id = OpId::new(7, ActorId(3));
-        let s = serde_json::to_string(&id).unwrap();
-        let back: OpId = serde_json::from_str(&s).unwrap();
-        assert_eq!(id, back);
     }
 }

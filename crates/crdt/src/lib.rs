@@ -13,9 +13,11 @@
 //! - [`CrdtFiles`] — whole-file LWW version entries — the `CRDT-Files`;
 //! - [`PeerSync`] / [`SyncMessage`] — the delta-shipping protocol used by
 //!   the runtime's background synchronization daemon;
-//! - [`wire`] — the binary sync format: every message's `wire_size` is the
-//!   length of its own `encode`, which is what the WAN-traffic experiments
-//!   account for.
+//! - [`wire`] — the binary codec of the sync wire and of the save image:
+//!   every message's `wire_size` is the length of its own `encode`, which
+//!   is what the WAN-traffic experiments account for, and
+//!   [`Doc::save`]/[`Doc::load`] move a whole replica through the same
+//!   primitives.
 //!
 //! The replication hot path is O(delta), not O(lifetime): history is a
 //! per-actor indexed log ([`Doc::get_changes`] slices each actor's

@@ -178,11 +178,6 @@ impl CrdtTable {
         self.doc.save()
     }
 
-    /// [`CrdtTable::save`] as a JSON value (see [`Doc::save_json`]).
-    pub fn save_json(&self) -> Json {
-        self.doc.save_json()
-    }
-
     /// Restore from [`CrdtTable::save`] bytes, owned by `actor`.
     ///
     /// # Errors
@@ -191,22 +186,6 @@ impl CrdtTable {
     pub fn load(actor: ActorId, name: impl Into<String>, bytes: &[u8]) -> Result<Self, CrdtError> {
         Ok(CrdtTable {
             doc: Doc::load(actor, bytes)?,
-            name: name.into(),
-        })
-    }
-
-    /// Restore from a [`CrdtTable::save_json`] value, owned by `actor`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CrdtError`] from [`Doc::load_json`].
-    pub fn load_json(
-        actor: ActorId,
-        name: impl Into<String>,
-        value: &Json,
-    ) -> Result<Self, CrdtError> {
-        Ok(CrdtTable {
-            doc: Doc::load_json(actor, value)?,
             name: name.into(),
         })
     }

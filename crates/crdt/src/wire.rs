@@ -1,4 +1,6 @@
-//! The sync wire format: the bytes a replica ships to a peer.
+//! The one codec for a replica's bytes: the sync wire a replica ships to
+//! a peer, and the save image ([`crate::Doc::save`]) a replica is
+//! provisioned or restarted from.
 //!
 //! Every replicated type describes its layout once, as a `write` into a
 //! [`Sink`]. Written into a `Vec<u8>` that is the encoding; written into a
@@ -13,11 +15,12 @@
 //! UTF-8, sequences are a varint count plus the elements, and a JSON
 //! scalar is one tag byte plus its payload.
 //!
-//! The reading side ([`Change::decode`]) treats its input as hostile:
-//! every length and count is checked against the bytes that remain before
-//! anything is sized by it (so what decoding allocates is linear in the
-//! input's length), a varint longer than ten bytes or with a padded tail
-//! is rejected, and nesting is bounded. Only canonical encodings decode, so
+//! The reading side ([`Reader`], under [`Change::decode`] and
+//! [`crate::Doc::load`]) treats its input as hostile: every length and
+//! count is checked against the bytes that remain before anything is sized
+//! by it (so what decoding allocates is linear in the input's length), a
+//! varint longer than ten bytes or with a padded tail is rejected, and
+//! nesting is bounded. Only canonical encodings decode, so
 //! `encode(decode(bytes)) == bytes` and a decoded change may remember the
 //! number of bytes it was read from as its size.
 
@@ -83,8 +86,13 @@ pub fn put_varint<S: Sink>(out: &mut S, mut v: u64) {
 
 /// A varint byte length, then the UTF-8 bytes.
 pub fn put_str<S: Sink>(out: &mut S, s: &str) {
-    put_varint(out, s.len() as u64);
-    out.put(s.as_bytes());
+    put_bytes(out, s.as_bytes());
+}
+
+/// A varint byte length, then the bytes: an encoding nested in another.
+pub fn put_bytes<S: Sink>(out: &mut S, bytes: &[u8]) {
+    put_varint(out, bytes.len() as u64);
+    out.put(bytes);
 }
 
 /// A varint count, then each change.
@@ -181,10 +189,7 @@ impl VClock {
         // a pair is two varints
         for _ in 0..r.count(2)? {
             let actor = ActorId(r.varint()?);
-            if last.is_some_and(|l| l >= actor) {
-                return Err(corrupt("clock actors are not ascending"));
-            }
-            last = Some(actor);
+            ascending(&mut last, actor)?;
             clock.0.insert(actor, r.varint()?);
         }
         Ok(clock)
@@ -195,19 +200,41 @@ pub(crate) fn corrupt(what: &str) -> CrdtError {
     CrdtError::CorruptChange(what.to_string())
 }
 
+/// Encodings are canonical: `next` must sort after what was read before it.
+pub(crate) fn ascending<T: Ord>(last: &mut Option<T>, next: T) -> Result<(), CrdtError> {
+    if last.as_ref().is_some_and(|last| *last >= next) {
+        return Err(corrupt("entries are not ascending"));
+    }
+    *last = Some(next);
+    Ok(())
+}
+
 /// A cursor over received bytes. Every method either consumes exactly what
 /// it returns or fails with [`CrdtError::CorruptChange`]; none panics, and
 /// none reserves room for more elements than the input that remains could
 /// encode, so memory is linear in the input's length.
 #[derive(Debug)]
-pub(crate) struct Reader<'a> {
+pub struct Reader<'a> {
     rest: &'a [u8],
 }
 
 impl<'a> Reader<'a> {
     /// Start reading at the front of `bytes`.
-    pub(crate) fn new(bytes: &'a [u8]) -> Self {
+    pub fn new(bytes: &'a [u8]) -> Self {
         Reader { rest: bytes }
+    }
+
+    /// Nothing may follow what was read.
+    ///
+    /// # Errors
+    ///
+    /// [`CrdtError::CorruptChange`] when bytes remain.
+    pub fn end(&self) -> Result<(), CrdtError> {
+        if self.rest.is_empty() {
+            Ok(())
+        } else {
+            Err(corrupt("bytes follow the encoding"))
+        }
     }
 
     /// The bytes not yet consumed.
@@ -224,7 +251,7 @@ impl<'a> Reader<'a> {
         Ok(b)
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CrdtError> {
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], CrdtError> {
         if n > self.rest.len() {
             return Err(corrupt("length runs past the input"));
         }
@@ -239,7 +266,7 @@ impl<'a> Reader<'a> {
     ///
     /// [`CrdtError::CorruptChange`] on truncation, a value past `u64`, or a
     /// padded encoding (a final zero group).
-    pub(crate) fn varint(&mut self) -> Result<u64, CrdtError> {
+    pub fn varint(&mut self) -> Result<u64, CrdtError> {
         let mut v = 0u64;
         for shift in (0..64).step_by(7) {
             let b = self.byte()?;
@@ -267,12 +294,22 @@ impl<'a> Reader<'a> {
     ///
     /// [`CrdtError::CorruptChange`] as for [`Reader::varint`], or when the
     /// elements could not fit in the remaining input.
-    pub(crate) fn count(&mut self, min_bytes: usize) -> Result<usize, CrdtError> {
+    pub fn count(&mut self, min_bytes: usize) -> Result<usize, CrdtError> {
         let n = self.varint()?;
         match usize::try_from(n) {
             Ok(n) if n <= self.rest.len() / min_bytes => Ok(n),
             _ => Err(corrupt("count runs past the input")),
         }
+    }
+
+    /// Length-prefixed bytes ([`put_bytes`]), borrowed from the input.
+    ///
+    /// # Errors
+    ///
+    /// [`CrdtError::CorruptChange`] on a length past the input.
+    pub fn bytes(&mut self) -> Result<&'a [u8], CrdtError> {
+        let n = self.count(1)?;
+        self.take(n)
     }
 
     /// A length-prefixed UTF-8 string, borrowed from the input.
@@ -281,9 +318,23 @@ impl<'a> Reader<'a> {
     ///
     /// [`CrdtError::CorruptChange`] on a length past the input or bytes
     /// that are not UTF-8.
-    pub(crate) fn str(&mut self) -> Result<&'a str, CrdtError> {
-        let n = self.count(1)?;
-        std::str::from_utf8(self.take(n)?).map_err(|_| corrupt("string is not UTF-8"))
+    pub fn str(&mut self) -> Result<&'a str, CrdtError> {
+        std::str::from_utf8(self.bytes()?).map_err(|_| corrupt("string is not UTF-8"))
+    }
+
+    /// A batch written by [`put_changes`].
+    ///
+    /// # Errors
+    ///
+    /// As for [`Change::decode`].
+    pub(crate) fn changes(&mut self) -> Result<Vec<Change>, CrdtError> {
+        // a change is an actor, a seq and two counts at the least
+        let n = self.count(4)?;
+        let mut changes = Vec::with_capacity(n);
+        for _ in 0..n {
+            changes.push(Change::read(self)?);
+        }
+        Ok(changes)
     }
 
     pub(crate) fn op_id(&mut self) -> Result<OpId, CrdtError> {

@@ -10,8 +10,10 @@
 use crate::cache::UnitVersions;
 use edgstr_analysis::{HandleOutcome, InitState, ServerProcess};
 use edgstr_core::CrdtBindings;
-use edgstr_crdt::wire::{put_changes, put_str, put_varint, Count, Sink};
-use edgstr_crdt::{ActorId, AdvanceMode, Change, CrdtFiles, CrdtTable, Doc, PathSeg, VClock};
+use edgstr_crdt::wire::{put_bytes, put_changes, put_str, put_varint, Count, Reader, Sink};
+use edgstr_crdt::{
+    ActorId, AdvanceMode, Change, CrdtError, CrdtFiles, CrdtTable, Doc, PathSeg, VClock,
+};
 use edgstr_sql::{RowEffect, SqlDb, SqlError};
 use serde_json::Value as Json;
 use std::collections::BTreeMap;
@@ -389,17 +391,19 @@ impl CrdtSet {
     /// Serialize the whole replica set (snapshot + retained tail per
     /// structure) — the provisioning payload for a fresh or restarted
     /// replica. Bounded by state size plus uncompacted tail, not lifetime
-    /// mutation count.
+    /// mutation count. Layout: a table count, `(name, image)` per table in
+    /// name order, the files image, the globals image; each image is its
+    /// structure's own `save`, length-prefixed.
     pub fn save(&self) -> Vec<u8> {
-        let mut tables = serde_json::Map::new();
+        let mut out = Vec::new();
+        put_varint(&mut out, self.tables.len() as u64);
         for (n, t) in &self.tables {
-            tables.insert(n.clone(), t.save_json());
+            put_str(&mut out, n);
+            put_bytes(&mut out, &t.save());
         }
-        let mut root = serde_json::Map::new();
-        root.insert("tables".into(), Json::Object(tables));
-        root.insert("files".into(), self.files.save_json());
-        root.insert("globals".into(), self.globals.save_json());
-        serde_json::to_vec(&Json::Object(root)).expect("replica set is serializable")
+        put_bytes(&mut out, &self.files.save());
+        put_bytes(&mut out, &self.globals.save());
+        out
     }
 
     /// Restore a replica set from [`CrdtSet::save`] bytes, owned by
@@ -408,37 +412,30 @@ impl CrdtSet {
     ///
     /// # Errors
     ///
-    /// Returns [`edgstr_crdt::CrdtError`] when the payload does not decode.
+    /// Returns [`CrdtError`] unless `bytes` is exactly what `save` writes.
     pub fn load(
         actor: ActorId,
         bindings: &CrdtBindings,
         bytes: &[u8],
-    ) -> Result<CrdtSet, edgstr_crdt::CrdtError> {
-        use edgstr_crdt::CrdtError;
-        let corrupt = |m: &str| CrdtError::CorruptChange(m.to_string());
-        let value: Json =
-            serde_json::from_slice(bytes).map_err(|e| CrdtError::CorruptChange(e.to_string()))?;
-        let obj = value
-            .as_object()
-            .ok_or_else(|| corrupt("replica set: expected object"))?;
-        let mut tables = BTreeMap::new();
-        for (n, t) in obj
-            .get("tables")
-            .and_then(Json::as_object)
-            .ok_or_else(|| corrupt("replica set: missing tables"))?
-        {
-            tables.insert(n.clone(), CrdtTable::load_json(actor, n.clone(), t)?);
+    ) -> Result<CrdtSet, CrdtError> {
+        let mut r = Reader::new(bytes);
+        let mut tables: BTreeMap<String, CrdtTable> = BTreeMap::new();
+        // a name length and an image length at the least
+        for _ in 0..r.count(2)? {
+            let name = r.str()?;
+            if tables
+                .last_key_value()
+                .is_some_and(|(last, _)| last.as_str() >= name)
+            {
+                return Err(CrdtError::CorruptChange(
+                    "table names are not ascending".to_string(),
+                ));
+            }
+            tables.insert(name.to_string(), CrdtTable::load(actor, name, r.bytes()?)?);
         }
-        let files = CrdtFiles::load_json(
-            actor,
-            obj.get("files")
-                .ok_or_else(|| corrupt("replica set: missing files"))?,
-        )?;
-        let globals = Doc::load_json(
-            actor,
-            obj.get("globals")
-                .ok_or_else(|| corrupt("replica set: missing globals"))?,
-        )?;
+        let files = CrdtFiles::load(actor, r.bytes()?)?;
+        let globals = Doc::load(actor, r.bytes()?)?;
+        r.end()?;
         Ok(CrdtSet {
             bindings: bindings.clone(),
             tables,
@@ -1030,6 +1027,34 @@ mod tests {
             cloud_set.tables["kv"].to_json(),
             restored.tables["kv"].to_json()
         );
+    }
+
+    /// The envelope is read like the images it carries: to the end, and
+    /// only as `save` writes it.
+    #[test]
+    fn a_set_image_is_read_strictly() {
+        let (_, set) = make_node(1, &init_state());
+        let load = |bytes: &[u8]| CrdtSet::load(ActorId(2), &bindings(), bytes);
+        let image = set.save();
+        assert_eq!(load(&image).unwrap().save(), image);
+        for cut in 0..image.len() {
+            assert!(load(&image[..cut]).is_err(), "prefix {cut}");
+        }
+        assert!(load(&[&image[..], &[0]].concat()).is_err());
+        let two_tables = |first: &str, second: &str| {
+            let mut out = Vec::new();
+            put_varint(&mut out, 2);
+            for name in [first, second] {
+                put_str(&mut out, name);
+                put_bytes(&mut out, &set.tables["kv"].save());
+            }
+            put_bytes(&mut out, &set.files.save());
+            put_bytes(&mut out, &set.globals.save());
+            out
+        };
+        assert_eq!(load(&two_tables("kv", "kw")).unwrap().tables.len(), 2);
+        assert!(load(&two_tables("kw", "kv")).is_err());
+        assert!(load(&two_tables("kv", "kv")).is_err());
     }
 
     /// The bound tables, file and global as a server holds them.
