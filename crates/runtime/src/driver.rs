@@ -196,6 +196,19 @@ pub struct RunStats {
     /// serialized body) in completion order. Two runs that produced the
     /// same digest returned byte-identical response sequences.
     pub response_digest: u64,
+    /// The chain that replaces [`RunStats::response_digest`]: each
+    /// completed response's remembered [`HttpResponse::digest`] folded in
+    /// completion order ([`fold_response_digest`]), so a completion hashes
+    /// eight bytes rather than the whole text. Carried beside the text
+    /// chain for one commit so both are pinned on the same code.
+    pub folded_response_digest: u64,
+}
+
+/// Fold one response's [`HttpResponse::digest`] into a run's digest
+/// chain — the definition the virtual-time recorder and the threaded
+/// executor share.
+pub fn fold_response_digest(chain: u64, response_digest: u64) -> u64 {
+    fnv1a(chain, &response_digest.to_le_bytes())
 }
 
 impl RunStats {
@@ -260,6 +273,7 @@ pub struct RunRecorder {
     replicas_gauge: Gauge,
     stats: RunStats,
     digest: u64,
+    folded: u64,
     clock: Clock,
 }
 
@@ -287,6 +301,7 @@ impl RunRecorder {
             replicas_gauge: registry.gauge("edgstr_active_replicas", &[]),
             stats: RunStats::default(),
             digest: FNV_OFFSET,
+            folded: FNV_OFFSET,
             clock,
         }
     }
@@ -327,6 +342,7 @@ impl RunRecorder {
         }
         self.digest = fnv1a(self.digest, &response.status.to_le_bytes());
         self.digest = fnv1a(self.digest, response.body.text().as_bytes());
+        self.folded = fold_response_digest(self.folded, response.digest());
     }
 
     /// Record one failed request.
@@ -396,6 +412,7 @@ impl RunRecorder {
         self.stats.cloud_energy_j = cloud_energy_j;
         self.stats.edge_energy_j = edge_energy_j;
         self.stats.response_digest = self.digest;
+        self.stats.folded_response_digest = self.folded;
         if let Some(reg) = self.telemetry.registry() {
             reg.gauge("edgstr_energy_joules", &[("tier", "client")])
                 .set(self.stats.client_energy_j);

@@ -46,10 +46,11 @@
 
 use crate::cache::{CachePolicy, CacheStats, ResponseCache};
 use crate::crdtset::{SetClock, SetSyncMessage, SyncEndpoint};
+use crate::driver::fold_response_digest;
 use crate::replica::{cache_plan, ReplicaCore, ReplicaKind, ReplicaTemplate};
 use edgstr_core::TransformationReport;
 use edgstr_crdt::{ActorId, AdvanceMode};
-use edgstr_net::{fnv1a, HttpRequest, FNV_OFFSET};
+use edgstr_net::{HttpRequest, FNV_OFFSET};
 use edgstr_sim::{Clock, SimDuration};
 use edgstr_telemetry::{RegistrySnapshot, Telemetry};
 use std::collections::BTreeMap;
@@ -461,11 +462,10 @@ impl ParallelSystem {
         }
         stats.state_digest = cloud_digest;
         stats.converged = all_states.iter().all(|(_, d)| *d == cloud_digest);
-        let mut chain = FNV_OFFSET;
-        for d in &stats.per_request_digests {
-            chain = fnv1a(chain, &d.to_le_bytes());
-        }
-        stats.response_digest = chain;
+        stats.response_digest = stats
+            .per_request_digests
+            .iter()
+            .fold(FNV_OFFSET, |chain, &d| fold_response_digest(chain, d));
         stats
     }
 }
