@@ -10,7 +10,7 @@ use edgstr_lang::{
     compile, parse, Host, HostOutcome, Instrument, Interpreter, NoopInstrument, Program,
     RuntimeError, Value, Vm,
 };
-use edgstr_net::{HttpRequest, HttpResponse, Verb};
+use edgstr_net::{Body, HttpRequest, HttpResponse, Verb};
 use edgstr_sql::{Output, RowEffect, SqlDb, SqlError, SqlResult, SqlValue, Statement};
 use edgstr_vfs::VirtualFs;
 use serde_json::Value as Json;
@@ -218,10 +218,12 @@ impl Host for ServerHost<'_> {
                 Ok(HostOutcome::cheap(Value::Bool(self.fs.contains(path))))
             }
             "res.send" => {
-                let value = args.first().cloned().unwrap_or(Value::Null);
+                // one walk for the text, one for the size, no JSON tree
+                let value = args.first().unwrap_or(&Value::Null);
+                let text = serde_json::to_string(value).expect("a script value serializes");
                 *self.response = Some(HttpResponse {
                     status: *self.status,
-                    body: value.to_json().into(),
+                    body: Body::encoded(text, value.json_size()),
                 });
                 Ok(HostOutcome::cheap(Value::Null))
             }
@@ -269,8 +271,9 @@ impl Host for ServerHost<'_> {
                 Ok(HostOutcome::with_cycles(Value::from_json(&result), cycles))
             }
             "JSON.stringify" => {
-                let v = args.first().cloned().unwrap_or(Value::Null);
-                Ok(HostOutcome::cheap(Value::str(v.to_json().to_string())))
+                let v = args.first().unwrap_or(&Value::Null);
+                let text = serde_json::to_string(v).expect("a script value serializes");
+                Ok(HostOutcome::cheap(Value::str(text)))
             }
             "JSON.parse" => {
                 let s = args
@@ -729,26 +732,25 @@ impl ServerProcess {
 
 /// Build the `req` object handed to route handlers.
 pub fn request_value(req: &HttpRequest) -> Value {
-    let mut fields: Vec<(String, Value)> = vec![
-        ("path".to_string(), Value::str(req.path.as_str())),
-        ("method".to_string(), Value::str(req.verb.to_string())),
-        ("params".to_string(), Value::from_json(&req.params)),
-        ("query".to_string(), Value::from_json(&req.params)),
-    ];
-    let mut body_fields: Vec<(String, Value)> = Vec::new();
+    let mut body_fields: Vec<(&str, Value)> = Vec::new();
     if !req.body.is_empty() {
         // one copy of the payload, shared by both aliases
-        let bytes: std::rc::Rc<[u8]> = std::rc::Rc::from(req.body.as_slice());
-        body_fields.push(("img".to_string(), Value::Bytes(std::rc::Rc::clone(&bytes))));
-        body_fields.push(("data".to_string(), Value::Bytes(bytes)));
+        let bytes: Rc<[u8]> = Rc::from(req.body.as_slice());
+        body_fields.push(("img", Value::Bytes(Rc::clone(&bytes))));
+        body_fields.push(("data", Value::Bytes(bytes)));
     }
     if let Json::Object(m) = &req.params {
         for (k, v) in m {
-            body_fields.push((k.clone(), Value::from_json(v)));
+            body_fields.push((k, Value::from_json(v)));
         }
     }
-    fields.push(("body".to_string(), Value::object(body_fields)));
-    Value::object(fields)
+    Value::object([
+        ("path", Value::str(req.path.as_str())),
+        ("method", Value::str(req.verb.as_str())),
+        ("params", Value::from_json(&req.params)),
+        ("query", Value::from_json(&req.params)),
+        ("body", Value::object(body_fields)),
+    ])
 }
 
 /// One SQL cell as a script value — the direct equivalent of
@@ -768,21 +770,24 @@ fn sql_cell_value(v: &SqlValue) -> Value {
 
 /// `SELECT` output as the array-of-row-objects value `db.query` returns
 /// (built straight from the table's rows when they are lent), plus the
-/// number of rows returned, for cycle accounting.
+/// number of rows returned, for cycle accounting. Each column name is
+/// allocated once per result set; every row's object shares it.
 fn rows_value(output: &Output<'_>) -> (Value, u64) {
-    fn row_object<'a>(cells: impl Iterator<Item = (&'a str, &'a SqlValue)>) -> Value {
-        Value::object(cells.map(|(c, v)| (c.to_string(), sql_cell_value(v))))
+    fn row_object<'a>(keys: &[Rc<str>], cells: impl Iterator<Item = &'a SqlValue>) -> Value {
+        Value::object(keys.iter().cloned().zip(cells.map(sql_cell_value)))
     }
     let rows: Vec<Value> = match output {
-        Output::Selected(s) => s
-            .rows
-            .iter()
-            .map(|r| row_object(s.columns.iter().zip(&s.proj).map(|(c, &i)| (*c, &r[i]))))
-            .collect(),
-        Output::Done(SqlResult::Rows { columns, rows }) => rows
-            .iter()
-            .map(|r| row_object(columns.iter().map(String::as_str).zip(r)))
-            .collect(),
+        Output::Selected(s) => {
+            let keys: Vec<Rc<str>> = s.columns.iter().map(|c| Rc::from(*c)).collect();
+            s.rows
+                .iter()
+                .map(|r| row_object(&keys, s.proj.iter().map(|&i| &r[i])))
+                .collect()
+        }
+        Output::Done(SqlResult::Rows { columns, rows }) => {
+            let keys: Vec<Rc<str>> = columns.iter().map(|c| Rc::from(c.as_str())).collect();
+            rows.iter().map(|r| row_object(&keys, r.iter())).collect()
+        }
         Output::Done(_) => Vec::new(),
     };
     let returned = rows.len() as u64;
@@ -852,6 +857,45 @@ mod tests {
             .unwrap();
         assert_eq!(out.row_effects.len(), 1);
         assert_eq!(out.response.body[0]["text"], json!("milk"));
+    }
+
+    /// One allocation per column name per result set: every row object
+    /// holds the same `Rc<str>`, and the rows stay distinct objects.
+    #[test]
+    fn a_result_sets_rows_share_their_keys() {
+        let src = r#"
+            db.query("CREATE TABLE notes (id INT PRIMARY KEY, text TEXT)");
+            db.query("INSERT INTO notes VALUES (1, 'a')");
+            db.query("INSERT INTO notes VALUES (2, 'b')");
+            db.query("INSERT INTO notes VALUES (3, 'c')");
+            var rows = db.query("SELECT * FROM notes");
+            rows[1].text = "edited";
+        "#;
+        let mut s = ServerProcess::from_source(src).unwrap();
+        s.init().unwrap();
+        let globals = s.snapshot_globals();
+        let Value::Array(rows) = &globals["rows"] else {
+            panic!("rows is not an array");
+        };
+        let keys_of = |row: &Value| -> Vec<Rc<str>> {
+            match row {
+                Value::Object(m) => m.borrow().keys().cloned().collect(),
+                other => panic!("row {other} is not an object"),
+            }
+        };
+        let rows = rows.borrow();
+        let first = keys_of(&rows[0]);
+        assert_eq!(first.len(), 2);
+        for row in rows.iter() {
+            for (k, shared) in keys_of(row).iter().zip(&first) {
+                assert!(Rc::ptr_eq(k, shared), "a row owns its key {k}");
+            }
+        }
+        // shared keys, not shared rows
+        assert_eq!(
+            globals["rows"].to_json(),
+            json!([{"id": 1, "text": "a"}, {"id": 2, "text": "edited"}, {"id": 3, "text": "c"}])
+        );
     }
 
     #[test]

@@ -153,7 +153,7 @@ pub enum Op {
     /// Collect the top `n` values into an array. `n → 1`
     MakeArray(u32),
     /// Collect the top `keys.len()` values into an object. `n → 1`
-    MakeObject(Rc<[String]>),
+    MakeObject(Rc<[Rc<str>]>),
     /// Read `base.field`. `1 → 1`
     GetMember(Rc<str>),
     /// Read `base[idx]`; stack is `[base, idx]`. `2 → 1`
@@ -513,7 +513,8 @@ impl Compiler {
                 for (_, v) in fields {
                     self.compile_expr(ctx, v);
                 }
-                let keys: Rc<[String]> = fields.iter().map(|(k, _)| k.clone()).collect();
+                let keys: Rc<[Rc<str>]> =
+                    fields.iter().map(|(k, _)| Rc::from(k.as_str())).collect();
                 ctx.ops.push(Op::MakeObject(keys));
             }
             Expr::Binary(BinOp::And, a, b) => {

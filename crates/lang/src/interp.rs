@@ -594,7 +594,7 @@ impl<'h> Interpreter<'h> {
             Expr::Object(fields) => {
                 let mut map = BTreeMap::new();
                 for (k, e) in fields {
-                    map.insert(k.clone(), self.eval(e, tracer)?);
+                    map.insert(Rc::from(k.as_str()), self.eval(e, tracer)?);
                 }
                 Ok(Value::Object(Rc::new(std::cell::RefCell::new(map))))
             }

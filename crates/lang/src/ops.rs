@@ -8,6 +8,7 @@
 
 use crate::ast::{BinOp, UnOp};
 use crate::value::Value;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 /// Apply a non-logical binary operator (`&&`/`||` are short-circuited by
@@ -117,11 +118,14 @@ pub fn index_get(base: &Value, idx: &Value) -> Result<Value, String> {
             .get(*n as usize)
             .map(|&byte| Value::Num(f64::from(byte)))
             .unwrap_or(Value::Null)),
-        (Value::Object(map), key) => Ok(map
-            .borrow()
-            .get(&key.to_string())
-            .cloned()
-            .unwrap_or(Value::Null)),
+        (Value::Object(map), key) => {
+            let map = map.borrow();
+            let found = match key {
+                Value::Str(s) => map.get(&**s),
+                other => map.get(other.to_string().as_str()),
+            };
+            Ok(found.cloned().unwrap_or(Value::Null))
+        }
         (Value::Str(s), Value::Num(n)) => Ok(s
             .chars()
             .nth(*n as usize)
@@ -148,8 +152,13 @@ pub fn index_set(base: &Value, idx: &Value, v: Value) -> Result<(), String> {
             items[i] = v;
             Ok(())
         }
+        (Value::Object(map), Value::Str(s)) => {
+            set_field(&mut map.borrow_mut(), s, || Rc::clone(s), v);
+            Ok(())
+        }
         (Value::Object(map), key) => {
-            map.borrow_mut().insert(key.to_string(), v);
+            let key = key.to_string();
+            set_field(&mut map.borrow_mut(), &key, || Rc::from(key.as_str()), v);
             Ok(())
         }
         (other, _) => Err(format!("cannot index-assign into {other}")),
@@ -164,10 +173,26 @@ pub fn index_set(base: &Value, idx: &Value, v: Value) -> Result<(), String> {
 pub fn member_set(base: &Value, field: &str, v: Value) -> Result<(), String> {
     match base {
         Value::Object(map) => {
-            map.borrow_mut().insert(field.to_string(), v);
+            set_field(&mut map.borrow_mut(), field, || Rc::from(field), v);
             Ok(())
         }
         other => Err(format!("cannot set field '{field}' on {other}")),
+    }
+}
+
+/// Write one object field: a key the object already has is overwritten in
+/// place, and only a new key asks `owned` for the `Rc<str>` to keep.
+fn set_field(
+    map: &mut BTreeMap<Rc<str>, Value>,
+    field: &str,
+    owned: impl FnOnce() -> Rc<str>,
+    v: Value,
+) {
+    match map.get_mut(field) {
+        Some(slot) => *slot = v,
+        None => {
+            map.insert(owned(), v);
+        }
     }
 }
 
@@ -197,7 +222,7 @@ pub fn construct_builtin(ctor: &str, args: Vec<Value>) -> Constructed {
             _ => Value::bytes(Vec::new()),
         }),
         "Array" => Constructed::Done(Value::array(args)),
-        "Object" | "Map" => Constructed::Done(Value::object([])),
+        "Object" | "Map" => Constructed::Done(Value::Object(Rc::default())),
         _ => Constructed::Host(args),
     }
 }
@@ -359,9 +384,36 @@ mod tests {
     }
 
     #[test]
+    fn object_writes_keep_the_key_they_have_and_reuse_the_one_offered() {
+        let o = Value::Object(Rc::default());
+        let key: Rc<str> = Rc::from("k");
+        index_set(&o, &Value::Str(Rc::clone(&key)), Value::Num(1.0)).unwrap();
+        member_set(&o, "k", Value::Num(2.0)).unwrap();
+        index_set(&o, &Value::str("k"), Value::Num(3.0)).unwrap();
+        index_set(&o, &Value::Num(7.0), Value::Num(4.0)).unwrap();
+        member_set(&o, "m", Value::Num(5.0)).unwrap();
+        let Value::Object(map) = &o else {
+            unreachable!()
+        };
+        let map = map.borrow();
+        let (held, v) = map.get_key_value("k").unwrap();
+        assert!(
+            Rc::ptr_eq(held, &key),
+            "the string index's own Rc is the key"
+        );
+        assert_eq!(*v, Value::Num(3.0));
+        assert_eq!(map.len(), 3);
+        assert_eq!(index_get(&o, &Value::str("k")).unwrap(), Value::Num(3.0));
+        assert_eq!(index_get(&o, &Value::Num(7.0)).unwrap(), Value::Num(4.0));
+        assert_eq!(index_get(&o, &Value::str("7")).unwrap(), Value::Num(4.0));
+        assert_eq!(member_get(&o, "m").unwrap(), Value::Num(5.0));
+        assert_eq!(index_get(&o, &Value::str("none")).unwrap(), Value::Null);
+    }
+
+    #[test]
     fn simple_method_defers_engine_cases() {
         assert!(simple_method(&Value::Native("db".into()), "query", &[]).is_none());
-        assert!(simple_method(&Value::object([]), "m", &[]).is_none());
+        assert!(simple_method(&Value::Object(Rc::default()), "m", &[]).is_none());
         assert!(simple_method(&Value::array(vec![]), "map", &[]).is_none());
         assert!(simple_method(&Value::array(vec![]), "pop", &[]).is_some());
     }

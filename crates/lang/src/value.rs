@@ -1,7 +1,7 @@
 //! Runtime values for the NodeScript interpreter.
 
 use crate::ast::Stmt;
-use serde_json::Value as Json;
+use serde_json::{Serialize, Value as Json};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -42,7 +42,10 @@ pub enum Value {
     /// Binary payloads (e.g. images in the motivating example).
     Bytes(Rc<[u8]>),
     Array(Rc<RefCell<Vec<Value>>>),
-    Object(Rc<RefCell<BTreeMap<String, Value>>>),
+    /// Keys are shared: an object literal's come from the compiled
+    /// program, a result set's rows all hold the one allocation per
+    /// column name, and copying an object bumps reference counts.
+    Object(Rc<RefCell<BTreeMap<Rc<str>, Value>>>),
     Function(Rc<Closure>),
     /// A host-provided object addressed by name (e.g. `app`, `db`, `res`);
     /// member calls on it dispatch to the [`Host`](crate::interp::Host).
@@ -66,8 +69,10 @@ impl Value {
     }
 
     /// Construct an object value from key/value pairs.
-    pub fn object(fields: impl IntoIterator<Item = (String, Value)>) -> Value {
-        Value::Object(Rc::new(RefCell::new(fields.into_iter().collect())))
+    pub fn object<K: Into<Rc<str>>>(fields: impl IntoIterator<Item = (K, Value)>) -> Value {
+        Value::Object(Rc::new(RefCell::new(
+            fields.into_iter().map(|(k, v)| (k.into(), v)).collect(),
+        )))
     }
 
     /// JavaScript-style truthiness.
@@ -123,49 +128,20 @@ impl Value {
         }
     }
 
-    /// Approximate wire size of this value in bytes, used by the network
-    /// emulator to cost HTTP transfers and CRDT change messages.
-    pub fn wire_size(&self) -> usize {
-        match self {
-            Value::Null => 4,
-            Value::Bool(_) => 5,
-            Value::Num(_) => 8,
-            Value::Str(s) => s.len() + 2,
-            Value::Bytes(b) => b.len(),
-            Value::Array(items) => {
-                2 + items
-                    .borrow()
-                    .iter()
-                    .map(|v| v.wire_size() + 1)
-                    .sum::<usize>()
-            }
-            Value::Object(map) => {
-                2 + map
-                    .borrow()
-                    .iter()
-                    .map(|(k, v)| k.len() + 3 + v.wire_size())
-                    .sum::<usize>()
-            }
-            Value::Function(_) | Value::Native(_) => 0,
-        }
-    }
-
-    /// Convert to JSON. Functions and natives become null; bytes become a
-    /// `{"$bytes": len, "$hash": h}` marker so payload identity survives the
-    /// conversion without embedding megabytes of data.
+    /// Convert to a JSON tree, for consumers that need one (global and
+    /// CRDT mirroring, the offline analyses). Functions and natives become
+    /// null; bytes become a `{"$bytes": len, "$hash": h}` marker so payload
+    /// identity survives the conversion without embedding megabytes of
+    /// data. The text and size of that tree are available without building
+    /// it: see the [`serde_json::Serialize`] impl and [`Value::json_size`].
     pub fn to_json(&self) -> Json {
         match self {
             Value::Null => Json::Null,
             Value::Bool(b) => Json::Bool(*b),
-            Value::Num(n) => {
-                if n.fract() == 0.0 && n.abs() < 9e15 {
-                    Json::from(*n as i64)
-                } else {
-                    serde_json::Number::from_f64(*n)
-                        .map(Json::Number)
-                        .unwrap_or(Json::Null)
-                }
-            }
+            Value::Num(n) => match Value::as_json_int(*n) {
+                Some(i) => Json::from(i),
+                None => Json::from(*n),
+            },
             Value::Str(s) => Json::String(s.to_string()),
             Value::Bytes(b) => serde_json::json!({
                 "$bytes": b.len(),
@@ -175,10 +151,52 @@ impl Value {
             Value::Object(map) => Json::Object(
                 map.borrow()
                     .iter()
-                    .map(|(k, v)| (k.clone(), v.to_json()))
+                    .map(|(k, v)| (k.to_string(), v.to_json()))
                     .collect(),
             ),
             Value::Function(_) | Value::Native(_) => Json::Null,
+        }
+    }
+
+    /// The integer [`Value::to_json`] turns the number into, if it does:
+    /// integral floats below 9e15 travel as JSON integers.
+    fn as_json_int(n: f64) -> Option<i64> {
+        (n.fract() == 0.0 && n.abs() < 9e15).then_some(n as i64)
+    }
+
+    /// The transfer size of this value's JSON form — what
+    /// `edgstr_net::json_size` reports of [`Value::to_json`], computed
+    /// without building the tree: scalars at fixed costs, strings and keys
+    /// at their length, and a binary payload (or any object announcing one
+    /// under a non-negative integer `$bytes`) at the payload's size.
+    pub fn json_size(&self) -> usize {
+        match self {
+            Value::Null | Value::Function(_) | Value::Native(_) => 4,
+            Value::Bool(_) => 5,
+            Value::Num(n) if n.is_finite() => 8,
+            // a non-finite number travels as `null`
+            Value::Num(_) => 4,
+            Value::Str(s) => s.len() + 2,
+            Value::Bytes(b) => b.len(),
+            Value::Array(items) => {
+                2 + items
+                    .borrow()
+                    .iter()
+                    .map(|v| v.json_size() + 1)
+                    .sum::<usize>()
+            }
+            Value::Object(map) => {
+                let map = map.borrow();
+                if let Some(Value::Num(n)) = map.get("$bytes") {
+                    if let Some(n) = Value::as_json_int(*n).filter(|n| *n >= 0) {
+                        return n as usize;
+                    }
+                }
+                2 + map
+                    .iter()
+                    .map(|(k, v)| k.len() + 3 + v.json_size())
+                    .sum::<usize>()
+            }
         }
     }
 
@@ -191,7 +209,7 @@ impl Value {
             Json::String(s) => Value::str(s.as_str()),
             Json::Array(items) => Value::array(items.iter().map(Value::from_json).collect()),
             Json::Object(map) => {
-                Value::object(map.iter().map(|(k, v)| (k.clone(), Value::from_json(v))))
+                Value::object(map.iter().map(|(k, v)| (k.as_str(), Value::from_json(v))))
             }
         }
     }
@@ -265,11 +283,66 @@ impl fmt::Display for Value {
             }
             Value::Str(s) => write!(f, "{s}"),
             Value::Bytes(b) => write!(f, "<bytes:{}>", b.len()),
-            Value::Array(_) | Value::Object(_) => write!(f, "{}", self.to_json()),
+            Value::Array(_) | Value::Object(_) => {
+                let mut text = String::new();
+                self.write_json(&mut text);
+                f.write_str(&text)
+            }
             Value::Function(c) => {
                 write!(f, "<function {}>", c.name.as_deref().unwrap_or("anonymous"))
             }
             Value::Native(n) => write!(f, "<native {n}>"),
+        }
+    }
+}
+
+/// The compact JSON text of [`Value::to_json`], written in one walk with
+/// no tree in between: `serde_json::to_string(&v)` and
+/// `serde_json::to_string(&v.to_json())` are the same bytes.
+impl Serialize for Value {
+    fn to_json_value(&self) -> Json {
+        self.to_json()
+    }
+
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Value::Null | Value::Function(_) | Value::Native(_) => out.push_str("null"),
+            Value::Bool(b) => b.write_json(out),
+            Value::Num(n) => match Value::as_json_int(*n) {
+                Some(i) => i.write_json(out),
+                // non-finite numbers have no JSON form and print as null
+                None => n.write_json(out),
+            },
+            Value::Str(s) => str::write_json(s, out),
+            Value::Bytes(b) => {
+                out.push_str("{\"$bytes\":");
+                b.len().write_json(out);
+                out.push_str(",\"$hash\":");
+                fnv1a(b).write_json(out);
+                out.push('}');
+            }
+            Value::Array(items) => {
+                out.push('[');
+                for (i, item) in items.borrow().iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    item.write_json(out);
+                }
+                out.push(']');
+            }
+            Value::Object(map) => {
+                out.push('{');
+                for (i, (k, v)) in map.borrow().iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    str::write_json(k, out);
+                    out.push(':');
+                    v.write_json(out);
+                }
+                out.push('}');
+            }
         }
     }
 }
@@ -366,13 +439,6 @@ mod tests {
         assert!(!Value::str("").is_truthy());
         assert!(Value::str("x").is_truthy());
         assert!(Value::array(vec![]).is_truthy());
-    }
-
-    #[test]
-    fn wire_size_scales_with_payload() {
-        let small = Value::bytes(vec![0u8; 10]);
-        let big = Value::bytes(vec![0u8; 10_000]);
-        assert!(big.wire_size() > small.wire_size() * 100);
     }
 
     #[test]

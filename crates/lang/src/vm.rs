@@ -121,12 +121,12 @@ struct Journal {
     saved_globals: Vec<(u32, Option<Value>)>,
     noted_globals: HashSet<u32>,
     saved_arrays: Vec<(SharedArray, Vec<Value>)>,
-    saved_objects: Vec<(SharedObject, BTreeMap<String, Value>)>,
+    saved_objects: Vec<(SharedObject, BTreeMap<Rc<str>, Value>)>,
     noted_ptrs: HashSet<usize>,
 }
 
 type SharedArray = Rc<RefCell<Vec<Value>>>;
-type SharedObject = Rc<RefCell<BTreeMap<String, Value>>>;
+type SharedObject = Rc<RefCell<BTreeMap<Rc<str>, Value>>>;
 
 impl Journal {
     fn note_global(&mut self, gid: u32, old: Option<Value>) {
@@ -936,7 +936,7 @@ impl Vm {
                         ctx.prof_allocs += 1;
                     }
                     let vals = ctx.stack.split_off(ctx.stack.len() - keys.len());
-                    let map: BTreeMap<String, Value> = keys.iter().cloned().zip(vals).collect();
+                    let map: BTreeMap<Rc<str>, Value> = keys.iter().cloned().zip(vals).collect();
                     ctx.stack.push(Value::Object(Rc::new(RefCell::new(map))));
                 }
                 Op::GetMember(field) => {

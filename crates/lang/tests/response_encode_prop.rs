@@ -1,0 +1,139 @@
+//! A response is encoded straight from the script value: its text
+//! (`serde_json::to_string(&v)`), its size (`Value::json_size`) and the
+//! `Body` built from the two. The path this replaced — build the JSON
+//! tree with `Value::to_json`, then print and size the tree — is the
+//! oracle: same bytes, same size, and the body's lazily parsed tree is
+//! the tree the old path would have held.
+
+use edgstr_lang::{Closure, Value};
+use edgstr_net::{json_size, Body};
+use proptest::prelude::*;
+use std::rc::Rc;
+
+/// Text (and keys) with quotes, backslashes, control characters and
+/// non-ASCII, assembled from fragments so escapes land next to each other.
+fn text() -> impl Strategy<Value = String> {
+    const FRAGMENTS: [&str; 12] = [
+        "",
+        "title",
+        "\"",
+        "\\",
+        "\n\r\t",
+        "\u{0}\u{1}\u{8}\u{c}\u{1f}",
+        "\u{7f}",
+        "naïve ✓",
+        "日本語\u{1F600}",
+        " ",
+        "$bytes",
+        "$hash",
+    ];
+    prop::collection::vec(0usize..FRAGMENTS.len(), 0..4)
+        .prop_map(|picks| picks.into_iter().map(|i| FRAGMENTS[i]).collect())
+}
+
+/// Every number class the encoder distinguishes: the integer/float split
+/// at 9e15 from both sides, negative zero, non-integral, huge, tiny and
+/// non-finite values.
+fn number() -> impl Strategy<Value = f64> {
+    const EDGES: [f64; 20] = [
+        0.0,
+        -0.0,
+        1.0,
+        -1.0,
+        0.5,
+        -2.25,
+        0.1,
+        8_999_999_999_999_999.0,
+        -8_999_999_999_999_999.0,
+        9e15,
+        -9e15,
+        9_000_000_000_000_002.0,
+        1e16,
+        1e300,
+        -1e300,
+        1e-300,
+        f64::MAX,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
+    prop_oneof![
+        (0usize..EDGES.len()).prop_map(|i| EDGES[i]),
+        (-1_000_000i64..1_000_000).prop_map(|n| n as f64),
+        (-1_000_000i64..1_000_000).prop_map(|n| n as f64 / 64.0),
+        any::<u64>().prop_map(f64::from_bits),
+    ]
+}
+
+fn leaf() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        Just(Value::Null),
+        any::<bool>().prop_map(Value::Bool),
+        number().prop_map(Value::Num),
+        text().prop_map(Value::from),
+        prop::collection::vec(any::<u8>(), 0..40).prop_map(Value::bytes),
+        Just(Value::Native("db".into())),
+        Just(Value::Function(Rc::new(Closure {
+            name: None,
+            params: vec![],
+            body: vec![],
+            compiled: None,
+        }))),
+    ]
+}
+
+/// One level of containers over `inner`. Objects sometimes carry a
+/// `$bytes` key of their own — numeric (the size rule fires on a
+/// non-negative integer only) or not.
+fn container(inner: BoxedStrategy<Value>) -> BoxedStrategy<Value> {
+    let fields = || prop::collection::vec((text(), inner.clone()), 0..4);
+    prop_oneof![
+        inner.clone(),
+        prop::collection::vec(inner.clone(), 0..4).prop_map(Value::array),
+        fields().prop_map(Value::object),
+        (fields(), number()).prop_map(|(mut fields, n)| {
+            fields.push(("$bytes".to_string(), Value::Num(n)));
+            Value::object(fields)
+        }),
+        (fields(), inner.clone()).prop_map(|(mut fields, v)| {
+            fields.push(("$bytes".to_string(), v));
+            Value::object(fields)
+        }),
+    ]
+    .boxed()
+}
+
+fn value() -> BoxedStrategy<Value> {
+    let mut s = leaf().boxed();
+    for _ in 0..3 {
+        s = container(s);
+    }
+    s
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn direct_encoding_equals_the_tree_path(v in value()) {
+        let tree = v.to_json();
+        let text = serde_json::to_string(&v).unwrap();
+        prop_assert_eq!(&text, &serde_json::to_string(&tree).unwrap());
+        prop_assert_eq!(v.json_size(), json_size(&tree));
+        // what a script sees of a container is the same text
+        if matches!(v, Value::Array(_) | Value::Object(_)) {
+            prop_assert_eq!(&v.to_string(), &text);
+        }
+        // the body built from the encoding is the body built from the tree
+        let body = Body::encoded(text.clone(), v.json_size());
+        prop_assert!(!body.is_parsed());
+        prop_assert_eq!(body.text(), text.as_str());
+        prop_assert_eq!(body.json_size(), json_size(&tree));
+        prop_assert_eq!(&body, &Body::from(tree.clone()));
+        prop_assert!(!body.is_parsed(), "sizing, text and equality parsed the body");
+        // and the lazy parse gives the tree back
+        prop_assert_eq!(&*body, &tree);
+        prop_assert!(body.is_parsed());
+        prop_assert_eq!(body.into_json(), tree);
+    }
+}

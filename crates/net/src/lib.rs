@@ -92,55 +92,81 @@ impl HttpRequest {
     }
 }
 
-/// A response body: an immutable JSON value behind a shared pointer that
-/// remembers what the serving path keeps asking of it — its
-/// [`json_size`], its compact JSON text, and the response digest — so
-/// each is computed at most once however many layers size, digest, cache
-/// or clone the response. Cloning copies the pointer; clones share the
-/// remembered values. There is no mutable access: a different body is a
-/// new `Body` (and so starts with nothing remembered). Equality compares
-/// the JSON only.
+/// A response body: its compact JSON text and its [`json_size`], fixed
+/// when the body is built and shared behind one pointer, so serving,
+/// caching, sizing, forwarding and digesting a response never walk a JSON
+/// tree — the handler's answer is encoded once ([`Body::encoded`]) and
+/// every later holder reads the same bytes. The response digest is
+/// remembered on first use. Cloning copies the pointer; clones share what
+/// is remembered. There is no mutable access: a different body is a new
+/// `Body`. Equality compares the text.
+///
+/// Tests and the offline analyses read a body as a [`Json`] tree through
+/// `Deref`; the tree is parsed from the text on first use and kept.
 #[derive(Clone)]
 pub struct Body(Arc<BodyInner>);
 
 struct BodyInner {
-    json: Json,
-    size: OnceLock<usize>,
-    text: OnceLock<String>,
+    text: String,
+    size: usize,
     /// `(status, digest)` of the first response that digested this body.
     digest: OnceLock<(u16, u64)>,
+    /// The text parsed back, for the consumers that want a tree.
+    json: OnceLock<Json>,
 }
 
 impl Body {
+    /// A body from its encoding: `text` is the compact JSON a
+    /// `serde_json::to_string` of the value gives and `size` the
+    /// [`json_size`] of that value — the caller has both without building
+    /// a [`Json`] (a script value writes and sizes itself).
+    pub fn encoded(text: String, size: usize) -> Body {
+        Body(Arc::new(BodyInner {
+            text,
+            size,
+            digest: OnceLock::new(),
+            json: OnceLock::new(),
+        }))
+    }
+
     /// [`json_size`] of the body.
     pub fn json_size(&self) -> usize {
-        *self.0.size.get_or_init(|| json_size(&self.0.json))
+        self.0.size
     }
 
     /// The body as compact JSON — the bytes `serde_json::to_string` gives.
     pub fn text(&self) -> &str {
-        self.0
-            .text
-            .get_or_init(|| serde_json::to_string(&self.0.json).expect("response body serializes"))
+        &self.0.text
     }
 
-    /// The JSON value, without copying it when this is the only holder.
+    /// Whether the tree behind `Deref` has been parsed. The serving path
+    /// (serve, cache fill and hit, sizing, the digests) leaves this
+    /// `false`.
+    pub fn is_parsed(&self) -> bool {
+        self.0.json.get().is_some()
+    }
+
+    /// The body as a JSON tree of the caller's own.
     pub fn into_json(self) -> Json {
         match Arc::try_unwrap(self.0) {
-            Ok(inner) => inner.json,
-            Err(shared) => shared.json.clone(),
+            Ok(inner) => inner
+                .json
+                .into_inner()
+                .unwrap_or_else(|| parse(&inner.text)),
+            Err(shared) => Json::clone(&Body(shared)),
         }
     }
 }
 
+/// A body's text is JSON by construction ([`Body::encoded`]'s contract).
+fn parse(text: &str) -> Json {
+    serde_json::from_str(text).expect("a response body holds the JSON text it was encoded to")
+}
+
 impl From<Json> for Body {
     fn from(json: Json) -> Body {
-        Body(Arc::new(BodyInner {
-            json,
-            size: OnceLock::new(),
-            text: OnceLock::new(),
-            digest: OnceLock::new(),
-        }))
+        let text = serde_json::to_string(&json).expect("response body serializes");
+        Body::encoded(text, json_size(&json))
     }
 }
 
@@ -148,25 +174,25 @@ impl std::ops::Deref for Body {
     type Target = Json;
 
     fn deref(&self) -> &Json {
-        &self.0.json
+        self.0.json.get_or_init(|| parse(&self.0.text))
     }
 }
 
 impl PartialEq for Body {
     fn eq(&self, other: &Body) -> bool {
-        Arc::ptr_eq(&self.0, &other.0) || self.0.json == other.0.json
+        Arc::ptr_eq(&self.0, &other.0) || self.0.text == other.0.text
     }
 }
 
 impl PartialEq<Json> for Body {
     fn eq(&self, other: &Json) -> bool {
-        self.0.json == *other
+        **self == *other
     }
 }
 
 impl fmt::Debug for Body {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&self.0.json, f)
+        f.write_str(self.text())
     }
 }
 

@@ -1,8 +1,11 @@
-//! A response body remembers its size, JSON text and digest: each must
-//! equal a fresh computation, travel with clones (shared, not redone),
-//! stay out of equality, and never describe a different body or status.
+//! A response body is its JSON text and size, fixed at construction —
+//! from a `Json` (encoded eagerly) or from an encoding the caller already
+//! has (`Body::encoded`) — and remembers its digest and, for the callers
+//! that ask, its parsed tree. Each must equal a fresh computation, travel
+//! with clones (shared, not redone), stay out of equality, and never
+//! describe a different body or status.
 
-use edgstr_net::{fnv1a, json_size, HttpResponse, FNV_OFFSET};
+use edgstr_net::{fnv1a, json_size, Body, HttpResponse, FNV_OFFSET};
 use proptest::prelude::*;
 use serde_json::{json, Value as Json};
 
@@ -51,19 +54,22 @@ fn fresh_digest(status: u16, body: &Json) -> u64 {
     fnv1a(h, serde_json::to_string(body).unwrap().as_bytes())
 }
 
-fn response(status: u16, body: &Json) -> HttpResponse {
-    HttpResponse {
-        status,
-        body: body.clone().into(),
-    }
+/// A response over `body`, built by either constructor.
+fn response(status: u16, body: &Json, encoded: bool) -> HttpResponse {
+    let body = if encoded {
+        Body::encoded(serde_json::to_string(body).unwrap(), json_size(body))
+    } else {
+        body.clone().into()
+    };
+    HttpResponse { status, body }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn memo_equals_fresh_computation(status in status(), body in body()) {
-        let resp = response(status, &body);
+    fn memo_equals_fresh_computation(status in status(), body in body(), enc in any::<bool>()) {
+        let resp = response(status, &body, enc);
         // asked twice: the first call computes, the second reads the memo
         for _ in 0..2 {
             prop_assert_eq!(resp.size(), 64 + json_size(&body));
@@ -71,11 +77,17 @@ proptest! {
             prop_assert_eq!(resp.body.to_string(), body.to_string());
             prop_assert_eq!(resp.digest(), fresh_digest(status, &body));
         }
+        // none of which needed the tree; asking for it parses the text once
+        prop_assert!(!resp.body.is_parsed());
+        prop_assert_eq!(&*resp.body, &body);
+        prop_assert!(std::ptr::eq(&*resp.body, &*resp.body.clone()), "clone re-parsed");
     }
 
     #[test]
-    fn clones_share_the_memo_in_both_directions(status in status(), body in body()) {
-        let original = response(status, &body);
+    fn clones_share_the_memo_in_both_directions(
+        status in status(), body in body(), enc in any::<bool>(),
+    ) {
+        let original = response(status, &body, enc);
         let before = original.clone();
         // computed through the original, read through a clone taken earlier
         let text = original.body.text();
@@ -89,22 +101,24 @@ proptest! {
     }
 
     #[test]
-    fn equality_ignores_the_memo(status in status(), body in body()) {
-        let warm = response(status, &body);
-        let _ = (warm.size(), warm.body.text(), warm.digest());
-        let cold = response(status, &body);
+    fn equality_ignores_the_memo(status in status(), body in body(), enc in any::<bool>()) {
+        let warm = response(status, &body, enc);
+        let _ = (warm.size(), warm.digest(), warm.body.is_null());
+        // and the constructor: the two give the same body
+        let cold = response(status, &body, !enc);
         prop_assert_eq!(&warm, &cold);
+        prop_assert!(!cold.body.is_parsed(), "comparing bodies parsed one");
         prop_assert_eq!(&warm.body, &body);
-        prop_assert_ne!(&warm, &response(status ^ 1, &body));
+        prop_assert_ne!(&warm, &response(status ^ 1, &body, enc));
         let wrapped = json!({ "other": body.clone() });
-        prop_assert_ne!(&warm, &response(status, &wrapped));
+        prop_assert_ne!(&warm, &response(status, &wrapped, enc));
     }
 
     #[test]
     fn a_rebuilt_response_starts_with_nothing_remembered(
-        status in status(), body in body(), other in body(),
+        status in status(), body in body(), other in body(), enc in any::<bool>(),
     ) {
-        let original = response(status, &body);
+        let original = response(status, &body, enc);
         let (size, digest) = (original.size(), original.digest());
         // a different body is a different `Body`
         let mut rebuilt = original.clone();

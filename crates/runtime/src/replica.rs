@@ -433,6 +433,7 @@ mod tests {
     use super::*;
     use crate::cache::CacheStats;
     use edgstr_analysis::ReadUnit;
+    use edgstr_sim::SimTime;
     use edgstr_telemetry::Telemetry;
     use serde_json::json;
 
@@ -562,6 +563,41 @@ mod tests {
         let count = HttpRequest::get("/count", json!({}));
         assert!(!serve(&mut core, &count, &reader(vec![])).unwrap().effects);
         assert_eq!(core.cache.len(), 1);
+    }
+
+    /// The serving path never asks a body for its JSON tree: executing,
+    /// filling, hitting, sizing for the LAN, evicting a stale entry and the
+    /// run digest all work on the text `res.send` wrote.
+    #[test]
+    fn serving_caching_and_accounting_never_parse_the_body() {
+        let (template, init) = deployment();
+        let mut core = core(&template, &init, ReplicaKind::Edge);
+        let count = HttpRequest::get("/count", json!({}));
+        let counts = reader(vec![ReadUnit::Table("notes".into())]);
+        let mut rec = crate::RunRecorder::new(&Telemetry::disabled());
+        let mut account = |served: &Served| {
+            rec.add_lan_bytes(served.response.size());
+            rec.complete(&served.response, SimTime::ZERO, SimTime(1), 0.0);
+        };
+        let filled = serve(&mut core, &count, &counts).unwrap();
+        let hit = serve(&mut core, &count, &counts).unwrap();
+        assert!(!filled.hit && hit.hit);
+        account(&filled);
+        account(&hit);
+        // a write stales the entry; the next read drops it and refills
+        serve(&mut core, &note(1, "a"), &reader(vec![])).unwrap();
+        let refilled = serve(&mut core, &count, &counts).unwrap();
+        assert!(!refilled.hit);
+        account(&refilled);
+        assert_eq!(core.cache.stats().invalidations, 1);
+        assert_eq!(hit.response, filled.response);
+        assert_ne!(refilled.response, filled.response);
+        for served in [&filled, &hit, &refilled] {
+            assert!(!served.response.body.is_parsed());
+        }
+        // asking is what parses — once, for every holder of the body
+        assert_eq!(filled.response.body, json!({"count": 0}));
+        assert!(hit.response.body.is_parsed());
     }
 
     /// `/bump` mutates a global no CRDT binds: its outcome shows no
