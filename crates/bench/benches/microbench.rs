@@ -486,8 +486,8 @@ fn bench_sync(c: &mut Criterion) {
 }
 
 /// What a replica pays per request after the handler has answered, on the
-/// list-shaped body where it is largest: bookworm's `/books` over 512
-/// rows, ~30 KB of JSON.
+/// list-shaped body where it is largest — bookworm's `/books` over 512
+/// rows, ~30 KB of JSON — and what a whole miss on it costs.
 fn bench_response(c: &mut Criterion) {
     use edgstr_runtime::{CacheKey, ResponseCache, RunRecorder, UnitVersions};
     use edgstr_sim::SimTime;
@@ -524,6 +524,24 @@ fn bench_response(c: &mut Criterion) {
     let body = response.body.into_json();
     g.bench_function("encode_30k", |b| {
         b.iter(|| serde_json::to_string(&body).unwrap())
+    });
+    // one cache miss on the same service at the benchmark's catalogue
+    // size (517 rows, 36 KB): run the handler, then everything a replica
+    // asks of the answer — LAN size, text, digest — and free it, as the
+    // cache does once a write has staled the entry
+    for id in 608..613 {
+        let insert = format!("INSERT INTO books VALUES ({id}, 'amber basin {id}', 'Egan', 9.5, 3)");
+        server.db.exec(&insert).unwrap();
+    }
+    g.bench_function("books_517/serve", |b| {
+        b.iter(|| {
+            let response = server.handle(&request).unwrap().response;
+            (
+                response.size(),
+                response.body.text().len(),
+                response.digest(),
+            )
+        })
     });
     g.finish();
 }

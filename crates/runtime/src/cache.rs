@@ -388,8 +388,8 @@ impl ResponseCache {
             .expect("resident entry is in the recency index");
         entry.stamp = self.stamp;
         self.recency.insert(self.stamp, owned_key);
-        // shares the entry's body, and with it whatever size, text and
-        // digest earlier hits already computed
+        // shares the entry's body: its text and size, and the digest once
+        // any holder has asked for it
         let response = entry.response.clone();
         self.stats.hits += 1;
         self.event(HIT);
@@ -513,11 +513,10 @@ mod tests {
         let mut c = ResponseCache::new(64 * 1024, &Telemetry::disabled());
         let filled = resp(1);
         c.fill(key(1), &filled, Vec::new());
-        // the text is encoded once, through whichever holder asks first…
+        // the text was encoded when the body was built; every hit, and the
+        // response the fill was given, read that same allocation
         let first = c.lookup(&key(1), &v).unwrap();
         let text = first.body.text();
-        // …and every later hit, and the response the fill was given, read
-        // that same allocation
         let second = c.lookup(&key(1), &v).unwrap();
         assert!(std::ptr::eq(text, second.body.text()), "hit re-encoded");
         assert!(std::ptr::eq(text, filled.body.text()), "fill deep-copied");

@@ -192,22 +192,18 @@ pub struct RunStats {
     pub edge_energy_j: f64,
     /// `(time, active_replicas)` samples from the autoscaler.
     pub replica_samples: Vec<(SimTime, usize)>,
-    /// FNV-1a digest chained over every completed response (status +
-    /// serialized body) in completion order. Two runs that produced the
-    /// same digest returned byte-identical response sequences.
+    /// Every completed response's [`HttpResponse::digest`] (status +
+    /// serialized body) chained with FNV-1a in completion order. Two runs
+    /// that produced the same digest returned byte-identical response
+    /// sequences. A completion folds the eight bytes the response
+    /// remembers, not its text.
     pub response_digest: u64,
-    /// The chain that replaces [`RunStats::response_digest`]: each
-    /// completed response's remembered [`HttpResponse::digest`] folded in
-    /// completion order ([`fold_response_digest`]), so a completion hashes
-    /// eight bytes rather than the whole text. Carried beside the text
-    /// chain for one commit so both are pinned on the same code.
-    pub folded_response_digest: u64,
 }
 
 /// Fold one response's [`HttpResponse::digest`] into a run's digest
 /// chain — the definition the virtual-time recorder and the threaded
 /// executor share.
-pub fn fold_response_digest(chain: u64, response_digest: u64) -> u64 {
+pub(crate) fn fold_response_digest(chain: u64, response_digest: u64) -> u64 {
     fnv1a(chain, &response_digest.to_le_bytes())
 }
 
@@ -273,7 +269,6 @@ pub struct RunRecorder {
     replicas_gauge: Gauge,
     stats: RunStats,
     digest: u64,
-    folded: u64,
     clock: Clock,
 }
 
@@ -301,7 +296,6 @@ impl RunRecorder {
             replicas_gauge: registry.gauge("edgstr_active_replicas", &[]),
             stats: RunStats::default(),
             digest: FNV_OFFSET,
-            folded: FNV_OFFSET,
             clock,
         }
     }
@@ -340,9 +334,7 @@ impl RunRecorder {
         if now > self.stats.makespan {
             self.stats.makespan = now;
         }
-        self.digest = fnv1a(self.digest, &response.status.to_le_bytes());
-        self.digest = fnv1a(self.digest, response.body.text().as_bytes());
-        self.folded = fold_response_digest(self.folded, response.digest());
+        self.digest = fold_response_digest(self.digest, response.digest());
     }
 
     /// Record one failed request.
@@ -412,7 +404,6 @@ impl RunRecorder {
         self.stats.cloud_energy_j = cloud_energy_j;
         self.stats.edge_energy_j = edge_energy_j;
         self.stats.response_digest = self.digest;
-        self.stats.folded_response_digest = self.folded;
         if let Some(reg) = self.telemetry.registry() {
             reg.gauge("edgstr_energy_joules", &[("tier", "client")])
                 .set(self.stats.client_energy_j);

@@ -22,11 +22,14 @@
 //! only names the `edgstr_sync_bytes` counter, and the E1 / E4 / E8 / E12 /
 //! E18 / `ablation_sync_mode` binaries print theirs (EXPERIMENTS.md).
 //!
-//! Pinned at commit 73f3c67, before the run digest stopped re-hashing
-//! every response text: `folded_response_digest`, the chain over each
-//! response's remembered digest, beside the text chain it replaces. Both
-//! are constants of the same code; when the text chain is deleted the
-//! folded constants become the `response_digest` of these cells.
+//! The three virtual-time `response_digest` constants are the chain over
+//! each response's remembered digest. Commit c06e2cb carried that chain
+//! beside the one it replaced (status + full text re-hashed on every
+//! completion), pinned both on the code of 73f3c67 — text chain
+//! `0xcc5810c5dbdd4b32`, `0xac7c69a068d2806e`, `0x1f9639bdac514807` as
+//! since da72a1c / 2fd2206 — and the response encoder was rebuilt with
+//! both green before the text chain was deleted. The threaded executor
+//! always used the folded definition; its constant did not move.
 
 use edgstr_core::{capture_and_transform, EdgStrConfig};
 use edgstr_net::{CrashPlan, FaultPlan, HttpRequest, LossModel, Verb};
@@ -111,8 +114,7 @@ fn seeded_bookworm_run_matches_pinned_stats() {
     }
     assert_eq!(stats.completed, 1_200);
     assert_eq!((stats.failed, stats.forwarded), (0, 0));
-    assert_eq!(stats.response_digest, 0xcc58_10c5_dbdd_4b32);
-    assert_eq!(stats.folded_response_digest, 0x6d1c_e0a9_6847_598c);
+    assert_eq!(stats.response_digest, 0x6d1c_e0a9_6847_598c);
     assert_eq!(stats.lan_bytes, 956_935);
     assert_eq!(stats.wan_sync_bytes, 157_981, "wire-format dependent");
     assert_eq!(stats.makespan, SimTime(3_001_568));
@@ -135,7 +137,6 @@ fn seeded_bookworm_run_matches_pinned_stats() {
 #[derive(Debug, PartialEq)]
 struct FailoverPin {
     response_digest: u64,
-    folded_response_digest: u64,
     /// completed, failed, forwarded, retries, timed_out, degraded
     counts: [usize; 6],
     lan_bytes: usize,
@@ -221,7 +222,6 @@ fn failover_run(standby: bool) -> FailoverPin {
     let ha = sys.ha_stats();
     FailoverPin {
         response_digest: stats.response_digest,
-        folded_response_digest: stats.folded_response_digest,
         counts: [
             stats.completed,
             stats.failed,
@@ -262,8 +262,7 @@ fn forwarding_failover_and_quarantine_match_pinned_stats() {
     assert_eq!(
         failover_run(true),
         FailoverPin {
-            response_digest: 0xac7c_69a0_68d2_806e,
-            folded_response_digest: 0xbce7_b346_a25e_599d,
+            response_digest: 0xbce7_b346_a25e_599d,
             counts: [1_600, 0, 306, 79, 0, 0],
             lan_bytes: 1_736_444,
             wan_request_bytes: 277_046,
@@ -289,8 +288,7 @@ fn forwarding_failover_and_quarantine_match_pinned_stats() {
     assert_eq!(
         failover_run(false),
         FailoverPin {
-            response_digest: 0x1f96_39bd_ac51_4807,
-            folded_response_digest: 0xe0db_eb1f_c474_b44b,
+            response_digest: 0xe0db_eb1f_c474_b44b,
             counts: [1_369, 231, 308, 49, 9, 882],
             lan_bytes: 1_383_166,
             wan_request_bytes: 53_270,
