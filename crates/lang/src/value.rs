@@ -138,7 +138,7 @@ impl Value {
         match self {
             Value::Null => Json::Null,
             Value::Bool(b) => Json::Bool(*b),
-            Value::Num(n) => match Value::as_json_int(*n) {
+            Value::Num(n) => match json_int(*n) {
                 Some(i) => Json::from(i),
                 None => Json::from(*n),
             },
@@ -156,12 +156,6 @@ impl Value {
             ),
             Value::Function(_) | Value::Native(_) => Json::Null,
         }
-    }
-
-    /// The integer [`Value::to_json`] turns the number into, if it does:
-    /// integral floats below 9e15 travel as JSON integers.
-    fn as_json_int(n: f64) -> Option<i64> {
-        (n.fract() == 0.0 && n.abs() < 9e15).then_some(n as i64)
     }
 
     /// The transfer size of this value's JSON form — what
@@ -188,7 +182,7 @@ impl Value {
             Value::Object(map) => {
                 let map = map.borrow();
                 if let Some(Value::Num(n)) = map.get("$bytes") {
-                    if let Some(n) = Value::as_json_int(*n).filter(|n| *n >= 0) {
+                    if let Some(n) = json_int(*n).filter(|n| *n >= 0) {
                         return n as usize;
                     }
                 }
@@ -296,6 +290,12 @@ impl fmt::Display for Value {
     }
 }
 
+/// The integer a number travels as, if it does: integral values below
+/// 9e15 are JSON integers, everything else a float (or `null`).
+fn json_int(n: f64) -> Option<i64> {
+    (n.fract() == 0.0 && n.abs() < 9e15).then_some(n as i64)
+}
+
 /// The compact JSON text of [`Value::to_json`], written in one walk with
 /// no tree in between: `serde_json::to_string(&v)` and
 /// `serde_json::to_string(&v.to_json())` are the same bytes.
@@ -308,7 +308,7 @@ impl Serialize for Value {
         match self {
             Value::Null | Value::Function(_) | Value::Native(_) => out.push_str("null"),
             Value::Bool(b) => b.write_json(out),
-            Value::Num(n) => match Value::as_json_int(*n) {
+            Value::Num(n) => match json_int(*n) {
                 Some(i) => i.write_json(out),
                 // non-finite numbers have no JSON form and print as null
                 None => n.write_json(out),

@@ -137,3 +137,63 @@ proptest! {
         prop_assert_eq!(body.into_json(), tree);
     }
 }
+
+/// The property above moves with `Value::to_json`; these vectors do not.
+/// Each is `(value, text, size)` as the wire has carried it since the
+/// JSON-tree path defined it.
+#[test]
+fn golden_vectors() {
+    let hash = edgstr_lang::fnv1a(&[1, 2, 3]);
+    let cases: Vec<(Value, String, usize)> = vec![
+        (Value::Null, "null".into(), 4),
+        (Value::Bool(false), "false".into(), 5),
+        (Value::Num(-0.0), "0".into(), 8),
+        (Value::Num(-12.0), "-12".into(), 8),
+        (Value::Num(2.5), "2.5".into(), 8),
+        // the integer form stops short of 9e15, on both sides of zero
+        (
+            Value::Num(8_999_999_999_999_999.0),
+            "8999999999999999".into(),
+            8,
+        ),
+        (Value::Num(9e15), "9000000000000000.0".into(), 8),
+        (Value::Num(-9e15), "-9000000000000000.0".into(), 8),
+        (Value::Num(1e300), "1e300".into(), 8),
+        (Value::Num(f64::NAN), "null".into(), 4),
+        (Value::Num(f64::NEG_INFINITY), "null".into(), 4),
+        (Value::Native("db".into()), "null".into(), 4),
+        (
+            Value::str("a\"b\\c\n\u{1}\u{e9}"),
+            "\"a\\\"b\\\\c\\n\\u0001\u{e9}\"".into(),
+            // bytes, not characters: 9 + the two quotes
+            11,
+        ),
+        (
+            Value::bytes(vec![1, 2, 3]),
+            format!(r#"{{"$bytes":3,"$hash":{hash}}}"#),
+            3,
+        ),
+        (
+            Value::object([("$bytes", Value::Num(7.0)), ("x", Value::str("y"))]),
+            r#"{"$bytes":7,"x":"y"}"#.into(),
+            7,
+        ),
+        (
+            Value::object([("$bytes", Value::Num(-7.0))]),
+            r#"{"$bytes":-7}"#.into(),
+            2 + 6 + 3 + 8,
+        ),
+        (
+            Value::array(vec![
+                Value::object([("k\"", Value::array(vec![]))]),
+                Value::Null,
+            ]),
+            r#"[{"k\"":[]},null]"#.into(),
+            2 + (2 + 2 + 3 + 2 + 1) + (4 + 1),
+        ),
+    ];
+    for (v, text, size) in cases {
+        assert_eq!(serde_json::to_string(&v).unwrap(), text);
+        assert_eq!(v.json_size(), size, "{text}");
+    }
+}
