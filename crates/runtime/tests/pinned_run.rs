@@ -30,15 +30,26 @@
 //! since da72a1c / 2fd2206 — and the response encoder was rebuilt with
 //! both green before the text chain was deleted. The threaded executor
 //! always used the folded definition; its constant did not move.
+//!
+//! Pinned at commit f73649d, before the control planes (HA, quarantine,
+//! forwarding, placement) left `system.rs`: the elastic cell — autoscaler
+//! parking and unparking, the adaptive controller demoting and promoting
+//! across a load burst, both transition barriers held open by a lossy
+//! WAN — and, for it and both failover cells, a hash of the recorded
+//! trace. The trace export orders records by virtual time and then by
+//! recording order, and span ids are handed out in recording order, so
+//! the hash holds the emission order of every span and event: the thing
+//! moving code between modules can change while every count stays put.
 
 use edgstr_core::{capture_and_transform, EdgStrConfig};
-use edgstr_net::{CrashPlan, FaultPlan, HttpRequest, LossModel, Verb};
+use edgstr_net::{fnv1a, CrashPlan, FaultPlan, HttpRequest, LossModel, Verb, FNV_OFFSET};
 use edgstr_runtime::{
-    CachePolicy, CacheStats, HaPolicy, ParallelOptions, ParallelSystem, Placement, PlacementMode,
-    PlacementScript, QuarantinePolicy, RunStats, ScriptedDecision, ThreeTierOptions,
-    ThreeTierSystem, TimedRequest, Workload,
+    Autoscaler, CachePolicy, CacheStats, HaPolicy, ParallelOptions, ParallelSystem, Placement,
+    PlacementMode, PlacementPolicy, PlacementScript, QuarantinePolicy, RunStats, ScriptedDecision,
+    ThreeTierOptions, ThreeTierSystem, TimedRequest, Workload,
 };
 use edgstr_sim::{DetRng, DeviceSpec, SimDuration, SimTime};
+use edgstr_telemetry::Telemetry;
 use serde_json::json;
 
 /// Reads dominate and repeat (so the cache fills, hits, and is invalidated
@@ -163,7 +174,7 @@ struct FailoverPin {
 /// writes to its failover target; the master crashes once and comes back,
 /// one edge crashes and rejoins, and one edge serves through an injected
 /// faulty variant until the shadow check quarantines it.
-fn failover_run(standby: bool) -> FailoverPin {
+fn failover_run(standby: bool, telemetry: &Telemetry) -> FailoverPin {
     let app = edgstr_apps::bookworm::app();
     let (report, _) =
         capture_and_transform(&app.source, &app.service_requests, &EdgStrConfig::default())
@@ -211,6 +222,7 @@ fn failover_run(standby: bool) -> FailoverPin {
                     decide(Verb::Get, "/recommend", Placement::EdgeCacheOnly),
                 ],
             }),
+            telemetry: telemetry.clone(),
             ..Default::default()
         },
     )
@@ -255,12 +267,34 @@ fn failover_run(standby: bool) -> FailoverPin {
     }
 }
 
+/// Run `cell` with telemetry off and again recording: both runs must give
+/// `pin`, and the recorded trace must hash to `trace_hash` (not checked
+/// when the `enabled` feature is off and nothing is recorded).
+fn assert_pinned<P: std::fmt::Debug + PartialEq>(
+    cell: impl Fn(&Telemetry) -> P,
+    pin: P,
+    trace_hash: u64,
+) {
+    assert_eq!(cell(&Telemetry::disabled()), pin);
+    let telemetry = Telemetry::recording();
+    assert_eq!(cell(&telemetry), pin, "recording must not move the run");
+    let trace = telemetry.export_trace_jsonl();
+    if !trace.is_empty() {
+        assert_eq!(
+            fnv1a(FNV_OFFSET, trace.as_bytes()),
+            trace_hash,
+            "{} trace lines",
+            trace.lines().count()
+        );
+    }
+}
+
 #[test]
 fn forwarding_failover_and_quarantine_match_pinned_stats() {
     // warm standby: the master dies at 3.2 s, the standby is promoted
     // 500 ms later, and retries ride the outage out
-    assert_eq!(
-        failover_run(true),
+    assert_pinned(
+        |t| failover_run(true, t),
         FailoverPin {
             response_digest: 0xbce7_b346_a25e_599d,
             counts: [1_600, 0, 306, 79, 0, 0],
@@ -280,13 +314,14 @@ fn forwarding_failover_and_quarantine_match_pinned_stats() {
             shadow_mismatches: 3,
             quarantines: vec![(2, SimTime(3_565_199))],
             outages: vec![(SimTime(3_200_000), SimTime(3_700_000))],
-        }
+        },
+        0xc856_6aa1_0090_d525,
     );
     // no standby: forwards time out and breakers open until the master
     // recovers from its durable image at 6 s; the edge whose restart came
     // due meanwhile rejoins then
-    assert_eq!(
-        failover_run(false),
+    assert_pinned(
+        |t| failover_run(false, t),
         FailoverPin {
             response_digest: 0xe0db_eb1f_c474_b44b,
             counts: [1_369, 231, 308, 49, 9, 882],
@@ -306,7 +341,207 @@ fn forwarding_failover_and_quarantine_match_pinned_stats() {
             shadow_mismatches: 3,
             quarantines: vec![(2, SimTime(3_565_199))],
             outages: vec![(SimTime(3_200_000), SimTime(6_000_000))],
+        },
+        0x7b39_82ad_20c0_615e,
+    );
+}
+
+/// Everything the elastic cell pins, in one comparable value.
+#[derive(Debug, PartialEq)]
+struct ElasticPin {
+    response_digest: u64,
+    /// completed, failed, forwarded, retries, timed_out, degraded
+    counts: [usize; 6],
+    lan_bytes: usize,
+    wan_request_bytes: usize,
+    wan_sync_bytes: usize,
+    makespan: SimTime,
+    /// One autoscaler sample per arrival.
+    replica_samples: usize,
+    /// The samples at which the active replica count changed.
+    replica_changes: Vec<(SimTime, usize)>,
+    /// Replicated state of the master and of each edge, reconverged.
+    state_digests: [u64; 4],
+    /// (decided at, service, to), in decision order.
+    decided: Vec<(SimTime, String, &'static str)>,
+    /// (service, from, to, decided at, completed at, reason), in
+    /// completion order.
+    transitions: Vec<Transition>,
+    promotes: u32,
+    demotes: u32,
+    /// Acked prefixes snapshotted by the placement and the HA audits.
+    acked_snapshots: [usize; 2],
+}
+
+type Transition = (String, &'static str, &'static str, SimTime, SimTime, String);
+
+/// The planes the two cells above leave idle, together: a slow phase the
+/// autoscaler parks two replicas under, a burst that wakes them and drives
+/// offered edge utilization over the controller's ceiling — every service
+/// busy enough to have an opinion demotes — and a slow phase again, where
+/// they promote back. The WAN loses 30% of its messages, so the demotions
+/// wait a round on their `CloudDominates` barriers, the promotions wait
+/// for the final flush on `EdgesDominate`, and forwards retry.
+fn elastic_run(telemetry: &Telemetry) -> ElasticPin {
+    let app = edgstr_apps::bookworm::app();
+    let (report, _) =
+        capture_and_transform(&app.source, &app.service_requests, &EdgStrConfig::default())
+            .unwrap();
+    let mut faults = FaultPlan::new(0xE1A5);
+    faults.set_default_loss(LossModel::uniform(0.30));
+    let mut sys = ThreeTierSystem::deploy(
+        &app.source,
+        &report,
+        &[DeviceSpec::rpi4(), DeviceSpec::rpi4(), DeviceSpec::rpi4()],
+        ThreeTierOptions {
+            cache: CachePolicy::All,
+            autoscaler: Some(Autoscaler::default()),
+            faults: Some(faults),
+            placement: PlacementMode::Adaptive(PlacementPolicy {
+                min_requests: 4,
+                confirm_windows: 1,
+                cooldown: SimDuration::from_secs(1),
+                max_utilization: 0.001,
+                ..PlacementPolicy::default()
+            }),
+            telemetry: telemetry.clone(),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let mut workload = stream_every(0x5EED, 2_400, 0);
+    let mut arrivals = workload.requests.iter_mut();
+    let mut at = 0;
+    for (count, gap_us) in [(300, 10_000), (1_800, 400), (300, 10_000)] {
+        for tr in arrivals.by_ref().take(count) {
+            tr.at = SimTime(at);
+            at += gap_us;
         }
+    }
+    let stats: RunStats = sys.run(&workload);
+    sys.sync_until_converged(stats.makespan + SimDuration::from_secs(2), 40)
+        .expect("the cluster converges once the stream ends");
+    let label = |(verb, path): &(Verb, String)| format!("{verb} {path}");
+    let ps = sys.placement_stats();
+    let mut replica_changes: Vec<(SimTime, usize)> = Vec::new();
+    for &(at, active) in &stats.replica_samples {
+        if replica_changes.last().is_none_or(|&(_, n)| n != active) {
+            replica_changes.push((at, active));
+        }
+    }
+    ElasticPin {
+        response_digest: stats.response_digest,
+        counts: [
+            stats.completed,
+            stats.failed,
+            stats.forwarded,
+            stats.retries,
+            stats.timed_out,
+            stats.degraded,
+        ],
+        lan_bytes: stats.lan_bytes,
+        wan_request_bytes: stats.wan_request_bytes,
+        wan_sync_bytes: stats.wan_sync_bytes,
+        makespan: stats.makespan,
+        replica_samples: stats.replica_samples.len(),
+        replica_changes,
+        state_digests: [
+            sys.cloud.replicated_state_digest(),
+            sys.edges[0].core.replicated_state_digest(),
+            sys.edges[1].core.replicated_state_digest(),
+            sys.edges[2].core.replicated_state_digest(),
+        ],
+        decided: ps
+            .decided
+            .iter()
+            .map(|d| (d.at, label(&d.service), d.to.as_str()))
+            .collect(),
+        transitions: ps
+            .transitions
+            .iter()
+            .map(|t| {
+                (
+                    label(&t.service),
+                    t.from.as_str(),
+                    t.to.as_str(),
+                    t.decided_at,
+                    t.completed_at,
+                    t.reason.clone(),
+                )
+            })
+            .collect(),
+        promotes: ps.promotes,
+        demotes: ps.demotes,
+        acked_snapshots: [
+            ps.acked_snapshots.len(),
+            sys.ha_stats().acked_snapshots.len(),
+        ],
+    }
+}
+
+#[test]
+fn autoscaling_and_adaptive_placement_match_pinned_stats() {
+    let demoted = |service: &str| -> Transition {
+        (
+            service.to_string(),
+            "edge_replicate",
+            "cloud_pin",
+            SimTime(4_000_000),
+            SimTime(5_000_000),
+            "edge_overload".to_string(),
+        )
+    };
+    let promoted = |service: &str, reason: &str| -> Transition {
+        (
+            service.to_string(),
+            "cloud_pin",
+            "edge_replicate",
+            SimTime(5_000_000),
+            SimTime(20_100_190),
+            reason.to_string(),
+        )
+    };
+    let services = ["GET /books", "GET /search", "POST /books", "PUT /stock"];
+    let decided = |at, to| services.map(|s| (SimTime(at), s.to_string(), to));
+    assert_pinned(
+        elastic_run,
+        ElasticPin {
+            response_digest: 0x90c9_67a4_aae4_0a6b,
+            counts: [2_397, 3, 80, 56, 3, 0],
+            lan_bytes: 2_628_522,
+            wan_request_bytes: 770_140,
+            wan_sync_bytes: 680_500,
+            makespan: SimTime(19_100_190),
+            replica_samples: 2_400,
+            replica_changes: vec![
+                (SimTime(0), 1),
+                (SimTime(3_002_000), 2),
+                (SimTime(3_003_600), 3),
+                (SimTime(3_730_000), 1),
+                (SimTime(5_060_000), 2),
+                (SimTime(5_110_000), 3),
+            ],
+            state_digests: [0x25c2_87bc_a1a0_d652; 4],
+            decided: [
+                decided(4_000_000, "cloud_pin"),
+                decided(5_000_000, "edge_replicate"),
+            ]
+            .concat(),
+            transitions: vec![
+                demoted("GET /books"),
+                demoted("GET /search"),
+                demoted("POST /books"),
+                demoted("PUT /stock"),
+                promoted("GET /books", "read_heavy"),
+                promoted("GET /search", "read_heavy"),
+                promoted("POST /books", "write_heavy"),
+                promoted("PUT /stock", "write_heavy"),
+            ],
+            promotes: 4,
+            demotes: 4,
+            acked_snapshots: [24, 0],
+        },
+        0xf172_3a79_8224_e41f,
     );
 }
 
