@@ -531,23 +531,6 @@ impl Doc {
         Ok(())
     }
 
-    /// Ensure `path` resolves to a (possibly empty) map.
-    ///
-    /// # Errors
-    ///
-    /// Fails on invalid paths.
-    pub fn put_map(&mut self, path: &[PathSeg]) -> Result<(), CrdtError> {
-        if self.get_obj(path).is_some() {
-            return Ok(());
-        }
-        let mut ops = Vec::new();
-        let id = self.next_op();
-        ops.push(Op::MakeMap { id });
-        self.write(path, OpValue::Obj(ObjId::Made(id)), &mut ops)?;
-        self.commit(ops);
-        Ok(())
-    }
-
     /// Ensure `path` resolves to a (possibly empty) list.
     ///
     /// # Errors

@@ -168,11 +168,6 @@ impl<'h> Interpreter<'h> {
         self.step_limit = limit;
     }
 
-    /// Reset the cycle counter, returning the previous total.
-    pub fn take_cycles(&mut self) -> u64 {
-        std::mem::take(&mut self.cycles)
-    }
-
     /// Read-only view of the global scope.
     pub fn globals(&self) -> &BTreeMap<String, Value> {
         &self.globals
@@ -198,11 +193,6 @@ impl<'h> Interpreter<'h> {
         for (k, v) in saved {
             self.globals.insert(k.clone(), v.deep_clone());
         }
-    }
-
-    /// Define or overwrite a global binding.
-    pub fn define_global(&mut self, name: impl Into<String>, value: Value) {
-        self.globals.insert(name.into(), value);
     }
 
     /// Execute a whole program's top-level statements (the `init` phase).
@@ -807,27 +797,6 @@ impl<'h> Interpreter<'h> {
 
     fn binary(&mut self, op: BinOp, a: Value, b: Value) -> Result<Value, RuntimeError> {
         ops::binary(op, &a, &b).map_err(|m| RuntimeError::new(Some(self.cur_stmt), m))
-    }
-}
-
-// `host_call` returns HostOutcome internally but callers need Value.
-impl<'h> Interpreter<'h> {
-    /// Run a single already-parsed statement list in the global scope.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`RuntimeError`] from execution.
-    pub fn run_stmts(
-        &mut self,
-        stmts: &[Stmt],
-        tracer: &mut dyn Instrument,
-    ) -> Result<(), RuntimeError> {
-        for s in stmts {
-            if let Flow::Return(_) = self.exec_stmt(s, tracer)? {
-                break;
-            }
-        }
-        Ok(())
     }
 }
 

@@ -12,7 +12,6 @@
 //! and `"edge{i}"` for the i-th edge replica.
 
 use edgstr_sim::{splitmix64, DetRng, SimDuration, SimTime};
-use std::collections::BTreeMap;
 
 use crate::fault::hash_str;
 
@@ -125,17 +124,6 @@ impl CrashPlan {
     /// Whether the schedule is empty.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
-    }
-
-    /// Scheduled outages per node (`Down` events).
-    pub fn crash_counts(&self) -> BTreeMap<String, usize> {
-        let mut counts = BTreeMap::new();
-        for e in &self.events {
-            if e.kind == CrashKind::Down {
-                *counts.entry(e.node.clone()).or_insert(0) += 1;
-            }
-        }
-        counts
     }
 
     /// Whether `node` is scheduled to be down at `at` (its most recent

@@ -505,8 +505,9 @@ impl SetSyncMessage {
     }
 }
 
-/// Per-peer synchronization endpoint with traffic accounting — one side of
-/// the bidirectional `socket.io`-style channel (§III-G.1).
+/// Per-peer synchronization endpoint — one side of the bidirectional
+/// `socket.io`-style channel (§III-G.1). Whoever carries a message sizes it
+/// ([`SetSyncMessage::wire_size`]); the endpoint only tracks the peer.
 ///
 /// Delivery tracking is **ack-driven** by default: [`SyncEndpoint::generate`]
 /// does not assume its outgoing delta arrives. `peer_clock` only advances
@@ -521,12 +522,6 @@ pub struct SyncEndpoint {
     pub peer_clock: SetClock,
     /// How `peer_clock` advances on send.
     pub mode: AdvanceMode,
-    /// Total bytes sent to the peer.
-    pub bytes_sent: usize,
-    /// Total bytes received from the peer.
-    pub bytes_received: usize,
-    /// Sync messages exchanged.
-    pub messages: usize,
 }
 
 impl SyncEndpoint {
@@ -541,11 +536,7 @@ impl SyncEndpoint {
     /// the shared snapshot, the provisioning clock for one built from a
     /// save image (nothing below it is ever re-sent).
     pub fn starting(mode: AdvanceMode, peer_clock: SetClock) -> Self {
-        SyncEndpoint {
-            peer_clock,
-            mode,
-            ..SyncEndpoint::default()
-        }
+        SyncEndpoint { peer_clock, mode }
     }
 
     /// Build the next outgoing sync message for the peer.
@@ -556,10 +547,6 @@ impl SyncEndpoint {
             ack: set.clock(),
             changes,
         };
-        if !msg.changes.is_empty() {
-            self.bytes_sent += msg.wire_size();
-            self.messages += 1;
-        }
         if self.mode == AdvanceMode::Optimistic && !msg.changes.is_empty() {
             // pre-fix behaviour: assume delivery without an ack
             for (n, cs) in &msg.changes.tables {
@@ -599,10 +586,6 @@ impl SyncEndpoint {
         server: &mut ServerProcess,
         msg: SetSyncMessage,
     ) -> usize {
-        self.bytes_received += msg.wire_size();
-        if !msg.changes.is_empty() {
-            self.messages += 1;
-        }
         self.peer_clock.merge(&msg.ack);
         set.apply_remote_owned(msg.changes, server)
     }
@@ -830,7 +813,6 @@ mod tests {
         let down = c2e.generate(&cloud_set);
         assert!(down.changes.is_empty());
         assert_eq!(e2c.receive_owned(&mut edge_set, &mut edge, down), 0);
-        assert_eq!((e2c.bytes_sent, c2e.bytes_sent), (0, 0));
 
         let out = edge
             .handle(&HttpRequest::post(

@@ -7,17 +7,29 @@
 //!   materialization of remote changes back into the local database, file
 //!   system and globals;
 //! - [`SyncEndpoint`] — the bidirectional `cloud_state` / `edge_state`
-//!   channel with delta shipping and traffic accounting (Fig. 5b);
+//!   channel with ack-driven delta shipping (Fig. 5b);
 //! - [`ReplicaCore`] — one replica (server process, [`CrdtSet`],
-//!   [`ResponseCache`]): provisioned from a [`ReplicaTemplate`] or a save
-//!   image, serving through the one pipeline every driver below calls
-//!   (lookup, handle, revert on failure, absorb, fill);
+//!   [`ResponseCache`]): provisioned by a [`replica::Provisioner`] from a
+//!   [`ReplicaTemplate`] (and, for a replacement, a save image), serving
+//!   through the one pipeline every driver below calls (lookup, handle,
+//!   revert on failure, absorb, fill);
 //! - [`LoadBalancer`] / [`Autoscaler`] — least-connections balancing and
 //!   elasticity with low-power replica parking (§IV-D);
 //! - [`TwoTierSystem`] / [`ThreeTierSystem`] — virtual-time drivers for
 //!   the original client-cloud deployment and the EdgStr-generated
 //!   client-edge-cloud deployment (edges, cloud master and warm standby
-//!   are cores), including failure forwarding to the cloud master;
+//!   are cores). The three-tier driver routes and schedules; the control
+//!   planes it calls own their state and act on the nodes it lends them:
+//!   - [`link::SyncLink`] — both endpoints of one replica↔master channel
+//!     and the one exchange every synced replica runs over it;
+//!   - [`ha::HaPlane`] — crash schedule, warm standby, durable image,
+//!     failover and edge restarts;
+//!   - [`quarantine::Quarantine`] — shadow execution on a diversified
+//!     variant, mismatch budgets;
+//!   - [`forwarding::Forwarder`] — failure forwarding to the cloud master
+//!     with retries, backoff and per-edge circuit breakers;
+//!   - [`tiering::Placements`] — per-service tier placement and its
+//!     clock-barrier transitions;
 //! - [`ParallelSystem`] — the wall-clock executor: the same cores, each
 //!   owned by one worker thread.
 
@@ -25,7 +37,11 @@ pub mod balancer;
 pub mod cache;
 pub mod crdtset;
 pub mod driver;
+pub mod forwarding;
+pub mod ha;
+pub mod link;
 pub mod parallel;
+pub mod quarantine;
 pub mod replica;
 pub mod system;
 pub mod tiering;
@@ -37,17 +53,15 @@ pub use cache::{
 };
 pub use crdtset::{CrdtSet, SetChanges, SetClock, SetSyncMessage, SyncEndpoint};
 pub use driver::{FaultPolicy, MobilePower, RunRecorder, RunStats, TimedRequest, Workload};
+pub use ha::{HaPolicy, HaStats};
 pub use parallel::{ParallelOptions, ParallelRunStats, ParallelSystem, FAILED_DIGEST};
+pub use quarantine::QuarantinePolicy;
 pub use replica::{
     cache_plan, BitFlipCorruptor, CachePlan, ReplicaCore, ReplicaKind, ReplicaTemplate, Served,
 };
-pub use system::{
-    EdgeReplica, HaPolicy, HaStats, QuarantinePolicy, ThreeTierOptions, ThreeTierSystem,
-    TwoTierSystem,
-};
+pub use system::{EdgeReplica, ThreeTierOptions, ThreeTierSystem, TwoTierSystem};
 pub use tiering::{
-    PendingTransition, PlacementMode, PlacementScript, PlacementStats, ScriptedDecision,
-    TransitionBarrier, TransitionRecord,
+    PlacementMode, PlacementScript, PlacementStats, ScriptedDecision, TransitionRecord,
 };
 // Decision-logic types re-exported so runtime consumers need not depend on
 // `edgstr-placement` directly.

@@ -44,10 +44,10 @@
 //! [`AdvanceMode::Optimistic`] (the loss-tolerant ack protocol exists for
 //! the simulated WAN, which this executor does not traverse).
 
-use crate::cache::{CachePolicy, CacheStats, ResponseCache};
+use crate::cache::{CachePolicy, CacheStats};
 use crate::crdtset::{SetClock, SetSyncMessage, SyncEndpoint};
 use crate::driver::fold_response_digest;
-use crate::replica::{cache_plan, ReplicaCore, ReplicaKind, ReplicaTemplate};
+use crate::replica::{cache_plan, Provisioner, ReplicaCore, ReplicaKind, ReplicaTemplate};
 use edgstr_core::TransformationReport;
 use edgstr_crdt::{ActorId, AdvanceMode};
 use edgstr_net::{HttpRequest, FNV_OFFSET};
@@ -248,16 +248,11 @@ impl ParallelSystem {
             let cloud = s.spawn({
                 let template = Arc::clone(template);
                 move || {
-                    let mut cloud = ReplicaCore::fresh(
-                        &template,
-                        &template.init.to_state(),
-                        ReplicaKind::Master,
-                        ActorId(1),
-                        // nothing is forwarded to this master: it only
-                        // folds deltas
-                        ResponseCache::new(0, &Telemetry::disabled()),
-                    )
-                    .expect("cloud program parses and initialises");
+                    // nothing is forwarded to this master: it only folds
+                    // deltas, so its cache gets no budget
+                    let mut cloud = Provisioner::new(template, 0, &Telemetry::disabled())
+                        .provision(ReplicaKind::Master, ActorId(1), None)
+                        .expect("cloud program parses and initialises");
                     let mut endpoints: Vec<SyncEndpoint> = (0..r_count)
                         .map(|_| {
                             SyncEndpoint::starting(AdvanceMode::Optimistic, SetClock::default())
@@ -316,18 +311,14 @@ impl ParallelSystem {
                         });
                         // Build this worker's replicas on this thread: the
                         // VM and its caches never cross a thread boundary.
-                        let init = template.init.to_state();
+                        let mut provisioner =
+                            Provisioner::new(Arc::clone(&template), budget, &telemetry);
                         let mut replicas: BTreeMap<usize, OwnedReplica> = (0..r_count)
                             .filter(|r| r % t_count == w)
                             .map(|r| {
-                                let core = ReplicaCore::fresh(
-                                    &template,
-                                    &init,
-                                    ReplicaKind::Edge,
-                                    ActorId(2 + r as u64),
-                                    ResponseCache::new(budget, &telemetry),
-                                )
-                                .expect("replica program initialises");
+                                let core = provisioner
+                                    .provision(ReplicaKind::Edge, ActorId(2 + r as u64), None)
+                                    .expect("replica program initialises");
                                 let to_cloud = SyncEndpoint::starting(
                                     AdvanceMode::Optimistic,
                                     SetClock::default(),
@@ -342,7 +333,7 @@ impl ParallelSystem {
                                 )
                             })
                             .collect();
-                        drop(init); // a worker serves for a long time; the snapshot is spent
+                        drop(provisioner); // a worker serves for a long time; the snapshot is spent
                         let mut outcome = WorkerOutcome {
                             completed: 0,
                             failed: 0,
@@ -487,7 +478,7 @@ mod tests {
         assert_send::<ReplicaTemplate>();
         assert_send::<Arc<ReplicaTemplate>>();
         assert_send::<SetSyncMessage>();
-        assert_send::<ResponseCache>();
+        assert_send::<crate::ResponseCache>();
         assert_send::<CacheStats>();
         assert_send::<RegistrySnapshot>();
         assert_send::<ParallelRunStats>();

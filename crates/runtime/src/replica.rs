@@ -4,8 +4,8 @@
 //! thing: a server process initialised from one shared snapshot (§III-G)
 //! that serves a request, turns the state change into CRDT operations and
 //! syncs in the background (§III-F). [`ReplicaCore`] is that thing, once:
-//! the VM, its CRDT set and its response cache, provisioned in two ways
-//! and serving through one pipeline. The virtual-time driver's edges, its
+//! the VM, its CRDT set and its response cache, provisioned by one
+//! [`Provisioner`] and serving through one pipeline. The virtual-time driver's edges, its
 //! cloud master and warm standby, and the threaded executor's replicas
 //! and cloud thread all hold cores; what differs between them — devices,
 //! links, retries, failover, threads — lives in the drivers.
@@ -34,18 +34,20 @@ use crate::cache::{
 };
 use crate::crdtset::CrdtSet;
 use edgstr_analysis::{
-    EffectSummary, HandleOutcome, InitSeed, InitState, ServerError, ServerProcess, StateUnit,
+    EffectSummary, ExecMode, HandleOutcome, InitSeed, InitState, ServerError, ServerProcess,
+    StateUnit,
 };
 use edgstr_core::{CrdtBindings, TransformationReport};
 use edgstr_crdt::ActorId;
 use edgstr_lang::Program;
 use edgstr_net::{fnv1a, HttpRequest, HttpResponse, Verb, FNV_OFFSET};
 use edgstr_sim::DetRng;
-use edgstr_telemetry::StmtProfiler;
+use edgstr_telemetry::{StmtProfiler, Telemetry};
 use serde_json::Value as Json;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Everything needed to provision a replica of one deployment: plain
 /// data, `Send + Sync`, shared by reference. The non-`Send` runtime state
@@ -242,74 +244,6 @@ pub struct ReplicaCore {
 }
 
 impl ReplicaCore {
-    /// A server process of `kind` at the deployment's init checkpoint.
-    fn boot(
-        template: &ReplicaTemplate,
-        init: &InitState,
-        kind: ReplicaKind,
-    ) -> Result<ServerProcess, ServerError> {
-        let mut server = match kind {
-            ReplicaKind::Master => ServerProcess::from_source(&template.cloud_source)?,
-            ReplicaKind::Edge => ServerProcess::from_program(template.program.clone()),
-        };
-        server.init()?;
-        init.restore(&mut server);
-        Ok(server)
-    }
-
-    /// Provision from the deployment template: server and CRDT set both
-    /// start from the shared init snapshot (§III-G). `init` is the
-    /// calling thread's [`InitSeed::to_state`] of `template.init`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates parse/init failures.
-    pub fn fresh(
-        template: &ReplicaTemplate,
-        init: &InitState,
-        kind: ReplicaKind,
-        actor: ActorId,
-        cache: ResponseCache,
-    ) -> Result<ReplicaCore, ServerError> {
-        Ok(ReplicaCore {
-            server: Self::boot(template, init, kind)?,
-            crdts: CrdtSet::initialize(actor, &template.bindings, init),
-            cache,
-            corruptor: None,
-        })
-    }
-
-    /// Provision from a [`CrdtSet::save`] image (snapshot + retained tail)
-    /// under a new actor id: the replica joins at the image's clock
-    /// without anyone replaying history compaction may have folded.
-    ///
-    /// # Errors
-    ///
-    /// Propagates parse/init failures.
-    ///
-    /// # Panics
-    ///
-    /// When `image` is not a save image of this deployment.
-    pub fn from_image(
-        template: &ReplicaTemplate,
-        init: &InitState,
-        kind: ReplicaKind,
-        actor: ActorId,
-        image: &[u8],
-        cache: ResponseCache,
-    ) -> Result<ReplicaCore, ServerError> {
-        let mut server = Self::boot(template, init, kind)?;
-        let crdts =
-            CrdtSet::load(actor, &template.bindings, image).expect("save image must round-trip");
-        crdts.materialize_all(&mut server);
-        Ok(ReplicaCore {
-            server,
-            crdts,
-            cache,
-            corruptor: None,
-        })
-    }
-
     /// Replace this node's process with `next` (a restart, a recovery, a
     /// promoted standby). The cache object stays with the node — its
     /// lifetime counters are the node's — but its entries die with the
@@ -428,8 +362,113 @@ impl ReplicaCore {
     }
 }
 
+/// What one thread provisions its replicas of a deployment from, at deploy
+/// and at every restart, recovery and standby provisioning: the template,
+/// this thread's view of its init snapshot ([`InitSeed::to_state`]), the
+/// cache budget and the next unused actor id.
+#[derive(Debug)]
+pub struct Provisioner {
+    pub template: Arc<ReplicaTemplate>,
+    init: InitState,
+    /// Reusing a dead incarnation's actor would collide with its
+    /// already-synced sequence numbers, so ids only ever go up.
+    next_actor: u64,
+    cache_budget_bytes: usize,
+    telemetry: Telemetry,
+}
+
+impl Provisioner {
+    /// A provisioner for the calling thread; the caches of its replicas
+    /// report to `telemetry`.
+    pub fn new(
+        template: Arc<ReplicaTemplate>,
+        cache_budget_bytes: usize,
+        telemetry: &Telemetry,
+    ) -> Provisioner {
+        Provisioner {
+            init: template.init.to_state(),
+            template,
+            next_actor: 1,
+            cache_budget_bytes,
+            telemetry: telemetry.clone(),
+        }
+    }
+
+    /// A replica of `kind` under `actor`. Without an image, server and CRDT
+    /// set both start from the shared init snapshot (§III-G). From a
+    /// [`CrdtSet::save`] image (snapshot + retained tail) the replica joins
+    /// at the image's clock without anyone replaying history compaction
+    /// may have folded.
+    ///
+    /// # Errors
+    ///
+    /// Propagates parse/init failures.
+    ///
+    /// # Panics
+    ///
+    /// When `image` is not a save image of this deployment.
+    pub fn provision(
+        &mut self,
+        kind: ReplicaKind,
+        actor: ActorId,
+        image: Option<&[u8]>,
+    ) -> Result<ReplicaCore, ServerError> {
+        self.next_actor = self.next_actor.max(actor.0 + 1);
+        let template = &self.template;
+        let mut server = match kind {
+            ReplicaKind::Master => ServerProcess::from_source(&template.cloud_source)?,
+            ReplicaKind::Edge => ServerProcess::from_program(template.program.clone()),
+        };
+        server.init()?;
+        self.init.restore(&mut server);
+        let crdts = match image {
+            None => CrdtSet::initialize(actor, &template.bindings, &self.init),
+            Some(image) => {
+                let crdts = CrdtSet::load(actor, &template.bindings, image)
+                    .expect("save image must round-trip");
+                crdts.materialize_all(&mut server);
+                crdts
+            }
+        };
+        Ok(ReplicaCore {
+            server,
+            crdts,
+            cache: ResponseCache::new(self.cache_budget_bytes, &self.telemetry),
+            corruptor: None,
+        })
+    }
+
+    /// A replacement replica under the next unused actor id.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Provisioner::provision`].
+    pub fn replacement(
+        &mut self,
+        kind: ReplicaKind,
+        image: Option<&[u8]>,
+    ) -> Result<ReplicaCore, ServerError> {
+        self.provision(kind, ActorId(self.next_actor), image)
+    }
+
+    /// A diversified variant for the multi-variant check: the replica
+    /// program on the tree-walking engine (the primary serves compiled),
+    /// so an engine-level fault cannot corrupt both variants the same way.
+    ///
+    /// # Errors
+    ///
+    /// Propagates init failures.
+    pub fn shadow_variant(&self) -> Result<ServerProcess, ServerError> {
+        let program = self.template.program.clone();
+        let mut shadow = ServerProcess::from_program_with_mode(program, ExecMode::TreeWalking);
+        shadow.init()?;
+        self.init.restore(&mut shadow);
+        Ok(shadow)
+    }
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::cache::CacheStats;
     use edgstr_analysis::ReadUnit;
@@ -467,7 +506,7 @@ mod tests {
 
     /// A deployment of [`APP`] binding the table and `written` — built by
     /// hand so each test states the service profile it serves under.
-    fn deployment() -> (ReplicaTemplate, InitState) {
+    pub(crate) fn deployment() -> Provisioner {
         let mut server = ServerProcess::from_source(APP).unwrap();
         server.init().unwrap();
         let template = ReplicaTemplate {
@@ -481,16 +520,14 @@ mod tests {
             replicated: BTreeSet::new(),
             effects: BTreeMap::new(),
         };
-        let init = template.init.to_state();
-        (template, init)
+        Provisioner::new(Arc::new(template), 64 * 1024, &Telemetry::disabled())
     }
 
-    fn core(template: &ReplicaTemplate, init: &InitState, kind: ReplicaKind) -> ReplicaCore {
-        let cache = ResponseCache::new(64 * 1024, &Telemetry::disabled());
-        ReplicaCore::fresh(template, init, kind, ActorId(2), cache).unwrap()
+    fn core(deployment: &mut Provisioner, kind: ReplicaKind) -> ReplicaCore {
+        deployment.provision(kind, ActorId(2), None).unwrap()
     }
 
-    fn note(id: u64, text: &str) -> HttpRequest {
+    pub(crate) fn note(id: u64, text: &str) -> HttpRequest {
         HttpRequest::post("/note", json!({"id": id, "text": text}), vec![])
     }
 
@@ -521,14 +558,14 @@ mod tests {
     /// nothing was cached on the way. Master and edge alike.
     #[test]
     fn failed_handler_after_write_leaves_no_row_and_fills_nothing() {
-        let (template, init) = deployment();
+        let mut deployment = deployment();
         let count = HttpRequest::get("/count", json!({}));
         let counts = reader(vec![ReadUnit::Table("notes".into())]);
         // the profile claims `/note` cacheable, so only the pipeline's own
         // gates stand between the failed execution and a fill
         let noting = reader(vec![]);
         for kind in [ReplicaKind::Master, ReplicaKind::Edge] {
-            let mut core = core(&template, &init, kind);
+            let mut core = core(&mut deployment, kind);
             serve(&mut core, &note(1, "a"), &noting).unwrap();
             let before = serve(&mut core, &count, &counts).unwrap();
             let (clock, cached) = (core.crdts.clock(), core.cache.len());
@@ -554,8 +591,8 @@ mod tests {
 
     #[test]
     fn execution_with_effects_never_fills() {
-        let (template, init) = deployment();
-        let mut core = core(&template, &init, ReplicaKind::Edge);
+        let mut deployment = deployment();
+        let mut core = core(&mut deployment, ReplicaKind::Edge);
         let served = serve(&mut core, &note(1, "a"), &reader(vec![])).unwrap();
         assert!(served.effects);
         assert!(core.cache.is_empty());
@@ -570,8 +607,8 @@ mod tests {
     /// run digest all work on the text `res.send` wrote.
     #[test]
     fn serving_caching_and_accounting_never_parse_the_body() {
-        let (template, init) = deployment();
-        let mut core = core(&template, &init, ReplicaKind::Edge);
+        let mut deployment = deployment();
+        let mut core = core(&mut deployment, ReplicaKind::Edge);
         let count = HttpRequest::get("/count", json!({}));
         let counts = reader(vec![ReadUnit::Table("notes".into())]);
         let mut rec = crate::RunRecorder::new(&Telemetry::disabled());
@@ -605,8 +642,8 @@ mod tests {
     /// cache and what invalidates the cached read of that global.
     #[test]
     fn static_global_write_never_fills_and_invalidates_earlier_entries() {
-        let (template, init) = deployment();
-        let mut core = core(&template, &init, ReplicaKind::Edge);
+        let mut deployment = deployment();
+        let mut core = core(&mut deployment, ReplicaKind::Edge);
         let hits = HttpRequest::get("/hits", json!({}));
         let reads_hits = reader(vec![ReadUnit::Global("hits".into())]);
         let bump = HttpRequest::get("/bump", json!({}));
@@ -642,22 +679,15 @@ mod tests {
 
     #[test]
     fn core_from_a_save_image_serves_what_its_source_serves() {
-        let (template, init) = deployment();
-        let mut source = core(&template, &init, ReplicaKind::Master);
+        let mut deployment = deployment();
+        let mut source = core(&mut deployment, ReplicaKind::Master);
         let noting = EffectSummary::default();
         for id in 1..=5 {
             serve(&mut source, &note(id, "t"), &noting).unwrap();
         }
-        let cache = ResponseCache::new(64 * 1024, &Telemetry::disabled());
-        let mut copy = ReplicaCore::from_image(
-            &template,
-            &init,
-            ReplicaKind::Edge,
-            ActorId(9),
-            &source.crdts.save(),
-            cache,
-        )
-        .unwrap();
+        let mut copy = deployment
+            .provision(ReplicaKind::Edge, ActorId(9), Some(&source.crdts.save()))
+            .unwrap();
         assert_eq!(copy.crdts.clock(), source.crdts.clock());
         let counts = reader(vec![ReadUnit::Table("notes".into())]);
         let count = HttpRequest::get("/count", json!({}));
@@ -679,9 +709,9 @@ mod tests {
     /// replays that corrupt response.
     #[test]
     fn corruptor_spares_the_state_and_its_response_is_what_fills() {
-        let (template, init) = deployment();
-        let mut healthy = core(&template, &init, ReplicaKind::Edge);
-        let mut faulty = core(&template, &init, ReplicaKind::Edge);
+        let mut deployment = deployment();
+        let mut healthy = core(&mut deployment, ReplicaKind::Edge);
+        let mut faulty = core(&mut deployment, ReplicaKind::Edge);
         faulty.corruptor = Some(BitFlipCorruptor::new(7, 1.0));
         let noting = EffectSummary::default();
         let counts = reader(vec![ReadUnit::Table("notes".into())]);

@@ -7,34 +7,28 @@
 //! scaling and elasticity (Fig. 9), and synchronization traffic (Fig. 10a).
 
 use crate::balancer::{Autoscaler, BalanceStrategy, LoadBalancer};
-use crate::cache::{CachePolicy, CacheStats, ResponseCache};
-use crate::crdtset::{CrdtSet, SetChanges, SetClock, SyncEndpoint};
+use crate::cache::{CachePolicy, CacheStats};
+use crate::crdtset::SetClock;
 use crate::driver::RunRecorder;
 pub use crate::driver::{FaultPolicy, MobilePower, RunStats, TimedRequest, Workload};
+use crate::forwarding::{wan_drops, Breaker, Forward, Forwarder};
+use crate::ha::{HaPlane, HaPolicy, HaStats};
+use crate::link::{Leg, SyncLink};
+use crate::quarantine::{Quarantine, QuarantinePolicy, Shadow};
 use crate::replica::{
-    cache_plan, handle_profiled, BitFlipCorruptor, CachePlan, ReplicaCore, ReplicaKind,
+    cache_plan, handle_profiled, BitFlipCorruptor, Provisioner, ReplicaCore, ReplicaKind,
     ReplicaTemplate, Served,
 };
-use crate::tiering::{
-    PendingTransition, PlacementMode, PlacementStats, ScriptedDecision, TransitionBarrier,
-    TransitionRecord,
-};
-use edgstr_analysis::{
-    EffectSummary, ExecMode, InitState, ReadUnit, ServerError, ServerProcess, StateUnit,
-};
+use crate::tiering::{PlacementMode, PlacementStats, Placements, ScriptedDecision};
+use edgstr_analysis::{ServerError, ServerProcess};
 use edgstr_core::TransformationReport;
 use edgstr_crdt::{ActorId, AdvanceMode};
-use edgstr_lang::Program;
-use edgstr_net::{
-    CrashEvent, CrashKind, CrashPlan, FaultPlan, HttpRequest, HttpResponse, LinkChannel, LinkSpec,
-    Verb,
-};
-use edgstr_placement::{Observation, Placement, PlacementController, StaticSignals};
-use edgstr_sim::{Clock, DetRng, Device, DeviceSpec, PowerState, SimDuration, SimTime};
+use edgstr_net::{CrashPlan, FaultPlan, HttpRequest, LinkChannel, LinkSpec, Verb};
+use edgstr_placement::{Observation, Placement};
+use edgstr_sim::{Clock, Device, DeviceSpec, PowerState, SimDuration, SimTime};
 use edgstr_telemetry::{Counter, SpanId, StmtProfiler, Telemetry, Tier};
 use serde_json::Value as Json;
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -131,17 +125,6 @@ fn request_profiler(telemetry: &Telemetry) -> Option<Rc<RefCell<StmtProfiler>>> 
     }
 }
 
-/// A diversified shadow variant for the multi-variant check: the same
-/// replica program on the tree-walking engine (the primary serves
-/// compiled), so an engine-level fault cannot corrupt both variants the
-/// same way.
-fn build_shadow(program: &Program, init: &InitState) -> Result<ServerProcess, ServerError> {
-    let mut shadow = ServerProcess::from_program_with_mode(program.clone(), ExecMode::TreeWalking);
-    shadow.init()?;
-    init.restore(&mut shadow);
-    Ok(shadow)
-}
-
 /// Verb/path attributes for a request span, built once so the span opens
 /// with them in a single trace-log borrow (enabled mode only — callers
 /// guard with [`Telemetry::is_enabled`] to keep the disabled path
@@ -157,249 +140,44 @@ fn request_attrs(request: &HttpRequest) -> Vec<(&'static str, Json)> {
 // Three-tier (EdgStr-transformed) driver
 // ---------------------------------------------------------------------------
 
-/// High-availability policy for the cloud master (§failure & recovery).
-///
-/// With a warm standby, the master replicates every sync delta (and every
-/// forwarded write) to a second cloud replica over the reliable intra-DC
-/// link before the round's acknowledgments go out; a deterministic health
-/// monitor promotes the standby `detect_delay` after a master crash.
-/// `ack_capping` is the zero-acked-write-loss mechanism: acknowledgment
-/// clocks sent to the edges are capped at the durability frontier (what
-/// the standby — or the last durable save image — provably holds), so no
-/// replica ever compacts state the failover target could be missing.
-#[derive(Debug, Clone)]
-pub struct HaPolicy {
-    /// Run a warm-standby cloud replica and promote it on master crash.
-    pub standby: bool,
-    /// Health-monitor detection delay between master crash and promotion.
-    pub detect_delay: SimDuration,
-    /// Persist a durable save image of the master after every sync round
-    /// and every forwarded write (the recovery source when no standby is
-    /// configured).
-    pub durable_saves: bool,
-    /// Cap acks at the durability frontier. Disabling this is the unsafe
-    /// ablation: acked writes can vanish when the master dies.
-    pub ack_capping: bool,
-}
-
-impl Default for HaPolicy {
-    fn default() -> Self {
-        HaPolicy {
-            standby: true,
-            detect_delay: SimDuration::from_millis(500),
-            durable_saves: true,
-            ack_capping: true,
-        }
-    }
-}
-
-/// Multi-variant faulty-replica detection policy.
-///
-/// A sampled fraction of eligible replicated requests is shadow-executed
-/// on a diversified second variant (the tree-walking engine, vs the
-/// compiled primary) fed from the same CRDT state; response digests are
-/// compared. A replica exceeding `mismatch_budget` mismatches is
-/// quarantined, drained, and re-provisioned from the cloud save image.
-#[derive(Debug, Clone)]
-pub struct QuarantinePolicy {
-    /// Fraction of eligible requests shadow-checked (0.0–1.0).
-    pub check_fraction: f64,
-    /// Mismatches tolerated before the replica is quarantined.
-    pub mismatch_budget: u32,
-    /// Seed for the check-sampling stream.
-    pub seed: u64,
-}
-
-impl Default for QuarantinePolicy {
-    fn default() -> Self {
-        QuarantinePolicy {
-            check_fraction: 0.25,
-            mismatch_budget: 3,
-            seed: 0x51A5,
-        }
-    }
-}
-
-/// Accumulated failure/recovery observations across a system's lifetime.
-#[derive(Debug, Clone, Default)]
-pub struct HaStats {
-    /// Edge processes crashed (scheduled or manual).
-    pub edge_crashes: u32,
-    /// Edge processes restarted and re-provisioned.
-    pub edge_restarts: u32,
-    /// Cloud-master crashes observed.
-    pub master_crashes: u32,
-    /// Standby promotions performed.
-    pub failovers: u32,
-    /// Master recoveries from a durable save image (no standby).
-    pub durable_recoveries: u32,
-    /// `(crash, recovered)` times for each completed master outage.
-    pub outages: Vec<(SimTime, SimTime)>,
-    /// Shadow executions compared against the primary.
-    pub shadow_checks: u64,
-    /// Digest mismatches observed across all replicas.
-    pub shadow_mismatches: u64,
-    /// `(edge index, time)` of each quarantine.
-    pub quarantines: Vec<(usize, SimTime)>,
-    /// Ack clocks snapshotted at every crash (each edge's acked prefix at
-    /// its own crash; every live edge's acked prefix at a master crash).
-    /// The zero-acked-write-loss audit: the final converged master clock
-    /// must dominate every snapshot.
-    pub acked_snapshots: Vec<SetClock>,
-}
-
-impl HaStats {
-    /// Total master unavailability across completed outages.
-    pub fn master_downtime(&self) -> SimDuration {
-        SimDuration(self.outages.iter().map(|(c, r)| r.since(*c).0).sum())
-    }
-
-    /// Recovery time of each completed master outage.
-    pub fn recovery_times(&self) -> Vec<SimDuration> {
-        self.outages.iter().map(|(c, r)| r.since(*c)).collect()
-    }
-}
-
-/// Whether the fault plan, if there is one, drops the WAN message `from`
-/// sends `to` at `at`. Every message consults it, delivered or not, so
-/// the plan's per-link streams advance the same way in every run.
-fn wan_drops(faults: &mut Option<FaultPlan>, from: &str, to: &str, at: SimTime) -> bool {
-    faults.as_mut().is_some_and(|p| p.should_drop(from, to, at))
-}
-
-/// Telemetry label for a service key: `"GET /path"`.
-fn service_label(key: &(Verb, String)) -> String {
-    format!("{} {}", key.0, key.1)
-}
-
-/// Clamp a requested placement to what the service supports:
-/// `EdgeReplicate` needs the report to have replicated the service;
-/// otherwise the best remaining placement is cache-only (when the profile
-/// is cacheable) or the cloud.
-fn clamp_placement(requested: Placement, replicable: bool, cacheable: bool) -> Placement {
-    match requested {
-        Placement::EdgeReplicate if !replicable => {
-            if cacheable {
-                Placement::EdgeCacheOnly
-            } else {
-                Placement::CloudPin
-            }
-        }
-        p => p,
-    }
-}
-
-/// Byte footprint of a service's write set in the given CRDT state (the
-/// `edgstr_service_state_bytes` gauge and the controller's static
-/// state-footprint signal).
-fn service_state_bytes(crdts: &CrdtSet, summary: &EffectSummary) -> u64 {
-    let mut bytes = 0u64;
-    for w in &summary.writes {
-        bytes += match w {
-            StateUnit::DbTable(t) => crdts
-                .tables
-                .get(t)
-                .map_or(0, |t| t.to_json().to_string().len() as u64),
-            StateUnit::File(f) => crdts.files.size(f).unwrap_or(0),
-            StateUnit::Global(g) => match crdts.globals.to_json() {
-                Json::Object(m) => m.get(g).map_or(0, |v| v.to_string().len() as u64),
-                _ => 0,
-            },
-        };
-    }
-    bytes
-}
-
-/// Split one sync message's wire bytes across the services that write the
-/// units it carries (equal share per writer), at change-count granularity
-/// — the controller's per-service sync-traffic signal.
-fn attribute_changes(
-    unit_writers: &BTreeMap<StateUnit, Vec<(Verb, String)>>,
-    msg_bytes: u64,
-    changes: &SetChanges,
-    out: &mut Vec<((Verb, String), u64)>,
-) {
-    fn share_out(out: &mut Vec<((Verb, String), u64)>, writers: &[(Verb, String)], bytes: u64) {
-        if writers.is_empty() || bytes == 0 {
-            return;
-        }
-        let per = bytes / writers.len() as u64;
-        if per > 0 {
-            for w in writers {
-                out.push((w.clone(), per));
-            }
-        }
-    }
-    let total = changes.len() as u64;
-    if total == 0 {
-        return;
-    }
-    for (table, ch) in &changes.tables {
-        if let Some(writers) = unit_writers.get(&StateUnit::DbTable(table.clone())) {
-            share_out(out, writers, msg_bytes * ch.len() as u64 / total);
-        }
-    }
-    // file and global changes are not split per unit on the wire; their
-    // byte share goes to every service writing any unit of that kind
-    let kind_writers = |is_kind: &dyn Fn(&StateUnit) -> bool| -> Vec<(Verb, String)> {
-        unit_writers
-            .iter()
-            .filter(|(u, _)| is_kind(u))
-            .flat_map(|(_, w)| w.iter().cloned())
-            .collect::<BTreeSet<_>>()
-            .into_iter()
-            .collect()
-    };
-    if !changes.files.is_empty() {
-        let writers = kind_writers(&|u| matches!(u, StateUnit::File(_)));
-        share_out(
-            out,
-            &writers,
-            msg_bytes * changes.files.len() as u64 / total,
-        );
-    }
-    if !changes.globals.is_empty() {
-        let writers = kind_writers(&|u| matches!(u, StateUnit::Global(_)));
-        share_out(
-            out,
-            &writers,
-            msg_bytes * changes.globals.len() as u64 / total,
-        );
-    }
-}
-
-/// The warm-standby cloud replica and its intra-DC replication channel.
-#[derive(Debug)]
-struct CloudStandby {
-    core: ReplicaCore,
-    /// Master-side endpoint: its `peer_clock` is what the standby has
-    /// acknowledged — the durability frontier under [`HaPolicy`].
-    master_link: SyncEndpoint,
-    /// Standby-side endpoint.
-    standby_link: SyncEndpoint,
-}
-
-/// One deployed edge replica.
+/// One deployed edge replica. The control planes keep their per-edge state
+/// here, one typed member each, so a restart resets all of it in one place.
 #[derive(Debug)]
 pub struct EdgeReplica {
     pub core: ReplicaCore,
     pub device: Device,
-    pub to_cloud: SyncEndpoint,
+    /// Both ends of this edge's sync channel with the cloud master.
+    pub link: SyncLink,
     inflight: Vec<SimTime>,
     active: bool,
     crashed: bool,
-    /// Consecutive forwarding failures (breaker input, per edge).
-    breaker_failures: u32,
-    /// While `Some(t)`, this edge's breaker is open until `t`.
-    breaker_open_until: Option<SimTime>,
-    /// Diversified shadow variant (tree-walking engine) for the
-    /// multi-variant check, when a [`QuarantinePolicy`] is configured.
-    shadow: Option<ServerProcess>,
-    /// Digest mismatches charged against the quarantine budget.
-    shadow_mismatches: u32,
+    /// Circuit breaker on this edge's WAN forwarding.
+    pub(crate) breaker: Breaker,
+    /// Diversified variant for the multi-variant check, when a
+    /// [`QuarantinePolicy`] is configured.
+    pub(crate) shadow: Option<Shadow>,
 }
 
 impl EdgeReplica {
+    /// A freshly deployed replica, its link at the shared snapshot.
+    pub(crate) fn new(
+        core: ReplicaCore,
+        spec: DeviceSpec,
+        sync_advance: AdvanceMode,
+        shadow: Option<Shadow>,
+    ) -> EdgeReplica {
+        EdgeReplica {
+            core,
+            device: Device::new(spec),
+            link: SyncLink::starting(sync_advance, SetClock::default()),
+            inflight: Vec::new(),
+            active: true,
+            crashed: false,
+            breaker: Breaker::default(),
+            shadow,
+        }
+    }
+
     fn prune(&mut self, now: SimTime) {
         self.inflight.retain(|f| *f > now);
     }
@@ -413,6 +191,55 @@ impl EdgeReplica {
     pub fn is_crashed(&self) -> bool {
         self.crashed
     }
+
+    /// The replicas among `edges` that are not crashed.
+    pub(crate) fn live(edges: &[EdgeReplica]) -> impl Iterator<Item = &EdgeReplica> {
+        edges.iter().filter(|e| !e.crashed)
+    }
+
+    /// What each live edge has been told the master acknowledged: the
+    /// snapshot every zero-acked-write-loss audit takes.
+    pub(crate) fn acked_prefixes(edges: &[EdgeReplica]) -> impl Iterator<Item = SetClock> + '_ {
+        EdgeReplica::live(edges).map(|e| e.link.replica.peer_clock.clone())
+    }
+
+    /// The process dies (a crash, a quarantine). The cache dies with it: a
+    /// rejoined edge must never serve responses stamped with pre-crash
+    /// version vectors.
+    pub(crate) fn drain(&mut self) {
+        self.crashed = true;
+        self.active = false;
+        self.inflight.clear();
+        self.core.cache.clear();
+    }
+
+    /// Bring up a replacement process from a save `image`. Both ends of
+    /// its link start acknowledged up to the image's clock — only changes
+    /// after it travel on later rounds — and it starts healthy: no injected
+    /// fault, a fresh shadow variant with a clean mismatch budget, a closed
+    /// breaker.
+    pub(crate) fn restart(
+        &mut self,
+        provisioner: &mut Provisioner,
+        image: &[u8],
+    ) -> Result<(), ServerError> {
+        let core = provisioner.replacement(ReplicaKind::Edge, Some(image))?;
+        if self.shadow.is_some() {
+            self.shadow = Some(provisioner.shadow_variant()?.into());
+        }
+        self.link.replica_replaced(core.crdts.clock());
+        self.core.replace_process(core);
+        self.breaker = Breaker::default();
+        self.inflight.clear();
+        self.crashed = false;
+        self.active = true;
+        Ok(())
+    }
+}
+
+/// The `edge` attribute of a per-edge trace event.
+pub(crate) fn edge_attr(i: usize) -> [(&'static str, Json); 1] {
+    [("edge", Json::from(i as u64))]
 }
 
 /// Options for the three-tier deployment.
@@ -425,9 +252,6 @@ pub struct ThreeTierOptions {
     pub autoscaler: Option<Autoscaler>,
     /// Background CRDT sync period.
     pub sync_interval: SimDuration,
-    /// When true, state changes sync synchronously with each request
-    /// (write-through ablation) instead of in the background.
-    pub synchronous_sync: bool,
     /// `Some` injects faults: every WAN message (forwarded requests and
     /// sync deltas) consults the plan before delivery. Endpoint names are
     /// `"cloud"` and `"edge{i}"`.
@@ -438,10 +262,6 @@ pub struct ThreeTierOptions {
     /// dropped deltas; `Optimistic` is the pre-fix ablation that assumes
     /// delivery and diverges under loss.
     pub sync_advance: AdvanceMode,
-    /// Fold fully-acknowledged history into snapshots after every sync
-    /// round (default on), keeping resident change logs bounded under
-    /// steady-state sync. Disable for the unbounded-history ablation.
-    pub compaction: bool,
     /// Observability sink shared by the drivers, the sync daemon and the
     /// fault plan. Disabled by default and free when disabled.
     pub telemetry: Telemetry,
@@ -473,11 +293,9 @@ impl Default for ThreeTierOptions {
             balance: BalanceStrategy::LeastConnections,
             autoscaler: None,
             sync_interval: SimDuration::from_secs(1),
-            synchronous_sync: false,
             faults: None,
             policy: FaultPolicy::default(),
             sync_advance: AdvanceMode::OnAck,
-            compaction: true,
             telemetry: Telemetry::disabled(),
             cache: CachePolicy::Off,
             cache_budget_bytes: 256 * 1024,
@@ -489,66 +307,35 @@ impl Default for ThreeTierOptions {
     }
 }
 
-/// The EdgStr-generated three-tier deployment.
+/// How one routed request was answered: what was served, when it was
+/// ready at the edge, and whether the cloud served it.
+struct Answer {
+    served: Served,
+    ready: SimTime,
+    forwarded: bool,
+}
+
+/// The EdgStr-generated three-tier deployment: the nodes, the LAN in
+/// front of them, and one control plane per concern. The driver routes and
+/// schedules; each plane owns its state and acts on the nodes it is lent.
 #[derive(Debug)]
 pub struct ThreeTierSystem {
     /// The cloud master; its cache serves forwarded requests.
     pub cloud: ReplicaCore,
     pub cloud_device: Device,
-    cloud_endpoints: Vec<SyncEndpoint>,
     pub edges: Vec<EdgeReplica>,
+    /// As deployed: each plane took its policy from here at deploy.
     pub options: ThreeTierOptions,
-    balancer: LoadBalancer,
-    /// What every replica of this deployment is provisioned from, at
-    /// deploy and at every restart, recovery and standby provisioning.
-    template: Arc<ReplicaTemplate>,
-    /// This thread's view of `template.init`.
-    init: InitState,
     pub mobile: MobilePower,
+    balancer: LoadBalancer,
+    /// The service profiles routing reads.
+    template: Arc<ReplicaTemplate>,
     lan_up: LinkChannel,
     lan_down: LinkChannel,
-    wan_up: LinkChannel,
-    wan_down: LinkChannel,
-    /// Jitter stream for retry backoff (forked from the policy seed).
-    jitter: DetRng,
-    /// Next fresh actor id handed to a restarted replica (reusing a
-    /// crashed incarnation's actor would collide with its sequence
-    /// numbers).
-    next_actor: u64,
-    /// The warm standby, when the HA policy runs one.
-    standby: Option<CloudStandby>,
-    /// The master is currently crashed: sync rounds no-op and forwards
-    /// fail until promotion or durable recovery.
-    cloud_down: bool,
-    /// Scheduled promotion time (master crash + detect delay).
-    pending_promotion: Option<SimTime>,
-    /// Time-ordered crash schedule drained by [`ThreeTierSystem::advance_ha`].
-    crash_events: Vec<CrashEvent>,
-    crash_cursor: usize,
-    /// Edge restarts that arrived while the master was down; re-provisioned
-    /// at the next promotion/recovery.
-    deferred_restarts: Vec<usize>,
-    /// Last durable save image of the master: `(bytes, clock at save)`.
-    durable_image: Option<(Vec<u8>, SetClock)>,
-    /// Sampling stream for the multi-variant check.
-    shadow_rng: DetRng,
-    ha_stats: HaStats,
-    /// Effective per-service placement; routing consults this on every
-    /// request. Under the default [`PlacementMode::ReportStatic`] it is
-    /// exactly the report's replicated set (replicated → `EdgeReplicate`,
-    /// everything else → `CloudPin`).
-    placements: BTreeMap<(Verb, String), Placement>,
-    /// The autonomous controller ([`PlacementMode::Adaptive`] only).
-    controller: Option<PlacementController>,
-    /// Decided transitions waiting on their clock-domination barriers.
-    pending_transitions: Vec<PendingTransition>,
-    /// Scripted decision schedule, time-ordered, with a replay cursor.
-    script: Vec<ScriptedDecision>,
-    script_cursor: usize,
-    /// Static write-unit → writer-services map for attributing sync bytes
-    /// to services (controller telemetry).
-    unit_writers: BTreeMap<StateUnit, Vec<(Verb, String)>>,
-    placement_stats: PlacementStats,
+    ha: HaPlane,
+    quarantine: Quarantine,
+    forwarder: Forwarder,
+    placement: Placements,
     /// Next background sync tick, persistent across [`ThreeTierSystem::run`]
     /// calls so multi-phase workloads never replay control-plane ticks at
     /// already-processed virtual times.
@@ -569,471 +356,75 @@ impl ThreeTierSystem {
         edge_devices: &[DeviceSpec],
         mut options: ThreeTierOptions,
     ) -> Result<Self, ServerError> {
+        let telemetry = options.telemetry.clone();
         // drops on the emulated network surface in the same trace as the
         // retries they cause
         if let Some(plan) = options.faults.as_mut() {
-            plan.set_telemetry(options.telemetry.clone());
+            plan.set_telemetry(telemetry.clone());
         }
         let template = Arc::new(ReplicaTemplate::from_report(cloud_source, report));
-        let init = template.init.to_state();
-        let fresh = |kind, actor| {
-            let cache = ResponseCache::new(options.cache_budget_bytes, &options.telemetry);
-            ReplicaCore::fresh(&template, &init, kind, ActorId(actor), cache)
-        };
-        let cloud = fresh(ReplicaKind::Master, 1)?;
+        let mut provisioner = Provisioner::new(
+            Arc::clone(&template),
+            options.cache_budget_bytes,
+            &telemetry,
+        );
+        let cloud = provisioner.provision(ReplicaKind::Master, ActorId(1), None)?;
         let mut edges = Vec::new();
         for (i, spec) in edge_devices.iter().enumerate() {
             let shadow = match options.quarantine {
-                Some(_) => Some(build_shadow(&template.program, &init)?),
+                Some(_) => Some(provisioner.shadow_variant()?.into()),
                 None => None,
             };
-            edges.push(EdgeReplica {
-                core: fresh(ReplicaKind::Edge, 2 + i as u64)?,
-                device: Device::new(spec.clone()),
-                to_cloud: SyncEndpoint::starting(options.sync_advance, SetClock::default()),
-                inflight: Vec::new(),
-                active: true,
-                crashed: false,
-                breaker_failures: 0,
-                breaker_open_until: None,
-                shadow,
-                shadow_mismatches: 0,
-            });
-        }
-        let cloud_endpoints = (0..edges.len())
-            .map(|_| SyncEndpoint::starting(options.sync_advance, SetClock::default()))
-            .collect();
-        let balancer = LoadBalancer::new(options.balance);
-        let jitter = DetRng::new(options.policy.jitter_seed);
-        let mut next_actor = 2 + edges.len() as u64;
-        // warm standby: a second cloud replica initialized from the same
-        // snapshot, continuously fed over the reliable intra-DC link
-        let standby = if options.ha.as_ref().is_some_and(|h| h.standby) {
-            let core = fresh(ReplicaKind::Master, next_actor)?;
-            next_actor += 1;
-            Some(CloudStandby {
+            let core = provisioner.provision(ReplicaKind::Edge, ActorId(2 + i as u64), None)?;
+            edges.push(EdgeReplica::new(
                 core,
-                master_link: SyncEndpoint::new(),
-                standby_link: SyncEndpoint::new(),
-            })
-        } else {
-            None
-        };
-        let durable_image = if options.ha.as_ref().is_some_and(|h| h.durable_saves) {
-            Some((cloud.crdts.save(), cloud.crdts.clock()))
-        } else {
-            None
-        };
-        let crash_events = options
-            .crashes
-            .as_ref()
-            .map(|p| p.events().to_vec())
-            .unwrap_or_default();
-        let shadow_rng = DetRng::new(options.quarantine.as_ref().map_or(0, |q| q.seed));
-        let (effects, replicated) = (&template.effects, &template.replicated);
-        // every profiled or replicated service gets an explicit placement
-        let service_keys: BTreeSet<(Verb, String)> = effects
-            .keys()
-            .cloned()
-            .chain(replicated.iter().cloned())
-            .collect();
-        let natural = |key: &(Verb, String)| {
-            if replicated.contains(key) {
-                Placement::EdgeReplicate
-            } else {
-                Placement::CloudPin
-            }
-        };
-        let mut placements = BTreeMap::new();
-        for key in &service_keys {
-            let p = match &options.placement {
-                PlacementMode::ReportStatic | PlacementMode::Adaptive(_) => natural(key),
-                PlacementMode::Pinned(p) => clamp_placement(
-                    *p,
-                    replicated.contains(key),
-                    effects.get(key).is_some_and(|s| s.cacheable),
-                ),
-                PlacementMode::Scripted(script) => script.pinned.map_or(natural(key), |p| {
-                    clamp_placement(
-                        p,
-                        replicated.contains(key),
-                        effects.get(key).is_some_and(|s| s.cacheable),
-                    )
-                }),
-            };
-            placements.insert(key.clone(), p);
+                spec.clone(),
+                options.sync_advance,
+                shadow,
+            ));
         }
-        let controller = if let PlacementMode::Adaptive(policy) = &options.placement {
-            // offered-demand utilization is measured against the cluster's
-            // aggregate edge compute
-            let edge_cores: f64 = edges.iter().map(|e| f64::from(e.device.spec.cores)).sum();
-            let mut c = PlacementController::new(policy.clone(), edge_cores.max(1.0));
-            for key in &service_keys {
-                let signals = effects.get(key).map_or_else(
-                    || StaticSignals {
-                        replicable: replicated.contains(key),
-                        ..StaticSignals::default()
-                    },
-                    |s| {
-                        StaticSignals::from_summary(
-                            s,
-                            replicated.contains(key),
-                            service_state_bytes(&cloud.crdts, s),
-                        )
-                    },
-                );
-                c.register(key.clone(), signals, placements[key]);
-            }
-            Some(c)
-        } else {
-            None
-        };
-        let mut script = match &options.placement {
-            PlacementMode::Scripted(s) => s.decisions.clone(),
-            _ => Vec::new(),
-        };
-        script.sort_by_key(|d| d.at);
-        let mut unit_writers: BTreeMap<StateUnit, Vec<(Verb, String)>> = BTreeMap::new();
-        for (key, summary) in effects {
-            for w in &summary.writes {
-                unit_writers.entry(w.clone()).or_default().push(key.clone());
-            }
-        }
-        let mut sys = ThreeTierSystem {
+        let (policy, crashes) = (options.ha.clone(), options.crashes.as_ref());
+        let ha = HaPlane::new(policy, crashes, &cloud, provisioner, &telemetry)?;
+        let edge_cores = edges.iter().map(|e| f64::from(e.device.spec.cores)).sum();
+        let placement = Placements::new(
+            &options.placement,
+            Arc::clone(&template),
+            &cloud,
+            edge_cores,
+            &telemetry,
+        );
+        Ok(ThreeTierSystem {
             cloud,
             cloud_device: Device::new(DeviceSpec::cloud_server()),
-            cloud_endpoints,
             edges,
-            balancer,
+            mobile: MobilePower::default(),
+            balancer: LoadBalancer::new(options.balance),
             lan_up: LinkChannel::new(options.lan),
             lan_down: LinkChannel::new(options.lan),
-            wan_up: LinkChannel::new(options.wan),
-            wan_down: LinkChannel::new(options.wan),
-            jitter,
-            next_actor,
-            standby,
-            cloud_down: false,
-            pending_promotion: None,
-            crash_events,
-            crash_cursor: 0,
-            deferred_restarts: Vec::new(),
-            durable_image,
-            shadow_rng,
-            ha_stats: HaStats::default(),
+            ha,
+            quarantine: Quarantine::new(
+                options.quarantine.clone(),
+                Arc::clone(&template),
+                &telemetry,
+            ),
+            template,
+            forwarder: Forwarder::new(options.policy.clone(), options.wan, &telemetry),
+            placement,
             next_sync: SimTime::ZERO + options.sync_interval,
             options,
-            template,
-            init,
-            mobile: MobilePower::default(),
-            placements,
-            controller,
-            pending_transitions: Vec::new(),
-            script,
-            script_cursor: 0,
-            unit_writers,
-            placement_stats: PlacementStats::default(),
-        };
-        sys.emit_initial_placements();
-        Ok(sys)
-    }
-
-    /// `placement.pin` events and initial placement gauges for every
-    /// service at deploy time.
-    fn emit_initial_placements(&mut self) {
-        let telemetry = self.options.telemetry.clone();
-        if !telemetry.is_enabled() {
-            return;
-        }
-        for (key, p) in &self.placements {
-            telemetry.event(
-                "placement.pin",
-                Tier::System,
-                None,
-                SimTime::ZERO,
-                &[
-                    ("service", Json::from(service_label(key))),
-                    ("to", Json::from(p.as_str())),
-                ],
-            );
-        }
-        if let Some(reg) = telemetry.registry() {
-            for (key, p) in &self.placements {
-                reg.gauge(
-                    "edgstr_placement_state",
-                    &[("service", &service_label(key))],
-                )
-                .set(f64::from(p.rank()));
-            }
-        }
-    }
-
-    /// The effective placement routing uses for `key` right now (pending
-    /// transitions have not happened yet).
-    pub fn placement_of(&self, key: &(Verb, String)) -> Placement {
-        self.placements
-            .get(key)
-            .copied()
-            .unwrap_or(Placement::CloudPin)
+        })
     }
 
     /// Accumulated placement decisions and completed transitions.
     pub fn placement_stats(&self) -> &PlacementStats {
-        &self.placement_stats
-    }
-
-    /// Transitions decided but still waiting on their clock barriers.
-    pub fn pending_transition_count(&self) -> usize {
-        self.pending_transitions.len()
+        self.placement.stats()
     }
 
     /// The decision schedule recorded so far — replayable verbatim as
     /// [`PlacementScript::decisions`][crate::PlacementScript] for a
     /// digest-parity reference run.
     pub fn decision_schedule(&self) -> Vec<ScriptedDecision> {
-        self.placement_stats.decided.clone()
-    }
-
-    /// Placement control-plane step at a sync tick: replay due scripted
-    /// decisions, run the adaptive controller over the windows that just
-    /// closed, then apply any transition whose barrier is met.
-    fn placement_tick(&mut self, at: SimTime) {
-        while self
-            .script
-            .get(self.script_cursor)
-            .is_some_and(|d| d.at <= at)
-        {
-            let d = self.script[self.script_cursor].clone();
-            self.script_cursor += 1;
-            self.begin_transition(d.service, d.to, d.at, "scripted");
-        }
-        let decisions = match self.controller.as_mut() {
-            Some(c) => c.tick(at),
-            None => Vec::new(),
-        };
-        for d in decisions {
-            self.begin_transition(d.service, d.to, d.at, d.reason.as_str());
-        }
-        if self.controller.is_some() {
-            self.publish_placement_gauges();
-        }
-        self.apply_ready_transitions(at);
-    }
-
-    /// Queue one placement transition. A decision made while an earlier
-    /// transition of the same service is still draining chains off that
-    /// transition's target, preserving per-service FIFO order.
-    fn begin_transition(
-        &mut self,
-        service: (Verb, String),
-        to: Placement,
-        at: SimTime,
-        reason: &str,
-    ) {
-        let cacheable = self
-            .template
-            .effects
-            .get(&service)
-            .is_some_and(|s| s.cacheable);
-        let to = clamp_placement(to, self.template.replicated.contains(&service), cacheable);
-        let from = self
-            .pending_transitions
-            .iter()
-            .rev()
-            .find(|t| t.service == service)
-            .map(|t| t.to)
-            .unwrap_or_else(|| self.placement_of(&service));
-        if from == to {
-            return;
-        }
-        self.placement_stats.decided.push(ScriptedDecision {
-            at,
-            service: service.clone(),
-            to,
-        });
-        let barrier = if to == Placement::EdgeReplicate {
-            // promotion warm-up: local serving starts only once every live
-            // edge has observed at least this cloud snapshot
-            TransitionBarrier::EdgesDominate(self.cloud.crdts.clock())
-        } else if from == Placement::EdgeReplicate {
-            // demotion drain: keep serving locally until the cloud holds
-            // every edge delta that existed at decision time
-            TransitionBarrier::CloudDominates(
-                self.edges
-                    .iter()
-                    .filter(|e| !e.crashed)
-                    .map(|e| e.core.crdts.clock())
-                    .collect(),
-            )
-        } else {
-            TransitionBarrier::Immediate
-        };
-        self.pending_transitions.push(PendingTransition {
-            service,
-            from,
-            to,
-            decided_at: at,
-            reason: reason.to_string(),
-            barrier,
-        });
-    }
-
-    /// Apply every pending transition whose barrier is met, in decision
-    /// order per service (a later transition never overtakes an earlier
-    /// one that is still draining).
-    fn apply_ready_transitions(&mut self, at: SimTime) {
-        if self.pending_transitions.is_empty() {
-            return;
-        }
-        let cloud_clock = self.cloud.crdts.clock();
-        let mut blocked: BTreeSet<(Verb, String)> = BTreeSet::new();
-        let mut i = 0;
-        while i < self.pending_transitions.len() {
-            let t = &self.pending_transitions[i];
-            let ready = !blocked.contains(&t.service)
-                && match &t.barrier {
-                    TransitionBarrier::Immediate => true,
-                    TransitionBarrier::EdgesDominate(snap) => self
-                        .edges
-                        .iter()
-                        .filter(|e| !e.crashed)
-                        .all(|e| e.core.crdts.clock().dominates(snap)),
-                    TransitionBarrier::CloudDominates(snaps) => {
-                        snaps.iter().all(|s| cloud_clock.dominates(s))
-                    }
-                };
-            if ready {
-                let t = self.pending_transitions.remove(i);
-                self.complete_transition(t, at);
-            } else {
-                blocked.insert(self.pending_transitions[i].service.clone());
-                i += 1;
-            }
-        }
-    }
-
-    /// Flip the effective placement, record the transition, snapshot the
-    /// acked prefixes for the write-loss audit, and emit telemetry.
-    fn complete_transition(&mut self, t: PendingTransition, at: SimTime) {
-        self.placements.insert(t.service.clone(), t.to);
-        let promote = t.to.rank() > t.from.rank();
-        if promote {
-            self.placement_stats.promotes += 1;
-        } else {
-            self.placement_stats.demotes += 1;
-        }
-        // audit point for zero acked-write loss: the final converged
-        // master clock must dominate every live edge's acked prefix as it
-        // stood at the flip
-        self.placement_stats.acked_snapshots.extend(
-            self.edges
-                .iter()
-                .filter(|e| !e.crashed)
-                .map(|e| e.to_cloud.peer_clock.clone()),
-        );
-        let telemetry = self.options.telemetry.clone();
-        if telemetry.is_enabled() {
-            telemetry.event(
-                if promote {
-                    "placement.promote"
-                } else {
-                    "placement.demote"
-                },
-                Tier::System,
-                None,
-                at,
-                &[
-                    ("service", Json::from(service_label(&t.service))),
-                    ("from", Json::from(t.from.as_str())),
-                    ("to", Json::from(t.to.as_str())),
-                    ("reason", Json::from(t.reason.clone())),
-                ],
-            );
-            if let Some(reg) = telemetry.registry() {
-                reg.gauge(
-                    "edgstr_placement_state",
-                    &[("service", &service_label(&t.service))],
-                )
-                .set(f64::from(t.to.rank()));
-            }
-        }
-        self.placement_stats.transitions.push(TransitionRecord {
-            service: t.service,
-            from: t.from,
-            to: t.to,
-            decided_at: t.decided_at,
-            completed_at: at,
-            reason: t.reason,
-        });
-    }
-
-    /// Per-service controller gauges: effective placement rank, window
-    /// read ratio, and live state-byte footprint.
-    fn publish_placement_gauges(&self) {
-        let telemetry = &self.options.telemetry;
-        let Some(reg) = telemetry.registry() else {
-            return;
-        };
-        let Some(c) = self.controller.as_ref() else {
-            return;
-        };
-        for (key, _, summary) in c.snapshot() {
-            let label = service_label(&key);
-            reg.gauge("edgstr_placement_state", &[("service", &label)])
-                .set(f64::from(self.placement_of(&key).rank()));
-            reg.gauge("edgstr_service_read_ratio", &[("service", &label)])
-                .set(summary.read_ratio);
-            let state_bytes = self
-                .template
-                .effects
-                .get(&key)
-                .map_or(0, |s| service_state_bytes(&self.cloud.crdts, s));
-            reg.gauge("edgstr_service_state_bytes", &[("service", &label)])
-                .set(state_bytes as f64);
-        }
-    }
-
-    /// Feed one completed request into the adaptive controller's window,
-    /// with matched actual/estimated costs for both serving paths. The
-    /// local-demand estimate is always the *unloaded* edge compute time,
-    /// so post-demotion utilization keeps reflecting offered demand rather
-    /// than queueing feedback.
-    fn observe_placement(
-        &mut self,
-        key: &(Verb, String),
-        idx: usize,
-        cache_hit: bool,
-        forwarded: bool,
-        cycles: u64,
-        wait: SimDuration,
-    ) {
-        if self.controller.is_none() {
-            return;
-        }
-        let write = self.template.effects.get(key).is_some_and(|s| !s.pure);
-        let local_est = self.edges[idx].device.spec.service_time(cycles);
-        let forward_est = SimDuration(
-            self.options.wan.latency.0 * 2 + self.cloud_device.spec.service_time(cycles).0,
-        );
-        let obs = if forwarded {
-            Observation {
-                write,
-                cache_hit,
-                local_us: local_est.0,
-                forward_us: wait.0,
-                local_demand_us: local_est.0,
-            }
-        } else {
-            Observation {
-                write,
-                cache_hit,
-                local_us: wait.0,
-                forward_us: forward_est.0,
-                local_demand_us: local_est.0,
-            }
-        };
-        if let Some(c) = self.controller.as_mut() {
-            c.observe(key, obs);
-        }
+        self.placement.stats().decided.clone()
     }
 
     /// Lifetime hit/miss/eviction/invalidation counts aggregated over the
@@ -1052,10 +443,11 @@ impl ThreeTierSystem {
     /// configured, each direction of each exchange may be dropped; under
     /// the ack protocol the lost delta is simply regenerated next round.
     /// After the exchanges, fully-acknowledged history is folded into the
-    /// snapshots (unless [`ThreeTierOptions::compaction`] is off).
+    /// snapshots, keeping resident change logs bounded under steady-state
+    /// sync.
     pub fn sync_round(&mut self, at: SimTime) -> usize {
-        self.advance_ha(at);
-        if self.cloud_down {
+        self.ha.advance(at, &mut self.cloud, &mut self.edges);
+        if self.ha.master_down() {
             // no master: nothing to exchange until promotion/recovery
             return 0;
         }
@@ -1064,94 +456,54 @@ impl ThreeTierSystem {
         // intra-DC first: the standby ingests this round's state before any
         // acknowledgment goes out, so the durability frontier below already
         // reflects it
-        self.replicate_to_standby();
-        let cap = self.durability_clock();
+        self.ha.replicate_to_standby(&mut self.cloud);
+        // Under HA the ack clock is capped at the durability frontier: the
+        // edge may only treat as acknowledged (and later compact) what the
+        // failover target provably holds.
+        let cap = self.ha.durability_clock();
         let mut bytes = 0;
-        let attribute = self.controller.is_some();
-        let mut attributed: Vec<((Verb, String), u64)> = Vec::new();
         for (i, edge) in self.edges.iter_mut().enumerate() {
             if edge.crashed {
                 continue;
             }
             let edge_name = format!("edge{i}");
-            // edge -> cloud (edge_state message)
-            let msg = edge.to_cloud.generate(&edge.core.crdts);
-            if !msg.changes.is_empty() {
-                let wire = msg.wire_size();
-                bytes += wire;
-                if attribute {
-                    attribute_changes(
-                        &self.unit_writers,
-                        wire as u64,
-                        &msg.changes,
-                        &mut attributed,
-                    );
-                }
-            }
-            let dropped = wan_drops(&mut self.options.faults, &edge_name, "cloud", at);
-            if !dropped {
-                self.cloud_endpoints[i].receive_owned(
-                    &mut self.cloud.crdts,
-                    &mut self.cloud.server,
-                    msg,
-                );
-            }
-            // cloud -> edge (cloud_state message). Under HA the ack clock
-            // is capped at the durability frontier: the edge may only
-            // treat as acknowledged (and later compact) what the failover
-            // target provably holds.
-            let mut msg = self.cloud_endpoints[i].generate(&self.cloud.crdts);
-            if let Some(cap) = &cap {
-                msg.ack = msg.ack.meet(cap);
-            }
-            if !msg.changes.is_empty() {
-                let wire = msg.wire_size();
-                bytes += wire;
-                if attribute {
-                    attribute_changes(
-                        &self.unit_writers,
-                        wire as u64,
-                        &msg.changes,
-                        &mut attributed,
-                    );
-                }
-            }
-            let dropped = wan_drops(&mut self.options.faults, "cloud", &edge_name, at);
-            if !dropped {
-                edge.to_cloud
-                    .receive_owned(&mut edge.core.crdts, &mut edge.core.server, msg);
-            }
+            // edge_state up, then cloud_state (with the capped ack) down
+            let (link, core) = (&mut edge.link, &mut edge.core);
+            link.exchange(
+                core,
+                &mut self.cloud,
+                Leg::ToMaster,
+                cap.as_ref(),
+                |leg, msg| {
+                    if !msg.changes.is_empty() {
+                        let wire = msg.wire_size();
+                        bytes += wire;
+                        self.placement.observe_sync(wire, &msg.changes);
+                    }
+                    let (from, to) = match leg {
+                        Leg::ToMaster => (edge_name.as_str(), "cloud"),
+                        Leg::ToReplica => ("cloud", edge_name.as_str()),
+                    };
+                    !wan_drops(&mut self.options.faults, from, to, at)
+                },
+            );
         }
         // changes received this round reach the standby with the next
         // round's pre-ack replication; persist the image after the
         // exchanges so recovery resumes from this round's state
-        self.persist_durable();
-        if self.options.compaction {
-            let folded = self.compact_acked();
-            if let Some(reg) = telemetry.registry() {
-                reg.counter("edgstr_crdt_changes_folded_total", &[])
-                    .add(folded as u64);
-                reg.gauge("edgstr_crdt_resident_changes", &[])
-                    .set(self.cloud.crdts.history_len() as f64);
-                if folded > 0 {
-                    telemetry.event(
-                        "crdt.compact",
-                        Tier::System,
-                        Some(span),
-                        at,
-                        &[("folded", Json::from(folded as u64))],
-                    );
-                }
+        self.ha.persist_durable(&self.cloud);
+        let folded = self.compact_acked();
+        if let Some(reg) = telemetry.registry() {
+            reg.counter("edgstr_crdt_changes_folded_total", &[])
+                .add(folded as u64);
+            reg.gauge("edgstr_crdt_resident_changes", &[])
+                .set(self.cloud.crdts.history_len() as f64);
+            if folded > 0 {
+                let folded = [("folded", Json::from(folded as u64))];
+                telemetry.event("crdt.compact", Tier::System, Some(span), at, &folded);
             }
         }
-        if let Some(c) = self.controller.as_mut() {
-            for (key, b) in attributed {
-                c.observe_sync_bytes(&key, b);
-            }
-        }
-        if !self.pending_transitions.is_empty() {
-            self.apply_ready_transitions(at);
-        }
+        self.placement.apply_ready(at, &self.cloud, &self.edges);
         if telemetry.is_enabled() {
             telemetry.span_attr(span, "bytes", Json::from(bytes as u64));
         }
@@ -1164,35 +516,24 @@ impl ThreeTierSystem {
     ///
     /// The cloud's safe frontier is the pointwise minimum
     /// ([`crate::crdtset::SetClock::meet`]) of every live edge's ack clock:
-    /// a change is folded only once *all* live peers have acknowledged it.
-    /// Crashed edges are excluded from the meet — a restarted replica
-    /// re-provisions from the cloud's compacted save
-    /// ([`ThreeTierSystem::restart_edge`]) instead of replaying history, so
-    /// nothing it missed is ever needed again. Each edge's only sync peer
-    /// is the cloud, so its frontier is the cloud's ack clock directly.
+    /// a change is folded only once *all* live peers have acknowledged it
+    /// (and, under HA, once the failover target holds it). Crashed edges
+    /// are excluded from the meet — a restarted replica re-provisions from
+    /// a compacted save ([`ThreeTierSystem::restart_edge`]) instead of
+    /// replaying history, so nothing it missed is ever needed again. Each
+    /// edge's only sync peer is the cloud, so its frontier is the cloud's
+    /// ack clock directly.
     pub fn compact_acked(&mut self) -> usize {
         let mut dropped = 0;
-        let mut live = self
-            .edges
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| !e.crashed)
-            .map(|(i, _)| &self.cloud_endpoints[i].peer_clock);
-        if let Some(first) = live.next() {
-            let mut frontier = live.fold(first.clone(), |acc, clock| acc.meet(clock));
-            // under HA the master also keeps everything its failover
-            // target might still need: a recovered/promoted cloud must be
-            // able to re-serve the tail above the durability frontier
-            if let Some(cap) = self.durability_clock() {
-                frontier = frontier.meet(&cap);
-            }
-            dropped += self.cloud.crdts.compact(&frontier);
-            if let Some(sb) = self.standby.as_mut() {
-                dropped += sb.core.crdts.compact(&frontier);
-            }
+        let mut acked = EdgeReplica::live(&self.edges).map(|e| &e.link.master.peer_clock);
+        let frontier = acked
+            .next()
+            .map(|first| acked.fold(first.clone(), |acc, clock| acc.meet(clock)));
+        if let Some(frontier) = frontier {
+            dropped += self.ha.compact_master(&mut self.cloud, frontier);
         }
         for edge in self.edges.iter_mut().filter(|e| !e.crashed) {
-            dropped += edge.core.crdts.compact(&edge.to_cloud.peer_clock);
+            dropped += edge.core.crdts.compact(&edge.link.replica.peer_clock);
         }
         dropped
     }
@@ -1202,7 +543,7 @@ impl ThreeTierSystem {
     /// consistency convergence criterion).
     pub fn converged(&self) -> bool {
         let master = self.cloud.crdts.clock();
-        self.edges.iter().filter(|e| !e.crashed).all(|e| {
+        EdgeReplica::live(&self.edges).all(|e| {
             let c = e.core.crdts.clock();
             c.dominates(&master) && master.dominates(&c)
         })
@@ -1224,485 +565,29 @@ impl ThreeTierSystem {
             at += self.options.sync_interval;
             self.sync_round(at);
         }
-        if self.converged() {
-            return Some((max_rounds, at));
-        }
-        None
+        self.converged().then_some((max_rounds, at))
     }
 
     /// Crash an edge replica: it loses all volatile state, stops serving,
     /// and stops syncing until [`ThreeTierSystem::restart_edge`].
     pub fn crash_edge(&mut self, i: usize) {
-        let e = &mut self.edges[i];
-        e.crashed = true;
-        e.active = false;
-        e.inflight.clear();
-        // the cache dies with the process: a rejoined edge must never
-        // serve responses stamped with pre-crash version vectors
-        e.core.cache.clear();
-        let acked = e.to_cloud.peer_clock.clone();
-        self.ha_stats.edge_crashes += 1;
-        self.ha_stats.acked_snapshots.push(acked);
+        self.ha.crash_edge(&mut self.edges[i]);
     }
 
-    /// Restart a crashed edge: a fresh server is provisioned from the cloud
-    /// master's current save image (snapshot + retained tail) under a
-    /// brand-new actor id, so the replica rejoins without the cloud
-    /// replaying its full change history — compaction may long since have
-    /// folded the prefix the crashed incarnation was missing. Both sync
-    /// endpoints start acknowledged up to the provisioning clock; only
-    /// changes after the image travel on subsequent rounds. The crashed
-    /// incarnation's actor id is retired (reusing it would collide with
-    /// already-synced sequence numbers).
+    /// Restart a crashed edge under a brand-new actor id, from the save
+    /// image [`HaPlane::restart_edge`] picks; it rejoins sync at the image's
+    /// clock.
     ///
     /// # Errors
     ///
     /// Propagates replica init failures.
     pub fn restart_edge(&mut self, i: usize) -> Result<(), ServerError> {
-        // Under HA the provisioning image is the durability frontier (the
-        // standby's state, or the durable save): an image ahead of it
-        // would bake unacked changes into the fresh snapshot, where a
-        // post-failover master could never recover them as changes.
-        // Anything between the frontier and the master's head reaches the
-        // rejoined edge through normal sync.
-        let image = match (&self.standby, &self.durable_image) {
-            (Some(sb), _) if self.options.ha.is_some() => sb.core.crdts.save(),
-            (None, Some((bytes, _))) if self.options.ha.is_some() => bytes.clone(),
-            _ => self.cloud.crdts.save(),
-        };
-        let core = self.provision(ReplicaKind::Edge, Some(&image))?;
-        let provisioned = core.crdts.clock();
-        let shadow = match self.options.quarantine {
-            Some(_) => Some(build_shadow(&self.template.program, &self.init)?),
-            None => None,
-        };
-        let e = &mut self.edges[i];
-        // the replacement VM starts healthy (a provisioned core carries no
-        // injected fault) with a fresh shadow variant and a clean
-        // mismatch budget
-        e.core.replace_process(core);
-        e.shadow = shadow;
-        e.shadow_mismatches = 0;
-        e.to_cloud = SyncEndpoint::starting(self.options.sync_advance, provisioned.clone());
-        e.inflight.clear();
-        e.crashed = false;
-        e.active = true;
-        // a restarted process gets a fresh breaker: the pre-crash open
-        // state belonged to the dead incarnation and would only delay
-        // recovery
-        e.breaker_failures = 0;
-        e.breaker_open_until = None;
-        // the cloud resumes from the image's clock: nothing below it is
-        // ever re-sent
-        self.cloud_endpoints[i] = SyncEndpoint::starting(self.options.sync_advance, provisioned);
-        self.ha_stats.edge_restarts += 1;
-        Ok(())
-    }
-
-    /// Provision a replacement replica under the next unused actor id,
-    /// from a save image or (`None`) from the deployment's init snapshot.
-    fn provision(
-        &mut self,
-        kind: ReplicaKind,
-        image: Option<&[u8]>,
-    ) -> Result<ReplicaCore, ServerError> {
-        let actor = ActorId(self.next_actor);
-        self.next_actor += 1;
-        let cache = ResponseCache::new(self.options.cache_budget_bytes, &self.options.telemetry);
-        match image {
-            Some(bytes) => {
-                ReplicaCore::from_image(&self.template, &self.init, kind, actor, bytes, cache)
-            }
-            None => ReplicaCore::fresh(&self.template, &self.init, kind, actor, cache),
-        }
-    }
-
-    /// Whether edge `idx`'s circuit breaker blocks WAN forwarding at `at`.
-    /// After the cooldown the breaker is half-open: the next forward is the
-    /// probe that closes it (success) or re-opens it (failure).
-    pub fn breaker_open(&self, idx: usize, at: SimTime) -> bool {
-        self.edges[idx]
-            .breaker_open_until
-            .is_some_and(|until| at < until)
-    }
-
-    fn record_forward_success(&mut self, idx: usize) {
-        let e = &mut self.edges[idx];
-        e.breaker_failures = 0;
-        e.breaker_open_until = None;
-    }
-
-    fn record_forward_failure(&mut self, idx: usize, at: SimTime) {
-        let threshold = self.options.policy.breaker_threshold;
-        let cooldown = self.options.policy.breaker_cooldown;
-        let e = &mut self.edges[idx];
-        e.breaker_failures += 1;
-        if e.breaker_failures >= threshold {
-            let was_open = e.breaker_open_until.is_some();
-            e.breaker_open_until = Some(at + cooldown);
-            if !was_open {
-                self.options.telemetry.event(
-                    "breaker.open",
-                    Tier::Edge,
-                    None,
-                    at,
-                    &[
-                        ("edge", Json::from(idx as u64)),
-                        (
-                            "failures",
-                            Json::from(self.edges[idx].breaker_failures as u64),
-                        ),
-                    ],
-                );
-            }
-        }
-    }
-
-    /// Whether every state unit the request touches is CRDT-bound on the
-    /// replica. Only then do primary and shadow observe identical state, so
-    /// a digest mismatch can only mean a faulty variant — never a benign
-    /// divergence on unreplicated state.
-    fn shadow_checkable(&self, summary: &EffectSummary) -> bool {
-        let b = &self.template.bindings;
-        let read_ok = summary.reads.iter().all(|r| match r {
-            ReadUnit::Table(t) | ReadUnit::TableKeyed { table: t, .. } => b.tables.contains(t),
-            ReadUnit::File(f) => b.files.contains(f),
-            ReadUnit::Global(g) => b.globals.contains(g),
-        });
-        let write_ok = summary.writes.iter().all(|w| match w {
-            StateUnit::DbTable(t) => b.tables.contains(t),
-            StateUnit::File(f) => b.files.contains(f),
-            StateUnit::Global(g) => b.globals.contains(g),
-        });
-        read_ok && write_ok
-    }
-
-    /// Maybe shadow-execute `request` on edge `idx`'s diversified variant
-    /// (sampled at the quarantine policy's check fraction), returning the
-    /// shadow's response for digest comparison. Runs before the primary
-    /// handles the request: both variants start from the same CRDT state,
-    /// and the shadow's own state is rebuilt from scratch each check, so
-    /// shadow execution never contaminates the serving replica.
-    fn shadow_check(
-        &mut self,
-        idx: usize,
-        request: &HttpRequest,
-        summary: Option<&EffectSummary>,
-    ) -> Option<HttpResponse> {
-        let fraction = self.options.quarantine.as_ref()?.check_fraction;
-        if !self.shadow_checkable(summary?) {
-            return None;
-        }
-        if !self.shadow_rng.chance(fraction) {
-            return None;
-        }
-        let edge = &mut self.edges[idx];
-        let shadow = edge.shadow.as_mut()?;
-        edge.core.crdts.materialize_all(shadow);
-        shadow.handle(request).ok().map(|o| o.response)
-    }
-
-    /// Quarantine edge `i`: drain it, drop its caches, and re-provision a
-    /// replacement from the cloud save image. The replacement starts with
-    /// a clean mismatch budget and no injected fault.
-    fn quarantine_edge(&mut self, i: usize, at: SimTime) {
-        self.options.telemetry.event(
-            "quarantine.open",
-            Tier::System,
-            None,
-            at,
-            &[
-                ("edge", Json::from(i as u64)),
-                (
-                    "mismatches",
-                    Json::from(self.edges[i].shadow_mismatches as u64),
-                ),
-            ],
-        );
-        self.ha_stats.quarantines.push((i, at));
-        // drain: the faulty incarnation serves nothing further
-        let e = &mut self.edges[i];
-        e.active = false;
-        e.inflight.clear();
-        e.core.cache.clear();
-        e.crashed = true;
-        self.restart_edge(i)
-            .expect("re-provisioning a quarantined replica must succeed");
-    }
-
-    /// The durability frontier under ack capping: what the failover target
-    /// (standby, else durable image) provably holds. `None` disables
-    /// capping (no HA, or the unsafe ablation).
-    fn durability_clock(&self) -> Option<SetClock> {
-        let ha = self.options.ha.as_ref()?;
-        if !ha.ack_capping {
-            return None;
-        }
-        if let Some(sb) = &self.standby {
-            return Some(sb.master_link.peer_clock.clone());
-        }
-        if ha.durable_saves {
-            return Some(
-                self.durable_image
-                    .as_ref()
-                    .map(|(_, clock)| clock.clone())
-                    .unwrap_or_default(),
-            );
-        }
-        None
-    }
-
-    /// One reliable intra-DC replication exchange: master delta to the
-    /// standby, standby acknowledgment back. Advances the durability
-    /// frontier ([`ThreeTierSystem::durability_clock`]).
-    fn replicate_to_standby(&mut self) {
-        if let Some(sb) = self.standby.as_mut() {
-            let msg = sb.master_link.generate(&self.cloud.crdts);
-            sb.standby_link
-                .receive_owned(&mut sb.core.crdts, &mut sb.core.server, msg);
-            let ack = sb.standby_link.generate(&sb.core.crdts);
-            sb.master_link
-                .receive_owned(&mut self.cloud.crdts, &mut self.cloud.server, ack);
-        }
-    }
-
-    /// Persist the master's save image (when the policy keeps durable
-    /// saves) — the recovery source for a standby-less restart.
-    fn persist_durable(&mut self) {
-        if self.options.ha.as_ref().is_some_and(|h| h.durable_saves) {
-            self.durable_image = Some((self.cloud.crdts.save(), self.cloud.crdts.clock()));
-        }
-    }
-
-    /// Apply every crash-schedule event (and any pending promotion) with
-    /// time at or before `now`, in time order. Idempotent; called from the
-    /// run loop, sync rounds, and each forward attempt so transitions take
-    /// effect exactly at their virtual times.
-    fn advance_ha(&mut self, now: SimTime) {
-        loop {
-            let next_crash = self
-                .crash_events
-                .get(self.crash_cursor)
-                .filter(|e| e.at <= now)
-                .map(|e| e.at);
-            let promo = self.pending_promotion.filter(|t| *t <= now);
-            match (next_crash, promo) {
-                (Some(c), Some(p)) if p <= c => self.promote_standby(p),
-                (Some(_), _) => {
-                    let ev = self.crash_events[self.crash_cursor].clone();
-                    self.crash_cursor += 1;
-                    self.apply_crash_event(&ev);
-                }
-                (None, Some(p)) => self.promote_standby(p),
-                (None, None) => return,
-            }
-        }
-    }
-
-    fn apply_crash_event(&mut self, ev: &CrashEvent) {
-        let telemetry = self.options.telemetry.clone();
-        if ev.node == "cloud" {
-            let Some(ha) = self.options.ha.clone() else {
-                // without an HA policy the master is not crashable
-                return;
-            };
-            match ev.kind {
-                CrashKind::Down => {
-                    if self.cloud_down {
-                        return;
-                    }
-                    self.cloud_down = true;
-                    self.ha_stats.master_crashes += 1;
-                    // audit point: everything the old master ever acked is
-                    // bounded by what the edges saw — snapshot it
-                    let acked: Vec<SetClock> = self
-                        .edges
-                        .iter()
-                        .filter(|e| !e.crashed)
-                        .map(|e| e.to_cloud.peer_clock.clone())
-                        .collect();
-                    self.ha_stats.acked_snapshots.extend(acked);
-                    telemetry.event("crash.cloud", Tier::Cloud, None, ev.at, &[]);
-                    if self.standby.is_some() {
-                        // deterministic health monitor: promote after the
-                        // detection delay
-                        self.pending_promotion = Some(ev.at + ha.detect_delay);
-                    }
-                }
-                CrashKind::Up => {
-                    if self.cloud_down {
-                        // no standby was available: recover from the
-                        // durable save image (or cold-start from init)
-                        self.recover_master_durable(ev.at);
-                    } else {
-                        // a standby was already promoted; the returning
-                        // process becomes the new standby
-                        if ha.standby {
-                            self.provision_standby(ev.at);
-                        }
-                    }
-                }
-            }
-            return;
-        }
-        let Some(i) = ev
-            .node
-            .strip_prefix("edge")
-            .and_then(|s| s.parse::<usize>().ok())
-            .filter(|i| *i < self.edges.len())
-        else {
-            return;
-        };
-        match ev.kind {
-            CrashKind::Down => {
-                if !self.edges[i].crashed {
-                    self.crash_edge(i);
-                    telemetry.event(
-                        "crash.edge",
-                        Tier::Edge,
-                        None,
-                        ev.at,
-                        &[("edge", Json::from(i as u64))],
-                    );
-                }
-            }
-            CrashKind::Up => {
-                if self.edges[i].crashed {
-                    if self.cloud_down {
-                        // nothing to provision from while the master is
-                        // down; rejoin at the next promotion/recovery
-                        self.deferred_restarts.push(i);
-                    } else {
-                        self.rejoin_edge(i, ev.at);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Restart + catch-up telemetry for a scheduled edge rejoin.
-    fn rejoin_edge(&mut self, i: usize, at: SimTime) {
-        self.restart_edge(i)
-            .expect("replica template re-provisions cleanly");
-        self.options.telemetry.event(
-            "rejoin.catchup",
-            Tier::Edge,
-            None,
-            at,
-            &[("edge", Json::from(i as u64))],
-        );
-    }
-
-    /// Promote the warm standby to master: edges re-home to it on their
-    /// next sync round / forward retry.
-    fn promote_standby(&mut self, at: SimTime) {
-        self.pending_promotion = None;
-        let Some(sb) = self.standby.take() else {
-            return;
-        };
-        self.install_master(sb.core);
-        self.persist_durable();
-        self.ha_stats.failovers += 1;
-        if let Some(crashed_at) = self.last_open_outage() {
-            self.ha_stats.outages.push((crashed_at, at));
-        }
-        self.options.telemetry.event(
-            "failover.promote",
-            Tier::Cloud,
-            None,
-            at,
-            &[("failovers", Json::from(self.ha_stats.failovers as u64))],
-        );
-        self.restart_deferred(at);
-    }
-
-    /// Recover a standby-less master from the durable save image (or, with
-    /// durable saves disabled — the ablation — cold-start from the init
-    /// snapshot, losing everything since deploy).
-    fn recover_master_durable(&mut self, at: SimTime) {
-        // taken, not borrowed: `provision` needs the whole system
-        let image = self.durable_image.take();
-        let core = self
-            .provision(
-                ReplicaKind::Master,
-                image.as_ref().map(|(b, _)| b.as_slice()),
-            )
-            .expect("the cloud program parsed and initialised at deploy");
-        self.durable_image = image;
-        self.install_master(core);
-        self.ha_stats.durable_recoveries += 1;
-        if let Some(crashed_at) = self.last_open_outage() {
-            self.ha_stats.outages.push((crashed_at, at));
-        }
-        self.options
-            .telemetry
-            .event("failover.recover", Tier::Cloud, None, at, &[]);
-        self.restart_deferred(at);
-    }
-
-    /// Make `core` the serving master. It has never spoken to the edges —
-    /// what each had acked was in the dead master's memory — so every sync
-    /// channel restarts from scratch; resending the retained tail is
-    /// idempotent.
-    fn install_master(&mut self, core: ReplicaCore) {
-        self.cloud.replace_process(core);
-        self.cloud_down = false;
-        for ep in &mut self.cloud_endpoints {
-            *ep = SyncEndpoint::starting(self.options.sync_advance, SetClock::default());
-        }
-    }
-
-    /// Provision a fresh warm standby from the current master's save image
-    /// (the returning ex-master process after a failover).
-    fn provision_standby(&mut self, at: SimTime) {
-        let image = self.cloud.crdts.save();
-        let core = self
-            .provision(ReplicaKind::Master, Some(&image))
-            .expect("the cloud program parsed and initialised at deploy");
-        let clock = core.crdts.clock();
-        self.standby = Some(CloudStandby {
-            core,
-            master_link: SyncEndpoint::starting(AdvanceMode::OnAck, clock.clone()),
-            standby_link: SyncEndpoint::starting(AdvanceMode::OnAck, clock),
-        });
-        self.options
-            .telemetry
-            .event("standby.provision", Tier::Cloud, None, at, &[]);
-    }
-
-    /// The crash time of the outage currently missing its recovery entry.
-    fn last_open_outage(&self) -> Option<SimTime> {
-        // master_crashes counts crashes; outages counts recoveries — the
-        // open outage is the crash event not yet paired
-        if (self.ha_stats.outages.len() as u32) < self.ha_stats.master_crashes {
-            self.crash_events[..self.crash_cursor]
-                .iter()
-                .rev()
-                .find(|e| e.node == "cloud" && e.kind == CrashKind::Down)
-                .map(|e| e.at)
-        } else {
-            None
-        }
-    }
-
-    /// Re-provision edges whose scheduled restart arrived while the master
-    /// was down.
-    fn restart_deferred(&mut self, at: SimTime) {
-        for i in std::mem::take(&mut self.deferred_restarts) {
-            if self.edges[i].crashed {
-                self.rejoin_edge(i, at);
-            }
-        }
+        self.ha.restart_edge(&mut self.edges[i], &self.cloud)
     }
 
     /// Accumulated failure/recovery observations.
     pub fn ha_stats(&self) -> &HaStats {
-        &self.ha_stats
-    }
-
-    /// Whether the cloud master is currently down.
-    pub fn master_down(&self) -> bool {
-        self.cloud_down
+        &self.ha.stats
     }
 
     /// Inject the bit-flipping faulty VM variant into edge `i`'s serving
@@ -1717,121 +602,69 @@ impl ThreeTierSystem {
         self.edges[i].core.corruptor.as_ref().map_or(0, |c| c.flips)
     }
 
-    /// Forward one request to the cloud with bounded retries, exponential
-    /// backoff and seeded jitter, under the run's fault plan and deadline.
-    /// Returns `Some((time_back_at_edge, response, cycles))` on success —
-    /// the cycles the cloud charged for it ([`crate::CACHE_HIT_CYCLES`]
-    /// for a cloud cache hit), the controller's cost estimate input. The
-    /// cloud executes the request at most once: if only the response is
-    /// lost, retries retransmit the response rather than re-running the
-    /// handler (the proxy holds the connection, §II-B).
-    #[allow(clippy::too_many_arguments)]
-    fn forward_to_cloud(
-        &mut self,
-        idx: usize,
-        request: &HttpRequest,
-        arrive: SimTime,
-        rec: &mut RunRecorder,
-        span: SpanId,
-        summary: Option<&EffectSummary>,
-        plan: Option<&CachePlan>,
-    ) -> Option<(SimTime, HttpResponse, u64)> {
-        let telemetry = self.options.telemetry.clone();
-        let policy = self.options.policy.clone();
-        let edge_name = format!("edge{idx}");
-        let req_size = request.size();
-        let deadline = arrive + policy.forward_deadline;
-        // `Some` once the cloud has served: (compute finish, response, cycles)
-        let mut executed: Option<(SimTime, HttpResponse, u64)> = None;
-        let mut t = arrive;
-        let mut attempt: u32 = 0;
-        loop {
-            // scheduled crashes/promotions that elapsed before this attempt
-            self.advance_ha(t);
-            if let Some((finish, response, _)) = &executed {
-                // only the response was lost: retransmit it. The executed
-                // marker and response travel with the replicated
-                // connection state (the write itself was shipped to the
-                // standby before the ack), so retransmission stalls while
-                // the master is down and resumes after promotion instead
-                // of re-running the handler.
-                let (finish, resp_size) = (*finish, response.size());
-                let back = self.wan_down.send(t.max(finish), resp_size);
-                rec.add_wan_request_bytes(resp_size);
-                let dropped = wan_drops(&mut self.options.faults, "cloud", &edge_name, t);
-                if !dropped && !self.cloud_down {
-                    self.record_forward_success(idx);
-                    return executed.map(|(_, r, c)| (back, r, c));
-                }
+    /// Autoscaler step at an arrival: wake or park replicas toward the
+    /// desired active count and sample it. A crashed replica cannot be
+    /// woken, so it takes no rank: the first `desired` *live* replicas are
+    /// the ones that should run.
+    fn rescale(&mut self, scaler: Autoscaler, now: SimTime, rec: &mut RunRecorder) {
+        let inflight: usize = self.edges.iter().map(EdgeReplica::connections).sum();
+        let desired = scaler.desired(inflight.max(1), self.edges.len());
+        let live = self
+            .edges
+            .iter_mut()
+            .enumerate()
+            .filter(|(_, e)| !e.crashed);
+        for (rank, (i, e)) in live.enumerate() {
+            let wanted = rank < desired;
+            let (state, event) = if wanted && !e.active {
+                (PowerState::Idle, "replica.unpark")
+            } else if !wanted && e.active && e.connections() == 0 {
+                (PowerState::LowPower, "replica.park")
             } else {
-                let cloud_arrive = self.wan_up.send(t, req_size);
-                rec.add_wan_request_bytes(req_size);
-                let dropped = wan_drops(&mut self.options.faults, &edge_name, "cloud", t);
-                // The request is judged against the fault plan even while
-                // the master is down so the per-link drop streams stay
-                // aligned with a crash-free run; a dead master simply
-                // never answers.
-                if !dropped && !self.cloud_down {
-                    // A cloud cache hit skips only the handler — the WAN
-                    // message sequence (request judged above, response
-                    // judged below) is that of an execution, so the fault
-                    // plan's per-link streams stay aligned with the
-                    // cache-off run.
-                    let Ok(served) = self.cloud.serve(request, summary, plan, &None) else {
-                        // application error: the WAN worked, no retry
-                        self.record_forward_success(idx);
-                        return None;
-                    };
-                    let serve =
-                        telemetry.start_span("serve", Tier::Cloud, Some(span), cloud_arrive);
-                    let (_, finish) = self.cloud_device.schedule_work(cloud_arrive, served.cycles);
-                    telemetry.end_span(serve, finish);
-                    // A client-acked forwarded write must survive
-                    // failover: ship it to the standby / durable image
-                    // before the ack returns.
-                    if served.effects && self.options.ha.is_some() {
-                        self.replicate_to_standby();
-                        self.persist_durable();
-                    }
-                    let resp_size = served.response.size();
-                    let back = self.wan_down.send(finish, resp_size);
-                    rec.add_wan_request_bytes(resp_size);
-                    let resp_dropped =
-                        wan_drops(&mut self.options.faults, "cloud", &edge_name, finish);
-                    if !resp_dropped {
-                        self.record_forward_success(idx);
-                        return Some((back, served.response, served.cycles));
-                    }
-                    executed = Some((finish, served.response, served.cycles));
-                }
-            }
-            // this attempt failed in transit: back off, maybe retry
-            if attempt >= policy.max_retries {
-                rec.timed_out();
-                telemetry.event("forward.timeout", Tier::Edge, Some(span), t, &[]);
-                self.record_forward_failure(idx, t);
-                return None;
-            }
-            let backoff_us = policy.backoff_base.0 << attempt;
-            let jitter_us = self.jitter.below(policy.backoff_base.0.max(1));
-            let next = t + SimDuration(backoff_us + jitter_us);
-            if next > deadline {
-                rec.timed_out();
-                telemetry.event("forward.timeout", Tier::Edge, Some(span), next, &[]);
-                self.record_forward_failure(idx, next);
-                return None;
-            }
-            attempt += 1;
-            rec.retried();
-            telemetry.event(
-                "forward.retry",
-                Tier::Edge,
-                Some(span),
-                next,
-                &[("attempt", Json::from(attempt as u64))],
-            );
-            t = next;
+                continue;
+            };
+            e.active = wanted;
+            e.device.set_power_state(state, now);
+            let telemetry = &self.options.telemetry;
+            telemetry.event(event, Tier::Edge, None, now, &edge_attr(i));
         }
+        let active = self.edges.iter().filter(|e| e.active).count();
+        rec.replica_sample(now, active);
+    }
+
+    /// Feed one completed request into the adaptive controller's window,
+    /// with matched actual/estimated costs for both serving paths. The
+    /// local-demand estimate is always the *unloaded* edge compute time,
+    /// so post-demotion utilization keeps reflecting offered demand rather
+    /// than queueing feedback.
+    fn observe_placement(
+        &mut self,
+        key: &(Verb, String),
+        idx: usize,
+        write: bool,
+        answer: &Answer,
+        wait: SimDuration,
+    ) {
+        let local_est = self.edges[idx]
+            .device
+            .spec
+            .service_time(answer.served.cycles);
+        let cloud_est = self.cloud_device.spec.service_time(answer.served.cycles);
+        let forward_est = SimDuration(self.options.wan.latency.0 * 2 + cloud_est.0);
+        let (local, forward) = if answer.forwarded {
+            (local_est, wait)
+        } else {
+            (wait, forward_est)
+        };
+        let obs = Observation {
+            write,
+            // a cloud cache hit is still a forward to the edge's controller
+            cache_hit: answer.served.hit && !answer.forwarded,
+            local_us: local.0,
+            forward_us: forward.0,
+            local_demand_us: local_est.0,
+        };
+        self.placement.observe(key, obs);
     }
 
     /// Execute `workload`, returning measurements.
@@ -1855,47 +688,19 @@ impl ThreeTierSystem {
             // background sync ticks that elapsed before this arrival; the
             // tick clock lives on the system so that back-to-back phase
             // runs continue the schedule instead of replaying old ticks
-            while !self.options.synchronous_sync && self.next_sync <= now {
+            while self.next_sync <= now {
                 let tick = self.next_sync;
                 rec.add_wan_sync_bytes(self.sync_round(tick));
-                self.placement_tick(tick);
+                self.placement.tick(tick, &self.cloud, &self.edges);
                 self.next_sync += self.options.sync_interval;
             }
             // scheduled crashes / restarts / promotions that elapsed
-            self.advance_ha(now);
-            // autoscaler: adjust active replica set
+            self.ha.advance(now, &mut self.cloud, &mut self.edges);
             for e in self.edges.iter_mut() {
                 e.prune(now);
             }
             if let Some(scaler) = self.options.autoscaler {
-                let inflight: usize = self.edges.iter().map(EdgeReplica::connections).sum();
-                let desired = scaler.desired(inflight.max(1), self.edges.len());
-                for (i, e) in self.edges.iter_mut().enumerate() {
-                    let should_be_active = i < desired;
-                    if should_be_active && !e.active && !e.is_crashed() {
-                        e.active = true;
-                        e.device.set_power_state(PowerState::Idle, now);
-                        telemetry.event(
-                            "replica.unpark",
-                            Tier::Edge,
-                            None,
-                            now,
-                            &[("edge", Json::from(i as u64))],
-                        );
-                    } else if !should_be_active && e.active && e.connections() == 0 {
-                        e.active = false;
-                        e.device.set_power_state(PowerState::LowPower, now);
-                        telemetry.event(
-                            "replica.park",
-                            Tier::Edge,
-                            None,
-                            now,
-                            &[("edge", Json::from(i as u64))],
-                        );
-                    }
-                }
-                let active = self.edges.iter().filter(|e| e.active).count();
-                rec.replica_sample(now, active);
+                self.rescale(scaler, now, &mut rec);
             }
             // route to an edge
             let connections: Vec<usize> = self.edges.iter().map(EdgeReplica::connections).collect();
@@ -1933,7 +738,7 @@ impl ThreeTierSystem {
             let arrive = lan_arrive + wake;
             let key = (tr.request.verb, tr.request.path.clone());
             let summary = template.effects.get(&key);
-            let placement = self.placement_of(&key);
+            let placement = self.placement.placement_of(&key);
             let local = placement == Placement::EdgeReplicate;
             let plan = cache_plan(self.options.cache, summary, &tr.request);
             // A forwarded service may be served from the edge cache only
@@ -1958,19 +763,18 @@ impl ThreeTierSystem {
                 // multi-variant check: shadow-execute between the lookup
                 // and the execution, so both variants observe the same
                 // pre-request CRDT state
-                let shadow = self.shadow_check(idx, &tr.request, summary);
-                served = self.edges[idx]
+                let edge = &mut self.edges[idx];
+                let shadow = self.quarantine.shadow_execute(edge, &tr.request, summary);
+                served = edge
                     .core
                     .execute(&tr.request, summary, plan.as_ref(), &profiler)
                     .ok();
                 // a failed execution is forwarded, not compared
                 shadow_verdict = shadow.filter(|_| served.is_some());
             }
-            // (response ready at the edge, response, edge cache hit, cycles
-            // it demanded, served by the cloud)
-            let (ready, response, hit, cycles, forwarded) = if let Some(s) = served {
+            let answer = if let Some(s) = served {
                 // answered at the edge, from its cache or by its replica
-                if self.breaker_open(idx, arrive) {
+                if self.edges[idx].breaker.is_open(arrive) {
                     // still served locally under an open breaker; deltas
                     // queue until the WAN heals
                     rec.degraded();
@@ -1979,13 +783,17 @@ impl ThreeTierSystem {
                 let serve = telemetry.start_span("serve", Tier::Edge, Some(span), arrive);
                 let (_, finish) = self.edges[idx].device.schedule_work(arrive, s.cycles);
                 telemetry.end_span(serve, finish);
-                (finish, s.response, s.hit, s.cycles, false)
+                Answer {
+                    ready: finish,
+                    served: s,
+                    forwarded: false,
+                }
             } else {
                 // not answered at the edge (a cloud-placed service, or the
                 // local execution failed): the edge proxies the request to
                 // the cloud master over the WAN (§II-B)
                 rec.forwarded();
-                if self.breaker_open(idx, arrive) {
+                if self.edges[idx].breaker.is_open(arrive) {
                     // degraded mode: fail fast without a WAN attempt
                     rec.degraded();
                     rec.fail();
@@ -1994,15 +802,22 @@ impl ThreeTierSystem {
                     continue;
                 }
                 let fwd = telemetry.start_span("forward", Tier::Edge, Some(span), arrive);
-                let Some((back_at_edge, response, cycles)) = self.forward_to_cloud(
-                    idx,
-                    &tr.request,
-                    arrive,
-                    &mut rec,
-                    fwd,
+                let forward = Forward {
+                    request: &tr.request,
                     summary,
-                    plan.as_ref(),
-                ) else {
+                    plan: plan.as_ref(),
+                    edge: idx,
+                    arrive,
+                    span: fwd,
+                    rec: &mut rec,
+                };
+                let (cloud, device, edges) =
+                    (&mut self.cloud, &mut self.cloud_device, &mut self.edges);
+                let (ha, faults) = (&mut self.ha, &mut self.options.faults);
+                let forwarded = self
+                    .forwarder
+                    .forward(forward, cloud, device, edges, ha, faults);
+                let Some((back_at_edge, s)) = forwarded else {
                     telemetry.end_span(fwd, arrive);
                     rec.fail();
                     telemetry.end_span(span, arrive);
@@ -2015,51 +830,40 @@ impl ThreeTierSystem {
                 if let Some(p) = plan.as_ref().filter(|p| {
                     forward_skip_ok || (placement == Placement::EdgeCacheOnly && p.pure)
                 }) {
-                    self.edges[idx].core.fill(p, &response);
+                    self.edges[idx].core.fill(p, &s.response);
                 }
-                (back_at_edge, response, false, cycles, true)
+                Answer {
+                    ready: back_at_edge,
+                    served: s,
+                    forwarded: true,
+                }
             };
-            let resp_size = response.size();
-            let done = self.lan_down.send(ready, resp_size);
+            let resp_size = answer.served.response.size();
+            let done = self.lan_down.send(answer.ready, resp_size);
             rec.add_lan_bytes(resp_size);
             self.edges[idx].inflight.push(done);
-            let (down, wait) = (done - ready, ready - arrive);
-            if !forwarded && self.options.synchronous_sync {
-                rec.add_wan_sync_bytes(self.sync_round(ready));
-            }
-            // set when this request's digest mismatch exhausts the budget;
-            // acted on after the response is recorded
-            let mut quarantine_after: Option<usize> = None;
-            if let Some(shadow_resp) = shadow_verdict {
-                self.ha_stats.shadow_checks += 1;
-                if response.digest() != shadow_resp.digest() {
-                    self.ha_stats.shadow_mismatches += 1;
-                    self.edges[idx].shadow_mismatches += 1;
-                    telemetry.event(
-                        "shadow.mismatch",
-                        Tier::System,
-                        Some(span),
-                        ready,
-                        &[("edge", Json::from(idx as u64))],
-                    );
-                    let budget = self
-                        .options
-                        .quarantine
-                        .as_ref()
-                        .map_or(u32::MAX, |q| q.mismatch_budget);
-                    if self.edges[idx].shadow_mismatches > budget {
-                        quarantine_after = Some(idx);
-                    }
-                }
-            }
+            let (down, wait) = (done - answer.ready, answer.ready - arrive);
+            // whether this request's digest mismatch exhausts the edge's
+            // budget; acted on after the response is recorded
+            let quarantine = shadow_verdict.is_some_and(|shadow| {
+                let agree = answer.served.response.digest() == shadow.digest();
+                let (edge, stats) = (&mut self.edges[idx], &mut self.ha.stats);
+                self.quarantine
+                    .charge(idx, edge, agree, answer.ready, span, stats)
+            });
             let energy = self.mobile.request_energy_j(up, down, wait);
-            rec.complete(&response, tr.at, done, energy);
+            rec.complete(&answer.served.response, tr.at, done, energy);
             telemetry.end_span(span, done);
-            if self.controller.is_some() {
-                self.observe_placement(&key, idx, hit, forwarded, cycles, wait);
+            if self.placement.adaptive() {
+                let write = summary.is_some_and(|s| !s.pure);
+                self.observe_placement(&key, idx, write, &answer, wait);
             }
-            if let Some(qi) = quarantine_after {
-                self.quarantine_edge(qi, done);
+            if quarantine {
+                // drained, then re-provisioned like any crashed edge
+                let (edge, stats) = (&mut self.edges[idx], &mut self.ha.stats);
+                self.quarantine.open(idx, edge, done, stats);
+                self.restart_edge(idx)
+                    .expect("re-provisioning a quarantined replica must succeed");
             }
         }
         // final flush so replicas converge (fault-free runs need at most
@@ -2298,6 +1102,36 @@ mod tests {
         assert_eq!(min_active, 1, "light load should park down to one replica");
         // parked replicas draw less energy than a hypothetical always-on set
         assert!(stats.edge_energy_j > 0.0);
+    }
+
+    /// A crashed replica cannot be woken, so it takes no rank: with `edge0`
+    /// down from 2 s to 12 s the autoscaler keeps one of the two healthy
+    /// replicas running instead of leaving both parked behind it.
+    #[test]
+    fn autoscaler_ranks_live_replicas_while_one_is_down() {
+        let report = transformed();
+        let mut crashes = CrashPlan::new(11);
+        crashes.crash(
+            "edge0",
+            SimTime::from_secs_f64(2.0),
+            SimTime::from_secs_f64(12.0),
+        );
+        let mut sys = ThreeTierSystem::deploy(
+            APP,
+            &report,
+            &[DeviceSpec::rpi4(), DeviceSpec::rpi4(), DeviceSpec::rpi4()],
+            ThreeTierOptions {
+                autoscaler: Some(Autoscaler::default()),
+                crashes: Some(crashes),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let reqs: Vec<HttpRequest> = (0..40).map(unique_note).collect();
+        let stats = sys.run(&Workload::constant_rate(&reqs, 2.0, 40));
+        assert_eq!((stats.completed, stats.failed), (40, 0));
+        let min_active = stats.replica_samples.iter().map(|(_, n)| *n).min();
+        assert_eq!(min_active, Some(1), "never a cluster with nothing running");
     }
 
     #[test]
@@ -2569,41 +1403,31 @@ mod tests {
     /// the cluster still converges to the full table.
     #[test]
     fn steady_state_sync_keeps_resident_history_bounded() {
-        let peak_history = |compaction: bool| {
-            let report = transformed();
-            let mut sys = ThreeTierSystem::deploy(
-                APP,
-                &report,
-                &[DeviceSpec::rpi4(), DeviceSpec::rpi3()],
-                ThreeTierOptions {
-                    compaction,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            let mut peak = 0usize;
-            let mut t = SimTime::ZERO;
-            for batch in 0..20usize {
-                let reqs: Vec<HttpRequest> =
-                    (batch * 10..batch * 10 + 10).map(unique_note).collect();
-                let stats = sys.run(&Workload::constant_rate(&reqs, 20.0, 10).shifted(t));
-                t = stats.makespan;
-                peak = peak.max(sys.cloud.crdts.history_len());
-            }
-            sys.sync_until_converged(t, 10)
-                .expect("steady-state cluster must converge");
-            assert!(sys.cloud.crdts.tables["notes"].len() >= 200);
-            peak
-        };
-        let bounded = peak_history(true);
-        let unbounded = peak_history(false);
+        let report = transformed();
+        let mut sys = ThreeTierSystem::deploy(
+            APP,
+            &report,
+            &[DeviceSpec::rpi4(), DeviceSpec::rpi3()],
+            ThreeTierOptions::default(),
+        )
+        .unwrap();
+        let mut peak = 0usize;
+        let mut t = SimTime::ZERO;
+        for batch in 0..20usize {
+            let reqs: Vec<HttpRequest> = (batch * 10..batch * 10 + 10).map(unique_note).collect();
+            let stats = sys.run(&Workload::constant_rate(&reqs, 20.0, 10).shifted(t));
+            t = stats.makespan;
+            peak = peak.max(sys.cloud.crdts.history_len());
+        }
+        sys.sync_until_converged(t, 10)
+            .expect("steady-state cluster must converge");
+        let writes = sys.cloud.crdts.tables["notes"].len();
+        assert!(writes >= 200);
+        // every write is at least one change: unfolded, the history would
+        // hold no fewer than `writes` of them
         assert!(
-            unbounded >= 200,
-            "without compaction history grows with the write count: {unbounded}"
-        );
-        assert!(
-            bounded * 4 < unbounded,
-            "compaction must bound resident history: peak {bounded} vs {unbounded}"
+            peak * 4 < writes,
+            "compaction must bound resident history: peak {peak} of {writes} writes"
         );
     }
 
@@ -2651,7 +1475,7 @@ mod tests {
         let trip: Vec<HttpRequest> = (0..4).map(unique_note).collect();
         let stats = sys.run(&Workload::constant_rate(&trip, 2.0, 4));
         assert!(
-            sys.breaker_open(0, stats.makespan),
+            sys.edges[0].breaker.is_open(stats.makespan),
             "timeouts across the partition must open the breaker"
         );
         // well past the partition and the cooldown: half-open probes
@@ -2660,7 +1484,7 @@ mod tests {
         let stats =
             sys.run(&Workload::constant_rate(&probe, 2.0, 3).shifted(SimTime::from_secs_f64(25.0)));
         assert_eq!(stats.completed, 3, "probes must get through a healed WAN");
-        assert!(!sys.breaker_open(0, stats.makespan));
+        assert!(!sys.edges[0].breaker.is_open(stats.makespan));
     }
 
     /// Satellite fix: a restarted edge gets a fresh breaker — the open
@@ -2691,11 +1515,11 @@ mod tests {
             .inject_failures(vec!["db.query".to_string()]);
         let trip: Vec<HttpRequest> = (0..4).map(unique_note).collect();
         let stats = sys.run(&Workload::constant_rate(&trip, 2.0, 4));
-        assert!(sys.breaker_open(0, stats.makespan));
+        assert!(sys.edges[0].breaker.is_open(stats.makespan));
         sys.crash_edge(0);
         sys.restart_edge(0).unwrap();
         assert!(
-            !sys.breaker_open(0, stats.makespan),
+            !sys.edges[0].breaker.is_open(stats.makespan),
             "a restarted process must not inherit the dead incarnation's breaker"
         );
     }
@@ -2775,7 +1599,7 @@ mod tests {
             .sync_until_converged(stats.makespan.max(SimTime::from_secs_f64(6.0)), 30)
             .expect("cluster must reconverge on the promoted master");
         assert!(rounds <= 30);
-        assert!(!sys.master_down());
+        assert!(!sys.ha.master_down());
         let hs = sys.ha_stats();
         assert_eq!(hs.master_crashes, 1);
         assert_eq!(hs.failovers, 1);
@@ -2828,7 +1652,7 @@ mod tests {
             "retries must ride out the detection window"
         );
         assert_eq!(sys.ha_stats().failovers, 1);
-        assert!(!sys.master_down());
+        assert!(!sys.ha.master_down());
         // every acked forward is on the post-failover master
         assert!(
             sys.cloud.crdts.tables["notes"].len() >= stats.completed,
@@ -2945,7 +1769,7 @@ mod tests {
         assert_eq!(stats.completed, 20);
         assert_eq!(stats.forwarded, 20, "cloud-pinned services must forward");
         assert!(stats.wan_request_bytes > 0);
-        assert_eq!(sys.placement_of(&note_key()), Placement::CloudPin);
+        assert_eq!(sys.placement.placement_of(&note_key()), Placement::CloudPin);
         assert_eq!(sys.placement_stats().promotes, 0);
         assert_eq!(sys.placement_stats().demotes, 0);
     }
@@ -3003,7 +1827,7 @@ mod tests {
         let stats = sys.run(&wl);
         assert_eq!(stats.completed, 40);
         assert_eq!(
-            sys.placement_of(&note_key()),
+            sys.placement.placement_of(&note_key()),
             Placement::CloudPin,
             "a write service whose sync traffic exceeds the ceiling demotes"
         );
@@ -3064,7 +1888,10 @@ mod tests {
             "only the cloud-pinned phase forwards, got {}",
             stats.forwarded
         );
-        assert_eq!(sys.placement_of(&note_key()), Placement::EdgeReplicate);
+        assert_eq!(
+            sys.placement.placement_of(&note_key()),
+            Placement::EdgeReplicate
+        );
         sys.sync_until_converged(stats.makespan, 50)
             .expect("cluster must converge");
         let master = sys.cloud.crdts.clock();

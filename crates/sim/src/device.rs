@@ -194,15 +194,6 @@ impl Device {
         (start, finish)
     }
 
-    /// The earliest time a new request could start executing.
-    pub fn next_free(&self) -> SimTime {
-        self.core_free
-            .iter()
-            .copied()
-            .min()
-            .unwrap_or(SimTime::ZERO)
-    }
-
     /// Number of cores that are busy at `now`.
     pub fn busy_cores(&self, now: SimTime) -> usize {
         self.core_free.iter().filter(|t| **t > now).count()
