@@ -485,6 +485,117 @@ fn bench_sync(c: &mut Criterion) {
     g.finish();
 }
 
+/// The CRDT side of a replicated row write on bookworm rows, 64 writes an
+/// iteration (the handlers run untimed): absorbing inserts on the writing
+/// edge, absorbing stock updates that overwrite existing rows, and a
+/// replica of 512 or 4 096 rows applying and materialising a delta of 64
+/// inserts.
+fn bench_row_write(c: &mut Criterion) {
+    use edgstr_analysis::StateUnit;
+    use edgstr_core::CrdtBindings;
+    use edgstr_net::Verb;
+    use edgstr_runtime::{CrdtSet, SyncEndpoint};
+    use std::cell::RefCell;
+
+    let catalog = |rows: i64| {
+        let mut s = ServerProcess::from_source(edgstr_apps::bookworm::SOURCE).unwrap();
+        s.init().unwrap();
+        // the app seeds ids 1-5
+        for id in 6..=rows {
+            let insert =
+                format!("INSERT INTO books VALUES ({id}, 'amber basin {id}', 'Egan', 9.5, 3)");
+            s.db.exec(&insert).unwrap();
+        }
+        InitState::capture(&s)
+    };
+    let node = |actor: u64, init: &InitState| {
+        let mut s = ServerProcess::from_source(edgstr_apps::bookworm::SOURCE).unwrap();
+        s.init().unwrap();
+        init.restore(&mut s);
+        let bindings = CrdtBindings::from_units([StateUnit::DbTable("books".into())]);
+        (s, CrdtSet::initialize(ActorId(actor), &bindings, init))
+    };
+    let add = |id: i64| {
+        let book =
+            json!({"id": id, "title": format!("amber basin {id}"), "author": "Egan", "price": 9.5});
+        HttpRequest::post("/books", book, vec![])
+    };
+    let stock = |id: i64, qty: i64| HttpRequest {
+        verb: Verb::Put,
+        path: "/stock".to_string(),
+        params: json!({"id": id, "qty": qty}),
+        body: vec![],
+    };
+    let mut g = c.benchmark_group("crdt");
+    let init = catalog(512);
+    for (name, overwrite) in [("absorb", false), ("overwrite", true)] {
+        let (server, mut set) = node(2, &init);
+        let server = RefCell::new(server);
+        let mut next = 10_000i64;
+        g.bench_function(&format!("row_write/{name}"), |b| {
+            b.iter_batched(
+                || {
+                    let mut server = server.borrow_mut();
+                    (0..64)
+                        .map(|i| {
+                            next += 1;
+                            let req = if overwrite {
+                                stock(1 + i, next)
+                            } else {
+                                add(next)
+                            };
+                            server.handle(&req).unwrap()
+                        })
+                        .collect::<Vec<_>>()
+                },
+                |outs| {
+                    let server = server.borrow();
+                    for out in &outs {
+                        set.absorb_outcome(out, &server);
+                    }
+                },
+                BatchSize::SmallInput,
+            )
+        });
+    }
+    for rows in [512i64, 4_096] {
+        let init = catalog(rows);
+        // an edge's delta of 64 inserts, after one earlier delta (as
+        // `sync/apply_delta`: a replica's first apply grows its tables)
+        let (mut edge, mut edge_set) = node(2, &init);
+        let mut to_cloud = SyncEndpoint::new();
+        let mut deltas = Vec::new();
+        for (first, count) in [(20_000, 1), (30_000, 64)] {
+            to_cloud.peer_clock = edge_set.clock();
+            for id in first..first + count {
+                let out = edge.handle(&add(id)).unwrap();
+                edge_set.absorb_outcome(&out, &edge);
+            }
+            deltas.push(to_cloud.generate(&edge_set));
+        }
+        let [first, msg] = &deltas[..] else {
+            unreachable!()
+        };
+        g.bench_function(&format!("row_write/apply_materialize/{rows}"), |b| {
+            let mut applied = Vec::with_capacity(64);
+            b.iter_batched(
+                || {
+                    let (mut cloud, mut cloud_set) = node(1, &init);
+                    let mut from_edge = SyncEndpoint::new();
+                    from_edge.receive(&mut cloud_set, &mut cloud, first);
+                    (cloud, cloud_set, from_edge, msg.clone())
+                },
+                |(mut cloud, mut cloud_set, mut from_edge, msg)| {
+                    from_edge.receive_owned(&mut cloud_set, &mut cloud, msg);
+                    applied.push((cloud, cloud_set));
+                },
+                BatchSize::SmallInput,
+            )
+        });
+    }
+    g.finish();
+}
+
 /// What a replica pays per request after the handler has answered, on the
 /// list-shaped body where it is largest — bookworm's `/books` over 512
 /// rows, ~30 KB of JSON — and what a whole miss on it costs.
@@ -830,6 +941,6 @@ fn bench_pipeline(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_crdt, bench_log_structure, bench_datalog, bench_sql, bench_sync, bench_response, bench_lang, bench_interp_dispatch, bench_metrics, bench_template, bench_parallel, bench_pipeline
+    targets = bench_crdt, bench_log_structure, bench_datalog, bench_sql, bench_sync, bench_row_write, bench_response, bench_lang, bench_interp_dispatch, bench_metrics, bench_template, bench_parallel, bench_pipeline
 }
 criterion_main!(benches);

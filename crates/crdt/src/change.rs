@@ -50,6 +50,10 @@ pub enum ElemRef {
 
 /// A single CRDT operation.
 ///
+/// Map keys are shared: the change that carries a key, the map slot it
+/// lands in and the containment index all hold one `Arc<str>`, so applying
+/// an op copies a reference count, not the key.
+///
 /// `pred` lists the op ids this operation supersedes (the values visible to
 /// the writer at generation time); apply removes exactly those, so
 /// concurrent writes survive as multi-values resolved by op-id order, and
@@ -64,7 +68,7 @@ pub enum Op {
     Set {
         id: OpId,
         obj: ObjId,
-        key: String,
+        key: Arc<str>,
         value: OpValue,
         pred: Vec<OpId>,
     },
@@ -72,7 +76,7 @@ pub enum Op {
     DelKey {
         id: OpId,
         obj: ObjId,
-        key: String,
+        key: Arc<str>,
         pred: Vec<OpId>,
     },
     /// Insert a new element into list `obj` after `after`.
@@ -96,7 +100,7 @@ pub enum Op {
     Inc {
         id: OpId,
         obj: ObjId,
-        key: String,
+        key: Arc<str>,
         delta: i64,
     },
 }
@@ -293,14 +297,14 @@ impl Op {
             OP_SET => Op::Set {
                 id,
                 obj: ObjId::read(r)?,
-                key: r.str()?.to_string(),
+                key: r.str()?.into(),
                 value: OpValue::read(r)?,
                 pred: read_pred(r)?,
             },
             OP_DEL_KEY => Op::DelKey {
                 id,
                 obj: ObjId::read(r)?,
-                key: r.str()?.to_string(),
+                key: r.str()?.into(),
                 pred: read_pred(r)?,
             },
             OP_INSERT => Op::Insert {
@@ -324,7 +328,7 @@ impl Op {
             OP_INC => Op::Inc {
                 id,
                 obj: ObjId::read(r)?,
-                key: r.str()?.to_string(),
+                key: r.str()?.into(),
                 delta: r.zigzag()?,
             },
             _ => return Err(corrupt("unknown op tag")),

@@ -63,7 +63,7 @@ pub mod table;
 pub mod wire;
 
 pub use change::{Change, ElemRef, ObjId, Op, OpValue};
-pub use doc::{CrdtError, Doc, KeyTouch, PathSeg, TouchedKeys, GENESIS_ACTOR};
+pub use doc::{CrdtError, Doc, KeyTouch, PathSeg, TouchedKeys, ValueRef, GENESIS_ACTOR};
 pub use files::CrdtFiles;
 pub use ids::{ActorId, OpId, VClock};
 pub use sync::{AdvanceMode, PeerSync, SyncMessage};

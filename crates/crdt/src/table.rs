@@ -3,20 +3,74 @@
 //! EdgStr wraps each replicated SQL table into a CRDT whose rows are keyed
 //! by primary key; concurrent cell updates resolve last-writer-wins, row
 //! inserts/deletes follow add-wins semantics. The runtime connects the SQL
-//! engine's write statements to [`CrdtTable::upsert_row`] /
-//! [`CrdtTable::update_cell`] / [`CrdtTable::delete_row`].
+//! engine's write statements to [`CrdtTable::upsert_cells`] /
+//! [`CrdtTable::delete_row`], and reads what a remote change wrote back out
+//! cell by cell through [`CrdtTable::row`].
+//!
+//! A row is never built as a JSON object on the way in or out: the SQL
+//! engine hands over its cells and column names, the row change is built
+//! from them directly, and a materialised row is read from the row's map
+//! key by key. The change is still exactly the one `Doc::put` of the row as
+//! a JSON object would make.
 
 use crate::change::Change;
-use crate::doc::{CrdtError, Doc, KeyTouch};
+use crate::doc::{CrdtError, Doc, KeyTouch, PathSeg, ValueRef};
 use crate::ids::{ActorId, VClock};
 use crate::path;
 use serde_json::Value as Json;
+use std::sync::{Arc, LazyLock};
+
+/// Where a table keeps its rows.
+static ROWS: LazyLock<[PathSeg; 1]> = LazyLock::new(|| [PathSeg::from("rows")]);
 
 /// A replicated table: rows keyed by primary key, cells merged LWW.
 #[derive(Debug, Clone)]
 pub struct CrdtTable {
     doc: Doc,
     name: String,
+    layout: RowLayout,
+}
+
+/// The order a row's cells are written in, worked out once per SQL schema:
+/// the order a JSON object of the row keeps its columns in — by name, a
+/// name that repeats standing for its last column. Each name is interned,
+/// so every row map of the table shares one allocation per column.
+#[derive(Debug, Clone, Default)]
+struct RowLayout {
+    /// The column names the order was worked out for.
+    columns: Option<Arc<[String]>>,
+    /// Per key in order: the interned name and the column it takes.
+    order: Vec<(Arc<str>, usize)>,
+}
+
+impl RowLayout {
+    fn fit(&mut self, columns: &Arc<[String]>) {
+        if self
+            .columns
+            .as_ref()
+            .is_some_and(|c| Arc::ptr_eq(c, columns) || c == columns)
+        {
+            return;
+        }
+        let mut order: Vec<(Arc<str>, usize)> = Vec::with_capacity(columns.len());
+        for (i, name) in columns.iter().enumerate() {
+            match order.iter_mut().find(|(key, _)| **key == **name) {
+                Some(taken) => taken.1 = i,
+                None => {
+                    let key = match self.order.iter().find(|(key, _)| **key == **name) {
+                        Some((key, _)) => Arc::clone(key),
+                        None => name.as_str().into(),
+                    };
+                    order.push((key, i));
+                }
+            }
+        }
+        order.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        *self = RowLayout {
+            columns: Some(Arc::clone(columns)),
+            order,
+        };
+    }
 }
 
 impl CrdtTable {
@@ -43,6 +97,7 @@ impl CrdtTable {
         CrdtTable {
             doc: Doc::from_snapshot(actor, &snapshot),
             name: name.into(),
+            layout: RowLayout::default(),
         }
     }
 
@@ -61,13 +116,42 @@ impl CrdtTable {
         self.doc.clock()
     }
 
-    /// Insert or overwrite the row at `pk`.
+    /// Insert or overwrite the row at `pk` with a JSON object of its cells
+    /// (a row of one SQL table is written by [`CrdtTable::upsert_cells`]).
     ///
     /// # Errors
     ///
     /// Propagates document errors (should not occur for well-formed rows).
     pub fn upsert_row(&mut self, pk: &str, row: &Json) -> Result<(), CrdtError> {
         self.doc.put(&path!["rows", pk.to_string()], row.clone())
+    }
+
+    /// Insert or overwrite the row at `pk` from its SQL cells: `cells[i]`
+    /// is the cell of column `columns[i]`, and `mirror` the JSON scalar it
+    /// is kept as. The change is [`CrdtTable::upsert_row`]'s for the row as
+    /// a JSON object of `columns` and mirrored cells, op for op.
+    ///
+    /// # Errors
+    ///
+    /// Propagates document errors (should not occur for well-formed rows).
+    ///
+    /// # Panics
+    ///
+    /// If a column has no cell.
+    pub fn upsert_cells<C>(
+        &mut self,
+        pk: &str,
+        columns: &Arc<[String]>,
+        cells: &[C],
+        mirror: impl Fn(&C) -> Json,
+    ) -> Result<(), CrdtError> {
+        self.layout.fit(columns);
+        let entries = self
+            .layout
+            .order
+            .iter()
+            .map(|(key, i)| (Arc::clone(key), mirror(&cells[*i])));
+        self.doc.put_map(&*ROWS, pk.into(), entries)
     }
 
     /// Update a single cell of the row at `pk` (fine-grained merge unit).
@@ -98,17 +182,31 @@ impl CrdtTable {
 
     /// Read the row at `pk`.
     pub fn get_row(&self, pk: &str) -> Option<Json> {
-        self.doc.get(&path!["rows", pk.to_string()])
+        self.row(pk).map(|row| row.to_json().into_owned())
+    }
+
+    /// The row at `pk` where it is stored: [`CrdtTable::get_row`] without
+    /// building it, each cell read by [`ValueRef::get`].
+    pub fn row(&self, pk: &str) -> Option<ValueRef<'_>> {
+        self.doc.get_ref(&["rows", pk])
+    }
+
+    /// Every `(pk, row)` pair in primary-key order, where it is stored.
+    pub fn row_refs(&self) -> Vec<(&str, ValueRef<'_>)> {
+        let Some(rows) = self.doc.map_ref(&["rows"]) else {
+            return Vec::new();
+        };
+        let pks = rows.keys();
+        pks.into_iter()
+            .filter_map(|pk| Some((pk, rows.get(pk)?)))
+            .collect()
     }
 
     /// All `(pk, row)` pairs, ordered by primary key.
     pub fn rows(&self) -> Vec<(String, Json)> {
-        let pks = self.doc.map_keys(&path!["rows"]);
-        pks.into_iter()
-            .filter_map(|pk| {
-                let row = self.doc.get(&path!["rows", pk.clone()])?;
-                Some((pk, row))
-            })
+        self.row_refs()
+            .into_iter()
+            .map(|(pk, row)| (pk.to_string(), row.to_json().into_owned()))
             .collect()
     }
 
@@ -187,6 +285,7 @@ impl CrdtTable {
         Ok(CrdtTable {
             doc: Doc::load(actor, bytes)?,
             name: name.into(),
+            layout: RowLayout::default(),
         })
     }
 

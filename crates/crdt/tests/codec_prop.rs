@@ -130,7 +130,7 @@ fn op() -> impl Strategy<Value = Op> {
             Op::Set {
                 id,
                 obj,
-                key,
+                key: key.into(),
                 value,
                 pred,
             }
@@ -138,7 +138,7 @@ fn op() -> impl Strategy<Value = Op> {
         (op_id(), obj_id(), text(), preds()).prop_map(|(id, obj, key, pred)| Op::DelKey {
             id,
             obj,
-            key,
+            key: key.into(),
             pred
         }),
         (op_id(), obj_id(), op_id(), op_value(), any::<bool>()).prop_map(
@@ -166,7 +166,7 @@ fn op() -> impl Strategy<Value = Op> {
         (op_id(), obj_id(), text(), delta()).prop_map(|(id, obj, key, delta)| Op::Inc {
             id,
             obj,
-            key,
+            key: key.into(),
             delta,
         }),
     ]
@@ -221,7 +221,7 @@ fn one_of_each() -> Change {
             Op::DelKey {
                 id: id(4),
                 obj: ObjId::Made(id(1)),
-                key: String::new(),
+                key: "".into(),
                 pred: vec![],
             },
             Op::Insert {

@@ -41,8 +41,8 @@ fn upsert_tracks_primary_key() {
     assert!(applied > 0);
     assert!(!touch.whole, "row upsert must resolve to a single pk");
     assert_eq!(
-        touch.keys.into_iter().collect::<Vec<_>>(),
-        vec!["alice".to_string()]
+        touch.keys.iter().map(|k| &**k).collect::<Vec<_>>(),
+        ["alice"]
     );
 }
 
@@ -61,10 +61,7 @@ fn update_cell_tracks_only_touched_row() {
         .apply_changes_owned_tracked(src.get_changes(&before))
         .unwrap();
     assert!(!touch.whole);
-    assert_eq!(
-        touch.keys.into_iter().collect::<Vec<_>>(),
-        vec!["bob".to_string()]
-    );
+    assert_eq!(touch.keys.iter().map(|k| &**k).collect::<Vec<_>>(), ["bob"]);
 }
 
 #[test]
@@ -111,7 +108,7 @@ fn globals_track_root_key() {
         .apply_changes_owned_tracked(src.get_changes(&VClock::new()))
         .unwrap();
     assert!(!touched.unresolved);
-    let roots: Vec<String> = touched.keys.iter().map(|(k, _)| k.clone()).collect();
+    let roots: Vec<String> = touched.keys.iter().map(|(k, _)| k.to_string()).collect();
     assert!(roots.contains(&"counter".to_string()));
     assert!(roots.contains(&"mode".to_string()));
 }
@@ -156,8 +153,8 @@ fn tracking_survives_save_load_v2() {
     assert_eq!(applied, 2);
     assert!(!touch.whole, "parent index must survive v2 save/load");
     assert_eq!(
-        touch.keys.into_iter().collect::<Vec<_>>(),
-        vec!["alice".to_string(), "bob".to_string()]
+        touch.keys.iter().map(|k| &**k).collect::<Vec<_>>(),
+        ["alice", "bob"]
     );
     assert_eq!(dst.to_json(), src.to_json());
     assert_eq!(dst.to_json(), json!({"alice": {"age": 31}}));
@@ -238,7 +235,7 @@ mod oracle {
                     value: OpValue::Obj(child),
                     ..
                 } => {
-                    self.parent.insert(*child, (*obj, Some(key.clone())));
+                    self.parent.insert(*child, (*obj, Some(key.to_string())));
                 }
                 Op::Insert {
                     obj,
@@ -290,8 +287,8 @@ mod oracle {
                     }
                 };
                 match loc {
-                    Some(k) => {
-                        touched.keys.insert(k);
+                    Some((first, second)) => {
+                        touched.keys.insert((first.into(), second.map(Into::into)));
                     }
                     None => touched.unresolved = true,
                 }
@@ -323,6 +320,7 @@ mod memo_prop {
     use edgstr_crdt::{ActorId, Change, Doc, ObjId, Op, OpId, OpValue, PathSeg, VClock};
     use proptest::prelude::*;
     use serde_json::{json, Value as Json};
+    use std::sync::Arc;
 
     /// A mutation at a location chosen by small indices, so generated
     /// writes collide on the same rows, cells and list slots.
@@ -468,7 +466,7 @@ mod memo_prop {
         let set = |n, obj, key: &str, value| Op::Set {
             id: id(n),
             obj,
-            key: key.to_string(),
+            key: key.into(),
             value,
             pred: vec![],
         };
@@ -502,7 +500,7 @@ mod memo_prop {
         assert_eq!(touched, oracle.catch_up(&all, dst.clock()));
         let (_, touched) = dst.apply_changes_owned_tracked(vec![twice]).unwrap();
         assert_eq!(touched, oracle.catch_up(&all, dst.clock()));
-        let row = |pk: &str| ("rows".to_string(), Some(pk.to_string()));
+        let row = |pk: &str| -> (Arc<str>, Option<Arc<str>>) { ("rows".into(), Some(pk.into())) };
         assert_eq!(
             touched.keys.into_iter().collect::<Vec<_>>(),
             [row("pk1"), row("pk2")]

@@ -12,9 +12,9 @@ use edgstr_analysis::{HandleOutcome, InitState, ServerProcess};
 use edgstr_core::CrdtBindings;
 use edgstr_crdt::wire::{put_bytes, put_changes, put_str, put_varint, Count, Reader, Sink};
 use edgstr_crdt::{
-    ActorId, AdvanceMode, Change, CrdtError, CrdtFiles, CrdtTable, Doc, PathSeg, VClock,
+    ActorId, AdvanceMode, Change, CrdtError, CrdtFiles, CrdtTable, Doc, PathSeg, VClock, ValueRef,
 };
-use edgstr_sql::{RowEffect, SqlDb, SqlError};
+use edgstr_sql::{ColumnMeta, RowEffect, SqlDb, SqlError, SqlValue};
 use serde_json::Value as Json;
 use std::collections::BTreeMap;
 
@@ -30,7 +30,12 @@ impl SetClock {
     /// Pointwise maximum with `other`, structure by structure.
     pub fn merge(&mut self, other: &SetClock) {
         for (n, c) in &other.tables {
-            self.tables.entry(n.clone()).or_default().merge(c);
+            match self.tables.get_mut(n) {
+                Some(mine) => mine.merge(c),
+                None => {
+                    self.tables.insert(n.clone(), c.clone());
+                }
+            }
         }
         self.files.merge(&other.files);
         self.globals.merge(&other.globals);
@@ -194,47 +199,62 @@ impl CrdtSet {
     }
 
     /// Absorb the local state changes of one request — the generated
-    /// CRDT wiring: SQL row effects feed `CRDT-Table`, file writes feed
-    /// `CRDT-Files`, and bound globals are re-read from the server into
-    /// `CRDT-JSON`.
+    /// CRDT wiring: SQL row effects feed `CRDT-Table` (a row goes over as
+    /// its cells, never as a JSON object), file writes feed `CRDT-Files`,
+    /// and bound globals are re-read from the server into `CRDT-JSON`.
     pub fn absorb_outcome(&mut self, outcome: &HandleOutcome, server: &ServerProcess) {
+        let CrdtSet {
+            bindings,
+            tables,
+            files,
+            globals,
+            versions,
+        } = self;
         // Version bumps cover *all* concrete effects, bound or not: an
         // unreplicated table/file still invalidates cached reads of it.
         for effect in &outcome.row_effects {
             match effect {
-                RowEffect::Upsert { table, pk, row } => {
-                    self.versions.touch_row(table, pk);
-                    if let Some(t) = self.tables.get_mut(table) {
-                        t.upsert_row(pk, row).expect("table CRDT upsert");
+                RowEffect::Upsert {
+                    table,
+                    pk,
+                    columns,
+                    cells,
+                } => {
+                    versions.touch_row(table, pk);
+                    if let Some(t) = tables.get_mut(table) {
+                        t.upsert_cells(pk, columns, cells, SqlValue::to_json)
+                            .expect("table CRDT upsert");
                     }
                 }
                 RowEffect::Delete { table, pk } => {
-                    self.versions.touch_row(table, pk);
-                    if let Some(t) = self.tables.get_mut(table) {
+                    versions.touch_row(table, pk);
+                    if let Some(t) = tables.get_mut(table) {
                         t.delete_row(pk).expect("table CRDT delete");
                     }
                 }
             }
         }
         for (path, data) in &outcome.file_writes {
-            self.versions.touch_file(path);
-            if self.bindings.files.contains(path) {
-                self.files.put_file(path, data).expect("file CRDT put");
+            versions.touch_file(path);
+            if bindings.files.contains(path) {
+                files.put_file(path, data).expect("file CRDT put");
             }
         }
         // bound globals: re-read and update when changed
-        for g in &self.bindings.globals.clone() {
+        for g in &bindings.globals {
             if let Some(current) = server.global_json(g) {
-                let path = vec![PathSeg::Key(g.clone())];
-                if self.globals.get(&path).as_ref() != Some(&current) {
-                    self.versions.touch_global(g);
-                    self.globals.put(&path, current).expect("global CRDT put");
+                let held = globals.get_ref(&[g]).map(|v| v.to_json());
+                if held.as_deref() != Some(&current) {
+                    versions.touch_global(g);
+                    globals
+                        .put(&[PathSeg::Key(g.clone())], current)
+                        .expect("global CRDT put");
                 }
             }
         }
         // newly-bound globals surface here even when not CRDT-bound
         for g in &outcome.global_writes {
-            self.versions.touch_global(g);
+            versions.touch_global(g);
         }
     }
 
@@ -245,11 +265,10 @@ impl CrdtSet {
             tables: self
                 .tables
                 .iter()
-                .map(|(n, t)| {
-                    let cursor = since.tables.get(n).unwrap_or(&empty);
-                    (n.clone(), t.get_changes(cursor))
+                .filter_map(|(n, t)| {
+                    let changes = t.get_changes(since.tables.get(n).unwrap_or(&empty));
+                    (!changes.is_empty()).then(|| (n.clone(), changes))
                 })
-                .filter(|(_, cs)| !cs.is_empty())
                 .collect(),
             files: self.files.get_changes(&since.files),
             globals: self.globals.get_changes(&since.globals),
@@ -280,7 +299,7 @@ impl CrdtSet {
                     for pk in &touch.keys {
                         self.versions.touch_row(&name, pk);
                     }
-                    materialize_rows(t, &touch.keys, &mut server.db);
+                    materialize_rows(t, touch.keys.iter().map(|pk| &**pk), &mut server.db);
                 }
             }
         }
@@ -339,7 +358,7 @@ impl CrdtSet {
         for effect in server.take_failed_row_effects() {
             let (RowEffect::Upsert { table, pk, .. } | RowEffect::Delete { table, pk }) = &effect;
             if let Some(t) = self.tables.get(table) {
-                materialize_rows(t, [pk], &mut server.db);
+                materialize_rows(t, [pk.as_str()], &mut server.db);
             }
         }
     }
@@ -356,8 +375,8 @@ impl CrdtSet {
 
     fn materialize_globals(&self, server: &mut ServerProcess) {
         for g in &self.bindings.globals {
-            if let Some(v) = self.globals.get(&[PathSeg::Key(g.clone())]) {
-                server.set_global_json(g, &v);
+            if let Some(v) = self.globals.get_ref(&[g]) {
+                server.set_global_json(g, &v.to_json());
             }
         }
     }
@@ -446,22 +465,46 @@ impl CrdtSet {
     }
 }
 
+/// The SQL row a CRDT row reads as: per column, the cell under its name
+/// converted by [`SqlValue::from_json`], `NULL` where there is none (and
+/// everywhere when the row is not a map).
+fn sql_row(columns: &[ColumnMeta], row: &ValueRef<'_>) -> Vec<SqlValue> {
+    columns
+        .iter()
+        .map(|c| {
+            row.get(&c.name)
+                .map_or(SqlValue::Null, |cell| SqlValue::from_json(&cell.to_json()))
+        })
+        .collect()
+}
+
 /// Rebuild the whole SQL table from `t` — for provisioning, for a delta
 /// that could not be pinned to rows, and for a table with no primary key
 /// to address a row by.
 fn materialize_table(t: &CrdtTable, db: &mut SqlDb) {
-    let rows: Vec<Json> = t.rows().into_iter().map(|(_, row)| row).collect();
-    let _ = db.replace_table_rows(t.name(), &rows);
+    let Some(table) = db.table(t.name()) else {
+        return;
+    };
+    let rows = t
+        .row_refs()
+        .iter()
+        .map(|(_, row)| sql_row(&table.columns, row))
+        .collect();
+    let _ = db.replace_table_rows(t.name(), rows);
 }
 
 /// Make the SQL rows at `keys` read what `t` reads there: written where
 /// the CRDT has the row, deleted where it does not. Every other row is
 /// left alone, which is sound because it already equals its CRDT row.
-fn materialize_rows<'k>(t: &CrdtTable, keys: impl IntoIterator<Item = &'k String>, db: &mut SqlDb) {
+fn materialize_rows<'k>(t: &CrdtTable, keys: impl IntoIterator<Item = &'k str>, db: &mut SqlDb) {
     for pk in keys {
-        let written = match t.get_row(pk) {
-            Some(row) => db.upsert_row_json(t.name(), &row),
-            None => db.delete_row_by_pk(t.name(), pk),
+        let written = match (t.row(pk), db.table(t.name())) {
+            (Some(row), Some(table)) => {
+                let row = sql_row(&table.columns, &row);
+                db.upsert_row(t.name(), row)
+            }
+            (Some(_), None) => return,
+            (None, _) => db.delete_row_by_pk(t.name(), pk),
         };
         if let Err(SqlError::NoPrimaryKey(_)) = written {
             return materialize_table(t, db);

@@ -82,7 +82,13 @@ impl SqlValue {
     /// engine's row mirroring and the analysis layer's read-set keying —
     /// must agree on this exact stringification.
     pub fn pk_string(&self) -> String {
-        self.to_string().trim_matches('\'').to_string()
+        // the display form with its quotes trimmed: only text and blobs
+        // display any
+        match self {
+            SqlValue::Text(s) => s.trim_matches('\'').to_string(),
+            SqlValue::Blob(_) => self.to_string().trim_matches('\'').to_string(),
+            _ => self.to_string(),
+        }
     }
 
     /// The total order a table with a primary key keeps its rows in, and

@@ -170,12 +170,12 @@ impl Key {
         }
     }
 
-    fn json(&self) -> Json {
+    fn value(&self) -> SqlValue {
         match self {
-            Key::Null => Json::Null,
-            Key::Int(i) => json!(i),
-            Key::Real(r) => json!(r),
-            Key::Text(t) => json!(t),
+            Key::Null => SqlValue::Null,
+            Key::Int(i) => SqlValue::Int(*i),
+            Key::Real(r) => SqlValue::Real(*r),
+            Key::Text(t) => SqlValue::Text(t.clone()),
         }
     }
 }
@@ -286,12 +286,12 @@ proptest! {
         for op in &ops {
             match op {
                 KeyedOp::Replace { rows } => {
-                    let rows: Vec<Json> = rows
+                    let rows: Vec<Vec<SqlValue>> = rows
                         .iter()
-                        .map(|(id, v)| json!({"id": id.json(), "v": v}))
+                        .map(|(id, v)| vec![id.value(), SqlValue::Int(*v)])
                         .collect();
-                    fast.replace_table_rows("t", &rows).unwrap();
-                    scan.replace_table_rows("t", &rows).unwrap();
+                    fast.replace_table_rows("t", rows.clone()).unwrap();
+                    scan.replace_table_rows("t", rows).unwrap();
                 }
                 _ => {
                     let pinned = fast.exec_with_effects(&keyed_sql(op, true).unwrap());
@@ -518,7 +518,8 @@ mod reference {
             effects.push(RowEffect::Upsert {
                 table: t.name.clone(),
                 pk,
-                row: t.row_json(&t.rows[i]),
+                columns: t.column_names().clone(),
+                cells: t.rows[i].clone(),
             });
         }
         if rekeyed && affected > 0 {
