@@ -853,9 +853,9 @@ fn bench_template(c: &mut Criterion) {
     });
 }
 
-/// The wall-clock parallel executor's fixed costs: per-request dispatch
-/// through the bounded job channels on a cache-hot read stream (handling
-/// is a lookup, so channel + routing overhead dominates), and the
+/// The wall-clock parallel executor's fixed costs: a whole run over a
+/// cache-hot read stream (handling is a lookup, so thread setup, routing
+/// and the phase signals dominate), and the
 /// edge→cloud sync cadence at batch sizes 1/16/256 on a write-bearing
 /// mix (every flush is a delta generate/receive round-trip).
 fn bench_parallel(c: &mut Criterion) {
