@@ -62,7 +62,7 @@ impl InitState {
     /// Total bytes of the state — the `S_app` column of Table II: what a
     /// cross-ISA offloading system would synchronize (whole program state).
     pub fn byte_size(&self) -> usize {
-        let globals: usize = self.globals.values().map(Value::json_size).sum();
+        let globals: usize = self.globals.values().map(|v| v.encode().1).sum();
         self.db.byte_size() + self.fs.byte_size() + globals
     }
 

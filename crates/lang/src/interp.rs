@@ -10,7 +10,7 @@
 use crate::ast::{BinOp, Expr, LValue, Program, Stmt, StmtId};
 use crate::instrument::{Instrument, TraceEvent};
 use crate::ops;
-use crate::value::{Closure, Value};
+use crate::value::{Closure, Props, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
@@ -582,11 +582,11 @@ impl<'h> Interpreter<'h> {
                 Ok(Value::array(vs))
             }
             Expr::Object(fields) => {
-                let mut map = BTreeMap::new();
+                let mut props = Vec::with_capacity(fields.len());
                 for (k, e) in fields {
-                    map.insert(Rc::from(k.as_str()), self.eval(e, tracer)?);
+                    props.push((Rc::from(k.as_str()), self.eval(e, tracer)?));
                 }
-                Ok(Value::Object(Rc::new(std::cell::RefCell::new(map))))
+                Ok(Value::from(props.into_iter().collect::<Props>()))
             }
             Expr::Binary(op, a, b) => {
                 // short-circuit logical operators

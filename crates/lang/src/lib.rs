@@ -48,5 +48,5 @@ pub use interp::{EmptyHost, Host, HostOutcome, Interpreter, RuntimeError, STMT_C
 pub use normalize::{normalize, renumber};
 pub use parser::{parse, ParseError};
 pub use printer::{print_expr, print_program, print_stmts};
-pub use value::{fnv1a, Atom, Closure, Value};
+pub use value::{fnv1a, Atom, Closure, Props, Value};
 pub use vm::Vm;

@@ -3,8 +3,8 @@
 use crate::ast::Stmt;
 use serde_json::{Serialize, Value as Json};
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Index;
 use std::rc::Rc;
 
 /// A user-defined function value (closure).
@@ -45,7 +45,7 @@ pub enum Value {
     /// Keys are shared: an object literal's come from the compiled
     /// program, a result set's rows all hold the one allocation per
     /// column name, and copying an object bumps reference counts.
-    Object(Rc<RefCell<BTreeMap<Rc<str>, Value>>>),
+    Object(Rc<RefCell<Props>>),
     Function(Rc<Closure>),
     /// A host-provided object addressed by name (e.g. `app`, `db`, `res`);
     /// member calls on it dispatch to the [`Host`](crate::interp::Host).
@@ -68,11 +68,15 @@ impl Value {
         Value::Array(Rc::new(RefCell::new(items)))
     }
 
-    /// Construct an object value from key/value pairs.
+    /// Construct an object value from key/value pairs in any order; a
+    /// repeated key keeps its last value.
     pub fn object<K: Into<Rc<str>>>(fields: impl IntoIterator<Item = (K, Value)>) -> Value {
-        Value::Object(Rc::new(RefCell::new(
-            fields.into_iter().map(|(k, v)| (k.into(), v)).collect(),
-        )))
+        Value::from(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.into(), v))
+                .collect::<Props>(),
+        )
     }
 
     /// JavaScript-style truthiness.
@@ -118,12 +122,13 @@ impl Value {
             Value::Array(items) => Value::Array(Rc::new(RefCell::new(
                 items.borrow().iter().map(Value::deep_clone).collect(),
             ))),
-            Value::Object(map) => Value::Object(Rc::new(RefCell::new(
+            Value::Object(map) => Value::from(Props(
                 map.borrow()
+                    .0
                     .iter()
-                    .map(|(k, v)| (k.clone(), v.deep_clone()))
+                    .map(|(k, v)| (Rc::clone(k), v.deep_clone()))
                     .collect(),
-            ))),
+            )),
             other => other.clone(),
         }
     }
@@ -133,7 +138,7 @@ impl Value {
     /// null; bytes become a `{"$bytes": len, "$hash": h}` marker so payload
     /// identity survives the conversion without embedding megabytes of
     /// data. The text and size of that tree are available without building
-    /// it: see the [`serde_json::Serialize`] impl and [`Value::json_size`].
+    /// it, from one walk: see [`Value::encode`].
     pub fn to_json(&self) -> Json {
         match self {
             Value::Null => Json::Null,
@@ -158,38 +163,87 @@ impl Value {
         }
     }
 
-    /// The transfer size of this value's JSON form — what
-    /// `edgstr_net::json_size` reports of [`Value::to_json`], computed
-    /// without building the tree: scalars at fixed costs, strings and keys
-    /// at their length, and a binary payload (or any object announcing one
-    /// under a non-negative integer `$bytes`) at the payload's size.
-    pub fn json_size(&self) -> usize {
+    /// The compact JSON text of [`Value::to_json`] and the transfer size
+    /// `edgstr_net::json_size` reports of it, from one walk with no tree in
+    /// between.
+    pub fn encode(&self) -> (String, usize) {
+        let mut text = String::new();
+        let size = self.write_sized(&mut text);
+        (text, size)
+    }
+
+    /// Append this value's compact JSON text to `out` and return its
+    /// transfer size: scalars at fixed costs, strings and keys at their
+    /// length, and a binary payload (or any object announcing one under a
+    /// non-negative integer `$bytes`) at the payload's size.
+    fn write_sized(&self, out: &mut String) -> usize {
         match self {
-            Value::Null | Value::Function(_) | Value::Native(_) => 4,
-            Value::Bool(_) => 5,
-            Value::Num(n) if n.is_finite() => 8,
-            // a non-finite number travels as `null`
-            Value::Num(_) => 4,
-            Value::Str(s) => s.len() + 2,
-            Value::Bytes(b) => b.len(),
+            Value::Null | Value::Function(_) | Value::Native(_) => {
+                out.push_str("null");
+                4
+            }
+            Value::Bool(b) => {
+                b.write_json(out);
+                5
+            }
+            Value::Num(n) => match json_int(*n) {
+                Some(i) => {
+                    i.write_json(out);
+                    8
+                }
+                // non-finite numbers have no JSON form and travel as null
+                None => {
+                    n.write_json(out);
+                    if n.is_finite() {
+                        8
+                    } else {
+                        4
+                    }
+                }
+            },
+            Value::Str(s) => {
+                str::write_json(s, out);
+                s.len() + 2
+            }
+            Value::Bytes(b) => {
+                out.push_str("{\"$bytes\":");
+                b.len().write_json(out);
+                out.push_str(",\"$hash\":");
+                fnv1a(b).write_json(out);
+                out.push('}');
+                b.len()
+            }
             Value::Array(items) => {
-                2 + items
-                    .borrow()
-                    .iter()
-                    .map(|v| v.json_size() + 1)
-                    .sum::<usize>()
+                out.push('[');
+                let mut size = 2;
+                for (i, item) in items.borrow().iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    size += item.write_sized(out) + 1;
+                }
+                out.push(']');
+                size
             }
             Value::Object(map) => {
                 let map = map.borrow();
-                if let Some(Value::Num(n)) = map.get("$bytes") {
-                    if let Some(n) = json_int(*n).filter(|n| *n >= 0) {
-                        return n as usize;
+                out.push('{');
+                let mut size = 2;
+                for (i, (k, v)) in map.0.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
                     }
+                    str::write_json(k, out);
+                    out.push(':');
+                    size += k.len() + 3 + v.write_sized(out);
                 }
-                2 + map
-                    .iter()
-                    .map(|(k, v)| k.len() + 3 + v.json_size())
-                    .sum::<usize>()
+                out.push('}');
+                match map.get("$bytes") {
+                    Some(Value::Num(n)) => json_int(*n)
+                        .and_then(|n| usize::try_from(n).ok())
+                        .unwrap_or(size),
+                    _ => size,
+                }
             }
         }
     }
@@ -257,6 +311,121 @@ impl Value {
     }
 }
 
+/// An object's properties: `(key, value)` pairs sorted by the keys' bytes,
+/// no key twice. The order is the JSON order, so an object encodes front to
+/// back; a lookup is a binary search; and a result set's row, whose
+/// columns were put in key order once, is built as one vector.
+#[derive(Debug, Clone, Default)]
+pub struct Props(Vec<(Rc<str>, Value)>);
+
+impl Props {
+    /// Properties from pairs already in key order with no key twice.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, when `entries` is out of order or repeats a key.
+    pub fn from_sorted(entries: Vec<(Rc<str>, Value)>) -> Props {
+        debug_assert!(
+            entries.windows(2).all(|w| w[0].0 < w[1].0),
+            "properties out of key order"
+        );
+        Props(entries)
+    }
+
+    /// Number of properties.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether there are no properties.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    fn find(&self, key: &str) -> Result<usize, usize> {
+        self.0.binary_search_by(|(k, _)| (**k).cmp(key))
+    }
+
+    /// The value under `key`.
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        self.get_key_value(key).map(|(_, v)| v)
+    }
+
+    /// The key held for `key`, and its value.
+    pub fn get_key_value(&self, key: &str) -> Option<(&Rc<str>, &Value)> {
+        let (k, v) = &self.0[self.find(key).ok()?];
+        Some((k, v))
+    }
+
+    /// The value under `key`, to overwrite in place.
+    pub fn get_mut(&mut self, key: &str) -> Option<&mut Value> {
+        let at = self.find(key).ok()?;
+        Some(&mut self.0[at].1)
+    }
+
+    /// Set `key` to `value` and return the value it replaced; a key the
+    /// object already has keeps the `Rc` it holds.
+    pub fn insert(&mut self, key: Rc<str>, value: Value) -> Option<Value> {
+        match self.find(&key) {
+            Ok(at) => Some(std::mem::replace(&mut self.0[at].1, value)),
+            Err(at) => {
+                self.0.insert(at, (key, value));
+                None
+            }
+        }
+    }
+
+    /// The properties in key order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&Rc<str>, &Value)> {
+        self.0.iter().map(|(k, v)| (k, v))
+    }
+
+    /// The keys in order.
+    pub fn keys(&self) -> impl ExactSizeIterator<Item = &Rc<str>> {
+        self.0.iter().map(|(k, _)| k)
+    }
+
+    /// The values in key order.
+    pub fn values(&self) -> impl ExactSizeIterator<Item = &Value> {
+        self.0.iter().map(|(_, v)| v)
+    }
+}
+
+/// Pairs in any order; a repeated key keeps its last value, as assigning
+/// the fields one by one would.
+impl FromIterator<(Rc<str>, Value)> for Props {
+    fn from_iter<I: IntoIterator<Item = (Rc<str>, Value)>>(pairs: I) -> Props {
+        let mut entries: Vec<(Rc<str>, Value)> = pairs.into_iter().collect();
+        if !entries.windows(2).all(|w| w[0].0 < w[1].0) {
+            // stable, so a repeated key's pairs stay in the order given
+            entries.sort_by(|a, b| a.0.cmp(&b.0));
+            entries.dedup_by(|later, kept| {
+                let repeated = later.0 == kept.0;
+                if repeated {
+                    std::mem::swap(later, kept);
+                }
+                repeated
+            });
+        }
+        Props(entries)
+    }
+}
+
+impl Index<&str> for Props {
+    type Output = Value;
+
+    fn index(&self, key: &str) -> &Value {
+        self.get(key)
+            .unwrap_or_else(|| panic!("no property {key:?}"))
+    }
+}
+
+impl From<Props> for Value {
+    fn from(props: Props) -> Value {
+        Value::Object(Rc::new(RefCell::new(props)))
+    }
+}
+
 impl PartialEq for Value {
     fn eq(&self, other: &Self) -> bool {
         self.structural_eq(other)
@@ -296,8 +465,8 @@ fn json_int(n: f64) -> Option<i64> {
     (n.fract() == 0.0 && n.abs() < 9e15).then_some(n as i64)
 }
 
-/// The compact JSON text of [`Value::to_json`], written in one walk with
-/// no tree in between: `serde_json::to_string(&v)` and
+/// The compact JSON text of [`Value::to_json`], written by the walk that
+/// also sizes it ([`Value::encode`]): `serde_json::to_string(&v)` and
 /// `serde_json::to_string(&v.to_json())` are the same bytes.
 impl Serialize for Value {
     fn to_json_value(&self) -> Json {
@@ -305,45 +474,7 @@ impl Serialize for Value {
     }
 
     fn write_json(&self, out: &mut String) {
-        match self {
-            Value::Null | Value::Function(_) | Value::Native(_) => out.push_str("null"),
-            Value::Bool(b) => b.write_json(out),
-            Value::Num(n) => match json_int(*n) {
-                Some(i) => i.write_json(out),
-                // non-finite numbers have no JSON form and print as null
-                None => n.write_json(out),
-            },
-            Value::Str(s) => str::write_json(s, out),
-            Value::Bytes(b) => {
-                out.push_str("{\"$bytes\":");
-                b.len().write_json(out);
-                out.push_str(",\"$hash\":");
-                fnv1a(b).write_json(out);
-                out.push('}');
-            }
-            Value::Array(items) => {
-                out.push('[');
-                for (i, item) in items.borrow().iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write_json(out);
-                }
-                out.push(']');
-            }
-            Value::Object(map) => {
-                out.push('{');
-                for (i, (k, v)) in map.borrow().iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    str::write_json(k, out);
-                    out.push(':');
-                    v.write_json(out);
-                }
-                out.push('}');
-            }
-        }
+        self.write_sized(out);
     }
 }
 

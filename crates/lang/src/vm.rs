@@ -31,7 +31,7 @@ use crate::ast::StmtId;
 use crate::compile::{compile_closure, CompiledChunk, CompiledProgram, NameRef, Op};
 use crate::instrument::{Instrument, TraceEvent};
 use crate::interp::{Host, RuntimeError, STMT_CYCLES};
-use crate::value::{Closure, Value};
+use crate::value::{Closure, Props, Value};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::rc::Rc;
@@ -121,12 +121,12 @@ struct Journal {
     saved_globals: Vec<(u32, Option<Value>)>,
     noted_globals: HashSet<u32>,
     saved_arrays: Vec<(SharedArray, Vec<Value>)>,
-    saved_objects: Vec<(SharedObject, BTreeMap<Rc<str>, Value>)>,
+    saved_objects: Vec<(SharedObject, Props)>,
     noted_ptrs: HashSet<usize>,
 }
 
 type SharedArray = Rc<RefCell<Vec<Value>>>;
-type SharedObject = Rc<RefCell<BTreeMap<Rc<str>, Value>>>;
+type SharedObject = Rc<RefCell<Props>>;
 
 impl Journal {
     fn note_global(&mut self, gid: u32, old: Option<Value>) {
@@ -936,8 +936,8 @@ impl Vm {
                         ctx.prof_allocs += 1;
                     }
                     let vals = ctx.stack.split_off(ctx.stack.len() - keys.len());
-                    let map: BTreeMap<Rc<str>, Value> = keys.iter().cloned().zip(vals).collect();
-                    ctx.stack.push(Value::Object(Rc::new(RefCell::new(map))));
+                    let props: Props = keys.iter().cloned().zip(vals).collect();
+                    ctx.stack.push(Value::from(props));
                 }
                 Op::GetMember(field) => {
                     let b = ctx.stack.pop().expect("member base");
