@@ -319,16 +319,17 @@ fn bench_sql(c: &mut Criterion) {
             ["ber", "sin", "dar", "ta", "rd", "ven"].map(|tail| format!("{head}{tail}"))
         })
         .collect();
+    let book = |i: usize| {
+        let title = format!("{} {}", words[i * 7 % 48], words[(i * 13 + 5) % 48]);
+        let price = 4.0 + (i * 37 % 1600) as f64 / 100.0;
+        (title, price, u8::from(i.is_multiple_of(20)) * 3)
+    };
     let catalog = |rows: usize| {
         let mut db = SqlDb::new();
         db.exec("CREATE TABLE books (id INT PRIMARY KEY, title TEXT, author TEXT, price REAL, stock INT)")
             .unwrap();
         for i in 0..rows {
-            let title = format!("{} {}", words[i * 7 % 48], words[(i * 13 + 5) % 48]);
-            let (price, stock) = (
-                4.0 + (i * 37 % 1600) as f64 / 100.0,
-                (i % 20 == 0) as u8 * 3,
-            );
+            let (title, price, stock) = book(i);
             db.exec(&format!(
                 "INSERT INTO books VALUES ({i}, '{title}', 'Egan', {price:?}, {stock})"
             ))
@@ -336,20 +337,90 @@ fn bench_sql(c: &mut Criterion) {
         }
         db
     };
-    for rows in [512usize, 4_096] {
-        let mut db = catalog(rows);
-        let like = format!(
-            "SELECT id, title FROM books WHERE title LIKE '%{}%'",
-            words[17]
-        );
-        g.bench_function(&format!("like_scan/{rows}"), |b| {
-            b.iter(|| db.exec(&like).unwrap())
-        });
-        let range = "SELECT id, title, price FROM books \
-                     WHERE price <= 12 AND stock > 0 ORDER BY price DESC LIMIT 3";
-        g.bench_function(&format!("range_scan/{rows}"), |b| {
-            b.iter(|| db.exec(range).unwrap())
-        });
+    // The same catalog as an edge holds it: written at another replica and
+    // materialised here by sync rounds of eight rows, so each row's cells
+    // sit where that round's allocations left them, not in key order.
+    let synced = |rows: usize| {
+        use edgstr_analysis::StateUnit;
+        use edgstr_core::CrdtBindings;
+        use edgstr_runtime::{CrdtSet, SyncEndpoint};
+        const WRITER: &str = r#"
+            db.query("CREATE TABLE books (id INT PRIMARY KEY, title TEXT, author TEXT, price REAL, stock INT)");
+            app.post("/books", function (req, res) {
+                var b = req.body;
+                db.query("INSERT INTO books VALUES (" + b.id + ", '" + b.title + "', 'Egan', " + b.price + ", " + b.stock + ")");
+                res.send({ ok: true });
+            });
+        "#;
+        let node = |actor: u64| {
+            let mut s = ServerProcess::from_source(WRITER).unwrap();
+            s.init().unwrap();
+            let bindings = CrdtBindings::from_units([StateUnit::DbTable("books".into())]);
+            let set = CrdtSet::initialize(ActorId(actor), &bindings, &InitState::capture(&s));
+            (s, set)
+        };
+        let (mut writer, mut writer_set) = node(2);
+        let (mut edge, mut edge_set) = node(1);
+        let (mut to_edge, mut from_writer) = (SyncEndpoint::new(), SyncEndpoint::new());
+        for i in 0..rows {
+            let (title, price, stock) = book(i);
+            let body = json!({"id": i, "title": title, "price": price, "stock": stock});
+            let out = writer
+                .handle(&HttpRequest::post("/books", body, vec![]))
+                .unwrap();
+            writer_set.absorb_outcome(&out, &writer);
+            if i % 8 == 7 || i + 1 == rows {
+                let delta = to_edge.generate(&writer_set);
+                from_writer.receive(&mut edge_set, &mut edge, &delta);
+            }
+        }
+        // the same books, an integral price aside: the script prints 4.0
+        // as 4, which reads back as an INT
+        let (fresh, edge) = (catalog(rows), edge.db);
+        let cells = |db: &SqlDb| db.table("books").unwrap().rows.concat();
+        let same = cells(&edge)
+            .iter()
+            .zip(cells(&fresh))
+            .all(|(a, b)| a.pk_cmp(&b).is_eq());
+        assert!(same && cells(&edge).len() == cells(&fresh).len());
+        edge
+    };
+    // A miss on an edge scans rows that other requests' work has pushed
+    // out of the core's private caches, so every timed scan of the synced
+    // table starts after a pass over a buffer larger than them; fresh rows
+    // are scanned hot and in order, which leaves a prefetch nothing to hide.
+    let mut flush = vec![0u8; 16 << 20];
+    let mut evict = || {
+        for byte in flush.iter_mut().step_by(64) {
+            *byte = byte.wrapping_add(1);
+        }
+        std::hint::black_box(&flush);
+    };
+    let tables = [
+        ("512", catalog(512), false),
+        ("4096", catalog(4_096), false),
+        ("4096_synced", synced(4_096), true),
+    ];
+    let like = format!(
+        "SELECT id, title FROM books WHERE title LIKE '%{}%'",
+        words[17]
+    );
+    let range = "SELECT id, title, price FROM books \
+                 WHERE price <= 12 AND stock > 0 ORDER BY price DESC LIMIT 3";
+    for (name, mut db, cold) in tables {
+        for (bench, sql) in [("like_scan", like.as_str()), ("range_scan", range)] {
+            g.bench_function(&format!("{bench}/{name}"), |b| {
+                if cold {
+                    b.iter_batched(
+                        &mut evict,
+                        |()| db.exec(sql).unwrap(),
+                        BatchSize::PerIteration,
+                    )
+                } else {
+                    b.iter(|| db.exec(sql).unwrap())
+                }
+            });
+        }
     }
     // Every row returned, none filtered, as a handler sees it: `db.query`
     // hands the rows to the script as objects.

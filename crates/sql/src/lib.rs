@@ -34,6 +34,8 @@
 //! # }
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod engine;
 pub mod parser;
 pub mod value;

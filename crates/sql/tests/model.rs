@@ -2,8 +2,9 @@
 //! in-memory model over random insert/update/delete/select sequences,
 //! snapshot/rollback restore exact state, a keyed table stays in
 //! primary-key order through every statement, a `WHERE` that pins the
-//! key selects exactly what a full scan selects, and the engine's bound
-//! `WHERE` evaluator agrees with the by-name reference kept here.
+//! key selects exactly what a full scan selects, the engine's bound
+//! `WHERE` evaluator agrees with the by-name reference kept here, and
+//! `ORDER BY … LIMIT` agrees with a stable sort of every match, truncated.
 
 use edgstr_sql::{CmpOp, SelectItem, SqlDb, SqlResult, SqlValue, Statement, Table, WhereExpr};
 use proptest::prelude::*;
@@ -374,11 +375,86 @@ fn pinned_literal_kinds() {
 
 /// The evaluator the engine had before it bound a `WHERE` clause to its
 /// table, kept here as the oracle: every node looks its column up by name
-/// for every row, `LIKE` re-splits its pattern for every row, and nothing
-/// narrows the scan.
+/// for every row, `LIKE` re-splits its pattern for every row, nothing
+/// narrows the scan, and numbers compare through `i128` rather than
+/// through the engine's own comparison.
 mod reference {
     use edgstr_sql::{CmpOp, ColumnMeta, RowEffect, SqlError, SqlValue, Table, WhereExpr};
     use std::cmp::Ordering;
+
+    /// SQL three-valued comparison: `NULL` and a pair of different kinds
+    /// (numbers are one kind) are incomparable.
+    pub fn compare(a: &SqlValue, b: &SqlValue) -> Option<Ordering> {
+        use SqlValue::{Blob, Int, Real, Text};
+        match (a, b) {
+            (Int(a), Int(b)) => Some(a.cmp(b)),
+            (Real(a), Real(b)) => a.partial_cmp(b),
+            (Int(i), Real(r)) => int_vs_real(*i, *r),
+            (Real(r), Int(i)) => int_vs_real(*i, *r).map(Ordering::reverse),
+            (Text(a), Text(b)) => Some(a.as_bytes().cmp(b.as_bytes())),
+            (Blob(a), Blob(b)) => Some(a.cmp(b)),
+            _ => None,
+        }
+    }
+
+    /// An integer against a float, exactly: a finite float of magnitude
+    /// below 2^100 has a floor `i128` holds, and the integer is below the
+    /// float when it is at most that floor and the float is not integral.
+    fn int_vs_real(i: i64, r: f64) -> Option<Ordering> {
+        let bound = 2f64.powi(100);
+        if r.is_nan() {
+            None
+        } else if r >= bound {
+            Some(Ordering::Less)
+        } else if r <= -bound {
+            Some(Ordering::Greater)
+        } else {
+            let floor = r.floor();
+            let below = if r > floor {
+                Ordering::Less
+            } else {
+                Ordering::Equal
+            };
+            Some(i128::from(i).cmp(&(floor as i128)).then(below))
+        }
+    }
+
+    /// The order `ORDER BY` sorts by: `NULL`, then numbers by value, then
+    /// text, then blobs (SQLite's); two values it calls equal tie.
+    pub fn sort_order(a: &SqlValue, b: &SqlValue) -> Ordering {
+        fn rank(v: &SqlValue) -> u8 {
+            match v {
+                SqlValue::Null => 0,
+                SqlValue::Int(_) | SqlValue::Real(_) => 1,
+                SqlValue::Text(_) => 2,
+                SqlValue::Blob(_) => 3,
+            }
+        }
+        rank(a)
+            .cmp(&rank(b))
+            .then_with(|| compare(a, b).unwrap_or(Ordering::Equal))
+    }
+
+    /// `SELECT * … ORDER BY col [DESC] LIMIT n` the way the engine did it
+    /// before it kept only the first `n`: every match, stably sorted, then
+    /// truncated.
+    pub fn order_limit(
+        mut rows: Vec<Vec<SqlValue>>,
+        col: usize,
+        desc: bool,
+        limit: Option<usize>,
+    ) -> Vec<Vec<SqlValue>> {
+        rows.sort_by(|a, b| {
+            let ord = sort_order(&a[col], &b[col]);
+            if desc {
+                ord.reverse()
+            } else {
+                ord
+            }
+        });
+        rows.truncate(limit.unwrap_or(usize::MAX));
+        rows
+    }
 
     pub fn matches_row(
         columns: &[ColumnMeta],
@@ -418,7 +494,7 @@ mod reference {
                     };
                     return Ok(like_match(s, pat));
                 }
-                let Some(ord) = cell.compare(value) else {
+                let Some(ord) = compare(cell, value) else {
                     return Ok(false); // NULL comparisons are false
                 };
                 Ok(match op {
@@ -563,15 +639,30 @@ fn text(max_len: usize) -> impl Strategy<Value = String> {
 }
 
 /// Few enough values that a literal often equals a cell: `NULL`, small
-/// numbers equal across `INT` and `REAL`, integers `f64` cannot hold next
-/// to the reals nearest them, and short texts that share bytes.
+/// numbers equal across `INT` and `REAL`, both sides of ±2^53 (the last
+/// integer every `f64` holds, and the first `INT` one rounds), ±2^63 (one
+/// past `i64::MAX`, and `i64::MIN`), and short texts that share bytes.
 fn pool() -> Vec<SqlValue> {
-    let ints = [0, 1, (1 << 53) + 1, i64::MAX];
+    const TWO_53: i64 = 1 << 53;
+    let ints = [
+        0,
+        1,
+        TWO_53,
+        TWO_53 + 1,
+        -TWO_53,
+        -TWO_53 - 1,
+        i64::MAX,
+        i64::MIN,
+    ];
     let reals = [
         0.5,
         1.0,
-        9_007_199_254_740_992.0,
-        9_223_372_036_854_775_808.0, // 2^63, one past i64::MAX
+        9_007_199_254_740_992.0,  // 2^53, which 2^53 + 1 rounds to
+        9_007_199_254_740_994.0,  // the next double up
+        -9_007_199_254_740_992.0, // -2^53
+        -9_007_199_254_740_994.0,
+        9_223_372_036_854_775_808.0,  // 2^63
+        -9_223_372_036_854_775_808.0, // -2^63, i64::MIN exactly
     ];
     let texts = ["", "a", "ab", "é", "a©", "1"];
     [SqlValue::Null]
@@ -597,9 +688,28 @@ fn cell() -> impl Strategy<Value = SqlValue> {
 }
 
 /// 1–4 short pieces joined by `%`: 0–3 wildcards, leading, trailing and
-/// doubled ones included; one empty piece is the empty pattern.
+/// doubled ones included; one empty piece is the empty pattern. Every
+/// third pattern is one of the shapes a matcher special-cases, named.
 fn like_pattern() -> impl Strategy<Value = String> {
-    prop::collection::vec(text(2), 1..5).prop_map(|pieces| pieces.join("%"))
+    let pieces = || prop::collection::vec(text(2), 1..5).prop_map(|pieces| pieces.join("%"));
+    prop_oneof![pieces(), pieces(), like_shape()]
+}
+
+/// No `%`; `%` at the start, the end or both; `%%` alone, leading,
+/// trailing and between two pieces; and a needle of five or more
+/// characters, longer than any table cell.
+fn like_shape() -> impl Strategy<Value = String> {
+    (0..9usize, text(2), text(2), text(4)).prop_map(|(shape, a, b, long)| match shape {
+        0 => a,
+        1 => format!("%{a}"),
+        2 => format!("{a}%"),
+        3 => format!("%{a}%"),
+        4 => "%%".to_string(),
+        5 => format!("%%{a}"),
+        6 => format!("{a}%%"),
+        7 => format!("{a}%%{b}"),
+        _ => format!("%{long}ababa%"),
+    })
 }
 
 /// Column names a statement may use: the table has a prefix of the first
@@ -831,5 +941,101 @@ proptest! {
             .collect();
         let columns = vec!["s".to_string()];
         prop_assert_eq!(got, Ok((SqlResult::Rows { columns, rows: want }, Vec::new())), "LIKE {:?}", pattern);
+    }
+}
+
+// ---- `ORDER BY … LIMIT` against a stable sort, truncated ------------------
+
+/// A sort key drawn so that keys tie often: `NULL`, small `INT`s, `REAL`s
+/// some of which equal them (`2` and `2.0`), texts and a blob.
+fn sort_cell() -> impl Strategy<Value = SqlValue> {
+    const REALS: [f64; 5] = [0.5, 1.0, 2.0, 2.5, -1.0];
+    const TEXTS: [&str; 4] = ["", "a", "b", "ab"];
+    prop_oneof![
+        Just(SqlValue::Null),
+        (0i64..5).prop_map(SqlValue::Int),
+        (0i64..5).prop_map(SqlValue::Int),
+        (0..REALS.len()).prop_map(|i| SqlValue::Real(REALS[i])),
+        (0..TEXTS.len()).prop_map(|i| SqlValue::from(TEXTS[i])),
+        Just(SqlValue::Blob(vec![7])),
+    ]
+}
+
+/// `LIMIT`: none, 0, 1, a k inside the matches, or at least all of them.
+#[derive(Debug, Clone)]
+enum Limit {
+    None,
+    Zero,
+    One,
+    Inside(usize),
+    Beyond(usize),
+}
+
+fn limit() -> impl Strategy<Value = Limit> {
+    prop_oneof![
+        Just(Limit::None),
+        Just(Limit::Zero),
+        Just(Limit::One),
+        (0usize..1_000).prop_map(Limit::Inside),
+        (0usize..5).prop_map(Limit::Beyond),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `SELECT * FROM t [WHERE v >= floor] ORDER BY p [DESC] [LIMIT n]`
+    /// returns what a stable sort of every match by the total order,
+    /// truncated to `n`, returns: equal keys keep scan order in both
+    /// directions, and `NULL` comes first ascending, last descending.
+    /// Up to 200 rows, so that the engine's unstable selection and sort
+    /// leave their small-slice paths.
+    #[test]
+    fn order_by_limit_equals_a_stable_sort_truncated(
+        keyed in any::<bool>(),
+        rows in prop::collection::vec((sort_cell(), 0i64..4), 0..201),
+        filter in prop::option::of(0i64..4),
+        desc in any::<bool>(),
+        limit in limit(),
+    ) {
+        let mut db = SqlDb::new();
+        let key = if keyed { " PRIMARY KEY" } else { "" };
+        db.exec(&format!("CREATE TABLE t (id INT{key}, p REAL, v INT)")).unwrap();
+        // ids descend, so a keyed table scans in the reverse of arrival
+        let n = rows.len() as i64;
+        db.exec_stmt(&Statement::Insert {
+            table: "t".to_string(),
+            columns: Vec::new(),
+            rows: rows
+                .iter()
+                .enumerate()
+                .map(|(i, (p, v))| vec![SqlValue::Int(n - i as i64), p.clone(), SqlValue::Int(*v)])
+                .collect(),
+        })
+        .unwrap();
+        let where_expr = filter.map(|floor| WhereExpr::Cmp {
+            column: "v".to_string(),
+            op: CmpOp::Ge,
+            value: SqlValue::Int(floor),
+        });
+        let t = db.table("t").unwrap().clone();
+        let matches = reference::select(&t, where_expr.as_ref()).unwrap();
+        let limit = match limit {
+            Limit::None => None,
+            Limit::Zero => Some(0),
+            Limit::One => Some(1),
+            Limit::Inside(k) => Some(k % matches.len().max(1)),
+            Limit::Beyond(extra) => Some(matches.len() + extra),
+        };
+        let got = db.exec_stmt(&Statement::Select {
+            items: vec![SelectItem::Star],
+            table: "t".to_string(),
+            where_expr,
+            order_by: Some(("p".to_string(), desc)),
+            limit,
+        });
+        let want = reference::order_limit(matches, 1, desc, limit);
+        let columns = ["id", "p", "v"].map(String::from).to_vec();
+        prop_assert_eq!(got, Ok((SqlResult::Rows { columns, rows: want }, Vec::new())));
     }
 }
