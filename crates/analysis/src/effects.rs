@@ -7,12 +7,15 @@
 //! filled. Like slicing, the derivation is dynamic — it generalizes from
 //! the base run plus fuzzed re-executions, so a read unit observed under
 //! no run is invisible. The cache layer compensates by only filling
-//! entries from executions that were demonstrably effect-free and by
-//! keying entries on the full canonicalized request.
+//! entries from executions that were demonstrably effect-free, by keying
+//! entries on the full canonicalized request, and by refusing to fill
+//! from an execution whose SQL reads ([`crate::HandleOutcome::sql_reads`])
+//! the profiled units do not cover.
 
 use crate::state::StateUnit;
 use crate::trace::ExecutionTrace;
 use edgstr_net::HttpRequest;
+use edgstr_sql::columns::ColumnSet;
 use edgstr_sql::{parse_sql, CmpOp, SqlDb, Statement, WhereExpr};
 use serde_json::Value as Json;
 use std::collections::{BTreeMap, BTreeSet};
@@ -20,8 +23,13 @@ use std::collections::{BTreeMap, BTreeSet};
 /// A state unit a service was observed to read.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ReadUnit {
-    /// Whole-table read (any row may influence the response).
+    /// Whole-table read of every column (any row and any cell may
+    /// influence the response).
     Table(String),
+    /// Whole-table read of some columns: any row may influence the
+    /// response, but only through the cells at `columns` (positions in
+    /// the table's schema) and through which rows exist.
+    TableColumns { table: String, columns: ColumnSet },
     /// Row-keyed read: every observed access selected exactly the row
     /// whose primary key equals the request parameter `param`
     /// (fuzz-validated across all profiled runs).
@@ -84,6 +92,10 @@ pub fn json_pk_string(v: &Json) -> Option<String> {
 struct TableReads {
     /// Some access could not be pinned to a single pk-equality.
     whole: bool,
+    /// The columns every access referenced, together
+    /// ([`ColumnSet::ALL`] once one read `*`, an unknown column or could
+    /// not be parsed).
+    columns: ColumnSet,
     /// Per run: the set of pk literals selected (run index aligned with
     /// the `runs` slice passed to [`derive_effects`]).
     literals: BTreeMap<usize, BTreeSet<String>>,
@@ -122,11 +134,19 @@ pub fn derive_effects(
                         writes.insert(StateUnit::DbTable(t));
                     }
                 }
-                Ok(Statement::Select {
-                    table, where_expr, ..
-                }) => {
+                Ok(
+                    ref stmt @ Statement::Select {
+                        ref table,
+                        ref where_expr,
+                        ..
+                    },
+                ) => {
                     let obs = tables.entry(table.clone()).or_default();
-                    match pk_eq_literal(db, &table, where_expr.as_ref()) {
+                    let columns = db
+                        .table(table)
+                        .map_or(ColumnSet::ALL, |t| t.read_columns(stmt));
+                    obs.columns = obs.columns.union(columns);
+                    match pk_eq_literal(db, table, where_expr.as_ref()) {
                         Some(lit) => {
                             obs.literals.entry(i).or_default().insert(lit);
                         }
@@ -143,7 +163,9 @@ pub fn derive_effects(
                             writes.insert(StateUnit::DbTable(t));
                         }
                     } else if let Some(t) = crate::trace::table_of(sql) {
-                        tables.entry(t).or_default().whole = true;
+                        let obs = tables.entry(t).or_default();
+                        obs.whole = true;
+                        obs.columns = ColumnSet::ALL;
                     } else {
                         cacheable = false;
                     }
@@ -186,8 +208,14 @@ pub fn derive_effects(
             Some(param) => {
                 reads.insert(ReadUnit::TableKeyed { table, param });
             }
-            None => {
+            None if obs.columns == ColumnSet::ALL => {
                 reads.insert(ReadUnit::Table(table));
+            }
+            None => {
+                reads.insert(ReadUnit::TableColumns {
+                    table,
+                    columns: obs.columns,
+                });
             }
         }
     }
@@ -293,6 +321,13 @@ mod tests {
             var rows = db.query("SELECT * FROM books");
             res.send({ books: rows, seen: visits });
         });
+        app.get("/titles", function (req, res) {
+            var rows = db.query("SELECT title FROM books WHERE title LIKE '%" + req.params.q + "%'");
+            if (req.params.q == "count") {
+                rows = db.query("SELECT COUNT(*) FROM books");
+            }
+            res.send(rows);
+        });
         app.post("/visit", function (req, res) {
             visits = visits + 1;
             db.query("INSERT INTO books VALUES (" + req.body.id + ", 'new')");
@@ -358,6 +393,21 @@ mod tests {
         assert!(s.pure && s.cacheable);
         assert!(s.reads.contains(&ReadUnit::Table("books".into())));
         assert!(s.reads.contains(&ReadUnit::Global("visits".into())));
+    }
+
+    #[test]
+    fn whole_table_read_carries_the_columns_of_every_run() {
+        let titles = |q: &str| HttpRequest::get("/titles", json!({ "q": q }));
+        let s = summarize(&[titles("u"), titles("o")]);
+        assert_eq!(
+            s.reads,
+            vec![ReadUnit::TableColumns {
+                table: "books".into(),
+                columns: ColumnSet::of(1),
+            }]
+        );
+        // a run that also counts rows adds no column
+        assert_eq!(summarize(&[titles("u"), titles("count")]).reads, s.reads);
     }
 
     #[test]

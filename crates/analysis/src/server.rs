@@ -11,6 +11,7 @@ use edgstr_lang::{
     RuntimeError, Value, Vm,
 };
 use edgstr_net::{Body, HttpRequest, HttpResponse, Verb};
+use edgstr_sql::engine::SqlRead;
 use edgstr_sql::{Output, RowEffect, SqlDb, SqlError, SqlResult, SqlValue, Statement};
 use edgstr_vfs::VirtualFs;
 use serde_json::Value as Json;
@@ -91,6 +92,10 @@ pub struct HandleOutcome {
     pub file_writes: Vec<(String, Vec<u8>)>,
     /// Global variables written (for CRDT-JSON mirroring).
     pub global_writes: Vec<String>,
+    /// Every `SELECT` the execution ran, as [`SqlDb::read_of`] reports it:
+    /// what a cache entry filled from this execution must be stamped
+    /// against.
+    pub sql_reads: Vec<SqlRead>,
 }
 
 /// Cycle cost model for host functions.
@@ -117,6 +122,7 @@ struct ServerHost<'a> {
     response: &'a mut Option<HttpResponse>,
     status: &'a mut u16,
     row_effects: &'a mut Vec<RowEffect>,
+    sql_reads: &'a mut Vec<SqlRead>,
     /// Length of `row_effects` when the open SQL transaction began (0 for
     /// one inherited from an earlier call).
     txn_mark: Option<usize>,
@@ -164,6 +170,7 @@ impl Host for ServerHost<'_> {
                     .ok_or("db.query needs a SQL string")?;
                 let sql_error = |e: SqlError| format!("SQL error: {e}");
                 let stmt = self.db.prepare(sql).map_err(sql_error)?;
+                self.sql_reads.extend(self.db.read_of(&stmt));
                 let (output, effects) = self.db.exec_lent(&stmt).map_err(sql_error)?;
                 let (value, returned) = rows_value(&output);
                 self.row_effects.extend(effects);
@@ -474,6 +481,7 @@ impl ServerProcess {
         let mut response = None;
         let mut status = 200u16;
         let mut row_effects = Vec::new();
+        let mut sql_reads = Vec::new();
         let mut file_writes = Vec::new();
         let txn_mark = self.db.in_transaction().then_some(0);
         let mut host = ServerHost {
@@ -483,6 +491,7 @@ impl ServerProcess {
             response: &mut response,
             status: &mut status,
             row_effects: &mut row_effects,
+            sql_reads: &mut sql_reads,
             txn_mark,
             file_writes: &mut file_writes,
             logs: &mut self.logs,
@@ -533,6 +542,7 @@ impl ServerProcess {
         let mut response = None;
         let mut status = 200u16;
         let mut row_effects = Vec::new();
+        let mut sql_reads = Vec::new();
         let mut file_writes = Vec::new();
         let txn_mark = self.db.in_transaction().then_some(0);
         let mut host = ServerHost {
@@ -542,6 +552,7 @@ impl ServerProcess {
             response: &mut response,
             status: &mut status,
             row_effects: &mut row_effects,
+            sql_reads: &mut sql_reads,
             txn_mark,
             file_writes: &mut file_writes,
             logs: &mut self.logs,
@@ -592,6 +603,7 @@ impl ServerProcess {
             row_effects,
             file_writes,
             global_writes,
+            sql_reads,
         })
     }
 

@@ -9,17 +9,28 @@
 //! recorded version still matches — otherwise the entry is dropped as
 //! invalidated and the request executes normally.
 //!
-//! The row/epoch split keeps row-keyed reads precise: a read that selects
-//! exactly one row (a [`ReadUnit::TableKeyed`] unit) validates against the
-//! row's own counter plus a per-table *epoch* counter, while a whole-table
-//! read validates against a counter bumped by every mutation of the table.
-//! A row upsert/delete bumps that row and the any-mutation counter, so
-//! whole-table readers invalidate but *other* rows' keyed readers do not;
-//! an unattributable table change (e.g. a conservative remote apply) bumps
-//! the epoch, invalidating keyed readers too.
+//! A table keeps counters at three grains, so each read validates against
+//! only what can change its answer:
+//! - a row-keyed read (a [`ReadUnit::TableKeyed`] unit) against its row's
+//!   counter plus the table's *epoch*;
+//! - a whole-table read of some columns against the table's *row-set*
+//!   counter (inserts, deletes, re-keys), its epoch and the counters of
+//!   those columns — one stamp entry whose version is their sum, which
+//!   moves exactly when one of them does, because every counter only
+//!   grows;
+//! - an unattributable table change (a remote apply rebuilding the table)
+//!   bumps the epoch, invalidating every reader of the table.
+//!
+//! A write reports which cells it changed ([`RowEffect::Upsert`]'s
+//! `changed`): updating `stock` leaves a cached read of `id` and `title`
+//! valid, and a write of a cell as it was bumps nothing.
+//!
+//! [`RowEffect::Upsert`]: edgstr_sql::RowEffect::Upsert
 
 use edgstr_analysis::{json_pk_string, request_field, EffectSummary, ReadUnit, StateUnit};
 use edgstr_net::{fnv1a, HttpRequest, HttpResponse, Verb, FNV_OFFSET};
+use edgstr_sql::columns::ColumnSet;
+use edgstr_sql::engine::SqlRead;
 use edgstr_telemetry::{Counter, Gauge, Telemetry};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -42,15 +53,15 @@ pub enum CachePolicy {
     All,
 }
 
-/// One versioned state unit. `Row`/`TableAny`/`TableEpoch` implement the
-/// row/epoch split described at module level; files and globals get the
-/// same treatment with a per-name counter plus a structure-wide epoch for
+/// One versioned state unit — one entry of a cache entry's stamp. Files
+/// and globals get a per-name counter plus a structure-wide epoch for
 /// changes that cannot be attributed to a single name.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub enum UnitKey {
-    /// Bumped by *every* mutation of the table (what whole-table readers
-    /// validate against).
-    TableAny(String),
+    /// Which rows the table holds and the cells at these columns: the
+    /// sum of the table's row-set, epoch and column counters
+    /// ([`ColumnSet::ALL`]: every column).
+    Columns(String, ColumnSet),
     /// Bumped only by mutations that cannot be attributed to a single row
     /// (what row-keyed readers validate against, alongside their row).
     TableEpoch(String),
@@ -66,58 +77,127 @@ pub enum UnitKey {
     Global(String),
 }
 
+/// One table's counters.
+#[derive(Debug, Clone)]
+struct TableVersions {
+    rows: BTreeMap<String, u64>,
+    epoch: u64,
+    /// Bumped by a row arriving at or leaving a key.
+    row_set: u64,
+    /// Per column position, bumped by a change to a cell there.
+    columns: [u64; ColumnSet::BITS],
+}
+
+impl Default for TableVersions {
+    fn default() -> TableVersions {
+        TableVersions {
+            rows: BTreeMap::new(),
+            epoch: 0,
+            row_set: 0,
+            columns: [0; ColumnSet::BITS],
+        }
+    }
+}
+
+impl TableVersions {
+    fn columns(&self, set: ColumnSet) -> u64 {
+        let cells: u64 = set.bits().map(|i| self.columns[i]).sum();
+        self.row_set + self.epoch + cells
+    }
+}
+
 /// Monotone version counters per state unit. Absent units are at version
 /// zero; counters only ever increase, so a recorded `(unit, version)` pair
-/// stays valid exactly until the unit's next mutation.
+/// stays valid exactly until the unit's next mutation. Bumping a counter
+/// that exists allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub struct UnitVersions {
-    map: BTreeMap<UnitKey, u64>,
+    tables: BTreeMap<String, TableVersions>,
+    files: BTreeMap<String, u64>,
+    files_epoch: u64,
+    globals: BTreeMap<String, u64>,
+    globals_epoch: u64,
+}
+
+/// `map[key] += 1`, copying `key` only the first time.
+fn bump(map: &mut BTreeMap<String, u64>, key: &str) {
+    match map.get_mut(key) {
+        Some(v) => *v += 1,
+        None => {
+            map.insert(key.to_string(), 1);
+        }
+    }
 }
 
 impl UnitVersions {
     /// Current version of `key` (zero if never touched).
     #[must_use]
     pub fn get(&self, key: &UnitKey) -> u64 {
-        self.map.get(key).copied().unwrap_or(0)
+        let table = |t: &str| self.tables.get(t);
+        match key {
+            UnitKey::Columns(t, set) => table(t).map_or(0, |v| v.columns(*set)),
+            UnitKey::TableEpoch(t) => table(t).map_or(0, |v| v.epoch),
+            UnitKey::Row(t, pk) => table(t).and_then(|v| v.rows.get(pk)).copied().unwrap_or(0),
+            UnitKey::FilesEpoch => self.files_epoch,
+            UnitKey::File(p) => self.files.get(p).copied().unwrap_or(0),
+            UnitKey::GlobalsEpoch => self.globals_epoch,
+            UnitKey::Global(g) => self.globals.get(g).copied().unwrap_or(0),
+        }
     }
 
-    fn bump(&mut self, key: UnitKey) {
-        *self.map.entry(key).or_insert(0) += 1;
+    fn table(&mut self, table: &str) -> &mut TableVersions {
+        if !self.tables.contains_key(table) {
+            self.tables
+                .insert(table.to_string(), TableVersions::default());
+        }
+        self.tables.get_mut(table).expect("inserted above")
     }
 
-    /// A row was upserted or deleted: the row and the table's any-mutation
-    /// counter move; the table epoch does not (other rows' keyed readers
-    /// stay valid).
-    pub fn touch_row(&mut self, table: &str, pk: &str) {
-        self.bump(UnitKey::Row(table.to_string(), pk.to_string()));
-        self.bump(UnitKey::TableAny(table.to_string()));
+    /// Row `pk` changed as a [`edgstr_sql::RowEffect`] reports it: the
+    /// cells at `changed` (nothing moves when that is empty), or, for
+    /// `None`, the row set — the row arrived at or left its key. The row's
+    /// counter moves with either; the epoch does not (other rows' keyed
+    /// readers stay valid).
+    pub fn touch_row(&mut self, table: &str, pk: &str, changed: Option<ColumnSet>) {
+        if changed.is_some_and(ColumnSet::is_empty) {
+            return;
+        }
+        let t = self.table(table);
+        bump(&mut t.rows, pk);
+        match changed {
+            None => t.row_set += 1,
+            Some(cells) => {
+                for i in cells.bits() {
+                    t.columns[i] += 1;
+                }
+            }
+        }
     }
 
     /// The table changed in a way not attributable to single rows:
     /// invalidate whole-table *and* row-keyed readers.
     pub fn touch_table(&mut self, table: &str) {
-        self.bump(UnitKey::TableAny(table.to_string()));
-        self.bump(UnitKey::TableEpoch(table.to_string()));
+        self.table(table).epoch += 1;
     }
 
     /// One file's contents changed.
     pub fn touch_file(&mut self, path: &str) {
-        self.bump(UnitKey::File(path.to_string()));
+        bump(&mut self.files, path);
     }
 
     /// The file structure changed unattributably.
     pub fn touch_files_all(&mut self) {
-        self.bump(UnitKey::FilesEpoch);
+        self.files_epoch += 1;
     }
 
     /// One global variable changed.
     pub fn touch_global(&mut self, name: &str) {
-        self.bump(UnitKey::Global(name.to_string()));
+        bump(&mut self.globals, name);
     }
 
     /// The globals doc changed unattributably.
     pub fn touch_globals_all(&mut self) {
-        self.bump(UnitKey::GlobalsEpoch);
+        self.globals_epoch += 1;
     }
 
     /// Record the current version of every key — the validity stamp a
@@ -131,14 +211,17 @@ impl UnitVersions {
 /// Resolve a service's abstract read set to concrete version-counter keys
 /// for one request. A `TableKeyed` unit becomes the selected row plus the
 /// table epoch; when the keying parameter cannot be resolved from the
-/// request it degrades to the whole-table counter. File and global reads
+/// request it degrades to every column of the table. File and global reads
 /// validate against their own counter plus the structure epoch.
 #[must_use]
 pub fn resolve_reads(summary: &EffectSummary, request: &HttpRequest) -> Vec<UnitKey> {
     let mut keys = Vec::new();
     for unit in &summary.reads {
         match unit {
-            ReadUnit::Table(t) => keys.push(UnitKey::TableAny(t.clone())),
+            ReadUnit::Table(t) => keys.push(UnitKey::Columns(t.clone(), ColumnSet::ALL)),
+            ReadUnit::TableColumns { table, columns } => {
+                keys.push(UnitKey::Columns(table.clone(), *columns));
+            }
             ReadUnit::TableKeyed { table, param } => {
                 match request_field(request, param)
                     .as_ref()
@@ -148,7 +231,7 @@ pub fn resolve_reads(summary: &EffectSummary, request: &HttpRequest) -> Vec<Unit
                         keys.push(UnitKey::Row(table.clone(), pk));
                         keys.push(UnitKey::TableEpoch(table.clone()));
                     }
-                    None => keys.push(UnitKey::TableAny(table.clone())),
+                    None => keys.push(UnitKey::Columns(table.clone(), ColumnSet::ALL)),
                 }
             }
             ReadUnit::File(p) => {
@@ -162,6 +245,23 @@ pub fn resolve_reads(summary: &EffectSummary, request: &HttpRequest) -> Vec<Unit
         }
     }
     keys
+}
+
+/// Whether a stamp over `keys` would see every change that can alter the
+/// answer of each of `reads`: a read pinned to a key is covered by that
+/// row's counter (beside the epoch [`resolve_reads`] always pairs it
+/// with), any read by a column stamp of its table listing every column it
+/// references. An entry filled from an execution whose reads its stamp
+/// does not cover could be served stale.
+#[must_use]
+pub fn stamp_covers(keys: &[UnitKey], reads: &[SqlRead]) -> bool {
+    reads.iter().all(|read| {
+        keys.iter().any(|key| match key {
+            UnitKey::Columns(t, columns) => *t == read.table && columns.covers(read.columns),
+            UnitKey::Row(t, pk) => *t == read.table && read.key.as_ref() == Some(pk),
+            _ => false,
+        })
+    })
 }
 
 /// Bump the global-variable units a concrete [`edgstr_analysis::HandleOutcome`]
@@ -255,7 +355,8 @@ const HIT: usize = 0;
 const MISS: usize = 1;
 const EVICT: usize = 2;
 const INVALIDATE: usize = 3;
-const EVENT_OPS: [&str; 4] = ["hit", "miss", "evict", "invalidate"];
+const REFUSE: usize = 4;
+const EVENT_OPS: [&str; 5] = ["hit", "miss", "evict", "invalidate", "refuse"];
 
 /// One replica's response cache: an LRU map under a byte budget whose
 /// entries are validated against [`UnitVersions`] on every lookup.
@@ -267,9 +368,12 @@ pub struct ResponseCache {
     bytes: usize,
     stamp: u64,
     stats: CacheStats,
+    /// Fills refused because the stamp did not cover what the execution
+    /// read ([`ResponseCache::refuse`]).
+    refusals: u64,
     /// Registry counters (shared across replicas via the label set) when
     /// telemetry is enabled; `None` keeps the disabled path free.
-    events: Option<[Counter; 4]>,
+    events: Option<[Counter; 5]>,
     hit_ratio: Option<Gauge>,
 }
 
@@ -280,6 +384,7 @@ impl fmt::Debug for ResponseCache {
             .field("entries", &self.entries.len())
             .field("bytes", &self.bytes)
             .field("stats", &self.stats)
+            .field("refusals", &self.refusals)
             .finish()
     }
 }
@@ -302,6 +407,7 @@ impl ResponseCache {
             bytes: 0,
             stamp: 0,
             stats: CacheStats::default(),
+            refusals: 0,
             events,
             hit_ratio,
         }
@@ -311,6 +417,20 @@ impl ResponseCache {
     #[must_use]
     pub fn stats(&self) -> &CacheStats {
         &self.stats
+    }
+
+    /// Lifetime count of refused fills.
+    #[must_use]
+    pub fn refusals(&self) -> u64 {
+        self.refusals
+    }
+
+    /// Count a fill that did not happen because its stamp would not cover
+    /// what the execution read ([`stamp_covers`]): the profile the stamp
+    /// came from missed a read this execution made.
+    pub fn refuse(&mut self) {
+        self.refusals += 1;
+        self.event(REFUSE);
     }
 
     /// Resident entries.
@@ -449,10 +569,10 @@ mod tests {
     fn hit_until_read_unit_version_moves() {
         let mut v = UnitVersions::default();
         let mut c = ResponseCache::new(64 * 1024, &Telemetry::disabled());
-        let reads = vec![UnitKey::TableAny("t".into())];
+        let reads = vec![UnitKey::Columns("t".into(), ColumnSet::ALL)];
         c.fill(key(1), &resp(1), v.snapshot(&reads));
         assert_eq!(c.lookup(&key(1), &v), Some(resp(1)));
-        v.touch_row("t", "x"); // bumps TableAny
+        v.touch_row("t", "x", Some(ColumnSet::of(1))); // a cell of every column
         assert_eq!(c.lookup(&key(1), &v), None, "stale entry must invalidate");
         assert_eq!(c.stats().hits, 1);
         assert_eq!(c.stats().invalidations, 1);
@@ -467,18 +587,88 @@ mod tests {
             UnitKey::Row("t".into(), "a".into()),
             UnitKey::TableEpoch("t".into()),
         ];
-        let whole = vec![UnitKey::TableAny("t".into())];
+        let whole = vec![UnitKey::Columns("t".into(), ColumnSet::ALL)];
         c.fill(key(1), &resp(1), v.snapshot(&keyed));
         c.fill(key(2), &resp(2), v.snapshot(&whole));
-        v.touch_row("t", "b");
+        v.touch_row("t", "b", None);
         assert_eq!(c.lookup(&key(1), &v), Some(resp(1)), "other row untouched");
         assert_eq!(c.lookup(&key(2), &v), None, "whole-table reader stale");
-        v.touch_row("t", "a");
+        v.touch_row("t", "a", Some(ColumnSet::of(3)));
         assert_eq!(c.lookup(&key(1), &v), None, "own row write invalidates");
         // an unattributable table change invalidates keyed readers too
         c.fill(key(3), &resp(3), v.snapshot(&keyed));
         v.touch_table("t");
         assert_eq!(c.lookup(&key(3), &v), None);
+    }
+
+    /// A whole-table reader of some columns moves with the row set and
+    /// with those columns, not with the others; a write of every cell as it
+    /// was moves nothing at all.
+    #[test]
+    fn column_readers_survive_writes_to_other_columns() {
+        let mut v = UnitVersions::default();
+        let mut c = ResponseCache::new(64 * 1024, &Telemetry::disabled());
+        let id_title = ColumnSet::of(0).with(1);
+        let titles = vec![UnitKey::Columns("t".into(), id_title)];
+        let count = vec![UnitKey::Columns("t".into(), ColumnSet::NONE)];
+        let every = vec![UnitKey::Columns("t".into(), ColumnSet::ALL)];
+        let fill_all = |c: &mut ResponseCache, v: &UnitVersions| {
+            c.fill(key(1), &resp(1), v.snapshot(&titles));
+            c.fill(key(2), &resp(2), v.snapshot(&count));
+            c.fill(key(3), &resp(3), v.snapshot(&every));
+        };
+        let hits = |c: &mut ResponseCache, v: &UnitVersions| {
+            [1, 2, 3].map(|i| c.lookup(&key(i), v).is_some())
+        };
+        fill_all(&mut c, &v);
+        v.touch_row("t", "a", Some(ColumnSet::NONE));
+        assert_eq!(hits(&mut c, &v), [true, true, true], "nothing changed");
+        v.touch_row("t", "a", Some(ColumnSet::of(4)));
+        assert_eq!(hits(&mut c, &v), [true, true, false], "stock only");
+        fill_all(&mut c, &v);
+        v.touch_row("t", "a", Some(ColumnSet::of(1)));
+        assert_eq!(hits(&mut c, &v), [false, true, false], "a title");
+        fill_all(&mut c, &v);
+        v.touch_row("t", "z", None);
+        assert_eq!(hits(&mut c, &v), [false, false, false], "a new row");
+        fill_all(&mut c, &v);
+        v.touch_table("t");
+        assert_eq!(hits(&mut c, &v), [false, false, false], "a rebuild");
+        // a sum of counters that only grow moves whenever one of them does
+        let before = v.get(&titles[0]);
+        v.touch_row("t", "b", Some(id_title));
+        assert_eq!(v.get(&titles[0]), before + 2);
+    }
+
+    /// Which reads a stamp covers: a pinned read by its row, any read by a
+    /// column stamp of its table listing its columns.
+    #[test]
+    fn a_stamp_covers_the_reads_it_would_see_change() {
+        let read = |table: &str, key: Option<&str>, columns| SqlRead {
+            table: table.into(),
+            key: key.map(str::to_string),
+            columns,
+        };
+        let title = ColumnSet::of(1);
+        let keyed = [
+            UnitKey::Row("t".into(), "a".into()),
+            UnitKey::TableEpoch("t".into()),
+        ];
+        let titles = [UnitKey::Columns("t".into(), ColumnSet::of(0).with(1))];
+        assert!(stamp_covers(
+            &keyed,
+            &[read("t", Some("a"), ColumnSet::ALL)]
+        ));
+        assert!(!stamp_covers(&keyed, &[read("t", Some("b"), title)]));
+        assert!(!stamp_covers(&keyed, &[read("t", None, title)]));
+        assert!(!stamp_covers(&keyed, &[read("u", Some("a"), title)]));
+        assert!(stamp_covers(
+            &titles,
+            &[read("t", None, title), read("t", Some("b"), title)]
+        ));
+        assert!(!stamp_covers(&titles, &[read("t", None, ColumnSet::of(2))]));
+        assert!(!stamp_covers(&titles, &[read("u", None, ColumnSet::NONE)]));
+        assert!(stamp_covers(&[], &[]));
     }
 
     #[test]
@@ -546,6 +736,7 @@ mod tests {
         assert!(c.lookup(&key(1), &v).is_some()); // hit
         v.touch_global("g");
         assert!(c.lookup(&key(1), &v).is_none()); // invalidate + miss
+        c.refuse();
         let reg = telemetry.registry().unwrap();
         let count = |op: &str| {
             reg.counter("edgstr_cache_events_total", &[("op", op)])
@@ -554,6 +745,7 @@ mod tests {
         assert_eq!(count("hit"), c.stats().hits);
         assert_eq!(count("miss"), c.stats().misses);
         assert_eq!(count("invalidate"), c.stats().invalidations);
+        assert_eq!(count("refuse"), c.refusals());
         let ratio = reg.gauge("edgstr_cache_hit_ratio", &[]).get();
         assert!((ratio - c.stats().hit_ratio()).abs() < 1e-12);
     }

@@ -14,6 +14,7 @@ use edgstr_crdt::wire::{put_bytes, put_changes, put_str, put_varint, Count, Read
 use edgstr_crdt::{
     ActorId, AdvanceMode, Change, CrdtError, CrdtFiles, CrdtTable, Doc, PathSeg, VClock, ValueRef,
 };
+use edgstr_sql::columns::ColumnSet;
 use edgstr_sql::{ColumnMeta, RowEffect, SqlDb, SqlError, SqlValue};
 use serde_json::Value as Json;
 use std::collections::BTreeMap;
@@ -219,15 +220,16 @@ impl CrdtSet {
                     pk,
                     columns,
                     cells,
+                    changed,
                 } => {
-                    versions.touch_row(table, pk);
+                    versions.touch_row(table, pk, *changed);
                     if let Some(t) = tables.get_mut(table) {
                         t.upsert_cells(pk, columns, cells, SqlValue::to_json)
                             .expect("table CRDT upsert");
                     }
                 }
                 RowEffect::Delete { table, pk } => {
-                    versions.touch_row(table, pk);
+                    versions.touch_row(table, pk, None);
                     if let Some(t) = tables.get_mut(table) {
                         t.delete_row(pk).expect("table CRDT delete");
                     }
@@ -291,15 +293,17 @@ impl CrdtSet {
             if let Some(t) = self.tables.get_mut(&name) {
                 let (n, touch) = t.apply_changes_owned_tracked(cs).expect("table CRDT apply");
                 applied += n;
-                // materialize what the delta touched into the SQL engine
-                if touch.whole {
-                    self.versions.touch_table(&name);
+                // materialize what the delta touched into the SQL engine,
+                // bumping what the materialised rows changed there
+                let versions = &mut self.versions;
+                let keys = touch.keys.iter().map(|pk| &**pk);
+                let by_row = !touch.whole
+                    && materialize_rows(t, keys, &mut server.db, |pk, changed| {
+                        versions.touch_row(&name, pk, changed);
+                    });
+                if !by_row {
+                    versions.touch_table(&name);
                     materialize_table(t, &mut server.db);
-                } else {
-                    for pk in &touch.keys {
-                        self.versions.touch_row(&name, pk);
-                    }
-                    materialize_rows(t, touch.keys.iter().map(|pk| &**pk), &mut server.db);
                 }
             }
         }
@@ -358,7 +362,10 @@ impl CrdtSet {
         for effect in server.take_failed_row_effects() {
             let (RowEffect::Upsert { table, pk, .. } | RowEffect::Delete { table, pk }) = &effect;
             if let Some(t) = self.tables.get(table) {
-                materialize_rows(t, [pk.as_str()], &mut server.db);
+                // the rows go back to what the versions already describe
+                if !materialize_rows(t, [pk.as_str()], &mut server.db, |_, _| {}) {
+                    materialize_table(t, &mut server.db);
+                }
             }
         }
     }
@@ -496,20 +503,35 @@ fn materialize_table(t: &CrdtTable, db: &mut SqlDb) {
 /// Make the SQL rows at `keys` read what `t` reads there: written where
 /// the CRDT has the row, deleted where it does not. Every other row is
 /// left alone, which is sound because it already equals its CRDT row.
-fn materialize_rows<'k>(t: &CrdtTable, keys: impl IntoIterator<Item = &'k str>, db: &mut SqlDb) {
+/// `changed` hears of each row that changed, as a [`RowEffect::Upsert`]
+/// reports it (`None`: the row arrived or left). Returns `false`, having
+/// written nothing, for a table without a primary key to address a row by:
+/// the caller rebuilds it whole.
+fn materialize_rows<'k>(
+    t: &CrdtTable,
+    keys: impl IntoIterator<Item = &'k str>,
+    db: &mut SqlDb,
+    mut changed: impl FnMut(&str, Option<ColumnSet>),
+) -> bool {
     for pk in keys {
         let written = match (t.row(pk), db.table(t.name())) {
             (Some(row), Some(table)) => {
                 let row = sql_row(&table.columns, &row);
-                db.upsert_row(t.name(), row)
+                db.upsert_row(t.name(), row).map(Some)
             }
-            (Some(_), None) => return,
-            (None, _) => db.delete_row_by_pk(t.name(), pk),
+            (Some(_), None) => return true,
+            (None, _) => db
+                .delete_row_by_pk(t.name(), pk)
+                .map(|gone| gone.then_some(None)),
         };
-        if let Err(SqlError::NoPrimaryKey(_)) = written {
-            return materialize_table(t, db);
+        match written {
+            Ok(Some(change)) => changed(pk, change),
+            Ok(None) => {}
+            Err(SqlError::NoPrimaryKey(_)) => return false,
+            Err(_) => {}
         }
     }
+    true
 }
 
 /// One `cloud_state` / `edge_state` sync envelope (Fig. 5b): the delta

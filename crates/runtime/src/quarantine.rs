@@ -89,7 +89,9 @@ impl Quarantine {
     fn checkable(&self, summary: &EffectSummary) -> bool {
         let b = &self.template.bindings;
         let read_ok = summary.reads.iter().all(|r| match r {
-            ReadUnit::Table(t) | ReadUnit::TableKeyed { table: t, .. } => b.tables.contains(t),
+            ReadUnit::Table(t)
+            | ReadUnit::TableColumns { table: t, .. }
+            | ReadUnit::TableKeyed { table: t, .. } => b.tables.contains(t),
             ReadUnit::File(f) => b.files.contains(f),
             ReadUnit::Global(g) => b.globals.contains(g),
         });

@@ -26,11 +26,15 @@
 //! 5. the injected [`BitFlipCorruptor`], if any: the state was absorbed
 //!    intact, the response this replica serves (and caches) is corrupt;
 //! 6. the fill, only when the execution was demonstrably effect-free and
-//!    the service's profile writes no global.
+//!    the service's profile writes no global — and only when the plan's
+//!    stamp covers every SQL read the execution made
+//!    ([`stamp_covers`]); otherwise the fill is refused
+//!    ([`ResponseCache::refuse`]), because the profile the stamp came from
+//!    missed a read a later write could change unseen.
 
 use crate::cache::{
-    bump_static_global_writes, resolve_reads, CacheKey, CachePolicy, ResponseCache, UnitKey,
-    CACHE_HIT_CYCLES,
+    bump_static_global_writes, resolve_reads, stamp_covers, CacheKey, CachePolicy, ResponseCache,
+    UnitKey, CACHE_HIT_CYCLES,
 };
 use crate::crdtset::CrdtSet;
 use edgstr_analysis::{
@@ -228,6 +232,10 @@ pub struct Served {
     pub hit: bool,
     /// The execution wrote rows, files or newly bound globals.
     pub effects: bool,
+    /// A fill of this response under the request's plan would be stamped
+    /// against every SQL read that produced it ([`stamp_covers`]): true for
+    /// a hit, false for an execution without a plan.
+    pub covered: bool,
 }
 
 /// One replica: a server process, the CRDT set mirroring its replicated
@@ -291,6 +299,7 @@ impl ReplicaCore {
             cycles: CACHE_HIT_CYCLES,
             hit: true,
             effects: false,
+            covered: true,
         })
     }
 
@@ -330,16 +339,22 @@ impl ReplicaCore {
         let effects = !out.row_effects.is_empty()
             || !out.file_writes.is_empty()
             || !out.global_writes.is_empty();
+        let covered = plan.is_some_and(|p| stamp_covers(&p.reads, &out.sql_reads));
         // only a demonstrably effect-free execution may fill: its
         // re-execution would be a no-op, so a later hit skips nothing
         if let Some(p) = plan.filter(|p| !effects && p.globals_clean) {
-            self.fill(p, &out.response);
+            if covered {
+                self.fill(p, &out.response);
+            } else {
+                self.cache.refuse();
+            }
         }
         Ok(Served {
             response: out.response,
             cycles: out.cycles,
             hit: false,
             effects,
+            covered,
         })
     }
 
@@ -593,13 +608,35 @@ pub(crate) mod tests {
     fn execution_with_effects_never_fills() {
         let mut deployment = deployment();
         let mut core = core(&mut deployment, ReplicaKind::Edge);
-        let served = serve(&mut core, &note(1, "a"), &reader(vec![])).unwrap();
+        let counts = reader(vec![ReadUnit::Table("notes".into())]);
+        let served = serve(&mut core, &note(1, "a"), &counts).unwrap();
         assert!(served.effects);
         assert!(core.cache.is_empty());
         // the same profile over an execution without effects does fill
         let count = HttpRequest::get("/count", json!({}));
-        assert!(!serve(&mut core, &count, &reader(vec![])).unwrap().effects);
+        assert!(!serve(&mut core, &count, &counts).unwrap().effects);
         assert_eq!(core.cache.len(), 1);
+        assert_eq!(core.cache.refusals(), 0);
+    }
+
+    /// A profile that missed a read — here, every read — stamps nothing a
+    /// write to that table moves: the fill is refused and counted, so the
+    /// count is never served stale.
+    #[test]
+    fn a_fill_its_stamp_does_not_cover_is_refused() {
+        let mut deployment = deployment();
+        let mut core = core(&mut deployment, ReplicaKind::Edge);
+        let count = HttpRequest::get("/count", json!({}));
+        let blind = reader(vec![]);
+        let first = serve(&mut core, &count, &blind).unwrap();
+        assert!(!first.effects && !first.covered);
+        assert!(core.cache.is_empty());
+        assert_eq!(core.cache.refusals(), 1);
+        serve(&mut core, &note(1, "a"), &blind).unwrap();
+        let second = serve(&mut core, &count, &blind).unwrap();
+        assert!(!second.hit);
+        assert_ne!(second.response, first.response);
+        assert_eq!(core.cache.refusals(), 2, "a write is no refusal");
     }
 
     /// The serving path never asks a body for its JSON tree: executing,

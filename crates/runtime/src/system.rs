@@ -830,7 +830,12 @@ impl ThreeTierSystem {
                 if let Some(p) = plan.as_ref().filter(|p| {
                     forward_skip_ok || (placement == Placement::EdgeCacheOnly && p.pure)
                 }) {
-                    self.edges[idx].core.fill(p, &s.response);
+                    let core = &mut self.edges[idx].core;
+                    if s.covered {
+                        core.fill(p, &s.response);
+                    } else {
+                        core.cache.refuse();
+                    }
                 }
                 Answer {
                     ready: back_at_edge,

@@ -6,14 +6,22 @@
 //!
 //! The cache is *allowed* to miss spuriously (extra invalidation is
 //! harmless); what must never happen is a stale hit.
+//!
+//! Three groups: a key-value app whose reads cover every read-unit shape;
+//! a multi-column table whose whole-table readers reference some columns,
+//! under writers that update cells and writers that change the row set;
+//! and services that read, under a request the profile never saw, what
+//! the profile does not list — a fill the cache must refuse.
 
 use edgstr_analysis::{EffectSummary, InitState, ReadUnit, ServerProcess, StateUnit};
 use edgstr_core::CrdtBindings;
 use edgstr_crdt::ActorId;
 use edgstr_net::HttpRequest;
+use edgstr_runtime::cache::stamp_covers;
 use edgstr_runtime::{
     resolve_reads, CacheKey, CrdtSet, ResponseCache, SetSyncMessage, SyncEndpoint,
 };
+use edgstr_sql::columns::ColumnSet;
 use edgstr_telemetry::Telemetry;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseFailure;
@@ -62,10 +70,19 @@ fn init_state() -> InitState {
 }
 
 fn make_node(actor: u64, init: &InitState) -> (ServerProcess, CrdtSet) {
-    let mut s = ServerProcess::from_source(APP).unwrap();
+    make_node_of(APP, &bindings(), actor, init)
+}
+
+fn make_node_of(
+    app: &str,
+    bindings: &CrdtBindings,
+    actor: u64,
+    init: &InitState,
+) -> (ServerProcess, CrdtSet) {
+    let mut s = ServerProcess::from_source(app).unwrap();
     s.init().unwrap();
     init.restore(&mut s);
-    let set = CrdtSet::initialize(ActorId(actor), &bindings(), init);
+    let set = CrdtSet::initialize(ActorId(actor), bindings, init);
     (s, set)
 }
 
@@ -193,9 +210,23 @@ fn checked_read(
     edge_set: &CrdtSet,
     cache: &mut ResponseCache,
 ) -> Result<(), TestCaseFailure> {
+    checked_read_as(&summary_for(&req.path), req, edge, edge_set, cache)
+}
+
+/// [`checked_read`] for a service profiled as `summary`. The hand-written
+/// summary must cover what the execution read, as the serve pipeline
+/// requires before it fills.
+fn checked_read_as(
+    summary: &EffectSummary,
+    req: &HttpRequest,
+    edge: &mut ServerProcess,
+    edge_set: &CrdtSet,
+    cache: &mut ResponseCache,
+) -> Result<(), TestCaseFailure> {
     let key = CacheKey::for_request(req);
     let cached = cache.lookup(&key, &edge_set.versions);
-    let fresh = edge.handle(req).unwrap().response;
+    let out = edge.handle(req).unwrap();
+    let fresh = out.response;
     match cached {
         Some(hit) => prop_assert_eq!(
             &hit,
@@ -207,8 +238,14 @@ fn checked_read(
             fresh
         ),
         None => {
-            let summary = summary_for(&req.path);
-            let units = resolve_reads(&summary, req);
+            let units = resolve_reads(summary, req);
+            prop_assert!(
+                stamp_covers(&units, &out.sql_reads),
+                "{} read {:?} beyond its stamp {:?}",
+                req.path,
+                out.sql_reads,
+                units
+            );
             cache.fill(key, &fresh, edge_set.versions.snapshot(&units));
         }
     }
@@ -422,4 +459,376 @@ proptest! {
         // at least some traffic should have been servable from cache
         prop_assert!(cache.stats().hits + cache.stats().misses > 0);
     }
+}
+
+// ---- whole-table readers of some columns -----------------------------------
+
+/// A four-column table: writers that update one cell (`/qty`, `/price`)
+/// and writers that change the row set (`/add`, `/drop`); whole-table
+/// readers of a column set disjoint from what the updates write
+/// (`/names`), of one that overlaps it (`/instock`) and of none
+/// (`/count`), and a row-keyed reader (`/row`).
+const STOCK_APP: &str = r#"
+    db.query("CREATE TABLE stock (id INT PRIMARY KEY, name TEXT, qty INT, price INT)");
+    db.query("INSERT INTO stock VALUES (1, 'bolt', 1, 10)");
+    db.query("INSERT INTO stock VALUES (2, 'nut', 0, 10)");
+    db.query("INSERT INTO stock VALUES (3, 'gear', 2, 20)");
+    app.post("/qty", function (req, res) {
+        db.query("UPDATE stock SET qty = " + req.body.v + " WHERE id = " + req.body.k);
+        res.send({ ok: 1 });
+    });
+    app.post("/price", function (req, res) {
+        db.query("UPDATE stock SET price = " + req.body.v + " WHERE id = " + req.body.k);
+        res.send({ ok: 1 });
+    });
+    app.post("/add", function (req, res) {
+        db.query("DELETE FROM stock WHERE id = " + req.body.k);
+        db.query("INSERT INTO stock VALUES (" + req.body.k + ", 'new', " + req.body.v + ", 5)");
+        res.send({ ok: 1 });
+    });
+    app.post("/drop", function (req, res) {
+        db.query("DELETE FROM stock WHERE id = " + req.body.k);
+        res.send({ ok: 1 });
+    });
+    app.get("/names", function (req, res) {
+        res.send(db.query("SELECT id, name FROM stock"));
+    });
+    app.get("/instock", function (req, res) {
+        res.send(db.query("SELECT name FROM stock WHERE qty > 0 ORDER BY id"));
+    });
+    app.get("/count", function (req, res) {
+        res.send(db.query("SELECT COUNT(*) FROM stock"));
+    });
+    app.get("/row", function (req, res) {
+        res.send(db.query("SELECT * FROM stock WHERE id = " + req.params.k));
+    });
+"#;
+
+fn stock_bindings() -> CrdtBindings {
+    CrdtBindings::from_units([StateUnit::DbTable("stock".into())])
+}
+
+fn stock_init() -> InitState {
+    let mut s = ServerProcess::from_source(STOCK_APP).unwrap();
+    s.init().unwrap();
+    InitState::capture(&s)
+}
+
+fn columns(positions: &[usize]) -> ColumnSet {
+    positions
+        .iter()
+        .fold(ColumnSet::NONE, |set, &i| set.with(i))
+}
+
+/// What the profiler derives for each `STOCK_APP` reader, by hand.
+fn stock_summary(path: &str) -> EffectSummary {
+    let table = || "stock".to_string();
+    let reads = match path {
+        "/names" => vec![ReadUnit::TableColumns {
+            table: table(),
+            columns: columns(&[0, 1]),
+        }],
+        "/instock" => vec![ReadUnit::TableColumns {
+            table: table(),
+            columns: columns(&[0, 1, 2]),
+        }],
+        "/count" => vec![ReadUnit::TableColumns {
+            table: table(),
+            columns: ColumnSet::NONE,
+        }],
+        "/row" => vec![ReadUnit::TableKeyed {
+            table: table(),
+            param: "k".into(),
+        }],
+        other => panic!("no summary for {other}"),
+    };
+    EffectSummary {
+        reads,
+        writes: vec![],
+        pure: true,
+        cacheable: true,
+    }
+}
+
+/// A `STOCK_APP` write: which service, at which node.
+#[derive(Debug, Clone, Copy)]
+enum StockWrite {
+    Qty,
+    Price,
+    Add,
+    Drop,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum StockOp {
+    Write {
+        at_cloud: bool,
+        what: StockWrite,
+        k: u8,
+        v: u8,
+    },
+    Read(u8),
+    NetUp(NetEvent),
+    NetDown(NetEvent),
+}
+
+fn stock_op() -> impl Strategy<Value = StockOp> {
+    let write = || {
+        let what = prop_oneof![
+            Just(StockWrite::Qty),
+            Just(StockWrite::Qty),
+            Just(StockWrite::Price),
+            Just(StockWrite::Price),
+            Just(StockWrite::Add),
+            Just(StockWrite::Drop),
+        ];
+        // few values, so that an update often writes back what was there
+        (any::<bool>(), what, 1u8..5, 0u8..3).prop_map(|(at_cloud, what, k, v)| StockOp::Write {
+            at_cloud,
+            what,
+            k,
+            v,
+        })
+    };
+    let read = || (0u8..7).prop_map(StockOp::Read);
+    prop_oneof![
+        write(),
+        write(),
+        read(),
+        read(),
+        net_event().prop_map(StockOp::NetUp),
+        net_event().prop_map(StockOp::NetDown),
+        net_event().prop_map(StockOp::NetDown),
+    ]
+}
+
+fn stock_read(i: u8) -> HttpRequest {
+    match i {
+        0 => HttpRequest::get("/names", json!({})),
+        1 => HttpRequest::get("/instock", json!({})),
+        2 => HttpRequest::get("/count", json!({})),
+        k => HttpRequest::get("/row", json!({ "k": k - 2 })),
+    }
+}
+
+fn stock_write(what: StockWrite, k: u8, v: u8) -> HttpRequest {
+    let path = match what {
+        StockWrite::Qty => "/qty",
+        StockWrite::Price => "/price",
+        StockWrite::Add => "/add",
+        StockWrite::Drop => "/drop",
+    };
+    HttpRequest::post(path, json!({ "k": k, "v": v }), vec![])
+}
+
+/// Serve `req` at the edge with the cache checked against a fresh
+/// execution, as [`checked_read`] does for the key-value app.
+fn checked_stock_read(
+    req: &HttpRequest,
+    edge: &mut ServerProcess,
+    edge_set: &CrdtSet,
+    cache: &mut ResponseCache,
+) -> Result<(), TestCaseFailure> {
+    checked_read_as(&stock_summary(&req.path), req, edge, edge_set, cache)
+}
+
+/// Under an edge cache, a write of `stock.qty` leaves the cached names
+/// and count valid and stales what reads `qty`; a write of a cell as it
+/// was stales nothing; a new row stales every whole-table reader.
+#[test]
+fn a_column_update_stales_only_the_readers_of_that_column() {
+    let init = stock_init();
+    let (mut edge, mut set) = make_node_of(STOCK_APP, &stock_bindings(), 2, &init);
+    let mut cache = ResponseCache::new(1 << 20, &Telemetry::disabled());
+    let readers = [0, 1, 2, 3].map(stock_read);
+    let served = |edge: &mut ServerProcess, set: &CrdtSet, cache: &mut ResponseCache| {
+        readers.clone().map(|req| {
+            let hit = cache
+                .lookup(&CacheKey::for_request(&req), &set.versions)
+                .is_some();
+            checked_stock_read(&req, edge, set, cache).unwrap();
+            hit
+        })
+    };
+    let write = |edge: &mut ServerProcess, set: &mut CrdtSet, req: HttpRequest| {
+        let out = edge.handle(&req).unwrap();
+        set.absorb_outcome(&out, edge);
+    };
+    served(&mut edge, &set, &mut cache);
+    // names, in stock, count, row 1
+    assert_eq!(served(&mut edge, &set, &mut cache), [true; 4]);
+    write(&mut edge, &mut set, stock_write(StockWrite::Qty, 2, 0));
+    assert_eq!(served(&mut edge, &set, &mut cache), [true; 4], "qty was 0");
+    write(&mut edge, &mut set, stock_write(StockWrite::Qty, 2, 5));
+    assert_eq!(
+        served(&mut edge, &set, &mut cache),
+        [true, false, true, true]
+    );
+    write(&mut edge, &mut set, stock_write(StockWrite::Price, 1, 7));
+    assert_eq!(
+        served(&mut edge, &set, &mut cache),
+        [true, true, true, false]
+    );
+    write(&mut edge, &mut set, stock_write(StockWrite::Add, 4, 1));
+    assert_eq!(
+        served(&mut edge, &set, &mut cache),
+        [false, false, false, true]
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Cell updates and row-set changes at the edge and at the cloud,
+    /// cached whole-table and row-keyed reads at the edge, and the E11
+    /// adversary on both sync queues: every hit equals a fresh execution,
+    /// whether the change reached the edge from its own handler or from a
+    /// remote apply, and whichever of two concurrent writes won.
+    #[test]
+    fn column_readers_never_go_stale(ops in prop::collection::vec(stock_op(), 1..48)) {
+        let init = stock_init();
+        let bindings = stock_bindings();
+        let (mut cloud, mut cloud_set) = make_node_of(STOCK_APP, &bindings, 1, &init);
+        let (mut edge, mut edge_set) = make_node_of(STOCK_APP, &bindings, 2, &init);
+        let mut e2c = SyncEndpoint::new();
+        let mut c2e = SyncEndpoint::new();
+        let mut up: Vec<SetSyncMessage> = Vec::new();
+        let mut down: Vec<SetSyncMessage> = Vec::new();
+        let mut cache = ResponseCache::new(1 << 20, &Telemetry::disabled());
+
+        for o in &ops {
+            match *o {
+                StockOp::Write { at_cloud, what, k, v } => {
+                    let (srv, set) = if at_cloud {
+                        (&mut cloud, &mut cloud_set)
+                    } else {
+                        (&mut edge, &mut edge_set)
+                    };
+                    let out = srv.handle(&stock_write(what, k, v)).unwrap();
+                    set.absorb_outcome(&out, srv);
+                }
+                StockOp::Read(i) => {
+                    checked_stock_read(&stock_read(i), &mut edge, &edge_set, &mut cache)?;
+                }
+                StockOp::NetUp(ev) => {
+                    up.push(e2c.generate(&edge_set));
+                    perturb(&mut up, ev, &mut c2e, &mut cloud_set, &mut cloud);
+                }
+                StockOp::NetDown(ev) => {
+                    down.push(c2e.generate(&cloud_set));
+                    perturb(&mut down, ev, &mut e2c, &mut edge_set, &mut edge);
+                }
+            }
+        }
+        // heal: converge, then every reader once more
+        for _ in 0..2 {
+            let u = e2c.generate(&edge_set);
+            c2e.receive_owned(&mut cloud_set, &mut cloud, u);
+            let d = c2e.generate(&cloud_set);
+            e2c.receive_owned(&mut edge_set, &mut edge, d);
+        }
+        for i in 0..7 {
+            let req = stock_read(i);
+            checked_stock_read(&req, &mut edge, &edge_set, &mut cache)?;
+            prop_assert_eq!(
+                edge.handle(&req).unwrap().response,
+                cloud.handle(&req).unwrap().response
+            );
+        }
+    }
+}
+
+// ---- reads the profile never saw -------------------------------------------
+
+/// Two services whose reads depend on a parameter value the profiler never
+/// tries (the fuzzer perturbs every scalar, but not into these words):
+/// `/item` reads a second table for `view=notes`, `/names` selects one
+/// more column for `view=stock`. Their profiles list neither read.
+const BRANCHY_APP: &str = r#"
+    db.query("CREATE TABLE items (id INT PRIMARY KEY, name TEXT, qty INT)");
+    db.query("CREATE TABLE notes (id INT PRIMARY KEY, body TEXT)");
+    db.query("INSERT INTO items VALUES (1, 'bolt', 5)");
+    db.query("INSERT INTO items VALUES (2, 'nut', 0)");
+    db.query("INSERT INTO notes VALUES (1, 'first')");
+    app.get("/item", function (req, res) {
+        var rows = db.query("SELECT name FROM items WHERE id = " + req.params.id);
+        if (req.params.view == "notes") {
+            rows = db.query("SELECT body FROM notes");
+        }
+        res.send(rows);
+    });
+    app.get("/names", function (req, res) {
+        var rows = db.query("SELECT id, name FROM items");
+        if (req.params.view == "stock") {
+            rows = db.query("SELECT id, name, qty FROM items");
+        }
+        res.send(rows);
+    });
+    app.post("/note", function (req, res) {
+        db.query("INSERT INTO notes VALUES (" + req.body.id + ", '" + req.body.body + "')");
+        res.send({ ok: 1 });
+    });
+    app.post("/qty", function (req, res) {
+        db.query("UPDATE items SET qty = " + req.body.qty + " WHERE id = " + req.body.id);
+        res.send({ ok: 1 });
+    });
+"#;
+
+/// Serve `requests` on a one-edge deployment of `BRANCHY_APP`, profiled
+/// on `capture`, under `cache`: the response digest and the edge's count
+/// of refused fills.
+fn branchy_run(cache: edgstr_runtime::CachePolicy, requests: &[HttpRequest]) -> (u64, u64) {
+    use edgstr_core::{capture_and_transform, EdgStrConfig};
+    use edgstr_runtime::{ThreeTierOptions, ThreeTierSystem, Workload};
+    use edgstr_sim::DeviceSpec;
+
+    let capture = vec![
+        HttpRequest::get("/item", json!({"id": 1, "view": "plain"})),
+        HttpRequest::get("/names", json!({"view": "plain"})),
+        HttpRequest::post("/note", json!({"id": 900, "body": "warm"}), vec![]),
+        HttpRequest::post("/qty", json!({"id": 2, "qty": 1}), vec![]),
+    ];
+    let (report, _) =
+        capture_and_transform(BRANCHY_APP, &capture, &EdgStrConfig::default()).unwrap();
+    let mut sys = ThreeTierSystem::deploy(
+        BRANCHY_APP,
+        &report,
+        &[DeviceSpec::rpi4()],
+        ThreeTierOptions {
+            cache,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let stats = sys.run(&Workload::constant_rate(requests, 10.0, requests.len()));
+    assert_eq!((stats.completed, stats.forwarded), (requests.len(), 0));
+    (stats.response_digest, sys.edges[0].core.cache.refusals())
+}
+
+/// Read, write what the unprofiled branch read, read again: the second
+/// read must see the write. The first read's fill is the one the cache
+/// must refuse, because its stamp would not move with that write.
+fn assert_branch_never_served_stale(read: HttpRequest, write: HttpRequest) {
+    use edgstr_runtime::CachePolicy;
+    let requests = [read.clone(), write, read];
+    let (fresh, _) = branchy_run(CachePolicy::Off, &requests);
+    let (cached, refusals) = branchy_run(CachePolicy::All, &requests);
+    assert_eq!(cached, fresh, "{} served a stale hit", requests[0].path);
+    assert_eq!(refusals, 2, "both reads' fills refused");
+}
+
+#[test]
+fn a_table_the_profile_never_saw_read_is_not_served_stale() {
+    assert_branch_never_served_stale(
+        HttpRequest::get("/item", json!({"id": 1, "view": "notes"})),
+        HttpRequest::post("/note", json!({"id": 2, "body": "second"}), vec![]),
+    );
+}
+
+#[test]
+fn a_column_the_profile_never_saw_read_is_not_served_stale() {
+    assert_branch_never_served_stale(
+        HttpRequest::get("/names", json!({"view": "stock"})),
+        HttpRequest::post("/qty", json!({"id": 1, "qty": 0}), vec![]),
+    );
 }

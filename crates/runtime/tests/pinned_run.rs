@@ -40,6 +40,20 @@
 //! recording order, and span ids are handed out in recording order, so
 //! the hash holds the emission order of every span and event: the thing
 //! moving code between modules can change while every count stays put.
+//!
+//! Re-pinned from commit dc21a12 when cache validity went per column
+//! (DESIGN.md §9): a `/search` entry, which reads `id` and `title`, now
+//! outlives a `PUT /stock`, and a write of a cell as it was invalidates
+//! nothing. Hits rose in the first cell (526 → 535) and in the threaded
+//! cell (504 → 508); responses, bytes, times and states there did not
+//! move. A hit finishes sooner than the execution it replaces, so in the
+//! two failover cells and the elastic cell least-connections routing
+//! picked other edges, the injected faulty variant and the shadow check
+//! drew on other responses, and concurrent `PUT /stock`s met in another
+//! order: their digests, byte counts and traces moved with the schedule.
+//! With every column stamp widened to all columns and an unchanged write
+//! bumping as before, all four cells give the constants of dc21a12 bit
+//! for bit, and under `CachePolicy::Off` every cell does.
 
 use edgstr_core::{capture_and_transform, EdgStrConfig};
 use edgstr_net::{fnv1a, CrashPlan, FaultPlan, HttpRequest, LossModel, Verb, FNV_OFFSET};
@@ -136,10 +150,10 @@ fn seeded_bookworm_run_matches_pinned_stats() {
     assert_eq!(
         cache,
         CacheStats {
-            hits: 526,
-            misses: 674,
+            hits: 535,
+            misses: 665,
             evictions: 0,
-            invalidations: 303,
+            invalidations: 294,
         }
     );
 }
@@ -296,26 +310,26 @@ fn forwarding_failover_and_quarantine_match_pinned_stats() {
     assert_pinned(
         |t| failover_run(true, t),
         FailoverPin {
-            response_digest: 0xbce7_b346_a25e_599d,
-            counts: [1_600, 0, 306, 79, 0, 0],
-            lan_bytes: 1_736_444,
-            wan_request_bytes: 277_046,
-            wan_sync_bytes: 306_133,
-            makespan: SimTime(9_453_414),
-            state_digests: [0x1b60_dc8c_dcf8_a185; 4],
+            response_digest: 0x7161_ae6b_ef3a_97a7,
+            counts: [1_600, 0, 305, 87, 0, 0],
+            lan_bytes: 1_739_638,
+            wan_request_bytes: 273_086,
+            wan_sync_bytes: 286_096,
+            makespan: SimTime(9_042_300),
+            state_digests: [0x50a0_3a44_ef56_8dcf; 4],
             cache: CacheStats {
-                hits: 756,
-                misses: 898,
+                hits: 824,
+                misses: 829,
                 evictions: 0,
-                invalidations: 387,
+                invalidations: 319,
             },
             ha: [1, 2, 1, 1, 0],
-            shadow_checks: 294,
+            shadow_checks: 298,
             shadow_mismatches: 3,
-            quarantines: vec![(2, SimTime(3_565_199))],
+            quarantines: vec![(2, SimTime(3_568_418))],
             outages: vec![(SimTime(3_200_000), SimTime(3_700_000))],
         },
-        0xc856_6aa1_0090_d525,
+        0x2772_757a_cf6f_3de4,
     );
     // no standby: forwards time out and breakers open until the master
     // recovers from its durable image at 6 s; the edge whose restart came
@@ -323,26 +337,26 @@ fn forwarding_failover_and_quarantine_match_pinned_stats() {
     assert_pinned(
         |t| failover_run(false, t),
         FailoverPin {
-            response_digest: 0xe0db_eb1f_c474_b44b,
-            counts: [1_369, 231, 308, 49, 9, 882],
-            lan_bytes: 1_383_166,
-            wan_request_bytes: 53_270,
-            wan_sync_bytes: 304_917,
-            makespan: SimTime(8_957_036),
-            state_digests: [0x1403_4f28_1bd2_d689; 4],
+            response_digest: 0xd356_522c_7f50_b80e,
+            counts: [1_372, 228, 308, 49, 9, 885],
+            lan_bytes: 1_486_872,
+            wan_request_bytes: 53_192,
+            wan_sync_bytes: 275_411,
+            makespan: SimTime(9_112_675),
+            state_digests: [0xeb68_42f4_8523_f02e; 4],
             cache: CacheStats {
-                hits: 759,
-                misses: 667,
+                hits: 778,
+                misses: 651,
                 evictions: 0,
-                invalidations: 216,
+                invalidations: 197,
             },
             ha: [1, 2, 1, 0, 1],
-            shadow_checks: 282,
+            shadow_checks: 280,
             shadow_mismatches: 3,
-            quarantines: vec![(2, SimTime(3_565_199))],
+            quarantines: vec![(2, SimTime(3_568_418))],
             outages: vec![(SimTime(3_200_000), SimTime(6_000_000))],
         },
-        0x7b39_82ad_20c0_615e,
+        0x0005_288f_8af6_fcc2,
     );
 }
 
@@ -506,11 +520,11 @@ fn autoscaling_and_adaptive_placement_match_pinned_stats() {
     assert_pinned(
         elastic_run,
         ElasticPin {
-            response_digest: 0x90c9_67a4_aae4_0a6b,
+            response_digest: 0x71f7_a2aa_b36f_0db3,
             counts: [2_397, 3, 80, 56, 3, 0],
-            lan_bytes: 2_628_522,
+            lan_bytes: 2_640_397,
             wan_request_bytes: 770_140,
-            wan_sync_bytes: 680_500,
+            wan_sync_bytes: 680_033,
             makespan: SimTime(19_100_190),
             replica_samples: 2_400,
             replica_changes: vec![
@@ -521,7 +535,7 @@ fn autoscaling_and_adaptive_placement_match_pinned_stats() {
                 (SimTime(5_060_000), 2),
                 (SimTime(5_110_000), 3),
             ],
-            state_digests: [0x25c2_87bc_a1a0_d652; 4],
+            state_digests: [0x25bf_01bc_a19d_bcc9; 4],
             decided: [
                 decided(4_000_000, "cloud_pin"),
                 decided(5_000_000, "edge_replicate"),
@@ -541,7 +555,7 @@ fn autoscaling_and_adaptive_placement_match_pinned_stats() {
             demotes: 4,
             acked_snapshots: [24, 0],
         },
-        0xf172_3a79_8224_e41f,
+        0x9eff_4a47_4953_239a,
     );
 }
 
@@ -579,10 +593,10 @@ fn parallel_bookworm_run_matches_pinned_stats() {
         assert_eq!(
             run.cache,
             CacheStats {
-                hits: 504,
-                misses: 696,
+                hits: 508,
+                misses: 692,
                 evictions: 0,
-                invalidations: 293,
+                invalidations: 289,
             }
         );
     }

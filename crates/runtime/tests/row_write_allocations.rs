@@ -7,13 +7,15 @@
 //! what every client write costs once plus once per receiving replica: at
 //! most half of what it was while a row crossed into the CRDT and back out
 //! as a JSON object. A key copied on apply again, or a row rebuilt as JSON,
-//! breaks it.
+//! breaks it. The cache's version counters ride along: bumping one that
+//! exists allocates nothing.
 
 use edgstr_analysis::{InitState, ServerProcess, StateUnit};
 use edgstr_core::CrdtBindings;
 use edgstr_crdt::ActorId;
 use edgstr_net::{HttpRequest, Verb};
-use edgstr_runtime::{CrdtSet, SyncEndpoint};
+use edgstr_runtime::{CrdtSet, SyncEndpoint, UnitVersions};
+use edgstr_sql::columns::ColumnSet;
 use serde_json::json;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -222,4 +224,23 @@ fn a_replicated_row_write_stays_within_its_allocation_budget() {
         "{total} allocations, budget {}",
         BEFORE / 2
     );
+}
+
+/// A counter is allocated once, when its row, file or global is first
+/// touched; every later bump of it — a cell, the row set, the table's
+/// epoch — allocates nothing.
+#[test]
+fn a_repeat_bump_allocates_nothing() {
+    let mut v = UnitVersions::default();
+    let bump_all = |v: &mut UnitVersions| {
+        v.touch_row("books", "17", Some(ColumnSet::of(4)));
+        v.touch_row("books", "17", None);
+        v.touch_table("books");
+        v.touch_file("/catalog.txt");
+        v.touch_global("catalog_version");
+    };
+    let ((), first) = counted(|| bump_all(&mut v));
+    assert!(first > 0, "the first bumps create their counters");
+    let ((), again) = counted(|| bump_all(&mut v));
+    assert_eq!(again, 0, "a repeat bump allocated");
 }

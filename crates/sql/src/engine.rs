@@ -24,6 +24,7 @@
 //! text, then blobs — and breaks ties by scan position, so the order is
 //! total and a `LIMIT k` need only select and sort the first `k` rows.
 
+use crate::columns::ColumnSet;
 use crate::parser::{parse_sql, CmpOp, SelectItem, SqlParseError, Statement, WhereExpr};
 use crate::value::{SqlType, SqlValue};
 use serde_json::Value as Json;
@@ -103,6 +104,29 @@ impl Table {
         self.columns.iter().position(|c| c.name == name)
     }
 
+    /// The columns `stmt`, a `SELECT` of this table, references
+    /// ([`Statement::referenced_columns`]) as positions: [`ColumnSet::ALL`]
+    /// when they are all of this table's, for `*`, for a name this table
+    /// does not have and for any other statement.
+    #[must_use]
+    pub fn read_columns(&self, stmt: &Statement) -> ColumnSet {
+        let Some(names) = stmt.referenced_columns() else {
+            return ColumnSet::ALL;
+        };
+        let mut set = ColumnSet::NONE;
+        for name in names {
+            match self.col_index(name) {
+                Some(i) => set = set.with(i),
+                None => return ColumnSet::ALL,
+            }
+        }
+        if set.covers(ColumnSet::first(self.columns.len())) {
+            ColumnSet::ALL
+        } else {
+            set
+        }
+    }
+
     fn pk_index(&self) -> Option<usize> {
         self.columns.iter().position(|c| c.primary_key)
     }
@@ -138,16 +162,9 @@ impl Table {
                 texts: Vec::new(),
             };
         };
-        let mut binder = Binder {
-            t: self,
-            table,
-            pk: self.pk_index(),
-            pin: None,
-            unknown: false,
-        };
-        let pred = binder.node(e, true);
-        let range = match (binder.pk, binder.pin) {
-            (Some(pki), Some(key)) if !binder.unknown => self.pk_range(pki, key),
+        let (pred, pin) = self.bind_pred(table, e);
+        let range = match (self.pk_index(), pin) {
+            (Some(pki), Some(key)) => self.pk_range(pki, key),
             _ => all,
         };
         let (mut cells, mut texts) = (Vec::new(), Vec::new());
@@ -163,18 +180,35 @@ impl Table {
         }
     }
 
+    /// `e` with every column resolved, and the literal a `pk = literal` at
+    /// its root or under `AND`s pins the primary key to — `None` when `e`
+    /// names a column this table does not have.
+    fn bind_pred<'s>(&self, table: &'s str, e: &'s WhereExpr) -> (Pred<'s>, Option<&'s SqlValue>) {
+        let mut binder = Binder {
+            t: self,
+            table,
+            pk: self.pk_index(),
+            pin: None,
+            unknown: false,
+        };
+        let pred = binder.node(e, true);
+        (pred, binder.pin.filter(|_| !binder.unknown))
+    }
+
     /// The columns' names, in order.
     pub fn column_names(&self) -> &Arc<[String]> {
         &self.names
     }
 
-    /// The effect of writing `row`, the row at index `at`.
-    fn upsert(&self, row: &[SqlValue], at: usize) -> RowEffect {
+    /// The effect of writing `row`, the row at index `at`, which changed
+    /// the cells at `changed` (`None`: the row is new to its key).
+    fn upsert(&self, row: &[SqlValue], at: usize, changed: Option<ColumnSet>) -> RowEffect {
         RowEffect::Upsert {
             table: self.name.clone(),
             pk: self.row_pk(row, at),
             columns: Arc::clone(&self.names),
             cells: row.to_vec(),
+            changed,
         }
     }
 
@@ -276,8 +310,9 @@ pub struct Selected<'a> {
 }
 
 /// A change to one row, reported so the runtime can mirror writes into the
-/// corresponding `CRDT-Table` (§III-G.1). A row is keyed by its primary
-/// key's [`SqlValue::pk_string`].
+/// corresponding `CRDT-Table` (§III-G.1) and bump exactly the cache
+/// validity counters the change moved. A row is keyed by its primary key's
+/// [`SqlValue::pk_string`].
 #[derive(Debug, Clone)]
 pub enum RowEffect {
     /// The row as written: its cells in column order, beside the table's
@@ -287,11 +322,15 @@ pub enum RowEffect {
         pk: String,
         columns: Arc<[String]>,
         cells: Vec<SqlValue>,
+        /// The columns whose cell the write changed
+        /// ([`SqlValue::identical`] tells); empty when it wrote every cell
+        /// as it was. `None` when the row is new to its key: an `INSERT`,
+        /// or an `UPDATE` that re-keyed it — a change to the row set.
+        changed: Option<ColumnSet>,
     },
-    Delete {
-        table: String,
-        pk: String,
-    },
+    /// The row left its key (a `DELETE`, or the old key of a re-keyed
+    /// row): a change to the row set.
+    Delete { table: String, pk: String },
 }
 
 /// Two effects are equal when they mirror the same: a cell compares as the
@@ -305,15 +344,17 @@ impl PartialEq for RowEffect {
                     pk,
                     columns,
                     cells,
+                    changed,
                 },
                 RowEffect::Upsert {
                     table: table2,
                     pk: pk2,
                     columns: columns2,
                     cells: cells2,
+                    changed: changed2,
                 },
             ) => {
-                (table, pk, columns) == (table2, pk2, columns2)
+                (table, pk, columns, changed) == (table2, pk2, columns2, changed2)
                     && cells.len() == cells2.len()
                     && cells
                         .iter()
@@ -330,6 +371,19 @@ impl PartialEq for RowEffect {
             _ => false,
         }
     }
+}
+
+/// What one `SELECT` read, as [`SqlDb::read_of`] reports it: a response
+/// cache entry filled from the execution is sound only if its validity
+/// stamp covers every such read.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SqlRead {
+    pub table: String,
+    /// [`SqlValue::pk_string`] of the literal the scan was pinned to: every
+    /// row the statement could see has this key.
+    pub key: Option<String>,
+    /// The columns the statement references.
+    pub columns: ColumnSet,
 }
 
 /// A full-database snapshot (the paper's `save "init"` checkpoint).
@@ -541,7 +595,7 @@ impl SqlDb {
                         Some(pki) => t.pk_range(pki, &full_row[pki]).start,
                         None => t.rows.len(),
                     };
-                    effects.push(t.upsert(&full_row, idx));
+                    effects.push(t.upsert(&full_row, idx, None));
                     t.rows.insert(idx, full_row);
                     t.next_rowid += 1;
                 }
@@ -658,19 +712,24 @@ impl SqlDb {
                     }
                     let row = &mut t.rows[i];
                     let old_pk = rekeyed.map(|pi| row[pi].pk_string());
+                    let mut cells = ColumnSet::NONE;
                     for (idx, v) in &set_idx {
+                        if !row[*idx].identical(v) {
+                            cells = cells.with(*idx);
+                        }
                         row[*idx] = v.clone();
                     }
                     affected += 1;
-                    let upsert = t.upsert(&t.rows[i], i);
+                    let mut upsert = t.upsert(&t.rows[i], i, Some(cells));
                     // a re-keyed row leaves its old key: without the
                     // delete the mirror would keep both
-                    if let RowEffect::Upsert { pk, .. } = &upsert {
+                    if let RowEffect::Upsert { pk, changed, .. } = &mut upsert {
                         if let Some(old_pk) = old_pk.filter(|old| old != pk) {
                             effects.push(RowEffect::Delete {
                                 table: table.clone(),
                                 pk: old_pk,
                             });
+                            *changed = None;
                         }
                     }
                     effects.push(upsert);
@@ -861,14 +920,20 @@ impl SqlDb {
 
     /// Write one row, its cells in column order, over the row with the
     /// same primary key, or insert it at its place — the row-sized
-    /// counterpart of [`SqlDb::replace_table_rows`].
+    /// counterpart of [`SqlDb::replace_table_rows`]. Reports the change as
+    /// a [`RowEffect::Upsert`] does: the columns whose cell differs from
+    /// the row it overwrote, `None` when there was none to overwrite.
     ///
     /// # Errors
     ///
     /// Returns [`SqlError::NoSuchTable`] when the table does not exist,
     /// [`SqlError::NoPrimaryKey`] when it has no key to find the row by and
     /// [`SqlError::ArityMismatch`] for a row of the wrong width.
-    pub fn upsert_row(&mut self, name: &str, row: Vec<SqlValue>) -> Result<(), SqlError> {
+    pub fn upsert_row(
+        &mut self,
+        name: &str,
+        row: Vec<SqlValue>,
+    ) -> Result<Option<ColumnSet>, SqlError> {
         let (t, pki) = self.keyed_table_mut(name)?;
         if row.len() != t.columns.len() {
             return Err(SqlError::ArityMismatch {
@@ -879,19 +944,27 @@ impl SqlDb {
         let at = t.pk_range(pki, &row[pki]);
         if at.is_empty() {
             t.rows.insert(at.start, row);
-        } else {
-            t.rows[at.start] = row;
+            return Ok(None);
         }
-        Ok(())
+        let old = &mut t.rows[at.start];
+        let changed = old
+            .iter()
+            .zip(&row)
+            .enumerate()
+            .filter(|(_, (a, b))| !a.identical(b))
+            .fold(ColumnSet::NONE, |set, (i, _)| set.with(i));
+        *old = row;
+        Ok(Some(changed))
     }
 
     /// Remove the row whose primary key has the canonical string `pk`
-    /// ([`SqlValue::pk_string`]); no-op when there is none.
+    /// ([`SqlValue::pk_string`]); no-op when there is none. Reports whether
+    /// a row went.
     ///
     /// # Errors
     ///
     /// As for [`SqlDb::upsert_row`].
-    pub fn delete_row_by_pk(&mut self, name: &str, pk: &str) -> Result<(), SqlError> {
+    pub fn delete_row_by_pk(&mut self, name: &str, pk: &str) -> Result<bool, SqlError> {
         let (t, pki) = self.keyed_table_mut(name)?;
         let before = t.rows.len();
         for key in SqlValue::pk_candidates(pk) {
@@ -905,7 +978,29 @@ impl SqlDb {
             // is still found the slow way
             t.rows.retain(|r| r[pki].pk_string() != pk);
         }
-        Ok(())
+        Ok(t.rows.len() != before)
+    }
+
+    /// What executing `stmt` reads, when it is a `SELECT` of a table that
+    /// exists: the table, the key a `pk = literal` conjunct pins it to and
+    /// the columns it references ([`Table::read_columns`]).
+    #[must_use]
+    pub fn read_of(&self, stmt: &Statement) -> Option<SqlRead> {
+        let Statement::Select {
+            table, where_expr, ..
+        } = stmt
+        else {
+            return None;
+        };
+        let t = self.tables.get(table)?;
+        Some(SqlRead {
+            table: table.clone(),
+            key: where_expr
+                .as_ref()
+                .and_then(|e| t.bind_pred(table, e).1)
+                .map(SqlValue::pk_string),
+            columns: t.read_columns(stmt),
+        })
     }
 
     fn keyed_table_mut(&mut self, name: &str) -> Result<(&mut Table, usize), SqlError> {
@@ -1277,14 +1372,74 @@ mod tests {
                 pk,
                 columns,
                 cells,
+                changed,
             } => {
                 assert_eq!(table, "books");
                 assert_eq!(pk, "2");
                 assert_eq!(columns[..], ["id", "title", "price", "stock"]);
                 assert_eq!(cells[3], SqlValue::Int(10));
+                assert_eq!(*changed, Some(ColumnSet::of(3)));
             }
             other => panic!("{other:?}"),
         }
+        // the same write again changes no cell; a new row changes the set
+        let (_, effects) = db
+            .exec_with_effects("UPDATE books SET stock = 10, title = 'x' WHERE id = 2")
+            .unwrap();
+        assert!(matches!(
+            &effects[..],
+            [RowEffect::Upsert { changed: Some(c), .. }] if *c == ColumnSet::of(1)
+        ));
+        let (_, effects) = db
+            .exec_with_effects("UPDATE books SET stock = 10 WHERE id = 2")
+            .unwrap();
+        assert!(matches!(
+            &effects[..],
+            [RowEffect::Upsert { changed: Some(c), .. }] if c.is_empty()
+        ));
+        let (_, effects) = db
+            .exec_with_effects("INSERT INTO books VALUES (9, 'y', 1.0, 1)")
+            .unwrap();
+        assert!(matches!(
+            &effects[..],
+            [RowEffect::Upsert { changed: None, .. }]
+        ));
+    }
+
+    #[test]
+    fn a_select_reports_its_table_pin_and_columns() {
+        let db = db_with_books();
+        let read = |sql: &str| db.read_of(&parse_sql(sql).unwrap());
+        let cols = |ixs: &[usize]| ixs.iter().fold(ColumnSet::NONE, |s, &i| s.with(i));
+        let r = read("SELECT title FROM books WHERE stock > 0 AND id = 2").unwrap();
+        assert_eq!((r.table.as_str(), r.key.as_deref()), ("books", Some("2")));
+        assert_eq!(r.columns, cols(&[0, 1, 3]));
+        let r = read("SELECT id, title FROM books WHERE title LIKE '%a%'").unwrap();
+        assert_eq!((r.key, r.columns), (None, cols(&[0, 1])));
+        // no pin under OR, none with an unknown column anywhere
+        assert_eq!(
+            read("SELECT id FROM books WHERE id = 1 OR id = 2")
+                .unwrap()
+                .key,
+            None
+        );
+        let r = read("SELECT id FROM books WHERE id = 1 AND nope = 2").unwrap();
+        assert_eq!((r.key, r.columns), (None, ColumnSet::ALL));
+        // `*`, every column by name, and COUNT(*)
+        assert_eq!(read("SELECT * FROM books").unwrap().columns, ColumnSet::ALL);
+        let every = "SELECT id, title, price FROM books ORDER BY stock";
+        assert_eq!(read(every).unwrap().columns, ColumnSet::ALL);
+        assert_eq!(
+            read("SELECT COUNT(*) FROM books").unwrap().columns,
+            ColumnSet::NONE
+        );
+        assert_eq!(
+            read("SELECT MAX(price) FROM books").unwrap().columns,
+            cols(&[2])
+        );
+        // writes and unknown tables read nothing here
+        assert_eq!(read("UPDATE books SET stock = 1"), None);
+        assert_eq!(read("SELECT * FROM nope"), None);
     }
 
     #[test]
@@ -1683,16 +1838,18 @@ mod replace_tests {
     fn row_primitives_write_and_remove_one_row() {
         let mut db = keyed();
         db.exec("INSERT INTO t VALUES (1, 'a'), (3, 'c')").unwrap();
-        db.upsert_row("t", row(2, "b")).unwrap();
-        db.upsert_row("t", row(3, "C")).unwrap();
+        assert_eq!(db.upsert_row("t", row(2, "b")), Ok(None), "a new row");
+        assert_eq!(db.upsert_row("t", row(3, "C")), Ok(Some(ColumnSet::of(1))));
+        assert_eq!(db.upsert_row("t", row(3, "C")), Ok(Some(ColumnSet::NONE)));
         assert_eq!(ids(&db), ["1", "2", "3"]);
         assert_eq!(
             db.table("t").unwrap().rows[2][1],
             SqlValue::Text("C".into())
         );
-        db.delete_row_by_pk("t", "1").unwrap();
-        db.delete_row_by_pk("t", "7").unwrap(); // absent: no-op
-        db.delete_row_by_pk("t", "02").unwrap(); // not the canonical form of 2
+        assert_eq!(db.delete_row_by_pk("t", "1"), Ok(true));
+        assert_eq!(db.delete_row_by_pk("t", "7"), Ok(false), "absent: no-op");
+        // not the canonical form of 2
+        assert_eq!(db.delete_row_by_pk("t", "02"), Ok(false));
         assert_eq!(ids(&db), ["2", "3"]);
         assert!(db.upsert_row("missing", row(1, "")).is_err());
         assert!(db.upsert_row("t", vec![SqlValue::Int(1)]).is_err());
@@ -1737,7 +1894,7 @@ mod replace_tests {
         assert_eq!(ids(&db), ["2", "3", "9"]);
         assert!(matches!(
             &effects[..],
-            [RowEffect::Delete { pk: old, .. }, RowEffect::Upsert { pk: new, .. }]
+            [RowEffect::Delete { pk: old, .. }, RowEffect::Upsert { pk: new, changed: None, .. }]
                 if old == "1" && new == "9"
         ));
     }

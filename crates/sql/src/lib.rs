@@ -12,7 +12,9 @@
 //! - [`SqlDb`] — execution with [`SqlDb::snapshot`] / [`SqlDb::restore`]
 //!   checkpointing and transactional rollback;
 //! - [`RowEffect`] — per-row write effects so the runtime can mirror
-//!   changes into `CRDT-Table`s (§III-G.1).
+//!   changes into `CRDT-Table`s (§III-G.1), each saying which columns
+//!   ([`columns::ColumnSet`]) it changed; [`engine::SqlRead`] — what a
+//!   `SELECT` read, so the response cache can check a stamp covers it.
 //!
 //! ## Example
 //!
@@ -36,6 +38,7 @@
 
 #![deny(clippy::undocumented_unsafe_blocks)]
 
+pub mod columns;
 pub mod engine;
 pub mod parser;
 pub mod value;

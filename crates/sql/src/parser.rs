@@ -118,6 +118,55 @@ impl Statement {
                 | Statement::DropTable { .. }
         )
     }
+
+    /// The columns a `SELECT` references — its projection, its `WHERE`
+    /// and its `ORDER BY` — by name, repeats included. `None` when it
+    /// projects `*` (every column) and for any other statement. `COUNT(*)`
+    /// references no column.
+    #[must_use]
+    pub fn referenced_columns(&self) -> Option<Vec<&str>> {
+        let Statement::Select {
+            items,
+            where_expr,
+            order_by,
+            ..
+        } = self
+        else {
+            return None;
+        };
+        let mut names = Vec::new();
+        for item in items {
+            match item {
+                SelectItem::Star => return None,
+                SelectItem::Count => {}
+                SelectItem::Column(c)
+                | SelectItem::Sum(c)
+                | SelectItem::Avg(c)
+                | SelectItem::Min(c)
+                | SelectItem::Max(c) => names.push(c.as_str()),
+            }
+        }
+        if let Some(e) = where_expr {
+            e.columns(&mut names);
+        }
+        if let Some((c, _)) = order_by {
+            names.push(c.as_str());
+        }
+        Some(names)
+    }
+}
+
+impl WhereExpr {
+    /// Push every column the expression names onto `out`.
+    fn columns<'s>(&'s self, out: &mut Vec<&'s str>) {
+        match self {
+            WhereExpr::Cmp { column, .. } | WhereExpr::IsNull { column, .. } => out.push(column),
+            WhereExpr::And(a, b) | WhereExpr::Or(a, b) => {
+                a.columns(out);
+                b.columns(out);
+            }
+        }
+    }
 }
 
 #[derive(Debug, Clone, PartialEq)]

@@ -93,6 +93,18 @@ impl SqlValue {
         }
     }
 
+    /// Whether `self` and `other` are the same cell: the same kind and the
+    /// same value, a `REAL` compared by its bits (`NaN` is itself, `-0.0`
+    /// is not `0.0`). Writing an identical cell over a cell changes nothing
+    /// a read can see.
+    #[must_use]
+    pub fn identical(&self, other: &SqlValue) -> bool {
+        match (self, other) {
+            (SqlValue::Real(a), SqlValue::Real(b)) => a.to_bits() == b.to_bits(),
+            _ => self == other,
+        }
+    }
+
     /// The total order a table with a primary key keeps its rows in, and
     /// the one every primary-key lookup searches by. Where
     /// [`SqlValue::compare`] has an answer this is that answer, so a row

@@ -3,9 +3,12 @@
 //! snapshot/rollback restore exact state, a keyed table stays in
 //! primary-key order through every statement, a `WHERE` that pins the
 //! key selects exactly what a full scan selects, the engine's bound
-//! `WHERE` evaluator agrees with the by-name reference kept here, and
-//! `ORDER BY … LIMIT` agrees with a stable sort of every match, truncated.
+//! `WHERE` evaluator agrees with the by-name reference kept here,
+//! `ORDER BY … LIMIT` agrees with a stable sort of every match, truncated,
+//! and what a write reports it changed is the cell diff of the table
+//! before and after it.
 
+use edgstr_sql::columns::ColumnSet;
 use edgstr_sql::{CmpOp, SelectItem, SqlDb, SqlResult, SqlValue, Statement, Table, WhereExpr};
 use proptest::prelude::*;
 use serde_json::{json, Value as Json};
@@ -379,8 +382,10 @@ fn pinned_literal_kinds() {
 /// narrows the scan, and numbers compare through `i128` rather than
 /// through the engine's own comparison.
 mod reference {
+    use edgstr_sql::columns::ColumnSet;
     use edgstr_sql::{CmpOp, ColumnMeta, RowEffect, SqlError, SqlValue, Table, WhereExpr};
     use std::cmp::Ordering;
+    use std::collections::BTreeMap;
 
     /// SQL three-valued comparison: `NULL` and a pair of different kinds
     /// (numbers are one kind) are incomparable.
@@ -548,6 +553,80 @@ mod reference {
         }
     }
 
+    /// Whether writing `b` over `a` leaves the cell as it was: the same
+    /// kind, and the same value — a `REAL` bit for bit.
+    pub fn same_cell(a: &SqlValue, b: &SqlValue) -> bool {
+        match (a, b) {
+            (SqlValue::Null, SqlValue::Null) => true,
+            (SqlValue::Int(x), SqlValue::Int(y)) => x == y,
+            (SqlValue::Real(x), SqlValue::Real(y)) => x.to_bits() == y.to_bits(),
+            (SqlValue::Text(x), SqlValue::Text(y)) => x == y,
+            (SqlValue::Blob(x), SqlValue::Blob(y)) => x == y,
+            _ => false,
+        }
+    }
+
+    /// The change from `before` to `after`, a table's rows, per canonical
+    /// key: `None` where the key gained or lost rows (the row set
+    /// changed), the positions of the cells that differ where it kept as
+    /// many rows as it had. Keys whose rows are all as they were are
+    /// absent.
+    pub fn cell_diff(
+        pki: usize,
+        before: &[Vec<SqlValue>],
+        after: &[Vec<SqlValue>],
+    ) -> BTreeMap<String, Option<ColumnSet>> {
+        let by_key = |rows: &[Vec<SqlValue>]| {
+            let mut m: BTreeMap<String, Vec<Vec<SqlValue>>> = BTreeMap::new();
+            for r in rows {
+                m.entry(r[pki].pk_string()).or_default().push(r.clone());
+            }
+            m
+        };
+        let (b, a) = (by_key(before), by_key(after));
+        let mut diff = BTreeMap::new();
+        for key in b.keys().chain(a.keys()) {
+            let none = Vec::new();
+            let (was, is) = (b.get(key).unwrap_or(&none), a.get(key).unwrap_or(&none));
+            if was.len() != is.len() {
+                diff.insert(key.clone(), None);
+                continue;
+            }
+            let mut cells = ColumnSet::NONE;
+            for (x, y) in was.iter().zip(is) {
+                for (i, (u, v)) in x.iter().zip(y).enumerate() {
+                    if !same_cell(u, v) {
+                        cells = cells.with(i);
+                    }
+                }
+            }
+            if !cells.is_empty() {
+                diff.insert(key.clone(), Some(cells));
+            }
+        }
+        diff
+    }
+
+    /// What `effects` report, per key, in [`cell_diff`]'s terms: a delete
+    /// or an upsert new to its key changes the row set; otherwise the
+    /// changed cells add up. A key only ever written as it was is absent.
+    pub fn reported(effects: &[RowEffect]) -> BTreeMap<String, Option<ColumnSet>> {
+        let mut report: BTreeMap<String, Option<ColumnSet>> = BTreeMap::new();
+        for e in effects {
+            let (pk, changed) = match e {
+                RowEffect::Upsert { pk, changed, .. } => (pk, *changed),
+                RowEffect::Delete { pk, .. } => (pk, None),
+            };
+            let slot = report.entry(pk.clone()).or_insert(Some(ColumnSet::NONE));
+            *slot = match (*slot, changed) {
+                (Some(a), Some(b)) => Some(a.union(b)),
+                _ => None,
+            };
+        }
+        report.retain(|_, c| c.is_none_or(|c| !c.is_empty()));
+        report
+    }
+
     fn row_pk(t: &Table, i: usize) -> String {
         match t.columns.iter().position(|c| c.primary_key) {
             Some(pki) => t.rows[i][pki].pk_string(),
@@ -582,10 +661,16 @@ mod reference {
                 continue;
             }
             let old_pk = row_pk(t, i);
+            let cells = if same_cell(&t.rows[i][col], value) {
+                ColumnSet::NONE
+            } else {
+                ColumnSet::of(col)
+            };
             t.rows[i][col] = value.clone();
             affected += 1;
             let pk = row_pk(t, i);
-            if old_pk != pk {
+            let rekeyed = old_pk != pk;
+            if rekeyed {
                 effects.push(RowEffect::Delete {
                     table: t.name.clone(),
                     pk: old_pk,
@@ -596,6 +681,7 @@ mod reference {
                 pk,
                 columns: t.column_names().clone(),
                 cells: t.rows[i].clone(),
+                changed: (!rekeyed).then_some(cells),
             });
         }
         if rekeyed && affected > 0 {
@@ -1037,5 +1123,187 @@ proptest! {
         let want = reference::order_limit(matches, 1, desc, limit);
         let columns = ["id", "p", "v"].map(String::from).to_vec();
         prop_assert_eq!(got, Ok((SqlResult::Rows { columns, rows: want }, Vec::new())));
+    }
+}
+
+// ---- what a write reports it changed ----------------------------------------
+
+/// A cell of `v` or `w`: few enough that a write often puts back what was
+/// there, with `0`, `0.0` and `-0.0` three different cells.
+fn small_cell() -> impl Strategy<Value = SqlValue> {
+    prop_oneof![
+        Just(SqlValue::Null),
+        (0i64..3).prop_map(SqlValue::Int),
+        Just(SqlValue::Real(0.0)),
+        Just(SqlValue::Real(-0.0)),
+        Just(SqlValue::Real(1.0)),
+        Just(SqlValue::Text("a".to_string())),
+    ]
+}
+
+fn sql_cell(v: &SqlValue) -> String {
+    match v {
+        SqlValue::Real(r) => format!("{r:?}"),
+        other => other.to_string(),
+    }
+}
+
+#[derive(Debug, Clone)]
+enum WriteOp {
+    Insert {
+        id: Key,
+        v: SqlValue,
+        w: SqlValue,
+    },
+    /// `UPDATE t SET <col> = <cell>[, w = <cell>] WHERE id = <id>`, or of
+    /// every row at or above a floor of `v`.
+    Set {
+        on: Option<Key>,
+        v: Option<SqlValue>,
+        w: Option<SqlValue>,
+    },
+    Rekey {
+        from: Key,
+        to: Key,
+    },
+    Delete {
+        on: Option<Key>,
+    },
+}
+
+fn write_op() -> impl Strategy<Value = WriteOp> {
+    let cell = || prop::option::of(small_cell());
+    prop_oneof![
+        (key(), small_cell(), small_cell()).prop_map(|(id, v, w)| WriteOp::Insert { id, v, w }),
+        (key(), small_cell(), small_cell()).prop_map(|(id, v, w)| WriteOp::Insert { id, v, w }),
+        (prop::option::of(key()), cell(), cell()).prop_map(|(on, v, w)| WriteOp::Set { on, v, w }),
+        (prop::option::of(key()), cell(), cell()).prop_map(|(on, v, w)| WriteOp::Set { on, v, w }),
+        (key(), key()).prop_map(|(from, to)| WriteOp::Rekey { from, to }),
+        prop::option::of(key()).prop_map(|on| WriteOp::Delete { on }),
+    ]
+}
+
+impl WriteOp {
+    fn sql(&self) -> String {
+        let on = |k: &Option<Key>| match k {
+            Some(k) => format!("id = {}", k.sql()),
+            None => "v >= 1".to_string(),
+        };
+        match self {
+            WriteOp::Insert { id, v, w } => {
+                format!(
+                    "INSERT INTO t VALUES ({}, {}, {})",
+                    id.sql(),
+                    sql_cell(v),
+                    sql_cell(w)
+                )
+            }
+            WriteOp::Set { on: k, v, w } => {
+                let mut sets: Vec<String> = Vec::new();
+                if let Some(v) = v {
+                    sets.push(format!("v = {}", sql_cell(v)));
+                }
+                if let Some(w) = w {
+                    sets.push(format!("w = {}", sql_cell(w)));
+                }
+                if sets.is_empty() {
+                    sets.push("v = v".to_string());
+                }
+                format!("UPDATE t SET {} WHERE {}", sets.join(", "), on(k))
+            }
+            WriteOp::Rekey { from, to } => {
+                format!("UPDATE t SET id = {} WHERE id = {}", to.sql(), from.sql())
+            }
+            WriteOp::Delete { on: k } => format!("DELETE FROM t WHERE {}", on(k)),
+        }
+    }
+}
+
+fn change_db() -> SqlDb {
+    let mut db = SqlDb::new();
+    db.exec("CREATE TABLE t (id INT PRIMARY KEY, v REAL, w TEXT)")
+        .unwrap();
+    db
+}
+
+#[derive(Debug, Clone)]
+enum RowOp {
+    Upsert { id: Key, v: SqlValue, w: SqlValue },
+    Delete { id: Key },
+}
+
+fn row_op() -> impl Strategy<Value = RowOp> {
+    prop_oneof![
+        (key(), small_cell(), small_cell()).prop_map(|(id, v, w)| RowOp::Upsert { id, v, w }),
+        (key(), small_cell(), small_cell()).prop_map(|(id, v, w)| RowOp::Upsert { id, v, w }),
+        key().prop_map(|id| RowOp::Delete { id }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// Generated `INSERT`s, `UPDATE`s of one or more cells (of one row or
+    /// of many, often writing back what was there), re-keying `UPDATE`s and
+    /// `DELETE`s: what each statement's effects report changed, per key, is
+    /// exactly the cell diff of the table before and after it — no changed
+    /// cell unreported, no unchanged one reported.
+    #[test]
+    fn a_write_reports_exactly_the_cell_diff(ops in prop::collection::vec(write_op(), 1..40)) {
+        let mut db = change_db();
+        for op in &ops {
+            let before = db.table("t").unwrap().rows.clone();
+            let effects = match db.exec_with_effects(&op.sql()) {
+                Ok((_, effects)) => effects,
+                // a rejected statement leaves the table as it found it
+                Err(_) => Vec::new(),
+            };
+            let after = &db.table("t").unwrap().rows;
+            prop_assert_eq!(
+                reference::reported(&effects),
+                reference::cell_diff(0, &before, after),
+                "{}", op.sql()
+            );
+        }
+    }
+
+    /// The same for the row primitives a remote change is materialised
+    /// with: `upsert_row` reports the cells it changed, `None` for a row
+    /// new to its key, and `delete_row_by_pk` whether a row went.
+    #[test]
+    fn a_materialised_row_reports_exactly_the_cell_diff(
+        ops in prop::collection::vec(row_op(), 1..40),
+    ) {
+        let mut db = change_db();
+        for op in &ops {
+            let before = db.table("t").unwrap().rows.clone();
+            let (pk, report) = match op {
+                RowOp::Upsert { id, v, w } => {
+                    let row = vec![id.value(), v.clone(), w.clone()];
+                    (id.value().pk_string(), db.upsert_row("t", row).unwrap())
+                }
+                RowOp::Delete { id } => {
+                    let pk = id.value().pk_string();
+                    let gone = db.delete_row_by_pk("t", &pk).unwrap();
+                    // nothing went: nothing changed
+                    let report = if gone { None } else { Some(ColumnSet::NONE) };
+                    (pk, report)
+                }
+            };
+            let after = &db.table("t").unwrap().rows;
+            let mut diff = reference::cell_diff(0, &before, after);
+            let want = diff.remove(&pk);
+            prop_assert!(diff.is_empty(), "{:?} changed other keys: {:?}", op, diff);
+            prop_assert_eq!(as_diff_entry(report), want, "{:?}", op);
+        }
+    }
+}
+
+/// A row primitive's report as the [`reference::cell_diff`] entry of its
+/// key: absent when it changed no cell.
+fn as_diff_entry(report: Option<ColumnSet>) -> Option<Option<ColumnSet>> {
+    match report {
+        Some(cells) if cells.is_empty() => None,
+        other => Some(other),
     }
 }
