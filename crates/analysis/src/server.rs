@@ -7,7 +7,7 @@
 //! the live cloud server and edge replicas.
 
 use edgstr_lang::{
-    compile, parse, Host, HostOutcome, Instrument, Interpreter, NoopInstrument, Program, Props,
+    compile, parse, Host, HostOutcome, Instrument, Interpreter, NoopInstrument, Program,
     RuntimeError, Value, Vm,
 };
 use edgstr_net::{Body, HttpRequest, HttpResponse, Verb};
@@ -209,7 +209,7 @@ impl Host for ServerHost<'_> {
                 let data = match args.get(1) {
                     Some(Value::Bytes(b)) => b.to_vec(),
                     Some(Value::Str(s)) => s.as_bytes().to_vec(),
-                    Some(other) => other.to_string().into_bytes(),
+                    Some(other) => other.to_text().map_err(|e| e.to_string())?.into_bytes(),
                     None => return Err("fs.writeFile needs data".into()),
                 };
                 let cycles = cost::HOST_BASE + cost::FILE_PER_BYTE * data.len() as u64;
@@ -226,7 +226,11 @@ impl Host for ServerHost<'_> {
             }
             "res.send" => {
                 // one walk writes the text and sizes it; no JSON tree
-                let (text, size) = args.first().unwrap_or(&Value::Null).encode();
+                let (text, size) = args
+                    .first()
+                    .unwrap_or(&Value::Null)
+                    .encode()
+                    .map_err(|e| e.to_string())?;
                 *self.response = Some(HttpResponse {
                     status: *self.status,
                     body: Body::encoded(text, size),
@@ -252,7 +256,7 @@ impl Host for ServerHost<'_> {
                 let (h, input_len) = match args.get(1) {
                     Some(Value::Bytes(b)) => (edgstr_lang::fnv1a(b), b.len()),
                     Some(other) => {
-                        let bytes = other.to_string().into_bytes();
+                        let bytes = other.to_text().map_err(|e| e.to_string())?.into_bytes();
                         (edgstr_lang::fnv1a(&bytes), bytes.len())
                     }
                     None => (edgstr_lang::fnv1a(&[]), 0),
@@ -278,7 +282,7 @@ impl Host for ServerHost<'_> {
             }
             "JSON.stringify" => {
                 let v = args.first().unwrap_or(&Value::Null);
-                let text = serde_json::to_string(v).expect("a script value serializes");
+                let (text, _) = v.encode().map_err(|e| e.to_string())?;
                 Ok(HostOutcome::cheap(Value::str(text)))
             }
             "JSON.parse" => {
@@ -348,7 +352,7 @@ impl Host for ServerHost<'_> {
             "util.hash" => {
                 let bytes = match args.first() {
                     Some(Value::Bytes(b)) => b.to_vec(),
-                    Some(other) => other.to_string().into_bytes(),
+                    Some(other) => other.to_text().map_err(|e| e.to_string())?.into_bytes(),
                     None => Vec::new(),
                 };
                 Ok(HostOutcome::cheap(Value::Num(
@@ -360,11 +364,13 @@ impl Host for ServerHost<'_> {
                 Ok(HostOutcome::cheap(Value::Num(*self.tick as f64)))
             }
             "console.log" => {
-                let line = args
-                    .iter()
-                    .map(|v| v.to_string())
-                    .collect::<Vec<_>>()
-                    .join(" ");
+                let mut line = String::new();
+                for (i, v) in args.iter().enumerate() {
+                    if i > 0 {
+                        line.push(' ');
+                    }
+                    v.write_text(&mut line).map_err(|e| e.to_string())?;
+                }
                 self.logs.push(line);
                 Ok(HostOutcome::cheap(Value::Null))
             }
@@ -779,15 +785,20 @@ fn sql_cell_value(v: &SqlValue) -> Value {
     }
 }
 
-/// `SELECT` output as the array-of-row-objects value `db.query` returns
-/// (built straight from the table's rows when they are lent), plus the
-/// number of rows returned, for cycle accounting. The columns are put in
-/// key order once per result set, a name given twice keeping its last
-/// column, and each name is allocated once: every row is then one vector
-/// filled in that order, sharing the names.
-fn rows_value(output: &Output<'_>) -> (Value, u64) {
-    /// `(name, cell index in a row)` per distinct name, in key order.
-    fn key_order<'a>(columns: impl Iterator<Item = (&'a str, usize)>) -> Vec<(Rc<str>, usize)> {
+/// `SELECT` output as the value `db.query` returns — an array of row
+/// objects — plus the number of rows returned, for cycle accounting. The
+/// columns are put in key order once per result set, a name given twice
+/// keeping its last column, and each name is allocated once. The cells
+/// are converted here, row after row in that order, and wait as cells:
+/// the rows are built only if the script reads an element, mutates the
+/// array or compares it, and a result sent untouched is encoded straight
+/// from the cells ([`Value::result_rows`]).
+pub fn rows_value(output: &Output<'_>) -> (Value, u64) {
+    fn result<'r>(
+        columns: impl Iterator<Item = (&'r str, usize)>,
+        rows: impl ExactSizeIterator<Item = &'r [SqlValue]>,
+    ) -> (Value, u64) {
+        // `(name, output position, cell index in a row)`, in key order
         let mut order: Vec<(&str, usize, usize)> = columns
             .enumerate()
             .map(|(at, (name, cell))| (name, at, cell))
@@ -795,31 +806,25 @@ fn rows_value(output: &Output<'_>) -> (Value, u64) {
         // a repeated name's last column first, so the dedup keeps it
         order.sort_by(|a, b| a.0.cmp(b.0).then(b.1.cmp(&a.1)));
         order.dedup_by(|later, kept| later.0 == kept.0);
-        order
-            .into_iter()
-            .map(|(name, _, cell)| (Rc::from(name), cell))
-            .collect()
-    }
-    fn row_object(keys: &[(Rc<str>, usize)], row: &[SqlValue]) -> Value {
-        Value::from(Props::from_sorted(
-            keys.iter()
-                .map(|(k, cell)| (Rc::clone(k), sql_cell_value(&row[*cell])))
-                .collect(),
-        ))
-    }
-    let rows: Vec<Value> = match output {
-        Output::Selected(s) => {
-            let keys = key_order(s.columns.iter().copied().zip(s.proj.iter().copied()));
-            s.rows.iter().map(|r| row_object(&keys, r)).collect()
+        let count = rows.len();
+        let mut cells = Vec::with_capacity(count * order.len());
+        for row in rows {
+            cells.extend(order.iter().map(|&(_, _, cell)| sql_cell_value(&row[cell])));
         }
-        Output::Done(SqlResult::Rows { columns, rows }) => {
-            let keys = key_order(columns.iter().map(String::as_str).zip(0..));
-            rows.iter().map(|r| row_object(&keys, r)).collect()
-        }
-        Output::Done(_) => Vec::new(),
-    };
-    let returned = rows.len() as u64;
-    (Value::array(rows), returned)
+        let keys = order.iter().map(|&(name, ..)| Rc::from(name)).collect();
+        (Value::result_rows(keys, cells, count), count as u64)
+    }
+    match output {
+        Output::Selected(s) => result(
+            s.columns.iter().copied().zip(s.proj.iter().copied()),
+            s.rows.iter().copied(),
+        ),
+        Output::Done(SqlResult::Rows { columns, rows }) => result(
+            columns.iter().map(String::as_str).zip(0..),
+            rows.iter().map(Vec::as_slice),
+        ),
+        Output::Done(_) => (Value::array(Vec::new()), 0),
+    }
 }
 
 #[cfg(test)]

@@ -62,7 +62,15 @@ impl InitState {
     /// Total bytes of the state — the `S_app` column of Table II: what a
     /// cross-ISA offloading system would synchronize (whole program state).
     pub fn byte_size(&self) -> usize {
-        let globals: usize = self.globals.values().map(|v| v.encode().1).sum();
+        let globals: usize = self
+            .globals
+            .values()
+            .map(|v| {
+                v.encode()
+                    .expect("a captured global was deep-copied, so it is finite")
+                    .1
+            })
+            .sum();
         self.db.byte_size() + self.fs.byte_size() + globals
     }
 

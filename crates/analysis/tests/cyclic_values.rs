@@ -1,0 +1,130 @@
+//! A value that holds itself has no JSON text and no string form. Sending
+//! one, stringifying one or concatenating one onto a string fails the
+//! request as a script error — JavaScript's "circular structure" — and
+//! comparing two of them answers `false`; none of them may take the
+//! process down. The request that failed leaves its row writes for the
+//! replica to revert, and the server goes on serving. Both engines agree.
+
+use edgstr_analysis::{ExecMode, ServerError, ServerProcess};
+use edgstr_net::HttpRequest;
+use serde_json::json;
+
+const LOOPS: &str = r#"
+    db.query("CREATE TABLE notes (id INT PRIMARY KEY, text TEXT)");
+    var served = 0;
+    app.get("/send", function (req, res) {
+        db.query("INSERT INTO notes VALUES (1, 'lost')");
+        var a = [];
+        a.push(a);
+        res.send(a);
+    });
+    app.get("/stringify", function (req, res) {
+        var o = { name: "o" };
+        o.self = o;
+        res.send({ json: JSON.stringify(o) });
+    });
+    app.get("/concat", function (req, res) {
+        var a = [1];
+        a.push(a);
+        res.send({ text: "" + a });
+    });
+    app.get("/join", function (req, res) {
+        var a = [1];
+        a.push(a);
+        res.send({ text: a.join(",") });
+    });
+    app.get("/log", function (req, res) {
+        var o = {};
+        o.o = o;
+        console.log("looping", o);
+        res.send({ ok: 1 });
+    });
+    app.get("/key", function (req, res) {
+        var a = [];
+        a.push(a);
+        var o = {};
+        o[a] = 1;
+        res.send(o);
+    });
+    app.get("/index_of", function (req, res) {
+        var a = [];
+        a.push(a);
+        var b = [];
+        b.push(b);
+        res.send({ at: [a].indexOf(b), same: a == b, self: a.indexOf(a) });
+    });
+    app.get("/fine", function (req, res) {
+        served = served + 1;
+        res.send({ served: served });
+    });
+"#;
+
+fn server(mode: ExecMode) -> ServerProcess {
+    let mut server = ServerProcess::from_source_with_mode(LOOPS, mode).unwrap();
+    server.init().unwrap();
+    server
+}
+
+fn get(server: &mut ServerProcess, route: &str) -> Result<String, ServerError> {
+    server
+        .handle(&HttpRequest::get(route, json!({})))
+        .map(|out| out.response.body.text().to_string())
+}
+
+#[test]
+fn encoding_or_coercing_a_cycle_fails_the_request_and_serving_goes_on() {
+    for mode in [ExecMode::Compiled, ExecMode::TreeWalking] {
+        let mut server = server(mode);
+        let routes = ["/send", "/stringify", "/concat", "/join", "/log", "/key"];
+        for (served, route) in routes.into_iter().enumerate() {
+            let err = get(&mut server, route).unwrap_err();
+            let ServerError::Runtime(message) = &err else {
+                panic!("{route} on {mode:?}: {err:?}");
+            };
+            assert!(
+                message.contains("nested deeper than 1000 levels"),
+                "{route} on {mode:?}: {message}"
+            );
+            assert_eq!(
+                get(&mut server, "/fine").unwrap(),
+                format!(r#"{{"served":{}}}"#, served + 1),
+                "{route} on {mode:?}: the server stopped serving"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_failed_send_leaves_its_writes_for_the_replica_to_revert() {
+    for mode in [ExecMode::Compiled, ExecMode::TreeWalking] {
+        let mut server = server(mode);
+        assert!(get(&mut server, "/send").is_err());
+        let effects = server.take_failed_row_effects();
+        assert_eq!(effects.len(), 1, "{mode:?}: the INSERT before the send");
+    }
+}
+
+#[test]
+fn cycles_compare_unequal() {
+    for mode in [ExecMode::Compiled, ExecMode::TreeWalking] {
+        let mut server = server(mode);
+        assert_eq!(
+            get(&mut server, "/index_of").unwrap(),
+            r#"{"at":-1,"same":false,"self":-1}"#,
+            "{mode:?}"
+        );
+    }
+}
+
+#[test]
+fn both_engines_fail_alike() {
+    let mut compiled = server(ExecMode::Compiled);
+    let mut walking = server(ExecMode::TreeWalking);
+    for route in ["/send", "/stringify", "/concat", "/join", "/log", "/key"] {
+        assert_eq!(
+            format!("{:?}", get(&mut compiled, route)),
+            format!("{:?}", get(&mut walking, route)),
+            "{route}"
+        );
+    }
+}

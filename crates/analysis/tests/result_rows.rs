@@ -1,14 +1,245 @@
-//! What a script sees of a `db.query` result, pinned: every way a handler
-//! can use one — read its length, send it whole, nested, inside an array or
-//! twice, index it, mutate a row, push and pop, iterate, compare, stringify,
-//! concatenate, keep it in a global across requests, and mutate a kept one
-//! in a request that fails and is rolled back. Each route's response text,
-//! size, digest and VM cycles are constants captured before result rows
-//! were built lazily, and both engines must give them.
+//! What a script sees of a `db.query` result. A result set waits as cells
+//! until the script touches it ([`Value::result_rows`]); the eager builder
+//! it replaced, kept below as the oracle, made every row object up front.
+//!
+//! - Generated results: over generated cells, column names and `SELECT`s,
+//!   the waiting value encodes to the oracle's text and size, and after
+//!   any touch it is the oracle's value.
+//! - Pinned handlers: every way a handler can use a result — read its
+//!   length, send it whole, nested, inside an array or twice, index it,
+//!   mutate a row, push and pop, iterate, compare, stringify, concatenate,
+//!   keep it in a global across requests, and mutate a kept one in a
+//!   request that fails and is rolled back. Each route's response text,
+//!   size, digest and VM cycles are constants captured from the eager
+//!   builder, and both engines must give them.
 
+use edgstr_analysis::server::rows_value;
 use edgstr_analysis::{ExecMode, ServerProcess};
+use edgstr_lang::ops::{index_get, index_set, member_get, simple_method};
+use edgstr_lang::{Props, Value};
 use edgstr_net::HttpRequest;
+use edgstr_sql::{Output, SqlResult, SqlValue};
+use proptest::prelude::*;
+use proptest::test_runner::TestCaseFailure;
 use serde_json::json;
+use std::rc::Rc;
+
+/// The builder `db.query` used before rows waited as cells: columns in key
+/// order once (a name given twice keeps its last column), then every row
+/// an object, each cell converted through its JSON form.
+fn eager_rows_value(output: &Output<'_>) -> (Value, u64) {
+    fn key_order<'a>(columns: impl Iterator<Item = (&'a str, usize)>) -> Vec<(Rc<str>, usize)> {
+        let mut order: Vec<(&str, usize, usize)> = columns
+            .enumerate()
+            .map(|(at, (name, cell))| (name, at, cell))
+            .collect();
+        order.sort_by(|a, b| a.0.cmp(b.0).then(b.1.cmp(&a.1)));
+        order.dedup_by(|later, kept| later.0 == kept.0);
+        order
+            .into_iter()
+            .map(|(name, _, cell)| (Rc::from(name), cell))
+            .collect()
+    }
+    fn row_object(keys: &[(Rc<str>, usize)], row: &[SqlValue]) -> Value {
+        Value::from(Props::from_sorted(
+            keys.iter()
+                .map(|(k, cell)| (Rc::clone(k), Value::from_json(&row[*cell].to_json())))
+                .collect(),
+        ))
+    }
+    let rows: Vec<Value> = match output {
+        Output::Selected(s) => {
+            let keys = key_order(s.columns.iter().copied().zip(s.proj.iter().copied()));
+            s.rows.iter().map(|r| row_object(&keys, r)).collect()
+        }
+        Output::Done(SqlResult::Rows { columns, rows }) => {
+            let keys = key_order(columns.iter().map(String::as_str).zip(0..));
+            rows.iter().map(|r| row_object(&keys, r)).collect()
+        }
+        Output::Done(_) => Vec::new(),
+    };
+    let returned = rows.len() as u64;
+    (Value::array(rows), returned)
+}
+
+/// Every cell class the conversion and the encoder tell apart: `NULL`,
+/// integers at ±2^53±1 and ±2^63, reals at -0, NaN and ±infinity, blobs,
+/// and text with quotes, backslashes, control characters and non-ASCII.
+fn cell() -> impl Strategy<Value = SqlValue> {
+    const INTS: [i64; 12] = [
+        0,
+        1,
+        -1,
+        (1 << 53) - 1,
+        1 << 53,
+        (1 << 53) + 1,
+        -(1 << 53) - 1,
+        -(1 << 53),
+        -(1 << 53) + 1,
+        i64::MAX,
+        i64::MIN,
+        i64::MIN + 1,
+    ];
+    const REALS: [f64; 8] = [
+        -0.0,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        9.99,
+        -0.25,
+        12.0,
+        1e300,
+    ];
+    prop_oneof![
+        Just(SqlValue::Null),
+        (0usize..INTS.len()).prop_map(|i| SqlValue::Int(INTS[i])),
+        (-1000i64..1000).prop_map(SqlValue::Int),
+        (0usize..REALS.len()).prop_map(|i| SqlValue::Real(REALS[i])),
+        text().prop_map(SqlValue::Text),
+        prop::collection::vec(any::<u8>(), 0..6).prop_map(SqlValue::Blob),
+    ]
+}
+
+/// Text (cells and column names) assembled from fragments so escapes land
+/// next to each other; `$bytes` is a column name that announces a size.
+fn text() -> impl Strategy<Value = String> {
+    const FRAGMENTS: [&str; 11] = [
+        "",
+        "id",
+        "title",
+        "'",
+        "\"",
+        "\\",
+        "\n\t\u{1}\u{1f}",
+        "naïve ✓",
+        "日本\u{1F600}",
+        "$bytes",
+        "$hash",
+    ];
+    prop::collection::vec(0usize..FRAGMENTS.len(), 0..3)
+        .prop_map(|picks| picks.into_iter().map(|i| FRAGMENTS[i]).collect())
+}
+
+/// One way a script touches a result, applied to the waiting value and
+/// to the oracle alike; each builds the rows.
+fn touch(v: &Value, how: usize) {
+    let Value::Array(items) = v else {
+        panic!("a result set is an array");
+    };
+    match how {
+        0 => drop(index_get(v, &Value::Num(0.0)).unwrap()),
+        1 => index_set(v, &Value::Num(1.0), Value::str("set")).unwrap(),
+        2 => drop(simple_method(v, "push", &[Value::Null]).unwrap().unwrap()),
+        3 => drop(simple_method(v, "pop", &[]).unwrap().unwrap()),
+        4 => drop(
+            simple_method(v, "indexOf", &[Value::Null])
+                .unwrap()
+                .unwrap(),
+        ),
+        5 => drop(v.structural_eq(&Value::array(vec![]))),
+        6 => drop(v.deep_clone()),
+        7 => drop(v.to_json()),
+        8 => v.atoms(&mut Vec::new()),
+        _ => drop(items.borrow()),
+    }
+}
+
+/// The waiting value against the oracle's, untouched and then touched.
+fn check(output: &Output<'_>, how: usize) -> Result<(), TestCaseFailure> {
+    let (lazy, returned) = rows_value(output);
+    let (oracle, oracle_returned) = eager_rows_value(output);
+    prop_assert_eq!(returned, oracle_returned);
+    let Value::Array(items) = &lazy else {
+        panic!("a result set is an array");
+    };
+    prop_assert!(items.is_waiting() || returned == 0);
+    let expected = oracle.encode().unwrap();
+    prop_assert_eq!(lazy.encode().unwrap(), expected.clone());
+    prop_assert_eq!(lazy.to_string(), expected.0.clone());
+    prop_assert_eq!(
+        member_get(&lazy, "length").unwrap(),
+        member_get(&oracle, "length").unwrap()
+    );
+    prop_assert!(lazy.is_truthy());
+    prop_assert!(
+        items.is_waiting() || returned == 0,
+        "encoding or length built the rows"
+    );
+    touch(&lazy, how);
+    touch(&oracle, how);
+    prop_assert!(!items.is_waiting());
+    prop_assert!(lazy.structural_eq(&oracle));
+    prop_assert_eq!(lazy.encode().unwrap(), oracle.encode().unwrap());
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Any column names — repeated, escaped, `$bytes` — over any cells.
+    #[test]
+    fn a_waiting_result_is_the_eager_one(
+        columns in prop::collection::vec(text(), 0..5),
+        rows in prop::collection::vec(prop::collection::vec(cell(), 0..6), 0..5),
+        how in 0usize..10,
+    ) {
+        let width = columns.len();
+        let rows = rows
+            .into_iter()
+            .map(|mut row| {
+                row.resize(width, SqlValue::Null);
+                row
+            })
+            .collect();
+        check(&Output::Done(SqlResult::Rows { columns, rows }), how)?;
+    }
+
+    /// Rows lent by a table scan, through `SELECT *`, a projection that
+    /// names a column twice, a filter, an order, a limit and no rows at
+    /// all; and what `res.send` serves of them on both engines.
+    #[test]
+    fn a_selected_result_is_the_eager_one(
+        rows in prop::collection::vec(prop::collection::vec(cell(), 4..5), 0..6),
+        select in 0usize..SELECTS.len(),
+        how in 0usize..10,
+    ) {
+        for mode in [ExecMode::Compiled, ExecMode::TreeWalking] {
+            let mut server = ServerProcess::from_source_with_mode(TABLE, mode).unwrap();
+            server.init().unwrap();
+            for (id, cells) in rows.iter().enumerate() {
+                let mut row = vec![SqlValue::Int(id as i64)];
+                row.extend(cells.iter().cloned());
+                server.db.upsert_row("t", row).unwrap();
+            }
+            let sql = SELECTS[select];
+            let response = server
+                .handle(&HttpRequest::get("/q", json!({ "sql": sql })))
+                .unwrap()
+                .response;
+            let stmt = server.db.prepare(sql).unwrap();
+            let (output, _) = server.db.exec_lent(&stmt).unwrap();
+            let (text, size) = eager_rows_value(&output).0.encode().unwrap();
+            prop_assert_eq!(response.body.text(), text.as_str());
+            prop_assert_eq!(response.size(), 64 + size);
+            check(&output, how)?;
+        }
+    }
+}
+
+const TABLE: &str = r#"
+    db.query("CREATE TABLE t (id INT PRIMARY KEY, a TEXT, b REAL, c INT, d BLOB)");
+    app.get("/q", function (req, res) { res.send(db.query(req.params.sql)); });
+"#;
+
+const SELECTS: [&str; 7] = [
+    "SELECT * FROM t",
+    "SELECT d, id, d FROM t ORDER BY id",
+    "SELECT b, a FROM t WHERE id < 3",
+    "SELECT c, a FROM t ORDER BY a",
+    "SELECT * FROM t WHERE id > 99",
+    "SELECT a, id FROM t ORDER BY b LIMIT 2",
+    "SELECT id FROM t",
+];
 
 /// Four rows whose cells cover what the encoder tells apart: integers and
 /// reals, a `NULL`, blobs, and text with a quote, a backslash and

@@ -27,7 +27,12 @@ pub fn binary(op: BinOp, a: &Value, b: &Value) -> Result<Value, String> {
             (Value::Bytes(ab), Value::Str(_)) => {
                 Ok(Value::str(format!("{}{b}", String::from_utf8_lossy(ab))))
             }
-            (Value::Str(_), _) | (_, Value::Str(_)) => Ok(Value::str(format!("{a}{b}"))),
+            (Value::Str(_), _) | (_, Value::Str(_)) => {
+                let mut text = String::new();
+                a.write_text(&mut text).map_err(|e| e.to_string())?;
+                b.write_text(&mut text).map_err(|e| e.to_string())?;
+                Ok(Value::str(text))
+            }
             _ => Err(format!("cannot add {a} and {b}")),
         },
         Sub | Mul | Div | Rem => match (a.as_num(), b.as_num()) {
@@ -85,7 +90,7 @@ pub fn member_get(base: &Value, field: &str) -> Result<Value, String> {
     match base {
         Value::Object(map) => Ok(map.borrow().get(field).cloned().unwrap_or(Value::Null)),
         Value::Array(items) => match field {
-            "length" => Ok(Value::Num(items.borrow().len() as f64)),
+            "length" => Ok(Value::Num(items.len() as f64)),
             _ => Ok(Value::Null),
         },
         Value::Str(s) => match field {
@@ -127,7 +132,7 @@ pub fn index_get(base: &Value, idx: &Value) -> Result<Value, String> {
             let map = map.borrow();
             let found = match key {
                 Value::Str(s) => map.get(s),
-                other => map.get(other.to_string().as_str()),
+                other => map.get(other.to_text().map_err(|e| e.to_string())?.as_str()),
             };
             Ok(found.cloned().unwrap_or(Value::Null))
         }
@@ -163,7 +168,7 @@ pub fn index_set(base: &Value, idx: &Value, v: Value) -> Result<(), String> {
             Ok(())
         }
         (Value::Object(map), key) => {
-            let key = key.to_string();
+            let key = key.to_text().map_err(|e| e.to_string())?;
             set_field(&mut map.borrow_mut(), &key, || Rc::from(key.as_str()), v);
             Ok(())
         }
@@ -253,12 +258,15 @@ pub fn simple_method(base: &Value, method: &str, args: &[Value]) -> Option<Resul
                     .first()
                     .and_then(|v| v.as_str().map(|s| s.to_string()))
                     .unwrap_or_else(|| ",".to_string());
-                let joined = items
-                    .borrow()
-                    .iter()
-                    .map(|v| v.to_string())
-                    .collect::<Vec<_>>()
-                    .join(&sep);
+                let mut joined = String::new();
+                for (i, v) in items.borrow().iter().enumerate() {
+                    if i > 0 {
+                        joined.push_str(&sep);
+                    }
+                    if let Err(e) = v.write_text(&mut joined) {
+                        return Some(Err(e.to_string()));
+                    }
+                }
                 Some(Ok(Value::str(joined)))
             }
             "slice" => {

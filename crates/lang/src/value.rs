@@ -2,8 +2,8 @@
 
 use crate::ast::Stmt;
 use serde_json::{Serialize, Value as Json};
-use std::cell::RefCell;
-use std::fmt;
+use std::cell::{Ref, RefCell, RefMut};
+use std::fmt::{self, Write as _};
 use std::ops::Index;
 use std::rc::Rc;
 
@@ -41,7 +41,9 @@ pub enum Value {
     Str(Rc<str>),
     /// Binary payloads (e.g. images in the motivating example).
     Bytes(Rc<[u8]>),
-    Array(Rc<RefCell<Vec<Value>>>),
+    /// Elements, or a `db.query` result whose rows are still cells: see
+    /// [`Array`].
+    Array(Rc<Array>),
     /// Keys are shared: an object literal's come from the compiled
     /// program, a result set's rows all hold the one allocation per
     /// column name, and copying an object bumps reference counts.
@@ -63,9 +65,36 @@ impl Value {
         Value::Bytes(Rc::from(b.into().into_boxed_slice()))
     }
 
-    /// Construct an empty array value.
+    /// Construct an array value.
     pub fn array(items: Vec<Value>) -> Value {
-        Value::Array(Rc::new(RefCell::new(items)))
+        Value::Array(Rc::new(Array::new(items)))
+    }
+
+    /// A `db.query` result: `count` rows, each an object with one cell per
+    /// key, the cells given row after row. The rows wait as cells until
+    /// the script reads an element, mutates the array or compares it (see
+    /// [`Array`]); what it sees then is exactly those row objects.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, when the keys are out of order or repeat, a cell
+    /// is missing or extra, or a cell is an array or an object.
+    pub fn result_rows(keys: Vec<Rc<str>>, cells: Vec<Value>, count: usize) -> Value {
+        debug_assert!(
+            keys.windows(2).all(|w| w[0] < w[1]),
+            "result keys out of order"
+        );
+        debug_assert_eq!(cells.len(), count * keys.len(), "one cell per key per row");
+        debug_assert!(
+            cells
+                .iter()
+                .all(|c| !matches!(c, Value::Array(_) | Value::Object(_))),
+            "a result cell is a scalar"
+        );
+        Value::Array(Rc::new(Array(RefCell::new(Elements {
+            items: cells,
+            waiting: Some(Shape { keys, count }),
+        }))))
     }
 
     /// Construct an object value from key/value pairs in any order; a
@@ -119,9 +148,9 @@ impl Value {
     /// so later mutation of the original does not affect the copy.
     pub fn deep_clone(&self) -> Value {
         match self {
-            Value::Array(items) => Value::Array(Rc::new(RefCell::new(
-                items.borrow().iter().map(Value::deep_clone).collect(),
-            ))),
+            Value::Array(items) => {
+                Value::array(items.borrow().iter().map(Value::deep_clone).collect())
+            }
             Value::Object(map) => Value::from(Props(
                 map.borrow()
                     .0
@@ -165,18 +194,49 @@ impl Value {
 
     /// The compact JSON text of [`Value::to_json`] and the transfer size
     /// `edgstr_net::json_size` reports of it, from one walk with no tree in
-    /// between.
-    pub fn encode(&self) -> (String, usize) {
+    /// between. A result set that was never built is written straight
+    /// from its cells.
+    ///
+    /// # Errors
+    ///
+    /// A value nested deeper than [`MAX_DEPTH`] — one that holds itself —
+    /// has no JSON text.
+    pub fn encode(&self) -> Result<(String, usize), TooDeep> {
         let mut text = String::new();
-        let size = self.write_sized(&mut text);
-        (text, size)
+        let size = self.write_sized(&mut text, 0)?;
+        Ok((text, size))
     }
 
     /// Append this value's compact JSON text to `out` and return its
     /// transfer size: scalars at fixed costs, strings and keys at their
     /// length, and a binary payload (or any object announcing one under a
-    /// non-negative integer `$bytes`) at the payload's size.
-    fn write_sized(&self, out: &mut String) -> usize {
+    /// non-negative integer `$bytes`) at the payload's size. `depth` is the
+    /// number of containers around this value.
+    fn write_sized(&self, out: &mut String, depth: usize) -> Result<usize, TooDeep> {
+        match self {
+            Value::Array(items) => items.write_sized(out, deeper(depth)?),
+            Value::Object(map) => {
+                let depth = deeper(depth)?;
+                let map = map.borrow();
+                out.push('{');
+                let mut size = 2;
+                for (i, (k, v)) in map.0.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    str::write_json(k, out);
+                    out.push(':');
+                    size += k.len() + 3 + v.write_sized(out, depth)?;
+                }
+                out.push('}');
+                Ok(announced_size(map.get("$bytes"), size))
+            }
+            scalar => Ok(scalar.write_scalar(out)),
+        }
+    }
+
+    /// [`Value::write_sized`] of anything but an array or an object.
+    fn write_scalar(&self, out: &mut String) -> usize {
         match self {
             Value::Null | Value::Function(_) | Value::Native(_) => {
                 out.push_str("null");
@@ -213,39 +273,40 @@ impl Value {
                 out.push('}');
                 b.len()
             }
-            Value::Array(items) => {
-                out.push('[');
-                let mut size = 2;
-                for (i, item) in items.borrow().iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    size += item.write_sized(out) + 1;
-                }
-                out.push(']');
-                size
+            Value::Array(_) | Value::Object(_) => unreachable!("containers are not scalars"),
+        }
+    }
+
+    /// Append the text string coercion gives this value (`"" + v`,
+    /// `join`, a log line): a string as itself, a container as its JSON,
+    /// anything else as [`Display`](fmt::Display) writes it.
+    ///
+    /// # Errors
+    ///
+    /// A container nested deeper than [`MAX_DEPTH`] has no text.
+    pub fn write_text(&self, out: &mut String) -> Result<(), TooDeep> {
+        match self {
+            Value::Array(_) | Value::Object(_) => self.write_sized(out, 0).map(drop),
+            Value::Str(s) => {
+                out.push_str(s);
+                Ok(())
             }
-            Value::Object(map) => {
-                let map = map.borrow();
-                out.push('{');
-                let mut size = 2;
-                for (i, (k, v)) in map.0.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    str::write_json(k, out);
-                    out.push(':');
-                    size += k.len() + 3 + v.write_sized(out);
-                }
-                out.push('}');
-                match map.get("$bytes") {
-                    Some(Value::Num(n)) => json_int(*n)
-                        .and_then(|n| usize::try_from(n).ok())
-                        .unwrap_or(size),
-                    _ => size,
-                }
+            other => {
+                write!(out, "{other}").expect("writing to a String cannot fail");
+                Ok(())
             }
         }
+    }
+
+    /// [`Value::write_text`] into a new string.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Value::write_text`].
+    pub fn to_text(&self) -> Result<String, TooDeep> {
+        let mut text = String::new();
+        self.write_text(&mut text)?;
+        Ok(text)
     }
 
     /// Convert a JSON value into a NodeScript value.
@@ -262,8 +323,13 @@ impl Value {
         }
     }
 
-    /// Structural equality (by value, not by reference).
+    /// Structural equality (by value, not by reference). Containers
+    /// nested deeper than [`MAX_DEPTH`] compare unequal.
     pub fn structural_eq(&self, other: &Value) -> bool {
+        self.eq_within(other, 0)
+    }
+
+    fn eq_within(&self, other: &Value, depth: usize) -> bool {
         match (self, other) {
             (Value::Null, Value::Null) => true,
             (Value::Bool(a), Value::Bool(b)) => a == b,
@@ -271,15 +337,21 @@ impl Value {
             (Value::Str(a), Value::Str(b)) => a == b,
             (Value::Bytes(a), Value::Bytes(b)) => a == b,
             (Value::Array(a), Value::Array(b)) => {
+                let Ok(depth) = deeper(depth) else {
+                    return false;
+                };
                 let (a, b) = (a.borrow(), b.borrow());
-                a.len() == b.len() && a.iter().zip(b.iter()).all(|(x, y)| x.structural_eq(y))
+                a.len() == b.len() && a.iter().zip(b.iter()).all(|(x, y)| x.eq_within(y, depth))
             }
             (Value::Object(a), Value::Object(b)) => {
+                let Ok(depth) = deeper(depth) else {
+                    return false;
+                };
                 let (a, b) = (a.borrow(), b.borrow());
                 a.len() == b.len()
                     && a.iter()
                         .zip(b.iter())
-                        .all(|((ka, va), (kb, vb))| ka == kb && va.structural_eq(vb))
+                        .all(|((ka, va), (kb, vb))| ka == kb && va.eq_within(vb, depth))
             }
             (Value::Function(a), Value::Function(b)) => Rc::ptr_eq(a, b),
             (Value::Native(a), Value::Native(b)) => a == b,
@@ -308,6 +380,207 @@ impl Value {
                 }
             }
         }
+    }
+}
+
+/// How deep [`Value::encode`], string coercion and
+/// [`Value::structural_eq`] follow containers into containers. No value a
+/// request builds or receives comes near it; a value that holds itself
+/// reaches it at once.
+pub const MAX_DEPTH: usize = 1000;
+
+/// A value nested deeper than [`MAX_DEPTH`], met while encoding it or
+/// coercing it to a string: JavaScript's circular structure.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TooDeep;
+
+impl fmt::Display for TooDeep {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "cannot convert a value nested deeper than {MAX_DEPTH} levels to text (circular structure?)"
+        )
+    }
+}
+
+impl std::error::Error for TooDeep {}
+
+/// The depth inside one more container.
+fn deeper(depth: usize) -> Result<usize, TooDeep> {
+    if depth < MAX_DEPTH {
+        Ok(depth + 1)
+    } else {
+        Err(TooDeep)
+    }
+}
+
+/// An object's transfer size: what its walk counted, unless it announces
+/// a binary payload under a non-negative integer `$bytes`.
+fn announced_size(marker: Option<&Value>, walked: usize) -> usize {
+    match marker {
+        Some(Value::Num(n)) => json_int(*n)
+            .and_then(|n| usize::try_from(n).ok())
+            .unwrap_or(walked),
+        _ => walked,
+    }
+}
+
+/// An array's elements, behind one `RefCell`. An array made by
+/// [`Value::result_rows`] holds its rows as cells until the first
+/// [`Array::borrow`] or [`Array::borrow_mut`] builds them into row objects,
+/// in place and once, so every holder of the `Rc` sees the same elements.
+/// [`Array::len`] and encoding read the cells and build nothing. Any other
+/// array pays one flag test per borrow.
+#[derive(Debug)]
+pub struct Array(RefCell<Elements>);
+
+#[derive(Debug)]
+struct Elements {
+    /// The elements; while a result set's rows wait, their cells.
+    items: Vec<Value>,
+    /// A result set's shape while its rows wait.
+    waiting: Option<Shape>,
+}
+
+/// `count` rows of one cell per key, row after row. The keys are in
+/// [`Props`] order; the cells are scalars.
+#[derive(Debug)]
+struct Shape {
+    keys: Vec<Rc<str>>,
+    count: usize,
+}
+
+impl Array {
+    fn new(items: Vec<Value>) -> Array {
+        Array(RefCell::new(Elements {
+            items,
+            waiting: None,
+        }))
+    }
+
+    /// The elements, built first if they are a result set's waiting rows.
+    ///
+    /// # Panics
+    ///
+    /// When the array is mutably borrowed.
+    pub fn borrow(&self) -> Ref<'_, Vec<Value>> {
+        let elements = self.0.borrow();
+        if elements.waiting.is_none() {
+            return Ref::map(elements, |e| &e.items);
+        }
+        drop(elements);
+        drop(self.borrow_mut());
+        Ref::map(self.0.borrow(), |e| &e.items)
+    }
+
+    /// The elements to mutate, built first if they are a result set's
+    /// waiting rows.
+    ///
+    /// # Panics
+    ///
+    /// When the array is borrowed.
+    pub fn borrow_mut(&self) -> RefMut<'_, Vec<Value>> {
+        let mut elements = self.0.borrow_mut();
+        if let Some(shape) = elements.waiting.take() {
+            let cells = std::mem::take(&mut elements.items);
+            elements.items = shape.build(cells);
+        }
+        RefMut::map(elements, |e| &mut e.items)
+    }
+
+    /// The number of elements; waiting rows stay waiting.
+    pub fn len(&self) -> usize {
+        let elements = self.0.borrow();
+        match &elements.waiting {
+            Some(shape) => shape.count,
+            None => elements.items.len(),
+        }
+    }
+
+    /// Whether there are no elements.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Whether this is a result set whose rows have not been built.
+    pub fn is_waiting(&self) -> bool {
+        self.0.borrow().waiting.is_some()
+    }
+
+    fn write_sized(&self, out: &mut String, depth: usize) -> Result<usize, TooDeep> {
+        let elements = self.0.borrow();
+        if let Some(shape) = &elements.waiting {
+            return Ok(shape.write_sized(&elements.items, out));
+        }
+        out.push('[');
+        let mut size = 2;
+        for (i, item) in elements.items.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            size += item.write_sized(out, depth)? + 1;
+        }
+        out.push(']');
+        Ok(size)
+    }
+}
+
+impl Shape {
+    /// The row objects over `cells`, sharing the keys.
+    fn build(self, cells: Vec<Value>) -> Vec<Value> {
+        let mut cells = cells.into_iter();
+        (0..self.count)
+            .map(|_| {
+                let row = self
+                    .keys
+                    .iter()
+                    .map(|k| (Rc::clone(k), cells.next().expect("one cell per key")))
+                    .collect();
+                Value::from(Props::from_sorted(row))
+            })
+            .collect()
+    }
+
+    /// [`Value::write_sized`] of the rows [`Shape::build`] would make of
+    /// `cells`, from the cells: each key is escaped once for the set.
+    fn write_sized(&self, cells: &[Value], out: &mut String) -> usize {
+        let keys_size: usize = self.keys.iter().map(|k| k.len() + 3).sum();
+        // every `"key":`, after the `{` or `,` that opens it, and where
+        // each one ends
+        let mut heads = String::with_capacity(keys_size);
+        let mut ends = Vec::with_capacity(self.keys.len());
+        for (i, k) in self.keys.iter().enumerate() {
+            heads.push(if i == 0 { '{' } else { ',' });
+            str::write_json(k, &mut heads);
+            heads.push(':');
+            ends.push(heads.len());
+        }
+        let marker = self.keys.binary_search_by(|k| (**k).cmp("$bytes")).ok();
+        let width = self.keys.len();
+        // the keys and punctuation exactly, and a guess at the cells
+        out.reserve(2 + self.count * (heads.len() + 2 + 8 * width));
+        out.push('[');
+        let mut size = 2;
+        for r in 0..self.count {
+            let row = &cells[r * width..(r + 1) * width];
+            if r > 0 {
+                out.push(',');
+            }
+            if width == 0 {
+                out.push('{');
+            }
+            let mut row_size = 2 + keys_size;
+            let mut start = 0;
+            for (&end, cell) in ends.iter().zip(row) {
+                out.push_str(&heads[start..end]);
+                start = end;
+                row_size += cell.write_scalar(out);
+            }
+            out.push('}');
+            size += announced_size(marker.map(|m| &row[m]), row_size) + 1;
+        }
+        out.push(']');
+        size
     }
 }
 
@@ -446,11 +719,12 @@ impl fmt::Display for Value {
             }
             Value::Str(s) => write!(f, "{s}"),
             Value::Bytes(b) => write!(f, "<bytes:{}>", b.len()),
-            Value::Array(_) | Value::Object(_) => {
-                let mut text = String::new();
-                self.write_json(&mut text);
-                f.write_str(&text)
-            }
+            // a value that holds itself has no text; a message naming it
+            // says so instead
+            Value::Array(_) | Value::Object(_) => match self.encode() {
+                Ok((text, _)) => f.write_str(&text),
+                Err(_) => f.write_str("<circular>"),
+            },
             Value::Function(c) => {
                 write!(f, "<function {}>", c.name.as_deref().unwrap_or("anonymous"))
             }
@@ -474,7 +748,10 @@ impl Serialize for Value {
     }
 
     fn write_json(&self, out: &mut String) {
-        self.write_sized(out);
+        // a value this deep holds itself, and `to_json` would not return
+        // either
+        self.write_sized(out, 0)
+            .expect("a value nested deeper than MAX_DEPTH has no JSON text");
     }
 }
 
@@ -592,6 +869,126 @@ mod tests {
         a.atoms(&mut aa);
         b.atoms(&mut bb);
         assert_ne!(aa, bb);
+    }
+
+    /// Two rows under keys `a` and `b`.
+    fn waiting() -> Value {
+        Value::result_rows(
+            vec![Rc::from("a"), Rc::from("b")],
+            vec![
+                Value::Num(1.0),
+                Value::str("x"),
+                Value::Null,
+                Value::str("y"),
+            ],
+            2,
+        )
+    }
+
+    fn built() -> Value {
+        Value::array(vec![
+            Value::object([("a", Value::Num(1.0)), ("b", Value::str("x"))]),
+            Value::object([("a", Value::Null), ("b", Value::str("y"))]),
+        ])
+    }
+
+    fn is_waiting(v: &Value) -> bool {
+        matches!(v, Value::Array(items) if items.is_waiting())
+    }
+
+    #[test]
+    fn a_result_waits_through_length_truthiness_and_encoding() {
+        let v = waiting();
+        let Value::Array(items) = &v else {
+            unreachable!()
+        };
+        assert_eq!(items.len(), 2);
+        assert!(v.is_truthy());
+        assert_eq!(v.encode(), built().encode());
+        assert_eq!(v.to_string(), r#"[{"a":1,"b":"x"},{"a":null,"b":"y"}]"#);
+        assert!(is_waiting(&v));
+        // a reader builds the rows once, in place: every holder sees them
+        let alias = v.clone();
+        assert!(v.structural_eq(&built()));
+        assert!(!is_waiting(&alias));
+        let (Value::Array(a), Value::Array(b)) = (&v, &alias) else {
+            unreachable!()
+        };
+        assert!(Rc::ptr_eq(a, b));
+        let Value::Object(row) = &a.borrow()[1] else {
+            panic!("a built row is an object");
+        };
+        row.borrow_mut().insert(Rc::from("c"), Value::Bool(true));
+        assert_eq!(
+            alias.to_string(),
+            r#"[{"a":1,"b":"x"},{"a":null,"b":"y","c":true}]"#
+        );
+    }
+
+    #[test]
+    fn a_result_with_no_rows_or_no_keys_encodes_as_built() {
+        let empty = Value::result_rows(vec![Rc::from("a")], vec![], 0);
+        assert_eq!(empty.encode(), Ok(("[]".to_string(), 2)));
+        let keyless = Value::result_rows(vec![], vec![], 2);
+        assert_eq!(keyless.encode(), Ok(("[{},{}]".to_string(), 2 + 3 + 3)));
+        assert!(keyless.structural_eq(&Value::array(vec![
+            Value::object::<&str>([]),
+            Value::object::<&str>([])
+        ])));
+    }
+
+    /// A `$bytes` column sizes each row as an object announcing a payload.
+    #[test]
+    fn a_bytes_column_announces_each_rows_size() {
+        let keys = vec![Rc::from("$bytes"), Rc::from("k")];
+        let cells = vec![
+            Value::Num(100.0),
+            Value::Null,
+            Value::Num(-1.0),
+            Value::Null,
+        ];
+        let v = Value::result_rows(keys, cells, 2);
+        let expected = Value::array(vec![
+            Value::object([("$bytes", Value::Num(100.0)), ("k", Value::Null)]),
+            Value::object([("$bytes", Value::Num(-1.0)), ("k", Value::Null)]),
+        ]);
+        assert_eq!(v.encode(), expected.encode());
+        assert_eq!(
+            v.encode().unwrap().1,
+            2 + (100 + 1) + (2 + (6 + 3 + 8) + (1 + 3 + 4) + 1)
+        );
+    }
+
+    /// `depth` arrays, one inside the next.
+    fn nested(depth: usize) -> Value {
+        (0..depth).fold(Value::Null, |inner, _| Value::array(vec![inner]))
+    }
+
+    #[test]
+    fn nesting_past_the_bound_has_no_text_and_compares_unequal() {
+        let deepest = nested(MAX_DEPTH);
+        assert_eq!(deepest.encode().unwrap().1, 4 + 3 * MAX_DEPTH);
+        assert!(deepest.structural_eq(&nested(MAX_DEPTH)));
+        let past = nested(MAX_DEPTH + 1);
+        assert_eq!(past.encode(), Err(TooDeep));
+        assert_eq!(past.to_text(), Err(TooDeep));
+        assert!(!past.structural_eq(&nested(MAX_DEPTH + 1)));
+    }
+
+    #[test]
+    fn a_value_that_holds_itself_is_an_error_not_a_crash() {
+        let a = Value::array(vec![Value::Num(1.0)]);
+        let Value::Array(items) = &a else {
+            unreachable!()
+        };
+        items.borrow_mut().push(a.clone());
+        assert_eq!(a.encode(), Err(TooDeep));
+        assert_eq!(a.to_text(), Err(TooDeep));
+        assert!(!a.structural_eq(&a.clone()));
+        // a message that names the value still renders
+        assert_eq!(a.to_string(), "<circular>");
+        // the cycle leaks, as any `Rc` cycle does; break it to free it
+        items.borrow_mut().clear();
     }
 
     #[test]

@@ -31,7 +31,7 @@ use crate::ast::StmtId;
 use crate::compile::{compile_closure, CompiledChunk, CompiledProgram, NameRef, Op};
 use crate::instrument::{Instrument, TraceEvent};
 use crate::interp::{Host, RuntimeError, STMT_CYCLES};
-use crate::value::{Closure, Props, Value};
+use crate::value::{Array, Closure, Props, Value};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::rc::Rc;
@@ -125,7 +125,7 @@ struct Journal {
     noted_ptrs: HashSet<usize>,
 }
 
-type SharedArray = Rc<RefCell<Vec<Value>>>;
+type SharedArray = Rc<Array>;
 type SharedObject = Rc<RefCell<Props>>;
 
 impl Journal {
@@ -159,7 +159,8 @@ impl Journal {
 }
 
 /// Collect the raw pointers of all containers reachable from `v`. The set
-/// doubles as the cycle guard.
+/// doubles as the cycle guard. A result set whose rows still wait is built
+/// here, so a later write to one of its rows is journaled like any other.
 fn collect_ptrs(v: &Value, out: &mut HashSet<usize>) {
     match v {
         Value::Array(items) if out.insert(Rc::as_ptr(items) as usize) => {

@@ -121,7 +121,7 @@ proptest! {
     #[test]
     fn direct_encoding_equals_the_tree_path(v in value()) {
         let tree = v.to_json();
-        let (text, size) = v.encode();
+        let (text, size) = v.encode().unwrap();
         prop_assert_eq!(&text, &serde_json::to_string(&tree).unwrap());
         prop_assert_eq!(size, json_size(&tree));
         prop_assert_eq!(&serde_json::to_string(&v).unwrap(), &text);
@@ -218,7 +218,7 @@ fn golden_vectors() {
         (Value::Num(1e21), "1e21".into(), 8),
     ];
     for (v, text, size) in cases {
-        assert_eq!(v.encode(), (text.clone(), size), "{text}");
+        assert_eq!(v.encode().unwrap(), (text.clone(), size), "{text}");
         assert_eq!(serde_json::to_string(&v).unwrap(), text);
     }
     // what `res.send` serves, on both engines: `(route, text, size, digest)`

@@ -244,3 +244,34 @@ fn a_repeat_bump_allocates_nothing() {
     let ((), again) = counted(|| bump_all(&mut v));
     assert_eq!(again, 0, "a repeat bump allocated");
 }
+
+/// One `/books` miss over 517 rows — the handler runs, the result set goes
+/// straight to `res.send` — measured before a result set stopped being
+/// built into row objects it was only going to encode.
+const BOOKS_MISS_BEFORE: u64 = 1607;
+
+/// The text cells of that miss (a title per row) plus a constant: the
+/// request value, the statement's key order and cell vector, the growing
+/// body text and the response.
+const BOOKS_MISS_BUDGET: u64 = 517 + 64;
+
+/// What a `/books` miss allocates: its text cells (a title each), the
+/// encoded body, and a constant; no row object, key or property vector.
+#[test]
+fn a_books_miss_stays_within_its_allocation_budget() {
+    let mut server = ServerProcess::from_source(edgstr_apps::bookworm::SOURCE).unwrap();
+    server.init().unwrap();
+    for id in 100..612 {
+        let insert = format!("INSERT INTO books VALUES ({id}, 'amber basin {id}', 'Egan', 9.5, 3)");
+        server.db.exec(&insert).unwrap();
+    }
+    let request = HttpRequest::get("/books", json!({}));
+    server.handle(&request).unwrap();
+    let (out, allocations) = counted(|| server.handle(&request).unwrap());
+    assert_eq!(out.response.body["books"].as_array().unwrap().len(), 517);
+    println!("GET /books over 517 rows: handle {allocations} (before: {BOOKS_MISS_BEFORE})");
+    assert!(
+        allocations <= BOOKS_MISS_BUDGET,
+        "{allocations} allocations, budget {BOOKS_MISS_BUDGET}"
+    );
+}
