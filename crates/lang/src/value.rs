@@ -547,7 +547,7 @@ impl Shape {
         let keys_size: usize = self.keys.iter().map(|k| k.len() + 3).sum();
         // every `"key":`, after the `{` or `,` that opens it, and where
         // each one ends
-        let mut heads = String::with_capacity(keys_size);
+        let mut heads = String::with_capacity(keys_size + self.keys.len());
         let mut ends = Vec::with_capacity(self.keys.len());
         for (i, k) in self.keys.iter().enumerate() {
             heads.push(if i == 0 { '{' } else { ',' });
