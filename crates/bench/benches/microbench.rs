@@ -371,7 +371,7 @@ fn bench_sql(c: &mut Criterion) {
             writer_set.absorb_outcome(&out, &writer);
             if i % 8 == 7 || i + 1 == rows {
                 let delta = to_edge.generate(&writer_set);
-                from_writer.receive(&mut edge_set, &mut edge, &delta);
+                from_writer.receive_owned(&mut edge_set, &mut edge, delta);
             }
         }
         // the same books, an integral price aside: the script prints 4.0
@@ -520,7 +520,7 @@ fn bench_sync(c: &mut Criterion) {
                     || {
                         let (mut cloud, mut cloud_set) = node(1, &init);
                         let mut from_edge = SyncEndpoint::new();
-                        from_edge.receive(&mut cloud_set, &mut cloud, first);
+                        from_edge.receive_owned(&mut cloud_set, &mut cloud, first.clone());
                         (cloud, cloud_set, from_edge, msg.clone())
                     },
                     |(mut cloud, mut cloud_set, mut from_edge, msg)| {
@@ -663,7 +663,7 @@ fn bench_row_write(c: &mut Criterion) {
                 || {
                     let (mut cloud, mut cloud_set) = node(1, &init);
                     let mut from_edge = SyncEndpoint::new();
-                    from_edge.receive(&mut cloud_set, &mut cloud, first);
+                    from_edge.receive_owned(&mut cloud_set, &mut cloud, first.clone());
                     (cloud, cloud_set, from_edge, msg.clone())
                 },
                 |(mut cloud, mut cloud_set, mut from_edge, msg)| {

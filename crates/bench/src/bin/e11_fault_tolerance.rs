@@ -19,8 +19,8 @@
 
 use edgstr_apps::all_apps;
 use edgstr_bench::{print_table, service_workload, smoke_flag, transform_app, BenchReport};
-use edgstr_crdt::AdvanceMode;
 use edgstr_net::{FaultPlan, LossModel};
+use edgstr_runtime::crdtset::AdvanceMode;
 use edgstr_runtime::{RunStats, ThreeTierOptions, ThreeTierSystem};
 use edgstr_sim::{DeviceSpec, SimTime};
 use serde_json::json;

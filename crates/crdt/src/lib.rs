@@ -11,13 +11,15 @@
 //! - [`CrdtTable`] — rows keyed by primary key, per-cell LWW merge — the
 //!   `CRDT-Table`;
 //! - [`CrdtFiles`] — whole-file LWW version entries — the `CRDT-Files`;
-//! - [`PeerSync`] / [`SyncMessage`] — the delta-shipping protocol used by
-//!   the runtime's background synchronization daemon;
 //! - [`wire`] — the binary codec of the sync wire and of the save image:
 //!   every message's `wire_size` is the length of its own `encode`, which
 //!   is what the WAN-traffic experiments account for, and
 //!   [`Doc::save`]/[`Doc::load`] move a whole replica through the same
 //!   primitives.
+//!
+//! The per-peer protocol that ships these changes between replicas — the
+//! `cloud_state` / `edge_state` exchange — is `SyncEndpoint` in
+//! `edgstr-runtime`.
 //!
 //! The replication hot path is O(delta), not O(lifetime): history is a
 //! per-actor indexed log ([`Doc::get_changes`] slices each actor's
@@ -58,7 +60,6 @@ pub mod change;
 pub mod doc;
 pub mod files;
 pub mod ids;
-pub mod sync;
 pub mod table;
 pub mod wire;
 
@@ -66,7 +67,6 @@ pub use change::{Change, ElemRef, ObjId, Op, OpValue};
 pub use doc::{CrdtError, Doc, KeyTouch, PathSeg, TouchedKeys, ValueRef, GENESIS_ACTOR};
 pub use files::CrdtFiles;
 pub use ids::{ActorId, OpId, VClock};
-pub use sync::{AdvanceMode, PeerSync, SyncMessage};
 pub use table::CrdtTable;
 
 /// Stable content hash (FNV-1a) used to fingerprint file payloads.

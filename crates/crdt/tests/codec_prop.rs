@@ -8,11 +8,12 @@
 //! other `b` is a typed error.
 
 use edgstr_crdt::{
-    path, ActorId, Change, CrdtError, CrdtTable, Doc, ElemRef, ObjId, Op, OpId, OpValue, PeerSync,
-    SyncMessage, VClock,
+    path, ActorId, Change, CrdtError, CrdtTable, Doc, ElemRef, ObjId, Op, OpId, OpValue, VClock,
 };
+use edgstr_runtime::{SetChanges, SetClock, SetSyncMessage};
 use proptest::prelude::*;
 use serde_json::{json, Value as Json};
+use std::collections::BTreeMap;
 
 /// Counters and actors from one varint byte up to ten.
 fn wide() -> impl Strategy<Value = u64> {
@@ -869,7 +870,7 @@ fn assert_send_sync<T: Send + Sync>() {}
 #[test]
 fn a_change_crosses_threads() {
     assert_send_sync::<Change>();
-    assert_send_sync::<SyncMessage>();
+    assert_send_sync::<SetSyncMessage>();
 }
 
 proptest! {
@@ -987,23 +988,25 @@ proptest! {
 
     #[test]
     fn a_message_is_as_long_as_its_encoding(
-        cs in prop::collection::vec(change(), 0..5),
+        tables in prop::collection::vec((clock(), prop::collection::vec(change(), 0..3)), 0..3),
+        files in (clock(), prop::collection::vec(change(), 0..3)),
+        globals in (clock(), prop::collection::vec(change(), 0..3)),
         sender in wide(),
-        clock in clock(),
-        ack in clock(),
     ) {
-        let msg = SyncMessage { sender: ActorId(sender), clock, ack, changes: cs };
+        let mut ack = SetClock { tables: BTreeMap::new(), files: files.0, globals: globals.0 };
+        let mut changes = SetChanges { tables: BTreeMap::new(), files: files.1, globals: globals.1 };
+        for (i, (clock, cs)) in tables.into_iter().enumerate() {
+            ack.tables.insert(format!("t{i}"), clock);
+            changes.tables.insert(format!("t{i}"), cs);
+        }
+        let msg = SetSyncMessage { sender: ActorId(sender), ack, changes };
         let mut bytes = Vec::new();
         msg.encode(&mut bytes);
         prop_assert_eq!(msg.wire_size(), bytes.len());
         // sized before or after its changes were: the same number
         prop_assert_eq!(msg.clone().wire_size(), bytes.len());
-        // the batch is the changes' own encodings back to back
-        let tail: Vec<u8> = msg.changes.iter().flat_map(encoded).collect();
+        // the last batch is the globals' own encodings back to back
+        let tail: Vec<u8> = msg.changes.globals.iter().flat_map(encoded).collect();
         prop_assert!(bytes.ends_with(&tail));
-        // and a view that generated it accounts exactly these bytes
-        let mut view = PeerSync::new();
-        let sent = view.generate(msg.sender, msg.clock.clone(), |_| msg.changes.clone());
-        prop_assert_eq!(view.bytes_sent, sent.wire_size());
     }
 }

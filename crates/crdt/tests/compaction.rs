@@ -5,7 +5,7 @@
 //! the min-ack frontier never folds away a change a live peer has not
 //! acknowledged — even when the network drops messages.
 
-use edgstr_crdt::{ActorId, Doc, PathSeg, PeerSync, SyncMessage, VClock};
+use edgstr_crdt::{ActorId, Doc, PathSeg, VClock};
 use proptest::prelude::*;
 use serde_json::json;
 
@@ -41,23 +41,18 @@ fn apply_op(doc: &mut Doc, op: &Op) {
     }
 }
 
-fn send(doc: &Doc, view: &mut PeerSync) -> SyncMessage {
-    view.generate(doc.actor(), doc.clock().clone(), |since| {
-        doc.get_changes(since)
-    })
-}
-
-fn deliver(doc: &mut Doc, view: &mut PeerSync, msg: &SyncMessage) {
-    let changes = view.receive(msg).to_vec();
-    doc.apply_changes(&changes).unwrap();
+/// `from` ships what `to` has not acknowledged. `acked` is `from`'s record
+/// of those acknowledgments: it advances to `to`'s clock once the delta is
+/// applied, and never on a message that was lost.
+fn ship(from: &Doc, acked: &mut VClock, to: &mut Doc) {
+    to.apply_changes(&from.get_changes(acked)).unwrap();
+    acked.merge(to.clock());
 }
 
 /// One reliable bidirectional round between two replicas.
-fn reliable_round(a: &mut Doc, av: &mut PeerSync, b: &mut Doc, bv: &mut PeerSync) {
-    let m = send(a, av);
-    deliver(b, bv, &m);
-    let m = send(b, bv);
-    deliver(a, av, &m);
+fn reliable_round(a: &mut Doc, av: &mut VClock, b: &mut Doc, bv: &mut VClock) {
+    ship(a, av, b);
+    ship(b, bv, a);
 }
 
 proptest! {
@@ -77,8 +72,8 @@ proptest! {
     ) {
         let mut a = Doc::from_snapshot(ActorId(1), &json!({}));
         let mut b = Doc::from_snapshot(ActorId(2), &json!({}));
-        let mut av = PeerSync::new();
-        let mut bv = PeerSync::new();
+        let mut av = VClock::new();
+        let mut bv = VClock::new();
         for o in &warm_a {
             apply_op(&mut a, o);
         }
@@ -95,7 +90,7 @@ proptest! {
         }
 
         let shadow = a.clone();
-        let frontier = av.peer_clock.clone();
+        let frontier = av.clone();
         a.compact(&frontier);
 
         prop_assert_eq!(a.to_json(), shadow.to_json());
@@ -145,8 +140,8 @@ proptest! {
         let elem = |i: usize| vec![PathSeg::Key("l".to_string()), PathSeg::Index(i)];
         let mut a = Doc::from_snapshot(ActorId(1), &json!({}));
         let mut b = Doc::from_snapshot(ActorId(2), &json!({}));
-        let mut av = PeerSync::new();
-        let mut bv = PeerSync::new();
+        let mut av = VClock::new();
+        let mut bv = VClock::new();
         // a list and a counter beside the generated keys
         a.put(&key("l"), json!(["x", "y", "z"])).unwrap();
         a.increment(&key("n0"), 3).unwrap();
@@ -163,7 +158,7 @@ proptest! {
         }
         a.delete(&elem(1)).unwrap();
         a.increment(&key("n0"), 5).unwrap();
-        a.compact(&av.peer_clock.clone());
+        a.compact(&av);
 
         let image = a.save();
         let mut c = Doc::load(ActorId(3), &image).unwrap();
@@ -206,10 +201,8 @@ proptest! {
         prop_assert_eq!(c.get_changes(&since), a.get_changes(&since));
 
         // both endpoints start acknowledged up to the provisioning clock
-        let mut a_sees_c = PeerSync::new();
-        a_sees_c.peer_clock = c.clock().clone();
-        let mut c_sees_a = PeerSync::new();
-        c_sees_a.peer_clock = a.clock().clone();
+        let mut a_sees_c = c.clock().clone();
+        let mut c_sees_a = a.clock().clone();
 
         for o in &tail_src {
             apply_op(&mut a, o);
@@ -223,8 +216,8 @@ proptest! {
         prop_assert_eq!(a.to_json(), c.to_json());
         prop_assert_eq!(a.clock(), c.clock());
         // quiescent: provisioning left nothing below the image to re-send
-        prop_assert!(send(&a, &mut a_sees_c).is_empty());
-        prop_assert!(send(&c, &mut c_sees_a).is_empty());
+        prop_assert!(a.get_changes(&a_sees_c).is_empty());
+        prop_assert!(c.get_changes(&c_sees_a).is_empty());
     }
 
     /// Frontier safety under loss, in a hub-and-spokes topology: the hub
@@ -248,10 +241,10 @@ proptest! {
         let mut hub = Doc::from_snapshot(ActorId(1), &json!({}));
         let mut b = Doc::from_snapshot(ActorId(2), &json!({}));
         let mut c = Doc::from_snapshot(ActorId(3), &json!({}));
-        let mut hub_b = PeerSync::new(); // hub's view of b
-        let mut hub_c = PeerSync::new(); // hub's view of c
-        let mut b_hub = PeerSync::new();
-        let mut c_hub = PeerSync::new();
+        let mut hub_b = VClock::new(); // what b has acknowledged to the hub
+        let mut hub_c = VClock::new(); // what c has acknowledged to the hub
+        let mut b_hub = VClock::new();
+        let mut c_hub = VClock::new();
 
         for ((ops_h, ops_b, ops_c), (drop_hb, drop_bh, drop_hc, drop_ch)) in &rounds {
             for o in ops_h {
@@ -263,27 +256,23 @@ proptest! {
             for o in ops_c {
                 apply_op(&mut c, o);
             }
-            let m = send(&hub, &mut hub_b);
+            // a lost message delivers nothing and acknowledges nothing
             if !drop_hb {
-                deliver(&mut b, &mut b_hub, &m);
+                ship(&hub, &mut hub_b, &mut b);
             }
-            let m = send(&b, &mut b_hub);
             if !drop_bh {
-                deliver(&mut hub, &mut hub_b, &m);
+                ship(&b, &mut b_hub, &mut hub);
             }
-            let m = send(&hub, &mut hub_c);
             if !drop_hc {
-                deliver(&mut c, &mut c_hub, &m);
+                ship(&hub, &mut hub_c, &mut c);
             }
-            let m = send(&c, &mut c_hub);
             if !drop_ch {
-                deliver(&mut hub, &mut hub_c, &m);
+                ship(&c, &mut c_hub, &mut hub);
             }
             // aggressive steady-state compaction at the safe frontier
-            let frontier = hub_b.peer_clock.meet(&hub_c.peer_clock);
-            hub.compact(&frontier);
-            b.compact(&b_hub.peer_clock.clone());
-            c.compact(&c_hub.peer_clock.clone());
+            hub.compact(&hub_b.meet(&hub_c));
+            b.compact(&b_hub);
+            c.compact(&c_hub);
         }
 
         // the links heal: reliable rounds must fully converge the star
@@ -300,9 +289,9 @@ proptest! {
         prop_assert_eq!(b.pending_len(), 0);
         prop_assert_eq!(c.pending_len(), 0);
         // quiescent in every direction
-        prop_assert!(send(&hub, &mut hub_b).is_empty());
-        prop_assert!(send(&b, &mut b_hub).is_empty());
-        prop_assert!(send(&hub, &mut hub_c).is_empty());
-        prop_assert!(send(&c, &mut c_hub).is_empty());
+        prop_assert!(hub.get_changes(&hub_b).is_empty());
+        prop_assert!(b.get_changes(&b_hub).is_empty());
+        prop_assert!(hub.get_changes(&hub_c).is_empty());
+        prop_assert!(c.get_changes(&c_hub).is_empty());
     }
 }

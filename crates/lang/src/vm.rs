@@ -199,8 +199,8 @@ pub struct Vm {
     /// Reused buffer for `obj.method` host-call names.
     scratch_name: String,
     /// Gids that transitioned unbound -> bound since the last
-    /// [`Vm::clear_bind_log`] — an O(new bindings) alternative to diffing
-    /// full [`Vm::bound_mask`] snapshots around every request.
+    /// [`Vm::clear_bind_log`]: O(new bindings) per request, no scan of the
+    /// store.
     bind_log: Vec<u32>,
     /// Recycled operand stack for [`Vm::call_value`].
     stack_buf: Vec<Value>,
@@ -393,20 +393,13 @@ impl Vm {
         self.store.values[g as usize] = Some(value);
     }
 
-    /// Bound-or-not flag per global slot; pair with [`Vm::newly_bound`] to
-    /// find globals created by a request.
-    pub fn bound_mask(&self) -> Vec<bool> {
-        self.store.values.iter().map(Option::is_some).collect()
-    }
-
     /// Reset the unbound->bound transition log (call before a request).
     pub fn clear_bind_log(&mut self) {
         self.bind_log.clear();
     }
 
-    /// Names of globals bound since [`Vm::clear_bind_log`], sorted — the
-    /// same set [`Vm::newly_bound`] computes, without the per-request
-    /// full-store scans.
+    /// Names of globals bound since [`Vm::clear_bind_log`], sorted: the
+    /// globals a request created.
     pub fn logged_newly_bound(&self) -> Vec<String> {
         let mut out: Vec<String> = self
             .bind_log
@@ -415,20 +408,6 @@ impl Vm {
             .collect();
         out.sort();
         out.dedup();
-        out
-    }
-
-    /// Names of globals bound now but not in `mask`, sorted.
-    pub fn newly_bound(&self, mask: &[bool]) -> Vec<String> {
-        let mut out: Vec<String> = self
-            .store
-            .values
-            .iter()
-            .enumerate()
-            .filter(|(i, v)| v.is_some() && !mask.get(*i).copied().unwrap_or(false))
-            .map(|(i, _)| self.store.names[i].to_string())
-            .collect();
-        out.sort();
         out
     }
 
@@ -1462,9 +1441,11 @@ mod tests {
     #[test]
     fn newly_bound_detects_created_globals() {
         let (mut vm, _) = run_vm("var a = 1;");
-        let mask = vm.bound_mask();
+        vm.clear_bind_log();
         vm.set_global("b", Value::Num(2.0));
-        assert_eq!(vm.newly_bound(&mask), vec!["b".to_string()]);
+        // rebinding a global that already exists creates nothing
+        vm.set_global("a", Value::Num(3.0));
+        assert_eq!(vm.logged_newly_bound(), vec!["b".to_string()]);
     }
 
     /// Compile-time pin of the Send frontier (see the module docs): the

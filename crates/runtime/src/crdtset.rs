@@ -12,7 +12,7 @@ use edgstr_analysis::{HandleOutcome, InitState, ServerProcess};
 use edgstr_core::CrdtBindings;
 use edgstr_crdt::wire::{put_bytes, put_changes, put_str, put_varint, Count, Reader, Sink};
 use edgstr_crdt::{
-    ActorId, AdvanceMode, Change, CrdtError, CrdtFiles, CrdtTable, Doc, PathSeg, VClock, ValueRef,
+    ActorId, Change, CrdtError, CrdtFiles, CrdtTable, Doc, PathSeg, VClock, ValueRef,
 };
 use edgstr_sql::columns::ColumnSet;
 use edgstr_sql::{ColumnMeta, RowEffect, SqlDb, SqlError, SqlValue};
@@ -279,14 +279,8 @@ impl CrdtSet {
 
     /// Apply remote changes to the CRDTs and materialize the merged state
     /// into the server (database rows, file contents, global values).
-    /// Returns the number of changes applied.
-    pub fn apply_remote(&mut self, changes: &SetChanges, server: &mut ServerProcess) -> usize {
-        self.apply_remote_owned(changes.clone(), server)
-    }
-
-    /// Consuming variant of [`CrdtSet::apply_remote`] — the runtime sync
-    /// daemon's hot path, which would otherwise clone every delta each
-    /// round.
+    /// Returns the number of changes applied. Takes the batch by value: the
+    /// sync daemon's hot path hands each delta over instead of cloning it.
     pub fn apply_remote_owned(&mut self, changes: SetChanges, server: &mut ServerProcess) -> usize {
         let mut applied = 0;
         for (name, cs) in changes.tables {
@@ -570,16 +564,28 @@ impl SetSyncMessage {
     }
 }
 
+/// How a [`SyncEndpoint`] advances its model of the peer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum AdvanceMode {
+    /// Advance `peer_clock` only when the peer acknowledges (default:
+    /// loss-tolerant — dropped deltas are regenerated).
+    #[default]
+    OnAck,
+    /// Advance at send time, assuming delivery (the pre-fix behaviour,
+    /// kept as an ablation; diverges permanently under loss).
+    Optimistic,
+}
+
 /// Per-peer synchronization endpoint — one side of the bidirectional
 /// `socket.io`-style channel (§III-G.1). Whoever carries a message sizes it
 /// ([`SetSyncMessage::wire_size`]); the endpoint only tracks the peer.
 ///
 /// Delivery tracking is **ack-driven** by default: [`SyncEndpoint::generate`]
 /// does not assume its outgoing delta arrives. `peer_clock` only advances
-/// when [`SyncEndpoint::receive`] merges the peer's acknowledged clock, so
-/// a dropped message simply causes the same changes to be regenerated on
-/// the next round (safe because `apply_remote` is idempotent). The
-/// pre-fix optimistic behaviour is kept behind
+/// when [`SyncEndpoint::receive_owned`] merges the peer's acknowledged
+/// clock, so a dropped message simply causes the same changes to be
+/// regenerated on the next round (safe because applying a change twice is
+/// a no-op). The pre-fix optimistic behaviour is kept behind
 /// [`AdvanceMode::Optimistic`] as an ablation.
 #[derive(Debug, Default)]
 pub struct SyncEndpoint {
@@ -633,18 +639,8 @@ impl SyncEndpoint {
     /// Record receipt of a peer's message and apply its delta. The
     /// message's ack clock tells us exactly what the peer has applied —
     /// including our own earlier deltas — so this is where `peer_clock`
-    /// actually advances.
-    pub fn receive(
-        &mut self,
-        set: &mut CrdtSet,
-        server: &mut ServerProcess,
-        msg: &SetSyncMessage,
-    ) -> usize {
-        self.receive_owned(set, server, msg.clone())
-    }
-
-    /// Consuming variant of [`SyncEndpoint::receive`]: the sync daemon
-    /// hands the message over so its delta is applied without cloning.
+    /// actually advances. Takes the message by value so its delta is
+    /// applied without cloning.
     pub fn receive_owned(
         &mut self,
         set: &mut CrdtSet,
@@ -725,7 +721,7 @@ mod tests {
         let msg = edge_to_cloud.generate(&edge_set);
         assert!(!msg.changes.is_empty());
         assert!(msg.wire_size() > 0);
-        cloud_from_edge.receive(&mut cloud_set, &mut cloud, &msg);
+        cloud_from_edge.receive_owned(&mut cloud_set, &mut cloud, msg);
 
         // the cloud now serves the edge-written row
         let got = cloud
@@ -767,9 +763,9 @@ mod tests {
         // exchange deltas both ways, twice (to propagate acks)
         for _ in 0..2 {
             let d1 = c2e.generate(&cloud_set);
-            e2c.receive(&mut edge_set, &mut edge, &d1);
+            e2c.receive_owned(&mut edge_set, &mut edge, d1);
             let d2 = e2c.generate(&edge_set);
-            c2e.receive(&mut cloud_set, &mut cloud, &d2);
+            c2e.receive_owned(&mut cloud_set, &mut cloud, d2);
         }
         assert_eq!(
             cloud_set.tables["kv"].to_json(),
@@ -805,10 +801,10 @@ mod tests {
             edge_set.absorb_outcome(&out, &edge);
             let msg = e2c.generate(&edge_set);
             sizes.push(msg.wire_size());
-            c_recv.receive(&mut cloud_set, &mut cloud, &msg);
+            c_recv.receive_owned(&mut cloud_set, &mut cloud, msg);
             // the cloud's reply carries its ack, advancing the edge's view
             let ack = c_recv.generate(&cloud_set);
-            e2c.receive(&mut edge_set, &mut edge, &ack);
+            e2c.receive_owned(&mut edge_set, &mut edge, ack);
         }
         // deltas stay roughly constant instead of growing with history
         assert!(sizes[2] < sizes[0] * 3);
@@ -832,7 +828,7 @@ mod tests {
             .unwrap();
         edge_set.absorb_outcome(&out, &edge);
         let delta = e2c.generate(&edge_set);
-        c_recv.receive(&mut cloud_set, &mut cloud, &delta);
+        c_recv.receive_owned(&mut cloud_set, &mut cloud, delta);
         assert_eq!(cloud.fs.peek("/latest.txt"), Some(&b"zzz"[..]));
     }
 
@@ -1170,8 +1166,11 @@ mod tests {
         write(&mut edge, &mut edge_set, "both", 8);
         let concurrent = edge_set.get_changes(&acked);
         assert_eq!(concurrent.len(), 6);
-        assert_eq!(restored.apply_remote(&concurrent, &mut fresh), 6);
-        assert_eq!(cloud_set.apply_remote(&concurrent, &mut cloud), 6);
+        assert_eq!(
+            restored.apply_remote_owned(concurrent.clone(), &mut fresh),
+            6
+        );
+        assert_eq!(cloud_set.apply_remote_owned(concurrent, &mut cloud), 6);
         assert_eq!(restored.clock(), cloud_set.clock());
         assert_eq!(replicated(&fresh), replicated(&cloud));
         assert_eq!(
@@ -1244,9 +1243,9 @@ mod partition_tests {
         let mut e2c = SyncEndpoint::new();
         let mut c2e = SyncEndpoint::new();
         let up = e2c.generate(&edge_set);
-        c2e.receive(&mut cloud_set, &mut cloud, &up);
+        c2e.receive_owned(&mut cloud_set, &mut cloud, up);
         let down = c2e.generate(&cloud_set);
-        e2c.receive(&mut edge_set, &mut edge, &down);
+        e2c.receive_owned(&mut edge_set, &mut edge, down);
 
         assert_eq!(cloud_set.tables["log"].len(), 30);
         assert_eq!(
@@ -1336,14 +1335,14 @@ mod partition_tests {
         // regenerates exactly the same changes
         let retry = e2c.generate(&edge_set);
         assert_eq!(retry.changes, lost.changes, "delta must be regenerated");
-        c2e.receive(&mut cloud_set, &mut cloud, &retry);
+        c2e.receive_owned(&mut cloud_set, &mut cloud, retry);
         assert_eq!(cloud_set.tables["log"].len(), 1);
         // the original message finally arrives late: idempotent
-        c2e.receive(&mut cloud_set, &mut cloud, &lost);
+        c2e.receive_owned(&mut cloud_set, &mut cloud, lost);
         assert_eq!(cloud_set.tables["log"].len(), 1);
         // the cloud's ack reaches the edge; nothing further to send
         let ack = c2e.generate(&cloud_set);
-        e2c.receive(&mut edge_set, &mut edge, &ack);
+        e2c.receive_owned(&mut edge_set, &mut edge, ack);
         assert!(e2c.generate(&edge_set).changes.is_empty());
     }
 
@@ -1383,9 +1382,9 @@ mod partition_tests {
         for _ in 0..5 {
             let up = e2c.generate(&edge_set);
             assert!(up.changes.is_empty(), "optimistic endpoint never retries");
-            c2e.receive(&mut cloud_set, &mut cloud, &up);
+            c2e.receive_owned(&mut cloud_set, &mut cloud, up);
             let down = c2e.generate(&cloud_set);
-            e2c.receive(&mut edge_set, &mut edge, &down);
+            e2c.receive_owned(&mut edge_set, &mut edge, down);
         }
         assert_eq!(cloud_set.tables["log"].len(), 0, "cloud never sees the row");
         assert_ne!(

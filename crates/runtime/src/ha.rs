@@ -4,12 +4,11 @@
 //! every replacement process comes out of its provisioner. DESIGN.md §10
 //! says when the driver calls what.
 
-use crate::crdtset::SetClock;
+use crate::crdtset::{AdvanceMode, SetClock};
 use crate::link::{Leg, SyncLink};
 use crate::replica::{Provisioner, ReplicaCore, ReplicaKind};
 use crate::system::{edge_attr, EdgeReplica};
 use edgstr_analysis::ServerError;
-use edgstr_crdt::AdvanceMode;
 use edgstr_net::{CrashEvent, CrashKind, CrashPlan};
 use edgstr_sim::{SimDuration, SimTime};
 use edgstr_telemetry::{Telemetry, Tier};

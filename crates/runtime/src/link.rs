@@ -6,9 +6,8 @@
 //! the standby acknowledges), whether the answer's acknowledgment is
 //! capped, and what the network does to each message.
 
-use crate::crdtset::{SetClock, SetSyncMessage, SyncEndpoint};
+use crate::crdtset::{AdvanceMode, SetClock, SetSyncMessage, SyncEndpoint};
 use crate::replica::ReplicaCore;
-use edgstr_crdt::AdvanceMode;
 
 /// Direction of one message on a [`SyncLink`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

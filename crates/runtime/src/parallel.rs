@@ -55,11 +55,11 @@
 //! traverse).
 
 use crate::cache::{CachePolicy, CacheStats};
-use crate::crdtset::{SetClock, SetSyncMessage, SyncEndpoint};
+use crate::crdtset::{AdvanceMode, SetClock, SetSyncMessage, SyncEndpoint};
 use crate::driver::fold_response_digest;
 use crate::replica::{cache_plan, Provisioner, ReplicaCore, ReplicaKind, ReplicaTemplate};
 use edgstr_core::TransformationReport;
-use edgstr_crdt::{ActorId, AdvanceMode};
+use edgstr_crdt::ActorId;
 use edgstr_net::{HttpRequest, FNV_OFFSET};
 use edgstr_sim::{Clock, SimDuration};
 use edgstr_telemetry::{RegistrySnapshot, Telemetry};

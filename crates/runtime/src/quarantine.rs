@@ -176,9 +176,10 @@ impl Quarantine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crdtset::AdvanceMode;
     use crate::replica::tests::{deployment, note};
     use crate::replica::ReplicaKind;
-    use edgstr_crdt::{ActorId, AdvanceMode};
+    use edgstr_crdt::ActorId;
     use edgstr_sim::DeviceSpec;
 
     #[test]

@@ -8,7 +8,7 @@
 
 use crate::balancer::{Autoscaler, BalanceStrategy, LoadBalancer};
 use crate::cache::{CachePolicy, CacheStats};
-use crate::crdtset::SetClock;
+use crate::crdtset::{AdvanceMode, SetClock};
 use crate::driver::RunRecorder;
 pub use crate::driver::{FaultPolicy, MobilePower, RunStats, TimedRequest, Workload};
 use crate::forwarding::{wan_drops, Breaker, Forward, Forwarder};
@@ -22,7 +22,7 @@ use crate::replica::{
 use crate::tiering::{PlacementMode, PlacementStats, Placements, ScriptedDecision};
 use edgstr_analysis::{ServerError, ServerProcess};
 use edgstr_core::TransformationReport;
-use edgstr_crdt::{ActorId, AdvanceMode};
+use edgstr_crdt::ActorId;
 use edgstr_net::{CrashPlan, FaultPlan, HttpRequest, LinkChannel, LinkSpec, Verb};
 use edgstr_placement::{Observation, Placement};
 use edgstr_sim::{Clock, Device, DeviceSpec, PowerState, SimDuration, SimTime};

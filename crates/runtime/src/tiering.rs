@@ -532,11 +532,12 @@ impl Placements {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crdtset::AdvanceMode;
     use crate::link::Leg;
     use crate::replica::tests::{deployment, note};
     use crate::replica::{Provisioner, ReplicaKind};
     use edgstr_analysis::ReadUnit;
-    use edgstr_crdt::{ActorId, AdvanceMode};
+    use edgstr_crdt::ActorId;
     use edgstr_sim::DeviceSpec;
 
     fn noting() -> ServiceKey {

@@ -181,8 +181,8 @@ fn perturb(
         NetEvent::Duplicate => {
             if !queue.is_empty() {
                 let m = queue.remove(0);
-                dst_ep.receive(dst_set, dst_srv, &m);
-                dst_ep.receive(dst_set, dst_srv, &m);
+                dst_ep.receive_owned(dst_set, dst_srv, m.clone());
+                dst_ep.receive_owned(dst_set, dst_srv, m);
             }
         }
         NetEvent::ReorderNewestFirst => {
@@ -418,7 +418,7 @@ proptest! {
 
     /// Remote-delivery-only variant: the cloud is the sole writer and the
     /// edge only reads. Every version bump the edge sees comes from
-    /// `apply_remote` under an adversarial schedule, so this pins the
+    /// `apply_remote_owned` under an adversarial schedule, so this pins the
     /// tracked-apply → invalidation path specifically.
     #[test]
     fn chaotic_deliveries_invalidate_before_reads_go_stale(

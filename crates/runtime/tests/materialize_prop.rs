@@ -7,12 +7,18 @@
 //! are dropped, duplicated and reordered, and compaction, every node's
 //! table is — after every step, row for row and in order — what a
 //! whole-table `materialize_all` rebuild from its CRDT produces.
+//!
+//! The same runs prove the sync protocol's loss tolerance on the
+//! `SyncEndpoint` the runtime ships: once the network heals, every clock
+//! equals the master's and no endpoint has anything left to send, and a
+//! delta cut into one message per change, duplicated and reordered, lands
+//! exactly where in-order delivery does.
 
 use edgstr_analysis::{InitState, ServerProcess, StateUnit};
 use edgstr_core::CrdtBindings;
 use edgstr_crdt::ActorId;
 use edgstr_net::HttpRequest;
-use edgstr_runtime::{CrdtSet, SetSyncMessage, SyncEndpoint};
+use edgstr_runtime::{CrdtSet, SetChanges, SetSyncMessage, SyncEndpoint};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseFailure;
 use serde_json::json;
@@ -95,6 +101,34 @@ enum Write {
     Half,
 }
 
+impl Write {
+    fn path(self) -> &'static str {
+        match self {
+            Write::Add => "/add",
+            Write::Set => "/set",
+            Write::Del => "/del",
+            Write::Half => "/half",
+        }
+    }
+}
+
+fn write() -> impl Strategy<Value = Write> {
+    prop_oneof![
+        Just(Write::Add),
+        Just(Write::Add),
+        Just(Write::Set),
+        Just(Write::Del),
+        Just(Write::Half),
+    ]
+}
+
+/// The state every node starts from: the app's init run.
+fn init_state() -> InitState {
+    let mut s = ServerProcess::from_source(APP).unwrap();
+    s.init().unwrap();
+    InitState::capture(&s)
+}
+
 /// What the adversary does with the oldest message in flight.
 #[derive(Debug, Clone, Copy)]
 enum Net {
@@ -123,14 +157,7 @@ enum Op {
 
 fn op() -> impl Strategy<Value = Op> {
     let local = || {
-        let write = prop_oneof![
-            Just(Write::Add),
-            Just(Write::Add),
-            Just(Write::Set),
-            Just(Write::Del),
-            Just(Write::Half),
-        ];
-        (0..EDGES + 1, write, 6u8..14, -9i8..9).prop_map(|(at, write, id, qty)| Op::Local {
+        (0..EDGES + 1, write(), 6u8..14, -9i8..9).prop_map(|(at, write, id, qty)| Op::Local {
             at,
             write,
             id,
@@ -168,7 +195,7 @@ fn perturb(queue: &mut Vec<SetSyncMessage>, net: Net, ep: &mut SyncEndpoint, dst
         }
         Net::Duplicate => {
             let m = queue.remove(0);
-            ep.receive(&mut dst.set, &mut dst.server, &m);
+            ep.receive_owned(&mut dst.set, &mut dst.server, m.clone());
             ep.receive_owned(&mut dst.set, &mut dst.server, m);
         }
         Net::NewestFirst => {
@@ -185,11 +212,7 @@ proptest! {
     fn touched_rows_alone_keep_the_table_equal_to_a_full_rebuild(
         ops in prop::collection::vec(op(), 1..80),
     ) {
-        let init = {
-            let mut s = ServerProcess::from_source(APP).unwrap();
-            s.init().unwrap();
-            InitState::capture(&s)
-        };
+        let init = init_state();
         let mut cloud = Node::new(1, &init);
         let mut edges: Vec<Node> = (0..EDGES).map(|i| Node::new(2 + i as u64, &init)).collect();
         // per edge: its endpoint, the cloud's endpoint for it, both queues
@@ -202,13 +225,7 @@ proptest! {
             match *o {
                 Op::Local { at, write, id, qty } => {
                     let node = if at == 0 { &mut cloud } else { &mut edges[at - 1] };
-                    let path = match write {
-                        Write::Add => "/add",
-                        Write::Set => "/set",
-                        Write::Del => "/del",
-                        Write::Half => "/half",
-                    };
-                    node.serve(path, id, qty);
+                    node.serve(write.path(), id, qty);
                 }
                 Op::Up { edge, net } => {
                     up[edge].push(to_cloud[edge].generate(&edges[edge].set));
@@ -254,5 +271,68 @@ proptest! {
             e.check(&format!("edge {i}"), &settled)?;
             prop_assert_eq!(&e.server.db.table("items").unwrap().rows, want, "edge {} converged", i);
         }
+        // healed: every clock is the master's, and no endpoint has a
+        // change left to send in either direction
+        for i in 0..EDGES {
+            prop_assert_eq!(edges[i].set.clock(), cloud.set.clock(), "edge {} clock", i);
+            let up = to_cloud[i].generate(&edges[i].set);
+            prop_assert!(up.changes.is_empty(), "edge {} still sends {:?}", i, up.changes);
+            let down = to_edge[i].generate(&cloud.set);
+            prop_assert!(down.changes.is_empty(), "cloud still sends edge {} {:?}", i, down.changes);
+        }
+    }
+
+    /// A delta cut into one message per change, each delivered twice, in
+    /// an order that takes from either end of the stream, leaves the
+    /// receiver where in-order delivery of the whole delta does: the same
+    /// clock and the same rows (applying a change is idempotent, and a
+    /// change that arrives before its dependencies waits for them).
+    #[test]
+    fn duplicated_reordered_stream_matches_in_order(
+        writes in prop::collection::vec((write(), 6u8..14, -9i8..9), 1..15),
+        pick in prop::collection::vec(any::<bool>(), 1..15),
+    ) {
+        let init = init_state();
+        let mut src = Node::new(1, &init);
+        for (write, id, qty) in &writes {
+            src.serve(write.path(), *id, *qty);
+        }
+        let full = SyncEndpoint::new().generate(&src.set);
+
+        let mut ordered = Node::new(2, &init);
+        SyncEndpoint::new().receive_owned(&mut ordered.set, &mut ordered.server, full.clone());
+
+        let single = |table: &String, change| SetSyncMessage {
+            sender: full.sender,
+            ack: full.ack.clone(),
+            changes: SetChanges {
+                tables: [(table.clone(), vec![change])].into(),
+                ..SetChanges::default()
+            },
+        };
+        let mut singles: Vec<SetSyncMessage> = full
+            .changes
+            .tables
+            .iter()
+            .flat_map(|(table, cs)| cs.iter().map(|c| single(table, c.clone())))
+            .collect();
+        prop_assert_eq!(singles.len(), full.changes.len());
+        let mut chaotic = Node::new(3, &init);
+        let mut ep = SyncEndpoint::new();
+        for i in 0.. {
+            let m = match pick[i % pick.len()] {
+                _ if singles.is_empty() => break,
+                true => singles.remove(0),
+                false => singles.pop().expect("non-empty"),
+            };
+            ep.receive_owned(&mut chaotic.set, &mut chaotic.server, m.clone());
+            ep.receive_owned(&mut chaotic.set, &mut chaotic.server, m);
+        }
+        prop_assert_eq!(chaotic.set.clock(), ordered.set.clock());
+        prop_assert_eq!(
+            &chaotic.server.db.table("items").unwrap().rows,
+            &ordered.server.db.table("items").unwrap().rows
+        );
+        chaotic.check("chaotic", &Op::Compact)?;
     }
 }

@@ -18,20 +18,16 @@
 //!   state integrated over virtual time (the power-meter analog), with the
 //!   low-power parking mode used by the elasticity experiment (Fig. 9);
 //! - [`LatencyStats`] / [`Throughput`] / [`linear_fit`] — the measurement
-//!   toolkit used by the benchmark harness;
-//! - [`EventQueue`] — a deterministic event loop for the cluster
-//!   simulations.
+//!   toolkit used by the benchmark harness.
 
 pub mod clock;
 pub mod device;
 pub mod metrics;
-pub mod queue;
 pub mod rng;
 pub mod time;
 
 pub use clock::Clock;
 pub use device::{Device, DeviceSpec, EnergyMeter, PowerModel, PowerState};
 pub use metrics::{linear_fit, FiveNumber, LatencyStats, LinearFit, Throughput, Window};
-pub use queue::EventQueue;
 pub use rng::{splitmix64, DetRng};
 pub use time::{SimDuration, SimTime};

@@ -88,7 +88,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         delta.wire_size()
     );
     assert_eq!(delta.changes.len(), 2);
-    c_recv.receive(&mut cloud_crdts, &mut cloud, &delta);
+    c_recv.receive_owned(&mut cloud_crdts, &mut cloud, delta);
 
     // the cloud now sees the edge-written row
     let rows = cloud.handle(&HttpRequest::get("/visits", json!({})))?;
