@@ -319,11 +319,11 @@ proptest! {
         prop_assert_eq!(singles.len(), full.changes.len());
         let mut chaotic = Node::new(3, &init);
         let mut ep = SyncEndpoint::new();
-        for i in 0.. {
-            let m = match pick[i % pick.len()] {
-                _ if singles.is_empty() => break,
-                true => singles.remove(0),
-                false => singles.pop().expect("non-empty"),
+        let mut from_front = pick.iter().cycle();
+        while !singles.is_empty() {
+            let m = match from_front.next() {
+                Some(true) => singles.remove(0),
+                _ => singles.pop().expect("non-empty"),
             };
             ep.receive_owned(&mut chaotic.set, &mut chaotic.server, m.clone());
             ep.receive_owned(&mut chaotic.set, &mut chaotic.server, m);
