@@ -32,9 +32,9 @@ fn bench_crdt(c: &mut Criterion) {
         }
         let changes = src.get_changes(&VClock::new());
         b.iter_batched(
-            || Doc::new(ActorId(2)),
-            |mut doc| {
-                doc.apply_changes(&changes).unwrap();
+            || (Doc::new(ActorId(2)), changes.clone()),
+            |(mut doc, changes)| {
+                doc.apply_changes(changes).unwrap();
                 doc
             },
             BatchSize::SmallInput,
@@ -66,8 +66,8 @@ fn bench_crdt(c: &mut Criterion) {
                 (a, bdoc)
             },
             |(mut a, mut bdoc)| {
-                a.merge(&bdoc).unwrap();
-                bdoc.merge(&a).unwrap();
+                a.apply_changes(bdoc.get_changes(a.clock())).unwrap();
+                bdoc.apply_changes(a.get_changes(bdoc.clock())).unwrap();
                 (a, bdoc)
             },
             BatchSize::SmallInput,
@@ -140,7 +140,7 @@ fn delta_fixture(n: u64) -> (Doc, VClock, Doc) {
     }
     let mut receiver = Doc::new(ActorId(2));
     receiver
-        .apply_changes_owned(src.get_changes(&VClock::new()))
+        .apply_changes(src.get_changes(&VClock::new()))
         .unwrap();
     let since = src.clock().clone();
     for i in 0..100u64 {
@@ -176,7 +176,7 @@ fn bench_log_structure(c: &mut Criterion) {
             b.iter_batched(
                 || (receiver.clone(), delta.clone()),
                 |(mut r, d)| {
-                    r.apply_changes_owned(d).unwrap();
+                    r.apply_changes(d).unwrap();
                     r
                 },
                 BatchSize::SmallInput,

@@ -3,9 +3,7 @@
 
 use crate::doc::CrdtError;
 use crate::ids::{ActorId, OpId, VClock};
-use crate::wire::{
-    corrupt, put_op_id, put_scalar, put_str, put_varint, put_zigzag, Count, Reader, Sink,
-};
+use crate::wire::{corrupt, put_op_id, put_scalar, put_str, put_varint, Count, Reader, Sink};
 use serde_json::Value as Json;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -15,7 +13,7 @@ use std::sync::{Arc, OnceLock};
 pub enum ObjId {
     /// The document root (a map).
     Root,
-    /// A map or list created by a `MakeMap`/`MakeList` operation.
+    /// A map created by a `MakeMap` operation.
     Made(OpId),
 }
 
@@ -28,24 +26,15 @@ impl fmt::Display for ObjId {
     }
 }
 
-/// The value carried by a `Set`/`Insert` operation: either an atomic JSON
-/// scalar/subtree, or a reference to a container created in the same or an
-/// earlier change.
+/// The value carried by a `Set` operation: either an atomic JSON
+/// scalar/array, or a reference to a map created in the same or an earlier
+/// change.
 #[derive(Debug, Clone, PartialEq)]
 pub enum OpValue {
     /// An atomic JSON payload (merged as a unit).
     Scalar(Json),
-    /// A nested container.
+    /// A nested map.
     Obj(ObjId),
-}
-
-/// Position reference for list insertion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ElemRef {
-    /// Insert at the head of the list.
-    Head,
-    /// Insert after the element created by this op.
-    After(OpId),
 }
 
 /// A single CRDT operation.
@@ -62,8 +51,6 @@ pub enum ElemRef {
 pub enum Op {
     /// Create an empty map object with identity `id`.
     MakeMap { id: OpId },
-    /// Create an empty list object with identity `id`.
-    MakeList { id: OpId },
     /// Set `key` of map `obj` to `value`.
     Set {
         id: OpId,
@@ -79,44 +66,13 @@ pub enum Op {
         key: Arc<str>,
         pred: Vec<OpId>,
     },
-    /// Insert a new element into list `obj` after `after`.
-    Insert {
-        id: OpId,
-        obj: ObjId,
-        after: ElemRef,
-        value: OpValue,
-    },
-    /// Overwrite the value of an existing list element.
-    SetElem {
-        id: OpId,
-        obj: ObjId,
-        elem: OpId,
-        value: OpValue,
-        pred: Vec<OpId>,
-    },
-    /// Tombstone a list element.
-    DelElem { id: OpId, obj: ObjId, elem: OpId },
-    /// Add `delta` to the counter at `key` of map `obj` (PN-counter cell).
-    Inc {
-        id: OpId,
-        obj: ObjId,
-        key: Arc<str>,
-        delta: i64,
-    },
 }
 
 impl Op {
     /// The id of this operation.
     pub fn id(&self) -> OpId {
         match self {
-            Op::MakeMap { id }
-            | Op::MakeList { id }
-            | Op::Set { id, .. }
-            | Op::DelKey { id, .. }
-            | Op::Insert { id, .. }
-            | Op::SetElem { id, .. }
-            | Op::DelElem { id, .. }
-            | Op::Inc { id, .. } => *id,
+            Op::MakeMap { id } | Op::Set { id, .. } | Op::DelKey { id, .. } => *id,
         }
     }
 }
@@ -124,22 +80,17 @@ impl Op {
 // ---- binary layout -------------------------------------------------------
 //
 // One tag byte per variant; see `crate::wire` for the primitives and
-// DESIGN.md "Sync wire format" for the table.
+// DESIGN.md "Sync wire format" for the table. Op tags 1 and 4-7 are
+// retired (an earlier layout's list and counter ops): they read as unknown
+// and are not to be reused.
 
 const OBJ_ROOT: u8 = 0;
 const OBJ_MADE: u8 = 1;
-const ELEM_HEAD: u8 = 0;
-const ELEM_AFTER: u8 = 1;
 const VALUE_SCALAR: u8 = 0;
 const VALUE_OBJ: u8 = 1;
 const OP_MAKE_MAP: u8 = 0;
-const OP_MAKE_LIST: u8 = 1;
 const OP_SET: u8 = 2;
 const OP_DEL_KEY: u8 = 3;
-const OP_INSERT: u8 = 4;
-const OP_SET_ELEM: u8 = 5;
-const OP_DEL_ELEM: u8 = 6;
-const OP_INC: u8 = 7;
 
 impl ObjId {
     pub(crate) fn write<S: Sink>(&self, out: &mut S) {
@@ -157,26 +108,6 @@ impl ObjId {
             OBJ_ROOT => Ok(ObjId::Root),
             OBJ_MADE => Ok(ObjId::Made(r.op_id()?)),
             _ => Err(corrupt("unknown object tag")),
-        }
-    }
-}
-
-impl ElemRef {
-    fn write<S: Sink>(&self, out: &mut S) {
-        match self {
-            ElemRef::Head => out.put(&[ELEM_HEAD]),
-            ElemRef::After(id) => {
-                out.put(&[ELEM_AFTER]);
-                put_op_id(out, *id);
-            }
-        }
-    }
-
-    fn read(r: &mut Reader<'_>) -> Result<ElemRef, CrdtError> {
-        match r.byte()? {
-            ELEM_HEAD => Ok(ElemRef::Head),
-            ELEM_AFTER => Ok(ElemRef::After(r.op_id()?)),
-            _ => Err(corrupt("unknown element tag")),
         }
     }
 }
@@ -226,18 +157,13 @@ impl Op {
     fn write<S: Sink>(&self, out: &mut S) {
         let tag = match self {
             Op::MakeMap { .. } => OP_MAKE_MAP,
-            Op::MakeList { .. } => OP_MAKE_LIST,
             Op::Set { .. } => OP_SET,
             Op::DelKey { .. } => OP_DEL_KEY,
-            Op::Insert { .. } => OP_INSERT,
-            Op::SetElem { .. } => OP_SET_ELEM,
-            Op::DelElem { .. } => OP_DEL_ELEM,
-            Op::Inc { .. } => OP_INC,
         };
         out.put(&[tag]);
         put_op_id(out, self.id());
         match self {
-            Op::MakeMap { .. } | Op::MakeList { .. } => {}
+            Op::MakeMap { .. } => {}
             Op::Set {
                 obj,
                 key,
@@ -255,36 +181,6 @@ impl Op {
                 put_str(out, key);
                 write_pred(out, pred);
             }
-            Op::Insert {
-                obj, after, value, ..
-            } => {
-                obj.write(out);
-                after.write(out);
-                value.write(out);
-            }
-            Op::SetElem {
-                obj,
-                elem,
-                value,
-                pred,
-                ..
-            } => {
-                obj.write(out);
-                put_op_id(out, *elem);
-                value.write(out);
-                write_pred(out, pred);
-            }
-            Op::DelElem { obj, elem, .. } => {
-                obj.write(out);
-                put_op_id(out, *elem);
-            }
-            Op::Inc {
-                obj, key, delta, ..
-            } => {
-                obj.write(out);
-                put_str(out, key);
-                put_zigzag(out, *delta);
-            }
         }
     }
 
@@ -293,7 +189,6 @@ impl Op {
         let id = r.op_id()?;
         Ok(match tag {
             OP_MAKE_MAP => Op::MakeMap { id },
-            OP_MAKE_LIST => Op::MakeList { id },
             OP_SET => Op::Set {
                 id,
                 obj: ObjId::read(r)?,
@@ -306,30 +201,6 @@ impl Op {
                 obj: ObjId::read(r)?,
                 key: r.str()?.into(),
                 pred: read_pred(r)?,
-            },
-            OP_INSERT => Op::Insert {
-                id,
-                obj: ObjId::read(r)?,
-                after: ElemRef::read(r)?,
-                value: OpValue::read(r)?,
-            },
-            OP_SET_ELEM => Op::SetElem {
-                id,
-                obj: ObjId::read(r)?,
-                elem: r.op_id()?,
-                value: OpValue::read(r)?,
-                pred: read_pred(r)?,
-            },
-            OP_DEL_ELEM => Op::DelElem {
-                id,
-                obj: ObjId::read(r)?,
-                elem: r.op_id()?,
-            },
-            OP_INC => Op::Inc {
-                id,
-                obj: ObjId::read(r)?,
-                key: r.str()?.into(),
-                delta: r.zigzag()?,
             },
             _ => return Err(corrupt("unknown op tag")),
         })
@@ -522,7 +393,7 @@ mod tests {
                 Op::MakeMap {
                     id: OpId::new(3, ActorId(1)),
                 },
-                Op::MakeList {
+                Op::MakeMap {
                     id: OpId::new(7, ActorId(1)),
                 },
             ],

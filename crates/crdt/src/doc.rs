@@ -1,13 +1,14 @@
 //! The replicated JSON document (`CRDT-JSON` in the paper).
 //!
-//! A [`Doc`] is an operation-based CRDT holding a tree of maps, lists and
-//! atomic JSON leaves. Replicas exchange [`Change`] batches via
-//! [`Doc::get_changes`] / [`Doc::apply_changes`] — the exact API triple the
-//! paper generates wiring code for (`initialize`, `getChanges`,
-//! `applyChanges`, §III-G.1). Concurrent map writes resolve
-//! last-writer-wins by op id; deletes are add-wins; lists use RGA ordering
-//! with tombstones. The result is strong eventual consistency: replicas
-//! that have applied the same set of changes read the same JSON.
+//! A [`Doc`] is an operation-based CRDT holding a tree of last-writer-wins
+//! maps with atomic JSON leaves: a JSON object becomes a map, anything else
+//! — a JSON array included — is one leaf, replaced whole. Replicas exchange
+//! [`Change`] batches via [`Doc::get_changes`] / [`Doc::apply_changes`] —
+//! the exact API triple the paper generates wiring code for (`initialize`,
+//! `getChanges`, `applyChanges`, §III-G.1), which hands the CRDT whole
+//! values. Concurrent map writes resolve last-writer-wins by op id; deletes
+//! are add-wins. The result is strong eventual consistency: replicas that
+//! have applied the same set of changes read the same JSON.
 //!
 //! # Log structure
 //!
@@ -18,9 +19,9 @@
 //! log can be folded into the materialized state with [`Doc::compact`],
 //! after which [`Doc::save`] emits a snapshot plus the retained tail.
 
-use crate::change::{Change, ElemRef, ObjId, Op, OpValue};
+use crate::change::{Change, ObjId, Op, OpValue};
 use crate::ids::{ActorId, OpId, VClock};
-use crate::wire::{ascending, corrupt, put_op_id, put_str, put_varint, put_zigzag, Reader, Sink};
+use crate::wire::{ascending, corrupt, put_op_id, put_str, put_varint, Reader, Sink};
 use serde_json::Value as Json;
 use std::borrow::Cow;
 use std::collections::btree_map::Entry;
@@ -33,8 +34,6 @@ use std::sync::Arc;
 pub enum PathSeg {
     /// A map key.
     Key(String),
-    /// A list index (over visible, i.e. non-deleted, elements).
-    Index(usize),
 }
 
 impl From<&str> for PathSeg {
@@ -49,19 +48,13 @@ impl From<String> for PathSeg {
     }
 }
 
-impl From<usize> for PathSeg {
-    fn from(i: usize) -> Self {
-        PathSeg::Index(i)
-    }
-}
-
-/// Build a document path from string keys and numeric indices.
+/// Build a document path from map keys.
 ///
 /// # Examples
 ///
 /// ```
 /// use edgstr_crdt::path;
-/// let p = path!["rows", 0, "name"];
+/// let p = path!["rows", "0", "name"];
 /// assert_eq!(p.len(), 3);
 /// ```
 #[macro_export]
@@ -76,8 +69,6 @@ macro_rules! path {
 pub enum CrdtError {
     /// The path does not resolve to a container of the required kind.
     BadPath(String),
-    /// A list index was out of bounds.
-    IndexOutOfBounds { index: usize, len: usize },
     /// An operation referenced an object this replica has never seen.
     MissingObject(String),
     /// A change arrived with an impossible sequence number (gap going
@@ -89,9 +80,6 @@ impl fmt::Display for CrdtError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CrdtError::BadPath(p) => write!(f, "invalid document path: {p}"),
-            CrdtError::IndexOutOfBounds { index, len } => {
-                write!(f, "list index {index} out of bounds (len {len})")
-            }
             CrdtError::MissingObject(o) => write!(f, "unknown object {o}"),
             CrdtError::CorruptChange(m) => write!(f, "corrupt change: {m}"),
         }
@@ -216,38 +204,24 @@ impl Slot {
 struct MapObj {
     /// key → live values.
     entries: BTreeMap<Arc<str>, Slot>,
-    /// key → observed counter increments (PN-counter cells). Each
-    /// increment is tracked by op id so deletion can remove exactly the
-    /// observed increments (concurrent increments survive: add-wins).
-    counters: BTreeMap<Arc<str>, Vec<(OpId, i64)>>,
 }
 
 impl MapObj {
-    fn has_entry(&self, key: &str) -> bool {
-        self.entries.get(key).is_some_and(|slot| !slot.is_empty())
-    }
-
-    /// Whether `key` reads as a value: a visible entry or a counter cell.
-    fn is_live(&self, key: &str) -> bool {
-        self.visible(key).is_some()
-    }
-
-    /// What a read of `key` sees: a counter cell before an entry.
+    /// What a read of `key` sees: the last live value.
     fn visible(&self, key: &str) -> Option<At<'_>> {
-        if let Some(incs) = self.counters.get(key).filter(|incs| !incs.is_empty()) {
-            return Some(At::Counter(counter_value(incs)));
-        }
         Some(match &self.entries.get(key)?.last()?.1 {
             OpValue::Scalar(j) => At::Scalar(j),
             OpValue::Obj(o) => At::Obj(*o),
         })
     }
-}
 
-/// What a counter cell reads: its increments added up, wrapping — deltas
-/// come from peers, and their sum must not be able to stop a read.
-fn counter_value(incs: &[(OpId, i64)]) -> i64 {
-    incs.iter().fold(0, |sum, (_, d)| sum.wrapping_add(*d))
+    /// The keys holding a live value, in order.
+    fn live_keys(&self) -> impl Iterator<Item = &Arc<str>> {
+        self.entries
+            .iter()
+            .filter(|(_, slot)| !slot.is_empty())
+            .map(|(k, _)| k)
+    }
 }
 
 /// A value of a [`Doc`] read where it is stored ([`Doc::get_ref`]): what
@@ -261,10 +235,9 @@ pub struct ValueRef<'a> {
 #[derive(Debug, Clone, Copy)]
 enum At<'a> {
     Scalar(&'a Json),
-    Counter(i64),
     /// A map, looked up once so its keys are read without another lookup.
     Map(&'a MapObj),
-    /// Any other container (a list, or one this replica does not hold).
+    /// A container this replica does not hold.
     Obj(ObjId),
 }
 
@@ -281,7 +254,6 @@ impl<'a> ValueRef<'a> {
     pub fn to_json(&self) -> Cow<'a, Json> {
         match self.at {
             At::Scalar(j) => Cow::Borrowed(j),
-            At::Counter(n) => Cow::Owned(Json::from(n)),
             At::Map(map) => Cow::Owned(self.doc.map_json(map)),
             At::Obj(o) => Cow::Owned(self.doc.obj_json(o)),
         }
@@ -301,47 +273,7 @@ impl<'a> ValueRef<'a> {
         let At::Map(map) = self.at else {
             return Vec::new();
         };
-        let mut keys: Vec<&str> = map
-            .entries
-            .iter()
-            .filter(|(_, slot)| !slot.is_empty())
-            .map(|(k, _)| &**k)
-            .collect();
-        for (k, incs) in &map.counters {
-            if !incs.is_empty() && !map.has_entry(k) {
-                keys.push(k);
-            }
-        }
-        keys.sort_unstable();
-        keys
-    }
-}
-
-#[derive(Debug, Clone)]
-struct ListElem {
-    id: OpId,
-    values: Vec<(OpId, OpValue)>,
-    deleted: bool,
-}
-
-#[derive(Debug, Clone, Default)]
-struct ListObj {
-    elems: Vec<ListElem>,
-}
-
-impl ListObj {
-    fn visible(&self) -> impl Iterator<Item = &ListElem> {
-        self.elems
-            .iter()
-            .filter(|e| !e.deleted && !e.values.is_empty())
-    }
-
-    fn visible_id(&self, index: usize) -> Option<OpId> {
-        self.visible().nth(index).map(|e| e.id)
-    }
-
-    fn visible_len(&self) -> usize {
-        self.visible().count()
+        map.live_keys().map(|k| &**k).collect()
     }
 }
 
@@ -353,7 +285,7 @@ impl ListObj {
 // format" has the layout; the primitives are `crate::wire`'s.
 
 /// What an image starts with: three magic bytes and the layout's version.
-const IMAGE_MAGIC: [u8; 4] = *b"EDG\x03";
+const IMAGE_MAGIC: [u8; 4] = *b"EDG\x04";
 
 fn write_slots<S: Sink>(out: &mut S, slots: &[(OpId, OpValue)]) {
     put_varint(out, slots.len() as u64);
@@ -378,21 +310,12 @@ fn read_slots(r: &mut Reader<'_>) -> Result<Vec<(OpId, OpValue)>, CrdtError> {
 }
 
 impl MapObj {
-    /// Entries then counters, each a count and `(key, slots)` in key order.
+    /// A count, then `(key, slots)` in key order.
     fn write<S: Sink>(&self, out: &mut S) {
         put_varint(out, self.entries.len() as u64);
         for (key, slots) in &self.entries {
             put_str(out, key);
             write_slots(out, slots);
-        }
-        put_varint(out, self.counters.len() as u64);
-        for (key, incs) in &self.counters {
-            put_str(out, key);
-            put_varint(out, incs.len() as u64);
-            for (id, delta) in incs {
-                put_op_id(out, *id);
-                put_zigzag(out, *delta);
-            }
         }
     }
 
@@ -405,87 +328,32 @@ impl MapObj {
             ascending(&mut last, key)?;
             map.entries.insert(key.into(), read_slots(r)?.into());
         }
-        let mut last = None;
-        for _ in 0..r.count(2)? {
-            let key = r.str()?;
-            ascending(&mut last, key)?;
-            // increments stay in arrival order: an op id and a delta each
-            let n = r.count(3)?;
-            let mut incs = Vec::with_capacity(n);
-            for _ in 0..n {
-                incs.push((r.op_id()?, r.zigzag()?));
-            }
-            map.counters.insert(key.into(), incs);
-        }
         Ok(map)
     }
 }
 
-impl ListObj {
-    /// A count, then per element its id, its slots and a tombstone byte.
-    fn write<S: Sink>(&self, out: &mut S) {
-        put_varint(out, self.elems.len() as u64);
-        for e in &self.elems {
-            put_op_id(out, e.id);
-            write_slots(out, &e.values);
-            out.put(&[u8::from(e.deleted)]);
-        }
-    }
+/// Child container → (the map holding it, the key it sits under).
+type Parents = HashMap<ObjId, (ObjId, Arc<str>)>;
 
-    fn read(r: &mut Reader<'_>) -> Result<ListObj, CrdtError> {
-        // an id, a slot count and the tombstone byte at the least
-        let n = r.count(4)?;
-        let mut elems = Vec::with_capacity(n);
-        for _ in 0..n {
-            elems.push(ListElem {
-                id: r.op_id()?,
-                values: read_slots(r)?,
-                deleted: match r.byte()? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(corrupt("tombstone is neither 0 nor 1")),
-                },
-            });
-        }
-        Ok(ListObj { elems })
-    }
-}
-
-/// Child container → (the container holding it, the map key it sits
-/// under; `None` for a list element).
-type Parents = HashMap<ObjId, (ObjId, Option<Arc<str>>)>;
-
-/// The containment index of an image's containers: every slot and list
-/// element, superseded values included (concurrent ops may still address
-/// containers that are no longer visible), names the container it holds.
+/// The containment index of an image's containers: every slot, superseded
+/// values included (concurrent ops may still address containers that are
+/// no longer visible), names the container it holds.
 ///
 /// The links must form a forest — reads recurse along them, so a container
 /// held twice is read twice and one held by its own descendant is read
 /// without end. Containers nothing holds (superseded ones) are legal.
-fn containment(
-    maps: &HashMap<ObjId, MapObj>,
-    lists: &HashMap<ObjId, ListObj>,
-) -> Result<Parents, CrdtError> {
+fn containment(maps: &HashMap<ObjId, MapObj>) -> Result<Parents, CrdtError> {
     let mut parent = HashMap::new();
-    let mut hold = |value: &OpValue, holder: ObjId, key: Option<&Arc<str>>| {
-        if let OpValue::Obj(child) = value {
-            let held = parent.insert(*child, (holder, key.cloned()));
-            if *child == ObjId::Root || held.is_some() {
-                return Err(corrupt("a container is held twice, or is the root"));
-            }
-        }
-        Ok(())
-    };
     for (id, map) in maps {
         for (key, slot) in &map.entries {
             for (_, value) in slot.iter() {
-                hold(value, *id, Some(key))?;
+                if let OpValue::Obj(child) = value {
+                    let held = parent.insert(*child, (*id, Arc::clone(key)));
+                    if *child == ObjId::Root || held.is_some() {
+                        return Err(corrupt("a container is held twice, or is the root"));
+                    }
+                }
             }
-        }
-    }
-    for (id, list) in lists {
-        for (_, value) in list.elems.iter().flat_map(|e| &e.values) {
-            hold(value, *id, None)?;
         }
     }
     // One holder each, so a walk rootward either ends or runs in a circle;
@@ -535,7 +403,7 @@ struct ActorLog {
 /// let mut edge = Doc::new(ActorId(2));
 /// cloud.put(&path!["sensors"], json!({"count": 0})).unwrap();
 /// let changes = cloud.get_changes(edge.clock());
-/// edge.apply_changes(&changes).unwrap();
+/// edge.apply_changes(changes).unwrap();
 /// assert_eq!(edge.to_json(), cloud.to_json());
 /// ```
 #[derive(Debug, Clone)]
@@ -554,11 +422,9 @@ pub struct Doc {
     /// applicable seq per actor instead of re-scanning a queue.
     pending: BTreeMap<(ActorId, u64), Change>,
     maps: HashMap<ObjId, MapObj>,
-    lists: HashMap<ObjId, ListObj>,
-    /// Containment index: child object → (parent object, map key under the
-    /// parent when the child sits in a map slot; `None` for list elements,
-    /// which share their list's key path). Lets tracked applies attribute
-    /// each op to the state unit it mutates without materializing paths.
+    /// Containment index: child map → (parent map, key under the parent).
+    /// Lets applies attribute each op to the state unit it mutates without
+    /// materializing paths.
     parent: Parents,
     /// Lifetime count of [`Doc::compact`] calls that folded anything.
     compaction_rounds: u64,
@@ -580,7 +446,6 @@ impl Doc {
             history: BTreeMap::new(),
             pending: BTreeMap::new(),
             maps,
-            lists: HashMap::new(),
             parent: HashMap::new(),
             compaction_rounds: 0,
             compacted_changes: 0,
@@ -665,13 +530,13 @@ impl Doc {
 
     // ---- local mutation API ------------------------------------------------
 
-    /// Set the value at `path` to an atomic JSON payload, creating
-    /// intermediate maps as needed.
+    /// Set the value at `path`, creating intermediate maps as needed. A
+    /// JSON object becomes a map of its entries; anything else, an array
+    /// included, is stored as one atomic leaf.
     ///
     /// # Errors
     ///
-    /// Fails if an intermediate path segment resolves to a list index that
-    /// does not exist.
+    /// Fails on the empty path.
     pub fn put(&mut self, path: &[PathSeg], value: Json) -> Result<(), CrdtError> {
         let mut ops = Vec::new();
         let value = self.value_ops(Cow::Owned(value), &mut ops);
@@ -704,76 +569,7 @@ impl Doc {
         Ok(())
     }
 
-    /// Ensure `path` resolves to a (possibly empty) list.
-    ///
-    /// # Errors
-    ///
-    /// Fails on invalid paths.
-    pub fn put_list(&mut self, path: &[PathSeg]) -> Result<(), CrdtError> {
-        if matches!(self.get_obj(path), Some(o) if self.lists.contains_key(&o)) {
-            return Ok(());
-        }
-        let mut ops = Vec::new();
-        let id = self.next_op();
-        ops.push(Op::MakeList { id });
-        self.write(path, OpValue::Obj(ObjId::Made(id)), &mut ops)?;
-        self.commit(ops);
-        Ok(())
-    }
-
-    /// Insert `value` at `index` of the list at `path`.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `path` is not a list or `index > len`.
-    pub fn list_insert(
-        &mut self,
-        path: &[PathSeg],
-        index: usize,
-        value: Json,
-    ) -> Result<(), CrdtError> {
-        let obj = self
-            .get_obj(path)
-            .filter(|o| self.lists.contains_key(o))
-            .ok_or_else(|| CrdtError::BadPath(format!("{path:?} is not a list")))?;
-        let list = &self.lists[&obj];
-        let len = list.visible_len();
-        if index > len {
-            return Err(CrdtError::IndexOutOfBounds { index, len });
-        }
-        let after = if index == 0 {
-            ElemRef::Head
-        } else {
-            ElemRef::After(list.visible_id(index - 1).expect("index checked"))
-        };
-        let mut ops = Vec::new();
-        let value = self.value_ops(Cow::Owned(value), &mut ops);
-        let id = self.next_op();
-        ops.push(Op::Insert {
-            id,
-            obj,
-            after,
-            value,
-        });
-        self.commit(ops);
-        Ok(())
-    }
-
-    /// Append `value` to the list at `path`.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `path` is not a list.
-    pub fn list_push(&mut self, path: &[PathSeg], value: Json) -> Result<(), CrdtError> {
-        let len = self
-            .get_obj(path)
-            .and_then(|o| self.lists.get(&o))
-            .map(ListObj::visible_len)
-            .ok_or_else(|| CrdtError::BadPath(format!("{path:?} is not a list")))?;
-        self.list_insert(path, len, value)
-    }
-
-    /// Delete the map key or list element at `path`.
+    /// Delete the map key at `path`.
     ///
     /// # Errors
     ///
@@ -785,58 +581,14 @@ impl Doc {
         let obj = self
             .get_obj(parent_path)
             .ok_or_else(|| CrdtError::BadPath(format!("{parent_path:?} not found")))?;
-        let mut ops = Vec::new();
-        match last {
-            PathSeg::Key(k) => {
-                let pred = self.key_pred(obj, k);
-                let id = self.next_op();
-                ops.push(Op::DelKey {
-                    id,
-                    obj,
-                    key: k.as_str().into(),
-                    pred,
-                });
-            }
-            PathSeg::Index(i) => {
-                let elem = self.lists.get(&obj).and_then(|l| l.visible_id(*i)).ok_or(
-                    CrdtError::IndexOutOfBounds {
-                        index: *i,
-                        len: self.lists.get(&obj).map(ListObj::visible_len).unwrap_or(0),
-                    },
-                )?;
-                let id = self.next_op();
-                ops.push(Op::DelElem { id, obj, elem });
-            }
-        }
-        self.commit(ops);
-        Ok(())
-    }
-
-    /// Add `delta` to the PN-counter cell at `path` (last segment must be a
-    /// map key).
-    ///
-    /// # Errors
-    ///
-    /// Fails on invalid paths.
-    pub fn increment(&mut self, path: &[PathSeg], delta: i64) -> Result<(), CrdtError> {
-        let (last, parent_path) = path
-            .split_last()
-            .ok_or_else(|| CrdtError::BadPath("cannot increment the root".into()))?;
-        let key = match last {
-            PathSeg::Key(k) => k.as_str().into(),
-            PathSeg::Index(_) => {
-                return Err(CrdtError::BadPath("counters live at map keys".into()))
-            }
-        };
-        let obj = self
-            .get_obj(parent_path)
-            .ok_or_else(|| CrdtError::BadPath(format!("{parent_path:?} not found")))?;
+        let PathSeg::Key(k) = last;
+        let pred = self.key_pred(obj, k);
         let id = self.next_op();
-        self.commit(vec![Op::Inc {
+        self.commit(vec![Op::DelKey {
             id,
             obj,
-            key,
-            delta,
+            key: k.as_str().into(),
+            pred,
         }]);
         Ok(())
     }
@@ -848,17 +600,9 @@ impl Doc {
         if path.is_empty() {
             return Some(self.to_json());
         }
-        let (last, parent) = path.split_last()?;
+        let (PathSeg::Key(last), parent) = path.split_last()?;
         let obj = self.get_obj(parent)?;
-        match last {
-            PathSeg::Key(k) => Some(self.at(obj).get(k)?.to_json().into_owned()),
-            PathSeg::Index(i) => {
-                let list = self.lists.get(&obj)?;
-                let elem = list.visible().nth(*i)?;
-                let (_, v) = elem.values.last()?;
-                Some(self.resolve(v))
-            }
-        }
+        Some(self.at(obj).get(last)?.to_json().into_owned())
     }
 
     /// Materialize the full document as JSON.
@@ -892,44 +636,23 @@ impl Doc {
         ValueRef::new(self, At::Obj(obj))
     }
 
-    /// Number of visible elements of the list at `path` (`None` when the
-    /// path is not a list).
-    pub fn list_len(&self, path: &[PathSeg]) -> Option<usize> {
-        let obj = self.get_obj(path)?;
-        self.lists.get(&obj).map(ListObj::visible_len)
-    }
-
     /// Whether a value is visible at `path` — [`Doc::get`]`.is_some()`
     /// without building the value.
     pub fn contains(&self, path: &[PathSeg]) -> bool {
-        let Some((last, parent)) = path.split_last() else {
+        let Some((PathSeg::Key(last), parent)) = path.split_last() else {
             return true; // the root always exists
         };
-        let Some(obj) = self.get_obj(parent) else {
-            return false;
-        };
-        match last {
-            PathSeg::Key(k) => self.maps.get(&obj).is_some_and(|map| map.is_live(k)),
-            PathSeg::Index(i) => self
-                .lists
-                .get(&obj)
-                .is_some_and(|list| list.visible().nth(*i).is_some()),
-        }
+        self.get_obj(parent)
+            .and_then(|obj| self.maps.get(&obj))
+            .is_some_and(|map| map.visible(last).is_some())
     }
 
     /// Number of keys of the map at `path` (0 when it is not a map) —
     /// [`Doc::map_keys`]`.len()` without copying a key.
     pub fn map_len(&self, path: &[PathSeg]) -> usize {
-        let Some(map) = self.get_obj(path).and_then(|obj| self.maps.get(&obj)) else {
-            return 0;
-        };
-        let in_entries = map.entries.values().filter(|slot| !slot.is_empty()).count();
-        let counters_only = map
-            .counters
-            .iter()
-            .filter(|(k, incs)| !incs.is_empty() && !map.has_entry(k))
-            .count();
-        in_entries + counters_only
+        self.get_obj(path)
+            .and_then(|obj| self.maps.get(&obj))
+            .map_or(0, |map| map.live_keys().count())
     }
 
     /// Keys of the map at `path`.
@@ -975,21 +698,14 @@ impl Doc {
         out
     }
 
-    /// Apply remote changes. Changes already applied are skipped; changes
-    /// whose causal dependencies are not yet satisfied are buffered and
-    /// retried automatically as their dependencies arrive. Returns the
-    /// number of changes applied (now or from the pending buffer).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CrdtError::CorruptChange`] on malformed input (e.g. an op
-    /// referencing an object that its own dependencies cannot provide).
-    pub fn apply_changes(&mut self, changes: &[Change]) -> Result<usize, CrdtError> {
-        self.apply_changes_owned(changes.to_vec())
-    }
-
-    /// Consuming variant of [`Doc::apply_changes`]: takes ownership of the
-    /// batch so the hot sync path avoids cloning every delta.
+    /// Apply remote changes, taking the batch over (no delta is cloned).
+    /// Changes already applied are skipped; changes whose causal
+    /// dependencies are not yet satisfied are buffered and retried
+    /// automatically as their dependencies arrive. Returns the number of
+    /// changes applied (now or from the pending buffer) and *where* their
+    /// ops landed as [`TouchedKeys`] — the invalidation signal for per-unit
+    /// version counters. Buffered ops are reported by the call that
+    /// releases them.
     ///
     /// The incoming batch and the pending buffer are indexed by
     /// `(actor, seq)`; each pass probes only the next applicable seq per
@@ -1000,33 +716,11 @@ impl Doc {
     ///
     /// Returns [`CrdtError::CorruptChange`] on malformed input (e.g. an op
     /// referencing an object that its own dependencies cannot provide).
-    pub fn apply_changes_owned(&mut self, changes: Vec<Change>) -> Result<usize, CrdtError> {
-        self.apply_changes_inner(changes, None)
-    }
-
-    /// Like [`Doc::apply_changes_owned`], additionally reporting *where*
-    /// the applied ops landed as [`TouchedKeys`] — the invalidation signal
-    /// for per-unit version counters. Ops still buffered awaiting causal
-    /// dependencies are reported when they actually apply, i.e. by the
-    /// tracked call that releases them.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Doc::apply_changes_owned`].
-    pub fn apply_changes_owned_tracked(
+    pub fn apply_changes(
         &mut self,
         changes: Vec<Change>,
     ) -> Result<(usize, TouchedKeys), CrdtError> {
         let mut touched = TouchedKeys::default();
-        let applied = self.apply_changes_inner(changes, Some(&mut touched))?;
-        Ok((applied, touched))
-    }
-
-    fn apply_changes_inner(
-        &mut self,
-        changes: Vec<Change>,
-        mut touched: Option<&mut TouchedKeys>,
-    ) -> Result<usize, CrdtError> {
         let key = |c: &Change| (c.actor(), c.seq());
         // A batch sorted by (actor, seq) that arrives with nothing buffered
         // — what `get_changes` produces, the steady state of a sync round
@@ -1045,7 +739,7 @@ impl Doc {
                     continue; // duplicate
                 }
                 if change.seq() == have + 1 && self.clock.dominates(change.deps()) {
-                    self.apply_one(change, touched.as_deref_mut())?;
+                    self.apply_one(change, &mut touched)?;
                     applied += 1;
                 } else {
                     queue.insert(key(&change), change);
@@ -1070,7 +764,7 @@ impl Doc {
                         break;
                     };
                     if self.clock.dominates(change.deps()) {
-                        self.apply_one(change, touched.as_deref_mut())?;
+                        self.apply_one(change, &mut touched)?;
                         applied += 1;
                         progress = true;
                     } else {
@@ -1087,17 +781,7 @@ impl Doc {
         // the clock overtook during this batch are stale duplicates.
         queue.retain(|(actor, seq), _| *seq > self.clock.get(*actor));
         self.pending = queue;
-        Ok(applied)
-    }
-
-    /// Convenience: pull everything missing from `other` into `self`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CrdtError`] from [`Doc::apply_changes`].
-    pub fn merge(&mut self, other: &Doc) -> Result<usize, CrdtError> {
-        let changes = other.get_changes(self.clock());
-        self.apply_changes(&changes)
+        Ok((applied, touched))
     }
 
     /// Fold every retained change at or below `frontier` into the
@@ -1142,8 +826,8 @@ impl Doc {
 
     /// Serialize this replica as a state snapshot plus the retained change
     /// tail, in the [`crate::wire`] codec: magic and version, `clock`,
-    /// `snapshot_clock`, the op counter, maps then lists in container-id
-    /// order, and the tail as one change batch in `(actor, seq)` order.
+    /// `snapshot_clock`, the op counter, the maps in container-id order,
+    /// and the tail as one change batch in `(actor, seq)` order.
     ///
     /// A document restored by [`Doc::load`] is a faithful replica: it reads
     /// the same state and can exchange changes with the original — the
@@ -1163,13 +847,6 @@ impl Doc {
         for (id, map) in maps {
             id.write(&mut out);
             map.write(&mut out);
-        }
-        let mut lists: Vec<_> = self.lists.iter().collect();
-        lists.sort_unstable_by_key(|(id, _)| **id);
-        put_varint(&mut out, lists.len() as u64);
-        for (id, list) in lists {
-            id.write(&mut out);
-            list.write(&mut out);
         }
         // `put_changes` over the per-actor runs laid end to end
         put_varint(&mut out, self.history_len() as u64);
@@ -1199,24 +876,14 @@ impl Doc {
         let counter = r.varint()?;
         let mut maps = HashMap::new();
         let mut last = None;
-        // a container id and two counts at the least
-        for _ in 0..r.count(3)? {
+        // a container id and a count at the least
+        for _ in 0..r.count(2)? {
             let id = ObjId::read(&mut r)?;
             ascending(&mut last, id)?;
             maps.insert(id, MapObj::read(&mut r)?);
         }
         if !maps.contains_key(&ObjId::Root) {
             return Err(corrupt("image has no root map"));
-        }
-        let mut lists = HashMap::new();
-        let mut last = None;
-        for _ in 0..r.count(2)? {
-            let id = ObjId::read(&mut r)?;
-            ascending(&mut last, id)?;
-            if maps.contains_key(&id) {
-                return Err(corrupt("a container is both a map and a list"));
-            }
-            lists.insert(id, ListObj::read(&mut r)?);
         }
         // every applied change must be accounted for: each actor's tail
         // continues its snapshot prefix, and together they reach `clock`
@@ -1248,9 +915,8 @@ impl Doc {
             snapshot_clock,
             history,
             pending: BTreeMap::new(),
-            parent: containment(&maps, &lists)?,
+            parent: containment(&maps)?,
             maps,
-            lists,
             compaction_rounds: 0,
             compacted_changes: 0,
         })
@@ -1263,10 +929,11 @@ impl Doc {
         OpId::new(self.counter, self.actor)
     }
 
-    /// Turn a JSON value into an [`OpValue`], emitting Make/Set/Insert ops
-    /// for nested containers so that structural snapshots replicate as real
-    /// CRDT objects rather than opaque blobs. A value handed over owned
-    /// moves its scalars into their ops; a lent one is copied leaf by leaf.
+    /// Turn a JSON value into an [`OpValue`], emitting `MakeMap`/`Set` ops
+    /// for nested objects so that structural snapshots replicate as real
+    /// CRDT maps rather than opaque blobs; any other value, an array
+    /// included, is one atomic leaf. A value handed over owned moves its
+    /// leaves into their ops; a lent one is copied leaf by leaf.
     fn value_ops(&mut self, value: Cow<'_, Json>, ops: &mut Vec<Op>) -> OpValue {
         match value {
             Cow::Borrowed(Json::Object(map)) => self.map_ops(
@@ -1277,11 +944,7 @@ impl Doc {
             Cow::Owned(Json::Object(map)) => {
                 self.map_ops(map.into_iter().map(|(k, v)| (k.into(), Cow::Owned(v))), ops)
             }
-            Cow::Borrowed(Json::Array(items)) => {
-                self.list_ops(items.iter().map(Cow::Borrowed), ops)
-            }
-            Cow::Owned(Json::Array(items)) => self.list_ops(items.into_iter().map(Cow::Owned), ops),
-            scalar => OpValue::Scalar(scalar.into_owned()),
+            leaf => OpValue::Scalar(leaf.into_owned()),
         }
     }
 
@@ -1309,31 +972,6 @@ impl Doc {
         OpValue::Obj(obj)
     }
 
-    /// A `MakeList`, then per item its value's ops and an `Insert` after
-    /// the one before.
-    fn list_ops<'v>(
-        &mut self,
-        items: impl Iterator<Item = Cow<'v, Json>>,
-        ops: &mut Vec<Op>,
-    ) -> OpValue {
-        let id = self.next_op();
-        ops.push(Op::MakeList { id });
-        let obj = ObjId::Made(id);
-        let mut after = ElemRef::Head;
-        for v in items {
-            let value = self.value_ops(v, ops);
-            let id = self.next_op();
-            ops.push(Op::Insert {
-                id,
-                obj,
-                after,
-                value,
-            });
-            after = ElemRef::After(id);
-        }
-        OpValue::Obj(obj)
-    }
-
     /// Emit the op writing `value` at `path`, creating intermediate maps.
     fn write(
         &mut self,
@@ -1341,37 +979,11 @@ impl Doc {
         value: OpValue,
         ops: &mut Vec<Op>,
     ) -> Result<(), CrdtError> {
-        let (last, parents) = path
+        let (PathSeg::Key(k), parents) = path
             .split_last()
             .ok_or_else(|| CrdtError::BadPath("empty path".into()))?;
         let obj = self.walk(parents, ops)?;
-        match last {
-            PathSeg::Key(k) => self.set_key(obj, k.as_str().into(), value, ops),
-            PathSeg::Index(i) => {
-                let list = self
-                    .lists
-                    .get(&obj)
-                    .ok_or_else(|| CrdtError::BadPath(format!("{obj} is not a list")))?;
-                let elem = list.visible_id(*i).ok_or(CrdtError::IndexOutOfBounds {
-                    index: *i,
-                    len: list.visible_len(),
-                })?;
-                let pred = list
-                    .elems
-                    .iter()
-                    .find(|e| e.id == elem)
-                    .map(|e| e.values.iter().map(|(id, _)| *id).collect())
-                    .unwrap_or_default();
-                let id = self.next_op();
-                ops.push(Op::SetElem {
-                    id,
-                    obj,
-                    elem,
-                    value,
-                    pred,
-                });
-            }
-        }
+        self.set_key(obj, k.as_str().into(), value, ops);
         Ok(())
     }
 
@@ -1379,46 +991,25 @@ impl Doc {
     /// segments resolve) maps for missing keys.
     fn walk(&mut self, path: &[PathSeg], ops: &mut Vec<Op>) -> Result<ObjId, CrdtError> {
         let mut obj = ObjId::Root;
-        for seg in path {
-            obj = match seg {
-                PathSeg::Key(k) => {
-                    let existing = self
-                        .maps
-                        .get(&obj)
-                        .and_then(|m| m.entries.get(k.as_str()))
-                        .and_then(|v| v.last())
-                        .and_then(|(_, v)| match v {
-                            OpValue::Obj(o) => Some(*o),
-                            OpValue::Scalar(_) => None,
-                        });
-                    match existing {
-                        Some(o) => o,
-                        None => {
-                            let mid = self.next_op();
-                            ops.push(Op::MakeMap { id: mid });
-                            self.set_key(
-                                obj,
-                                k.as_str().into(),
-                                OpValue::Obj(ObjId::Made(mid)),
-                                ops,
-                            );
-                            self.apply_op(&ops[ops.len() - 2])?;
-                            self.apply_op(&ops[ops.len() - 1])?;
-                            ObjId::Made(mid)
-                        }
-                    }
-                }
-                PathSeg::Index(i) => {
-                    let o = self
-                        .lists
-                        .get(&obj)
-                        .and_then(|l| l.visible().nth(*i))
-                        .and_then(|e| e.values.last())
-                        .and_then(|(_, v)| match v {
-                            OpValue::Obj(o) => Some(*o),
-                            OpValue::Scalar(_) => None,
-                        });
-                    o.ok_or_else(|| CrdtError::BadPath(format!("no container at index {i}")))?
+        for PathSeg::Key(k) in path {
+            let existing = self
+                .maps
+                .get(&obj)
+                .and_then(|m| m.entries.get(k.as_str()))
+                .and_then(|v| v.last())
+                .and_then(|(_, v)| match v {
+                    OpValue::Obj(o) => Some(*o),
+                    OpValue::Scalar(_) => None,
+                });
+            obj = match existing {
+                Some(o) => o,
+                None => {
+                    let mid = self.next_op();
+                    ops.push(Op::MakeMap { id: mid });
+                    self.set_key(obj, k.as_str().into(), OpValue::Obj(ObjId::Made(mid)), ops);
+                    self.apply_op(&ops[ops.len() - 2])?;
+                    self.apply_op(&ops[ops.len() - 1])?;
+                    ObjId::Made(mid)
                 }
             };
         }
@@ -1439,18 +1030,11 @@ impl Doc {
     }
 
     fn key_pred(&self, obj: ObjId, key: &str) -> Vec<OpId> {
-        let Some(m) = self.maps.get(&obj) else {
-            return Vec::new();
-        };
-        let mut pred: Vec<OpId> = m
-            .entries
-            .get(key)
+        self.maps
+            .get(&obj)
+            .and_then(|m| m.entries.get(key))
             .map(|v| v.iter().map(|(id, _)| *id).collect())
-            .unwrap_or_default();
-        if let Some(incs) = m.counters.get(key) {
-            pred.extend(incs.iter().map(|(id, _)| *id));
-        }
-        pred
+            .unwrap_or_default()
     }
 
     /// Package `ops` as a change, apply locally, and record in history.
@@ -1471,26 +1055,18 @@ impl Doc {
         self.push_history(change);
     }
 
-    fn apply_one(
-        &mut self,
-        change: Change,
-        touched: Option<&mut TouchedKeys>,
-    ) -> Result<(), CrdtError> {
-        if let Some(touched) = touched {
-            // Index containment for the whole change first: the ops filling
-            // a fresh container precede the op that links it to its parent.
-            for op in change.ops() {
-                self.index_parent_op(op);
-            }
-            let mut settled = Vec::new();
-            for op in change.ops() {
-                self.track_op(op, &mut settled, touched);
-                self.apply_indexed_op(op)?;
-            }
-        } else {
-            for op in change.ops() {
-                self.apply_op(op)?;
-            }
+    /// Apply a remote change whose causal dependencies are met, recording
+    /// in `touched` the units its ops land in.
+    fn apply_one(&mut self, change: Change, touched: &mut TouchedKeys) -> Result<(), CrdtError> {
+        // Index containment for the whole change first: the ops filling a
+        // fresh container precede the op that links it to its parent.
+        for op in change.ops() {
+            self.index_parent_op(op);
+        }
+        let mut settled = Vec::new();
+        for op in change.ops() {
+            self.track_op(op, &mut settled, touched);
+            self.apply_indexed_op(op)?;
         }
         let max = change.max_counter();
         if max > self.counter {
@@ -1526,13 +1102,8 @@ impl Doc {
     fn track_op(&self, op: &Op, settled: &mut Vec<ObjId>, touched: &mut TouchedKeys) {
         let (obj, key) = match op {
             // Make ops have no location until something references them.
-            Op::MakeMap { .. } | Op::MakeList { .. } => return,
-            Op::Set { obj, key, .. } | Op::DelKey { obj, key, .. } | Op::Inc { obj, key, .. } => {
-                (*obj, Some(key))
-            }
-            Op::Insert { obj, .. } | Op::SetElem { obj, .. } | Op::DelElem { obj, .. } => {
-                (*obj, None)
-            }
+            Op::MakeMap { .. } => return,
+            Op::Set { obj, key, .. } | Op::DelKey { obj, key, .. } => (*obj, key),
         };
         if settled.contains(&obj) {
             return;
@@ -1547,10 +1118,7 @@ impl Doc {
         } = op
         {
             if settled.contains(child)
-                && matches!(
-                    self.parent.get(child),
-                    Some((p, Some(k))) if *p == obj && Some(k) == key
-                )
+                && matches!(self.parent.get(child), Some((p, k)) if *p == obj && k == key)
             {
                 return;
             }
@@ -1560,8 +1128,8 @@ impl Doc {
                 settled.push(obj);
                 Some((first, Some(second)))
             }
-            Some([Some(first), None]) => Some((first, key)),
-            Some([None, _]) => key.map(|k| (k, None)),
+            Some([Some(first), None]) => Some((first, Some(key))),
+            Some([None, _]) => Some((key, None)),
             None => None,
         };
         match unit {
@@ -1573,19 +1141,16 @@ impl Doc {
     }
 
     /// The first two map keys on the path from the root to container
-    /// `obj` (list hops contribute none); `None` when the containment
-    /// chain does not reach the root.
+    /// `obj`; `None` when the containment chain does not reach the root.
     fn container_keys(&self, obj: ObjId) -> Option<[Option<&Arc<str>>; 2]> {
         let (mut first, mut second) = (None, None);
         let mut cur = obj;
         let mut hops = 0usize;
         while cur != ObjId::Root {
             let (p, k) = self.parent.get(&cur)?;
-            if let Some(k) = k {
-                // walking rootward: the newest key is the outermost so far
-                second = first;
-                first = Some(k);
-            }
+            // walking rootward: the newest key is the outermost so far
+            second = first;
+            first = Some(k);
             cur = *p;
             hops += 1;
             if hops > 64 {
@@ -1595,31 +1160,17 @@ impl Doc {
         Some([first, second])
     }
 
-    /// Maintain the containment index: ops that store a container reference
-    /// establish where that container lives.
+    /// Maintain the containment index: a `Set` that stores a container
+    /// reference establishes where that container lives.
     fn index_parent_op(&mut self, op: &Op) {
-        match op {
-            Op::Set {
-                obj,
-                key,
-                value: OpValue::Obj(child),
-                ..
-            } => {
-                self.parent.insert(*child, (*obj, Some(key.clone())));
-            }
-            Op::Insert {
-                obj,
-                value: OpValue::Obj(child),
-                ..
-            }
-            | Op::SetElem {
-                obj,
-                value: OpValue::Obj(child),
-                ..
-            } => {
-                self.parent.insert(*child, (*obj, None));
-            }
-            _ => {}
+        if let Op::Set {
+            obj,
+            key,
+            value: OpValue::Obj(child),
+            ..
+        } = op
+        {
+            self.parent.insert(*child, (*obj, Arc::clone(key)));
         }
     }
 
@@ -1633,9 +1184,6 @@ impl Doc {
         match op {
             Op::MakeMap { id } => {
                 self.maps.entry(ObjId::Made(*id)).or_default();
-            }
-            Op::MakeList { id } => {
-                self.lists.entry(ObjId::Made(*id)).or_default();
             }
             Op::Set {
                 id,
@@ -1666,95 +1214,6 @@ impl Doc {
                 if let Some(slot) = map.entries.get_mut(key) {
                     slot.supersede(pred);
                 }
-                if let Some(incs) = map.counters.get_mut(key) {
-                    incs.retain(|(oid, _)| !pred.contains(oid));
-                    if incs.is_empty() {
-                        map.counters.remove(key);
-                    }
-                }
-            }
-            Op::Insert {
-                id,
-                obj,
-                after,
-                value,
-            } => {
-                let list = self
-                    .lists
-                    .get_mut(obj)
-                    .ok_or_else(|| CrdtError::MissingObject(obj.to_string()))?;
-                if list.elems.iter().any(|e| e.id == *id) {
-                    return Ok(()); // idempotent replay
-                }
-                let mut pos = match after {
-                    ElemRef::Head => 0,
-                    ElemRef::After(a) => {
-                        list.elems
-                            .iter()
-                            .position(|e| e.id == *a)
-                            .ok_or_else(|| CrdtError::MissingObject(format!("elem {a}")))?
-                            + 1
-                    }
-                };
-                // RGA ordering: concurrent inserts at the same anchor are
-                // placed newest-first (descending op id).
-                while pos < list.elems.len() && list.elems[pos].id > *id {
-                    pos += 1;
-                }
-                list.elems.insert(
-                    pos,
-                    ListElem {
-                        id: *id,
-                        values: vec![(*id, value.clone())],
-                        deleted: false,
-                    },
-                );
-            }
-            Op::SetElem {
-                id,
-                obj,
-                elem,
-                value,
-                pred,
-            } => {
-                let list = self
-                    .lists
-                    .get_mut(obj)
-                    .ok_or_else(|| CrdtError::MissingObject(obj.to_string()))?;
-                let e = list
-                    .elems
-                    .iter_mut()
-                    .find(|e| e.id == *elem)
-                    .ok_or_else(|| CrdtError::MissingObject(format!("elem {elem}")))?;
-                e.values.retain(|(oid, _)| !pred.contains(oid));
-                if !e.values.iter().any(|(oid, _)| oid == id) {
-                    e.values.push((*id, value.clone()));
-                    e.values.sort_by_key(|(oid, _)| *oid);
-                }
-            }
-            Op::DelElem { obj, elem, .. } => {
-                let list = self
-                    .lists
-                    .get_mut(obj)
-                    .ok_or_else(|| CrdtError::MissingObject(obj.to_string()))?;
-                if let Some(e) = list.elems.iter_mut().find(|e| e.id == *elem) {
-                    e.deleted = true;
-                }
-            }
-            Op::Inc {
-                id,
-                obj,
-                key,
-                delta,
-            } => {
-                let map = self
-                    .maps
-                    .get_mut(obj)
-                    .ok_or_else(|| CrdtError::MissingObject(obj.to_string()))?;
-                let incs = map.counters.entry(key.clone()).or_default();
-                if !incs.iter().any(|(oid, _)| oid == id) {
-                    incs.push((*id, *delta));
-                }
             }
         }
         Ok(())
@@ -1762,27 +1221,10 @@ impl Doc {
 
     fn get_obj(&self, path: &[PathSeg]) -> Option<ObjId> {
         let mut obj = ObjId::Root;
-        for seg in path {
-            let v = match seg {
-                PathSeg::Key(k) => self
-                    .maps
-                    .get(&obj)?
-                    .entries
-                    .get(k.as_str())?
-                    .last()
-                    .map(|(_, v)| v.clone())?,
-                PathSeg::Index(i) => self
-                    .lists
-                    .get(&obj)?
-                    .visible()
-                    .nth(*i)?
-                    .values
-                    .last()
-                    .map(|(_, v)| v.clone())?,
-            };
-            match v {
-                OpValue::Obj(o) => obj = o,
-                OpValue::Scalar(_) => return None,
+        for PathSeg::Key(k) in path {
+            match self.maps.get(&obj)?.entries.get(k.as_str())?.last()? {
+                (_, OpValue::Obj(o)) => obj = *o,
+                (_, OpValue::Scalar(_)) => return None,
             }
         }
         Some(obj)
@@ -1802,26 +1244,13 @@ impl Doc {
                 out.insert(k.to_string(), self.resolve(v));
             }
         }
-        for (k, incs) in &map.counters {
-            if !incs.is_empty() {
-                out.insert(k.to_string(), Json::from(counter_value(incs)));
-            }
-        }
         Json::Object(out)
     }
 
     fn obj_json(&self, obj: ObjId) -> Json {
-        if let Some(map) = self.maps.get(&obj) {
-            self.map_json(map)
-        } else if let Some(list) = self.lists.get(&obj) {
-            Json::Array(
-                list.visible()
-                    .filter_map(|e| e.values.last().map(|(_, v)| self.resolve(v)))
-                    .collect(),
-            )
-        } else {
-            Json::Null
-        }
+        self.maps
+            .get(&obj)
+            .map_or(Json::Null, |map| self.map_json(map))
     }
 }
 
@@ -1829,6 +1258,11 @@ impl Doc {
 mod tests {
     use super::*;
     use serde_json::json;
+
+    /// Apply everything `src` has that `dst` has not.
+    pub(super) fn pull(dst: &mut Doc, src: &Doc) {
+        dst.apply_changes(src.get_changes(dst.clock())).unwrap();
+    }
 
     #[test]
     fn put_and_get_scalar() {
@@ -1850,20 +1284,26 @@ mod tests {
         let mut d = Doc::new(ActorId(1));
         d.put(&path!["cfg"], json!({"x": 1, "ys": [1, 2]})).unwrap();
         assert_eq!(d.get(&path!["cfg", "x"]), Some(json!(1)));
-        assert_eq!(d.get(&path!["cfg", "ys", 1]), Some(json!(2)));
+        assert_eq!(d.get(&path!["cfg", "ys"]), Some(json!([1, 2])));
+        assert_eq!(d.map_keys(&path!["cfg"]), ["x", "ys"]);
     }
 
+    /// An array is one leaf: put in one `Set`, replaced whole, holding no
+    /// keys, and replaced by a map when a path runs through it.
     #[test]
-    fn list_insert_push_delete() {
+    fn arrays_are_atomic_leaves() {
         let mut d = Doc::new(ActorId(1));
-        d.put_list(&path!["l"]).unwrap();
-        d.list_push(&path!["l"], json!("a")).unwrap();
-        d.list_push(&path!["l"], json!("c")).unwrap();
-        d.list_insert(&path!["l"], 1, json!("b")).unwrap();
-        assert_eq!(d.get(&path!["l"]), Some(json!(["a", "b", "c"])));
-        d.delete(&path!["l", 1]).unwrap();
-        assert_eq!(d.get(&path!["l"]), Some(json!(["a", "c"])));
-        assert_eq!(d.list_len(&path!["l"]), Some(2));
+        d.put(&path!["l"], json!([1, {"x": 2}, 3])).unwrap();
+        let ops = d.get_changes(&VClock::new())[0].ops().to_vec();
+        assert!(
+            matches!(&ops[..], [Op::Set { value: OpValue::Scalar(v), .. }] if *v == json!([1, {"x": 2}, 3]))
+        );
+        d.put(&path!["l"], json!([1, 99, 3])).unwrap();
+        assert_eq!(d.get(&path!["l"]), Some(json!([1, 99, 3])));
+        assert!(d.map_keys(&path!["l"]).is_empty() && d.map_len(&path!["l"]) == 0);
+        assert!(!d.contains(&path!["l", "0"]));
+        d.put(&path!["l", "x"], json!(5)).unwrap();
+        assert_eq!(d.to_json(), json!({"l": {"x": 5}}));
     }
 
     #[test]
@@ -1875,8 +1315,8 @@ mod tests {
     }
 
     /// `contains` and `map_len` answer what `get(..).is_some()` and
-    /// `map_keys(..).len()` answer, through deletes, a re-added key, a
-    /// counter beside an entry and a counter on its own.
+    /// `map_keys(..).len()` answer, through deletes, a re-added key, an
+    /// overwritten entry and an array leaf.
     #[test]
     fn contains_and_map_len_agree_with_the_reads_that_build_values() {
         let mut d = Doc::new(ActorId(1));
@@ -1894,12 +1334,13 @@ mod tests {
         agree(&d);
         assert_eq!(d.map_len(&path!["m"]), 3);
         d.delete(&path!["m", "gone"]).unwrap();
-        d.increment(&path!["m", "n"], 2).unwrap();
-        d.increment(&path!["m", "b"], 1).unwrap();
+        d.put(&path!["m", "n"], json!([2])).unwrap();
+        d.put(&path!["m", "b"], json!(1)).unwrap();
         agree(&d);
         assert_eq!(d.map_len(&path!["m"]), 3);
         assert!(d.contains(&path!["m", "a", "x"]) && !d.contains(&path!["m", "a", "y"]));
         assert!(!d.contains(&path!["m", "b", "deeper"]), "b is a scalar");
+        assert!(!d.contains(&path!["m", "n", "0"]), "n is an array leaf");
         d.put(&path!["m", "gone"], json!(4)).unwrap();
         agree(&d);
         assert_eq!(d.map_len(&path!["m"]), 4);
@@ -1913,8 +1354,8 @@ mod tests {
         b.put(&path!["y"], json!(2)).unwrap();
         let ca = a.get_changes(b.clock());
         let cb = b.get_changes(a.clock());
-        a.apply_changes(&cb).unwrap();
-        b.apply_changes(&ca).unwrap();
+        a.apply_changes(cb).unwrap();
+        b.apply_changes(ca).unwrap();
         assert_eq!(a.to_json(), b.to_json());
         assert_eq!(a.to_json(), json!({"x": 1, "y": 2}));
     }
@@ -1927,8 +1368,8 @@ mod tests {
         b.put(&path!["k"], json!("from-b")).unwrap();
         let ca = a.get_changes(&VClock::new());
         let cb = b.get_changes(&VClock::new());
-        a.apply_changes(&cb).unwrap();
-        b.apply_changes(&ca).unwrap();
+        a.apply_changes(cb).unwrap();
+        b.apply_changes(ca).unwrap();
         assert_eq!(a.to_json(), b.to_json());
         // actor 2 wins the counter tie
         assert_eq!(a.get(&path!["k"]), Some(json!("from-b")));
@@ -1939,12 +1380,12 @@ mod tests {
         let mut a = Doc::new(ActorId(1));
         let mut b = Doc::new(ActorId(2));
         a.put(&path!["k"], json!("v1")).unwrap();
-        b.merge(&a).unwrap();
+        pull(&mut b, &a);
         // a deletes, b rewrites concurrently
         a.delete(&path!["k"]).unwrap();
         b.put(&path!["k"], json!("v2")).unwrap();
-        a.merge(&b).unwrap();
-        b.merge(&a).unwrap();
+        pull(&mut a, &b);
+        pull(&mut b, &a);
         assert_eq!(a.to_json(), b.to_json());
         assert_eq!(a.get(&path!["k"]), Some(json!("v2")));
     }
@@ -1957,10 +1398,10 @@ mod tests {
         let all = a.get_changes(&VClock::new());
         let mut b = Doc::new(ActorId(2));
         // deliver second change first
-        b.apply_changes(&[all[1].clone()]).unwrap();
+        b.apply_changes(vec![all[1].clone()]).unwrap();
         assert_eq!(b.pending_len(), 1);
         assert_eq!(b.get(&path!["k"]), None);
-        b.apply_changes(&[all[0].clone()]).unwrap();
+        b.apply_changes(vec![all[0].clone()]).unwrap();
         assert_eq!(b.pending_len(), 0);
         assert_eq!(b.get(&path!["k"]), Some(json!(2)));
     }
@@ -1971,21 +1412,9 @@ mod tests {
         a.put(&path!["k"], json!(1)).unwrap();
         let ch = a.get_changes(&VClock::new());
         let mut b = Doc::new(ActorId(2));
-        assert_eq!(b.apply_changes(&ch).unwrap(), 1);
-        assert_eq!(b.apply_changes(&ch).unwrap(), 0);
+        assert_eq!(b.apply_changes(ch.clone()).unwrap().0, 1);
+        assert_eq!(b.apply_changes(ch).unwrap().0, 0);
         assert_eq!(b.to_json(), a.to_json());
-    }
-
-    #[test]
-    fn counters_merge_additively() {
-        let mut a = Doc::new(ActorId(1));
-        let mut b = Doc::new(ActorId(2));
-        a.increment(&path!["hits"], 3).unwrap();
-        b.increment(&path!["hits"], 4).unwrap();
-        a.merge(&b).unwrap();
-        b.merge(&a).unwrap();
-        assert_eq!(a.get(&path!["hits"]), Some(json!(7)));
-        assert_eq!(b.get(&path!["hits"]), Some(json!(7)));
     }
 
     #[test]
@@ -1998,7 +1427,7 @@ mod tests {
         let mut master = master;
         master.put(&path!["n"], json!(6)).unwrap();
         let ch = master.get_changes(replica.clock());
-        replica.apply_changes(&ch).unwrap();
+        replica.apply_changes(ch).unwrap();
         assert_eq!(replica.get(&path!["n"]), Some(json!(6)));
     }
 
@@ -2031,8 +1460,8 @@ mod tests {
         b.delete(&path!["rows", "2"]).unwrap();
         let (to_b, to_a) = (a.get_changes(&VClock::new()), b.get_changes(&VClock::new()));
         assert_eq!((to_b.len(), to_a.len()), (1, 1));
-        b.apply_changes(&to_b).unwrap();
-        a.apply_changes(&to_a).unwrap();
+        b.apply_changes(to_b).unwrap();
+        a.apply_changes(to_a).unwrap();
         assert_eq!(a.to_json(), json!({"rows": {"1": {"t": "Dune II"}}}));
         assert_eq!(a.to_json(), b.to_json());
     }
@@ -2053,7 +1482,7 @@ mod tests {
                 for j in 0..3 {
                     if i != j {
                         let ch = docs[j].get_changes(docs[i].clock());
-                        docs[i].apply_changes(&ch).unwrap();
+                        docs[i].apply_changes(ch).unwrap();
                     }
                 }
             }
@@ -2062,48 +1491,45 @@ mod tests {
         assert_eq!(docs[1].to_json(), docs[2].to_json());
     }
 
+    /// Two replicas write one array concurrently: both read one writer's
+    /// array, whole — the one with the greater op id — never a mix.
     #[test]
-    fn concurrent_list_inserts_converge() {
+    fn concurrent_array_puts_resolve_lww() {
         let mut a = Doc::new(ActorId(1));
-        a.put_list(&path!["l"]).unwrap();
-        a.list_push(&path!["l"], json!("base")).unwrap();
         let mut b = Doc::new(ActorId(2));
-        b.merge(&a).unwrap();
-        a.list_insert(&path!["l"], 0, json!("a1")).unwrap();
-        a.list_insert(&path!["l"], 1, json!("a2")).unwrap();
-        b.list_insert(&path!["l"], 0, json!("b1")).unwrap();
-        a.merge(&b).unwrap();
-        b.merge(&a).unwrap();
+        a.put(&path!["cfg"], json!({"l": ["base"]})).unwrap();
+        pull(&mut b, &a);
+        a.put(&path!["cfg", "l"], json!(["a1", "a2", "base"]))
+            .unwrap();
+        b.put(&path!["cfg", "l"], json!(["b1", "base"])).unwrap();
+        pull(&mut a, &b);
+        pull(&mut b, &a);
         assert_eq!(a.to_json(), b.to_json());
-        assert_eq!(a.list_len(&path!["l"]), Some(4));
-    }
-
-    #[test]
-    fn set_list_element_in_place() {
-        let mut d = Doc::new(ActorId(1));
-        d.put(&path!["l"], json!([1, 2, 3])).unwrap();
-        d.put(&path!["l", 1], json!(99)).unwrap();
-        assert_eq!(d.get(&path!["l"]), Some(json!([1, 99, 3])));
+        // equal counters: actor 2 wins the tie
+        assert_eq!(a.get(&path!["cfg", "l"]), Some(json!(["b1", "base"])));
     }
 
     #[test]
     fn errors_on_bad_paths() {
         let mut d = Doc::new(ActorId(1));
+        d.put(&path!["s"], json!(1)).unwrap();
+        for bad in [&path![][..], &path!["nope", "k"], &path!["s", "k"]] {
+            assert!(
+                matches!(d.delete(bad), Err(CrdtError::BadPath(_))),
+                "{bad:?}"
+            );
+        }
         assert!(matches!(
-            d.list_insert(&path!["nope"], 0, json!(1)),
+            d.put(&path![], json!(1)),
             Err(CrdtError::BadPath(_))
         ));
-        d.put_list(&path!["l"]).unwrap();
-        assert!(matches!(
-            d.list_insert(&path!["l"], 5, json!(1)),
-            Err(CrdtError::IndexOutOfBounds { .. })
-        ));
-        assert!(d.delete(&path![]).is_err());
+        assert_eq!(d.to_json(), json!({"s": 1}));
     }
 }
 
 #[cfg(test)]
 mod save_load_tests {
+    use super::tests::pull;
     use super::*;
     use serde_json::json;
 
@@ -2111,7 +1537,8 @@ mod save_load_tests {
     fn save_load_round_trips_state() {
         let mut a = Doc::from_snapshot(ActorId(1), &json!({"list": [1, 2]}));
         a.put(&path!["k"], json!("v")).unwrap();
-        a.increment(&path!["n"], 5).unwrap();
+        a.put(&path!["n"], json!({"deep": [5]})).unwrap();
+        a.delete(&path!["n", "deep"]).unwrap();
         let bytes = a.save();
         let b = Doc::load(ActorId(2), &bytes).unwrap();
         assert_eq!(a.to_json(), b.to_json());
@@ -2125,8 +1552,8 @@ mod save_load_tests {
         // both continue writing after the handoff
         a.put(&path!["from_a"], json!(true)).unwrap();
         b.put(&path!["from_b"], json!(true)).unwrap();
-        a.merge(&b).unwrap();
-        b.merge(&a).unwrap();
+        pull(&mut a, &b);
+        pull(&mut b, &a);
         assert_eq!(a.to_json(), b.to_json());
         assert_eq!(a.get(&path!["from_b"]), Some(json!(true)));
     }
@@ -2196,6 +1623,7 @@ mod save_load_tests {
 
 #[cfg(test)]
 mod compaction_tests {
+    use super::tests::pull;
     use super::*;
     use serde_json::json;
 
@@ -2209,8 +1637,8 @@ mod compaction_tests {
             a.put(&path!["k", format!("a{i}")], json!(i)).unwrap();
             b.put(&path!["k", format!("b{i}")], json!(i)).unwrap();
         }
-        a.merge(&b).unwrap();
-        b.merge(&a).unwrap();
+        pull(&mut a, &b);
+        pull(&mut b, &a);
         let before = a.to_json();
         let frontier = a.clock().clone();
         let dropped = a.compact(&frontier);
@@ -2220,7 +1648,7 @@ mod compaction_tests {
         assert_eq!(a.snapshot_clock(), &frontier);
         // post-compaction writes still replicate
         a.put(&path!["post"], json!(true)).unwrap();
-        b.apply_changes(&a.get_changes(b.clock())).unwrap();
+        b.apply_changes(a.get_changes(b.clock())).unwrap();
         assert_eq!(a.to_json(), b.to_json());
     }
 
@@ -2261,7 +1689,7 @@ mod compaction_tests {
         let mut a = Doc::from_snapshot(ActorId(1), &json!({"rows": [1, 2, 3]}));
         for i in 0..8 {
             a.put(&path!["k", format!("v{i}")], json!(i)).unwrap();
-            a.increment(&path!["n"], 2).unwrap();
+            a.put(&path!["n"], json!([i, 2 * i])).unwrap();
         }
         let mut frontier = a.clock().clone();
         // keep the last few changes as tail
@@ -2281,8 +1709,8 @@ mod compaction_tests {
         // and can keep writing + syncing with the original
         a.put(&path!["after"], json!("a")).unwrap();
         b.put(&path!["after_b"], json!("b")).unwrap();
-        a.merge(&b).unwrap();
-        b.merge(&a).unwrap();
+        pull(&mut a, &b);
+        pull(&mut b, &a);
         assert_eq!(a.to_json(), b.to_json());
     }
 

@@ -102,37 +102,16 @@ impl CrdtFiles {
         self.doc.get_changes(since)
     }
 
-    /// Apply remote changes; returns how many were applied.
+    /// Apply remote changes (see [`Doc::apply_changes`]); returns how many
+    /// were applied and which file paths their ops touched, projected onto
+    /// the `files` container (`whole` is set for anything that could not be
+    /// pinned to one path).
     ///
     /// # Errors
     ///
     /// Propagates [`CrdtError`] on malformed changes.
-    pub fn apply_changes(&mut self, changes: &[Change]) -> Result<usize, CrdtError> {
-        self.doc.apply_changes(changes)
-    }
-
-    /// Consuming variant of [`CrdtFiles::apply_changes`] for the hot sync
-    /// path (no per-delta clone).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CrdtError`] on malformed changes.
-    pub fn apply_changes_owned(&mut self, changes: Vec<Change>) -> Result<usize, CrdtError> {
-        self.doc.apply_changes_owned(changes)
-    }
-
-    /// Like [`CrdtFiles::apply_changes_owned`], additionally reporting which
-    /// file paths the applied ops touched (projected onto the `files`
-    /// container; `whole` is set for anything not attributable to one path).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CrdtError`] on malformed changes.
-    pub fn apply_changes_owned_tracked(
-        &mut self,
-        changes: Vec<Change>,
-    ) -> Result<(usize, KeyTouch), CrdtError> {
-        let (applied, touched) = self.doc.apply_changes_owned_tracked(changes)?;
+    pub fn apply_changes(&mut self, changes: Vec<Change>) -> Result<(usize, KeyTouch), CrdtError> {
+        let (applied, touched) = self.doc.apply_changes(changes)?;
         Ok((applied, touched.project("files")))
     }
 
@@ -218,8 +197,8 @@ mod tests {
         let mut b = CrdtFiles::new(ActorId(2));
         a.put_file("f", b"from-a").unwrap();
         b.put_file("f", b"from-b").unwrap();
-        a.apply_changes(&b.get_changes(a.clock())).unwrap();
-        b.apply_changes(&a.get_changes(b.clock())).unwrap();
+        a.apply_changes(b.get_changes(a.clock())).unwrap();
+        b.apply_changes(a.get_changes(b.clock())).unwrap();
         assert_eq!(a.get_file("f"), b.get_file("f"));
     }
 
@@ -231,7 +210,7 @@ mod tests {
         let mut master = master;
         master.put_file("shared.bin", &[7u8; 16]).unwrap();
         replica
-            .apply_changes(&master.get_changes(replica.clock()))
+            .apply_changes(master.get_changes(replica.clock()))
             .unwrap();
         assert_eq!(replica.get_file("shared.bin").unwrap(), vec![7u8; 16]);
     }

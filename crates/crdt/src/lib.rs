@@ -6,8 +6,8 @@
 //! `initialize`, `getChanges` and `applyChanges` (§III-G). This crate is a
 //! from-scratch implementation of that substrate:
 //!
-//! - [`Doc`] — a nested JSON document CRDT (maps, RGA lists, LWW registers,
-//!   PN-counter cells) exchanging [`Change`] batches — the `CRDT-JSON`;
+//! - [`Doc`] — a nested JSON document CRDT, last-writer-wins maps with
+//!   atomic JSON leaves, exchanging [`Change`] batches — the `CRDT-JSON`;
 //! - [`CrdtTable`] — rows keyed by primary key, per-cell LWW merge — the
 //!   `CRDT-Table`;
 //! - [`CrdtFiles`] — whole-file LWW version entries — the `CRDT-Files`;
@@ -45,15 +45,16 @@
 //!
 //! // both update concurrently
 //! cloud.put(&path!["region"], json!("us-east")).unwrap();
-//! edge.increment(&path!["hits"], 1).unwrap();
+//! edge.put(&path!["hits"], json!(1)).unwrap();
 //!
 //! // background sync in both directions
 //! let to_edge = cloud.get_changes(edge.clock());
 //! let to_cloud = edge.get_changes(cloud.clock());
-//! edge.apply_changes(&to_edge).unwrap();
-//! cloud.apply_changes(&to_cloud).unwrap();
+//! edge.apply_changes(to_edge).unwrap();
+//! cloud.apply_changes(to_cloud).unwrap();
 //!
 //! assert_eq!(cloud.to_json(), edge.to_json());
+//! assert_eq!(cloud.get(&path!["hits"]), Some(json!(1)));
 //! ```
 
 pub mod change;
@@ -63,7 +64,7 @@ pub mod ids;
 pub mod table;
 pub mod wire;
 
-pub use change::{Change, ElemRef, ObjId, Op, OpValue};
+pub use change::{Change, ObjId, Op, OpValue};
 pub use doc::{CrdtError, Doc, KeyTouch, PathSeg, TouchedKeys, ValueRef, GENESIS_ACTOR};
 pub use files::CrdtFiles;
 pub use ids::{ActorId, OpId, VClock};

@@ -225,38 +225,16 @@ impl CrdtTable {
         self.doc.get_changes(since)
     }
 
-    /// Apply remote changes; returns how many were applied.
+    /// Apply remote changes (see [`Doc::apply_changes`]); returns how many
+    /// were applied and which primary keys their ops touched, projected onto
+    /// the `rows` container (`whole` is set for anything that could not be
+    /// pinned to a single row).
     ///
     /// # Errors
     ///
     /// Propagates [`CrdtError`] on malformed changes.
-    pub fn apply_changes(&mut self, changes: &[Change]) -> Result<usize, CrdtError> {
-        self.doc.apply_changes(changes)
-    }
-
-    /// Consuming variant of [`CrdtTable::apply_changes`] for the hot sync
-    /// path (no per-delta clone).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CrdtError`] on malformed changes.
-    pub fn apply_changes_owned(&mut self, changes: Vec<Change>) -> Result<usize, CrdtError> {
-        self.doc.apply_changes_owned(changes)
-    }
-
-    /// Like [`CrdtTable::apply_changes_owned`], additionally reporting which
-    /// primary keys the applied ops touched (projected onto the `rows`
-    /// container; `whole` is set for anything that could not be pinned to a
-    /// single row).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CrdtError`] on malformed changes.
-    pub fn apply_changes_owned_tracked(
-        &mut self,
-        changes: Vec<Change>,
-    ) -> Result<(usize, KeyTouch), CrdtError> {
-        let (applied, touched) = self.doc.apply_changes_owned_tracked(changes)?;
+    pub fn apply_changes(&mut self, changes: Vec<Change>) -> Result<(usize, KeyTouch), CrdtError> {
+        let (applied, touched) = self.doc.apply_changes(changes)?;
         Ok((applied, touched.project("rows")))
     }
 
@@ -325,8 +303,8 @@ mod tests {
         edge.update_cell("1", "stock", &json!(2)).unwrap();
         let cc = cloud.get_changes(edge.clock());
         let ec = edge.get_changes(cloud.clock());
-        cloud.apply_changes(&ec).unwrap();
-        edge.apply_changes(&cc).unwrap();
+        cloud.apply_changes(ec).unwrap();
+        edge.apply_changes(cc).unwrap();
         assert_eq!(cloud.to_json(), edge.to_json());
         let row = cloud.get_row("1").unwrap();
         assert_eq!(row["title"], json!("Dune (2nd ed)"));
@@ -341,8 +319,8 @@ mod tests {
         b.upsert_row("b1", &json!({"v": 2})).unwrap();
         let ca = a.get_changes(b.clock());
         let cb = b.get_changes(a.clock());
-        a.apply_changes(&cb).unwrap();
-        b.apply_changes(&ca).unwrap();
+        a.apply_changes(cb).unwrap();
+        b.apply_changes(ca).unwrap();
         assert_eq!(a.len(), 2);
         assert_eq!(a.to_json(), b.to_json());
     }
@@ -356,8 +334,8 @@ mod tests {
         let mut b = CrdtTable::from_snapshot(ActorId(2), "t", &snap);
         a.delete_row("1").unwrap();
         b.update_cell("1", "v", &json!(2)).unwrap();
-        a.apply_changes(&b.get_changes(a.clock())).unwrap();
-        b.apply_changes(&a.get_changes(b.clock())).unwrap();
+        a.apply_changes(b.get_changes(a.clock())).unwrap();
+        b.apply_changes(a.get_changes(b.clock())).unwrap();
         assert_eq!(a.to_json(), b.to_json());
         assert!(a.get_row("1").is_none());
     }
@@ -371,8 +349,8 @@ mod tests {
         let mut b = CrdtTable::from_snapshot(ActorId(2), "t", &snap);
         a.delete_row("1").unwrap();
         b.upsert_row("1", &json!({"v": 2})).unwrap();
-        a.apply_changes(&b.get_changes(a.clock())).unwrap();
-        b.apply_changes(&a.get_changes(b.clock())).unwrap();
+        a.apply_changes(b.get_changes(a.clock())).unwrap();
+        b.apply_changes(a.get_changes(b.clock())).unwrap();
         assert_eq!(a.to_json(), b.to_json());
         assert_eq!(a.get_row("1"), Some(json!({"v": 2})));
     }

@@ -3,12 +3,14 @@
 //! clones without entering equality), and `decode` treats its input as
 //! hostile — arbitrary bytes and truncated encodings are a
 //! `CrdtError::CorruptChange`, never a panic and never a collection sized
-//! for more elements than the input could encode. A save image is held
-//! to the same: `load(save(d))` is `d`, `save(load(b))` is `b`, and every
-//! other `b` is a typed error.
+//! for more elements than the input could encode. Op tags no op has any
+//! more (1 and 4-7, once list and counter ops) and images of an earlier
+//! layout version are hostile input too. A save image is held to the same:
+//! `load(save(d))` is `d`, `save(load(b))` is `b`, and every other `b` is a
+//! typed error.
 
 use edgstr_crdt::{
-    path, ActorId, Change, CrdtError, CrdtTable, Doc, ElemRef, ObjId, Op, OpId, OpValue, VClock,
+    path, ActorId, Change, CrdtError, CrdtTable, Doc, ObjId, Op, OpId, OpValue, VClock,
 };
 use edgstr_runtime::{SetChanges, SetClock, SetSyncMessage};
 use proptest::prelude::*;
@@ -119,14 +121,9 @@ fn preds() -> impl Strategy<Value = Vec<OpId>> {
     prop::collection::vec(op_id(), 0..4)
 }
 
-fn delta() -> impl Strategy<Value = i64> {
-    prop_oneof![any::<i64>(), Just(i64::MIN), Just(i64::MAX), -70i64..70]
-}
-
 fn op() -> impl Strategy<Value = Op> {
     prop_oneof![
         op_id().prop_map(|id| Op::MakeMap { id }),
-        op_id().prop_map(|id| Op::MakeList { id }),
         (op_id(), obj_id(), text(), op_value(), preds()).prop_map(|(id, obj, key, value, pred)| {
             Op::Set {
                 id,
@@ -141,34 +138,6 @@ fn op() -> impl Strategy<Value = Op> {
             obj,
             key: key.into(),
             pred
-        }),
-        (op_id(), obj_id(), op_id(), op_value(), any::<bool>()).prop_map(
-            |(id, obj, after, value, head)| Op::Insert {
-                id,
-                obj,
-                after: if head {
-                    ElemRef::Head
-                } else {
-                    ElemRef::After(after)
-                },
-                value,
-            }
-        ),
-        (op_id(), obj_id(), op_id(), op_value(), preds()).prop_map(
-            |(id, obj, elem, value, pred)| Op::SetElem {
-                id,
-                obj,
-                elem,
-                value,
-                pred,
-            }
-        ),
-        (op_id(), obj_id(), op_id()).prop_map(|(id, obj, elem)| Op::DelElem { id, obj, elem }),
-        (op_id(), obj_id(), text(), delta()).prop_map(|(id, obj, key, delta)| Op::Inc {
-            id,
-            obj,
-            key: key.into(),
-            delta,
         }),
     ]
 }
@@ -198,7 +167,7 @@ fn is_corrupt<T>(r: &Result<T, CrdtError>) -> bool {
     matches!(r, Err(CrdtError::CorruptChange(_)))
 }
 
-/// One change of every `Op` variant, both `ObjId`s, both `ElemRef`s.
+/// One change of every `Op` variant, both `ObjId`s, both `OpValue`s.
 fn one_of_each() -> Change {
     let id = |n| OpId::new(n, ActorId(7));
     let mut deps = VClock::new();
@@ -211,7 +180,6 @@ fn one_of_each() -> Change {
         deps,
         vec![
             Op::MakeMap { id: id(1) },
-            Op::MakeList { id: id(2) },
             Op::Set {
                 id: id(3),
                 obj: ObjId::Root,
@@ -225,41 +193,32 @@ fn one_of_each() -> Change {
                 key: "".into(),
                 pred: vec![],
             },
-            Op::Insert {
+            Op::Set {
                 id: id(5),
-                obj: ObjId::Made(id(2)),
-                after: ElemRef::Head,
+                obj: ObjId::Made(id(1)),
+                key: "deep".into(),
                 value: OpValue::Scalar(nested(32, json!(-0.0))),
+                pred: vec![],
             },
-            Op::Insert {
+            Op::Set {
                 id: id(6),
-                obj: ObjId::Made(id(2)),
-                after: ElemRef::After(id(5)),
+                obj: ObjId::Made(id(1)),
+                key: "deep".into(),
                 value: OpValue::Scalar(json!([null, true, false, u64::MAX, i64::MIN, 5e-324, "ü"])),
-            },
-            Op::SetElem {
-                id: id(7),
-                obj: ObjId::Made(id(2)),
-                elem: id(5),
-                value: OpValue::Scalar(json!({"a": {"b": []}})),
                 pred: vec![id(5)],
             },
-            Op::DelElem {
+            Op::Set {
+                id: id(7),
+                obj: ObjId::Root,
+                key: "o".into(),
+                value: OpValue::Scalar(json!({"a": {"b": []}})),
+                pred: vec![],
+            },
+            Op::DelKey {
                 id: id(8),
-                obj: ObjId::Made(id(2)),
-                elem: id(6),
-            },
-            Op::Inc {
-                id: id(9),
-                obj: ObjId::Root,
-                key: "n".into(),
-                delta: i64::MIN,
-            },
-            Op::Inc {
-                id: id(10),
-                obj: ObjId::Root,
-                key: "n".into(),
-                delta: i64::MAX,
+                obj: ObjId::Made(id(1)),
+                key: "deep".into(),
+                pred: vec![id(6), OpId::new(0, ActorId(0))],
             },
         ],
     )
@@ -283,8 +242,10 @@ fn every_variant_round_trips_and_every_prefix_is_corrupt() {
 }
 
 /// The layout table of DESIGN.md "Sync wire format", byte for byte: every
-/// op, object, element, value and scalar tag once, with small operands so
-/// each field is legible. A format change has to change this vector.
+/// op, object, value and scalar tag once, with small operands so each
+/// field is legible. A format change has to change this vector. The first
+/// three ops are the bytes they were when the codec also had list and
+/// counter ops: removing those left the wire of these unchanged.
 #[test]
 fn the_layout_is_the_documented_one() {
     let id = |n| OpId::new(n, ActorId(2));
@@ -297,7 +258,6 @@ fn the_layout_is_the_documented_one() {
         deps,
         vec![
             Op::MakeMap { id: id(1) },
-            Op::MakeList { id: id(2) },
             Op::Set {
                 id: id(3),
                 obj: ObjId::Root,
@@ -311,35 +271,12 @@ fn the_layout_is_the_documented_one() {
                 key: "k".into(),
                 pred: vec![],
             },
-            Op::Insert {
+            Op::Set {
                 id: id(5),
-                obj: ObjId::Made(id(2)),
-                after: ElemRef::Head,
+                obj: ObjId::Made(id(1)),
+                key: "a".into(),
                 value: value(json!([null, false, true, 200, -3, 1.5, "a", {"b": []}])),
-            },
-            Op::SetElem {
-                id: id(6),
-                obj: ObjId::Made(id(2)),
-                elem: id(5),
-                value: value(json!(0)),
-                pred: vec![id(5)],
-            },
-            Op::Insert {
-                id: id(7),
-                obj: ObjId::Made(id(2)),
-                after: ElemRef::After(id(5)),
-                value: value(Json::Null),
-            },
-            Op::DelElem {
-                id: id(8),
-                obj: ObjId::Made(id(2)),
-                elem: id(7),
-            },
-            Op::Inc {
-                id: id(10),
-                obj: ObjId::Root,
-                key: "n".into(),
-                delta: -2,
+                pred: vec![id(4), id(2)],
             },
         ],
     );
@@ -347,14 +284,13 @@ fn the_layout_is_the_documented_one() {
     let want: Vec<u8> = vec![
         2, 5,                         // actor, seq
         1, 1, 0xac, 0x02,             // deps: one pair, actor 1 -> seq 300
-        9,                            // nine ops
+        4,                            // four ops
         0, 1, 2,                      // MakeMap   id 1@2
-        1, 2, 2,                      // MakeList  id 2@2
         2, 3, 2, 0, 2, 0xc3, 0xbc,    // Set       id 3@2, root, key "ü" ...
             1, 1, 1, 2,               //   value: object, made 1@2
             1, 9, 2,                  //   pred: [9@2]
         3, 4, 2, 1, 1, 2, 1, b'k', 0, // DelKey    id 4@2, made 1@2, "k", no pred
-        4, 5, 2, 1, 2, 2, 0,          // Insert    id 5@2, made 2@2, at the head ...
+        2, 5, 2, 1, 1, 2, 1, b'a',    // Set       id 5@2, made 1@2, key "a" ...
             0, 7, 8,                  //   value: scalar, array of eight
             0, 1, 2,                  //     null, false, true
             3, 0xc8, 0x01,            //     uint 200
@@ -362,16 +298,42 @@ fn the_layout_is_the_documented_one() {
             5, 0, 0, 0, 0, 0, 0, 0xf8, 0x3f, // f64 1.5, little-endian bits
             6, 1, b'a',               //     string "a"
             8, 1, 1, b'b', 7, 0,      //     object {"b": []}
-        5, 6, 2, 1, 2, 2, 5, 2,       // SetElem   id 6@2, made 2@2, elem 5@2 ...
-            0, 3, 0,                  //   value: scalar uint 0
-            1, 5, 2,                  //   pred: [5@2]
-        4, 7, 2, 1, 2, 2, 1, 5, 2,    // Insert    id 7@2, made 2@2, after 5@2 ...
-            0, 0,                     //   value: scalar null
-        6, 8, 2, 1, 2, 2, 7, 2,       // DelElem   id 8@2, made 2@2, elem 7@2
-        7, 10, 2, 0, 1, b'n', 3,      // Inc       id 10@2, root, "n", -2 -> zig-zag 3
+            2, 4, 2, 2, 2,            //   pred: [4@2, 2@2]
     ];
     assert_eq!(encoded(&c), want);
     assert_eq!(Change::decode(&want).unwrap().0, c);
+}
+
+/// Tags 1 and 4-7 were the list and counter ops: make a list, insert an
+/// element, overwrite one, delete one, and add to a counter. No replica
+/// writes them; a change carrying one, in the layout it had, is refused
+/// like any unknown tag — and so is an image of layout version 3, which
+/// had list and counter sections.
+#[test]
+fn retired_tags_and_images_are_corrupt() {
+    // actor 2, seq 5, no deps, one op
+    let change = |op: &[u8]| [&[2, 5, 0, 1][..], op].concat();
+    assert!(Change::decode(&change(&[0, 1, 2])).is_ok(), "MakeMap 1@2");
+    #[rustfmt::skip]
+    let retired: [&[u8]; 5] = [
+        &[1, 2, 2],                                   // make list 2@2
+        &[4, 5, 2, 1, 2, 2, 0, 0, 0],                 // insert 5@2 into 2@2 at the head, null
+        &[5, 6, 2, 1, 2, 2, 5, 2, 0, 3, 0, 1, 5, 2],  // overwrite 6@2 in 2@2, element 5@2, 0, pred [5@2]
+        &[6, 8, 2, 1, 2, 2, 7, 2],                    // delete 8@2 in 2@2, element 7@2
+        &[7, 10, 2, 0, 1, b'n', 3],                   // add 10@2 root "n" -2
+    ];
+    for op in retired {
+        assert!(is_corrupt(&Change::decode(&change(op))), "{op:?}");
+        // after an op that decodes, too
+        let two = [&[2, 5, 0, 2, 0, 1, 2][..], op].concat();
+        assert!(is_corrupt(&Change::decode(&two)), "{op:?} second");
+    }
+    // the smallest version-3 image: clocks and counter empty, a root with
+    // no entries and no counters, no lists, no tail
+    let v3 = b"EDG\x03\x00\x00\x00\x01\x00\x00\x00\x00\x00";
+    assert!(is_corrupt(&Doc::load(ActorId(1), v3)));
+    let v4 = b"EDG\x04\x00\x00\x00\x01\x00\x00\x00";
+    assert_eq!(Doc::load(ActorId(1), v4).unwrap().save(), v4);
 }
 
 #[test]
@@ -479,11 +441,8 @@ enum Step {
     Put(u8, Json),
     PutRow(u8, i64),
     SetCell(u8, i64),
+    DeleteCell(u8),
     Delete(u8),
-    Increment(u8, i64),
-    Push(Json),
-    SetElem(usize, Json),
-    DeleteElem(usize),
     /// Pull everything another replica has.
     Merge(usize),
     /// Fold what every replica has applied.
@@ -495,11 +454,8 @@ fn step() -> impl Strategy<Value = Step> {
         (0u8..4, scalar()).prop_map(|(k, v)| Step::Put(k, v)),
         (0u8..4, any::<i64>()).prop_map(|(k, v)| Step::PutRow(k, v)),
         (0u8..4, any::<i64>()).prop_map(|(k, v)| Step::SetCell(k, v)),
+        (0u8..4).prop_map(Step::DeleteCell),
         (0u8..4).prop_map(Step::Delete),
-        (0u8..3, delta()).prop_map(|(k, d)| Step::Increment(k, d)),
-        leaf().prop_map(Step::Push),
-        (0usize..4, leaf()).prop_map(|(i, v)| Step::SetElem(i, v)),
-        (0usize..4).prop_map(Step::DeleteElem),
         (0usize..3).prop_map(Step::Merge),
         (0usize..3).prop_map(Step::Merge),
         Just(Step::Compact),
@@ -507,9 +463,9 @@ fn step() -> impl Strategy<Value = Step> {
 }
 
 /// Three replicas of one snapshot after `steps`, each step taken by the
-/// replica it names: maps, rows replaced and patched, a list with
-/// tombstones and overwritten elements, counters, concurrent values of one
-/// key, partly folded logs.
+/// replica it names: maps, rows replaced, patched and emptied, array and
+/// object leaves, concurrent values of one key, deleted keys, partly folded
+/// logs.
 fn replicas(steps: &[(usize, Step)]) -> Vec<Doc> {
     let snapshot = json!({"rows": {"r0": {"v": 0, "t": "Dune"}}, "l": ["a", "b"], "k1": 1});
     let mut docs: Vec<Doc> = (1..=3)
@@ -527,14 +483,11 @@ fn replicas(steps: &[(usize, Step)]) -> Vec<Doc> {
                 true => doc.put(&path!["rows", format!("r{k}"), "v"], json!(v)),
                 false => Ok(()),
             },
+            Step::DeleteCell(k) => doc.delete(&path!["rows", format!("r{k}"), "v"]),
             Step::Delete(k) => doc.delete(&path![format!("k{k}")]),
-            Step::Increment(k, d) => doc.increment(&path![format!("n{k}")], *d),
-            Step::Push(v) => doc.list_push(&path!["l"], v.clone()),
-            Step::SetElem(i, v) => doc.put(&path!["l", *i], v.clone()),
-            Step::DeleteElem(i) => doc.delete(&path!["l", *i]),
             Step::Merge(from) => {
-                let from = docs[*from].clone();
-                docs[*who].merge(&from).map(|_| ())
+                let changes = docs[*from].get_changes(docs[*who].clock());
+                docs[*who].apply_changes(changes).map(|_| ())
             }
             Step::Compact => {
                 let all = docs[0].clock().meet(docs[1].clock()).meet(docs[2].clock());
@@ -554,18 +507,18 @@ fn steps() -> impl Strategy<Value = Vec<(usize, Step)>> {
 fn one_of_each_doc() -> Doc {
     let script = [
         (0, Step::PutRow(1, 5)),
-        (0, Step::Increment(0, -7)),
+        (0, Step::Put(0, json!([-7]))),
         (1, Step::Put(1, json!("from-2"))),
         (2, Step::Put(1, nested(3, json!(1.5)))),
-        (1, Step::Increment(0, 9)),
-        (0, Step::Push(json!({"deep": [1]}))),
+        (1, Step::Put(0, json!({"n": 9}))),
+        (0, Step::Put(2, json!([{"deep": [1]}]))),
         (1, Step::Merge(0)),
         (1, Step::Merge(2)),
         (0, Step::Merge(1)),
         (2, Step::Merge(0)),
         (0, Step::Compact),
-        (0, Step::DeleteElem(0)),
-        (0, Step::SetElem(0, json!("B"))),
+        (0, Step::DeleteCell(0)),
+        (0, Step::Put(2, json!("B"))),
         (0, Step::PutRow(0, 6)),
         (0, Step::SetCell(1, 8)),
         (0, Step::Delete(1)),
@@ -613,41 +566,30 @@ fn an_image_round_trips_and_every_prefix_is_corrupt() {
 fn the_image_layout_is_the_documented_one() {
     let mut d = Doc::new(ActorId(2));
     d.put(&path!["k"], json!(7)).unwrap();
-    d.increment(&path!["n"], -2).unwrap();
-    d.put(&path!["l"], json!(["a"])).unwrap();
+    d.put(&path!["l"], json!({"a": ["b"]})).unwrap();
     let mut first_two = VClock::new();
     first_two.observe(ActorId(2), 2);
     d.compact(&first_two);
-    d.delete(&path!["l", 0]).unwrap();
+    d.delete(&path!["k"]).unwrap();
     #[rustfmt::skip]
     let want: Vec<u8> = vec![
-        b'E', b'D', b'G', 3,          // magic, layout version
-        1, 2, 4,                      // clock: actor 2 -> seq 4
+        b'E', b'D', b'G', 4,          // magic, layout version
+        1, 2, 3,                      // clock: actor 2 -> seq 3
         1, 2, 2,                      // snapshot_clock: actor 2 -> seq 2
-        6,                            // op counter
-        1,                            // one map
+        5,                            // op counter
+        2,                            // two maps
         0,                            //   the root ...
             2,                        //   two entries, keys ascending
-            1, b'k', 1,               //     "k": one slot
-                1, 2, 0, 3, 7,        //       1@2 = scalar uint 7
+            1, b'k', 0,               //     "k": no slots, deleted
             1, b'l', 1,               //     "l": one slot
-                5, 2, 1, 1, 3, 2,     //       5@2 = object, made 3@2
-            1,                        //   one counter
-            1, b'n', 1,               //     "n": one increment
-                2, 2, 3,              //       2@2, -2 -> zig-zag 3
-        1,                            // one list
-        1, 3, 2,                      //   made 3@2 ...
-            1,                        //   one element
-            4, 2, 1,                  //     id 4@2, one slot
-                4, 2, 0, 6, 1, b'a',  //       4@2 = scalar string "a"
-            1,                        //     tombstone: deleted
-        2,                            // tail: two changes, as on the wire
-        2, 3, 1, 2, 2, 3,             //   actor 2, seq 3, deps {2: 2}, three ops
-            1, 3, 2,                  //     MakeList 3@2
-            4, 4, 2, 1, 3, 2, 0, 0, 6, 1, b'a', // Insert 4@2 into 3@2 at head, "a"
-            2, 5, 2, 0, 1, b'l', 1, 1, 3, 2, 0, // Set 5@2 root "l" = made 3@2, no pred
-        2, 4, 1, 2, 3, 1,             //   actor 2, seq 4, deps {2: 3}, one op
-            6, 6, 2, 1, 3, 2, 4, 2,   //     DelElem 6@2 in 3@2, elem 4@2
+                4, 2, 1, 1, 2, 2,     //       4@2 = object, made 2@2
+        1, 2, 2,                      //   made 2@2 ...
+            1,                        //   one entry
+            1, b'a', 1,               //     "a": one slot
+                3, 2, 0, 7, 1, 6, 1, b'b', // 3@2 = scalar array ["b"]
+        1,                            // tail: one change, as on the wire
+        2, 3, 1, 2, 2, 1,             //   actor 2, seq 3, deps {2: 2}, one op
+            3, 5, 2, 0, 1, b'k', 1, 1, 2, // DelKey 5@2 root "k", pred [1@2]
     ];
     assert_eq!(d.save(), want);
     assert_eq!(
@@ -662,15 +604,15 @@ fn the_image_layout_is_the_documented_one() {
 fn an_image_count_is_checked_before_anything_is_sized_by_it() {
     let huge = [0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40];
     // magic, two empty clocks, counter 0 — then 2^62 maps
-    let mut maps = b"EDG\x03\x00\x00\x00".to_vec();
+    let mut maps = b"EDG\x04\x00\x00\x00".to_vec();
     maps.extend_from_slice(&huge);
     assert!(is_corrupt(&Doc::load(ActorId(1), &maps)));
     // one map, the root, with 2^62 entries
-    let mut entries = b"EDG\x03\x00\x00\x00\x01\x00".to_vec();
+    let mut entries = b"EDG\x04\x00\x00\x00\x01\x00".to_vec();
     entries.extend_from_slice(&huge);
     assert!(is_corrupt(&Doc::load(ActorId(1), &entries)));
-    // an empty root, no lists, and a tail of 2^62 changes
-    let mut tail = b"EDG\x03\x00\x00\x00\x01\x00\x00\x00\x00".to_vec();
+    // an empty root and a tail of 2^62 changes
+    let mut tail = b"EDG\x04\x00\x00\x00\x01\x00\x00".to_vec();
     assert!(Doc::load(ActorId(1), &[&tail[..], &[0]].concat()).is_ok());
     tail.extend_from_slice(&huge);
     assert!(is_corrupt(&Doc::load(ActorId(1), &tail)));
@@ -681,58 +623,39 @@ fn an_image_count_is_checked_before_anything_is_sized_by_it() {
     )));
     assert!(is_corrupt(&Doc::load(
         ActorId(1),
-        b"EDG\x03\x00\x00\x00\x00\x00\x00"
+        b"EDG\x04\x00\x00\x00\x00\x00"
     )));
 }
 
 /// An image says each thing in one way: keys, container ids and slot op
-/// ids strictly ascending, a container under one kind. Anything else would
-/// save back to different bytes.
+/// ids strictly ascending. Anything else would save back to different
+/// bytes.
 #[test]
 fn only_canonical_images_load() {
     // magic, two empty clocks, counter 0, then `body`
-    let image = |body: &[u8]| [&b"EDG\x03\x00\x00\x00"[..], body].concat();
+    let image = |body: &[u8]| [&b"EDG\x04\x00\x00\x00"[..], body].concat();
     let null_at = |n: u8| [n, 1, 0, 0]; // slot n@1 = scalar null
     let ok: [&[u8]; 3] = [
         // the root with keys "a" and "b", no slots under either
-        &[1, 0, 2, 1, b'a', 0, 1, b'b', 0, 0, 0, 0],
+        &[1, 0, 2, 1, b'a', 0, 1, b'b', 0, 0],
         // "a" holding two concurrent values
-        &[
-            &[1, 0, 1, 1, b'a', 2][..],
-            &null_at(1),
-            &null_at(2),
-            &[0, 0, 0],
-        ]
-        .concat(),
-        // the root, a map 1@1 and a list 2@1
-        &[2, 0, 0, 0, 1, 1, 1, 0, 0, 1, 1, 2, 1, 0, 0],
+        &[&[1, 0, 1, 1, b'a', 2][..], &null_at(1), &null_at(2), &[0]].concat(),
+        // the root and a map 1@1
+        &[2, 0, 0, 1, 1, 1, 0, 0],
     ];
     for body in ok {
         let loaded = Doc::load(ActorId(1), &image(body));
         assert!(loaded.is_ok(), "{body:?}: {:?}", loaded.err());
         assert_eq!(loaded.unwrap().save(), image(body));
     }
-    let rejected: [&[u8]; 8] = [
-        &[1, 0, 2, 1, b'b', 0, 1, b'a', 0, 0, 0, 0], // keys descending
-        &[1, 0, 2, 1, b'a', 0, 1, b'a', 0, 0, 0, 0], // a key twice
-        &[1, 0, 0, 2, 1, b'n', 0, 1, b'n', 0, 0, 0], // a counter key twice
-        &[
-            &[1, 0, 1, 1, b'a', 2][..],
-            &null_at(2),
-            &null_at(1),
-            &[0, 0, 0],
-        ]
-        .concat(), // slots descending
-        &[
-            &[1, 0, 1, 1, b'a', 2][..],
-            &null_at(1),
-            &null_at(1),
-            &[0, 0, 0],
-        ]
-        .concat(), // a slot twice
-        &[2, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0],          // a made map before the root
-        &[2, 0, 0, 0, 0, 0, 0, 0, 0],                // the root twice
-        &[2, 0, 0, 0, 1, 1, 1, 0, 0, 1, 1, 1, 1, 0, 0], // 1@1 a map and a list
+    let rejected: [&[u8]; 7] = [
+        &[1, 0, 2, 1, b'b', 0, 1, b'a', 0, 0], // keys descending
+        &[1, 0, 2, 1, b'a', 0, 1, b'a', 0, 0], // a key twice
+        &[&[1, 0, 1, 1, b'a', 2][..], &null_at(2), &null_at(1), &[0]].concat(), // slots descending
+        &[&[1, 0, 1, 1, b'a', 2][..], &null_at(1), &null_at(1), &[0]].concat(), // a slot twice
+        &[2, 1, 1, 1, 0, 0, 0, 0],             // a made map before the root
+        &[2, 0, 0, 0, 0, 0],                   // the root twice
+        &[3, 0, 0, 1, 1, 1, 0, 1, 1, 1, 0, 0], // 1@1 twice
     ];
     for body in rejected {
         assert!(is_corrupt(&Doc::load(ActorId(1), &image(body))), "{body:?}");
@@ -743,7 +666,7 @@ fn only_canonical_images_load() {
 fn image_after(ops: Vec<Op>) -> Vec<u8> {
     let mut d = Doc::new(ActorId(1));
     d.put(&path!["rows", "a"], json!({"v": 1})).unwrap();
-    d.apply_changes(&[Change::new(ActorId(7), 1, VClock::new(), ops)])
+    d.apply_changes(vec![Change::new(ActorId(7), 1, VClock::new(), ops)])
         .unwrap();
     d.save()
 }
@@ -768,21 +691,6 @@ fn make_map(n: u64) -> Op {
     }
 }
 
-fn make_list(n: u64) -> Op {
-    Op::MakeList {
-        id: OpId::new(n, ActorId(7)),
-    }
-}
-
-fn insert(n: u64, list: ObjId, child: ObjId) -> Op {
-    Op::Insert {
-        id: OpId::new(n, ActorId(7)),
-        obj: list,
-        after: ElemRef::Head,
-        value: OpValue::Obj(child),
-    }
-}
-
 /// Reads follow container references, so an image in which they are not a
 /// forest would be read without end. A container nothing refers to — what
 /// every replaced row leaves behind — is not that.
@@ -803,15 +711,15 @@ fn an_image_with_a_container_held_twice_is_corrupt() {
         set(3, ObjId::Root, "two", made(1)),
     ];
     assert!(is_corrupt(&Doc::load(ActorId(2), &image_after(twice))));
-    let twice_in_a_list = vec![
+    // twice under one key: the second value a concurrent write
+    let twice_in_a_slot = vec![
         make_map(1),
-        make_list(2),
-        insert(3, made(2), made(1)),
-        insert(4, made(2), made(1)),
+        set(2, ObjId::Root, "one", made(1)),
+        set(3, ObjId::Root, "one", made(1)),
     ];
     assert!(is_corrupt(&Doc::load(
         ActorId(2),
-        &image_after(twice_in_a_list)
+        &image_after(twice_in_a_slot)
     )));
     // held once, and a second container held by nothing: a forest
     let once = vec![
@@ -839,16 +747,6 @@ fn an_image_with_a_container_as_its_own_ancestor_is_corrupt() {
         set(6, made(3), "next", made(1)),
     ];
     assert!(is_corrupt(&Doc::load(ActorId(2), &image_after(ring))));
-    let through_a_list = vec![
-        make_map(1),
-        make_list(2),
-        insert(3, made(2), made(1)),
-        set(4, made(1), "back", made(2)),
-    ];
-    assert!(is_corrupt(&Doc::load(
-        ActorId(2),
-        &image_after(through_a_list)
-    )));
     // the same three as a chain hanging off the root
     let chain = vec![
         make_map(1),
@@ -976,7 +874,7 @@ proptest! {
 
     #[test]
     fn arbitrary_bytes_are_never_an_image(bytes in prop::collection::vec(any::<u8>(), 0..96)) {
-        let mut image = b"EDG\x03".to_vec();
+        let mut image = b"EDG\x04".to_vec();
         image.extend_from_slice(&bytes);
         for candidate in [&bytes, &image] {
             if let Ok(m) = Doc::load(ActorId(9), candidate) {

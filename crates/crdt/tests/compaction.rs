@@ -12,16 +12,25 @@ use serde_json::json;
 /// A randomly generated document operation.
 #[derive(Debug, Clone)]
 enum Op {
-    Put { key: u8, value: i64 },
-    Delete { key: u8 },
-    Increment { key: u8, delta: i64 },
+    Put {
+        key: u8,
+        value: i64,
+    },
+    Delete {
+        key: u8,
+    },
+    /// `m<key>` = an object holding an array: a map and a leaf.
+    PutObject {
+        key: u8,
+        value: i64,
+    },
 }
 
 fn op() -> impl Strategy<Value = Op> {
     prop_oneof![
         (0u8..5, -1000i64..1000).prop_map(|(key, value)| Op::Put { key, value }),
         (0u8..5).prop_map(|key| Op::Delete { key }),
-        (0u8..3, -50i64..50).prop_map(|(key, delta)| Op::Increment { key, delta }),
+        (0u8..3, -50i64..50).prop_map(|(key, value)| Op::PutObject { key, value }),
     ]
 }
 
@@ -32,12 +41,12 @@ fn apply_op(doc: &mut Doc, op: &Op) {
         Op::Delete { key } => {
             let _ = doc.delete(&path(*key));
         }
-        Op::Increment { key, delta } => {
-            // counters and plain puts on the same key conflict by design;
-            // keep increments on their own key range
-            doc.increment(&[PathSeg::Key(format!("n{key}"))], *delta)
-                .unwrap();
-        }
+        Op::PutObject { key, value } => doc
+            .put(
+                &[PathSeg::Key(format!("m{key}"))],
+                json!({"v": value, "vs": [value, -value]}),
+            )
+            .unwrap(),
     }
 }
 
@@ -45,7 +54,7 @@ fn apply_op(doc: &mut Doc, op: &Op) {
 /// of those acknowledgments: it advances to `to`'s clock once the delta is
 /// applied, and never on a message that was lost.
 fn ship(from: &Doc, acked: &mut VClock, to: &mut Doc) {
-    to.apply_changes(&from.get_changes(acked)).unwrap();
+    to.apply_changes(from.get_changes(acked)).unwrap();
     acked.merge(to.clock());
 }
 
@@ -137,14 +146,14 @@ proptest! {
         tail_new in prop::collection::vec(op(), 0..6),
     ) {
         let key = |k: &str| vec![PathSeg::Key(k.to_string())];
-        let elem = |i: usize| vec![PathSeg::Key("l".to_string()), PathSeg::Index(i)];
+        let elem = |i: usize| vec![PathSeg::Key("l".to_string()), PathSeg::Key(i.to_string())];
         let mut a = Doc::from_snapshot(ActorId(1), &json!({}));
         let mut b = Doc::from_snapshot(ActorId(2), &json!({}));
         let mut av = VClock::new();
         let mut bv = VClock::new();
-        // a list and a counter beside the generated keys
-        a.put(&key("l"), json!(["x", "y", "z"])).unwrap();
-        a.increment(&key("n0"), 3).unwrap();
+        // a map and a lone value beside the generated keys
+        a.put(&key("l"), json!({"0": "x", "1": "y", "2": "z"})).unwrap();
+        a.put(&key("n0"), json!([3])).unwrap();
         for o in &warm {
             apply_op(&mut a, o);
         }
@@ -152,12 +161,12 @@ proptest! {
             reliable_round(&mut a, &mut av, &mut b, &mut bv);
         }
         // some writes past the ack frontier end up in the save's tail,
-        // a tombstone and a further increment among them
+        // a delete and an overwrite among them
         for o in &unacked {
             apply_op(&mut a, o);
         }
         a.delete(&elem(1)).unwrap();
-        a.increment(&key("n0"), 5).unwrap();
+        a.put(&key("n0"), json!([5])).unwrap();
         a.compact(&av);
 
         let image = a.save();
@@ -174,10 +183,10 @@ proptest! {
         prop_assert_eq!(c.get_changes(b.clock()), a.get_changes(b.clock()));
 
         // b has seen none of the tail. Its writes name what it observed:
-        // a `pred` into state `a` has folded, the element `a` has since
-        // tombstoned (overwritten, then deleted), and exactly the
-        // increments it saw (the later one survives the delete). The
-        // original and the loaded copy must take them identically.
+        // a `pred` into state `a` has folded, the key `a` has since
+        // deleted (overwritten, then deleted), and exactly the value of
+        // `n0` it saw (the later overwrite survives the delete: add-wins).
+        // The original and the loaded copy must take them identically.
         let before = b.clock().clone();
         b.put(&key("k0"), json!("from-b")).unwrap();
         b.put(&elem(1), json!("Y")).unwrap();
@@ -185,19 +194,14 @@ proptest! {
         b.delete(&key("n0")).unwrap();
         let concurrent = b.get_changes(&before);
         prop_assert_eq!(concurrent.len(), 4);
-        prop_assert_eq!(a.apply_changes(&concurrent).unwrap(), 4);
-        prop_assert_eq!(c.apply_changes(&concurrent).unwrap(), 4);
+        let on_a = a.apply_changes(concurrent.clone()).unwrap();
+        let on_c = c.apply_changes(concurrent).unwrap();
+        prop_assert_eq!(on_a.0, 4);
+        prop_assert_eq!(on_c, on_a);
         prop_assert_eq!(c.to_json(), a.to_json());
         prop_assert_eq!(c.clock(), a.clock());
-        prop_assert_eq!(a.get(&key("l")), Some(json!(["x", "z"])));
-        let unseen: i64 = unacked
-            .iter()
-            .map(|o| match o {
-                Op::Increment { key: 0, delta } => *delta,
-                _ => 0,
-            })
-            .sum();
-        prop_assert_eq!(a.get(&key("n0")), Some(json!(5 + unseen)));
+        prop_assert_eq!(a.get(&key("l")), Some(json!({"0": "x", "2": "z"})));
+        prop_assert_eq!(a.get(&key("n0")), Some(json!([5])));
         prop_assert_eq!(c.get_changes(&since), a.get_changes(&since));
 
         // both endpoints start acknowledged up to the provisioning clock

@@ -9,50 +9,67 @@ use serde_json::json;
 /// A randomly generated document operation.
 #[derive(Debug, Clone)]
 enum DocOp {
-    Put { key: u8, value: i64 },
-    Delete { key: u8 },
-    Increment { key: u8, delta: i64 },
-    ListPush { value: i64 },
-    ListInsertFront { value: i64 },
-    ListDeleteFront,
+    Put {
+        key: u8,
+        value: i64,
+    },
+    Delete {
+        key: u8,
+    },
+    /// `cfg/<key>` = scalar, inside the shared map.
+    PutNested {
+        key: u8,
+        value: i64,
+    },
+    DeleteNested {
+        key: u8,
+    },
+    /// `k<key>` = an array, or an object holding one.
+    PutArray {
+        key: u8,
+        values: Vec<i64>,
+        wrap: bool,
+    },
 }
 
 fn doc_op() -> impl Strategy<Value = DocOp> {
     prop_oneof![
         (0u8..6, any::<i64>()).prop_map(|(key, value)| DocOp::Put { key, value }),
         (0u8..6).prop_map(|key| DocOp::Delete { key }),
-        (0u8..3, -50i64..50).prop_map(|(key, delta)| DocOp::Increment { key, delta }),
-        any::<i64>().prop_map(|value| DocOp::ListPush { value }),
-        any::<i64>().prop_map(|value| DocOp::ListInsertFront { value }),
-        Just(DocOp::ListDeleteFront),
+        (0u8..3, any::<i64>()).prop_map(|(key, value)| DocOp::PutNested { key, value }),
+        (0u8..3).prop_map(|key| DocOp::DeleteNested { key }),
+        (
+            0u8..6,
+            prop::collection::vec(any::<i64>(), 0..4),
+            any::<bool>()
+        )
+            .prop_map(|(key, values, wrap)| DocOp::PutArray { key, values, wrap }),
     ]
 }
 
 fn apply_doc_op(doc: &mut Doc, op: &DocOp) {
     let key = |k: u8| vec![PathSeg::Key(format!("k{k}"))];
-    let list = || vec![PathSeg::Key("list".to_string())];
+    let nested = |k: u8| vec![PathSeg::Key("cfg".into()), PathSeg::Key(format!("n{k}"))];
     match op {
         DocOp::Put { key: k, value } => doc.put(&key(*k), json!(value)).unwrap(),
         DocOp::Delete { key: k } => {
             let _ = doc.delete(&key(*k));
         }
-        DocOp::Increment { key: k, delta } => {
-            doc.increment(&key(*k), *delta).unwrap();
+        DocOp::PutNested { key: k, value } => doc.put(&nested(*k), json!(value)).unwrap(),
+        DocOp::DeleteNested { key: k } => {
+            let _ = doc.delete(&nested(*k));
         }
-        DocOp::ListPush { value } => {
-            doc.put_list(&list()).unwrap();
-            doc.list_push(&list(), json!(value)).unwrap();
-        }
-        DocOp::ListInsertFront { value } => {
-            doc.put_list(&list()).unwrap();
-            doc.list_insert(&list(), 0, json!(value)).unwrap();
-        }
-        DocOp::ListDeleteFront => {
-            if doc.list_len(&list()).unwrap_or(0) > 0 {
-                let mut p = list();
-                p.push(PathSeg::Index(0));
-                doc.delete(&p).unwrap();
-            }
+        DocOp::PutArray {
+            key: k,
+            values,
+            wrap,
+        } => {
+            let value = if *wrap {
+                json!({ "items": values })
+            } else {
+                json!(values)
+            };
+            doc.put(&key(*k), value).unwrap();
         }
     }
 }
@@ -67,7 +84,7 @@ fn gossip_to_fixpoint(docs: &mut [Doc]) {
                     continue;
                 }
                 let changes = docs[j].get_changes(docs[i].clock());
-                if !changes.is_empty() && docs[i].apply_changes(&changes).unwrap() > 0 {
+                if !changes.is_empty() && docs[i].apply_changes(changes).unwrap().0 > 0 {
                     progress = true;
                 }
             }
@@ -87,8 +104,8 @@ proptest! {
         ops_a in prop::collection::vec(doc_op(), 0..25),
         ops_b in prop::collection::vec(doc_op(), 0..25),
     ) {
-        // snapshot initialization shares the list container identity
-        let snap = json!({"list": []});
+        // snapshot initialization shares the `cfg` container identity
+        let snap = json!({"cfg": {}});
         let mut a = Doc::from_snapshot(ActorId(1), &snap);
         let mut b = Doc::from_snapshot(ActorId(2), &snap);
         for op in &ops_a { apply_doc_op(&mut a, op); }
@@ -106,7 +123,7 @@ proptest! {
             1..8
         ),
     ) {
-        let snap = json!({"list": []});
+        let snap = json!({"cfg": {}});
         let mut docs = vec![
             Doc::from_snapshot(ActorId(1), &snap),
             Doc::from_snapshot(ActorId(2), &snap),
@@ -121,7 +138,7 @@ proptest! {
                 let src = *who;
                 let dst = (*who + 1) % 3;
                 let changes = docs[src].get_changes(docs[dst].clock());
-                docs[dst].apply_changes(&changes).unwrap();
+                docs[dst].apply_changes(changes).unwrap();
             }
         }
         gossip_to_fixpoint(&mut docs);
@@ -136,7 +153,7 @@ proptest! {
         ops in prop::collection::vec(doc_op(), 1..20),
         seed in any::<u64>(),
     ) {
-        let snap = json!({"list": []});
+        let snap = json!({"cfg": {}});
         let mut source = Doc::from_snapshot(ActorId(1), &snap);
         for op in &ops { apply_doc_op(&mut source, op); }
         let changes: Vec<Change> = source.get_changes(&VClock::new());
@@ -150,32 +167,12 @@ proptest! {
         }
         let mut replica = Doc::from_snapshot(ActorId(2), &snap);
         for &i in &order {
-            replica.apply_changes(std::slice::from_ref(&changes[i])).unwrap();
+            replica.apply_changes(vec![changes[i].clone()]).unwrap();
             // duplicate delivery
-            replica.apply_changes(std::slice::from_ref(&changes[i])).unwrap();
+            replica.apply_changes(vec![changes[i].clone()]).unwrap();
         }
         prop_assert_eq!(replica.pending_len(), 0);
         prop_assert_eq!(replica.to_json(), source.to_json());
-    }
-
-    /// Counter cells merge additively across replicas.
-    #[test]
-    fn counters_sum_across_replicas(
-        deltas_a in prop::collection::vec(-100i64..100, 0..10),
-        deltas_b in prop::collection::vec(-100i64..100, 0..10),
-    ) {
-        let mut a = Doc::new(ActorId(1));
-        let mut b = Doc::new(ActorId(2));
-        let p = vec![PathSeg::Key("n".to_string())];
-        for d in &deltas_a { a.increment(&p, *d).unwrap(); }
-        for d in &deltas_b { b.increment(&p, *d).unwrap(); }
-        let mut docs = [a, b];
-        gossip_to_fixpoint(&mut docs);
-        let expected: i64 = deltas_a.iter().sum::<i64>() + deltas_b.iter().sum::<i64>();
-        if !deltas_a.is_empty() || !deltas_b.is_empty() {
-            prop_assert_eq!(docs[0].get(&p), Some(json!(expected)));
-        }
-        prop_assert_eq!(docs[0].to_json(), docs[1].to_json());
     }
 
     /// Table replicas converge under concurrent row/cell mutations.
@@ -205,8 +202,8 @@ proptest! {
         loop {
             let c01 = tables[0].get_changes(tables[1].clock());
             let c10 = tables[1].get_changes(tables[0].clock());
-            let a = tables[1].apply_changes(&c01).unwrap();
-            let b = tables[0].apply_changes(&c10).unwrap();
+            let (a, _) = tables[1].apply_changes(c01).unwrap();
+            let (b, _) = tables[0].apply_changes(c10).unwrap();
             if a == 0 && b == 0 { break; }
         }
         prop_assert_eq!(tables[0].to_json(), tables[1].to_json());

@@ -1,4 +1,4 @@
-//! Tracked-apply tests: `apply_changes_owned_tracked` must attribute every
+//! Tracked-apply tests: `apply_changes` must attribute every
 //! applied op to the state unit (row / file / root global) it lands in, and
 //! fall back to a conservative `whole`/`unresolved` marker when it cannot.
 
@@ -15,9 +15,7 @@ fn container_replacement_is_conservative() {
     let mut src = Doc::new(A);
     let mut dst = Doc::new(B);
     src.put(&path!["rows"], json!({"a": {"age": 1}})).unwrap();
-    let (applied, touched) = dst
-        .apply_changes_owned_tracked(src.get_changes(&VClock::new()))
-        .unwrap();
+    let (applied, touched) = dst.apply_changes(src.get_changes(&VClock::new())).unwrap();
     assert!(applied > 0);
     let touch = touched.project("rows");
     assert!(touch.whole, "container replacement must be conservative");
@@ -29,15 +27,12 @@ fn upsert_tracks_primary_key() {
     let mut dst = CrdtTable::new(B, "users");
     // Bootstrap so the `rows` container already exists on both sides.
     src.upsert_row("seed", &json!({"age": 1})).unwrap();
-    dst.apply_changes_owned(src.get_changes(&VClock::new()))
-        .unwrap();
+    dst.apply_changes(src.get_changes(&VClock::new())).unwrap();
 
     let before = dst.clock().clone();
     src.upsert_row("alice", &json!({"name": "Alice", "age": 30}))
         .unwrap();
-    let (applied, touch) = dst
-        .apply_changes_owned_tracked(src.get_changes(&before))
-        .unwrap();
+    let (applied, touch) = dst.apply_changes(src.get_changes(&before)).unwrap();
     assert!(applied > 0);
     assert!(!touch.whole, "row upsert must resolve to a single pk");
     assert_eq!(
@@ -52,14 +47,11 @@ fn update_cell_tracks_only_touched_row() {
     let mut dst = CrdtTable::new(B, "users");
     src.upsert_row("alice", &json!({"age": 30})).unwrap();
     src.upsert_row("bob", &json!({"age": 41})).unwrap();
-    dst.apply_changes_owned(src.get_changes(&VClock::new()))
-        .unwrap();
+    dst.apply_changes(src.get_changes(&VClock::new())).unwrap();
 
     let before = dst.clock().clone();
     src.update_cell("bob", "age", &json!(42)).unwrap();
-    let (_, touch) = dst
-        .apply_changes_owned_tracked(src.get_changes(&before))
-        .unwrap();
+    let (_, touch) = dst.apply_changes(src.get_changes(&before)).unwrap();
     assert!(!touch.whole);
     assert_eq!(touch.keys.iter().map(|k| &**k).collect::<Vec<_>>(), ["bob"]);
 }
@@ -69,14 +61,11 @@ fn delete_row_tracks_primary_key() {
     let mut src = CrdtTable::new(A, "users");
     let mut dst = CrdtTable::new(B, "users");
     src.upsert_row("alice", &json!({"age": 30})).unwrap();
-    dst.apply_changes_owned(src.get_changes(&VClock::new()))
-        .unwrap();
+    dst.apply_changes(src.get_changes(&VClock::new())).unwrap();
 
     let before = dst.clock().clone();
     src.delete_row("alice").unwrap();
-    let (_, touch) = dst
-        .apply_changes_owned_tracked(src.get_changes(&before))
-        .unwrap();
+    let (_, touch) = dst.apply_changes(src.get_changes(&before)).unwrap();
     assert!(!touch.whole);
     assert!(touch.keys.contains("alice"));
 }
@@ -86,14 +75,11 @@ fn files_track_path() {
     let mut src = CrdtFiles::new(A);
     let mut dst = CrdtFiles::new(B);
     src.put_file("seed.txt", b"s").unwrap();
-    dst.apply_changes_owned(src.get_changes(&VClock::new()))
-        .unwrap();
+    dst.apply_changes(src.get_changes(&VClock::new())).unwrap();
 
     let before = dst.clock().clone();
     src.put_file("notes.txt", b"hello").unwrap();
-    let (_, touch) = dst
-        .apply_changes_owned_tracked(src.get_changes(&before))
-        .unwrap();
+    let (_, touch) = dst.apply_changes(src.get_changes(&before)).unwrap();
     assert!(!touch.whole);
     assert!(touch.keys.contains("notes.txt"));
 }
@@ -104,9 +90,7 @@ fn globals_track_root_key() {
     let mut dst = Doc::new(B);
     src.put(&path!["counter"], json!(7)).unwrap();
     src.put(&path!["mode"], json!("fast")).unwrap();
-    let (_, touched) = dst
-        .apply_changes_owned_tracked(src.get_changes(&VClock::new()))
-        .unwrap();
+    let (_, touched) = dst.apply_changes(src.get_changes(&VClock::new())).unwrap();
     assert!(!touched.unresolved);
     let roots: Vec<String> = touched.keys.iter().map(|(k, _)| k.to_string()).collect();
     assert!(roots.contains(&"counter".to_string()));
@@ -124,8 +108,7 @@ fn tracking_survives_save_load_v2() {
     let mut peer = CrdtTable::new(C, "users");
     src.upsert_row("alice", &json!({"age": 30})).unwrap();
     src.upsert_row("bob", &json!({"age": 41})).unwrap();
-    peer.apply_changes_owned(src.get_changes(&VClock::new()))
-        .unwrap();
+    peer.apply_changes(src.get_changes(&VClock::new())).unwrap();
     // fold what the peer has, keep one change it has not in the tail
     let acked = peer.clock().clone();
     src.update_cell("bob", "age", &json!(42)).unwrap();
@@ -146,8 +129,8 @@ fn tracking_survives_save_load_v2() {
     peer.update_cell("alice", "age", &json!(31)).unwrap();
     peer.delete_row("bob").unwrap();
     let concurrent = peer.get_changes(&acked);
-    let on_src = src.apply_changes_owned_tracked(concurrent.clone()).unwrap();
-    let on_dst = dst.apply_changes_owned_tracked(concurrent).unwrap();
+    let on_src = src.apply_changes(concurrent.clone()).unwrap();
+    let on_dst = dst.apply_changes(concurrent).unwrap();
     assert_eq!(on_dst, on_src);
     let (applied, touch) = on_dst;
     assert_eq!(applied, 2);
@@ -160,9 +143,7 @@ fn tracking_survives_save_load_v2() {
     assert_eq!(dst.to_json(), json!({"alice": {"age": 31}}));
 
     src.update_cell("alice", "age", &json!(32)).unwrap();
-    let (_, touch) = dst
-        .apply_changes_owned_tracked(src.get_changes(dst.clock()))
-        .unwrap();
+    let (_, touch) = dst.apply_changes(src.get_changes(dst.clock())).unwrap();
     assert!(!touch.whole);
     assert!(touch.keys.contains("alice"));
 }
@@ -172,15 +153,12 @@ fn tracking_after_compaction_still_resolves() {
     let mut src = CrdtTable::new(A, "users");
     let mut dst = CrdtTable::new(B, "users");
     src.upsert_row("alice", &json!({"age": 30})).unwrap();
-    dst.apply_changes_owned(src.get_changes(&VClock::new()))
-        .unwrap();
+    dst.apply_changes(src.get_changes(&VClock::new())).unwrap();
     let frontier = dst.clock().clone();
     dst.compact(&frontier);
 
     src.update_cell("alice", "age", &json!(31)).unwrap();
-    let (_, touch) = dst
-        .apply_changes_owned_tracked(src.get_changes(&frontier))
-        .unwrap();
+    let (_, touch) = dst.apply_changes(src.get_changes(&frontier)).unwrap();
     assert!(!touch.whole);
     assert!(touch.keys.contains("alice"));
 }
@@ -199,12 +177,12 @@ fn pending_ops_attributed_when_released() {
     let second = src.get_changes(&mid);
 
     // Deliver the later change alone: nothing applies, nothing tracked.
-    let (applied, touch) = dst.apply_changes_owned_tracked(second).unwrap();
+    let (applied, touch) = dst.apply_changes(second).unwrap();
     assert_eq!(applied, 0);
     assert!(touch.keys.is_empty() && !touch.whole);
 
     // Delivering the earlier change releases both; both pks reported.
-    let (applied, touch) = dst.apply_changes_owned_tracked(first).unwrap();
+    let (applied, touch) = dst.apply_changes(first).unwrap();
     assert!(applied >= 2);
     assert!(touch.keys.contains("alice") && touch.keys.contains("bob"));
 }
@@ -222,52 +200,33 @@ mod oracle {
 
     #[derive(Default)]
     pub struct Oracle {
-        parent: HashMap<ObjId, (ObjId, Option<String>)>,
+        parent: HashMap<ObjId, (ObjId, String)>,
         clock: VClock,
     }
 
     impl Oracle {
         fn index(&mut self, op: &Op) {
-            match op {
-                Op::Set {
-                    obj,
-                    key,
-                    value: OpValue::Obj(child),
-                    ..
-                } => {
-                    self.parent.insert(*child, (*obj, Some(key.to_string())));
-                }
-                Op::Insert {
-                    obj,
-                    value: OpValue::Obj(child),
-                    ..
-                }
-                | Op::SetElem {
-                    obj,
-                    value: OpValue::Obj(child),
-                    ..
-                } => {
-                    self.parent.insert(*child, (*obj, None));
-                }
-                _ => {}
+            if let Op::Set {
+                obj,
+                key,
+                value: OpValue::Obj(child),
+                ..
+            } = op
+            {
+                self.parent.insert(*child, (*obj, key.to_string()));
             }
         }
 
-        fn unit_path(&self, obj: ObjId, key: Option<&str>) -> Option<(String, Option<String>)> {
+        fn unit_path(&self, obj: ObjId, key: &str) -> Option<(String, Option<String>)> {
             let mut segs: Vec<&str> = Vec::new();
             let mut cur = obj;
             while cur != ObjId::Root {
                 let (p, k) = self.parent.get(&cur)?;
-                if let Some(k) = k {
-                    segs.push(k.as_str());
-                }
+                segs.push(k.as_str());
                 cur = *p;
             }
             segs.reverse();
-            let mut it = segs
-                .into_iter()
-                .map(str::to_string)
-                .chain(key.map(str::to_string));
+            let mut it = segs.into_iter().chain([key]).map(str::to_string);
             let first = it.next()?;
             Some((first, it.next()))
         }
@@ -278,12 +237,9 @@ mod oracle {
             }
             for op in change.ops() {
                 let loc = match op {
-                    Op::MakeMap { .. } | Op::MakeList { .. } => continue,
-                    Op::Set { obj, key, .. }
-                    | Op::DelKey { obj, key, .. }
-                    | Op::Inc { obj, key, .. } => self.unit_path(*obj, Some(key)),
-                    Op::Insert { obj, .. } | Op::SetElem { obj, .. } | Op::DelElem { obj, .. } => {
-                        self.unit_path(*obj, None)
+                    Op::MakeMap { .. } => continue,
+                    Op::Set { obj, key, .. } | Op::DelKey { obj, key, .. } => {
+                        self.unit_path(*obj, key)
                     }
                 };
                 match loc {
@@ -323,7 +279,7 @@ mod memo_prop {
     use std::sync::Arc;
 
     /// A mutation at a location chosen by small indices, so generated
-    /// writes collide on the same rows, cells and list slots.
+    /// writes collide on the same rows, cells and globals.
     #[derive(Debug, Clone)]
     enum Write {
         /// `rows/<pk>` = a whole row object: the table upsert shape.
@@ -349,37 +305,19 @@ mod memo_prop {
             leaf: u8,
             n: i64,
         },
-        /// A root-level scalar or object.
+        /// A root-level scalar, array, or object holding an array.
         Global {
             key: u8,
-            nested: bool,
+            shape: u8,
             n: i64,
         },
         DeleteGlobal {
             key: u8,
         },
-        /// A counter at the root, or inside a row.
-        Count {
-            pk: Option<u8>,
-            by: i64,
-        },
-        /// Push a scalar or an object onto `list`.
-        Push {
-            nested: bool,
+        /// `list/x` = scalar: a path through the `list` array replaces it
+        /// with a map.
+        InList {
             n: i64,
-        },
-        /// `list/<i>/x` = scalar, when element `i` is an object.
-        InElem {
-            i: u8,
-            n: i64,
-        },
-        /// Overwrite or delete the list element at `i`.
-        SetElem {
-            i: u8,
-            n: i64,
-        },
-        DeleteElem {
-            i: u8,
         },
     }
 
@@ -391,17 +329,9 @@ mod memo_prop {
             (0u8..4).prop_map(|pk| Write::DeleteRow { pk }),
             (0u8..4, 0u8..3).prop_map(|(pk, col)| Write::DeleteCell { pk, col }),
             (0u8..2, n()).prop_map(|(leaf, n)| Write::Deep { leaf, n }),
-            (0u8..3, any::<bool>(), n()).prop_map(|(key, nested, n)| Write::Global {
-                key,
-                nested,
-                n
-            }),
+            (0u8..3, 0u8..3, n()).prop_map(|(key, shape, n)| Write::Global { key, shape, n }),
             (0u8..3).prop_map(|key| Write::DeleteGlobal { key }),
-            (prop::option::of(0u8..4), n()).prop_map(|(pk, by)| Write::Count { pk, by }),
-            (any::<bool>(), n()).prop_map(|(nested, n)| Write::Push { nested, n }),
-            (0u8..4, n()).prop_map(|(i, n)| Write::InElem { i, n }),
-            (0u8..4, n()).prop_map(|(i, n)| Write::SetElem { i, n }),
-            (0u8..4).prop_map(|i| Write::DeleteElem { i }),
+            n().prop_map(|n| Write::InList { n }),
         ]
     }
 
@@ -414,8 +344,6 @@ mod memo_prop {
     fn apply(doc: &mut Doc, w: &Write) {
         let row = |pk: u8| vec![k("rows"), k(format!("r{pk}"))];
         let cell = |pk: u8, col: u8| vec![k("rows"), k(format!("r{pk}")), k(format!("c{col}"))];
-        let elem = |i: u8| vec![k("list"), PathSeg::Index(i as usize)];
-        let len = doc.list_len(&[k("list")]).unwrap_or(0);
         let _ = match w {
             Write::Row { pk, n } => doc.put(&row(*pk), json!({"c0": n, "c1": "x", "c2": [n]})),
             Write::Cell { pk, col, n } => doc.put(&cell(*pk, *col), json!(n)),
@@ -424,29 +352,16 @@ mod memo_prop {
             Write::Deep { leaf, n } => {
                 doc.put(&[k("cfg"), k("a"), k("b"), k(format!("l{leaf}"))], json!(n))
             }
-            Write::Global { key, nested, n } => {
-                let v = if *nested { json!({"v": n}) } else { json!(n) };
+            Write::Global { key, shape, n } => {
+                let v: Json = match shape {
+                    0 => json!(n),
+                    1 => json!([n, {"x": n}]),
+                    _ => json!({"v": n, "vs": [n]}),
+                };
                 doc.put(&[k(format!("g{key}"))], v)
             }
             Write::DeleteGlobal { key } => doc.delete(&[k(format!("g{key}"))]),
-            Write::Count { pk: None, by } => doc.increment(&[k("hits")], *by),
-            Write::Count { pk: Some(pk), by } => {
-                let mut p = row(*pk);
-                p.push(k("n"));
-                doc.increment(&p, *by)
-            }
-            Write::Push { nested, n } => {
-                let v: Json = if *nested { json!({"x": n}) } else { json!(n) };
-                doc.list_push(&[k("list")], v)
-            }
-            Write::InElem { i, n } if (*i as usize) < len => {
-                let mut p = elem(*i);
-                p.push(k("x"));
-                doc.put(&p, json!(n))
-            }
-            Write::SetElem { i, n } if (*i as usize) < len => doc.put(&elem(*i), json!(n)),
-            Write::DeleteElem { i } if (*i as usize) < len => doc.delete(&elem(*i)),
-            Write::InElem { .. } | Write::SetElem { .. } | Write::DeleteElem { .. } => Ok(()),
+            Write::InList { n } => doc.put(&[k("list"), k("x")], json!(n)),
         };
     }
 
@@ -496,9 +411,9 @@ mod memo_prop {
         let all = [table.clone(), twice.clone()];
         let mut dst = Doc::new(ActorId(9));
         let mut oracle = Oracle::default();
-        let (_, touched) = dst.apply_changes_owned_tracked(vec![table]).unwrap();
+        let (_, touched) = dst.apply_changes(vec![table]).unwrap();
         assert_eq!(touched, oracle.catch_up(&all, dst.clock()));
-        let (_, touched) = dst.apply_changes_owned_tracked(vec![twice]).unwrap();
+        let (_, touched) = dst.apply_changes(vec![twice]).unwrap();
         assert_eq!(touched, oracle.catch_up(&all, dst.clock()));
         let row = |pk: &str| -> (Arc<str>, Option<Arc<str>>) { ("rows".into(), Some(pk.into())) };
         assert_eq!(
@@ -515,7 +430,7 @@ mod memo_prop {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(192))]
 
-        /// Three writers mutate nested maps, lists, counters and delete
+        /// Three writers mutate nested maps and array leaves and delete
         /// concurrently, merging now and then; a fourth replica receives
         /// their changes in shuffled batches through the tracked apply.
         /// Every call must report exactly the units the per-op walk
@@ -531,14 +446,15 @@ mod memo_prop {
             writers[0].put(&[k("list")], json!([1, {"x": 2}, 3])).unwrap();
             for i in 1..3 {
                 let (head, tail) = writers.split_at_mut(i);
-                tail[0].merge(&head[0]).unwrap();
+                let changes = head[0].get_changes(tail[0].clock());
+                tail[0].apply_changes(changes).unwrap();
             }
             for (who, w, sync) in &steps {
                 apply(&mut writers[*who], w);
                 if *sync == 0 {
                     // the next writer pulls from this one
                     let changes = writers[*who].get_changes(writers[(*who + 1) % 3].clock());
-                    writers[(*who + 1) % 3].apply_changes(&changes).unwrap();
+                    writers[(*who + 1) % 3].apply_changes(changes).unwrap();
                 }
             }
             let mut all: Vec<Change> = writers.iter().flat_map(own_changes).collect();
@@ -556,12 +472,12 @@ mod memo_prop {
                 if batch.is_empty() {
                     break;
                 }
-                let (_, touched) = dst.apply_changes_owned_tracked(batch).unwrap();
+                let (_, touched) = dst.apply_changes(batch).unwrap();
                 prop_assert_eq!(touched, oracle.catch_up(&in_order, dst.clock()));
             }
             prop_assert_eq!(dst.pending_len(), 0);
             let mut reference = Doc::new(ActorId(10));
-            reference.apply_changes(&in_order).unwrap();
+            reference.apply_changes(in_order).unwrap();
             prop_assert_eq!(dst.to_json(), reference.to_json());
         }
     }

@@ -6,7 +6,7 @@
 //! system-level network emulator (comcast, §IV-C). This crate provides
 //! both pieces:
 //!
-//! - [`LinkSpec`] / [`NetworkEmulator`] — links parameterized by bandwidth
+//! - [`LinkSpec`] / [`LinkChannel`] — links parameterized by bandwidth
 //!   and latency, with presets for the paper's setups (edge LAN,
 //!   same-continent and cross-continent WAN, and the configurable *limited
 //!   cloud network*: bandwidth 100–1000 Kbps, latency 100–1000 ms);
@@ -352,56 +352,6 @@ impl LinkSpec {
     }
 }
 
-/// Mutable registry of named links — the `comcast` network-emulator analog
-/// used to reshape WAN conditions between experiment runs (§IV-C).
-#[derive(Debug, Clone, Default)]
-pub struct NetworkEmulator {
-    links: BTreeMap<String, LinkSpec>,
-}
-
-impl NetworkEmulator {
-    /// Empty emulator.
-    pub fn new() -> Self {
-        NetworkEmulator::default()
-    }
-
-    /// Install or replace a named link.
-    pub fn set_link(&mut self, name: impl Into<String>, spec: LinkSpec) {
-        self.links.insert(name.into(), spec);
-    }
-
-    /// Look up a link.
-    pub fn link(&self, name: &str) -> Option<LinkSpec> {
-        self.links.get(name).copied()
-    }
-
-    /// Reshape an existing link's bandwidth (Kbps), keeping latency.
-    ///
-    /// Returns `false` if the link does not exist.
-    pub fn set_bandwidth_kbps(&mut self, name: &str, kbps: f64) -> bool {
-        match self.links.get_mut(name) {
-            Some(l) => {
-                l.bandwidth_bytes_per_sec = kbps * 1000.0 / 8.0;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Reshape an existing link's latency (ms), keeping bandwidth.
-    ///
-    /// Returns `false` if the link does not exist.
-    pub fn set_latency_ms(&mut self, name: &str, ms: f64) -> bool {
-        match self.links.get_mut(name) {
-            Some(l) => {
-                l.latency = SimDuration::from_secs_f64(ms / 1000.0);
-                true
-            }
-            None => false,
-        }
-    }
-}
-
 /// One captured request/response exchange.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Exchange {
@@ -553,18 +503,6 @@ mod tests {
         let cross = LinkSpec::wan_cross_continent();
         let ratio = cross.round_trip(0, 0).as_secs_f64() / same.round_trip(0, 0).as_secs_f64();
         assert!(ratio >= 9.0, "RTT gap {ratio} below an order of magnitude");
-    }
-
-    #[test]
-    fn emulator_reshapes_links() {
-        let mut emu = NetworkEmulator::new();
-        emu.set_link("wan", LinkSpec::limited_cloud());
-        assert!(emu.set_bandwidth_kbps("wan", 100.0));
-        assert!(emu.set_latency_ms("wan", 1000.0));
-        let l = emu.link("wan").unwrap();
-        assert!((l.bandwidth_bytes_per_sec - 12_500.0).abs() < 1e-9);
-        assert!((l.latency.as_secs_f64() - 1.0).abs() < 1e-9);
-        assert!(!emu.set_bandwidth_kbps("nope", 1.0));
     }
 
     #[test]

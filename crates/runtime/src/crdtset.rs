@@ -285,7 +285,7 @@ impl CrdtSet {
         let mut applied = 0;
         for (name, cs) in changes.tables {
             if let Some(t) = self.tables.get_mut(&name) {
-                let (n, touch) = t.apply_changes_owned_tracked(cs).expect("table CRDT apply");
+                let (n, touch) = t.apply_changes(cs).expect("table CRDT apply");
                 applied += n;
                 // materialize what the delta touched into the SQL engine,
                 // bumping what the materialised rows changed there
@@ -304,7 +304,7 @@ impl CrdtSet {
         if !changes.files.is_empty() {
             let (n, touch) = self
                 .files
-                .apply_changes_owned_tracked(changes.files)
+                .apply_changes(changes.files)
                 .expect("files CRDT apply");
             applied += n;
             if touch.whole {
@@ -319,7 +319,7 @@ impl CrdtSet {
         if !changes.globals.is_empty() {
             let (n, touched) = self
                 .globals
-                .apply_changes_owned_tracked(changes.globals)
+                .apply_changes(changes.globals)
                 .expect("globals CRDT apply");
             applied += n;
             if touched.unresolved {
@@ -1392,5 +1392,150 @@ mod partition_tests {
             edge_set.tables["log"].to_json(),
             "replicas stay diverged under optimistic advancement"
         );
+    }
+}
+
+#[cfg(test)]
+mod array_global_tests {
+    //! Globals the CRDT holds as whole values: an array is one leaf, an
+    //! object a map whose arrays are leaves. A write goes edge → master →
+    //! other edge through `absorb_outcome`, `generate` / `receive_owned`
+    //! and `materialize_globals`, the path every bound global takes.
+
+    use super::*;
+    use edgstr_analysis::StateUnit;
+    use edgstr_net::HttpRequest;
+    use serde_json::json;
+
+    const APP: &str = r#"
+        var tags = [];
+        var cfg = { name: "none", list: [] };
+        app.post("/tags", function (req, res) {
+            tags = req.body.tags;
+            res.send({ ok: true });
+        });
+        app.post("/cfg", function (req, res) {
+            cfg = { name: req.body.name, list: req.body.list };
+            res.send({ ok: true });
+        });
+    "#;
+
+    /// A master and two edges, each edge with its link to the master.
+    struct Star {
+        nodes: Vec<(ServerProcess, CrdtSet)>,
+        /// `(edge's end, master's end)` of edge 1's link, then edge 2's.
+        links: Vec<(SyncEndpoint, SyncEndpoint)>,
+    }
+
+    impl Star {
+        fn new() -> Star {
+            let mut seed = ServerProcess::from_source(APP).unwrap();
+            seed.init().unwrap();
+            let init = InitState::capture(&seed);
+            let bindings = CrdtBindings::from_units([
+                StateUnit::Global("tags".into()),
+                StateUnit::Global("cfg".into()),
+            ]);
+            let nodes = (1..=3)
+                .map(|actor| {
+                    let mut s = ServerProcess::from_source(APP).unwrap();
+                    s.init().unwrap();
+                    init.restore(&mut s);
+                    (s, CrdtSet::initialize(ActorId(actor), &bindings, &init))
+                })
+                .collect();
+            let links = (0..2)
+                .map(|_| (SyncEndpoint::new(), SyncEndpoint::new()))
+                .collect();
+            Star { nodes, links }
+        }
+
+        /// Serve a write at node `at` and absorb it.
+        fn write(&mut self, at: usize, path: &str, body: Json) {
+            let (server, set) = &mut self.nodes[at];
+            let out = server
+                .handle(&HttpRequest::post(path, body, vec![]))
+                .unwrap();
+            set.absorb_outcome(&out, server);
+        }
+
+        /// One exchange on each link, edge 1's first.
+        fn sync(&mut self) {
+            let (master, edges) = self.nodes.split_first_mut().unwrap();
+            for ((edge_end, master_end), (server, set)) in self.links.iter_mut().zip(edges) {
+                let up = edge_end.generate(set);
+                master_end.receive_owned(&mut master.1, &mut master.0, up);
+                let down = master_end.generate(&master.1);
+                edge_end.receive_owned(set, server, down);
+            }
+        }
+
+        /// Every node's server and CRDT hold `want` in global `g`.
+        fn all_hold(&self, g: &str, want: &Json) {
+            for (i, (server, set)) in self.nodes.iter().enumerate() {
+                assert_eq!(server.global_json(g).as_ref(), Some(want), "node {i}");
+                assert_eq!(
+                    set.globals.get(&[PathSeg::Key(g.into())]).as_ref(),
+                    Some(want)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn array_globals_reach_the_master_and_the_other_edge_unchanged() {
+        let mut star = Star::new();
+        let tags = json!([1, "two", {"three": [3, null]}, [], 2.5]);
+        star.write(1, "/tags", json!({ "tags": tags }));
+        let cfg = json!({"name": "n", "list": [[1], {"k": [true]}, "x"]});
+        star.write(2, "/cfg", json!({"name": "n", "list": cfg["list"]}));
+        // edge 2's write reaches edge 1 on the round after the master has it
+        star.sync();
+        star.sync();
+        star.all_hold("tags", &tags);
+        star.all_hold("cfg", &cfg);
+        // an array global is one `Set` of one leaf; an object one map
+        let ops = |n: usize| {
+            let changes = star.nodes[n].1.globals.get_changes(&VClock::new());
+            changes
+                .iter()
+                .filter(|c| c.actor() == ActorId(n as u64 + 1))
+                .map(|c| c.ops().len())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(ops(1), [1], "tags");
+        assert_eq!(ops(2), [4], "cfg: a map, two entries, the link");
+    }
+
+    #[test]
+    fn concurrent_array_global_writes_converge_to_one_writer() {
+        let mut star = Star::new();
+        let (a, b) = (json!(["a", {"x": 1}]), json!(["b", "b"]));
+        star.write(1, "/tags", json!({ "tags": a }));
+        star.write(2, "/tags", json!({ "tags": b }));
+        star.write(1, "/cfg", json!({"name": "a", "list": [1]}));
+        star.write(2, "/cfg", json!({"name": "b", "list": [2, 2]}));
+        star.sync();
+        star.sync();
+        let won = star.nodes[0].0.global_json("tags").unwrap();
+        assert!(won == a || won == b, "{won}");
+        star.all_hold("tags", &won);
+        let cfg = star.nodes[0].0.global_json("cfg").unwrap();
+        assert!(
+            cfg["list"] == json!([1]) || cfg["list"] == json!([2, 2]),
+            "{cfg}"
+        );
+        star.all_hold("cfg", &cfg);
+        let clock = star.nodes[0].1.clock();
+        for (_, set) in &star.nodes[1..] {
+            assert_eq!(set.clock(), clock);
+        }
+        // once the last acks are through, nothing is left to send
+        star.sync();
+        let (master, edges) = star.nodes.split_first().unwrap();
+        for ((edge_end, master_end), (_, set)) in star.links.iter_mut().zip(edges) {
+            assert!(edge_end.generate(set).changes.is_empty());
+            assert!(master_end.generate(&master.1).changes.is_empty());
+        }
     }
 }

@@ -10,7 +10,7 @@
 //!   channel with ack-driven delta shipping (Fig. 5b);
 //! - [`ReplicaCore`] — one replica (server process, [`CrdtSet`],
 //!   [`ResponseCache`]): provisioned by a [`replica::Provisioner`] from a
-//!   [`ReplicaTemplate`] (and, for a replacement, a save image), serving
+//!   [`replica::ReplicaTemplate`] (and, for a replacement, a save image), serving
 //!   through the one pipeline every driver below calls (lookup, handle,
 //!   revert on failure, absorb, fill);
 //! - [`LoadBalancer`] / [`Autoscaler`] — least-connections balancing and
@@ -52,17 +52,13 @@ pub use cache::{
     UnitKey, UnitVersions, CACHE_HIT_CYCLES,
 };
 pub use crdtset::{CrdtSet, SetChanges, SetClock, SetSyncMessage, SyncEndpoint};
-pub use driver::{FaultPolicy, MobilePower, RunRecorder, RunStats, TimedRequest, Workload};
-pub use ha::{HaPolicy, HaStats};
-pub use parallel::{ParallelOptions, ParallelRunStats, ParallelSystem, FAILED_DIGEST};
+pub use driver::{MobilePower, RunRecorder, RunStats, TimedRequest, Workload};
+pub use ha::HaPolicy;
+pub use parallel::{ParallelOptions, ParallelRunStats, ParallelSystem};
 pub use quarantine::QuarantinePolicy;
-pub use replica::{
-    cache_plan, BitFlipCorruptor, CachePlan, ReplicaCore, ReplicaKind, ReplicaTemplate, Served,
-};
-pub use system::{EdgeReplica, ThreeTierOptions, ThreeTierSystem, TwoTierSystem};
-pub use tiering::{
-    PlacementMode, PlacementScript, PlacementStats, ScriptedDecision, TransitionRecord,
-};
+pub use replica::{cache_plan, CachePlan, ReplicaCore};
+pub use system::{ThreeTierOptions, ThreeTierSystem, TwoTierSystem};
+pub use tiering::{PlacementMode, PlacementScript, PlacementStats, ScriptedDecision};
 // Decision-logic types re-exported so runtime consumers need not depend on
 // `edgstr-placement` directly.
 pub use edgstr_placement::{
