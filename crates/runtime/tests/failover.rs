@@ -175,13 +175,28 @@ fn ack_capping_is_what_prevents_acked_write_loss() {
             SimTime::from_secs_f64(5.0),
         );
         let (sys, converged) = serve_and_heal(ha, crashes, None, writes);
-        (lost_acks(&sys), notes_on_master(&sys, writes), converged)
+        let state = (lost_acks(&sys), notes_on_master(&sys, writes), converged);
+        (state, sys)
     };
 
-    let (lost, rows, converged) = run(HaPolicy::default());
+    let ((lost, rows, converged), sys) = run(HaPolicy::default());
     assert_eq!(lost, 0, "capped acks lose nothing");
     assert!(converged);
     assert_eq!(rows, writes, "every write reaches the master");
+    // the master's typed rows and the `written` global, pinned at commit
+    // d703120 (rows crossing the CRDT as JSON objects)
+    let typed = format!(
+        "{:?}|{:?}",
+        sys.cloud.server.db.table("notes").unwrap().rows,
+        sys.cloud.server.global_json("written")
+    );
+    assert_eq!(
+        (
+            edgstr_crdt::content_hash(typed.as_bytes()),
+            sys.cloud.replicated_state_digest()
+        ),
+        (0x88dd_e90f_ab33_b743, 0x558e_d91a_564d_ebb5)
+    );
 
     let uncapped = [
         HaPolicy {
@@ -196,7 +211,7 @@ fn ack_capping_is_what_prevents_acked_write_loss() {
         },
     ];
     for ha in uncapped {
-        let (lost, rows, converged) = run(ha.clone());
+        let ((lost, rows, converged), _) = run(ha.clone());
         assert!(lost > 0, "{ha:?}: an acked write must be demonstrably lost");
         assert!(
             rows < writes,

@@ -54,17 +54,80 @@
 //! With every column stamp widened to all columns and an unchanged write
 //! bumping as before, all four cells give the constants of dc21a12 bit
 //! for bit, and under `CachePolicy::Off` every cell does.
+//!
+//! Pinned at commit d703120, before a row crossed the CRDT as typed cells
+//! instead of a JSON object of its columns: every node's typed state —
+//! its bound tables' rows as the SQL engine holds them (`Debug` tells
+//! `INT 3` from `REAL 3.0` and `TEXT` from `BLOB`), its bound files'
+//! bytes and its bound globals' JSON — in the three virtual-time cells
+//! that replicate. `through_json` keeps what the JSON row path did to a
+//! cell, as the oracle: no converged cell of these runs is one it would
+//! have read back as another kind.
 
 use edgstr_core::{capture_and_transform, EdgStrConfig};
 use edgstr_net::{fnv1a, CrashPlan, FaultPlan, HttpRequest, LossModel, Verb, FNV_OFFSET};
 use edgstr_runtime::{
     Autoscaler, CachePolicy, CacheStats, HaPolicy, ParallelOptions, ParallelSystem, Placement,
-    PlacementMode, PlacementPolicy, PlacementScript, QuarantinePolicy, RunStats, ScriptedDecision,
-    ThreeTierOptions, ThreeTierSystem, TimedRequest, Workload,
+    PlacementMode, PlacementPolicy, PlacementScript, QuarantinePolicy, ReplicaCore, RunStats,
+    ScriptedDecision, ThreeTierOptions, ThreeTierSystem, TimedRequest, Workload,
 };
 use edgstr_sim::{DetRng, DeviceSpec, SimDuration, SimTime};
+use edgstr_sql::SqlValue;
 use edgstr_telemetry::Telemetry;
-use serde_json::json;
+use serde_json::{json, Value as Json};
+
+/// A cell as it read back when a row crossed the CRDT as a JSON object:
+/// `SqlValue::to_json`, then the JSON-to-SQL conversion that path used.
+fn through_json(v: &SqlValue) -> SqlValue {
+    match v.to_json() {
+        Json::Null => SqlValue::Null,
+        Json::Bool(b) => SqlValue::Int(i64::from(b)),
+        Json::Number(n) => match n.as_i64() {
+            Some(i) => SqlValue::Int(i),
+            None => SqlValue::Real(n.as_f64().unwrap_or(0.0)),
+        },
+        Json::String(s) => SqlValue::Text(s),
+        other => SqlValue::Text(other.to_string()),
+    }
+}
+
+/// FNV-1a over what `core`'s server holds of its replicated units, typed:
+/// per bound table its rows as the SQL engine keeps them, per bound file
+/// its bytes, per bound global its JSON. Asserts on the way that no
+/// converged cell is one the JSON row path would have retyped.
+fn typed_state(core: &ReplicaCore) -> u64 {
+    let (bindings, server) = (&core.crdts.bindings, &core.server);
+    let mut h = FNV_OFFSET;
+    for t in &bindings.tables {
+        h = fnv1a(h, t.as_bytes());
+        if let Some(table) = server.db.table(t) {
+            for cell in table.rows.iter().flatten() {
+                assert!(through_json(cell).identical(cell), "{t}: {cell:?}");
+            }
+            h = fnv1a(h, format!("{:?}", table.rows).as_bytes());
+        }
+    }
+    for f in &bindings.files {
+        h = fnv1a(h, f.as_bytes());
+        h = fnv1a(h, server.fs.peek(f).unwrap_or(&[]));
+    }
+    for g in &bindings.globals {
+        h = fnv1a(h, g.as_bytes());
+        let v = server.global_json(g).map(|v| v.to_string());
+        h = fnv1a(h, v.unwrap_or_default().as_bytes());
+    }
+    h
+}
+
+/// [`typed_state`] of the master and of each edge.
+fn typed_states(sys: &ThreeTierSystem) -> [u64; 4] {
+    [
+        typed_state(&sys.cloud),
+        typed_state(&sys.edges[0].core),
+        typed_state(&sys.edges[1].core),
+        typed_state(&sys.edges[2].core),
+    ]
+}
 
 /// Reads dominate and repeat (so the cache fills, hits, and is invalidated
 /// by the interleaved writes); `/books` is the list-shaped body whose
@@ -147,6 +210,7 @@ fn seeded_bookworm_run_matches_pinned_stats() {
     for e in &sys.edges {
         assert_eq!(e.core.replicated_state_digest(), 0xf7e4_7aa0_b58a_095a);
     }
+    assert_eq!(typed_states(&sys), [0xaa85_7d22_670d_135e; 4]);
     assert_eq!(
         cache,
         CacheStats {
@@ -171,6 +235,8 @@ struct FailoverPin {
     makespan: SimTime,
     /// Replicated state of the master and of each edge, reconverged.
     state_digests: [u64; 4],
+    /// The same nodes' [`typed_state`].
+    typed_states: [u64; 4],
     cache: CacheStats,
     /// edge_crashes, edge_restarts, master_crashes, failovers,
     /// durable_recoveries
@@ -266,6 +332,7 @@ fn failover_run(standby: bool, telemetry: &Telemetry) -> FailoverPin {
             sys.edges[1].core.replicated_state_digest(),
             sys.edges[2].core.replicated_state_digest(),
         ],
+        typed_states: typed_states(&sys),
         cache: sys.cache_stats(),
         ha: [
             ha.edge_crashes,
@@ -317,6 +384,7 @@ fn forwarding_failover_and_quarantine_match_pinned_stats() {
             wan_sync_bytes: 286_096,
             makespan: SimTime(9_042_300),
             state_digests: [0x50a0_3a44_ef56_8dcf; 4],
+            typed_states: [0xe4c1_d83d_5b13_9faf; 4],
             cache: CacheStats {
                 hits: 824,
                 misses: 829,
@@ -344,6 +412,7 @@ fn forwarding_failover_and_quarantine_match_pinned_stats() {
             wan_sync_bytes: 275_411,
             makespan: SimTime(9_112_675),
             state_digests: [0xeb68_42f4_8523_f02e; 4],
+            typed_states: [0x7201_be16_e248_9ec5; 4],
             cache: CacheStats {
                 hits: 778,
                 misses: 651,
@@ -376,6 +445,8 @@ struct ElasticPin {
     replica_changes: Vec<(SimTime, usize)>,
     /// Replicated state of the master and of each edge, reconverged.
     state_digests: [u64; 4],
+    /// The same nodes' [`typed_state`].
+    typed_states: [u64; 4],
     /// (decided at, service, to), in decision order.
     decided: Vec<(SimTime, String, &'static str)>,
     /// (service, from, to, decided at, completed at, reason), in
@@ -465,6 +536,7 @@ fn elastic_run(telemetry: &Telemetry) -> ElasticPin {
             sys.edges[1].core.replicated_state_digest(),
             sys.edges[2].core.replicated_state_digest(),
         ],
+        typed_states: typed_states(&sys),
         decided: ps
             .decided
             .iter()
@@ -536,6 +608,7 @@ fn autoscaling_and_adaptive_placement_match_pinned_stats() {
                 (SimTime(5_110_000), 3),
             ],
             state_digests: [0x25bf_01bc_a19d_bcc9; 4],
+            typed_states: [0xb254_44b8_220d_d22c; 4],
             decided: [
                 decided(4_000_000, "cloud_pin"),
                 decided(5_000_000, "edge_replicate"),
