@@ -82,12 +82,6 @@ impl InitState {
         }
         Json::Object(m)
     }
-
-    /// Database tables as JSON (`table → pk → row`), for CRDT-Table
-    /// initialization.
-    pub fn db_json(&self) -> Json {
-        self.db.to_json()
-    }
 }
 
 /// A `Send + Sync` form of [`InitState`] for shipping a replica seed
@@ -206,7 +200,7 @@ mod tests {
         let s = server();
         let init = InitState::capture(&s);
         assert_eq!(init.globals_json()["epoch"], json!(1));
-        assert_eq!(init.db_json()["kv"]["greeting"]["v"], json!("hello"));
+        assert_eq!(init.db.to_json()["kv"]["greeting"]["v"], json!("hello"));
     }
 
     #[test]

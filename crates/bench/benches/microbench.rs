@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use edgstr_analysis::{profile_service, InitState, ServerProcess};
-use edgstr_crdt::{ActorId, Change, CrdtTable, Doc, PathSeg, VClock};
+use edgstr_crdt::{ActorId, Cell, Change, Doc, Row, VClock, Value};
 use edgstr_datalog::{Const, Database, Rule, RuleAtom, Term};
 use edgstr_net::HttpRequest;
 use edgstr_sql::SqlDb;
@@ -18,7 +18,7 @@ fn bench_crdt(c: &mut Criterion) {
             || Doc::new(ActorId(1)),
             |mut doc| {
                 for i in 0..100 {
-                    doc.put(&[PathSeg::Key(format!("k{i}"))], json!(i)).unwrap();
+                    doc.put(&format!("k{i}"), Value::Json(json!(i)));
                 }
                 doc
             },
@@ -28,13 +28,13 @@ fn bench_crdt(c: &mut Criterion) {
     g.bench_function("apply_changes_100", |b| {
         let mut src = Doc::new(ActorId(1));
         for i in 0..100 {
-            src.put(&[PathSeg::Key(format!("k{i}"))], json!(i)).unwrap();
+            src.put(&format!("k{i}"), Value::Json(json!(i)));
         }
         let changes = src.get_changes(&VClock::new());
         b.iter_batched(
             || (Doc::new(ActorId(2)), changes.clone()),
             |(mut doc, changes)| {
-                doc.apply_changes(changes).unwrap();
+                doc.apply_changes(changes);
                 doc
             },
             BatchSize::SmallInput,
@@ -42,11 +42,16 @@ fn bench_crdt(c: &mut Criterion) {
     });
     g.bench_function("table_upsert_100_rows", |b| {
         b.iter_batched(
-            || CrdtTable::new(ActorId(1), "t"),
+            || Doc::new(ActorId(1)),
             |mut t| {
+                let columns: std::sync::Arc<[String]> = ["v".to_string(), "s".to_string()].into();
                 for i in 0..100 {
-                    t.upsert_row(&format!("r{i}"), &json!({"v": i, "s": "x"}))
-                        .unwrap();
+                    let cells = [Cell::Int(i), Cell::Text("x".to_string())];
+                    let row = Row {
+                        columns: columns.clone(),
+                        cells: cells.into(),
+                    };
+                    t.put(&format!("r{i}"), Value::Row(row));
                 }
                 t
             },
@@ -59,15 +64,14 @@ fn bench_crdt(c: &mut Criterion) {
                 let mut a = Doc::new(ActorId(1));
                 let mut bdoc = Doc::new(ActorId(2));
                 for i in 0..50 {
-                    a.put(&[PathSeg::Key(format!("a{i}"))], json!(i)).unwrap();
-                    bdoc.put(&[PathSeg::Key(format!("b{i}"))], json!(i))
-                        .unwrap();
+                    a.put(&format!("a{i}"), Value::Json(json!(i)));
+                    bdoc.put(&format!("b{i}"), Value::Json(json!(i)));
                 }
                 (a, bdoc)
             },
             |(mut a, mut bdoc)| {
-                a.apply_changes(bdoc.get_changes(a.clock())).unwrap();
-                bdoc.apply_changes(a.get_changes(bdoc.clock())).unwrap();
+                a.apply_changes(bdoc.get_changes(a.clock()));
+                bdoc.apply_changes(a.get_changes(bdoc.clock()));
                 (a, bdoc)
             },
             BatchSize::SmallInput,
@@ -113,18 +117,31 @@ fn bench_crdt(c: &mut Criterion) {
         );
         g.bench_function(&format!("image_save/{rows}"), |b| b.iter(|| t.save()));
         g.bench_function(&format!("image_load/{rows}"), |b| {
-            b.iter(|| CrdtTable::load(ActorId(3), "books", &image).unwrap())
+            b.iter(|| Doc::load(ActorId(3), &image).unwrap())
         });
     }
     g.finish();
 }
 
 /// A table whose log holds `n` bookworm-shaped row upserts.
-fn upserted_table(n: u32) -> CrdtTable {
-    let mut t = CrdtTable::new(ActorId(2), "books");
+fn upserted_table(n: u32) -> Doc {
+    let mut t = Doc::new(ActorId(2));
+    let columns: std::sync::Arc<[String]> = ["id", "title", "author", "price", "stock"]
+        .map(String::from)
+        .into();
     for id in 0..n {
-        let row = json!({"id": id, "title": format!("amber basin {id}"), "author": "Egan", "price": 9.5, "stock": 3});
-        t.upsert_row(&id.to_string(), &row).unwrap();
+        let cells = [
+            Cell::Int(i64::from(id)),
+            Cell::Text(format!("amber basin {id}")),
+            Cell::Text("Egan".to_string()),
+            Cell::Real(9.5),
+            Cell::Int(3),
+        ];
+        let row = Row {
+            columns: columns.clone(),
+            cells: cells.into(),
+        };
+        t.put(&id.to_string(), Value::Row(row));
     }
     t
 }
@@ -135,17 +152,13 @@ fn upserted_table(n: u32) -> CrdtTable {
 fn delta_fixture(n: u64) -> (Doc, VClock, Doc) {
     let mut src = Doc::new(ActorId(1));
     for i in 0..n - 100 {
-        src.put(&[PathSeg::Key(format!("k{}", i % 64))], json!(i))
-            .unwrap();
+        src.put(&format!("k{}", i % 64), Value::Json(json!(i)));
     }
     let mut receiver = Doc::new(ActorId(2));
-    receiver
-        .apply_changes(src.get_changes(&VClock::new()))
-        .unwrap();
+    receiver.apply_changes(src.get_changes(&VClock::new()));
     let since = src.clock().clone();
     for i in 0..100u64 {
-        src.put(&[PathSeg::Key(format!("d{}", i % 16))], json!(i))
-            .unwrap();
+        src.put(&format!("d{}", i % 16), Value::Json(json!(i)));
     }
     (src, since, receiver)
 }
@@ -176,7 +189,7 @@ fn bench_log_structure(c: &mut Criterion) {
             b.iter_batched(
                 || (receiver.clone(), delta.clone()),
                 |(mut r, d)| {
-                    r.apply_changes(d).unwrap();
+                    r.apply_changes(d);
                     r
                 },
                 BatchSize::SmallInput,

@@ -22,7 +22,7 @@
 use edgstr_analysis::{InitState, ServerProcess, StateUnit};
 use edgstr_bench::{print_table, smoke_flag, BenchReport};
 use edgstr_core::CrdtBindings;
-use edgstr_crdt::{ActorId, Change, Doc, PathSeg, VClock};
+use edgstr_crdt::{ActorId, Cell, Change, Doc, Row, VClock, Value};
 use edgstr_runtime::{CrdtSet, SetChanges, SetClock, SetSyncMessage, SyncEndpoint};
 use serde_json::json;
 use std::time::Instant;
@@ -74,13 +74,11 @@ fn time_pair_ns<A, B, F: FnMut() -> A, G: FnMut() -> B>(
 fn delta_fixture(n: u64) -> (Doc, VClock) {
     let mut doc = Doc::new(ActorId(1));
     for i in 0..n - DELTA {
-        doc.put(&[PathSeg::Key(format!("k{}", i % 64))], json!(i))
-            .unwrap();
+        doc.put(&format!("k{}", i % 64), Value::Json(json!(i)));
     }
     let since = doc.clock().clone();
     for i in 0..DELTA {
-        doc.put(&[PathSeg::Key(format!("d{}", i % 16))], json!(i))
-            .unwrap();
+        doc.put(&format!("d{}", i % 16), Value::Json(json!(i)));
     }
     (doc, since)
 }
@@ -221,7 +219,7 @@ struct ModeStats {
     final_history: usize,
     first_decile_round_us: f64,
     last_decile_round_us: f64,
-    final_kv: serde_json::Value,
+    final_kv: Vec<(String, Value)>,
 }
 
 fn run_mode(mode: Mode, rounds: usize, per_edge: usize) -> ModeStats {
@@ -249,6 +247,7 @@ fn run_mode(mode: Mode, rounds: usize, per_edge: usize) -> ModeStats {
     let mut peak_history = 0usize;
     let mut round_ns: Vec<u64> = Vec::with_capacity(rounds);
     let mut next_id = 0usize;
+    let columns: std::sync::Arc<[String]> = ["v".to_string(), "by".to_string()].into();
 
     for round in 0..rounds {
         // mutations land at the edges between sync ticks
@@ -257,14 +256,17 @@ fn run_mode(mode: Mode, rounds: usize, per_edge: usize) -> ModeStats {
             for _ in 0..per_edge {
                 let id = next_id;
                 next_id += 1;
-                kv.upsert_row(&format!("r{}", id % KEYSPACE), &json!({"v": id, "by": e}))
-                    .unwrap();
+                let row = Row {
+                    columns: columns.clone(),
+                    cells: [Cell::Int(id as i64), Cell::Int(e as i64)].into(),
+                };
+                kv.put(&format!("r{}", id % KEYSPACE), Value::Row(row));
             }
             if round % 10 == 0 {
+                let status = format!("r{round}e{e}").into_bytes();
                 edge.set
                     .files
-                    .put_file("/status.txt", format!("r{round}e{e}").as_bytes())
-                    .unwrap();
+                    .put("/status.txt", Value::File(status.into()));
             }
         }
         // one bidirectional sync round, timed
@@ -312,16 +314,21 @@ fn run_mode(mode: Mode, rounds: usize, per_edge: usize) -> ModeStats {
                 .receive_owned(&mut edge.set, &mut edge.server, msg);
         }
     }
-    let final_kv = cloud_set.tables["kv"].to_json();
+    let entries = |doc: &Doc| -> Vec<(String, Value)> {
+        doc.entries()
+            .map(|(k, v)| (k.to_string(), v.clone()))
+            .collect()
+    };
+    let final_kv = entries(&cloud_set.tables["kv"]);
     for edge in &edges {
         assert_eq!(
-            edge.set.tables["kv"].to_json(),
+            entries(&edge.set.tables["kv"]),
             final_kv,
             "replicas must converge"
         );
         assert_eq!(
-            edge.set.files.get_file("/status.txt"),
-            cloud_set.files.get_file("/status.txt"),
+            edge.set.files.get("/status.txt"),
+            cloud_set.files.get("/status.txt"),
             "file state must converge"
         );
     }

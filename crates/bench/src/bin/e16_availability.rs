@@ -34,10 +34,10 @@ use edgstr_bench::{print_table, smoke_flag, BenchReport};
 use edgstr_core::{capture_and_transform, EdgStrConfig, TransformationReport};
 use edgstr_net::{CrashPlan, FaultPlan, HttpRequest, LossModel};
 use edgstr_runtime::{
-    CrdtSet, HaPolicy, QuarantinePolicy, ThreeTierOptions, ThreeTierSystem, Workload,
+    HaPolicy, QuarantinePolicy, ReplicaCore, ThreeTierOptions, ThreeTierSystem, Workload,
 };
 use edgstr_sim::{DeviceSpec, SimDuration, SimTime};
-use serde_json::json;
+use serde_json::{json, Value as Json};
 
 const SEED: u64 = 0x0E16_ABA1;
 const RPS: f64 = 10.0;
@@ -84,14 +84,22 @@ fn fnv(bytes: &[u8]) -> u64 {
     h
 }
 
+/// The `notes` rows a replica serves, as JSON: `pk → {column: value}`.
+fn notes_json(core: &ReplicaCore) -> Json {
+    let Some(table) = core.server.db.table("notes") else {
+        return Json::Object(Default::default());
+    };
+    let rows = table.rows.iter().enumerate();
+    let rows = rows.map(|(i, row)| (table.row_pk(row, i), table.row_json(row)));
+    Json::Object(rows.collect())
+}
+
 /// Bit-level digest of a replica's full converged state (tables plus
 /// globals) — compared across replicas *within* a cell.
-fn full_digest(set: &CrdtSet) -> u64 {
-    let s = format!(
-        "{}|{}",
-        set.tables["notes"].to_json(),
-        set.globals.to_json()
-    );
+fn full_digest(core: &ReplicaCore) -> u64 {
+    let globals = core.crdts.globals.entries();
+    let globals = globals.filter_map(|(g, v)| Some((g.to_string(), v.as_json()?.clone())));
+    let s = format!("{}|{}", notes_json(core), Json::Object(globals.collect()));
     fnv(s.as_bytes())
 }
 
@@ -101,8 +109,8 @@ fn full_digest(set: &CrdtSet) -> u64 {
 /// write wins MVR resolution, so it is legitimately schedule-dependent,
 /// while the keyed table rows are restored bit-identically by
 /// resubmission.
-fn data_digest(set: &CrdtSet) -> u64 {
-    fnv(set.tables["notes"].to_json().to_string().as_bytes())
+fn data_digest(core: &ReplicaCore) -> u64 {
+    fnv(notes_json(core).to_string().as_bytes())
 }
 
 fn loss_faults(loss_pct: u32) -> Option<FaultPlan> {
@@ -210,8 +218,7 @@ fn run_cell(report: &TransformationReport, profile: &str, loss_pct: u32, n: usiz
     let mut resubmitted = 0;
     loop {
         let present: std::collections::BTreeSet<usize> = sys.cloud.crdts.tables["notes"]
-            .rows()
-            .iter()
+            .entries()
             .filter_map(|(pk, _)| pk.parse().ok())
             .collect();
         let missing: Vec<HttpRequest> = (0..n)
@@ -247,15 +254,15 @@ fn run_cell(report: &TransformationReport, profile: &str, loss_pct: u32, n: usiz
 
     // within-cell convergence: every replica's full state (tables +
     // globals) is bit-identical to the master's
-    let converged = full_digest(&sys.cloud.crdts);
+    let converged = full_digest(&sys.cloud);
     for (i, e) in sys.edges.iter().enumerate() {
         assert_eq!(
-            full_digest(&e.core.crdts),
+            full_digest(&e.core),
             converged,
             "{profile}/{loss_pct}%: edge{i} digest diverges from the master"
         );
     }
-    let digest = data_digest(&sys.cloud.crdts);
+    let digest = data_digest(&sys.cloud);
 
     // zero acked-write loss: the final master clock covers every ack
     // clock any replica held at a crash

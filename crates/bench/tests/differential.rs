@@ -66,7 +66,7 @@ fn run_app(source: &str, requests: &[HttpRequest], mode: ExecMode) -> EngineRun 
         init_cycles,
         requests: observations,
         final_globals: state.globals_json(),
-        final_db: state.db_json(),
+        final_db: state.db.to_json(),
         logs: server.logs().to_vec(),
     }
 }

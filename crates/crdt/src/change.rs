@@ -3,66 +3,72 @@
 
 use crate::doc::CrdtError;
 use crate::ids::{ActorId, OpId, VClock};
-use crate::wire::{corrupt, put_op_id, put_scalar, put_str, put_varint, Count, Reader, Sink};
+use crate::table::{KeyTable, KeysRead, Row};
+use crate::wire::{
+    corrupt, put_bytes, put_op_id, put_scalar, put_str, put_varint, Count, Reader, Sink,
+};
 use serde_json::Value as Json;
-use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-/// Reference to a container object inside a document.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum ObjId {
-    /// The document root (a map).
-    Root,
-    /// A map created by a `MakeMap` operation.
-    Made(OpId),
+/// What a register holds: a whole value, written and replaced whole.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Value {
+    /// A table row (`CRDT-Table`).
+    Row(Row),
+    /// A file's bytes (`CRDT-Files`); its size and hash follow from them.
+    File(Arc<[u8]>),
+    /// A global variable's JSON (`CRDT-JSON`).
+    Json(Json),
 }
 
-impl fmt::Display for ObjId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl Value {
+    /// The row, when this is one.
+    pub fn as_row(&self) -> Option<&Row> {
         match self {
-            ObjId::Root => write!(f, "root"),
-            ObjId::Made(id) => write!(f, "obj({id})"),
+            Value::Row(row) => Some(row),
+            _ => None,
+        }
+    }
+
+    /// The file's bytes, when this is a file.
+    pub fn as_file(&self) -> Option<&[u8]> {
+        match self {
+            Value::File(bytes) => Some(bytes),
+            _ => None,
+        }
+    }
+
+    /// The JSON, when this is a global's value.
+    pub fn as_json(&self) -> Option<&Json> {
+        match self {
+            Value::Json(json) => Some(json),
+            _ => None,
         }
     }
 }
 
-/// The value carried by a `Set` operation: either an atomic JSON
-/// scalar/array, or a reference to a map created in the same or an earlier
-/// change.
-#[derive(Debug, Clone, PartialEq)]
-pub enum OpValue {
-    /// An atomic JSON payload (merged as a unit).
-    Scalar(Json),
-    /// A nested map.
-    Obj(ObjId),
-}
-
-/// A single CRDT operation.
+/// A single CRDT operation on one key of a [`crate::Doc`].
 ///
-/// Map keys are shared: the change that carries a key, the map slot it
-/// lands in and the containment index all hold one `Arc<str>`, so applying
-/// an op copies a reference count, not the key.
+/// Keys are shared: the change that carries a key and the register it
+/// lands in hold one `Arc<str>`, so applying an op copies a reference
+/// count, not the key.
 ///
 /// `pred` lists the op ids this operation supersedes (the values visible to
 /// the writer at generation time); apply removes exactly those, so
-/// concurrent writes survive as multi-values resolved by op-id order, and
-/// concurrent adds survive deletes (add-wins).
+/// concurrent puts survive as multi-values resolved by op-id order, and
+/// concurrent puts survive deletes (add-wins).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Op {
-    /// Create an empty map object with identity `id`.
-    MakeMap { id: OpId },
-    /// Set `key` of map `obj` to `value`.
-    Set {
+    /// Write `value` at `key`.
+    Put {
         id: OpId,
-        obj: ObjId,
         key: Arc<str>,
-        value: OpValue,
+        value: Value,
         pred: Vec<OpId>,
     },
-    /// Delete `key` of map `obj`.
-    DelKey {
+    /// Delete what `key` held as of `pred`.
+    Del {
         id: OpId,
-        obj: ObjId,
         key: Arc<str>,
         pred: Vec<OpId>,
     },
@@ -72,7 +78,14 @@ impl Op {
     /// The id of this operation.
     pub fn id(&self) -> OpId {
         match self {
-            Op::MakeMap { id } | Op::Set { id, .. } | Op::DelKey { id, .. } => *id,
+            Op::Put { id, .. } | Op::Del { id, .. } => *id,
+        }
+    }
+
+    /// The key this operation writes.
+    pub fn key(&self) -> &Arc<str> {
+        match self {
+            Op::Put { key, .. } | Op::Del { key, .. } => key,
         }
     }
 }
@@ -80,56 +93,40 @@ impl Op {
 // ---- binary layout -------------------------------------------------------
 //
 // One tag byte per variant; see `crate::wire` for the primitives and
-// DESIGN.md "Sync wire format" for the table. Op tags 1 and 4-7 are
-// retired (an earlier layout's list and counter ops): they read as unknown
-// and are not to be reused.
+// DESIGN.md "Sync wire format" for the table. Op tags 0, 1 and 4-7 are
+// retired (an earlier layout's map, list and counter ops): they read as
+// unknown and are not to be reused.
 
-const OBJ_ROOT: u8 = 0;
-const OBJ_MADE: u8 = 1;
-const VALUE_SCALAR: u8 = 0;
-const VALUE_OBJ: u8 = 1;
-const OP_MAKE_MAP: u8 = 0;
-const OP_SET: u8 = 2;
-const OP_DEL_KEY: u8 = 3;
+const VALUE_ROW: u8 = 0;
+const VALUE_FILE: u8 = 1;
+const VALUE_JSON: u8 = 2;
+const OP_PUT: u8 = 2;
+const OP_DEL: u8 = 3;
 
-impl ObjId {
-    pub(crate) fn write<S: Sink>(&self, out: &mut S) {
+impl Value {
+    /// A tag, then a row (by `keys`), a file's bytes or a JSON scalar.
+    pub(crate) fn write<S: Sink>(&self, out: &mut S, keys: &KeyTable<'_>) {
         match self {
-            ObjId::Root => out.put(&[OBJ_ROOT]),
-            ObjId::Made(id) => {
-                out.put(&[OBJ_MADE]);
-                put_op_id(out, *id);
+            Value::Row(row) => {
+                out.put(&[VALUE_ROW]);
+                keys.write_row(out, row);
+            }
+            Value::File(bytes) => {
+                out.put(&[VALUE_FILE]);
+                put_bytes(out, bytes);
+            }
+            Value::Json(json) => {
+                out.put(&[VALUE_JSON]);
+                put_scalar(out, json);
             }
         }
     }
 
-    pub(crate) fn read(r: &mut Reader<'_>) -> Result<ObjId, CrdtError> {
+    pub(crate) fn read(r: &mut Reader<'_>, keys: &mut KeysRead) -> Result<Value, CrdtError> {
         match r.byte()? {
-            OBJ_ROOT => Ok(ObjId::Root),
-            OBJ_MADE => Ok(ObjId::Made(r.op_id()?)),
-            _ => Err(corrupt("unknown object tag")),
-        }
-    }
-}
-
-impl OpValue {
-    pub(crate) fn write<S: Sink>(&self, out: &mut S) {
-        match self {
-            OpValue::Scalar(j) => {
-                out.put(&[VALUE_SCALAR]);
-                put_scalar(out, j);
-            }
-            OpValue::Obj(o) => {
-                out.put(&[VALUE_OBJ]);
-                o.write(out);
-            }
-        }
-    }
-
-    pub(crate) fn read(r: &mut Reader<'_>) -> Result<OpValue, CrdtError> {
-        match r.byte()? {
-            VALUE_SCALAR => Ok(OpValue::Scalar(r.scalar()?)),
-            VALUE_OBJ => Ok(OpValue::Obj(ObjId::read(r)?)),
+            VALUE_ROW => Ok(Value::Row(keys.read_row(r)?)),
+            VALUE_FILE => Ok(Value::File(r.bytes()?.into())),
+            VALUE_JSON => Ok(Value::Json(r.scalar()?)),
             _ => Err(corrupt("unknown value tag")),
         }
     }
@@ -151,58 +148,58 @@ fn read_pred(r: &mut Reader<'_>) -> Result<Vec<OpId>, CrdtError> {
     Ok(pred)
 }
 
+/// The rows `ops` put, for their [`KeyTable`].
+pub(crate) fn rows<'a>(ops: impl Iterator<Item = &'a Op>) -> impl Iterator<Item = &'a Row> {
+    ops.filter_map(|op| match op {
+        Op::Put { value, .. } => value.as_row(),
+        Op::Del { .. } => None,
+    })
+}
+
 impl Op {
-    /// Tag byte, the op's id, then the variant's fields in declaration
-    /// order.
-    fn write<S: Sink>(&self, out: &mut S) {
-        let tag = match self {
-            Op::MakeMap { .. } => OP_MAKE_MAP,
-            Op::Set { .. } => OP_SET,
-            Op::DelKey { .. } => OP_DEL_KEY,
-        };
-        out.put(&[tag]);
-        put_op_id(out, self.id());
+    /// Tag byte, the op's id and key, a put's value, then `pred`.
+    fn write<S: Sink>(&self, out: &mut S, keys: &KeyTable<'_>) {
         match self {
-            Op::MakeMap { .. } => {}
-            Op::Set {
-                obj,
+            Op::Put {
+                id,
                 key,
                 value,
                 pred,
-                ..
             } => {
-                obj.write(out);
+                out.put(&[OP_PUT]);
+                put_op_id(out, *id);
                 put_str(out, key);
-                value.write(out);
+                value.write(out, keys);
                 write_pred(out, pred);
             }
-            Op::DelKey { obj, key, pred, .. } => {
-                obj.write(out);
+            Op::Del { id, key, pred } => {
+                out.put(&[OP_DEL]);
+                put_op_id(out, *id);
                 put_str(out, key);
                 write_pred(out, pred);
             }
         }
     }
 
-    fn read(r: &mut Reader<'_>) -> Result<Op, CrdtError> {
+    fn read(r: &mut Reader<'_>, keys: &mut KeysRead) -> Result<Op, CrdtError> {
         let tag = r.byte()?;
+        if tag != OP_PUT && tag != OP_DEL {
+            return Err(corrupt("unknown op tag"));
+        }
         let id = r.op_id()?;
+        let key = r.str()?.into();
         Ok(match tag {
-            OP_MAKE_MAP => Op::MakeMap { id },
-            OP_SET => Op::Set {
+            OP_PUT => Op::Put {
                 id,
-                obj: ObjId::read(r)?,
-                key: r.str()?.into(),
-                value: OpValue::read(r)?,
+                key,
+                value: Value::read(r, keys)?,
                 pred: read_pred(r)?,
             },
-            OP_DEL_KEY => Op::DelKey {
+            _ => Op::Del {
                 id,
-                obj: ObjId::read(r)?,
-                key: r.str()?.into(),
+                key,
                 pred: read_pred(r)?,
             },
-            _ => return Err(corrupt("unknown op tag")),
         })
     }
 }
@@ -279,15 +276,18 @@ impl Change {
         self.ops().iter().map(|o| o.id().counter).max().unwrap_or(0)
     }
 
-    /// `actor`, `seq`, `deps`, an op count, then the ops: a record that
-    /// names everything it refers to, so it reads the same in any batch.
+    /// `actor`, `seq`, `deps`, the key table of the rows the ops put, an
+    /// op count, then the ops: a record that names everything it refers
+    /// to, so it reads the same in any batch.
     pub(crate) fn write<S: Sink>(&self, out: &mut S) {
         put_varint(out, self.actor().0);
         put_varint(out, self.seq());
         self.deps().write(out);
+        let keys = KeyTable::of(rows(self.ops().iter()));
+        keys.write(out);
         put_varint(out, self.ops().len() as u64);
         for op in self.ops() {
-            op.write(out);
+            op.write(out, &keys);
         }
     }
 
@@ -318,11 +318,13 @@ impl Change {
         let actor = ActorId(r.varint()?);
         let seq = r.varint()?;
         let deps = VClock::read(r)?;
-        let n = r.count(3)?; // an op is a tag and an id at the least
+        let mut keys = KeysRead::read(r)?;
+        let n = r.count(5)?; // a tag, an id, a key and a pred count at the least
         let mut ops = Vec::with_capacity(n);
         for _ in 0..n {
-            ops.push(Op::read(r)?);
+            ops.push(Op::read(r, &mut keys)?);
         }
+        keys.end()?;
         Ok(Change(Arc::new(Record {
             actor,
             seq,
@@ -347,11 +349,10 @@ mod tests {
     use super::*;
 
     fn op() -> Op {
-        Op::Set {
+        Op::Put {
             id: OpId::new(1, ActorId(1)),
-            obj: ObjId::Root,
             key: "k".into(),
-            value: OpValue::Scalar(Json::from(42)),
+            value: Value::Json(Json::from(42)),
             pred: vec![],
         }
     }
@@ -390,11 +391,15 @@ mod tests {
             1,
             VClock::new(),
             vec![
-                Op::MakeMap {
+                Op::Del {
                     id: OpId::new(3, ActorId(1)),
+                    key: "a".into(),
+                    pred: vec![OpId::new(9, ActorId(2))],
                 },
-                Op::MakeMap {
+                Op::Del {
                     id: OpId::new(7, ActorId(1)),
+                    key: "b".into(),
+                    pred: vec![],
                 },
             ],
         );

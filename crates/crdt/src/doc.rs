@@ -1,14 +1,12 @@
-//! The replicated JSON document (`CRDT-JSON` in the paper).
+//! The replicated unit: a map of key → register.
 //!
-//! A [`Doc`] is an operation-based CRDT holding a tree of last-writer-wins
-//! maps with atomic JSON leaves: a JSON object becomes a map, anything else
-//! — a JSON array included — is one leaf, replaced whole. Replicas exchange
-//! [`Change`] batches via [`Doc::get_changes`] / [`Doc::apply_changes`] —
-//! the exact API triple the paper generates wiring code for (`initialize`,
-//! `getChanges`, `applyChanges`, §III-G.1), which hands the CRDT whole
-//! values. Concurrent map writes resolve last-writer-wins by op id; deletes
-//! are add-wins. The result is strong eventual consistency: replicas that
-//! have applied the same set of changes read the same JSON.
+//! A [`Doc`] is an operation-based CRDT holding, per key, the values not
+//! yet superseded; a read takes the one with the greatest op id. Every
+//! write puts a whole value as one [`Op::Put`], which is what the paper's
+//! generated wiring (§III-G.1) hands the CRDT. Replicas exchange
+//! [`Change`] batches via [`Doc::get_changes`] / [`Doc::apply_changes`]
+//! (the paper's `getChanges` / `applyChanges`), and replicas that have
+//! applied the same set of changes read the same values.
 //!
 //! # Log structure
 //!
@@ -19,68 +17,26 @@
 //! log can be folded into the materialized state with [`Doc::compact`],
 //! after which [`Doc::save`] emits a snapshot plus the retained tail.
 
-use crate::change::{Change, ObjId, Op, OpValue};
+use crate::change::{Change, Op, Value};
 use crate::ids::{ActorId, OpId, VClock};
+use crate::table::{KeyTable, KeysRead};
 use crate::wire::{ascending, corrupt, put_op_id, put_str, put_varint, Reader, Sink};
-use serde_json::Value as Json;
-use std::borrow::Cow;
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 
-/// One segment of a path into the document tree.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PathSeg {
-    /// A map key.
-    Key(String),
-}
-
-impl From<&str> for PathSeg {
-    fn from(s: &str) -> Self {
-        PathSeg::Key(s.to_string())
-    }
-}
-
-impl From<String> for PathSeg {
-    fn from(s: String) -> Self {
-        PathSeg::Key(s)
-    }
-}
-
-/// Build a document path from map keys.
-///
-/// # Examples
-///
-/// ```
-/// use edgstr_crdt::path;
-/// let p = path!["rows", "0", "name"];
-/// assert_eq!(p.len(), 3);
-/// ```
-#[macro_export]
-macro_rules! path {
-    ($($seg:expr),* $(,)?) => {
-        [$($crate::doc::PathSeg::from($seg)),*]
-    };
-}
-
-/// Error raised by document operations.
+/// Error raised by replication.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CrdtError {
-    /// The path does not resolve to a container of the required kind.
-    BadPath(String),
-    /// An operation referenced an object this replica has never seen.
-    MissingObject(String),
-    /// A change arrived with an impossible sequence number (gap going
-    /// backwards), indicating replica-id reuse.
+    /// Bytes that are not a change or an image: truncated, malformed or
+    /// not in the one canonical form.
     CorruptChange(String),
 }
 
 impl fmt::Display for CrdtError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CrdtError::BadPath(p) => write!(f, "invalid document path: {p}"),
-            CrdtError::MissingObject(o) => write!(f, "unknown object {o}"),
             CrdtError::CorruptChange(m) => write!(f, "corrupt change: {m}"),
         }
     }
@@ -88,81 +44,23 @@ impl fmt::Display for CrdtError {
 
 impl std::error::Error for CrdtError {}
 
-/// Which state units a tracked apply touched, expressed as the first two
-/// map-key segments of each applied op's location in the tree. Consumers
-/// project this onto their own layout: a table reads `("rows", Some(pk))`,
-/// the files store `("files", Some(path))`, a globals document reads the
-/// root key alone.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TouchedKeys {
-    /// `(root key, second-level key)` pairs; a `None` second component
-    /// means the op addressed the root-level entry itself. The keys are the
-    /// document's own, shared.
-    pub keys: BTreeSet<(Arc<str>, Option<Arc<str>>)>,
-    /// Set when some op's location could not be resolved — the caller must
-    /// assume any unit may have changed.
-    pub unresolved: bool,
-}
-
-/// [`TouchedKeys`] collapsed onto a single container's second-level keys
-/// (row primary keys under `"rows"`, file paths under `"files"`).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct KeyTouch {
-    /// The second-level keys that changed.
-    pub keys: BTreeSet<Arc<str>>,
-    /// Some op could not be attributed to a single key — treat the whole
-    /// structure as changed.
-    pub whole: bool,
-}
-
-impl TouchedKeys {
-    /// Collapse to the second-level keys under `container`; ops anywhere
-    /// else (or unresolvable ones) set `whole`.
-    #[must_use]
-    pub fn project(self, container: &str) -> KeyTouch {
-        let mut out = KeyTouch {
-            keys: BTreeSet::new(),
-            whole: self.unresolved,
-        };
-        for (first, second) in self.keys {
-            match second {
-                Some(k) if *first == *container => {
-                    out.keys.insert(k);
-                }
-                _ => out.whole = true,
-            }
-        }
-        out
-    }
-}
-
-/// The live `(opid, value)` pairs of one map key, ascending by opid; the
+/// The live `(opid, value)` pairs of one key, ascending by opid; the
 /// visible value is the last one. A key holds one value at a time unless
 /// writes to it were concurrent, so one value is kept inline.
 #[derive(Debug, Clone)]
 enum Slot {
-    One((OpId, OpValue)),
+    One((OpId, Value)),
     /// None, or several.
-    Many(Vec<(OpId, OpValue)>),
+    Many(Vec<(OpId, Value)>),
 }
 
 impl std::ops::Deref for Slot {
-    type Target = [(OpId, OpValue)];
+    type Target = [(OpId, Value)];
 
-    fn deref(&self) -> &[(OpId, OpValue)] {
+    fn deref(&self) -> &[(OpId, Value)] {
         match self {
             Slot::One(value) => std::slice::from_ref(value),
             Slot::Many(values) => values,
-        }
-    }
-}
-
-impl From<Vec<(OpId, OpValue)>> for Slot {
-    fn from(mut values: Vec<(OpId, OpValue)>) -> Slot {
-        if values.len() == 1 {
-            Slot::One(values.remove(0))
-        } else {
-            Slot::Many(values)
         }
     }
 }
@@ -179,7 +77,7 @@ impl Slot {
 
     /// Hold `value` as written by `id`, in op-id order; a replay of an op
     /// already held changes nothing.
-    fn add(&mut self, id: OpId, value: &OpValue) {
+    fn add(&mut self, id: OpId, value: &Value) {
         if self.iter().any(|(held, _)| *held == id) {
             return;
         }
@@ -200,179 +98,15 @@ impl Slot {
     }
 }
 
-#[derive(Debug, Clone, Default)]
-struct MapObj {
-    /// key → live values.
-    entries: BTreeMap<Arc<str>, Slot>,
-}
-
-impl MapObj {
-    /// What a read of `key` sees: the last live value.
-    fn visible(&self, key: &str) -> Option<At<'_>> {
-        Some(match &self.entries.get(key)?.last()?.1 {
-            OpValue::Scalar(j) => At::Scalar(j),
-            OpValue::Obj(o) => At::Obj(*o),
-        })
-    }
-
-    /// The keys holding a live value, in order.
-    fn live_keys(&self) -> impl Iterator<Item = &Arc<str>> {
-        self.entries
-            .iter()
-            .filter(|(_, slot)| !slot.is_empty())
-            .map(|(k, _)| k)
-    }
-}
-
-/// A value of a [`Doc`] read where it is stored ([`Doc::get_ref`]): what
-/// [`Doc::get`] returns, before anything is built.
-#[derive(Debug, Clone, Copy)]
-pub struct ValueRef<'a> {
-    doc: &'a Doc,
-    at: At<'a>,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum At<'a> {
-    Scalar(&'a Json),
-    /// A map, looked up once so its keys are read without another lookup.
-    Map(&'a MapObj),
-    /// A container this replica does not hold.
-    Obj(ObjId),
-}
-
-impl<'a> ValueRef<'a> {
-    fn new(doc: &'a Doc, at: At<'a>) -> ValueRef<'a> {
-        let at = match at {
-            At::Obj(o) => doc.maps.get(&o).map_or(at, At::Map),
-            at => at,
-        };
-        ValueRef { doc, at }
-    }
-
-    /// The value as JSON: a stored scalar lent, anything else built.
-    pub fn to_json(&self) -> Cow<'a, Json> {
-        match self.at {
-            At::Scalar(j) => Cow::Borrowed(j),
-            At::Map(map) => Cow::Owned(self.doc.map_json(map)),
-            At::Obj(o) => Cow::Owned(self.doc.obj_json(o)),
-        }
-    }
-
-    /// The entry at `key` when this value is a map — what `to_json()`
-    /// holds at `key` — and `None` otherwise.
-    pub fn get(&self, key: &str) -> Option<ValueRef<'a>> {
-        let At::Map(map) = self.at else {
-            return None;
-        };
-        Some(ValueRef::new(self.doc, map.visible(key)?))
-    }
-
-    /// The keys `to_json()` holds when this value is a map, in order.
-    pub(crate) fn keys(&self) -> Vec<&'a str> {
-        let At::Map(map) = self.at else {
-            return Vec::new();
-        };
-        map.live_keys().map(|k| &**k).collect()
-    }
-}
-
 // ---- save image -----------------------------------------------------------
 //
-// The internal object tables must round-trip exactly (op ids included):
-// future changes reference existing values by op id (`pred` lists), so an
-// image cannot be rebuilt from plain JSON state. DESIGN.md "Sync wire
-// format" has the layout; the primitives are `crate::wire`'s.
+// The registers must round-trip exactly (op ids included): future changes
+// name the values they supersede by op id (`pred` lists), so an image
+// cannot be rebuilt from plain state. DESIGN.md "Sync wire format" has the
+// layout; the primitives are `crate::wire`'s.
 
 /// What an image starts with: three magic bytes and the layout's version.
-const IMAGE_MAGIC: [u8; 4] = *b"EDG\x04";
-
-fn write_slots<S: Sink>(out: &mut S, slots: &[(OpId, OpValue)]) {
-    put_varint(out, slots.len() as u64);
-    for (id, value) in slots {
-        put_op_id(out, *id);
-        value.write(out);
-    }
-}
-
-/// Ascending by op id, as apply keeps them: the last one is the value read.
-fn read_slots(r: &mut Reader<'_>) -> Result<Vec<(OpId, OpValue)>, CrdtError> {
-    // an op id is two varints, a value two tags at the least
-    let n = r.count(4)?;
-    let mut slots = Vec::with_capacity(n);
-    let mut last = None;
-    for _ in 0..n {
-        let id = r.op_id()?;
-        ascending(&mut last, id)?;
-        slots.push((id, OpValue::read(r)?));
-    }
-    Ok(slots)
-}
-
-impl MapObj {
-    /// A count, then `(key, slots)` in key order.
-    fn write<S: Sink>(&self, out: &mut S) {
-        put_varint(out, self.entries.len() as u64);
-        for (key, slots) in &self.entries {
-            put_str(out, key);
-            write_slots(out, slots);
-        }
-    }
-
-    fn read(r: &mut Reader<'_>) -> Result<MapObj, CrdtError> {
-        let mut map = MapObj::default();
-        let mut last = None;
-        // a key length and a count at the least
-        for _ in 0..r.count(2)? {
-            let key = r.str()?;
-            ascending(&mut last, key)?;
-            map.entries.insert(key.into(), read_slots(r)?.into());
-        }
-        Ok(map)
-    }
-}
-
-/// Child container → (the map holding it, the key it sits under).
-type Parents = HashMap<ObjId, (ObjId, Arc<str>)>;
-
-/// The containment index of an image's containers: every slot, superseded
-/// values included (concurrent ops may still address containers that are
-/// no longer visible), names the container it holds.
-///
-/// The links must form a forest — reads recurse along them, so a container
-/// held twice is read twice and one held by its own descendant is read
-/// without end. Containers nothing holds (superseded ones) are legal.
-fn containment(maps: &HashMap<ObjId, MapObj>) -> Result<Parents, CrdtError> {
-    let mut parent = HashMap::new();
-    for (id, map) in maps {
-        for (key, slot) in &map.entries {
-            for (_, value) in slot.iter() {
-                if let OpValue::Obj(child) = value {
-                    let held = parent.insert(*child, (*id, Arc::clone(key)));
-                    if *child == ObjId::Root || held.is_some() {
-                        return Err(corrupt("a container is held twice, or is the root"));
-                    }
-                }
-            }
-        }
-    }
-    // One holder each, so a walk rootward either ends or runs in a circle;
-    // `ends` remembers what is known to end, which keeps the pass linear.
-    let mut ends: HashSet<ObjId> = HashSet::new();
-    let mut walked = Vec::new();
-    for start in parent.keys() {
-        let mut at = *start;
-        while let Some((holder, _)) = parent.get(&at).filter(|_| !ends.contains(&at)) {
-            if walked.len() == parent.len() {
-                return Err(corrupt("a container holds itself"));
-            }
-            walked.push(at);
-            at = *holder;
-        }
-        ends.extend(walked.drain(..));
-    }
-    Ok(parent)
-}
+const IMAGE_MAGIC: [u8; 4] = *b"EDG\x05";
 
 /// The actor id used for deterministic snapshot initialization.
 pub const GENESIS_ACTOR: ActorId = ActorId(0);
@@ -391,20 +125,20 @@ struct ActorLog {
     changes: Vec<Change>,
 }
 
-/// A replicated JSON document.
+/// A replicated map of key → register.
 ///
 /// # Examples
 ///
 /// ```
-/// use edgstr_crdt::{Doc, ActorId, path};
+/// use edgstr_crdt::{ActorId, Doc, Value};
 /// use serde_json::json;
 ///
 /// let mut cloud = Doc::new(ActorId(1));
 /// let mut edge = Doc::new(ActorId(2));
-/// cloud.put(&path!["sensors"], json!({"count": 0})).unwrap();
+/// cloud.put("sensors", Value::Json(json!({"count": 0})));
 /// let changes = cloud.get_changes(edge.clock());
-/// edge.apply_changes(changes).unwrap();
-/// assert_eq!(edge.to_json(), cloud.to_json());
+/// edge.apply_changes(changes);
+/// assert!(edge.entries().eq(cloud.entries()));
 /// ```
 #[derive(Debug, Clone)]
 pub struct Doc {
@@ -421,22 +155,13 @@ pub struct Doc {
     /// `(actor, seq)` so each retry pass probes exactly the next
     /// applicable seq per actor instead of re-scanning a queue.
     pending: BTreeMap<(ActorId, u64), Change>,
-    maps: HashMap<ObjId, MapObj>,
-    /// Containment index: child map → (parent map, key under the parent).
-    /// Lets applies attribute each op to the state unit it mutates without
-    /// materializing paths.
-    parent: Parents,
-    /// Lifetime count of [`Doc::compact`] calls that folded anything.
-    compaction_rounds: u64,
-    /// Lifetime count of changes folded out of the log by compaction.
-    compacted_changes: u64,
+    /// key → the values not superseded; a key with none is not held.
+    registers: BTreeMap<Arc<str>, Slot>,
 }
 
 impl Doc {
     /// Create an empty document owned by `actor`.
     pub fn new(actor: ActorId) -> Self {
-        let mut maps = HashMap::new();
-        maps.insert(ObjId::Root, MapObj::default());
         Doc {
             actor,
             counter: 0,
@@ -445,54 +170,40 @@ impl Doc {
             snapshot_clock: VClock::new(),
             history: BTreeMap::new(),
             pending: BTreeMap::new(),
-            maps,
-            parent: HashMap::new(),
-            compaction_rounds: 0,
-            compacted_changes: 0,
+            registers: BTreeMap::new(),
         }
     }
 
-    /// Create a document pre-populated from a JSON `snapshot`.
+    /// Create a document holding `entries` (a key given twice holds its
+    /// last value).
     ///
-    /// The snapshot is loaded as a deterministic *genesis change* by the
-    /// reserved [`GENESIS_ACTOR`], so the cloud master and every edge
-    /// replica initialized from the same snapshot build byte-identical
-    /// object identities — the paper's "initialize both the master and the
-    /// replicas with the same snapshot" step (§III-G.1).
+    /// The entries are put as a deterministic *genesis change* by the
+    /// reserved [`GENESIS_ACTOR`], one op per key in key order, so the
+    /// cloud master and every edge replica initialized from the same
+    /// entries hold byte-identical registers — the paper's "initialize
+    /// both the master and the replicas with the same snapshot" step
+    /// (§III-G.1).
     ///
     /// Because every replica already holds it, the genesis change is folded
     /// into the snapshot at birth: it is below [`Doc::snapshot_clock`],
     /// never retained in the log and never shipped by
     /// [`Doc::get_changes`], whatever cursor a peer presents.
-    pub fn from_snapshot(actor: ActorId, snapshot: &Json) -> Self {
+    pub fn from_snapshot(
+        actor: ActorId,
+        entries: impl IntoIterator<Item = (String, Value)>,
+    ) -> Self {
+        let entries: BTreeMap<String, Value> = entries.into_iter().collect();
         let mut doc = Doc::new(GENESIS_ACTOR);
-        if let Json::Object(map) = snapshot {
-            let mut ops = Vec::new();
-            for (k, v) in map {
-                let value = doc.value_ops(Cow::Borrowed(v), &mut ops);
-                let id = doc.next_op();
-                ops.push(Op::Set {
-                    id,
-                    obj: ObjId::Root,
-                    key: k.as_str().into(),
-                    value,
-                    pred: vec![],
-                });
-            }
-            doc.commit(ops);
-        } else if !snapshot.is_null() {
-            let mut ops = Vec::new();
-            let value = doc.value_ops(Cow::Borrowed(snapshot), &mut ops);
-            let id = doc.next_op();
-            ops.push(Op::Set {
-                id,
-                obj: ObjId::Root,
-                key: "value".into(),
+        let ops = entries
+            .into_iter()
+            .map(|(key, value)| Op::Put {
+                id: doc.next_op(),
+                key: key.into(),
                 value,
                 pred: vec![],
-            });
-            doc.commit(ops);
-        }
+            })
+            .collect();
+        doc.commit(ops);
         doc.history.clear();
         doc.snapshot_clock = doc.clock.clone();
         doc.actor = actor;
@@ -530,141 +241,51 @@ impl Doc {
 
     // ---- local mutation API ------------------------------------------------
 
-    /// Set the value at `path`, creating intermediate maps as needed. A
-    /// JSON object becomes a map of its entries; anything else, an array
-    /// included, is stored as one atomic leaf.
-    ///
-    /// # Errors
-    ///
-    /// Fails on the empty path.
-    pub fn put(&mut self, path: &[PathSeg], value: Json) -> Result<(), CrdtError> {
-        let mut ops = Vec::new();
-        let value = self.value_ops(Cow::Owned(value), &mut ops);
-        self.write(path, value, &mut ops)?;
-        self.commit(ops);
-        Ok(())
-    }
-
-    /// Set `key` of the map at `parents` to a fresh map holding `entries`,
-    /// in the order given: with the entries in key order, the ops, op ids
-    /// and values [`Doc::put`] emits for `parents ++ [key]` and the same
-    /// entries as a JSON object — built from the entries as they are, and
-    /// with every key shared rather than copied.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Doc::put`].
-    pub(crate) fn put_map(
-        &mut self,
-        parents: &[PathSeg],
-        key: Arc<str>,
-        entries: impl ExactSizeIterator<Item = (Arc<str>, Json)>,
-    ) -> Result<(), CrdtError> {
-        // the map, one op per entry, the link
-        let mut ops = Vec::with_capacity(entries.len() + 2);
-        let value = self.map_ops(entries.map(|(k, v)| (k, Cow::Owned(v))), &mut ops);
-        let obj = self.walk(parents, &mut ops)?;
-        self.set_key(obj, key, value, &mut ops);
-        self.commit(ops);
-        Ok(())
-    }
-
-    /// Delete the map key at `path`.
-    ///
-    /// # Errors
-    ///
-    /// Fails on invalid paths.
-    pub fn delete(&mut self, path: &[PathSeg]) -> Result<(), CrdtError> {
-        let (last, parent_path) = path
-            .split_last()
-            .ok_or_else(|| CrdtError::BadPath("cannot delete the root".into()))?;
-        let obj = self
-            .get_obj(parent_path)
-            .ok_or_else(|| CrdtError::BadPath(format!("{parent_path:?} not found")))?;
-        let PathSeg::Key(k) = last;
-        let pred = self.key_pred(obj, k);
+    /// Write `value` at `key`, superseding every value the key holds.
+    pub fn put(&mut self, key: &str, value: Value) {
+        let (key, pred) = self.held(key);
         let id = self.next_op();
-        self.commit(vec![Op::DelKey {
+        self.commit(vec![Op::Put {
             id,
-            obj,
-            key: k.as_str().into(),
+            key,
+            value,
             pred,
         }]);
-        Ok(())
+    }
+
+    /// Delete `key` (no change when it holds nothing).
+    pub fn delete(&mut self, key: &str) {
+        if !self.registers.contains_key(key) {
+            return;
+        }
+        let (key, pred) = self.held(key);
+        let id = self.next_op();
+        self.commit(vec![Op::Del { id, key, pred }]);
     }
 
     // ---- read API ----------------------------------------------------------
 
-    /// Read the JSON value at `path` (`None` when absent).
-    pub fn get(&self, path: &[PathSeg]) -> Option<Json> {
-        if path.is_empty() {
-            return Some(self.to_json());
-        }
-        let (PathSeg::Key(last), parent) = path.split_last()?;
-        let obj = self.get_obj(parent)?;
-        Some(self.at(obj).get(last)?.to_json().into_owned())
+    /// The value at `key`: of the values not superseded, the one with the
+    /// greatest op id.
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        Some(&self.registers.get(key)?.last()?.1)
     }
 
-    /// Materialize the full document as JSON.
-    pub fn to_json(&self) -> Json {
-        self.obj_json(ObjId::Root)
+    /// Every key and the value [`Doc::get`] reads there, in key order.
+    pub fn entries(&self) -> impl Iterator<Item = (&str, &Value)> {
+        self.registers
+            .iter()
+            .filter_map(|(key, slot)| Some((&**key, &slot.last()?.1)))
     }
 
-    /// [`Doc::get`] of a path of map keys, read where the value is stored
-    /// instead of built: a scalar is lent, and a map is read key by key.
-    pub fn get_ref(&self, path: &[&str]) -> Option<ValueRef<'_>> {
-        match path.split_last() {
-            Some((last, parents)) => self.map_ref(parents)?.get(last),
-            None => Some(self.at(ObjId::Root)),
-        }
+    /// Number of keys holding a value.
+    pub fn len(&self) -> usize {
+        self.registers.len()
     }
 
-    /// The container at `path`, reached as [`Doc::get`] reaches the
-    /// container of its last key.
-    pub(crate) fn map_ref(&self, path: &[&str]) -> Option<ValueRef<'_>> {
-        let mut obj = ObjId::Root;
-        for key in path {
-            obj = match self.maps.get(&obj)?.entries.get(*key)?.last()? {
-                (_, OpValue::Obj(o)) => *o,
-                (_, OpValue::Scalar(_)) => return None,
-            };
-        }
-        Some(self.at(obj))
-    }
-
-    fn at(&self, obj: ObjId) -> ValueRef<'_> {
-        ValueRef::new(self, At::Obj(obj))
-    }
-
-    /// Whether a value is visible at `path` — [`Doc::get`]`.is_some()`
-    /// without building the value.
-    pub fn contains(&self, path: &[PathSeg]) -> bool {
-        let Some((PathSeg::Key(last), parent)) = path.split_last() else {
-            return true; // the root always exists
-        };
-        self.get_obj(parent)
-            .and_then(|obj| self.maps.get(&obj))
-            .is_some_and(|map| map.visible(last).is_some())
-    }
-
-    /// Number of keys of the map at `path` (0 when it is not a map) —
-    /// [`Doc::map_keys`]`.len()` without copying a key.
-    pub fn map_len(&self, path: &[PathSeg]) -> usize {
-        self.get_obj(path)
-            .and_then(|obj| self.maps.get(&obj))
-            .map_or(0, |map| map.live_keys().count())
-    }
-
-    /// Keys of the map at `path`.
-    pub fn map_keys(&self, path: &[PathSeg]) -> Vec<String> {
-        let Some(obj) = self.get_obj(path) else {
-            return Vec::new();
-        };
-        self.at(obj)
-            .keys()
-            .into_iter()
-            .map(str::to_string)
-            .collect()
+    /// Whether no key holds a value.
+    pub fn is_empty(&self) -> bool {
+        self.registers.is_empty()
     }
 
     // ---- replication API (the paper's initialize/getChanges/applyChanges) --
@@ -702,25 +323,17 @@ impl Doc {
     /// Changes already applied are skipped; changes whose causal
     /// dependencies are not yet satisfied are buffered and retried
     /// automatically as their dependencies arrive. Returns the number of
-    /// changes applied (now or from the pending buffer) and *where* their
-    /// ops landed as [`TouchedKeys`] — the invalidation signal for per-unit
-    /// version counters. Buffered ops are reported by the call that
-    /// releases them.
+    /// changes applied (now or from the pending buffer) and the keys their
+    /// ops wrote — the invalidation signal for per-unit version counters.
+    /// Buffered ops are reported by the call that releases them.
     ///
     /// The incoming batch and the pending buffer are indexed by
     /// `(actor, seq)`; each pass probes only the next applicable seq per
     /// actor, so a pass costs O(actors·log pending) rather than a scan of
     /// everything buffered.
     ///
-    /// # Errors
-    ///
-    /// Returns [`CrdtError::CorruptChange`] on malformed input (e.g. an op
-    /// referencing an object that its own dependencies cannot provide).
-    pub fn apply_changes(
-        &mut self,
-        changes: Vec<Change>,
-    ) -> Result<(usize, TouchedKeys), CrdtError> {
-        let mut touched = TouchedKeys::default();
+    pub fn apply_changes(&mut self, changes: Vec<Change>) -> (usize, BTreeSet<Arc<str>>) {
+        let mut touched = BTreeSet::new();
         let key = |c: &Change| (c.actor(), c.seq());
         // A batch sorted by (actor, seq) that arrives with nothing buffered
         // — what `get_changes` produces, the steady state of a sync round
@@ -739,7 +352,7 @@ impl Doc {
                     continue; // duplicate
                 }
                 if change.seq() == have + 1 && self.clock.dominates(change.deps()) {
-                    self.apply_one(change, &mut touched)?;
+                    self.apply_one(change, &mut touched);
                     applied += 1;
                 } else {
                     queue.insert(key(&change), change);
@@ -764,7 +377,7 @@ impl Doc {
                         break;
                     };
                     if self.clock.dominates(change.deps()) {
-                        self.apply_one(change, &mut touched)?;
+                        self.apply_one(change, &mut touched);
                         applied += 1;
                         progress = true;
                     } else {
@@ -781,7 +394,7 @@ impl Doc {
         // the clock overtook during this batch are stale duplicates.
         queue.retain(|(actor, seq), _| *seq > self.clock.get(*actor));
         self.pending = queue;
-        Ok((applied, touched))
+        (applied, touched)
     }
 
     /// Fold every retained change at or below `frontier` into the
@@ -810,43 +423,37 @@ impl Doc {
             self.snapshot_clock.observe(*actor, target);
             dropped += n;
         }
-        if dropped > 0 {
-            self.compaction_rounds += 1;
-            self.compacted_changes += dropped as u64;
-        }
         dropped
-    }
-
-    /// Lifetime compaction accounting for this replica:
-    /// `(rounds_that_folded, changes_folded)`. Transient — not part of
-    /// the [`Doc::save`] image, so a restored replica starts from zero.
-    pub fn compaction_stats(&self) -> (u64, u64) {
-        (self.compaction_rounds, self.compacted_changes)
     }
 
     /// Serialize this replica as a state snapshot plus the retained change
     /// tail, in the [`crate::wire`] codec: magic and version, `clock`,
-    /// `snapshot_clock`, the op counter, the maps in container-id order,
-    /// and the tail as one change batch in `(actor, seq)` order.
+    /// `snapshot_clock`, the op counter, the key table of the rows the
+    /// registers hold, the registers in key order, and the tail as one
+    /// change batch in `(actor, seq)` order.
     ///
     /// A document restored by [`Doc::load`] is a faithful replica: it reads
     /// the same state and can exchange changes with the original — the
-    /// image a fresh edge node is provisioned from. The image does not grow
-    /// with the folded change log, but it is not bounded by visible state
-    /// either: every container ever created is in it, including row maps
-    /// that a later upsert of the same row superseded (ROADMAP item 5(a)).
+    /// image a fresh edge node is provisioned from. The image holds the
+    /// values not superseded and the retained tail, nothing else: an
+    /// overwritten row leaves its register when it is overwritten.
     pub fn save(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.put(&IMAGE_MAGIC);
         self.clock.write(&mut out);
         self.snapshot_clock.write(&mut out);
         put_varint(&mut out, self.counter);
-        let mut maps: Vec<_> = self.maps.iter().collect();
-        maps.sort_unstable_by_key(|(id, _)| **id);
-        put_varint(&mut out, maps.len() as u64);
-        for (id, map) in maps {
-            id.write(&mut out);
-            map.write(&mut out);
+        let values = self.registers.values().flat_map(|slot| slot.iter());
+        let keys = KeyTable::of(values.filter_map(|(_, value)| value.as_row()));
+        keys.write(&mut out);
+        put_varint(&mut out, self.registers.len() as u64);
+        for (key, slot) in &self.registers {
+            put_str(&mut out, key);
+            put_varint(&mut out, slot.len() as u64);
+            for (id, value) in slot.iter() {
+                put_op_id(&mut out, *id);
+                value.write(&mut out, &keys);
+            }
         }
         // `put_changes` over the per-actor runs laid end to end
         put_varint(&mut out, self.history_len() as u64);
@@ -862,10 +469,10 @@ impl Doc {
     ///
     /// [`CrdtError::CorruptChange`] unless `bytes` is exactly what `save`
     /// writes for some document: on garbage, truncation or trailing bytes,
-    /// anything [`Change::decode`] rejects, entries out of their canonical
-    /// order, a tail that is not contiguous with the snapshot or does not
-    /// reach `clock`, and containers that do not form a forest. Never
-    /// panics; what it allocates is linear in `bytes.len()`.
+    /// another layout version, anything [`Change::decode`] rejects, entries
+    /// out of their canonical order, a key holding no value, and a tail
+    /// that is not contiguous with the snapshot or does not reach `clock`.
+    /// Never panics; what it allocates is linear in `bytes.len()`.
     pub fn load(actor: ActorId, bytes: &[u8]) -> Result<Doc, CrdtError> {
         let mut r = Reader::new(bytes);
         if r.take(IMAGE_MAGIC.len())? != IMAGE_MAGIC {
@@ -874,17 +481,32 @@ impl Doc {
         let clock = VClock::read(&mut r)?;
         let snapshot_clock = VClock::read(&mut r)?;
         let counter = r.varint()?;
-        let mut maps = HashMap::new();
+        let mut keys = KeysRead::read(&mut r)?;
+        let mut registers = BTreeMap::new();
         let mut last = None;
-        // a container id and a count at the least
+        // a key length and a count at the least
         for _ in 0..r.count(2)? {
-            let id = ObjId::read(&mut r)?;
-            ascending(&mut last, id)?;
-            maps.insert(id, MapObj::read(&mut r)?);
+            let key = r.str()?;
+            ascending(&mut last, key)?;
+            // an op id is two varints, a value a tag and a byte at the least
+            let n = r.count(4)?;
+            if n == 0 {
+                return Err(corrupt("a key holds no value"));
+            }
+            let mut values = Vec::with_capacity(n);
+            let mut last = None;
+            for _ in 0..n {
+                let id = r.op_id()?;
+                ascending(&mut last, id)?;
+                values.push((id, Value::read(&mut r, &mut keys)?));
+            }
+            let slot = match values.len() {
+                1 => Slot::One(values.remove(0)),
+                _ => Slot::Many(values),
+            };
+            registers.insert(Arc::from(key), slot);
         }
-        if !maps.contains_key(&ObjId::Root) {
-            return Err(corrupt("image has no root map"));
-        }
+        keys.end()?;
         // every applied change must be accounted for: each actor's tail
         // continues its snapshot prefix, and together they reach `clock`
         let mut history: BTreeMap<ActorId, ActorLog> = BTreeMap::new();
@@ -915,10 +537,7 @@ impl Doc {
             snapshot_clock,
             history,
             pending: BTreeMap::new(),
-            parent: containment(&maps)?,
-            maps,
-            compaction_rounds: 0,
-            compacted_changes: 0,
+            registers,
         })
     }
 
@@ -929,112 +548,13 @@ impl Doc {
         OpId::new(self.counter, self.actor)
     }
 
-    /// Turn a JSON value into an [`OpValue`], emitting `MakeMap`/`Set` ops
-    /// for nested objects so that structural snapshots replicate as real
-    /// CRDT maps rather than opaque blobs; any other value, an array
-    /// included, is one atomic leaf. A value handed over owned moves its
-    /// leaves into their ops; a lent one is copied leaf by leaf.
-    fn value_ops(&mut self, value: Cow<'_, Json>, ops: &mut Vec<Op>) -> OpValue {
-        match value {
-            Cow::Borrowed(Json::Object(map)) => self.map_ops(
-                map.iter()
-                    .map(|(k, v)| (k.as_str().into(), Cow::Borrowed(v))),
-                ops,
-            ),
-            Cow::Owned(Json::Object(map)) => {
-                self.map_ops(map.into_iter().map(|(k, v)| (k.into(), Cow::Owned(v))), ops)
-            }
-            leaf => OpValue::Scalar(leaf.into_owned()),
+    /// `key` as this document holds it (shared, when it is held), and the
+    /// ids of the values it holds: what a write there supersedes.
+    fn held(&self, key: &str) -> (Arc<str>, Vec<OpId>) {
+        match self.registers.get_key_value(key) {
+            Some((key, slot)) => (Arc::clone(key), slot.iter().map(|(id, _)| *id).collect()),
+            None => (key.into(), Vec::new()),
         }
-    }
-
-    /// The one map builder: a `MakeMap`, then per entry its value's ops and
-    /// a `Set`, in the order the entries come.
-    fn map_ops<'v>(
-        &mut self,
-        entries: impl Iterator<Item = (Arc<str>, Cow<'v, Json>)>,
-        ops: &mut Vec<Op>,
-    ) -> OpValue {
-        let id = self.next_op();
-        ops.push(Op::MakeMap { id });
-        let obj = ObjId::Made(id);
-        for (key, v) in entries {
-            let value = self.value_ops(v, ops);
-            let id = self.next_op();
-            ops.push(Op::Set {
-                id,
-                obj,
-                key,
-                value,
-                pred: vec![],
-            });
-        }
-        OpValue::Obj(obj)
-    }
-
-    /// Emit the op writing `value` at `path`, creating intermediate maps.
-    fn write(
-        &mut self,
-        path: &[PathSeg],
-        value: OpValue,
-        ops: &mut Vec<Op>,
-    ) -> Result<(), CrdtError> {
-        let (PathSeg::Key(k), parents) = path
-            .split_last()
-            .ok_or_else(|| CrdtError::BadPath("empty path".into()))?;
-        let obj = self.walk(parents, ops)?;
-        self.set_key(obj, k.as_str().into(), value, ops);
-        Ok(())
-    }
-
-    /// The container at `path`, creating (and applying at once, so later
-    /// segments resolve) maps for missing keys.
-    fn walk(&mut self, path: &[PathSeg], ops: &mut Vec<Op>) -> Result<ObjId, CrdtError> {
-        let mut obj = ObjId::Root;
-        for PathSeg::Key(k) in path {
-            let existing = self
-                .maps
-                .get(&obj)
-                .and_then(|m| m.entries.get(k.as_str()))
-                .and_then(|v| v.last())
-                .and_then(|(_, v)| match v {
-                    OpValue::Obj(o) => Some(*o),
-                    OpValue::Scalar(_) => None,
-                });
-            obj = match existing {
-                Some(o) => o,
-                None => {
-                    let mid = self.next_op();
-                    ops.push(Op::MakeMap { id: mid });
-                    self.set_key(obj, k.as_str().into(), OpValue::Obj(ObjId::Made(mid)), ops);
-                    self.apply_op(&ops[ops.len() - 2])?;
-                    self.apply_op(&ops[ops.len() - 1])?;
-                    ObjId::Made(mid)
-                }
-            };
-        }
-        Ok(obj)
-    }
-
-    /// Emit the `Set` of `key` in map `obj`, superseding what it holds.
-    fn set_key(&mut self, obj: ObjId, key: Arc<str>, value: OpValue, ops: &mut Vec<Op>) {
-        let pred = self.key_pred(obj, &key);
-        let id = self.next_op();
-        ops.push(Op::Set {
-            id,
-            obj,
-            key,
-            value,
-            pred,
-        });
-    }
-
-    fn key_pred(&self, obj: ObjId, key: &str) -> Vec<OpId> {
-        self.maps
-            .get(&obj)
-            .and_then(|m| m.entries.get(key))
-            .map(|v| v.iter().map(|(id, _)| *id).collect())
-            .unwrap_or_default()
     }
 
     /// Package `ops` as a change, apply locally, and record in history.
@@ -1045,28 +565,21 @@ impl Doc {
         let deps = self.clock.clone();
         self.seq += 1;
         let change = Change::new(self.actor, self.seq, deps, ops);
-        // ops produced by local mutation helpers may already be applied
-        // (intermediate containers); apply_op is idempotent for Make and
-        // Set-with-same-id, so replay is safe.
         for op in change.ops() {
-            self.apply_op(op).expect("local ops are well-formed");
+            self.apply_op(op);
         }
         self.clock.observe(self.actor, self.seq);
         self.push_history(change);
     }
 
     /// Apply a remote change whose causal dependencies are met, recording
-    /// in `touched` the units its ops land in.
-    fn apply_one(&mut self, change: Change, touched: &mut TouchedKeys) -> Result<(), CrdtError> {
-        // Index containment for the whole change first: the ops filling a
-        // fresh container precede the op that links it to its parent.
+    /// in `touched` the keys its ops write.
+    fn apply_one(&mut self, change: Change, touched: &mut BTreeSet<Arc<str>>) {
         for op in change.ops() {
-            self.index_parent_op(op);
-        }
-        let mut settled = Vec::new();
-        for op in change.ops() {
-            self.track_op(op, &mut settled, touched);
-            self.apply_indexed_op(op)?;
+            if !touched.contains(op.key()) {
+                touched.insert(Arc::clone(op.key()));
+            }
+            self.apply_op(op);
         }
         let max = change.max_counter();
         if max > self.counter {
@@ -1074,7 +587,6 @@ impl Doc {
         }
         self.clock.observe(change.actor(), change.seq());
         self.push_history(change);
-        Ok(())
     }
 
     /// Append an applied change to its actor's contiguous run.
@@ -1091,379 +603,255 @@ impl Doc {
         log.changes.push(change);
     }
 
-    /// Record in `touched` the state unit `op` lands in: the first two map
-    /// keys of its location (`"rows"`/pk, `"files"`/path, or a root-level
-    /// global alone). The change's containment links are already indexed.
-    ///
-    /// `settled` is the change's memo: containers at least two keys deep,
-    /// whose unit no op key can alter and which is already recorded. The
-    /// handful of ops in a row upsert write one such container and then
-    /// link it, so the change costs one walk and one insert.
-    fn track_op(&self, op: &Op, settled: &mut Vec<ObjId>, touched: &mut TouchedKeys) {
-        let (obj, key) = match op {
-            // Make ops have no location until something references them.
-            Op::MakeMap { .. } => return,
-            Op::Set { obj, key, .. } | Op::DelKey { obj, key, .. } => (*obj, key),
-        };
-        if settled.contains(&obj) {
-            return;
-        }
-        // hanging a settled container under `key` of `obj` names the unit
-        // the container's own path already named — when this op is the link
-        // that path runs through (the index keeps one link per container; a
-        // change linking it a second time writes another unit)
-        if let Op::Set {
-            value: OpValue::Obj(child),
-            ..
-        } = op
-        {
-            if settled.contains(child)
-                && matches!(self.parent.get(child), Some((p, k)) if *p == obj && k == key)
-            {
-                return;
-            }
-        }
-        let unit = match self.container_keys(obj) {
-            Some([Some(first), Some(second)]) => {
-                settled.push(obj);
-                Some((first, Some(second)))
-            }
-            Some([Some(first), None]) => Some((first, Some(key))),
-            Some([None, _]) => Some((key, None)),
-            None => None,
-        };
-        match unit {
-            Some((first, second)) => {
-                touched.keys.insert((first.clone(), second.cloned()));
-            }
-            None => touched.unresolved = true,
-        }
-    }
-
-    /// The first two map keys on the path from the root to container
-    /// `obj`; `None` when the containment chain does not reach the root.
-    fn container_keys(&self, obj: ObjId) -> Option<[Option<&Arc<str>>; 2]> {
-        let (mut first, mut second) = (None, None);
-        let mut cur = obj;
-        let mut hops = 0usize;
-        while cur != ObjId::Root {
-            let (p, k) = self.parent.get(&cur)?;
-            // walking rootward: the newest key is the outermost so far
-            second = first;
-            first = Some(k);
-            cur = *p;
-            hops += 1;
-            if hops > 64 {
-                return None; // defensive: malformed containment chain
-            }
-        }
-        Some([first, second])
-    }
-
-    /// Maintain the containment index: a `Set` that stores a container
-    /// reference establishes where that container lives.
-    fn index_parent_op(&mut self, op: &Op) {
-        if let Op::Set {
-            obj,
-            key,
-            value: OpValue::Obj(child),
-            ..
-        } = op
-        {
-            self.parent.insert(*child, (*obj, Arc::clone(key)));
-        }
-    }
-
-    fn apply_op(&mut self, op: &Op) -> Result<(), CrdtError> {
-        self.index_parent_op(op);
-        self.apply_indexed_op(op)
-    }
-
-    /// [`Doc::apply_op`] for an op whose containment link is indexed.
-    fn apply_indexed_op(&mut self, op: &Op) -> Result<(), CrdtError> {
+    fn apply_op(&mut self, op: &Op) {
         match op {
-            Op::MakeMap { id } => {
-                self.maps.entry(ObjId::Made(*id)).or_default();
-            }
-            Op::Set {
+            Op::Put {
                 id,
-                obj,
                 key,
                 value,
                 pred,
-            } => {
-                let map = self
-                    .maps
-                    .get_mut(obj)
-                    .ok_or_else(|| CrdtError::MissingObject(obj.to_string()))?;
-                match map.entries.entry(Arc::clone(key)) {
-                    Entry::Occupied(mut slot) => {
-                        slot.get_mut().supersede(pred);
-                        slot.get_mut().add(*id, value);
-                    }
-                    Entry::Vacant(slot) => {
-                        slot.insert(Slot::One((*id, value.clone())));
-                    }
+            } => match self.registers.entry(Arc::clone(key)) {
+                Entry::Occupied(mut slot) => {
+                    slot.get_mut().supersede(pred);
+                    slot.get_mut().add(*id, value);
                 }
-            }
-            Op::DelKey { obj, key, pred, .. } => {
-                let map = self
-                    .maps
-                    .get_mut(obj)
-                    .ok_or_else(|| CrdtError::MissingObject(obj.to_string()))?;
-                if let Some(slot) = map.entries.get_mut(key) {
+                Entry::Vacant(slot) => {
+                    slot.insert(Slot::One((*id, value.clone())));
+                }
+            },
+            Op::Del { key, pred, .. } => {
+                if let Some(slot) = self.registers.get_mut(key) {
                     slot.supersede(pred);
+                    if slot.is_empty() {
+                        self.registers.remove(key);
+                    }
                 }
             }
         }
-        Ok(())
-    }
-
-    fn get_obj(&self, path: &[PathSeg]) -> Option<ObjId> {
-        let mut obj = ObjId::Root;
-        for PathSeg::Key(k) in path {
-            match self.maps.get(&obj)?.entries.get(k.as_str())?.last()? {
-                (_, OpValue::Obj(o)) => obj = *o,
-                (_, OpValue::Scalar(_)) => return None,
-            }
-        }
-        Some(obj)
-    }
-
-    fn resolve(&self, v: &OpValue) -> Json {
-        match v {
-            OpValue::Scalar(j) => j.clone(),
-            OpValue::Obj(o) => self.obj_json(*o),
-        }
-    }
-
-    fn map_json(&self, map: &MapObj) -> Json {
-        let mut out = serde_json::Map::new();
-        for (k, slot) in &map.entries {
-            if let Some((_, v)) = slot.last() {
-                out.insert(k.to_string(), self.resolve(v));
-            }
-        }
-        Json::Object(out)
-    }
-
-    fn obj_json(&self, obj: ObjId) -> Json {
-        self.maps
-            .get(&obj)
-            .map_or(Json::Null, |map| self.map_json(map))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde_json::json;
+    use serde_json::{json, Value as Json};
+
+    pub(super) fn j(v: Json) -> Value {
+        Value::Json(v)
+    }
 
     /// Apply everything `src` has that `dst` has not.
     pub(super) fn pull(dst: &mut Doc, src: &Doc) {
-        dst.apply_changes(src.get_changes(dst.clock())).unwrap();
+        dst.apply_changes(src.get_changes(dst.clock()));
+    }
+
+    pub(super) fn state(d: &Doc) -> Vec<(String, Value)> {
+        d.entries()
+            .map(|(k, v)| (k.to_string(), v.clone()))
+            .collect()
     }
 
     #[test]
     fn put_and_get_scalar() {
         let mut d = Doc::new(ActorId(1));
-        d.put(&path!["a"], json!(5)).unwrap();
-        assert_eq!(d.get(&path!["a"]), Some(json!(5)));
+        d.put("a", j(json!(5)));
+        assert_eq!(d.get("a"), Some(&j(json!(5))));
     }
 
-    #[test]
-    fn nested_put_creates_intermediate_maps() {
-        let mut d = Doc::new(ActorId(1));
-        d.put(&path!["a", "b", "c"], json!("deep")).unwrap();
-        assert_eq!(d.get(&path!["a", "b", "c"]), Some(json!("deep")));
-        assert_eq!(d.to_json(), json!({"a": {"b": {"c": "deep"}}}));
-    }
-
+    /// A JSON object is one register: it replicates whole, and a put of
+    /// another object replaces it whole.
     #[test]
     fn structural_put_replicates_subtrees() {
         let mut d = Doc::new(ActorId(1));
-        d.put(&path!["cfg"], json!({"x": 1, "ys": [1, 2]})).unwrap();
-        assert_eq!(d.get(&path!["cfg", "x"]), Some(json!(1)));
-        assert_eq!(d.get(&path!["cfg", "ys"]), Some(json!([1, 2])));
-        assert_eq!(d.map_keys(&path!["cfg"]), ["x", "ys"]);
+        d.put("cfg", j(json!({"x": 1, "ys": [1, 2]})));
+        let mut e = Doc::new(ActorId(2));
+        pull(&mut e, &d);
+        assert_eq!(e.get("cfg"), Some(&j(json!({"x": 1, "ys": [1, 2]}))));
+        d.put("cfg", j(json!({"ys": []})));
+        pull(&mut e, &d);
+        assert_eq!(e.get("cfg"), Some(&j(json!({"ys": []}))));
     }
 
-    /// An array is one leaf: put in one `Set`, replaced whole, holding no
-    /// keys, and replaced by a map when a path runs through it.
+    /// An array is one value: put in one op, replaced whole.
     #[test]
     fn arrays_are_atomic_leaves() {
         let mut d = Doc::new(ActorId(1));
-        d.put(&path!["l"], json!([1, {"x": 2}, 3])).unwrap();
+        d.put("l", j(json!([1, {"x": 2}, 3])));
         let ops = d.get_changes(&VClock::new())[0].ops().to_vec();
         assert!(
-            matches!(&ops[..], [Op::Set { value: OpValue::Scalar(v), .. }] if *v == json!([1, {"x": 2}, 3]))
+            matches!(&ops[..], [Op::Put { value: Value::Json(v), .. }] if *v == json!([1, {"x": 2}, 3]))
         );
-        d.put(&path!["l"], json!([1, 99, 3])).unwrap();
-        assert_eq!(d.get(&path!["l"]), Some(json!([1, 99, 3])));
-        assert!(d.map_keys(&path!["l"]).is_empty() && d.map_len(&path!["l"]) == 0);
-        assert!(!d.contains(&path!["l", "0"]));
-        d.put(&path!["l", "x"], json!(5)).unwrap();
-        assert_eq!(d.to_json(), json!({"l": {"x": 5}}));
+        d.put("l", j(json!([1, 99, 3])));
+        assert_eq!(d.get("l"), Some(&j(json!([1, 99, 3]))));
+        assert_eq!(d.len(), 1);
     }
 
     #[test]
     fn delete_map_key() {
         let mut d = Doc::new(ActorId(1));
-        d.put(&path!["a"], json!(1)).unwrap();
-        d.delete(&path!["a"]).unwrap();
-        assert_eq!(d.get(&path!["a"]), None);
+        d.put("a", j(json!(1)));
+        d.delete("a");
+        assert_eq!(d.get("a"), None);
+        assert!(d.is_empty());
     }
 
-    /// `contains` and `map_len` answer what `get(..).is_some()` and
-    /// `map_keys(..).len()` answer, through deletes, a re-added key, an
-    /// overwritten entry and an array leaf.
+    /// `len` and `get(..).is_some()` answer what `entries` holds, through
+    /// deletes, a re-added key and an overwritten one.
     #[test]
     fn contains_and_map_len_agree_with_the_reads_that_build_values() {
         let mut d = Doc::new(ActorId(1));
         let agree = |d: &Doc| {
-            assert_eq!(d.map_len(&path!["m"]), d.map_keys(&path!["m"]).len());
+            assert_eq!(d.len(), d.entries().count());
             for k in ["a", "b", "n", "gone"] {
-                let p = path!["m", k];
-                assert_eq!(d.contains(&p), d.get(&p).is_some(), "{k}");
+                assert_eq!(d.get(k).is_some(), d.entries().any(|(e, _)| e == k), "{k}");
             }
         };
-        agree(&d); // no map at all
-        d.put(&path!["m", "a"], json!({"x": 1})).unwrap();
-        d.put(&path!["m", "b"], json!(2)).unwrap();
-        d.put(&path!["m", "gone"], json!(3)).unwrap();
         agree(&d);
-        assert_eq!(d.map_len(&path!["m"]), 3);
-        d.delete(&path!["m", "gone"]).unwrap();
-        d.put(&path!["m", "n"], json!([2])).unwrap();
-        d.put(&path!["m", "b"], json!(1)).unwrap();
+        d.put("a", j(json!({"x": 1})));
+        d.put("b", j(json!(2)));
+        d.put("gone", j(json!(3)));
         agree(&d);
-        assert_eq!(d.map_len(&path!["m"]), 3);
-        assert!(d.contains(&path!["m", "a", "x"]) && !d.contains(&path!["m", "a", "y"]));
-        assert!(!d.contains(&path!["m", "b", "deeper"]), "b is a scalar");
-        assert!(!d.contains(&path!["m", "n", "0"]), "n is an array leaf");
-        d.put(&path!["m", "gone"], json!(4)).unwrap();
+        assert_eq!(d.len(), 3);
+        d.delete("gone");
+        d.put("n", j(json!([2])));
+        d.put("b", j(json!(1)));
         agree(&d);
-        assert_eq!(d.map_len(&path!["m"]), 4);
+        assert_eq!(d.len(), 3);
+        d.put("gone", j(json!(4)));
+        agree(&d);
+        assert_eq!(d.len(), 4);
     }
 
     #[test]
     fn sync_two_replicas_converge() {
         let mut a = Doc::new(ActorId(1));
         let mut b = Doc::new(ActorId(2));
-        a.put(&path!["x"], json!(1)).unwrap();
-        b.put(&path!["y"], json!(2)).unwrap();
-        let ca = a.get_changes(b.clock());
-        let cb = b.get_changes(a.clock());
-        a.apply_changes(cb).unwrap();
-        b.apply_changes(ca).unwrap();
-        assert_eq!(a.to_json(), b.to_json());
-        assert_eq!(a.to_json(), json!({"x": 1, "y": 2}));
+        a.put("x", j(json!(1)));
+        b.put("y", j(json!(2)));
+        pull(&mut a, &b);
+        pull(&mut b, &a);
+        assert_eq!(state(&a), state(&b));
+        assert_eq!(
+            state(&a),
+            [("x".into(), j(json!(1))), ("y".into(), j(json!(2)))]
+        );
     }
 
     #[test]
     fn concurrent_writes_resolve_lww_by_opid() {
         let mut a = Doc::new(ActorId(1));
         let mut b = Doc::new(ActorId(2));
-        a.put(&path!["k"], json!("from-a")).unwrap();
-        b.put(&path!["k"], json!("from-b")).unwrap();
+        a.put("k", j(json!("from-a")));
+        b.put("k", j(json!("from-b")));
         let ca = a.get_changes(&VClock::new());
         let cb = b.get_changes(&VClock::new());
-        a.apply_changes(cb).unwrap();
-        b.apply_changes(ca).unwrap();
-        assert_eq!(a.to_json(), b.to_json());
+        a.apply_changes(cb);
+        b.apply_changes(ca);
+        assert_eq!(state(&a), state(&b));
         // actor 2 wins the counter tie
-        assert_eq!(a.get(&path!["k"]), Some(json!("from-b")));
+        assert_eq!(a.get("k"), Some(&j(json!("from-b"))));
     }
 
     #[test]
     fn concurrent_add_survives_delete() {
         let mut a = Doc::new(ActorId(1));
         let mut b = Doc::new(ActorId(2));
-        a.put(&path!["k"], json!("v1")).unwrap();
+        a.put("k", j(json!("v1")));
         pull(&mut b, &a);
         // a deletes, b rewrites concurrently
-        a.delete(&path!["k"]).unwrap();
-        b.put(&path!["k"], json!("v2")).unwrap();
+        a.delete("k");
+        b.put("k", j(json!("v2")));
         pull(&mut a, &b);
         pull(&mut b, &a);
-        assert_eq!(a.to_json(), b.to_json());
-        assert_eq!(a.get(&path!["k"]), Some(json!("v2")));
+        assert_eq!(state(&a), state(&b));
+        assert_eq!(a.get("k"), Some(&j(json!("v2"))));
     }
 
     #[test]
     fn causal_buffering_handles_out_of_order_delivery() {
         let mut a = Doc::new(ActorId(1));
-        a.put(&path!["k"], json!(1)).unwrap();
-        a.put(&path!["k"], json!(2)).unwrap();
+        a.put("k", j(json!(1)));
+        a.put("k", j(json!(2)));
         let all = a.get_changes(&VClock::new());
         let mut b = Doc::new(ActorId(2));
         // deliver second change first
-        b.apply_changes(vec![all[1].clone()]).unwrap();
+        b.apply_changes(vec![all[1].clone()]);
         assert_eq!(b.pending_len(), 1);
-        assert_eq!(b.get(&path!["k"]), None);
-        b.apply_changes(vec![all[0].clone()]).unwrap();
+        assert_eq!(b.get("k"), None);
+        b.apply_changes(vec![all[0].clone()]);
         assert_eq!(b.pending_len(), 0);
-        assert_eq!(b.get(&path!["k"]), Some(json!(2)));
+        assert_eq!(b.get("k"), Some(&j(json!(2))));
     }
 
     #[test]
     fn apply_is_idempotent() {
         let mut a = Doc::new(ActorId(1));
-        a.put(&path!["k"], json!(1)).unwrap();
+        a.put("k", j(json!(1)));
         let ch = a.get_changes(&VClock::new());
         let mut b = Doc::new(ActorId(2));
-        assert_eq!(b.apply_changes(ch.clone()).unwrap().0, 1);
-        assert_eq!(b.apply_changes(ch).unwrap().0, 0);
-        assert_eq!(b.to_json(), a.to_json());
+        assert_eq!(b.apply_changes(ch.clone()).0, 1);
+        assert_eq!(b.apply_changes(ch).0, 0);
+        assert_eq!(state(&b), state(&a));
+    }
+
+    fn snapshot() -> Vec<(String, Value)> {
+        vec![
+            ("tables".into(), j(json!({"users": [{"id": 1}]}))),
+            ("n".into(), j(json!(5))),
+        ]
     }
 
     #[test]
     fn snapshot_initialization_is_deterministic() {
-        let snap = json!({"tables": {"users": [{"id": 1}]}, "n": 5});
-        let master = Doc::from_snapshot(ActorId(1), &snap);
-        let mut replica = Doc::from_snapshot(ActorId(2), &snap);
-        assert_eq!(master.to_json(), replica.to_json());
+        let master = Doc::from_snapshot(ActorId(1), snapshot());
+        let mut replica = Doc::from_snapshot(ActorId(2), snapshot());
+        assert_eq!(master.save(), replica.save());
         // a post-snapshot change from the master applies cleanly at the replica
         let mut master = master;
-        master.put(&path!["n"], json!(6)).unwrap();
+        master.put("n", j(json!(6)));
         let ch = master.get_changes(replica.clock());
-        replica.apply_changes(ch).unwrap();
-        assert_eq!(replica.get(&path!["n"]), Some(json!(6)));
+        replica.apply_changes(ch);
+        assert_eq!(replica.get("n"), Some(&j(json!(6))));
+        assert_eq!(
+            replica.len(),
+            2,
+            "the write superseded the snapshot's value"
+        );
     }
 
     /// Replicas share the snapshot by construction, so it is below the
     /// compaction frontier from birth and no cursor can ask for it back.
     #[test]
     fn snapshot_genesis_is_folded_at_birth() {
-        let snap = json!({"rows": {"1": {"t": "Dune"}, "2": {"t": "Emma"}}});
-        let mut a = Doc::from_snapshot(ActorId(1), &snap);
-        assert_eq!(a.to_json(), snap);
+        let mut a = Doc::from_snapshot(ActorId(1), snapshot());
+        assert_eq!(state(&a), {
+            let mut s = snapshot();
+            s.sort_by(|x, y| x.0.cmp(&y.0));
+            s
+        });
         assert_eq!(a.history_len(), 0);
         assert_eq!(a.clock().get(GENESIS_ACTOR), 1);
         assert_eq!(a.snapshot_clock(), a.clock());
         assert!(a.get_changes(&VClock::new()).is_empty());
-        assert_eq!(a.compaction_stats(), (0, 0), "nothing was compacted");
         // an empty snapshot has no genesis at all
-        assert!(Doc::from_snapshot(ActorId(1), &json!({}))
-            .clock()
-            .is_empty());
+        assert!(Doc::from_snapshot(ActorId(1), []).clock().is_empty());
         // the image of a folded document loads back to the same replica
         let mut b = Doc::load(ActorId(2), &a.save()).unwrap();
-        assert_eq!(b.to_json(), snap);
+        assert_eq!(state(&b), state(&a));
         assert_eq!(
             (b.clock(), b.snapshot_clock()),
             (a.clock(), a.snapshot_clock())
         );
         assert_eq!(b.history_len(), 0);
         // and only what is written afterwards travels, in either direction
-        a.put(&path!["rows", "1", "t"], json!("Dune II")).unwrap();
-        b.delete(&path!["rows", "2"]).unwrap();
+        a.put("n", j(json!(7)));
+        b.delete("tables");
         let (to_b, to_a) = (a.get_changes(&VClock::new()), b.get_changes(&VClock::new()));
         assert_eq!((to_b.len(), to_a.len()), (1, 1));
-        b.apply_changes(to_b).unwrap();
-        a.apply_changes(to_a).unwrap();
-        assert_eq!(a.to_json(), json!({"rows": {"1": {"t": "Dune II"}}}));
-        assert_eq!(a.to_json(), b.to_json());
+        b.apply_changes(to_b);
+        a.apply_changes(to_a);
+        assert_eq!(state(&a), [("n".into(), j(json!(7)))]);
+        assert_eq!(state(&a), state(&b));
     }
 
     #[test]
@@ -1473,22 +861,22 @@ mod tests {
             Doc::new(ActorId(2)),
             Doc::new(ActorId(3)),
         ];
-        docs[0].put(&path!["a"], json!(1)).unwrap();
-        docs[1].put(&path!["b"], json!(2)).unwrap();
-        docs[2].put(&path!["a"], json!(3)).unwrap();
+        docs[0].put("a", j(json!(1)));
+        docs[1].put("b", j(json!(2)));
+        docs[2].put("a", j(json!(3)));
         // pairwise gossip until fixpoint
         for _ in 0..3 {
             for i in 0..3 {
-                for j in 0..3 {
-                    if i != j {
-                        let ch = docs[j].get_changes(docs[i].clock());
-                        docs[i].apply_changes(ch).unwrap();
+                for k in 0..3 {
+                    if i != k {
+                        let ch = docs[k].get_changes(docs[i].clock());
+                        docs[i].apply_changes(ch);
                     }
                 }
             }
         }
-        assert_eq!(docs[0].to_json(), docs[1].to_json());
-        assert_eq!(docs[1].to_json(), docs[2].to_json());
+        assert_eq!(state(&docs[0]), state(&docs[1]));
+        assert_eq!(state(&docs[1]), state(&docs[2]));
     }
 
     /// Two replicas write one array concurrently: both read one writer's
@@ -1497,75 +885,68 @@ mod tests {
     fn concurrent_array_puts_resolve_lww() {
         let mut a = Doc::new(ActorId(1));
         let mut b = Doc::new(ActorId(2));
-        a.put(&path!["cfg"], json!({"l": ["base"]})).unwrap();
+        a.put("l", j(json!(["base"])));
         pull(&mut b, &a);
-        a.put(&path!["cfg", "l"], json!(["a1", "a2", "base"]))
-            .unwrap();
-        b.put(&path!["cfg", "l"], json!(["b1", "base"])).unwrap();
+        a.put("l", j(json!(["a1", "a2", "base"])));
+        b.put("l", j(json!(["b1", "base"])));
         pull(&mut a, &b);
         pull(&mut b, &a);
-        assert_eq!(a.to_json(), b.to_json());
+        assert_eq!(state(&a), state(&b));
         // equal counters: actor 2 wins the tie
-        assert_eq!(a.get(&path!["cfg", "l"]), Some(json!(["b1", "base"])));
+        assert_eq!(a.get("l"), Some(&j(json!(["b1", "base"]))));
     }
 
+    /// A delete of a key that holds nothing is no change at all.
     #[test]
-    fn errors_on_bad_paths() {
+    fn deleting_an_absent_key_commits_nothing() {
         let mut d = Doc::new(ActorId(1));
-        d.put(&path!["s"], json!(1)).unwrap();
-        for bad in [&path![][..], &path!["nope", "k"], &path!["s", "k"]] {
-            assert!(
-                matches!(d.delete(bad), Err(CrdtError::BadPath(_))),
-                "{bad:?}"
-            );
-        }
-        assert!(matches!(
-            d.put(&path![], json!(1)),
-            Err(CrdtError::BadPath(_))
-        ));
-        assert_eq!(d.to_json(), json!({"s": 1}));
+        d.put("s", j(json!(1)));
+        d.delete("nope");
+        assert_eq!(d.clock().get(ActorId(1)), 1);
+        assert_eq!(state(&d), [("s".into(), j(json!(1)))]);
     }
 }
 
 #[cfg(test)]
 mod save_load_tests {
-    use super::tests::pull;
+    use super::tests::{j, pull, state};
     use super::*;
     use serde_json::json;
 
     #[test]
     fn save_load_round_trips_state() {
-        let mut a = Doc::from_snapshot(ActorId(1), &json!({"list": [1, 2]}));
-        a.put(&path!["k"], json!("v")).unwrap();
-        a.put(&path!["n"], json!({"deep": [5]})).unwrap();
-        a.delete(&path!["n", "deep"]).unwrap();
+        let mut a = Doc::from_snapshot(ActorId(1), [("list".to_string(), j(json!([1, 2])))]);
+        a.put("k", j(json!("v")));
+        a.put("n", j(json!({"deep": [5]})));
+        a.put("f", Value::File(vec![0, 255].into()));
+        a.delete("list");
         let bytes = a.save();
         let b = Doc::load(ActorId(2), &bytes).unwrap();
-        assert_eq!(a.to_json(), b.to_json());
+        assert_eq!(state(&a), state(&b));
     }
 
     #[test]
     fn loaded_replica_can_exchange_changes() {
         let mut a = Doc::new(ActorId(1));
-        a.put(&path!["x"], json!(1)).unwrap();
+        a.put("x", j(json!(1)));
         let mut b = Doc::load(ActorId(2), &a.save()).unwrap();
         // both continue writing after the handoff
-        a.put(&path!["from_a"], json!(true)).unwrap();
-        b.put(&path!["from_b"], json!(true)).unwrap();
+        a.put("from_a", j(json!(true)));
+        b.put("from_b", j(json!(true)));
         pull(&mut a, &b);
         pull(&mut b, &a);
-        assert_eq!(a.to_json(), b.to_json());
-        assert_eq!(a.get(&path!["from_b"]), Some(json!(true)));
+        assert_eq!(state(&a), state(&b));
+        assert_eq!(a.get("from_b"), Some(&j(json!(true))));
     }
 
     #[test]
     fn load_same_actor_continues_sequence() {
         let mut a = Doc::new(ActorId(1));
-        a.put(&path!["x"], json!(1)).unwrap();
+        a.put("x", j(json!(1)));
         let mut a2 = Doc::load(ActorId(1), &a.save()).unwrap();
         // the restored doc may keep writing as the same actor
-        a2.put(&path!["y"], json!(2)).unwrap();
-        assert_eq!(a2.get(&path!["y"]), Some(json!(2)));
+        a2.put("y", j(json!(2)));
+        assert_eq!(a2.get("y"), Some(&j(json!(2))));
         assert!(a2.clock().get(ActorId(1)) > a.clock().get(ActorId(1)));
     }
 
@@ -1580,8 +961,8 @@ mod save_load_tests {
     #[test]
     fn load_v2_rejects_tampered_tail() {
         let mut a = Doc::new(ActorId(1));
-        a.put(&path!["x"], json!(1)).unwrap();
-        a.put(&path!["x"], json!(2)).unwrap();
+        a.put("x", j(json!(1)));
+        a.put("x", j(json!(2)));
         let bytes = a.save();
         let tail = a.get_changes(&VClock::new());
         assert_eq!(with_tail(&bytes, &tail, &tail), bytes);
@@ -1601,8 +982,8 @@ mod save_load_tests {
             ));
         }
         let mut a = Doc::new(ActorId(1));
-        a.put(&path!["x"], json!(1)).unwrap();
-        a.put(&path!["x"], json!(2)).unwrap();
+        a.put("x", j(json!(1)));
+        a.put("x", j(json!(2)));
         let bytes = a.save();
         let tail = a.get_changes(&VClock::new());
         // drop the last change: the tail stops short of the clock
@@ -1623,7 +1004,7 @@ mod save_load_tests {
 
 #[cfg(test)]
 mod compaction_tests {
-    use super::tests::pull;
+    use super::tests::{j, pull, state};
     use super::*;
     use serde_json::json;
 
@@ -1634,28 +1015,28 @@ mod compaction_tests {
         let mut a = Doc::new(ActorId(1));
         let mut b = Doc::new(ActorId(2));
         for i in 0..20 {
-            a.put(&path!["k", format!("a{i}")], json!(i)).unwrap();
-            b.put(&path!["k", format!("b{i}")], json!(i)).unwrap();
+            a.put(&format!("a{i}"), j(json!(i)));
+            b.put(&format!("b{i}"), j(json!(i)));
         }
         pull(&mut a, &b);
         pull(&mut b, &a);
-        let before = a.to_json();
+        let before = state(&a);
         let frontier = a.clock().clone();
         let dropped = a.compact(&frontier);
         assert_eq!(dropped, 40);
         assert_eq!(a.history_len(), 0);
-        assert_eq!(a.to_json(), before);
+        assert_eq!(state(&a), before);
         assert_eq!(a.snapshot_clock(), &frontier);
         // post-compaction writes still replicate
-        a.put(&path!["post"], json!(true)).unwrap();
-        b.apply_changes(a.get_changes(b.clock())).unwrap();
-        assert_eq!(a.to_json(), b.to_json());
+        a.put("post", j(json!(true)));
+        pull(&mut b, &a);
+        assert_eq!(state(&a), state(&b));
     }
 
     #[test]
     fn compact_is_clamped_by_own_clock_and_idempotent() {
         let mut a = Doc::new(ActorId(1));
-        a.put(&path!["x"], json!(1)).unwrap();
+        a.put("x", j(json!(1)));
         let mut beyond = VClock::new();
         beyond.observe(ActorId(1), 99);
         beyond.observe(ActorId(7), 5); // actor we have never seen
@@ -1670,7 +1051,7 @@ mod compaction_tests {
     fn get_changes_above_frontier_survives_compaction() {
         let mut a = Doc::new(ActorId(1));
         for i in 0..10 {
-            a.put(&path!["k"], json!(i)).unwrap();
+            a.put("k", j(json!(i)));
         }
         let mut frontier = VClock::new();
         frontier.observe(ActorId(1), 6);
@@ -1686,32 +1067,29 @@ mod compaction_tests {
 
     #[test]
     fn compacted_save_restores_state_clock_and_tail() {
-        let mut a = Doc::from_snapshot(ActorId(1), &json!({"rows": [1, 2, 3]}));
+        let mut a = Doc::from_snapshot(ActorId(1), [("rows".to_string(), j(json!([1, 2, 3])))]);
         for i in 0..8 {
-            a.put(&path!["k", format!("v{i}")], json!(i)).unwrap();
-            a.put(&path!["n"], json!([i, 2 * i])).unwrap();
+            a.put(&format!("v{i}"), j(json!(i)));
+            a.put("n", j(json!([i, 2 * i])));
         }
-        let mut frontier = a.clock().clone();
-        // keep the last few changes as tail
-        frontier.observe(ActorId(1), 0);
         let own = a.clock().get(ActorId(1));
         let mut partial = VClock::new();
         partial.observe(ActorId(1), own - 3);
         partial.observe(GENESIS_ACTOR, a.clock().get(GENESIS_ACTOR));
         a.compact(&partial);
         let mut b = Doc::load(ActorId(2), &a.save()).unwrap();
-        assert_eq!(b.to_json(), a.to_json());
+        assert_eq!(state(&b), state(&a));
         assert_eq!(b.clock(), a.clock());
         assert_eq!(b.snapshot_clock(), a.snapshot_clock());
         assert_eq!(b.history_len(), a.history_len());
         // the restored replica serves the same tail
         assert_eq!(b.get_changes(&partial), a.get_changes(&partial));
         // and can keep writing + syncing with the original
-        a.put(&path!["after"], json!("a")).unwrap();
-        b.put(&path!["after_b"], json!("b")).unwrap();
+        a.put("after", j(json!("a")));
+        b.put("after_b", j(json!("b")));
         pull(&mut a, &b);
         pull(&mut b, &a);
-        assert_eq!(a.to_json(), b.to_json());
+        assert_eq!(state(&a), state(&b));
     }
 
     /// Compaction bounds the save size: a fully-compacted doc's save no
@@ -1720,7 +1098,7 @@ mod compaction_tests {
     fn compacted_save_is_smaller_than_full_log() {
         let mut a = Doc::new(ActorId(1));
         for i in 0..200 {
-            a.put(&path!["k"], json!(i)).unwrap();
+            a.put("k", j(json!(i)));
         }
         let full = a.save().len();
         let frontier = a.clock().clone();
@@ -1732,6 +1110,6 @@ mod compaction_tests {
         );
         // restored doc still reads the final value
         let b = Doc::load(ActorId(2), &a.save()).unwrap();
-        assert_eq!(b.get(&path!["k"]), Some(json!(199)));
+        assert_eq!(b.get("k"), Some(&j(json!(199))));
     }
 }

@@ -1,7 +1,6 @@
 //! Actor identifiers, operation identifiers, and vector clocks.
 
 use std::collections::BTreeMap;
-use std::fmt;
 
 /// Identity of a replica (the cloud master or one edge node).
 ///
@@ -9,19 +8,6 @@ use std::fmt;
 /// counter are broken by actor), so they must be unique per replica.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ActorId(pub u64);
-
-impl ActorId {
-    /// Construct an actor id from a raw integer.
-    pub fn new(id: u64) -> Self {
-        ActorId(id)
-    }
-}
-
-impl fmt::Display for ActorId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "actor-{:x}", self.0)
-    }
-}
 
 /// Identifier of a single CRDT operation: a Lamport counter paired with the
 /// actor that generated it. The derived lexicographic order (counter first,
@@ -36,12 +22,6 @@ impl OpId {
     /// Construct an op id.
     pub fn new(counter: u64, actor: ActorId) -> Self {
         OpId { counter, actor }
-    }
-}
-
-impl fmt::Display for OpId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}@{}", self.counter, self.actor)
     }
 }
 
@@ -104,27 +84,9 @@ impl VClock {
         self.0.values().sum()
     }
 
-    /// Number of actors with a nonzero entry.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
     /// Whether no actor has been observed.
     pub fn is_empty(&self) -> bool {
         self.0.is_empty()
-    }
-}
-
-impl fmt::Display for VClock {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{{")?;
-        for (i, (a, s)) in self.0.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "{a}:{s}")?;
-        }
-        write!(f, "}}")
     }
 }
 

@@ -4,13 +4,16 @@
 //! third-party CRDT (automerge), wrapping replicated components into
 //! `CRDT-Table`, `CRDT-Files` and `CRDT-JSON` structures exposing
 //! `initialize`, `getChanges` and `applyChanges` (§III-G). This crate is a
-//! from-scratch implementation of that substrate:
+//! from-scratch implementation of that substrate, in which all three are
+//! one type:
 //!
-//! - [`Doc`] — a nested JSON document CRDT, last-writer-wins maps with
-//!   atomic JSON leaves, exchanging [`Change`] batches — the `CRDT-JSON`;
-//! - [`CrdtTable`] — rows keyed by primary key, per-cell LWW merge — the
-//!   `CRDT-Table`;
-//! - [`CrdtFiles`] — whole-file LWW version entries — the `CRDT-Files`;
+//! - [`Doc`] — a replicated map of key → register, exchanging [`Change`]
+//!   batches. A register holds one whole [`Value`]: a row of typed
+//!   [`Cell`]s keyed by primary key (`CRDT-Table`, see [`table`]), a
+//!   file's bytes keyed by path (`CRDT-Files`, see [`files`]), or a
+//!   global's JSON keyed by name (`CRDT-JSON`). Concurrent puts of a key
+//!   resolve by op id; a delete removes only what it observed, so a
+//!   concurrent put survives it — for a table, row-level add-wins;
 //! - [`wire`] — the binary codec of the sync wire and of the save image:
 //!   every message's `wire_size` is the length of its own `encode`, which
 //!   is what the WAN-traffic experiments account for, and
@@ -28,33 +31,32 @@
 //! steady-state sync. The safe frontier is the pointwise minimum
 //! ([`VClock::meet`]) of peer ack clocks.
 //!
-//! Replicas that apply the same set of changes read identical JSON —
-//! strong eventual consistency — which the property tests in
-//! `tests/convergence.rs` exercise under random concurrent workloads and
-//! delivery orders.
+//! Replicas that apply the same set of changes read identical values
+//! (strong eventual consistency; `tests/convergence.rs`).
 //!
 //! ## Example
 //!
 //! ```
-//! use edgstr_crdt::{Doc, ActorId, path};
+//! use edgstr_crdt::{ActorId, Doc, Value};
 //! use serde_json::json;
 //!
 //! // cloud master and one edge replica
-//! let mut cloud = Doc::from_snapshot(ActorId(1), &json!({"hits": 0}));
-//! let mut edge = Doc::from_snapshot(ActorId(2), &json!({"hits": 0}));
+//! let hits = [("hits".to_string(), Value::Json(json!(0)))];
+//! let mut cloud = Doc::from_snapshot(ActorId(1), hits.clone());
+//! let mut edge = Doc::from_snapshot(ActorId(2), hits);
 //!
 //! // both update concurrently
-//! cloud.put(&path!["region"], json!("us-east")).unwrap();
-//! edge.put(&path!["hits"], json!(1)).unwrap();
+//! cloud.put("region", Value::Json(json!("us-east")));
+//! edge.put("hits", Value::Json(json!(1)));
 //!
 //! // background sync in both directions
 //! let to_edge = cloud.get_changes(edge.clock());
 //! let to_cloud = edge.get_changes(cloud.clock());
-//! edge.apply_changes(to_edge).unwrap();
-//! cloud.apply_changes(to_cloud).unwrap();
+//! edge.apply_changes(to_edge);
+//! cloud.apply_changes(to_cloud);
 //!
-//! assert_eq!(cloud.to_json(), edge.to_json());
-//! assert_eq!(cloud.get(&path!["hits"]), Some(json!(1)));
+//! assert!(cloud.entries().eq(edge.entries()));
+//! assert_eq!(cloud.get("hits"), Some(&Value::Json(json!(1))));
 //! ```
 
 pub mod change;
@@ -64,11 +66,10 @@ pub mod ids;
 pub mod table;
 pub mod wire;
 
-pub use change::{Change, ObjId, Op, OpValue};
-pub use doc::{CrdtError, Doc, KeyTouch, PathSeg, TouchedKeys, ValueRef, GENESIS_ACTOR};
-pub use files::CrdtFiles;
+pub use change::{Change, Op, Value};
+pub use doc::{CrdtError, Doc, GENESIS_ACTOR};
 pub use ids::{ActorId, OpId, VClock};
-pub use table::CrdtTable;
+pub use table::{Cell, Row};
 
 /// Stable content hash (FNV-1a) used to fingerprint file payloads.
 pub fn content_hash(data: &[u8]) -> u64 {

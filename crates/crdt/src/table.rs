@@ -1,366 +1,288 @@
 //! `CRDT-Table`: a replicated database table (§III-G.1).
 //!
-//! EdgStr wraps each replicated SQL table into a CRDT whose rows are keyed
-//! by primary key; concurrent cell updates resolve last-writer-wins, row
-//! inserts/deletes follow add-wins semantics. The runtime connects the SQL
-//! engine's write statements to [`CrdtTable::upsert_cells`] /
-//! [`CrdtTable::delete_row`], and reads what a remote change wrote back out
-//! cell by cell through [`CrdtTable::row`].
-//!
-//! A row is never built as a JSON object on the way in or out: the SQL
-//! engine hands over its cells and column names, the row change is built
-//! from them directly, and a materialised row is read from the row's map
-//! key by key. The change is still exactly the one `Doc::put` of the row as
-//! a JSON object would make.
+//! A table is a [`crate::Doc`] keyed by primary key whose registers hold
+//! [`Row`]s: the SQL engine hands over a written row's cells, and the row
+//! is put whole, as one op. Rows are the unit of merge — row-level
+//! add-wins: concurrent upserts of one key resolve by op id, the later
+//! writer's row winning whole, and a delete removes only the row versions
+//! it observed, so a concurrent upsert survives it. A materialised row is
+//! read back cell by cell, each cell the SQL value it was written as.
 
-use crate::change::Change;
-use crate::doc::{CrdtError, Doc, KeyTouch, PathSeg, ValueRef};
-use crate::ids::{ActorId, VClock};
-use crate::path;
-use serde_json::Value as Json;
-use std::sync::{Arc, LazyLock};
+use crate::doc::CrdtError;
+use crate::wire::{corrupt, put_bytes, put_str, put_varint, put_zigzag, Reader, Sink};
+use std::collections::HashSet;
+use std::sync::Arc;
 
-/// Where a table keeps its rows.
-static ROWS: LazyLock<[PathSeg; 1]> = LazyLock::new(|| [PathSeg::from("rows")]);
-
-/// A replicated table: rows keyed by primary key, cells merged LWW.
+/// One SQL cell, as the engine holds it: the kinds `edgstr-sql` has,
+/// without depending on it.
 #[derive(Debug, Clone)]
-pub struct CrdtTable {
-    doc: Doc,
-    name: String,
-    layout: RowLayout,
+pub enum Cell {
+    Null,
+    Int(i64),
+    Real(f64),
+    Text(String),
+    Blob(Vec<u8>),
 }
 
-/// The order a row's cells are written in, worked out once per SQL schema:
-/// the order a JSON object of the row keeps its columns in — by name, a
-/// name that repeats standing for its last column. Each name is interned,
-/// so every row map of the table shares one allocation per column.
-#[derive(Debug, Clone, Default)]
-struct RowLayout {
-    /// The column names the order was worked out for.
-    columns: Option<Arc<[String]>>,
-    /// Per key in order: the interned name and the column it takes.
-    order: Vec<(Arc<str>, usize)>,
-}
-
-impl RowLayout {
-    fn fit(&mut self, columns: &Arc<[String]>) {
-        if self
-            .columns
-            .as_ref()
-            .is_some_and(|c| Arc::ptr_eq(c, columns) || c == columns)
-        {
-            return;
+/// Cells are equal when they are the same kind and the same value, a
+/// `Real` compared by its bits: what is replicated is the bits.
+impl PartialEq for Cell {
+    fn eq(&self, other: &Cell) -> bool {
+        match (self, other) {
+            (Cell::Null, Cell::Null) => true,
+            (Cell::Int(a), Cell::Int(b)) => a == b,
+            (Cell::Real(a), Cell::Real(b)) => a.to_bits() == b.to_bits(),
+            (Cell::Text(a), Cell::Text(b)) => a == b,
+            (Cell::Blob(a), Cell::Blob(b)) => a == b,
+            _ => false,
         }
-        let mut order: Vec<(Arc<str>, usize)> = Vec::with_capacity(columns.len());
-        for (i, name) in columns.iter().enumerate() {
-            match order.iter_mut().find(|(key, _)| **key == **name) {
-                Some(taken) => taken.1 = i,
-                None => {
-                    let key = match self.order.iter().find(|(key, _)| **key == **name) {
-                        Some((key, _)) => Arc::clone(key),
-                        None => name.as_str().into(),
-                    };
-                    order.push((key, i));
-                }
+    }
+}
+
+/// A table row: its cells in column order, under the table's column
+/// names. Both halves are shared, so a row held by a change, a register
+/// and a peer's copy is one allocation each.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Row {
+    pub columns: Arc<[String]>,
+    pub cells: Arc<[Cell]>,
+}
+
+// ---- binary layout -------------------------------------------------------
+
+const CELL_NULL: u8 = 0;
+const CELL_INT: u8 = 1;
+const CELL_REAL: u8 = 2;
+const CELL_TEXT: u8 = 3;
+const CELL_BLOB: u8 = 4;
+
+impl Cell {
+    /// One tag byte, then the payload: a zig-zag varint, eight
+    /// little-endian bytes of the float's bits, or length-prefixed bytes.
+    pub(crate) fn write<S: Sink>(&self, out: &mut S) {
+        match self {
+            Cell::Null => out.put(&[CELL_NULL]),
+            Cell::Int(i) => {
+                out.put(&[CELL_INT]);
+                put_zigzag(out, *i);
+            }
+            Cell::Real(r) => {
+                out.put(&[CELL_REAL]);
+                out.put(&r.to_bits().to_le_bytes());
+            }
+            Cell::Text(s) => {
+                out.put(&[CELL_TEXT]);
+                put_str(out, s);
+            }
+            Cell::Blob(b) => {
+                out.put(&[CELL_BLOB]);
+                put_bytes(out, b);
             }
         }
-        order.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        *self = RowLayout {
-            columns: Some(Arc::clone(columns)),
-            order,
-        };
+    }
+
+    fn read(r: &mut Reader<'_>) -> Result<Cell, CrdtError> {
+        Ok(match r.byte()? {
+            CELL_NULL => Cell::Null,
+            CELL_INT => Cell::Int(r.zigzag()?),
+            CELL_REAL => {
+                let bits = r.take(8)?.try_into().expect("took eight bytes");
+                Cell::Real(f64::from_bits(u64::from_le_bytes(bits)))
+            }
+            CELL_TEXT => Cell::Text(r.str()?.to_string()),
+            CELL_BLOB => Cell::Blob(r.bytes()?.to_vec()),
+            _ => return Err(corrupt("unknown cell tag")),
+        })
     }
 }
 
-impl CrdtTable {
-    /// Create an empty replicated table.
-    ///
-    /// The `rows` container is created by the deterministic genesis actor,
-    /// so two replicas that each call `new` share the container identity
-    /// and concurrent row inserts union (rather than one replica's rows
-    /// being shadowed by a concurrently-created container).
-    pub fn new(actor: ActorId, name: impl Into<String>) -> Self {
-        Self::from_snapshot(actor, name, &[])
-    }
+/// The column lists the rows of one change or one image are written
+/// under, each once, in the order the rows first name them. A row refers
+/// to its list by position, so column names travel once per change.
+#[derive(Debug, Default)]
+pub(crate) struct KeyTable<'a>(Vec<&'a Arc<[String]>>);
 
-    /// Initialize from a snapshot of rows: `pk → row object`.
-    ///
-    /// Master and replicas initialized from the same snapshot share object
-    /// identities, so subsequent changes interleave cleanly.
-    pub fn from_snapshot(actor: ActorId, name: impl Into<String>, rows: &[(String, Json)]) -> Self {
-        let mut map = serde_json::Map::new();
-        for (pk, row) in rows {
-            map.insert(pk.clone(), row.clone());
+impl<'a> KeyTable<'a> {
+    /// The table of `rows`, in order.
+    pub(crate) fn of(rows: impl Iterator<Item = &'a Row>) -> KeyTable<'a> {
+        let mut table = KeyTable::default();
+        for row in rows {
+            if table.find(&row.columns).is_none() {
+                table.0.push(&row.columns);
+            }
         }
-        let snapshot = serde_json::json!({ "rows": Json::Object(map) });
-        CrdtTable {
-            doc: Doc::from_snapshot(actor, &snapshot),
-            name: name.into(),
-            layout: RowLayout::default(),
-        }
+        table
     }
 
-    /// The table name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The owning actor.
-    pub fn actor(&self) -> ActorId {
-        self.doc.actor()
-    }
-
-    /// This replica's change clock.
-    pub fn clock(&self) -> &VClock {
-        self.doc.clock()
-    }
-
-    /// Insert or overwrite the row at `pk` with a JSON object of its cells
-    /// (a row of one SQL table is written by [`CrdtTable::upsert_cells`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates document errors (should not occur for well-formed rows).
-    pub fn upsert_row(&mut self, pk: &str, row: &Json) -> Result<(), CrdtError> {
-        self.doc.put(&path!["rows", pk.to_string()], row.clone())
-    }
-
-    /// Insert or overwrite the row at `pk` from its SQL cells: `cells[i]`
-    /// is the cell of column `columns[i]`, and `mirror` the JSON scalar it
-    /// is kept as. The change is [`CrdtTable::upsert_row`]'s for the row as
-    /// a JSON object of `columns` and mirrored cells, op for op.
-    ///
-    /// # Errors
-    ///
-    /// Propagates document errors (should not occur for well-formed rows).
-    ///
-    /// # Panics
-    ///
-    /// If a column has no cell.
-    pub fn upsert_cells<C>(
-        &mut self,
-        pk: &str,
-        columns: &Arc<[String]>,
-        cells: &[C],
-        mirror: impl Fn(&C) -> Json,
-    ) -> Result<(), CrdtError> {
-        self.layout.fit(columns);
-        let entries = self
-            .layout
-            .order
+    fn find(&self, columns: &Arc<[String]>) -> Option<usize> {
+        self.0
             .iter()
-            .map(|(key, i)| (Arc::clone(key), mirror(&cells[*i])));
-        self.doc.put_map(&*ROWS, pk.into(), entries)
+            .position(|&c| Arc::ptr_eq(c, columns) || **c == **columns)
     }
 
-    /// Update a single cell of the row at `pk` (fine-grained merge unit).
-    ///
-    /// # Errors
-    ///
-    /// Propagates document errors.
-    pub fn update_cell(&mut self, pk: &str, column: &str, value: &Json) -> Result<(), CrdtError> {
-        self.doc.put(
-            &path!["rows", pk.to_string(), column.to_string()],
-            value.clone(),
-        )
-    }
-
-    /// Delete the row at `pk` (no-op when absent).
-    ///
-    /// # Errors
-    ///
-    /// Propagates document errors.
-    pub fn delete_row(&mut self, pk: &str) -> Result<(), CrdtError> {
-        let path = path!["rows", pk.to_string()];
-        if self.doc.contains(&path) {
-            self.doc.delete(&path)
-        } else {
-            Ok(())
+    /// A count of lists; per list a count of names, then the names.
+    pub(crate) fn write<S: Sink>(&self, out: &mut S) {
+        put_varint(out, self.0.len() as u64);
+        for columns in &self.0 {
+            put_varint(out, columns.len() as u64);
+            for name in columns.iter() {
+                put_str(out, name);
+            }
         }
     }
 
-    /// Read the row at `pk`.
-    pub fn get_row(&self, pk: &str) -> Option<Json> {
-        self.row(pk).map(|row| row.to_json().into_owned())
+    /// The row's list position, then its cells, as many as the list names.
+    pub(crate) fn write_row<S: Sink>(&self, out: &mut S, row: &Row) {
+        let at = self
+            .find(&row.columns)
+            .expect("the table holds every row's columns");
+        put_varint(out, at as u64);
+        for cell in row.cells.iter() {
+            cell.write(out);
+        }
+    }
+}
+
+/// A [`KeyTable`] being read: the lists, and how many of them the rows
+/// read so far have named. Only the table `KeyTable::of` builds is
+/// accepted — distinct lists, each named, in order of first use — so a
+/// decoded change or image encodes back to its bytes.
+#[derive(Debug)]
+pub(crate) struct KeysRead {
+    lists: Vec<Arc<[String]>>,
+    named: usize,
+}
+
+impl KeysRead {
+    pub(crate) fn read(r: &mut Reader<'_>) -> Result<KeysRead, CrdtError> {
+        // a list is its count at the least
+        let n = r.count(1)?;
+        let mut lists: Vec<Arc<[String]>> = Vec::with_capacity(n);
+        for _ in 0..n {
+            // a name is its length at the least
+            let names = r.count(1)?;
+            let mut list = Vec::with_capacity(names);
+            for _ in 0..names {
+                list.push(r.str()?.to_string());
+            }
+            lists.push(list.into());
+        }
+        let mut seen = HashSet::with_capacity(lists.len());
+        if !lists.iter().all(|list| seen.insert(&**list)) {
+            return Err(corrupt("a column list is written twice"));
+        }
+        Ok(KeysRead { lists, named: 0 })
     }
 
-    /// The row at `pk` where it is stored: [`CrdtTable::get_row`] without
-    /// building it, each cell read by [`ValueRef::get`].
-    pub fn row(&self, pk: &str) -> Option<ValueRef<'_>> {
-        self.doc.get_ref(&["rows", pk])
-    }
-
-    /// Every `(pk, row)` pair in primary-key order, where it is stored.
-    pub fn row_refs(&self) -> Vec<(&str, ValueRef<'_>)> {
-        let Some(rows) = self.doc.map_ref(&["rows"]) else {
-            return Vec::new();
+    pub(crate) fn read_row(&mut self, r: &mut Reader<'_>) -> Result<Row, CrdtError> {
+        let at = r.varint()?;
+        let columns = match usize::try_from(at) {
+            Ok(at) if at < self.named => &self.lists[at],
+            Ok(at) if at == self.named && at < self.lists.len() => {
+                self.named += 1;
+                &self.lists[at]
+            }
+            _ => return Err(corrupt("a row names a column list out of order")),
         };
-        let pks = rows.keys();
-        pks.into_iter()
-            .filter_map(|pk| Some((pk, rows.get(pk)?)))
-            .collect()
-    }
-
-    /// All `(pk, row)` pairs, ordered by primary key.
-    pub fn rows(&self) -> Vec<(String, Json)> {
-        self.row_refs()
-            .into_iter()
-            .map(|(pk, row)| (pk.to_string(), row.to_json().into_owned()))
-            .collect()
-    }
-
-    /// Number of live rows.
-    pub fn len(&self) -> usize {
-        self.doc.map_len(&path!["rows"])
-    }
-
-    /// Whether the table has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Changes this replica knows that `since` has not observed.
-    pub fn get_changes(&self, since: &VClock) -> Vec<Change> {
-        self.doc.get_changes(since)
-    }
-
-    /// Apply remote changes (see [`Doc::apply_changes`]); returns how many
-    /// were applied and which primary keys their ops touched, projected onto
-    /// the `rows` container (`whole` is set for anything that could not be
-    /// pinned to a single row).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CrdtError`] on malformed changes.
-    pub fn apply_changes(&mut self, changes: Vec<Change>) -> Result<(usize, KeyTouch), CrdtError> {
-        let (applied, touched) = self.doc.apply_changes(changes)?;
-        Ok((applied, touched.project("rows")))
-    }
-
-    /// Retained change-log length (see [`Doc::history_len`]).
-    pub fn history_len(&self) -> usize {
-        self.doc.history_len()
-    }
-
-    /// Fold acked history at or below `frontier` into the snapshot; returns
-    /// the number of changes dropped (see [`Doc::compact`]).
-    pub fn compact(&mut self, frontier: &VClock) -> usize {
-        self.doc.compact(frontier)
-    }
-
-    /// Serialize as snapshot + retained tail (see [`Doc::save`]).
-    pub fn save(&self) -> Vec<u8> {
-        self.doc.save()
-    }
-
-    /// Restore from [`CrdtTable::save`] bytes, owned by `actor`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CrdtError`] from [`Doc::load`].
-    pub fn load(actor: ActorId, name: impl Into<String>, bytes: &[u8]) -> Result<Self, CrdtError> {
-        Ok(CrdtTable {
-            doc: Doc::load(actor, bytes)?,
-            name: name.into(),
-            layout: RowLayout::default(),
+        // a cell is a tag at the least
+        if columns.len() > r.rest().len() {
+            return Err(corrupt("cells run past the input"));
+        }
+        let mut cells = Vec::with_capacity(columns.len());
+        for _ in 0..columns.len() {
+            cells.push(Cell::read(r)?);
+        }
+        Ok(Row {
+            columns: Arc::clone(columns),
+            cells: cells.into(),
         })
     }
 
-    /// Full table contents as JSON (`pk → row`).
-    pub fn to_json(&self) -> Json {
-        self.doc
-            .get(&path!["rows"])
-            .unwrap_or(Json::Object(Default::default()))
+    /// Every list was named by some row.
+    pub(crate) fn end(&self) -> Result<(), CrdtError> {
+        if self.named == self.lists.len() {
+            Ok(())
+        } else {
+            Err(corrupt("a column list no row names"))
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use serde_json::json;
+    use crate::{ActorId, Doc, Value};
 
-    #[test]
-    fn upsert_get_delete() {
-        let mut t = CrdtTable::new(ActorId(1), "books");
-        t.upsert_row("1", &json!({"title": "Dune", "stock": 3}))
-            .unwrap();
-        assert_eq!(t.get_row("1").unwrap()["title"], json!("Dune"));
-        assert_eq!(t.len(), 1);
-        t.delete_row("1").unwrap();
-        assert!(t.get_row("1").is_none());
-        assert!(t.is_empty());
+    fn row(cells: &[(&str, i64)]) -> Value {
+        Value::Row(crate::Row {
+            columns: cells.iter().map(|(c, _)| c.to_string()).collect(),
+            cells: cells.iter().map(|(_, v)| super::Cell::Int(*v)).collect(),
+        })
+    }
+
+    fn pull(dst: &mut Doc, src: &Doc) {
+        dst.apply_changes(src.get_changes(dst.clock()));
     }
 
     #[test]
-    fn concurrent_cell_updates_merge_per_column() {
-        let snap = vec![("1".to_string(), json!({"title": "Dune", "stock": 3}))];
-        let mut cloud = CrdtTable::from_snapshot(ActorId(1), "books", &snap);
-        let mut edge = CrdtTable::from_snapshot(ActorId(2), "books", &snap);
-        cloud
-            .update_cell("1", "title", &json!("Dune (2nd ed)"))
-            .unwrap();
-        edge.update_cell("1", "stock", &json!(2)).unwrap();
-        let cc = cloud.get_changes(edge.clock());
-        let ec = edge.get_changes(cloud.clock());
-        cloud.apply_changes(ec).unwrap();
-        edge.apply_changes(cc).unwrap();
-        assert_eq!(cloud.to_json(), edge.to_json());
-        let row = cloud.get_row("1").unwrap();
-        assert_eq!(row["title"], json!("Dune (2nd ed)"));
-        assert_eq!(row["stock"], json!(2));
+    fn upsert_get_delete() {
+        let mut t = Doc::new(ActorId(1));
+        t.put("1", row(&[("id", 1), ("stock", 3)]));
+        assert_eq!(t.get("1"), Some(&row(&[("id", 1), ("stock", 3)])));
+        assert_eq!(t.len(), 1);
+        t.delete("1");
+        assert!(t.get("1").is_none());
+        assert!(t.is_empty());
+    }
+
+    /// Rows are written whole: of two concurrent upserts of one row, the
+    /// one with the greater op id wins on every replica, every cell of it.
+    #[test]
+    fn concurrent_upserts_of_one_row_resolve_whole_rows() {
+        let snap = [("1".to_string(), row(&[("title", 1), ("stock", 3)]))];
+        let mut cloud = Doc::from_snapshot(ActorId(1), snap.clone());
+        let mut edge = Doc::from_snapshot(ActorId(2), snap);
+        cloud.put("1", row(&[("title", 2), ("stock", 3)]));
+        edge.put("1", row(&[("title", 1), ("stock", 2)]));
+        pull(&mut cloud, &edge);
+        pull(&mut edge, &cloud);
+        assert_eq!(cloud.get("1"), edge.get("1"));
+        // equal counters: actor 2 wins the tie, its whole row
+        assert_eq!(cloud.get("1"), Some(&row(&[("title", 1), ("stock", 2)])));
     }
 
     #[test]
     fn concurrent_inserts_of_different_rows_union() {
-        let mut a = CrdtTable::new(ActorId(1), "t");
-        let mut b = CrdtTable::new(ActorId(2), "t");
-        a.upsert_row("a1", &json!({"v": 1})).unwrap();
-        b.upsert_row("b1", &json!({"v": 2})).unwrap();
-        let ca = a.get_changes(b.clock());
-        let cb = b.get_changes(a.clock());
-        a.apply_changes(cb).unwrap();
-        b.apply_changes(ca).unwrap();
+        let mut a = Doc::new(ActorId(1));
+        let mut b = Doc::new(ActorId(2));
+        a.put("a1", row(&[("v", 1)]));
+        b.put("b1", row(&[("v", 2)]));
+        pull(&mut a, &b);
+        pull(&mut b, &a);
         assert_eq!(a.len(), 2);
-        assert_eq!(a.to_json(), b.to_json());
+        assert!(a.entries().eq(b.entries()));
     }
 
-    #[test]
-    fn delete_vs_concurrent_nested_update_delete_wins() {
-        // Automerge semantics: deleting a row tombstones the subtree; a
-        // concurrent update *inside* the subtree does not resurrect it.
-        let snap = vec![("1".to_string(), json!({"v": 1}))];
-        let mut a = CrdtTable::from_snapshot(ActorId(1), "t", &snap);
-        let mut b = CrdtTable::from_snapshot(ActorId(2), "t", &snap);
-        a.delete_row("1").unwrap();
-        b.update_cell("1", "v", &json!(2)).unwrap();
-        a.apply_changes(b.get_changes(a.clock())).unwrap();
-        b.apply_changes(a.get_changes(b.clock())).unwrap();
-        assert_eq!(a.to_json(), b.to_json());
-        assert!(a.get_row("1").is_none());
-    }
-
+    /// A delete removes only the row versions it observed: a concurrent
+    /// upsert survives it (add-wins at the row).
     #[test]
     fn delete_vs_concurrent_row_upsert_add_wins() {
-        // ...but a concurrent *key-level* re-assignment (row upsert)
-        // survives the delete: add-wins at the key level.
-        let snap = vec![("1".to_string(), json!({"v": 1}))];
-        let mut a = CrdtTable::from_snapshot(ActorId(1), "t", &snap);
-        let mut b = CrdtTable::from_snapshot(ActorId(2), "t", &snap);
-        a.delete_row("1").unwrap();
-        b.upsert_row("1", &json!({"v": 2})).unwrap();
-        a.apply_changes(b.get_changes(a.clock())).unwrap();
-        b.apply_changes(a.get_changes(b.clock())).unwrap();
-        assert_eq!(a.to_json(), b.to_json());
-        assert_eq!(a.get_row("1"), Some(json!({"v": 2})));
+        let snap = [("1".to_string(), row(&[("v", 1)]))];
+        let mut a = Doc::from_snapshot(ActorId(1), snap.clone());
+        let mut b = Doc::from_snapshot(ActorId(2), snap);
+        a.delete("1");
+        b.put("1", row(&[("v", 2)]));
+        pull(&mut a, &b);
+        pull(&mut b, &a);
+        assert!(a.entries().eq(b.entries()));
+        assert_eq!(a.get("1"), Some(&row(&[("v", 2)])));
     }
 
     #[test]
     fn rows_ordered_by_pk() {
-        let mut t = CrdtTable::new(ActorId(1), "t");
-        t.upsert_row("b", &json!({})).unwrap();
-        t.upsert_row("a", &json!({})).unwrap();
-        let pks: Vec<String> = t.rows().into_iter().map(|(pk, _)| pk).collect();
-        assert_eq!(pks, vec!["a", "b"]);
+        let mut t = Doc::new(ActorId(1));
+        t.put("b", row(&[]));
+        t.put("a", row(&[]));
+        let pks: Vec<&str> = t.entries().map(|(pk, _)| pk).collect();
+        assert_eq!(pks, ["a", "b"]);
     }
 }

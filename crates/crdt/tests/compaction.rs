@@ -5,7 +5,7 @@
 //! the min-ack frontier never folds away a change a live peer has not
 //! acknowledged — even when the network drops messages.
 
-use edgstr_crdt::{ActorId, Doc, PathSeg, VClock};
+use edgstr_crdt::{ActorId, Cell, Doc, Row, VClock, Value};
 use proptest::prelude::*;
 use serde_json::json;
 
@@ -19,8 +19,8 @@ enum Op {
     Delete {
         key: u8,
     },
-    /// `m<key>` = an object holding an array: a map and a leaf.
-    PutObject {
+    /// `m<key>` = a row of an integer and a blob.
+    PutRow {
         key: u8,
         value: i64,
     },
@@ -30,31 +30,39 @@ fn op() -> impl Strategy<Value = Op> {
     prop_oneof![
         (0u8..5, -1000i64..1000).prop_map(|(key, value)| Op::Put { key, value }),
         (0u8..5).prop_map(|key| Op::Delete { key }),
-        (0u8..3, -50i64..50).prop_map(|(key, value)| Op::PutObject { key, value }),
+        (0u8..3, -50i64..50).prop_map(|(key, value)| Op::PutRow { key, value }),
     ]
 }
 
+fn json(v: serde_json::Value) -> Value {
+    Value::Json(v)
+}
+
 fn apply_op(doc: &mut Doc, op: &Op) {
-    let path = |k: u8| vec![PathSeg::Key(format!("k{k}"))];
     match op {
-        Op::Put { key, value } => doc.put(&path(*key), json!(value)).unwrap(),
-        Op::Delete { key } => {
-            let _ = doc.delete(&path(*key));
+        Op::Put { key, value } => doc.put(&format!("k{key}"), json(json!(value))),
+        Op::Delete { key } => doc.delete(&format!("k{key}")),
+        Op::PutRow { key, value } => {
+            let row = Row {
+                columns: ["v".to_string(), "vs".to_string()].into(),
+                cells: [Cell::Int(*value), Cell::Blob(value.to_le_bytes().to_vec())].into(),
+            };
+            doc.put(&format!("m{key}"), Value::Row(row));
         }
-        Op::PutObject { key, value } => doc
-            .put(
-                &[PathSeg::Key(format!("m{key}"))],
-                json!({"v": value, "vs": [value, -value]}),
-            )
-            .unwrap(),
     }
+}
+
+fn state(doc: &Doc) -> Vec<(String, Value)> {
+    doc.entries()
+        .map(|(k, v)| (k.to_string(), v.clone()))
+        .collect()
 }
 
 /// `from` ships what `to` has not acknowledged. `acked` is `from`'s record
 /// of those acknowledgments: it advances to `to`'s clock once the delta is
 /// applied, and never on a message that was lost.
 fn ship(from: &Doc, acked: &mut VClock, to: &mut Doc) {
-    to.apply_changes(from.get_changes(acked)).unwrap();
+    to.apply_changes(from.get_changes(acked));
     acked.merge(to.clock());
 }
 
@@ -79,8 +87,8 @@ proptest! {
         tail_a in prop::collection::vec(op(), 0..6),
         tail_b in prop::collection::vec(op(), 0..6),
     ) {
-        let mut a = Doc::from_snapshot(ActorId(1), &json!({}));
-        let mut b = Doc::from_snapshot(ActorId(2), &json!({}));
+        let mut a = Doc::new(ActorId(1));
+        let mut b = Doc::new(ActorId(2));
         let mut av = VClock::new();
         let mut bv = VClock::new();
         for o in &warm_a {
@@ -102,7 +110,7 @@ proptest! {
         let frontier = av.clone();
         a.compact(&frontier);
 
-        prop_assert_eq!(a.to_json(), shadow.to_json());
+        prop_assert_eq!(state(&a), state(&shadow));
         prop_assert_eq!(a.clock(), shadow.clock());
         prop_assert_eq!(a.get_changes(&frontier), shadow.get_changes(&frontier));
         prop_assert_eq!(a.get_changes(b.clock()), shadow.get_changes(b.clock()));
@@ -125,9 +133,9 @@ proptest! {
             reliable_round(&mut a, &mut av, &mut b, &mut bv);
             reliable_round(&mut shadow, &mut av2, &mut b2, &mut bv2);
         }
-        prop_assert_eq!(a.to_json(), b.to_json());
-        prop_assert_eq!(a.to_json(), shadow.to_json());
-        prop_assert_eq!(b.to_json(), b2.to_json());
+        prop_assert_eq!(state(&a), state(&b));
+        prop_assert_eq!(state(&a), state(&shadow));
+        prop_assert_eq!(state(&b), state(&b2));
         prop_assert_eq!(a.clock(), shadow.clock());
     }
 
@@ -145,15 +153,15 @@ proptest! {
         tail_src in prop::collection::vec(op(), 0..6),
         tail_new in prop::collection::vec(op(), 0..6),
     ) {
-        let key = |k: &str| vec![PathSeg::Key(k.to_string())];
-        let elem = |i: usize| vec![PathSeg::Key("l".to_string()), PathSeg::Key(i.to_string())];
-        let mut a = Doc::from_snapshot(ActorId(1), &json!({}));
-        let mut b = Doc::from_snapshot(ActorId(2), &json!({}));
+        let mut a = Doc::new(ActorId(1));
+        let mut b = Doc::new(ActorId(2));
         let mut av = VClock::new();
         let mut bv = VClock::new();
-        // a map and a lone value beside the generated keys
-        a.put(&key("l"), json!({"0": "x", "1": "y", "2": "z"})).unwrap();
-        a.put(&key("n0"), json!([3])).unwrap();
+        // three more keys and a lone value beside the generated keys
+        for (k, v) in [("l0", "x"), ("l1", "y"), ("l2", "z")] {
+            a.put(k, json(json!(v)));
+        }
+        a.put("n0", json(json!([3])));
         for o in &warm {
             apply_op(&mut a, o);
         }
@@ -165,13 +173,13 @@ proptest! {
         for o in &unacked {
             apply_op(&mut a, o);
         }
-        a.delete(&elem(1)).unwrap();
-        a.put(&key("n0"), json!([5])).unwrap();
+        a.delete("l1");
+        a.put("n0", json(json!([5])));
         a.compact(&av);
 
         let image = a.save();
         let mut c = Doc::load(ActorId(3), &image).unwrap();
-        prop_assert_eq!(c.to_json(), a.to_json());
+        prop_assert_eq!(state(&c), state(&a));
         prop_assert_eq!(c.clock(), a.clock());
         prop_assert_eq!(c.snapshot_clock(), a.snapshot_clock());
         prop_assert_eq!(c.history_len(), a.history_len());
@@ -188,20 +196,21 @@ proptest! {
         // `n0` it saw (the later overwrite survives the delete: add-wins).
         // The original and the loaded copy must take them identically.
         let before = b.clock().clone();
-        b.put(&key("k0"), json!("from-b")).unwrap();
-        b.put(&elem(1), json!("Y")).unwrap();
-        b.delete(&elem(1)).unwrap();
-        b.delete(&key("n0")).unwrap();
+        b.put("k0", json(json!("from-b")));
+        b.put("l1", json(json!("Y")));
+        b.delete("l1");
+        b.delete("n0");
         let concurrent = b.get_changes(&before);
         prop_assert_eq!(concurrent.len(), 4);
-        let on_a = a.apply_changes(concurrent.clone()).unwrap();
-        let on_c = c.apply_changes(concurrent).unwrap();
+        let on_a = a.apply_changes(concurrent.clone());
+        let on_c = c.apply_changes(concurrent);
         prop_assert_eq!(on_a.0, 4);
         prop_assert_eq!(on_c, on_a);
-        prop_assert_eq!(c.to_json(), a.to_json());
+        prop_assert_eq!(state(&c), state(&a));
         prop_assert_eq!(c.clock(), a.clock());
-        prop_assert_eq!(a.get(&key("l")), Some(json!({"0": "x", "2": "z"})));
-        prop_assert_eq!(a.get(&key("n0")), Some(json!([5])));
+        prop_assert_eq!(a.get("l1"), None);
+        prop_assert_eq!(a.get("l2"), Some(&json(json!("z"))));
+        prop_assert_eq!(a.get("n0"), Some(&json(json!([5]))));
         prop_assert_eq!(c.get_changes(&since), a.get_changes(&since));
 
         // both endpoints start acknowledged up to the provisioning clock
@@ -217,7 +226,7 @@ proptest! {
         for _ in 0..2 {
             reliable_round(&mut a, &mut a_sees_c, &mut c, &mut c_sees_a);
         }
-        prop_assert_eq!(a.to_json(), c.to_json());
+        prop_assert_eq!(state(&a), state(&c));
         prop_assert_eq!(a.clock(), c.clock());
         // quiescent: provisioning left nothing below the image to re-send
         prop_assert!(a.get_changes(&a_sees_c).is_empty());
@@ -242,9 +251,9 @@ proptest! {
             1..10,
         ),
     ) {
-        let mut hub = Doc::from_snapshot(ActorId(1), &json!({}));
-        let mut b = Doc::from_snapshot(ActorId(2), &json!({}));
-        let mut c = Doc::from_snapshot(ActorId(3), &json!({}));
+        let mut hub = Doc::new(ActorId(1));
+        let mut b = Doc::new(ActorId(2));
+        let mut c = Doc::new(ActorId(3));
         let mut hub_b = VClock::new(); // what b has acknowledged to the hub
         let mut hub_c = VClock::new(); // what c has acknowledged to the hub
         let mut b_hub = VClock::new();
@@ -285,8 +294,8 @@ proptest! {
             reliable_round(&mut hub, &mut hub_b, &mut b, &mut b_hub);
             reliable_round(&mut hub, &mut hub_c, &mut c, &mut c_hub);
         }
-        prop_assert_eq!(hub.to_json(), b.to_json());
-        prop_assert_eq!(hub.to_json(), c.to_json());
+        prop_assert_eq!(state(&hub), state(&b));
+        prop_assert_eq!(state(&hub), state(&c));
         prop_assert_eq!(hub.clock(), b.clock());
         prop_assert_eq!(hub.clock(), c.clock());
         prop_assert_eq!(hub.pending_len(), 0);

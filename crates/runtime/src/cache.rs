@@ -67,8 +67,6 @@ pub enum UnitKey {
     TableEpoch(String),
     /// One row of one table, by canonical primary-key string.
     Row(String, String),
-    /// Bumped by file-structure changes not attributable to one path.
-    FilesEpoch,
     /// One file, by path.
     File(String),
     /// Bumped by global-doc changes not attributable to one name.
@@ -114,7 +112,6 @@ impl TableVersions {
 pub struct UnitVersions {
     tables: BTreeMap<String, TableVersions>,
     files: BTreeMap<String, u64>,
-    files_epoch: u64,
     globals: BTreeMap<String, u64>,
     globals_epoch: u64,
 }
@@ -138,7 +135,6 @@ impl UnitVersions {
             UnitKey::Columns(t, set) => table(t).map_or(0, |v| v.columns(*set)),
             UnitKey::TableEpoch(t) => table(t).map_or(0, |v| v.epoch),
             UnitKey::Row(t, pk) => table(t).and_then(|v| v.rows.get(pk)).copied().unwrap_or(0),
-            UnitKey::FilesEpoch => self.files_epoch,
             UnitKey::File(p) => self.files.get(p).copied().unwrap_or(0),
             UnitKey::GlobalsEpoch => self.globals_epoch,
             UnitKey::Global(g) => self.globals.get(g).copied().unwrap_or(0),
@@ -185,11 +181,6 @@ impl UnitVersions {
         bump(&mut self.files, path);
     }
 
-    /// The file structure changed unattributably.
-    pub fn touch_files_all(&mut self) {
-        self.files_epoch += 1;
-    }
-
     /// One global variable changed.
     pub fn touch_global(&mut self, name: &str) {
         bump(&mut self.globals, name);
@@ -234,10 +225,7 @@ pub fn resolve_reads(summary: &EffectSummary, request: &HttpRequest) -> Vec<Unit
                     None => keys.push(UnitKey::Columns(table.clone(), ColumnSet::ALL)),
                 }
             }
-            ReadUnit::File(p) => {
-                keys.push(UnitKey::File(p.clone()));
-                keys.push(UnitKey::FilesEpoch);
-            }
+            ReadUnit::File(p) => keys.push(UnitKey::File(p.clone())),
             ReadUnit::Global(g) => {
                 keys.push(UnitKey::Global(g.clone()));
                 keys.push(UnitKey::GlobalsEpoch);

@@ -11,13 +11,12 @@ use crate::cache::UnitVersions;
 use edgstr_analysis::{HandleOutcome, InitState, ServerProcess};
 use edgstr_core::CrdtBindings;
 use edgstr_crdt::wire::{put_bytes, put_changes, put_str, put_varint, Count, Reader, Sink};
-use edgstr_crdt::{
-    ActorId, Change, CrdtError, CrdtFiles, CrdtTable, Doc, PathSeg, VClock, ValueRef,
-};
+use edgstr_crdt::{ActorId, Cell, Change, CrdtError, Doc, Row, VClock, Value};
 use edgstr_sql::columns::ColumnSet;
 use edgstr_sql::{ColumnMeta, RowEffect, SqlDb, SqlError, SqlValue};
 use serde_json::Value as Json;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Clock summary across all structures of a [`CrdtSet`].
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -125,12 +124,14 @@ impl SetChanges {
     }
 }
 
-/// The CRDT structures of one replica.
+/// The CRDT structures of one replica: per bound table a [`Doc`] of rows
+/// keyed by primary key, one of bound files keyed by path, and one of
+/// bound globals keyed by name.
 #[derive(Debug)]
 pub struct CrdtSet {
     pub bindings: CrdtBindings,
-    pub tables: BTreeMap<String, CrdtTable>,
-    pub files: CrdtFiles,
+    pub tables: BTreeMap<String, Doc>,
+    pub files: Doc,
     pub globals: Doc,
     /// Per-state-unit version counters, bumped on every local mutation and
     /// every applied remote change — the response cache's validity signal.
@@ -142,41 +143,36 @@ impl CrdtSet {
     /// paper's step 1: "initialize both the master and the replicas with
     /// the same snapshot of the cloud-based service".
     pub fn initialize(actor: ActorId, bindings: &CrdtBindings, init: &InitState) -> CrdtSet {
-        let db_json = init.db_json();
         let mut tables = BTreeMap::new();
         for t in &bindings.tables {
-            let rows: Vec<(String, Json)> = db_json
-                .get(t)
-                .and_then(Json::as_object)
-                .map(|m| {
-                    m.iter()
-                        .map(|(pk, row)| (pk.clone(), row.clone()))
-                        .collect()
+            let rows = init.db.table(t).into_iter().flat_map(|table| {
+                let columns = table.column_names();
+                table.rows.iter().enumerate().map(|(i, cells)| {
+                    let row = Row {
+                        columns: Arc::clone(columns),
+                        cells: cells.iter().map(cell).collect(),
+                    };
+                    (table.row_pk(cells, i), Value::Row(row))
                 })
-                .unwrap_or_default();
-            tables.insert(t.clone(), CrdtTable::from_snapshot(actor, t.clone(), &rows));
+            });
+            tables.insert(t.clone(), Doc::from_snapshot(actor, rows));
         }
-        let file_entries: Vec<(String, Vec<u8>)> = init
+        let files = init
             .fs
             .entries()
             .into_iter()
             .filter(|(p, _)| bindings.files.contains(p))
-            .collect();
-        let files = CrdtFiles::from_snapshot(actor, &file_entries);
+            .map(|(p, data)| (p, Value::File(data.into())));
         let globals_json = init.globals_json();
-        let mut gmap = serde_json::Map::new();
-        for g in &bindings.globals {
-            gmap.insert(
-                g.clone(),
-                globals_json.get(g).cloned().unwrap_or(Json::Null),
-            );
-        }
-        let globals = Doc::from_snapshot(actor, &Json::Object(gmap));
+        let globals = bindings.globals.iter().map(|g| {
+            let value = globals_json.get(g).cloned().unwrap_or(Json::Null);
+            (g.clone(), Value::Json(value))
+        });
         CrdtSet {
             bindings: bindings.clone(),
             tables,
-            files,
-            globals,
+            files: Doc::from_snapshot(actor, files),
+            globals: Doc::from_snapshot(actor, globals),
             versions: UnitVersions::default(),
         }
     }
@@ -201,8 +197,8 @@ impl CrdtSet {
 
     /// Absorb the local state changes of one request — the generated
     /// CRDT wiring: SQL row effects feed `CRDT-Table` (a row goes over as
-    /// its cells, never as a JSON object), file writes feed `CRDT-Files`,
-    /// and bound globals are re-read from the server into `CRDT-JSON`.
+    /// its typed cells, put whole), file writes feed `CRDT-Files`, and
+    /// bound globals are re-read from the server into `CRDT-JSON`.
     pub fn absorb_outcome(&mut self, outcome: &HandleOutcome, server: &ServerProcess) {
         let CrdtSet {
             bindings,
@@ -224,14 +220,17 @@ impl CrdtSet {
                 } => {
                     versions.touch_row(table, pk, *changed);
                     if let Some(t) = tables.get_mut(table) {
-                        t.upsert_cells(pk, columns, cells, SqlValue::to_json)
-                            .expect("table CRDT upsert");
+                        let row = Row {
+                            columns: Arc::clone(columns),
+                            cells: cells.iter().map(cell).collect(),
+                        };
+                        t.put(pk, Value::Row(row));
                     }
                 }
                 RowEffect::Delete { table, pk } => {
                     versions.touch_row(table, pk, None);
                     if let Some(t) = tables.get_mut(table) {
-                        t.delete_row(pk).expect("table CRDT delete");
+                        t.delete(pk);
                     }
                 }
             }
@@ -239,18 +238,15 @@ impl CrdtSet {
         for (path, data) in &outcome.file_writes {
             versions.touch_file(path);
             if bindings.files.contains(path) {
-                files.put_file(path, data).expect("file CRDT put");
+                files.put(path, Value::File(data.as_slice().into()));
             }
         }
         // bound globals: re-read and update when changed
         for g in &bindings.globals {
             if let Some(current) = server.global_json(g) {
-                let held = globals.get_ref(&[g]).map(|v| v.to_json());
-                if held.as_deref() != Some(&current) {
+                if globals.get(g).and_then(Value::as_json) != Some(&current) {
                     versions.touch_global(g);
-                    globals
-                        .put(&[PathSeg::Key(g.clone())], current)
-                        .expect("global CRDT put");
+                    globals.put(g, Value::Json(current));
                 }
             }
         }
@@ -285,49 +281,34 @@ impl CrdtSet {
         let mut applied = 0;
         for (name, cs) in changes.tables {
             if let Some(t) = self.tables.get_mut(&name) {
-                let (n, touch) = t.apply_changes(cs).expect("table CRDT apply");
+                let (n, keys) = t.apply_changes(cs);
                 applied += n;
                 // materialize what the delta touched into the SQL engine,
                 // bumping what the materialised rows changed there
                 let versions = &mut self.versions;
-                let keys = touch.keys.iter().map(|pk| &**pk);
-                let by_row = !touch.whole
-                    && materialize_rows(t, keys, &mut server.db, |pk, changed| {
-                        versions.touch_row(&name, pk, changed);
-                    });
+                let keys = keys.iter().map(|pk| &**pk);
+                let by_row = materialize_rows(&name, t, keys, &mut server.db, |pk, changed| {
+                    versions.touch_row(&name, pk, changed);
+                });
                 if !by_row {
                     versions.touch_table(&name);
-                    materialize_table(t, &mut server.db);
+                    materialize_table(&name, t, &mut server.db);
                 }
             }
         }
         if !changes.files.is_empty() {
-            let (n, touch) = self
-                .files
-                .apply_changes(changes.files)
-                .expect("files CRDT apply");
+            let (n, keys) = self.files.apply_changes(changes.files);
             applied += n;
-            if touch.whole {
-                self.versions.touch_files_all();
-            } else {
-                for path in &touch.keys {
-                    self.versions.touch_file(path);
-                }
+            for path in &keys {
+                self.versions.touch_file(path);
             }
             self.materialize_files(server);
         }
         if !changes.globals.is_empty() {
-            let (n, touched) = self
-                .globals
-                .apply_changes(changes.globals)
-                .expect("globals CRDT apply");
+            let (n, keys) = self.globals.apply_changes(changes.globals);
             applied += n;
-            if touched.unresolved {
-                self.versions.touch_globals_all();
-            } else {
-                for (first, _) in &touched.keys {
-                    self.versions.touch_global(first);
-                }
+            for g in &keys {
+                self.versions.touch_global(g);
             }
             self.materialize_globals(server);
         }
@@ -338,8 +319,8 @@ impl CrdtSet {
     /// restarted replica is provisioned from a [`CrdtSet::save`] payload
     /// rather than by replaying changes.
     pub fn materialize_all(&self, server: &mut ServerProcess) {
-        for t in self.tables.values() {
-            materialize_table(t, &mut server.db);
+        for (name, t) in &self.tables {
+            materialize_table(name, t, &mut server.db);
         }
         self.materialize_files(server);
         self.materialize_globals(server);
@@ -357,18 +338,18 @@ impl CrdtSet {
             let (RowEffect::Upsert { table, pk, .. } | RowEffect::Delete { table, pk }) = &effect;
             if let Some(t) = self.tables.get(table) {
                 // the rows go back to what the versions already describe
-                if !materialize_rows(t, [pk.as_str()], &mut server.db, |_, _| {}) {
-                    materialize_table(t, &mut server.db);
+                if !materialize_rows(table, t, [pk.as_str()], &mut server.db, |_, _| {}) {
+                    materialize_table(table, t, &mut server.db);
                 }
             }
         }
     }
 
     fn materialize_files(&self, server: &mut ServerProcess) {
-        for path in self.files.list() {
-            if let Some(data) = self.files.get_file(&path) {
-                if server.fs.peek(&path) != Some(data.as_slice()) {
-                    server.fs.write(path, data);
+        for (path, value) in self.files.entries() {
+            if let Some(data) = value.as_file() {
+                if server.fs.peek(path) != Some(data) {
+                    server.fs.write(path.to_string(), data.to_vec());
                 }
             }
         }
@@ -376,8 +357,8 @@ impl CrdtSet {
 
     fn materialize_globals(&self, server: &mut ServerProcess) {
         for g in &self.bindings.globals {
-            if let Some(v) = self.globals.get_ref(&[g]) {
-                server.set_global_json(g, &v.to_json());
+            if let Some(v) = self.globals.get(g).and_then(Value::as_json) {
+                server.set_global_json(g, v);
             }
         }
     }
@@ -386,10 +367,7 @@ impl CrdtSet {
     /// resident history the sync daemon keeps bounded via
     /// [`CrdtSet::compact`].
     pub fn history_len(&self) -> usize {
-        self.tables
-            .values()
-            .map(CrdtTable::history_len)
-            .sum::<usize>()
+        self.tables.values().map(Doc::history_len).sum::<usize>()
             + self.files.history_len()
             + self.globals.history_len()
     }
@@ -439,7 +417,7 @@ impl CrdtSet {
         bytes: &[u8],
     ) -> Result<CrdtSet, CrdtError> {
         let mut r = Reader::new(bytes);
-        let mut tables: BTreeMap<String, CrdtTable> = BTreeMap::new();
+        let mut tables: BTreeMap<String, Doc> = BTreeMap::new();
         // a name length and an image length at the least
         for _ in 0..r.count(2)? {
             let name = r.str()?;
@@ -451,9 +429,9 @@ impl CrdtSet {
                     "table names are not ascending".to_string(),
                 ));
             }
-            tables.insert(name.to_string(), CrdtTable::load(actor, name, r.bytes()?)?);
+            tables.insert(name.to_string(), Doc::load(actor, r.bytes()?)?);
         }
-        let files = CrdtFiles::load(actor, r.bytes()?)?;
+        let files = Doc::load(actor, r.bytes()?)?;
         let globals = Doc::load(actor, r.bytes()?)?;
         r.end()?;
         Ok(CrdtSet {
@@ -466,56 +444,96 @@ impl CrdtSet {
     }
 }
 
-/// The SQL row a CRDT row reads as: per column, the cell under its name
-/// converted by [`SqlValue::from_json`], `NULL` where there is none (and
-/// everywhere when the row is not a map).
-fn sql_row(columns: &[ColumnMeta], row: &ValueRef<'_>) -> Vec<SqlValue> {
+/// The cell a SQL value is replicated as.
+fn cell(v: &SqlValue) -> Cell {
+    match v {
+        SqlValue::Null => Cell::Null,
+        SqlValue::Int(i) => Cell::Int(*i),
+        SqlValue::Real(r) => Cell::Real(*r),
+        SqlValue::Text(s) => Cell::Text(s.clone()),
+        SqlValue::Blob(b) => Cell::Blob(b.clone()),
+    }
+}
+
+/// The SQL value a replicated cell reads as.
+fn sql_value(c: &Cell) -> SqlValue {
+    match c {
+        Cell::Null => SqlValue::Null,
+        Cell::Int(i) => SqlValue::Int(*i),
+        Cell::Real(r) => SqlValue::Real(*r),
+        Cell::Text(s) => SqlValue::Text(s.clone()),
+        Cell::Blob(b) => SqlValue::Blob(b.clone()),
+    }
+}
+
+/// The SQL row a CRDT row reads as: its cells in order when it was
+/// written under the table's columns, else per column the cell under its
+/// name (the last, for a name written twice) or `NULL` where there is
+/// none, and `NULL`s when the value is not a row.
+fn sql_row(columns: &[ColumnMeta], value: &Value) -> Vec<SqlValue> {
+    let Some(row) = value.as_row() else {
+        return vec![SqlValue::Null; columns.len()];
+    };
+    if row.columns.iter().eq(columns.iter().map(|c| &c.name)) {
+        return row.cells.iter().map(sql_value).collect();
+    }
     columns
         .iter()
         .map(|c| {
-            row.get(&c.name)
-                .map_or(SqlValue::Null, |cell| SqlValue::from_json(&cell.to_json()))
+            let at = row.columns.iter().rposition(|name| *name == c.name);
+            at.map_or(SqlValue::Null, |i| sql_value(&row.cells[i]))
         })
         .collect()
 }
 
-/// Rebuild the whole SQL table from `t` — for provisioning, for a delta
-/// that could not be pinned to rows, and for a table with no primary key
-/// to address a row by.
-fn materialize_table(t: &CrdtTable, db: &mut SqlDb) {
-    let Some(table) = db.table(t.name()) else {
+/// A table's rows as JSON, `pk → {column: value}`: the text whose length
+/// is the table's state footprint to the placement controller.
+pub(crate) fn table_json(t: &Doc) -> Json {
+    let rows = t.entries().filter_map(|(pk, value)| {
+        let row = value.as_row()?;
+        let cells = row.columns.iter().zip(row.cells.iter());
+        let cells = cells.map(|(name, c)| (name.clone(), sql_value(c).to_json()));
+        Some((pk.to_string(), Json::Object(cells.collect())))
+    });
+    Json::Object(rows.collect())
+}
+
+/// Rebuild the SQL table `name` whole from `t` — for provisioning, and for
+/// a table with no primary key to address a row by.
+fn materialize_table(name: &str, t: &Doc, db: &mut SqlDb) {
+    let Some(table) = db.table(name) else {
         return;
     };
     let rows = t
-        .row_refs()
-        .iter()
+        .entries()
         .map(|(_, row)| sql_row(&table.columns, row))
         .collect();
-    let _ = db.replace_table_rows(t.name(), rows);
+    let _ = db.replace_table_rows(name, rows);
 }
 
-/// Make the SQL rows at `keys` read what `t` reads there: written where
-/// the CRDT has the row, deleted where it does not. Every other row is
-/// left alone, which is sound because it already equals its CRDT row.
-/// `changed` hears of each row that changed, as a [`RowEffect::Upsert`]
-/// reports it (`None`: the row arrived or left). Returns `false`, having
-/// written nothing, for a table without a primary key to address a row by:
-/// the caller rebuilds it whole.
+/// Make the rows of SQL table `name` at `keys` read what `t` reads there:
+/// written where the CRDT has the row, deleted where it does not. Every
+/// other row is left alone, which is sound because it already equals its
+/// CRDT row. `changed` hears of each row that changed, as a
+/// [`RowEffect::Upsert`] reports it (`None`: the row arrived or left).
+/// Returns `false`, having written nothing, for a table without a primary
+/// key to address a row by: the caller rebuilds it whole.
 fn materialize_rows<'k>(
-    t: &CrdtTable,
+    name: &str,
+    t: &Doc,
     keys: impl IntoIterator<Item = &'k str>,
     db: &mut SqlDb,
     mut changed: impl FnMut(&str, Option<ColumnSet>),
 ) -> bool {
     for pk in keys {
-        let written = match (t.row(pk), db.table(t.name())) {
+        let written = match (t.get(pk), db.table(name)) {
             (Some(row), Some(table)) => {
-                let row = sql_row(&table.columns, &row);
-                db.upsert_row(t.name(), row).map(Some)
+                let row = sql_row(&table.columns, row);
+                db.upsert_row(name, row).map(Some)
             }
             (Some(_), None) => return true,
             (None, _) => db
-                .delete_row_by_pk(t.name(), pk)
+                .delete_row_by_pk(name, pk)
                 .map(|gone| gone.then_some(None)),
         };
         match written {
@@ -729,10 +747,7 @@ mod tests {
             .unwrap();
         assert_eq!(got.response.body[0]["v"], json!(42));
         // and the bound global converged
-        assert_eq!(
-            cloud_set.globals.get(&[PathSeg::Key("hits".into())]),
-            Some(json!(1))
-        );
+        assert_eq!(cloud_set.globals.get("hits"), Some(&Value::Json(json!(1))));
     }
 
     #[test]
@@ -768,8 +783,8 @@ mod tests {
             c2e.receive_owned(&mut cloud_set, &mut cloud, d2);
         }
         assert_eq!(
-            cloud_set.tables["kv"].to_json(),
-            edge_set.tables["kv"].to_json()
+            cloud_set.tables["kv"].entries().collect::<Vec<_>>(),
+            edge_set.tables["kv"].entries().collect::<Vec<_>>()
         );
         assert_eq!(cloud_set.tables["kv"].len(), 3); // seed + 2 concurrent
                                                      // both servers answer queries about both rows
@@ -863,7 +878,7 @@ mod tests {
         let init = init_state();
         let (mut cloud, mut cloud_set) = make_node(1, &init);
         let (mut edge, mut edge_set) = make_node(2, &init);
-        assert!(!edge_set.tables["kv"].is_empty() && !edge_set.files.list().is_empty());
+        assert!(!edge_set.tables["kv"].is_empty() && !edge_set.files.is_empty());
         assert_eq!(edge_set.history_len(), 0, "genesis is folded at birth");
         assert!(edge_set.get_changes(&SetClock::default()).is_empty());
         let mut e2c = SyncEndpoint::new();
@@ -887,24 +902,31 @@ mod tests {
         assert_eq!(up.changes.len(), 3, "row, file and global");
         c2e.receive_owned(&mut cloud_set, &mut cloud, up);
         assert_eq!(
-            cloud_set.tables["kv"].to_json(),
-            edge_set.tables["kv"].to_json()
+            cloud_set.tables["kv"].entries().collect::<Vec<_>>(),
+            edge_set.tables["kv"].entries().collect::<Vec<_>>()
         );
 
         let fresh = CrdtSet::initialize(ActorId(3), &bindings(), &init);
         let loaded = CrdtSet::load(ActorId(3), &bindings(), &fresh.save()).unwrap();
         assert_eq!(loaded.clock(), fresh.clock());
         assert_eq!(loaded.history_len(), 0);
-        assert_eq!(loaded.tables["kv"].to_json(), fresh.tables["kv"].to_json());
+        assert_eq!(
+            loaded.tables["kv"].entries().collect::<Vec<_>>(),
+            fresh.tables["kv"].entries().collect::<Vec<_>>()
+        );
         assert!(loaded.get_changes(&SetClock::default()).is_empty());
     }
 
     /// `wire_size` is the length of `encode`, whatever the message holds.
     #[test]
     fn a_set_message_is_as_long_as_its_encoding() {
-        let change = |table: &str, pk: &str| {
-            let mut t = CrdtTable::new(ActorId(4), table);
-            t.upsert_row(pk, &json!({"k": pk, "v": 1})).unwrap();
+        let change = |pk: &str| {
+            let mut t = Doc::new(ActorId(4));
+            let row = Row {
+                columns: ["k".to_string(), "v".to_string()].into(),
+                cells: [Cell::Text(pk.to_string()), Cell::Int(1)].into(),
+            };
+            t.put(pk, Value::Row(row));
             t.get_changes(&VClock::new())
         };
         let clock = |pairs: &[(u64, u64)]| {
@@ -932,9 +954,9 @@ mod tests {
                 changes: SetChanges {
                     tables: tables
                         .iter()
-                        .map(|t| (t.to_string(), change(t, "a")))
+                        .map(|t| (t.to_string(), change("a")))
                         .collect(),
-                    files: change("files", "f"),
+                    files: change("f"),
                     globals: vec![],
                 },
             };
@@ -1003,8 +1025,8 @@ mod tests {
         let down = c2e.generate(&cloud_set);
         e2c.receive_owned(&mut edge_set, &mut edge, down);
         assert_eq!(
-            cloud_set.tables["kv"].to_json(),
-            edge_set.tables["kv"].to_json()
+            cloud_set.tables["kv"].entries().collect::<Vec<_>>(),
+            edge_set.tables["kv"].entries().collect::<Vec<_>>()
         );
     }
 
@@ -1035,8 +1057,8 @@ mod tests {
         let restored = CrdtSet::load(ActorId(9), &bindings(), &bytes).unwrap();
         restored.materialize_all(&mut fresh);
         assert_eq!(
-            restored.tables["kv"].to_json(),
-            cloud_set.tables["kv"].to_json()
+            restored.tables["kv"].entries().collect::<Vec<_>>(),
+            cloud_set.tables["kv"].entries().collect::<Vec<_>>()
         );
         assert_eq!(fresh.fs.peek("/latest.txt"), Some(&b"k4"[..]));
         // the restored replica answers queries from its materialized DB
@@ -1067,8 +1089,8 @@ mod tests {
         assert_eq!(up.changes.len(), 3, "only the new delta travels");
         c2r.receive_owned(&mut cloud_set, &mut cloud, up);
         assert_eq!(
-            cloud_set.tables["kv"].to_json(),
-            restored.tables["kv"].to_json()
+            cloud_set.tables["kv"].entries().collect::<Vec<_>>(),
+            restored.tables["kv"].entries().collect::<Vec<_>>()
         );
     }
 
@@ -1174,8 +1196,8 @@ mod tests {
         assert_eq!(restored.clock(), cloud_set.clock());
         assert_eq!(replicated(&fresh), replicated(&cloud));
         assert_eq!(
-            restored.tables["kv"].to_json(),
-            cloud_set.tables["kv"].to_json()
+            restored.tables["kv"].entries().collect::<Vec<_>>(),
+            cloud_set.tables["kv"].entries().collect::<Vec<_>>()
         );
     }
 }
@@ -1249,8 +1271,8 @@ mod partition_tests {
 
         assert_eq!(cloud_set.tables["log"].len(), 30);
         assert_eq!(
-            cloud_set.tables["log"].to_json(),
-            edge_set.tables["log"].to_json()
+            cloud_set.tables["log"].entries().collect::<Vec<_>>(),
+            edge_set.tables["log"].entries().collect::<Vec<_>>()
         );
         // both SQL databases materialized the merged rows
         for srv in [&mut cloud, &mut edge] {
@@ -1388,8 +1410,8 @@ mod partition_tests {
         }
         assert_eq!(cloud_set.tables["log"].len(), 0, "cloud never sees the row");
         assert_ne!(
-            cloud_set.tables["log"].to_json(),
-            edge_set.tables["log"].to_json(),
+            cloud_set.tables["log"].entries().collect::<Vec<_>>(),
+            edge_set.tables["log"].entries().collect::<Vec<_>>(),
             "replicas stay diverged under optimistic advancement"
         );
     }
@@ -1474,10 +1496,7 @@ mod array_global_tests {
         fn all_hold(&self, g: &str, want: &Json) {
             for (i, (server, set)) in self.nodes.iter().enumerate() {
                 assert_eq!(server.global_json(g).as_ref(), Some(want), "node {i}");
-                assert_eq!(
-                    set.globals.get(&[PathSeg::Key(g.into())]).as_ref(),
-                    Some(want)
-                );
+                assert_eq!(set.globals.get(g).and_then(Value::as_json), Some(want));
             }
         }
     }
@@ -1494,7 +1513,7 @@ mod array_global_tests {
         star.sync();
         star.all_hold("tags", &tags);
         star.all_hold("cfg", &cfg);
-        // an array global is one `Set` of one leaf; an object one map
+        // every global, an array or an object, is one `Put` of its JSON
         let ops = |n: usize| {
             let changes = star.nodes[n].1.globals.get_changes(&VClock::new());
             changes
@@ -1504,7 +1523,7 @@ mod array_global_tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(ops(1), [1], "tags");
-        assert_eq!(ops(2), [4], "cfg: a map, two entries, the link");
+        assert_eq!(ops(2), [1], "cfg");
     }
 
     #[test]

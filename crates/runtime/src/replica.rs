@@ -589,7 +589,7 @@ pub(crate) mod tests {
             assert!(serve(&mut core, &note(77, "boom"), &noting).is_err());
             let stray = "SELECT id FROM notes WHERE id = 77";
             assert!(core.server.db.exec(stray).unwrap().rows_json().is_empty());
-            assert!(core.crdts.tables["notes"].get_row("77").is_none());
+            assert!(core.crdts.tables["notes"].get("77").is_none());
             assert_eq!(core.crdts.clock(), clock, "no change to ship");
             assert_eq!(core.cache.len(), cached);
             let after = serve(&mut core, &count, &counts).unwrap();
@@ -599,7 +599,7 @@ pub(crate) mod tests {
             // the key is free again, and the write is absorbed this time
             let again = serve(&mut core, &note(77, "fine"), &noting).unwrap();
             assert!(again.effects && !again.hit);
-            assert!(core.crdts.tables["notes"].get_row("77").is_some());
+            assert!(core.crdts.tables["notes"].get("77").is_some());
             assert!(!serve(&mut core, &count, &counts).unwrap().hit);
         }
     }
@@ -757,8 +757,8 @@ pub(crate) mod tests {
             serve(c, &note(1, "a"), &noting).unwrap();
         }
         assert_eq!(
-            faulty.crdts.tables["notes"].to_json(),
-            healthy.crdts.tables["notes"].to_json()
+            faulty.crdts.tables["notes"].entries().collect::<Vec<_>>(),
+            healthy.crdts.tables["notes"].entries().collect::<Vec<_>>()
         );
         let intact = serve(&mut healthy, &count, &counts).unwrap().response;
         let corrupt = serve(&mut faulty, &count, &counts).unwrap().response;

@@ -1196,9 +1196,14 @@ mod tests {
             .sync_until_converged(stats.makespan, 50)
             .expect("cluster must converge within 50 rounds at 20% loss");
         assert!(rounds <= 50);
-        let cloud_rows = sys.cloud.crdts.tables["notes"].to_json();
+        let cloud_rows = sys.cloud.crdts.tables["notes"]
+            .entries()
+            .collect::<Vec<_>>();
         for e in &sys.edges {
-            assert_eq!(e.core.crdts.tables["notes"].to_json(), cloud_rows);
+            assert_eq!(
+                e.core.crdts.tables["notes"].entries().collect::<Vec<_>>(),
+                cloud_rows
+            );
         }
         assert!(sys.cloud.crdts.tables["notes"].len() >= 30);
     }
@@ -1396,8 +1401,12 @@ mod tests {
             .expect("restarted replica must converge");
         assert!(rounds <= 10);
         assert_eq!(
-            sys.edges[0].core.crdts.tables["notes"].to_json(),
-            sys.cloud.crdts.tables["notes"].to_json()
+            sys.edges[0].core.crdts.tables["notes"]
+                .entries()
+                .collect::<Vec<_>>(),
+            sys.cloud.crdts.tables["notes"]
+                .entries()
+                .collect::<Vec<_>>()
         );
         assert!(sys.edges[0].core.crdts.tables["notes"].len() >= 30);
     }
@@ -1560,9 +1569,14 @@ mod tests {
             .sync_until_converged(stats.makespan, 20)
             .expect("cluster must reconverge after the scheduled restart");
         assert!(rounds <= 20);
-        let cloud_rows = sys.cloud.crdts.tables["notes"].to_json();
+        let cloud_rows = sys.cloud.crdts.tables["notes"]
+            .entries()
+            .collect::<Vec<_>>();
         for e in &sys.edges {
-            assert_eq!(e.core.crdts.tables["notes"].to_json(), cloud_rows);
+            assert_eq!(
+                e.core.crdts.tables["notes"].entries().collect::<Vec<_>>(),
+                cloud_rows
+            );
         }
         // edge0's unsynced pre-crash writes died with the process; nothing
         // may be applied twice (every surviving id appears exactly once —

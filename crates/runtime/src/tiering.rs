@@ -26,10 +26,11 @@
 //! via [`PlacementMode::Scripted`] flips at identical virtual times and
 //! reproduces bit-identical response digests.
 
-use crate::crdtset::{CrdtSet, SetChanges, SetClock};
+use crate::crdtset::{table_json, CrdtSet, SetChanges, SetClock};
 use crate::replica::{ReplicaCore, ReplicaTemplate};
 use crate::system::EdgeReplica;
 use edgstr_analysis::{EffectSummary, StateUnit};
+use edgstr_crdt::Value;
 use edgstr_net::Verb;
 use edgstr_placement::{
     Observation, Placement, PlacementController, PlacementPolicy, StaticSignals,
@@ -138,12 +139,17 @@ fn service_state_bytes(crdts: &CrdtSet, summary: &EffectSummary) -> u64 {
             StateUnit::DbTable(t) => crdts
                 .tables
                 .get(t)
-                .map_or(0, |t| t.to_json().to_string().len() as u64),
-            StateUnit::File(f) => crdts.files.size(f).unwrap_or(0),
-            StateUnit::Global(g) => match crdts.globals.to_json() {
-                Json::Object(m) => m.get(g).map_or(0, |v| v.to_string().len() as u64),
-                _ => 0,
-            },
+                .map_or(0, |t| table_json(t).to_string().len() as u64),
+            StateUnit::File(f) => crdts
+                .files
+                .get(f)
+                .and_then(Value::as_file)
+                .map_or(0, |b| b.len() as u64),
+            StateUnit::Global(g) => crdts
+                .globals
+                .get(g)
+                .and_then(Value::as_json)
+                .map_or(0, |v| v.to_string().len() as u64),
         };
     }
     bytes

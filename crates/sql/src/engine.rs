@@ -214,7 +214,7 @@ impl Table {
 
     /// Primary key of a row as a string (for a table without one, the
     /// row's position — such a table keeps insertion order).
-    fn row_pk(&self, row: &[SqlValue], fallback: usize) -> String {
+    pub fn row_pk(&self, row: &[SqlValue], fallback: usize) -> String {
         match self.pk_index() {
             Some(i) => row[i].pk_string(),
             None => format!("row{fallback}"),
@@ -393,6 +393,11 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
+    /// The captured table `name`.
+    pub fn table(&self, name: &str) -> Option<&Table> {
+        self.tables.get(name)
+    }
+
     /// Tables and their contents as JSON: `table → pk → row`.
     pub fn to_json(&self) -> Json {
         let mut out = serde_json::Map::new();

@@ -65,7 +65,7 @@ impl SqlValue {
         }
     }
 
-    /// Convert to JSON for CRDT mirroring and HTTP responses.
+    /// Convert to JSON for HTTP responses.
     pub fn to_json(&self) -> Json {
         match self {
             SqlValue::Null => Json::Null,
@@ -142,23 +142,6 @@ impl SqlValue {
         }
         out.push(SqlValue::Text(pk.to_string()));
         out
-    }
-
-    /// Convert from JSON (inverse of [`SqlValue::to_json`] for scalars).
-    pub fn from_json(json: &Json) -> SqlValue {
-        match json {
-            Json::Null => SqlValue::Null,
-            Json::Bool(b) => SqlValue::Int(i64::from(*b)),
-            Json::Number(n) => {
-                if let Some(i) = n.as_i64() {
-                    SqlValue::Int(i)
-                } else {
-                    SqlValue::Real(n.as_f64().unwrap_or(0.0))
-                }
-            }
-            Json::String(s) => SqlValue::Text(s.clone()),
-            other => SqlValue::Text(other.to_string()),
-        }
     }
 }
 
@@ -327,14 +310,16 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip_scalars() {
-        for v in [
-            SqlValue::Null,
-            SqlValue::Int(-7),
-            SqlValue::Real(2.25),
-            SqlValue::Text("hello".into()),
+    fn scalars_convert_to_json() {
+        use serde_json::json;
+        for (v, j) in [
+            (SqlValue::Null, json!(null)),
+            (SqlValue::Int(-7), json!(-7)),
+            (SqlValue::Real(2.25), json!(2.25)),
+            (SqlValue::Text("hello".into()), json!("hello")),
+            (SqlValue::Blob(vec![0x0a, 0xff]), json!("0x0aff")),
         ] {
-            assert_eq!(SqlValue::from_json(&v.to_json()), v);
+            assert_eq!(v.to_json(), j);
         }
     }
 

@@ -67,16 +67,14 @@ fn four_edge_cluster_converges_with_cloud() {
         .count();
     assert!(used >= 2, "sync should spread writes across replicas");
     // cloud and all edges agree on the full event set
-    let cloud_rows: BTreeSet<String> = sys.cloud.crdts.tables["events"]
-        .rows()
-        .into_iter()
+    let cloud_rows: BTreeSet<&str> = sys.cloud.crdts.tables["events"]
+        .entries()
         .map(|(pk, _)| pk)
         .collect();
     assert_eq!(cloud_rows.len(), 61); // 60 + seed
     for e in &sys.edges {
-        let edge_rows: BTreeSet<String> = e.core.crdts.tables["events"]
-            .rows()
-            .into_iter()
+        let edge_rows: BTreeSet<&str> = e.core.crdts.tables["events"]
+            .entries()
             .map(|(pk, _)| pk)
             .collect();
         assert_eq!(edge_rows, cloud_rows, "edge diverged from cloud");
