@@ -263,6 +263,96 @@ fn every_variant_round_trips_and_every_prefix_is_corrupt() {
     }
 }
 
+/// The layout table of DESIGN.md "Sync wire format", byte for byte: every
+/// op, value, cell and scalar tag once, a key table of two column lists
+/// and a row that reuses one, with small operands so each field is
+/// legible. A format change has to change this vector.
+#[test]
+fn the_layout_is_the_documented_one() {
+    let id = |n| OpId::new(n, ActorId(2));
+    let mut deps = VClock::new();
+    deps.observe(ActorId(1), 300);
+    let c = Change::new(
+        ActorId(2),
+        5,
+        deps,
+        vec![
+            Op::Put {
+                id: id(3),
+                key: "ü".into(),
+                value: row_of(&["id", "t"], vec![Cell::Int(-3), Cell::Text("a".into())]),
+                pred: vec![id(9)],
+            },
+            Op::Put {
+                id: id(4),
+                key: "f".into(),
+                value: Value::File(vec![0x0a, 0xff].into()),
+                pred: vec![],
+            },
+            Op::Put {
+                id: id(5),
+                key: "g".into(),
+                value: Value::Json(json!([null, false, true, 200, -3, 1.5, "a", {"b": []}])),
+                pred: vec![id(4), id(2)],
+            },
+            Op::Put {
+                id: id(6),
+                key: "r".into(),
+                value: row_of(&["id", "t"], vec![Cell::Real(1.5), Cell::Blob(vec![])]),
+                pred: vec![],
+            },
+            Op::Put {
+                id: id(7),
+                key: "n".into(),
+                value: row_of(&["v"], vec![Cell::Null]),
+                pred: vec![],
+            },
+            Op::Del {
+                id: id(8),
+                key: "k".into(),
+                pred: vec![id(3)],
+            },
+        ],
+    );
+    #[rustfmt::skip]
+    let want: Vec<u8> = vec![
+        2, 5,                         // actor, seq
+        1, 1, 0xac, 0x02,             // deps: one pair, actor 1 -> seq 300
+        2,                            // key table: two column lists
+            2, 2, b'i', b'd', 1, b't', //   ["id", "t"]
+            1, 1, b'v',               //   ["v"]
+        6,                            // six ops
+        2, 3, 2, 2, 0xc3, 0xbc,       // Put 3@2, key "ü" ...
+            0, 0,                     //   value: row, column list 0
+            1, 5,                     //     int -3, zig-zag 5
+            3, 1, b'a',               //     text "a"
+            1, 9, 2,                  //   pred: [9@2]
+        2, 4, 2, 1, b'f',             // Put 4@2, key "f" ...
+            1, 2, 0x0a, 0xff,         //   value: file, two bytes
+            0,                        //   no pred
+        2, 5, 2, 1, b'g',             // Put 5@2, key "g" ...
+            2, 7, 8,                  //   value: JSON, array of eight
+            0, 1, 2,                  //     null, false, true
+            3, 0xc8, 0x01,            //     uint 200
+            4, 5,                     //     int -3, zig-zag 5
+            5, 0, 0, 0, 0, 0, 0, 0xf8, 0x3f, // f64 1.5, little-endian bits
+            6, 1, b'a',               //     string "a"
+            8, 1, 1, b'b', 7, 0,      //     object {"b": []}
+            2, 4, 2, 2, 2,            //   pred: [4@2, 2@2]
+        2, 6, 2, 1, b'r',             // Put 6@2, key "r" ...
+            0, 0,                     //   value: row, column list 0 again
+            2, 0, 0, 0, 0, 0, 0, 0xf8, 0x3f, // real 1.5
+            4, 0,                     //     blob, no bytes
+            0,                        //   no pred
+        2, 7, 2, 1, b'n',             // Put 7@2, key "n" ...
+            0, 1, 0,                  //   value: row, column list 1, null
+            0,                        //   no pred
+        3, 8, 2, 1, b'k', 1, 3, 2,    // Del 8@2, key "k", pred [3@2]
+    ];
+    assert_eq!(encoded(&c), want);
+    assert_eq!(Change::decode(&want).unwrap().0, c);
+}
+
 /// Tags 0, 1 and 4-7 were the map, list and counter ops: make a map, make
 /// a list, insert an element, overwrite one, delete one, and add to a
 /// counter. No replica writes them; a change carrying one, in the layout
@@ -419,6 +509,28 @@ fn only_canonical_encodings_decode() {
     }
 }
 
+/// What one bookworm row upsert costs on the WAN and in an image's tail.
+#[test]
+fn a_row_upsert_is_83_bytes() {
+    let mut t = Doc::new(ActorId(2));
+    let before = t.clock().clone();
+    let row = row_of(
+        &["id", "title", "author", "price", "stock"],
+        vec![
+            Cell::Int(1017),
+            Cell::Text("Permutation City".into()),
+            Cell::Text("Egan".into()),
+            Cell::Real(7.25),
+            Cell::Int(12),
+        ],
+    );
+    t.put("1017", row);
+    let changes = t.get_changes(&before);
+    assert_eq!(changes.len(), 1);
+    assert_eq!(changes[0].wire_size(), 83);
+    assert_eq!(encoded(&changes[0]).len(), 83);
+}
+
 // ---- the save image --------------------------------------------------------
 
 /// One thing a replica does between syncs.
@@ -545,6 +657,37 @@ fn an_image_round_trips_and_every_prefix_is_corrupt() {
     let tail = back.get_changes(&VClock::new());
     let bytes: usize = tail.iter().map(|c| encoded(c).len()).sum();
     assert_eq!(tail.iter().map(Change::wire_size).sum::<usize>(), bytes);
+}
+
+/// The image rows of DESIGN.md "Sync wire format", byte for byte.
+#[test]
+fn the_image_layout_is_the_documented_one() {
+    let mut d = Doc::new(ActorId(2));
+    d.put("k", Value::Json(json!(7)));
+    d.put("r", row_of(&["a"], vec![Cell::Text("b".into())]));
+    let mut first_two = VClock::new();
+    first_two.observe(ActorId(2), 2);
+    d.compact(&first_two);
+    d.delete("k");
+    #[rustfmt::skip]
+    let want: Vec<u8> = vec![
+        b'E', b'D', b'G', 5,          // magic, layout version
+        1, 2, 3,                      // clock: actor 2 -> seq 3
+        1, 2, 2,                      // snapshot_clock: actor 2 -> seq 2
+        3,                            // op counter
+        1, 1, 1, b'a',                // key table: one column list, ["a"]
+        1,                            // one key, keys ascending
+            1, b'r', 1,               //   "r": one value
+                2, 2, 0, 0, 3, 1, b'b', // 2@2 = row, column list 0, text "b"
+        1,                            // tail: one change, as on the wire
+        2, 3, 1, 2, 2, 0, 1,          //   actor 2, seq 3, deps {2: 2}, no key table, one op
+            3, 3, 2, 1, b'k', 1, 1, 2, // Del 3@2 "k", pred [1@2]
+    ];
+    assert_eq!(d.save(), want);
+    assert_eq!(
+        observed(&Doc::load(ActorId(2), &want).unwrap()),
+        observed(&d)
+    );
 }
 
 /// Counts in an image are checked like counts in a change: against the

@@ -420,8 +420,8 @@ fn pinned_row_writes() {
     assert_eq!(
         (fnv(&all.wire), fnv(&all.images), fnv(&all.receiver)),
         (
-            0xdca7_bf03_b08a_29ec,
-            0xcc29_4195_049e_a4e1,
+            0x5d1a_c71c_5f15_d3cf,
+            0x37ae_4672_3125_7061,
             0xb107_ec28_1e2c_2e0a
         ),
         "wire {} B, images {} B",

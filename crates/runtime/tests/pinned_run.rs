@@ -63,6 +63,14 @@
 //! that replicate. `through_json` keeps what the JSON row path did to a
 //! cell, as the oracle: no converged cell of these runs is one it would
 //! have read back as another kind.
+//!
+//! Re-pinned when a replicated unit became one map of key → register
+//! (ROADMAP item 13): a row write is one op carrying typed cells, so every
+//! sync message is shorter. The four `wan_sync_bytes` moved (157,981 →
+//! 102,291; 286,096 → 190,446; 275,411 → 183,984; 680,033 → 442,993), and
+//! with them the three trace hashes: the parent's and the change's traces
+//! differ line for line only in the `bytes` attribute of `sync.round`
+//! spans. Every digest, typed state, count and virtual time held.
 
 use edgstr_core::{capture_and_transform, EdgStrConfig};
 use edgstr_net::{fnv1a, CrashPlan, FaultPlan, HttpRequest, LossModel, Verb, FNV_OFFSET};
@@ -204,7 +212,7 @@ fn seeded_bookworm_run_matches_pinned_stats() {
     assert_eq!((stats.failed, stats.forwarded), (0, 0));
     assert_eq!(stats.response_digest, 0x6d1c_e0a9_6847_598c);
     assert_eq!(stats.lan_bytes, 956_935);
-    assert_eq!(stats.wan_sync_bytes, 157_981, "wire-format dependent");
+    assert_eq!(stats.wan_sync_bytes, 102_291, "wire-format dependent");
     assert_eq!(stats.makespan, SimTime(3_001_568));
     assert_eq!(sys.cloud.replicated_state_digest(), 0xf7e4_7aa0_b58a_095a);
     for e in &sys.edges {
@@ -381,7 +389,7 @@ fn forwarding_failover_and_quarantine_match_pinned_stats() {
             counts: [1_600, 0, 305, 87, 0, 0],
             lan_bytes: 1_739_638,
             wan_request_bytes: 273_086,
-            wan_sync_bytes: 286_096,
+            wan_sync_bytes: 190_446,
             makespan: SimTime(9_042_300),
             state_digests: [0x50a0_3a44_ef56_8dcf; 4],
             typed_states: [0xe4c1_d83d_5b13_9faf; 4],
@@ -397,7 +405,7 @@ fn forwarding_failover_and_quarantine_match_pinned_stats() {
             quarantines: vec![(2, SimTime(3_568_418))],
             outages: vec![(SimTime(3_200_000), SimTime(3_700_000))],
         },
-        0x2772_757a_cf6f_3de4,
+        0x371e_2a9b_6436_0585,
     );
     // no standby: forwards time out and breakers open until the master
     // recovers from its durable image at 6 s; the edge whose restart came
@@ -409,7 +417,7 @@ fn forwarding_failover_and_quarantine_match_pinned_stats() {
             counts: [1_372, 228, 308, 49, 9, 885],
             lan_bytes: 1_486_872,
             wan_request_bytes: 53_192,
-            wan_sync_bytes: 275_411,
+            wan_sync_bytes: 183_984,
             makespan: SimTime(9_112_675),
             state_digests: [0xeb68_42f4_8523_f02e; 4],
             typed_states: [0x7201_be16_e248_9ec5; 4],
@@ -425,7 +433,7 @@ fn forwarding_failover_and_quarantine_match_pinned_stats() {
             quarantines: vec![(2, SimTime(3_568_418))],
             outages: vec![(SimTime(3_200_000), SimTime(6_000_000))],
         },
-        0x0005_288f_8af6_fcc2,
+        0xe344_95f3_8231_6fb3,
     );
 }
 
@@ -596,7 +604,7 @@ fn autoscaling_and_adaptive_placement_match_pinned_stats() {
             counts: [2_397, 3, 80, 56, 3, 0],
             lan_bytes: 2_640_397,
             wan_request_bytes: 770_140,
-            wan_sync_bytes: 680_033,
+            wan_sync_bytes: 442_993,
             makespan: SimTime(19_100_190),
             replica_samples: 2_400,
             replica_changes: vec![
@@ -628,7 +636,7 @@ fn autoscaling_and_adaptive_placement_match_pinned_stats() {
             demotes: 4,
             acked_snapshots: [24, 0],
         },
-        0x9eff_4a47_4953_239a,
+        0x6d60_bd5b_b3d2_3a06,
     );
 }
 
