@@ -147,13 +147,8 @@ impl CrdtSet {
         for t in &bindings.tables {
             let rows = init.db.table(t).into_iter().flat_map(|table| {
                 let columns = table.column_names();
-                table.rows.iter().enumerate().map(|(i, cells)| {
-                    let row = Row {
-                        columns: Arc::clone(columns),
-                        cells: cells.iter().map(cell).collect(),
-                    };
-                    (table.row_pk(cells, i), Value::Row(row))
-                })
+                let rows = table.rows.iter().enumerate();
+                rows.map(|(i, cells)| (table.row_pk(cells, i), row(columns, cells)))
             });
             tables.insert(t.clone(), Doc::from_snapshot(actor, rows));
         }
@@ -220,11 +215,7 @@ impl CrdtSet {
                 } => {
                     versions.touch_row(table, pk, *changed);
                     if let Some(t) = tables.get_mut(table) {
-                        let row = Row {
-                            columns: Arc::clone(columns),
-                            cells: cells.iter().map(cell).collect(),
-                        };
-                        t.put(pk, Value::Row(row));
+                        t.put(pk, row(columns, cells));
                     }
                 }
                 RowEffect::Delete { table, pk } => {
@@ -442,6 +433,14 @@ impl CrdtSet {
             versions: UnitVersions::default(),
         })
     }
+}
+
+/// The register a SQL row is replicated as: its cells under `columns`.
+fn row(columns: &Arc<[String]>, cells: &[SqlValue]) -> Value {
+    Value::Row(Row {
+        columns: Arc::clone(columns),
+        cells: cells.iter().map(cell).collect(),
+    })
 }
 
 /// The cell a SQL value is replicated as.

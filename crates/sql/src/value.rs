@@ -309,8 +309,10 @@ mod tests {
         assert_eq!(SqlValue::Int(1).compare(&SqlValue::Null), None);
     }
 
+    /// A scalar's JSON form is what the engine answers with, and it
+    /// survives a JSON text round trip unchanged.
     #[test]
-    fn scalars_convert_to_json() {
+    fn json_round_trip_scalars() {
         use serde_json::json;
         for (v, j) in [
             (SqlValue::Null, json!(null)),
@@ -320,6 +322,8 @@ mod tests {
             (SqlValue::Blob(vec![0x0a, 0xff]), json!("0x0aff")),
         ] {
             assert_eq!(v.to_json(), j);
+            let text = v.to_json().to_string();
+            assert_eq!(serde_json::from_str::<serde_json::Value>(&text).unwrap(), j);
         }
     }
 
