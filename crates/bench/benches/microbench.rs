@@ -41,10 +41,10 @@ fn bench_crdt(c: &mut Criterion) {
         )
     });
     g.bench_function("table_upsert_100_rows", |b| {
+        let columns: std::sync::Arc<[String]> = ["v".to_string(), "s".to_string()].into();
         b.iter_batched(
             || Doc::new(ActorId(1)),
             |mut t| {
-                let columns: std::sync::Arc<[String]> = ["v".to_string(), "s".to_string()].into();
                 for i in 0..100 {
                     let cells = [Cell::Int(i), Cell::Text("x".to_string())];
                     let row = Row {
