@@ -47,10 +47,7 @@ fn bench_crdt(c: &mut Criterion) {
             |mut t| {
                 for i in 0..100 {
                     let cells = [Cell::Int(i), Cell::Text("x".to_string())];
-                    let row = Row {
-                        columns: columns.clone(),
-                        cells: cells.into(),
-                    };
+                    let row = Row::new(columns.clone(), cells.into());
                     t.put(&format!("r{i}"), Value::Row(row));
                 }
                 t
@@ -137,10 +134,7 @@ fn upserted_table(n: u32) -> Doc {
             Cell::Real(9.5),
             Cell::Int(3),
         ];
-        let row = Row {
-            columns: columns.clone(),
-            cells: cells.into(),
-        };
+        let row = Row::new(columns.clone(), cells.into());
         t.put(&id.to_string(), Value::Row(row));
     }
     t

@@ -247,7 +247,7 @@ fn run_mode(mode: Mode, rounds: usize, per_edge: usize) -> ModeStats {
     let mut peak_history = 0usize;
     let mut round_ns: Vec<u64> = Vec::with_capacity(rounds);
     let mut next_id = 0usize;
-    let columns: std::sync::Arc<[String]> = ["v".to_string(), "by".to_string()].into();
+    let columns: std::sync::Arc<[String]> = ["k".to_string(), "v".to_string()].into();
 
     for round in 0..rounds {
         // mutations land at the edges between sync ticks
@@ -256,11 +256,9 @@ fn run_mode(mode: Mode, rounds: usize, per_edge: usize) -> ModeStats {
             for _ in 0..per_edge {
                 let id = next_id;
                 next_id += 1;
-                let row = Row {
-                    columns: columns.clone(),
-                    cells: [Cell::Int(id as i64), Cell::Int(e as i64)].into(),
-                };
-                kv.put(&format!("r{}", id % KEYSPACE), Value::Row(row));
+                let k = format!("r{}", id % KEYSPACE);
+                let cells = [Cell::Text(k.clone()), Cell::Int(id as i64)];
+                kv.put(&k, Value::Row(Row::new(columns.clone(), cells.into())));
             }
             if round % 10 == 0 {
                 let status = format!("r{round}e{e}").into_bytes();

@@ -148,14 +148,6 @@ fn read_pred(r: &mut Reader<'_>) -> Result<Vec<OpId>, CrdtError> {
     Ok(pred)
 }
 
-/// The rows `ops` put, for their [`KeyTable`].
-pub(crate) fn rows<'a>(ops: impl Iterator<Item = &'a Op>) -> impl Iterator<Item = &'a Row> {
-    ops.filter_map(|op| match op {
-        Op::Put { value, .. } => value.as_row(),
-        Op::Del { .. } => None,
-    })
-}
-
 impl Op {
     /// Tag byte, the op's id and key, a put's value, then `pred`.
     fn write<S: Sink>(&self, out: &mut S, keys: &KeyTable<'_>) {
@@ -283,7 +275,11 @@ impl Change {
         put_varint(out, self.actor().0);
         put_varint(out, self.seq());
         self.deps().write(out);
-        let keys = KeyTable::of(rows(self.ops().iter()));
+        let rows = self.ops().iter().filter_map(|op| match op {
+            Op::Put { value, .. } => value.as_row(),
+            Op::Del { .. } => None,
+        });
+        let keys = KeyTable::of(rows);
         keys.write(out);
         put_varint(out, self.ops().len() as u64);
         for op in self.ops() {

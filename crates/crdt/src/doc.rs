@@ -331,7 +331,6 @@ impl Doc {
     /// `(actor, seq)`; each pass probes only the next applicable seq per
     /// actor, so a pass costs O(actors·log pending) rather than a scan of
     /// everything buffered.
-    ///
     pub fn apply_changes(&mut self, changes: Vec<Change>) -> (usize, BTreeSet<Arc<str>>) {
         let mut touched = BTreeSet::new();
         let key = |c: &Change| (c.actor(), c.seq());
@@ -581,10 +580,7 @@ impl Doc {
             }
             self.apply_op(op);
         }
-        let max = change.max_counter();
-        if max > self.counter {
-            self.counter = max;
-        }
+        self.counter = self.counter.max(change.max_counter());
         self.clock.observe(change.actor(), change.seq());
         self.push_history(change);
     }

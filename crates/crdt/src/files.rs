@@ -1,10 +1,5 @@
-//! `CRDT-Files`: replicated file contents (§III-G.1).
-//!
-//! Files are a [`crate::Doc`] keyed by path whose registers hold each
-//! file's bytes ([`crate::Value::File`]); a file's size and content hash
-//! ([`crate::content_hash`]) follow from them. Whole-file writes merge
-//! last-writer-wins by op id, matching how EdgStr duplicates files
-//! identified in the dynamic trace (copying or downloading, §III-C).
+//! Tests of `CRDT-Files`: a [`crate::Doc`] keyed by path whose registers
+//! hold each file's bytes ([`crate::Value::File`]).
 
 #[cfg(test)]
 mod tests {

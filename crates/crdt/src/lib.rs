@@ -10,10 +10,13 @@
 //! - [`Doc`] — a replicated map of key → register, exchanging [`Change`]
 //!   batches. A register holds one whole [`Value`]: a row of typed
 //!   [`Cell`]s keyed by primary key (`CRDT-Table`, see [`table`]), a
-//!   file's bytes keyed by path (`CRDT-Files`, see [`files`]), or a
-//!   global's JSON keyed by name (`CRDT-JSON`). Concurrent puts of a key
-//!   resolve by op id; a delete removes only what it observed, so a
-//!   concurrent put survives it — for a table, row-level add-wins;
+//!   file's bytes keyed by path (`CRDT-Files`), or a global's JSON keyed
+//!   by name (`CRDT-JSON`). Concurrent puts of a key resolve by op id; a
+//!   delete removes only what it observed, so a concurrent put survives
+//!   it — for a table, row-level add-wins, and for a file, the later
+//!   whole-file write, matching how EdgStr duplicates the files the
+//!   dynamic trace identifies (copying or downloading, §III-C). A file's
+//!   size and content hash follow from its bytes;
 //! - [`wire`] — the binary codec of the sync wire and of the save image:
 //!   every message's `wire_size` is the length of its own `encode`, which
 //!   is what the WAN-traffic experiments account for, and
@@ -61,7 +64,6 @@
 
 pub mod change;
 pub mod doc;
-pub mod files;
 pub mod ids;
 pub mod table;
 pub mod wire;
@@ -71,12 +73,5 @@ pub use doc::{CrdtError, Doc, GENESIS_ACTOR};
 pub use ids::{ActorId, OpId, VClock};
 pub use table::{Cell, Row};
 
-/// Stable content hash (FNV-1a) used to fingerprint file payloads.
-pub fn content_hash(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
+#[cfg(test)]
+mod files;

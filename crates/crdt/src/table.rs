@@ -40,12 +40,29 @@ impl PartialEq for Cell {
 }
 
 /// A table row: its cells in column order, under the table's column
-/// names. Both halves are shared, so a row held by a change, a register
-/// and a peer's copy is one allocation each.
+/// names, one cell per name. Both halves are shared, so a row held by a
+/// change, a register and a peer's copy is one allocation each.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Row {
-    pub columns: Arc<[String]>,
-    pub cells: Arc<[Cell]>,
+    columns: Arc<[String]>,
+    cells: Arc<[Cell]>,
+}
+
+impl Row {
+    /// The row of `cells` under `columns`. Panics unless there is one cell
+    /// per column: the wire reads back as many cells as the columns name.
+    pub fn new(columns: Arc<[String]>, cells: Arc<[Cell]>) -> Row {
+        assert_eq!(columns.len(), cells.len(), "a row has one cell per column");
+        Row { columns, cells }
+    }
+
+    pub fn columns(&self) -> &[String] {
+        &self.columns
+    }
+
+    pub fn cells(&self) -> &[Cell] {
+        &self.cells
+    }
 }
 
 // ---- binary layout -------------------------------------------------------
@@ -213,10 +230,10 @@ mod tests {
     use crate::{ActorId, Doc, Value};
 
     fn row(cells: &[(&str, i64)]) -> Value {
-        Value::Row(crate::Row {
-            columns: cells.iter().map(|(c, _)| c.to_string()).collect(),
-            cells: cells.iter().map(|(_, v)| super::Cell::Int(*v)).collect(),
-        })
+        Value::Row(crate::Row::new(
+            cells.iter().map(|(c, _)| c.to_string()).collect(),
+            cells.iter().map(|(_, v)| super::Cell::Int(*v)).collect(),
+        ))
     }
 
     fn pull(dst: &mut Doc, src: &Doc) {
@@ -275,6 +292,13 @@ mod tests {
         pull(&mut b, &a);
         assert!(a.entries().eq(b.entries()));
         assert_eq!(a.get("1"), Some(&row(&[("v", 2)])));
+    }
+
+    #[test]
+    #[should_panic(expected = "a row has one cell per column")]
+    fn a_row_with_a_cell_missing_is_refused() {
+        let columns = ["k".to_string(), "v".to_string()];
+        crate::Row::new(columns.into(), [super::Cell::Int(1)].into());
     }
 
     #[test]

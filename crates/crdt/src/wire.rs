@@ -123,9 +123,10 @@ const SCALAR_STR: u8 = 6;
 const SCALAR_ARRAY: u8 = 7;
 const SCALAR_OBJECT: u8 = 8;
 
-/// How deep a decoded scalar may nest; deeper input is rejected rather
-/// than recursed into.
-const MAX_DEPTH: usize = 128;
+/// How many containers a JSON value nests on the wire: the language's own
+/// limit, past which a value has no JSON text. The reader refuses deeper
+/// input rather than recursing into it, so a writer puts none.
+pub const MAX_DEPTH: usize = 1000;
 
 pub(crate) fn put_scalar<S: Sink>(out: &mut S, v: &Json) {
     match v {

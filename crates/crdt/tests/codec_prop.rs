@@ -9,6 +9,7 @@
 //! the same: `load(save(d))` is `d`, `save(load(b))` is `b`, and every
 //! other `b` is a typed error.
 
+use edgstr_crdt::wire::MAX_DEPTH;
 use edgstr_crdt::{ActorId, Cell, Change, CrdtError, Doc, Op, OpId, Row, VClock, Value};
 use edgstr_runtime::{SetChanges, SetClock, SetSyncMessage};
 use proptest::prelude::*;
@@ -133,9 +134,9 @@ fn cell() -> impl Strategy<Value = Cell> {
 
 /// A row under one of the column lists, as many cells as it has columns.
 fn row() -> impl Strategy<Value = Row> {
-    (columns(), prop::collection::vec(cell(), 3..4)).prop_map(|(columns, cells)| Row {
-        cells: cells[..columns.len()].into(),
-        columns: columns.into(),
+    (columns(), prop::collection::vec(cell(), 3..4)).prop_map(|(columns, cells)| {
+        let cells = cells[..columns.len()].into();
+        Row::new(columns.into(), cells)
     })
 }
 
@@ -199,10 +200,10 @@ fn put(n: u64, key: &str, value: Value, pred: Vec<OpId>) -> Op {
 }
 
 fn row_of(columns: &[&str], cells: Vec<Cell>) -> Value {
-    Value::Row(Row {
-        columns: columns.iter().map(|c| c.to_string()).collect(),
-        cells: cells.into(),
-    })
+    Value::Row(Row::new(
+        columns.iter().map(|c| c.to_string()).collect(),
+        cells.into(),
+    ))
 }
 
 /// One change of every `Op` variant, every `Value` and every `Cell`, and
@@ -447,13 +448,32 @@ fn lengths_are_checked_before_anything_is_sized_by_them() {
     assert!(is_corrupt(&Change::decode(&[0x81, 0x00, 1, 0, 0, 0])));
     // pairs out of order would not re-encode to the same bytes
     assert!(is_corrupt(&Change::decode(&[1, 1, 2, 5, 1, 4, 1, 0, 0])));
-    // a scalar nested past the decoder's bound: 200 one-element arrays
+    // a scalar nested past the decoder's bound
+    assert!(is_corrupt(&Change::decode(&nested_arrays(MAX_DEPTH + 1))));
+}
+
+/// A change putting a `null` inside `depth` one-element arrays.
+fn nested_arrays(depth: usize) -> Vec<u8> {
     let mut deep = vec![1, 1, 0, 0, 1, 2, 1, 1, 1, b'k', 2];
-    for _ in 0..200 {
+    for _ in 0..depth {
         deep.extend_from_slice(&[7, 1]);
     }
     deep.extend_from_slice(&[0, 0]);
-    assert!(is_corrupt(&Change::decode(&deep)));
+    deep
+}
+
+/// A value nests on the wire as deep as its bound, in a change and in an
+/// image, without the reader outgrowing a thread's stack.
+#[test]
+fn a_value_nests_as_deep_as_the_bound() {
+    let bytes = nested_arrays(MAX_DEPTH);
+    let (change, rest) = Change::decode(&bytes).expect("nested to the bound");
+    assert!(rest.is_empty());
+    assert_eq!(encoded(&change), bytes);
+    let mut doc = Doc::new(ActorId(2));
+    doc.apply_changes(vec![change]);
+    let image = doc.save();
+    assert_eq!(Doc::load(ActorId(3), &image).unwrap().save(), image);
 }
 
 /// Inputs that describe a value but not in the one way `encode` writes

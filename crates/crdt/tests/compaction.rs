@@ -43,10 +43,10 @@ fn apply_op(doc: &mut Doc, op: &Op) {
         Op::Put { key, value } => doc.put(&format!("k{key}"), json(json!(value))),
         Op::Delete { key } => doc.delete(&format!("k{key}")),
         Op::PutRow { key, value } => {
-            let row = Row {
-                columns: ["v".to_string(), "vs".to_string()].into(),
-                cells: [Cell::Int(*value), Cell::Blob(value.to_le_bytes().to_vec())].into(),
-            };
+            let row = Row::new(
+                ["v".to_string(), "vs".to_string()].into(),
+                [Cell::Int(*value), Cell::Blob(value.to_le_bytes().to_vec())].into(),
+            );
             doc.put(&format!("m{key}"), Value::Row(row));
         }
     }

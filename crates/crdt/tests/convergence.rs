@@ -31,15 +31,15 @@ fn row_op() -> impl Strategy<Value = RowOp> {
 }
 
 fn row(key: &str, value: i64) -> Value {
-    Value::Row(Row {
-        columns: ["id".to_string(), "v".to_string(), "note".to_string()].into(),
-        cells: [
+    Value::Row(Row::new(
+        ["id".to_string(), "v".to_string(), "note".to_string()].into(),
+        [
             Cell::Text(key.to_string()),
             Cell::Int(value),
             Cell::Real(value as f64 / 8.0),
         ]
         .into(),
-    })
+    ))
 }
 
 fn apply_row_op(doc: &mut Doc, op: &RowOp) {

@@ -416,7 +416,7 @@ fn pinned_row_writes() {
         all.images.extend(trace.images);
         all.receiver.extend(trace.receiver);
     }
-    let fnv = edgstr_crdt::content_hash;
+    let fnv = |bytes: &[u8]| edgstr_net::fnv1a(edgstr_net::FNV_OFFSET, bytes);
     assert_eq!(
         (fnv(&all.wire), fnv(&all.images), fnv(&all.receiver)),
         (

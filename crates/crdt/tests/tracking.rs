@@ -12,10 +12,10 @@ const A: ActorId = ActorId(1);
 const B: ActorId = ActorId(2);
 
 fn row(age: i64) -> Value {
-    Value::Row(Row {
-        columns: ["age".to_string()].into(),
-        cells: [Cell::Int(age)].into(),
-    })
+    Value::Row(Row::new(
+        ["age".to_string()].into(),
+        [Cell::Int(age)].into(),
+    ))
 }
 
 fn keys(touched: &BTreeSet<Arc<str>>) -> Vec<&str> {

@@ -10,7 +10,9 @@
 use crate::cache::UnitVersions;
 use edgstr_analysis::{HandleOutcome, InitState, ServerProcess};
 use edgstr_core::CrdtBindings;
-use edgstr_crdt::wire::{put_bytes, put_changes, put_str, put_varint, Count, Reader, Sink};
+use edgstr_crdt::wire::{
+    put_bytes, put_changes, put_str, put_varint, Count, Reader, Sink, MAX_DEPTH,
+};
 use edgstr_crdt::{ActorId, Cell, Change, CrdtError, Doc, Row, VClock, Value};
 use edgstr_sql::columns::ColumnSet;
 use edgstr_sql::{ColumnMeta, RowEffect, SqlDb, SqlError, SqlValue};
@@ -159,9 +161,9 @@ impl CrdtSet {
             .filter(|(p, _)| bindings.files.contains(p))
             .map(|(p, data)| (p, Value::File(data.into())));
         let globals_json = init.globals_json();
-        let globals = bindings.globals.iter().map(|g| {
+        let globals = bindings.globals.iter().filter_map(|g| {
             let value = globals_json.get(g).cloned().unwrap_or(Json::Null);
-            (g.clone(), Value::Json(value))
+            carried(&value, 0).then(|| (g.clone(), Value::Json(value)))
         });
         CrdtSet {
             bindings: bindings.clone(),
@@ -237,7 +239,9 @@ impl CrdtSet {
             if let Some(current) = server.global_json(g) {
                 if globals.get(g).and_then(Value::as_json) != Some(&current) {
                     versions.touch_global(g);
-                    globals.put(g, Value::Json(current));
+                    if carried(&current, 0) {
+                        globals.put(g, Value::Json(current));
+                    }
                 }
             }
         }
@@ -435,12 +439,24 @@ impl CrdtSet {
     }
 }
 
+/// Whether the wire carries `v`, found `depth` containers deep: no
+/// container nests deeper than its `MAX_DEPTH`, the language's own limit,
+/// past which a value has no JSON text. A global nested deeper is not
+/// replicated; replicas keep what was last replicated of it.
+fn carried(v: &Json, depth: usize) -> bool {
+    match v {
+        Json::Array(items) => depth < MAX_DEPTH && items.iter().all(|v| carried(v, depth + 1)),
+        Json::Object(map) => depth < MAX_DEPTH && map.values().all(|v| carried(v, depth + 1)),
+        _ => true,
+    }
+}
+
 /// The register a SQL row is replicated as: its cells under `columns`.
 fn row(columns: &Arc<[String]>, cells: &[SqlValue]) -> Value {
-    Value::Row(Row {
-        columns: Arc::clone(columns),
-        cells: cells.iter().map(cell).collect(),
-    })
+    Value::Row(Row::new(
+        Arc::clone(columns),
+        cells.iter().map(cell).collect(),
+    ))
 }
 
 /// The cell a SQL value is replicated as.
@@ -465,24 +481,16 @@ fn sql_value(c: &Cell) -> SqlValue {
     }
 }
 
-/// The SQL row a CRDT row reads as: its cells in order when it was
-/// written under the table's columns, else per column the cell under its
-/// name (the last, for a name written twice) or `NULL` where there is
-/// none, and `NULL`s when the value is not a row.
+/// The SQL row a CRDT row reads as: its cells in order. Every row is
+/// written under its table's columns, and every replica restores the same
+/// schema; a value that is no row of them reads as `NULL`s.
 fn sql_row(columns: &[ColumnMeta], value: &Value) -> Vec<SqlValue> {
-    let Some(row) = value.as_row() else {
-        return vec![SqlValue::Null; columns.len()];
-    };
-    if row.columns.iter().eq(columns.iter().map(|c| &c.name)) {
-        return row.cells.iter().map(sql_value).collect();
+    match value.as_row() {
+        Some(row) if row.columns().iter().eq(columns.iter().map(|c| &c.name)) => {
+            row.cells().iter().map(sql_value).collect()
+        }
+        _ => vec![SqlValue::Null; columns.len()],
     }
-    columns
-        .iter()
-        .map(|c| {
-            let at = row.columns.iter().rposition(|name| *name == c.name);
-            at.map_or(SqlValue::Null, |i| sql_value(&row.cells[i]))
-        })
-        .collect()
 }
 
 /// A table's rows as JSON, `pk → {column: value}`: the text whose length
@@ -490,7 +498,7 @@ fn sql_row(columns: &[ColumnMeta], value: &Value) -> Vec<SqlValue> {
 pub(crate) fn table_json(t: &Doc) -> Json {
     let rows = t.entries().filter_map(|(pk, value)| {
         let row = value.as_row()?;
-        let cells = row.columns.iter().zip(row.cells.iter());
+        let cells = row.columns().iter().zip(row.cells());
         let cells = cells.map(|(name, c)| (name.clone(), sql_value(c).to_json()));
         Some((pk.to_string(), Json::Object(cells.collect())))
     });
@@ -921,10 +929,10 @@ mod tests {
     fn a_set_message_is_as_long_as_its_encoding() {
         let change = |pk: &str| {
             let mut t = Doc::new(ActorId(4));
-            let row = Row {
-                columns: ["k".to_string(), "v".to_string()].into(),
-                cells: [Cell::Text(pk.to_string()), Cell::Int(1)].into(),
-            };
+            let row = Row::new(
+                ["k".to_string(), "v".to_string()].into(),
+                [Cell::Text(pk.to_string()), Cell::Int(1)].into(),
+            );
             t.put(pk, Value::Row(row));
             t.get_changes(&VClock::new())
         };

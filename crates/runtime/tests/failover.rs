@@ -192,7 +192,7 @@ fn ack_capping_is_what_prevents_acked_write_loss() {
     );
     assert_eq!(
         (
-            edgstr_crdt::content_hash(typed.as_bytes()),
+            edgstr_net::fnv1a(edgstr_net::FNV_OFFSET, typed.as_bytes()),
             sys.cloud.replicated_state_digest()
         ),
         (0x88dd_e90f_ab33_b743, 0x558e_d91a_564d_ebb5)

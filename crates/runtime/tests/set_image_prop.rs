@@ -171,3 +171,85 @@ proptest! {
         loads_to_a_fixed_point(&image)?;
     }
 }
+
+/// A bound global set to a value `n` objects deep.
+const NESTING_APP: &str = r#"
+    var deep = 0;
+    app.post("/nest", function (req, res) {
+        var v = 0;
+        for (var i = 0; i < req.body.n; i = i + 1) {
+            v = { d: v };
+        }
+        deep = v;
+        res.send({ ok: 1 });
+    });
+"#;
+
+/// A global nests on the wire as deep as the language lets a value nest:
+/// a set holding one saves an image that loads back to itself and syncs
+/// the global to a peer, whether the global was written by a request or
+/// captured at start. One nested deeper has no JSON text and is not
+/// replicated, so the image stays loadable. (The language's conversion
+/// of a value 1,000 levels deep to JSON recurses once per level, which
+/// in an unoptimised build needs more than a test thread's stack.)
+#[test]
+fn a_deeply_nested_global_saves_loads_and_syncs() {
+    assert_eq!(edgstr_crdt::wire::MAX_DEPTH, edgstr_lang::value::MAX_DEPTH);
+    std::thread::Builder::new()
+        .stack_size(32 << 20)
+        .spawn(nested_globals_round_trip)
+        .unwrap()
+        .join()
+        .unwrap();
+}
+
+fn nested_globals_round_trip() {
+    let bindings = CrdtBindings::from_units([StateUnit::Global("deep".into())]);
+    let fresh = || {
+        let mut s = ServerProcess::from_source(NESTING_APP).unwrap();
+        s.init().unwrap();
+        s
+    };
+    let max = edgstr_lang::value::MAX_DEPTH;
+    for (n, carried) in [(200, true), (max, true), (max + 1, false)] {
+        let mut server = fresh();
+        let init = InitState::capture(&server);
+        let mut set = CrdtSet::initialize(ActorId(1), &bindings, &init);
+        let out = server
+            .handle(&HttpRequest::post("/nest", json!({ "n": n }), vec![]))
+            .unwrap();
+        set.absorb_outcome(&out, &server);
+        let expected = if carried {
+            server.global_json("deep")
+        } else {
+            Some(json!(0))
+        };
+        let image = set.save();
+        let loaded = CrdtSet::load(ActorId(9), &bindings, &image)
+            .unwrap_or_else(|e| panic!("{n} deep: {e}"));
+        assert_eq!(loaded.save(), image, "{n} deep");
+        let mut peer_server = fresh();
+        let mut peer = CrdtSet::initialize(ActorId(2), &bindings, &init);
+        let msg = SyncEndpoint::new().generate(&loaded);
+        SyncEndpoint::new().receive_owned(&mut peer, &mut peer_server, msg);
+        assert_eq!(
+            peer_server.global_json("deep"),
+            expected,
+            "{n} deep, synced"
+        );
+
+        // the same global captured at start: provisioned from the image
+        let captured = CrdtSet::initialize(ActorId(1), &bindings, &InitState::capture(&server));
+        let image = captured.save();
+        let loaded = CrdtSet::load(ActorId(9), &bindings, &image)
+            .unwrap_or_else(|e| panic!("{n} deep, captured: {e}"));
+        assert_eq!(loaded.save(), image, "{n} deep, captured");
+        let mut provisioned = fresh();
+        loaded.materialize_all(&mut provisioned);
+        assert_eq!(
+            provisioned.global_json("deep"),
+            expected,
+            "{n} deep, captured"
+        );
+    }
+}
