@@ -76,11 +76,12 @@ impl InitState {
 
     /// Globals as JSON (for CRDT-JSON initialization).
     pub fn globals_json(&self) -> Json {
-        let mut m = serde_json::Map::new();
-        for (k, v) in &self.globals {
-            m.insert(k.clone(), v.to_json());
-        }
-        Json::Object(m)
+        Json::Object(
+            self.globals
+                .iter()
+                .map(|(k, v)| (k.clone(), v.to_json()))
+                .collect(),
+        )
     }
 }
 

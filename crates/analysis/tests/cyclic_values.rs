@@ -128,3 +128,72 @@ fn both_engines_fail_alike() {
         );
     }
 }
+
+const NESTING: &str = r#"
+    function nest(n) {
+        var a = [];
+        for (var i = 1; i < n; i = i + 1) {
+            a = [a];
+        }
+        return a;
+    }
+    app.get("/deep", function (req, res) {
+        res.send(nest(req.params.n));
+    });
+    app.get("/reparse", function (req, res) {
+        var text = JSON.stringify(nest(req.params.n));
+        res.send({ same: JSON.stringify(JSON.parse(text)) == text });
+    });
+    app.get("/parse", function (req, res) {
+        JSON.parse(req.params.text);
+        res.send({ parsed: 1 });
+    });
+"#;
+
+/// What the language writes, its JSON parser reads back: an array nested
+/// to the language's bound is a body whose tree is there to read, and its
+/// text survives `JSON.parse`; text nested one deeper is refused, as
+/// sending a value nested one deeper is. (Each level costs the parser and
+/// the tree a few frames, which an unoptimised build does not fit in a
+/// test thread's stack.)
+#[test]
+fn json_nested_to_the_bound_parses_back_and_no_deeper() {
+    std::thread::Builder::new()
+        .stack_size(32 << 20)
+        .spawn(nesting_round_trip)
+        .unwrap()
+        .join()
+        .unwrap();
+}
+
+fn nesting_round_trip() {
+    let max = edgstr_lang::value::MAX_DEPTH;
+    let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+    for mode in [ExecMode::Compiled, ExecMode::TreeWalking] {
+        let mut server = ServerProcess::from_source_with_mode(NESTING, mode).unwrap();
+        server.init().unwrap();
+        let mut call = |route: &str, params| {
+            server
+                .handle(&HttpRequest::get(route, params))
+                .map(|out| out.response.body)
+        };
+        let body = call("/deep", json!({ "n": max })).unwrap();
+        assert_eq!(body.text(), nested(max), "{mode:?}");
+        let mut depth = 0;
+        let mut tree: &serde_json::Value = &body;
+        while let Some([inner]) = tree.as_array().map(Vec::as_slice) {
+            depth += 1;
+            tree = inner;
+        }
+        assert_eq!((depth, tree), (max - 1, &json!([])), "{mode:?}");
+        let body = call("/reparse", json!({ "n": max })).unwrap();
+        assert_eq!(body.text(), r#"{"same":true}"#, "{mode:?}");
+        assert!(call("/deep", json!({ "n": max + 1 })).is_err(), "{mode:?}");
+        assert!(call("/parse", json!({ "text": nested(max) })).is_ok());
+        let err = call("/parse", json!({ "text": nested(max + 1) })).unwrap_err();
+        assert!(
+            format!("{err:?}").contains("recursion limit"),
+            "{mode:?}: {err:?}"
+        );
+    }
+}

@@ -41,11 +41,11 @@ fn eager_rows_value(output: &Output<'_>) -> (Value, u64) {
             .collect()
     }
     fn row_object(keys: &[(Rc<str>, usize)], row: &[SqlValue]) -> Value {
-        Value::from(Props::from_sorted(
+        Value::from(
             keys.iter()
                 .map(|(k, cell)| (Rc::clone(k), Value::from_json(&row[*cell].to_json())))
-                .collect(),
-        ))
+                .collect::<Props>(),
+        )
     }
     let rows: Vec<Value> = match output {
         Output::Selected(s) => {

@@ -1,7 +1,7 @@
 //! Criterion microbenchmarks for the EdgStr substrates: CRDT operations
 //! and merging, datalog fixpoints, the SQL engine, sync apply and wire
-//! sizing, the post-handler response path, the NodeScript pipeline,
-//! template rendering, and full service profiling.
+//! sizing, the post-handler response path, JSON object building, the
+//! NodeScript pipeline, template rendering, and full service profiling.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use edgstr_analysis::{profile_service, InitState, ServerProcess};
@@ -745,6 +745,31 @@ fn bench_response(c: &mut Criterion) {
     g.finish();
 }
 
+/// The JSON map: a one-key request's params built and dropped, and a
+/// 4,096-key object collected from pairs out of key order (sorted once).
+fn bench_json(c: &mut Criterion) {
+    let mut g = c.benchmark_group("json");
+    g.bench_function("params_1key", |b| {
+        let mut id = 0u64;
+        b.iter(|| {
+            id += 1;
+            json!({ "id": id })
+        })
+    });
+    // a fixed permutation of the keys: 1,597 is prime to 4,096
+    let pairs: Vec<(String, serde_json::Value)> = (0..4096u64)
+        .map(|i| (format!("k{:04}", i * 1597 % 4096), json!(i)))
+        .collect();
+    g.bench_function("collect_4096_out_of_order", |b| {
+        b.iter_batched(
+            || pairs.clone(),
+            |pairs| pairs.into_iter().collect::<serde_json::Map>(),
+            BatchSize::SmallInput,
+        )
+    });
+    g.finish();
+}
+
 fn bench_lang(c: &mut Criterion) {
     let mut g = c.benchmark_group("lang");
     let src = edgstr_apps::medchem::SOURCE;
@@ -1029,6 +1054,6 @@ fn bench_pipeline(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_crdt, bench_log_structure, bench_datalog, bench_sql, bench_sync, bench_row_write, bench_response, bench_lang, bench_interp_dispatch, bench_metrics, bench_template, bench_parallel, bench_pipeline
+    targets = bench_crdt, bench_log_structure, bench_datalog, bench_sql, bench_sync, bench_row_write, bench_response, bench_json, bench_lang, bench_interp_dispatch, bench_metrics, bench_template, bench_parallel, bench_pipeline
 }
 criterion_main!(benches);

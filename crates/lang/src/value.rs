@@ -4,7 +4,6 @@ use crate::ast::Stmt;
 use serde_json::{Serialize, Value as Json};
 use std::cell::{Ref, RefCell, RefMut};
 use std::fmt::{self, Write as _};
-use std::ops::Index;
 use std::rc::Rc;
 
 /// A user-defined function value (closure).
@@ -151,13 +150,12 @@ impl Value {
             Value::Array(items) => {
                 Value::array(items.borrow().iter().map(Value::deep_clone).collect())
             }
-            Value::Object(map) => Value::from(Props(
+            Value::Object(map) => Value::from(
                 map.borrow()
-                    .0
                     .iter()
                     .map(|(k, v)| (Rc::clone(k), v.deep_clone()))
-                    .collect(),
-            )),
+                    .collect::<Props>(),
+            ),
             other => other.clone(),
         }
     }
@@ -220,7 +218,7 @@ impl Value {
                 let map = map.borrow();
                 out.push('{');
                 let mut size = 2;
-                for (i, (k, v)) in map.0.iter().enumerate() {
+                for (i, (k, v)) in map.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
@@ -531,12 +529,12 @@ impl Shape {
         let mut cells = cells.into_iter();
         (0..self.count)
             .map(|_| {
-                let row = self
+                let row: Props = self
                     .keys
                     .iter()
                     .map(|k| (Rc::clone(k), cells.next().expect("one cell per key")))
                     .collect();
-                Value::from(Props::from_sorted(row))
+                Value::from(row)
             })
             .collect()
     }
@@ -584,114 +582,11 @@ impl Shape {
     }
 }
 
-/// An object's properties: `(key, value)` pairs sorted by the keys' bytes,
-/// no key twice. The order is the JSON order, so an object encodes front to
-/// back; a lookup is a binary search; and a result set's row, whose
-/// columns were put in key order once, is built as one vector.
-#[derive(Debug, Clone, Default)]
-pub struct Props(Vec<(Rc<str>, Value)>);
-
-impl Props {
-    /// Properties from pairs already in key order with no key twice.
-    ///
-    /// # Panics
-    ///
-    /// In debug builds, when `entries` is out of order or repeats a key.
-    pub fn from_sorted(entries: Vec<(Rc<str>, Value)>) -> Props {
-        debug_assert!(
-            entries.windows(2).all(|w| w[0].0 < w[1].0),
-            "properties out of key order"
-        );
-        Props(entries)
-    }
-
-    /// Number of properties.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Whether there are no properties.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    fn find(&self, key: &str) -> Result<usize, usize> {
-        self.0.binary_search_by(|(k, _)| (**k).cmp(key))
-    }
-
-    /// The value under `key`.
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        self.get_key_value(key).map(|(_, v)| v)
-    }
-
-    /// The key held for `key`, and its value.
-    pub fn get_key_value(&self, key: &str) -> Option<(&Rc<str>, &Value)> {
-        let (k, v) = &self.0[self.find(key).ok()?];
-        Some((k, v))
-    }
-
-    /// The value under `key`, to overwrite in place.
-    pub fn get_mut(&mut self, key: &str) -> Option<&mut Value> {
-        let at = self.find(key).ok()?;
-        Some(&mut self.0[at].1)
-    }
-
-    /// Set `key` to `value` and return the value it replaced; a key the
-    /// object already has keeps the `Rc` it holds.
-    pub fn insert(&mut self, key: Rc<str>, value: Value) -> Option<Value> {
-        match self.find(&key) {
-            Ok(at) => Some(std::mem::replace(&mut self.0[at].1, value)),
-            Err(at) => {
-                self.0.insert(at, (key, value));
-                None
-            }
-        }
-    }
-
-    /// The properties in key order.
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&Rc<str>, &Value)> {
-        self.0.iter().map(|(k, v)| (k, v))
-    }
-
-    /// The keys in order.
-    pub fn keys(&self) -> impl ExactSizeIterator<Item = &Rc<str>> {
-        self.0.iter().map(|(k, _)| k)
-    }
-
-    /// The values in key order.
-    pub fn values(&self) -> impl ExactSizeIterator<Item = &Value> {
-        self.0.iter().map(|(_, v)| v)
-    }
-}
-
-/// Pairs in any order; a repeated key keeps its last value, as assigning
-/// the fields one by one would.
-impl FromIterator<(Rc<str>, Value)> for Props {
-    fn from_iter<I: IntoIterator<Item = (Rc<str>, Value)>>(pairs: I) -> Props {
-        let mut entries: Vec<(Rc<str>, Value)> = pairs.into_iter().collect();
-        if !entries.windows(2).all(|w| w[0].0 < w[1].0) {
-            // stable, so a repeated key's pairs stay in the order given
-            entries.sort_by(|a, b| a.0.cmp(&b.0));
-            entries.dedup_by(|later, kept| {
-                let repeated = later.0 == kept.0;
-                if repeated {
-                    std::mem::swap(later, kept);
-                }
-                repeated
-            });
-        }
-        Props(entries)
-    }
-}
-
-impl Index<&str> for Props {
-    type Output = Value;
-
-    fn index(&self, key: &str) -> &Value {
-        self.get(key)
-            .unwrap_or_else(|| panic!("no property {key:?}"))
-    }
-}
+/// An object's properties: the JSON map, keyed by shared strings. Its
+/// pairs are sorted by the keys' bytes, no key twice, so an object encodes
+/// front to back, a lookup is a binary search, and a result set's row,
+/// whose columns are already in key order, is collected as one vector.
+pub type Props = serde_json::Map<Rc<str>, Value>;
 
 impl From<Props> for Value {
     fn from(props: Props) -> Value {

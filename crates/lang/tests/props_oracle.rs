@@ -1,7 +1,8 @@
-//! `Props`, an object's key-sorted property vector, against the map it
-//! replaced: a `BTreeMap<Rc<str>, Value>` driven through the same
-//! inserts, overwrites, lookups and walks, and built from the same pairs,
-//! repeated keys included.
+//! `Props`, an object's properties, is the JSON map keyed by `Rc<str>`;
+//! `serde_json`'s `map_oracle` holds the map to the `BTreeMap` it
+//! replaced. What is left here is what the shared keys add: which `Rc` an
+//! object holds after an overwrite, and that an object built from pairs
+//! holds the pairs' own keys.
 
 use edgstr_lang::{Props, Value};
 use proptest::prelude::*;
@@ -15,6 +16,8 @@ const KEYS: [&str; 10] = [
     "b", "a", "", "ab", "B", "$bytes", "é", "日本", "a\u{0}", "z",
 ];
 
+/// A fresh allocation of one of [`KEYS`] each time, so two equal keys are
+/// never the same `Rc`.
 fn key() -> impl Strategy<Value = Rc<str>> {
     (0usize..KEYS.len()).prop_map(|i| Rc::from(KEYS[i]))
 }
@@ -28,65 +31,62 @@ fn pairs() -> impl Strategy<Value = Vec<(Rc<str>, Value)>> {
     })
 }
 
-/// One step of a session: `0` insert, `1` overwrite through `get_mut`,
-/// `2` look up.
-fn steps() -> impl Strategy<Value = Vec<(usize, Rc<str>, i64)>> {
-    prop::collection::vec((0usize..3, key(), any::<i64>()), 0..48)
-}
-
-fn same_contents(props: &Props, oracle: &BTreeMap<Rc<str>, Value>) -> bool {
+/// The same entries in the same order, each key the very `Rc` the oracle
+/// holds.
+fn same_keys(props: &Props, oracle: &BTreeMap<Rc<str>, Value>) -> bool {
     props.len() == oracle.len()
-        && props.is_empty() == oracle.is_empty()
-        && props.iter().eq(oracle.iter())
-        && props.keys().eq(oracle.keys())
-        && props.values().eq(oracle.values())
+        && props
+            .iter()
+            .zip(oracle)
+            .all(|((k, v), (ok, ov))| Rc::ptr_eq(k, ok) && v == ov)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
+    /// A key the object already has keeps the `Rc` it holds, whether the
+    /// value is replaced by `insert` or through `get_mut`, as in the
+    /// `BTreeMap<Rc<str>, Value>` it replaced; only a new key is held as
+    /// given.
     #[test]
-    fn props_follow_the_map_they_replaced(seed in pairs(), steps in steps()) {
+    fn props_follow_the_map_they_replaced(seed in pairs(), writes in pairs()) {
         let mut props: Props = seed.iter().cloned().collect();
         let mut oracle: BTreeMap<Rc<str>, Value> = seed.into_iter().collect();
-        prop_assert!(same_contents(&props, &oracle));
-        for (op, k, n) in steps {
-            let v = Value::Num(n as f64);
-            match op {
-                0 => {
-                    let replaced = props.insert(Rc::clone(&k), v.clone());
-                    prop_assert_eq!(replaced, oracle.insert(Rc::clone(&k), v));
-                }
-                1 => match (props.get_mut(&k), oracle.get_mut(&k)) {
-                    (Some(mine), Some(theirs)) => {
-                        *mine = v.clone();
-                        *theirs = v;
-                    }
-                    (mine, theirs) => prop_assert_eq!(mine.is_some(), theirs.is_some()),
-                },
-                _ => {
-                    prop_assert_eq!(props.get(&k), oracle.get(&k));
-                    prop_assert_eq!(props.get_key_value(&k), oracle.get_key_value(&k));
-                }
+        for (i, (k, v)) in writes.into_iter().enumerate() {
+            let held = props.get_key_value(&k).map(|(held, _)| Rc::clone(held));
+            if i % 2 == 0 {
+                prop_assert_eq!(
+                    props.insert(Rc::clone(&k), v.clone()),
+                    oracle.insert(Rc::clone(&k), v.clone())
+                );
+            } else if let (Some(mine), Some(theirs)) = (props.get_mut(&k), oracle.get_mut(&k)) {
+                *mine = v.clone();
+                *theirs = v.clone();
+            } else {
+                props.insert(Rc::clone(&k), v.clone());
+                oracle.insert(Rc::clone(&k), v.clone());
             }
-            prop_assert!(same_contents(&props, &oracle), "after step {} on {:?}", op, k);
+            let (now, value) = props.get_key_value(&k).expect("just written");
+            prop_assert!(Rc::ptr_eq(now, held.as_ref().unwrap_or(&k)));
+            prop_assert_eq!(value, &v);
+            prop_assert!(same_keys(&props, &oracle));
         }
     }
 
-    /// Built from pairs in any order, the vector comes out in key order and
-    /// a repeated key keeps its last value, as the map does — and so does
-    /// an object built from them.
+    /// Built from pairs in any order, an object holds the key of each
+    /// key's last pair, with that pair's value, as a collected `BTreeMap`
+    /// does; pairs already in key order with no key twice are held as
+    /// given. `Value::object` builds the same object.
     #[test]
     fn collected_props_keep_the_last_of_a_repeated_key(pairs in pairs()) {
-        let props: Props = pairs.iter().cloned().collect();
         let oracle: BTreeMap<Rc<str>, Value> = pairs.iter().cloned().collect();
-        prop_assert!(same_contents(&props, &oracle));
+        let props: Props = pairs.iter().cloned().collect();
+        prop_assert!(same_keys(&props, &oracle));
         let Value::Object(object) = Value::object(pairs) else {
             unreachable!("Value::object builds an object")
         };
-        prop_assert!(same_contents(&object.borrow(), &oracle));
-        // pairs already in key order with no key twice are taken as given
-        let sorted: Vec<(Rc<str>, Value)> = oracle.clone().into_iter().collect();
-        prop_assert!(same_contents(&Props::from_sorted(sorted), &oracle));
+        prop_assert!(same_keys(&object.borrow(), &oracle));
+        let sorted: Props = oracle.iter().map(|(k, v)| (Rc::clone(k), v.clone())).collect();
+        prop_assert!(same_keys(&sorted, &oracle));
     }
 }

@@ -35,17 +35,16 @@ impl LoadBalancer {
     /// connection count; `active[i]` marks replicas that are powered on.
     /// Returns `None` when no replica is active.
     pub fn pick(&mut self, connections: &[usize], active: &[bool]) -> Option<usize> {
-        let candidates: Vec<usize> = (0..connections.len()).filter(|&i| active[i]).collect();
-        if candidates.is_empty() {
-            return None;
-        }
+        let mut candidates = (0..connections.len()).filter(|&i| active[i]);
         match self.strategy {
-            BalanceStrategy::LeastConnections => {
-                candidates.into_iter().min_by_key(|&i| (connections[i], i))
-            }
+            BalanceStrategy::LeastConnections => candidates.min_by_key(|&i| (connections[i], i)),
             BalanceStrategy::RoundRobin => {
+                let count = candidates.clone().count();
+                if count == 0 {
+                    return None;
+                }
                 self.rr_cursor += 1;
-                Some(candidates[self.rr_cursor % candidates.len()])
+                candidates.nth(self.rr_cursor % count)
             }
         }
     }
@@ -110,6 +109,25 @@ mod tests {
         assert_ne!(b, 1);
         assert_ne!(a, b);
         assert_eq!(a, c);
+    }
+
+    /// Counting the active replicas picks what indexing a list of them
+    /// did, and a pick with none active leaves the rotation where it was.
+    #[test]
+    fn round_robin_counts_as_the_candidate_list_indexed() {
+        let mut lb = LoadBalancer::new(BalanceStrategy::RoundRobin);
+        let mut cursor = 0;
+        for step in 0..200usize {
+            let active: Vec<bool> = (0..4)
+                .map(|i| ((step * 7 + step / 3) >> i) & 1 == 1)
+                .collect();
+            let listed: Vec<usize> = (0..4).filter(|&i| active[i]).collect();
+            let expected = (!listed.is_empty()).then(|| {
+                cursor += 1;
+                listed[cursor % listed.len()]
+            });
+            assert_eq!(lb.pick(&[0; 4], &active), expected, "step {step}");
+        }
     }
 
     #[test]

@@ -683,6 +683,9 @@ impl ThreeTierSystem {
                 .map(|i| reg.counter("edgstr_routed_total", &[("edge", &i.to_string())]))
                 .collect()
         });
+        // what routing reads of each edge, refilled per request
+        let mut connections: Vec<usize> = Vec::with_capacity(self.edges.len());
+        let mut active: Vec<bool> = Vec::with_capacity(self.edges.len());
         for tr in &workload.requests {
             let now = tr.at;
             // background sync ticks that elapsed before this arrival; the
@@ -703,8 +706,10 @@ impl ThreeTierSystem {
                 self.rescale(scaler, now, &mut rec);
             }
             // route to an edge
-            let connections: Vec<usize> = self.edges.iter().map(EdgeReplica::connections).collect();
-            let active: Vec<bool> = self.edges.iter().map(|e| e.active).collect();
+            connections.clear();
+            connections.extend(self.edges.iter().map(EdgeReplica::connections));
+            active.clear();
+            active.extend(self.edges.iter().map(|e| e.active));
             let Some(idx) = self.balancer.pick(&connections, &active) else {
                 rec.fail();
                 let span = telemetry.start_span("request", Tier::Client, None, now);

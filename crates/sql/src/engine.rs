@@ -223,11 +223,13 @@ impl Table {
 
     /// Row as a JSON object keyed by column name.
     pub fn row_json(&self, row: &[SqlValue]) -> Json {
-        let mut m = serde_json::Map::new();
-        for (c, v) in self.columns.iter().zip(row.iter()) {
-            m.insert(c.name.clone(), v.to_json());
-        }
-        Json::Object(m)
+        Json::Object(
+            self.columns
+                .iter()
+                .zip(row)
+                .map(|(c, v)| (c.name.clone(), v.to_json()))
+                .collect(),
+        )
     }
 
     /// Total byte size of the table contents.
@@ -260,11 +262,13 @@ impl SqlResult {
             SqlResult::Rows { columns, rows } => rows
                 .iter()
                 .map(|r| {
-                    let mut m = serde_json::Map::new();
-                    for (c, v) in columns.iter().zip(r.iter()) {
-                        m.insert(c.clone(), v.to_json());
-                    }
-                    Json::Object(m)
+                    Json::Object(
+                        columns
+                            .iter()
+                            .zip(r)
+                            .map(|(c, v)| (c.clone(), v.to_json()))
+                            .collect(),
+                    )
                 })
                 .collect(),
             _ => Vec::new(),
@@ -400,15 +404,16 @@ impl Snapshot {
 
     /// Tables and their contents as JSON: `table → pk → row`.
     pub fn to_json(&self) -> Json {
-        let mut out = serde_json::Map::new();
-        for (name, t) in &self.tables {
-            let mut rows = serde_json::Map::new();
-            for (i, r) in t.rows.iter().enumerate() {
-                rows.insert(t.row_pk(r, i), t.row_json(r));
-            }
-            out.insert(name.clone(), Json::Object(rows));
-        }
-        Json::Object(out)
+        Json::Object(
+            self.tables
+                .iter()
+                .map(|(name, t)| {
+                    let rows = t.rows.iter().enumerate();
+                    let rows = rows.map(|(i, r)| (t.row_pk(r, i), t.row_json(r)));
+                    (name.clone(), Json::Object(rows.collect()))
+                })
+                .collect(),
+        )
     }
 
     /// Total bytes of data held in the snapshot.

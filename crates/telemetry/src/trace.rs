@@ -74,11 +74,10 @@ pub struct EventRecord {
 
 /// Attribute list -> JSON object; later writes of the same key win.
 fn attr_map(attrs: &[(&'static str, Json)]) -> Map<String, Json> {
-    let mut m = Map::new();
-    for (k, v) in attrs {
-        m.insert((*k).to_string(), v.clone());
-    }
-    m
+    attrs
+        .iter()
+        .map(|(k, v)| ((*k).to_string(), v.clone()))
+        .collect()
 }
 
 /// Append-only span/event log. See the module docs for the bounding
