@@ -71,6 +71,11 @@
 //! with them the three trace hashes: the parent's and the change's traces
 //! differ line for line only in the `bytes` attribute of `sync.round`
 //! spans. Every digest, typed state, count and virtual time held.
+//!
+//! Pinned at commit bed9823, before a replica's tables, files and globals
+//! went from one `Doc` each to one `Doc` for all: every node's resident
+//! change count after the run, in the four virtual-time cells. A change
+//! is one local write however the log is keyed, so these hold.
 
 use edgstr_core::{capture_and_transform, EdgStrConfig};
 use edgstr_net::{fnv1a, CrashPlan, FaultPlan, HttpRequest, LossModel, Verb, FNV_OFFSET};
@@ -140,6 +145,17 @@ fn typed_states(sys: &ThreeTierSystem) -> [u64; 4] {
 /// Reads dominate and repeat (so the cache fills, hits, and is invalidated
 /// by the interleaved writes); `/books` is the list-shaped body whose
 /// size, text and digest are asked for most often.
+/// Every node's resident change count after the run, master first: what
+/// compaction left of the log, which holds whatever a change is keyed by.
+fn histories(sys: &ThreeTierSystem) -> [usize; 4] {
+    [
+        sys.cloud.crdts.history_len(),
+        sys.edges[0].core.crdts.history_len(),
+        sys.edges[1].core.crdts.history_len(),
+        sys.edges[2].core.crdts.history_len(),
+    ]
+}
+
 fn stream(seed: u64, n: usize) -> Workload {
     stream_every(seed, n, 2_500)
 }
@@ -219,6 +235,7 @@ fn seeded_bookworm_run_matches_pinned_stats() {
         assert_eq!(e.core.replicated_state_digest(), 0xf7e4_7aa0_b58a_095a);
     }
     assert_eq!(typed_states(&sys), [0xaa85_7d22_670d_135e; 4]);
+    assert_eq!(histories(&sys), [94, 0, 0, 0]);
     assert_eq!(
         cache,
         CacheStats {
@@ -245,6 +262,8 @@ struct FailoverPin {
     state_digests: [u64; 4],
     /// The same nodes' [`typed_state`].
     typed_states: [u64; 4],
+    /// The same nodes' resident change counts ([`histories`]).
+    histories: [usize; 4],
     cache: CacheStats,
     /// edge_crashes, edge_restarts, master_crashes, failovers,
     /// durable_recoveries
@@ -341,6 +360,7 @@ fn failover_run(standby: bool, telemetry: &Telemetry) -> FailoverPin {
             sys.edges[2].core.replicated_state_digest(),
         ],
         typed_states: typed_states(&sys),
+        histories: histories(&sys),
         cache: sys.cache_stats(),
         ha: [
             ha.edge_crashes,
@@ -393,6 +413,7 @@ fn forwarding_failover_and_quarantine_match_pinned_stats() {
             makespan: SimTime(9_042_300),
             state_digests: [0x50a0_3a44_ef56_8dcf; 4],
             typed_states: [0xe4c1_d83d_5b13_9faf; 4],
+            histories: [24, 0, 0, 0],
             cache: CacheStats {
                 hits: 824,
                 misses: 829,
@@ -421,6 +442,7 @@ fn forwarding_failover_and_quarantine_match_pinned_stats() {
             makespan: SimTime(9_112_675),
             state_digests: [0xeb68_42f4_8523_f02e; 4],
             typed_states: [0x7201_be16_e248_9ec5; 4],
+            histories: [93, 0, 0, 0],
             cache: CacheStats {
                 hits: 778,
                 misses: 651,
@@ -455,6 +477,8 @@ struct ElasticPin {
     state_digests: [u64; 4],
     /// The same nodes' [`typed_state`].
     typed_states: [u64; 4],
+    /// The same nodes' resident change counts ([`histories`]).
+    histories: [usize; 4],
     /// (decided at, service, to), in decision order.
     decided: Vec<(SimTime, String, &'static str)>,
     /// (service, from, to, decided at, completed at, reason), in
@@ -545,6 +569,7 @@ fn elastic_run(telemetry: &Telemetry) -> ElasticPin {
             sys.edges[2].core.replicated_state_digest(),
         ],
         typed_states: typed_states(&sys),
+        histories: histories(&sys),
         decided: ps
             .decided
             .iter()
@@ -617,6 +642,7 @@ fn autoscaling_and_adaptive_placement_match_pinned_stats() {
             ],
             state_digests: [0x25bf_01bc_a19d_bcc9; 4],
             typed_states: [0xb254_44b8_220d_d22c; 4],
+            histories: [630, 0, 0, 0],
             decided: [
                 decided(4_000_000, "cloud_pin"),
                 decided(5_000_000, "edge_replicate"),
