@@ -278,7 +278,7 @@ mod tests {
         let req = HttpRequest::post("/score", json!({"score": 10}), vec![]);
         profile_service(&mut server, &init, &req, 2).unwrap();
         // after profiling, the counter global is back to 0
-        assert_eq!(server.global_json("counter"), Some(json!(0)));
+        assert_eq!(server.global_json("counter"), Some(Ok(json!(0))));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use edgstr_lang::{
     compile, parse, Host, HostOutcome, Instrument, Interpreter, NoopInstrument, Program,
-    RuntimeError, Value, Vm,
+    RuntimeError, TooDeep, Value, Vm,
 };
 use edgstr_net::{Body, HttpRequest, HttpResponse, Verb};
 use edgstr_sql::engine::SqlRead;
@@ -692,8 +692,9 @@ impl ServerProcess {
         self.tree_checkpoint = None;
     }
 
-    /// Read one global as JSON (for assertions and CRDT mirroring).
-    pub fn global_json(&self, name: &str) -> Option<Json> {
+    /// Read one global as JSON (for assertions and CRDT mirroring): `None`
+    /// when there is no such global, an error when it has no JSON.
+    pub fn global_json(&self, name: &str) -> Option<Result<Json, TooDeep>> {
         if let Some(vm) = &self.vm {
             return vm.get_global(name).map(|v| v.to_json());
         }
@@ -926,7 +927,7 @@ mod tests {
         }
         // shared keys, not shared rows
         assert_eq!(
-            globals["rows"].to_json(),
+            globals["rows"].to_json().unwrap(),
             json!([{"id": 1, "text": "a"}, {"id": 2, "text": "edited"}, {"id": 3, "text": "c"}])
         );
     }
@@ -1049,9 +1050,9 @@ mod tests {
         let snap = s.snapshot_globals();
         s.handle(&HttpRequest::get("/echo", json!({"msg": "x"})))
             .unwrap();
-        assert_eq!(s.global_json("hits"), Some(json!(1)));
+        assert_eq!(s.global_json("hits"), Some(Ok(json!(1))));
         s.restore_globals(&snap);
-        assert_eq!(s.global_json("hits"), Some(json!(0)));
+        assert_eq!(s.global_json("hits"), Some(Ok(json!(0))));
     }
 
     #[test]
@@ -1139,17 +1140,17 @@ mod tests {
         s.begin_checkpoint();
         let req = HttpRequest::get("/echo", json!({"msg": "x"}));
         let r1 = s.handle(&req).unwrap().response.body;
-        assert_eq!(s.global_json("hits"), Some(json!(1)));
+        assert_eq!(s.global_json("hits"), Some(Ok(json!(1))));
         s.rollback_checkpoint();
-        assert_eq!(s.global_json("hits"), Some(json!(0)));
+        assert_eq!(s.global_json("hits"), Some(Ok(json!(0))));
         // checkpoint stays armed: a second execution rolls back too
         let r2 = s.handle(&req).unwrap().response.body;
         assert_eq!(r1, r2);
         s.rollback_checkpoint();
-        assert_eq!(s.global_json("hits"), Some(json!(0)));
+        assert_eq!(s.global_json("hits"), Some(Ok(json!(0))));
         s.end_checkpoint();
         s.handle(&req).unwrap();
-        assert_eq!(s.global_json("hits"), Some(json!(1)));
+        assert_eq!(s.global_json("hits"), Some(Ok(json!(1))));
     }
 
     #[test]

@@ -74,14 +74,11 @@ impl InitState {
         self.db.byte_size() + self.fs.byte_size() + globals
     }
 
-    /// Globals as JSON (for CRDT-JSON initialization).
+    /// Globals as JSON, leaving out any with no JSON.
     pub fn globals_json(&self) -> Json {
-        Json::Object(
-            self.globals
-                .iter()
-                .map(|(k, v)| (k.clone(), v.to_json()))
-                .collect(),
-        )
+        let globals = self.globals.iter();
+        let globals = globals.filter_map(|(k, v)| Some((k.clone(), v.to_json().ok()?)));
+        Json::Object(globals.collect())
     }
 }
 
@@ -163,10 +160,10 @@ mod tests {
             .unwrap();
         // state changed
         assert_eq!(s.fs.peek("/seed.txt"), Some(&b"bye"[..]));
-        assert_eq!(s.global_json("epoch"), Some(json!(2)));
+        assert_eq!(s.global_json("epoch"), Some(Ok(json!(2))));
         init.restore(&mut s);
         assert_eq!(s.fs.peek("/seed.txt"), Some(&b"seed"[..]));
-        assert_eq!(s.global_json("epoch"), Some(json!(1)));
+        assert_eq!(s.global_json("epoch"), Some(Ok(json!(1))));
         let out = s.db.exec("SELECT v FROM kv WHERE k = 'greeting'").unwrap();
         match out {
             edgstr_sql::SqlResult::Rows { rows, .. } => {

@@ -5,6 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use edgstr_analysis::{profile_service, InitState, ServerProcess};
+use edgstr_crdt::wire::{put_changes, Count};
 use edgstr_crdt::{ActorId, Cell, Change, Doc, Row, VClock, Value};
 use edgstr_datalog::{Const, Database, Rule, RuleAtom, Term};
 use edgstr_net::HttpRequest;
@@ -505,7 +506,7 @@ fn bench_sync(c: &mut Criterion) {
             let mut to_cloud = SyncEndpoint::new();
             let mut deltas = Vec::new();
             for count in [1, touched] {
-                to_cloud.peer_clock = edge_set.clock(); // all shipped so far
+                to_cloud.peer_clock = edge_set.clock().clone(); // all shipped so far
                 for i in 0..count {
                     let id = (i * 61 + count) % rows;
                     let req = HttpRequest::post("/stock", json!({"id": id, "qty": 7}), vec![]);
@@ -543,7 +544,7 @@ fn bench_sync(c: &mut Criterion) {
     let changes = {
         let init = catalog(512);
         let (mut edge, mut edge_set) = node(2, &init);
-        let since = edge_set.clock();
+        let since = edge_set.clock().clone();
         for id in 0..64 {
             let req = HttpRequest::post("/stock", json!({"id": id, "qty": 7}), vec![]);
             let out = edge.handle(&req).unwrap();
@@ -557,20 +558,23 @@ fn bench_sync(c: &mut Criterion) {
                 // a clone shares the record and what it remembers, so an
                 // unsized batch has to be rebuilt from its parts
                 let mut fresh = changes.clone();
-                for cs in fresh.tables.values_mut() {
-                    for c in cs.iter_mut() {
-                        *c = Change::new(c.actor(), c.seq(), c.deps().clone(), c.ops().to_vec());
-                    }
+                for c in fresh.iter_mut() {
+                    *c = Change::new(c.actor(), c.seq(), c.deps().clone(), c.ops().to_vec());
                 }
                 fresh
             },
-            |cs| cs.wire_size(),
+            |cs| batch_size(&cs),
             BatchSize::SmallInput,
         )
     });
-    changes.wire_size();
-    g.bench_function("wire_size/repeat_64", |b| b.iter(|| changes.wire_size()));
+    batch_size(&changes);
+    g.bench_function("wire_size/repeat_64", |b| b.iter(|| batch_size(&changes)));
     g.finish();
+}
+
+/// The wire length of `changes` as one batch of a sync message.
+fn batch_size(changes: &[Change]) -> usize {
+    Count::of(|n| put_changes(n, changes))
 }
 
 /// The CRDT side of a replicated row write on bookworm rows, 64 writes an
@@ -654,7 +658,7 @@ fn bench_row_write(c: &mut Criterion) {
         let mut to_cloud = SyncEndpoint::new();
         let mut deltas = Vec::new();
         for (first, count) in [(20_000, 1), (30_000, 64)] {
-            to_cloud.peer_clock = edge_set.clock();
+            to_cloud.peer_clock = edge_set.clock().clone();
             for id in first..first + count {
                 let out = edge.handle(&add(id)).unwrap();
                 edge_set.absorb_outcome(&out, &edge);

@@ -55,17 +55,6 @@ fn goodput(stats: &RunStats) -> f64 {
     stats.throughput_rps()
 }
 
-/// Total changes summarized by a replica's clock (divergence metric).
-fn clock_total(set: &edgstr_runtime::CrdtSet) -> u64 {
-    let c = set.clock();
-    c.tables
-        .values()
-        .map(edgstr_crdt::VClock::total)
-        .sum::<u64>()
-        + c.files.total()
-        + c.globals.total()
-}
-
 fn main() {
     let smoke = smoke_flag();
     let requests: usize = if smoke { 16 } else { 40 };
@@ -175,8 +164,8 @@ fn main() {
         let stats = sys.run(&wl);
         // divergence window at the end of the run: how far edge0 and the
         // master drifted apart while the partition held
-        let edge_total = clock_total(&sys.edges[0].core.crdts);
-        let cloud_total = clock_total(&sys.cloud.crdts);
+        let edge_total = sys.edges[0].core.crdts.clock().total();
+        let cloud_total = sys.cloud.crdts.clock().total();
         let window = edge_total.abs_diff(cloud_total);
         let heal = SimTime::from_secs_f64(0.5 + part_secs as f64);
         let from = if stats.makespan > heal {

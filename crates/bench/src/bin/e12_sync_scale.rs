@@ -19,12 +19,15 @@
 //! not semantics — which the harness asserts. Results land in
 //! `BENCH_sync_scale.json`.
 
-use edgstr_analysis::{InitState, ServerProcess, StateUnit};
+use edgstr_analysis::{HandleOutcome, InitState, ServerProcess, StateUnit};
 use edgstr_bench::{print_table, smoke_flag, BenchReport};
 use edgstr_core::CrdtBindings;
-use edgstr_crdt::{ActorId, Cell, Change, Doc, Row, VClock, Value};
-use edgstr_runtime::{CrdtSet, SetChanges, SetClock, SetSyncMessage, SyncEndpoint};
+use edgstr_crdt::{ActorId, Doc, VClock, Value};
+use edgstr_net::HttpResponse;
+use edgstr_runtime::{CrdtSet, SetSyncMessage, SyncEndpoint};
+use edgstr_sql::{RowEffect, SqlValue};
 use serde_json::json;
+use std::sync::Arc;
 use std::time::Instant;
 
 const EDGES: usize = 4;
@@ -184,31 +187,27 @@ enum Mode {
 
 /// The pre-PR `generate`: flatten the entire retained history, then
 /// filter by the peer's clock — O(lifetime) per message.
-fn legacy_generate(set: &CrdtSet, peer: &SetClock) -> SetSyncMessage {
-    let full = set.get_changes(&SetClock::default());
-    let empty = VClock::new();
-    let filter = |cs: Vec<Change>, clock: &VClock| -> Vec<Change> {
-        cs.into_iter()
-            .filter(|c| c.seq() > clock.get(c.actor()))
-            .collect()
-    };
-    let tables = full
-        .tables
-        .into_iter()
-        .map(|(n, cs)| {
-            let filtered = filter(cs, peer.tables.get(&n).unwrap_or(&empty));
-            (n, filtered)
-        })
-        .filter(|(_, cs)| !cs.is_empty())
-        .collect();
+fn legacy_generate(set: &CrdtSet, peer: &VClock) -> SetSyncMessage {
+    let full = set.get_changes(&VClock::new());
     SetSyncMessage {
         sender: set.actor(),
-        ack: set.clock(),
-        changes: SetChanges {
-            tables,
-            files: filter(full.files, &peer.files),
-            globals: filter(full.globals, &peer.globals),
-        },
+        ack: set.clock().clone(),
+        changes: full
+            .into_iter()
+            .filter(|c| c.seq() > peer.get(c.actor()))
+            .collect(),
+    }
+}
+
+/// What a request that wrote `effects` and `files` hands the CRDT wiring.
+fn outcome(row_effects: Vec<RowEffect>, file_writes: Vec<(String, Vec<u8>)>) -> HandleOutcome {
+    HandleOutcome {
+        response: HttpResponse::ok(json!({})),
+        cycles: 0,
+        row_effects,
+        file_writes,
+        global_writes: Vec::new(),
+        sql_reads: Vec::new(),
     }
 }
 
@@ -247,24 +246,31 @@ fn run_mode(mode: Mode, rounds: usize, per_edge: usize) -> ModeStats {
     let mut peak_history = 0usize;
     let mut round_ns: Vec<u64> = Vec::with_capacity(rounds);
     let mut next_id = 0usize;
-    let columns: std::sync::Arc<[String]> = ["k".to_string(), "v".to_string()].into();
+    let columns: Arc<[String]> = ["k".to_string(), "v".to_string()].into();
 
     for round in 0..rounds {
-        // mutations land at the edges between sync ticks
+        // mutations land at the edges between sync ticks, each absorbed as
+        // a request's outcome
         for (e, edge) in edges.iter_mut().enumerate() {
-            let kv = edge.set.tables.get_mut("kv").unwrap();
             for _ in 0..per_edge {
                 let id = next_id;
                 next_id += 1;
-                let k = format!("r{}", id % KEYSPACE);
-                let cells = [Cell::Text(k.clone()), Cell::Int(id as i64)];
-                kv.put(&k, Value::Row(Row::new(columns.clone(), cells.into())));
+                let pk = format!("r{}", id % KEYSPACE);
+                let cells = vec![SqlValue::Text(pk.clone()), SqlValue::Int(id as i64)];
+                let upsert = RowEffect::Upsert {
+                    table: "kv".to_string(),
+                    pk,
+                    columns: Arc::clone(&columns),
+                    cells,
+                    changed: None,
+                };
+                edge.set
+                    .absorb_outcome(&outcome(vec![upsert], Vec::new()), &edge.server);
             }
             if round % 10 == 0 {
                 let status = format!("r{round}e{e}").into_bytes();
-                edge.set
-                    .files
-                    .put("/status.txt", Value::File(status.into()));
+                let write = outcome(Vec::new(), vec![("/status.txt".to_string(), status)]);
+                edge.set.absorb_outcome(&write, &edge.server);
             }
         }
         // one bidirectional sync round, timed
@@ -312,21 +318,16 @@ fn run_mode(mode: Mode, rounds: usize, per_edge: usize) -> ModeStats {
                 .receive_owned(&mut edge.set, &mut edge.server, msg);
         }
     }
-    let entries = |doc: &Doc| -> Vec<(String, Value)> {
-        doc.entries()
-            .map(|(k, v)| (k.to_string(), v.clone()))
-            .collect()
+    let entries = |set: &CrdtSet| -> Vec<(String, Value)> {
+        let rows = set.rows("kv").into_iter();
+        rows.map(|(k, v)| (k.to_string(), v.clone())).collect()
     };
-    let final_kv = entries(&cloud_set.tables["kv"]);
+    let final_kv = entries(&cloud_set);
     for edge in &edges {
+        assert_eq!(entries(&edge.set), final_kv, "replicas must converge");
         assert_eq!(
-            entries(&edge.set.tables["kv"]),
-            final_kv,
-            "replicas must converge"
-        );
-        assert_eq!(
-            edge.set.files.get("/status.txt"),
-            cloud_set.files.get("/status.txt"),
+            edge.set.file("/status.txt"),
+            cloud_set.file("/status.txt"),
             "file state must converge"
         );
     }

@@ -32,7 +32,7 @@
 
 use edgstr_bench::{print_table, smoke_flag, BenchReport};
 use edgstr_core::{capture_and_transform, EdgStrConfig, TransformationReport};
-use edgstr_net::{CrashPlan, FaultPlan, HttpRequest, LossModel};
+use edgstr_net::{fnv1a, CrashPlan, FaultPlan, HttpRequest, LossModel, FNV_OFFSET};
 use edgstr_runtime::{
     HaPolicy, QuarantinePolicy, ReplicaCore, ThreeTierOptions, ThreeTierSystem, Workload,
 };
@@ -75,15 +75,6 @@ fn unique_note(i: usize) -> HttpRequest {
     HttpRequest::post("/note", json!({"id": i, "text": format!("t{i}")}), vec![])
 }
 
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// The `notes` rows a replica serves, as JSON: `pk → {column: value}`.
 fn notes_json(core: &ReplicaCore) -> Json {
     let Some(table) = core.server.db.table("notes") else {
@@ -97,10 +88,10 @@ fn notes_json(core: &ReplicaCore) -> Json {
 /// Bit-level digest of a replica's full converged state (tables plus
 /// globals) — compared across replicas *within* a cell.
 fn full_digest(core: &ReplicaCore) -> u64 {
-    let globals = core.crdts.globals.entries();
-    let globals = globals.filter_map(|(g, v)| Some((g.to_string(), v.as_json()?.clone())));
+    let globals = core.crdts.globals().into_iter();
+    let globals = globals.map(|(g, v)| (g.to_string(), v.clone()));
     let s = format!("{}|{}", notes_json(core), Json::Object(globals.collect()));
-    fnv(s.as_bytes())
+    fnv1a(FNV_OFFSET, s.as_bytes())
 }
 
 /// Bit-level digest of the durable keyed data only — compared *across*
@@ -110,7 +101,7 @@ fn full_digest(core: &ReplicaCore) -> u64 {
 /// while the keyed table rows are restored bit-identically by
 /// resubmission.
 fn data_digest(core: &ReplicaCore) -> u64 {
-    fnv(notes_json(core).to_string().as_bytes())
+    fnv1a(FNV_OFFSET, notes_json(core).to_string().as_bytes())
 }
 
 fn loss_faults(loss_pct: u32) -> Option<FaultPlan> {
@@ -217,8 +208,11 @@ fn run_cell(report: &TransformationReport, profile: &str, loss_pct: u32, n: usiz
     let mut waves = 0;
     let mut resubmitted = 0;
     loop {
-        let present: std::collections::BTreeSet<usize> = sys.cloud.crdts.tables["notes"]
-            .entries()
+        let present: std::collections::BTreeSet<usize> = sys
+            .cloud
+            .crdts
+            .rows("notes")
+            .into_iter()
             .filter_map(|(pk, _)| pk.parse().ok())
             .collect();
         let missing: Vec<HttpRequest> = (0..n)
@@ -247,7 +241,7 @@ fn run_cell(report: &TransformationReport, profile: &str, loss_pct: u32, n: usiz
     }
     // + 1: the profiling warm-up row ships with the init snapshot
     assert_eq!(
-        sys.cloud.crdts.tables["notes"].len(),
+        sys.cloud.crdts.rows("notes").len(),
         n + 1,
         "{profile}/{loss_pct}%: converged row count"
     );

@@ -447,7 +447,7 @@ fn main() {
     }
     let completed_ingests: usize = total_ingests; // fault-free: all complete
     assert_eq!(
-        adaptive_sys.cloud.crdts.tables["readings"].len(),
+        adaptive_sys.cloud.crdts.rows("readings").len(),
         completed_ingests + 1, // plus the capture warm-up ingest
         "master must hold one reading per acknowledged ingest"
     );

@@ -263,11 +263,6 @@ impl Change {
         &self.0.ops
     }
 
-    /// Highest op counter used inside this change (0 when empty).
-    pub fn max_counter(&self) -> u64 {
-        self.ops().iter().map(|o| o.id().counter).max().unwrap_or(0)
-    }
-
     /// `actor`, `seq`, `deps`, the key table of the rows the ops put, an
     /// op count, then the ops: a record that names everything it refers
     /// to, so it reads the same in any batch.
@@ -378,27 +373,5 @@ mod tests {
         assert_eq!(early.0.size.get(), Some(&size));
         // sized and unsized values are the same change
         assert_eq!(c, Change::new(ActorId(1), 1, VClock::new(), vec![op()]));
-    }
-
-    #[test]
-    fn max_counter_over_ops() {
-        let c = Change::new(
-            ActorId(1),
-            1,
-            VClock::new(),
-            vec![
-                Op::Del {
-                    id: OpId::new(3, ActorId(1)),
-                    key: "a".into(),
-                    pred: vec![OpId::new(9, ActorId(2))],
-                },
-                Op::Del {
-                    id: OpId::new(7, ActorId(1)),
-                    key: "b".into(),
-                    pred: vec![],
-                },
-            ],
-        );
-        assert_eq!(c.max_counter(), 7);
     }
 }

@@ -8,6 +8,15 @@
 //! (the paper's `getChanges` / `applyChanges`), and replicas that have
 //! applied the same set of changes read the same values.
 //!
+//! # Namespaces
+//!
+//! A key's first char names its namespace. Each namespace keeps its own
+//! Lamport counter, so units that share one document as namespaces (the
+//! runtime tags every key with its table, the files or the globals) give
+//! their writes the op ids, and so resolve concurrent writes the way, they
+//! would each in a document of its own. [`Doc::entries_under`] reads one
+//! namespace.
+//!
 //! # Log structure
 //!
 //! History is kept as a per-actor indexed log: each actor maps to a
@@ -24,6 +33,7 @@ use crate::wire::{ascending, corrupt, put_op_id, put_str, put_varint, Reader, Si
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::ops::Bound;
 use std::sync::Arc;
 
 /// Error raised by replication.
@@ -106,7 +116,12 @@ impl Slot {
 // layout; the primitives are `crate::wire`'s.
 
 /// What an image starts with: three magic bytes and the layout's version.
-const IMAGE_MAGIC: [u8; 4] = *b"EDG\x05";
+const IMAGE_MAGIC: [u8; 4] = *b"EDG\x06";
+
+/// The namespace of `key`: its first char (`'\0'` for the empty key).
+fn namespace(key: &str) -> char {
+    key.chars().next().unwrap_or('\0')
+}
 
 /// The actor id used for deterministic snapshot initialization.
 pub const GENESIS_ACTOR: ActorId = ActorId(0);
@@ -143,7 +158,9 @@ struct ActorLog {
 #[derive(Debug, Clone)]
 pub struct Doc {
     actor: ActorId,
-    counter: u64,
+    /// The Lamport counter of each namespace: the greatest op counter
+    /// written or applied there.
+    counters: BTreeMap<char, u64>,
     seq: u64,
     clock: VClock,
     /// Everything at or below this clock has been folded into the
@@ -164,7 +181,7 @@ impl Doc {
     pub fn new(actor: ActorId) -> Self {
         Doc {
             actor,
-            counter: 0,
+            counters: BTreeMap::new(),
             seq: 0,
             clock: VClock::new(),
             snapshot_clock: VClock::new(),
@@ -197,7 +214,7 @@ impl Doc {
         let ops = entries
             .into_iter()
             .map(|(key, value)| Op::Put {
-                id: doc.next_op(),
+                id: doc.next_op(&key),
                 key: key.into(),
                 value,
                 pred: vec![],
@@ -244,7 +261,7 @@ impl Doc {
     /// Write `value` at `key`, superseding every value the key holds.
     pub fn put(&mut self, key: &str, value: Value) {
         let (key, pred) = self.held(key);
-        let id = self.next_op();
+        let id = self.next_op(&key);
         self.commit(vec![Op::Put {
             id,
             key,
@@ -259,7 +276,7 @@ impl Doc {
             return;
         }
         let (key, pred) = self.held(key);
-        let id = self.next_op();
+        let id = self.next_op(&key);
         self.commit(vec![Op::Del { id, key, pred }]);
     }
 
@@ -276,6 +293,19 @@ impl Doc {
         self.registers
             .iter()
             .filter_map(|(key, slot)| Some((&**key, &slot.last()?.1)))
+    }
+
+    /// The keys that start with `prefix`, each with the prefix cut off, and
+    /// the value [`Doc::get`] reads there, in key order.
+    pub fn entries_under<'a, 'p>(
+        &'a self,
+        prefix: &'p str,
+    ) -> impl Iterator<Item = (&'a str, &'a Value)> + use<'a, 'p> {
+        let from = (Bound::Included(prefix), Bound::Unbounded);
+        self.registers
+            .range::<str, _>(from)
+            .map_while(move |(key, slot)| Some((key.strip_prefix(prefix)?, slot)))
+            .filter_map(|(key, slot)| Some((key, &slot.last()?.1)))
     }
 
     /// Number of keys holding a value.
@@ -427,7 +457,7 @@ impl Doc {
 
     /// Serialize this replica as a state snapshot plus the retained change
     /// tail, in the [`crate::wire`] codec: magic and version, `clock`,
-    /// `snapshot_clock`, the op counter, the key table of the rows the
+    /// `snapshot_clock`, the namespaces' counters, the key table of the rows the
     /// registers hold, the registers in key order, and the tail as one
     /// change batch in `(actor, seq)` order.
     ///
@@ -441,7 +471,11 @@ impl Doc {
         out.put(&IMAGE_MAGIC);
         self.clock.write(&mut out);
         self.snapshot_clock.write(&mut out);
-        put_varint(&mut out, self.counter);
+        put_varint(&mut out, self.counters.len() as u64);
+        for (namespace, counter) in &self.counters {
+            put_varint(&mut out, u64::from(*namespace));
+            put_varint(&mut out, *counter);
+        }
         let values = self.registers.values().flat_map(|slot| slot.iter());
         let keys = KeyTable::of(values.filter_map(|(_, value)| value.as_row()));
         keys.write(&mut out);
@@ -479,7 +513,15 @@ impl Doc {
         }
         let clock = VClock::read(&mut r)?;
         let snapshot_clock = VClock::read(&mut r)?;
-        let counter = r.varint()?;
+        let mut counters = BTreeMap::new();
+        let mut last = None;
+        // a namespace and a counter are two varints
+        for _ in 0..r.count(2)? {
+            let namespace = u32::try_from(r.varint()?).ok().and_then(char::from_u32);
+            let namespace = namespace.ok_or_else(|| corrupt("a namespace is not a char"))?;
+            ascending(&mut last, namespace)?;
+            counters.insert(namespace, r.varint()?);
+        }
         let mut keys = KeysRead::read(&mut r)?;
         let mut registers = BTreeMap::new();
         let mut last = None;
@@ -530,7 +572,7 @@ impl Doc {
         r.end()?;
         Ok(Doc {
             actor,
-            counter,
+            counters,
             seq: clock.get(actor),
             clock,
             snapshot_clock,
@@ -542,9 +584,11 @@ impl Doc {
 
     // ---- internals ----------------------------------------------------------
 
-    fn next_op(&mut self) -> OpId {
-        self.counter += 1;
-        OpId::new(self.counter, self.actor)
+    /// The id of the next op this replica writes at `key`.
+    fn next_op(&mut self, key: &str) -> OpId {
+        let counter = self.counters.entry(namespace(key)).or_default();
+        *counter += 1;
+        OpId::new(*counter, self.actor)
     }
 
     /// `key` as this document holds it (shared, when it is held), and the
@@ -578,9 +622,10 @@ impl Doc {
             if !touched.contains(op.key()) {
                 touched.insert(Arc::clone(op.key()));
             }
+            let counter = self.counters.entry(namespace(op.key())).or_default();
+            *counter = (*counter).max(op.id().counter);
             self.apply_op(op);
         }
-        self.counter = self.counter.max(change.max_counter());
         self.clock.observe(change.actor(), change.seq());
         self.push_history(change);
     }

@@ -11,10 +11,9 @@
 
 use edgstr_crdt::wire::MAX_DEPTH;
 use edgstr_crdt::{ActorId, Cell, Change, CrdtError, Doc, Op, OpId, Row, VClock, Value};
-use edgstr_runtime::{SetChanges, SetClock, SetSyncMessage};
+use edgstr_runtime::SetSyncMessage;
 use proptest::prelude::*;
 use serde_json::{json, Value as Json};
-use std::collections::BTreeMap;
 
 /// Counters and actors from one varint byte up to ten.
 fn wide() -> impl Strategy<Value = u64> {
@@ -920,25 +919,18 @@ proptest! {
 
     #[test]
     fn a_message_is_as_long_as_its_encoding(
-        tables in prop::collection::vec((clock(), prop::collection::vec(change(), 0..3)), 0..3),
-        files in (clock(), prop::collection::vec(change(), 0..3)),
-        globals in (clock(), prop::collection::vec(change(), 0..3)),
+        ack in clock(),
+        changes in prop::collection::vec(change(), 0..6),
         sender in wide(),
     ) {
-        let mut ack = SetClock { tables: BTreeMap::new(), files: files.0, globals: globals.0 };
-        let mut changes = SetChanges { tables: BTreeMap::new(), files: files.1, globals: globals.1 };
-        for (i, (clock, cs)) in tables.into_iter().enumerate() {
-            ack.tables.insert(format!("t{i}"), clock);
-            changes.tables.insert(format!("t{i}"), cs);
-        }
         let msg = SetSyncMessage { sender: ActorId(sender), ack, changes };
         let mut bytes = Vec::new();
         msg.encode(&mut bytes);
         prop_assert_eq!(msg.wire_size(), bytes.len());
         // sized before or after its changes were: the same number
         prop_assert_eq!(msg.clone().wire_size(), bytes.len());
-        // the last batch is the globals' own encodings back to back
-        let tail: Vec<u8> = msg.changes.globals.iter().flat_map(encoded).collect();
+        // the batch is the changes' own encodings back to back
+        let tail: Vec<u8> = msg.changes.iter().flat_map(encoded).collect();
         prop_assert!(bytes.ends_with(&tail));
     }
 }

@@ -166,8 +166,18 @@ impl Value {
     /// identity survives the conversion without embedding megabytes of
     /// data. The text and size of that tree are available without building
     /// it, from one walk: see [`Value::encode`].
-    pub fn to_json(&self) -> Json {
-        match self {
+    ///
+    /// # Errors
+    ///
+    /// A value nested deeper than [`MAX_DEPTH`] — one that holds itself —
+    /// has no JSON, as it has no text.
+    pub fn to_json(&self) -> Result<Json, TooDeep> {
+        self.json_at(0)
+    }
+
+    /// [`Value::to_json`] of this value, found inside `depth` containers.
+    fn json_at(&self, depth: usize) -> Result<Json, TooDeep> {
+        Ok(match self {
             Value::Null => Json::Null,
             Value::Bool(b) => Json::Bool(*b),
             Value::Num(n) => match json_int(*n) {
@@ -179,15 +189,22 @@ impl Value {
                 "$bytes": b.len(),
                 "$hash": fnv1a(b),
             }),
-            Value::Array(items) => Json::Array(items.borrow().iter().map(Value::to_json).collect()),
-            Value::Object(map) => Json::Object(
-                map.borrow()
+            Value::Array(items) => {
+                let depth = deeper(depth)?;
+                let items = items.borrow();
+                let items = items.iter().map(|v| v.json_at(depth));
+                Json::Array(items.collect::<Result<_, _>>()?)
+            }
+            Value::Object(map) => {
+                let depth = deeper(depth)?;
+                let map = map.borrow();
+                let props = map
                     .iter()
-                    .map(|(k, v)| (k.to_string(), v.to_json()))
-                    .collect(),
-            ),
+                    .map(|(k, v)| Ok((k.to_string(), v.json_at(depth)?)));
+                Json::Object(props.collect::<Result<_, _>>()?)
+            }
             Value::Function(_) | Value::Native(_) => Json::Null,
-        }
+        })
     }
 
     /// The compact JSON text of [`Value::to_json`] and the transfer size
@@ -640,6 +657,7 @@ fn json_int(n: f64) -> Option<i64> {
 impl Serialize for Value {
     fn to_json_value(&self) -> Json {
         self.to_json()
+            .expect("a value nested deeper than MAX_DEPTH has no JSON")
     }
 
     fn write_json(&self, out: &mut String) {
@@ -723,7 +741,7 @@ mod tests {
                 Value::array(vec![Value::Bool(true), Value::Null]),
             ),
         ]);
-        let j = v.to_json();
+        let j = v.to_json().unwrap();
         let back = Value::from_json(&j);
         assert!(v.structural_eq(&back));
     }

@@ -25,6 +25,12 @@ struct Observation {
     events: Vec<String>,
 }
 
+/// `v`'s JSON text, or why it has none.
+fn text(v: &Value) -> String {
+    v.to_json()
+        .map_or_else(|e| e.to_string(), |json| json.to_string())
+}
+
 /// A comparable fingerprint of a trace event. Values go through
 /// `to_json` so reference identity (which legitimately differs between
 /// engines) does not leak into the comparison.
@@ -32,10 +38,10 @@ fn fingerprint(e: &TraceEvent) -> String {
     match e {
         TraceEvent::StmtEnter { stmt } => format!("S {stmt}"),
         TraceEvent::Read { stmt, var, value } => {
-            format!("R {stmt} {var} {}", value.to_json())
+            format!("R {stmt} {var} {}", text(value))
         }
         TraceEvent::Write { stmt, var, value } => {
-            format!("W {stmt} {var} {}", value.to_json())
+            format!("W {stmt} {var} {}", text(value))
         }
         TraceEvent::Invoke {
             stmt,
@@ -43,8 +49,8 @@ fn fingerprint(e: &TraceEvent) -> String {
             args,
             ret,
         } => {
-            let args: Vec<String> = args.iter().map(|a| a.to_json().to_string()).collect();
-            format!("I {stmt} {func}({}) -> {}", args.join(","), ret.to_json())
+            let args: Vec<String> = args.iter().map(text).collect();
+            format!("I {stmt} {func}({}) -> {}", args.join(","), text(ret))
         }
         TraceEvent::GlobalWrite { stmt, var } => format!("G {stmt} {var}"),
         TraceEvent::FunctionEnter { decl, call_site } => format!("F {decl} {call_site}"),
@@ -52,10 +58,7 @@ fn fingerprint(e: &TraceEvent) -> String {
 }
 
 fn globals_fingerprint(globals: &BTreeMap<String, Value>) -> Vec<(String, String)> {
-    globals
-        .iter()
-        .map(|(k, v)| (k.clone(), v.to_json().to_string()))
-        .collect()
+    globals.iter().map(|(k, v)| (k.clone(), text(v))).collect()
 }
 
 fn run_tree(program: &Program) -> Observation {

@@ -120,7 +120,7 @@ proptest! {
 
     #[test]
     fn direct_encoding_equals_the_tree_path(v in value()) {
-        let tree = v.to_json();
+        let tree = v.to_json().unwrap();
         let (text, size) = v.encode().unwrap();
         prop_assert_eq!(&text, &serde_json::to_string(&tree).unwrap());
         prop_assert_eq!(size, json_size(&tree));

@@ -2,194 +2,184 @@
 //! operations (§III-G.1).
 //!
 //! EdgStr wraps the replicated components — database tables, files, global
-//! variables — into `CRDT-Table`, `CRDT-Files`, `CRDT-JSON`. A [`CrdtSet`]
-//! holds all three for one replica, *absorbs* local state changes reported
-//! by the server process (the generated wiring), and *materializes* remote
-//! changes back into the server's database / file system / globals.
+//! variables — into `CRDT-Table`, `CRDT-Files`, `CRDT-JSON`. Here the three
+//! are three key namespaces of one [`Doc`]: a [`CrdtSet`] holds all of one
+//! replica's replicated state under one clock, one change log and one
+//! image, *absorbs* local state changes reported by the server process (the
+//! generated wiring), and *materializes* remote changes back into the
+//! server's database / file system / globals.
 
 use crate::cache::UnitVersions;
 use edgstr_analysis::{HandleOutcome, InitState, ServerProcess};
 use edgstr_core::CrdtBindings;
-use edgstr_crdt::wire::{
-    put_bytes, put_changes, put_str, put_varint, Count, Reader, Sink, MAX_DEPTH,
-};
+use edgstr_crdt::wire::{put_changes, put_varint, Count, Sink};
 use edgstr_crdt::{ActorId, Cell, Change, CrdtError, Doc, Row, VClock, Value};
 use edgstr_sql::columns::ColumnSet;
 use edgstr_sql::{ColumnMeta, RowEffect, SqlDb, SqlError, SqlValue};
 use serde_json::Value as Json;
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
+use std::ops::Bound;
 use std::sync::Arc;
 
-/// Clock summary across all structures of a [`CrdtSet`].
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SetClock {
-    pub tables: BTreeMap<String, VClock>,
-    pub files: VClock,
-    pub globals: VClock,
+// ---- key namespaces ---------------------------------------------------------
+//
+// A key of the set's `Doc` is a one-char tag naming its unit, then the name
+// within the unit: a row's primary-key string, a file's path, a global's
+// name. Files are tagged U+0000 and globals U+0001; the table at position
+// `i` of `CrdtBindings::tables` is tagged U+0002 + `i`, one UTF-8 byte for
+// the first 126 tables and two up to the 2,046th.
+
+const FILES: char = '\0';
+const GLOBALS: char = '\u{1}';
+
+/// The tag of the bound table at position `i`.
+fn table_tag(i: usize) -> char {
+    u32::try_from(i + 2)
+        .ok()
+        .and_then(char::from_u32)
+        .expect("fewer than 55,294 bound tables")
 }
 
-impl SetClock {
-    /// Pointwise maximum with `other`, structure by structure.
-    pub fn merge(&mut self, other: &SetClock) {
-        for (n, c) in &other.tables {
-            match self.tables.get_mut(n) {
-                Some(mine) => mine.merge(c),
-                None => {
-                    self.tables.insert(n.clone(), c.clone());
-                }
-            }
-        }
-        self.files.merge(&other.files);
-        self.globals.merge(&other.globals);
-    }
+/// `buf`, now holding `name` under `tag`: a key of the set's `Doc`.
+fn key_in<'b>(buf: &'b mut String, tag: char, name: &str) -> &'b str {
+    buf.clear();
+    buf.push(tag);
+    buf.push_str(name);
+    buf
+}
 
-    /// Pointwise minimum with `other`, structure by structure — the
-    /// greatest clock both sides have acknowledged. Folding the meet of
-    /// all live peers' ack clocks is the safe compaction frontier: no peer
-    /// can still need a change at or below it.
-    pub fn meet(&self, other: &SetClock) -> SetClock {
-        let mut tables = BTreeMap::new();
-        for (n, c) in &self.tables {
-            if let Some(o) = other.tables.get(n) {
-                let m = c.meet(o);
-                if !m.is_empty() {
-                    tables.insert(n.clone(), m);
-                }
-            }
-        }
-        SetClock {
-            tables,
-            files: self.files.meet(&other.files),
-            globals: self.globals.meet(&other.globals),
-        }
-    }
+/// The keys of `keys` tagged `tag`, each with its name, in key order.
+fn under(keys: &BTreeSet<Arc<str>>, tag: char) -> impl Iterator<Item = (&str, &str)> {
+    let next = char::from_u32(tag as u32 + 1).expect("no tag is the last char");
+    let (mut from, mut to) = ([0; 4], [0; 4]);
+    let (from, to) = (&*tag.encode_utf8(&mut from), &*next.encode_utf8(&mut to));
+    let range = keys.range::<str, _>((Bound::Included(from), Bound::Excluded(to)));
+    range.map(move |key| (&**key, &key[tag.len_utf8()..]))
+}
 
-    /// True if this clock has observed at least everything `other` has.
-    pub fn dominates(&self, other: &SetClock) -> bool {
-        let empty = VClock::new();
-        other
-            .tables
-            .iter()
-            .all(|(n, c)| self.tables.get(n).unwrap_or(&empty).dominates(c))
-            && self.files.dominates(&other.files)
-            && self.globals.dominates(&other.globals)
-    }
+/// The unit a key of a set's `Doc` belongs to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Unit<'b> {
+    Table(&'b str),
+    Files,
+    Globals,
+}
 
-    /// Wire layout: a table count, `(name, clock)` per table in name
-    /// order, then the files and globals clocks.
-    fn write<S: Sink>(&self, out: &mut S) {
-        put_varint(out, self.tables.len() as u64);
-        for (n, c) in &self.tables {
-            put_str(out, n);
-            c.write(out);
+/// The unit `key` belongs to under `bindings` (`None`: no bound unit).
+pub(crate) fn unit_of<'b>(bindings: &'b CrdtBindings, key: &str) -> Option<Unit<'b>> {
+    match key.chars().next()? {
+        FILES => Some(Unit::Files),
+        GLOBALS => Some(Unit::Globals),
+        tag => {
+            let table = bindings.tables.get((tag as usize).checked_sub(2)?)?;
+            Some(Unit::Table(table))
         }
-        self.files.write(out);
-        self.globals.write(out);
     }
 }
 
-/// A batch of changes across all structures — the payload of one
-/// `cloud_state` / `edge_state` message (Fig. 5b).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SetChanges {
-    pub tables: BTreeMap<String, Vec<Change>>,
-    pub files: Vec<Change>,
-    pub globals: Vec<Change>,
-}
-
-impl SetChanges {
-    /// Total changes carried.
-    pub fn len(&self) -> usize {
-        self.tables.values().map(Vec::len).sum::<usize>() + self.files.len() + self.globals.len()
-    }
-
-    /// Whether the batch is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Wire layout: a table count, `(name, batch)` per table in name
-    /// order, then the files and globals batches.
-    fn write<S: Sink>(&self, out: &mut S) {
-        put_varint(out, self.tables.len() as u64);
-        for (n, cs) in &self.tables {
-            put_str(out, n);
-            put_changes(out, cs);
-        }
-        put_changes(out, &self.files);
-        put_changes(out, &self.globals);
-    }
-
-    /// Bytes this batch costs on the WAN: the length of its encoding.
-    pub fn wire_size(&self) -> usize {
-        Count::of(|n| self.write(n))
-    }
-}
-
-/// The CRDT structures of one replica: per bound table a [`Doc`] of rows
-/// keyed by primary key, one of bound files keyed by path, and one of
-/// bound globals keyed by name.
+/// The replicated state of one replica: one [`Doc`] holding the rows of
+/// every bound table keyed by primary key, every bound file keyed by path
+/// and every bound global keyed by name, each in its unit's namespace.
 #[derive(Debug)]
 pub struct CrdtSet {
     pub bindings: CrdtBindings,
-    pub tables: BTreeMap<String, Doc>,
-    pub files: Doc,
-    pub globals: Doc,
+    doc: Doc,
     /// Per-state-unit version counters, bumped on every local mutation and
     /// every applied remote change — the response cache's validity signal.
     pub versions: UnitVersions,
 }
 
 impl CrdtSet {
-    /// Initialize all structures from the shared init snapshot — the
+    /// Initialize the replicated state from the shared init snapshot — the
     /// paper's step 1: "initialize both the master and the replicas with
     /// the same snapshot of the cloud-based service".
     pub fn initialize(actor: ActorId, bindings: &CrdtBindings, init: &InitState) -> CrdtSet {
-        let mut tables = BTreeMap::new();
-        for t in &bindings.tables {
-            let rows = init.db.table(t).into_iter().flat_map(|table| {
+        let mut entries = Vec::new();
+        for (i, t) in bindings.tables.iter().enumerate() {
+            if let Some(table) = init.db.table(t) {
                 let columns = table.column_names();
-                let rows = table.rows.iter().enumerate();
-                rows.map(|(i, cells)| (table.row_pk(cells, i), row(columns, cells)))
-            });
-            tables.insert(t.clone(), Doc::from_snapshot(actor, rows));
+                for (n, cells) in table.rows.iter().enumerate() {
+                    let key = format!("{}{}", table_tag(i), table.row_pk(cells, n));
+                    entries.push((key, row(columns, cells)));
+                }
+            }
         }
-        let files = init
-            .fs
-            .entries()
-            .into_iter()
-            .filter(|(p, _)| bindings.files.contains(p))
-            .map(|(p, data)| (p, Value::File(data.into())));
-        let globals_json = init.globals_json();
-        let globals = bindings.globals.iter().filter_map(|g| {
-            let value = globals_json.get(g).cloned().unwrap_or(Json::Null);
-            carried(&value, 0).then(|| (g.clone(), Value::Json(value)))
-        });
+        for (path, data) in init.fs.entries() {
+            if bindings.files.contains(&path) {
+                entries.push((format!("{FILES}{path}"), Value::File(data.into())));
+            }
+        }
+        for g in &bindings.globals {
+            // a global with no JSON is not replicated
+            if let Ok(value) = init.globals.get(g).map_or(Ok(Json::Null), |v| v.to_json()) {
+                entries.push((format!("{GLOBALS}{g}"), Value::Json(value)));
+            }
+        }
         CrdtSet {
             bindings: bindings.clone(),
-            tables,
-            files: Doc::from_snapshot(actor, files),
-            globals: Doc::from_snapshot(actor, globals),
+            doc: Doc::from_snapshot(actor, entries),
             versions: UnitVersions::default(),
         }
     }
 
     /// The owning actor.
     pub fn actor(&self) -> ActorId {
-        self.globals.actor()
+        self.doc.actor()
     }
 
-    /// Current clocks across all structures.
-    pub fn clock(&self) -> SetClock {
-        SetClock {
-            tables: self
-                .tables
-                .iter()
-                .map(|(n, t)| (n.clone(), t.clock().clone()))
+    /// The clock of every change this replica has applied.
+    pub fn clock(&self) -> &VClock {
+        self.doc.clock()
+    }
+
+    /// The tag of bound table `table`.
+    fn tag_of(&self, table: &str) -> Option<char> {
+        let i = self
+            .bindings
+            .tables
+            .binary_search_by(|t| t.as_str().cmp(table));
+        i.ok().map(table_tag)
+    }
+
+    /// The rows of bound table `table` by primary key, in key order (none
+    /// when the table is not bound).
+    pub fn rows(&self, table: &str) -> Vec<(&str, &Value)> {
+        match self.tag_of(table) {
+            Some(tag) => self
+                .doc
+                .entries_under(tag.encode_utf8(&mut [0; 4]))
                 .collect(),
-            files: self.files.clock().clone(),
-            globals: self.globals.clock().clone(),
+            None => Vec::new(),
         }
+    }
+
+    /// The row of bound table `table` at primary key `pk`.
+    pub fn row(&self, table: &str, pk: &str) -> Option<&Value> {
+        self.doc
+            .get(key_in(&mut String::new(), self.tag_of(table)?, pk))
+    }
+
+    /// The bytes of bound file `path`.
+    pub fn file(&self, path: &str) -> Option<&[u8]> {
+        self.doc
+            .get(key_in(&mut String::new(), FILES, path))?
+            .as_file()
+    }
+
+    /// The JSON of bound global `name`.
+    pub fn global(&self, name: &str) -> Option<&Json> {
+        self.doc
+            .get(key_in(&mut String::new(), GLOBALS, name))?
+            .as_json()
+    }
+
+    /// Every replicated global and its JSON, by name.
+    pub fn globals(&self) -> Vec<(&str, &Json)> {
+        let mut tag = [0; 4];
+        let globals = self.doc.entries_under(GLOBALS.encode_utf8(&mut tag));
+        globals
+            .filter_map(|(g, v)| Some((g, v.as_json()?)))
+            .collect()
     }
 
     /// Absorb the local state changes of one request — the generated
@@ -197,13 +187,7 @@ impl CrdtSet {
     /// its typed cells, put whole), file writes feed `CRDT-Files`, and
     /// bound globals are re-read from the server into `CRDT-JSON`.
     pub fn absorb_outcome(&mut self, outcome: &HandleOutcome, server: &ServerProcess) {
-        let CrdtSet {
-            bindings,
-            tables,
-            files,
-            globals,
-            versions,
-        } = self;
+        let mut key = String::new();
         // Version bumps cover *all* concrete effects, bound or not: an
         // unreplicated table/file still invalidates cached reads of it.
         for effect in &outcome.row_effects {
@@ -215,96 +199,82 @@ impl CrdtSet {
                     cells,
                     changed,
                 } => {
-                    versions.touch_row(table, pk, *changed);
-                    if let Some(t) = tables.get_mut(table) {
-                        t.put(pk, row(columns, cells));
+                    self.versions.touch_row(table, pk, *changed);
+                    if let Some(tag) = self.tag_of(table) {
+                        let key = key_in(&mut key, tag, pk);
+                        self.doc.put(key, row(columns, cells));
                     }
                 }
                 RowEffect::Delete { table, pk } => {
-                    versions.touch_row(table, pk, None);
-                    if let Some(t) = tables.get_mut(table) {
-                        t.delete(pk);
+                    self.versions.touch_row(table, pk, None);
+                    if let Some(tag) = self.tag_of(table) {
+                        self.doc.delete(key_in(&mut key, tag, pk));
                     }
                 }
             }
         }
         for (path, data) in &outcome.file_writes {
-            versions.touch_file(path);
-            if bindings.files.contains(path) {
-                files.put(path, Value::File(data.as_slice().into()));
+            self.versions.touch_file(path);
+            if self.bindings.files.contains(path) {
+                let key = key_in(&mut key, FILES, path);
+                self.doc.put(key, Value::File(data.as_slice().into()));
             }
         }
-        // bound globals: re-read and update when changed
-        for g in &bindings.globals {
-            if let Some(current) = server.global_json(g) {
-                if globals.get(g).and_then(Value::as_json) != Some(&current) {
-                    versions.touch_global(g);
-                    if carried(&current, 0) {
-                        globals.put(g, Value::Json(current));
-                    }
+        // bound globals: re-read and update when changed. One with no JSON
+        // is not replicated; replicas keep what was last replicated of it.
+        for g in &self.bindings.globals {
+            let key = key_in(&mut key, GLOBALS, g);
+            match server.global_json(g) {
+                Some(Ok(now)) if self.doc.get(key).and_then(Value::as_json) != Some(&now) => {
+                    self.versions.touch_global(g);
+                    self.doc.put(key, Value::Json(now));
                 }
+                Some(Err(_)) => self.versions.touch_global(g),
+                _ => {}
             }
         }
         // newly-bound globals surface here even when not CRDT-bound
         for g in &outcome.global_writes {
-            versions.touch_global(g);
+            self.versions.touch_global(g);
         }
     }
 
     /// Changes the peer (summarized by `since`) has not observed.
-    pub fn get_changes(&self, since: &SetClock) -> SetChanges {
-        let empty = VClock::new();
-        SetChanges {
-            tables: self
-                .tables
-                .iter()
-                .filter_map(|(n, t)| {
-                    let changes = t.get_changes(since.tables.get(n).unwrap_or(&empty));
-                    (!changes.is_empty()).then(|| (n.clone(), changes))
-                })
-                .collect(),
-            files: self.files.get_changes(&since.files),
-            globals: self.globals.get_changes(&since.globals),
-        }
+    pub fn get_changes(&self, since: &VClock) -> Vec<Change> {
+        self.doc.get_changes(since)
     }
 
-    /// Apply remote changes to the CRDTs and materialize the merged state
+    /// Apply remote changes to the CRDT and materialize the merged state
     /// into the server (database rows, file contents, global values).
     /// Returns the number of changes applied. Takes the batch by value: the
     /// sync daemon's hot path hands each delta over instead of cloning it.
-    pub fn apply_remote_owned(&mut self, changes: SetChanges, server: &mut ServerProcess) -> usize {
-        let mut applied = 0;
-        for (name, cs) in changes.tables {
-            if let Some(t) = self.tables.get_mut(&name) {
-                let (n, keys) = t.apply_changes(cs);
-                applied += n;
-                // materialize what the delta touched into the SQL engine,
-                // bumping what the materialised rows changed there
-                let versions = &mut self.versions;
-                let keys = keys.iter().map(|pk| &**pk);
-                let by_row = materialize_rows(&name, t, keys, &mut server.db, |pk, changed| {
-                    versions.touch_row(&name, pk, changed);
-                });
-                if !by_row {
-                    versions.touch_table(&name);
-                    materialize_table(&name, t, &mut server.db);
-                }
+    pub fn apply_remote_owned(
+        &mut self,
+        changes: Vec<Change>,
+        server: &mut ServerProcess,
+    ) -> usize {
+        let (applied, touched) = self.doc.apply_changes(changes);
+        for (i, name) in self.bindings.tables.iter().enumerate() {
+            let keys = under(&touched, table_tag(i)).map(|(key, _)| key);
+            // materialize what the delta touched into the SQL engine,
+            // bumping what the materialised rows changed there
+            let versions = &mut self.versions;
+            let by_row = materialize_rows(name, &self.doc, keys, &mut server.db, |pk, changed| {
+                versions.touch_row(name, pk, changed);
+            });
+            if !by_row {
+                versions.touch_table(name);
+                materialize_table(name, &self.doc, table_tag(i), &mut server.db);
             }
         }
-        if !changes.files.is_empty() {
-            let (n, keys) = self.files.apply_changes(changes.files);
-            applied += n;
-            for path in &keys {
-                self.versions.touch_file(path);
-            }
+        let mut files = under(&touched, FILES).peekable();
+        if files.peek().is_some() {
+            files.for_each(|(_, path)| self.versions.touch_file(path));
             self.materialize_files(server);
         }
-        if !changes.globals.is_empty() {
-            let (n, keys) = self.globals.apply_changes(changes.globals);
-            applied += n;
-            for g in &keys {
-                self.versions.touch_global(g);
-            }
+        let mut globals = under(&touched, GLOBALS).peekable();
+        if globals.peek().is_some() {
+            globals.for_each(|(_, g)| self.versions.touch_global(g));
             self.materialize_globals(server);
         }
         applied
@@ -314,8 +284,8 @@ impl CrdtSet {
     /// restarted replica is provisioned from a [`CrdtSet::save`] payload
     /// rather than by replaying changes.
     pub fn materialize_all(&self, server: &mut ServerProcess) {
-        for (name, t) in &self.tables {
-            materialize_table(name, t, &mut server.db);
+        for (i, name) in self.bindings.tables.iter().enumerate() {
+            materialize_table(name, &self.doc, table_tag(i), &mut server.db);
         }
         self.materialize_files(server);
         self.materialize_globals(server);
@@ -329,19 +299,21 @@ impl CrdtSet {
     /// again, which keeps the rule remote applies rely on: a row no delta
     /// touched reads the same in the database as in the CRDT.
     pub fn revert_failed_writes(&self, server: &mut ServerProcess) {
+        let mut key = String::new();
         for effect in server.take_failed_row_effects() {
             let (RowEffect::Upsert { table, pk, .. } | RowEffect::Delete { table, pk }) = &effect;
-            if let Some(t) = self.tables.get(table) {
+            if let Some(tag) = self.tag_of(table) {
                 // the rows go back to what the versions already describe
-                if !materialize_rows(table, t, [pk.as_str()], &mut server.db, |_, _| {}) {
-                    materialize_table(table, t, &mut server.db);
+                let keys = [key_in(&mut key, tag, pk)];
+                if !materialize_rows(table, &self.doc, keys, &mut server.db, |_, _| {}) {
+                    materialize_table(table, &self.doc, tag, &mut server.db);
                 }
             }
         }
     }
 
     fn materialize_files(&self, server: &mut ServerProcess) {
-        for (path, value) in self.files.entries() {
+        for (path, value) in self.doc.entries_under(FILES.encode_utf8(&mut [0; 4])) {
             if let Some(data) = value.as_file() {
                 if server.fs.peek(path) != Some(data) {
                     server.fs.write(path.to_string(), data.to_vec());
@@ -352,54 +324,34 @@ impl CrdtSet {
 
     fn materialize_globals(&self, server: &mut ServerProcess) {
         for g in &self.bindings.globals {
-            if let Some(v) = self.globals.get(g).and_then(Value::as_json) {
+            if let Some(v) = self.global(g) {
                 server.set_global_json(g, v);
             }
         }
     }
 
-    /// Total retained change-log length across all structures — the
-    /// resident history the sync daemon keeps bounded via
-    /// [`CrdtSet::compact`].
+    /// The retained change-log length — the resident history the sync
+    /// daemon keeps bounded via [`CrdtSet::compact`].
     pub fn history_len(&self) -> usize {
-        self.tables.values().map(Doc::history_len).sum::<usize>()
-            + self.files.history_len()
-            + self.globals.history_len()
+        self.doc.history_len()
     }
 
     /// Fold acked history at or below `frontier` (normally the
-    /// [`SetClock::meet`] of all live peers' ack clocks) into the
-    /// snapshots. Returns the number of changes dropped.
-    pub fn compact(&mut self, frontier: &SetClock) -> usize {
-        let empty = VClock::new();
-        let mut dropped = 0;
-        for (n, t) in self.tables.iter_mut() {
-            dropped += t.compact(frontier.tables.get(n).unwrap_or(&empty));
-        }
-        dropped += self.files.compact(&frontier.files);
-        dropped += self.globals.compact(&frontier.globals);
-        dropped
+    /// [`VClock::meet`] of all live peers' ack clocks) into the snapshot.
+    /// Returns the number of changes dropped.
+    pub fn compact(&mut self, frontier: &VClock) -> usize {
+        self.doc.compact(frontier)
     }
 
-    /// Serialize the whole replica set (snapshot + retained tail per
-    /// structure) — the provisioning payload for a fresh or restarted
-    /// replica. Bounded by state size plus uncompacted tail, not lifetime
-    /// mutation count. Layout: a table count, `(name, image)` per table in
-    /// name order, the files image, the globals image; each image is its
-    /// structure's own `save`, length-prefixed.
+    /// Serialize the replica's state (snapshot + retained tail) — the
+    /// provisioning payload for a fresh or restarted replica, bounded by
+    /// state size plus uncompacted tail, not lifetime mutation count. It is
+    /// the one [`Doc::save`] image.
     pub fn save(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        put_varint(&mut out, self.tables.len() as u64);
-        for (n, t) in &self.tables {
-            put_str(&mut out, n);
-            put_bytes(&mut out, &t.save());
-        }
-        put_bytes(&mut out, &self.files.save());
-        put_bytes(&mut out, &self.globals.save());
-        out
+        self.doc.save()
     }
 
-    /// Restore a replica set from [`CrdtSet::save`] bytes, owned by
+    /// Restore a replica's state from [`CrdtSet::save`] bytes, owned by
     /// `actor`. The restored set reads the same state and serves the same
     /// retained tail as the original.
     ///
@@ -411,43 +363,28 @@ impl CrdtSet {
         bindings: &CrdtBindings,
         bytes: &[u8],
     ) -> Result<CrdtSet, CrdtError> {
-        let mut r = Reader::new(bytes);
-        let mut tables: BTreeMap<String, Doc> = BTreeMap::new();
-        // a name length and an image length at the least
-        for _ in 0..r.count(2)? {
-            let name = r.str()?;
-            if tables
-                .last_key_value()
-                .is_some_and(|(last, _)| last.as_str() >= name)
-            {
-                return Err(CrdtError::CorruptChange(
-                    "table names are not ascending".to_string(),
-                ));
-            }
-            tables.insert(name.to_string(), Doc::load(actor, r.bytes()?)?);
-        }
-        let files = Doc::load(actor, r.bytes()?)?;
-        let globals = Doc::load(actor, r.bytes()?)?;
-        r.end()?;
         Ok(CrdtSet {
             bindings: bindings.clone(),
-            tables,
-            files,
-            globals,
+            doc: Doc::load(actor, bytes)?,
             versions: UnitVersions::default(),
         })
     }
-}
 
-/// Whether the wire carries `v`, found `depth` containers deep: no
-/// container nests deeper than its `MAX_DEPTH`, the language's own limit,
-/// past which a value has no JSON text. A global nested deeper is not
-/// replicated; replicas keep what was last replicated of it.
-fn carried(v: &Json, depth: usize) -> bool {
-    match v {
-        Json::Array(items) => depth < MAX_DEPTH && items.iter().all(|v| carried(v, depth + 1)),
-        Json::Object(map) => depth < MAX_DEPTH && map.values().all(|v| carried(v, depth + 1)),
-        _ => true,
+    /// Table `table`'s rows as JSON, `pk → {column: value}`: the text whose
+    /// length is the table's state footprint to the placement controller
+    /// (`None` when the table is not bound).
+    pub(crate) fn table_json(&self, table: &str) -> Option<Json> {
+        let mut prefix = [0; 4];
+        let rows = self
+            .doc
+            .entries_under(self.tag_of(table)?.encode_utf8(&mut prefix));
+        let rows = rows.filter_map(|(pk, value)| {
+            let row = value.as_row()?;
+            let cells = row.columns().iter().zip(row.cells());
+            let cells = cells.map(|(name, c)| (name.clone(), sql_value(c).to_json()));
+            Some((pk.to_string(), Json::Object(cells.collect())))
+        });
+        Some(Json::Object(rows.collect()))
     }
 }
 
@@ -493,47 +430,37 @@ fn sql_row(columns: &[ColumnMeta], value: &Value) -> Vec<SqlValue> {
     }
 }
 
-/// A table's rows as JSON, `pk → {column: value}`: the text whose length
-/// is the table's state footprint to the placement controller.
-pub(crate) fn table_json(t: &Doc) -> Json {
-    let rows = t.entries().filter_map(|(pk, value)| {
-        let row = value.as_row()?;
-        let cells = row.columns().iter().zip(row.cells());
-        let cells = cells.map(|(name, c)| (name.clone(), sql_value(c).to_json()));
-        Some((pk.to_string(), Json::Object(cells.collect())))
-    });
-    Json::Object(rows.collect())
-}
-
-/// Rebuild the SQL table `name` whole from `t` — for provisioning, and for
-/// a table with no primary key to address a row by.
-fn materialize_table(name: &str, t: &Doc, db: &mut SqlDb) {
+/// Rebuild the SQL table `name` whole from its rows in `doc`, tagged `tag`
+/// — for provisioning, and for a table with no primary key to address a
+/// row by.
+fn materialize_table(name: &str, doc: &Doc, tag: char, db: &mut SqlDb) {
     let Some(table) = db.table(name) else {
         return;
     };
-    let rows = t
-        .entries()
-        .map(|(_, row)| sql_row(&table.columns, row))
-        .collect();
+    let mut prefix = [0; 4];
+    let rows = doc.entries_under(tag.encode_utf8(&mut prefix));
+    let rows = rows.map(|(_, row)| sql_row(&table.columns, row)).collect();
     let _ = db.replace_table_rows(name, rows);
 }
 
-/// Make the rows of SQL table `name` at `keys` read what `t` reads there:
-/// written where the CRDT has the row, deleted where it does not. Every
-/// other row is left alone, which is sound because it already equals its
-/// CRDT row. `changed` hears of each row that changed, as a
-/// [`RowEffect::Upsert`] reports it (`None`: the row arrived or left).
-/// Returns `false`, having written nothing, for a table without a primary
-/// key to address a row by: the caller rebuilds it whole.
+/// Make the rows of SQL table `name` at `keys` (the table's keys in `doc`)
+/// read what `doc` reads there: written where the CRDT has the row,
+/// deleted where it does not. Every other row is left alone, which is
+/// sound because it already equals its CRDT row. `changed` hears of each
+/// row that changed, as a [`RowEffect::Upsert`] reports it (`None`: the
+/// row arrived or left). Returns `false`, having written nothing, for a
+/// table without a primary key to address a row by: the caller rebuilds it
+/// whole.
 fn materialize_rows<'k>(
     name: &str,
-    t: &Doc,
+    doc: &Doc,
     keys: impl IntoIterator<Item = &'k str>,
     db: &mut SqlDb,
     mut changed: impl FnMut(&str, Option<ColumnSet>),
 ) -> bool {
-    for pk in keys {
-        let written = match (t.get(pk), db.table(name)) {
+    for key in keys {
+        let pk = &key[key.chars().next().map_or(0, char::len_utf8)..];
+        let written = match (doc.get(key), db.table(name)) {
             (Some(row), Some(table)) => {
                 let row = sql_row(&table.columns, row);
                 db.upsert_row(name, row).map(Some)
@@ -560,20 +487,21 @@ fn materialize_rows<'k>(
 pub struct SetSyncMessage {
     /// The replica that produced this message.
     pub sender: ActorId,
-    /// The sender's clock across all structures — acknowledges every
-    /// change the sender has locally applied, including changes it
-    /// received from the destination.
-    pub ack: SetClock,
+    /// The sender's clock — acknowledges every change the sender has
+    /// locally applied, including changes it received from the
+    /// destination.
+    pub ack: VClock,
     /// Changes the sender believes the destination is missing.
-    pub changes: SetChanges,
+    pub changes: Vec<Change>,
 }
 
 impl SetSyncMessage {
-    /// Wire layout: `sender`, the ack clock, then the delta.
+    /// Wire layout: `sender`, the ack clock, then the delta as one change
+    /// batch.
     fn write<S: Sink>(&self, out: &mut S) {
         put_varint(out, self.sender.0);
         self.ack.write(out);
-        self.changes.write(out);
+        put_changes(out, &self.changes);
     }
 
     /// Append this message's wire encoding to `out`.
@@ -615,7 +543,7 @@ pub enum AdvanceMode {
 #[derive(Debug, Default)]
 pub struct SyncEndpoint {
     /// What the peer is known (or, under `Optimistic`, assumed) to have.
-    pub peer_clock: SetClock,
+    pub peer_clock: VClock,
     /// How `peer_clock` advances on send.
     pub mode: AdvanceMode,
 }
@@ -631,31 +559,21 @@ impl SyncEndpoint {
     /// `peer_clock` already — the empty clock for a peer initialised from
     /// the shared snapshot, the provisioning clock for one built from a
     /// save image (nothing below it is ever re-sent).
-    pub fn starting(mode: AdvanceMode, peer_clock: SetClock) -> Self {
+    pub fn starting(mode: AdvanceMode, peer_clock: VClock) -> Self {
         SyncEndpoint { peer_clock, mode }
     }
 
     /// Build the next outgoing sync message for the peer.
     pub fn generate(&mut self, set: &CrdtSet) -> SetSyncMessage {
-        let changes = set.get_changes(&self.peer_clock);
         let msg = SetSyncMessage {
             sender: set.actor(),
-            ack: set.clock(),
-            changes,
+            ack: set.clock().clone(),
+            changes: set.get_changes(&self.peer_clock),
         };
-        if self.mode == AdvanceMode::Optimistic && !msg.changes.is_empty() {
+        if self.mode == AdvanceMode::Optimistic {
             // pre-fix behaviour: assume delivery without an ack
-            for (n, cs) in &msg.changes.tables {
-                let c = self.peer_clock.tables.entry(n.clone()).or_default();
-                for ch in cs {
-                    c.observe(ch.actor(), ch.seq());
-                }
-            }
-            for ch in &msg.changes.files {
-                self.peer_clock.files.observe(ch.actor(), ch.seq());
-            }
-            for ch in &msg.changes.globals {
-                self.peer_clock.globals.observe(ch.actor(), ch.seq());
+            for ch in &msg.changes {
+                self.peer_clock.observe(ch.actor(), ch.seq());
             }
         }
         msg
@@ -754,7 +672,7 @@ mod tests {
             .unwrap();
         assert_eq!(got.response.body[0]["v"], json!(42));
         // and the bound global converged
-        assert_eq!(cloud_set.globals.get("hits"), Some(&Value::Json(json!(1))));
+        assert_eq!(cloud_set.global("hits"), Some(&json!(1)));
     }
 
     #[test]
@@ -789,12 +707,9 @@ mod tests {
             let d2 = e2c.generate(&edge_set);
             c2e.receive_owned(&mut cloud_set, &mut cloud, d2);
         }
-        assert_eq!(
-            cloud_set.tables["kv"].entries().collect::<Vec<_>>(),
-            edge_set.tables["kv"].entries().collect::<Vec<_>>()
-        );
-        assert_eq!(cloud_set.tables["kv"].len(), 3); // seed + 2 concurrent
-                                                     // both servers answer queries about both rows
+        assert_eq!(cloud_set.rows("kv"), edge_set.rows("kv"));
+        assert_eq!(cloud_set.rows("kv").len(), 3); // seed + 2 concurrent
+                                                   // both servers answer queries about both rows
         for (srv, k, v) in [(&mut cloud, "from-edge", 2), (&mut edge, "from-cloud", 1)] {
             let got = srv
                 .handle(&HttpRequest::get("/get", json!({"k": k})))
@@ -870,9 +785,13 @@ mod tests {
             ))
             .unwrap();
         edge_set.absorb_outcome(&out, &edge);
-        let delta = edge_set.get_changes(&SetClock::default());
-        // only the globals doc produced changes beyond genesis
-        assert!(delta.tables.is_empty());
+        let delta = edge_set.get_changes(&VClock::new());
+        // only the global produced a change beyond genesis
+        let units: Vec<_> = delta
+            .iter()
+            .map(|c| unit_of(&narrow, c.ops()[0].key()))
+            .collect();
+        assert_eq!(units, [Some(Unit::Globals)]);
     }
 
     /// Both nodes were initialised from the same snapshot (PAPER.md §1
@@ -885,9 +804,9 @@ mod tests {
         let init = init_state();
         let (mut cloud, mut cloud_set) = make_node(1, &init);
         let (mut edge, mut edge_set) = make_node(2, &init);
-        assert!(!edge_set.tables["kv"].is_empty() && !edge_set.files.is_empty());
+        assert!(!edge_set.rows("kv").is_empty() && edge_set.file("/latest.txt").is_some());
         assert_eq!(edge_set.history_len(), 0, "genesis is folded at birth");
-        assert!(edge_set.get_changes(&SetClock::default()).is_empty());
+        assert!(edge_set.get_changes(&VClock::new()).is_empty());
         let mut e2c = SyncEndpoint::new();
         let mut c2e = SyncEndpoint::new();
         let up = e2c.generate(&edge_set);
@@ -908,20 +827,14 @@ mod tests {
         let up = e2c.generate(&edge_set);
         assert_eq!(up.changes.len(), 3, "row, file and global");
         c2e.receive_owned(&mut cloud_set, &mut cloud, up);
-        assert_eq!(
-            cloud_set.tables["kv"].entries().collect::<Vec<_>>(),
-            edge_set.tables["kv"].entries().collect::<Vec<_>>()
-        );
+        assert_eq!(cloud_set.rows("kv"), edge_set.rows("kv"));
 
         let fresh = CrdtSet::initialize(ActorId(3), &bindings(), &init);
         let loaded = CrdtSet::load(ActorId(3), &bindings(), &fresh.save()).unwrap();
         assert_eq!(loaded.clock(), fresh.clock());
         assert_eq!(loaded.history_len(), 0);
-        assert_eq!(
-            loaded.tables["kv"].entries().collect::<Vec<_>>(),
-            fresh.tables["kv"].entries().collect::<Vec<_>>()
-        );
-        assert!(loaded.get_changes(&SetClock::default()).is_empty());
+        assert_eq!(loaded.rows("kv"), fresh.rows("kv"));
+        assert!(loaded.get_changes(&VClock::new()).is_empty());
     }
 
     /// `wire_size` is the length of `encode`, whatever the message holds.
@@ -936,54 +849,32 @@ mod tests {
             t.put(pk, Value::Row(row));
             t.get_changes(&VClock::new())
         };
-        let clock = |pairs: &[(u64, u64)]| {
-            let mut c = VClock::new();
-            for (a, s) in pairs {
-                c.observe(ActorId(*a), *s);
-            }
-            c
-        };
-        for tables in [
-            vec![],
-            vec!["kv"],
-            vec!["authors", "books", "a-long-table-name-ü"],
-        ] {
+        let mut ack = VClock::new();
+        ack.observe(ActorId(0), 1);
+        ack.observe(ActorId(2), 70_000);
+        for n in [0, 1, 3] {
             let msg = SetSyncMessage {
                 sender: ActorId(300),
-                ack: SetClock {
-                    tables: tables
-                        .iter()
-                        .map(|t| (t.to_string(), clock(&[(0, 1), (2, 70_000)])))
-                        .collect(),
-                    files: clock(&[(1, 1)]),
-                    globals: VClock::new(),
-                },
-                changes: SetChanges {
-                    tables: tables
-                        .iter()
-                        .map(|t| (t.to_string(), change("a")))
-                        .collect(),
-                    files: change("f"),
-                    globals: vec![],
-                },
+                ack: ack.clone(),
+                changes: (0..n).flat_map(|i| change(&format!("k{i}"))).collect(),
             };
             let mut bytes = Vec::new();
             msg.encode(&mut bytes);
-            assert_eq!(msg.wire_size(), bytes.len(), "{} tables", tables.len());
-            // what is not the changes is the envelope, a few bytes a table
-            let envelope = bytes.len() - msg.changes.len() * msg.changes.files[0].wire_size();
-            assert!(envelope < 16 + tables.len() * 40, "{envelope}");
+            assert_eq!(msg.wire_size(), bytes.len(), "{n} changes");
+            // what is not the changes is the envelope: the sender (two
+            // bytes), the clock (seven) and the change count (one)
+            let changes: usize = msg.changes.iter().map(Change::wire_size).sum();
+            assert_eq!(bytes.len() - changes, 10, "{n} changes");
         }
-        // an empty message: sender, three empty clock maps, three empty batches
+        // an empty message: sender, an empty clock, an empty batch
         let empty = SetSyncMessage {
             sender: ActorId(1),
-            ack: SetClock::default(),
-            changes: SetChanges::default(),
+            ack: VClock::new(),
+            changes: Vec::new(),
         };
         let mut bytes = Vec::new();
         empty.encode(&mut bytes);
-        assert_eq!(bytes, [1, 0, 0, 0, 0, 0, 0]);
-        assert_eq!(empty.changes.wire_size(), 3);
+        assert_eq!(bytes, [1, 0, 0]);
     }
 
     /// The sync daemon's compaction loop: after a full bidirectional
@@ -1031,10 +922,7 @@ mod tests {
         cloud_set.absorb_outcome(&out, &cloud);
         let down = c2e.generate(&cloud_set);
         e2c.receive_owned(&mut edge_set, &mut edge, down);
-        assert_eq!(
-            cloud_set.tables["kv"].entries().collect::<Vec<_>>(),
-            edge_set.tables["kv"].entries().collect::<Vec<_>>()
-        );
+        assert_eq!(cloud_set.rows("kv"), edge_set.rows("kv"));
     }
 
     /// A compacted master's save payload provisions a replica that reads
@@ -1054,7 +942,7 @@ mod tests {
             cloud_set.absorb_outcome(&out, &cloud);
         }
         // compact everything: provisioning must not depend on the log
-        let frontier = cloud_set.clock();
+        let frontier = cloud_set.clock().clone();
         cloud_set.compact(&frontier);
         let bytes = cloud_set.save();
 
@@ -1063,10 +951,7 @@ mod tests {
         init.restore(&mut fresh);
         let restored = CrdtSet::load(ActorId(9), &bindings(), &bytes).unwrap();
         restored.materialize_all(&mut fresh);
-        assert_eq!(
-            restored.tables["kv"].entries().collect::<Vec<_>>(),
-            cloud_set.tables["kv"].entries().collect::<Vec<_>>()
-        );
+        assert_eq!(restored.rows("kv"), cloud_set.rows("kv"));
         assert_eq!(fresh.fs.peek("/latest.txt"), Some(&b"k4"[..]));
         // the restored replica answers queries from its materialized DB
         let got = fresh
@@ -1081,8 +966,8 @@ mod tests {
         let mut c2r = SyncEndpoint::new();
         // the restored replica starts from the cloud's clock, so neither
         // side resends history
-        r2c.peer_clock = cloud_set.clock();
-        c2r.peer_clock = restored.clock();
+        r2c.peer_clock = cloud_set.clock().clone();
+        c2r.peer_clock = restored.clock().clone();
         let out = fresh
             .handle(&HttpRequest::post(
                 "/put",
@@ -1095,38 +980,22 @@ mod tests {
         // one table row + one file write + one global update — no history
         assert_eq!(up.changes.len(), 3, "only the new delta travels");
         c2r.receive_owned(&mut cloud_set, &mut cloud, up);
-        assert_eq!(
-            cloud_set.tables["kv"].entries().collect::<Vec<_>>(),
-            restored.tables["kv"].entries().collect::<Vec<_>>()
-        );
+        assert_eq!(cloud_set.rows("kv"), restored.rows("kv"));
     }
 
-    /// The envelope is read like the images it carries: to the end, and
-    /// only as `save` writes it.
+    /// The image is the one `Doc` image, read to the end and only as
+    /// `save` writes it.
     #[test]
     fn a_set_image_is_read_strictly() {
         let (_, set) = make_node(1, &init_state());
         let load = |bytes: &[u8]| CrdtSet::load(ActorId(2), &bindings(), bytes);
         let image = set.save();
+        assert_eq!(image, set.doc.save());
         assert_eq!(load(&image).unwrap().save(), image);
         for cut in 0..image.len() {
             assert!(load(&image[..cut]).is_err(), "prefix {cut}");
         }
         assert!(load(&[&image[..], &[0]].concat()).is_err());
-        let two_tables = |first: &str, second: &str| {
-            let mut out = Vec::new();
-            put_varint(&mut out, 2);
-            for name in [first, second] {
-                put_str(&mut out, name);
-                put_bytes(&mut out, &set.tables["kv"].save());
-            }
-            put_bytes(&mut out, &set.files.save());
-            put_bytes(&mut out, &set.globals.save());
-            out
-        };
-        assert_eq!(load(&two_tables("kv", "kw")).unwrap().tables.len(), 2);
-        assert!(load(&two_tables("kw", "kv")).is_err());
-        assert!(load(&two_tables("kv", "kv")).is_err());
     }
 
     /// The bound tables, file and global as a server holds them.
@@ -1134,7 +1003,7 @@ mod tests {
         (
             server.db.snapshot().to_json()["kv"].clone(),
             server.fs.peek("/latest.txt").map(<[u8]>::to_vec),
-            server.global_json("hits"),
+            server.global_json("hits").map(Result::unwrap),
         )
     }
 
@@ -1180,7 +1049,7 @@ mod tests {
         assert_eq!(restored.actor(), ActorId(9));
         assert_eq!(restored.clock(), cloud_set.clock());
         assert_eq!(restored.history_len(), cloud_set.history_len());
-        for cursor in [&SetClock::default(), &acked, &cloud_set.clock()] {
+        for cursor in [&VClock::new(), &acked, cloud_set.clock()] {
             assert_eq!(
                 restored.get_changes(cursor),
                 cloud_set.get_changes(cursor),
@@ -1202,10 +1071,7 @@ mod tests {
         assert_eq!(cloud_set.apply_remote_owned(concurrent, &mut cloud), 6);
         assert_eq!(restored.clock(), cloud_set.clock());
         assert_eq!(replicated(&fresh), replicated(&cloud));
-        assert_eq!(
-            restored.tables["kv"].entries().collect::<Vec<_>>(),
-            cloud_set.tables["kv"].entries().collect::<Vec<_>>()
-        );
+        assert_eq!(restored.rows("kv"), cloud_set.rows("kv"));
     }
 }
 
@@ -1276,11 +1142,8 @@ mod partition_tests {
         let down = c2e.generate(&cloud_set);
         e2c.receive_owned(&mut edge_set, &mut edge, down);
 
-        assert_eq!(cloud_set.tables["log"].len(), 30);
-        assert_eq!(
-            cloud_set.tables["log"].entries().collect::<Vec<_>>(),
-            edge_set.tables["log"].entries().collect::<Vec<_>>()
-        );
+        assert_eq!(cloud_set.rows("log").len(), 30);
+        assert_eq!(cloud_set.rows("log"), edge_set.rows("log"));
         // both SQL databases materialized the merged rows
         for srv in [&mut cloud, &mut edge] {
             match srv.db.exec("SELECT COUNT(*) FROM log").unwrap() {
@@ -1365,10 +1228,10 @@ mod partition_tests {
         let retry = e2c.generate(&edge_set);
         assert_eq!(retry.changes, lost.changes, "delta must be regenerated");
         c2e.receive_owned(&mut cloud_set, &mut cloud, retry);
-        assert_eq!(cloud_set.tables["log"].len(), 1);
+        assert_eq!(cloud_set.rows("log").len(), 1);
         // the original message finally arrives late: idempotent
         c2e.receive_owned(&mut cloud_set, &mut cloud, lost);
-        assert_eq!(cloud_set.tables["log"].len(), 1);
+        assert_eq!(cloud_set.rows("log").len(), 1);
         // the cloud's ack reaches the edge; nothing further to send
         let ack = c2e.generate(&cloud_set);
         e2c.receive_owned(&mut edge_set, &mut edge, ack);
@@ -1403,8 +1266,8 @@ mod partition_tests {
             .unwrap();
         edge_set.absorb_outcome(&out, &edge);
 
-        let mut e2c = SyncEndpoint::starting(AdvanceMode::Optimistic, SetClock::default());
-        let mut c2e = SyncEndpoint::starting(AdvanceMode::Optimistic, SetClock::default());
+        let mut e2c = SyncEndpoint::starting(AdvanceMode::Optimistic, VClock::new());
+        let mut c2e = SyncEndpoint::starting(AdvanceMode::Optimistic, VClock::new());
         // the delta is LOST, but the optimistic sender marks it delivered
         let _lost = e2c.generate(&edge_set);
         // further rounds never resend it
@@ -1415,10 +1278,10 @@ mod partition_tests {
             let down = c2e.generate(&cloud_set);
             e2c.receive_owned(&mut edge_set, &mut edge, down);
         }
-        assert_eq!(cloud_set.tables["log"].len(), 0, "cloud never sees the row");
+        assert_eq!(cloud_set.rows("log").len(), 0, "cloud never sees the row");
         assert_ne!(
-            cloud_set.tables["log"].entries().collect::<Vec<_>>(),
-            edge_set.tables["log"].entries().collect::<Vec<_>>(),
+            cloud_set.rows("log"),
+            edge_set.rows("log"),
             "replicas stay diverged under optimistic advancement"
         );
     }
@@ -1502,8 +1365,8 @@ mod array_global_tests {
         /// Every node's server and CRDT hold `want` in global `g`.
         fn all_hold(&self, g: &str, want: &Json) {
             for (i, (server, set)) in self.nodes.iter().enumerate() {
-                assert_eq!(server.global_json(g).as_ref(), Some(want), "node {i}");
-                assert_eq!(set.globals.get(g).and_then(Value::as_json), Some(want));
+                assert_eq!(server.global_json(g), Some(Ok(want.clone())), "node {i}");
+                assert_eq!(set.global(g), Some(want));
             }
         }
     }
@@ -1522,7 +1385,7 @@ mod array_global_tests {
         star.all_hold("cfg", &cfg);
         // every global, an array or an object, is one `Put` of its JSON
         let ops = |n: usize| {
-            let changes = star.nodes[n].1.globals.get_changes(&VClock::new());
+            let changes = star.nodes[n].1.get_changes(&VClock::new());
             changes
                 .iter()
                 .filter(|c| c.actor() == ActorId(n as u64 + 1))
@@ -1543,10 +1406,10 @@ mod array_global_tests {
         star.write(2, "/cfg", json!({"name": "b", "list": [2, 2]}));
         star.sync();
         star.sync();
-        let won = star.nodes[0].0.global_json("tags").unwrap();
+        let won = star.nodes[0].0.global_json("tags").unwrap().unwrap();
         assert!(won == a || won == b, "{won}");
         star.all_hold("tags", &won);
-        let cfg = star.nodes[0].0.global_json("cfg").unwrap();
+        let cfg = star.nodes[0].0.global_json("cfg").unwrap().unwrap();
         assert!(
             cfg["list"] == json!([1]) || cfg["list"] == json!([2, 2]),
             "{cfg}"

@@ -4,11 +4,12 @@
 //! every replacement process comes out of its provisioner. DESIGN.md §10
 //! says when the driver calls what.
 
-use crate::crdtset::{AdvanceMode, SetClock};
+use crate::crdtset::AdvanceMode;
 use crate::link::{Leg, SyncLink};
 use crate::replica::{Provisioner, ReplicaCore, ReplicaKind};
 use crate::system::{edge_attr, EdgeReplica};
 use edgstr_analysis::ServerError;
+use edgstr_crdt::VClock;
 use edgstr_net::{CrashEvent, CrashKind, CrashPlan};
 use edgstr_sim::{SimDuration, SimTime};
 use edgstr_telemetry::{Telemetry, Tier};
@@ -75,7 +76,7 @@ pub struct HaStats {
     /// its own crash; every live edge's acked prefix at a master crash).
     /// The zero-acked-write-loss audit: the final converged master clock
     /// must dominate every snapshot.
-    pub acked_snapshots: Vec<SetClock>,
+    pub acked_snapshots: Vec<VClock>,
 }
 
 impl HaStats {
@@ -115,7 +116,7 @@ pub struct HaPlane {
     /// at the next promotion/recovery.
     deferred_restarts: Vec<usize>,
     /// Last durable save image of the master: `(bytes, clock at save)`.
-    durable_image: Option<(Vec<u8>, SetClock)>,
+    durable_image: Option<(Vec<u8>, VClock)>,
     /// What the standby and every replacement process are provisioned from.
     provisioner: Provisioner,
     pub(crate) stats: HaStats,
@@ -140,7 +141,7 @@ impl HaPlane {
         let standby = match &policy {
             Some(ha) if ha.standby => Some(CloudStandby {
                 core: provisioner.replacement(ReplicaKind::Master, None)?,
-                link: SyncLink::starting(AdvanceMode::OnAck, SetClock::default()),
+                link: SyncLink::starting(AdvanceMode::OnAck, VClock::new()),
             }),
             _ => None,
         };
@@ -169,7 +170,7 @@ impl HaPlane {
     /// The durability frontier under ack capping: what the failover target
     /// (standby, else durable image) provably holds. `None` disables
     /// capping (no HA, or the unsafe ablation).
-    pub fn durability_clock(&self) -> Option<SetClock> {
+    pub fn durability_clock(&self) -> Option<VClock> {
         let ha = self.policy.as_ref().filter(|ha| ha.ack_capping)?;
         if let Some(sb) = &self.standby {
             return Some(sb.link.master.peer_clock.clone());
@@ -195,14 +196,14 @@ impl HaPlane {
     /// saves) — the recovery source for a standby-less restart.
     pub fn persist_durable(&mut self, cloud: &ReplicaCore) {
         if self.policy.as_ref().is_some_and(|h| h.durable_saves) {
-            self.durable_image = Some((cloud.crdts.save(), cloud.crdts.clock()));
+            self.durable_image = Some((cloud.crdts.save(), cloud.crdts.clock().clone()));
         }
     }
 
     /// Fold the master's (and the standby's) history below `frontier`, held
     /// back to the durability frontier: a recovered or promoted cloud must
     /// be able to re-serve the tail above it.
-    pub fn compact_master(&mut self, cloud: &mut ReplicaCore, mut frontier: SetClock) -> usize {
+    pub fn compact_master(&mut self, cloud: &mut ReplicaCore, mut frontier: VClock) -> usize {
         if let Some(cap) = self.durability_clock() {
             frontier = frontier.meet(&cap);
         }
@@ -414,7 +415,7 @@ impl HaPlane {
             .provisioner
             .replacement(ReplicaKind::Master, Some(&cloud.crdts.save()))
             .expect("the cloud program parsed and initialised at deploy");
-        let link = SyncLink::starting(AdvanceMode::OnAck, core.crdts.clock());
+        let link = SyncLink::starting(AdvanceMode::OnAck, core.crdts.clock().clone());
         self.standby = Some(CloudStandby { core, link });
         self.telemetry
             .event("standby.provision", Tier::Cloud, None, at, &[]);

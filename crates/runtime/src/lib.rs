@@ -5,7 +5,9 @@
 //! - [`CrdtSet`] — the CRDT wiring connecting service state changes to
 //!   `CRDT-Table` / `CRDT-Files` / `CRDT-JSON` update operations, plus
 //!   materialization of remote changes back into the local database, file
-//!   system and globals;
+//!   system and globals. The three are three key namespaces of one
+//!   `edgstr_crdt::Doc`: a replica has one clock, one change log and one
+//!   save image;
 //! - [`SyncEndpoint`] — the bidirectional `cloud_state` / `edge_state`
 //!   channel with ack-driven delta shipping (Fig. 5b);
 //! - [`ReplicaCore`] — one replica (server process, [`CrdtSet`],
@@ -51,7 +53,7 @@ pub use cache::{
     bump_static_global_writes, resolve_reads, CacheKey, CachePolicy, CacheStats, ResponseCache,
     UnitKey, UnitVersions, CACHE_HIT_CYCLES,
 };
-pub use crdtset::{CrdtSet, SetChanges, SetClock, SetSyncMessage, SyncEndpoint};
+pub use crdtset::{CrdtSet, SetSyncMessage, SyncEndpoint};
 pub use driver::{MobilePower, RunRecorder, RunStats, TimedRequest, Workload};
 pub use ha::HaPolicy;
 pub use parallel::{ParallelOptions, ParallelRunStats, ParallelSystem};

@@ -6,8 +6,9 @@
 //! the standby acknowledges), whether the answer's acknowledgment is
 //! capped, and what the network does to each message.
 
-use crate::crdtset::{AdvanceMode, SetClock, SetSyncMessage, SyncEndpoint};
+use crate::crdtset::{AdvanceMode, SetSyncMessage, SyncEndpoint};
 use crate::replica::ReplicaCore;
+use edgstr_crdt::VClock;
 
 /// Direction of one message on a [`SyncLink`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,7 +32,7 @@ impl SyncLink {
     /// A link advancing in `mode` whose two ends both hold `clock` already
     /// (the empty clock at deploy, the image's clock for a replica
     /// provisioned from a save image: nothing below it is ever re-sent).
-    pub fn starting(mode: AdvanceMode, clock: SetClock) -> SyncLink {
+    pub fn starting(mode: AdvanceMode, clock: VClock) -> SyncLink {
         SyncLink {
             replica: SyncEndpoint::starting(mode, clock.clone()),
             master: SyncEndpoint::starting(mode, clock),
@@ -39,7 +40,7 @@ impl SyncLink {
     }
 
     /// The replica was re-provisioned at `clock`: both ends start over.
-    pub fn replica_replaced(&mut self, clock: SetClock) {
+    pub fn replica_replaced(&mut self, clock: VClock) {
         *self = SyncLink::starting(self.replica.mode, clock);
     }
 
@@ -47,7 +48,7 @@ impl SyncLink {
     /// the dead master's memory, so the master's end restarts from scratch;
     /// resending the retained tail is idempotent.
     pub fn master_replaced(&mut self) {
-        self.master = SyncEndpoint::starting(self.master.mode, SetClock::default());
+        self.master = SyncEndpoint::starting(self.master.mode, VClock::new());
     }
 
     /// One round trip: the `first` leg's sender ships its delta, then the
@@ -60,7 +61,7 @@ impl SyncLink {
         replica: &mut ReplicaCore,
         master: &mut ReplicaCore,
         first: Leg,
-        ack_cap: Option<&SetClock>,
+        ack_cap: Option<&VClock>,
         mut deliver: impl FnMut(Leg, &SetSyncMessage) -> bool,
     ) {
         let answer = match first {
@@ -105,7 +106,7 @@ mod tests {
                 core.execute(&note(*id, "t"), None, None, &None).unwrap();
             }
         }
-        let link = SyncLink::starting(AdvanceMode::OnAck, SetClock::default());
+        let link = SyncLink::starting(AdvanceMode::OnAck, VClock::new());
         (link, edge, master)
     }
 
@@ -115,7 +116,7 @@ mod tests {
         link: &mut SyncLink,
         edge: &mut ReplicaCore,
         master: &mut ReplicaCore,
-        cap: Option<&SetClock>,
+        cap: Option<&VClock>,
         (up_lost, down_lost): (bool, bool),
     ) -> Vec<usize> {
         let mut wire = Vec::new();
@@ -143,7 +144,7 @@ mod tests {
         master: &ReplicaCore,
     ) -> impl PartialEq + std::fmt::Debug {
         (
-            (edge.crdts.clock(), master.crdts.clock()),
+            (edge.crdts.clock().clone(), master.crdts.clock().clone()),
             (
                 link.replica.peer_clock.clone(),
                 link.master.peer_clock.clone(),
@@ -168,7 +169,7 @@ mod tests {
                     let (mut ref_link, mut ref_edge, mut ref_master) = pair(&[1, 2, 3], &[10, 11]);
                     // a durability frontier that trails the master: what it
                     // held before this edge's deltas arrived
-                    let cap = capped.then(|| master.crdts.clock());
+                    let cap = capped.then(|| master.crdts.clock().clone());
                     for script in [first, second] {
                         let mut wire = Vec::new();
                         link.exchange(
@@ -221,7 +222,7 @@ mod tests {
         let (mut link, mut standby, mut master) = pair(&[], &[10, 11]);
         link.exchange(&mut standby, &mut master, Leg::ToReplica, None, |_, _| true);
         assert_eq!(standby.crdts.clock(), master.crdts.clock());
-        assert_eq!(link.master.peer_clock, master.crdts.clock());
+        assert_eq!(&link.master.peer_clock, master.crdts.clock());
     }
 
     #[test]
@@ -229,15 +230,15 @@ mod tests {
         let (mut link, mut edge, mut master) = pair(&[1], &[10]);
         link.exchange(&mut edge, &mut master, Leg::ToMaster, None, |_, _| true);
         let acked = link.replica.peer_clock.clone();
-        assert_ne!(acked, SetClock::default());
+        assert_ne!(acked, VClock::new());
         link.master_replaced();
-        assert_eq!(link.master.peer_clock, SetClock::default());
+        assert_eq!(link.master.peer_clock, VClock::new());
         assert_eq!(
             link.replica.peer_clock, acked,
             "the edge's end is untouched"
         );
-        link.replica_replaced(master.crdts.clock());
-        assert_eq!(link.replica.peer_clock, master.crdts.clock());
-        assert_eq!(link.master.peer_clock, master.crdts.clock());
+        link.replica_replaced(master.crdts.clock().clone());
+        assert_eq!(&link.replica.peer_clock, master.crdts.clock());
+        assert_eq!(&link.master.peer_clock, master.crdts.clock());
     }
 }

@@ -55,11 +55,11 @@
 //! traverse).
 
 use crate::cache::{CachePolicy, CacheStats};
-use crate::crdtset::{AdvanceMode, SetClock, SetSyncMessage, SyncEndpoint};
+use crate::crdtset::{AdvanceMode, SetSyncMessage, SyncEndpoint};
 use crate::driver::fold_response_digest;
 use crate::replica::{cache_plan, Provisioner, ReplicaCore, ReplicaKind, ReplicaTemplate};
 use edgstr_core::TransformationReport;
-use edgstr_crdt::ActorId;
+use edgstr_crdt::{ActorId, VClock};
 use edgstr_net::{HttpRequest, FNV_OFFSET};
 use edgstr_sim::{Clock, SimDuration};
 use edgstr_telemetry::{RegistrySnapshot, Telemetry};
@@ -272,9 +272,7 @@ impl ParallelSystem {
                         .provision(ReplicaKind::Master, ActorId(1), None)
                         .expect("cloud program parses and initialises");
                     let mut endpoints: Vec<SyncEndpoint> = (0..r_count)
-                        .map(|_| {
-                            SyncEndpoint::starting(AdvanceMode::Optimistic, SetClock::default())
-                        })
+                        .map(|_| SyncEndpoint::starting(AdvanceMode::Optimistic, VClock::new()))
                         .collect();
                     let mut received = 0usize;
                     while let Ok(delta) = delta_rx.recv() {
@@ -341,7 +339,7 @@ impl ParallelSystem {
                                     .expect("replica program initialises"),
                                 to_cloud: SyncEndpoint::starting(
                                     AdvanceMode::Optimistic,
-                                    SetClock::default(),
+                                    VClock::new(),
                                 ),
                                 served_since_flush: 0,
                             })

@@ -282,10 +282,8 @@ impl ReplicaCore {
         }
         for g in &bindings.globals {
             h = fnv1a(h, g.as_bytes());
-            let v = server
-                .global_json(g)
-                .map(|v| v.to_string())
-                .unwrap_or_default();
+            let v = server.global_json(g).and_then(Result::ok);
+            let v = v.map(|v| v.to_string()).unwrap_or_default();
             h = fnv1a(h, v.as_bytes());
         }
         h
@@ -583,14 +581,14 @@ pub(crate) mod tests {
             let mut core = core(&mut deployment, kind);
             serve(&mut core, &note(1, "a"), &noting).unwrap();
             let before = serve(&mut core, &count, &counts).unwrap();
-            let (clock, cached) = (core.crdts.clock(), core.cache.len());
+            let (clock, cached) = (core.crdts.clock().clone(), core.cache.len());
             assert_eq!(cached, 1, "the count filled");
 
             assert!(serve(&mut core, &note(77, "boom"), &noting).is_err());
             let stray = "SELECT id FROM notes WHERE id = 77";
             assert!(core.server.db.exec(stray).unwrap().rows_json().is_empty());
-            assert!(core.crdts.tables["notes"].get("77").is_none());
-            assert_eq!(core.crdts.clock(), clock, "no change to ship");
+            assert!(core.crdts.row("notes", "77").is_none());
+            assert_eq!(core.crdts.clock(), &clock, "no change to ship");
             assert_eq!(core.cache.len(), cached);
             let after = serve(&mut core, &count, &counts).unwrap();
             assert!(after.hit, "nothing the count read has changed");
@@ -599,7 +597,7 @@ pub(crate) mod tests {
             // the key is free again, and the write is absorbed this time
             let again = serve(&mut core, &note(77, "fine"), &noting).unwrap();
             assert!(again.effects && !again.hit);
-            assert!(core.crdts.tables["notes"].get("77").is_some());
+            assert!(core.crdts.row("notes", "77").is_some());
             assert!(!serve(&mut core, &count, &counts).unwrap().hit);
         }
     }
@@ -756,10 +754,7 @@ pub(crate) mod tests {
         for c in [&mut healthy, &mut faulty] {
             serve(c, &note(1, "a"), &noting).unwrap();
         }
-        assert_eq!(
-            faulty.crdts.tables["notes"].entries().collect::<Vec<_>>(),
-            healthy.crdts.tables["notes"].entries().collect::<Vec<_>>()
-        );
+        assert_eq!(faulty.crdts.rows("notes"), healthy.crdts.rows("notes"));
         let intact = serve(&mut healthy, &count, &counts).unwrap().response;
         let corrupt = serve(&mut faulty, &count, &counts).unwrap().response;
         assert_ne!(corrupt, intact);

@@ -8,7 +8,7 @@
 
 use crate::balancer::{Autoscaler, BalanceStrategy, LoadBalancer};
 use crate::cache::{CachePolicy, CacheStats};
-use crate::crdtset::{AdvanceMode, SetClock};
+use crate::crdtset::AdvanceMode;
 use crate::driver::RunRecorder;
 pub use crate::driver::{FaultPolicy, MobilePower, RunStats, TimedRequest, Workload};
 use crate::forwarding::{wan_drops, Breaker, Forward, Forwarder};
@@ -22,7 +22,7 @@ use crate::replica::{
 use crate::tiering::{PlacementMode, PlacementStats, Placements, ScriptedDecision};
 use edgstr_analysis::{ServerError, ServerProcess};
 use edgstr_core::TransformationReport;
-use edgstr_crdt::ActorId;
+use edgstr_crdt::{ActorId, VClock};
 use edgstr_net::{CrashPlan, FaultPlan, HttpRequest, LinkChannel, LinkSpec, Verb};
 use edgstr_placement::{Observation, Placement};
 use edgstr_sim::{Clock, Device, DeviceSpec, PowerState, SimDuration, SimTime};
@@ -169,7 +169,7 @@ impl EdgeReplica {
         EdgeReplica {
             core,
             device: Device::new(spec),
-            link: SyncLink::starting(sync_advance, SetClock::default()),
+            link: SyncLink::starting(sync_advance, VClock::new()),
             inflight: Vec::new(),
             active: true,
             crashed: false,
@@ -199,7 +199,7 @@ impl EdgeReplica {
 
     /// What each live edge has been told the master acknowledged: the
     /// snapshot every zero-acked-write-loss audit takes.
-    pub(crate) fn acked_prefixes(edges: &[EdgeReplica]) -> impl Iterator<Item = SetClock> + '_ {
+    pub(crate) fn acked_prefixes(edges: &[EdgeReplica]) -> impl Iterator<Item = VClock> + '_ {
         EdgeReplica::live(edges).map(|e| e.link.replica.peer_clock.clone())
     }
 
@@ -227,7 +227,7 @@ impl EdgeReplica {
         if self.shadow.is_some() {
             self.shadow = Some(provisioner.shadow_variant()?.into());
         }
-        self.link.replica_replaced(core.crdts.clock());
+        self.link.replica_replaced(core.crdts.clock().clone());
         self.core.replace_process(core);
         self.breaker = Breaker::default();
         self.inflight.clear();
@@ -515,7 +515,7 @@ impl ThreeTierSystem {
     /// returns the number of changes dropped cluster-wide.
     ///
     /// The cloud's safe frontier is the pointwise minimum
-    /// ([`crate::crdtset::SetClock::meet`]) of every live edge's ack clock:
+    /// ([`VClock::meet`]) of every live edge's ack clock:
     /// a change is folded only once *all* live peers have acknowledged it
     /// (and, under HA, once the failover target holds it). Crashed edges
     /// are excluded from the meet — a restarted replica re-provisions from
@@ -545,7 +545,7 @@ impl ThreeTierSystem {
         let master = self.cloud.crdts.clock();
         EdgeReplica::live(&self.edges).all(|e| {
             let c = e.core.crdts.clock();
-            c.dominates(&master) && master.dominates(&c)
+            c.dominates(master) && master.dominates(c)
         })
     }
 
@@ -959,9 +959,9 @@ mod tests {
         );
         assert_eq!(stats.wan_request_bytes, 0, "no request traffic on the WAN");
         // all replicas and cloud converge on the notes table
-        let cloud_rows = sys.cloud.crdts.tables["notes"].len();
+        let cloud_rows = sys.cloud.crdts.rows("notes").len();
         for e in &sys.edges {
-            assert_eq!(e.core.crdts.tables["notes"].len(), cloud_rows);
+            assert_eq!(e.core.crdts.rows("notes").len(), cloud_rows);
         }
         assert!(cloud_rows >= 20);
     }
@@ -1082,7 +1082,7 @@ mod tests {
         assert_eq!(stats.forwarded, 5, "all requests must be forwarded");
         assert!(stats.wan_request_bytes > 0);
         // the cloud applied the writes
-        assert!(sys.cloud.crdts.tables["notes"].len() >= 5);
+        assert!(sys.cloud.crdts.rows("notes").len() >= 5);
     }
 
     #[test]
@@ -1201,16 +1201,11 @@ mod tests {
             .sync_until_converged(stats.makespan, 50)
             .expect("cluster must converge within 50 rounds at 20% loss");
         assert!(rounds <= 50);
-        let cloud_rows = sys.cloud.crdts.tables["notes"]
-            .entries()
-            .collect::<Vec<_>>();
+        let cloud_rows = sys.cloud.crdts.rows("notes");
         for e in &sys.edges {
-            assert_eq!(
-                e.core.crdts.tables["notes"].entries().collect::<Vec<_>>(),
-                cloud_rows
-            );
+            assert_eq!(e.core.crdts.rows("notes"), cloud_rows);
         }
-        assert!(sys.cloud.crdts.tables["notes"].len() >= 30);
+        assert!(sys.cloud.crdts.rows("notes").len() >= 30);
     }
 
     /// Pre-fix ablation at system level: the same lossy cluster with
@@ -1406,14 +1401,10 @@ mod tests {
             .expect("restarted replica must converge");
         assert!(rounds <= 10);
         assert_eq!(
-            sys.edges[0].core.crdts.tables["notes"]
-                .entries()
-                .collect::<Vec<_>>(),
-            sys.cloud.crdts.tables["notes"]
-                .entries()
-                .collect::<Vec<_>>()
+            sys.edges[0].core.crdts.rows("notes"),
+            sys.cloud.crdts.rows("notes")
         );
-        assert!(sys.edges[0].core.crdts.tables["notes"].len() >= 30);
+        assert!(sys.edges[0].core.crdts.rows("notes").len() >= 30);
     }
 
     /// Steady-state compaction: under continuous writes with periodic
@@ -1440,7 +1431,7 @@ mod tests {
         }
         sys.sync_until_converged(t, 10)
             .expect("steady-state cluster must converge");
-        let writes = sys.cloud.crdts.tables["notes"].len();
+        let writes = sys.cloud.crdts.rows("notes").len();
         assert!(writes >= 200);
         // every write is at least one change: unfolded, the history would
         // hold no fewer than `writes` of them
@@ -1574,20 +1565,15 @@ mod tests {
             .sync_until_converged(stats.makespan, 20)
             .expect("cluster must reconverge after the scheduled restart");
         assert!(rounds <= 20);
-        let cloud_rows = sys.cloud.crdts.tables["notes"]
-            .entries()
-            .collect::<Vec<_>>();
+        let cloud_rows = sys.cloud.crdts.rows("notes");
         for e in &sys.edges {
-            assert_eq!(
-                e.core.crdts.tables["notes"].entries().collect::<Vec<_>>(),
-                cloud_rows
-            );
+            assert_eq!(e.core.crdts.rows("notes"), cloud_rows);
         }
         // edge0's unsynced pre-crash writes died with the process; nothing
         // may be applied twice (every surviving id appears exactly once —
         // the PK table would otherwise conflict) and the survivor's share
         // plus everything synced before the crash is present
-        let n = sys.cloud.crdts.tables["notes"].len();
+        let n = sys.cloud.crdts.rows("notes").len();
         assert!((20..=30).contains(&n), "unexpected row count {n}");
     }
 
@@ -1639,7 +1625,7 @@ mod tests {
         for snap in &hs.acked_snapshots {
             assert!(final_clock.dominates(snap), "acked write lost in failover");
         }
-        assert!(sys.cloud.crdts.tables["notes"].len() >= 40);
+        assert!(sys.cloud.crdts.rows("notes").len() >= 40);
     }
 
     /// Forwarded writes replicate to the standby before the client sees
@@ -1679,7 +1665,7 @@ mod tests {
         assert!(!sys.ha.master_down());
         // every acked forward is on the post-failover master
         assert!(
-            sys.cloud.crdts.tables["notes"].len() >= stats.completed,
+            sys.cloud.crdts.rows("notes").len() >= stats.completed,
             "an acked forwarded write vanished in the failover"
         );
     }
@@ -1868,7 +1854,7 @@ mod tests {
             assert!(master.dominates(snap), "acked write lost across demotion");
         }
         // 40 run inserts plus the capture warm-up row
-        assert_eq!(sys.cloud.crdts.tables["notes"].len(), 41);
+        assert_eq!(sys.cloud.crdts.rows("notes").len(), 41);
     }
 
     #[test]
@@ -1923,7 +1909,7 @@ mod tests {
             assert!(master.dominates(snap), "acked write lost in round trip");
         }
         // 60 run inserts plus the capture warm-up row
-        assert_eq!(sys.cloud.crdts.tables["notes"].len(), 61);
+        assert_eq!(sys.cloud.crdts.rows("notes").len(), 61);
     }
 
     /// The E18 digest-parity contract: replaying an adaptive run's

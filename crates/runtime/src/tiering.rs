@@ -26,11 +26,12 @@
 //! via [`PlacementMode::Scripted`] flips at identical virtual times and
 //! reproduces bit-identical response digests.
 
-use crate::crdtset::{table_json, CrdtSet, SetChanges, SetClock};
+use crate::crdtset::{unit_of, CrdtSet, Unit};
 use crate::replica::{ReplicaCore, ReplicaTemplate};
 use crate::system::EdgeReplica;
 use edgstr_analysis::{EffectSummary, StateUnit};
-use edgstr_crdt::Value;
+use edgstr_core::CrdtBindings;
+use edgstr_crdt::{Change, VClock};
 use edgstr_net::Verb;
 use edgstr_placement::{
     Observation, Placement, PlacementController, PlacementPolicy, StaticSignals,
@@ -88,10 +89,10 @@ enum TransitionBarrier {
     Immediate,
     /// Promotion warm-up: every live edge clock must dominate this cloud
     /// snapshot before local serving starts.
-    EdgesDominate(SetClock),
+    EdgesDominate(VClock),
     /// Demotion drain: the cloud clock must dominate each of these edge
     /// snapshots (all unsynced deltas folded) before forwarding starts.
-    CloudDominates(Vec<SetClock>),
+    CloudDominates(Vec<VClock>),
 }
 
 /// A completed transition (while it waits on its barrier, `completed_at`
@@ -121,7 +122,7 @@ pub struct PlacementStats {
     /// Ack clocks snapshotted at every completed transition (each live
     /// edge's acked prefix). The zero-acked-write-loss audit: the final
     /// converged master clock must dominate every snapshot.
-    pub acked_snapshots: Vec<SetClock>,
+    pub acked_snapshots: Vec<VClock>,
 }
 
 /// Telemetry label for a service key: `"GET /path"`.
@@ -137,19 +138,10 @@ fn service_state_bytes(crdts: &CrdtSet, summary: &EffectSummary) -> u64 {
     for w in &summary.writes {
         bytes += match w {
             StateUnit::DbTable(t) => crdts
-                .tables
-                .get(t)
-                .map_or(0, |t| table_json(t).to_string().len() as u64),
-            StateUnit::File(f) => crdts
-                .files
-                .get(f)
-                .and_then(Value::as_file)
-                .map_or(0, |b| b.len() as u64),
-            StateUnit::Global(g) => crdts
-                .globals
-                .get(g)
-                .and_then(Value::as_json)
-                .map_or(0, |v| v.to_string().len() as u64),
+                .table_json(t)
+                .map_or(0, |t| t.to_string().len() as u64),
+            StateUnit::File(f) => crdts.file(f).map_or(0, |b| b.len() as u64),
+            StateUnit::Global(g) => crdts.global(g).map_or(0, |v| v.to_string().len() as u64),
         };
     }
     bytes
@@ -189,13 +181,25 @@ impl SyncWriters {
     }
 
     /// Split `msg_bytes` across the services that write the units `changes`
-    /// carries (equal share per writer), at change-count granularity.
+    /// carries (equal share per writer), at change-count granularity: a
+    /// table's changes, all file changes, all global changes.
     fn credit(
         &self,
         msg_bytes: u64,
-        changes: &SetChanges,
+        changes: &[Change],
+        bindings: &CrdtBindings,
         mut credit: impl FnMut(&ServiceKey, u64),
     ) {
+        let (mut tables, mut files, mut globals) = (BTreeMap::new(), 0, 0);
+        for change in changes {
+            let key = change.ops().first().map(|op| &**op.key());
+            match key.and_then(|key| unit_of(bindings, key)) {
+                Some(Unit::Table(t)) => *tables.entry(t).or_insert(0) += 1,
+                Some(Unit::Files) => files += 1,
+                Some(Unit::Globals) => globals += 1,
+                None => {}
+            }
+        }
         let total = changes.len() as u64;
         let mut share_out = |writers: &mut dyn ExactSizeIterator<Item = &ServiceKey>, carried| {
             let bytes = (msg_bytes * carried as u64).checked_div(total).unwrap_or(0);
@@ -204,13 +208,13 @@ impl SyncWriters {
                 writers.for_each(|w| credit(w, per));
             }
         };
-        for (table, ch) in &changes.tables {
+        for (table, carried) in tables {
             if let Some(writers) = self.tables.get(table) {
-                share_out(&mut writers.iter(), ch.len());
+                share_out(&mut writers.iter(), carried);
             }
         }
-        share_out(&mut self.files.iter(), changes.files.len());
-        share_out(&mut self.globals.iter(), changes.globals.len());
+        share_out(&mut self.files.iter(), files);
+        share_out(&mut self.globals.iter(), globals);
     }
 }
 
@@ -411,11 +415,11 @@ impl Placements {
         let barrier = if to == Placement::EdgeReplicate {
             // promotion warm-up: local serving starts only once every live
             // edge has observed at least this cloud snapshot
-            TransitionBarrier::EdgesDominate(cloud.crdts.clock())
+            TransitionBarrier::EdgesDominate(cloud.crdts.clock().clone())
         } else if from == Placement::EdgeReplicate {
             // demotion drain: keep serving locally until the cloud holds
             // every edge delta that existed at decision time
-            let clocks = EdgeReplica::live(edges).map(|e| e.core.crdts.clock());
+            let clocks = EdgeReplica::live(edges).map(|e| e.core.crdts.clock().clone());
             TransitionBarrier::CloudDominates(clocks.collect())
         } else {
             TransitionBarrier::Immediate
@@ -527,10 +531,12 @@ impl Placements {
 
     /// Attribute one sync message's `wire` bytes to the services whose
     /// writes it carries, in the adaptive controller's open windows.
-    pub fn observe_sync(&mut self, wire: usize, changes: &SetChanges) {
+    pub fn observe_sync(&mut self, wire: usize, changes: &[Change]) {
         if let Decisions::Adaptive(c) = &mut self.source {
             let credit = |key: &ServiceKey, bytes| c.observe_sync_bytes(key, bytes);
-            self.sync_writers.credit(wire as u64, changes, credit);
+            let bindings = &self.template.bindings;
+            self.sync_writers
+                .credit(wire as u64, changes, bindings, credit);
         }
     }
 }
@@ -686,11 +692,21 @@ mod tests {
             (counting(), writing(vec![notes])),
         ]));
         let mut credited: BTreeMap<ServiceKey, u64> = BTreeMap::new();
-        writers.credit(1_000, &msg.changes, |key, bytes| {
+        let bindings = &edge.core.crdts.bindings;
+        writers.credit(1_000, &msg.changes, bindings, |key, bytes| {
             *credited.entry(key.clone()).or_default() += bytes;
         });
-        let tables: usize = msg.changes.tables.values().map(Vec::len).sum();
-        let (total, globals) = (msg.changes.len() as u64, msg.changes.globals.len() as u64);
+        let units = msg
+            .changes
+            .iter()
+            .map(|c| unit_of(bindings, c.ops()[0].key()));
+        let units: Vec<_> = units.collect();
+        let tables = units
+            .iter()
+            .filter(|u| **u == Some(Unit::Table("notes")))
+            .count();
+        let globals = units.iter().filter(|u| **u == Some(Unit::Globals)).count() as u64;
+        let total = msg.changes.len() as u64;
         assert!(
             tables > 0 && globals > 0,
             "the note wrote a row and a global"

@@ -19,7 +19,7 @@ use edgstr_analysis::{InitState, ServerProcess, StateUnit};
 use edgstr_core::CrdtBindings;
 use edgstr_crdt::ActorId;
 use edgstr_net::HttpRequest;
-use edgstr_runtime::{CrdtSet, SetChanges, SetSyncMessage, SyncEndpoint};
+use edgstr_runtime::{CrdtSet, SetSyncMessage, SyncEndpoint};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseFailure;
 use serde_json::json;
@@ -240,7 +240,7 @@ proptest! {
                 Op::Compact => {
                     let acked = to_edge
                         .iter()
-                        .fold(cloud.set.clock(), |acc, ep| acc.meet(&ep.peer_clock));
+                        .fold(cloud.set.clock().clone(), |acc, ep| acc.meet(&ep.peer_clock));
                     cloud.set.compact(&acked);
                     for (node, ep) in edges.iter_mut().zip(&to_cloud) {
                         let acked = node.set.clock().meet(&ep.peer_clock);
@@ -374,21 +374,12 @@ proptest! {
         let mut ordered = Node::new(2, &init);
         SyncEndpoint::new().receive_owned(&mut ordered.set, &mut ordered.server, full.clone());
 
-        let single = |table: &String, change| SetSyncMessage {
+        let single = |change| SetSyncMessage {
             sender: full.sender,
             ack: full.ack.clone(),
-            changes: SetChanges {
-                tables: [(table.clone(), vec![change])].into(),
-                ..SetChanges::default()
-            },
+            changes: vec![change],
         };
-        let mut singles: Vec<SetSyncMessage> = full
-            .changes
-            .tables
-            .iter()
-            .flat_map(|(table, cs)| cs.iter().map(|c| single(table, c.clone())))
-            .collect();
-        prop_assert_eq!(singles.len(), full.changes.len());
+        let mut singles: Vec<SetSyncMessage> = full.changes.iter().cloned().map(single).collect();
         let mut chaotic = Node::new(3, &init);
         let mut ep = SyncEndpoint::new();
         let mut from_front = pick.iter().cycle();

@@ -126,7 +126,7 @@ fn typed_state(core: &ReplicaCore) -> u64 {
     }
     for g in &bindings.globals {
         h = fnv1a(h, g.as_bytes());
-        let v = server.global_json(g).map(|v| v.to_string());
+        let v = server.global_json(g).map(|v| v.unwrap().to_string());
         h = fnv1a(h, v.unwrap_or_default().as_bytes());
     }
     h

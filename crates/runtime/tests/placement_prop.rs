@@ -104,7 +104,7 @@ proptest! {
         }
         // one row per acknowledged insert, plus the capture warm-up row
         prop_assert_eq!(
-            sys.cloud.crdts.tables["notes"].len(),
+            sys.cloud.crdts.rows("notes").len(),
             stats.completed + 1,
             "master must hold exactly one row per acknowledged insert"
         );

@@ -69,7 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\nedge energy: {:.1} J across the cluster; cloud stayed the system of record \
          with {} rows",
         stats.edge_energy_j,
-        sys.cloud.crdts.tables["samples"].len()
+        sys.cloud.crdts.rows("samples").len()
     );
 
     // now knock out one replica's database and watch failure forwarding

@@ -61,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "  detections recorded at the cloud master: {}",
-        sys.cloud.crdts.tables["history"].len()
+        sys.cloud.crdts.rows("history").len()
     );
     println!("\nthe image payloads never cross the WAN; only CRDT deltas do.");
     Ok(())

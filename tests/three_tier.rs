@@ -63,18 +63,24 @@ fn four_edge_cluster_converges_with_cloud() {
     let used: usize = sys
         .edges
         .iter()
-        .filter(|e| e.core.crdts.tables["events"].clock().total() > 1)
+        .filter(|e| e.core.crdts.clock().total() > 1)
         .count();
     assert!(used >= 2, "sync should spread writes across replicas");
     // cloud and all edges agree on the full event set
-    let cloud_rows: BTreeSet<&str> = sys.cloud.crdts.tables["events"]
-        .entries()
+    let cloud_rows: BTreeSet<&str> = sys
+        .cloud
+        .crdts
+        .rows("events")
+        .into_iter()
         .map(|(pk, _)| pk)
         .collect();
     assert_eq!(cloud_rows.len(), 61); // 60 + seed
     for e in &sys.edges {
-        let edge_rows: BTreeSet<&str> = e.core.crdts.tables["events"]
-            .entries()
+        let edge_rows: BTreeSet<&str> = e
+            .core
+            .crdts
+            .rows("events")
+            .into_iter()
             .map(|(pk, _)| pk)
             .collect();
         assert_eq!(edge_rows, cloud_rows, "edge diverged from cloud");
