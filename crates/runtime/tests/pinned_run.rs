@@ -76,6 +76,13 @@
 //! went from one `Doc` each to one `Doc` for all: every node's resident
 //! change count after the run, in the four virtual-time cells. A change
 //! is one local write however the log is keyed, so these hold.
+//!
+//! Re-pinned when that happened: every op's key carries its unit's tag,
+//! and a change's sequence number and dependencies count the writes to
+//! every unit, while a message carries one clock where it carried one per
+//! unit. The four `wan_sync_bytes` moved (102,291 → 104,799; 190,446 →
+//! 196,688; 183,984 → 189,120; 442,993 → 453,337). Every digest, typed
+//! state, resident change count and virtual time held.
 
 use edgstr_core::{capture_and_transform, EdgStrConfig};
 use edgstr_net::{fnv1a, CrashPlan, FaultPlan, HttpRequest, LossModel, Verb, FNV_OFFSET};
@@ -228,7 +235,7 @@ fn seeded_bookworm_run_matches_pinned_stats() {
     assert_eq!((stats.failed, stats.forwarded), (0, 0));
     assert_eq!(stats.response_digest, 0x6d1c_e0a9_6847_598c);
     assert_eq!(stats.lan_bytes, 956_935);
-    assert_eq!(stats.wan_sync_bytes, 102_291, "wire-format dependent");
+    assert_eq!(stats.wan_sync_bytes, 104_799, "wire-format dependent");
     assert_eq!(stats.makespan, SimTime(3_001_568));
     assert_eq!(sys.cloud.replicated_state_digest(), 0xf7e4_7aa0_b58a_095a);
     for e in &sys.edges {
@@ -409,7 +416,7 @@ fn forwarding_failover_and_quarantine_match_pinned_stats() {
             counts: [1_600, 0, 305, 87, 0, 0],
             lan_bytes: 1_739_638,
             wan_request_bytes: 273_086,
-            wan_sync_bytes: 190_446,
+            wan_sync_bytes: 196_688,
             makespan: SimTime(9_042_300),
             state_digests: [0x50a0_3a44_ef56_8dcf; 4],
             typed_states: [0xe4c1_d83d_5b13_9faf; 4],
@@ -438,7 +445,7 @@ fn forwarding_failover_and_quarantine_match_pinned_stats() {
             counts: [1_372, 228, 308, 49, 9, 885],
             lan_bytes: 1_486_872,
             wan_request_bytes: 53_192,
-            wan_sync_bytes: 183_984,
+            wan_sync_bytes: 189_120,
             makespan: SimTime(9_112_675),
             state_digests: [0xeb68_42f4_8523_f02e; 4],
             typed_states: [0x7201_be16_e248_9ec5; 4],
@@ -629,7 +636,7 @@ fn autoscaling_and_adaptive_placement_match_pinned_stats() {
             counts: [2_397, 3, 80, 56, 3, 0],
             lan_bytes: 2_640_397,
             wan_request_bytes: 770_140,
-            wan_sync_bytes: 442_993,
+            wan_sync_bytes: 453_337,
             makespan: SimTime(19_100_190),
             replica_samples: 2_400,
             replica_changes: vec![
