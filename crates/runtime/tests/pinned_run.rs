@@ -81,8 +81,10 @@
 //! and a change's sequence number and dependencies count the writes to
 //! every unit, while a message carries one clock where it carried one per
 //! unit. The four `wan_sync_bytes` moved (102,291 → 104,799; 190,446 →
-//! 196,688; 183,984 → 189,120; 442,993 → 453,337). Every digest, typed
-//! state, resident change count and virtual time held.
+//! 196,688; 183,984 → 189,120; 442,993 → 453,337), and with them the
+//! three trace hashes: the parent's and the change's traces differ line
+//! for line only in the `bytes` attribute of `sync.round` spans. Every
+//! digest, typed state, resident change count and virtual time held.
 
 use edgstr_core::{capture_and_transform, EdgStrConfig};
 use edgstr_net::{fnv1a, CrashPlan, FaultPlan, HttpRequest, LossModel, Verb, FNV_OFFSET};
@@ -433,7 +435,7 @@ fn forwarding_failover_and_quarantine_match_pinned_stats() {
             quarantines: vec![(2, SimTime(3_568_418))],
             outages: vec![(SimTime(3_200_000), SimTime(3_700_000))],
         },
-        0x371e_2a9b_6436_0585,
+        0x0781_511a_9af4_abd6,
     );
     // no standby: forwards time out and breakers open until the master
     // recovers from its durable image at 6 s; the edge whose restart came
@@ -462,7 +464,7 @@ fn forwarding_failover_and_quarantine_match_pinned_stats() {
             quarantines: vec![(2, SimTime(3_568_418))],
             outages: vec![(SimTime(3_200_000), SimTime(6_000_000))],
         },
-        0xe344_95f3_8231_6fb3,
+        0xc432_2cf1_377d_5ca9,
     );
 }
 
@@ -669,7 +671,7 @@ fn autoscaling_and_adaptive_placement_match_pinned_stats() {
             demotes: 4,
             acked_snapshots: [24, 0],
         },
-        0x6d60_bd5b_b3d2_3a06,
+        0xfb68_2ee2_542e_a1ba,
     );
 }
 
