@@ -357,7 +357,8 @@ fn the_layout_is_the_documented_one() {
 /// a list, insert an element, overwrite one, delete one, and add to a
 /// counter. No replica writes them; a change carrying one, in the layout
 /// it had, is refused like any unknown tag — and so are images of layout
-/// versions 3 and 4, which held containers.
+/// versions 3 and 4, which held containers, and 5, which kept one op
+/// counter for all keys.
 #[test]
 fn retired_tags_and_images_are_corrupt() {
     // actor 2, seq 5, no deps, no key table, one op
@@ -385,10 +386,12 @@ fn retired_tags_and_images_are_corrupt() {
     // root map with no entries, no tail
     let v3 = b"EDG\x03\x00\x00\x00\x01\x00\x00\x00\x00\x00";
     let v4 = b"EDG\x04\x00\x00\x00\x01\x00\x00\x00";
-    assert!(is_corrupt(&Doc::load(ActorId(1), v3)));
-    assert!(is_corrupt(&Doc::load(ActorId(1), v4)));
     let v5 = b"EDG\x05\x00\x00\x00\x00\x00\x00";
-    assert_eq!(Doc::load(ActorId(1), v5).unwrap().save(), v5);
+    for retired in [&v3[..], v4, v5] {
+        assert!(is_corrupt(&Doc::load(ActorId(1), retired)), "{retired:?}");
+    }
+    let v6 = b"EDG\x06\x00\x00\x00\x00\x00\x00";
+    assert_eq!(Doc::load(ActorId(1), v6).unwrap().save(), v6);
 }
 
 #[test]
@@ -690,17 +693,17 @@ fn the_image_layout_is_the_documented_one() {
     d.delete("k");
     #[rustfmt::skip]
     let want: Vec<u8> = vec![
-        b'E', b'D', b'G', 5,          // magic, layout version
+        b'E', b'D', b'G', 6,          // magic, layout version
         1, 2, 3,                      // clock: actor 2 -> seq 3
         1, 2, 2,                      // snapshot_clock: actor 2 -> seq 2
-        3,                            // op counter
+        2, b'k', 2, b'r', 1,          // counters: namespace 'k' -> 2, 'r' -> 1
         1, 1, 1, b'a',                // key table: one column list, ["a"]
         1,                            // one key, keys ascending
             1, b'r', 1,               //   "r": one value
-                2, 2, 0, 0, 3, 1, b'b', // 2@2 = row, column list 0, text "b"
+                1, 2, 0, 0, 3, 1, b'b', // 1@2 = row, column list 0, text "b"
         1,                            // tail: one change, as on the wire
         2, 3, 1, 2, 2, 0, 1,          //   actor 2, seq 3, deps {2: 2}, no key table, one op
-            3, 3, 2, 1, b'k', 1, 1, 2, // Del 3@2 "k", pred [1@2]
+            3, 2, 2, 1, b'k', 1, 1, 2, // Del 2@2 "k", pred [1@2]
     ];
     assert_eq!(d.save(), want);
     assert_eq!(
@@ -714,8 +717,8 @@ fn the_image_layout_is_the_documented_one() {
 #[test]
 fn an_image_count_is_checked_before_anything_is_sized_by_it() {
     let huge = [0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40];
-    // magic, two empty clocks, counter 0 — then 2^62 column lists
-    let head = b"EDG\x05\x00\x00\x00".to_vec();
+    // magic, two empty clocks, no counters — then 2^62 column lists
+    let head = b"EDG\x06\x00\x00\x00".to_vec();
     let with = |body: &[u8]| [&head[..], body, &huge[..]].concat();
     assert!(is_corrupt(&Doc::load(ActorId(1), &with(&[]))));
     // no column lists, then 2^62 keys
@@ -725,20 +728,23 @@ fn an_image_count_is_checked_before_anything_is_sized_by_it() {
     // no keys and a tail of 2^62 changes
     assert!(Doc::load(ActorId(1), &[&head[..], &[0, 0, 0]].concat()).is_ok());
     assert!(is_corrupt(&Doc::load(ActorId(1), &with(&[0, 0]))));
+    // 2^62 namespace counters
+    let counters = [&b"EDG\x06\x00\x00"[..], &huge[..]].concat();
+    assert!(is_corrupt(&Doc::load(ActorId(1), &counters)));
     // other versions of the layout are not images
     assert!(is_corrupt(&Doc::load(
         ActorId(1),
-        b"EDG\x06\x00\x00\x00\x00\x00\x00"
+        b"EDG\x07\x00\x00\x00\x00\x00\x00"
     )));
 }
 
-/// An image says each thing in one way: keys and slot op ids strictly
-/// ascending, no key without a value, and a key table as a change has
-/// it. Anything else would save back to different bytes.
+/// An image says each thing in one way: namespaces, keys and slot op ids
+/// strictly ascending, no key without a value, and a key table as a change
+/// has it. Anything else would save back to different bytes.
 #[test]
 fn only_canonical_images_load() {
-    // magic, two empty clocks, counter 0, then `body` and an empty tail
-    let image = |body: &[u8]| [&b"EDG\x05\x00\x00\x00"[..], body, &[0]].concat();
+    // magic, two empty clocks, no counters, then `body` and an empty tail
+    let image = |body: &[u8]| [&b"EDG\x06\x00\x00\x00"[..], body, &[0]].concat();
     let null_at = |n: u8| [n, 1, 2, 0]; // slot n@1 = JSON null
     let row_at = |n: u8, list: u8| [n, 1, 0, list, 0]; // slot n@1 = a row of one null
     let ok: [&[u8]; 3] = [
@@ -793,6 +799,21 @@ fn only_canonical_images_load() {
     ];
     for body in rejected {
         assert!(is_corrupt(&Doc::load(ActorId(1), &image(body))), "{body:?}");
+    }
+    // magic, two empty clocks, `counters`, no key table, no keys, no tail
+    let with = |counters: &[u8]| [&b"EDG\x06\x00\x00"[..], counters, &[0, 0, 0]].concat();
+    let two = with(&[2, b'a', 1, b'b', 5]);
+    assert_eq!(Doc::load(ActorId(1), &two).unwrap().save(), two);
+    let rejected: [&[u8]; 3] = [
+        &[2, b'b', 1, b'a', 5],    // namespaces descending
+        &[2, b'a', 1, b'a', 5],    // a namespace twice
+        &[1, 0x80, 0xb0, 0x03, 1], // U+D800, which is no char
+    ];
+    for counters in rejected {
+        assert!(
+            is_corrupt(&Doc::load(ActorId(1), &with(counters))),
+            "{counters:?}"
+        );
     }
 }
 
@@ -907,7 +928,7 @@ proptest! {
 
     #[test]
     fn arbitrary_bytes_are_never_an_image(bytes in prop::collection::vec(any::<u8>(), 0..96)) {
-        let mut image = b"EDG\x05".to_vec();
+        let mut image = b"EDG\x06".to_vec();
         image.extend_from_slice(&bytes);
         for candidate in [&bytes, &image] {
             if let Ok(m) = Doc::load(ActorId(9), candidate) {
