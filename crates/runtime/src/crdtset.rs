@@ -1076,6 +1076,114 @@ mod tests {
 }
 
 #[cfg(test)]
+mod namespace_tests {
+    //! Every unit is a namespace of the set's one `Doc`: units that use
+    //! the same name stay apart.
+
+    use super::*;
+    use edgstr_analysis::StateUnit;
+    use edgstr_net::HttpRequest;
+    use serde_json::json;
+
+    /// Two keyed tables, a keyless table, a file and a global, each
+    /// written under the name `cfg`.
+    const APP: &str = r#"
+        db.query("CREATE TABLE a (k TEXT PRIMARY KEY, v INT)");
+        db.query("CREATE TABLE b (k TEXT PRIMARY KEY, w TEXT)");
+        db.query("CREATE TABLE log (msg TEXT)");
+        db.query("INSERT INTO log VALUES ('seed')");
+        var cfg = 0;
+        app.post("/all", function (req, res) {
+            db.query("INSERT INTO a VALUES ('cfg', 1)");
+            db.query("INSERT INTO b VALUES ('cfg', 'two')");
+            db.query("INSERT INTO log VALUES ('cfg')");
+            fs.writeFile("cfg", "file");
+            cfg = { v: 3 };
+            res.send({ ok: 1 });
+        });
+    "#;
+
+    fn bindings() -> CrdtBindings {
+        CrdtBindings::from_units([
+            StateUnit::DbTable("a".into()),
+            StateUnit::DbTable("b".into()),
+            StateUnit::DbTable("log".into()),
+            StateUnit::File("cfg".into()),
+            StateUnit::Global("cfg".into()),
+        ])
+    }
+
+    fn node(actor: u64, init: &InitState) -> (ServerProcess, CrdtSet) {
+        let mut s = ServerProcess::from_source(APP).unwrap();
+        s.init().unwrap();
+        init.restore(&mut s);
+        (s, CrdtSet::initialize(ActorId(actor), &bindings(), init))
+    }
+
+    fn rows(server: &ServerProcess, table: &str) -> Vec<Vec<SqlValue>> {
+        server.db.table(table).unwrap().rows.clone()
+    }
+
+    #[test]
+    fn units_named_alike_replicate_apart() {
+        let init = {
+            let mut s = ServerProcess::from_source(APP).unwrap();
+            s.init().unwrap();
+            InitState::capture(&s)
+        };
+        let (mut writer, mut writer_set) = node(2, &init);
+        let (mut peer, mut peer_set) = node(1, &init);
+        let out = writer
+            .handle(&HttpRequest::post("/all", json!({}), vec![]))
+            .unwrap();
+        writer_set.absorb_outcome(&out, &writer);
+        let msg = SyncEndpoint::new().generate(&writer_set);
+        assert_eq!(
+            msg.changes.len(),
+            5,
+            "a row in each table, a file, a global"
+        );
+        SyncEndpoint::new().receive_owned(&mut peer_set, &mut peer, msg);
+
+        let text = |s: &str| SqlValue::Text(s.to_string());
+        for (server, set) in [(&writer, &writer_set), (&peer, &peer_set)] {
+            let row = |table| set.row(table, "cfg").and_then(Value::as_row);
+            assert_eq!(
+                row("a").unwrap().cells(),
+                [Cell::Text("cfg".into()), Cell::Int(1)]
+            );
+            assert_eq!(
+                row("b").unwrap().cells(),
+                [Cell::Text("cfg".into()), Cell::Text("two".into())]
+            );
+            assert_eq!(set.rows("a").len(), 1);
+            assert_eq!(set.rows("b").len(), 1);
+            assert_eq!(set.rows("log").len(), 2);
+            assert_eq!(set.file("cfg"), Some(&b"file"[..]));
+            assert_eq!(set.global("cfg"), Some(&json!({"v": 3})));
+            assert_eq!(set.globals(), [("cfg", &json!({"v": 3}))]);
+            assert_eq!(rows(server, "a"), [vec![text("cfg"), SqlValue::Int(1)]]);
+            assert_eq!(rows(server, "b"), [vec![text("cfg"), text("two")]]);
+            assert_eq!(server.fs.peek("cfg"), Some(&b"file"[..]));
+            assert_eq!(server.global_json("cfg"), Some(Ok(json!({"v": 3}))));
+        }
+        // the keyless table has no key to address a row by, so the peer
+        // rebuilt it whole: from its own rows, and only those
+        assert_eq!(rows(&peer, "log"), [vec![text("seed")], vec![text("cfg")]]);
+        assert_eq!(rows(&peer, "log"), rows(&writer, "log"));
+        // and a provisioned replica reads each unit back from the image
+        let loaded = CrdtSet::load(ActorId(3), &bindings(), &writer_set.save()).unwrap();
+        let (mut fresh, _) = node(3, &init);
+        loaded.materialize_all(&mut fresh);
+        for table in ["a", "b", "log"] {
+            assert_eq!(rows(&fresh, table), rows(&writer, table), "{table}");
+        }
+        assert_eq!(fresh.fs.peek("cfg"), Some(&b"file"[..]));
+        assert_eq!(fresh.global_json("cfg"), Some(Ok(json!({"v": 3}))));
+    }
+}
+
+#[cfg(test)]
 mod partition_tests {
     use super::*;
     use edgstr_analysis::{InitState, ServerProcess, StateUnit};
