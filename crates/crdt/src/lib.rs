@@ -16,7 +16,9 @@
 //!   it — for a table, row-level add-wins, and for a file, the later
 //!   whole-file write, matching how EdgStr duplicates the files the
 //!   dynamic trace identifies (copying or downloading, §III-C). A file's
-//!   size and content hash follow from its bytes;
+//!   size and content hash follow from its bytes. A replica keeps all
+//!   three in one document, a key namespace each, with a Lamport counter
+//!   per namespace ([`doc`]'s "Namespaces");
 //! - [`wire`] — the binary codec of the sync wire and of the save image:
 //!   every message's `wire_size` is the length of its own `encode`, which
 //!   is what the WAN-traffic experiments account for, and

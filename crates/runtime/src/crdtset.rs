@@ -255,7 +255,7 @@ impl CrdtSet {
     ) -> usize {
         let (applied, touched) = self.doc.apply_changes(changes);
         for (i, name) in self.bindings.tables.iter().enumerate() {
-            let keys = under(&touched, table_tag(i)).map(|(key, _)| key);
+            let keys = under(&touched, table_tag(i));
             // materialize what the delta touched into the SQL engine,
             // bumping what the materialised rows changed there
             let versions = &mut self.versions;
@@ -304,7 +304,7 @@ impl CrdtSet {
             let (RowEffect::Upsert { table, pk, .. } | RowEffect::Delete { table, pk }) = &effect;
             if let Some(tag) = self.tag_of(table) {
                 // the rows go back to what the versions already describe
-                let keys = [key_in(&mut key, tag, pk)];
+                let keys = [(key_in(&mut key, tag, pk), pk.as_str())];
                 if !materialize_rows(table, &self.doc, keys, &mut server.db, |_, _| {}) {
                     materialize_table(table, &self.doc, tag, &mut server.db);
                 }
@@ -443,8 +443,8 @@ fn materialize_table(name: &str, doc: &Doc, tag: char, db: &mut SqlDb) {
     let _ = db.replace_table_rows(name, rows);
 }
 
-/// Make the rows of SQL table `name` at `keys` (the table's keys in `doc`)
-/// read what `doc` reads there: written where the CRDT has the row,
+/// Make the rows of SQL table `name` at `keys` (each the row's key in
+/// `doc` and its primary key) read what `doc` reads there: written where the CRDT has the row,
 /// deleted where it does not. Every other row is left alone, which is
 /// sound because it already equals its CRDT row. `changed` hears of each
 /// row that changed, as a [`RowEffect::Upsert`] reports it (`None`: the
@@ -454,12 +454,11 @@ fn materialize_table(name: &str, doc: &Doc, tag: char, db: &mut SqlDb) {
 fn materialize_rows<'k>(
     name: &str,
     doc: &Doc,
-    keys: impl IntoIterator<Item = &'k str>,
+    keys: impl IntoIterator<Item = (&'k str, &'k str)>,
     db: &mut SqlDb,
     mut changed: impl FnMut(&str, Option<ColumnSet>),
 ) -> bool {
-    for key in keys {
-        let pk = &key[key.chars().next().map_or(0, char::len_utf8)..];
+    for (key, pk) in keys {
         let written = match (doc.get(key), db.table(name)) {
             (Some(row), Some(table)) => {
                 let row = sql_row(&table.columns, row);
