@@ -10,12 +10,12 @@
 //!
 //! # Namespaces
 //!
-//! A key's first char names its namespace. Each namespace keeps its own
-//! Lamport counter, so units that share one document as namespaces (the
-//! runtime tags every key with its table, the files or the globals) give
-//! their writes the op ids, and so resolve concurrent writes the way, they
-//! would each in a document of its own. [`Doc::entries_under`] reads one
-//! namespace.
+//! A key's first char names its namespace, and each namespace keeps its
+//! own Lamport counter. Units that share one document as namespaces (the
+//! runtime tags every key with its table, or as a file or a global) so
+//! give a write the op id it would get, and resolve concurrent writes as
+//! they would, in a document holding that unit alone.
+//! [`Doc::entries_under`] reads one namespace.
 //!
 //! # Log structure
 //!
@@ -457,8 +457,8 @@ impl Doc {
 
     /// Serialize this replica as a state snapshot plus the retained change
     /// tail, in the [`crate::wire`] codec: magic and version, `clock`,
-    /// `snapshot_clock`, the namespaces' counters, the key table of the rows the
-    /// registers hold, the registers in key order, and the tail as one
+    /// `snapshot_clock`, the namespace counters, the key table of the rows
+    /// the registers hold, the registers in key order, and the tail as one
     /// change batch in `(actor, seq)` order.
     ///
     /// A document restored by [`Doc::load`] is a faithful replica: it reads
@@ -791,6 +791,50 @@ mod tests {
         assert_eq!(state(&a), state(&b));
         // actor 2 wins the counter tie
         assert_eq!(a.get("k"), Some(&j(json!("from-b"))));
+    }
+
+    /// Writes in one namespace do not count in another: concurrent writes
+    /// to a key resolve as they would in a document holding its namespace
+    /// alone, however busy the others were.
+    #[test]
+    fn each_namespace_counts_its_own_writes() {
+        let mut a = Doc::new(ActorId(1));
+        let mut b = Doc::new(ActorId(2));
+        for n in 0..5 {
+            a.put(&format!("g{n}"), j(json!(n)));
+        }
+        a.put("tk", j(json!("from-a")));
+        b.put("tk", j(json!("from-b")));
+        let ids = |d: &Doc| {
+            d.get_changes(&VClock::new())
+                .iter()
+                .map(|c| c.ops()[0].id())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            ids(&a).last(),
+            Some(&OpId::new(1, ActorId(1))),
+            "tk is the first write in t"
+        );
+        assert_eq!(ids(&a)[4], OpId::new(5, ActorId(1)));
+        pull(&mut a, &b);
+        pull(&mut b, &a);
+        assert_eq!(state(&a), state(&b));
+        // both wrote tk at counter 1 in `t`: actor 2 wins the tie
+        assert_eq!(a.get("tk"), Some(&j(json!("from-b"))));
+        // and the image keeps each namespace's counter
+        let back = Doc::load(ActorId(1), &a.save()).unwrap();
+        assert_eq!(back.save(), a.save());
+        let mut back = back;
+        let since = back.clock().clone();
+        back.put("tz", j(json!(0)));
+        back.put("g9", j(json!(0)));
+        let new: Vec<_> = back
+            .get_changes(&since)
+            .iter()
+            .map(|c| c.ops()[0].id())
+            .collect();
+        assert_eq!(new, [OpId::new(2, ActorId(1)), OpId::new(6, ActorId(1))]);
     }
 
     #[test]

@@ -134,11 +134,8 @@ impl CrdtSet {
 
     /// The tag of bound table `table`.
     fn tag_of(&self, table: &str) -> Option<char> {
-        let i = self
-            .bindings
-            .tables
-            .binary_search_by(|t| t.as_str().cmp(table));
-        i.ok().map(table_tag)
+        let i = self.bindings.tables.iter().position(|t| t == table);
+        i.map(table_tag)
     }
 
     /// The rows of bound table `table` by primary key, in key order (none
