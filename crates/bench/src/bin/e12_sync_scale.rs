@@ -199,7 +199,8 @@ fn legacy_generate(set: &CrdtSet, peer: &VClock) -> SetSyncMessage {
     }
 }
 
-/// What a request that wrote `effects` and `files` hands the CRDT wiring.
+/// What a request that wrote `row_effects` and `file_writes` hands the
+/// CRDT wiring.
 fn outcome(row_effects: Vec<RowEffect>, file_writes: Vec<(String, Vec<u8>)>) -> HandleOutcome {
     HandleOutcome {
         response: HttpResponse::ok(json!({})),
