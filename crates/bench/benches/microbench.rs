@@ -369,7 +369,7 @@ fn bench_sql(c: &mut Criterion) {
         };
         let (mut writer, mut writer_set) = node(2);
         let (mut edge, mut edge_set) = node(1);
-        let (mut to_edge, mut from_writer) = (SyncEndpoint::new(), SyncEndpoint::new());
+        let (to_edge, mut from_writer) = (SyncEndpoint::new(), SyncEndpoint::new());
         for i in 0..rows {
             let (title, price, stock) = book(i);
             let body = json!({"id": i, "title": title, "price": price, "stock": stock});

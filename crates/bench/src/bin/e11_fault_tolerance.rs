@@ -8,8 +8,7 @@
 //!
 //! 1. **Loss sweep** (0–30% WAN loss): goodput vs the no-fault baseline,
 //!    and sync rounds + virtual time until the cluster reconverges after
-//!    the run. The optimistic (pre-fix) protocol is run side by side as
-//!    the ablation — it diverges permanently at any nonzero loss.
+//!    the run.
 //! 2. **Partition sweep**: a full edge↔cloud partition of growing
 //!    duration; reports the divergence-window size (changes queued at the
 //!    edge when the partition heals) and the time to reconverge.
@@ -20,7 +19,6 @@
 use edgstr_apps::all_apps;
 use edgstr_bench::{print_table, service_workload, smoke_flag, transform_app, BenchReport};
 use edgstr_net::{FaultPlan, LossModel};
-use edgstr_runtime::crdtset::AdvanceMode;
 use edgstr_runtime::{RunStats, ThreeTierOptions, ThreeTierSystem};
 use edgstr_sim::{DeviceSpec, SimTime};
 use serde_json::json;
@@ -29,10 +27,9 @@ const SEED: u64 = 0x0E11_F417;
 const RPS: f64 = 10.0;
 const MAX_ROUNDS: usize = 200;
 
-fn options(faults: Option<FaultPlan>, mode: AdvanceMode) -> ThreeTierOptions {
+fn options(faults: Option<FaultPlan>) -> ThreeTierOptions {
     ThreeTierOptions {
         faults,
-        sync_advance: mode,
         ..Default::default()
     }
 }
@@ -72,7 +69,7 @@ fn main() {
     let mut bench = BenchReport::new("e11_fault_tolerance", smoke);
 
     // --- baseline: no faults -------------------------------------------
-    let mut base = deploy(&app.source, &report, options(None, AdvanceMode::OnAck));
+    let mut base = deploy(&app.source, &report, options(None));
     let base_stats = base.run(&wl);
     assert!(
         base.converged(),
@@ -87,30 +84,12 @@ fn main() {
         let p = f64::from(loss_pct) / 100.0;
         let mut faults = FaultPlan::new(SEED);
         faults.set_default_loss(LossModel::bursty(p, 0.5, 3));
-        let mut sys = deploy(
-            &app.source,
-            &report,
-            options(Some(faults), AdvanceMode::OnAck),
-        );
+        let mut sys = deploy(&app.source, &report, options(Some(faults)));
         let stats = sys.run(&wl);
         let converged = sys.sync_until_converged(stats.makespan, MAX_ROUNDS);
         let (rounds, conv_at) =
             converged.expect("ack-driven sync must reconverge within the round budget");
         let conv_secs = conv_at.since(stats.makespan).as_secs_f64();
-
-        // ablation: same seed and workload under optimistic advancement
-        let mut faults = FaultPlan::new(SEED);
-        faults.set_default_loss(LossModel::bursty(p, 0.5, 3));
-        let mut opt = deploy(
-            &app.source,
-            &report,
-            options(Some(faults), AdvanceMode::Optimistic),
-        );
-        let opt_stats = opt.run(&wl);
-        let opt_outcome = match opt.sync_until_converged(opt_stats.makespan, MAX_ROUNDS) {
-            Some((r, _)) => format!("{r} rounds"),
-            None => "diverged".to_string(),
-        };
 
         rows.push(vec![
             format!("{loss_pct}%"),
@@ -119,7 +98,6 @@ fn main() {
             format!("{:.0}%", 100.0 * goodput(&stats) / base_goodput),
             format!("{rounds}"),
             format!("{conv_secs:.1}"),
-            opt_outcome.clone(),
         ]);
         loss_json.push(json!({
             "loss_pct": loss_pct,
@@ -128,7 +106,6 @@ fn main() {
             "goodput_vs_baseline": goodput(&stats) / base_goodput,
             "sync_rounds": rounds,
             "converge_secs": conv_secs,
-            "optimistic_outcome": opt_outcome,
         }));
     }
     print_table(
@@ -140,7 +117,6 @@ fn main() {
             "vs no-fault",
             "sync rounds",
             "converge s",
-            "optimistic (ablation)",
         ],
         &rows,
     );
@@ -156,11 +132,7 @@ fn main() {
             SimTime::from_secs_f64(0.5),
             SimTime::from_secs_f64(0.5 + part_secs as f64),
         );
-        let mut sys = deploy(
-            &app.source,
-            &report,
-            options(Some(faults), AdvanceMode::OnAck),
-        );
+        let mut sys = deploy(&app.source, &report, options(Some(faults)));
         let stats = sys.run(&wl);
         // divergence window at the end of the run: how far edge0 and the
         // master drifted apart while the partition held
@@ -221,7 +193,6 @@ fn main() {
         "\nAck-driven delta sync regenerates every dropped message, so loss and\n\
          partitions only stretch the convergence tail; goodput stays at the\n\
          no-fault baseline because replicated services never block on the WAN.\n\
-         The optimistic ablation (pre-fix protocol) silently diverges at any\n\
-         nonzero loss rate. Results written to BENCH_fault_tolerance.json."
+         Results written to BENCH_fault_tolerance.json."
     );
 }

@@ -513,66 +513,43 @@ impl SetSyncMessage {
     }
 }
 
-/// How a [`SyncEndpoint`] advances its model of the peer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AdvanceMode {
-    /// Advance `peer_clock` only when the peer acknowledges (default:
-    /// loss-tolerant — dropped deltas are regenerated).
-    #[default]
-    OnAck,
-    /// Advance at send time, assuming delivery (the pre-fix behaviour,
-    /// kept as an ablation; diverges permanently under loss).
-    Optimistic,
-}
-
 /// Per-peer synchronization endpoint — one side of the bidirectional
 /// `socket.io`-style channel (§III-G.1). Whoever carries a message sizes it
 /// ([`SetSyncMessage::wire_size`]); the endpoint only tracks the peer.
 ///
-/// Delivery tracking is **ack-driven** by default: [`SyncEndpoint::generate`]
-/// does not assume its outgoing delta arrives. `peer_clock` only advances
-/// when [`SyncEndpoint::receive_owned`] merges the peer's acknowledged
-/// clock, so a dropped message simply causes the same changes to be
-/// regenerated on the next round (safe because applying a change twice is
-/// a no-op). The pre-fix optimistic behaviour is kept behind
-/// [`AdvanceMode::Optimistic`] as an ablation.
+/// Delivery tracking is **ack-driven**: [`SyncEndpoint::generate`] does not
+/// assume its outgoing delta arrives. `peer_clock` only advances when
+/// [`SyncEndpoint::receive_owned`] merges the peer's acknowledged clock, so
+/// a dropped message simply causes the same changes to be regenerated on
+/// the next round (safe because applying a change twice is a no-op).
 #[derive(Debug, Default)]
 pub struct SyncEndpoint {
-    /// What the peer is known (or, under `Optimistic`, assumed) to have.
+    /// What the peer is known to have.
     pub peer_clock: VClock,
-    /// How `peer_clock` advances on send.
-    pub mode: AdvanceMode,
 }
 
 impl SyncEndpoint {
-    /// Fresh ack-driven endpoint assuming the peer has only the shared
-    /// snapshot.
+    /// Fresh endpoint assuming the peer has only the shared snapshot.
     pub fn new() -> Self {
         SyncEndpoint::default()
     }
 
-    /// Fresh endpoint advancing in `mode` whose peer is known to hold
-    /// `peer_clock` already — the empty clock for a peer initialised from
-    /// the shared snapshot, the provisioning clock for one built from a
-    /// save image (nothing below it is ever re-sent).
-    pub fn starting(mode: AdvanceMode, peer_clock: VClock) -> Self {
-        SyncEndpoint { peer_clock, mode }
+    /// Fresh endpoint whose peer is known to hold `peer_clock` already —
+    /// the empty clock for a peer initialised from the shared snapshot, the
+    /// provisioning clock for one built from a save image (nothing below it
+    /// is ever re-sent).
+    pub fn starting(peer_clock: VClock) -> Self {
+        SyncEndpoint { peer_clock }
     }
 
-    /// Build the next outgoing sync message for the peer.
-    pub fn generate(&mut self, set: &CrdtSet) -> SetSyncMessage {
-        let msg = SetSyncMessage {
+    /// Build the next outgoing sync message for the peer: every change it
+    /// is not known to have.
+    pub fn generate(&self, set: &CrdtSet) -> SetSyncMessage {
+        SetSyncMessage {
             sender: set.actor(),
             ack: set.clock().clone(),
             changes: set.get_changes(&self.peer_clock),
-        };
-        if self.mode == AdvanceMode::Optimistic {
-            // pre-fix behaviour: assume delivery without an ack
-            for ch in &msg.changes {
-                self.peer_clock.observe(ch.actor(), ch.seq());
-            }
         }
-        msg
     }
 
     /// Record receipt of a peer's message and apply its delta. The
@@ -643,7 +620,7 @@ mod tests {
         let init = init_state();
         let (mut cloud, mut cloud_set) = make_node(1, &init);
         let (mut edge, mut edge_set) = make_node(2, &init);
-        let mut edge_to_cloud = SyncEndpoint::new();
+        let edge_to_cloud = SyncEndpoint::new();
         let mut cloud_from_edge = SyncEndpoint::new();
 
         // a client writes at the edge
@@ -750,7 +727,7 @@ mod tests {
         let init = init_state();
         let (mut cloud, mut cloud_set) = make_node(1, &init);
         let (mut edge, mut edge_set) = make_node(2, &init);
-        let mut e2c = SyncEndpoint::new();
+        let e2c = SyncEndpoint::new();
         let mut c_recv = SyncEndpoint::new();
         let out = edge
             .handle(&HttpRequest::post(
@@ -1340,54 +1317,6 @@ mod partition_tests {
         let ack = c2e.generate(&cloud_set);
         e2c.receive_owned(&mut edge_set, &mut edge, ack);
         assert!(e2c.generate(&edge_set).changes.is_empty());
-    }
-
-    /// Pre-fix ablation: an endpoint in `Optimistic` mode assumes every
-    /// generated delta is delivered, so a single dropped message leaves
-    /// the replicas permanently diverged no matter how many further
-    /// rounds run.
-    #[test]
-    fn optimistic_endpoint_diverges_on_loss() {
-        let mut seed = ServerProcess::from_source(APP).unwrap();
-        seed.init().unwrap();
-        let init = InitState::capture(&seed);
-        let bindings = CrdtBindings::from_units([StateUnit::DbTable("log".into())]);
-        let mut cloud = ServerProcess::from_source(APP).unwrap();
-        cloud.init().unwrap();
-        init.restore(&mut cloud);
-        let mut cloud_set = CrdtSet::initialize(ActorId(1), &bindings, &init);
-        let mut edge = ServerProcess::from_source(APP).unwrap();
-        edge.init().unwrap();
-        init.restore(&mut edge);
-        let mut edge_set = CrdtSet::initialize(ActorId(2), &bindings, &init);
-
-        let out = edge
-            .handle(&HttpRequest::post(
-                "/log",
-                json!({"id": 1, "msg": "x"}),
-                vec![],
-            ))
-            .unwrap();
-        edge_set.absorb_outcome(&out, &edge);
-
-        let mut e2c = SyncEndpoint::starting(AdvanceMode::Optimistic, VClock::new());
-        let mut c2e = SyncEndpoint::starting(AdvanceMode::Optimistic, VClock::new());
-        // the delta is LOST, but the optimistic sender marks it delivered
-        let _lost = e2c.generate(&edge_set);
-        // further rounds never resend it
-        for _ in 0..5 {
-            let up = e2c.generate(&edge_set);
-            assert!(up.changes.is_empty(), "optimistic endpoint never retries");
-            c2e.receive_owned(&mut cloud_set, &mut cloud, up);
-            let down = c2e.generate(&cloud_set);
-            e2c.receive_owned(&mut edge_set, &mut edge, down);
-        }
-        assert_eq!(cloud_set.rows("log").len(), 0, "cloud never sees the row");
-        assert_ne!(
-            cloud_set.rows("log"),
-            edge_set.rows("log"),
-            "replicas stay diverged under optimistic advancement"
-        );
     }
 }
 

@@ -4,7 +4,6 @@
 //! every replacement process comes out of its provisioner. DESIGN.md §10
 //! says when the driver calls what.
 
-use crate::crdtset::AdvanceMode;
 use crate::link::{Leg, SyncLink};
 use crate::replica::{Provisioner, ReplicaCore, ReplicaKind};
 use crate::system::{edge_attr, EdgeReplica};
@@ -141,7 +140,7 @@ impl HaPlane {
         let standby = match &policy {
             Some(ha) if ha.standby => Some(CloudStandby {
                 core: provisioner.replacement(ReplicaKind::Master, None)?,
-                link: SyncLink::starting(AdvanceMode::OnAck, VClock::new()),
+                link: SyncLink::starting(VClock::new()),
             }),
             _ => None,
         };
@@ -415,7 +414,7 @@ impl HaPlane {
             .provisioner
             .replacement(ReplicaKind::Master, Some(&cloud.crdts.save()))
             .expect("the cloud program parsed and initialised at deploy");
-        let link = SyncLink::starting(AdvanceMode::OnAck, core.crdts.clock().clone());
+        let link = SyncLink::starting(core.crdts.clock().clone());
         self.standby = Some(CloudStandby { core, link });
         self.telemetry
             .event("standby.provision", Tier::Cloud, None, at, &[]);

@@ -6,7 +6,7 @@
 //! the standby acknowledges), whether the answer's acknowledgment is
 //! capped, and what the network does to each message.
 
-use crate::crdtset::{AdvanceMode, SetSyncMessage, SyncEndpoint};
+use crate::crdtset::{SetSyncMessage, SyncEndpoint};
 use crate::replica::ReplicaCore;
 use edgstr_crdt::VClock;
 
@@ -29,26 +29,26 @@ pub struct SyncLink {
 }
 
 impl SyncLink {
-    /// A link advancing in `mode` whose two ends both hold `clock` already
-    /// (the empty clock at deploy, the image's clock for a replica
-    /// provisioned from a save image: nothing below it is ever re-sent).
-    pub fn starting(mode: AdvanceMode, clock: VClock) -> SyncLink {
+    /// A link whose two ends both hold `clock` already (the empty clock at
+    /// deploy, the image's clock for a replica provisioned from a save
+    /// image: nothing below it is ever re-sent).
+    pub fn starting(clock: VClock) -> SyncLink {
         SyncLink {
-            replica: SyncEndpoint::starting(mode, clock.clone()),
-            master: SyncEndpoint::starting(mode, clock),
+            replica: SyncEndpoint::starting(clock.clone()),
+            master: SyncEndpoint::starting(clock),
         }
     }
 
     /// The replica was re-provisioned at `clock`: both ends start over.
     pub fn replica_replaced(&mut self, clock: VClock) {
-        *self = SyncLink::starting(self.replica.mode, clock);
+        *self = SyncLink::starting(clock);
     }
 
     /// A new master process took over. What this replica had acked was in
     /// the dead master's memory, so the master's end restarts from scratch;
     /// resending the retained tail is idempotent.
     pub fn master_replaced(&mut self) {
-        self.master = SyncEndpoint::starting(self.master.mode, VClock::new());
+        self.master = SyncEndpoint::new();
     }
 
     /// One round trip: the `first` leg's sender ships its delta, then the
@@ -106,7 +106,7 @@ mod tests {
                 core.execute(&note(*id, "t"), None, None, &None).unwrap();
             }
         }
-        let link = SyncLink::starting(AdvanceMode::OnAck, VClock::new());
+        let link = SyncLink::starting(VClock::new());
         (link, edge, master)
     }
 

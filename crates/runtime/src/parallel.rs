@@ -49,22 +49,23 @@
 //! master replica and folds them while the workers serve; after the timed
 //! window closes, workers flush their remaining deltas, the cloud folds
 //! everything, and per-replica convergence deltas flow back over
-//! per-worker bounded channels. The in-process channels are reliable, so
-//! endpoints run in [`AdvanceMode::Optimistic`] (the loss-tolerant ack
-//! protocol exists for the simulated WAN, which this executor does not
-//! traverse).
+//! per-worker bounded channels. Both ends run the one ack-driven
+//! [`SyncEndpoint`]. The delta channel is reliable and FIFO and the cloud
+//! folds every message it receives, so a worker takes a delivered send as
+//! the cloud's acknowledgment: once `send` succeeds it merges its own clock
+//! into `peer_clock`, and the next flush ships only what is newer.
 
 use crate::cache::{CachePolicy, CacheStats};
-use crate::crdtset::{AdvanceMode, SetSyncMessage, SyncEndpoint};
+use crate::crdtset::{SetSyncMessage, SyncEndpoint};
 use crate::driver::fold_response_digest;
 use crate::replica::{cache_plan, Provisioner, ReplicaCore, ReplicaKind, ReplicaTemplate};
 use edgstr_core::TransformationReport;
-use edgstr_crdt::{ActorId, VClock};
+use edgstr_crdt::ActorId;
 use edgstr_net::{HttpRequest, FNV_OFFSET};
 use edgstr_sim::{Clock, SimDuration};
 use edgstr_telemetry::{RegistrySnapshot, Telemetry};
 use std::convert::Infallible;
-use std::sync::mpsc::{channel, sync_channel, Receiver, RecvError};
+use std::sync::mpsc::{channel, sync_channel, Receiver, RecvError, SyncSender};
 use std::sync::Arc;
 use std::thread::ScopedJoinHandle;
 
@@ -160,11 +161,20 @@ struct OwnedReplica {
 }
 
 impl OwnedReplica {
-    /// The next delta for the cloud, if the replica has changes the cloud
-    /// has not been sent.
-    fn delta(&mut self) -> Option<Delta> {
-        let (replica, msg) = (self.index, self.to_cloud.generate(&self.core.crdts));
-        (!msg.changes.is_empty()).then_some(Delta { replica, msg })
+    /// Ship the changes the cloud has not been sent, if there are any. The
+    /// channel is reliable and FIFO and the cloud folds every message it
+    /// receives, so a delivered send is the cloud's acknowledgment.
+    fn flush(&mut self, to_cloud: &SyncSender<Delta>) {
+        let msg = self.to_cloud.generate(&self.core.crdts);
+        if msg.changes.is_empty() {
+            return;
+        }
+        let delta = Delta {
+            replica: self.index,
+            msg,
+        };
+        to_cloud.send(delta).expect("cloud alive");
+        self.to_cloud.peer_clock.merge(self.core.crdts.clock());
     }
 }
 
@@ -271,9 +281,8 @@ impl ParallelSystem {
                     let mut cloud = Provisioner::new(template, 0, &Telemetry::disabled())
                         .provision(ReplicaKind::Master, ActorId(1), None)
                         .expect("cloud program parses and initialises");
-                    let mut endpoints: Vec<SyncEndpoint> = (0..r_count)
-                        .map(|_| SyncEndpoint::starting(AdvanceMode::Optimistic, VClock::new()))
-                        .collect();
+                    let mut endpoints: Vec<SyncEndpoint> =
+                        (0..r_count).map(|_| SyncEndpoint::new()).collect();
                     let mut received = 0usize;
                     while let Ok(delta) = delta_rx.recv() {
                         endpoints[delta.replica].receive_owned(
@@ -337,10 +346,7 @@ impl ParallelSystem {
                                 core: provisioner
                                     .provision(ReplicaKind::Edge, ActorId(2 + r as u64), None)
                                     .expect("replica program initialises"),
-                                to_cloud: SyncEndpoint::starting(
-                                    AdvanceMode::Optimistic,
-                                    VClock::new(),
-                                ),
+                                to_cloud: SyncEndpoint::new(),
                                 served_since_flush: 0,
                             })
                             .collect();
@@ -398,18 +404,14 @@ impl ParallelSystem {
                                 replica.served_since_flush += 1;
                                 if replica.served_since_flush >= batch {
                                     replica.served_since_flush = 0;
-                                    if let Some(delta) = replica.delta() {
-                                        delta_tx.send(delta).expect("cloud alive");
-                                    }
+                                    replica.flush(&delta_tx);
                                 }
                             }
                         }
                         drop(done);
                         // --- untimed convergence flush ---
                         for replica in replicas.iter_mut() {
-                            if let Some(delta) = replica.delta() {
-                                delta_tx.send(delta).expect("cloud alive");
-                            }
+                            replica.flush(&delta_tx);
                         }
                         drop(delta_tx); // cloud's recv loop ends when all workers flush
                         while let Ok((r, msg)) = back.recv() {
@@ -562,6 +564,27 @@ mod tests {
             assert_eq!(run.state_digest, reference.state_digest);
             assert!(run.converged);
         }
+    }
+
+    /// A delivered send is the cloud's ack: a replica that writes once and
+    /// then only reads ships its one change once, not at every flush.
+    #[test]
+    fn each_change_ships_once() {
+        let report = transformed();
+        let mut requests = workload(1);
+        requests.extend((0..8).map(|_| HttpRequest::get("/count", json!({}))));
+        let options = ParallelOptions {
+            replicas: 1,
+            sync_batch: 2,
+            ..ParallelOptions::default()
+        };
+        let run = ParallelSystem::new(APP, &report, options).run(&requests);
+        assert_eq!(run.completed, 9);
+        assert!(run.converged);
+        assert_eq!(
+            run.delta_messages, 1,
+            "four flushes, one change, one message"
+        );
     }
 
     #[test]

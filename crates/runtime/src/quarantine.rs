@@ -176,7 +176,6 @@ impl Quarantine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::crdtset::AdvanceMode;
     use crate::replica::tests::{deployment, note};
     use crate::replica::ReplicaKind;
     use edgstr_crdt::ActorId;
@@ -189,7 +188,7 @@ mod tests {
             .provision(ReplicaKind::Edge, ActorId(2), None)
             .unwrap();
         let shadow = Shadow::from(provisioner.shadow_variant().unwrap());
-        let mut edge = EdgeReplica::new(core, DeviceSpec::rpi4(), AdvanceMode::OnAck, Some(shadow));
+        let mut edge = EdgeReplica::new(core, DeviceSpec::rpi4(), Some(shadow));
         let policy = QuarantinePolicy {
             check_fraction: 1.0,
             mismatch_budget: 1,
@@ -244,7 +243,7 @@ mod tests {
         let core = provisioner
             .provision(ReplicaKind::Edge, ActorId(2), None)
             .unwrap();
-        let mut edge = EdgeReplica::new(core, DeviceSpec::rpi4(), AdvanceMode::OnAck, None);
+        let mut edge = EdgeReplica::new(core, DeviceSpec::rpi4(), None);
         let template = Arc::clone(&provisioner.template);
         let mut quarantine = Quarantine::new(None, template, &Telemetry::disabled());
         let summary = EffectSummary::default();

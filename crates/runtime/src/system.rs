@@ -8,7 +8,6 @@
 
 use crate::balancer::{Autoscaler, BalanceStrategy, LoadBalancer};
 use crate::cache::{CachePolicy, CacheStats};
-use crate::crdtset::AdvanceMode;
 use crate::driver::RunRecorder;
 pub use crate::driver::{FaultPolicy, MobilePower, RunStats, TimedRequest, Workload};
 use crate::forwarding::{wan_drops, Breaker, Forward, Forwarder};
@@ -160,16 +159,11 @@ pub struct EdgeReplica {
 
 impl EdgeReplica {
     /// A freshly deployed replica, its link at the shared snapshot.
-    pub(crate) fn new(
-        core: ReplicaCore,
-        spec: DeviceSpec,
-        sync_advance: AdvanceMode,
-        shadow: Option<Shadow>,
-    ) -> EdgeReplica {
+    pub(crate) fn new(core: ReplicaCore, spec: DeviceSpec, shadow: Option<Shadow>) -> EdgeReplica {
         EdgeReplica {
             core,
             device: Device::new(spec),
-            link: SyncLink::starting(sync_advance, VClock::new()),
+            link: SyncLink::starting(VClock::new()),
             inflight: Vec::new(),
             active: true,
             crashed: false,
@@ -258,10 +252,6 @@ pub struct ThreeTierOptions {
     pub faults: Option<FaultPlan>,
     /// Retry/timeout/breaker policy for failure forwarding.
     pub policy: FaultPolicy,
-    /// How sync endpoints track peer state. `OnAck` (default) regenerates
-    /// dropped deltas; `Optimistic` is the pre-fix ablation that assumes
-    /// delivery and diverges under loss.
-    pub sync_advance: AdvanceMode,
     /// Observability sink shared by the drivers, the sync daemon and the
     /// fault plan. Disabled by default and free when disabled.
     pub telemetry: Telemetry,
@@ -295,7 +285,6 @@ impl Default for ThreeTierOptions {
             sync_interval: SimDuration::from_secs(1),
             faults: None,
             policy: FaultPolicy::default(),
-            sync_advance: AdvanceMode::OnAck,
             telemetry: Telemetry::disabled(),
             cache: CachePolicy::Off,
             cache_budget_bytes: 256 * 1024,
@@ -376,12 +365,7 @@ impl ThreeTierSystem {
                 None => None,
             };
             let core = provisioner.provision(ReplicaKind::Edge, ActorId(2 + i as u64), None)?;
-            edges.push(EdgeReplica::new(
-                core,
-                spec.clone(),
-                options.sync_advance,
-                shadow,
-            ));
+            edges.push(EdgeReplica::new(core, spec.clone(), shadow));
         }
         let (policy, crashes) = (options.ha.clone(), options.crashes.as_ref());
         let ha = HaPlane::new(policy, crashes, &cloud, provisioner, &telemetry)?;
@@ -1206,34 +1190,6 @@ mod tests {
             assert_eq!(e.core.crdts.rows("notes"), cloud_rows);
         }
         assert!(sys.cloud.crdts.rows("notes").len() >= 30);
-    }
-
-    /// Pre-fix ablation at system level: the same lossy cluster with
-    /// optimistic clock advancement never recovers the dropped deltas.
-    #[test]
-    fn optimistic_sync_diverges_under_loss() {
-        let report = transformed();
-        let mut faults = FaultPlan::new(0x2025_0805);
-        faults.set_default_loss(edgstr_net::LossModel::uniform(0.20));
-        let mut sys = ThreeTierSystem::deploy(
-            APP,
-            &report,
-            &[DeviceSpec::rpi4(), DeviceSpec::rpi3()],
-            ThreeTierOptions {
-                faults: Some(faults),
-                sync_advance: AdvanceMode::Optimistic,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let reqs: Vec<HttpRequest> = (0..30).map(unique_note).collect();
-        let wl = Workload::constant_rate(&reqs, 10.0, 30);
-        let stats = sys.run(&wl);
-        assert_eq!(
-            sys.sync_until_converged(stats.makespan, 50),
-            None,
-            "optimistic advancement must leave the cluster diverged"
-        );
     }
 
     /// Lossy failure forwarding: retransmission with backoff recovers

@@ -544,7 +544,6 @@ impl Placements {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::crdtset::AdvanceMode;
     use crate::link::Leg;
     use crate::replica::tests::{deployment, note};
     use crate::replica::{Provisioner, ReplicaKind};
@@ -586,7 +585,7 @@ mod tests {
         let core = provisioner
             .provision(ReplicaKind::Edge, ActorId(2), None)
             .unwrap();
-        let edge = EdgeReplica::new(core, DeviceSpec::rpi4(), AdvanceMode::OnAck, None);
+        let edge = EdgeReplica::new(core, DeviceSpec::rpi4(), None);
         let plane = Placements::new(&mode, template, &cloud, 4.0, &telemetry);
         (plane, cloud, vec![edge])
     }

@@ -429,7 +429,7 @@ proptest! {
         let (mut cloud, mut cloud_set) = make_node(1, &init);
         let (mut edge, mut edge_set) = make_node(2, &init);
         let mut e2c = SyncEndpoint::new();
-        let mut c2e = SyncEndpoint::new();
+        let c2e = SyncEndpoint::new();
         let mut down: Vec<SetSyncMessage> = Vec::new();
         let mut cache = ResponseCache::new(1 << 20, &Telemetry::disabled());
         let mut w = writes.iter();

@@ -79,7 +79,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // background sync ships the delta to the cloud master: the new row
     // and the bumped `total`, nothing of the snapshot both sides started
     // from (prints "sync message: 2 change(s), 110 bytes")
-    let mut e2c = SyncEndpoint::new();
+    let e2c = SyncEndpoint::new();
     let mut c_recv = SyncEndpoint::new();
     let delta = e2c.generate(&edge_crdts);
     println!(
