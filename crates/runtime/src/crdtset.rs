@@ -333,6 +333,11 @@ impl CrdtSet {
         self.doc.history_len()
     }
 
+    /// Remote changes buffered awaiting causal dependencies.
+    pub fn pending_len(&self) -> usize {
+        self.doc.pending_len()
+    }
+
     /// Fold acked history at or below `frontier` (normally the
     /// [`VClock::meet`] of all live peers' ack clocks) into the snapshot.
     /// Returns the number of changes dropped.

@@ -106,8 +106,9 @@ proptest! {
     /// Generated master outages (each a gap, then a downtime that may end
     /// before or after the standby's promotion) under generated bursty WAN
     /// loss: the cluster reconverges on the surviving master, every replica
-    /// holds the same replicated state and rows, and nothing any edge was
-    /// told was acknowledged is missing from the final master.
+    /// holds the same replicated state and rows and buffers no change for
+    /// a missing dependency, and nothing any edge was told was
+    /// acknowledged is missing from the final master.
     #[test]
     fn failover_converges_and_never_loses_acked_writes(
         outages in prop::collection::vec((300u64..2_500, 100u64..3_000), 1..3),
@@ -136,7 +137,9 @@ proptest! {
 
         let master = sys.cloud.crdts.clock();
         let digest = sys.cloud.replicated_state_digest();
+        prop_assert_eq!(sys.cloud.crdts.pending_len(), 0, "the master buffers changes");
         for (i, e) in sys.edges.iter().enumerate() {
+            prop_assert_eq!(e.core.crdts.pending_len(), 0, "edge {} buffers changes", i);
             let clock = e.core.crdts.clock();
             prop_assert!(
                 clock.dominates(master) && master.dominates(clock),

@@ -151,20 +151,26 @@ fn typed_states(sys: &ThreeTierSystem) -> [u64; 4] {
     ]
 }
 
+/// Every node's resident change count after the run, master first: what
+/// compaction left of the log, which holds whatever a change is keyed by.
+/// No node holds a change back for a missing dependency: every message
+/// the protocol produced was applied whole.
+fn histories(sys: &ThreeTierSystem) -> [usize; 4] {
+    let nodes = [
+        &sys.cloud,
+        &sys.edges[0].core,
+        &sys.edges[1].core,
+        &sys.edges[2].core,
+    ];
+    for (i, node) in nodes.iter().enumerate() {
+        assert_eq!(node.crdts.pending_len(), 0, "node {i} buffers changes");
+    }
+    nodes.map(|node| node.crdts.history_len())
+}
+
 /// Reads dominate and repeat (so the cache fills, hits, and is invalidated
 /// by the interleaved writes); `/books` is the list-shaped body whose
 /// size, text and digest are asked for most often.
-/// Every node's resident change count after the run, master first: what
-/// compaction left of the log, which holds whatever a change is keyed by.
-fn histories(sys: &ThreeTierSystem) -> [usize; 4] {
-    [
-        sys.cloud.crdts.history_len(),
-        sys.edges[0].core.crdts.history_len(),
-        sys.edges[1].core.crdts.history_len(),
-        sys.edges[2].core.crdts.history_len(),
-    ]
-}
-
 fn stream(seed: u64, n: usize) -> Workload {
     stream_every(seed, n, 2_500)
 }
