@@ -126,20 +126,6 @@ fn namespace(key: &str) -> char {
 /// The actor id used for deterministic snapshot initialization.
 pub const GENESIS_ACTOR: ActorId = ActorId(0);
 
-/// One actor's seq-contiguous run of retained changes.
-///
-/// `changes[i].seq == base + 1 + i`: everything at or below `base` has been
-/// folded into the snapshot by [`Doc::compact`]. Because sequence numbers
-/// are gapless, locating the suffix a peer is missing is a direct offset
-/// computation (the degenerate case of a binary search over sorted seqs).
-#[derive(Debug, Clone, Default)]
-struct ActorLog {
-    /// Highest seq folded into the snapshot (0 when never compacted).
-    base: u64,
-    /// Retained changes, ascending and contiguous in seq.
-    changes: Vec<Change>,
-}
-
 /// A replicated map of key → register.
 ///
 /// # Examples
@@ -166,8 +152,12 @@ pub struct Doc {
     /// Everything at or below this clock has been folded into the
     /// materialized state and is no longer individually replayable.
     snapshot_clock: VClock,
-    /// Per-actor indexed change log (the tail above `snapshot_clock`).
-    history: BTreeMap<ActorId, ActorLog>,
+    /// Per-actor indexed change log: each actor's retained changes,
+    /// ascending and contiguous in seq right above its `snapshot_clock`
+    /// entry (`history[a][i].seq == snapshot_clock.get(a) + 1 + i`).
+    /// Because sequence numbers are gapless, locating the suffix a peer is
+    /// missing is a direct offset computation.
+    history: BTreeMap<ActorId, Vec<Change>>,
     /// Changes buffered awaiting causal dependencies, keyed by
     /// `(actor, seq)` so each retry pass probes exactly the next
     /// applicable seq per actor instead of re-scanning a queue.
@@ -241,7 +231,7 @@ impl Doc {
     /// Number of changes resident in this replica's history (the retained
     /// tail — changes folded away by [`Doc::compact`] no longer count).
     pub fn history_len(&self) -> usize {
-        self.history.values().map(|log| log.changes.len()).sum()
+        self.history.values().map(Vec::len).sum()
     }
 
     /// The compaction frontier: everything at or below this clock has been
@@ -333,18 +323,19 @@ impl Doc {
     pub fn get_changes(&self, since: &VClock) -> Vec<Change> {
         // size the output exactly so large deltas copy into one allocation
         // instead of growth-doubling through extend
-        let suffix = |actor: ActorId, log: &ActorLog| {
+        let suffix = |actor: ActorId, log: &[Change]| {
             let have = since.get(actor);
-            have.saturating_sub(log.base).min(log.changes.len() as u64) as usize
+            let base = self.snapshot_clock.get(actor);
+            have.saturating_sub(base).min(log.len() as u64) as usize
         };
         let total: usize = self
             .history
             .iter()
-            .map(|(actor, log)| log.changes.len() - suffix(*actor, log))
+            .map(|(actor, log)| log.len() - suffix(*actor, log))
             .sum();
         let mut out = Vec::with_capacity(total);
         for (actor, log) in &self.history {
-            out.extend_from_slice(&log.changes[suffix(*actor, log)..]);
+            out.extend_from_slice(&log[suffix(*actor, log)..]);
         }
         out
     }
@@ -442,13 +433,13 @@ impl Doc {
     pub fn compact(&mut self, frontier: &VClock) -> usize {
         let mut dropped = 0;
         for (actor, log) in self.history.iter_mut() {
+            let base = self.snapshot_clock.get(*actor);
             let target = frontier.get(*actor).min(self.clock.get(*actor));
-            if target <= log.base {
+            if target <= base {
                 continue;
             }
-            let n = (target - log.base) as usize;
-            log.changes.drain(..n);
-            log.base = target;
+            let n = (target - base) as usize;
+            log.drain(..n);
             self.snapshot_clock.observe(*actor, target);
             dropped += n;
         }
@@ -490,7 +481,7 @@ impl Doc {
         }
         // `put_changes` over the per-actor runs laid end to end
         put_varint(&mut out, self.history_len() as u64);
-        for change in self.history.values().flat_map(|log| &log.changes) {
+        for change in self.history.values().flatten() {
             out.put_change(change);
         }
         out
@@ -550,7 +541,7 @@ impl Doc {
         keys.end()?;
         // every applied change must be accounted for: each actor's tail
         // continues its snapshot prefix, and together they reach `clock`
-        let mut history: BTreeMap<ActorId, ActorLog> = BTreeMap::new();
+        let mut history: BTreeMap<ActorId, Vec<Change>> = BTreeMap::new();
         let mut covered = snapshot_clock.clone();
         let mut last = None;
         for change in r.changes()? {
@@ -560,11 +551,7 @@ impl Doc {
                 return Err(corrupt("tail is not contiguous with the snapshot"));
             }
             covered.observe(actor, seq);
-            let log = history.entry(actor).or_insert_with(|| ActorLog {
-                base: snapshot_clock.get(actor),
-                changes: Vec::new(),
-            });
-            log.changes.push(change);
+            history.entry(actor).or_default().push(change);
         }
         if covered != clock {
             return Err(corrupt("saved history is causally incomplete"));
@@ -633,15 +620,9 @@ impl Doc {
     /// Append an applied change to its actor's contiguous run.
     fn push_history(&mut self, change: Change) {
         let base = self.snapshot_clock.get(change.actor());
-        let log = self
-            .history
-            .entry(change.actor())
-            .or_insert_with(|| ActorLog {
-                base,
-                changes: Vec::new(),
-            });
-        debug_assert_eq!(change.seq(), log.base + log.changes.len() as u64 + 1);
-        log.changes.push(change);
+        let log = self.history.entry(change.actor()).or_default();
+        debug_assert_eq!(change.seq(), base + log.len() as u64 + 1);
+        log.push(change);
     }
 
     fn apply_op(&mut self, op: &Op) {
