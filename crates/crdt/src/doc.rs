@@ -588,11 +588,19 @@ impl Doc {
     }
 
     /// Package `ops` as a change, apply locally, and record in history.
+    ///
+    /// The change depends on everything this replica has applied, less two
+    /// entries every receiver checks without them: the genesis change,
+    /// which every replica holds from the shared snapshot, and the author's
+    /// own earlier changes, which the gapless `seq == have + 1` check at
+    /// each apply site already requires.
     fn commit(&mut self, ops: Vec<Op>) {
         if ops.is_empty() {
             return;
         }
-        let deps = self.clock.clone();
+        let mut deps = self.clock.clone();
+        deps.0.remove(&GENESIS_ACTOR);
+        deps.0.remove(&self.actor);
         self.seq += 1;
         let change = Change::new(self.actor, self.seq, deps, ops);
         for op in change.ops() {
