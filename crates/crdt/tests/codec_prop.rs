@@ -702,7 +702,7 @@ fn the_image_layout_is_the_documented_one() {
             1, b'r', 1,               //   "r": one value
                 1, 2, 0, 0, 3, 1, b'b', // 1@2 = row, column list 0, text "b"
         1,                            // tail: one change, as on the wire
-        2, 3, 1, 2, 2, 0, 1,          //   actor 2, seq 3, deps {2: 2}, no key table, one op
+        2, 3, 0, 0, 1,                //   actor 2, seq 3, no deps, no key table, one op
             3, 2, 2, 1, b'k', 1, 1, 2, // Del 2@2 "k", pred [1@2]
     ];
     assert_eq!(d.save(), want);
