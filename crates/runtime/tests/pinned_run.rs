@@ -92,6 +92,9 @@
 //! `wan_sync_bytes` fell (104,799 → 98,091; 196,688 → 185,104; 189,120 →
 //! 176,382; 453,337 → 423,939). Every digest, typed state, resident change
 //! count, placement decision and virtual time held.
+//! With them the three trace hashes moved: the parent's and the change's
+//! traces differ line for line only in the `bytes` attribute of
+//! `sync.round` spans.
 
 use edgstr_core::{capture_and_transform, EdgStrConfig};
 use edgstr_net::{fnv1a, CrashPlan, FaultPlan, HttpRequest, LossModel, Verb, FNV_OFFSET};
@@ -448,7 +451,7 @@ fn forwarding_failover_and_quarantine_match_pinned_stats() {
             quarantines: vec![(2, SimTime(3_568_418))],
             outages: vec![(SimTime(3_200_000), SimTime(3_700_000))],
         },
-        0x0781_511a_9af4_abd6,
+        0x5624_8471_e87c_6d57,
     );
     // no standby: forwards time out and breakers open until the master
     // recovers from its durable image at 6 s; the edge whose restart came
@@ -477,7 +480,7 @@ fn forwarding_failover_and_quarantine_match_pinned_stats() {
             quarantines: vec![(2, SimTime(3_568_418))],
             outages: vec![(SimTime(3_200_000), SimTime(6_000_000))],
         },
-        0xc432_2cf1_377d_5ca9,
+        0xf837_7dc0_0d87_d09c,
     );
 }
 
@@ -684,7 +687,7 @@ fn autoscaling_and_adaptive_placement_match_pinned_stats() {
             demotes: 4,
             acked_snapshots: [24, 0],
         },
-        0xfb68_2ee2_542e_a1ba,
+        0xe430_fe97_eaf0_3075,
     );
 }
 
