@@ -590,10 +590,10 @@ impl Doc {
     /// Package `ops` as a change, apply locally, and record in history.
     ///
     /// The change depends on everything this replica has applied, less two
-    /// entries every receiver checks without them: the genesis change,
-    /// which every replica holds from the shared snapshot, and the author's
-    /// own earlier changes, which the gapless `seq == have + 1` check at
-    /// each apply site already requires.
+    /// entries no receiver needs: the genesis change, which every replica
+    /// holds from the shared snapshot, and the author's own earlier
+    /// changes, which the gapless `seq == have + 1` check at each apply
+    /// site already requires.
     fn commit(&mut self, ops: Vec<Op>) {
         if ops.is_empty() {
             return;
