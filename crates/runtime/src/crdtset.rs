@@ -526,7 +526,9 @@ impl SetSyncMessage {
 /// assume its outgoing delta arrives. `peer_clock` only advances when
 /// [`SyncEndpoint::receive_owned`] merges the peer's acknowledged clock, so
 /// a dropped message simply causes the same changes to be regenerated on
-/// the next round (safe because applying a change twice is a no-op).
+/// the next round (safe because applying a change twice is a no-op). A
+/// carrier that cannot lose or reorder a message may advance `peer_clock`
+/// itself once a send is delivered; the threaded executor does.
 #[derive(Debug, Default)]
 pub struct SyncEndpoint {
     /// What the peer is known to have.
