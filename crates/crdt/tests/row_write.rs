@@ -7,8 +7,8 @@
 //! The properties: after every stream the receiver's typed SQL rows, CRDT
 //! tables and replicated-state digest are the writer's, BLOB cells
 //! included, and both nodes' images load back to themselves. The pins: one
-//! FNV-1a over every encoded sync message, one over both nodes' images
-//! and one over the receiver's SQL rows and
+//! FNV-1a over every encoded sync message, one over both nodes' images,
+//! one over the receiver's SQL rows and one over its
 //! `replicated_state_digest`, across a fixed set of generated streams
 //! drawn without BLOB cells. The receiver pin was captured while a row
 //! still travelled from the SQL engine to the CRDT as a JSON object; a
@@ -323,8 +323,10 @@ struct Trace {
     wire: Vec<u8>,
     /// Each node's table images, writer first.
     images: Vec<u8>,
-    /// The receiver's SQL rows, then its replicated-state digest.
+    /// The receiver's SQL rows.
     receiver: Vec<u8>,
+    /// The receiver's replicated-state digest.
+    digest: Vec<u8>,
 }
 
 /// One message from `from` to `to` over `to_end`, recorded on the way.
@@ -394,7 +396,7 @@ fn run(stream: &[Request]) -> Result<Trace, TestCaseFailure> {
     for t in TABLES {
         trace.receiver.extend(rows(&receiver, t).bytes());
     }
-    trace.receiver.extend(digest.to_le_bytes());
+    trace.digest.extend(digest.to_le_bytes());
     Ok(trace)
 }
 
@@ -418,14 +420,21 @@ fn pinned_row_writes() {
         all.wire.extend(trace.wire);
         all.images.extend(trace.images);
         all.receiver.extend(trace.receiver);
+        all.digest.extend(trace.digest);
     }
     let fnv = |bytes: &[u8]| edgstr_net::fnv1a(edgstr_net::FNV_OFFSET, bytes);
     assert_eq!(
-        (fnv(&all.wire), fnv(&all.images), fnv(&all.receiver)),
+        (
+            fnv(&all.wire),
+            fnv(&all.images),
+            fnv(&all.receiver),
+            fnv(&all.digest)
+        ),
         (
             0x13c1_ee1c_04c7_7cab,
             0x06eb_9daf_3217_bc93,
-            0xb107_ec28_1e2c_2e0a
+            0xace2_f16b_207f_1f23,
+            0x5658_6821_5d0e_6de0
         ),
         "wire {} B, images {} B",
         all.wire.len(),
