@@ -16,7 +16,7 @@ use crate::state::StateUnit;
 use crate::trace::ExecutionTrace;
 use edgstr_net::HttpRequest;
 use edgstr_sql::columns::ColumnSet;
-use edgstr_sql::{parse_sql, CmpOp, SqlDb, Statement, WhereExpr};
+use edgstr_sql::{parse_sql, CmpOp, SqlDb, SqlValue, Statement, WhereExpr};
 use serde_json::Value as Json;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -74,17 +74,18 @@ pub fn request_field(req: &HttpRequest, key: &str) -> Option<Json> {
     None
 }
 
-/// The canonical pk string a scalar request field would produce when
-/// interpolated into SQL — must agree with [`edgstr_sql::SqlValue::pk_string`].
-/// The cache layer uses the same function to resolve a `TableKeyed` read
-/// unit to a concrete row key at serve time.
+/// The row-counter key ([`SqlValue::pk_string`]) of the value a scalar
+/// request field becomes when interpolated into SQL: a string as text, an
+/// integer as an integer. The cache layer uses it to resolve a
+/// `TableKeyed` read unit to a concrete row at serve time.
 #[must_use]
 pub fn json_pk_string(v: &Json) -> Option<String> {
-    match v {
-        Json::String(s) => Some(s.trim_matches('\'').to_string()),
-        Json::Number(n) => n.as_i64().map(|i| i.to_string()),
-        _ => None,
-    }
+    let value = match v {
+        Json::String(s) => SqlValue::Text(s.clone()),
+        Json::Number(n) => SqlValue::Int(n.as_i64()?),
+        _ => return None,
+    };
+    Some(value.pk_string())
 }
 
 /// Observations about one table's reads, accumulated across runs.

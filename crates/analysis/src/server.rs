@@ -967,11 +967,11 @@ mod tests {
             .unwrap();
         assert_eq!(out.response.body, json!([{"id": 1}, {"id": 3}]));
         // the mirror hears of exactly the rows the database kept
-        let pks: Vec<&str> = out
+        let pks: Vec<String> = out
             .row_effects
             .iter()
             .map(|e| match e {
-                RowEffect::Upsert { pk, .. } | RowEffect::Delete { pk, .. } => pk.as_str(),
+                RowEffect::Upsert { pk, .. } | RowEffect::Delete { pk, .. } => pk.to_string(),
             })
             .collect();
         assert_eq!(pks, ["1", "3"]);
@@ -994,7 +994,7 @@ mod tests {
             .handle(&HttpRequest::post("/half", json!({}), vec![]))
             .is_err());
         let left = s.take_failed_row_effects();
-        assert!(matches!(&left[..], [RowEffect::Upsert { pk, .. }] if pk == "1"));
+        assert!(matches!(&left[..], [RowEffect::Upsert { pk, .. }] if pk.to_string() == "1"));
         assert!(s.take_failed_row_effects().is_empty(), "taken once");
         // a later success does not resurrect an untaken report
         assert!(s

@@ -5,7 +5,7 @@
 //! process down. The request that failed leaves its row writes for the
 //! replica to revert, and the server goes on serving. Both engines agree.
 
-use edgstr_analysis::{ExecMode, ServerError, ServerProcess};
+use edgstr_analysis::{ExecMode, InitState, ServerError, ServerProcess};
 use edgstr_net::HttpRequest;
 use serde_json::json;
 
@@ -126,6 +126,41 @@ fn both_engines_fail_alike() {
             format!("{:?}", get(&mut walking, route)),
             "{route}"
         );
+    }
+}
+
+const HOLDS_ITSELF: &str = r#"
+    var g = { n: 1 };
+    g.me = g;
+    g.via = [g];
+    app.get("/through", function (req, res) {
+        g.me.via[0].me.n = g.n + 1;
+        res.send({ n: g.me.me.n, via: g.via[0].via[0].n });
+    });
+"#;
+
+/// A global that holds itself is captured and restored as a global that
+/// holds itself: a fresh process seeded from the capture serves a request
+/// that reads and writes through the cycle exactly as the process it was
+/// captured from does, on both engines.
+#[test]
+fn a_global_that_holds_itself_is_captured_and_restored_as_itself() {
+    for mode in [ExecMode::Compiled, ExecMode::TreeWalking] {
+        let mut original = ServerProcess::from_source_with_mode(HOLDS_ITSELF, mode).unwrap();
+        original.init().unwrap();
+        let init = InitState::capture(&original);
+        // what has no text counts nothing
+        assert_eq!(init.byte_size(), 0, "{mode:?}");
+        let mut fresh = ServerProcess::from_source_with_mode(HOLDS_ITSELF, mode).unwrap();
+        fresh.init().unwrap();
+        init.restore(&mut fresh);
+        for round in 0..3 {
+            let served = [&mut original, &mut fresh].map(|server| get(server, "/through"));
+            assert_eq!(served[0], served[1], "{mode:?}, round {round}");
+            let n = round + 2;
+            let want = format!(r#"{{"n":{n},"via":{n}}}"#);
+            assert_eq!(served[0].as_deref(), Ok(want.as_str()), "{mode:?}");
+        }
     }
 }
 

@@ -25,7 +25,7 @@ use edgstr_core::CrdtBindings;
 use edgstr_crdt::{ActorId, Doc, VClock, Value};
 use edgstr_net::HttpResponse;
 use edgstr_runtime::{CrdtSet, SetSyncMessage, SyncEndpoint};
-use edgstr_sql::{RowEffect, SqlValue};
+use edgstr_sql::{RowEffect, RowKey, SqlValue};
 use serde_json::json;
 use std::sync::Arc;
 use std::time::Instant;
@@ -256,11 +256,11 @@ fn run_mode(mode: Mode, rounds: usize, per_edge: usize) -> ModeStats {
             for _ in 0..per_edge {
                 let id = next_id;
                 next_id += 1;
-                let pk = format!("r{}", id % KEYSPACE);
-                let cells = vec![SqlValue::Text(pk.clone()), SqlValue::Int(id as i64)];
+                let pk = SqlValue::Text(format!("r{}", id % KEYSPACE));
+                let cells = vec![pk.clone(), SqlValue::Int(id as i64)];
                 let upsert = RowEffect::Upsert {
                     table: "kv".to_string(),
-                    pk,
+                    pk: RowKey::Pk(pk),
                     columns: Arc::clone(&columns),
                     cells,
                     changed: None,

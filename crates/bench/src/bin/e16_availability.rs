@@ -80,8 +80,14 @@ fn notes_json(core: &ReplicaCore) -> Json {
     let Some(table) = core.server.db.table("notes") else {
         return Json::Object(Default::default());
     };
-    let rows = table.rows.iter().enumerate();
-    let rows = rows.map(|(i, row)| (table.row_pk(row, i), table.row_json(row)));
+    let rows = table.rows.iter().enumerate().map(|(i, row)| {
+        let cells = table.columns.iter().zip(row);
+        let cells = cells.map(|(c, v)| (c.name.clone(), v.to_json()));
+        (
+            table.row_key(row, i).to_string(),
+            Json::Object(cells.collect()),
+        )
+    });
     Json::Object(rows.collect())
 }
 

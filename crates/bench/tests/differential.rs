@@ -23,7 +23,8 @@ struct EngineRun {
     /// file_writes, trace)) or the error string.
     requests: Vec<Result<RequestObservation, String>>,
     final_globals: Json,
-    final_db: Json,
+    /// The typed tables, every cell's kind and bits included.
+    final_db: String,
     logs: Vec<String>,
 }
 
@@ -66,7 +67,7 @@ fn run_app(source: &str, requests: &[HttpRequest], mode: ExecMode) -> EngineRun 
         init_cycles,
         requests: observations,
         final_globals: state.globals_json(),
-        final_db: state.db.to_json(),
+        final_db: format!("{:?}", state.db),
         logs: server.logs().to_vec(),
     }
 }

@@ -6,11 +6,13 @@
 //!
 //! The properties: after every stream the receiver's typed SQL rows, CRDT
 //! tables and replicated-state digest are the writer's, BLOB cells
-//! included, and both nodes' images load back to themselves. The pins: one
-//! FNV-1a over every encoded sync message, one over both nodes' images,
-//! one over the receiver's SQL rows and one over its
+//! included, and both nodes' images load back to themselves; keys that
+//! differ only in kind (`INT 5`, `TEXT '5'`) or in a quote at an edge stay
+//! apart. And replicas whose typed rows differ have different digests.
+//! The pins: one FNV-1a over every encoded sync message, one over both
+//! nodes' images, one over the receiver's SQL rows and one over its
 //! `replicated_state_digest`, across a fixed set of generated streams
-//! drawn without BLOB cells. The receiver pin was captured while a row
+//! drawn without BLOB cells or the keys added with them. The rows pin was captured while a row
 //! still travelled from the SQL engine to the CRDT as a JSON object; a
 //! constant that moves is a change of behaviour, not of speed. The wire and
 //! image pins were re-taken when a replicated unit became one map of key
@@ -28,6 +30,7 @@ use edgstr_core::CrdtBindings;
 use edgstr_crdt::ActorId;
 use edgstr_net::HttpRequest;
 use edgstr_runtime::{CrdtSet, ReplicaCore, ResponseCache, SetSyncMessage, SyncEndpoint};
+use edgstr_sql::SqlValue;
 use edgstr_telemetry::Telemetry;
 use proptest::prelude::*;
 use proptest::rng::TestRng;
@@ -61,14 +64,19 @@ const COLUMNS: [(&str, &[&str]); 2] = [
     ("tag", &["note", "weight"]),
 ];
 
-/// Integer keys: negative, and one past what an `f64` holds exactly.
-const BOOK_KEYS: [i64; 5] = [1, 2, 3, -4, 9_007_199_254_740_993];
+/// `books` keys as the SQL spells them: integers, negative, and one past
+/// what an `f64` holds exactly; then the integer 5 and the text '5', and a
+/// `REAL` equal to the integer key 2.
+const BOOK_KEYS: [&str; KEYS] = ["1", "2", "3", "-4", "9007199254740993", "5", "'5'", "2.0"];
 
-/// Text keys: unicode, empty, and a quote inside. A quote at either end,
-/// and a key column written as both `INT` and `TEXT`, stay out until
-/// ROADMAP item 10(b): `SqlValue::pk_string` maps such keys onto the key
-/// of another row.
-const TAG_KEYS: [&str; 5] = ["sf", "naïve", "𝄞", "", "it's"];
+/// `tags` keys: unicode, empty, and a quote inside; then a quote at
+/// either end, and quotes only.
+const TAG_KEYS: [&str; KEYS] = ["sf", "naïve", "𝄞", "", "it's", "'a", "a'", "''"];
+
+/// Keys a stream writes; the pinned streams write the first
+/// [`PINNED_KEYS`] of each table's.
+const KEYS: usize = 8;
+const PINNED_KEYS: usize = 5;
 
 const INTS: [i64; 8] = [
     0,
@@ -232,13 +240,13 @@ struct Request {
     sync: bool,
 }
 
-/// Cells of every kind; `BLOB`s only when `blobs` is set, so that the
+/// Cells of every kind; `BLOB`s only when `wide` is set, so that the
 /// pinned streams are the ones drawn before `BLOB` cells replicated.
-fn cell(blobs: bool) -> BoxedStrategy<Cell> {
+fn cell(wide: bool) -> BoxedStrategy<Cell> {
     let int = || (0..INTS.len()).prop_map(Cell::Int);
     let real = || (0..REALS.len()).prop_map(Cell::Real);
     let text = || (0..TEXTS.len()).prop_map(Cell::Text);
-    if blobs {
+    if wide {
         let blob = (0..BLOBS.len()).prop_map(Cell::Blob);
         prop_oneof![int(), real(), Just(Cell::Null), text(), text(), blob].boxed()
     } else {
@@ -246,10 +254,12 @@ fn cell(blobs: bool) -> BoxedStrategy<Cell> {
     }
 }
 
-fn write(blobs: bool) -> impl Strategy<Value = Write> {
+/// Writes to every key when `wide` is set, and to the pinned streams'
+/// keys otherwise.
+fn write(wide: bool) -> impl Strategy<Value = Write> {
     let table = || 0usize..TABLES.len();
-    let key = || 0..BOOK_KEYS.len().min(TAG_KEYS.len());
-    let cell = move || cell(blobs);
+    let key = move || 0..if wide { KEYS } else { PINNED_KEYS };
+    let cell = move || cell(wide);
     let insert = move || {
         (table(), key(), prop::collection::vec(cell(), 3..4)).prop_map(|(table, key, cells)| {
             Write::Insert {
@@ -278,16 +288,16 @@ fn write(blobs: bool) -> impl Strategy<Value = Write> {
     ]
 }
 
-fn request(blobs: bool) -> impl Strategy<Value = Request> {
-    (write(blobs), 0u8..8, 0u8..3).prop_map(|(write, fail, sync)| Request {
+fn request(wide: bool) -> impl Strategy<Value = Request> {
+    (write(wide), 0u8..8, 0u8..3).prop_map(|(write, fail, sync)| Request {
         write,
         fail_after: fail == 0,
         sync: sync == 0,
     })
 }
 
-fn stream(blobs: bool) -> impl Strategy<Value = Vec<Request>> {
-    prop::collection::vec(request(blobs), 1..40)
+fn stream(wide: bool) -> impl Strategy<Value = Vec<Request>> {
+    prop::collection::vec(request(wide), 1..40)
 }
 
 fn bindings() -> CrdtBindings {
@@ -440,4 +450,130 @@ fn pinned_row_writes() {
         all.wire.len(),
         all.images.len()
     );
+}
+
+/// The writer serves six `INSERT`s whose keys differ only in kind or in a
+/// quote at an edge, and syncs once: the receiver holds all six rows.
+#[test]
+fn keys_that_print_alike_stay_apart() {
+    let init = {
+        let mut s = ServerProcess::from_source(APP).unwrap();
+        s.init().unwrap();
+        InitState::capture(&s)
+    };
+    let (mut writer, mut receiver) = (node(2, &init), node(1, &init));
+    serve(&mut writer, repro_inserts());
+    let (mut up, mut down) = (SyncEndpoint::new(), SyncEndpoint::new());
+    ship(&mut up, &writer, &mut down, &mut receiver, &mut Vec::new());
+    assert_eq!(writer.server.db.table("tags").unwrap().rows.len(), 3 + 6);
+    assert_eq!(rows(&receiver, "tags"), rows(&writer, "tags"));
+    assert_eq!(
+        receiver.replicated_state_digest(),
+        writer.replicated_state_digest()
+    );
+}
+
+/// Six rows of `tags` keyed `INT 5`, `'5'`, `'a'`, `'''a'`, `'a'''` and
+/// `'b'`.
+fn repro_inserts() -> Vec<String> {
+    ["5", "'5'", "'a'", "'''a'", "'a'''", "'b'"]
+        .iter()
+        .enumerate()
+        .map(|(i, key)| format!("INSERT INTO tags VALUES ({key}, 'row {i}', {i}.5)"))
+        .collect()
+}
+
+/// Cells a digest must tell apart unless they are the same cell: every
+/// kind, both zeros, NaN, an `INT` beside the `REAL` of its value and the
+/// `REAL` of its bits, text beside the blob of its bytes and beside the
+/// text a blob's JSON was.
+fn edge_cells() -> Vec<SqlValue> {
+    use SqlValue::{Blob, Int, Null, Real, Text};
+    vec![
+        Null,
+        Int(0),
+        Int(5),
+        Int(5.0_f64.to_bits() as i64),
+        Real(0.0),
+        Real(-0.0),
+        Real(5.0),
+        Real(f64::NAN),
+        Text(String::new()),
+        Text("5".into()),
+        Text("ab".into()),
+        Text("0x0aff".into()),
+        Blob(Vec::new()),
+        Blob(b"5".to_vec()),
+        Blob(b"ab".to_vec()),
+        Blob(vec![0x0a, 0xff]),
+    ]
+}
+
+/// Two replicas whose typed rows differ have different
+/// `replicated_state_digest`s, and two whose rows are the same cells have
+/// one. The first cases are pairs a digest of JSON text confused: the
+/// writer and receiver of [`keys_that_print_alike_stay_apart`] as they
+/// were when `'5'` took the row of `INT 5` and `'a'''` the rows of `'a'`
+/// and `'''a'`, a `BLOB` beside the text its JSON was, `REAL 5.0` beside
+/// `INT 5`, `NaN` beside `NULL`; then text beside the blob of its bytes
+/// and `INT 0` beside `REAL 0.0`, which agree but for their kind. Then
+/// every cell of every seeded row, replaced by each of [`edge_cells`].
+#[test]
+fn typed_rows_that_differ_have_different_digests() {
+    use SqlValue::{Blob, Int, Null, Real, Text};
+    let init = {
+        let mut s = ServerProcess::from_source(APP).unwrap();
+        s.init().unwrap();
+        InitState::capture(&s)
+    };
+    let (mut a, mut b) = (node(1, &init), node(2, &init));
+    let mut differ = |table: &str, x: Vec<Vec<SqlValue>>, y: Vec<Vec<SqlValue>>, same: bool| {
+        let label = format!("{table}: {x:?} against {y:?}");
+        a.server.db.replace_table_rows(table, x).unwrap();
+        b.server.db.replace_table_rows(table, y).unwrap();
+        let (da, db) = (a.replicated_state_digest(), b.replicated_state_digest());
+        assert_eq!(da == db, same, "{label}");
+        let seeded = init.db.table(table).unwrap().rows.clone();
+        a.server
+            .db
+            .replace_table_rows(table, seeded.clone())
+            .unwrap();
+        b.server.db.replace_table_rows(table, seeded).unwrap();
+    };
+
+    let mut writer = node(3, &init);
+    serve(&mut writer, repro_inserts());
+    let six = writer.server.db.table("tags").unwrap().rows.clone();
+    let text = |s: &str| Text(s.into());
+    // the rows whose key another row's took
+    let lost = [Int(5), text("a"), text("'a")];
+    let three = six
+        .iter()
+        .filter(|r| !lost.iter().any(|k| k.identical(&r[0])));
+    let three = three.cloned().collect();
+    differ("tags", six, three, false);
+    let tag = |note: SqlValue, weight: SqlValue| vec![vec![text("k"), note, weight]];
+    for (x, y) in [
+        (tag(Blob(vec![0x0a, 0xff]), Null), tag(text("0x0aff"), Null)),
+        (tag(Null, Real(5.0)), tag(Null, Int(5))),
+        (tag(Null, Real(f64::NAN)), tag(Null, Null)),
+        (tag(text("ab"), Null), tag(Blob(b"ab".to_vec()), Null)),
+        (tag(Null, Int(0)), tag(Null, Real(0.0))),
+    ] {
+        differ("tags", x, y, false);
+    }
+
+    for table in TABLES {
+        let seeded = &init.db.table(table).unwrap().rows;
+        for (r, row) in seeded.iter().enumerate() {
+            for c in 0..row.len() {
+                for cell in edge_cells() {
+                    let mut changed = seeded.clone();
+                    let same = changed[r][c].identical(&cell);
+                    changed[r][c] = cell;
+                    differ(table, seeded.clone(), changed, same);
+                }
+            }
+        }
+    }
 }

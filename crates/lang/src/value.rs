@@ -3,6 +3,7 @@
 use crate::ast::Stmt;
 use serde_json::{Serialize, Value as Json};
 use std::cell::{Ref, RefCell, RefMut};
+use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 use std::rc::Rc;
 
@@ -144,20 +145,50 @@ impl Value {
     }
 
     /// Structural deep copy: arrays and objects are recursively duplicated
-    /// so later mutation of the original does not affect the copy.
+    /// so later mutation of the original does not affect the copy. A
+    /// container that holds itself, directly or through others, is copied
+    /// as a copy that holds itself the same way.
     pub fn deep_clone(&self) -> Value {
-        match self {
-            Value::Array(items) => {
-                Value::array(items.borrow().iter().map(Value::deep_clone).collect())
-            }
-            Value::Object(map) => Value::from(
-                map.borrow()
-                    .iter()
-                    .map(|(k, v)| (Rc::clone(k), v.deep_clone()))
-                    .collect::<Props>(),
-            ),
-            other => other.clone(),
+        self.clone_within(&mut HashMap::new())
+    }
+
+    /// [`Value::deep_clone`] of this value inside the containers of
+    /// `path`, each an original's address and its copy: a container met
+    /// again inside itself is its copy.
+    fn clone_within(&self, path: &mut HashMap<*const (), Value>) -> Value {
+        let at = match self {
+            Value::Array(items) => Rc::as_ptr(items).cast::<()>(),
+            Value::Object(map) => Rc::as_ptr(map).cast::<()>(),
+            scalar => return scalar.clone(),
+        };
+        if let Some(copy) = path.get(&at) {
+            return copy.clone();
         }
+        let copy = match self {
+            Value::Array(_) => Value::array(Vec::new()),
+            _ => Value::from(Props::new()),
+        };
+        path.insert(at, copy.clone());
+        match (self, &copy) {
+            (Value::Array(items), Value::Array(to)) => {
+                let items = items
+                    .borrow()
+                    .iter()
+                    .map(|v| v.clone_within(path))
+                    .collect();
+                *to.borrow_mut() = items;
+            }
+            (Value::Object(map), Value::Object(to)) => {
+                let map = map.borrow();
+                let props = map
+                    .iter()
+                    .map(|(k, v)| (Rc::clone(k), v.clone_within(path)));
+                *to.borrow_mut() = props.collect();
+            }
+            _ => unreachable!("a copy is of its original's kind"),
+        }
+        path.remove(&at);
+        copy
     }
 
     /// Convert to a JSON tree, for consumers that need one (global and
@@ -376,8 +407,15 @@ impl Value {
 
     /// Collect the *atoms* (strings, numbers, byte-payload hashes) contained
     /// in this value. EdgStr fingerprints HTTP parameters this way to track
-    /// fuzzed payload fragments through execution traces (§III-E).
+    /// fuzzed payload fragments through execution traces (§III-E). The walk
+    /// stops at the first container nested deeper than [`MAX_DEPTH`] — in
+    /// a value that holds itself, at once — keeping what it collected.
     pub fn atoms(&self, out: &mut Vec<Atom>) {
+        let _ = self.atoms_within(out, 0);
+    }
+
+    /// [`Value::atoms`] of this value, found inside `depth` containers.
+    fn atoms_within(&self, out: &mut Vec<Atom>, depth: usize) -> Result<(), TooDeep> {
         match self {
             Value::Null | Value::Function(_) | Value::Native(_) => {}
             Value::Bool(b) => out.push(Atom::Bool(*b)),
@@ -385,21 +423,24 @@ impl Value {
             Value::Str(s) => out.push(Atom::Str(s.to_string())),
             Value::Bytes(b) => out.push(Atom::BytesHash(fnv1a(b))),
             Value::Array(items) => {
+                let depth = deeper(depth)?;
                 for v in items.borrow().iter() {
-                    v.atoms(out);
+                    v.atoms_within(out, depth)?;
                 }
             }
             Value::Object(map) => {
+                let depth = deeper(depth)?;
                 for v in map.borrow().values() {
-                    v.atoms(out);
+                    v.atoms_within(out, depth)?;
                 }
             }
         }
+        Ok(())
     }
 }
 
-/// How deep [`Value::encode`], string coercion and
-/// [`Value::structural_eq`] follow containers into containers. No value a
+/// How deep [`Value::encode`], string coercion, [`Value::structural_eq`]
+/// and [`Value::atoms`] follow containers into containers. No value a
 /// request builds or receives comes near it; a value that holds itself
 /// reaches it at once.
 pub const MAX_DEPTH: usize = 1000;
@@ -729,6 +770,56 @@ mod tests {
                 assert_eq!(items.borrow().len(), 1);
             }
         }
+    }
+
+    /// A value shared twice but holding nothing of itself is copied twice,
+    /// as ever; an object that holds itself, directly and through an
+    /// array, is copied as an object that holds itself, apart from the
+    /// original.
+    #[test]
+    fn deep_clone_keeps_cycles_and_nothing_else_shared() {
+        let shared = Value::array(vec![Value::Num(1.0)]);
+        let pair = Value::array(vec![shared.clone(), shared]);
+        let Value::Array(copy) = pair.deep_clone() else {
+            panic!("an array copies as an array");
+        };
+        let copy = copy.borrow();
+        let (Value::Array(a), Value::Array(b)) = (&copy[0], &copy[1]) else {
+            panic!("elements copy as arrays");
+        };
+        assert!(!Rc::ptr_eq(a, b));
+
+        let g = Value::object([("a", Value::Num(1.0))]);
+        let Value::Object(props) = &g else {
+            unreachable!()
+        };
+        props.borrow_mut().insert("me".into(), g.clone());
+        props
+            .borrow_mut()
+            .insert("via".into(), Value::array(vec![g.clone()]));
+        let Value::Object(c) = g.deep_clone() else {
+            panic!("an object copies as an object");
+        };
+        assert!(!Rc::ptr_eq(&c, props));
+        let field = |v: &Value, key: &str| match v {
+            Value::Object(o) => o.borrow()[key].clone(),
+            Value::Array(a) => a.borrow()[key.parse::<usize>().unwrap()].clone(),
+            _ => panic!("{key} of a scalar"),
+        };
+        let copy = Value::Object(Rc::clone(&c));
+        for through in [field(&copy, "me"), field(&field(&copy, "via"), "0")] {
+            let Value::Object(o) = through else {
+                panic!("the copy holds an object");
+            };
+            assert!(Rc::ptr_eq(&o, &c), "the copy holds itself");
+        }
+        // the walks that stop at the bound stop on the copy too
+        let mut atoms = Vec::new();
+        copy.atoms(&mut atoms);
+        assert_eq!(atoms.len(), MAX_DEPTH, "one `a` a level, then the bound");
+        // break both cycles, so the test leaks nothing
+        *c.borrow_mut() = Props::new();
+        *props.borrow_mut() = Props::new();
     }
 
     #[test]

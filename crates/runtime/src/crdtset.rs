@@ -15,17 +15,18 @@ use edgstr_core::CrdtBindings;
 use edgstr_crdt::wire::{put_changes, put_varint, Count, Sink};
 use edgstr_crdt::{ActorId, Cell, Change, CrdtError, Doc, Row, VClock, Value};
 use edgstr_sql::columns::ColumnSet;
-use edgstr_sql::{ColumnMeta, RowEffect, SqlDb, SqlError, SqlValue};
+use edgstr_sql::{ColumnMeta, RowEffect, RowKey, SqlDb, SqlError, SqlValue};
 use serde_json::Value as Json;
 use std::collections::BTreeSet;
+use std::fmt::Write as _;
 use std::ops::Bound;
 use std::sync::Arc;
 
 // ---- key namespaces ---------------------------------------------------------
 //
 // A key of the set's `Doc` is a one-char tag naming its unit, then the name
-// within the unit: a row's primary-key string, a file's path, a global's
-// name. Files are tagged U+0000 and globals U+0001; the table at position
+// within the unit: a row's key (`RowKey`'s `Display`: its primary-key
+// cell's `SqlValue::key`), a file's path, a global's name. Files are tagged U+0000 and globals U+0001; the table at position
 // `i` of `CrdtBindings::tables` is tagged U+0002 + `i`, one UTF-8 byte for
 // the first 126 tables and two up to the 2,046th.
 
@@ -45,6 +46,14 @@ fn key_in<'b>(buf: &'b mut String, tag: char, name: &str) -> &'b str {
     buf.clear();
     buf.push(tag);
     buf.push_str(name);
+    buf
+}
+
+/// `buf`, now holding row `pk` under `tag`: a key of the set's `Doc`.
+fn row_key_in<'b>(buf: &'b mut String, tag: char, pk: &RowKey) -> &'b str {
+    buf.clear();
+    buf.push(tag);
+    write!(buf, "{pk}").expect("writing to a String cannot fail");
     buf
 }
 
@@ -99,7 +108,7 @@ impl CrdtSet {
             if let Some(table) = init.db.table(t) {
                 let columns = table.column_names();
                 for (n, cells) in table.rows.iter().enumerate() {
-                    let key = format!("{}{}", table_tag(i), table.row_pk(cells, n));
+                    let key = format!("{}{}", table_tag(i), table.row_key(cells, n));
                     entries.push((key, row(columns, cells)));
                 }
             }
@@ -138,8 +147,8 @@ impl CrdtSet {
         i.map(table_tag)
     }
 
-    /// The rows of bound table `table` by primary key, in key order (none
-    /// when the table is not bound).
+    /// The rows of bound table `table` by key ([`RowKey`]'s `Display`), in
+    /// key order (none when the table is not bound).
     pub fn rows(&self, table: &str) -> Vec<(&str, &Value)> {
         match self.tag_of(table) {
             Some(tag) => self
@@ -150,7 +159,7 @@ impl CrdtSet {
         }
     }
 
-    /// The row of bound table `table` at primary key `pk`.
+    /// The row of bound table `table` at key `pk` ([`RowKey`]'s `Display`).
     pub fn row(&self, table: &str, pk: &str) -> Option<&Value> {
         self.doc
             .get(key_in(&mut String::new(), self.tag_of(table)?, pk))
@@ -196,16 +205,16 @@ impl CrdtSet {
                     cells,
                     changed,
                 } => {
-                    self.versions.touch_row(table, pk, *changed);
+                    self.versions.touch_row(table, &pk.pk_string(), *changed);
                     if let Some(tag) = self.tag_of(table) {
-                        let key = key_in(&mut key, tag, pk);
+                        let key = row_key_in(&mut key, tag, pk);
                         self.doc.put(key, row(columns, cells));
                     }
                 }
                 RowEffect::Delete { table, pk } => {
-                    self.versions.touch_row(table, pk, None);
+                    self.versions.touch_row(table, &pk.pk_string(), None);
                     if let Some(tag) = self.tag_of(table) {
-                        self.doc.delete(key_in(&mut key, tag, pk));
+                        self.doc.delete(row_key_in(&mut key, tag, pk));
                     }
                 }
             }
@@ -257,7 +266,7 @@ impl CrdtSet {
             // bumping what the materialised rows changed there
             let versions = &mut self.versions;
             let by_row = materialize_rows(name, &self.doc, keys, &mut server.db, |pk, changed| {
-                versions.touch_row(name, pk, changed);
+                versions.touch_row(name, &pk.pk_string(), changed);
             });
             if !by_row {
                 versions.touch_table(name);
@@ -301,7 +310,8 @@ impl CrdtSet {
             let (RowEffect::Upsert { table, pk, .. } | RowEffect::Delete { table, pk }) = &effect;
             if let Some(tag) = self.tag_of(table) {
                 // the rows go back to what the versions already describe
-                let keys = [(key_in(&mut key, tag, pk), pk.as_str())];
+                let key = row_key_in(&mut key, tag, pk);
+                let keys = [(key, &key[tag.len_utf8()..])];
                 if !materialize_rows(table, &self.doc, keys, &mut server.db, |_, _| {}) {
                     materialize_table(table, &self.doc, tag, &mut server.db);
                 }
@@ -446,21 +456,26 @@ fn materialize_table(name: &str, doc: &Doc, tag: char, db: &mut SqlDb) {
 }
 
 /// Make the rows of SQL table `name` at `keys` (each the row's key in
-/// `doc` and its primary key) read what `doc` reads there: written where the CRDT has the row,
-/// deleted where it does not. Every other row is left alone, which is
-/// sound because it already equals its CRDT row. `changed` hears of each
-/// row that changed, as a [`RowEffect::Upsert`] reports it (`None`: the
-/// row arrived or left). Returns `false`, having written nothing, for a
-/// table without a primary key to address a row by: the caller rebuilds it
-/// whole.
+/// `doc` and its name there, the [`SqlValue::key`] of its primary key) read
+/// what `doc` reads there: written where the CRDT has the row, deleted
+/// where it does not. Every other row is left alone, which is sound
+/// because it already equals its CRDT row. `changed` hears of each row
+/// that changed, by its primary key, as a [`RowEffect::Upsert`] reports it
+/// (`None`: the row arrived or left). Returns `false` for a name that is
+/// no primary key (a row of a table without one is named by its
+/// position) and for a table without a primary key to address a row by:
+/// the caller rebuilds the table whole.
 fn materialize_rows<'k>(
     name: &str,
     doc: &Doc,
     keys: impl IntoIterator<Item = (&'k str, &'k str)>,
     db: &mut SqlDb,
-    mut changed: impl FnMut(&str, Option<ColumnSet>),
+    mut changed: impl FnMut(&SqlValue, Option<ColumnSet>),
 ) -> bool {
     for (key, pk) in keys {
+        let Some(pk) = SqlValue::from_key(pk) else {
+            return false;
+        };
         let written = match (doc.get(key), db.table(name)) {
             (Some(row), Some(table)) => {
                 let row = sql_row(&table.columns, row);
@@ -468,11 +483,11 @@ fn materialize_rows<'k>(
             }
             (Some(_), None) => return true,
             (None, _) => db
-                .delete_row_by_pk(name, pk)
+                .delete_row_by_pk(name, &pk)
                 .map(|gone| gone.then_some(None)),
         };
         match written {
-            Ok(Some(change)) => changed(pk, change),
+            Ok(Some(change)) => changed(&pk, change),
             Ok(None) => {}
             Err(SqlError::NoPrimaryKey(_)) => return false,
             Err(_) => {}
@@ -979,9 +994,9 @@ mod tests {
     }
 
     /// The bound tables, file and global as a server holds them.
-    fn replicated(server: &ServerProcess) -> (Json, Option<Vec<u8>>, Option<Json>) {
+    fn replicated(server: &ServerProcess) -> (String, Option<Vec<u8>>, Option<Json>) {
         (
-            server.db.snapshot().to_json()["kv"].clone(),
+            format!("{:?}", server.db.table("kv").unwrap().rows),
             server.fs.peek("/latest.txt").map(<[u8]>::to_vec),
             server.global_json("hits").map(Result::unwrap),
         )
@@ -1127,7 +1142,7 @@ mod namespace_tests {
 
         let text = |s: &str| SqlValue::Text(s.to_string());
         for (server, set) in [(&writer, &writer_set), (&peer, &peer_set)] {
-            let row = |table| set.row(table, "cfg").and_then(Value::as_row);
+            let row = |table| set.row(table, "'cfg'").and_then(Value::as_row);
             assert_eq!(
                 row("a").unwrap().cells(),
                 [Cell::Text("cfg".into()), Cell::Int(1)]

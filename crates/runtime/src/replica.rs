@@ -46,12 +46,43 @@ use edgstr_crdt::ActorId;
 use edgstr_lang::Program;
 use edgstr_net::{fnv1a, HttpRequest, HttpResponse, Verb, FNV_OFFSET};
 use edgstr_sim::DetRng;
+use edgstr_sql::SqlValue;
 use edgstr_telemetry::{StmtProfiler, Telemetry};
 use serde_json::Value as Json;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 use std::sync::Arc;
+
+/// `h` folded over `rows`: their number, then each row's cells, in the
+/// order of those bytes, so the fold reads the rows as a set whatever order
+/// the table keeps them in. A cell is its kind's tag and its value's bytes:
+/// an `INT` as eight bytes, a `REAL` as its bits, text and blobs as their
+/// length and bytes.
+fn fold_rows(h: u64, rows: &[Vec<SqlValue>]) -> u64 {
+    let mut encoded: Vec<Vec<u8>> = rows
+        .iter()
+        .map(|row| {
+            let mut out = Vec::new();
+            for cell in row {
+                let (tag, bytes) = match cell {
+                    SqlValue::Null => (0, &[][..]),
+                    SqlValue::Int(i) => (1, &i.to_le_bytes()[..]),
+                    SqlValue::Real(r) => (2, &r.to_bits().to_le_bytes()[..]),
+                    SqlValue::Text(s) => (3, s.as_bytes()),
+                    SqlValue::Blob(b) => (4, &b[..]),
+                };
+                out.push(tag);
+                out.extend((bytes.len() as u64).to_le_bytes());
+                out.extend(bytes);
+            }
+            out
+        })
+        .collect();
+    encoded.sort_unstable();
+    let h = fnv1a(h, &(rows.len() as u64).to_le_bytes());
+    encoded.iter().fold(h, |h, row| fnv1a(h, row))
+}
 
 /// Everything needed to provision a replica of one deployment: plain
 /// data, `Send + Sync`, shared by reference. The non-`Send` runtime state
@@ -266,15 +297,16 @@ impl ReplicaCore {
     /// Digest of the *replicated* state units (bound tables, files,
     /// globals) as materialized in the server. Non-replicated state is
     /// deliberately excluded — it is local to whichever replica happened
-    /// to write it.
+    /// to write it. A table is read as the set of its typed rows: two
+    /// replicas whose tables hold different cells, or cells of different
+    /// kinds, have different digests.
     pub fn replicated_state_digest(&self) -> u64 {
         let (bindings, server) = (&self.crdts.bindings, &self.server);
-        let db = server.db.snapshot().to_json();
         let mut h = FNV_OFFSET;
         for t in &bindings.tables {
             h = fnv1a(h, t.as_bytes());
-            let rows = db.get(t).map(|v| v.to_string()).unwrap_or_default();
-            h = fnv1a(h, rows.as_bytes());
+            let rows = server.db.table(t).map_or(&[][..], |t| &t.rows);
+            h = fold_rows(h, rows);
         }
         for f in &bindings.files {
             h = fnv1a(h, f.as_bytes());

@@ -205,31 +205,21 @@ impl Table {
     fn upsert(&self, row: &[SqlValue], at: usize, changed: Option<ColumnSet>) -> RowEffect {
         RowEffect::Upsert {
             table: self.name.clone(),
-            pk: self.row_pk(row, at),
+            pk: self.row_key(row, at),
             columns: Arc::clone(&self.names),
             cells: row.to_vec(),
             changed,
         }
     }
 
-    /// Primary key of a row as a string (for a table without one, the
-    /// row's position — such a table keeps insertion order).
-    pub fn row_pk(&self, row: &[SqlValue], fallback: usize) -> String {
+    /// Which row `row`, the row at index `at`, is: its primary-key cell,
+    /// or for a table without one its position (such a table keeps
+    /// insertion order).
+    pub fn row_key(&self, row: &[SqlValue], at: usize) -> RowKey {
         match self.pk_index() {
-            Some(i) => row[i].pk_string(),
-            None => format!("row{fallback}"),
+            Some(i) => RowKey::Pk(row[i].clone()),
+            None => RowKey::Position(at),
         }
-    }
-
-    /// Row as a JSON object keyed by column name.
-    pub fn row_json(&self, row: &[SqlValue]) -> Json {
-        Json::Object(
-            self.columns
-                .iter()
-                .zip(row)
-                .map(|(c, v)| (c.name.clone(), v.to_json()))
-                .collect(),
-        )
     }
 
     /// Total byte size of the table contents.
@@ -315,15 +305,14 @@ pub struct Selected<'a> {
 
 /// A change to one row, reported so the runtime can mirror writes into the
 /// corresponding `CRDT-Table` (§III-G.1) and bump exactly the cache
-/// validity counters the change moved. A row is keyed by its primary key's
-/// [`SqlValue::pk_string`].
+/// validity counters the change moved.
 #[derive(Debug, Clone)]
 pub enum RowEffect {
     /// The row as written: its cells in column order, beside the table's
     /// column names.
     Upsert {
         table: String,
-        pk: String,
+        pk: RowKey,
         columns: Arc<[String]>,
         cells: Vec<SqlValue>,
         /// The columns whose cell the write changed
@@ -334,11 +323,54 @@ pub enum RowEffect {
     },
     /// The row left its key (a `DELETE`, or the old key of a re-keyed
     /// row): a change to the row set.
-    Delete { table: String, pk: String },
+    Delete { table: String, pk: RowKey },
 }
 
-/// Two effects are equal when they mirror the same: a cell compares as the
-/// JSON scalar it is kept as, so a NaN cell equals the `null` it mirrors.
+/// Which row a [`RowEffect`] is about.
+#[derive(Debug, Clone)]
+pub enum RowKey {
+    /// The row's primary-key cell.
+    Pk(SqlValue),
+    /// The row's position in a table without a primary key.
+    Position(usize),
+}
+
+impl RowKey {
+    /// The coarser key the response cache counts the row's changes under
+    /// ([`SqlValue::pk_string`]).
+    pub fn pk_string(&self) -> String {
+        match self {
+            RowKey::Pk(v) => v.pk_string(),
+            RowKey::Position(_) => self.to_string(),
+        }
+    }
+}
+
+/// The name a replica keeps the row under: the key cell's
+/// [`SqlValue::key`], or `row` and the position.
+impl fmt::Display for RowKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RowKey::Pk(v) => v.write_key(f),
+            RowKey::Position(at) => write!(f, "row{at}"),
+        }
+    }
+}
+
+/// Two keys are equal when they are the same cell ([`SqlValue::identical`])
+/// or the same position.
+impl PartialEq for RowKey {
+    fn eq(&self, other: &RowKey) -> bool {
+        match (self, other) {
+            (RowKey::Pk(a), RowKey::Pk(b)) => a.identical(b),
+            (RowKey::Position(a), RowKey::Position(b)) => a == b,
+            _ => false,
+        }
+    }
+}
+
+/// Two effects are equal when their keys and cells are the same cells
+/// ([`SqlValue::identical`]).
 impl PartialEq for RowEffect {
     fn eq(&self, other: &RowEffect) -> bool {
         match (self, other) {
@@ -360,10 +392,7 @@ impl PartialEq for RowEffect {
             ) => {
                 (table, pk, columns, changed) == (table2, pk2, columns2, changed2)
                     && cells.len() == cells2.len()
-                    && cells
-                        .iter()
-                        .zip(cells2)
-                        .all(|(a, b)| a.to_json() == b.to_json())
+                    && cells.iter().zip(cells2).all(|(a, b)| a.identical(b))
             }
             (
                 RowEffect::Delete { table, pk },
@@ -400,20 +429,6 @@ impl Snapshot {
     /// The captured table `name`.
     pub fn table(&self, name: &str) -> Option<&Table> {
         self.tables.get(name)
-    }
-
-    /// Tables and their contents as JSON: `table → pk → row`.
-    pub fn to_json(&self) -> Json {
-        Json::Object(
-            self.tables
-                .iter()
-                .map(|(name, t)| {
-                    let rows = t.rows.iter().enumerate();
-                    let rows = rows.map(|(i, r)| (t.row_pk(r, i), t.row_json(r)));
-                    (name.clone(), Json::Object(rows.collect()))
-                })
-                .collect(),
-        )
     }
 
     /// Total bytes of data held in the snapshot.
@@ -721,7 +736,7 @@ impl SqlDb {
                         continue;
                     }
                     let row = &mut t.rows[i];
-                    let old_pk = rekeyed.map(|pi| row[pi].pk_string());
+                    let old_pk = rekeyed.map(|pi| row[pi].clone());
                     let mut cells = ColumnSet::NONE;
                     for (idx, v) in &set_idx {
                         if !row[*idx].identical(v) {
@@ -733,11 +748,16 @@ impl SqlDb {
                     let mut upsert = t.upsert(&t.rows[i], i, Some(cells));
                     // a re-keyed row leaves its old key: without the
                     // delete the mirror would keep both
-                    if let RowEffect::Upsert { pk, changed, .. } = &mut upsert {
-                        if let Some(old_pk) = old_pk.filter(|old| old != pk) {
+                    if let RowEffect::Upsert {
+                        pk: RowKey::Pk(pk),
+                        changed,
+                        ..
+                    } = &mut upsert
+                    {
+                        if let Some(old_pk) = old_pk.filter(|old| old.pk_cmp(pk).is_ne()) {
                             effects.push(RowEffect::Delete {
                                 table: table.clone(),
-                                pk: old_pk,
+                                pk: RowKey::Pk(old_pk),
                             });
                             *changed = None;
                         }
@@ -768,7 +788,7 @@ impl SqlDb {
                     .iter()
                     .map(|&i| RowEffect::Delete {
                         table: table.clone(),
-                        pk: t.row_pk(&t.rows[i], i),
+                        pk: t.row_key(&t.rows[i], i),
                     })
                     .collect();
                 let mut at = 0;
@@ -967,28 +987,18 @@ impl SqlDb {
         Ok(Some(changed))
     }
 
-    /// Remove the row whose primary key has the canonical string `pk`
-    /// ([`SqlValue::pk_string`]); no-op when there is none. Reports whether
-    /// a row went.
+    /// Remove the row whose primary key [`SqlValue::pk_cmp`] calls equal
+    /// to `pk`; no-op when there is none. Reports whether a row went.
     ///
     /// # Errors
     ///
     /// As for [`SqlDb::upsert_row`].
-    pub fn delete_row_by_pk(&mut self, name: &str, pk: &str) -> Result<bool, SqlError> {
+    pub fn delete_row_by_pk(&mut self, name: &str, pk: &SqlValue) -> Result<bool, SqlError> {
         let (t, pki) = self.keyed_table_mut(name)?;
-        let before = t.rows.len();
-        for key in SqlValue::pk_candidates(pk) {
-            let at = t.pk_range(pki, &key);
-            if t.rows[at.clone()].iter().all(|r| r[pki].pk_string() == pk) {
-                t.rows.drain(at);
-            }
-        }
-        if t.rows.len() == before {
-            // `pk_candidates` cannot list every preimage; a key it missed
-            // is still found the slow way
-            t.rows.retain(|r| r[pki].pk_string() != pk);
-        }
-        Ok(t.rows.len() != before)
+        let at = t.pk_range(pki, pk);
+        let gone = !at.is_empty();
+        t.rows.drain(at);
+        Ok(gone)
     }
 
     /// What executing `stmt` reads, when it is a `SELECT` of a table that
@@ -1385,7 +1395,7 @@ mod tests {
                 changed,
             } => {
                 assert_eq!(table, "books");
-                assert_eq!(pk, "2");
+                assert_eq!(pk, &RowKey::Pk(SqlValue::Int(2)));
                 assert_eq!(columns[..], ["id", "title", "price", "stock"]);
                 assert_eq!(cells[3], SqlValue::Int(10));
                 assert_eq!(*changed, Some(ColumnSet::of(3)));
@@ -1463,7 +1473,7 @@ mod tests {
             effects,
             vec![RowEffect::Delete {
                 table: "books".into(),
-                pk: "2".into()
+                pk: RowKey::Pk(SqlValue::Int(2))
             }]
         );
     }
@@ -1774,13 +1784,6 @@ mod tests {
             Err(SqlError::NoSuchColumn { .. })
         ));
     }
-
-    #[test]
-    fn snapshot_json_shape() {
-        let db = db_with_books();
-        let j = db.snapshot().to_json();
-        assert_eq!(j["books"]["1"]["title"], serde_json::json!("Dune"));
-    }
 }
 
 #[cfg(test)]
@@ -1856,11 +1859,19 @@ mod replace_tests {
             db.table("t").unwrap().rows[2][1],
             SqlValue::Text("C".into())
         );
-        assert_eq!(db.delete_row_by_pk("t", "1"), Ok(true));
-        assert_eq!(db.delete_row_by_pk("t", "7"), Ok(false), "absent: no-op");
-        // not the canonical form of 2
-        assert_eq!(db.delete_row_by_pk("t", "02"), Ok(false));
-        assert_eq!(ids(&db), ["2", "3"]);
+        assert_eq!(db.delete_row_by_pk("t", &SqlValue::Int(1)), Ok(true));
+        let absent = SqlValue::Int(7);
+        assert_eq!(
+            db.delete_row_by_pk("t", &absent),
+            Ok(false),
+            "absent: no-op"
+        );
+        // the text '2' is not the integer 2
+        let text = SqlValue::from("2");
+        assert_eq!(db.delete_row_by_pk("t", &text), Ok(false));
+        // the real 3.0 is the integer 3
+        assert_eq!(db.delete_row_by_pk("t", &SqlValue::Real(3.0)), Ok(true));
+        assert_eq!(ids(&db), ["2"]);
         assert!(db.upsert_row("missing", row(1, "")).is_err());
         assert!(db.upsert_row("t", vec![SqlValue::Int(1)]).is_err());
     }
@@ -1868,14 +1879,21 @@ mod replace_tests {
     #[test]
     fn delete_by_pk_finds_every_kind_of_key() {
         let mut db = keyed();
-        // the last key is the text 'q' with its quotes; its canonical
-        // string q has lost them — the one lookup that has to scan
-        db.exec("INSERT INTO t VALUES ('k', 1), (2.5, 2), (NULL, 3), ('it''s', 4), ('''q''', 5)")
-            .unwrap();
-        for pk in ["k", "2.5", "NULL", "it's", "q"] {
+        // the text 'q' with its quotes beside the text q, the text '5'
+        // beside the integer 5: each key removes its own row and no other
+        db.exec(
+            "INSERT INTO t VALUES ('k', 1), (2.5, 2), (NULL, 3), ('it''s', 4), ('''q''', 5), \
+             ('q', 6), ('5', 7), (5, 8), (X'0aff', 9)",
+        )
+        .unwrap();
+        for key in [
+            "'k'", "2.5", "NULL", "'it's'", "''q''", "'q'", "'5'", "5", "X'0aff'",
+        ] {
             let before = db.table("t").unwrap().rows.len();
-            db.delete_row_by_pk("t", pk).unwrap();
-            assert_eq!(db.table("t").unwrap().rows.len(), before - 1, "{pk}");
+            let pk = SqlValue::from_key(key).unwrap();
+            assert_eq!(pk.key(), key);
+            assert_eq!(db.delete_row_by_pk("t", &pk), Ok(true), "{key}");
+            assert_eq!(db.table("t").unwrap().rows.len(), before - 1, "{key}");
         }
     }
 
@@ -1888,7 +1906,7 @@ mod replace_tests {
             Err(SqlError::NoPrimaryKey("t".into()))
         );
         assert_eq!(
-            db.delete_row_by_pk("t", "1"),
+            db.delete_row_by_pk("t", &SqlValue::Int(1)),
             Err(SqlError::NoPrimaryKey("t".into()))
         );
     }
@@ -1905,7 +1923,7 @@ mod replace_tests {
         assert!(matches!(
             &effects[..],
             [RowEffect::Delete { pk: old, .. }, RowEffect::Upsert { pk: new, changed: None, .. }]
-                if old == "1" && new == "9"
+                if old.to_string() == "1" && new.to_string() == "9"
         ));
     }
 

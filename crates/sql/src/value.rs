@@ -78,18 +78,63 @@ impl SqlValue {
         }
     }
 
-    /// Canonical primary-key string for this value: the form under which a
-    /// row is keyed in the CRDT mirror (`Text 'x'` → `x`, `Int 5` → `5`).
-    /// Anything that derives row-level identity from a SQL value — the
-    /// engine's row mirroring and the analysis layer's read-set keying —
-    /// must agree on this exact stringification.
-    pub fn pk_string(&self) -> String {
-        // the display form with its quotes trimmed: only text and blobs
-        // display any
+    /// The name a replica keeps a row under when this is its primary key:
+    /// its SQL literal as [`Display`](fmt::Display) writes it, quotes and
+    /// all, except that a `REAL` holding an `INT`'s value is written as
+    /// that `INT` (so `-0.0` is `0`). Values [`SqlValue::pk_cmp`] calls
+    /// equal have one key and unequal values two, and
+    /// [`SqlValue::from_key`] reads a key back.
+    pub fn key(&self) -> String {
+        let mut key = String::new();
+        self.write_key(&mut key)
+            .expect("writing to a String cannot fail");
+        key
+    }
+
+    /// Write [`SqlValue::key`] to `out`.
+    ///
+    /// # Errors
+    ///
+    /// When `out` does.
+    pub fn write_key(&self, out: &mut impl fmt::Write) -> fmt::Result {
         match self {
-            SqlValue::Text(s) => s.trim_matches('\'').to_string(),
-            SqlValue::Blob(_) => self.to_string().trim_matches('\'').to_string(),
-            _ => self.to_string(),
+            SqlValue::Real(r) if r.fract() == 0.0 && (-TWO_63..TWO_63).contains(r) => {
+                // in range and integral, so the cast is exact
+                write!(out, "{}", *r as i64)
+            }
+            v => write!(out, "{v}"),
+        }
+    }
+
+    /// A value [`SqlValue::pk_cmp`]-equal to the one whose
+    /// [`SqlValue::key`] is `key`; `None` when `key` is no value's key.
+    pub fn from_key(key: &str) -> Option<SqlValue> {
+        fn quoted<'k>(key: &'k str, open: &str) -> Option<&'k str> {
+            key.strip_prefix(open)?.strip_suffix('\'')
+        }
+        if key == "NULL" {
+            Some(SqlValue::Null)
+        } else if let Some(text) = quoted(key, "'") {
+            Some(SqlValue::Text(text.to_string()))
+        } else if let Some(hex) = quoted(key, "X'") {
+            unhex(hex).map(SqlValue::Blob)
+        } else if let Ok(i) = key.parse() {
+            Some(SqlValue::Int(i))
+        } else {
+            key.parse().ok().map(SqlValue::Real)
+        }
+    }
+
+    /// The coarser key the response cache counts a row's changes under:
+    /// [`SqlValue::key`] with its quotes trimmed, so `INT 5` and
+    /// `TEXT '5'` share `5`. A shared counter only invalidates more, and
+    /// a request parameter names a row this way
+    /// (`edgstr_analysis::json_pk_string`).
+    pub fn pk_string(&self) -> String {
+        let key = self.key();
+        match key.trim_matches('\'') {
+            trimmed if trimmed.len() == key.len() => key,
+            trimmed => trimmed.to_string(),
         }
     }
 
@@ -125,25 +170,10 @@ impl SqlValue {
         self.compare(other)
             .unwrap_or_else(|| kind(self).cmp(&kind(other)))
     }
-
-    /// The values [`SqlValue::pk_string`] can have produced `pk` from, for
-    /// finding a row by its canonical key: `5` is `INT 5`, `REAL 5.0` or
-    /// `TEXT '5'`. Text that itself begins or ends with a quote is the one
-    /// preimage not listed (the trim is not invertible).
-    pub fn pk_candidates(pk: &str) -> Vec<SqlValue> {
-        let mut out = Vec::with_capacity(3);
-        if pk == "NULL" {
-            out.push(SqlValue::Null);
-        }
-        if let Ok(i) = pk.parse::<i64>() {
-            out.push(SqlValue::Int(i));
-        } else if let Ok(r) = pk.parse::<f64>() {
-            out.push(SqlValue::Real(r));
-        }
-        out.push(SqlValue::Text(pk.to_string()));
-        out
-    }
 }
+
+/// 2^63, the first double past `i64::MAX`.
+const TWO_63: f64 = 9_223_372_036_854_775_808.0;
 
 /// Exact comparison of an integer with a float (`None` for NaN). An
 /// integer of magnitude at most 2^53 is a double exactly, so the two
@@ -161,7 +191,6 @@ fn int_real(i: i64, r: f64) -> Option<Ordering> {
 /// part, which an `i64` either holds exactly or lies wholly to one side
 /// of, and a fraction that breaks ties.
 fn cmp_int_real(i: i64, r: f64) -> Option<Ordering> {
-    const TWO_63: f64 = 9_223_372_036_854_775_808.0;
     if r.is_nan() {
         None
     } else if r >= TWO_63 {
@@ -180,6 +209,12 @@ fn cmp_int_real(i: i64, r: f64) -> Option<Ordering> {
 
 fn hex(data: &[u8]) -> String {
     data.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// The bytes [`hex`] wrote `text` from.
+fn unhex(text: &str) -> Option<Vec<u8>> {
+    let byte = |i| u8::from_str_radix(text.get(i..i + 2)?, 16).ok();
+    (0..text.len()).step_by(2).map(byte).collect()
 }
 
 impl fmt::Display for SqlValue {
@@ -221,6 +256,7 @@ impl From<String> for SqlValue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn cross_type_numeric_compare() {
@@ -282,24 +318,105 @@ mod tests {
         assert_eq!(Real(0.0).pk_cmp(&Real(-0.0)), Ordering::Equal);
     }
 
+    /// Values a key must tell apart or must not: every kind, both zeros,
+    /// NaN, integers next to 2^53 and at the ends of `INT`, the `REAL`s
+    /// that equal them, and text and blobs that look like other kinds'
+    /// keys.
+    fn edge_values() -> Vec<SqlValue> {
+        use SqlValue::{Blob, Int, Null, Real, Text};
+        let two_53 = 1_i64 << 53;
+        let ints = [0, 5, -1, two_53 - 1, two_53, two_53 + 1, i64::MIN, i64::MAX];
+        let reals = [
+            0.0,
+            -0.0,
+            5.0,
+            2.5,
+            two_53 as f64,
+            (two_53 + 2) as f64,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e300,
+            i64::MIN as f64,
+            i64::MAX as f64,
+        ];
+        let texts = [
+            "", "a", "'a", "a'", "''", "5", "NULL", "X'0aff'", "it's", "𝄞",
+        ];
+        let blobs: [&[u8]; 3] = [b"", b"\x0a\xff", b"5"];
+        let mut values = vec![Null];
+        values.extend(ints.map(Int));
+        values.extend(reals.map(Real));
+        values.extend(texts.map(|t| Text(t.into())));
+        values.extend(blobs.map(|b| Blob(b.to_vec())));
+        values
+    }
+
+    fn key_domain() -> impl Strategy<Value = SqlValue> {
+        let edges = edge_values();
+        prop_oneof![
+            (0..edges.len()).prop_map(move |i| edges[i].clone()),
+            any::<i64>().prop_map(SqlValue::Int),
+            any::<u64>().prop_map(|bits| SqlValue::Real(f64::from_bits(bits))),
+            any::<i32>().prop_map(|i| SqlValue::Real(f64::from(i))),
+            "[a'X0-9]{0,4}".prop_map(SqlValue::Text),
+            prop::collection::vec(any::<u8>(), 0..4).prop_map(SqlValue::Blob),
+        ]
+    }
+
+    /// A row's key tells apart exactly the values its table does:
+    /// `pk_cmp`-equal values share one key and unequal ones have two, a
+    /// key reads back as a value its table finds the row by, and the
+    /// cache's coarser key never splits what a key joins.
+    fn check_keys(a: &SqlValue, b: &SqlValue) {
+        let (ka, kb) = (a.key(), b.key());
+        assert_eq!(
+            ka == kb,
+            a.pk_cmp(b).is_eq(),
+            "{a:?} and {b:?}: {ka} and {kb}"
+        );
+        let back = SqlValue::from_key(&ka);
+        assert!(
+            back.as_ref().is_some_and(|v| v.pk_cmp(a).is_eq()),
+            "{a:?} read back as {back:?}"
+        );
+        if ka == kb {
+            assert_eq!(a.pk_string(), b.pk_string(), "{a:?} and {b:?}");
+        }
+    }
+
     #[test]
-    fn pk_candidates_cover_the_kinds_a_key_string_can_come_from() {
-        let has = |pk: &str, v: SqlValue| SqlValue::pk_candidates(pk).contains(&v);
-        assert!(has("5", SqlValue::Int(5)) && has("5", SqlValue::Text("5".into())));
-        assert!(has("2.5", SqlValue::Real(2.5)));
-        assert!(has("NULL", SqlValue::Null) && has("NULL", SqlValue::Text("NULL".into())));
-        for v in [
-            SqlValue::Int(-7),
-            SqlValue::Real(1e21),
-            SqlValue::Real(0.1),
-            SqlValue::Text("dune".into()),
-            SqlValue::Null,
+    fn keys_are_one_per_pk_class_and_read_back() {
+        let edges = edge_values();
+        for a in &edges {
+            for b in &edges {
+                check_keys(a, b);
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn keys_are_one_per_pk_class_over_any_values(a in key_domain(), b in key_domain()) {
+            check_keys(&a, &b);
+        }
+    }
+
+    #[test]
+    fn keys_keep_quotes_and_pk_strings_trim_them() {
+        use SqlValue::{Blob, Int, Real, Text};
+        for (v, key, pk) in [
+            (Int(5), "5", "5"),
+            (Real(-0.0), "0", "0"),
+            (Text("5".into()), "'5'", "5"),
+            (Text("'a".into()), "''a'", "a"),
+            (Blob(vec![0x0a, 0xff]), "X'0aff'", "X'0aff"),
         ] {
-            let pk = v.pk_string();
-            let found = SqlValue::pk_candidates(&pk)
-                .iter()
-                .any(|c| c.pk_cmp(&v) == Ordering::Equal);
-            assert!(found, "{v} not reachable from its key {pk}");
+            assert_eq!((v.key().as_str(), v.pk_string().as_str()), (key, pk), "{v}");
+        }
+        for key in ["", "'", "X'0", "X'0g'", "row1", "5x"] {
+            assert_eq!(SqlValue::from_key(key), None, "{key}");
         }
     }
 

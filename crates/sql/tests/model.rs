@@ -120,7 +120,7 @@ proptest! {
             apply_lossy(&mut db, o);
         }
         db.exec("ROLLBACK").unwrap();
-        prop_assert_eq!(db.snapshot().to_json(), before.to_json());
+        prop_assert_eq!(format!("{:?}", db.snapshot()), format!("{:?}", before));
     }
 
     /// `snapshot`/`restore` is an exact checkpoint (the paper's
@@ -137,7 +137,7 @@ proptest! {
             apply_lossy(&mut db, o);
         }
         db.restore(&checkpoint);
-        prop_assert_eq!(db.snapshot().to_json(), checkpoint.to_json());
+        prop_assert_eq!(format!("{:?}", db.snapshot()), format!("{:?}", checkpoint));
     }
 }
 
@@ -383,7 +383,7 @@ fn pinned_literal_kinds() {
 /// through the engine's own comparison.
 mod reference {
     use edgstr_sql::columns::ColumnSet;
-    use edgstr_sql::{CmpOp, ColumnMeta, RowEffect, SqlError, SqlValue, Table, WhereExpr};
+    use edgstr_sql::{CmpOp, ColumnMeta, RowEffect, RowKey, SqlError, SqlValue, Table, WhereExpr};
     use std::cmp::Ordering;
     use std::collections::BTreeMap;
 
@@ -579,7 +579,7 @@ mod reference {
         let by_key = |rows: &[Vec<SqlValue>]| {
             let mut m: BTreeMap<String, Vec<Vec<SqlValue>>> = BTreeMap::new();
             for r in rows {
-                m.entry(r[pki].pk_string()).or_default().push(r.clone());
+                m.entry(r[pki].key()).or_default().push(r.clone());
             }
             m
         };
@@ -617,7 +617,9 @@ mod reference {
                 RowEffect::Upsert { pk, changed, .. } => (pk, *changed),
                 RowEffect::Delete { pk, .. } => (pk, None),
             };
-            let slot = report.entry(pk.clone()).or_insert(Some(ColumnSet::NONE));
+            let slot = report
+                .entry(pk.to_string())
+                .or_insert(Some(ColumnSet::NONE));
             *slot = match (*slot, changed) {
                 (Some(a), Some(b)) => Some(a.union(b)),
                 _ => None,
@@ -627,10 +629,10 @@ mod reference {
         report
     }
 
-    fn row_pk(t: &Table, i: usize) -> String {
+    fn row_pk(t: &Table, i: usize) -> RowKey {
         match t.columns.iter().position(|c| c.primary_key) {
-            Some(pki) => t.rows[i][pki].pk_string(),
-            None => format!("row{i}"),
+            Some(pki) => RowKey::Pk(t.rows[i][pki].clone()),
+            None => RowKey::Position(i),
         }
     }
 
@@ -669,7 +671,7 @@ mod reference {
             t.rows[i][col] = value.clone();
             affected += 1;
             let pk = row_pk(t, i);
-            let rekeyed = old_pk != pk;
+            let rekeyed = old_pk.to_string() != pk.to_string();
             if rekeyed {
                 effects.push(RowEffect::Delete {
                     table: t.name.clone(),
@@ -1280,11 +1282,11 @@ proptest! {
             let (pk, report) = match op {
                 RowOp::Upsert { id, v, w } => {
                     let row = vec![id.value(), v.clone(), w.clone()];
-                    (id.value().pk_string(), db.upsert_row("t", row).unwrap())
+                    (id.value().key(), db.upsert_row("t", row).unwrap())
                 }
                 RowOp::Delete { id } => {
-                    let pk = id.value().pk_string();
-                    let gone = db.delete_row_by_pk("t", &pk).unwrap();
+                    let gone = db.delete_row_by_pk("t", &id.value()).unwrap();
+                    let pk = id.value().key();
                     // nothing went: nothing changed
                     let report = if gone { None } else { Some(ColumnSet::NONE) };
                     (pk, report)
