@@ -23,7 +23,9 @@
 //! the set's one image, where the pin took one per table (68,862 →
 //! 69,470 B). And again when a change's dependencies left out the genesis
 //! actor's entry and the author's own, which every receiver checks
-//! without them (wire 26,694 → 24,940 B, images 69,470 → 65,962 B).
+//! without them (wire 26,694 → 24,940 B, images 69,470 → 65,962 B). The
+//! digest pin was re-taken when the digest went from a table's JSON text
+//! to its typed cells, with the rows pin holding.
 
 use edgstr_analysis::{InitState, ServerProcess, StateUnit};
 use edgstr_core::CrdtBindings;
@@ -444,7 +446,7 @@ fn pinned_row_writes() {
             0x13c1_ee1c_04c7_7cab,
             0x06eb_9daf_3217_bc93,
             0xace2_f16b_207f_1f23,
-            0x5658_6821_5d0e_6de0
+            0x041a_8bc4_d90c_168f
         ),
         "wire {} B, images {} B",
         all.wire.len(),

@@ -187,7 +187,8 @@ fn ack_capping_is_what_prevents_acked_write_loss() {
     assert!(converged);
     assert_eq!(rows, writes, "every write reaches the master");
     // the master's typed rows and the `written` global, pinned at commit
-    // d703120 (rows crossing the CRDT as JSON objects)
+    // d703120 (rows crossing the CRDT as JSON objects); the digest was
+    // re-pinned when it went from JSON text to typed cells
     let typed = format!(
         "{:?}|{:?}",
         sys.cloud.server.db.table("notes").unwrap().rows,
@@ -198,7 +199,7 @@ fn ack_capping_is_what_prevents_acked_write_loss() {
             edgstr_net::fnv1a(edgstr_net::FNV_OFFSET, typed.as_bytes()),
             sys.cloud.replicated_state_digest()
         ),
-        (0x88dd_e90f_ab33_b743, 0x558e_d91a_564d_ebb5)
+        (0x88dd_e90f_ab33_b743, 0xf4a8_cd2d_c3f1_7bed)
     );
 
     let uncapped = [

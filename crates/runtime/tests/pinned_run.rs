@@ -95,6 +95,12 @@
 //! With them the three trace hashes moved: the parent's and the change's
 //! traces differ line for line only in the `bytes` attribute of
 //! `sync.round` spans.
+//!
+//! Re-pinned when `replicated_state_digest` went from hashing each
+//! table's JSON text to hashing its typed cells, each with its kind: the
+//! five state digests moved. Every typed state, response digest, count,
+//! byte, trace hash and virtual time held, so the replicas hold what they
+//! held; only the function reading it changed.
 
 use edgstr_core::{capture_and_transform, EdgStrConfig};
 use edgstr_net::{fnv1a, CrashPlan, FaultPlan, HttpRequest, LossModel, Verb, FNV_OFFSET};
@@ -255,9 +261,9 @@ fn seeded_bookworm_run_matches_pinned_stats() {
     assert_eq!(stats.lan_bytes, 956_935);
     assert_eq!(stats.wan_sync_bytes, 98_091, "wire-format dependent");
     assert_eq!(stats.makespan, SimTime(3_001_568));
-    assert_eq!(sys.cloud.replicated_state_digest(), 0xf7e4_7aa0_b58a_095a);
+    assert_eq!(sys.cloud.replicated_state_digest(), 0x489e_fcb5_4140_d8a5);
     for e in &sys.edges {
-        assert_eq!(e.core.replicated_state_digest(), 0xf7e4_7aa0_b58a_095a);
+        assert_eq!(e.core.replicated_state_digest(), 0x489e_fcb5_4140_d8a5);
     }
     assert_eq!(typed_states(&sys), [0xaa85_7d22_670d_135e; 4]);
     assert_eq!(histories(&sys), [94, 0, 0, 0]);
@@ -436,7 +442,7 @@ fn forwarding_failover_and_quarantine_match_pinned_stats() {
             wan_request_bytes: 273_086,
             wan_sync_bytes: 185_104,
             makespan: SimTime(9_042_300),
-            state_digests: [0x50a0_3a44_ef56_8dcf; 4],
+            state_digests: [0xb7c2_21c8_6314_d2d8; 4],
             typed_states: [0xe4c1_d83d_5b13_9faf; 4],
             histories: [24, 0, 0, 0],
             cache: CacheStats {
@@ -465,7 +471,7 @@ fn forwarding_failover_and_quarantine_match_pinned_stats() {
             wan_request_bytes: 53_192,
             wan_sync_bytes: 176_382,
             makespan: SimTime(9_112_675),
-            state_digests: [0xeb68_42f4_8523_f02e; 4],
+            state_digests: [0x0d90_e3ca_8c21_0fb3; 4],
             typed_states: [0x7201_be16_e248_9ec5; 4],
             histories: [93, 0, 0, 0],
             cache: CacheStats {
@@ -665,7 +671,7 @@ fn autoscaling_and_adaptive_placement_match_pinned_stats() {
                 (SimTime(5_060_000), 2),
                 (SimTime(5_110_000), 3),
             ],
-            state_digests: [0x25bf_01bc_a19d_bcc9; 4],
+            state_digests: [0xeba9_ad11_b448_3968; 4],
             typed_states: [0xb254_44b8_220d_d22c; 4],
             histories: [630, 0, 0, 0],
             decided: [
@@ -720,7 +726,7 @@ fn parallel_bookworm_run_matches_pinned_stats() {
         assert!(run.converged, "{workers} workers");
         assert_eq!((run.completed, run.failed), (1_200, 0), "{workers} workers");
         assert_eq!(run.response_digest, 0x8b7c_c817_1d0b_6f27);
-        assert_eq!(run.state_digest, 0x22f2_7471_a616_7455);
+        assert_eq!(run.state_digest, 0x75cf_8b31_e0c3_35a7);
         assert_eq!(run.delta_messages, 76);
         assert_eq!(
             run.cache,
