@@ -25,7 +25,10 @@
 //! actor's entry and the author's own, which every receiver checks
 //! without them (wire 26,694 → 24,940 B, images 69,470 → 65,962 B). The
 //! digest pin was re-taken when the digest went from a table's JSON text
-//! to its typed cells, with the rows pin holding.
+//! to its typed cells, with the rows pin holding. The wire and image pins
+//! were re-taken when a row's key became its key cell's SQL literal: a
+//! text key keeps its quotes (wire 24,940 → 25,392 B, images 65,962 →
+//! 67,514 B), and the rows pin held.
 
 use edgstr_analysis::{InitState, ServerProcess, StateUnit};
 use edgstr_core::CrdtBindings;
@@ -443,8 +446,8 @@ fn pinned_row_writes() {
             fnv(&all.digest)
         ),
         (
-            0x13c1_ee1c_04c7_7cab,
-            0x06eb_9daf_3217_bc93,
+            0x3c6c_577d_d1bc_6a51,
+            0xfe7d_547d_cdcd_9fdf,
             0xace2_f16b_207f_1f23,
             0x041a_8bc4_d90c_168f
         ),
