@@ -145,29 +145,23 @@ impl Value {
     }
 
     /// Structural deep copy: arrays and objects are recursively duplicated
-    /// so later mutation of the original does not affect the copy. A
-    /// container that holds itself, directly or through others, is copied
-    /// as a copy that holds itself the same way.
+    /// so later mutation of the original does not affect the copy. A cycle
+    /// is copied as the same cycle.
     pub fn deep_clone(&self) -> Value {
         self.clone_within(&mut HashMap::new())
     }
 
-    /// [`Value::deep_clone`] of this value inside the containers of
-    /// `path`, each an original's address and its copy: a container met
-    /// again inside itself is its copy.
+    /// [`Value::deep_clone`] inside the containers of `path` (each an
+    /// original's address and its copy): one met again is its copy.
     fn clone_within(&self, path: &mut HashMap<*const (), Value>) -> Value {
-        let at = match self {
-            Value::Array(items) => Rc::as_ptr(items).cast::<()>(),
-            Value::Object(map) => Rc::as_ptr(map).cast::<()>(),
+        let (at, copy) = match self {
+            Value::Array(items) => (Rc::as_ptr(items).cast(), Value::array(Vec::new())),
+            Value::Object(map) => (Rc::as_ptr(map).cast(), Value::from(Props::new())),
             scalar => return scalar.clone(),
         };
         if let Some(copy) = path.get(&at) {
             return copy.clone();
         }
-        let copy = match self {
-            Value::Array(_) => Value::array(Vec::new()),
-            _ => Value::from(Props::new()),
-        };
         path.insert(at, copy.clone());
         match (self, &copy) {
             (Value::Array(items), Value::Array(to)) => {
@@ -408,8 +402,7 @@ impl Value {
     /// Collect the *atoms* (strings, numbers, byte-payload hashes) contained
     /// in this value. EdgStr fingerprints HTTP parameters this way to track
     /// fuzzed payload fragments through execution traces (§III-E). The walk
-    /// stops at the first container nested deeper than [`MAX_DEPTH`] — in
-    /// a value that holds itself, at once — keeping what it collected.
+    /// stops at the first container nested deeper than [`MAX_DEPTH`].
     pub fn atoms(&self, out: &mut Vec<Atom>) {
         let _ = self.atoms_within(out, 0);
     }

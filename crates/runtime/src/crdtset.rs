@@ -15,18 +15,18 @@ use edgstr_core::CrdtBindings;
 use edgstr_crdt::wire::{put_changes, put_varint, Count, Sink};
 use edgstr_crdt::{ActorId, Cell, Change, CrdtError, Doc, Row, VClock, Value};
 use edgstr_sql::columns::ColumnSet;
-use edgstr_sql::{ColumnMeta, RowEffect, RowKey, SqlDb, SqlError, SqlValue};
+use edgstr_sql::{ColumnMeta, RowEffect, SqlDb, SqlError, SqlValue};
 use serde_json::Value as Json;
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::ops::Bound;
 use std::sync::Arc;
 
 // ---- key namespaces ---------------------------------------------------------
 //
 // A key of the set's `Doc` is a one-char tag naming its unit, then the name
-// within the unit: a row's key (`RowKey`'s `Display`: its primary-key
-// cell's `SqlValue::key`), a file's path, a global's name. Files are tagged U+0000 and globals U+0001; the table at position
+// within the unit: a row's key (`RowKey`'s `Display`), a file's path, a
+// global's name. Files are tagged U+0000 and globals U+0001; the table at position
 // `i` of `CrdtBindings::tables` is tagged U+0002 + `i`, one UTF-8 byte for
 // the first 126 tables and two up to the 2,046th.
 
@@ -42,18 +42,10 @@ fn table_tag(i: usize) -> char {
 }
 
 /// `buf`, now holding `name` under `tag`: a key of the set's `Doc`.
-fn key_in<'b>(buf: &'b mut String, tag: char, name: &str) -> &'b str {
+fn key_in(buf: &mut String, tag: char, name: impl fmt::Display) -> &str {
     buf.clear();
     buf.push(tag);
-    buf.push_str(name);
-    buf
-}
-
-/// `buf`, now holding row `pk` under `tag`: a key of the set's `Doc`.
-fn row_key_in<'b>(buf: &'b mut String, tag: char, pk: &RowKey) -> &'b str {
-    buf.clear();
-    buf.push(tag);
-    write!(buf, "{pk}").expect("writing to a String cannot fail");
+    write!(buf, "{name}").expect("writing to a String cannot fail");
     buf
 }
 
@@ -147,8 +139,8 @@ impl CrdtSet {
         i.map(table_tag)
     }
 
-    /// The rows of bound table `table` by key ([`RowKey`]'s `Display`), in
-    /// key order (none when the table is not bound).
+    /// The rows of bound table `table` by key, in key order (none when the
+    /// table is not bound).
     pub fn rows(&self, table: &str) -> Vec<(&str, &Value)> {
         match self.tag_of(table) {
             Some(tag) => self
@@ -159,7 +151,7 @@ impl CrdtSet {
         }
     }
 
-    /// The row of bound table `table` at key `pk` ([`RowKey`]'s `Display`).
+    /// The row of bound table `table` at key `pk` (a [`SqlValue::key`]).
     pub fn row(&self, table: &str, pk: &str) -> Option<&Value> {
         self.doc
             .get(key_in(&mut String::new(), self.tag_of(table)?, pk))
@@ -207,14 +199,14 @@ impl CrdtSet {
                 } => {
                     self.versions.touch_row(table, &pk.pk_string(), *changed);
                     if let Some(tag) = self.tag_of(table) {
-                        let key = row_key_in(&mut key, tag, pk);
+                        let key = key_in(&mut key, tag, pk);
                         self.doc.put(key, row(columns, cells));
                     }
                 }
                 RowEffect::Delete { table, pk } => {
                     self.versions.touch_row(table, &pk.pk_string(), None);
                     if let Some(tag) = self.tag_of(table) {
-                        self.doc.delete(row_key_in(&mut key, tag, pk));
+                        self.doc.delete(key_in(&mut key, tag, pk));
                     }
                 }
             }
@@ -310,7 +302,7 @@ impl CrdtSet {
             let (RowEffect::Upsert { table, pk, .. } | RowEffect::Delete { table, pk }) = &effect;
             if let Some(tag) = self.tag_of(table) {
                 // the rows go back to what the versions already describe
-                let key = row_key_in(&mut key, tag, pk);
+                let key = key_in(&mut key, tag, pk);
                 let keys = [(key, &key[tag.len_utf8()..])];
                 if !materialize_rows(table, &self.doc, keys, &mut server.db, |_, _| {}) {
                     materialize_table(table, &self.doc, tag, &mut server.db);
@@ -456,15 +448,13 @@ fn materialize_table(name: &str, doc: &Doc, tag: char, db: &mut SqlDb) {
 }
 
 /// Make the rows of SQL table `name` at `keys` (each the row's key in
-/// `doc` and its name there, the [`SqlValue::key`] of its primary key) read
-/// what `doc` reads there: written where the CRDT has the row, deleted
-/// where it does not. Every other row is left alone, which is sound
-/// because it already equals its CRDT row. `changed` hears of each row
-/// that changed, by its primary key, as a [`RowEffect::Upsert`] reports it
-/// (`None`: the row arrived or left). Returns `false` for a name that is
-/// no primary key (a row of a table without one is named by its
-/// position) and for a table without a primary key to address a row by:
-/// the caller rebuilds the table whole.
+/// `doc` and its name there, a [`SqlValue::key`]) read what `doc` reads
+/// there: written where the CRDT has the row, deleted where it does not.
+/// Every other row is left alone, which is sound because it already equals
+/// its CRDT row. `changed` hears of each row that changed, as a
+/// [`RowEffect::Upsert`] reports it (`None`: the row arrived or left).
+/// Returns `false` for a table without a primary key to address a row by,
+/// whose rows are named by position: the caller rebuilds it whole.
 fn materialize_rows<'k>(
     name: &str,
     doc: &Doc,

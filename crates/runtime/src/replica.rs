@@ -54,11 +54,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 use std::sync::Arc;
 
-/// `h` folded over `rows`: their number, then each row's cells, in the
-/// order of those bytes, so the fold reads the rows as a set whatever order
-/// the table keeps them in. A cell is its kind's tag and its value's bytes:
-/// an `INT` as eight bytes, a `REAL` as its bits, text and blobs as their
-/// length and bytes.
+/// `h` folded over `rows`: their number, then each row's cells in the
+/// order of those bytes (a set, whatever order the table keeps). A cell is
+/// its kind's tag, then its value's length and bytes (a `REAL`'s bits).
 fn fold_rows(h: u64, rows: &[Vec<SqlValue>]) -> u64 {
     let mut encoded: Vec<Vec<u8>> = rows
         .iter()
@@ -297,9 +295,7 @@ impl ReplicaCore {
     /// Digest of the *replicated* state units (bound tables, files,
     /// globals) as materialized in the server. Non-replicated state is
     /// deliberately excluded — it is local to whichever replica happened
-    /// to write it. A table is read as the set of its typed rows: two
-    /// replicas whose tables hold different cells, or cells of different
-    /// kinds, have different digests.
+    /// to write it. Tables are read as their typed rows ([`fold_rows`]).
     pub fn replicated_state_digest(&self) -> u64 {
         let (bindings, server) = (&self.crdts.bindings, &self.server);
         let mut h = FNV_OFFSET;
@@ -518,6 +514,7 @@ pub(crate) mod tests {
     use crate::cache::CacheStats;
     use edgstr_analysis::ReadUnit;
     use edgstr_sim::SimTime;
+    use edgstr_sql::SqlResult;
     use edgstr_telemetry::Telemetry;
     use serde_json::json;
 
@@ -618,7 +615,8 @@ pub(crate) mod tests {
 
             assert!(serve(&mut core, &note(77, "boom"), &noting).is_err());
             let stray = "SELECT id FROM notes WHERE id = 77";
-            assert!(core.server.db.exec(stray).unwrap().rows_json().is_empty());
+            let rows = core.server.db.exec(stray).unwrap();
+            assert!(matches!(rows, SqlResult::Rows { rows, .. } if rows.is_empty()));
             assert!(core.crdts.row("notes", "77").is_none());
             assert_eq!(core.crdts.clock(), &clock, "no change to ship");
             assert_eq!(core.cache.len(), cached);

@@ -27,7 +27,6 @@
 use crate::columns::ColumnSet;
 use crate::parser::{parse_sql, CmpOp, SelectItem, SqlParseError, Statement, WhereExpr};
 use crate::value::{SqlType, SqlValue};
-use serde_json::Value as Json;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -245,27 +244,6 @@ pub enum SqlResult {
     Ok,
 }
 
-impl SqlResult {
-    /// `SELECT` rows converted to JSON objects.
-    pub fn rows_json(&self) -> Vec<Json> {
-        match self {
-            SqlResult::Rows { columns, rows } => rows
-                .iter()
-                .map(|r| {
-                    Json::Object(
-                        columns
-                            .iter()
-                            .zip(r)
-                            .map(|(c, v)| (c.clone(), v.to_json()))
-                            .collect(),
-                    )
-                })
-                .collect(),
-            _ => Vec::new(),
-        }
-    }
-}
-
 /// What [`SqlDb::exec_lent`] produced: a plain `SELECT`'s rows still in
 /// their table, anything else (an aggregate's one computed row, a write's
 /// count) owned.
@@ -346,19 +324,17 @@ impl RowKey {
     }
 }
 
-/// The name a replica keeps the row under: the key cell's
-/// [`SqlValue::key`], or `row` and the position.
+/// The name a replica keeps the row under: [`SqlValue::key`], or `row<n>`.
 impl fmt::Display for RowKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RowKey::Pk(v) => v.write_key(f),
+            RowKey::Pk(v) => f.write_str(&v.key()),
             RowKey::Position(at) => write!(f, "row{at}"),
         }
     }
 }
 
-/// Two keys are equal when they are the same cell ([`SqlValue::identical`])
-/// or the same position.
+/// Keys are equal when they are identical cells or the same position.
 impl PartialEq for RowKey {
     fn eq(&self, other: &RowKey) -> bool {
         match (self, other) {
@@ -434,11 +410,6 @@ impl Snapshot {
     /// Total bytes of data held in the snapshot.
     pub fn byte_size(&self) -> usize {
         self.tables.values().map(Table::byte_size).sum()
-    }
-
-    /// Names of the tables captured.
-    pub fn table_names(&self) -> Vec<String> {
-        self.tables.keys().cloned().collect()
     }
 }
 
@@ -900,11 +871,6 @@ impl SqlDb {
     /// Whether a transaction is active.
     pub fn in_transaction(&self) -> bool {
         self.txn_backup.is_some()
-    }
-
-    /// Names of all tables.
-    pub fn table_names(&self) -> Vec<String> {
-        self.tables.keys().cloned().collect()
     }
 
     /// Access a table's metadata and rows.

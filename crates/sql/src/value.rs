@@ -85,24 +85,12 @@ impl SqlValue {
     /// equal have one key and unequal values two, and
     /// [`SqlValue::from_key`] reads a key back.
     pub fn key(&self) -> String {
-        let mut key = String::new();
-        self.write_key(&mut key)
-            .expect("writing to a String cannot fail");
-        key
-    }
-
-    /// Write [`SqlValue::key`] to `out`.
-    ///
-    /// # Errors
-    ///
-    /// When `out` does.
-    pub fn write_key(&self, out: &mut impl fmt::Write) -> fmt::Result {
         match self {
+            // in range and integral, so the cast is exact
             SqlValue::Real(r) if r.fract() == 0.0 && (-TWO_63..TWO_63).contains(r) => {
-                // in range and integral, so the cast is exact
-                write!(out, "{}", *r as i64)
+                (*r as i64).to_string()
             }
-            v => write!(out, "{v}"),
+            v => v.to_string(),
         }
     }
 
@@ -125,17 +113,12 @@ impl SqlValue {
         }
     }
 
-    /// The coarser key the response cache counts a row's changes under:
-    /// [`SqlValue::key`] with its quotes trimmed, so `INT 5` and
-    /// `TEXT '5'` share `5`. A shared counter only invalidates more, and
-    /// a request parameter names a row this way
-    /// (`edgstr_analysis::json_pk_string`).
+    /// The coarser key the response cache counts a row's changes under, as
+    /// a request parameter names the row (`edgstr_analysis::json_pk_string`):
+    /// [`SqlValue::key`] with its quotes trimmed, so `INT 5` and `TEXT '5'`
+    /// share `5`. A shared counter only invalidates more.
     pub fn pk_string(&self) -> String {
-        let key = self.key();
-        match key.trim_matches('\'') {
-            trimmed if trimmed.len() == key.len() => key,
-            trimmed => trimmed.to_string(),
-        }
+        self.key().trim_matches('\'').to_string()
     }
 
     /// Whether `self` and `other` are the same cell: the same kind and the

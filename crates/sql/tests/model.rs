@@ -357,9 +357,12 @@ fn pinned_literal_kinds() {
         "9 sorts before 10"
     );
     let mut v_where = |cond: &str| -> Vec<Json> {
-        db.exec(&format!("SELECT v FROM t WHERE {cond}"))
-            .unwrap()
-            .rows_json()
+        match db.exec(&format!("SELECT v FROM t WHERE {cond}")).unwrap() {
+            SqlResult::Rows { rows, .. } => {
+                rows.iter().map(|r| json!({"v": r[0].to_json()})).collect()
+            }
+            other => panic!("{other:?}"),
+        }
     };
     assert_eq!(v_where("id = 5"), [json!({"v": 2})]);
     assert_eq!(v_where("id = 5.0"), [json!({"v": 2})]);
