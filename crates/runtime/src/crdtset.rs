@@ -151,12 +151,6 @@ impl CrdtSet {
         }
     }
 
-    /// The row of bound table `table` at key `pk` (a [`SqlValue::key`]).
-    pub fn row(&self, table: &str, pk: &str) -> Option<&Value> {
-        self.doc
-            .get(key_in(&mut String::new(), self.tag_of(table)?, pk))
-    }
-
     /// The bytes of bound file `path`.
     pub fn file(&self, path: &str) -> Option<&[u8]> {
         self.doc
@@ -1132,7 +1126,11 @@ mod namespace_tests {
 
         let text = |s: &str| SqlValue::Text(s.to_string());
         for (server, set) in [(&writer, &writer_set), (&peer, &peer_set)] {
-            let row = |table| set.row(table, "'cfg'").and_then(Value::as_row);
+            let row = |table| {
+                let mut rows = set.rows(table).into_iter();
+                rows.find(|(k, _)| *k == "'cfg'")
+                    .and_then(|(_, v)| v.as_row())
+            };
             assert_eq!(
                 row("a").unwrap().cells(),
                 [Cell::Text("cfg".into()), Cell::Int(1)]

@@ -328,7 +328,7 @@ impl RowKey {
 impl fmt::Display for RowKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RowKey::Pk(v) => f.write_str(&v.key()),
+            RowKey::Pk(v) => v.write_key(f),
             RowKey::Position(at) => write!(f, "row{at}"),
         }
     }

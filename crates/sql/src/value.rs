@@ -85,12 +85,19 @@ impl SqlValue {
     /// equal have one key and unequal values two, and
     /// [`SqlValue::from_key`] reads a key back.
     pub fn key(&self) -> String {
+        let mut key = String::new();
+        self.write_key(&mut key).expect("a String takes any text");
+        key
+    }
+
+    /// Write [`SqlValue::key`] to `out`, failing only where `out` does.
+    pub fn write_key(&self, out: &mut impl fmt::Write) -> fmt::Result {
         match self {
             // in range and integral, so the cast is exact
             SqlValue::Real(r) if r.fract() == 0.0 && (-TWO_63..TWO_63).contains(r) => {
-                (*r as i64).to_string()
+                write!(out, "{}", *r as i64)
             }
-            v => v.to_string(),
+            v => write!(out, "{v}"),
         }
     }
 
@@ -118,7 +125,13 @@ impl SqlValue {
     /// [`SqlValue::key`] with its quotes trimmed, so `INT 5` and `TEXT '5'`
     /// share `5`. A shared counter only invalidates more.
     pub fn pk_string(&self) -> String {
-        self.key().trim_matches('\'').to_string()
+        let key = self.key();
+        let trimmed = key.trim_matches('\'');
+        if trimmed.len() == key.len() {
+            key
+        } else {
+            trimmed.to_string()
+        }
     }
 
     /// Whether `self` and `other` are the same cell: the same kind and the
