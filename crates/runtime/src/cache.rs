@@ -65,7 +65,7 @@ pub enum UnitKey {
     /// Bumped only by mutations that cannot be attributed to a single row
     /// (what row-keyed readers validate against, alongside their row).
     TableEpoch(String),
-    /// One row of one table, by canonical primary-key string.
+    /// One row of one table, by its `SqlValue::pk_string`.
     Row(String, String),
     /// One file, by path.
     File(String),
