@@ -179,28 +179,31 @@ impl CrdtSet {
     /// its typed cells, put whole), file writes feed `CRDT-Files`, and
     /// bound globals are re-read from the server into `CRDT-JSON`.
     pub fn absorb_outcome(&mut self, outcome: &HandleOutcome, server: &ServerProcess) {
-        let mut key = String::new();
+        let (mut key, mut name) = (String::new(), String::new());
         // Version bumps cover *all* concrete effects, bound or not: an
         // unreplicated table/file still invalidates cached reads of it.
         for effect in &outcome.row_effects {
+            let (RowEffect::Upsert { table, pk, .. } | RowEffect::Delete { table, pk }) = effect;
+            name.clear();
+            write!(name, "{pk}").expect("writing to a String cannot fail");
+            let counter = SqlValue::pk_string_of(&name);
             match effect {
                 RowEffect::Upsert {
-                    table,
-                    pk,
                     columns,
                     cells,
                     changed,
+                    ..
                 } => {
-                    self.versions.touch_row(table, &pk.pk_string(), *changed);
+                    self.versions.touch_row(table, counter, *changed);
                     if let Some(tag) = self.tag_of(table) {
-                        let key = key_in(&mut key, tag, pk);
-                        self.doc.put(key, row(columns, cells));
+                        self.doc
+                            .put(key_in(&mut key, tag, &name), row(columns, cells));
                     }
                 }
-                RowEffect::Delete { table, pk } => {
-                    self.versions.touch_row(table, &pk.pk_string(), None);
+                RowEffect::Delete { .. } => {
+                    self.versions.touch_row(table, counter, None);
                     if let Some(tag) = self.tag_of(table) {
-                        self.doc.delete(key_in(&mut key, tag, pk));
+                        self.doc.delete(key_in(&mut key, tag, &name));
                     }
                 }
             }
@@ -252,7 +255,7 @@ impl CrdtSet {
             // bumping what the materialised rows changed there
             let versions = &mut self.versions;
             let by_row = materialize_rows(name, &self.doc, keys, &mut server.db, |pk, changed| {
-                versions.touch_row(name, &pk.pk_string(), changed);
+                versions.touch_row(name, SqlValue::pk_string_of(pk), changed);
             });
             if !by_row {
                 versions.touch_table(name);
@@ -445,7 +448,7 @@ fn materialize_table(name: &str, doc: &Doc, tag: char, db: &mut SqlDb) {
 /// `doc` and its name there, a [`SqlValue::key`]) read what `doc` reads
 /// there: written where the CRDT has the row, deleted where it does not.
 /// Every other row is left alone, which is sound because it already equals
-/// its CRDT row. `changed` hears of each row that changed, as a
+/// its CRDT row. `changed` hears of each row that changed, by name, as a
 /// [`RowEffect::Upsert`] reports it (`None`: the row arrived or left).
 /// Returns `false` for a table without a primary key to address a row by,
 /// whose rows are named by position: the caller rebuilds it whole.
@@ -454,10 +457,10 @@ fn materialize_rows<'k>(
     doc: &Doc,
     keys: impl IntoIterator<Item = (&'k str, &'k str)>,
     db: &mut SqlDb,
-    mut changed: impl FnMut(&SqlValue, Option<ColumnSet>),
+    mut changed: impl FnMut(&str, Option<ColumnSet>),
 ) -> bool {
-    for (key, pk) in keys {
-        let Some(pk) = SqlValue::from_key(pk) else {
+    for (key, row_name) in keys {
+        let Some(pk) = SqlValue::from_key(row_name) else {
             return false;
         };
         let written = match (doc.get(key), db.table(name)) {
@@ -471,7 +474,7 @@ fn materialize_rows<'k>(
                 .map(|gone| gone.then_some(None)),
         };
         match written {
-            Ok(Some(change)) => changed(&pk, change),
+            Ok(Some(change)) => changed(row_name, change),
             Ok(None) => {}
             Err(SqlError::NoPrimaryKey(_)) => return false,
             Err(_) => {}

@@ -313,17 +313,6 @@ pub enum RowKey {
     Position(usize),
 }
 
-impl RowKey {
-    /// The coarser key the response cache counts the row's changes under
-    /// ([`SqlValue::pk_string`]).
-    pub fn pk_string(&self) -> String {
-        match self {
-            RowKey::Pk(v) => v.pk_string(),
-            RowKey::Position(_) => self.to_string(),
-        }
-    }
-}
-
 /// The name a replica keeps the row under: [`SqlValue::key`], or `row<n>`.
 impl fmt::Display for RowKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

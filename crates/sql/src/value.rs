@@ -126,12 +126,16 @@ impl SqlValue {
     /// share `5`. A shared counter only invalidates more.
     pub fn pk_string(&self) -> String {
         let key = self.key();
-        let trimmed = key.trim_matches('\'');
-        if trimmed.len() == key.len() {
-            key
-        } else {
-            trimmed.to_string()
+        match Self::pk_string_of(&key) {
+            trimmed if trimmed.len() == key.len() => key,
+            trimmed => trimmed.to_string(),
         }
+    }
+
+    /// [`SqlValue::pk_string`] of the value whose [`SqlValue::key`] (or
+    /// keyless row's name) is `key`.
+    pub fn pk_string_of(key: &str) -> &str {
+        key.trim_matches('\'')
     }
 
     /// Whether `self` and `other` are the same cell: the same kind and the
