@@ -338,6 +338,41 @@ mod tests {
         assert!(out.response.body["stored"].is_number());
     }
 
+    /// A service that writes a table without a primary key stays on the
+    /// cloud, and that table is never bound; a keyed table beside it is.
+    #[test]
+    fn a_keyless_table_is_not_replicated() {
+        const LOG_APP: &str = r#"
+            db.query("CREATE TABLE log (who TEXT, n INT)");
+            db.query("CREATE TABLE kv (k TEXT PRIMARY KEY, v INT)");
+            app.post("/log", function (req, res) {
+                db.query("INSERT INTO log VALUES ('" + req.body.who + "', " + req.body.n + ")");
+                res.send({ ok: 1 });
+            });
+            app.post("/put", function (req, res) {
+                db.query("INSERT INTO kv VALUES ('" + req.body.k + "', " + req.body.v + ")");
+                res.send({ ok: 1 });
+            });
+        "#;
+        let requests = [
+            HttpRequest::post("/log", json!({"who": "a", "n": 1}), vec![]),
+            HttpRequest::post("/put", json!({"k": "a", "v": 1}), vec![]),
+        ];
+        let (report, _) =
+            capture_and_transform(LOG_APP, &requests, &EdgStrConfig::default()).unwrap();
+        let service = |path: &str| report.services.iter().find(|s| s.path == path).unwrap();
+        let log = service("/log");
+        assert!(!log.replicated);
+        assert!(
+            log.rejection.as_deref().unwrap().contains("log"),
+            "{:?}",
+            log.rejection
+        );
+        assert!(service("/put").replicated);
+        assert_eq!(report.replica.bindings.tables, ["kv"]);
+        assert_eq!(report.replica.forwarded, [(Verb::Post, "/log".to_string())]);
+    }
+
     #[test]
     fn empty_capture_is_an_error() {
         let capture = TrafficCapture::new();

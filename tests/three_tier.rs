@@ -293,3 +293,63 @@ fn forwarded_responses_match_the_original_service() {
         }
     }
 }
+
+/// A table without a primary key: its rows have no name to replicate by.
+const LOG_APP: &str = r#"
+    db.query("CREATE TABLE log (who TEXT, n INT)");
+    db.query("INSERT INTO log VALUES ('a', 1)");
+    db.query("INSERT INTO log VALUES ('b', 2)");
+    app.post("/add", function (req, res) {
+        db.query("INSERT INTO log VALUES ('" + req.body.who + "', " + req.body.n + ")");
+        res.send({ ok: 1 });
+    });
+    app.post("/drop", function (req, res) {
+        db.query("DELETE FROM log WHERE n = " + req.body.n);
+        res.send({ ok: 1 });
+    });
+"#;
+
+/// A `DELETE` and then an `INSERT` of a keyless table, through one edge:
+/// the cloud ends with the rows a two-tier run leaves, and every node
+/// reads the same replicated state.
+#[test]
+fn a_keyless_table_ends_as_in_a_two_tier_run() {
+    // the capture adds a row and drops it again, so the snapshot keeps
+    // only the seed rows
+    let capture = [
+        HttpRequest::post("/add", json!({"who": "z", "n": 9}), vec![]),
+        HttpRequest::post("/drop", json!({"n": 9}), vec![]),
+    ];
+    let (report, _) = capture_and_transform(LOG_APP, &capture, &EdgStrConfig::default()).unwrap();
+    let reqs = [
+        HttpRequest::post("/drop", json!({"n": 1}), vec![]),
+        HttpRequest::post("/add", json!({"who": "c", "n": 3}), vec![]),
+    ];
+    let wl = Workload::constant_rate(&reqs, 1.0, 2);
+    let mut two = TwoTierSystem::new(
+        LOG_APP,
+        DeviceSpec::cloud_server(),
+        LinkSpec::limited_cloud(),
+    )
+    .unwrap();
+    two.run(&wl);
+    let mut three = ThreeTierSystem::deploy(
+        LOG_APP,
+        &report,
+        &[DeviceSpec::rpi4()],
+        ThreeTierOptions::default(),
+    )
+    .unwrap();
+    let stats = three.run(&wl);
+    assert_eq!(stats.completed, 2);
+    three
+        .sync_until_converged(stats.makespan, 50)
+        .expect("converges");
+    let rows = |db: &edgstr_sql::SqlDb| db.table("log").unwrap().rows.clone();
+    assert_eq!(rows(&two.server.db).len(), 2);
+    assert_eq!(rows(&three.cloud.server.db), rows(&two.server.db));
+    let digest = three.cloud.replicated_state_digest();
+    for e in &three.edges {
+        assert_eq!(e.core.replicated_state_digest(), digest);
+    }
+}
