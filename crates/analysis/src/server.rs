@@ -971,7 +971,9 @@ mod tests {
             .row_effects
             .iter()
             .map(|e| match e {
-                RowEffect::Upsert { pk, .. } | RowEffect::Delete { pk, .. } => pk.to_string(),
+                RowEffect::Upsert { pk, .. } | RowEffect::Delete { pk, .. } => {
+                    pk.as_ref().map(SqlValue::key).unwrap_or_default()
+                }
             })
             .collect();
         assert_eq!(pks, ["1", "3"]);
@@ -994,7 +996,7 @@ mod tests {
             .handle(&HttpRequest::post("/half", json!({}), vec![]))
             .is_err());
         let left = s.take_failed_row_effects();
-        assert!(matches!(&left[..], [RowEffect::Upsert { pk, .. }] if pk.to_string() == "1"));
+        assert!(matches!(&left[..], [RowEffect::Upsert { pk: Some(pk), .. }] if pk.key() == "1"));
         assert!(s.take_failed_row_effects().is_empty(), "taken once");
         // a later success does not resurrect an untaken report
         assert!(s

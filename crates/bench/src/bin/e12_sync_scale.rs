@@ -25,7 +25,7 @@ use edgstr_core::CrdtBindings;
 use edgstr_crdt::{ActorId, Doc, VClock, Value};
 use edgstr_net::HttpResponse;
 use edgstr_runtime::{CrdtSet, SetSyncMessage, SyncEndpoint};
-use edgstr_sql::{RowEffect, RowKey, SqlValue};
+use edgstr_sql::{RowEffect, SqlValue};
 use serde_json::json;
 use std::sync::Arc;
 use std::time::Instant;
@@ -260,7 +260,7 @@ fn run_mode(mode: Mode, rounds: usize, per_edge: usize) -> ModeStats {
                 let cells = vec![pk.clone(), SqlValue::Int(id as i64)];
                 let upsert = RowEffect::Upsert {
                     table: "kv".to_string(),
-                    pk: RowKey::Pk(pk),
+                    pk: Some(pk),
                     columns: Arc::clone(&columns),
                     cells,
                     changed: None,

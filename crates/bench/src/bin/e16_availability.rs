@@ -8,7 +8,7 @@
 //! 1. **Availability matrix** (crash profile × loss): each cell runs the
 //!    same write workload, converges, and resubmits any writes that died
 //!    with a crashed edge incarnation until the id set is complete. The
-//!    cell must (a) converge — every replica's full-state FNV digest
+//!    cell must (a) converge — every replica's replicated-state FNV digest
 //!    (tables + globals) equals the master's; (b) end with durable data
 //!    bit-identical to the crash-free cell — the table digest matches
 //!    across every cell (LWW register globals are deliberately excluded
@@ -75,29 +75,19 @@ fn unique_note(i: usize) -> HttpRequest {
     HttpRequest::post("/note", json!({"id": i, "text": format!("t{i}")}), vec![])
 }
 
-/// The `notes` rows a replica serves, as JSON: `pk → {column: value}`.
+/// The `notes` rows a replica serves, as JSON: `pk → {column: value}`,
+/// each row named by its key cell.
 fn notes_json(core: &ReplicaCore) -> Json {
     let Some(table) = core.server.db.table("notes") else {
         return Json::Object(Default::default());
     };
-    let rows = table.rows.iter().enumerate().map(|(i, row)| {
+    let pk = table.pk_index().expect("notes is keyed");
+    let rows = table.rows.iter().map(|row| {
         let cells = table.columns.iter().zip(row);
         let cells = cells.map(|(c, v)| (c.name.clone(), v.to_json()));
-        (
-            table.row_key(row, i).to_string(),
-            Json::Object(cells.collect()),
-        )
+        (row[pk].key(), Json::Object(cells.collect()))
     });
     Json::Object(rows.collect())
-}
-
-/// Bit-level digest of a replica's full converged state (tables plus
-/// globals) — compared across replicas *within* a cell.
-fn full_digest(core: &ReplicaCore) -> u64 {
-    let globals = core.crdts.globals().into_iter();
-    let globals = globals.map(|(g, v)| (g.to_string(), v.clone()));
-    let s = format!("{}|{}", notes_json(core), Json::Object(globals.collect()));
-    fnv1a(FNV_OFFSET, s.as_bytes())
 }
 
 /// Bit-level digest of the durable keyed data only — compared *across*
@@ -252,12 +242,12 @@ fn run_cell(report: &TransformationReport, profile: &str, loss_pct: u32, n: usiz
         "{profile}/{loss_pct}%: converged row count"
     );
 
-    // within-cell convergence: every replica's full state (tables +
+    // within-cell convergence: every replica's replicated state (tables +
     // globals) is bit-identical to the master's
-    let converged = full_digest(&sys.cloud);
+    let converged = sys.cloud.replicated_state_digest();
     for (i, e) in sys.edges.iter().enumerate() {
         assert_eq!(
-            full_digest(&e.core),
+            e.core.replicated_state_digest(),
             converged,
             "{profile}/{loss_pct}%: edge{i} digest diverges from the master"
         );

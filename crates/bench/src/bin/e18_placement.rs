@@ -286,6 +286,13 @@ fn main() {
         )
         .expect("deploy must succeed")
     };
+    // every service pinned to `p` for the whole run
+    let pinned = |p| {
+        PlacementMode::Scripted(PlacementScript {
+            pinned: Some(p),
+            decisions: Vec::new(),
+        })
+    };
 
     // --- adaptive cell + its scripted replay (digest parity) -------------
     let mut adaptive_sys = deploy(PlacementMode::Adaptive(policy()));
@@ -356,12 +363,9 @@ fn main() {
     ];
     let mut static_results = Vec::new();
     for &p in &statics {
-        let mut sys = deploy(PlacementMode::Pinned(p));
+        let mut sys = deploy(pinned(p));
         let cell = run_phases(&mut sys, &phases, &workloads);
-        let mut pinned_replay = deploy(PlacementMode::Scripted(PlacementScript {
-            pinned: Some(p),
-            decisions: Vec::new(),
-        }));
+        let mut pinned_replay = deploy(pinned(p));
         let replayed = run_phases(&mut pinned_replay, &phases, &workloads);
         for (i, phase) in phases.iter().enumerate() {
             assert_eq!(
@@ -472,7 +476,7 @@ fn main() {
     );
     let mut st_best = f64::MIN;
     for &p in &statics {
-        let mut sys = deploy(PlacementMode::Pinned(p));
+        let mut sys = deploy(pinned(p));
         let s = sys.run(&st_wl);
         st_best = st_best.max(s.throughput_rps());
     }

@@ -170,6 +170,17 @@ pub fn transform(
         // 4. consult developer (§III-D)
         let accepted = config.policy.accepts_all(&profile.state_units);
         let extractable = profile.extracted.is_some();
+        // a replicated row is named by its key: a table the snapshot does
+        // not hold with a primary key cannot be wrapped
+        let keyless = profile.state_units.iter().find_map(|u| match u {
+            StateUnit::DbTable(t) => init
+                .db
+                .table(t)
+                .and_then(|table| table.pk_index())
+                .is_none()
+                .then_some(t),
+            _ => None,
+        });
         let rejection = if !accepted {
             Some(format!(
                 "developer rejected eventual consistency for: {}",
@@ -180,6 +191,10 @@ pub fn transform(
                     .map(|u| u.to_string())
                     .collect::<Vec<_>>()
                     .join(", ")
+            ))
+        } else if let Some(table) = keyless {
+            Some(format!(
+                "table '{table}' has no primary key to replicate rows by"
             ))
         } else if !extractable {
             Some("no extractable handler found".to_string())

@@ -4,8 +4,8 @@
 //! a developer consultation (§III-B). This crate closes that loop: a
 //! control-plane component that chooses a per-service placement —
 //! [`Placement::EdgeReplicate`], [`Placement::EdgeCacheOnly`], or
-//! [`Placement::CloudPin`] — from *static* signals (effect-summary
-//! read/write units, purity, cacheability, state footprint) plus a sliding
+//! [`Placement::CloudPin`] — from *static* signals (whether the transform
+//! replicated the service, whether its responses are cacheable) plus a sliding
 //! window of *live* telemetry (read ratio, cache hit rate, sync bytes
 //! attributable to the service, observed/estimated serve costs), and
 //! re-decides online as the workload drifts.
@@ -73,28 +73,16 @@ pub struct StaticSignals {
     /// The transform emitted this service on the replica (all its state is
     /// CRDT-bindable). Without this, `EdgeReplicate` is unreachable.
     pub replicable: bool,
-    /// No writes in the profiled effect summary.
-    pub pure: bool,
     /// The effect summary is sound for response caching.
     pub cacheable: bool,
-    /// Distinct read units in the profile.
-    pub read_units: usize,
-    /// Distinct write units in the profile.
-    pub write_units: usize,
-    /// State footprint of the service's write set at deploy time, bytes.
-    pub state_bytes: u64,
 }
 
 impl StaticSignals {
     /// Derive signals from a profiled effect summary.
-    pub fn from_summary(summary: &EffectSummary, replicable: bool, state_bytes: u64) -> Self {
+    pub fn from_summary(summary: &EffectSummary, replicable: bool) -> Self {
         StaticSignals {
             replicable,
-            pure: summary.pure,
             cacheable: summary.cacheable,
-            read_units: summary.reads.len(),
-            write_units: summary.writes.len(),
-            state_bytes,
         }
     }
 }
@@ -232,10 +220,6 @@ pub struct PlacementPolicy {
     pub confirm_windows: u32,
     /// Minimum virtual time between transitions of one service.
     pub cooldown: SimDuration,
-    /// Reserved decision-stream seed. The current decision function is
-    /// seed-free; the field pins the controller's identity so determinism
-    /// is testable as "same seed + same windows → same decisions".
-    pub seed: u64,
 }
 
 impl Default for PlacementPolicy {
@@ -251,7 +235,6 @@ impl Default for PlacementPolicy {
             sync_bytes_per_write_ceiling: 64.0 * 1024.0,
             confirm_windows: 2,
             cooldown: SimDuration::from_secs(3),
-            seed: 0xED65,
         }
     }
 }
@@ -506,11 +489,7 @@ mod tests {
     fn replicable() -> StaticSignals {
         StaticSignals {
             replicable: true,
-            pure: true,
             cacheable: true,
-            read_units: 1,
-            write_units: 1,
-            state_bytes: 1024,
         }
     }
 

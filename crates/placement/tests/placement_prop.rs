@@ -1,6 +1,6 @@
 //! Property tests for the tier-placement controller:
 //!
-//! 1. **Determinism** — two controllers built from the same seed/policy,
+//! 1. **Determinism** — two controllers built from the same policy,
 //!    fed identical telemetry windows, emit identical decision sequences.
 //!    This is the contract the runtime's scripted-replay digest parity
 //!    (E18) rests on.
@@ -24,11 +24,7 @@ fn service() -> ServiceKey {
 fn signals() -> StaticSignals {
     StaticSignals {
         replicable: true,
-        pure: false,
         cacheable: true,
-        read_units: 1,
-        write_units: 1,
-        state_bytes: 2048,
     }
 }
 
@@ -80,14 +76,13 @@ fn window_strategy() -> impl Strategy<Value = SynthWindow> {
 }
 
 proptest! {
-    /// Identical windows into identically-seeded controllers yield
+    /// Identical windows into identically-configured controllers yield
     /// identical decision sequences.
     #[test]
     fn identical_windows_yield_identical_decisions(
         windows in prop::collection::vec(window_strategy(), 1..40),
-        seed in any::<u64>(),
     ) {
-        let policy = PlacementPolicy { seed, ..PlacementPolicy::default() };
+        let policy = PlacementPolicy::default();
         let key = service();
         let mut a = PlacementController::new(policy.clone(), 4.0);
         let mut b = PlacementController::new(policy, 4.0);

@@ -9,17 +9,18 @@
 //! recorded version still matches — otherwise the entry is dropped as
 //! invalidated and the request executes normally.
 //!
-//! A table keeps counters at three grains, so each read validates against
+//! A table keeps counters at two grains, so each read validates against
 //! only what can change its answer:
 //! - a row-keyed read (a [`ReadUnit::TableKeyed`] unit) against its row's
-//!   counter plus the table's *epoch*;
+//!   counter;
 //! - a whole-table read of some columns against the table's *row-set*
-//!   counter (inserts, deletes, re-keys), its epoch and the counters of
-//!   those columns — one stamp entry whose version is their sum, which
-//!   moves exactly when one of them does, because every counter only
-//!   grows;
-//! - an unattributable table change (a remote apply rebuilding the table)
-//!   bumps the epoch, invalidating every reader of the table.
+//!   counter (inserts, deletes, re-keys) and the counters of those
+//!   columns — one stamp entry whose version is their sum, which moves
+//!   exactly when one of them does, because every counter only grows.
+//!
+//! Every table change is a row's: a write of a table without a primary
+//! key has no row counter to move, and moves the row-set and column
+//! counters alone.
 //!
 //! A write reports which cells it changed ([`RowEffect::Upsert`]'s
 //! `changed`): updating `stock` leaves a cached read of `id` and `title`
@@ -54,17 +55,15 @@ pub enum CachePolicy {
 }
 
 /// One versioned state unit — one entry of a cache entry's stamp. Files
-/// and globals get a per-name counter plus a structure-wide epoch for
-/// changes that cannot be attributed to a single name.
+/// get a per-path counter; globals a per-name counter plus a
+/// structure-wide epoch for changes that cannot be attributed to a single
+/// name.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub enum UnitKey {
     /// Which rows the table holds and the cells at these columns: the
-    /// sum of the table's row-set, epoch and column counters
+    /// sum of the table's row-set and column counters
     /// ([`ColumnSet::ALL`]: every column).
     Columns(String, ColumnSet),
-    /// Bumped only by mutations that cannot be attributed to a single row
-    /// (what row-keyed readers validate against, alongside their row).
-    TableEpoch(String),
     /// One row of one table, by its `SqlValue::pk_string`.
     Row(String, String),
     /// One file, by path.
@@ -79,7 +78,6 @@ pub enum UnitKey {
 #[derive(Debug, Clone)]
 struct TableVersions {
     rows: BTreeMap<String, u64>,
-    epoch: u64,
     /// Bumped by a row arriving at or leaving a key.
     row_set: u64,
     /// Per column position, bumped by a change to a cell there.
@@ -90,7 +88,6 @@ impl Default for TableVersions {
     fn default() -> TableVersions {
         TableVersions {
             rows: BTreeMap::new(),
-            epoch: 0,
             row_set: 0,
             columns: [0; ColumnSet::BITS],
         }
@@ -100,7 +97,7 @@ impl Default for TableVersions {
 impl TableVersions {
     fn columns(&self, set: ColumnSet) -> u64 {
         let cells: u64 = set.bits().map(|i| self.columns[i]).sum();
-        self.row_set + self.epoch + cells
+        self.row_set + cells
     }
 }
 
@@ -133,7 +130,6 @@ impl UnitVersions {
         let table = |t: &str| self.tables.get(t);
         match key {
             UnitKey::Columns(t, set) => table(t).map_or(0, |v| v.columns(*set)),
-            UnitKey::TableEpoch(t) => table(t).map_or(0, |v| v.epoch),
             UnitKey::Row(t, pk) => table(t).and_then(|v| v.rows.get(pk)).copied().unwrap_or(0),
             UnitKey::File(p) => self.files.get(p).copied().unwrap_or(0),
             UnitKey::GlobalsEpoch => self.globals_epoch,
@@ -152,14 +148,17 @@ impl UnitVersions {
     /// Row `pk` changed as a [`edgstr_sql::RowEffect`] reports it: the
     /// cells at `changed` (nothing moves when that is empty), or, for
     /// `None`, the row set — the row arrived at or left its key. The row's
-    /// counter moves with either; the epoch does not (other rows' keyed
-    /// readers stay valid).
-    pub fn touch_row(&mut self, table: &str, pk: &str, changed: Option<ColumnSet>) {
+    /// counter moves with either, and other rows' keyed readers stay
+    /// valid; a row of a table without a primary key has no counter
+    /// (`pk` is `None`).
+    pub fn touch_row(&mut self, table: &str, pk: Option<&str>, changed: Option<ColumnSet>) {
         if changed.is_some_and(ColumnSet::is_empty) {
             return;
         }
         let t = self.table(table);
-        bump(&mut t.rows, pk);
+        if let Some(pk) = pk {
+            bump(&mut t.rows, pk);
+        }
         match changed {
             None => t.row_set += 1,
             Some(cells) => {
@@ -168,12 +167,6 @@ impl UnitVersions {
                 }
             }
         }
-    }
-
-    /// The table changed in a way not attributable to single rows:
-    /// invalidate whole-table *and* row-keyed readers.
-    pub fn touch_table(&mut self, table: &str) {
-        self.table(table).epoch += 1;
     }
 
     /// One file's contents changed.
@@ -200,10 +193,10 @@ impl UnitVersions {
 }
 
 /// Resolve a service's abstract read set to concrete version-counter keys
-/// for one request. A `TableKeyed` unit becomes the selected row plus the
-/// table epoch; when the keying parameter cannot be resolved from the
-/// request it degrades to every column of the table. File and global reads
-/// validate against their own counter plus the structure epoch.
+/// for one request. A `TableKeyed` unit becomes the selected row; when the
+/// keying parameter cannot be resolved from the request it degrades to
+/// every column of the table. A file read validates against its path's
+/// counter, a global read against its own counter plus the globals epoch.
 #[must_use]
 pub fn resolve_reads(summary: &EffectSummary, request: &HttpRequest) -> Vec<UnitKey> {
     let mut keys = Vec::new();
@@ -218,10 +211,7 @@ pub fn resolve_reads(summary: &EffectSummary, request: &HttpRequest) -> Vec<Unit
                     .as_ref()
                     .and_then(json_pk_string)
                 {
-                    Some(pk) => {
-                        keys.push(UnitKey::Row(table.clone(), pk));
-                        keys.push(UnitKey::TableEpoch(table.clone()));
-                    }
+                    Some(pk) => keys.push(UnitKey::Row(table.clone(), pk)),
                     None => keys.push(UnitKey::Columns(table.clone(), ColumnSet::ALL)),
                 }
             }
@@ -237,10 +227,9 @@ pub fn resolve_reads(summary: &EffectSummary, request: &HttpRequest) -> Vec<Unit
 
 /// Whether a stamp over `keys` would see every change that can alter the
 /// answer of each of `reads`: a read pinned to a key is covered by that
-/// row's counter (beside the epoch [`resolve_reads`] always pairs it
-/// with), any read by a column stamp of its table listing every column it
-/// references. An entry filled from an execution whose reads its stamp
-/// does not cover could be served stale.
+/// row's counter, any read by a column stamp of its table listing every
+/// column it references. An entry filled from an execution whose reads its
+/// stamp does not cover could be served stale.
 #[must_use]
 pub fn stamp_covers(keys: &[UnitKey], reads: &[SqlRead]) -> bool {
     reads.iter().all(|read| {
@@ -560,7 +549,7 @@ mod tests {
         let reads = vec![UnitKey::Columns("t".into(), ColumnSet::ALL)];
         c.fill(key(1), &resp(1), v.snapshot(&reads));
         assert_eq!(c.lookup(&key(1), &v), Some(resp(1)));
-        v.touch_row("t", "x", Some(ColumnSet::of(1))); // a cell of every column
+        v.touch_row("t", Some("x"), Some(ColumnSet::of(1))); // a cell of every column
         assert_eq!(c.lookup(&key(1), &v), None, "stale entry must invalidate");
         assert_eq!(c.stats().hits, 1);
         assert_eq!(c.stats().invalidations, 1);
@@ -571,22 +560,15 @@ mod tests {
     fn row_keyed_entries_survive_other_rows_writes() {
         let mut v = UnitVersions::default();
         let mut c = ResponseCache::new(64 * 1024, &Telemetry::disabled());
-        let keyed = vec![
-            UnitKey::Row("t".into(), "a".into()),
-            UnitKey::TableEpoch("t".into()),
-        ];
+        let keyed = vec![UnitKey::Row("t".into(), "a".into())];
         let whole = vec![UnitKey::Columns("t".into(), ColumnSet::ALL)];
         c.fill(key(1), &resp(1), v.snapshot(&keyed));
         c.fill(key(2), &resp(2), v.snapshot(&whole));
-        v.touch_row("t", "b", None);
+        v.touch_row("t", Some("b"), None);
         assert_eq!(c.lookup(&key(1), &v), Some(resp(1)), "other row untouched");
         assert_eq!(c.lookup(&key(2), &v), None, "whole-table reader stale");
-        v.touch_row("t", "a", Some(ColumnSet::of(3)));
+        v.touch_row("t", Some("a"), Some(ColumnSet::of(3)));
         assert_eq!(c.lookup(&key(1), &v), None, "own row write invalidates");
-        // an unattributable table change invalidates keyed readers too
-        c.fill(key(3), &resp(3), v.snapshot(&keyed));
-        v.touch_table("t");
-        assert_eq!(c.lookup(&key(3), &v), None);
     }
 
     /// A whole-table reader of some columns moves with the row set and
@@ -609,22 +591,26 @@ mod tests {
             [1, 2, 3].map(|i| c.lookup(&key(i), v).is_some())
         };
         fill_all(&mut c, &v);
-        v.touch_row("t", "a", Some(ColumnSet::NONE));
+        v.touch_row("t", Some("a"), Some(ColumnSet::NONE));
         assert_eq!(hits(&mut c, &v), [true, true, true], "nothing changed");
-        v.touch_row("t", "a", Some(ColumnSet::of(4)));
+        v.touch_row("t", Some("a"), Some(ColumnSet::of(4)));
         assert_eq!(hits(&mut c, &v), [true, true, false], "stock only");
         fill_all(&mut c, &v);
-        v.touch_row("t", "a", Some(ColumnSet::of(1)));
+        v.touch_row("t", Some("a"), Some(ColumnSet::of(1)));
         assert_eq!(hits(&mut c, &v), [false, true, false], "a title");
         fill_all(&mut c, &v);
-        v.touch_row("t", "z", None);
+        v.touch_row("t", Some("z"), None);
         assert_eq!(hits(&mut c, &v), [false, false, false], "a new row");
+        // a row of a table without a primary key moves the same counters
         fill_all(&mut c, &v);
-        v.touch_table("t");
-        assert_eq!(hits(&mut c, &v), [false, false, false], "a rebuild");
+        v.touch_row("t", None, Some(ColumnSet::of(1)));
+        assert_eq!(hits(&mut c, &v), [false, true, false], "a keyless title");
+        fill_all(&mut c, &v);
+        v.touch_row("t", None, None);
+        assert_eq!(hits(&mut c, &v), [false, false, false], "a keyless row");
         // a sum of counters that only grow moves whenever one of them does
         let before = v.get(&titles[0]);
-        v.touch_row("t", "b", Some(id_title));
+        v.touch_row("t", Some("b"), Some(id_title));
         assert_eq!(v.get(&titles[0]), before + 2);
     }
 
@@ -638,10 +624,7 @@ mod tests {
             columns,
         };
         let title = ColumnSet::of(1);
-        let keyed = [
-            UnitKey::Row("t".into(), "a".into()),
-            UnitKey::TableEpoch("t".into()),
-        ];
+        let keyed = [UnitKey::Row("t".into(), "a".into())];
         let titles = [UnitKey::Columns("t".into(), ColumnSet::of(0).with(1))];
         assert!(stamp_covers(
             &keyed,

@@ -15,7 +15,7 @@ use edgstr_core::CrdtBindings;
 use edgstr_crdt::wire::{put_changes, put_varint, Count, Sink};
 use edgstr_crdt::{ActorId, Cell, Change, CrdtError, Doc, Row, VClock, Value};
 use edgstr_sql::columns::ColumnSet;
-use edgstr_sql::{ColumnMeta, RowEffect, SqlDb, SqlError, SqlValue};
+use edgstr_sql::{ColumnMeta, RowEffect, SqlDb, SqlValue};
 use serde_json::Value as Json;
 use std::collections::BTreeSet;
 use std::fmt::{self, Write as _};
@@ -25,10 +25,10 @@ use std::sync::Arc;
 // ---- key namespaces ---------------------------------------------------------
 //
 // A key of the set's `Doc` is a one-char tag naming its unit, then the name
-// within the unit: a row's key (`RowKey`'s `Display`), a file's path, a
-// global's name. Files are tagged U+0000 and globals U+0001; the table at position
-// `i` of `CrdtBindings::tables` is tagged U+0002 + `i`, one UTF-8 byte for
-// the first 126 tables and two up to the 2,046th.
+// within the unit: a row's key (its primary-key cell's `SqlValue::key`), a
+// file's path, a global's name. Files are tagged U+0000 and globals U+0001;
+// the table at position `i` of `CrdtBindings::tables` is tagged U+0002 +
+// `i`, one UTF-8 byte for the first 126 tables and two up to the 2,046th.
 
 const FILES: char = '\0';
 const GLOBALS: char = '\u{1}';
@@ -94,13 +94,25 @@ impl CrdtSet {
     /// Initialize the replicated state from the shared init snapshot — the
     /// paper's step 1: "initialize both the master and the replicas with
     /// the same snapshot of the cloud-based service".
+    ///
+    /// # Panics
+    ///
+    /// When a bound table of the snapshot has no primary key: a row is
+    /// replicated under its key, and the transform binds no table without
+    /// one.
     pub fn initialize(actor: ActorId, bindings: &CrdtBindings, init: &InitState) -> CrdtSet {
         let mut entries = Vec::new();
         for (i, t) in bindings.tables.iter().enumerate() {
             if let Some(table) = init.db.table(t) {
+                let pk = table
+                    .pk_index()
+                    .unwrap_or_else(|| panic!("bound table `{t}` has no primary key"));
                 let columns = table.column_names();
-                for (n, cells) in table.rows.iter().enumerate() {
-                    let key = format!("{}{}", table_tag(i), table.row_key(cells, n));
+                for cells in &table.rows {
+                    let mut key = table_tag(i).to_string();
+                    cells[pk]
+                        .write_key(&mut key)
+                        .expect("writing to a String cannot fail");
                     entries.push((key, row(columns, cells)));
                 }
             }
@@ -184,27 +196,28 @@ impl CrdtSet {
         // unreplicated table/file still invalidates cached reads of it.
         for effect in &outcome.row_effects {
             let (RowEffect::Upsert { table, pk, .. } | RowEffect::Delete { table, pk }) = effect;
+            let changed = match effect {
+                RowEffect::Upsert { changed, .. } => *changed,
+                RowEffect::Delete { .. } => None,
+            };
+            // a row of a table without a primary key: no table the set
+            // binds, and no row counter to move
+            let Some(pk) = pk else {
+                self.versions.touch_row(table, None, changed);
+                continue;
+            };
             name.clear();
-            write!(name, "{pk}").expect("writing to a String cannot fail");
+            pk.write_key(&mut name)
+                .expect("writing to a String cannot fail");
             let counter = SqlValue::pk_string_of(&name);
-            match effect {
-                RowEffect::Upsert {
-                    columns,
-                    cells,
-                    changed,
-                    ..
-                } => {
-                    self.versions.touch_row(table, counter, *changed);
-                    if let Some(tag) = self.tag_of(table) {
-                        self.doc
-                            .put(key_in(&mut key, tag, &name), row(columns, cells));
+            self.versions.touch_row(table, Some(counter), changed);
+            if let Some(tag) = self.tag_of(table) {
+                let key = key_in(&mut key, tag, &name);
+                match effect {
+                    RowEffect::Upsert { columns, cells, .. } => {
+                        self.doc.put(key, row(columns, cells));
                     }
-                }
-                RowEffect::Delete { .. } => {
-                    self.versions.touch_row(table, counter, None);
-                    if let Some(tag) = self.tag_of(table) {
-                        self.doc.delete(key_in(&mut key, tag, &name));
-                    }
+                    RowEffect::Delete { .. } => self.doc.delete(key),
                 }
             }
         }
@@ -254,13 +267,9 @@ impl CrdtSet {
             // materialize what the delta touched into the SQL engine,
             // bumping what the materialised rows changed there
             let versions = &mut self.versions;
-            let by_row = materialize_rows(name, &self.doc, keys, &mut server.db, |pk, changed| {
-                versions.touch_row(name, SqlValue::pk_string_of(pk), changed);
+            materialize_rows(name, &self.doc, keys, &mut server.db, |pk, changed| {
+                versions.touch_row(name, Some(SqlValue::pk_string_of(pk)), changed);
             });
-            if !by_row {
-                versions.touch_table(name);
-                materialize_table(name, &self.doc, table_tag(i), &mut server.db);
-            }
         }
         let mut files = under(&touched, FILES).peekable();
         if files.peek().is_some() {
@@ -297,13 +306,14 @@ impl CrdtSet {
         let mut key = String::new();
         for effect in server.take_failed_row_effects() {
             let (RowEffect::Upsert { table, pk, .. } | RowEffect::Delete { table, pk }) = &effect;
-            if let Some(tag) = self.tag_of(table) {
+            if let (Some(tag), Some(pk)) = (self.tag_of(table), pk) {
                 // the rows go back to what the versions already describe
-                let key = key_in(&mut key, tag, pk);
-                let keys = [(key, &key[tag.len_utf8()..])];
-                if !materialize_rows(table, &self.doc, keys, &mut server.db, |_, _| {}) {
-                    materialize_table(table, &self.doc, tag, &mut server.db);
-                }
+                key.clear();
+                key.push(tag);
+                pk.write_key(&mut key)
+                    .expect("writing to a String cannot fail");
+                let keys = [(&*key, &key[tag.len_utf8()..])];
+                materialize_rows(table, &self.doc, keys, &mut server.db, |_, _| {});
             }
         }
     }
@@ -432,8 +442,7 @@ fn sql_row(columns: &[ColumnMeta], value: &Value) -> Vec<SqlValue> {
 }
 
 /// Rebuild the SQL table `name` whole from its rows in `doc`, tagged `tag`
-/// — for provisioning, and for a table with no primary key to address a
-/// row by.
+/// — for provisioning a replica from an image.
 fn materialize_table(name: &str, doc: &Doc, tag: char, db: &mut SqlDb) {
     let Some(table) = db.table(name) else {
         return;
@@ -449,38 +458,33 @@ fn materialize_table(name: &str, doc: &Doc, tag: char, db: &mut SqlDb) {
 /// there: written where the CRDT has the row, deleted where it does not.
 /// Every other row is left alone, which is sound because it already equals
 /// its CRDT row. `changed` hears of each row that changed, by name, as a
-/// [`RowEffect::Upsert`] reports it (`None`: the row arrived or left).
-/// Returns `false` for a table without a primary key to address a row by,
-/// whose rows are named by position: the caller rebuilds it whole.
+/// [`RowEffect::Upsert`] reports it (`None`: the row arrived or left). A
+/// name that is no [`SqlValue::key`] names no row, and is passed over.
 fn materialize_rows<'k>(
     name: &str,
     doc: &Doc,
     keys: impl IntoIterator<Item = (&'k str, &'k str)>,
     db: &mut SqlDb,
     mut changed: impl FnMut(&str, Option<ColumnSet>),
-) -> bool {
+) {
     for (key, row_name) in keys {
         let Some(pk) = SqlValue::from_key(row_name) else {
-            return false;
+            continue;
         };
         let written = match (doc.get(key), db.table(name)) {
             (Some(row), Some(table)) => {
                 let row = sql_row(&table.columns, row);
                 db.upsert_row(name, row).map(Some)
             }
-            (Some(_), None) => return true,
+            (Some(_), None) => return,
             (None, _) => db
                 .delete_row_by_pk(name, &pk)
                 .map(|gone| gone.then_some(None)),
         };
-        match written {
-            Ok(Some(change)) => changed(row_name, change),
-            Ok(None) => {}
-            Err(SqlError::NoPrimaryKey(_)) => return false,
-            Err(_) => {}
+        if let Ok(Some(change)) = written {
+            changed(row_name, change);
         }
     }
-    true
 }
 
 /// One `cloud_state` / `edge_state` sync envelope (Fig. 5b): the delta
@@ -1067,12 +1071,12 @@ mod namespace_tests {
     use edgstr_net::HttpRequest;
     use serde_json::json;
 
-    /// Two keyed tables, a keyless table, a file and a global, each
-    /// written under the name `cfg`.
+    /// Three tables, a file and a global, each written under the name
+    /// `cfg`.
     const APP: &str = r#"
         db.query("CREATE TABLE a (k TEXT PRIMARY KEY, v INT)");
         db.query("CREATE TABLE b (k TEXT PRIMARY KEY, w TEXT)");
-        db.query("CREATE TABLE log (msg TEXT)");
+        db.query("CREATE TABLE log (msg TEXT PRIMARY KEY)");
         db.query("INSERT INTO log VALUES ('seed')");
         var cfg = 0;
         app.post("/all", function (req, res) {
@@ -1142,6 +1146,7 @@ mod namespace_tests {
                 row("b").unwrap().cells(),
                 [Cell::Text("cfg".into()), Cell::Text("two".into())]
             );
+            assert_eq!(row("log").unwrap().cells(), [Cell::Text("cfg".into())]);
             assert_eq!(set.rows("a").len(), 1);
             assert_eq!(set.rows("b").len(), 1);
             assert_eq!(set.rows("log").len(), 2);
@@ -1153,9 +1158,8 @@ mod namespace_tests {
             assert_eq!(server.fs.peek("cfg"), Some(&b"file"[..]));
             assert_eq!(server.global_json("cfg"), Some(Ok(json!({"v": 3}))));
         }
-        // the keyless table has no key to address a row by, so the peer
-        // rebuilt it whole: from its own rows, and only those
-        assert_eq!(rows(&peer, "log"), [vec![text("seed")], vec![text("cfg")]]);
+        // the peer wrote the one row the delta touched beside its own
+        assert_eq!(rows(&peer, "log"), [vec![text("cfg")], vec![text("seed")]]);
         assert_eq!(rows(&peer, "log"), rows(&writer, "log"));
         // and a provisioned replica reads each unit back from the image
         let loaded = CrdtSet::load(ActorId(3), &bindings(), &writer_set.save()).unwrap();
@@ -1249,40 +1253,16 @@ mod partition_tests {
         }
     }
 
-    /// A table without a primary key has no key to address one row by, so
-    /// a remote apply still rebuilds it whole.
+    /// A row is replicated under its key, so hand-built bindings that name
+    /// a table without one are refused, by name, before anything syncs.
     #[test]
-    fn unkeyed_table_materializes_by_whole_rebuild() {
-        const UNKEYED: &str = r#"
-            db.query("CREATE TABLE log (msg TEXT)");
-            app.post("/log", function (req, res) {
-                db.query("INSERT INTO log VALUES ('" + req.body.msg + "')");
-                res.send({ ok: true });
-            });
-        "#;
-        let node = |actor: u64| {
-            let mut s = ServerProcess::from_source(UNKEYED).unwrap();
-            s.init().unwrap();
-            let init = InitState::capture(&s);
-            let bindings = CrdtBindings::from_units([StateUnit::DbTable("log".into())]);
-            let set = CrdtSet::initialize(ActorId(actor), &bindings, &init);
-            (s, set)
-        };
-        let (mut cloud, mut cloud_set) = node(1);
-        let (mut edge, mut edge_set) = node(2);
-        for msg in ["first", "second"] {
-            let out = edge
-                .handle(&HttpRequest::post("/log", json!({"msg": msg}), vec![]))
-                .unwrap();
-            edge_set.absorb_outcome(&out, &edge);
-        }
-        let up = SyncEndpoint::new().generate(&edge_set);
-        SyncEndpoint::new().receive_owned(&mut cloud_set, &mut cloud, up);
-        assert_eq!(
-            cloud.db.table("log").unwrap().rows,
-            edge.db.table("log").unwrap().rows
-        );
-        assert_eq!(cloud.db.table("log").unwrap().rows.len(), 2);
+    #[should_panic(expected = "bound table `log` has no primary key")]
+    fn a_bound_keyless_table_is_refused() {
+        let mut s =
+            ServerProcess::from_source(r#"db.query("CREATE TABLE log (msg TEXT)");"#).unwrap();
+        s.init().unwrap();
+        let bindings = CrdtBindings::from_units([StateUnit::DbTable("log".into())]);
+        CrdtSet::initialize(ActorId(1), &bindings, &InitState::capture(&s));
     }
 
     /// Message loss: under the ack protocol the endpoint does not advance

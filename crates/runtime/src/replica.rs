@@ -295,7 +295,7 @@ impl ReplicaCore {
     /// Digest of the *replicated* state units (bound tables, files,
     /// globals) as materialized in the server. Non-replicated state is
     /// deliberately excluded — it is local to whichever replica happened
-    /// to write it. Tables are read as their typed rows ([`fold_rows`]).
+    /// to write it. Tables are read as their typed rows (`fold_rows`).
     pub fn replicated_state_digest(&self) -> u64 {
         let (bindings, server) = (&self.crdts.bindings, &self.server);
         let mut h = FNV_OFFSET;

@@ -373,7 +373,6 @@ impl ThreeTierSystem {
         let placement = Placements::new(
             &options.placement,
             Arc::clone(&template),
-            &cloud,
             edge_cores,
             &telemetry,
         );
@@ -1703,6 +1702,14 @@ mod tests {
         (Verb::Post, "/note".to_string())
     }
 
+    /// Every service pinned to `p` for the whole run.
+    fn pinned(p: Placement) -> PlacementMode {
+        PlacementMode::Scripted(PlacementScript {
+            pinned: Some(p),
+            decisions: vec![],
+        })
+    }
+
     /// A policy that demotes the write service on its first closed window:
     /// any sync byte exceeds the ceiling, confirmation is immediate and
     /// the cooldown is zero.
@@ -1724,7 +1731,7 @@ mod tests {
             &report,
             &[DeviceSpec::rpi4()],
             ThreeTierOptions {
-                placement: PlacementMode::Pinned(Placement::CloudPin),
+                placement: pinned(Placement::CloudPin),
                 ..Default::default()
             },
         )
@@ -1761,7 +1768,7 @@ mod tests {
             reqs.push(HttpRequest::get("/count", json!({})));
         }
         let wl = Workload::constant_rate(&reqs, 20.0, reqs.len());
-        let mut sys = deploy(PlacementMode::Pinned(Placement::EdgeCacheOnly));
+        let mut sys = deploy(pinned(Placement::EdgeCacheOnly));
         let stats = sys.run(&wl);
         assert_eq!(stats.completed, 11);
         // the POST and the first GET forward; every later GET is an edge
@@ -1770,9 +1777,8 @@ mod tests {
         assert!(sys.cache_stats().hits >= 9);
         // no write lands between the GETs, so the cached responses are
         // bit-identical to a cloud-pinned run
-        let mut pinned = deploy(PlacementMode::Pinned(Placement::CloudPin));
-        let pinned_stats = pinned.run(&wl);
-        assert_eq!(stats.response_digest, pinned_stats.response_digest);
+        let cloud_stats = deploy(pinned(Placement::CloudPin)).run(&wl);
+        assert_eq!(stats.response_digest, cloud_stats.response_digest);
     }
 
     #[test]

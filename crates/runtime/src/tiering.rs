@@ -52,15 +52,11 @@ pub enum PlacementMode {
     /// default, and byte-for-byte identical to the pre-placement runtime.
     #[default]
     ReportStatic,
-    /// Every service pinned to one placement (ablation cells). A pin to
-    /// `EdgeReplicate` is clamped per service to the best placement it
-    /// supports: cache-only when the report did not replicate it but its
-    /// profile is cacheable, cloud otherwise.
-    Pinned(Placement),
     /// The autonomous controller: decisions from static effect signals
     /// plus sliding telemetry windows, re-deciding at every sync tick.
     Adaptive(PlacementPolicy),
-    /// Replay a recorded decision schedule (digest-parity reference runs).
+    /// Replay a recorded decision schedule (digest-parity reference runs);
+    /// with no decisions and a pin, every service stays pinned.
     Scripted(PlacementScript),
 }
 
@@ -68,7 +64,10 @@ pub enum PlacementMode {
 #[derive(Debug, Clone, Default)]
 pub struct PlacementScript {
     /// Initial placement override for every service (`None` starts from
-    /// the report-static assignment, as the adaptive controller does).
+    /// the report-static assignment, as the adaptive controller does). A
+    /// pin to `EdgeReplicate` is clamped per service to the best placement
+    /// it supports: cache-only when the report did not replicate it but
+    /// its profile is cacheable, cloud otherwise.
     pub pinned: Option<Placement>,
     /// Time-ordered decisions to replay.
     pub decisions: Vec<ScriptedDecision>,
@@ -131,8 +130,7 @@ fn service_label(key: &ServiceKey) -> String {
 }
 
 /// Byte footprint of a service's write set in the given CRDT state (the
-/// `edgstr_service_state_bytes` gauge and the controller's static
-/// state-footprint signal).
+/// `edgstr_service_state_bytes` gauge).
 fn service_state_bytes(crdts: &CrdtSet, summary: &EffectSummary) -> u64 {
     let mut bytes = 0u64;
     for w in &summary.writes {
@@ -249,18 +247,15 @@ pub struct Placements {
 impl Placements {
     /// The plane for a fresh deployment, its services placed as `mode`
     /// says. `edge_cores` is the cluster's aggregate edge compute, against
-    /// which the controller measures offered-demand utilization; `cloud`
-    /// gives its static state-footprint signal.
+    /// which the controller measures offered-demand utilization.
     pub fn new(
         mode: &PlacementMode,
         template: Arc<ReplicaTemplate>,
-        cloud: &ReplicaCore,
         edge_cores: f64,
         telemetry: &Telemetry,
     ) -> Placements {
         let (effects, replicated) = (&template.effects, &template.replicated);
         let pin = match mode {
-            PlacementMode::Pinned(p) => Some(*p),
             PlacementMode::Scripted(script) => script.pinned,
             PlacementMode::ReportStatic | PlacementMode::Adaptive(_) => None,
         };
@@ -293,10 +288,7 @@ impl Placements {
                             replicable,
                             ..StaticSignals::default()
                         },
-                        |s| {
-                            let bytes = service_state_bytes(&cloud.crdts, s);
-                            StaticSignals::from_summary(s, replicable, bytes)
-                        },
+                        |s| StaticSignals::from_summary(s, replicable),
                     );
                     c.register(key.clone(), signals, *p);
                 }
@@ -307,7 +299,7 @@ impl Placements {
                 decisions.sort_by_key(|d| d.at);
                 Decisions::Scripted(decisions, 0)
             }
-            PlacementMode::ReportStatic | PlacementMode::Pinned(_) => Decisions::Fixed,
+            PlacementMode::ReportStatic => Decisions::Fixed,
         };
         if telemetry.is_enabled() {
             for (key, p) in &plane.effective {
@@ -586,7 +578,7 @@ mod tests {
             .provision(ReplicaKind::Edge, ActorId(2), None)
             .unwrap();
         let edge = EdgeReplica::new(core, DeviceSpec::rpi4(), None);
-        let plane = Placements::new(&mode, template, &cloud, 4.0, &telemetry);
+        let plane = Placements::new(&mode, template, 4.0, &telemetry);
         (plane, cloud, vec![edge])
     }
 
@@ -658,12 +650,18 @@ mod tests {
 
     #[test]
     fn a_pin_is_clamped_to_what_each_service_supports() {
-        let (plane, ..) = cluster(PlacementMode::Pinned(Placement::EdgeReplicate));
+        let pinned = |p| {
+            PlacementMode::Scripted(PlacementScript {
+                pinned: Some(p),
+                decisions: vec![],
+            })
+        };
+        let (plane, ..) = cluster(pinned(Placement::EdgeReplicate));
         assert_eq!(plane.placement_of(&noting()), Placement::EdgeReplicate);
         assert_eq!(plane.placement_of(&counting()), Placement::EdgeCacheOnly);
         let unprofiled = (Verb::Get, "/hits".to_string());
         assert_eq!(plane.placement_of(&unprofiled), Placement::CloudPin);
-        let (plane, ..) = cluster(PlacementMode::Pinned(Placement::CloudPin));
+        let (plane, ..) = cluster(pinned(Placement::CloudPin));
         assert_eq!(plane.placement_of(&noting()), Placement::CloudPin);
     }
 

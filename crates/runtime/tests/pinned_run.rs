@@ -20,7 +20,7 @@
 //! each other, `crates/placement/tests/placement_prop.rs` feeds the
 //! controller synthetic byte counts, `crates/telemetry/tests/shard_merge.rs`
 //! only names the `edgstr_sync_bytes` counter, and the E1 / E4 / E8 / E12 /
-//! E18 / `ablation_sync_mode` binaries print theirs (EXPERIMENTS.md).
+//! E18 binaries print theirs (EXPERIMENTS.md).
 //!
 //! The three virtual-time `response_digest` constants are the chain over
 //! each response's remembered digest. Commit c06e2cb carried that chain

@@ -227,15 +227,15 @@ fn a_replicated_row_write_stays_within_its_allocation_budget() {
 }
 
 /// A counter is allocated once, when its row, file or global is first
-/// touched; every later bump of it — a cell, the row set, the table's
-/// epoch — allocates nothing.
+/// touched; every later bump of it — a cell, the row set, a row of a
+/// table without a primary key — allocates nothing.
 #[test]
 fn a_repeat_bump_allocates_nothing() {
     let mut v = UnitVersions::default();
     let bump_all = |v: &mut UnitVersions| {
-        v.touch_row("books", "17", Some(ColumnSet::of(4)));
-        v.touch_row("books", "17", None);
-        v.touch_table("books");
+        v.touch_row("books", Some("17"), Some(ColumnSet::of(4)));
+        v.touch_row("books", Some("17"), None);
+        v.touch_row("books", None, None);
         v.touch_file("/catalog.txt");
         v.touch_global("catalog_version");
     };

@@ -126,7 +126,8 @@ impl Table {
         }
     }
 
-    fn pk_index(&self) -> Option<usize> {
+    /// Where the primary-key column is (`None`: the table has none).
+    pub fn pk_index(&self) -> Option<usize> {
         self.columns.iter().position(|c| c.primary_key)
     }
 
@@ -199,26 +200,21 @@ impl Table {
         &self.names
     }
 
-    /// The effect of writing `row`, the row at index `at`, which changed
-    /// the cells at `changed` (`None`: the row is new to its key).
-    fn upsert(&self, row: &[SqlValue], at: usize, changed: Option<ColumnSet>) -> RowEffect {
+    /// The effect of writing `row`, which changed the cells at `changed`
+    /// (`None`: the row is new to its key).
+    fn upsert(&self, row: &[SqlValue], changed: Option<ColumnSet>) -> RowEffect {
         RowEffect::Upsert {
             table: self.name.clone(),
-            pk: self.row_key(row, at),
+            pk: self.key_of(row),
             columns: Arc::clone(&self.names),
             cells: row.to_vec(),
             changed,
         }
     }
 
-    /// Which row `row`, the row at index `at`, is: its primary-key cell,
-    /// or for a table without one its position (such a table keeps
-    /// insertion order).
-    pub fn row_key(&self, row: &[SqlValue], at: usize) -> RowKey {
-        match self.pk_index() {
-            Some(i) => RowKey::Pk(row[i].clone()),
-            None => RowKey::Position(at),
-        }
+    /// `row`'s primary-key cell (`None`: the table has no primary key).
+    fn key_of(&self, row: &[SqlValue]) -> Option<SqlValue> {
+        self.pk_index().map(|i| row[i].clone())
     }
 
     /// Total byte size of the table contents.
@@ -290,7 +286,9 @@ pub enum RowEffect {
     /// column names.
     Upsert {
         table: String,
-        pk: RowKey,
+        /// The row's primary-key cell; `None` for a row of a table without
+        /// one, which no replica keeps by row.
+        pk: Option<SqlValue>,
         columns: Arc<[String]>,
         cells: Vec<SqlValue>,
         /// The columns whose cell the write changed
@@ -301,36 +299,15 @@ pub enum RowEffect {
     },
     /// The row left its key (a `DELETE`, or the old key of a re-keyed
     /// row): a change to the row set.
-    Delete { table: String, pk: RowKey },
+    Delete { table: String, pk: Option<SqlValue> },
 }
 
-/// Which row a [`RowEffect`] is about.
-#[derive(Debug, Clone)]
-pub enum RowKey {
-    /// The row's primary-key cell.
-    Pk(SqlValue),
-    /// The row's position in a table without a primary key.
-    Position(usize),
-}
-
-/// The name a replica keeps the row under: [`SqlValue::key`], or `row<n>`.
-impl fmt::Display for RowKey {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RowKey::Pk(v) => v.write_key(f),
-            RowKey::Position(at) => write!(f, "row{at}"),
-        }
-    }
-}
-
-/// Keys are equal when they are identical cells or the same position.
-impl PartialEq for RowKey {
-    fn eq(&self, other: &RowKey) -> bool {
-        match (self, other) {
-            (RowKey::Pk(a), RowKey::Pk(b)) => a.identical(b),
-            (RowKey::Position(a), RowKey::Position(b)) => a == b,
-            _ => false,
-        }
+/// Whether two keys are the same cell ([`SqlValue::identical`]), or both
+/// absent.
+fn same_key(a: &Option<SqlValue>, b: &Option<SqlValue>) -> bool {
+    match (a, b) {
+        (Some(a), Some(b)) => a.identical(b),
+        (a, b) => a.is_none() && b.is_none(),
     }
 }
 
@@ -355,7 +332,8 @@ impl PartialEq for RowEffect {
                     changed: changed2,
                 },
             ) => {
-                (table, pk, columns, changed) == (table2, pk2, columns2, changed2)
+                (table, columns, changed) == (table2, columns2, changed2)
+                    && same_key(pk, pk2)
                     && cells.len() == cells2.len()
                     && cells.iter().zip(cells2).all(|(a, b)| a.identical(b))
             }
@@ -365,7 +343,7 @@ impl PartialEq for RowEffect {
                     table: table2,
                     pk: pk2,
                 },
-            ) => (table, pk) == (table2, pk2),
+            ) => table == table2 && same_key(pk, pk2),
             _ => false,
         }
     }
@@ -580,7 +558,7 @@ impl SqlDb {
                         Some(pki) => t.pk_range(pki, &full_row[pki]).start,
                         None => t.rows.len(),
                     };
-                    effects.push(t.upsert(&full_row, idx, None));
+                    effects.push(t.upsert(&full_row, None));
                     t.rows.insert(idx, full_row);
                     t.next_rowid += 1;
                 }
@@ -705,11 +683,11 @@ impl SqlDb {
                         row[*idx] = v.clone();
                     }
                     affected += 1;
-                    let mut upsert = t.upsert(&t.rows[i], i, Some(cells));
+                    let mut upsert = t.upsert(&t.rows[i], Some(cells));
                     // a re-keyed row leaves its old key: without the
                     // delete the mirror would keep both
                     if let RowEffect::Upsert {
-                        pk: RowKey::Pk(pk),
+                        pk: Some(pk),
                         changed,
                         ..
                     } = &mut upsert
@@ -717,7 +695,7 @@ impl SqlDb {
                         if let Some(old_pk) = old_pk.filter(|old| old.pk_cmp(pk).is_ne()) {
                             effects.push(RowEffect::Delete {
                                 table: table.clone(),
-                                pk: RowKey::Pk(old_pk),
+                                pk: Some(old_pk),
                             });
                             *changed = None;
                         }
@@ -748,7 +726,7 @@ impl SqlDb {
                     .iter()
                     .map(|&i| RowEffect::Delete {
                         table: table.clone(),
-                        pk: t.row_key(&t.rows[i], i),
+                        pk: t.key_of(&t.rows[i]),
                     })
                     .collect();
                 let mut at = 0;
@@ -1350,7 +1328,7 @@ mod tests {
                 changed,
             } => {
                 assert_eq!(table, "books");
-                assert_eq!(pk, &RowKey::Pk(SqlValue::Int(2)));
+                assert_eq!(pk, &Some(SqlValue::Int(2)));
                 assert_eq!(columns[..], ["id", "title", "price", "stock"]);
                 assert_eq!(cells[3], SqlValue::Int(10));
                 assert_eq!(*changed, Some(ColumnSet::of(3)));
@@ -1428,7 +1406,7 @@ mod tests {
             effects,
             vec![RowEffect::Delete {
                 table: "books".into(),
-                pk: RowKey::Pk(SqlValue::Int(2))
+                pk: Some(SqlValue::Int(2))
             }]
         );
     }
@@ -1877,8 +1855,8 @@ mod replace_tests {
         assert_eq!(ids(&db), ["2", "3", "9"]);
         assert!(matches!(
             &effects[..],
-            [RowEffect::Delete { pk: old, .. }, RowEffect::Upsert { pk: new, changed: None, .. }]
-                if old.to_string() == "1" && new.to_string() == "9"
+            [RowEffect::Delete { pk: Some(old), .. }, RowEffect::Upsert { pk: Some(new), changed: None, .. }]
+                if old.key() == "1" && new.key() == "9"
         ));
     }
 

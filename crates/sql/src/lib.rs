@@ -44,7 +44,7 @@ pub mod parser;
 pub mod value;
 
 pub use engine::{
-    ColumnMeta, Output, RowEffect, RowKey, Selected, Snapshot, SqlDb, SqlError, SqlResult, Table,
+    ColumnMeta, Output, RowEffect, Selected, Snapshot, SqlDb, SqlError, SqlResult, Table,
 };
 pub use parser::{parse_sql, CmpOp, ColumnDef, SelectItem, SqlParseError, Statement, WhereExpr};
 pub use value::{SqlType, SqlValue};

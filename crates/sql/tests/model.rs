@@ -386,7 +386,7 @@ fn pinned_literal_kinds() {
 /// through the engine's own comparison.
 mod reference {
     use edgstr_sql::columns::ColumnSet;
-    use edgstr_sql::{CmpOp, ColumnMeta, RowEffect, RowKey, SqlError, SqlValue, Table, WhereExpr};
+    use edgstr_sql::{CmpOp, ColumnMeta, RowEffect, SqlError, SqlValue, Table, WhereExpr};
     use std::cmp::Ordering;
     use std::collections::BTreeMap;
 
@@ -621,7 +621,7 @@ mod reference {
                 RowEffect::Delete { pk, .. } => (pk, None),
             };
             let slot = report
-                .entry(pk.to_string())
+                .entry(pk.as_ref().expect("a keyed table").key())
                 .or_insert(Some(ColumnSet::NONE));
             *slot = match (*slot, changed) {
                 (Some(a), Some(b)) => Some(a.union(b)),
@@ -632,11 +632,9 @@ mod reference {
         report
     }
 
-    fn row_pk(t: &Table, i: usize) -> RowKey {
-        match t.columns.iter().position(|c| c.primary_key) {
-            Some(pki) => RowKey::Pk(t.rows[i][pki].clone()),
-            None => RowKey::Position(i),
-        }
+    fn row_pk(t: &Table, i: usize) -> Option<SqlValue> {
+        let pki = t.columns.iter().position(|c| c.primary_key)?;
+        Some(t.rows[i][pki].clone())
     }
 
     /// `SELECT * FROM t WHERE e`: every row, in table order.
@@ -674,7 +672,7 @@ mod reference {
             t.rows[i][col] = value.clone();
             affected += 1;
             let pk = row_pk(t, i);
-            let rekeyed = old_pk.to_string() != pk.to_string();
+            let rekeyed = old_pk.as_ref().map(SqlValue::key) != pk.as_ref().map(SqlValue::key);
             if rekeyed {
                 effects.push(RowEffect::Delete {
                     table: t.name.clone(),
