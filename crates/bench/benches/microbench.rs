@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use edgstr_analysis::{profile_service, InitState, ServerProcess};
 use edgstr_crdt::wire::{put_changes, Count};
-use edgstr_crdt::{ActorId, Cell, Change, Doc, Row, VClock, Value};
+use edgstr_crdt::{ActorId, Cell, Doc, Row, Slot, VClock, Value};
 use edgstr_datalog::{Const, Database, Rule, RuleAtom, Term};
 use edgstr_net::HttpRequest;
 use edgstr_sql::SqlDb;
@@ -35,7 +35,7 @@ fn bench_crdt(c: &mut Criterion) {
         b.iter_batched(
             || (Doc::new(ActorId(2)), changes.clone()),
             |(mut doc, changes)| {
-                doc.apply_changes(changes);
+                doc.apply_changes(&VClock::new(), src.clock(), changes);
                 doc
             },
             BatchSize::SmallInput,
@@ -68,15 +68,15 @@ fn bench_crdt(c: &mut Criterion) {
                 (a, bdoc)
             },
             |(mut a, mut bdoc)| {
-                a.apply_changes(bdoc.get_changes(a.clock()));
-                bdoc.apply_changes(a.get_changes(bdoc.clock()));
+                pull(&mut a, &bdoc);
+                pull(&mut bdoc, &a);
                 (a, bdoc)
             },
             BatchSize::SmallInput,
         )
     });
-    // 256 row upserts retained in the log: handing them to a peer is 256
-    // reference counts, not 256 deep copies
+    // 256 upserted rows: handing them to a peer is 256 reference counts,
+    // not 256 deep copies
     g.bench_function("get_changes_256", |b| {
         let t = upserted_table(256);
         let since = VClock::new();
@@ -92,21 +92,17 @@ fn bench_crdt(c: &mut Criterion) {
             let mut rest = &bytes[..];
             let mut decoded = Vec::with_capacity(64);
             while !rest.is_empty() {
-                let (change, tail) = Change::decode(rest).unwrap();
-                decoded.push(change);
+                let (slot, tail) = Slot::decode(rest).unwrap();
+                decoded.push(slot);
                 rest = tail;
             }
             decoded
         })
     });
-    // the provisioning image of a table of `rows` rows: everything folded
-    // but the last 32 upserts, which travel as the retained tail
+    // the provisioning image of a table of `rows` upserted rows; loading
+    // it rebuilds the dot index
     for rows in [512u32, 4096] {
-        let mut t = upserted_table(rows);
-        let mut folded = VClock::new();
-        folded.observe(ActorId(2), u64::from(rows) - 32);
-        t.compact(&folded);
-        assert_eq!(t.history_len(), 32);
+        let t = upserted_table(rows);
         let image = t.save();
         println!(
             "crdt/image/{rows}: {} B, {} B/row",
@@ -121,7 +117,14 @@ fn bench_crdt(c: &mut Criterion) {
     g.finish();
 }
 
-/// A table whose log holds `n` bookworm-shaped row upserts.
+/// Merge everything `src` has that `dst` has not.
+fn pull(dst: &mut Doc, src: &Doc) {
+    let base = dst.clock().clone();
+    let changes = src.get_changes(&base);
+    dst.apply_changes(&base, src.clock(), changes);
+}
+
+/// A table of `n` bookworm-shaped rows, each upserted once.
 fn upserted_table(n: u32) -> Doc {
     let mut t = Doc::new(ActorId(2));
     let columns: std::sync::Arc<[String]> = ["id", "title", "author", "price", "stock"]
@@ -141,50 +144,38 @@ fn upserted_table(n: u32) -> Doc {
     t
 }
 
-/// A source doc with `n` changes of history whose last 100 form the
-/// delta above `since`, plus a receiver replica that has applied
-/// everything up to `since` (so the delta applies without buffering).
+/// A source doc holding `n` live keys, the last 100 written above
+/// `since`, plus a receiver replica holding everything up to `since`.
 fn delta_fixture(n: u64) -> (Doc, VClock, Doc) {
     let mut src = Doc::new(ActorId(1));
     for i in 0..n - 100 {
-        src.put(&format!("k{}", i % 64), Value::Json(json!(i)));
+        src.put(&format!("k{i}"), Value::Json(json!(i)));
     }
     let mut receiver = Doc::new(ActorId(2));
-    receiver.apply_changes(src.get_changes(&VClock::new()));
+    pull(&mut receiver, &src);
     let since = src.clock().clone();
     for i in 0..100u64 {
-        src.put(&format!("d{}", i % 16), Value::Json(json!(i)));
+        src.put(&format!("d{i}"), Value::Json(json!(i)));
     }
     (src, since, receiver)
 }
 
-/// The replication hot path at growing history sizes: the per-actor
-/// indexed log serves a ≤100-change delta in O(delta), versus the
-/// pre-PR linear scan over the whole retained history (emulated here
-/// over the flattened change log — the same filter the old
-/// `get_changes` ran).
+/// The replication hot path as the state grows: a delta read from the
+/// dot index above `since` costs O(delta) however many keys are live, and
+/// so does merging it.
 fn bench_log_structure(c: &mut Criterion) {
     let mut g = c.benchmark_group("log_structure");
     for n in [1_000u64, 10_000, 100_000] {
         let (src, since, receiver) = delta_fixture(n);
-        let flat = src.get_changes(&VClock::new());
         g.bench_function(&format!("get_changes_indexed/{n}"), |b| {
             b.iter(|| src.get_changes(&since))
-        });
-        g.bench_function(&format!("get_changes_linear_scan/{n}"), |b| {
-            b.iter(|| {
-                flat.iter()
-                    .filter(|ch| ch.seq() > since.get(ch.actor()))
-                    .cloned()
-                    .collect::<Vec<_>>()
-            })
         });
         let delta = src.get_changes(&since);
         g.bench_function(&format!("apply_delta_100/{n}"), |b| {
             b.iter_batched(
                 || (receiver.clone(), delta.clone()),
                 |(mut r, d)| {
-                    r.apply_changes(d);
+                    r.apply_changes(&since, src.clock(), d);
                     r
                 },
                 BatchSize::SmallInput,
@@ -559,7 +550,7 @@ fn bench_sync(c: &mut Criterion) {
                 // unsized batch has to be rebuilt from its parts
                 let mut fresh = changes.clone();
                 for c in fresh.iter_mut() {
-                    *c = Change::new(c.actor(), c.seq(), c.deps().clone(), c.ops().to_vec());
+                    *c = Slot::new(c.key().clone(), c.stamps().to_vec());
                 }
                 fresh
             },
@@ -573,7 +564,7 @@ fn bench_sync(c: &mut Criterion) {
 }
 
 /// The wire length of `changes` as one batch of a sync message.
-fn batch_size(changes: &[Change]) -> usize {
+fn batch_size(changes: &[Slot]) -> usize {
     Count::of(|n| put_changes(n, changes))
 }
 

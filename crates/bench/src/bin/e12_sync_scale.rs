@@ -2,29 +2,26 @@
 //!
 //! The paper's sync daemon ships deltas every interval for the lifetime of
 //! a deployment, so the cost of *computing* a delta must not grow with the
-//! lifetime. This experiment quantifies the two halves of that guarantee:
+//! lifetime or the state. This experiment quantifies the two halves of
+//! that guarantee:
 //!
 //! 1. **Delta-fetch scaling** (part A): `get_changes` against a document
-//!    with 1k/10k/100k changes of history and a ≤100-change delta — the
-//!    per-actor indexed log versus the pre-PR linear scan over the full
-//!    retained history (emulated over the flattened change log, which is
-//!    exactly the filter the old implementation ran).
+//!    holding 1k/10k/100k live keys, 100 of them written above the peer's
+//!    clock — the walk of the per-actor dot index above that clock.
 //! 2. **Steady-state cluster** (part B): one cloud master + 4 edge
-//!    replicas pushing 100k+ mutations through the runtime sync path.
-//!    Per-round sync CPU time, wire bytes, and resident history are
-//!    reported for the indexed + acked-prefix-compacted implementation
-//!    against the pre-PR emulation (linear-scan generate, no compaction).
+//!    replicas pushing 100k+ mutations (upserts and deletes) through the
+//!    runtime sync path. Per-round sync CPU time, wire bytes, and the
+//!    resident tombstones are reported, and every replica must end with
+//!    the master's table and file.
 //!
-//! The two modes exchange byte-identical deltas — this PR changes cost,
-//! not semantics — which the harness asserts. Results land in
-//! `BENCH_sync_scale.json`.
+//! Results land in `BENCH_sync_scale.json`.
 
 use edgstr_analysis::{HandleOutcome, InitState, ServerProcess, StateUnit};
 use edgstr_bench::{print_table, smoke_flag, BenchReport};
 use edgstr_core::CrdtBindings;
 use edgstr_crdt::{ActorId, Doc, VClock, Value};
 use edgstr_net::HttpResponse;
-use edgstr_runtime::{CrdtSet, SetSyncMessage, SyncEndpoint};
+use edgstr_runtime::{CrdtSet, SyncEndpoint};
 use edgstr_sql::{RowEffect, SqlValue};
 use serde_json::json;
 use std::sync::Arc;
@@ -36,52 +33,38 @@ const EDGES: usize = 4;
 const KEYSPACE: usize = 512;
 const DELTA: u64 = 100;
 
-/// Best-of-batches timing for two alternatives. Within a batch the two
-/// sides alternate call by call, each accumulating its own clock, so any
-/// load or frequency drift lands on both sides equally; one warmup batch
-/// is discarded and each side's fastest batch average is reported — a
-/// noise floor rather than a load-sensitive mean.
-fn time_pair_ns<A, B, F: FnMut() -> A, G: FnMut() -> B>(
-    batches: u32,
-    reps: u32,
-    mut f: F,
-    mut g: G,
-) -> (u64, u64) {
-    let mut best_f = u64::MAX;
-    let mut best_g = u64::MAX;
+/// Best-of-batches timing: one warmup batch is discarded and the fastest
+/// batch average is reported — a noise floor rather than a load-sensitive
+/// mean.
+fn time_ns<A, F: FnMut() -> A>(batches: u32, reps: u32, mut f: F) -> u64 {
+    let mut best = u64::MAX;
     for batch in 0..=batches {
-        let mut ns_f = 0u128;
-        let mut ns_g = 0u128;
+        let t = Instant::now();
         for _ in 0..reps {
-            let t = Instant::now();
             std::hint::black_box(f());
-            ns_f += t.elapsed().as_nanos();
-            let t = Instant::now();
-            std::hint::black_box(g());
-            ns_g += t.elapsed().as_nanos();
         }
         if batch > 0 {
-            best_f = best_f.min((ns_f / u128::from(reps.max(1))) as u64);
-            best_g = best_g.min((ns_g / u128::from(reps.max(1))) as u64);
+            let ns = t.elapsed().as_nanos() / u128::from(reps.max(1));
+            best = best.min(ns as u64);
         }
     }
-    (best_f, best_g)
+    best
 }
 
 // ---------------------------------------------------------------------------
 // Part A: delta-fetch scaling
 // ---------------------------------------------------------------------------
 
-/// A doc with `n` changes of history whose last [`DELTA`] sit above
+/// A doc holding `n` live keys, the last [`DELTA`] of them written above
 /// `since`.
 fn delta_fixture(n: u64) -> (Doc, VClock) {
     let mut doc = Doc::new(ActorId(1));
     for i in 0..n - DELTA {
-        doc.put(&format!("k{}", i % 64), Value::Json(json!(i)));
+        doc.put(&format!("k{i}"), Value::Json(json!(i)));
     }
     let since = doc.clock().clone();
     for i in 0..DELTA {
-        doc.put(&format!("d{}", i % 16), Value::Json(json!(i)));
+        doc.put(&format!("d{i}"), Value::Json(json!(i)));
     }
     (doc, since)
 }
@@ -97,50 +80,23 @@ fn part_a(smoke: bool) -> Vec<serde_json::Value> {
     let mut out = Vec::new();
     for &n in sizes {
         let (doc, since) = delta_fixture(n);
-        let flat = doc.get_changes(&VClock::new());
-        assert_eq!(flat.len() as u64, n);
+        assert_eq!(doc.len() as u64, n);
         assert_eq!(doc.get_changes(&since).len() as u64, DELTA);
-        let (indexed_ns, scan_ns) = time_pair_ns(
-            batches,
-            reps,
-            || doc.get_changes(&since),
-            || {
-                flat.iter()
-                    .filter(|ch| ch.seq() > since.get(ch.actor()))
-                    .cloned()
-                    .collect::<Vec<_>>()
-            },
-        );
-        let speedup = scan_ns as f64 / indexed_ns.max(1) as f64;
-        assert!(
-            speedup >= 1.0,
-            "indexed get_changes must not lose to the linear scan at history={n} \
-             (measured {speedup:.2}x)"
-        );
+        let fetch_ns = time_ns(batches, reps, || doc.get_changes(&since));
         rows.push(vec![
             format!("{n}"),
             format!("{DELTA}"),
-            format!("{indexed_ns}"),
-            format!("{scan_ns}"),
-            format!("{speedup:.1}x"),
+            format!("{fetch_ns}"),
         ]);
         out.push(json!({
-            "history": n,
+            "live_keys": n,
             "delta": DELTA,
-            "indexed_ns": indexed_ns,
-            "linear_scan_ns": scan_ns,
-            "speedup": speedup,
+            "fetch_ns": fetch_ns,
         }));
     }
     print_table(
-        "E12a: get_changes at history size N, 100-change delta",
-        &[
-            "history",
-            "delta",
-            "indexed ns",
-            "linear scan ns",
-            "speedup",
-        ],
+        "E12a: get_changes over N live keys, 100-key delta",
+        &["live keys", "delta", "fetch ns"],
         &rows,
     );
     out
@@ -176,29 +132,6 @@ struct EdgeNode {
     to_cloud: SyncEndpoint,
 }
 
-#[derive(Clone, Copy, PartialEq)]
-enum Mode {
-    /// This PR: indexed log + acked-prefix compaction each round.
-    IndexedCompacted,
-    /// Pre-PR emulation: every generate linear-scans the full retained
-    /// history, and nothing is ever compacted.
-    LegacyScan,
-}
-
-/// The pre-PR `generate`: flatten the entire retained history, then
-/// filter by the peer's clock — O(lifetime) per message.
-fn legacy_generate(set: &CrdtSet, peer: &VClock) -> SetSyncMessage {
-    let full = set.get_changes(&VClock::new());
-    SetSyncMessage {
-        sender: set.actor(),
-        ack: set.clock().clone(),
-        changes: full
-            .into_iter()
-            .filter(|c| c.seq() > peer.get(c.actor()))
-            .collect(),
-    }
-}
-
 /// What a request that wrote `row_effects` and `file_writes` hands the
 /// CRDT wiring.
 fn outcome(row_effects: Vec<RowEffect>, file_writes: Vec<(String, Vec<u8>)>) -> HandleOutcome {
@@ -212,17 +145,16 @@ fn outcome(row_effects: Vec<RowEffect>, file_writes: Vec<(String, Vec<u8>)>) -> 
     }
 }
 
-struct ModeStats {
+struct RunStats {
     sync_ns_total: u128,
     wire_bytes: usize,
     peak_history: usize,
     final_history: usize,
     first_decile_round_us: f64,
     last_decile_round_us: f64,
-    final_kv: Vec<(String, Value)>,
 }
 
-fn run_mode(mode: Mode, rounds: usize, per_edge: usize) -> ModeStats {
+fn run(rounds: usize, per_edge: usize) -> RunStats {
     let mut init_server = ServerProcess::from_source(APP).unwrap();
     init_server.init().unwrap();
     init_server.fs.write("/status.txt", b"init".to_vec());
@@ -268,6 +200,15 @@ fn run_mode(mode: Mode, rounds: usize, per_edge: usize) -> ModeStats {
                 edge.set
                     .absorb_outcome(&outcome(vec![upsert], Vec::new()), &edge.server);
             }
+            // and one key deleted: a tombstone until every replica has it
+            let pk = SqlValue::Text(format!("r{}", (next_id + 7 * e) % KEYSPACE));
+            let table = "kv".to_string();
+            let delete = RowEffect::Delete {
+                table,
+                pk: Some(pk),
+            };
+            edge.set
+                .absorb_outcome(&outcome(vec![delete], Vec::new()), &edge.server);
             if round % 10 == 0 {
                 let status = format!("r{round}e{e}").into_bytes();
                 let write = outcome(Vec::new(), vec![("/status.txt".to_string(), status)]);
@@ -277,33 +218,25 @@ fn run_mode(mode: Mode, rounds: usize, per_edge: usize) -> ModeStats {
         // one bidirectional sync round, timed
         let t0 = Instant::now();
         for (i, edge) in edges.iter_mut().enumerate() {
-            let msg = match mode {
-                Mode::IndexedCompacted => edge.to_cloud.generate(&edge.set),
-                Mode::LegacyScan => legacy_generate(&edge.set, &edge.to_cloud.peer_clock),
-            };
+            let msg = edge.to_cloud.generate(&edge.set);
             if !msg.changes.is_empty() {
                 wire_bytes += msg.wire_size();
             }
             cloud_eps[i].receive_owned(&mut cloud_set, &mut cloud_server, msg);
-            let msg = match mode {
-                Mode::IndexedCompacted => cloud_eps[i].generate(&cloud_set),
-                Mode::LegacyScan => legacy_generate(&cloud_set, &cloud_eps[i].peer_clock),
-            };
+            let msg = cloud_eps[i].generate(&cloud_set);
             if !msg.changes.is_empty() {
                 wire_bytes += msg.wire_size();
             }
             edge.to_cloud
                 .receive_owned(&mut edge.set, &mut edge.server, msg);
         }
-        if mode == Mode::IndexedCompacted {
-            let mut frontier = cloud_eps[0].peer_clock.clone();
-            for ep in &cloud_eps[1..] {
-                frontier = frontier.meet(&ep.peer_clock);
-            }
-            cloud_set.compact(&frontier);
-            for edge in edges.iter_mut() {
-                edge.set.compact(&edge.to_cloud.peer_clock);
-            }
+        let mut frontier = cloud_eps[0].peer_clock.clone();
+        for ep in &cloud_eps[1..] {
+            frontier = frontier.meet(&ep.peer_clock);
+        }
+        cloud_set.compact(&frontier);
+        for edge in edges.iter_mut() {
+            edge.set.compact(&edge.to_cloud.peer_clock);
         }
         round_ns.push(t0.elapsed().as_nanos() as u64);
         peak_history = peak_history.max(cloud_set.history_len());
@@ -335,89 +268,51 @@ fn run_mode(mode: Mode, rounds: usize, per_edge: usize) -> ModeStats {
 
     let decile = (round_ns.len() / 10).max(1);
     let mean_us = |s: &[u64]| s.iter().sum::<u64>() as f64 / s.len() as f64 / 1000.0;
-    ModeStats {
+    for edge in &edges {
+        assert_eq!(edge.set.refused(), 0, "every message was read above an ack");
+    }
+    assert_eq!(
+        cloud_set.refused(),
+        0,
+        "every message was read above an ack"
+    );
+    RunStats {
         sync_ns_total: round_ns.iter().map(|n| u128::from(*n)).sum(),
         wire_bytes,
         peak_history,
         final_history: cloud_set.history_len(),
         first_decile_round_us: mean_us(&round_ns[..decile]),
         last_decile_round_us: mean_us(&round_ns[round_ns.len() - decile..]),
-        final_kv,
     }
-}
-
-fn mode_json(label: &str, s: &ModeStats) -> serde_json::Value {
-    json!({
-        "mode": label,
-        "sync_cpu_ms": s.sync_ns_total as f64 / 1e6,
-        "wire_bytes": s.wire_bytes,
-        "peak_resident_history": s.peak_history,
-        "final_resident_history": s.final_history,
-        "first_decile_round_us": s.first_decile_round_us,
-        "last_decile_round_us": s.last_decile_round_us,
-    })
 }
 
 fn main() {
     let smoke = smoke_flag();
     let (rounds, per_edge) = if smoke { (10, 50) } else { (200, 125) };
-    let mutations = rounds * per_edge * EDGES;
+    let mutations = rounds * (per_edge + 1) * EDGES;
 
     let part_a_results = part_a(smoke);
+    let b = run(rounds, per_edge);
 
-    let indexed = run_mode(Mode::IndexedCompacted, rounds, per_edge);
-    let legacy = run_mode(Mode::LegacyScan, rounds, per_edge);
-
-    // same workload, same protocol, same deltas: cost changed, not
-    // semantics
-    assert_eq!(
-        indexed.wire_bytes, legacy.wire_bytes,
-        "both modes must ship byte-identical deltas"
-    );
-    assert_eq!(
-        indexed.final_kv, legacy.final_kv,
-        "both modes must converge to the same table"
-    );
-    assert!(
-        indexed.peak_history * 4 < legacy.peak_history,
-        "compaction must bound resident history: {} vs {}",
-        indexed.peak_history,
-        legacy.peak_history
-    );
-
-    let rows = vec![
-        vec![
-            "indexed+compacted".to_string(),
-            format!("{mutations}"),
-            format!("{:.1}", indexed.sync_ns_total as f64 / 1e6),
-            format!("{:.0}", indexed.first_decile_round_us),
-            format!("{:.0}", indexed.last_decile_round_us),
-            format!("{}", indexed.wire_bytes / 1024),
-            format!("{}", indexed.peak_history),
-            format!("{}", indexed.final_history),
-        ],
-        vec![
-            "pre-PR (scan, no compaction)".to_string(),
-            format!("{mutations}"),
-            format!("{:.1}", legacy.sync_ns_total as f64 / 1e6),
-            format!("{:.0}", legacy.first_decile_round_us),
-            format!("{:.0}", legacy.last_decile_round_us),
-            format!("{}", legacy.wire_bytes / 1024),
-            format!("{}", legacy.peak_history),
-            format!("{}", legacy.final_history),
-        ],
-    ];
+    let rows = vec![vec![
+        format!("{mutations}"),
+        format!("{:.1}", b.sync_ns_total as f64 / 1e6),
+        format!("{:.0}", b.first_decile_round_us),
+        format!("{:.0}", b.last_decile_round_us),
+        format!("{}", b.wire_bytes / 1024),
+        format!("{}", b.peak_history),
+        format!("{}", b.final_history),
+    ]];
     print_table(
         &format!("E12b: steady-state sync, 1 cloud + {EDGES} edges, {mutations} mutations"),
         &[
-            "mode",
             "mutations",
             "sync cpu ms",
             "round us (first 10%)",
             "round us (last 10%)",
             "wire KB",
-            "peak resident",
-            "final resident",
+            "peak tombstones",
+            "final tombstones",
         ],
         &rows,
     );
@@ -431,22 +326,22 @@ fn main() {
             "rounds": rounds,
             "mutations": mutations,
             "keyspace": KEYSPACE,
-            "modes": [
-                mode_json("indexed_compacted", &indexed),
-                mode_json("pre_pr_emulation", &legacy),
-            ],
+            "sync_cpu_ms": b.sync_ns_total as f64 / 1e6,
+            "wire_bytes": b.wire_bytes,
+            "peak_resident_tombstones": b.peak_history,
+            "final_resident_tombstones": b.final_history,
+            "first_decile_round_us": b.first_decile_round_us,
+            "last_decile_round_us": b.last_decile_round_us,
         }),
     );
     report.write("BENCH_sync_scale.json");
 
     println!(
-        "\nThe per-actor indexed log makes each delta fetch O(delta): per-round\n\
-         sync time stays flat as history grows, where the pre-PR linear scan\n\
-         climbs with every mutation ever applied. Acked-prefix compaction\n\
-         folds the fully-acknowledged prefix into the snapshot each round, so\n\
-         resident history tracks the sync lag instead of the deployment\n\
-         lifetime. Both modes ship byte-identical deltas and converge to the\n\
-         same state — the PR changes cost, not semantics.\n\
+        "\nEach delta is read from the state: the per-actor dot index is walked\n\
+         above the peer's clock, so a delta fetch costs O(delta) however many\n\
+         keys are live, and per-round sync time stays flat as the deployment\n\
+         ages. What compaction keeps bounded is the tombstones of deletes no\n\
+         replica still needs; every replica ends with the master's state.\n\
          Results written to BENCH_sync_scale.json."
     );
 }

@@ -1,7 +1,8 @@
-//! Operations and changes — the replication units exchanged between the
+//! Changes as they travel: what one key holds — the replication unit
+//! `get_changes` returns and `apply_changes` merges — exchanged between the
 //! cloud master and edge replicas.
 
-use crate::doc::CrdtError;
+use crate::doc::{CrdtError, GENESIS_ACTOR};
 use crate::ids::{ActorId, OpId, VClock};
 use crate::table::{KeyTable, KeysRead, Row};
 use crate::wire::{
@@ -47,65 +48,198 @@ impl Value {
     }
 }
 
-/// A single CRDT operation on one key of a [`crate::Doc`].
-///
-/// Keys are shared: the change that carries a key and the register it
-/// lands in hold one `Arc<str>`, so applying an op copies a reference
-/// count, not the key.
-///
-/// `pred` lists the op ids this operation supersedes (the values visible to
-/// the writer at generation time); apply removes exactly those, so
-/// concurrent puts survive as multi-values resolved by op-id order, and
-/// concurrent puts survive deletes (add-wins).
+/// One write a slot still holds: its op id, which orders concurrent
+/// values (last-writer-wins), the seq of the write among its actor's, and
+/// what it put — `None` for a delete (a tombstone). The write's *dot* is
+/// `(id.actor, seq)`: a clock that covers the dot has seen the write.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Op {
-    /// Write `value` at `key`.
-    Put {
-        id: OpId,
-        key: Arc<str>,
-        value: Value,
-        pred: Vec<OpId>,
-    },
-    /// Delete what `key` held as of `pred`.
-    Del {
-        id: OpId,
-        key: Arc<str>,
-        pred: Vec<OpId>,
-    },
+pub struct Stamp {
+    pub id: OpId,
+    pub seq: u64,
+    pub value: Option<Value>,
 }
 
-impl Op {
-    /// The id of this operation.
-    pub fn id(&self) -> OpId {
-        match self {
-            Op::Put { id, .. } | Op::Del { id, .. } => *id,
+impl Stamp {
+    /// Whether `clock` has seen the write.
+    pub(crate) fn covered_by(&self, clock: &VClock) -> bool {
+        clock.get(self.id.actor) >= self.seq
+    }
+
+    /// Whether every replica holds the write from the shared snapshot: a
+    /// genesis dot is never indexed, so it never travels.
+    pub(crate) fn is_genesis(&self) -> bool {
+        self.id.actor == GENESIS_ACTOR
+    }
+}
+
+/// A key's slot: the values not superseded and the deletes not yet
+/// compacted, ascending by op id.
+///
+/// A `Slot` is a handle on one shared, immutable record: the register that
+/// holds it, every message that carries it and every relay hold the same
+/// allocation, and `clone` is a reference count. The record remembers its
+/// encoded length ([`Slot::wire_size`]), so a slot is sized once however
+/// many hops account for it.
+#[derive(Debug, Clone)]
+pub struct Slot(Arc<Record>);
+
+#[derive(Debug)]
+struct Record {
+    key: Arc<str>,
+    stamps: Stamps,
+    /// Encoded length, filled by the first `wire_size` call or by
+    /// `decode`. Derived from the fields above, so equality ignores it.
+    size: OnceLock<usize>,
+}
+
+/// A key holds one write at a time unless writes to it were concurrent,
+/// so one is kept inline.
+#[derive(Debug)]
+enum Stamps {
+    One(Stamp),
+    Many(Vec<Stamp>),
+}
+
+impl PartialEq for Slot {
+    fn eq(&self, other: &Slot) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+            || (self.0.key == other.0.key && self.stamps() == other.stamps())
+    }
+}
+
+impl Slot {
+    /// The slot of `key` holding `stamps`, which it orders by op id.
+    ///
+    /// # Panics
+    ///
+    /// When `stamps` is empty: a key that holds nothing has no slot.
+    pub fn new(key: Arc<str>, mut stamps: Vec<Stamp>) -> Slot {
+        assert!(!stamps.is_empty(), "a slot holds a write");
+        stamps.sort_by_key(|s| s.id);
+        let stamps = match stamps.len() {
+            1 => Stamps::One(stamps.remove(0)),
+            _ => Stamps::Many(stamps),
+        };
+        Slot::of(key, stamps, OnceLock::new())
+    }
+
+    /// The slot of `key` holding one write: what a local write leaves.
+    pub(crate) fn one(key: Arc<str>, stamp: Stamp) -> Slot {
+        Slot::of(key, Stamps::One(stamp), OnceLock::new())
+    }
+
+    fn of(key: Arc<str>, stamps: Stamps, size: OnceLock<usize>) -> Slot {
+        Slot(Arc::new(Record { key, stamps, size }))
+    }
+
+    /// The key this slot belongs to.
+    pub fn key(&self) -> &Arc<str> {
+        &self.0.key
+    }
+
+    /// The writes held, ascending by op id.
+    pub fn stamps(&self) -> &[Stamp] {
+        match &self.0.stamps {
+            Stamps::One(stamp) => std::slice::from_ref(stamp),
+            Stamps::Many(stamps) => stamps,
         }
     }
 
-    /// The key this operation writes.
-    pub fn key(&self) -> &Arc<str> {
-        match self {
-            Op::Put { key, .. } | Op::Del { key, .. } => key,
-        }
+    /// The value a read sees: of the values held, the one with the
+    /// greatest op id.
+    pub(crate) fn value(&self) -> Option<&Value> {
+        self.stamps().iter().rev().find_map(|s| s.value.as_ref())
+    }
+
+    /// Whether the two handles are one record.
+    #[cfg(test)]
+    pub(crate) fn same_record(&self, other: &Slot) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+
+    /// The smallest indexed dot, in `(actor, seq)` order, that `since` does
+    /// not cover: where a walk of the dot index above `since` meets this
+    /// slot first.
+    pub(crate) fn first_dot_above(&self, since: &VClock) -> Option<(ActorId, u64)> {
+        let stamps = self.stamps().iter();
+        let above = stamps.filter(|s| !s.is_genesis() && !s.covered_by(since));
+        above.map(|s| (s.id.actor, s.seq)).min()
+    }
+
+    /// The key, the key table of the rows the slot holds, a stamp count,
+    /// then the stamps: a record that names everything it refers to, so it
+    /// reads the same in any message.
+    pub(crate) fn write<S: Sink>(&self, out: &mut S) {
+        put_str(out, &self.0.key);
+        let rows = self
+            .stamps()
+            .iter()
+            .filter_map(|s| s.value.as_ref()?.as_row());
+        let mut keys = KeyTable::of(rows);
+        keys.write(out);
+        write_stamps(out, self.stamps(), &mut keys);
+    }
+
+    /// Append this slot's wire encoding to `out`.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        self.write(out);
+    }
+
+    /// Read one slot from the front of `bytes`; returns it with the bytes
+    /// that follow. The slot remembers the length it was read from, so
+    /// relaying it costs no second walk.
+    ///
+    /// # Errors
+    ///
+    /// [`CrdtError::CorruptChange`] on truncated, over-long, non-canonical
+    /// or otherwise malformed input. Never panics, and never reserves
+    /// room for more stamps or values than `bytes` could encode: what
+    /// decoding allocates is linear in `bytes.len()`.
+    pub fn decode(bytes: &[u8]) -> Result<(Slot, &[u8]), CrdtError> {
+        let mut r = Reader::new(bytes);
+        let slot = Slot::read(&mut r)?;
+        Ok((slot, r.rest()))
+    }
+
+    /// [`Slot::decode`] at a reader's position.
+    pub(crate) fn read(r: &mut Reader<'_>) -> Result<Slot, CrdtError> {
+        let before = r.rest().len();
+        let key = Arc::from(r.str()?);
+        let mut keys = KeysRead::read(r)?;
+        let stamps = read_stamps(r, &mut keys)?;
+        keys.end()?;
+        Ok(Slot::of(
+            key,
+            stamps,
+            OnceLock::from(before - r.rest().len()),
+        ))
+    }
+
+    /// Encoded size in bytes — the WAN traffic cost of shipping this
+    /// slot, used for the synchronization-overhead experiments (Fig. 10a),
+    /// and the state footprint of the key it holds. Exactly `encode`'s
+    /// length; worked out on first use and remembered by the shared
+    /// record, so sender, receiver and every relay size a slot once
+    /// between them.
+    pub fn wire_size(&self) -> usize {
+        *self.0.size.get_or_init(|| Count::of(|n| self.write(n)))
     }
 }
 
 // ---- binary layout -------------------------------------------------------
 //
 // One tag byte per variant; see `crate::wire` for the primitives and
-// DESIGN.md "Sync wire format" for the table. Op tags 0, 1 and 4-7 are
-// retired (an earlier layout's map, list and counter ops): they read as
-// unknown and are not to be reused.
+// DESIGN.md "Sync wire format" for the table.
 
 const VALUE_ROW: u8 = 0;
 const VALUE_FILE: u8 = 1;
 const VALUE_JSON: u8 = 2;
-const OP_PUT: u8 = 2;
-const OP_DEL: u8 = 3;
+/// A delete: a stamp that holds no value.
+const TOMBSTONE: u8 = 3;
 
 impl Value {
     /// A tag, then a row (by `keys`), a file's bytes or a JSON scalar.
-    pub(crate) fn write<S: Sink>(&self, out: &mut S, keys: &KeyTable<'_>) {
+    pub(crate) fn write<'a, S: Sink>(&'a self, out: &mut S, keys: &mut KeyTable<'a>) {
         match self {
             Value::Row(row) => {
                 out.put(&[VALUE_ROW]);
@@ -121,257 +255,107 @@ impl Value {
             }
         }
     }
+}
 
-    pub(crate) fn read(r: &mut Reader<'_>, keys: &mut KeysRead) -> Result<Value, CrdtError> {
-        match r.byte()? {
-            VALUE_ROW => Ok(Value::Row(keys.read_row(r)?)),
-            VALUE_FILE => Ok(Value::File(r.bytes()?.into())),
-            VALUE_JSON => Ok(Value::Json(r.scalar()?)),
-            _ => Err(corrupt("unknown value tag")),
+/// A stamp count, then per stamp its op id, its seq and its value (or the
+/// tombstone tag), the rows under `keys`.
+pub(crate) fn write_stamps<'a, S: Sink>(out: &mut S, stamps: &'a [Stamp], keys: &mut KeyTable<'a>) {
+    put_varint(out, stamps.len() as u64);
+    for stamp in stamps {
+        put_op_id(out, stamp.id);
+        put_varint(out, stamp.seq);
+        match &stamp.value {
+            Some(value) => value.write(out, keys),
+            None => out.put(&[TOMBSTONE]),
         }
     }
 }
 
-fn write_pred<S: Sink>(out: &mut S, pred: &[OpId]) {
-    put_varint(out, pred.len() as u64);
-    for id in pred {
-        put_op_id(out, *id);
+/// What [`write_stamps`] wrote: at least one stamp, op ids strictly
+/// ascending, every seq at least 1.
+fn read_stamps(r: &mut Reader<'_>, keys: &mut KeysRead) -> Result<Stamps, CrdtError> {
+    // an op id, a seq and a tag at the least
+    let n = r.count(4)?;
+    if n == 0 {
+        return Err(corrupt("a key holds no write"));
     }
-}
-
-fn read_pred(r: &mut Reader<'_>) -> Result<Vec<OpId>, CrdtError> {
-    let n = r.count(2)?; // an op id is two varints
-    let mut pred = Vec::with_capacity(n);
+    let mut stamps = Vec::with_capacity(n);
+    let mut last = None;
     for _ in 0..n {
-        pred.push(r.op_id()?);
-    }
-    Ok(pred)
-}
-
-impl Op {
-    /// Tag byte, the op's id and key, a put's value, then `pred`.
-    fn write<S: Sink>(&self, out: &mut S, keys: &KeyTable<'_>) {
-        match self {
-            Op::Put {
-                id,
-                key,
-                value,
-                pred,
-            } => {
-                out.put(&[OP_PUT]);
-                put_op_id(out, *id);
-                put_str(out, key);
-                value.write(out, keys);
-                write_pred(out, pred);
-            }
-            Op::Del { id, key, pred } => {
-                out.put(&[OP_DEL]);
-                put_op_id(out, *id);
-                put_str(out, key);
-                write_pred(out, pred);
-            }
-        }
-    }
-
-    fn read(r: &mut Reader<'_>, keys: &mut KeysRead) -> Result<Op, CrdtError> {
-        let tag = r.byte()?;
-        if tag != OP_PUT && tag != OP_DEL {
-            return Err(corrupt("unknown op tag"));
-        }
         let id = r.op_id()?;
-        let key = r.str()?.into();
-        Ok(match tag {
-            OP_PUT => Op::Put {
-                id,
-                key,
-                value: Value::read(r, keys)?,
-                pred: read_pred(r)?,
-            },
-            _ => Op::Del {
-                id,
-                key,
-                pred: read_pred(r)?,
-            },
-        })
-    }
-}
-
-/// A batch of operations from one actor: the unit returned by
-/// `get_changes` and consumed by `apply_changes` (§III-G.1).
-///
-/// A `Change` is a handle on one shared, immutable record: the log that
-/// retains it, every message that carries it, the relay to the other
-/// edges and the standby link all hold the same allocation, and `clone`
-/// is a reference count. The record remembers its encoded length
-/// ([`Change::wire_size`]), so a change is sized once however many hops
-/// account for it.
-#[derive(Debug, Clone)]
-pub struct Change(Arc<Record>);
-
-#[derive(Debug)]
-struct Record {
-    actor: ActorId,
-    seq: u64,
-    deps: VClock,
-    ops: Vec<Op>,
-    /// Encoded length, filled by the first `wire_size` call or by
-    /// `decode`. Derived from the four fields above, so equality ignores
-    /// it.
-    size: OnceLock<usize>,
-}
-
-impl PartialEq for Change {
-    fn eq(&self, other: &Change) -> bool {
-        let (a, b) = (&*self.0, &*other.0);
-        Arc::ptr_eq(&self.0, &other.0)
-            || (a.actor == b.actor && a.seq == b.seq && a.deps == b.deps && a.ops == b.ops)
-    }
-}
-
-impl Change {
-    /// A change by `actor` with per-actor sequence number `seq` (starting
-    /// at 1, gapless), causal dependencies `deps` (the generating replica's
-    /// clock *before* this change) and `ops` in generation order.
-    pub fn new(actor: ActorId, seq: u64, deps: VClock, ops: Vec<Op>) -> Change {
-        Change(Arc::new(Record {
-            actor,
-            seq,
-            deps,
-            ops,
-            size: OnceLock::new(),
-        }))
-    }
-
-    /// The replica that generated this change.
-    pub fn actor(&self) -> ActorId {
-        self.0.actor
-    }
-
-    /// Per-actor sequence number, starting at 1, gapless.
-    pub fn seq(&self) -> u64 {
-        self.0.seq
-    }
-
-    /// Causal dependencies: the generating replica's clock before this
-    /// change (not counting the change itself).
-    pub fn deps(&self) -> &VClock {
-        &self.0.deps
-    }
-
-    /// The operations, in generation order.
-    pub fn ops(&self) -> &[Op] {
-        &self.0.ops
-    }
-
-    /// `actor`, `seq`, `deps`, the key table of the rows the ops put, an
-    /// op count, then the ops: a record that names everything it refers
-    /// to, so it reads the same in any batch.
-    pub(crate) fn write<S: Sink>(&self, out: &mut S) {
-        put_varint(out, self.actor().0);
-        put_varint(out, self.seq());
-        self.deps().write(out);
-        let rows = self.ops().iter().filter_map(|op| match op {
-            Op::Put { value, .. } => value.as_row(),
-            Op::Del { .. } => None,
-        });
-        let keys = KeyTable::of(rows);
-        keys.write(out);
-        put_varint(out, self.ops().len() as u64);
-        for op in self.ops() {
-            op.write(out, &keys);
-        }
-    }
-
-    /// Append this change's wire encoding to `out`.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        self.write(out);
-    }
-
-    /// Read one change from the front of `bytes`; returns it with the
-    /// bytes that follow. The change remembers the length it was read
-    /// from, so relaying it costs no second walk.
-    ///
-    /// # Errors
-    ///
-    /// [`CrdtError::CorruptChange`] on truncated, over-long, non-canonical
-    /// or otherwise malformed input. Never panics, and never reserves
-    /// room for more ops, ids or values than `bytes` could encode: what
-    /// decoding allocates is linear in `bytes.len()`.
-    pub fn decode(bytes: &[u8]) -> Result<(Change, &[u8]), CrdtError> {
-        let mut r = Reader::new(bytes);
-        let change = Change::read(&mut r)?;
-        Ok((change, r.rest()))
-    }
-
-    /// [`Change::decode`] at a reader's position.
-    pub(crate) fn read(r: &mut Reader<'_>) -> Result<Change, CrdtError> {
-        let before = r.rest().len();
-        let actor = ActorId(r.varint()?);
+        crate::wire::ascending(&mut last, id)?;
         let seq = r.varint()?;
-        let deps = VClock::read(r)?;
-        let mut keys = KeysRead::read(r)?;
-        let n = r.count(5)?; // a tag, an id, a key and a pred count at the least
-        let mut ops = Vec::with_capacity(n);
-        for _ in 0..n {
-            ops.push(Op::read(r, &mut keys)?);
+        if seq == 0 {
+            return Err(corrupt("a write has no seq"));
         }
-        keys.end()?;
-        Ok(Change(Arc::new(Record {
-            actor,
-            seq,
-            deps,
-            ops,
-            size: OnceLock::from(before - r.rest().len()),
-        })))
+        let value = match r.byte()? {
+            VALUE_ROW => Some(Value::Row(keys.read_row(r)?)),
+            VALUE_FILE => Some(Value::File(r.bytes()?.into())),
+            VALUE_JSON => Some(Value::Json(r.scalar()?)),
+            TOMBSTONE => None,
+            _ => return Err(corrupt("unknown value tag")),
+        };
+        stamps.push(Stamp { id, seq, value });
     }
+    Ok(match stamps.len() {
+        1 => Stamps::One(stamps.remove(0)),
+        _ => Stamps::Many(stamps),
+    })
+}
 
-    /// Encoded size in bytes — the WAN traffic cost of shipping this
-    /// change, used for the synchronization-overhead experiments (Fig. 10a).
-    /// Exactly `encode`'s length; worked out on first use and remembered
-    /// by the shared record, so sender, receiver and every relay size a
-    /// change once between them.
-    pub fn wire_size(&self) -> usize {
-        *self.0.size.get_or_init(|| Count::of(|n| self.write(n)))
-    }
+/// A key and its stamps as an image holds them: the rows under the
+/// image's key table, so the slot is sized afresh when it is first sent.
+pub(crate) fn read_image_slot(
+    r: &mut Reader<'_>,
+    key: Arc<str>,
+    keys: &mut KeysRead,
+) -> Result<Slot, CrdtError> {
+    Ok(Slot::of(key, read_stamps(r, keys)?, OnceLock::new()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn op() -> Op {
-        Op::Put {
-            id: OpId::new(1, ActorId(1)),
-            key: "k".into(),
-            value: Value::Json(Json::from(42)),
-            pred: vec![],
-        }
+    fn slot() -> Slot {
+        let stamp = |counter, value: Option<Value>| Stamp {
+            id: OpId::new(counter, ActorId(1)),
+            seq: counter,
+            value,
+        };
+        Slot::new(
+            "k".into(),
+            vec![stamp(2, None), stamp(1, Some(Value::Json(Json::from(42))))],
+        )
     }
 
     #[test]
     fn change_wire_round_trip_remembers_its_length() {
-        let c = Change::new(ActorId(1), 1, VClock::new(), vec![op(); 3]);
+        let s = slot();
         let mut bytes = vec![];
-        c.encode(&mut bytes);
+        s.encode(&mut bytes);
         bytes.push(0xAA); // whatever follows is handed back untouched
-        let (back, rest) = Change::decode(&bytes).unwrap();
-        assert_eq!(back, c);
+        let (back, rest) = Slot::decode(&bytes).unwrap();
+        assert_eq!(back, s);
         assert_eq!(rest, [0xAA]);
         assert_eq!(back.0.size.get(), Some(&(bytes.len() - 1)));
-        assert_eq!(c.wire_size(), bytes.len() - 1);
+        assert_eq!(s.wire_size(), bytes.len() - 1);
+        // stamps are held by op id, and a delete is no value
+        assert_eq!(s.stamps()[0].id.counter, 1);
+        assert_eq!(s.value(), Some(&Value::Json(Json::from(42))));
     }
 
     #[test]
     fn wire_size_is_computed_once_and_shared_by_clones() {
-        let c = Change::new(ActorId(1), 1, VClock::new(), vec![op()]);
-        let early = c.clone();
-        assert_eq!(c.0.size.get(), None, "not sized until asked");
-        let size = c.wire_size();
+        let s = slot();
+        let early = s.clone();
+        assert_eq!(s.0.size.get(), None, "not sized until asked");
+        let size = s.wire_size();
         assert!(size > 0);
         // one record: a handle taken before sizing sees the number too
-        assert!(Arc::ptr_eq(&c.0, &early.0));
+        assert!(s.same_record(&early));
         assert_eq!(early.0.size.get(), Some(&size));
-        // sized and unsized values are the same change
-        assert_eq!(c, Change::new(ActorId(1), 1, VClock::new(), vec![op()]));
+        // sized and unsized values are the same slot
+        assert_eq!(s, slot());
     }
 }

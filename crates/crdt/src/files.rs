@@ -10,7 +10,9 @@ mod tests {
     }
 
     fn pull(dst: &mut Doc, src: &Doc) {
-        dst.apply_changes(src.get_changes(dst.clock()));
+        let base = dst.clock().clone();
+        let changes = src.get_changes(&base);
+        dst.apply_changes(&base, src.clock(), changes).unwrap();
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! from-scratch implementation of that substrate, in which all three are
 //! one type:
 //!
-//! - [`Doc`] — a replicated map of key → register, exchanging [`Change`]
-//!   batches. A register holds one whole [`Value`]: a row of typed
+//! - [`Doc`] — a replicated map of key → register, exchanging the
+//!   [`Slot`]s of the keys a peer has not seen. A register holds one whole
+//!   [`Value`]: a row of typed
 //!   [`Cell`]s keyed by primary key (`CRDT-Table`, see [`table`]), a
 //!   file's bytes keyed by path (`CRDT-Files`), or a global's JSON keyed
 //!   by name (`CRDT-JSON`). Concurrent puts of a key resolve by op id; a
@@ -29,15 +30,15 @@
 //! `cloud_state` / `edge_state` exchange — is `SyncEndpoint` in
 //! `edgstr-runtime`.
 //!
-//! The replication hot path is O(delta), not O(lifetime): history is a
-//! per-actor indexed log ([`Doc::get_changes`] slices each actor's
-//! seq-contiguous run) and acked prefixes can be folded into the snapshot
-//! with [`Doc::compact`], keeping resident history bounded under
-//! steady-state sync. The safe frontier is the pointwise minimum
-//! ([`VClock::meet`]) of peer ack clocks.
+//! The replication hot path is O(delta), not O(lifetime), and there is no
+//! history: every value carries the dot of the write that made it, and a
+//! per-actor index from seq to key lets [`Doc::get_changes`] read the
+//! delta from the state itself. What is left to compact is the tombstone
+//! of each delete, dropped by [`Doc::compact`] once the safe frontier —
+//! the pointwise minimum ([`VClock::meet`]) of peer ack clocks — covers it.
 //!
-//! Replicas that apply the same set of changes read identical values
-//! (strong eventual consistency; `tests/convergence.rs`).
+//! Replicas that have seen the same writes read identical values (strong
+//! eventual consistency; `tests/convergence.rs`).
 //!
 //! ## Example
 //!
@@ -54,11 +55,13 @@
 //! cloud.put("region", Value::Json(json!("us-east")));
 //! edge.put("hits", Value::Json(json!(1)));
 //!
-//! // background sync in both directions
-//! let to_edge = cloud.get_changes(edge.clock());
-//! let to_cloud = edge.get_changes(cloud.clock());
-//! edge.apply_changes(to_edge);
-//! cloud.apply_changes(to_cloud);
+//! // background sync in both directions: each side reads the delta above
+//! // the other's clock, and the other merges it under the sender's clock
+//! let (cloud_at, edge_at) = (cloud.clock().clone(), edge.clock().clone());
+//! let to_edge = cloud.get_changes(&edge_at);
+//! let to_cloud = edge.get_changes(&cloud_at);
+//! edge.apply_changes(&edge_at, &cloud_at, to_edge);
+//! cloud.apply_changes(&cloud_at, &edge_at, to_cloud);
 //!
 //! assert!(cloud.entries().eq(edge.entries()));
 //! assert_eq!(cloud.get("hits"), Some(&Value::Json(json!(1))));
@@ -70,7 +73,7 @@ pub mod ids;
 pub mod table;
 pub mod wire;
 
-pub use change::{Change, Op, Value};
+pub use change::{Slot, Stamp, Value};
 pub use doc::{CrdtError, Doc, GENESIS_ACTOR};
 pub use ids::{ActorId, OpId, VClock};
 pub use table::{Cell, Row};

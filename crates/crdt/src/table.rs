@@ -149,10 +149,13 @@ impl<'a> KeyTable<'a> {
     }
 
     /// The row's list position, then its cells, as many as the list names.
-    pub(crate) fn write_row<S: Sink>(&self, out: &mut S, row: &Row) {
-        let at = self
-            .find(&row.columns)
-            .expect("the table holds every row's columns");
+    /// A list the table does not hold yet is added to it: written in one
+    /// walk, a table comes out as [`KeyTable::of`] builds it.
+    pub(crate) fn write_row<S: Sink>(&mut self, out: &mut S, row: &'a Row) {
+        let at = self.find(&row.columns).unwrap_or_else(|| {
+            self.0.push(&row.columns);
+            self.0.len() - 1
+        });
         put_varint(out, at as u64);
         for cell in row.cells.iter() {
             cell.write(out);
@@ -237,7 +240,9 @@ mod tests {
     }
 
     fn pull(dst: &mut Doc, src: &Doc) {
-        dst.apply_changes(src.get_changes(dst.clock()));
+        let base = dst.clock().clone();
+        let changes = src.get_changes(&base);
+        dst.apply_changes(&base, src.clock(), changes).unwrap();
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! Every replicated type describes its layout once, as a `write` into a
 //! [`Sink`]. Written into a `Vec<u8>` that is the encoding; written into a
 //! [`Count`] it is the encoding's length, so a `wire_size` can never drift
-//! from the bytes it accounts for. A [`Change`] is the one exception to
+//! from the bytes it accounts for. A [`Slot`] is the one exception to
 //! "walk it again": it remembers its own encoded length, and a `Count`
-//! adds that number instead of re-walking the change.
+//! adds that number instead of re-walking the slot.
 //!
 //! Layout primitives (DESIGN.md "Sync wire format" has the full table):
 //! unsigned integers are LEB128 varints in their shortest form, signed
@@ -15,16 +15,16 @@
 //! UTF-8, sequences are a varint count plus the elements, and a JSON
 //! scalar is one tag byte plus its payload.
 //!
-//! The reading side ([`Reader`], under [`Change::decode`] and
+//! The reading side ([`Reader`], under [`Slot::decode`] and
 //! [`crate::Doc::load`]) treats its input as hostile: every length and
 //! count is checked against the bytes that remain before anything is sized
 //! by it (so what decoding allocates is linear in the input's length), a
 //! varint longer than ten bytes or with a padded tail is rejected, and
 //! nesting is bounded. Only canonical encodings decode, so
-//! `encode(decode(bytes)) == bytes` and a decoded change may remember the
+//! `encode(decode(bytes)) == bytes` and a decoded slot may remember the
 //! number of bytes it was read from as its size.
 
-use crate::change::Change;
+use crate::change::Slot;
 use crate::doc::CrdtError;
 use crate::ids::{ActorId, OpId, VClock};
 use serde_json::{Map, Number, Value as Json};
@@ -33,8 +33,8 @@ use serde_json::{Map, Number, Value as Json};
 pub trait Sink {
     /// Append raw bytes.
     fn put(&mut self, bytes: &[u8]);
-    /// Append one encoded change.
-    fn put_change(&mut self, change: &Change);
+    /// Append one encoded slot.
+    fn put_change(&mut self, slot: &Slot);
 }
 
 impl Sink for Vec<u8> {
@@ -42,8 +42,8 @@ impl Sink for Vec<u8> {
         self.extend_from_slice(bytes);
     }
 
-    fn put_change(&mut self, change: &Change) {
-        change.write(self);
+    fn put_change(&mut self, slot: &Slot) {
+        slot.write(self);
     }
 }
 
@@ -65,8 +65,8 @@ impl Sink for Count {
         self.0 += bytes.len();
     }
 
-    fn put_change(&mut self, change: &Change) {
-        self.0 += change.wire_size();
+    fn put_change(&mut self, slot: &Slot) {
+        self.0 += slot.wire_size();
     }
 }
 
@@ -95,11 +95,11 @@ pub fn put_bytes<S: Sink>(out: &mut S, bytes: &[u8]) {
     out.put(bytes);
 }
 
-/// A varint count, then each change.
-pub fn put_changes<S: Sink>(out: &mut S, changes: &[Change]) {
+/// A varint count, then each slot.
+pub fn put_changes<S: Sink>(out: &mut S, changes: &[Slot]) {
     put_varint(out, changes.len() as u64);
-    for c in changes {
-        out.put_change(c);
+    for slot in changes {
+        out.put_change(slot);
     }
 }
 
@@ -321,21 +321,6 @@ impl<'a> Reader<'a> {
     /// that are not UTF-8.
     pub fn str(&mut self) -> Result<&'a str, CrdtError> {
         std::str::from_utf8(self.bytes()?).map_err(|_| corrupt("string is not UTF-8"))
-    }
-
-    /// A batch written by [`put_changes`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`Change::decode`].
-    pub(crate) fn changes(&mut self) -> Result<Vec<Change>, CrdtError> {
-        // a change is an actor, a seq and two counts at the least
-        let n = self.count(4)?;
-        let mut changes = Vec::with_capacity(n);
-        for _ in 0..n {
-            changes.push(Change::read(self)?);
-        }
-        Ok(changes)
     }
 
     pub(crate) fn op_id(&mut self) -> Result<OpId, CrdtError> {

@@ -1,16 +1,15 @@
-//! The wire and image codec: every change survives `encode` → `decode`
-//! bit for bit, `wire_size` is the encoded length (and travels with
-//! clones without entering equality), and `decode` treats its input as
-//! hostile — arbitrary bytes and truncated encodings are a
+//! The wire and image codec: every slot survives `encode` → `decode` bit
+//! for bit, `wire_size` is the encoded length (and travels with clones
+//! without entering equality), and `decode` treats its input as hostile —
+//! arbitrary bytes and truncated encodings are a
 //! `CrdtError::CorruptChange`, never a panic and never a collection sized
-//! for more elements than the input could encode. Op tags no op has any
-//! more (0, 1 and 4-7, once map, list and counter ops) and images of an
-//! earlier layout version are hostile input too. A save image is held to
-//! the same: `load(save(d))` is `d`, `save(load(b))` is `b`, and every
-//! other `b` is a typed error.
+//! for more elements than the input could encode. Images of an earlier
+//! layout version are hostile input too. A save image is held to the same:
+//! `load(save(d))` is `d`, `save(load(b))` is `b`, and every other `b` is a
+//! typed error.
 
 use edgstr_crdt::wire::MAX_DEPTH;
-use edgstr_crdt::{ActorId, Cell, Change, CrdtError, Doc, Op, OpId, Row, VClock, Value};
+use edgstr_crdt::{ActorId, Cell, CrdtError, Doc, OpId, Row, Slot, Stamp, VClock, Value};
 use edgstr_runtime::SetSyncMessage;
 use proptest::prelude::*;
 use serde_json::{json, Value as Json};
@@ -104,11 +103,7 @@ fn scalar() -> impl Strategy<Value = Json> {
     })
 }
 
-fn preds() -> impl Strategy<Value = Vec<OpId>> {
-    prop::collection::vec(op_id(), 0..4)
-}
-
-/// Column lists: a few shared ones, so a change's rows share key-table
+/// Column lists: a few shared ones, so a slot's rows share key-table
 /// entries, and arbitrary ones.
 fn columns() -> impl Strategy<Value = Vec<String>> {
     prop_oneof![
@@ -148,20 +143,22 @@ fn value() -> impl Strategy<Value = Value> {
     ]
 }
 
-fn op() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (op_id(), text(), value(), preds()).prop_map(|(id, key, value, pred)| Op::Put {
-            id,
-            key: key.into(),
-            value,
-            pred,
-        }),
-        (op_id(), text(), preds()).prop_map(|(id, key, pred)| Op::Del {
-            id,
-            key: key.into(),
-            pred
-        }),
-    ]
+fn stamp() -> impl Strategy<Value = Stamp> {
+    let value = prop_oneof![value().prop_map(Some), value().prop_map(Some), Just(None)];
+    (op_id(), wide(), value).prop_map(|(id, seq, value)| Stamp {
+        id,
+        seq: seq.max(1),
+        value,
+    })
+}
+
+/// A slot of up to four writes with distinct op ids.
+fn slot() -> impl Strategy<Value = Slot> {
+    (text(), prop::collection::vec(stamp(), 1..5)).prop_map(|(key, mut stamps)| {
+        stamps.sort_by_key(|s| s.id);
+        stamps.dedup_by_key(|s| s.id);
+        Slot::new(key.into(), stamps)
+    })
 }
 
 fn clock() -> impl Strategy<Value = VClock> {
@@ -174,12 +171,7 @@ fn clock() -> impl Strategy<Value = VClock> {
     })
 }
 
-fn change() -> impl Strategy<Value = Change> {
-    (wide(), wide(), clock(), prop::collection::vec(op(), 0..8))
-        .prop_map(|(actor, seq, deps, ops)| Change::new(ActorId(actor), seq, deps, ops))
-}
-
-fn encoded(c: &Change) -> Vec<u8> {
+fn encoded(c: &Slot) -> Vec<u8> {
     let mut out = Vec::new();
     c.encode(&mut out);
     out
@@ -189,12 +181,12 @@ fn is_corrupt<T>(r: &Result<T, CrdtError>) -> bool {
     matches!(r, Err(CrdtError::CorruptChange(_)))
 }
 
-fn put(n: u64, key: &str, value: Value, pred: Vec<OpId>) -> Op {
-    Op::Put {
+/// A write by actor 7: op id `n@7`, seq `n`.
+fn put(n: u64, value: Option<Value>) -> Stamp {
+    Stamp {
         id: OpId::new(n, ActorId(7)),
-        key: key.into(),
+        seq: n,
         value,
-        pred,
     }
 }
 
@@ -205,14 +197,9 @@ fn row_of(columns: &[&str], cells: Vec<Cell>) -> Value {
     ))
 }
 
-/// One change of every `Op` variant, every `Value` and every `Cell`, and
-/// rows that share a column list and rows that do not.
-fn one_of_each() -> Change {
-    let id = |n| OpId::new(n, ActorId(7));
-    let mut deps = VClock::new();
-    deps.observe(ActorId(1), 3);
-    deps.observe(ActorId(7), 41);
-    deps.observe(ActorId(u64::MAX), u64::MAX);
+/// One slot of every `Value` and every `Cell`, a tombstone, and rows that
+/// share a column list and rows that do not.
+fn one_of_each() -> Slot {
     let cells = vec![
         Cell::Null,
         Cell::Int(i64::MIN),
@@ -222,27 +209,22 @@ fn one_of_each() -> Change {
         Cell::Blob(vec![0x0a, 0xff]),
     ];
     let columns = ["n", "i", "z", "nan", "t", "b"];
-    Change::new(
-        ActorId(7),
-        42,
-        deps,
+    let edge = Stamp {
+        id: OpId::new(u64::MAX, ActorId(u64::MAX)),
+        seq: u64::MAX,
+        value: Some(row_of(&columns, cells.clone())),
+    };
+    Slot::new(
+        "𝄞".into(),
         vec![
-            put(
-                1,
-                "𝄞",
-                row_of(&columns, cells.clone()),
-                vec![id(900), OpId::new(u64::MAX, ActorId(u64::MAX))],
-            ),
-            put(2, "", Value::File(vec![0, 1, 255].into()), vec![]),
-            put(3, "deep", Value::Json(nested(32, json!(-0.0))), vec![id(2)]),
-            put(4, "again", row_of(&columns, cells), vec![]),
-            put(5, "empty", row_of(&[], vec![]), vec![]),
-            put(6, "f", Value::File(Vec::new().into()), vec![]),
-            Op::Del {
-                id: id(8),
-                key: "deep".into(),
-                pred: vec![id(3), OpId::new(0, ActorId(0))],
-            },
+            put(1, Some(row_of(&columns, cells.clone()))),
+            put(2, Some(Value::File(vec![0, 1, 255].into()))),
+            put(3, Some(Value::Json(nested(32, json!(-0.0))))),
+            put(4, Some(row_of(&columns, cells))),
+            put(5, Some(row_of(&[], vec![]))),
+            put(6, Some(Value::File(Vec::new().into()))),
+            put(8, None),
+            edge,
         ],
     )
 }
@@ -252,228 +234,189 @@ fn every_variant_round_trips_and_every_prefix_is_corrupt() {
     let c = one_of_each();
     let bytes = encoded(&c);
     assert_eq!(bytes.len(), c.wire_size());
-    let (back, rest) = Change::decode(&bytes).unwrap();
+    let (back, rest) = Slot::decode(&bytes).unwrap();
     assert!(rest.is_empty());
     assert_eq!(back, c);
     // the NaN's bits, −0.0's sign and every other bit survived
     assert_eq!(encoded(&back), bytes);
     assert_eq!(back.wire_size(), bytes.len());
     for cut in 0..bytes.len() {
-        assert!(is_corrupt(&Change::decode(&bytes[..cut])), "prefix {cut}");
+        assert!(is_corrupt(&Slot::decode(&bytes[..cut])), "prefix {cut}");
     }
 }
 
 /// The layout table of DESIGN.md "Sync wire format", byte for byte: every
-/// op, value, cell and scalar tag once, a key table of two column lists
-/// and a row that reuses one, with small operands so each field is
+/// value, cell and scalar tag once, a tombstone, a key table of two column
+/// lists and a row that reuses one, with small operands so each field is
 /// legible. A format change has to change this vector.
 #[test]
 fn the_layout_is_the_documented_one() {
-    let id = |n| OpId::new(n, ActorId(2));
-    let mut deps = VClock::new();
-    deps.observe(ActorId(1), 300);
-    let c = Change::new(
-        ActorId(2),
-        5,
-        deps,
+    let write = |n: u64, value| Stamp {
+        id: OpId::new(n, ActorId(2)),
+        seq: n + 2,
+        value,
+    };
+    let c = Slot::new(
+        "ü".into(),
         vec![
-            Op::Put {
-                id: id(3),
-                key: "ü".into(),
-                value: row_of(&["id", "t"], vec![Cell::Int(-3), Cell::Text("a".into())]),
-                pred: vec![id(9)],
-            },
-            Op::Put {
-                id: id(4),
-                key: "f".into(),
-                value: Value::File(vec![0x0a, 0xff].into()),
-                pred: vec![],
-            },
-            Op::Put {
-                id: id(5),
-                key: "g".into(),
-                value: Value::Json(json!([null, false, true, 200, -3, 1.5, "a", {"b": []}])),
-                pred: vec![id(4), id(2)],
-            },
-            Op::Put {
-                id: id(6),
-                key: "r".into(),
-                value: row_of(&["id", "t"], vec![Cell::Real(1.5), Cell::Blob(vec![])]),
-                pred: vec![],
-            },
-            Op::Put {
-                id: id(7),
-                key: "n".into(),
-                value: row_of(&["v"], vec![Cell::Null]),
-                pred: vec![],
-            },
-            Op::Del {
-                id: id(8),
-                key: "k".into(),
-                pred: vec![id(3)],
-            },
+            write(
+                3,
+                Some(row_of(
+                    &["id", "t"],
+                    vec![Cell::Int(-3), Cell::Text("a".into())],
+                )),
+            ),
+            write(4, Some(Value::File(vec![0x0a, 0xff].into()))),
+            write(
+                5,
+                Some(Value::Json(
+                    json!([null, false, true, 200, -3, 1.5, "a", {"b": []}]),
+                )),
+            ),
+            write(
+                6,
+                Some(row_of(
+                    &["id", "t"],
+                    vec![Cell::Real(1.5), Cell::Blob(vec![])],
+                )),
+            ),
+            write(7, Some(row_of(&["v"], vec![Cell::Null]))),
+            write(8, None),
         ],
     );
     #[rustfmt::skip]
     let want: Vec<u8> = vec![
-        2, 5,                         // actor, seq
-        1, 1, 0xac, 0x02,             // deps: one pair, actor 1 -> seq 300
+        2, 0xc3, 0xbc,                // key "ü"
         2,                            // key table: two column lists
             2, 2, b'i', b'd', 1, b't', //   ["id", "t"]
             1, 1, b'v',               //   ["v"]
-        6,                            // six ops
-        2, 3, 2, 2, 0xc3, 0xbc,       // Put 3@2, key "ü" ...
-            0, 0,                     //   value: row, column list 0
+        6,                            // six writes, ascending op ids
+        3, 2, 5,                      // 3@2, seq 5 ...
+            0, 0,                     //   row, column list 0
             1, 5,                     //     int -3, zig-zag 5
             3, 1, b'a',               //     text "a"
-            1, 9, 2,                  //   pred: [9@2]
-        2, 4, 2, 1, b'f',             // Put 4@2, key "f" ...
-            1, 2, 0x0a, 0xff,         //   value: file, two bytes
-            0,                        //   no pred
-        2, 5, 2, 1, b'g',             // Put 5@2, key "g" ...
-            2, 7, 8,                  //   value: JSON, array of eight
+        4, 2, 6,                      // 4@2, seq 6 ...
+            1, 2, 0x0a, 0xff,         //   file, two bytes
+        5, 2, 7,                      // 5@2, seq 7 ...
+            2, 7, 8,                  //   JSON, array of eight
             0, 1, 2,                  //     null, false, true
             3, 0xc8, 0x01,            //     uint 200
             4, 5,                     //     int -3, zig-zag 5
             5, 0, 0, 0, 0, 0, 0, 0xf8, 0x3f, // f64 1.5, little-endian bits
             6, 1, b'a',               //     string "a"
             8, 1, 1, b'b', 7, 0,      //     object {"b": []}
-            2, 4, 2, 2, 2,            //   pred: [4@2, 2@2]
-        2, 6, 2, 1, b'r',             // Put 6@2, key "r" ...
-            0, 0,                     //   value: row, column list 0 again
+        6, 2, 8,                      // 6@2, seq 8 ...
+            0, 0,                     //   row, column list 0 again
             2, 0, 0, 0, 0, 0, 0, 0xf8, 0x3f, // real 1.5
             4, 0,                     //     blob, no bytes
-            0,                        //   no pred
-        2, 7, 2, 1, b'n',             // Put 7@2, key "n" ...
-            0, 1, 0,                  //   value: row, column list 1, null
-            0,                        //   no pred
-        3, 8, 2, 1, b'k', 1, 3, 2,    // Del 8@2, key "k", pred [3@2]
+        7, 2, 9,                      // 7@2, seq 9 ...
+            0, 1, 0,                  //   row, column list 1, null
+        8, 2, 10, 3,                  // 8@2, seq 10, a tombstone
     ];
     assert_eq!(encoded(&c), want);
-    assert_eq!(Change::decode(&want).unwrap().0, c);
+    assert_eq!(Slot::decode(&want).unwrap().0, c);
 }
 
-/// Tags 0, 1 and 4-7 were the map, list and counter ops: make a map, make
-/// a list, insert an element, overwrite one, delete one, and add to a
-/// counter. No replica writes them; a change carrying one, in the layout
-/// it had, is refused like any unknown tag — and so are images of layout
-/// versions 3 and 4, which held containers, and 5, which kept one op
-/// counter for all keys.
+/// Images of layout versions 3 and 4, which held containers, 5, which
+/// kept one op counter for all keys, and 6, which kept a change log, are
+/// refused; the ops those layouts carried went with them.
 #[test]
 fn retired_tags_and_images_are_corrupt() {
-    // actor 2, seq 5, no deps, no key table, one op
-    let change = |op: &[u8]| [&[2, 5, 0, 0, 1][..], op].concat();
-    assert!(
-        Change::decode(&change(&[3, 1, 2, 1, b'k', 0])).is_ok(),
-        "Del 1@2 k"
-    );
-    #[rustfmt::skip]
-    let retired: [&[u8]; 6] = [
-        &[0, 1, 2],                                   // make map 1@2
-        &[1, 2, 2],                                   // make list 2@2
-        &[4, 5, 2, 1, 2, 2, 0, 0, 0],                 // insert 5@2 into 2@2 at the head, null
-        &[5, 6, 2, 1, 2, 2, 5, 2, 0, 3, 0, 1, 5, 2],  // overwrite 6@2 in 2@2, element 5@2, 0, pred [5@2]
-        &[6, 8, 2, 1, 2, 2, 7, 2],                    // delete 8@2 in 2@2, element 7@2
-        &[7, 10, 2, 0, 1, b'n', 3],                   // add 10@2 root "n" -2
-    ];
-    for op in retired {
-        assert!(is_corrupt(&Change::decode(&change(op))), "{op:?}");
-        // after an op that decodes, too
-        let two = [&[2, 5, 0, 0, 2, 3, 1, 2, 1, b'k', 0][..], op].concat();
-        assert!(is_corrupt(&Change::decode(&two)), "{op:?} second");
-    }
-    // the smallest images of layouts 3 and 4: clocks and counter empty, a
-    // root map with no entries, no tail
+    // the smallest images of layouts 3-6: clocks and counters empty, a
+    // root map or no keys, no tail
     let v3 = b"EDG\x03\x00\x00\x00\x01\x00\x00\x00\x00\x00";
     let v4 = b"EDG\x04\x00\x00\x00\x01\x00\x00\x00";
     let v5 = b"EDG\x05\x00\x00\x00\x00\x00\x00";
-    for retired in [&v3[..], v4, v5] {
+    let v6 = b"EDG\x06\x00\x00\x00\x00\x00\x00";
+    for retired in [&v3[..], v4, v5, v6] {
         assert!(is_corrupt(&Doc::load(ActorId(1), retired)), "{retired:?}");
     }
-    let v6 = b"EDG\x06\x00\x00\x00\x00\x00\x00";
-    assert_eq!(Doc::load(ActorId(1), v6).unwrap().save(), v6);
+    let v7 = b"EDG\x07\x00\x00\x00\x00";
+    assert_eq!(Doc::load(ActorId(1), v7).unwrap().save(), v7);
 }
 
 #[test]
 fn unknown_tags_are_corrupt() {
-    let c = Change::new(
-        ActorId(1),
-        1,
-        VClock::new(),
-        vec![Op::Put {
+    let c = Slot::new(
+        "k".into(),
+        vec![Stamp {
             id: OpId::new(1, ActorId(1)),
-            key: "k".into(),
-            value: Value::Json(json!(7)),
-            pred: vec![],
+            seq: 1,
+            value: Some(Value::Json(json!(7))),
         }],
     );
     let bytes = encoded(&c);
-    // actor seq deps keys n | op-tag id id len 'k' value-tag scalar-tag
-    assert_eq!(bytes[..12], [1, 1, 0, 0, 1, 2, 1, 1, 1, b'k', 2, 3]);
-    for (at, bad) in [(5, 8), (5, 0), (10, 3), (11, 9)] {
+    // key | no key table | one write: id id seq | value-tag scalar-tag 7
+    assert_eq!(bytes, [1, b'k', 0, 1, 1, 1, 1, 2, 3, 7]);
+    for (at, bad) in [(7, 4), (7, 9), (8, 9)] {
         let mut mutated = bytes.clone();
         mutated[at] = bad;
-        assert!(is_corrupt(&Change::decode(&mutated)), "byte {at} = {bad}");
+        assert!(is_corrupt(&Slot::decode(&mutated)), "byte {at} = {bad}");
     }
     // a row whose one cell has tag 5
-    let row = [1, 1, 0, 1, 1, 1, b'c', 1, 2, 1, 1, 1, b'k', 0, 0, 5, 0];
-    assert!(is_corrupt(&Change::decode(&row)));
+    let row = [1, b'k', 1, 1, 1, b'c', 1, 1, 1, 1, 0, 0, 5];
+    assert!(is_corrupt(&Slot::decode(&row)));
     let mut null = row;
-    null[15] = 0;
-    assert!(Change::decode(&null).is_ok(), "the same row holding null");
+    null[12] = 0;
+    assert!(Slot::decode(&null).is_ok(), "the same row holding null");
 }
 
 #[test]
 fn lengths_are_checked_before_anything_is_sized_by_them() {
-    // a change claiming 2^62 ops, a clock claiming 2^62 pairs, a key
-    // table claiming 2^62 lists or names, a key claiming 2^62 bytes: each
-    // fails on the count, long before a `Vec` could be asked for that much
+    // a slot claiming 2^62 writes, a key table claiming 2^62 lists or
+    // names, a key claiming 2^62 bytes: each fails on the count, long
+    // before a `Vec` could be asked for that much
     let huge = [0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40];
     for prefix in [
-        &[1, 1, 0, 0][..],         // ops
-        &[1, 1],                   // deps
-        &[1, 1, 0],                // key table
-        &[1, 1, 0, 1],             // names of a column list
-        &[1, 1, 0, 0, 1, 2, 1, 1], // a key
+        &[1, b'k', 0][..], // writes
+        &[1, b'k'],        // key table
+        &[1, b'k', 1],     // names of a column list
+        &[],               // a key
     ] {
         let mut bytes = prefix.to_vec();
         bytes.extend_from_slice(&huge);
         bytes.extend_from_slice(b"k");
-        assert!(is_corrupt(&Change::decode(&bytes)), "{prefix:?}");
+        assert!(is_corrupt(&Slot::decode(&bytes)), "{prefix:?}");
     }
     // a row of three columns with one byte left for its cells
-    assert!(is_corrupt(&Change::decode(&[
-        1, 1, 0, 1, 3, 1, b'a', 1, b'b', 1, b'c', 1, 2, 1, 1, 1, b'k', 0, 0, 0
+    assert!(is_corrupt(&Slot::decode(&[
+        1, b'k', 1, 3, 1, b'a', 1, b'b', 1, b'c', 1, 1, 1, 1, 0, 0, 0
     ])));
-    // an actor id padded to eleven bytes, and one padded with a zero group
-    assert!(is_corrupt(&Change::decode(&[0xff; 16])));
-    assert!(is_corrupt(&Change::decode(&[0x81, 0x00, 1, 0, 0, 0])));
-    // pairs out of order would not re-encode to the same bytes
-    assert!(is_corrupt(&Change::decode(&[1, 1, 2, 5, 1, 4, 1, 0, 0])));
+    // a counter padded to eleven bytes, and a key length padded with a
+    // zero group
+    assert!(is_corrupt(&Slot::decode(
+        &[[1, b'k', 0, 1].as_slice(), &[0xff; 16]].concat()
+    )));
+    assert!(is_corrupt(&Slot::decode(&[
+        0x81, 0x00, b'k', 0, 1, 1, 1, 1, 3
+    ])));
     // a scalar nested past the decoder's bound
-    assert!(is_corrupt(&Change::decode(&nested_arrays(MAX_DEPTH + 1))));
+    assert!(is_corrupt(&Slot::decode(&nested_arrays(MAX_DEPTH + 1))));
 }
 
-/// A change putting a `null` inside `depth` one-element arrays.
+/// A slot putting a `null` inside `depth` one-element arrays, as 1@1.
 fn nested_arrays(depth: usize) -> Vec<u8> {
-    let mut deep = vec![1, 1, 0, 0, 1, 2, 1, 1, 1, b'k', 2];
+    let mut deep = vec![1, b'k', 0, 1, 1, 1, 1, 2];
     for _ in 0..depth {
         deep.extend_from_slice(&[7, 1]);
     }
-    deep.extend_from_slice(&[0, 0]);
+    deep.push(0);
     deep
 }
 
-/// A value nests on the wire as deep as its bound, in a change and in an
+/// A value nests on the wire as deep as its bound, in a slot and in an
 /// image, without the reader outgrowing a thread's stack.
 #[test]
 fn a_value_nests_as_deep_as_the_bound() {
     let bytes = nested_arrays(MAX_DEPTH);
-    let (change, rest) = Change::decode(&bytes).expect("nested to the bound");
+    let (slot, rest) = Slot::decode(&bytes).expect("nested to the bound");
     assert!(rest.is_empty());
-    assert_eq!(encoded(&change), bytes);
+    assert_eq!(encoded(&slot), bytes);
     let mut doc = Doc::new(ActorId(2));
-    doc.apply_changes(vec![change]);
+    let mut clock = VClock::new();
+    clock.observe(ActorId(1), 1);
+    doc.apply_changes(&VClock::new(), &clock, vec![slot])
+        .unwrap();
     let image = doc.save();
     assert_eq!(Doc::load(ActorId(3), &image).unwrap().save(), image);
 }
@@ -483,14 +426,9 @@ fn a_value_nests_as_deep_as_the_bound() {
 /// would lie.
 #[test]
 fn only_canonical_encodings_decode() {
-    // `Put "k" = <JSON scalar>` with no pred, around a scalar under test
-    let set = |scalar: &[u8]| {
-        let mut bytes = vec![1, 1, 0, 0, 1, 2, 1, 1, 1, b'k', 2];
-        bytes.extend_from_slice(scalar);
-        bytes.push(0);
-        bytes
-    };
-    assert!(Change::decode(&set(&[8, 2, 1, b'a', 0, 1, b'b', 0])).is_ok());
+    // `"k" = <JSON scalar>` written as 1@1, around a scalar under test
+    let set = |scalar: &[u8]| [&[1, b'k', 0, 1, 1, 1, 1, 2][..], scalar].concat();
+    assert!(Slot::decode(&set(&[8, 2, 1, b'a', 0, 1, b'b', 0])).is_ok());
     let rejected: [&[u8]; 7] = [
         &[8, 2, 1, b'b', 0, 1, b'a', 0],    // object keys descending
         &[8, 2, 1, b'a', 0, 1, b'a', 0],    // the same key twice
@@ -501,39 +439,48 @@ fn only_canonical_encodings_decode() {
         &[6, 2, 0xc3, 0x28],                // not UTF-8
     ];
     for scalar in rejected {
-        assert!(is_corrupt(&Change::decode(&set(scalar))), "{scalar:?}");
+        assert!(is_corrupt(&Slot::decode(&set(scalar))), "{scalar:?}");
     }
-    // rows over a key table: `lists`, then one `Put` of a one-null row per
-    // list position in `rows`
+    // writes in the one order: op ids strictly ascending, a seq each
+    let writes = |ids: &[(u8, u8)]| {
+        let mut bytes = vec![1, b'k', 0, ids.len() as u8];
+        for (counter, seq) in ids {
+            bytes.extend_from_slice(&[*counter, 1, *seq, 3]);
+        }
+        bytes
+    };
+    assert!(Slot::decode(&writes(&[(1, 1), (2, 2)])).is_ok());
+    for ids in [&[(2, 2), (1, 1)][..], &[(1, 1), (1, 2)], &[(1, 0)], &[]] {
+        assert!(is_corrupt(&Slot::decode(&writes(ids))), "{ids:?}");
+    }
+    // rows over a key table: `lists`, then one write of a one-null row
+    // per list position in `rows`
     let rows = |lists: &[&[u8]], rows: &[u8]| {
-        let mut bytes = vec![1, 1, 0, lists.len() as u8];
+        let mut bytes = vec![1, b'k', lists.len() as u8];
         for list in lists {
             bytes.extend_from_slice(list);
         }
         bytes.push(rows.len() as u8);
         for (i, at) in rows.iter().enumerate() {
-            bytes.extend_from_slice(&[2, 1 + i as u8, 1, 1, b'k', 0, *at, 0, 0]);
+            bytes.extend_from_slice(&[1 + i as u8, 1, 1 + i as u8, 0, *at, 0]);
         }
         bytes
     };
     let (a, b): (&[u8], &[u8]) = (&[1, 1, b'a'], &[1, 1, b'b']);
-    assert!(Change::decode(&rows(&[a, b], &[0, 1, 0])).is_ok());
+    assert!(Slot::decode(&rows(&[a, b], &[0, 1, 0])).is_ok());
     for (lists, named) in [
         (&[a, b][..], &[1, 0][..]), // lists out of order of first use
         (&[a, b], &[0]),            // a list no row names
         (&[a, a], &[0, 1]),         // a list twice
         (&[a], &[1]),               // a list the table does not have
     ] {
-        assert!(
-            is_corrupt(&Change::decode(&rows(lists, named))),
-            "{named:?}"
-        );
+        assert!(is_corrupt(&Slot::decode(&rows(lists, named))), "{named:?}");
     }
 }
 
-/// What one bookworm row upsert costs on the WAN and in an image's tail.
+/// What one bookworm row upsert costs on the WAN: its slot.
 #[test]
-fn a_row_upsert_is_83_bytes() {
+fn a_row_upsert_is_79_bytes() {
     let mut t = Doc::new(ActorId(2));
     let before = t.clock().clone();
     let row = row_of(
@@ -549,8 +496,8 @@ fn a_row_upsert_is_83_bytes() {
     t.put("1017", row);
     let changes = t.get_changes(&before);
     assert_eq!(changes.len(), 1);
-    assert_eq!(changes[0].wire_size(), 83);
-    assert_eq!(encoded(&changes[0]).len(), 83);
+    assert_eq!(changes[0].wire_size(), 79);
+    assert_eq!(encoded(&changes[0]).len(), 79);
 }
 
 // ---- the save image --------------------------------------------------------
@@ -564,7 +511,7 @@ enum Step {
     Delete(u8),
     /// Pull everything another replica has.
     Merge(usize),
-    /// Fold what every replica has applied.
+    /// Drop the tombstones every replica has.
     Compact,
 }
 
@@ -586,7 +533,7 @@ fn book(v: i64) -> Value {
 
 /// Three replicas of one snapshot after `steps`, each step taken by the
 /// replica it names: JSON, row and file registers, concurrent values of
-/// one key, deleted keys, partly folded logs.
+/// one key, deleted keys, tombstones partly dropped.
 fn replicas(steps: &[(usize, Step)]) -> Vec<Doc> {
     let snapshot = || {
         [
@@ -606,8 +553,10 @@ fn replicas(steps: &[(usize, Step)]) -> Vec<Doc> {
             Step::PutFile(k, v) => doc.put(&format!("k{k}"), Value::File(v.clone().into())),
             Step::Delete(k) => doc.delete(&format!("k{k}")),
             Step::Merge(from) => {
-                let changes = docs[*from].get_changes(docs[*who].clock());
-                docs[*who].apply_changes(changes);
+                let base = docs[*who].clock().clone();
+                let changes = docs[*from].get_changes(&base);
+                let clock = docs[*from].clock().clone();
+                docs[*who].apply_changes(&base, &clock, changes).unwrap();
             }
             Step::Compact => {
                 let all = docs[0].clock().meet(docs[1].clock()).meet(docs[2].clock());
@@ -640,18 +589,18 @@ fn one_of_each_doc() -> Doc {
         (0, Step::Put(2, json!("B"))),
         (0, Step::PutRow(0, 6)),
         (0, Step::Delete(1)),
+        (0, Step::Delete(3)),
     ];
     replicas(&script).swap_remove(0)
 }
 
 /// Everything a peer or a reader can observe of a document.
-fn observed(d: &Doc) -> (Vec<(String, Value)>, VClock, VClock, usize, Vec<Change>) {
+fn observed(d: &Doc) -> (Vec<(String, Value)>, VClock, usize, Vec<Slot>) {
     (
         d.entries()
             .map(|(k, v)| (k.to_string(), v.clone()))
             .collect(),
         d.clock().clone(),
-        d.snapshot_clock().clone(),
         d.history_len(),
         d.get_changes(&VClock::new()),
     )
@@ -660,7 +609,7 @@ fn observed(d: &Doc) -> (Vec<(String, Value)>, VClock, VClock, usize, Vec<Change
 #[test]
 fn an_image_round_trips_and_every_prefix_is_corrupt() {
     let d = one_of_each_doc();
-    assert!(d.history_len() > 0 && !d.snapshot_clock().is_empty());
+    assert!(d.history_len() > 0, "a tombstone is resident");
     let image = d.save();
     let back = Doc::load(ActorId(9), &image).unwrap();
     assert_eq!(observed(&back), observed(&d));
@@ -675,10 +624,6 @@ fn an_image_round_trips_and_every_prefix_is_corrupt() {
     let mut long = image.clone();
     long.push(0);
     assert!(is_corrupt(&Doc::load(ActorId(9), &long)));
-    // the tail's changes came back knowing the length they were read from
-    let tail = back.get_changes(&VClock::new());
-    let bytes: usize = tail.iter().map(|c| encoded(c).len()).sum();
-    assert_eq!(tail.iter().map(Change::wire_size).sum::<usize>(), bytes);
 }
 
 /// The image rows of DESIGN.md "Sync wire format", byte for byte.
@@ -687,23 +632,18 @@ fn the_image_layout_is_the_documented_one() {
     let mut d = Doc::new(ActorId(2));
     d.put("k", Value::Json(json!(7)));
     d.put("r", row_of(&["a"], vec![Cell::Text("b".into())]));
-    let mut first_two = VClock::new();
-    first_two.observe(ActorId(2), 2);
-    d.compact(&first_two);
     d.delete("k");
     #[rustfmt::skip]
     let want: Vec<u8> = vec![
-        b'E', b'D', b'G', 6,          // magic, layout version
+        b'E', b'D', b'G', 7,          // magic, layout version
         1, 2, 3,                      // clock: actor 2 -> seq 3
-        1, 2, 2,                      // snapshot_clock: actor 2 -> seq 2
         2, b'k', 2, b'r', 1,          // counters: namespace 'k' -> 2, 'r' -> 1
         1, 1, 1, b'a',                // key table: one column list, ["a"]
-        1,                            // one key, keys ascending
-            1, b'r', 1,               //   "r": one value
-                1, 2, 0, 0, 3, 1, b'b', // 1@2 = row, column list 0, text "b"
-        1,                            // tail: one change, as on the wire
-        2, 3, 0, 0, 1,                //   actor 2, seq 3, no deps, no key table, one op
-            3, 2, 2, 1, b'k', 1, 1, 2, // Del 2@2 "k", pred [1@2]
+        2,                            // two keys, keys ascending
+            1, b'k', 1,               //   "k": one write
+                2, 2, 3, 3,           //     2@2, seq 3, a tombstone
+            1, b'r', 1,               //   "r": one write
+                1, 2, 2, 0, 0, 3, 1, b'b', // 1@2, seq 2 = row, column list 0, text "b"
     ];
     assert_eq!(d.save(), want);
     assert_eq!(
@@ -712,42 +652,44 @@ fn the_image_layout_is_the_documented_one() {
     );
 }
 
-/// Counts in an image are checked like counts in a change: against the
+/// Counts in an image are checked like counts in a slot: against the
 /// bytes that remain, before anything is sized by them.
 #[test]
 fn an_image_count_is_checked_before_anything_is_sized_by_it() {
     let huge = [0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40];
-    // magic, two empty clocks, no counters — then 2^62 column lists
-    let head = b"EDG\x06\x00\x00\x00".to_vec();
+    // magic, an empty clock, no counters — then 2^62 column lists
+    let head = b"EDG\x07\x00\x00".to_vec();
     let with = |body: &[u8]| [&head[..], body, &huge[..]].concat();
     assert!(is_corrupt(&Doc::load(ActorId(1), &with(&[]))));
     // no column lists, then 2^62 keys
     assert!(is_corrupt(&Doc::load(ActorId(1), &with(&[0]))));
-    // one key holding 2^62 values
+    // one key holding 2^62 writes
     assert!(is_corrupt(&Doc::load(ActorId(1), &with(&[0, 1, 1, b'k']))));
-    // no keys and a tail of 2^62 changes
-    assert!(Doc::load(ActorId(1), &[&head[..], &[0, 0, 0]].concat()).is_ok());
-    assert!(is_corrupt(&Doc::load(ActorId(1), &with(&[0, 0]))));
-    // 2^62 namespace counters
-    let counters = [&b"EDG\x06\x00\x00"[..], &huge[..]].concat();
+    // no keys at all
+    assert!(Doc::load(ActorId(1), &[&head[..], &[0, 0]].concat()).is_ok());
+    // 2^62 namespace counters, and 2^62 clock entries
+    let counters = [&b"EDG\x07\x00"[..], &huge[..]].concat();
     assert!(is_corrupt(&Doc::load(ActorId(1), &counters)));
+    let clock = [&b"EDG\x07"[..], &huge[..]].concat();
+    assert!(is_corrupt(&Doc::load(ActorId(1), &clock)));
     // other versions of the layout are not images
     assert!(is_corrupt(&Doc::load(
         ActorId(1),
-        b"EDG\x07\x00\x00\x00\x00\x00\x00"
+        b"EDG\x08\x00\x00\x00\x00"
     )));
 }
 
-/// An image says each thing in one way: namespaces, keys and slot op ids
-/// strictly ascending, no key without a value, and a key table as a change
-/// has it. Anything else would save back to different bytes.
+/// An image says each thing in one way: namespaces, keys and op ids
+/// strictly ascending, no key without a write, no write twice or beyond
+/// the clock, and a key table as a slot has it. Anything else would save
+/// back to different bytes or describe no document.
 #[test]
 fn only_canonical_images_load() {
-    // magic, two empty clocks, no counters, then `body` and an empty tail
-    let image = |body: &[u8]| [&b"EDG\x06\x00\x00\x00"[..], body, &[0]].concat();
-    let null_at = |n: u8| [n, 1, 2, 0]; // slot n@1 = JSON null
-    let row_at = |n: u8, list: u8| [n, 1, 0, list, 0]; // slot n@1 = a row of one null
-    let ok: [&[u8]; 3] = [
+    // magic, the clock [actor 1 -> seq 9], no counters, then `body`
+    let image = |body: &[u8]| [&b"EDG\x07\x01\x01\x09\x00"[..], body].concat();
+    let null_at = |n: u8| [n, 1, n, 2, 0]; // n@1, seq n = JSON null
+    let row_at = |n: u8, list: u8| [n, 1, n, 0, list, 0]; // n@1, seq n = a row of one null
+    let ok: [&[u8]; 4] = [
         // keys "a" and "b", one value each
         &[
             &[0, 2, 1, b'a', 1][..],
@@ -760,6 +702,8 @@ fn only_canonical_images_load() {
         &[&[0, 1, 1, b'a', 2][..], &null_at(1), &null_at(2)].concat(),
         // a row under the one column list ["c"]
         &[&[1, 1, 1, b'c', 1, 1, b'a', 1][..], &row_at(1, 0)].concat(),
+        // a tombstone alone
+        &[0, 1, 1, b'a', 1, 4, 1, 4, 3],
     ];
     for body in ok {
         let loaded = Doc::load(ActorId(1), &image(body));
@@ -767,7 +711,7 @@ fn only_canonical_images_load() {
         assert_eq!(loaded.unwrap().save(), image(body));
     }
     let c: &[u8] = &[1, 1, b'c'];
-    let rejected: [&[u8]; 8] = [
+    let rejected: [&[u8]; 11] = [
         &[
             &[0, 2, 1, b'b', 1][..],
             &null_at(1),
@@ -782,10 +726,18 @@ fn only_canonical_images_load() {
             &null_at(2),
         ]
         .concat(), // a key twice
-        &[&[0, 1, 1, b'a', 2][..], &null_at(2), &null_at(1)].concat(), // slots descending
-        &[&[0, 1, 1, b'a', 2][..], &null_at(1), &null_at(1)].concat(), // a slot twice
-        &[0, 1, 1, b'a', 0],                                           // a key holding nothing
-        &[&[1][..], c, &[1, 1, b'a', 1], &null_at(1)].concat(),        // a list no row names
+        &[
+            &[0, 2, 1, b'a', 1][..],
+            &null_at(1),
+            &[1, b'b', 1],
+            &[2, 1, 1, 2, 0],
+        ]
+        .concat(), // one write (seq 1) held by two keys
+        &[&[0, 1, 1, b'a', 1][..], &null_at(10)].concat(), // a write beyond the clock
+        &[&[0, 1, 1, b'a', 2][..], &null_at(2), &null_at(1)].concat(), // writes descending
+        &[&[0, 1, 1, b'a', 2][..], &null_at(1), &null_at(1)].concat(), // a write twice
+        &[0, 1, 1, b'a', 0],                               // a key holding nothing
+        &[&[1][..], c, &[1, 1, b'a', 1], &null_at(1)].concat(), // a list no row names
         &[
             &[2][..],
             c,
@@ -796,12 +748,13 @@ fn only_canonical_images_load() {
         ]
         .concat(), // a list twice
         &[&[1][..], c, &[1, 1, b'a', 1], &row_at(1, 1)].concat(), // a list the table does not have
+        &[0, 1, 1, b'a', 1, 4, 1, 0, 3],                   // a write with no seq
     ];
     for body in rejected {
         assert!(is_corrupt(&Doc::load(ActorId(1), &image(body))), "{body:?}");
     }
-    // magic, two empty clocks, `counters`, no key table, no keys, no tail
-    let with = |counters: &[u8]| [&b"EDG\x06\x00\x00"[..], counters, &[0, 0, 0]].concat();
+    // magic, an empty clock, `counters`, no key table, no keys
+    let with = |counters: &[u8]| [&b"EDG\x07\x00"[..], counters, &[0, 0]].concat();
     let two = with(&[2, b'a', 1, b'b', 5]);
     assert_eq!(Doc::load(ActorId(1), &two).unwrap().save(), two);
     let rejected: [&[u8]; 3] = [
@@ -821,7 +774,7 @@ fn assert_send_sync<T: Send + Sync>() {}
 
 #[test]
 fn a_change_crosses_threads() {
-    assert_send_sync::<Change>();
+    assert_send_sync::<Slot>();
     assert_send_sync::<SetSyncMessage>();
 }
 
@@ -829,37 +782,37 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn decode_inverts_encode(c in change(), tail in prop::collection::vec(any::<u8>(), 0..4)) {
+    fn decode_inverts_encode(c in slot(), tail in prop::collection::vec(any::<u8>(), 0..4)) {
         let unsized_twin = c.clone();
         let mut bytes = encoded(&c);
         let len = bytes.len();
         prop_assert_eq!(c.wire_size(), len);
         prop_assert_eq!(c.wire_size(), len, "the second call repeats the first");
         prop_assert_eq!(unsized_twin.wire_size(), len, "handles share what is remembered");
-        // whatever follows a change is handed back untouched
+        // whatever follows a slot is handed back untouched
         bytes.extend_from_slice(&tail);
-        let decoded = Change::decode(&bytes);
+        let decoded = Slot::decode(&bytes);
         prop_assert!(decoded.is_ok(), "{:?}", decoded.err());
         let (back, rest) = decoded.unwrap();
         prop_assert_eq!(rest, &tail[..]);
         prop_assert_eq!(&back, &c);
-        prop_assert_eq!(back.wire_size(), len, "a decoded change knows the length it came from");
+        prop_assert_eq!(back.wire_size(), len, "a decoded slot knows the length it came from");
         // floats and integer kinds are bit-exact, not merely `==`
         prop_assert_eq!(&encoded(&back)[..], &bytes[..len]);
         // equality never looks at what is remembered
-        prop_assert_eq!(&Change::new(c.actor(), c.seq(), c.deps().clone(), c.ops().to_vec()), &c);
+        prop_assert_eq!(&Slot::new(c.key().clone(), c.stamps().to_vec()), &c);
     }
 
     #[test]
-    fn truncation_is_always_corrupt(c in change(), cut in any::<u32>()) {
+    fn truncation_is_always_corrupt(c in slot(), cut in any::<u32>()) {
         let bytes = encoded(&c);
         let cut = cut as usize % bytes.len();
-        prop_assert!(is_corrupt(&Change::decode(&bytes[..cut])), "prefix {} of {}", cut, bytes.len());
+        prop_assert!(is_corrupt(&Slot::decode(&bytes[..cut])), "prefix {} of {}", cut, bytes.len());
     }
 
     #[test]
     fn arbitrary_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..96)) {
-        match Change::decode(&bytes) {
+        match Slot::decode(&bytes) {
             // the few inputs that happen to parse are canonical: they
             // re-encode to exactly the bytes consumed
             Ok((c, rest)) => {
@@ -874,11 +827,11 @@ proptest! {
     /// One flipped byte in a valid encoding: decodes to something else or
     /// is rejected, and whatever decodes is canonical.
     #[test]
-    fn a_flipped_byte_never_panics(c in change(), at in any::<u32>(), flip in 1u8..255) {
+    fn a_flipped_byte_never_panics(c in slot(), at in any::<u32>(), flip in 1u8..255) {
         let mut bytes = encoded(&c);
         let at = at as usize % bytes.len();
         bytes[at] ^= flip;
-        if let Ok((m, rest)) = Change::decode(&bytes) {
+        if let Ok((m, rest)) = Slot::decode(&bytes) {
             let used = bytes.len() - rest.len();
             prop_assert_eq!(&encoded(&m)[..], &bytes[..used]);
         }
@@ -921,6 +874,7 @@ proptest! {
             Ok(m) => {
                 prop_assert_eq!(m.save(), image);
                 let _ = m.entries().count();
+                let _ = m.get_changes(&VClock::new());
             }
             Err(e) => prop_assert!(matches!(e, CrdtError::CorruptChange(_))),
         }
@@ -928,29 +882,33 @@ proptest! {
 
     #[test]
     fn arbitrary_bytes_are_never_an_image(bytes in prop::collection::vec(any::<u8>(), 0..96)) {
-        let mut image = b"EDG\x06".to_vec();
+        let mut image = b"EDG\x07".to_vec();
         image.extend_from_slice(&bytes);
         for candidate in [&bytes, &image] {
             if let Ok(m) = Doc::load(ActorId(9), candidate) {
                 prop_assert_eq!(&m.save(), candidate);
                 let _ = m.entries().count();
+                let _ = m.get_changes(&VClock::new());
             }
         }
     }
 
     #[test]
     fn a_message_is_as_long_as_its_encoding(
-        ack in clock(),
-        changes in prop::collection::vec(change(), 0..6),
+        base in clock(),
+        clock in clock(),
+        capped in clock(),
+        changes in prop::collection::vec(slot(), 0..6),
         sender in wide(),
     ) {
-        let msg = SetSyncMessage { sender: ActorId(sender), ack, changes };
+        let ack = clock.meet(&capped);
+        let msg = SetSyncMessage { sender: ActorId(sender), base, clock, ack, changes };
         let mut bytes = Vec::new();
         msg.encode(&mut bytes);
         prop_assert_eq!(msg.wire_size(), bytes.len());
-        // sized before or after its changes were: the same number
+        // sized before or after its slots were: the same number
         prop_assert_eq!(msg.clone().wire_size(), bytes.len());
-        // the batch is the changes' own encodings back to back
+        // the batch is the slots' own encodings back to back
         let tail: Vec<u8> = msg.changes.iter().flat_map(encoded).collect();
         prop_assert!(bytes.ends_with(&tail));
     }

@@ -1,9 +1,9 @@
-//! Property tests for acked-prefix compaction: a compacted replica is
-//! observably equivalent to an uncompacted one (same reads, same
-//! `get_changes` above the frontier, same convergence), a peer that
-//! crashes and rejoins from a compacted `save` catches up cleanly, and
-//! the min-ack frontier never folds away a change a live peer has not
-//! acknowledged — even when the network drops messages.
+//! Property tests for tombstone compaction: a compacted replica is
+//! observably equivalent to an uncompacted one (same reads, same clock,
+//! the same state at a peer that merges its delta, same convergence), a
+//! peer that crashes and rejoins from a compacted `save` catches up
+//! cleanly, and the min-ack frontier never drops a tombstone a live peer
+//! has not acknowledged — even when the network drops messages.
 
 use edgstr_crdt::{ActorId, Cell, Doc, Row, VClock, Value};
 use proptest::prelude::*;
@@ -59,11 +59,26 @@ fn state(doc: &Doc) -> Vec<(String, Value)> {
 }
 
 /// `from` ships what `to` has not acknowledged. `acked` is `from`'s record
-/// of those acknowledgments: it advances to `to`'s clock once the delta is
-/// applied, and never on a message that was lost.
+/// of those acknowledgments — the base the delta is read above: it
+/// advances to `to`'s clock once the delta is merged, and never on a
+/// message that was lost.
 fn ship(from: &Doc, acked: &mut VClock, to: &mut Doc) {
-    to.apply_changes(from.get_changes(acked));
+    let changes = from.get_changes(acked);
+    let merged = to.apply_changes(acked, from.clock(), changes);
+    assert!(
+        merged.is_some(),
+        "a delta read above an ack is never refused"
+    );
     acked.merge(to.clock());
+}
+
+/// What `peer` holds after merging `from`'s delta above its clock.
+fn merged_at(peer: &Doc, from: &Doc) -> Vec<(String, Value)> {
+    let mut peer = peer.clone();
+    let base = peer.clock().clone();
+    let changes = from.get_changes(&base);
+    peer.apply_changes(&base, from.clock(), changes).unwrap();
+    state(&peer)
 }
 
 /// One reliable bidirectional round between two replicas.
@@ -76,9 +91,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// Compacting at the peer-ack frontier changes nothing observable:
-    /// reads, clock, and the deltas served above the frontier are
-    /// identical to the uncompacted replica's, and an identical
-    /// continuation of writes and syncs converges to the same state.
+    /// reads, clock, and what the peer holds after merging its delta are
+    /// the uncompacted replica's, and an identical continuation of writes
+    /// and syncs converges to the same state.
     #[test]
     fn compacted_replica_is_observably_equivalent(
         warm_a in prop::collection::vec(op(), 1..12),
@@ -101,7 +116,7 @@ proptest! {
             reliable_round(&mut a, &mut av, &mut b, &mut bv);
         }
         // writes b has not acked yet: the frontier sits strictly below
-        // a's clock, so compaction must retain a tail
+        // a's clock, so compaction must keep their tombstones
         for o in &unacked {
             apply_op(&mut a, o);
         }
@@ -112,8 +127,7 @@ proptest! {
 
         prop_assert_eq!(state(&a), state(&shadow));
         prop_assert_eq!(a.clock(), shadow.clock());
-        prop_assert_eq!(a.get_changes(&frontier), shadow.get_changes(&frontier));
-        prop_assert_eq!(a.get_changes(b.clock()), shadow.get_changes(b.clock()));
+        prop_assert_eq!(merged_at(&b, &a), merged_at(&b, &shadow));
 
         // parallel universes: compacted a vs uncompacted shadow run the
         // identical continuation against identical peers
@@ -139,12 +153,12 @@ proptest! {
         prop_assert_eq!(a.clock(), shadow.clock());
     }
 
-    /// A replica provisioned from a compacted save (snapshot + retained
-    /// tail) is the same replica as its source — state, clocks, retained
-    /// log, the delta it serves at any cursor, and what a concurrent
-    /// write from a peer that has not seen the tail does to it — and it
-    /// syncs forward cleanly under a fresh actor id: the crash/rejoin
-    /// flow.
+    /// A replica provisioned from a compacted save (registers and
+    /// resident tombstones) is the same replica as its source — state,
+    /// clock, tombstones, the delta it serves at any cursor, and what a
+    /// concurrent write from a peer that has not seen the latest writes
+    /// does to it — and it syncs forward cleanly under a fresh actor id:
+    /// the crash/rejoin flow.
     #[test]
     fn rejoin_from_compacted_save_converges(
         warm in prop::collection::vec(op(), 1..12),
@@ -168,8 +182,8 @@ proptest! {
         for _ in 0..2 {
             reliable_round(&mut a, &mut av, &mut b, &mut bv);
         }
-        // some writes past the ack frontier end up in the save's tail,
-        // a delete and an overwrite among them
+        // some writes past the ack frontier, a delete and an overwrite
+        // among them: the delete's tombstone stays in the save
         for o in &unacked {
             apply_op(&mut a, o);
         }
@@ -181,7 +195,7 @@ proptest! {
         let mut c = Doc::load(ActorId(3), &image).unwrap();
         prop_assert_eq!(state(&c), state(&a));
         prop_assert_eq!(c.clock(), a.clock());
-        prop_assert_eq!(c.snapshot_clock(), a.snapshot_clock());
+        prop_assert!(a.history_len() > 0, "the delete of l1 is above the frontier");
         prop_assert_eq!(c.history_len(), a.history_len());
         let mut since = VClock::new();
         for (actor, seq) in cursor.iter().enumerate() {
@@ -190,21 +204,21 @@ proptest! {
         prop_assert_eq!(c.get_changes(&since), a.get_changes(&since));
         prop_assert_eq!(c.get_changes(b.clock()), a.get_changes(b.clock()));
 
-        // b has seen none of the tail. Its writes name what it observed:
-        // a `pred` into state `a` has folded, the key `a` has since
-        // deleted (overwritten, then deleted), and exactly the value of
-        // `n0` it saw (the later overwrite survives the delete: add-wins).
-        // The original and the loaded copy must take them identically.
+        // b has seen none of the latest writes. Its own overwrite a key
+        // `a` has since deleted (overwritten, then deleted) and delete
+        // exactly the value of `n0` it saw (the later overwrite survives
+        // the delete: add-wins). The original and the loaded copy must
+        // take them identically.
         let before = b.clock().clone();
         b.put("k0", json(json!("from-b")));
         b.put("l1", json(json!("Y")));
         b.delete("l1");
         b.delete("n0");
         let concurrent = b.get_changes(&before);
-        prop_assert_eq!(concurrent.len(), 4);
-        let on_a = a.apply_changes(concurrent.clone());
-        let on_c = c.apply_changes(concurrent);
-        prop_assert_eq!(on_a.0, 4);
+        prop_assert_eq!(concurrent.len(), 3);
+        let on_a = a.apply_changes(&before, b.clock(), concurrent.clone());
+        let on_c = c.apply_changes(&before, b.clock(), concurrent);
+        prop_assert_eq!(on_a.as_ref().map(|t| t.len()), Some(3));
         prop_assert_eq!(on_c, on_a);
         prop_assert_eq!(state(&c), state(&a));
         prop_assert_eq!(c.clock(), a.clock());
@@ -235,8 +249,9 @@ proptest! {
 
     /// Frontier safety under loss, in a hub-and-spokes topology: the hub
     /// compacts at the *meet* of both spokes' ack clocks every round
-    /// while the network drops arbitrary messages. Because un-acked
-    /// changes are never folded, healing the links always converges.
+    /// while the network drops arbitrary messages. Because a tombstone is
+    /// dropped only once every spoke has acked it, healing the links
+    /// always converges.
     #[test]
     fn min_ack_frontier_never_discards_needed_changes(
         rounds in prop::collection::vec(
@@ -298,13 +313,83 @@ proptest! {
         prop_assert_eq!(state(&hub), state(&c));
         prop_assert_eq!(hub.clock(), b.clock());
         prop_assert_eq!(hub.clock(), c.clock());
-        prop_assert_eq!(hub.pending_len(), 0);
-        prop_assert_eq!(b.pending_len(), 0);
-        prop_assert_eq!(c.pending_len(), 0);
         // quiescent in every direction
         prop_assert!(hub.get_changes(&hub_b).is_empty());
         prop_assert!(b.get_changes(&b_hub).is_empty());
         prop_assert!(hub.get_changes(&hub_c).is_empty());
         prop_assert!(c.get_changes(&c_hub).is_empty());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The rejoin flow under HA: a hub feeds a standby before it answers
+    /// its spokes and compacts no further than the standby holds (the
+    /// durability frontier); a spoke that crashes restarts, under a fresh
+    /// actor, from the standby's image, and both ends of its link start at
+    /// the image's clock. A tombstone above that clock is never dropped,
+    /// so the restarted spoke — which may hold the deleted value from the
+    /// image — still learns of the delete, and healing converges the star.
+    #[test]
+    fn a_spoke_restarted_from_the_standby_image_converges(
+        before in prop::collection::vec((0usize..3, op()), 0..20),
+        rounds in 1usize..4,
+        after in prop::collection::vec((0usize..3, op()), 0..20),
+    ) {
+        let mut hub = Doc::new(ActorId(1));
+        let mut standby = Doc::new(ActorId(9));
+        let mut spokes = [Doc::new(ActorId(2)), Doc::new(ActorId(3))];
+        // per spoke: what the hub knows it holds, what it knows the hub holds
+        let mut acks = [(VClock::new(), VClock::new()), (VClock::new(), VClock::new())];
+        let mut durable = VClock::new(); // what the standby has acknowledged
+        let round = |hub: &mut Doc, standby: &mut Doc, spokes: &mut [Doc; 2], acks: &mut [(VClock, VClock); 2], durable: &mut VClock| {
+            ship(hub, durable, standby);
+            for (spoke, (hub_sees, spoke_sees)) in spokes.iter_mut().zip(acks.iter_mut()) {
+                ship(spoke, spoke_sees, hub);
+                // the hub's answer: its delta, and an ack capped at what
+                // the standby holds
+                let changes = hub.get_changes(hub_sees);
+                prop_assert!(spoke.apply_changes(hub_sees, hub.clock(), changes).is_some());
+                spoke_sees.merge(&hub.clock().meet(durable));
+                hub_sees.merge(spoke.clock());
+            }
+            let frontier = acks[0].0.meet(&acks[1].0).meet(durable);
+            hub.compact(&frontier);
+            for (spoke, (_, spoke_sees)) in spokes.iter_mut().zip(acks.iter()) {
+                spoke.compact(spoke_sees);
+            }
+            Ok(())
+        };
+        let write = |hub: &mut Doc, spokes: &mut [Doc; 2], (who, o): &(usize, Op)| match who {
+            0 => apply_op(hub, o),
+            n => apply_op(&mut spokes[n - 1], o),
+        };
+        for (i, w) in before.iter().enumerate() {
+            write(&mut hub, &mut spokes, w);
+            if i % 4 == 3 {
+                round(&mut hub, &mut standby, &mut spokes, &mut acks, &mut durable)?;
+            }
+        }
+        for _ in 0..rounds {
+            round(&mut hub, &mut standby, &mut spokes, &mut acks, &mut durable)?;
+        }
+        // more writes reach the hub, but not yet the standby
+        for w in &after {
+            write(&mut hub, &mut spokes, w);
+        }
+        ship(&spokes[1], &mut acks[1].1, &mut hub);
+        // spoke 0 crashes and comes back from the standby's image
+        let image = standby.save();
+        spokes[0] = Doc::load(ActorId(4), &image).unwrap();
+        let at = spokes[0].clock().clone();
+        acks[0] = (at.clone(), at);
+        for _ in 0..3 {
+            round(&mut hub, &mut standby, &mut spokes, &mut acks, &mut durable)?;
+        }
+        prop_assert_eq!(state(&spokes[0]), state(&hub));
+        prop_assert_eq!(state(&spokes[1]), state(&hub));
+        prop_assert_eq!(state(&standby), state(&hub));
+        prop_assert_eq!(spokes[0].clock(), hub.clock());
     }
 }

@@ -1,11 +1,11 @@
 //! Property tests for strong eventual consistency, on row puts: replicas
-//! that apply the same changes — in any delivery order, with duplicates —
+//! that have seen the same writes — in any delivery order, with duplicates —
 //! read the same rows. This is the guarantee EdgStr's transformation
 //! relies on (§III-F). A replica that only hears its own writes reads
 //! what a plain map would, and a row written over and over keeps one
 //! value in its image, not its history.
 
-use edgstr_crdt::{ActorId, Cell, Change, Doc, Row, VClock, Value};
+use edgstr_crdt::{ActorId, Cell, Doc, Row, Slot, VClock, Value};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -67,8 +67,11 @@ fn gossip_to_fixpoint(docs: &mut [Doc]) {
                 if i == j {
                     continue;
                 }
-                let changes = docs[j].get_changes(docs[i].clock());
-                if !changes.is_empty() && docs[i].apply_changes(changes).0 > 0 {
+                let base = docs[i].clock().clone();
+                let changes = docs[j].get_changes(&base);
+                let clock = docs[j].clock().clone();
+                let touched = docs[i].apply_changes(&base, &clock, changes).unwrap();
+                if !touched.is_empty() || *docs[i].clock() != base {
                     progress = true;
                 }
             }
@@ -122,8 +125,10 @@ proptest! {
                 // one-directional partial sync: replica (who+1) pulls
                 let src = *who;
                 let dst = (*who + 1) % 3;
-                let changes = docs[src].get_changes(docs[dst].clock());
-                docs[dst].apply_changes(changes);
+                let base = docs[dst].clock().clone();
+                let changes = docs[src].get_changes(&base);
+                let clock = docs[src].clock().clone();
+                docs[dst].apply_changes(&base, &clock, changes).unwrap();
             }
         }
         gossip_to_fixpoint(&mut docs);
@@ -131,9 +136,10 @@ proptest! {
         prop_assert_eq!(state(&docs[1]), state(&docs[2]));
     }
 
-    /// Delivery order does not matter: applying a shuffled, duplicated
-    /// change stream yields the same state as in-order application, and
-    /// that is the state a plain map holds after the same writes.
+    /// Delivery order does not matter: merging a shuffled, duplicated
+    /// stream of the writer's deltas — after each write, everything it
+    /// holds — yields the writer's state, and that is the state a plain
+    /// map holds after the same writes.
     #[test]
     fn shuffled_duplicated_delivery_converges(
         ops in prop::collection::vec(row_op(), 1..20),
@@ -141,8 +147,10 @@ proptest! {
     ) {
         let mut source = Doc::from_snapshot(ActorId(1), snapshot());
         let mut model: BTreeMap<String, Value> = snapshot().into_iter().collect();
+        let mut deltas: Vec<(VClock, Vec<Slot>)> = Vec::new();
         for op in &ops {
             apply_row_op(&mut source, op);
+            deltas.push((source.clock().clone(), source.get_changes(&VClock::new())));
             match op {
                 RowOp::Put { key, value } => {
                     let key = format!("r{key}");
@@ -154,23 +162,24 @@ proptest! {
             }
         }
         prop_assert_eq!(state(&source), model.into_iter().collect::<Vec<_>>());
-        let changes: Vec<Change> = source.get_changes(&VClock::new());
 
         // pseudo-shuffle deterministically from the seed, with duplicates
-        let mut order: Vec<usize> = (0..changes.len()).collect();
+        let mut order: Vec<usize> = (0..deltas.len()).collect();
         let mut s = seed;
         for i in (1..order.len()).rev() {
             s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             order.swap(i, (s as usize) % (i + 1));
         }
         let mut replica = Doc::from_snapshot(ActorId(2), snapshot());
+        let none = VClock::new();
         for &i in &order {
-            replica.apply_changes(vec![changes[i].clone()]);
+            let (clock, changes) = &deltas[i];
+            replica.apply_changes(&none, clock, changes.clone()).unwrap();
             // duplicate delivery
-            replica.apply_changes(vec![changes[i].clone()]);
+            replica.apply_changes(&none, clock, changes.clone()).unwrap();
         }
-        prop_assert_eq!(replica.pending_len(), 0);
         prop_assert_eq!(state(&replica), state(&source));
+        prop_assert_eq!(replica.clock(), source.clock());
     }
 
     /// Table replicas converge when every write is a delete racing an
@@ -199,8 +208,8 @@ proptest! {
 }
 
 /// A register keeps the values not superseded, nothing else: 100 rows
-/// upserted 101 times, applied at a second replica and folded there, save
-/// an image within 2× of the same rows written once.
+/// upserted 101 times, merged at a second replica, save an image within
+/// 2× of the same rows written once.
 #[test]
 fn an_upserted_row_costs_its_image_one_value() {
     let image = |rounds: i64| {
@@ -212,9 +221,11 @@ fn an_upserted_row_costs_its_image_one_value() {
             }
         }
         let mut replica = Doc::new(ActorId(2));
-        replica.apply_changes(writer.get_changes(replica.clock()));
-        let everything = replica.clock().clone();
-        replica.compact(&everything);
+        let changes = writer.get_changes(replica.clock());
+        let none = VClock::new();
+        replica
+            .apply_changes(&none, writer.clock(), changes)
+            .unwrap();
         replica.save().len()
     };
     let (once, often) = (image(1), image(101));

@@ -1,7 +1,7 @@
-//! Tracked-apply tests: `apply_changes` must report every key its applied
-//! ops write — a row's primary key, a file's path, a global's name — and
-//! nothing else. Every op names its key, so the per-op walk below (the
-//! keys of the ops of every change a call newly applied) is the oracle.
+//! Tracked-merge tests: `apply_changes` must report every key whose slot
+//! it changed — a row's primary key, a file's path, a global's name — and
+//! nothing else. The property below holds it to a diff of every slot the
+//! receiver holds, before and after each merge.
 
 use edgstr_crdt::{ActorId, Cell, Doc, Row, VClock, Value};
 use serde_json::json;
@@ -22,17 +22,22 @@ fn keys(touched: &BTreeSet<Arc<str>>) -> Vec<&str> {
     touched.iter().map(|k| &**k).collect()
 }
 
+/// Merge into `dst` what `src` holds above `since`, which `dst` covers.
+fn merge(dst: &mut Doc, src: &Doc, since: &VClock) -> BTreeSet<Arc<str>> {
+    let changes = src.get_changes(since);
+    dst.apply_changes(since, src.clock(), changes).unwrap()
+}
+
 #[test]
 fn upsert_tracks_primary_key() {
     let mut src = Doc::new(A);
     let mut dst = Doc::new(B);
     src.put("seed", row(1));
-    dst.apply_changes(src.get_changes(&VClock::new()));
+    merge(&mut dst, &src, &VClock::new());
 
     let before = dst.clock().clone();
     src.put("alice", row(30));
-    let (applied, touched) = dst.apply_changes(src.get_changes(&before));
-    assert_eq!(applied, 1);
+    let touched = merge(&mut dst, &src, &before);
     assert_eq!(keys(&touched), ["alice"]);
 }
 
@@ -41,11 +46,11 @@ fn delete_row_tracks_primary_key() {
     let mut src = Doc::new(A);
     let mut dst = Doc::new(B);
     src.put("alice", row(30));
-    dst.apply_changes(src.get_changes(&VClock::new()));
+    merge(&mut dst, &src, &VClock::new());
 
     let before = dst.clock().clone();
     src.delete("alice");
-    let (_, touched) = dst.apply_changes(src.get_changes(&before));
+    let touched = merge(&mut dst, &src, &before);
     assert_eq!(keys(&touched), ["alice"]);
 }
 
@@ -54,11 +59,11 @@ fn files_track_path() {
     let mut src = Doc::new(A);
     let mut dst = Doc::new(B);
     src.put("seed.txt", Value::File(b"s".to_vec().into()));
-    dst.apply_changes(src.get_changes(&VClock::new()));
+    merge(&mut dst, &src, &VClock::new());
 
     let before = dst.clock().clone();
     src.put("notes.txt", Value::File(b"hello".to_vec().into()));
-    let (_, touched) = dst.apply_changes(src.get_changes(&before));
+    let touched = merge(&mut dst, &src, &before);
     assert_eq!(keys(&touched), ["notes.txt"]);
 }
 
@@ -68,14 +73,14 @@ fn globals_track_root_key() {
     let mut dst = Doc::new(B);
     src.put("counter", Value::Json(json!(7)));
     src.put("mode", Value::Json(json!({"speed": ["fast"]})));
-    let (_, touched) = dst.apply_changes(src.get_changes(&VClock::new()));
+    let touched = merge(&mut dst, &src, &VClock::new());
     assert_eq!(keys(&touched), ["counter", "mode"]);
 }
 
 /// A table restored from its image is the replica it was saved from: it
-/// reads and serves the same log, and a peer's concurrent writes against
-/// state the source had already folded land on it exactly as they land on
-/// the source — the same rows reported, the same table afterwards.
+/// reads the same rows, holds the same tombstones and serves the same
+/// deltas, and a peer's concurrent writes land on it exactly as they land
+/// on the source — the same rows reported, the same table afterwards.
 #[test]
 fn tracking_survives_save_load_v2() {
     const C: ActorId = ActorId(3);
@@ -83,11 +88,15 @@ fn tracking_survives_save_load_v2() {
     let mut peer = Doc::new(C);
     src.put("alice", row(30));
     src.put("bob", row(41));
-    peer.apply_changes(src.get_changes(&VClock::new()));
-    // fold what the peer has, keep one change it has not in the tail
+    src.put("carol", row(50));
+    src.delete("carol");
+    merge(&mut peer, &src, &VClock::new());
+    // drop the tombstone the peer has; keep one it has not
     let acked = peer.clock().clone();
     src.put("bob", row(42));
-    assert_eq!(src.compact(&acked), 2);
+    src.put("erin", row(60));
+    src.delete("erin");
+    assert_eq!(src.compact(&acked), 1);
     let mut dst = Doc::load(B, &src.save()).unwrap();
     assert!(dst.entries().eq(src.entries()));
     assert_eq!(dst.clock(), src.clock());
@@ -96,19 +105,16 @@ fn tracking_survives_save_load_v2() {
         assert_eq!(dst.get_changes(cursor), src.get_changes(cursor));
     }
 
-    // the peer writes against the folded rows: an upsert whose `pred` is
-    // in the snapshot, and a delete concurrent with the tail's upsert
+    // the peer writes concurrently: an upsert of what both hold, and a
+    // delete concurrent with the source's later upsert
     peer.put("alice", row(31));
     peer.delete("bob");
-    let concurrent = peer.get_changes(&acked);
-    let on_src = src.apply_changes(concurrent.clone());
-    let on_dst = dst.apply_changes(concurrent);
+    let on_src = merge(&mut src, &peer, &acked);
+    let on_dst = merge(&mut dst, &peer, &acked);
     assert_eq!(on_dst, on_src);
-    let (applied, touched) = on_dst;
-    assert_eq!(applied, 2);
-    assert_eq!(keys(&touched), ["alice", "bob"]);
+    assert_eq!(keys(&on_dst), ["alice", "bob"]);
     assert!(dst.entries().eq(src.entries()));
-    // the delete did not observe the tail's upsert of bob: add-wins
+    // the delete did not observe the source's upsert of bob: add-wins
     let held: Vec<_> = dst.entries().collect();
     assert_eq!(held, [("alice", &row(31)), ("bob", &row(42))]);
 }
@@ -118,42 +124,41 @@ fn tracking_after_compaction_still_resolves() {
     let mut src = Doc::new(A);
     let mut dst = Doc::new(B);
     src.put("alice", row(30));
-    dst.apply_changes(src.get_changes(&VClock::new()));
+    src.put("gone", row(1));
+    src.delete("gone");
+    merge(&mut dst, &src, &VClock::new());
     let frontier = dst.clock().clone();
-    dst.compact(&frontier);
+    assert_eq!(dst.compact(&frontier), 1);
 
     src.put("alice", row(31));
-    let (_, touched) = dst.apply_changes(src.get_changes(&frontier));
+    let touched = merge(&mut dst, &src, &frontier);
     assert_eq!(keys(&touched), ["alice"]);
 }
 
+/// A delta read above a base the receiver does not cover is refused and
+/// reports nothing; the delta read above what it holds reports both keys.
 #[test]
-fn pending_ops_attributed_when_released() {
+fn a_refused_delta_tracks_nothing() {
     let mut src = Doc::new(A);
     let mut dst = Doc::new(B);
     src.put("alice", row(30));
-    let first = src.get_changes(&VClock::new());
     let mid = src.clock().clone();
     src.put("bob", row(41));
     let second = src.get_changes(&mid);
 
-    // Deliver the later change alone: nothing applies, nothing tracked.
-    let (applied, touched) = dst.apply_changes(second);
-    assert_eq!(applied, 0);
-    assert!(touched.is_empty());
+    assert_eq!(dst.apply_changes(&mid, src.clock(), second), None);
+    assert!(dst.is_empty());
 
-    // Delivering the earlier change releases both; both pks reported.
-    let (applied, touched) = dst.apply_changes(first);
-    assert_eq!(applied, 2);
+    let touched = merge(&mut dst, &src, &VClock::new());
     assert_eq!(keys(&touched), ["alice", "bob"]);
 }
 
 mod memo_prop {
     use super::row;
-    use edgstr_crdt::{ActorId, Change, Doc, VClock, Value};
+    use edgstr_crdt::{ActorId, Doc, Slot, VClock, Value};
     use proptest::prelude::*;
     use serde_json::json;
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeMap, BTreeSet};
     use std::sync::Arc;
 
     /// A write to a key chosen by a small index, so generated writes
@@ -182,20 +187,20 @@ mod memo_prop {
         }
     }
 
-    /// The changes `doc` generated itself.
-    fn own_changes(doc: &Doc) -> Vec<Change> {
-        doc.get_changes(&VClock::new())
-            .into_iter()
-            .filter(|c| c.actor() == doc.actor())
-            .collect()
+    /// Every slot `doc` holds, by key.
+    fn slots(doc: &Doc) -> BTreeMap<Arc<str>, Slot> {
+        let slots = doc.slots_under("");
+        slots.map(|s| (Arc::clone(s.key()), s.clone())).collect()
     }
 
-    /// The per-op walk: the keys of every op of the changes in `all` that
-    /// `now` covers and `before` did not.
-    fn walk(all: &[Change], before: &VClock, now: &VClock) -> BTreeSet<Arc<str>> {
-        all.iter()
-            .filter(|c| c.seq() > before.get(c.actor()) && c.seq() <= now.get(c.actor()))
-            .flat_map(|c| c.ops().iter().map(|op| Arc::clone(op.key())))
+    /// The keys whose slot differs between `before` and `after`.
+    fn diff(
+        before: &BTreeMap<Arc<str>, Slot>,
+        after: &BTreeMap<Arc<str>, Slot>,
+    ) -> BTreeSet<Arc<str>> {
+        let keys = before.keys().chain(after.keys());
+        keys.filter(|k| before.get(*k) != after.get(*k))
+            .cloned()
             .collect()
     }
 
@@ -203,46 +208,42 @@ mod memo_prop {
         #![proptest_config(ProptestConfig::with_cases(192))]
 
         /// Three writers put and delete concurrently, merging now and
-        /// then; a fourth replica receives their changes in shuffled
-        /// batches through the tracked apply. Every call must report
-        /// exactly the keys the per-op walk reports for the changes that
-        /// call applied.
+        /// then; a fourth replica merges their deltas in a shuffled order,
+        /// each read above a clock it held at some earlier point. Every
+        /// call must report exactly the keys whose slot it changed, and
+        /// the receiver ends with the writers' merged state.
         #[test]
         fn tracked_apply_reports_what_the_per_op_walk_reports(
             steps in prop::collection::vec((0usize..3, write(), 0u8..6), 1..40),
-            order in prop::collection::vec(any::<u32>(), 0..60),
-            cuts in prop::collection::vec(1usize..6, 1..30),
+            order in prop::collection::vec((0usize..3, any::<u32>()), 0..60),
         ) {
             let mut writers = [Doc::new(ActorId(1)), Doc::new(ActorId(2)), Doc::new(ActorId(3))];
             for (who, w, sync) in &steps {
                 apply(&mut writers[*who], w);
                 if *sync == 0 {
                     // the next writer pulls from this one
-                    let changes = writers[*who].get_changes(writers[(*who + 1) % 3].clock());
-                    writers[(*who + 1) % 3].apply_changes(changes);
+                    let (src, dst) = (*who, (*who + 1) % 3);
+                    let base = writers[dst].clock().clone();
+                    let changes = writers[src].get_changes(&base);
+                    let clock = writers[src].clock().clone();
+                    writers[dst].apply_changes(&base, &clock, changes).unwrap();
                 }
-            }
-            let mut all: Vec<Change> = writers.iter().flat_map(own_changes).collect();
-            let in_order = all.clone();
-            // out-of-order delivery: a seeded shuffle, then uneven batches
-            let n = all.len();
-            for (i, r) in order.iter().enumerate().filter(|_| n > 0) {
-                all.swap(i % n, *r as usize % n);
             }
             let mut dst = Doc::new(ActorId(9));
-            let mut queue = all.into_iter();
-            for cut in cuts.iter().cycle() {
-                let batch: Vec<Change> = queue.by_ref().take(*cut).collect();
-                if batch.is_empty() {
-                    break;
-                }
-                let before = dst.clock().clone();
-                let (_, touched) = dst.apply_changes(batch);
-                prop_assert_eq!(touched, walk(&in_order, &before, dst.clock()));
+            let mut seen = vec![VClock::new()];
+            for (from, pick) in order.iter().chain([(0, 0), (1, 0), (2, 0)].iter()) {
+                let base = &seen[*pick as usize % seen.len()];
+                let changes = writers[*from].get_changes(base);
+                let before = slots(&dst);
+                let touched = dst.apply_changes(base, writers[*from].clock(), changes).unwrap();
+                prop_assert_eq!(touched, diff(&before, &slots(&dst)));
+                seen.push(dst.clock().clone());
             }
-            prop_assert_eq!(dst.pending_len(), 0);
             let mut reference = Doc::new(ActorId(10));
-            reference.apply_changes(in_order);
+            for w in &writers {
+                let changes = w.get_changes(&VClock::new());
+                reference.apply_changes(&VClock::new(), w.clock(), changes).unwrap();
+            }
             prop_assert!(dst.entries().eq(reference.entries()));
         }
     }

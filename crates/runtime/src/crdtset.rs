@@ -4,16 +4,16 @@
 //! EdgStr wraps the replicated components — database tables, files, global
 //! variables — into `CRDT-Table`, `CRDT-Files`, `CRDT-JSON`. Here the three
 //! are three key namespaces of one [`Doc`]: a [`CrdtSet`] holds all of one
-//! replica's replicated state under one clock, one change log and one
+//! replica's replicated state under one clock, one dot index and one
 //! image, *absorbs* local state changes reported by the server process (the
 //! generated wiring), and *materializes* remote changes back into the
 //! server's database / file system / globals.
 
 use crate::cache::UnitVersions;
-use edgstr_analysis::{HandleOutcome, InitState, ServerProcess};
+use edgstr_analysis::{HandleOutcome, InitState, ServerProcess, StateUnit};
 use edgstr_core::CrdtBindings;
 use edgstr_crdt::wire::{put_changes, put_varint, Count, Sink};
-use edgstr_crdt::{ActorId, Cell, Change, CrdtError, Doc, Row, VClock, Value};
+use edgstr_crdt::{ActorId, Cell, CrdtError, Doc, Row, Slot, VClock, Value};
 use edgstr_sql::columns::ColumnSet;
 use edgstr_sql::{ColumnMeta, RowEffect, SqlDb, SqlValue};
 use serde_json::Value as Json;
@@ -88,6 +88,9 @@ pub struct CrdtSet {
     /// Per-state-unit version counters, bumped on every local mutation and
     /// every applied remote change — the response cache's validity signal.
     pub versions: UnitVersions,
+    /// Messages refused because their base was one this replica's clock
+    /// does not cover.
+    refused: usize,
 }
 
 impl CrdtSet {
@@ -132,6 +135,7 @@ impl CrdtSet {
             bindings: bindings.clone(),
             doc: Doc::from_snapshot(actor, entries),
             versions: UnitVersions::default(),
+            refused: 0,
         }
     }
 
@@ -247,21 +251,30 @@ impl CrdtSet {
         }
     }
 
-    /// Changes the peer (summarized by `since`) has not observed.
-    pub fn get_changes(&self, since: &VClock) -> Vec<Change> {
+    /// The slots of the keys holding a write the peer (summarized by
+    /// `since`) has not observed.
+    pub fn get_changes(&self, since: &VClock) -> Vec<Slot> {
         self.doc.get_changes(since)
     }
 
-    /// Apply remote changes to the CRDT and materialize the merged state
+    /// Merge a peer's slots, read above `base` and sent under `clock`, into
+    /// the CRDT ([`Doc::apply_changes`]) and materialize the merged state
     /// into the server (database rows, file contents, global values).
-    /// Returns the number of changes applied. Takes the batch by value: the
-    /// sync daemon's hot path hands each delta over instead of cloning it.
+    /// Returns the number of keys whose slot changed; a message whose base
+    /// this replica does not cover changes nothing and is counted
+    /// ([`CrdtSet::refused`]). Takes the batch by value: the sync daemon's
+    /// hot path hands each delta over instead of cloning it.
     pub fn apply_remote_owned(
         &mut self,
-        changes: Vec<Change>,
+        base: &VClock,
+        clock: &VClock,
+        changes: Vec<Slot>,
         server: &mut ServerProcess,
     ) -> usize {
-        let (applied, touched) = self.doc.apply_changes(changes);
+        let Some(touched) = self.doc.apply_changes(base, clock, changes) else {
+            self.refused += 1;
+            return 0;
+        };
         for (i, name) in self.bindings.tables.iter().enumerate() {
             let keys = under(&touched, table_tag(i));
             // materialize what the delta touched into the SQL engine,
@@ -281,7 +294,7 @@ impl CrdtSet {
             globals.for_each(|(_, g)| self.versions.touch_global(g));
             self.materialize_globals(server);
         }
-        applied
+        touched.len()
     }
 
     /// Push the full merged CRDT state into `server` — used when a
@@ -336,35 +349,37 @@ impl CrdtSet {
         }
     }
 
-    /// The retained change-log length — the resident history the sync
-    /// daemon keeps bounded via [`CrdtSet::compact`].
+    /// The resident tombstones — what the sync daemon keeps bounded via
+    /// [`CrdtSet::compact`].
     pub fn history_len(&self) -> usize {
         self.doc.history_len()
     }
 
-    /// Remote changes buffered awaiting causal dependencies.
-    pub fn pending_len(&self) -> usize {
-        self.doc.pending_len()
+    /// Peer messages refused whole because their base was one this replica
+    /// does not cover. The protocol produces none: every message is read
+    /// above what its receiver acknowledged.
+    pub fn refused(&self) -> usize {
+        self.refused
     }
 
-    /// Fold acked history at or below `frontier` (normally the
-    /// [`VClock::meet`] of all live peers' ack clocks) into the snapshot.
-    /// Returns the number of changes dropped.
+    /// Drop the tombstones `frontier` covers (normally the
+    /// [`VClock::meet`] of all live peers' ack clocks). Returns the number
+    /// dropped.
     pub fn compact(&mut self, frontier: &VClock) -> usize {
         self.doc.compact(frontier)
     }
 
-    /// Serialize the replica's state (snapshot + retained tail) — the
-    /// provisioning payload for a fresh or restarted replica, bounded by
-    /// state size plus uncompacted tail, not lifetime mutation count. It is
-    /// the one [`Doc::save`] image.
+    /// Serialize the replica's state (registers and resident tombstones) —
+    /// the provisioning payload for a fresh or restarted replica, bounded
+    /// by state size, not lifetime mutation count. It is the one
+    /// [`Doc::save`] image.
     pub fn save(&self) -> Vec<u8> {
         self.doc.save()
     }
 
     /// Restore a replica's state from [`CrdtSet::save`] bytes, owned by
     /// `actor`. The restored set reads the same state and serves the same
-    /// retained tail as the original.
+    /// deltas as the original.
     ///
     /// # Errors
     ///
@@ -378,24 +393,26 @@ impl CrdtSet {
             bindings: bindings.clone(),
             doc: Doc::load(actor, bytes)?,
             versions: UnitVersions::default(),
+            refused: 0,
         })
     }
 
-    /// Table `table`'s rows as JSON, `pk → {column: value}`: the text whose
-    /// length is the table's state footprint to the placement controller
-    /// (`None` when the table is not bound).
-    pub(crate) fn table_json(&self, table: &str) -> Option<Json> {
-        let mut prefix = [0; 4];
-        let rows = self
-            .doc
-            .entries_under(self.tag_of(table)?.encode_utf8(&mut prefix));
-        let rows = rows.filter_map(|(pk, value)| {
-            let row = value.as_row()?;
-            let cells = row.columns().iter().zip(row.cells());
-            let cells = cells.map(|(name, c)| (name.clone(), sql_value(c).to_json()));
-            Some((pk.to_string(), Json::Object(cells.collect())))
-        });
-        Some(Json::Object(rows.collect()))
+    /// The encoded length of the registers of `unit`, tombstones included:
+    /// its state footprint to the placement controller (0 when the unit is
+    /// not bound). Each register remembers its length once sized.
+    pub(crate) fn state_bytes(&self, unit: &StateUnit) -> u64 {
+        let mut buf = String::new();
+        let (key, whole_table) = match unit {
+            StateUnit::DbTable(t) => match self.tag_of(t) {
+                Some(tag) => (key_in(&mut buf, tag, ""), true),
+                None => return 0,
+            },
+            StateUnit::File(path) => (key_in(&mut buf, FILES, path), false),
+            StateUnit::Global(g) => (key_in(&mut buf, GLOBALS, g), false),
+        };
+        let slots = self.doc.slots_under(key);
+        let slots = slots.filter(|slot| whole_table || **slot.key() == *key);
+        slots.map(|slot| slot.wire_size() as u64).sum()
     }
 }
 
@@ -488,26 +505,42 @@ fn materialize_rows<'k>(
 }
 
 /// One `cloud_state` / `edge_state` sync envelope (Fig. 5b): the delta
-/// batch plus the sender's full clock, which doubles as a cumulative
-/// acknowledgment of everything the sender has applied.
+/// and what it was read above, the sender's clock it merges under, and the
+/// sender's cumulative acknowledgment of what it holds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SetSyncMessage {
     /// The replica that produced this message.
     pub sender: ActorId,
-    /// The sender's clock — acknowledges every change the sender has
-    /// locally applied, including changes it received from the
-    /// destination.
+    /// What the sender was told the destination holds (its endpoint's
+    /// `peer_clock`): the delta holds every write the sender has above it.
+    pub base: VClock,
+    /// The sender's clock, under which the destination merges the delta.
+    pub clock: VClock,
+    /// What the sender acknowledges holding: its clock, or less where its
+    /// link caps what may be promised (the durability frontier).
     pub ack: VClock,
-    /// Changes the sender believes the destination is missing.
-    pub changes: Vec<Change>,
+    /// The slot of every key holding a write above `base`.
+    pub changes: Vec<Slot>,
 }
 
+/// How the ack follows the clock on the wire: equal to it, or written out.
+const ACK_IS_CLOCK: u8 = 0;
+const ACK_FOLLOWS: u8 = 1;
+
 impl SetSyncMessage {
-    /// Wire layout: `sender`, the ack clock, then the delta as one change
+    /// Wire layout: `sender`, the base and the clock, the ack (a tag: the
+    /// clock again, or a clock of its own), then the delta as one slot
     /// batch.
     fn write<S: Sink>(&self, out: &mut S) {
         put_varint(out, self.sender.0);
-        self.ack.write(out);
+        self.base.write(out);
+        self.clock.write(out);
+        if self.ack == self.clock {
+            out.put(&[ACK_IS_CLOCK]);
+        } else {
+            out.put(&[ACK_FOLLOWS]);
+            self.ack.write(out);
+        }
         put_changes(out, &self.changes);
     }
 
@@ -517,7 +550,7 @@ impl SetSyncMessage {
     }
 
     /// Bytes this message costs on the WAN: the length of
-    /// [`SetSyncMessage::encode`], each change counted at the length it
+    /// [`SetSyncMessage::encode`], each slot counted at the length it
     /// remembers rather than encoded again.
     pub fn wire_size(&self) -> usize {
         Count::of(|n| self.write(n))
@@ -531,8 +564,8 @@ impl SetSyncMessage {
 /// Delivery tracking is **ack-driven**: [`SyncEndpoint::generate`] does not
 /// assume its outgoing delta arrives. `peer_clock` only advances when
 /// [`SyncEndpoint::receive_owned`] merges the peer's acknowledged clock, so
-/// a dropped message simply causes the same changes to be regenerated on
-/// the next round (safe because applying a change twice is a no-op). A
+/// a dropped message simply causes the same slots to be regenerated on
+/// the next round (safe because merging a slot twice is a no-op). A
 /// carrier that cannot lose or reorder a message may advance `peer_clock`
 /// itself once a send is delivered; the threaded executor does.
 #[derive(Debug, Default)]
@@ -555,21 +588,23 @@ impl SyncEndpoint {
         SyncEndpoint { peer_clock }
     }
 
-    /// Build the next outgoing sync message for the peer: every change it
-    /// is not known to have.
+    /// Build the next outgoing sync message for the peer: the slot of
+    /// every key holding a write it is not known to have.
     pub fn generate(&self, set: &CrdtSet) -> SetSyncMessage {
         SetSyncMessage {
             sender: set.actor(),
+            base: self.peer_clock.clone(),
+            clock: set.clock().clone(),
             ack: set.clock().clone(),
             changes: set.get_changes(&self.peer_clock),
         }
     }
 
-    /// Record receipt of a peer's message and apply its delta. The
-    /// message's ack clock tells us exactly what the peer has applied —
+    /// Record receipt of a peer's message and merge its delta. The
+    /// message's ack clock tells us exactly what the peer holds —
     /// including our own earlier deltas — so this is where `peer_clock`
     /// actually advances. Takes the message by value so its delta is
-    /// applied without cloning.
+    /// merged without cloning. Returns the number of keys that changed.
     pub fn receive_owned(
         &mut self,
         set: &mut CrdtSet,
@@ -577,7 +612,7 @@ impl SyncEndpoint {
         msg: SetSyncMessage,
     ) -> usize {
         self.peer_clock.merge(&msg.ack);
-        set.apply_remote_owned(msg.changes, server)
+        set.apply_remote_owned(&msg.base, &msg.clock, msg.changes, server)
     }
 }
 
@@ -597,6 +632,10 @@ mod tests {
             db.query("INSERT INTO kv VALUES ('" + req.body.k + "', " + req.body.v + ")");
             fs.writeFile("/latest.txt", req.body.k);
             res.send({ hits: hits });
+        });
+        app.post("/del", function (req, res) {
+            db.query("DELETE FROM kv WHERE k = '" + req.body.k + "'");
+            res.send({ ok: true });
         });
         app.get("/get", function (req, res) {
             var rows = db.query("SELECT v FROM kv WHERE k = '" + req.params.k + "'");
@@ -772,18 +811,15 @@ mod tests {
             .unwrap();
         edge_set.absorb_outcome(&out, &edge);
         let delta = edge_set.get_changes(&VClock::new());
-        // only the global produced a change beyond genesis
-        let units: Vec<_> = delta
-            .iter()
-            .map(|c| unit_of(&narrow, c.ops()[0].key()))
-            .collect();
+        // only the global was written beyond genesis
+        let units: Vec<_> = delta.iter().map(|c| unit_of(&narrow, c.key())).collect();
         assert_eq!(units, [Some(Unit::Globals)]);
     }
 
     /// Both nodes were initialised from the same snapshot (PAPER.md §1
     /// step 7), so endpoints that know nothing of their peer still have
     /// nothing to say on the first round; the snapshot does not cross the
-    /// WAN. Writes after that travel as before, and the folded genesis
+    /// WAN. Writes after that travel as before, and the unindexed genesis
     /// survives a save/load.
     #[test]
     fn the_shared_snapshot_is_never_shipped() {
@@ -791,7 +827,7 @@ mod tests {
         let (mut cloud, mut cloud_set) = make_node(1, &init);
         let (mut edge, mut edge_set) = make_node(2, &init);
         assert!(!edge_set.rows("kv").is_empty() && edge_set.file("/latest.txt").is_some());
-        assert_eq!(edge_set.history_len(), 0, "genesis is folded at birth");
+        assert_eq!(edge_set.history_len(), 0, "genesis deletes nothing");
         assert!(edge_set.get_changes(&VClock::new()).is_empty());
         let mut e2c = SyncEndpoint::new();
         let mut c2e = SyncEndpoint::new();
@@ -826,7 +862,7 @@ mod tests {
     /// `wire_size` is the length of `encode`, whatever the message holds.
     #[test]
     fn a_set_message_is_as_long_as_its_encoding() {
-        let change = |pk: &str| {
+        let slot = |pk: &str| {
             let mut t = Doc::new(ActorId(4));
             let row = Row::new(
                 ["k".to_string(), "v".to_string()].into(),
@@ -835,37 +871,48 @@ mod tests {
             t.put(pk, Value::Row(row));
             t.get_changes(&VClock::new())
         };
-        let mut ack = VClock::new();
-        ack.observe(ActorId(0), 1);
-        ack.observe(ActorId(2), 70_000);
-        for n in [0, 1, 3] {
+        let mut clock = VClock::new();
+        clock.observe(ActorId(0), 1);
+        clock.observe(ActorId(2), 70_000);
+        let mut base = VClock::new();
+        base.observe(ActorId(2), 1);
+        for (n, capped) in [(0, false), (1, true), (3, false)] {
+            let ack = if capped { base.clone() } else { clock.clone() };
             let msg = SetSyncMessage {
                 sender: ActorId(300),
-                ack: ack.clone(),
-                changes: (0..n).flat_map(|i| change(&format!("k{i}"))).collect(),
+                base: base.clone(),
+                clock: clock.clone(),
+                ack,
+                changes: (0..n).flat_map(|i| slot(&format!("k{i}"))).collect(),
             };
             let mut bytes = Vec::new();
             msg.encode(&mut bytes);
-            assert_eq!(msg.wire_size(), bytes.len(), "{n} changes");
-            // what is not the changes is the envelope: the sender (two
-            // bytes), the clock (seven) and the change count (one)
-            let changes: usize = msg.changes.iter().map(Change::wire_size).sum();
-            assert_eq!(bytes.len() - changes, 10, "{n} changes");
+            assert_eq!(msg.wire_size(), bytes.len(), "{n} slots");
+            // what is not the slots is the envelope: the sender (two
+            // bytes), the base (three), the clock (seven), the ack's tag
+            // (one, then three when it is not the clock) and the slot
+            // count (one)
+            let slots: usize = msg.changes.iter().map(Slot::wire_size).sum();
+            let ack = if capped { 3 } else { 0 };
+            assert_eq!(bytes.len() - slots, 14 + ack, "{n} slots");
         }
-        // an empty message: sender, an empty clock, an empty batch
+        // an empty message: sender, empty base and clock, the ack is the
+        // clock, an empty batch
         let empty = SetSyncMessage {
             sender: ActorId(1),
+            base: VClock::new(),
+            clock: VClock::new(),
             ack: VClock::new(),
             changes: Vec::new(),
         };
         let mut bytes = Vec::new();
         empty.encode(&mut bytes);
-        assert_eq!(bytes, [1, 0, 0]);
+        assert_eq!(bytes, [1, 0, 0, 0, 0]);
     }
 
     /// The sync daemon's compaction loop: after a full bidirectional
     /// exchange the meet of the ack clocks covers everything, compaction
-    /// empties the resident log, and replication keeps working.
+    /// drops every tombstone, and replication keeps working.
     #[test]
     fn meet_frontier_compaction_bounds_history_and_keeps_syncing() {
         let init = init_state();
@@ -884,6 +931,16 @@ mod tests {
                 .unwrap();
             edge_set.absorb_outcome(&out, &edge);
         }
+        for i in 0..3 {
+            let out = edge
+                .handle(&HttpRequest::post(
+                    "/del",
+                    json!({"k": format!("k{i}")}),
+                    vec![],
+                ))
+                .unwrap();
+            edge_set.absorb_outcome(&out, &edge);
+        }
         // two full rounds so both sides' acks cover everything
         for _ in 0..2 {
             let up = e2c.generate(&edge_set);
@@ -891,12 +948,12 @@ mod tests {
             let down = c2e.generate(&cloud_set);
             e2c.receive_owned(&mut edge_set, &mut edge, down);
         }
-        assert!(cloud_set.history_len() > 0);
+        assert_eq!(cloud_set.history_len(), 3);
         // the cloud's only peer is the edge: frontier = own clock ⊓ peer ack
         let frontier = cloud_set.clock().meet(&c2e.peer_clock);
         let dropped = cloud_set.compact(&frontier);
-        assert!(dropped > 0);
-        assert_eq!(cloud_set.history_len(), 0, "fully acked log must empty");
+        assert_eq!(dropped, 3);
+        assert_eq!(cloud_set.history_len(), 0, "every tombstone was acked");
         // replication continues across the compacted master
         let out = cloud
             .handle(&HttpRequest::post(
@@ -927,7 +984,7 @@ mod tests {
                 .unwrap();
             cloud_set.absorb_outcome(&out, &cloud);
         }
-        // compact everything: provisioning must not depend on the log
+        // compact everything: provisioning must not depend on tombstones
         let frontier = cloud_set.clock().clone();
         cloud_set.compact(&frontier);
         let bytes = cloud_set.save();
@@ -946,7 +1003,7 @@ mod tests {
         assert_eq!(got.response.body[0]["v"], json!(3));
 
         // and continues to sync: a new write at the restored edge reaches
-        // the cloud even though the cloud's log was compacted
+        // the cloud
         let mut restored = restored;
         let mut r2c = SyncEndpoint::new();
         let mut c2r = SyncEndpoint::new();
@@ -964,7 +1021,7 @@ mod tests {
         restored.absorb_outcome(&out, &fresh);
         let up = r2c.generate(&restored);
         // one table row + one file write + one global update — no history
-        assert_eq!(up.changes.len(), 3, "only the new delta travels");
+        assert_eq!(up.changes.len(), 3, "only the new writes travel");
         c2r.receive_owned(&mut cloud_set, &mut cloud, up);
         assert_eq!(cloud_set.rows("kv"), restored.rows("kv"));
     }
@@ -994,9 +1051,9 @@ mod tests {
     }
 
     /// A half-compacted set restored from its image is the set it was
-    /// saved from: clocks, retained log, the delta served at any cursor,
-    /// the replicated state it materializes, and what a concurrent delta
-    /// from an edge that has not seen the tail does to both.
+    /// saved from: clock, resident tombstones, the delta served at any
+    /// cursor, the replicated state it materializes, and what a concurrent
+    /// delta from an edge that has not seen the latest writes does to both.
     #[test]
     fn a_restored_set_is_the_set_that_was_saved() {
         let init = init_state();
@@ -1004,28 +1061,30 @@ mod tests {
         let (mut edge, mut edge_set) = make_node(2, &init);
         let mut c2e = SyncEndpoint::new();
         let mut e2c = SyncEndpoint::new();
-        let write = |server: &mut ServerProcess, set: &mut CrdtSet, k: &str, v: i64| {
+        let request = |server: &mut ServerProcess, set: &mut CrdtSet, path: &str, k: &str| {
             let out = server
-                .handle(&HttpRequest::post("/put", json!({"k": k, "v": v}), vec![]))
+                .handle(&HttpRequest::post(path, json!({"k": k, "v": 1}), vec![]))
                 .unwrap();
             set.absorb_outcome(&out, server);
         };
         for i in 0..4 {
-            write(&mut cloud, &mut cloud_set, &format!("c{i}"), i);
-            write(&mut edge, &mut edge_set, &format!("e{i}"), 10 + i);
+            request(&mut cloud, &mut cloud_set, "/put", &format!("c{i}"));
+            request(&mut edge, &mut edge_set, "/put", &format!("e{i}"));
         }
+        request(&mut cloud, &mut cloud_set, "/del", "c0");
         for _ in 0..2 {
             let up = e2c.generate(&edge_set);
             c2e.receive_owned(&mut cloud_set, &mut cloud, up);
             let down = c2e.generate(&cloud_set);
             e2c.receive_owned(&mut edge_set, &mut edge, down);
         }
-        // fold what the edge acked; two more writes stay in the tail
+        // drop what the edge acked; two more deletes stay resident
         let acked = cloud_set.clock().meet(&c2e.peer_clock);
-        assert!(cloud_set.compact(&acked) > 0);
-        write(&mut cloud, &mut cloud_set, "tail", 100);
-        write(&mut cloud, &mut cloud_set, "both", 101);
-        assert_eq!(cloud_set.history_len(), 6, "two writes of three changes");
+        assert_eq!(cloud_set.compact(&acked), 1);
+        request(&mut cloud, &mut cloud_set, "/del", "c1");
+        request(&mut cloud, &mut cloud_set, "/del", "e1");
+        request(&mut cloud, &mut cloud_set, "/put", "both");
+        assert_eq!(cloud_set.history_len(), 2);
 
         let mut fresh = ServerProcess::from_source(APP).unwrap();
         fresh.init().unwrap();
@@ -1044,20 +1103,23 @@ mod tests {
         }
         assert_eq!(replicated(&fresh), replicated(&cloud));
 
-        // every write supersedes the folded file and global; the second
-        // also upserts a row the tail upserted
-        write(&mut edge, &mut edge_set, "fresh", 7);
-        write(&mut edge, &mut edge_set, "both", 8);
+        // every write supersedes the file and global the cloud last wrote;
+        // the second also upserts a row the cloud upserted concurrently
+        request(&mut edge, &mut edge_set, "/put", "fresh");
+        request(&mut edge, &mut edge_set, "/put", "both");
         let concurrent = edge_set.get_changes(&acked);
-        assert_eq!(concurrent.len(), 6);
+        let clock = edge_set.clock().clone();
+        let apply = |set: &mut CrdtSet, server: &mut ServerProcess| {
+            set.apply_remote_owned(&acked, &clock, concurrent.clone(), server)
+        };
         assert_eq!(
-            restored.apply_remote_owned(concurrent.clone(), &mut fresh),
-            6
+            apply(&mut restored, &mut fresh),
+            apply(&mut cloud_set, &mut cloud)
         );
-        assert_eq!(cloud_set.apply_remote_owned(concurrent, &mut cloud), 6);
         assert_eq!(restored.clock(), cloud_set.clock());
         assert_eq!(replicated(&fresh), replicated(&cloud));
         assert_eq!(restored.rows("kv"), cloud_set.rows("kv"));
+        assert_eq!((restored.refused(), cloud_set.refused()), (0, 0));
     }
 }
 
@@ -1265,6 +1327,55 @@ mod partition_tests {
         CrdtSet::initialize(ActorId(1), &bindings, &InitState::capture(&s));
     }
 
+    /// A replica restored from an image older than what it acknowledged
+    /// cannot take a delta read above that acknowledgment: the message is
+    /// refused whole, changes nothing and is counted. Once its peer's end
+    /// starts over at the restored clock, the next delta lands.
+    #[test]
+    fn a_message_above_an_uncovered_base_is_refused_and_counted() {
+        let mut seed = ServerProcess::from_source(APP).unwrap();
+        seed.init().unwrap();
+        let init = InitState::capture(&seed);
+        let bindings = CrdtBindings::from_units([StateUnit::DbTable("log".into())]);
+        let node = |actor| {
+            let mut s = ServerProcess::from_source(APP).unwrap();
+            s.init().unwrap();
+            init.restore(&mut s);
+            (s, CrdtSet::initialize(ActorId(actor), &bindings, &init))
+        };
+        let ((mut cloud, mut cloud_set), (mut edge, mut edge_set)) = (node(1), node(2));
+        let write = |server: &mut ServerProcess, set: &mut CrdtSet, id: u64| {
+            let req = HttpRequest::post("/log", json!({"id": id, "msg": "m"}), vec![]);
+            let out = server.handle(&req).unwrap();
+            set.absorb_outcome(&out, server);
+        };
+        let old_image = edge_set.save();
+        write(&mut edge, &mut edge_set, 1);
+        let (mut e2c, mut c2e) = (SyncEndpoint::new(), SyncEndpoint::new());
+        let up = e2c.generate(&edge_set);
+        c2e.receive_owned(&mut cloud_set, &mut cloud, up);
+
+        // the edge comes back from the image it saved before that write
+        let mut restored = CrdtSet::load(ActorId(2), &bindings, &old_image).unwrap();
+        restored.materialize_all(&mut edge);
+        write(&mut cloud, &mut cloud_set, 2);
+        let down = c2e.generate(&cloud_set);
+        assert!(!restored.clock().dominates(&down.base));
+        let (clock, rows) = (restored.clock().clone(), restored.rows("log").len());
+        assert_eq!(e2c.receive_owned(&mut restored, &mut edge, down), 0);
+        assert_eq!(restored.refused(), 1);
+        assert_eq!(
+            (restored.clock(), restored.rows("log").len()),
+            (&clock, rows)
+        );
+
+        c2e.peer_clock = restored.clock().clone();
+        let down = c2e.generate(&cloud_set);
+        assert_eq!(e2c.receive_owned(&mut restored, &mut edge, down), 2);
+        assert_eq!(restored.rows("log"), cloud_set.rows("log"));
+        assert_eq!(restored.refused(), 1);
+    }
+
     /// Message loss: under the ack protocol the endpoint does not advance
     /// its view of the peer on send, so a dropped delta is regenerated
     /// verbatim on the next round and a late duplicate is harmless.
@@ -1409,13 +1520,13 @@ mod array_global_tests {
         star.sync();
         star.all_hold("tags", &tags);
         star.all_hold("cfg", &cfg);
-        // every global, an array or an object, is one `Put` of its JSON
+        // every global, an array or an object, is one write of its JSON
         let ops = |n: usize| {
             let changes = star.nodes[n].1.get_changes(&VClock::new());
             changes
                 .iter()
-                .filter(|c| c.actor() == ActorId(n as u64 + 1))
-                .map(|c| c.ops().len())
+                .filter(|c| c.stamps()[0].id.actor == ActorId(n as u64 + 1))
+                .map(|c| c.stamps().len())
                 .collect::<Vec<_>>()
         };
         assert_eq!(ops(1), [1], "tags");

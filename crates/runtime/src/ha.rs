@@ -199,9 +199,10 @@ impl HaPlane {
         }
     }
 
-    /// Fold the master's (and the standby's) history below `frontier`, held
-    /// back to the durability frontier: a recovered or promoted cloud must
-    /// be able to re-serve the tail above it.
+    /// Drop the master's (and the standby's) tombstones below `frontier`,
+    /// held back to the durability frontier: an edge restarted from the
+    /// failover target's image may hold a value deleted above that image's
+    /// clock, and must still be sent the delete.
     pub fn compact_master(&mut self, cloud: &mut ReplicaCore, mut frontier: VClock) -> usize {
         if let Some(cap) = self.durability_clock() {
             frontier = frontier.meet(&cap);

@@ -6,7 +6,7 @@
 //!   `CRDT-Table` / `CRDT-Files` / `CRDT-JSON` update operations, plus
 //!   materialization of remote changes back into the local database, file
 //!   system and globals. The three are three key namespaces of one
-//!   `edgstr_crdt::Doc`: a replica has one clock, one change log and one
+//!   `edgstr_crdt::Doc`: a replica has one clock, one dot index and one
 //!   save image;
 //! - [`SyncEndpoint`] — the bidirectional `cloud_state` / `edge_state`
 //!   channel with ack-driven delta shipping (Fig. 5b);

@@ -46,7 +46,7 @@ impl SyncLink {
 
     /// A new master process took over. What this replica had acked was in
     /// the dead master's memory, so the master's end restarts from scratch;
-    /// resending the retained tail is idempotent.
+    /// resending every indexed slot is idempotent.
     pub fn master_replaced(&mut self) {
         self.master = SyncEndpoint::new();
     }

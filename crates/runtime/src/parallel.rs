@@ -161,7 +161,7 @@ struct OwnedReplica {
 }
 
 impl OwnedReplica {
-    /// Ship the changes the cloud has not been sent, if there are any. The
+    /// Ship the writes the cloud has not been sent, if there are any. The
     /// channel is reliable and FIFO and the cloud folds every message it
     /// receives, so a delivered send is the cloud's acknowledgment.
     fn flush(&mut self, to_cloud: &SyncSender<Delta>) {
@@ -496,10 +496,10 @@ mod tests {
         assert_send::<HttpRequest>();
         assert_send::<edgstr_net::HttpResponse>();
         assert_send::<crate::CrdtSet>();
-        // one change record is held by the worker's log, the delta in the
-        // channel and the cloud's log at once
+        // one slot record is held by the worker's register, the delta in
+        // the channel and the cloud's register at once
         fn assert_shared<T: Send + Sync>() {}
-        assert_shared::<edgstr_crdt::Change>();
+        assert_shared::<edgstr_crdt::Slot>();
     }
 
     const APP: &str = r#"

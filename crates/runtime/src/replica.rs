@@ -437,9 +437,8 @@ impl Provisioner {
 
     /// A replica of `kind` under `actor`. Without an image, server and CRDT
     /// set both start from the shared init snapshot (§III-G). From a
-    /// [`CrdtSet::save`] image (snapshot + retained tail) the replica joins
-    /// at the image's clock without anyone replaying history compaction
-    /// may have folded.
+    /// [`CrdtSet::save`] image (registers and resident tombstones) the
+    /// replica joins at the image's clock, and only writes above it travel.
     ///
     /// # Errors
     ///

@@ -425,9 +425,8 @@ impl ThreeTierSystem {
     /// (dropped messages still consume bandwidth). When a fault plan is
     /// configured, each direction of each exchange may be dropped; under
     /// the ack protocol the lost delta is simply regenerated next round.
-    /// After the exchanges, fully-acknowledged history is folded into the
-    /// snapshots, keeping resident change logs bounded under steady-state
-    /// sync.
+    /// After the exchanges, tombstones every peer has acknowledged are
+    /// dropped, keeping resident state bounded under steady-state sync.
     pub fn sync_round(&mut self, at: SimTime) -> usize {
         self.ha.advance(at, &mut self.cloud, &mut self.edges);
         if self.ha.master_down() {
@@ -494,18 +493,18 @@ impl ThreeTierSystem {
         bytes
     }
 
-    /// Fold fully-acknowledged history into snapshots on every live node;
-    /// returns the number of changes dropped cluster-wide.
+    /// Drop fully-acknowledged tombstones on every live node; returns the
+    /// number dropped cluster-wide.
     ///
     /// The cloud's safe frontier is the pointwise minimum
     /// ([`VClock::meet`]) of every live edge's ack clock:
-    /// a change is folded only once *all* live peers have acknowledged it
-    /// (and, under HA, once the failover target holds it). Crashed edges
-    /// are excluded from the meet — a restarted replica re-provisions from
-    /// a compacted save ([`ThreeTierSystem::restart_edge`]) instead of
-    /// replaying history, so nothing it missed is ever needed again. Each
-    /// edge's only sync peer is the cloud, so its frontier is the cloud's
-    /// ack clock directly.
+    /// a tombstone is dropped only once *all* live peers have acknowledged
+    /// its delete (and, under HA, once the failover target holds it).
+    /// Crashed edges are excluded from the meet — a restarted replica
+    /// re-provisions from the failover target's image
+    /// ([`ThreeTierSystem::restart_edge`]), and every tombstone above that
+    /// image's clock is still held. Each edge's only sync peer is the
+    /// cloud, so its frontier is the cloud's ack clock directly.
     pub fn compact_acked(&mut self) -> usize {
         let mut dropped = 0;
         let mut acked = EdgeReplica::live(&self.edges).map(|e| &e.link.master.peer_clock);
@@ -1362,10 +1361,11 @@ mod tests {
         assert!(sys.edges[0].core.crdts.rows("notes").len() >= 30);
     }
 
-    /// Steady-state compaction: under continuous writes with periodic
-    /// sync, the resident change history on the cloud master stays bounded
-    /// by the sync/ack lag instead of growing with the write count, while
-    /// the cluster still converges to the full table.
+    /// Steady state: under continuous writes with periodic sync, nothing
+    /// resident on the cloud master grows with the write count — a write
+    /// leaves its register and no log entry, and this app deletes nothing,
+    /// so no tombstone is held — while the cluster still converges to the
+    /// full table.
     #[test]
     fn steady_state_sync_keeps_resident_history_bounded() {
         let report = transformed();
@@ -1388,12 +1388,7 @@ mod tests {
             .expect("steady-state cluster must converge");
         let writes = sys.cloud.crdts.rows("notes").len();
         assert!(writes >= 200);
-        // every write is at least one change: unfolded, the history would
-        // hold no fewer than `writes` of them
-        assert!(
-            peak * 4 < writes,
-            "compaction must bound resident history: peak {peak} of {writes} writes"
-        );
+        assert_eq!(peak, 0, "{writes} writes left something resident");
     }
 
     #[test]

@@ -31,7 +31,7 @@ use crate::replica::{ReplicaCore, ReplicaTemplate};
 use crate::system::EdgeReplica;
 use edgstr_analysis::{EffectSummary, StateUnit};
 use edgstr_core::CrdtBindings;
-use edgstr_crdt::{Change, VClock};
+use edgstr_crdt::{Slot, VClock};
 use edgstr_net::Verb;
 use edgstr_placement::{
     Observation, Placement, PlacementController, PlacementPolicy, StaticSignals,
@@ -132,17 +132,7 @@ fn service_label(key: &ServiceKey) -> String {
 /// Byte footprint of a service's write set in the given CRDT state (the
 /// `edgstr_service_state_bytes` gauge).
 fn service_state_bytes(crdts: &CrdtSet, summary: &EffectSummary) -> u64 {
-    let mut bytes = 0u64;
-    for w in &summary.writes {
-        bytes += match w {
-            StateUnit::DbTable(t) => crdts
-                .table_json(t)
-                .map_or(0, |t| t.to_string().len() as u64),
-            StateUnit::File(f) => crdts.file(f).map_or(0, |b| b.len() as u64),
-            StateUnit::Global(g) => crdts.global(g).map_or(0, |v| v.to_string().len() as u64),
-        };
-    }
-    bytes
+    summary.writes.iter().map(|w| crdts.state_bytes(w)).sum()
 }
 
 /// Which services write what, by kind of state unit: how a sync message's
@@ -184,14 +174,13 @@ impl SyncWriters {
     fn credit(
         &self,
         msg_bytes: u64,
-        changes: &[Change],
+        changes: &[Slot],
         bindings: &CrdtBindings,
         mut credit: impl FnMut(&ServiceKey, u64),
     ) {
         let (mut tables, mut files, mut globals) = (BTreeMap::new(), 0, 0);
         for change in changes {
-            let key = change.ops().first().map(|op| &**op.key());
-            match key.and_then(|key| unit_of(bindings, key)) {
+            match unit_of(bindings, change.key()) {
                 Some(Unit::Table(t)) => *tables.entry(t).or_insert(0) += 1,
                 Some(Unit::Files) => files += 1,
                 Some(Unit::Globals) => globals += 1,
@@ -523,7 +512,7 @@ impl Placements {
 
     /// Attribute one sync message's `wire` bytes to the services whose
     /// writes it carries, in the adaptive controller's open windows.
-    pub fn observe_sync(&mut self, wire: usize, changes: &[Change]) {
+    pub fn observe_sync(&mut self, wire: usize, changes: &[Slot]) {
         if let Decisions::Adaptive(c) = &mut self.source {
             let credit = |key: &ServiceKey, bytes| c.observe_sync_bytes(key, bytes);
             let bindings = &self.template.bindings;
@@ -693,10 +682,7 @@ mod tests {
         writers.credit(1_000, &msg.changes, bindings, |key, bytes| {
             *credited.entry(key.clone()).or_default() += bytes;
         });
-        let units = msg
-            .changes
-            .iter()
-            .map(|c| unit_of(bindings, c.ops()[0].key()));
+        let units = msg.changes.iter().map(|c| unit_of(bindings, c.key()));
         let units: Vec<_> = units.collect();
         let tables = units
             .iter()

@@ -137,9 +137,9 @@ proptest! {
 
         let master = sys.cloud.crdts.clock();
         let digest = sys.cloud.replicated_state_digest();
-        prop_assert_eq!(sys.cloud.crdts.pending_len(), 0, "the master buffers changes");
+        prop_assert_eq!(sys.cloud.crdts.refused(), 0, "the master refused a message");
         for (i, e) in sys.edges.iter().enumerate() {
-            prop_assert_eq!(e.core.crdts.pending_len(), 0, "edge {} buffers changes", i);
+            prop_assert_eq!(e.core.crdts.refused(), 0, "edge {} refused a message", i);
             let clock = e.core.crdts.clock();
             prop_assert!(
                 clock.dominates(master) && master.dominates(clock),

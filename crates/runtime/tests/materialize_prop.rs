@@ -12,8 +12,8 @@
 //! `SyncEndpoint` the runtime ships: once the network heals, every clock
 //! equals the master's and no endpoint has anything left to send; two
 //! peers under the same adversary converge within two reliable rounds;
-//! and a delta cut into one message per change, duplicated and
-//! reordered, lands exactly where in-order delivery does.
+//! and a writer's stream of deltas, duplicated and reordered, lands
+//! exactly where in-order delivery does.
 
 use edgstr_analysis::{InitState, ServerProcess, StateUnit};
 use edgstr_core::CrdtBindings;
@@ -354,11 +354,12 @@ proptest! {
         prop_assert!(left.changes.is_empty(), "b still sends {:?}", left.changes);
     }
 
-    /// A delta cut into one message per change, each delivered twice, in
+    /// The stream of messages a writer sends while it writes — after each
+    /// write, the delta of everything it holds — each delivered twice, in
     /// an order that takes from either end of the stream, leaves the
-    /// receiver where in-order delivery of the whole delta does: the same
-    /// clock and the same rows (applying a change is idempotent, and a
-    /// change that arrives before its dependencies waits for them).
+    /// receiver where in-order delivery of the last one does: the same
+    /// clock and the same rows (merging a slot is idempotent, and an older
+    /// delta changes nothing a newer one has already merged).
     #[test]
     fn duplicated_reordered_stream_matches_in_order(
         writes in prop::collection::vec((write(), 6u8..14, -9i8..9), 1..15),
@@ -366,20 +367,16 @@ proptest! {
     ) {
         let init = init_state();
         let mut src = Node::new(1, &init);
+        let mut singles: Vec<SetSyncMessage> = Vec::new();
         for (write, id, qty) in &writes {
             src.serve(write.path(), *id, *qty);
+            singles.push(SyncEndpoint::new().generate(&src.set));
         }
-        let full = SyncEndpoint::new().generate(&src.set);
+        let full = singles.last().expect("one write at least").clone();
 
         let mut ordered = Node::new(2, &init);
-        SyncEndpoint::new().receive_owned(&mut ordered.set, &mut ordered.server, full.clone());
+        SyncEndpoint::new().receive_owned(&mut ordered.set, &mut ordered.server, full);
 
-        let single = |change| SetSyncMessage {
-            sender: full.sender,
-            ack: full.ack.clone(),
-            changes: vec![change],
-        };
-        let mut singles: Vec<SetSyncMessage> = full.changes.iter().cloned().map(single).collect();
         let mut chaotic = Node::new(3, &init);
         let mut ep = SyncEndpoint::new();
         let mut from_front = pick.iter().cycle();
