@@ -446,8 +446,8 @@ fn pinned_row_writes() {
             fnv(&all.digest)
         ),
         (
-            0x3c6c_577d_d1bc_6a51,
-            0xfe7d_547d_cdcd_9fdf,
+            0x9308_c3ef_7fb9_0a97,
+            0x5eec_85a8_5e64_74a6,
             0xace2_f16b_207f_1f23,
             0x041a_8bc4_d90c_168f
         ),
