@@ -12,8 +12,8 @@
 //!
 //! Pinned at commit 0529a6f, before the sync wire went binary: the
 //! converged replicated state of every node in the two virtual-time
-//! cells. The wire format may move exactly three constants in this file —
-//! the `wan_sync_bytes` of those cells, which are marked below — and
+//! cells. The wire format may move exactly four constants in this file —
+//! the `wan_sync_bytes` of the virtual-time cells — and
 //! nothing else: sync bytes occupy no simulated link, so no virtual time
 //! depends on them. The other places a sync byte count reaches are not
 //! pinned constants: `tests/three_tier.rs` compares two runs' bytes with
@@ -101,6 +101,19 @@
 //! five state digests moved. Every typed state, response digest, count,
 //! byte, trace hash and virtual time held, so the replicas hold what they
 //! held; only the function reading it changed.
+//!
+//! Re-pinned when sync came to read each delta from stamped state (ROADMAP
+//! item 14): a message carries each key's current slot once, where it
+//! carried every change to it, and no change log is kept. The four
+//! `wan_sync_bytes` fell (98,091 → 51,580; 185,104 → 93,984; 176,382 →
+//! 104,636; 423,939 → 206,979), and the resident count is now of
+//! tombstones, of which these runs leave none (94, 24, 93 and 630 resident
+//! changes before). The three trace hashes moved with them: the parent's
+//! and the change's traces differ only in the `bytes` attribute of
+//! `sync.round` spans and in the `crdt.compact` events, which are emitted
+//! only when something was dropped (7, 4 and 8 of them before, none now).
+//! Every digest, typed state, cache count, HA count, placement decision
+//! and virtual time held.
 
 use edgstr_core::{capture_and_transform, EdgStrConfig};
 use edgstr_net::{fnv1a, CrashPlan, FaultPlan, HttpRequest, LossModel, Verb, FNV_OFFSET};
@@ -259,14 +272,14 @@ fn seeded_bookworm_run_matches_pinned_stats() {
     assert_eq!((stats.failed, stats.forwarded), (0, 0));
     assert_eq!(stats.response_digest, 0x6d1c_e0a9_6847_598c);
     assert_eq!(stats.lan_bytes, 956_935);
-    assert_eq!(stats.wan_sync_bytes, 98_091, "wire-format dependent");
+    assert_eq!(stats.wan_sync_bytes, 51_580, "wire-format dependent");
     assert_eq!(stats.makespan, SimTime(3_001_568));
     assert_eq!(sys.cloud.replicated_state_digest(), 0x489e_fcb5_4140_d8a5);
     for e in &sys.edges {
         assert_eq!(e.core.replicated_state_digest(), 0x489e_fcb5_4140_d8a5);
     }
     assert_eq!(typed_states(&sys), [0xaa85_7d22_670d_135e; 4]);
-    assert_eq!(histories(&sys), [94, 0, 0, 0]);
+    assert_eq!(histories(&sys), [0, 0, 0, 0]);
     assert_eq!(
         cache,
         CacheStats {
@@ -440,11 +453,11 @@ fn forwarding_failover_and_quarantine_match_pinned_stats() {
             counts: [1_600, 0, 305, 87, 0, 0],
             lan_bytes: 1_739_638,
             wan_request_bytes: 273_086,
-            wan_sync_bytes: 185_104,
+            wan_sync_bytes: 93_984,
             makespan: SimTime(9_042_300),
             state_digests: [0xb7c2_21c8_6314_d2d8; 4],
             typed_states: [0xe4c1_d83d_5b13_9faf; 4],
-            histories: [24, 0, 0, 0],
+            histories: [0, 0, 0, 0],
             cache: CacheStats {
                 hits: 824,
                 misses: 829,
@@ -457,7 +470,7 @@ fn forwarding_failover_and_quarantine_match_pinned_stats() {
             quarantines: vec![(2, SimTime(3_568_418))],
             outages: vec![(SimTime(3_200_000), SimTime(3_700_000))],
         },
-        0x5624_8471_e87c_6d57,
+        0x316f_2d73_efa4_df0f,
     );
     // no standby: forwards time out and breakers open until the master
     // recovers from its durable image at 6 s; the edge whose restart came
@@ -469,11 +482,11 @@ fn forwarding_failover_and_quarantine_match_pinned_stats() {
             counts: [1_372, 228, 308, 49, 9, 885],
             lan_bytes: 1_486_872,
             wan_request_bytes: 53_192,
-            wan_sync_bytes: 176_382,
+            wan_sync_bytes: 104_636,
             makespan: SimTime(9_112_675),
             state_digests: [0x0d90_e3ca_8c21_0fb3; 4],
             typed_states: [0x7201_be16_e248_9ec5; 4],
-            histories: [93, 0, 0, 0],
+            histories: [0, 0, 0, 0],
             cache: CacheStats {
                 hits: 778,
                 misses: 651,
@@ -486,7 +499,7 @@ fn forwarding_failover_and_quarantine_match_pinned_stats() {
             quarantines: vec![(2, SimTime(3_568_418))],
             outages: vec![(SimTime(3_200_000), SimTime(6_000_000))],
         },
-        0xf837_7dc0_0d87_d09c,
+        0x3844_2036_e9cd_4808,
     );
 }
 
@@ -660,7 +673,7 @@ fn autoscaling_and_adaptive_placement_match_pinned_stats() {
             counts: [2_397, 3, 80, 56, 3, 0],
             lan_bytes: 2_640_397,
             wan_request_bytes: 770_140,
-            wan_sync_bytes: 423_939,
+            wan_sync_bytes: 206_979,
             makespan: SimTime(19_100_190),
             replica_samples: 2_400,
             replica_changes: vec![
@@ -673,7 +686,7 @@ fn autoscaling_and_adaptive_placement_match_pinned_stats() {
             ],
             state_digests: [0xeba9_ad11_b448_3968; 4],
             typed_states: [0xb254_44b8_220d_d22c; 4],
-            histories: [630, 0, 0, 0],
+            histories: [0, 0, 0, 0],
             decided: [
                 decided(4_000_000, "cloud_pin"),
                 decided(5_000_000, "edge_replicate"),
@@ -693,7 +706,7 @@ fn autoscaling_and_adaptive_placement_match_pinned_stats() {
             demotes: 4,
             acked_snapshots: [24, 0],
         },
-        0xe430_fe97_eaf0_3075,
+        0x7d8a_cbf3_b2c2_3086,
     );
 }
 
