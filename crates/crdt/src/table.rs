@@ -14,7 +14,7 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 /// One SQL cell, as the engine holds it: the kinds `edgstr-sql` has,
-/// without depending on it.
+/// with no dependency on it.
 #[derive(Debug, Clone)]
 pub enum Cell {
     Null,

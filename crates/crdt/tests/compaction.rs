@@ -383,6 +383,13 @@ proptest! {
         let image = standby.save();
         spokes[0] = Doc::load(ActorId(4), &image).unwrap();
         let at = spokes[0].clock().clone();
+        // every key the image holds and the hub has deleted since is still
+        // in the hub's delta above the image's clock: its tombstone was
+        // not dropped
+        let above = hub.get_changes(&at);
+        for (key, _) in spokes[0].entries().filter(|(k, _)| hub.get(k).is_none()) {
+            prop_assert!(above.iter().any(|s| &**s.key() == key), "{} was deleted", key);
+        }
         acks[0] = (at.clone(), at);
         for _ in 0..3 {
             round(&mut hub, &mut standby, &mut spokes, &mut acks, &mut durable)?;
