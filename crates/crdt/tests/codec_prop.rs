@@ -901,7 +901,7 @@ proptest! {
         changes in prop::collection::vec(slot(), 0..6),
         sender in wide(),
     ) {
-        let ack = clock.meet(&capped);
+        let ack = (!capped.is_empty()).then(|| clock.meet(&capped));
         let msg = SetSyncMessage { sender: ActorId(sender), base, clock, ack, changes };
         let mut bytes = Vec::new();
         msg.encode(&mut bytes);

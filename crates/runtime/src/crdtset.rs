@@ -516,14 +516,15 @@ pub struct SetSyncMessage {
     pub base: VClock,
     /// The sender's clock, under which the destination merges the delta.
     pub clock: VClock,
-    /// What the sender acknowledges holding: its clock, or less where its
-    /// link caps what may be promised (the durability frontier).
-    pub ack: VClock,
+    /// What the sender acknowledges holding, where it is less than its
+    /// clock: the link caps what may be promised (the durability
+    /// frontier). `None` acknowledges the clock.
+    pub ack: Option<VClock>,
     /// The slot of every key holding a write above `base`.
     pub changes: Vec<Slot>,
 }
 
-/// How the ack follows the clock on the wire: equal to it, or written out.
+/// Whether a capped ack follows the clock on the wire.
 const ACK_IS_CLOCK: u8 = 0;
 const ACK_FOLLOWS: u8 = 1;
 
@@ -535,13 +536,21 @@ impl SetSyncMessage {
         put_varint(out, self.sender.0);
         self.base.write(out);
         self.clock.write(out);
-        if self.ack == self.clock {
-            out.put(&[ACK_IS_CLOCK]);
-        } else {
-            out.put(&[ACK_FOLLOWS]);
-            self.ack.write(out);
+        match &self.ack {
+            None => out.put(&[ACK_IS_CLOCK]),
+            Some(ack) => {
+                out.put(&[ACK_FOLLOWS]);
+                ack.write(out);
+            }
         }
         put_changes(out, &self.changes);
+    }
+
+    /// Acknowledge no more than `cap` holds. An ack the cap leaves at the
+    /// clock is the clock's, and travels as a tag.
+    pub fn cap_ack(&mut self, cap: &VClock) {
+        let ack = self.clock.meet(cap);
+        self.ack = (ack != self.clock).then_some(ack);
     }
 
     /// Append this message's wire encoding to `out`.
@@ -595,7 +604,7 @@ impl SyncEndpoint {
             sender: set.actor(),
             base: self.peer_clock.clone(),
             clock: set.clock().clone(),
-            ack: set.clock().clone(),
+            ack: None,
             changes: set.get_changes(&self.peer_clock),
         }
     }
@@ -611,7 +620,8 @@ impl SyncEndpoint {
         server: &mut ServerProcess,
         msg: SetSyncMessage,
     ) -> usize {
-        self.peer_clock.merge(&msg.ack);
+        self.peer_clock
+            .merge(msg.ack.as_ref().unwrap_or(&msg.clock));
         set.apply_remote_owned(&msg.base, &msg.clock, msg.changes, server)
     }
 }
@@ -877,7 +887,7 @@ mod tests {
         let mut base = VClock::new();
         base.observe(ActorId(2), 1);
         for (n, capped) in [(0, false), (1, true), (3, false)] {
-            let ack = if capped { base.clone() } else { clock.clone() };
+            let ack = capped.then(|| base.clone());
             let msg = SetSyncMessage {
                 sender: ActorId(300),
                 base: base.clone(),
@@ -902,7 +912,7 @@ mod tests {
             sender: ActorId(1),
             base: VClock::new(),
             clock: VClock::new(),
-            ack: VClock::new(),
+            ack: None,
             changes: Vec::new(),
         };
         let mut bytes = Vec::new();

@@ -75,7 +75,7 @@ impl SyncLink {
             };
             let mut msg = from.generate(&sender.crdts);
             if let Some(cap) = ack_cap.filter(|_| leg == answer) {
-                msg.ack = msg.ack.meet(cap);
+                msg.cap_ack(cap);
             }
             if deliver(leg, &msg) {
                 to.receive_owned(&mut receiver.crdts, &mut receiver.server, msg);
@@ -128,7 +128,8 @@ mod tests {
         }
         let mut msg = link.master.generate(&master.crdts);
         if let Some(cap) = cap {
-            msg.ack = msg.ack.meet(cap);
+            let ack = msg.clock.meet(cap);
+            msg.ack = (ack != msg.clock).then_some(ack);
         }
         wire.push(msg.wire_size());
         if !down_lost {
