@@ -113,9 +113,9 @@ impl Cell {
     }
 }
 
-/// The column lists the rows of one change or one image are written
-/// under, each once, in the order the rows first name them. A row refers
-/// to its list by position, so column names travel once per change.
+/// The column lists the rows of one slot or one image are written under,
+/// each once, in the order the rows first name them. A row refers to its
+/// list by position, so column names travel once per slot.
 #[derive(Debug, Default)]
 pub(crate) struct KeyTable<'a>(Vec<&'a Arc<[String]>>);
 
@@ -124,17 +124,19 @@ impl<'a> KeyTable<'a> {
     pub(crate) fn of(rows: impl Iterator<Item = &'a Row>) -> KeyTable<'a> {
         let mut table = KeyTable::default();
         for row in rows {
-            if table.find(&row.columns).is_none() {
-                table.0.push(&row.columns);
-            }
+            table.position(&row.columns);
         }
         table
     }
 
-    fn find(&self, columns: &Arc<[String]>) -> Option<usize> {
-        self.0
-            .iter()
-            .position(|&c| Arc::ptr_eq(c, columns) || **c == **columns)
+    /// Where `columns` is in the table, added at the end when it is not.
+    fn position(&mut self, columns: &'a Arc<[String]>) -> usize {
+        let same = |c: &&Arc<[String]>| Arc::ptr_eq(c, columns) || ***c == **columns;
+        let at = self.0.iter().position(same);
+        at.unwrap_or_else(|| {
+            self.0.push(columns);
+            self.0.len() - 1
+        })
     }
 
     /// A count of lists; per list a count of names, then the names.
@@ -152,10 +154,7 @@ impl<'a> KeyTable<'a> {
     /// A list the table does not hold yet is added to it: written in one
     /// walk, a table comes out as [`KeyTable::of`] builds it.
     pub(crate) fn write_row<S: Sink>(&mut self, out: &mut S, row: &'a Row) {
-        let at = self.find(&row.columns).unwrap_or_else(|| {
-            self.0.push(&row.columns);
-            self.0.len() - 1
-        });
+        let at = self.position(&row.columns);
         put_varint(out, at as u64);
         for cell in row.cells.iter() {
             cell.write(out);
