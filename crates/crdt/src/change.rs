@@ -151,12 +151,6 @@ impl Slot {
         self.stamps().iter().rev().find_map(|s| s.value.as_ref())
     }
 
-    /// Whether the two handles are one record.
-    #[cfg(test)]
-    pub(crate) fn same_record(&self, other: &Slot) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
-    }
-
     /// The smallest indexed dot, in `(actor, seq)` order, that `since` does
     /// not cover: where a walk of the dot index above `since` meets this
     /// slot first.
@@ -353,7 +347,7 @@ mod tests {
         let size = s.wire_size();
         assert!(size > 0);
         // one record: a handle taken before sizing sees the number too
-        assert!(s.same_record(&early));
+        assert!(Arc::ptr_eq(&s.0, &early.0));
         assert_eq!(early.0.size.get(), Some(&size));
         // sized and unsized values are the same slot
         assert_eq!(s, slot());
