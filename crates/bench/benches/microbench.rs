@@ -392,7 +392,7 @@ fn bench_sql(c: &mut Criterion) {
         }
         std::hint::black_box(&flush);
     };
-    let tables = [
+    let mut tables = [
         ("512", catalog(512), false),
         ("4096", catalog(4_096), false),
         ("4096_synced", synced(4_096), true),
@@ -403,10 +403,10 @@ fn bench_sql(c: &mut Criterion) {
     );
     let range = "SELECT id, title, price FROM books \
                  WHERE price <= 12 AND stock > 0 ORDER BY price DESC LIMIT 3";
-    for (name, mut db, cold) in tables {
+    for (name, db, cold) in &mut tables {
         for (bench, sql) in [("like_scan", like.as_str()), ("range_scan", range)] {
             g.bench_function(&format!("{bench}/{name}"), |b| {
-                if cold {
+                if *cold {
                     b.iter_batched(
                         &mut evict,
                         |()| db.exec(sql).unwrap(),
@@ -418,6 +418,39 @@ fn bench_sql(c: &mut Criterion) {
             });
         }
     }
+    // A `LIKE` scan searches a copy of its column's text that lives until
+    // a write makes it stale. A stock write, as `PUT /stock` makes, leaves
+    // the title copy as it was; an insert drops it, so the next scan pays
+    // for a rebuild (the insert, and the delete that undoes it, are timed
+    // too).
+    let [_, (_, fresh, _), (_, synced_db, _)] = &mut tables;
+    let mut writes = 0;
+    g.bench_function("like_scan/4096_synced_after_stock_write", |b| {
+        b.iter_batched(
+            &mut evict,
+            |()| {
+                writes += 1;
+                let stock = format!(
+                    "UPDATE books SET stock = {} WHERE id = {}",
+                    writes % 7,
+                    writes * 17 % 4_096
+                );
+                synced_db.exec(&stock).unwrap();
+                synced_db.exec(&like).unwrap()
+            },
+            BatchSize::PerIteration,
+        )
+    });
+    g.bench_function("like_scan/4096_after_insert", |b| {
+        b.iter(|| {
+            fresh
+                .exec("INSERT INTO books VALUES (2048.5, 'new', 'Egan', 9.5, 1)")
+                .unwrap();
+            let hits = fresh.exec(&like).unwrap();
+            fresh.exec("DELETE FROM books WHERE id = 2048.5").unwrap();
+            hits
+        })
+    });
     // Every row returned, none filtered, as a handler sees it: `select_all`
     // reads a cell of every row, so the rows are built as objects;
     // `select_all_length` reads only the count, so they never are.

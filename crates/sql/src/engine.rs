@@ -15,10 +15,12 @@
 //!
 //! A statement's `WHERE` clause is bound to its table once per execution
 //! (`Table::bind`): column names become indices, `LIKE` patterns are
-//! split, the primary-key pin is found — so the per-row test (`Pred::test`)
-//! looks nothing up and allocates nothing. `SELECT`, `UPDATE` and `DELETE`
-//! all scan through it, and while one row is tested the cells the next
-//! rows will be tested on are prefetched (`Scan::prefetch`).
+//! split, the primary-key pin is found — so the test (`Pred::eval`) looks
+//! nothing up and allocates nothing. It tests [`BATCH`] rows at a time and
+//! answers with one bit per row; `SELECT`, `UPDATE` and `DELETE` all scan
+//! through it. A long `LIKE` scan searches a contiguous copy of its
+//! column's text (`TextColumn`), which the table keeps until a write to
+//! that column, or one that moves rows, makes it stale (`Table::wrote`).
 //!
 //! `ORDER BY` sorts by [`SqlValue::pk_cmp`] — `NULL`, then numbers, then
 //! text, then blobs — and breaks ties by scan position, so the order is
@@ -77,17 +79,44 @@ impl From<SqlParseError> for SqlError {
 }
 
 /// One table.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone)]
 pub struct Table {
     pub name: String,
     pub columns: Vec<ColumnMeta>,
     /// The rows: ascending by [`SqlValue::pk_cmp`] of the primary-key
-    /// column when the table has one, in insertion order otherwise.
+    /// column when the table has one, in insertion order otherwise. Every
+    /// write to them reports itself to [`Table::wrote`].
     pub rows: Vec<Vec<SqlValue>>,
     next_rowid: i64,
     /// The columns' names, in order, shared by every [`RowEffect`] the
     /// table reports.
     names: Arc<[String]>,
+    /// A contiguous copy of each column a long scan has tested with
+    /// `LIKE`: derived from `rows`, so equality and `Debug` ignore it.
+    texts: Vec<TextColumn>,
+}
+
+/// Tables are equal when their data is: the text copies are not compared.
+impl PartialEq for Table {
+    fn eq(&self, other: &Table) -> bool {
+        self.name == other.name
+            && self.columns == other.columns
+            && self.rows == other.rows
+            && self.next_rowid == other.next_rowid
+            && self.names == other.names
+    }
+}
+
+impl fmt::Debug for Table {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Table")
+            .field("name", &self.name)
+            .field("columns", &self.columns)
+            .field("rows", &self.rows)
+            .field("next_rowid", &self.next_rowid)
+            .field("names", &self.names)
+            .finish()
+    }
 }
 
 /// Column metadata.
@@ -99,8 +128,49 @@ pub struct ColumnMeta {
 }
 
 impl Table {
+    /// How many rows the table holds.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Whether the table holds no row.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
     fn col_index(&self, name: &str) -> Option<usize> {
         self.columns.iter().position(|c| c.name == name)
+    }
+
+    /// Account for a write to `rows` that changed the cells at `changed`
+    /// (`None`: rows moved — one went in or out, or the order changed).
+    /// Every write to `rows` ends here: a text copy stays valid through
+    /// writes to other columns and is dropped on any other.
+    fn wrote(&mut self, changed: Option<ColumnSet>) {
+        match changed {
+            Some(cells) => self.texts.retain(|t| !cells.covers(ColumnSet::of(t.col))),
+            None => self.texts.clear(),
+        }
+    }
+
+    /// Copy out the text of each column `scan` tests with `LIKE` that has
+    /// no copy yet, when the scan is longer than one batch: a shorter one
+    /// reads its few cells in place.
+    fn copy_texts(&mut self, scan: &Scan) {
+        if scan.range.len() <= BATCH {
+            return;
+        }
+        for &col in &scan.likes {
+            if !self.texts.iter().any(|t| t.col == col) {
+                let cells = self.rows.iter().map(|row| match &row[col] {
+                    SqlValue::Text(s) => Some(s.as_bytes()),
+                    _ => None,
+                });
+                self.texts.extend(TextColumn::new(col, cells));
+            }
+        }
     }
 
     /// The columns `stmt`, a `SELECT` of this table, references
@@ -153,46 +223,42 @@ impl Table {
     /// keeps the full scan, so the error is reported by exactly the rows
     /// that reach it.
     fn bind<'s>(&self, table: &'s str, e: Option<&'s WhereExpr>) -> Scan<'s> {
-        let all = 0..self.rows.len();
+        let all = 0..self.len();
         let Some(e) = e else {
             return Scan {
                 pred: Pred::Const(true),
                 range: all,
-                cells: Vec::new(),
-                texts: Vec::new(),
+                likes: Vec::new(),
             };
         };
-        let (pred, pin) = self.bind_pred(table, e);
+        let (pred, pin, likes) = self.bind_pred(table, e);
         let range = match (self.pk_index(), pin) {
             (Some(pki), Some(key)) => self.pk_range(pki, key),
             _ => all,
         };
-        let (mut cells, mut texts) = (Vec::new(), Vec::new());
-        // a pinned key leaves a row or two: nothing ahead to prefetch
-        if range.len() > ROW_AHEAD {
-            pred.reads(&mut cells, &mut texts);
-        }
-        Scan {
-            pred,
-            range,
-            cells,
-            texts,
-        }
+        Scan { pred, range, likes }
     }
 
-    /// `e` with every column resolved, and the literal a `pk = literal` at
-    /// its root or under `AND`s pins the primary key to — `None` when `e`
-    /// names a column this table does not have.
-    fn bind_pred<'s>(&self, table: &'s str, e: &'s WhereExpr) -> (Pred<'s>, Option<&'s SqlValue>) {
+    /// `e` with every column resolved, the literal a `pk = literal` at its
+    /// root or under `AND`s pins the primary key to — `None` when `e` names
+    /// a column this table does not have — and the columns it tests with
+    /// `LIKE`, each once.
+    fn bind_pred<'s>(
+        &self,
+        table: &'s str,
+        e: &'s WhereExpr,
+    ) -> (Pred<'s>, Option<&'s SqlValue>, Vec<usize>) {
         let mut binder = Binder {
             t: self,
             table,
             pk: self.pk_index(),
             pin: None,
             unknown: false,
+            likes: Vec::new(),
         };
         let pred = binder.node(e, true);
-        (pred, binder.pin.filter(|_| !binder.unknown))
+        let pin = binder.pin.filter(|_| !binder.unknown);
+        (pred, pin, binder.likes)
     }
 
     /// The columns' names, in order.
@@ -490,6 +556,7 @@ impl SqlDb {
                         rows: Vec::new(),
                         next_rowid: 1,
                         names: columns.iter().map(|c| c.name.clone()).collect(),
+                        texts: Vec::new(),
                     },
                 );
                 done(SqlResult::Ok, Vec::new())
@@ -556,11 +623,14 @@ impl SqlDb {
                 for full_row in new_rows {
                     let idx = match pk_index {
                         Some(pki) => t.pk_range(pki, &full_row[pki]).start,
-                        None => t.rows.len(),
+                        None => t.len(),
                     };
                     effects.push(t.upsert(&full_row, None));
                     t.rows.insert(idx, full_row);
                     t.next_rowid += 1;
+                }
+                if !effects.is_empty() {
+                    t.wrote(None);
                 }
                 done(SqlResult::Affected(rows.len()), effects)
             }
@@ -573,16 +643,16 @@ impl SqlDb {
             } => {
                 let t = self
                     .tables
-                    .get(table)
+                    .get_mut(table)
                     .ok_or_else(|| SqlError::NoSuchTable(table.clone()))?;
                 let scan = t.bind(table, where_expr.as_ref());
-                let mut rows: Vec<&[SqlValue]> = Vec::new();
-                for i in scan.range.clone() {
-                    scan.prefetch(&t.rows, i);
-                    if scan.pred.test(&t.rows[i])? {
-                        rows.push(&t.rows[i]);
-                    }
+                t.copy_texts(&scan);
+                let t: &Table = t;
+                let (hits, error) = scan.run(t);
+                if let Some(error) = error {
+                    return Err(error);
                 }
+                let mut rows: Vec<&[SqlValue]> = hits.into_iter().map(|i| &t.rows[i][..]).collect();
                 let order = match order_by {
                     Some((col, desc)) => {
                         let idx = t.col_index(col).ok_or_else(|| SqlError::NoSuchColumn {
@@ -668,11 +738,11 @@ impl SqlDb {
                 // the key column, when this statement assigns it
                 let rekeyed = pk_index.filter(|pi| set_idx.iter().any(|(idx, _)| idx == pi));
                 let scan = t.bind(table, where_expr.as_ref());
-                for i in scan.range.clone() {
-                    scan.prefetch(&t.rows, i);
-                    if !scan.pred.test(&t.rows[i])? {
-                        continue;
-                    }
+                t.copy_texts(&scan);
+                // rows before the first that raises an error stay written
+                let (hits, error) = scan.run(t);
+                let mut written = ColumnSet::NONE;
+                for i in hits {
                     let row = &mut t.rows[i];
                     let old_pk = rekeyed.map(|pi| row[pi].clone());
                     let mut cells = ColumnSet::NONE;
@@ -682,6 +752,7 @@ impl SqlDb {
                         }
                         row[*idx] = v.clone();
                     }
+                    written = written.union(cells);
                     affected += 1;
                     let mut upsert = t.upsert(&t.rows[i], Some(cells));
                     // a re-keyed row leaves its old key: without the
@@ -702,8 +773,13 @@ impl SqlDb {
                     }
                     effects.push(upsert);
                 }
+                t.wrote(Some(written));
+                if let Some(error) = error {
+                    return Err(error);
+                }
                 if let Some(pi) = rekeyed.filter(|_| affected > 0) {
                     t.rows.sort_by(|a, b| a[pi].pk_cmp(&b[pi]));
+                    t.wrote(None);
                 }
                 done(SqlResult::Affected(affected), effects)
             }
@@ -715,12 +791,10 @@ impl SqlDb {
                 // decide first, remove after: an error while matching must
                 // not leave the table half-emptied
                 let scan = t.bind(table, where_expr.as_ref());
-                let mut doomed = Vec::new();
-                for i in scan.range.clone() {
-                    scan.prefetch(&t.rows, i);
-                    if scan.pred.test(&t.rows[i])? {
-                        doomed.push(i);
-                    }
+                t.copy_texts(&scan);
+                let (doomed, error) = scan.run(t);
+                if let Some(error) = error {
+                    return Err(error);
                 }
                 let effects = doomed
                     .iter()
@@ -736,6 +810,9 @@ impl SqlDb {
                     at += 1;
                     !hit
                 });
+                if !doomed.is_empty() {
+                    t.wrote(None);
+                }
                 done(SqlResult::Affected(doomed.len()), effects)
             }
             Statement::Begin => {
@@ -878,6 +955,7 @@ impl SqlDb {
             rows.sort_by(|a, b| a[pki].pk_cmp(&b[pki]));
         }
         t.rows = rows;
+        t.wrote(None);
         Ok(())
     }
 
@@ -907,6 +985,7 @@ impl SqlDb {
         let at = t.pk_range(pki, &row[pki]);
         if at.is_empty() {
             t.rows.insert(at.start, row);
+            t.wrote(None);
             return Ok(None);
         }
         let old = &mut t.rows[at.start];
@@ -917,6 +996,7 @@ impl SqlDb {
             .filter(|(_, (a, b))| !a.identical(b))
             .fold(ColumnSet::NONE, |set, (i, _)| set.with(i));
         *old = row;
+        t.wrote(Some(changed));
         Ok(Some(changed))
     }
 
@@ -930,7 +1010,10 @@ impl SqlDb {
         let (t, pki) = self.keyed_table_mut(name)?;
         let at = t.pk_range(pki, pk);
         let gone = !at.is_empty();
-        t.rows.drain(at);
+        if gone {
+            t.rows.drain(at);
+            t.wrote(None);
+        }
         Ok(gone)
     }
 
@@ -973,58 +1056,64 @@ struct Scan<'s> {
     pred: Pred<'s>,
     /// The rows worth testing; every other row fails `pred`.
     range: Range<usize>,
-    /// The cells `pred` reads, and the columns whose text it reads — both
-    /// empty when `range` is too short to prefetch ahead in.
-    cells: Vec<usize>,
-    texts: Vec<usize>,
+    /// The columns `pred` tests with `LIKE`, each once.
+    likes: Vec<usize>,
 }
 
-/// How many rows ahead of the one under test its successor's cells are
-/// prefetched: far enough to hide a miss, near enough to stay in cache.
-const ROW_AHEAD: usize = 8;
-
-/// How many rows ahead a cell's text is prefetched. Its address is read
-/// from the cell itself, which was prefetched `ROW_AHEAD - TEXT_AHEAD`
-/// rows earlier.
-const TEXT_AHEAD: usize = 4;
+/// How many rows [`Pred::eval`] tests at a time: one bit of a `u64` each.
+const BATCH: usize = 64;
 
 impl Scan<'_> {
-    /// Hint the cache lines `pred` will read in the rows after row `i`:
-    /// their cells [`ROW_AHEAD`] rows on, the text they point to
-    /// [`TEXT_AHEAD`] rows on. Rows materialised by sync are scattered
-    /// over the heap, so each row is a miss the loop would otherwise stall
-    /// on. A hint changes no result.
-    #[inline]
-    fn prefetch(&self, rows: &[Vec<SqlValue>], i: usize) {
-        if let Some(row) = rows.get(i + ROW_AHEAD) {
-            for &c in &self.cells {
-                prefetch(&row[c]);
-            }
-        }
-        if let Some(row) = rows.get(i + TEXT_AHEAD) {
-            for &c in &self.texts {
-                if let SqlValue::Text(s) = &row[c] {
-                    prefetch(s.as_ptr());
+    /// The rows of `t` in the scan's range that pass, in scan order, and
+    /// the error of the first row that reaches a column the table does not
+    /// have: no row after that one is returned.
+    fn run(&self, t: &Table) -> (Vec<usize>, Option<SqlError>) {
+        let mut hits = Vec::new();
+        let mut start = self.range.start;
+        while start < self.range.end {
+            let end = (start + BATCH).min(self.range.end);
+            let batch = Batch {
+                rows: &t.rows[start..end],
+                at: start,
+                texts: &t.texts,
+            };
+            let active = u64::MAX >> (BATCH - (end - start));
+            let mut unknown = None;
+            let mut mask = self.pred.eval(&batch, active, &mut unknown);
+            let error = unknown.map(|u| {
+                mask &= (1 << u.row) - 1;
+                SqlError::NoSuchColumn {
+                    table: u.table.to_string(),
+                    column: u.column.to_string(),
                 }
+            });
+            while mask != 0 {
+                hits.push(start + mask.trailing_zeros() as usize);
+                mask &= mask - 1;
             }
+            if error.is_some() {
+                return (hits, error);
+            }
+            start = end;
         }
+        (hits, None)
     }
 }
 
-/// Ask the CPU to bring the cache line holding `at` closer; a no-op where
-/// there is no prefetch instruction to ask with.
-#[inline(always)]
-fn prefetch<T>(at: *const T) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        // SAFETY: a prefetch is a hint: it never dereferences its address,
-        // so it cannot fault whatever the address, and SSE is part of
-        // every x86_64 target.
-        unsafe { _mm_prefetch::<_MM_HINT_T0>(at.cast()) }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = at;
+/// At most [`BATCH`] consecutive rows of a table, the first of them row
+/// `at`, beside the table's text copies.
+struct Batch<'t> {
+    rows: &'t [Vec<SqlValue>],
+    at: usize,
+    texts: &'t [TextColumn],
+}
+
+/// The first row of a batch, in scan order, that reached a column the
+/// table does not have, and the first such column it reached.
+struct Unknown<'s> {
+    row: usize,
+    table: &'s str,
+    column: &'s str,
 }
 
 /// The first `limit` of `rows` in `ORDER BY col [DESC]` order. Rows are
@@ -1078,66 +1167,260 @@ enum Pred<'s> {
     },
 }
 
-impl Pred<'_> {
-    /// Add the columns this predicate reads to `cells`, and those whose
-    /// text it reads (a `LIKE`, a comparison with a text literal) to
-    /// `texts`, each once.
-    fn reads(&self, cells: &mut Vec<usize>, texts: &mut Vec<usize>) {
-        let add = |to: &mut Vec<usize>, col: usize| {
-            if !to.contains(&col) {
-                to.push(col);
-            }
-        };
+impl<'s> Pred<'s> {
+    /// The rows of `batch` among `active` (bit `i` is row `i`) that pass.
+    /// An `AND` tests its right side only on the rows its left side
+    /// passed, an `OR` only on those it failed, so each leaf sees exactly
+    /// the rows a row-at-a-time walk would bring to it. The leaves are
+    /// visited in tree order, and a column the table does not have records
+    /// the first row it sees in `unknown` unless an earlier leaf recorded
+    /// that row or an earlier one: what is recorded is the first row, in
+    /// scan order, to reach an unknown column and the first one it reached.
+    fn eval(&self, batch: &Batch, active: u64, unknown: &mut Option<Unknown<'s>>) -> u64 {
+        if active == 0 {
+            return 0;
+        }
+        let rows = batch.rows;
         match self {
-            Pred::And(a, b) | Pred::Or(a, b) => {
-                a.reads(cells, texts);
-                b.reads(cells, texts);
+            Pred::And(a, b) => {
+                let passed = a.eval(batch, active, unknown);
+                b.eval(batch, passed, unknown)
             }
-            Pred::IsNull { col, .. } => add(cells, *col),
-            Pred::Cmp { col, value, .. } => {
-                add(cells, *col);
-                if matches!(value, SqlValue::Text(_)) {
-                    add(texts, *col);
+            Pred::Or(a, b) => {
+                let passed = a.eval(batch, active, unknown);
+                passed | b.eval(batch, active & !passed, unknown)
+            }
+            Pred::IsNull { col, negated } => each_cell(rows, *col, active, |c| {
+                matches!(c, SqlValue::Null) != *negated
+            }),
+            Pred::Cmp { col, op, value } => match op {
+                CmpOp::Eq => compare_cells(rows, *col, active, value, Ordering::is_eq),
+                CmpOp::NotEq => compare_cells(rows, *col, active, value, Ordering::is_ne),
+                CmpOp::Lt => compare_cells(rows, *col, active, value, Ordering::is_lt),
+                CmpOp::Le => compare_cells(rows, *col, active, value, Ordering::is_le),
+                CmpOp::Gt => compare_cells(rows, *col, active, value, Ordering::is_gt),
+                CmpOp::Ge => compare_cells(rows, *col, active, value, Ordering::is_ge),
+                CmpOp::Like => unreachable!("bound as Pred::Like"),
+            },
+            Pred::Like { col, pattern } => match batch.texts.iter().find(|t| t.col == *col) {
+                Some(text) => text.like(pattern, batch.at, active),
+                None => each_cell(
+                    rows,
+                    *col,
+                    active,
+                    |c| matches!(c, SqlValue::Text(s) if pattern.matches(s.as_bytes())),
+                ),
+            },
+            Pred::Const(pass) => {
+                if *pass {
+                    active
+                } else {
+                    0
                 }
             }
-            Pred::Like { col, .. } => {
-                add(cells, *col);
-                add(texts, *col);
+            Pred::NoSuchColumn { table, column } => {
+                let row = active.trailing_zeros() as usize;
+                if unknown.as_ref().is_none_or(|u| row < u.row) {
+                    *unknown = Some(Unknown { row, table, column });
+                }
+                0
             }
-            Pred::Const(_) | Pred::NoSuchColumn { .. } => {}
+        }
+    }
+}
+
+/// The rows `i` among `active` that pass `test(i)`, in one loop that sets
+/// one bit per row. Generic over `test`, so each leaf gets a loop of its
+/// own with the test inlined: through a function pointer the indirect call
+/// costs more than the test.
+#[inline(always)]
+fn each_row(active: u64, test: impl Fn(usize) -> bool) -> u64 {
+    let (mut passed, mut rest) = (0, active);
+    while rest != 0 {
+        let i = rest.trailing_zeros() as usize;
+        rest &= rest - 1;
+        passed |= u64::from(test(i)) << i;
+    }
+    passed
+}
+
+/// The rows among `active` whose cell `col` passes `test`.
+#[inline(always)]
+fn each_cell(
+    rows: &[Vec<SqlValue>],
+    col: usize,
+    active: u64,
+    test: impl Fn(&SqlValue) -> bool,
+) -> u64 {
+    each_row(active, |i| test(&rows[i][col]))
+}
+
+/// The rows among `active` whose cell `col` compares to `value` in an
+/// order `pass` accepts; `NULL` and a cell of another kind pass nothing.
+/// The literal's kind picks the loop: an `INT` of magnitude at most 2^53
+/// meets `INT` cells as integers and `REAL` cells as doubles (exact in
+/// that range), a `REAL` meets `REAL` cells as doubles, and every other
+/// pairing goes through [`SqlValue::compare`].
+#[inline(always)]
+fn compare_cells(
+    rows: &[Vec<SqlValue>],
+    col: usize,
+    active: u64,
+    value: &SqlValue,
+    pass: impl Fn(Ordering) -> bool + Copy,
+) -> u64 {
+    let other = |c: &SqlValue| c.compare(value).is_some_and(pass);
+    match *value {
+        SqlValue::Int(v) if v.unsigned_abs() <= 1 << 53 => {
+            let real = v as f64;
+            each_cell(rows, col, active, |c| match c {
+                SqlValue::Int(i) => pass(i.cmp(&v)),
+                SqlValue::Real(r) => r.partial_cmp(&real).is_some_and(pass),
+                c => other(c),
+            })
+        }
+        SqlValue::Real(v) => each_cell(rows, col, active, |c| match c {
+            SqlValue::Real(r) => r.partial_cmp(&v).is_some_and(pass),
+            c => other(c),
+        }),
+        _ => each_cell(rows, col, active, other),
+    }
+}
+
+/// The text of one column, back to back: row `i`'s bytes are
+/// `bytes[starts[i]..starts[i + 1]]`, empty for a cell that is not text,
+/// which bit `i` of `is_text` tells apart from empty text. `bytes` ends in
+/// [`WORD`]` - 1` zero bytes, so a word read at any byte of the text stays
+/// inside it.
+#[derive(Clone)]
+struct TextColumn {
+    col: usize,
+    bytes: Vec<u8>,
+    starts: Vec<u32>,
+    is_text: Vec<u64>,
+}
+
+/// The bytes [`find_in`] compares at once.
+const WORD: usize = 8;
+
+impl TextColumn {
+    /// The copy of column `col` whose cells, in row order, are `cells`
+    /// (`None`: not text); `None` when their text does not fit `u32`
+    /// offsets.
+    fn new<'c>(col: usize, cells: impl Iterator<Item = Option<&'c [u8]>> + Clone) -> Option<Self> {
+        let len: usize = cells.clone().map(|c| c.map_or(0, <[u8]>::len)).sum();
+        u32::try_from(len).ok()?;
+        let mut bytes = Vec::with_capacity(len + WORD - 1);
+        let mut starts = vec![0];
+        let mut is_text = Vec::new();
+        for (i, cell) in cells.enumerate() {
+            if i % 64 == 0 {
+                is_text.push(0);
+            }
+            if let Some(text) = cell {
+                bytes.extend_from_slice(text);
+                is_text[i / 64] |= 1 << (i % 64);
+            }
+            starts.push(bytes.len() as u32);
+        }
+        bytes.resize(len + WORD - 1, 0);
+        Some(TextColumn {
+            col,
+            bytes,
+            starts,
+            is_text,
+        })
+    }
+
+    /// Where row `i`'s text starts (or, for `i` one past the last row,
+    /// where the text ends).
+    fn start(&self, i: usize) -> usize {
+        self.starts[i] as usize
+    }
+
+    /// Row `i`'s text.
+    fn text(&self, i: usize) -> &[u8] {
+        &self.bytes[self.start(i)..self.start(i + 1)]
+    }
+
+    /// Bits `at..at + 64` of `is_text`, as bits `0..64`.
+    fn text_bits(&self, at: usize) -> u64 {
+        let (word, bit) = (at / 64, at % 64);
+        let low = self.is_text[word] >> bit;
+        match self.is_text.get(word + 1) {
+            Some(high) if bit > 0 => low | high << (64 - bit),
+            _ => low,
         }
     }
 
-    fn test(&self, row: &[SqlValue]) -> Result<bool, SqlError> {
-        Ok(match self {
-            Pred::And(a, b) => a.test(row)? && b.test(row)?,
-            Pred::Or(a, b) => a.test(row)? || b.test(row)?,
-            Pred::IsNull { col, negated } => matches!(row[*col], SqlValue::Null) != *negated,
-            Pred::Cmp { col, op, value } => match row[*col].compare(value) {
-                None => false, // NULL comparisons are false
-                Some(ord) => match op {
-                    CmpOp::Eq => ord == Ordering::Equal,
-                    CmpOp::NotEq => ord != Ordering::Equal,
-                    CmpOp::Lt => ord == Ordering::Less,
-                    CmpOp::Le => ord != Ordering::Greater,
-                    CmpOp::Gt => ord == Ordering::Greater,
-                    CmpOp::Ge => ord != Ordering::Less,
-                    CmpOp::Like => unreachable!("bound as Pred::Like"),
-                },
-            },
-            Pred::Like { col, pattern } => match &row[*col] {
-                SqlValue::Text(s) => pattern.matches(s),
-                _ => false,
-            },
-            Pred::Const(b) => *b,
-            Pred::NoSuchColumn { table, column } => {
-                return Err(SqlError::NoSuchColumn {
-                    table: table.to_string(),
-                    column: column.to_string(),
-                })
+    /// The rows among `active` (bit `i` is row `at + i`) whose cell is
+    /// text `pattern` matches. With a piece to look for, the text from the
+    /// first active row to the end of the last is searched for it; an
+    /// occurrence inside one active row makes that row a candidate, which
+    /// `pattern` then tests, and the search goes on at the next active
+    /// row. An occurrence that runs into the next row is no candidate, and
+    /// neither is any later one starting in its row.
+    fn like(&self, pattern: &LikePattern, at: usize, active: u64) -> u64 {
+        let active = active & self.text_bits(at);
+        let Some(piece) = pattern.piece() else {
+            return each_row(active, |i| pattern.matches(self.text(at + i)));
+        };
+        let end = self.start(at + BATCH - active.leading_zeros() as usize);
+        let mut passed = 0;
+        let mut rest = active;
+        while rest != 0 {
+            let mut row = rest.trailing_zeros() as usize;
+            let Some(found) = find_in(&self.bytes, piece, self.start(at + row), end) else {
+                break;
+            };
+            while self.start(at + row + 1) <= found {
+                row += 1;
             }
-        })
+            if active >> row & 1 == 1
+                && found + piece.len() <= self.start(at + row + 1)
+                && pattern.matches(self.text(at + row))
+            {
+                passed |= 1 << row;
+            }
+            rest &= u64::MAX << row << 1;
+        }
+        passed
     }
+}
+
+/// The first position in `from..=end - needle.len()` at which `needle`,
+/// not empty, occurs in `hay`, which holds at least [`WORD`]` - 1` bytes
+/// past `end`. [`WORD`] positions are tried at once: the word at `p` and
+/// the word at `p + needle.len() - 1` are compared bytewise with the
+/// needle's first and last bytes, and only positions where both agree are
+/// compared in full.
+fn find_in(hay: &[u8], needle: &[u8], from: usize, end: usize) -> Option<usize> {
+    const ONES: u64 = u64::MAX / 255;
+    let final_start = end.checked_sub(needle.len())?;
+    let words = (final_start + 1).checked_sub(from)?.div_ceil(WORD);
+    let tail = needle.len() - 1;
+    let (first, last) = (ONES * u64::from(needle[0]), ONES * u64::from(needle[tail]));
+    let word = |bytes: &[u8]| u64::from_le_bytes(bytes.try_into().expect("a WORD-byte chunk"));
+    let heads = hay[from..].chunks_exact(WORD);
+    let tails = hay[from + tail..].chunks_exact(WORD);
+    for (k, (head, tail)) in heads.zip(tails).take(words).enumerate() {
+        // a byte of `both` is zero where both ends agree; the high bit of
+        // each zero byte is set in `hits`, and perhaps that of a byte
+        // above one, which the full comparison rules out
+        let both = (word(head) ^ first) | (word(tail) ^ last);
+        let mut hits = both.wrapping_sub(ONES) & !both & (ONES << 7);
+        while hits != 0 {
+            let at = from + k * WORD + hits.trailing_zeros() as usize / 8;
+            if at > final_start {
+                return None;
+            }
+            if hay[at..at + needle.len()] == *needle {
+                return Some(at);
+            }
+            hits &= hits - 1;
+        }
+    }
+    None
 }
 
 /// State of one [`Table::bind`] walk.
@@ -1149,6 +1432,8 @@ struct Binder<'t, 's> {
     pin: Option<&'s SqlValue>,
     /// Whether any node names a column the table does not have.
     unknown: bool,
+    /// The columns a `LIKE` tests, each once.
+    likes: Vec<usize>,
 }
 
 impl<'s> Binder<'_, 's> {
@@ -1177,10 +1462,15 @@ impl<'s> Binder<'_, 's> {
                     Err(unknown) => return unknown,
                 };
                 match (op, value) {
-                    (CmpOp::Like, SqlValue::Text(pattern)) => Pred::Like {
-                        col,
-                        pattern: LikePattern::new(pattern),
-                    },
+                    (CmpOp::Like, SqlValue::Text(pattern)) => {
+                        if !self.likes.contains(&col) {
+                            self.likes.push(col);
+                        }
+                        Pred::Like {
+                            col,
+                            pattern: LikePattern::new(pattern.as_bytes()),
+                        }
+                    }
                     (CmpOp::Like, _) => Pred::Const(false),
                     _ => {
                         if conjunct && *op == CmpOp::Eq && self.pk == Some(col) {
@@ -1223,8 +1513,8 @@ struct LikePattern<'s> {
 }
 
 impl<'s> LikePattern<'s> {
-    fn new(pattern: &'s str) -> Self {
-        let mut parts = pattern.split('%').map(str::as_bytes);
+    fn new(pattern: &'s [u8]) -> Self {
+        let mut parts = pattern.split(|&b| b == b'%');
         let head = parts.next().unwrap_or_default();
         let tail = parts.next_back();
         LikePattern {
@@ -1234,8 +1524,14 @@ impl<'s> LikePattern<'s> {
         }
     }
 
-    fn matches(&self, text: &str) -> bool {
-        let text = text.as_bytes();
+    /// The first piece of the pattern that is not empty: every text it
+    /// matches holds it. `None` for `''`, `%`, `%%` and the like.
+    fn piece(&self) -> Option<&'s [u8]> {
+        let pieces = std::iter::once(self.head).chain(self.inner.iter().copied());
+        pieces.chain(self.tail).find(|p| !p.is_empty())
+    }
+
+    fn matches(&self, text: &[u8]) -> bool {
         let Some(tail) = self.tail else {
             return text.len() == self.head.len() && starts_with(text, self.head);
         };
@@ -1285,6 +1581,7 @@ fn find_bytes(hay: &[u8], needle: &[u8]) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn db_with_books() -> SqlDb {
         let mut db = SqlDb::new();
@@ -1416,9 +1713,9 @@ mod tests {
         let mut db = db_with_books();
         db.exec("START TRANSACTION").unwrap();
         db.exec("DELETE FROM books").unwrap();
-        assert_eq!(db.table("books").unwrap().rows.len(), 0);
+        assert_eq!(db.table("books").unwrap().len(), 0);
         db.exec("ROLLBACK").unwrap();
-        assert_eq!(db.table("books").unwrap().rows.len(), 3);
+        assert_eq!(db.table("books").unwrap().len(), 3);
         assert!(!db.in_transaction());
     }
 
@@ -1428,7 +1725,7 @@ mod tests {
         db.exec("BEGIN").unwrap();
         db.exec("DELETE FROM books WHERE id = 1").unwrap();
         db.exec("COMMIT").unwrap();
-        assert_eq!(db.table("books").unwrap().rows.len(), 2);
+        assert_eq!(db.table("books").unwrap().len(), 2);
     }
 
     #[test]
@@ -1488,7 +1785,7 @@ mod tests {
     }
 
     fn like_match(text: &str, pattern: &str) -> bool {
-        LikePattern::new(pattern).matches(text)
+        LikePattern::new(pattern.as_bytes()).matches(text.as_bytes())
     }
 
     #[test]
@@ -1557,6 +1854,118 @@ mod tests {
         assert_eq!(find_bytes(b"abc", b"ca"), None);
         assert_eq!(find_bytes(b"", b"a"), None);
         assert_eq!(find_bytes(b"", b""), Some(0));
+    }
+
+    /// What `column.like` answers for rows `at..at + n` among `active`,
+    /// checked against `LikePattern::matches` on each row's own text.
+    fn check_like(cells: &[Option<Vec<u8>>], pattern: &[u8], at: usize, active: u64) {
+        let column = TextColumn::new(0, cells.iter().map(|c| c.as_deref())).unwrap();
+        let pattern = LikePattern::new(pattern);
+        let n = (cells.len() - at).min(BATCH);
+        let active = active & (u64::MAX >> (BATCH - n));
+        let want = (0..n)
+            .filter(|&i| active >> i & 1 == 1)
+            .filter(|&i| cells[at + i].as_deref().is_some_and(|t| pattern.matches(t)))
+            .fold(0, |mask, i| mask | 1 << i);
+        assert_eq!(column.like(&pattern, at, active), want, "{cells:?} at {at}");
+    }
+
+    fn texts(cells: &[&str]) -> Vec<Option<Vec<u8>>> {
+        cells.iter().map(|c| Some(c.as_bytes().to_vec())).collect()
+    }
+
+    #[test]
+    fn a_text_copy_search_finds_pieces_only_inside_one_row() {
+        // "ab" + "ba" holds "bb" only across the two rows
+        check_like(&texts(&["ab", "ba", "bb"]), b"%bb%", 0, u64::MAX);
+        // a piece longer than every row, and one ending on the last byte
+        check_like(&texts(&["a", "b", "ab"]), b"%abab%", 0, u64::MAX);
+        check_like(&texts(&["xa", "b", "xab"]), b"%ab", 0, u64::MAX);
+        // a piece across the edge between two batches: row 63 ends with
+        // "a", row 64 starts with "b"
+        let mut cells = texts(&["a"; 130]);
+        cells[64] = Some(b"ba".to_vec());
+        cells[129] = Some(b"xab".to_vec());
+        for at in [0, 64, 1, 66, 100] {
+            check_like(&cells, b"%ab%", at, u64::MAX);
+            check_like(&cells, b"a%", at, 0x5555_5555_5555_5555);
+        }
+        // no piece at all: `%` matches any text, `''` only the empty one,
+        // and neither a cell that is not text
+        let cells = vec![Some(Vec::new()), None, Some(b"a".to_vec()), None];
+        for pattern in [&b"%"[..], b"%%", b""] {
+            check_like(&cells, pattern, 0, u64::MAX);
+        }
+    }
+
+    /// Bytes that make pieces recur and straddle rows: two letters, `%`
+    /// (a wildcard in a pattern, a byte like any other in a text), a zero
+    /// byte like the padding, and both bytes of `é`.
+    const BYTES: [u8; 6] = [b'a', b'b', b'%', 0, 0xc3, 0xa9];
+
+    fn bytes(max: usize) -> impl Strategy<Value = Vec<u8>> {
+        prop::collection::vec((0..BYTES.len()).prop_map(|i| BYTES[i]), 0..max + 1)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Over any bytes, rows of up to four bytes or none (a cell that
+        /// is not text), patterns of up to five bytes and any rows to
+        /// test: the search of the copy answers for each row what
+        /// `LikePattern::matches` answers on that row's text alone, batch
+        /// by batch, and from a batch start that is not a multiple of 64.
+        #[test]
+        fn a_text_copy_search_equals_matching_each_row(
+            cells in prop::collection::vec(prop::option::of(bytes(4)), 1..200),
+            pattern in bytes(5),
+            active in any::<u64>(),
+            at in 0usize..200,
+        ) {
+            for start in (0..cells.len()).step_by(BATCH) {
+                check_like(&cells, &pattern, start, u64::MAX);
+                check_like(&cells, &pattern, start, active);
+            }
+            check_like(&cells, &pattern, at % cells.len(), active);
+        }
+    }
+
+    #[test]
+    fn a_long_scan_keeps_a_text_copy_until_its_column_or_the_row_set_changes() {
+        let mut db = SqlDb::new();
+        db.exec("CREATE TABLE t (id INT PRIMARY KEY, s TEXT, n INT)")
+            .unwrap();
+        for i in 0..100 {
+            db.exec(&format!("INSERT INTO t VALUES ({i}, 'r{i}', 0)"))
+                .unwrap();
+        }
+        let copies = |db: &SqlDb| db.table("t").unwrap().texts.len();
+        let hits = |db: &mut SqlDb| select_rows(db, "SELECT id FROM t WHERE s LIKE '%9%'").len();
+        assert_eq!((hits(&mut db), copies(&db)), (19, 1));
+        // another column, a pinned scan, a rolled-back write: kept
+        db.exec("UPDATE t SET n = 5 WHERE id = 3").unwrap();
+        db.upsert_row(
+            "t",
+            vec![SqlValue::Int(4), SqlValue::from("r4"), SqlValue::Int(1)],
+        )
+        .unwrap();
+        select_rows(&mut db, "SELECT id FROM t WHERE id = 9 AND s LIKE '%9%'");
+        db.exec("BEGIN").unwrap();
+        db.exec("DELETE FROM t WHERE id = 9").unwrap();
+        assert_eq!(copies(&db), 0);
+        db.exec("ROLLBACK").unwrap();
+        assert_eq!((hits(&mut db), copies(&db)), (19, 1));
+        // its column: dropped
+        db.exec("UPDATE t SET s = 'x' WHERE id = 9").unwrap();
+        assert_eq!((copies(&db), hits(&mut db)), (0, 18));
+        // rows moving: dropped
+        db.exec("INSERT INTO t VALUES (200, 'r9', 0)").unwrap();
+        assert_eq!((copies(&db), hits(&mut db)), (0, 19));
+        assert!(db.delete_row_by_pk("t", &SqlValue::Int(200)).unwrap());
+        assert_eq!(
+            (copies(&db), hits(&mut db), db.table("t").unwrap().len()),
+            (0, 18, 100)
+        );
     }
 
     #[test]
@@ -1756,7 +2165,7 @@ mod replace_tests {
                 found: 1
             })
         );
-        assert_eq!(db.table("t").unwrap().rows.len(), 2);
+        assert_eq!(db.table("t").unwrap().len(), 2);
     }
 
     fn keyed() -> SqlDb {
@@ -1822,11 +2231,11 @@ mod replace_tests {
         for key in [
             "'k'", "2.5", "NULL", "'it's'", "''q''", "'q'", "'5'", "5", "X'0aff'",
         ] {
-            let before = db.table("t").unwrap().rows.len();
+            let before = db.table("t").unwrap().len();
             let pk = SqlValue::from_key(key).unwrap();
             assert_eq!(pk.key(), key);
             assert_eq!(db.delete_row_by_pk("t", &pk), Ok(true), "{key}");
-            assert_eq!(db.table("t").unwrap().rows.len(), before - 1, "{key}");
+            assert_eq!(db.table("t").unwrap().len(), before - 1, "{key}");
         }
     }
 

@@ -5,11 +5,14 @@
 //! key selects exactly what a full scan selects, the engine's bound
 //! `WHERE` evaluator agrees with the by-name reference kept here,
 //! `ORDER BY … LIMIT` agrees with a stable sort of every match, truncated,
-//! and what a write reports it changed is the cell diff of the table
-//! before and after it.
+//! what a write reports it changed is the cell diff of the table before
+//! and after it, and long scans interleaved with writes of every kind
+//! select what the reference selects.
 
 use edgstr_sql::columns::ColumnSet;
-use edgstr_sql::{CmpOp, SelectItem, SqlDb, SqlResult, SqlValue, Statement, Table, WhereExpr};
+use edgstr_sql::{
+    CmpOp, SelectItem, SqlDb, SqlError, SqlResult, SqlValue, Statement, Table, WhereExpr,
+};
 use proptest::prelude::*;
 use serde_json::{json, Value as Json};
 use std::cmp::Ordering;
@@ -1308,5 +1311,234 @@ fn as_diff_entry(report: Option<ColumnSet>) -> Option<Option<ColumnSet>> {
     match report {
         Some(cells) if cells.is_empty() => None,
         other => Some(other),
+    }
+}
+
+// ---- writes interleaved with long scans, against the reference ------------
+
+/// A cell of the text column `c2`: `NULL`, an `INT`, or text of up to six
+/// characters, multi-byte ones included, three times in five.
+fn text_cell() -> impl Strategy<Value = SqlValue> {
+    prop_oneof![
+        Just(SqlValue::Null),
+        (0i64..3).prop_map(SqlValue::Int),
+        text(6).prop_map(SqlValue::Text),
+        text(6).prop_map(SqlValue::Text),
+        text(6).prop_map(SqlValue::Text),
+    ]
+}
+
+/// A row of the scanned table with key `id`: a cell of any kind, a text
+/// cell, and a small `c3` that writes select rows by.
+fn scan_row(id: impl Strategy<Value = i64> + 'static) -> impl Strategy<Value = Vec<SqlValue>> {
+    (id, cell(), text_cell(), 0i64..6)
+        .prop_map(|(id, c1, c2, c3)| vec![SqlValue::Int(id), c1, c2, SqlValue::Int(c3)])
+}
+
+#[derive(Debug, Clone)]
+enum ScanWrite {
+    Insert {
+        row: Vec<SqlValue>,
+    },
+    /// `UPDATE t SET c2 = <text> WHERE c3 = <on>`: the searched column.
+    SetText {
+        text: SqlValue,
+        on: i64,
+    },
+    /// `UPDATE t SET c3 = <to> WHERE c3 = <on>`: another column.
+    SetOther {
+        to: i64,
+        on: i64,
+    },
+    /// `UPDATE t SET c0 = <to> WHERE c0 = <from>`: the row moves.
+    Rekey {
+        from: i64,
+        to: i64,
+    },
+    /// `UPDATE t SET c3 = <to> WHERE <spec>`, held to the reference: a
+    /// column the table does not have stops it part-way.
+    SetWhere {
+        spec: WhereSpec,
+        to: i64,
+    },
+    Delete {
+        on: i64,
+    },
+    Upsert {
+        row: Vec<SqlValue>,
+    },
+    DeleteByPk {
+        id: i64,
+    },
+    /// `replace_table_rows` with the table's rows, every third left out.
+    Replace {
+        skip: usize,
+    },
+    Begin,
+    Commit,
+    Rollback,
+    Snapshot,
+    Restore,
+}
+
+fn scan_write() -> impl Strategy<Value = ScanWrite> {
+    let id = || 0i64..400;
+    prop_oneof![
+        scan_row(id()).prop_map(|row| ScanWrite::Insert { row }),
+        (text_cell(), 0i64..6).prop_map(|(text, on)| ScanWrite::SetText { text, on }),
+        (text_cell(), 0i64..6).prop_map(|(text, on)| ScanWrite::SetText { text, on }),
+        (0i64..6, 0i64..6).prop_map(|(to, on)| ScanWrite::SetOther { to, on }),
+        (id(), id()).prop_map(|(from, to)| ScanWrite::Rekey { from, to }),
+        (where_spec(), 0i64..6).prop_map(|(spec, to)| ScanWrite::SetWhere { spec, to }),
+        (0i64..6).prop_map(|on| ScanWrite::Delete { on }),
+        scan_row(id()).prop_map(|row| ScanWrite::Upsert { row }),
+        scan_row(id()).prop_map(|row| ScanWrite::Upsert { row }),
+        id().prop_map(|id| ScanWrite::DeleteByPk { id }),
+        (0usize..3).prop_map(|skip| ScanWrite::Replace { skip }),
+        Just(ScanWrite::Begin),
+        Just(ScanWrite::Commit),
+        Just(ScanWrite::Rollback),
+        Just(ScanWrite::Snapshot),
+        Just(ScanWrite::Restore),
+    ]
+}
+
+/// `c<column> = <value>`.
+fn equals(column: usize, value: SqlValue) -> Option<WhereExpr> {
+    Some(WhereExpr::Cmp {
+        column: NAMES[column].to_string(),
+        op: CmpOp::Eq,
+        value,
+    })
+}
+
+/// `UPDATE t SET c<column> = <value> WHERE <where_expr>`.
+fn set(column: usize, value: SqlValue, where_expr: Option<WhereExpr>) -> Statement {
+    Statement::Update {
+        table: "t".to_string(),
+        sets: vec![(NAMES[column].to_string(), value)],
+        where_expr,
+    }
+}
+
+/// `SELECT * FROM t WHERE <where_expr>`, the engine's answer and the
+/// reference's over the same rows.
+fn select_both(
+    db: &mut SqlDb,
+    where_expr: Option<WhereExpr>,
+) -> (Result<SqlResult, SqlError>, Result<SqlResult, SqlError>) {
+    let t = db.table("t").unwrap().clone();
+    let want = reference::select(&t, where_expr.as_ref()).map(|rows| {
+        let columns = t.columns.iter().map(|c| c.name.clone()).collect();
+        SqlResult::Rows { columns, rows }
+    });
+    let got = db.exec_stmt(&Statement::Select {
+        items: vec![SelectItem::Star],
+        table: "t".to_string(),
+        where_expr,
+        order_by: None,
+        limit: None,
+    });
+    (got.map(|(result, _)| result), want)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// A keyed table of 65–300 rows, its text column holding `NULL`, `INT`
+    /// and multi-byte text, takes generated writes of every kind — `INSERT`,
+    /// `UPDATE` of the text column, of another and of the key, `DELETE`,
+    /// `upsert_row`, `delete_row_by_pk`, `replace_table_rows`, `BEGIN` …
+    /// `ROLLBACK`/`COMMIT` and `snapshot`/`restore`. After each, a `LIKE`
+    /// scan and a scan under a generated `WHERE` return what the reference
+    /// selects from the same rows: whatever a long `LIKE` scan copied out
+    /// of the table is never read after a write made it stale.
+    #[test]
+    fn writes_interleaved_with_scans_equal_the_reference(
+        rows in prop::collection::vec(scan_row(Just(0)), 65..301),
+        steps in prop::collection::vec((scan_write(), like_pattern(), where_spec()), 1..24),
+    ) {
+        let mut db = SqlDb::new();
+        db.exec("CREATE TABLE t (c0 INT PRIMARY KEY, c1 REAL, c2 TEXT, c3 INT)").unwrap();
+        let keyed = rows.iter().zip(0..).map(|(row, id)| {
+            let mut row = row.clone();
+            row[0] = SqlValue::Int(id);
+            row
+        });
+        db.replace_table_rows("t", keyed.collect()).unwrap();
+        let mut saved = None;
+        for (write, pattern, spec) in &steps {
+            match write {
+                ScanWrite::Insert { row } => {
+                    let _ = db.exec_stmt(&Statement::Insert {
+                        table: "t".to_string(),
+                        columns: Vec::new(),
+                        rows: vec![row.clone()],
+                    });
+                }
+                ScanWrite::SetText { text, on } => {
+                    db.exec_stmt(&set(2, text.clone(), equals(3, SqlValue::Int(*on)))).unwrap();
+                }
+                ScanWrite::SetOther { to, on } => {
+                    db.exec_stmt(&set(3, SqlValue::Int(*to), equals(3, SqlValue::Int(*on)))).unwrap();
+                }
+                ScanWrite::Rekey { from, to } => {
+                    db.exec_stmt(&set(0, SqlValue::Int(*to), equals(0, SqlValue::Int(*from)))).unwrap();
+                }
+                ScanWrite::SetWhere { spec, to } => {
+                    let mut model = db.table("t").unwrap().clone();
+                    let where_expr = spec.resolve(&model);
+                    let value = SqlValue::Int(*to);
+                    let want = reference::update(&mut model, 3, &value, where_expr.as_ref())
+                        .map(|(n, effects)| (SqlResult::Affected(n), effects));
+                    let got = db.exec_stmt(&set(3, value, where_expr.clone()));
+                    prop_assert_eq!(got, want, "UPDATE WHERE {:?}", where_expr);
+                    prop_assert_eq!(&db.table("t").unwrap().rows, &model.rows);
+                }
+                ScanWrite::Delete { on } => {
+                    db.exec_stmt(&Statement::Delete {
+                        table: "t".to_string(),
+                        where_expr: equals(3, SqlValue::Int(*on)),
+                    })
+                    .unwrap();
+                }
+                ScanWrite::Upsert { row } => {
+                    db.upsert_row("t", row.clone()).unwrap();
+                }
+                ScanWrite::DeleteByPk { id } => {
+                    db.delete_row_by_pk("t", &SqlValue::Int(*id)).unwrap();
+                }
+                ScanWrite::Replace { skip } => {
+                    let rows = db.table("t").unwrap().rows.iter().enumerate();
+                    let kept = rows.filter(|(i, _)| i % 3 != *skip).map(|(_, r)| r.clone()).collect();
+                    db.replace_table_rows("t", kept).unwrap();
+                }
+                ScanWrite::Begin => {
+                    let _ = db.exec("BEGIN");
+                }
+                ScanWrite::Commit => {
+                    let _ = db.exec("COMMIT");
+                }
+                ScanWrite::Rollback => {
+                    let _ = db.exec("ROLLBACK");
+                }
+                ScanWrite::Snapshot => saved = Some(db.snapshot()),
+                ScanWrite::Restore => {
+                    if let Some(saved) = &saved {
+                        db.restore(saved);
+                    }
+                }
+            }
+            let like = Some(WhereExpr::Cmp {
+                column: "c2".to_string(),
+                op: CmpOp::Like,
+                value: SqlValue::Text(pattern.clone()),
+            });
+            let (got, want) = select_both(&mut db, like);
+            prop_assert_eq!(got, want, "c2 LIKE {:?} after {:?}", pattern, write);
+            let where_expr = spec.resolve(db.table("t").unwrap());
+            let (got, want) = select_both(&mut db, where_expr.clone());
+            prop_assert_eq!(got, want, "WHERE {:?} after {:?}", where_expr, write);
+        }
     }
 }
